@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race fuzz-smoke bench bench-smoke bench-ingest-smoke bench-labels-smoke bench-mmap-smoke bench-obs-smoke bench-obs-cluster-smoke bench-shard-smoke bench-replica-smoke serve-smoke cluster-smoke ci
+.PHONY: all build vet test race fuzz-smoke tables bench bench-smoke serve-smoke cluster-smoke ci
 
 all: ci
 
@@ -22,7 +22,7 @@ test:
 race:
 	$(GO) test -race -run 'Concurrent|Stress' ./...
 
-# Short fuzzing passes over the two fuzz targets; long runs are
+# Short fuzzing passes over four fuzz targets; long runs are
 # `go test -fuzz=FuzzConnectBy ./internal/warehouse/` etc.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzConnectBy -fuzztime=10s ./internal/warehouse/
@@ -30,57 +30,24 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReachLabels -fuzztime=10s ./internal/run/
 	$(GO) test -run='^$$' -fuzz=FuzzSnapshotV3 -fuzztime=10s ./internal/warehouse/
 
-bench:
+# The paper's Section V tables (plus the ablations and the in-process
+# experiments that still have code), printed as text.
+tables:
 	$(GO) run ./cmd/zoombench
 
-# One-iteration pass over the compact-index benchmarks (P1): catches
-# regressions that break the indexed fast path without paying full
-# benchmark time. Full numbers: `go test -bench Compact -benchmem .`
+# The repository's benchmark, zoomload (benchmark/README.md): all four
+# workloads with 3 s windows against real `zoom serve`/`zoom router`
+# processes, then the benchmark's own tests (a nested module, so `go test
+# ./...` does not reach them).
+bench:
+	bash benchmark/run.sh --smoke && (cd benchmark && $(GO) test .)
+
+# One iteration of every testing.B benchmark in bench_test.go: catches a
+# benchmark that no longer builds, panics or fails its own assertions
+# (BenchmarkHarnessEndToEnd runs the whole experiment registry) without
+# paying benchmark time.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'Compact' -benchtime=1x -benchmem .
-
-# Same idea for the ingest benchmarks (L1): snapshot load/save in both
-# formats plus streaming log ingestion, one iteration each.
-bench-ingest-smoke:
-	$(GO) test -run '^$$' -bench 'Ingest' -benchtime=1x -benchmem .
-
-# One-iteration pass over the reachability-label benchmarks (P2): cold
-# query / derivation per strategy plus the label build itself. Full
-# numbers: `go test -bench Labels -benchmem .`
-bench-labels-smoke:
-	$(GO) test -run '^$$' -bench 'Labels' -benchtime=1x -benchmem .
-
-# One-iteration pass over the mmap-serving benchmarks (L2): v3 open vs v2
-# full load, plus the lazy first-touch query. Full numbers:
-# `go test -bench Mmap -benchmem .`
-bench-mmap-smoke:
-	$(GO) test -run '^$$' -bench 'Mmap' -benchtime=1x -benchmem .
-
-# Observability overhead (O1/O2): the warm-query benchmark with metrics
-# detached vs. attached vs. fully traced. The attached side must stay
-# within ~2% of detached; full numbers:
-# `go test -bench ObsOverhead -benchtime=2s .`
-bench-obs-smoke:
-	$(GO) test -run '^$$' -bench 'ObsOverhead' -benchtime=1x -benchmem .
-
-# Cluster observability overhead (O3): the routed query with tracing off
-# vs ?trace=1 cross-process stitching. The absolute comparison table is
-# `go run ./cmd/zoombench -only O3`.
-bench-obs-cluster-smoke:
-	$(GO) test -run '^$$' -bench 'ObsOverhead/routed' -benchtime=1x -benchmem .
-
-# One-iteration pass over the sharded-routing benchmarks (S1): direct vs
-# routed query latency at 1 and 4 shards plus the /v1/runs scatter-gather.
-# The throughput-scaling table itself is `go run ./cmd/zoombench -only S1`.
-bench-shard-smoke:
-	$(GO) test -run '^$$' -bench 'Shard' -benchtime=1x -benchmem .
-
-# One-iteration pass over the replicated-routing benchmarks (S2): the
-# healthy, failover, and cache-hit forwarding paths through a 2-shard ×
-# 2-replica router. The availability/hedging table itself is
-# `go run ./cmd/zoombench -only S2`.
-bench-replica-smoke:
-	$(GO) test -run '^$$' -bench 'Replica' -benchtime=1x -benchmem .
+	$(GO) test -run '^$$' -bench . -benchtime=1x -benchmem .
 
 # End-to-end smoke of `zoom serve`: boots the server on a free port against
 # the example warehouse, then checks /healthz, /readyz, /metrics, a traced
@@ -96,4 +63,4 @@ serve-smoke:
 cluster-smoke:
 	sh scripts/cluster_smoke.sh
 
-ci: vet build test race fuzz-smoke bench-smoke bench-ingest-smoke bench-labels-smoke bench-mmap-smoke bench-obs-smoke bench-obs-cluster-smoke bench-shard-smoke bench-replica-smoke serve-smoke cluster-smoke
+ci: vet build test race fuzz-smoke bench-smoke serve-smoke cluster-smoke bench

@@ -11,8 +11,6 @@ import (
 	"context"
 	"fmt"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/bench"
@@ -248,130 +246,6 @@ func BenchmarkFig11Granularity(b *testing.B) {
 	}
 }
 
-// newCompactSite is newFig10Site with the warehouse's compact index
-// switched on or off before the run is loaded — the two sides of the P1
-// comparison. The same seed yields the identical workflow and run, so the
-// legacy and indexed variants answer the same queries.
-func newCompactSite(b *testing.B, rc gen.RunClass, seed int64, indexed bool) *fig10Site {
-	b.Helper()
-	g := gen.NewGenerator(seed)
-	site := &fig10Site{}
-	site.s = g.Workflow(gen.Class4(), "p1")
-	var err error
-	site.r, _, err = g.Run(site.s, rc, "p1-run")
-	if err != nil {
-		b.Fatal(err)
-	}
-	site.w = warehouse.New(0)
-	site.w.SetCompactIndex(indexed)
-	if err := site.w.RegisterSpec(site.s); err != nil {
-		b.Fatal(err)
-	}
-	if err := site.w.LoadRun(site.r); err != nil {
-		b.Fatal(err)
-	}
-	site.e = provenance.NewEngine(site.w)
-	finals := site.r.FinalOutputs()
-	site.root = finals[len(finals)-1]
-	site.admin = core.UAdmin(site.s)
-	if site.bio, err = core.BuildRelevant(site.s, gen.UBioRelevant(site.s)); err != nil {
-		b.Fatal(err)
-	}
-	if site.bb, err = core.UBlackBox(site.s); err != nil {
-		b.Fatal(err)
-	}
-	return site
-}
-
-// compactModes are the two sides of the P1 experiment.
-var compactModes = []struct {
-	name    string
-	indexed bool
-}{{"legacy", false}, {"indexed", true}}
-
-// BenchmarkCompactColdQuery (P1) is the tentpole comparison: a cold deep
-// provenance query (UAdmin closure compute + projection, cache reset each
-// iteration) on the legacy string/map path versus the interned CSR/bitset
-// path, per Table II run class. Run with -benchmem: the alloc column is
-// the headline alongside ns/op.
-func BenchmarkCompactColdQuery(b *testing.B) {
-	kinds := gen.RunClasses()
-	kinds[2].MaxNodes = 3000
-	for _, rc := range kinds {
-		for _, mode := range compactModes {
-			b.Run(rc.Name+"/"+mode.name, func(b *testing.B) {
-				site := newCompactSite(b, rc, 21, mode.indexed)
-				// Warm mapping + projector; the loop then measures only the
-				// per-query path.
-				if _, err := site.e.DeepProvenance(site.r.ID(), site.bio, site.root); err != nil {
-					b.Fatal(err)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					site.w.ResetCache()
-					if _, err := site.e.DeepProvenance(site.r.ID(), site.bio, site.root); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkCompactViewSwitch (P1) measures the warm half: the closure is
-// cached and each iteration re-projects it under an alternating view — the
-// paper's interactive view switch — on both representations.
-func BenchmarkCompactViewSwitch(b *testing.B) {
-	kinds := gen.RunClasses()
-	kinds[2].MaxNodes = 3000
-	for _, rc := range kinds {
-		for _, mode := range compactModes {
-			b.Run(rc.Name+"/"+mode.name, func(b *testing.B) {
-				site := newCompactSite(b, rc, 22, mode.indexed)
-				if _, err := site.e.DeepProvenance(site.r.ID(), site.admin, site.root); err != nil {
-					b.Fatal(err)
-				}
-				views := []*core.UserView{site.bio, site.bb}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := site.e.DeepProvenance(site.r.ID(), views[i%2], site.root); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkCompactDerivation (P1) covers the forward direction: cold deep
-// derivation of an external input, both representations.
-func BenchmarkCompactDerivation(b *testing.B) {
-	rc := gen.Medium()
-	for _, mode := range compactModes {
-		b.Run(mode.name, func(b *testing.B) {
-			site := newCompactSite(b, rc, 23, mode.indexed)
-			ins := site.r.ExternalInputs()
-			if len(ins) == 0 {
-				b.Skip("run has no external inputs")
-			}
-			d := ins[0]
-			if _, err := site.e.DeepDerivation(site.r.ID(), site.bio, d); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				site.w.ResetCache()
-				if _, err := site.e.DeepDerivation(site.r.ID(), site.bio, d); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // newLabelSite is newFig10Site with the warehouse's reachability label
 // index switched on or off before the run is loaded — the two sides of
 // the P2 comparison. The same seed yields the identical workflow and run.
@@ -590,103 +464,10 @@ func BenchmarkHarnessEndToEnd(b *testing.B) {
 	o.MaxSpecNodes = 200
 	o.LargeRunCap = 500
 	for i := 0; i < b.N; i++ {
-		if got := bench.RunAll(o); len(got) != 14 {
-			b.Fatal("missing reports")
+		if got := bench.RunAll(o); len(got) != len(bench.Experiments()) {
+			b.Fatalf("%d reports for %d registered experiments", len(got), len(bench.Experiments()))
 		}
 	}
-}
-
-// ingestImages builds a multi-run warehouse for one Table II class and
-// returns its v1 (JSON) and v2 (binary) snapshot images.
-func ingestImages(b *testing.B, rc gen.RunClass, seed int64) (v1, v2 []byte) {
-	b.Helper()
-	g := gen.NewGenerator(seed)
-	s := g.Workflow(gen.Class4(), "ingest-"+rc.Name)
-	w := warehouse.New(0)
-	if err := w.RegisterSpec(s); err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		r, _, err := g.Run(s, rc, fmt.Sprintf("ingest-%s-r%d", rc.Name, i))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := w.LoadRun(r); err != nil {
-			b.Fatal(err)
-		}
-	}
-	var b1, b2 bytes.Buffer
-	if err := w.Save(&b1); err != nil {
-		b.Fatal(err)
-	}
-	if err := w.SaveBinary(&b2); err != nil {
-		b.Fatal(err)
-	}
-	return b1.Bytes(), b2.Bytes()
-}
-
-// BenchmarkIngestSnapshotLoad (L1) is the tentpole comparison: a full
-// snapshot load — decode, reconstruct, validate, conformance-check, compact
-// index — per format and worker mode, per Table II run class. Run with
-// -benchmem: the v2 rows should show both less time and far fewer
-// allocations than the v1 rows.
-func BenchmarkIngestSnapshotLoad(b *testing.B) {
-	kinds := gen.RunClasses()
-	kinds[2].MaxNodes = 3000
-	for _, rc := range kinds {
-		v1, v2 := ingestImages(b, rc, 31)
-		for _, mode := range []struct {
-			name    string
-			image   []byte
-			workers int
-		}{
-			{"v1/serial", v1, 1},
-			{"v1/parallel", v1, 0},
-			{"v2/serial", v2, 1},
-			{"v2/parallel", v2, 0},
-		} {
-			b.Run(rc.Name+"/"+mode.name, func(b *testing.B) {
-				b.SetBytes(int64(len(mode.image)))
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := warehouse.LoadWith(bytes.NewReader(mode.image), 0,
-						warehouse.LoadOptions{Workers: mode.workers}); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkIngestSnapshotSave measures the write side of both formats on
-// the medium class.
-func BenchmarkIngestSnapshotSave(b *testing.B) {
-	v1, _ := ingestImages(b, gen.Medium(), 32)
-	w, err := warehouse.Load(bytes.NewReader(v1), 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("v1", func(b *testing.B) {
-		b.ReportAllocs()
-		var buf bytes.Buffer
-		for i := 0; i < b.N; i++ {
-			buf.Reset()
-			if err := w.Save(&buf); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("v2", func(b *testing.B) {
-		b.ReportAllocs()
-		var buf bytes.Buffer
-		for i := 0; i < b.N; i++ {
-			buf.Reset()
-			if err := w.SaveBinary(&buf); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkIngestLogStream measures streaming log ingestion: a JSON-lines
@@ -829,94 +610,6 @@ func BenchmarkObsOverhead(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				t := targets[i%len(targets)]
 				if _, err := c.Query(ctx, client.QueryRequest{Run: t.run, Data: t.data, Trace: traced}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// mmapImage saves a multi-run warehouse as a v3 snapshot file and returns
-// the path plus the id of one run and a final data object of it to query.
-func mmapImage(b *testing.B, rc gen.RunClass, seed int64) (path, runID, data string, v2 []byte) {
-	b.Helper()
-	g := gen.NewGenerator(seed)
-	s := g.Workflow(gen.Class4(), "mmap-"+rc.Name)
-	w := warehouse.New(0)
-	if err := w.RegisterSpec(s); err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		r, _, err := g.Run(s, rc, fmt.Sprintf("mmap-%s-r%d", rc.Name, i))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := w.LoadRun(r); err != nil {
-			b.Fatal(err)
-		}
-		if finals := r.FinalOutputs(); len(finals) > 0 {
-			runID, data = r.ID(), finals[len(finals)-1]
-		}
-	}
-	var v2buf bytes.Buffer
-	if err := w.SaveBinary(&v2buf); err != nil {
-		b.Fatal(err)
-	}
-	path = filepath.Join(b.TempDir(), rc.Name+".v3")
-	f, err := os.Create(path)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := w.SaveV3(f); err != nil {
-		b.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		b.Fatal(err)
-	}
-	return path, runID, data, v2buf.Bytes()
-}
-
-// BenchmarkMmapOpen (L2) is the v3 tentpole comparison: time-to-ready of
-// the mmap open against the v2 full load, plus the per-run lazy
-// materialization plus cache-cold query the first request pays. The open
-// rows must stay flat as run sizes grow — the open reads the catalog only.
-func BenchmarkMmapOpen(b *testing.B) {
-	kinds := gen.RunClasses()
-	kinds[2].MaxNodes = 3000
-	for _, rc := range kinds {
-		path, runID, data, v2 := mmapImage(b, rc, 41)
-		b.Run(rc.Name+"/v2-load", func(b *testing.B) {
-			b.SetBytes(int64(len(v2)))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := warehouse.LoadWith(bytes.NewReader(v2), 0, warehouse.LoadOptions{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(rc.Name+"/v3-open", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				w, err := warehouse.OpenV3(path, 0, warehouse.LoadOptions{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := w.Close(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(rc.Name+"/v3-first-query", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				w, err := warehouse.OpenV3(path, 0, warehouse.LoadOptions{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := w.DeepProvenance(runID, data); err != nil {
-					b.Fatal(err)
-				}
-				if err := w.Close(); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -9,7 +9,7 @@
 //	zoom serve   -warehouse wh.json [-addr :8080] [-mmap] [-labels] [-slow 10ms] [-slowlog 128] [-drain 5s] [-expvar zoom]
 //	zoom spec    -file spec.json [-dot]   validate / render a specification
 //	zoom view    -file spec.json -relevant M2,M3,M7 [-dot]
-//	zoom load    -warehouse wh.json -file spec.json [-log run.jsonl -run id] [-parallel N] [-format json|binary|v3|keep]
+//	zoom load    -warehouse wh.json -file spec.json [-log run.jsonl -run id] [-parallel N] [-format json|v3|keep]
 //	zoom save    -warehouse wh.json [-out wh.v3] [-format v3]   re-save in an explicit format
 //	zoom snapshot convert -in old.snap -out new.snap [-format v3]
 //	zoom snapshot shard -in wh.v3 -n 4 [-out prefix] [-replicas 128] [-format keep]
@@ -102,16 +102,16 @@ func cmdSave(args []string) error {
 	fs := flag.NewFlagSet("save", flag.ExitOnError)
 	whPath := fs.String("warehouse", "", "warehouse snapshot file (required)")
 	out := fs.String("out", "", "output file (default: overwrite -warehouse)")
-	format := fs.String("format", "v3", "snapshot format to write: json, binary, or v3")
+	format := fs.String("format", "v3", "snapshot format to write: json or v3")
 	parallel := fs.Int("parallel", 0, "workers for parallel snapshot loading (0 = GOMAXPROCS)")
 	_ = fs.Parse(args)
 	if *whPath == "" {
 		return fmt.Errorf("save: -warehouse is required")
 	}
 	switch *format {
-	case "json", "binary", "v3":
+	case "json", "v3":
 	default:
-		return fmt.Errorf("save: unknown -format %q (want json, binary or v3)", *format)
+		return fmt.Errorf("save: unknown -format %q (want json or v3)", *format)
 	}
 	if *out == "" {
 		*out = *whPath
@@ -130,7 +130,7 @@ func cmdSave(args []string) error {
 	return nil
 }
 
-// cmdSnapshot manages snapshot files: convert rewrites a v1/v2/v3
+// cmdSnapshot manages snapshot files: convert rewrites a v1 or v3
 // snapshot into another format; shard splits one into N shard snapshots
 // by the cluster's consistent-hash ring.
 func cmdSnapshot(args []string) error {
@@ -144,16 +144,16 @@ func cmdSnapshot(args []string) error {
 	fs := flag.NewFlagSet("snapshot convert", flag.ExitOnError)
 	in := fs.String("in", "", "snapshot file to read (any format, required)")
 	out := fs.String("out", "", "snapshot file to write (required)")
-	format := fs.String("format", "v3", "output format: json, binary, or v3")
+	format := fs.String("format", "v3", "output format: json or v3")
 	parallel := fs.Int("parallel", 0, "workers for parallel snapshot loading (0 = GOMAXPROCS)")
 	_ = fs.Parse(args[1:])
 	if *in == "" || *out == "" {
 		return fmt.Errorf("snapshot convert: -in and -out are required")
 	}
 	switch *format {
-	case "json", "binary", "v3":
+	case "json", "v3":
 	default:
-		return fmt.Errorf("snapshot convert: unknown -format %q (want json, binary or v3)", *format)
+		return fmt.Errorf("snapshot convert: unknown -format %q (want json or v3)", *format)
 	}
 	if _, err := os.Stat(*in); err != nil {
 		return fmt.Errorf("snapshot convert: %w", err)
@@ -181,7 +181,7 @@ func cmdSnapshotShard(args []string) error {
 	out := fs.String("out", "", "output prefix; shard k is written to <prefix>.shard<k> (default: -in)")
 	n := fs.Int("n", 0, "number of shards (required)")
 	replicas := fs.Int("replicas", 0, "virtual nodes per shard on the placement ring (0 = default; must match the router)")
-	format := fs.String("format", "keep", "output format: json, binary, v3, or keep (preserve the input's format)")
+	format := fs.String("format", "keep", "output format: json, v3, or keep (preserve the input's format)")
 	parallel := fs.Int("parallel", 0, "workers for parallel snapshot loading (0 = GOMAXPROCS)")
 	_ = fs.Parse(args)
 	if *in == "" {
@@ -191,11 +191,11 @@ func cmdSnapshotShard(args []string) error {
 		return fmt.Errorf("snapshot shard: -n must be at least 1")
 	}
 	switch *format {
-	case "json", "binary", "v3":
+	case "json", "v3":
 	case "keep":
 		*format = snapshotFormat(*in)
 	default:
-		return fmt.Errorf("snapshot shard: unknown -format %q (want json, binary, v3 or keep)", *format)
+		return fmt.Errorf("snapshot shard: unknown -format %q (want json, v3 or keep)", *format)
 	}
 	if *out == "" {
 		*out = *in
@@ -632,9 +632,12 @@ func loadSystemOpts(path string, opts zoom.LoadOptions) (*zoom.System, error) {
 	return zoom.LoadSystemWith(f, opts)
 }
 
-// snapshotFormat sniffs an existing snapshot file's format ("json",
-// "binary" for v2, "v3") so re-saving can keep the format it found. A
-// missing or unreadable file defaults to "json".
+// snapshotFormat sniffs an existing snapshot file's format ("json" or
+// "v3") so re-saving can keep the format it found. A missing, unreadable or
+// too-short file defaults to "json", the format of a new warehouse. A file
+// with the binary magic that is not v3 is never taken for JSON: it reports
+// "v2 (retired)" or "unknown", neither of which can be written, and loading
+// it returns the warehouse's own error for that header.
 func snapshotFormat(path string) string {
 	f, err := os.Open(path)
 	if err != nil {
@@ -642,13 +645,16 @@ func snapshotFormat(path string) string {
 	}
 	defer f.Close()
 	var head [5]byte
-	if _, err := io.ReadFull(f, head[:]); err != nil || head[0] != 'Z' {
+	if _, err := io.ReadFull(f, head[:]); err != nil || string(head[:4]) != "ZOOM" {
 		return "json"
 	}
-	if head[4] == 3 {
+	switch head[4] {
+	case 3:
 		return "v3"
+	case 2:
+		return "v2 (retired)"
 	}
-	return "binary"
+	return "unknown"
 }
 
 func saveSystem(sys *zoom.System, path string) error {
@@ -674,12 +680,12 @@ func saveSystemFormat(sys *zoom.System, path, format string) (err error) {
 		}
 	}()
 	switch format {
-	case "binary":
-		err = sys.SaveBinary(f)
+	case "json":
+		err = sys.Save(f)
 	case "v3":
 		err = sys.SaveV3(f)
 	default:
-		err = sys.Save(f)
+		err = fmt.Errorf("cannot write snapshot format %q", format)
 	}
 	if err != nil {
 		return err
@@ -701,17 +707,17 @@ func cmdLoad(args []string) error {
 	runID := fs.String("run", "", "run id for the ingested log")
 	specName := fs.String("spec", "", "spec name the log executes (default: the -file spec)")
 	parallel := fs.Int("parallel", 0, "workers for parallel snapshot loading (0 = GOMAXPROCS)")
-	format := fs.String("format", "keep", "snapshot format to write: json, binary, or keep (preserve the existing file's format)")
+	format := fs.String("format", "keep", "snapshot format to write: json, v3, or keep (preserve the existing file's format)")
 	_ = fs.Parse(args)
 	if *whPath == "" {
 		return fmt.Errorf("load: -warehouse is required")
 	}
 	switch *format {
-	case "json", "binary", "v3":
+	case "json", "v3":
 	case "keep":
 		*format = snapshotFormat(*whPath)
 	default:
-		return fmt.Errorf("load: unknown -format %q (want json, binary, v3 or keep)", *format)
+		return fmt.Errorf("load: unknown -format %q (want json, v3 or keep)", *format)
 	}
 	sys, err := loadSystemWith(*whPath, *parallel, nil)
 	if err != nil {

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
@@ -605,7 +606,7 @@ func TestSaveSystemAtomic(t *testing.T) {
 	if err := sys.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for _, format := range []string{"json", "binary", "v3"} {
+	for _, format := range []string{"json", "v3"} {
 		if err := saveSystemFormat(sys, wh, format); err == nil {
 			t.Fatalf("save format %s on a closed system succeeded", format)
 		}
@@ -732,5 +733,70 @@ func TestCmdSaveAndSnapshotConvert(t *testing.T) {
 		return cmdSave([]string{"-warehouse", filepath.Join(dir, "ghost.json")})
 	}); err == nil {
 		t.Fatal("save of a missing warehouse accepted")
+	}
+}
+
+// TestRetiredV2Snapshot: a file with the v2 header is sniffed as retired
+// (never as JSON), every command that opens it — load, convert, shard,
+// serve, serve -mmap — fails with the warehouse's one sentinel and leaves
+// the file alone, and "binary" is no longer a -format value.
+func TestRetiredV2Snapshot(t *testing.T) {
+	dir := t.TempDir()
+	v2 := filepath.Join(dir, "old.snap")
+	image := []byte("ZOOM\x02\x01\x10{\"name\":\"spec\"}")
+	if err := os.WriteFile(v2, image, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got := snapshotFormat(v2); got != "v2 (retired)" {
+		t.Fatalf("snapshotFormat(v2) = %q", got)
+	}
+	unknown := filepath.Join(dir, "future.snap")
+	if err := os.WriteFile(unknown, []byte("ZOOM\x09 from the future"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got := snapshotFormat(unknown); got != "unknown" {
+		t.Fatalf("snapshotFormat(version 9) = %q", got)
+	}
+
+	out := filepath.Join(dir, "new.v3")
+	for name, cmd := range map[string]func() error{
+		"load keep": func() error { return cmdLoad([]string{"-warehouse", v2}) },
+		"load v3":   func() error { return cmdLoad([]string{"-warehouse", v2, "-format", "v3"}) },
+		"convert":   func() error { return cmdSnapshot([]string{"convert", "-in", v2, "-out", out}) },
+		"shard":     func() error { return cmdSnapshot([]string{"shard", "-in", v2, "-n", "2"}) },
+		"query":     func() error { return cmdQuery([]string{"-warehouse", v2, "-run", "r", "-data", "d1"}) },
+		"serve": func() error {
+			return cmdServe([]string{"-warehouse", v2, "-addr", "127.0.0.1:0", "-expvar", ""})
+		},
+		"serve mmap": func() error {
+			return cmdServe([]string{"-warehouse", v2, "-mmap", "-addr", "127.0.0.1:0", "-expvar", ""})
+		},
+	} {
+		_, _, err := captureBoth(t, cmd)
+		if !errors.Is(err, warehouse.ErrSnapshotV2Retired) {
+			t.Fatalf("%s: err = %v, want ErrSnapshotV2Retired", name, err)
+		}
+	}
+	if after, err := os.ReadFile(v2); err != nil || !bytes.Equal(after, image) {
+		t.Fatalf("a refused v2 file was rewritten (err %v)", err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 2 {
+		t.Fatalf("refused commands left files behind: %v", entries)
+	}
+
+	wh := filepath.Join(dir, "wh.json")
+	for name, cmd := range map[string]func() error{
+		"load":    func() error { return cmdLoad([]string{"-warehouse", wh, "-format", "binary"}) },
+		"save":    func() error { return cmdSave([]string{"-warehouse", wh, "-format", "binary"}) },
+		"convert": func() error { return cmdSnapshot([]string{"convert", "-in", wh, "-out", out, "-format", "binary"}) },
+		"shard":   func() error { return cmdSnapshot([]string{"shard", "-in", wh, "-n", "2", "-format", "binary"}) },
+	} {
+		if _, err := capture(t, cmd); err == nil || !strings.Contains(err.Error(), "unknown -format") {
+			t.Fatalf("%s -format binary: err = %v, want unknown -format", name, err)
+		}
 	}
 }

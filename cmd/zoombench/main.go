@@ -25,7 +25,7 @@ func main() {
 		out     = flag.String("out", "", "also write the reports to this file")
 		csvDir  = flag.String("csv", "", "also write each report as CSV into this directory")
 		jsonOut = flag.String("json", "", "also write the selected reports as a JSON array to this file")
-		only    = flag.String("only", "", "run a single experiment id (T1,T2,E1,E2,F10,E3,E4,F11,E5,A1/A2,C1,P1,P2,L1,L2,S1)")
+		only    = flag.String("only", "", "run a single experiment id (T1,T2,E1,E2,F10,E3,E4,F11,E5,A1/A2,C1,P2,S1,S2,O3)")
 	)
 	flag.Parse()
 

@@ -497,10 +497,7 @@ func Experiments() []Experiment {
 		{"E5", ExpMinimumGap},
 		{"A1/A2", ExpAblation},
 		{"C1", ExpConcurrent},
-		{"P1", ExpCompact},
 		{"P2", ExpLabels},
-		{"L1", ExpIngest},
-		{"L2", ExpMmap},
 		{"S1", ExpShard},
 		{"S2", ExpReplica},
 		{"O3", ExpObsCluster},

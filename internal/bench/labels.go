@@ -39,8 +39,8 @@ func ExpLabels(o Options) *Report {
 				continue
 			}
 			// Cold closures on these runs cost tens of microseconds, so the
-			// rep counts are much higher than P1's: the timing loop must
-			// outlast scheduler and GC noise for the ratio to mean anything.
+			// rep counts are high: the timing loop must outlast scheduler
+			// and GC noise for the ratio to mean anything.
 			reps := 500
 			switch {
 			case r.NumSteps() > 1000:

@@ -13,8 +13,8 @@ import (
 )
 
 // ReportSchema is the version stamped into report JSON by MarshalJSON.
-// Version 1 is the pre-stamp format (no Schema field — BENCH_L1.json and
-// BENCH_P1.json as originally committed); version 2 added the stamp with
+// Version 1 is the pre-stamp format (no Schema field — BENCH_P1.json as
+// originally committed); version 2 added the stamp with
 // no other shape change. Readers default a missing stamp to 1, so every
 // historical artifact still round-trips.
 const ReportSchema = 2

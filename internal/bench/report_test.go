@@ -42,7 +42,7 @@ func TestReportJSONRoundTrip(t *testing.T) {
 }
 
 // TestReportJSONLegacy reads a version-1 artifact — the shape of
-// BENCH_L1.json and BENCH_P1.json as originally committed, no Schema field
+// BENCH_P1.json as originally committed, no Schema field
 // — and checks it decodes with the defaulted version and re-encodes with
 // the version preserved (a rewriter must not silently upgrade history).
 func TestReportJSONLegacy(t *testing.T) {

@@ -2,7 +2,10 @@ package bench
 
 import "testing"
 
-func TestSmokeAll(t *testing.T) {
+// TestExperimentsRegistryIDs runs the whole registry at smoke scale: every
+// experiment returns a report, every registry ID equals the ID of the
+// report it returns, and no ID is registered twice.
+func TestExperimentsRegistryIDs(t *testing.T) {
 	o := Default()
 	o.WorkflowsPerClass = 1
 	o.RunsPerKind = 1

@@ -61,11 +61,6 @@ type Mapping struct {
 	ofStep map[string]string     // step id -> execution id
 	order  []string              // execution ids in topological order
 
-	// allSingleton is true when every execution is one step (id == step
-	// id) — always the case for UAdmin over loop-free composites — letting
-	// the projection skip its visibility bookkeeping.
-	allSingleton bool
-
 	projOnce sync.Once
 	proj     *Projector
 }
@@ -125,13 +120,11 @@ func Build(r *run.Run, v *core.UserView) (*Mapping, error) {
 		return pos[protos[i].steps[0]] < pos[protos[j].steps[0]]
 	})
 	ordinal := make(map[string]int)
-	m.allSingleton = true
 	for _, p := range protos {
 		var id string
 		if len(p.steps) == 1 {
 			id = p.steps[0]
 		} else {
-			m.allSingleton = false
 			ordinal[p.comp]++
 			id = fmt.Sprintf("%s@%d", p.comp, ordinal[p.comp])
 		}
@@ -195,11 +188,6 @@ func (m *Mapping) Executions() []*Execution {
 
 // NumExecutions returns the number of composite executions.
 func (m *Mapping) NumExecutions() int { return len(m.execs) }
-
-// AllSingleton reports whether every execution consists of exactly one
-// step, i.e. execution ids coincide with step ids. UAdmin mappings are
-// all-singleton whenever no module self-loops.
-func (m *Mapping) AllSingleton() bool { return m.allSingleton }
 
 // ExecutionOf returns the execution id containing the given step.
 func (m *Mapping) ExecutionOf(step string) (string, bool) {

@@ -5,7 +5,7 @@ import (
 )
 
 // Projector is the integer-indexed face of a Mapping: the per-(run, view)
-// arrays the projection fast path intersects with a bitset-backed UAdmin
+// arrays the projection intersects with a bitset-backed UAdmin
 // closure. Everything is precomputed once per mapping — step → execution
 // ordinal, data → producer-execution ordinal, and each execution's input /
 // output data as interned ids in CSR layout — so projecting a closure is

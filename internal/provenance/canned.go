@@ -3,6 +3,7 @@ package provenance
 import (
 	"fmt"
 
+	"repro/internal/bitset"
 	"repro/internal/composite"
 	"repro/internal/core"
 	"repro/internal/warehouse"
@@ -94,38 +95,31 @@ func (e *Engine) ExecutionProvenance(runID string, v *core.UserView, execID stri
 	if !ok {
 		return nil, fmt.Errorf("provenance: unknown execution %q in run %q", execID, runID)
 	}
-	// Union the closures of the execution's inputs; the per-(run, data)
-	// cache makes the repeats cheap.
-	mergedSteps := make(map[string]bool)
-	mergedData := make(map[string]bool)
+	// Union the closures of the execution's inputs into fresh sets (cached
+	// closures are shared and read-only); the per-(run, data) cache makes
+	// the repeats cheap.
+	px := m.Projector()
+	ix := px.Index()
+	stepBits := bitset.New(ix.NumSteps())
+	dataBits := bitset.New(ix.NumData())
 	for _, in := range ex.Inputs {
 		c, err := e.w.DeepProvenance(runID, in)
 		if err != nil {
 			return nil, err
 		}
-		for s := range c.StepSet() {
-			mergedSteps[s] = true
+		_, cs, cd, err := projectorFor(m, c)
+		if err != nil {
+			return nil, err
 		}
-		for d := range c.DataSet() {
-			mergedData[d] = true
-		}
+		stepBits.Or(cs)
+		dataBits.Or(cd)
 	}
 	for _, s := range ex.Steps {
-		mergedSteps[s] = true
+		id, _ := ix.StepID(s)
+		stepBits.Add(id)
 	}
-	res := project(m, warehouse.NewClosure(execID, mergedSteps, mergedData))
-	res.Root = execID
-	res.External = false
-	res.Metadata = nil
-	// project seeds the data set with the closure root, which here is an
-	// execution id, not a data id; drop it.
-	filtered := res.Data[:0]
-	for _, d := range res.Data {
-		if d != execID {
-			filtered = append(filtered, d)
-		}
-	}
-	res.Data = filtered
+	res := &Result{RunID: runID, Root: execID}
+	projectBits(res, px, -1, stepBits, dataBits)
 	return res, nil
 }
 

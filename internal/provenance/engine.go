@@ -60,10 +60,12 @@ type mappingKey struct {
 	view  *core.UserView
 }
 
-// mappingEntry memoizes one Build outcome. The Once ensures the mapping
-// is computed exactly once even when many goroutines miss concurrently —
-// the engine-level analogue of the warehouse's singleflight.
+// mappingEntry memoizes one Build outcome for the run instance r. The Once
+// ensures the mapping is computed exactly once even when many goroutines
+// miss concurrently — the engine-level analogue of the warehouse's
+// singleflight.
 type mappingEntry struct {
+	r    *run.Run
 	once sync.Once
 	m    *composite.Mapping
 	err  error
@@ -79,13 +81,16 @@ func (e *Engine) Warehouse() *warehouse.Warehouse { return e.w }
 
 // mapping returns the (cached) composite-execution mapping of a run under a
 // view. Mappings depend only on (run, view), not on the queried data, so
-// they are shared across queries and built exactly once per key.
+// they are shared across queries and built exactly once per key. An entry
+// answers only for the run instance it was built over: after DropRun and a
+// re-ingest under the same id the warehouse hands out a different *run.Run,
+// and the stale entry is replaced instead of served.
 func (e *Engine) mapping(r *run.Run, v *core.UserView) (*composite.Mapping, error) {
 	key := mappingKey{runID: r.ID(), view: v}
 	e.mu.Lock()
 	ent := e.mappings[key]
-	if ent == nil {
-		ent = &mappingEntry{}
+	if ent == nil || ent.r != r {
+		ent = &mappingEntry{r: r}
 		e.mappings[key] = ent
 	}
 	e.mu.Unlock()
@@ -207,13 +212,15 @@ func (e *Engine) deepProvenance(ctx context.Context, runID string, v *core.UserV
 	}
 	psp := sp.StartChild("query.project")
 	mp, err := e.mapping(r, v)
+	var res *Result
+	if err == nil {
+		res, err = project(mp, closure)
+	}
+	psp.End()
 	if err != nil {
-		psp.End()
 		m.queryError()
 		return nil, err
 	}
-	res := project(mp, closure)
-	psp.End()
 	if timed {
 		end := time.Now()
 		projectNs := end.Sub(projectStart).Nanoseconds()
@@ -242,37 +249,61 @@ func (e *Engine) deepProvenance(ctx context.Context, runID string, v *core.UserV
 	return res, nil
 }
 
-// project restricts a UAdmin closure to what a view shows: the composite
-// executions that intersect the closure, the data crossing their
-// boundaries, and the edges between them. Bitset-backed closures take the
-// integer fast path (intersect interned-id sets against the mapping's
-// Projector, materialize strings only for the final Result); map-backed
-// closures — legacy warehouses and the merged closures ExecutionProvenance
-// assembles — take the string path. The equivalence property tests hold
-// the two paths element-for-element identical.
-func project(m *composite.Mapping, closure *warehouse.Closure) *Result {
-	if ix, stepBits, dataBits, ok := closure.Bits(); ok {
-		if px := m.Projector(); px.Index() == ix {
-			return projectIndexed(m, px, closure.Root, stepBits, dataBits)
-		}
+// ErrIndexMismatch reports a closure and a view mapping interned over
+// different run indexes. Both are derived from the run the warehouse holds
+// under one id, so the only way to see it is a run dropped and re-ingested
+// between a query's run lookup and its closure lookup.
+var ErrIndexMismatch = errors.New("provenance: closure and view mapping are over different run indexes")
+
+// projectorFor returns the mapping's projector and the closure's member
+// sets after checking that both speak the same interned ids.
+func projectorFor(m *composite.Mapping, c *warehouse.Closure) (*composite.Projector, bitset.Set, bitset.Set, error) {
+	px := m.Projector()
+	ix, stepBits, dataBits := c.Bits()
+	if px.Index() != ix {
+		return nil, nil, nil, fmt.Errorf("%w: run %q, root %q: closure index %p, mapping index %p",
+			ErrIndexMismatch, m.Run().ID(), c.Root, ix, px.Index())
 	}
-	return projectLegacy(m, closure)
+	return px, stepBits, dataBits, nil
 }
 
-// projectIndexed is the fast path: closure membership is a bit test, the
-// visible-execution set is a bitset over topological ordinals, and data
-// comes out naturally sorted for free because interned ids are natural
-// ranks.
-func projectIndexed(m *composite.Mapping, px *composite.Projector, root string, stepBits, dataBits bitset.Set) *Result {
-	ix := px.Index()
-	res := &Result{RunID: m.Run().ID(), Root: root, External: m.Run().IsExternal(root)}
+// newResult starts the answer for a query rooted at data object root.
+func newResult(r *run.Run, root string) *Result {
+	res := &Result{RunID: r.ID(), Root: root, External: r.IsExternal(root)}
 	if res.External {
-		res.Metadata = m.Run().InputMeta(root)
+		res.Metadata = r.InputMeta(root)
 	}
+	return res
+}
+
+// project restricts a UAdmin closure to what a view shows: the composite
+// executions that intersect the closure, the data crossing their
+// boundaries, and the edges between them.
+func project(m *composite.Mapping, c *warehouse.Closure) (*Result, error) {
+	px, stepBits, dataBits, err := projectorFor(m, c)
+	if err != nil {
+		return nil, err
+	}
+	res := newResult(m.Run(), c.Root)
+	rootID, ok := px.Index().DataID(c.Root)
+	if !ok {
+		rootID = -1
+	}
+	projectBits(res, px, rootID, stepBits, dataBits)
+	return res, nil
+}
+
+// projectBits fills res from closure member sets: closure membership is a
+// bit test, the visible-execution set is a bitset over topological
+// ordinals, and data comes out naturally sorted for free because interned
+// ids are natural ranks. rootID seeds the visible data (negative: no root
+// data object, as in ExecutionProvenance).
+func projectBits(res *Result, px *composite.Projector, rootID int32, stepBits, dataBits bitset.Set) {
+	ix := px.Index()
 	visible := bitset.New(px.NumExecutions())
 	stepBits.Each(func(s int32) { visible.Add(px.ExecOfStep(s)) })
 	outData := bitset.New(ix.NumData())
-	if rootID, ok := ix.DataID(root); ok {
+	if rootID >= 0 {
 		outData.Add(rootID)
 	}
 	eb := borrowEdgeBuilder()
@@ -296,74 +327,14 @@ func projectIndexed(m *composite.Mapping, px *composite.Projector, root string, 
 	outData.Each(func(d int32) { res.Data = append(res.Data, ix.DataName(d)) })
 	res.Edges = eb.build()
 	eb.release()
-	return res
-}
-
-// projectLegacy is the string/map path.
-func projectLegacy(m *composite.Mapping, closure *warehouse.Closure) *Result {
-	res := &Result{RunID: m.Run().ID(), Root: closure.Root, External: m.Run().IsExternal(closure.Root)}
-	if res.External {
-		res.Metadata = m.Run().InputMeta(closure.Root)
-	}
-	// When every execution is a singleton (UAdmin without self-loops),
-	// execution ids are step ids and visibility is closure membership —
-	// no visible map needed.
-	allSingle := m.AllSingleton()
-	var visible map[string]bool
-	if !allSingle {
-		visible = make(map[string]bool)
-	}
-	for _, ex := range m.Executions() {
-		for _, s := range ex.Steps {
-			if closure.HasStep(s) {
-				if !allSingle {
-					visible[ex.ID] = true
-				}
-				res.Executions = append(res.Executions, ex)
-				break
-			}
-		}
-	}
-	isVisible := func(id string) bool {
-		if allSingle {
-			return closure.HasStep(id)
-		}
-		return visible[id]
-	}
-	dataSet := map[string]bool{closure.Root: true}
-	eb := borrowEdgeBuilder()
-	for _, ex := range res.Executions {
-		for _, d := range ex.Inputs {
-			if !closure.HasData(d) {
-				continue // input irrelevant to this derivation
-			}
-			dataSet[d] = true
-			src, ok := m.ProducerExecution(d)
-			if !ok {
-				src = spec.Input
-			}
-			if src == spec.Input || isVisible(src) {
-				eb.add(src, ex.ID, d, -1)
-			}
-		}
-	}
-	res.Data = make([]string, 0, len(dataSet))
-	for d := range dataSet {
-		res.Data = append(res.Data, d)
-	}
-	sortNatural(res.Data)
-	res.Edges = eb.build()
-	eb.release()
-	return res
 }
 
 // edgeBuilder accumulates provenance-graph edges as a flat triple slice
 // instead of the nested map-of-maps a per-query accumulator would allocate:
 // one append per (from, to, data) fact, one sort, one grouping pass.
 // Builders are pooled across queries, so a steady query load reuses the
-// same backing arrays. rank is the data id's interned natural rank when the
-// caller knows it (the indexed path), letting the sort compare ints instead
-// of re-parsing digit suffixes; -1 falls back to lessNatural.
+// same backing arrays. rank is the data id's interned natural rank, so the
+// sort compares ints instead of re-parsing digit suffixes.
 type edgeBuilder struct {
 	triples []edgeTriple
 }
@@ -402,10 +373,7 @@ func (eb *edgeBuilder) build() []Edge {
 		if ts[i].to != ts[j].to {
 			return ts[i].to < ts[j].to
 		}
-		if ts[i].rank >= 0 && ts[j].rank >= 0 {
-			return ts[i].rank < ts[j].rank
-		}
-		return lessNatural(ts[i].d, ts[j].d)
+		return ts[i].rank < ts[j].rank
 	})
 	var edges []Edge
 	for i := 0; i < len(ts); {
@@ -497,7 +465,11 @@ func (e *Engine) DeepDerivationStrategy(runID string, v *core.UserView, d string
 		m.queryError()
 		return nil, err
 	}
-	res := projectForward(mp, closure)
+	res, err := projectForward(mp, closure)
+	if err != nil {
+		m.queryError()
+		return nil, err
+	}
 	if m != nil {
 		m.forwardNs.Observe(time.Since(start).Nanoseconds())
 	}
@@ -507,26 +479,17 @@ func (e *Engine) DeepDerivationStrategy(runID string, v *core.UserView, d string
 // projectForward mirrors project for the derivation direction: visible
 // executions intersecting the closure, and the closure data leaving each
 // execution toward other visible executions (or toward the final output).
-// Like project, bitset-backed closures take the integer fast path.
-func projectForward(m *composite.Mapping, closure *warehouse.Closure) *Result {
-	if ix, stepBits, dataBits, ok := closure.Bits(); ok {
-		if px := m.Projector(); px.Index() == ix {
-			return projectForwardIndexed(m, px, closure.Root, stepBits, dataBits)
-		}
+func projectForward(m *composite.Mapping, c *warehouse.Closure) (*Result, error) {
+	px, stepBits, dataBits, err := projectorFor(m, c)
+	if err != nil {
+		return nil, err
 	}
-	return projectForwardLegacy(m, closure)
-}
-
-func projectForwardIndexed(m *composite.Mapping, px *composite.Projector, root string, stepBits, dataBits bitset.Set) *Result {
 	ix := px.Index()
-	res := &Result{RunID: m.Run().ID(), Root: root, External: m.Run().IsExternal(root)}
-	if res.External {
-		res.Metadata = m.Run().InputMeta(root)
-	}
+	res := newResult(m.Run(), c.Root)
 	visible := bitset.New(px.NumExecutions())
 	stepBits.Each(func(s int32) { visible.Add(px.ExecOfStep(s)) })
 	outData := bitset.New(ix.NumData())
-	if rootID, ok := ix.DataID(root); ok {
+	if rootID, ok := ix.DataID(c.Root); ok {
 		outData.Add(rootID)
 	}
 	visible.Each(func(ord int32) {
@@ -535,75 +498,19 @@ func projectForwardIndexed(m *composite.Mapping, px *composite.Projector, root s
 			if !dataBits.Has(d) {
 				continue
 			}
-			if ix.IsFinal(d) || consumedOutsideIndexed(ix, px, visible, ord, d) {
+			if ix.IsFinal(d) || consumedOutside(ix, px, visible, ord, d) {
 				outData.Add(d)
 			}
 		}
 	})
 	res.Data = make([]string, 0, outData.Count())
 	outData.Each(func(d int32) { res.Data = append(res.Data, ix.DataName(d)) })
-	return res
+	return res, nil
 }
 
-func consumedOutsideIndexed(ix *run.Index, px *composite.Projector, visible bitset.Set, ord, d int32) bool {
+func consumedOutside(ix *run.Index, px *composite.Projector, visible bitset.Set, ord, d int32) bool {
 	for _, s := range ix.ConsumersOf(d) {
 		if e := px.ExecOfStep(s); e != ord && visible.Has(e) {
-			return true
-		}
-	}
-	return false
-}
-
-func projectForwardLegacy(m *composite.Mapping, closure *warehouse.Closure) *Result {
-	res := &Result{RunID: m.Run().ID(), Root: closure.Root, External: m.Run().IsExternal(closure.Root)}
-	if res.External {
-		res.Metadata = m.Run().InputMeta(closure.Root)
-	}
-	allSingle := m.AllSingleton()
-	var visible map[string]bool
-	if !allSingle {
-		visible = make(map[string]bool)
-	}
-	for _, ex := range m.Executions() {
-		for _, s := range ex.Steps {
-			if closure.HasStep(s) {
-				if !allSingle {
-					visible[ex.ID] = true
-				}
-				res.Executions = append(res.Executions, ex)
-				break
-			}
-		}
-	}
-	isVisible := func(id string) bool {
-		if allSingle {
-			return closure.HasStep(id)
-		}
-		return visible[id]
-	}
-	dataSet := map[string]bool{closure.Root: true}
-	finals := make(map[string]bool)
-	for _, d := range m.Run().FinalOutputs() {
-		finals[d] = true
-	}
-	for _, ex := range res.Executions {
-		for _, d := range ex.Outputs {
-			if closure.HasData(d) && (finals[d] || consumedOutside(m, ex.ID, d, isVisible)) {
-				dataSet[d] = true
-			}
-		}
-	}
-	res.Data = make([]string, 0, len(dataSet))
-	for d := range dataSet {
-		res.Data = append(res.Data, d)
-	}
-	sortNatural(res.Data)
-	return res
-}
-
-func consumedOutside(m *composite.Mapping, execID, d string, visible func(string) bool) bool {
-	for _, c := range m.Run().Consumers(d) {
-		if id, ok := m.ExecutionOf(c); ok && id != execID && visible(id) {
 			return true
 		}
 	}

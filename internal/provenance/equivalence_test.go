@@ -2,51 +2,51 @@ package provenance
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
+	"repro/internal/composite"
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/run"
 	"repro/internal/spec"
 	"repro/internal/warehouse"
+	"repro/internal/wflog"
 )
 
-// The equivalence property: the bitset/CSR fast path (indexed warehouse)
-// and the legacy string/map path (SetCompactIndex(false)) must produce
-// element-for-element identical Results — same executions in the same
-// order, same data, same edges — for every query. These tests pin it on
-// the paper's phylogenomics example and on generated runs from every
-// workflow class and every Table II run class.
+// The equivalence property: the engine (bitset closures over the CSR index,
+// projected through the integer Projector) must produce element-for-element
+// the Results of the naive reference implementation in oracle_test.go — same
+// executions in the same order, same data, same edges — for every query.
+// These tests pin it on the paper's phylogenomics example and on generated
+// runs from every workflow class and every Table II run class.
 
-// twinEngines returns two engines over the same spec and run: one indexed,
-// one legacy.
-func twinEngines(t *testing.T, s *spec.Spec, r *run.Run) (indexed, legacy *Engine) {
+// engineFor returns an engine over a fresh warehouse holding s and r.
+func engineFor(t *testing.T, s *spec.Spec, r *run.Run) *Engine {
 	t.Helper()
-	wi := warehouse.New(0)
-	if err := wi.RegisterSpec(s); err != nil {
+	w := warehouse.New(0)
+	if err := w.RegisterSpec(s); err != nil {
 		t.Fatal(err)
 	}
-	if err := wi.LoadRun(r); err != nil {
+	if err := w.LoadRun(r); err != nil {
 		t.Fatal(err)
 	}
-	wl := warehouse.New(0)
-	wl.SetCompactIndex(false)
-	if err := wl.RegisterSpec(s); err != nil {
+	return NewEngine(w)
+}
+
+// oracleMapping builds the view's mapping independently of the engine's
+// memo.
+func oracleMapping(t *testing.T, r *run.Run, v *core.UserView) *composite.Mapping {
+	t.Helper()
+	m, err := composite.Build(r, v)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := wl.LoadRun(r); err != nil {
-		t.Fatal(err)
-	}
-	if wi.RunIndex(r.ID()) == nil {
-		t.Fatal("indexed warehouse built no index")
-	}
-	if wl.RunIndex(r.ID()) != nil {
-		t.Fatal("legacy warehouse built an index")
-	}
-	return NewEngine(wi), NewEngine(wl)
+	return m
 }
 
 func sameResult(t *testing.T, label string, a, b *Result) {
@@ -66,37 +66,32 @@ func sameResult(t *testing.T, label string, a, b *Result) {
 		}
 	}
 	if !reflect.DeepEqual(a.Data, b.Data) {
-		t.Fatalf("%s: data differ:\nindexed %v\nlegacy  %v", label, a.Data, b.Data)
+		t.Fatalf("%s: data differ:\nengine %v\noracle %v", label, a.Data, b.Data)
 	}
 	if !reflect.DeepEqual(a.Edges, b.Edges) {
-		t.Fatalf("%s: edges differ:\nindexed %v\nlegacy  %v", label, a.Edges, b.Edges)
+		t.Fatalf("%s: edges differ:\nengine %v\noracle %v", label, a.Edges, b.Edges)
 	}
 }
 
-// checkEquivalence compares both strategies for provenance and derivation
-// of the given data objects under the given views.
-func checkEquivalence(t *testing.T, ei, el *Engine, r *run.Run, views map[string]*core.UserView, data []string) {
+// checkEquivalence compares the engine with the oracle for provenance and
+// derivation of the given data objects under the given views.
+func checkEquivalence(t *testing.T, e *Engine, r *run.Run, views map[string]*core.UserView, data []string) {
 	t.Helper()
 	for vname, v := range views {
+		m := oracleMapping(t, r, v)
 		for _, d := range data {
-			a, err := ei.DeepProvenance(r.ID(), v, d)
+			got, err := e.DeepProvenance(r.ID(), v, d)
 			if err != nil {
-				t.Fatalf("indexed prov(%s,%s): %v", vname, d, err)
+				t.Fatalf("prov(%s,%s): %v", vname, d, err)
 			}
-			b, err := el.DeepProvenance(r.ID(), v, d)
+			steps, ds := oracleClosure(r, d, false)
+			sameResult(t, fmt.Sprintf("prov %s/%s/%s", r.ID(), vname, d), got, oracleProject(m, d, steps, ds))
+			got, err = e.DeepDerivation(r.ID(), v, d)
 			if err != nil {
-				t.Fatalf("legacy prov(%s,%s): %v", vname, d, err)
+				t.Fatalf("deriv(%s,%s): %v", vname, d, err)
 			}
-			sameResult(t, fmt.Sprintf("prov %s/%s/%s", r.ID(), vname, d), a, b)
-			a, err = ei.DeepDerivation(r.ID(), v, d)
-			if err != nil {
-				t.Fatalf("indexed deriv(%s,%s): %v", vname, d, err)
-			}
-			b, err = el.DeepDerivation(r.ID(), v, d)
-			if err != nil {
-				t.Fatalf("legacy deriv(%s,%s): %v", vname, d, err)
-			}
-			sameResult(t, fmt.Sprintf("deriv %s/%s/%s", r.ID(), vname, d), a, b)
+			steps, ds = oracleClosure(r, d, true)
+			sameResult(t, fmt.Sprintf("deriv %s/%s/%s", r.ID(), vname, d), got, oracleProjectForward(m, d, steps, ds))
 		}
 	}
 }
@@ -106,7 +101,7 @@ func checkEquivalence(t *testing.T, ei, el *Engine, r *run.Run, views map[string
 func TestEquivalencePhylogenomics(t *testing.T) {
 	s := spec.Phylogenomics()
 	r := run.Figure2()
-	ei, el := twinEngines(t, s, r)
+	e := engineFor(t, s, r)
 	joe, err := core.BuildRelevant(s, spec.PhyloRelevantJoe())
 	if err != nil {
 		t.Fatal(err)
@@ -122,7 +117,7 @@ func TestEquivalencePhylogenomics(t *testing.T) {
 	views := map[string]*core.UserView{
 		"admin": core.UAdmin(s), "joe": joe, "mary": mary, "blackbox": bb,
 	}
-	checkEquivalence(t, ei, el, r, views, r.AllData())
+	checkEquivalence(t, e, r, views, r.AllData())
 }
 
 // TestEquivalenceGeneratedRuns: 200 generated runs covering every workflow
@@ -153,7 +148,7 @@ func TestEquivalenceGeneratedRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ei, el := twinEngines(t, s, r)
+		e := engineFor(t, s, r)
 		views := map[string]*core.UserView{"admin": core.UAdmin(s)}
 		if ubio, err := core.BuildRelevant(s, gen.UBioRelevant(s)); err == nil {
 			views["ubio"] = ubio
@@ -167,7 +162,7 @@ func TestEquivalenceGeneratedRuns(t *testing.T) {
 		if len(finals) > 0 {
 			data = append(data, finals[len(finals)-1])
 		}
-		checkEquivalence(t, ei, el, r, views, data)
+		checkEquivalence(t, e, r, views, data)
 	}
 	if !testing.Short() {
 		for _, want := range []string{"small", "medium", "large"} {
@@ -178,10 +173,53 @@ func TestEquivalenceGeneratedRuns(t *testing.T) {
 	}
 }
 
-// TestConcurrentIndexedServe runs a query burst through ServeConcurrently
-// against an indexed warehouse — the projector sync.Once, the shared frozen
-// closure bitsets, and the pooled edge builders all under -race — and
-// cross-checks every answer against the legacy engine.
+// TestEquivalenceExecutionProvenance: the bitset union behind
+// ExecutionProvenance against the oracle's union of closures, for every
+// execution of generated runs from every workflow class, under UAdmin, the
+// UBio view and a random builder view.
+func TestEquivalenceExecutionProvenance(t *testing.T) {
+	trials := 24
+	if testing.Short() {
+		trials = 8
+	}
+	g := gen.NewGenerator(555)
+	rng := rand.New(rand.NewSource(556))
+	classes := gen.Classes()
+	for i := 0; i < trials; i++ {
+		rc := gen.Small()
+		if i%8 == 5 {
+			rc = gen.Medium()
+		}
+		s := g.Workflow(classes[i%len(classes)], fmt.Sprintf("xp-%d", i))
+		r, _, err := g.Run(s, rc, fmt.Sprintf("xp-%d-r", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := engineFor(t, s, r)
+		views := map[string]*core.UserView{"admin": core.UAdmin(s)}
+		if ubio, err := core.BuildRelevant(s, gen.UBioRelevant(s)); err == nil {
+			views["ubio"] = ubio
+		}
+		if v, err := core.BuildRelevant(s, randomModules(rng, s.ModuleNames())); err == nil {
+			views["random"] = v
+		}
+		for vname, v := range views {
+			m := oracleMapping(t, r, v)
+			for _, ex := range m.Executions() {
+				got, err := e.ExecutionProvenance(r.ID(), v, ex.ID)
+				if err != nil {
+					t.Fatalf("exec prov(%s,%s): %v", vname, ex.ID, err)
+				}
+				sameResult(t, fmt.Sprintf("exec %s/%s/%s", r.ID(), vname, ex.ID), got, oracleExecutionProvenance(m, ex.ID))
+			}
+		}
+	}
+}
+
+// TestConcurrentIndexedServe runs a query burst through ServeConcurrently —
+// the projector sync.Once, the shared frozen closure bitsets, and the pooled
+// edge builders all under -race — and cross-checks every answer against the
+// oracle.
 func TestConcurrentIndexedServe(t *testing.T) {
 	g := gen.NewGenerator(911)
 	s := g.Workflow(gen.Class4(), "conc-ix")
@@ -189,11 +227,14 @@ func TestConcurrentIndexedServe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ei, el := twinEngines(t, s, r)
+	e := engineFor(t, s, r)
 	admin := core.UAdmin(s)
 	ubio, err := core.BuildRelevant(s, gen.UBioRelevant(s))
 	if err != nil {
 		t.Fatal(err)
+	}
+	mappings := map[*core.UserView]*composite.Mapping{
+		admin: oracleMapping(t, r, admin), ubio: oracleMapping(t, r, ubio),
 	}
 	data := sampleData(rand.New(rand.NewSource(13)), r.AllData(), 40)
 	var queries []Query
@@ -203,15 +244,127 @@ func TestConcurrentIndexedServe(t *testing.T) {
 			queries = append(queries, Query{RunID: r.ID(), View: ubio, Data: d})
 		}
 	}
-	answered := ei.ServeConcurrently(context.Background(), queries, 8)
+	answered := e.ServeConcurrently(context.Background(), queries, 8)
 	for _, qr := range answered {
 		if qr.Err != nil {
 			t.Fatalf("query %d (%s): %v", qr.Index, qr.Query.Data, qr.Err)
 		}
-		want, err := el.DeepProvenance(qr.Query.RunID, qr.Query.View, qr.Query.Data)
-		if err != nil {
-			t.Fatal(err)
-		}
+		steps, ds := oracleClosure(r, qr.Query.Data, false)
+		want := oracleProject(mappings[qr.Query.View], qr.Query.Data, steps, ds)
 		sameResult(t, fmt.Sprintf("concurrent %s", qr.Query.Data), qr.Result, want)
 	}
+}
+
+// TestReingestReplacesMapping is the stale-mapping regression: the engine's
+// (run id, view) mapping memo must answer only for the run instance it was
+// built over. Run A is loaded as "x" and queried, dropped, and a different
+// run B is loaded as "x"; every query kind must then answer exactly like a
+// fresh engine over B (the parent commit answered from A's executions).
+func TestReingestReplacesMapping(t *testing.T) {
+	g := gen.NewGenerator(4242)
+	s := g.Workflow(gen.Class4(), "reingest")
+	runA, _, err := g.Run(s, gen.Small(), "x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	runB, _, err := g.Run(s, gen.Medium(), "x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if runA.NumSteps() == runB.NumSteps() {
+		t.Fatal("fixture runs are not distinguishable")
+	}
+	lastFinal := func(r *run.Run) string { f := r.FinalOutputs(); return f[len(f)-1] }
+	ubio, err := core.BuildRelevant(s, gen.UBioRelevant(s))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	e := engineFor(t, s, runA)
+	if _, err := e.DeepProvenance("x", ubio, lastFinal(runA)); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Warehouse().DropRun("x"); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Warehouse().LoadRun(runB); err != nil {
+		t.Fatal(err)
+	}
+	fresh := engineFor(t, s, runB)
+
+	root := lastFinal(runB)
+	got, err := e.DeepProvenance("x", ubio, root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.DeepProvenance("x", ubio, root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResult(t, "provenance after re-ingest", got, want)
+
+	in := runB.ExternalInputs()[0]
+	got, err = e.DeepDerivation("x", ubio, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err = fresh.DeepDerivation("x", ubio, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResult(t, "derivation after re-ingest", got, want)
+
+	execs, err := fresh.Executions("x", ubio)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := execs[len(execs)-1].ID
+	got, err = e.ExecutionProvenance("x", ubio, last)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err = fresh.ExecutionProvenance("x", ubio, last)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResult(t, "execution provenance after re-ingest", got, want)
+}
+
+// TestProjectIndexMismatch: a closure and a mapping interned over different
+// run indexes are an error naming both, never an answer.
+func TestProjectIndexMismatch(t *testing.T) {
+	s := spec.Phylogenomics()
+	e := engineFor(t, s, run.Figure2())
+	closure, err := e.Warehouse().DeepProvenance("fig2", "d447")
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := run.FromLog("fig2", s.Name(), mustLog(t, run.Figure2()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := oracleMapping(t, other, core.UAdmin(s))
+	closureIx, _, _ := closure.Bits()
+	for name, project := range map[string]func(*composite.Mapping, *warehouse.Closure) (*Result, error){
+		"project": project, "projectForward": projectForward,
+	} {
+		res, err := project(m, closure)
+		if res != nil || !errors.Is(err, ErrIndexMismatch) {
+			t.Fatalf("%s: res=%v err=%v, want ErrIndexMismatch", name, res, err)
+		}
+		for _, ix := range []*run.Index{closureIx, other.Index()} {
+			if p := fmt.Sprintf("%p", ix); !strings.Contains(err.Error(), p) {
+				t.Fatalf("%s: %q does not name index %s", name, err, p)
+			}
+		}
+	}
+}
+
+func mustLog(t *testing.T, r *run.Run) []wflog.Event {
+	t.Helper()
+	events, err := r.ToLog()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return events
 }

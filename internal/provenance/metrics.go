@@ -81,9 +81,9 @@ type QueryTrace struct {
 	// Outcome is how the closure lookup was served: "hit", "miss", or
 	// "shared-wait".
 	Outcome string `json:"outcome"`
-	// Strategy is the closure computation a miss actually ran ("labels",
-	// "bfs", or "legacy"); empty for hits and shared waits, which reuse a
-	// closure somebody else computed.
+	// Strategy is the closure computation a miss actually ran ("labels" or
+	// "bfs"); empty for hits and shared waits, which reuse a closure somebody
+	// else computed.
 	Strategy  string `json:"strategy,omitempty"`
 	LookupNs  int64  `json:"lookup_ns"`
 	ComputeNs int64  `json:"compute_ns,omitempty"`

@@ -8,6 +8,22 @@ import (
 	"repro/internal/spec"
 )
 
+// Node codes used by interned flow tables: INPUT and OUTPUT get fixed small
+// codes so step k can be code k+2.
+const (
+	NodeInput  = 0
+	NodeOutput = 1
+	NodeStep0  = 2
+)
+
+// InternedFlow is one dataflow edge in interned form: endpoints are node
+// codes (NodeInput, NodeOutput, or NodeStep0+k for the k-th step in natural
+// order) and Data are indexes into the run's natural-order data table.
+type InternedFlow struct {
+	From, To int32
+	Data     []int32
+}
+
 // ErrBadArena reports inconsistent arena tables handed to ReconstructArena —
 // a v3 snapshot whose checksum passed but whose integer tables violate the
 // layout invariants (a crafted file, since random corruption fails the
@@ -54,9 +70,8 @@ type ArenaTables struct {
 // ReconstructArena builds a fully functional Run — string-world relations
 // plus a pre-built compact index — from arena tables, adopting the int32
 // slices without copying. It is the v3 snapshot loader's construction path:
-// where ReconstructInterned re-derives the CSR adjacency from the flows,
-// this trusts the stored adjacency after verifying the invariants above, so
-// materializing a run costs the string table and relation maps only.
+// it trusts the stored CSR adjacency after verifying the invariants above,
+// so materializing a run costs the string table and relation maps only.
 func ReconstructArena(id, specName string, t ArenaTables) (*Run, error) {
 	nSteps, nData := len(t.StepIDs), len(t.DataNames)
 	if len(t.StepModules) != nSteps {
@@ -100,7 +115,7 @@ func ReconstructArena(id, specName string, t ArenaTables) (*Run, error) {
 	}
 
 	// Rebuild the string-world relations from the flows, enforcing the same
-	// structural rules as AddFlow/ReconstructInterned, and cross-check the
+	// structural rules as AddFlow, and cross-check the
 	// producer assignment the flows imply against the stored column.
 	r := NewRun(id, specName)
 	r.steps = make(map[string]Step, nSteps)
@@ -220,6 +235,13 @@ func ReconstructArena(id, specName string, t ArenaTables) (*Run, error) {
 		}
 	}
 	return r, nil
+}
+
+func producerName(names []string, code int32) string {
+	if code == NodeInput {
+		return "" // external
+	}
+	return names[code]
 }
 
 // checkCSR verifies one offset/value CSR pair: rows+1 offsets from 0 to

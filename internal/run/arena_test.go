@@ -6,7 +6,38 @@ import (
 	"testing"
 
 	"repro/internal/bitset"
+	"repro/internal/spec"
 )
+
+// internedTables derives the interned form of a run — natural-order step and
+// data tables plus code/index flows — exactly as the v3 snapshot writer
+// does.
+func internedTables(r *Run) (steps []Step, data []string, flows []InternedFlow, meta map[int32]map[string]string) {
+	steps = r.Steps()
+	data = r.AllData()
+	code := map[string]int32{spec.Input: NodeInput, spec.Output: NodeOutput}
+	for i, st := range steps {
+		code[st.ID] = int32(NodeStep0 + i)
+	}
+	idx := make(map[string]int32, len(data))
+	for i, d := range data {
+		idx[d] = int32(i)
+	}
+	for _, e := range r.Graph().Edges() {
+		var ds []int32
+		for _, d := range r.DataOn(e.From, e.To) { // natural order = ascending indexes
+			ds = append(ds, idx[d])
+		}
+		flows = append(flows, InternedFlow{From: code[e.From], To: code[e.To], Data: ds})
+	}
+	for _, d := range r.AnnotatedInputs() {
+		if meta == nil {
+			meta = make(map[int32]map[string]string)
+		}
+		meta[idx[d]] = r.InputMeta(d)
+	}
+	return steps, data, flows, meta
+}
 
 // arenaTables derives the arena form of a run from its compact index —
 // exactly the tables the v3 snapshot stores.
@@ -144,6 +175,29 @@ func TestReconstructArenaRejectsCorruption(t *testing.T) {
 		{"finals bit beyond range", func(a *ArenaTables) { a.Finals[len(a.Finals)-1] |= 1 << 63 }, ErrBadArena},
 		{"flow node out of range", func(a *ArenaTables) { a.Flows[0].From = 99 }, ErrBadFlow},
 		{"flow into INPUT", func(a *ArenaTables) { a.Flows[0].To = NodeInput }, ErrBadFlow},
+		{"self flow", func(a *ArenaTables) {
+			a.Flows = append(a.Flows, InternedFlow{From: NodeStep0, To: NodeStep0, Data: []int32{0}})
+		}, ErrBadFlow},
+		{"flow without data", func(a *ArenaTables) {
+			a.Flows = append(a.Flows, InternedFlow{From: NodeStep0, To: NodeOutput})
+		}, ErrBadFlow},
+		{"two producers", func(a *ArenaTables) {
+			// Data produced by a step; claim INPUT produced it too, on an
+			// edge INPUT -> consumer that does not exist yet.
+			fromInput := map[int32]bool{}
+			for _, f := range a.Flows {
+				if f.From == NodeInput {
+					fromInput[f.To] = true
+				}
+			}
+			for _, f := range a.Flows {
+				if f.From >= NodeStep0 && f.To >= NodeStep0 && !fromInput[f.To] {
+					a.Flows = append(a.Flows, InternedFlow{From: NodeInput, To: f.To, Data: f.Data[:1]})
+					return
+				}
+			}
+			panic("fixture has no step-to-step flow into a step INPUT does not feed")
+		}, ErrTwoProducers},
 		{"flow data out of range", func(a *ArenaTables) { a.Flows[0].Data[0] = int32(len(a.DataNames)) }, ErrBadFlow},
 		{"duplicate edge", func(a *ArenaTables) { a.Flows = append(a.Flows, a.Flows[0]) }, ErrBadArena},
 		{"meta index out of range", func(a *ArenaTables) { a.Meta = map[int32]map[string]string{100000: {"k": "v"}} }, ErrBadFlow},

@@ -79,14 +79,23 @@ func (r *Run) ID() string { return r.id }
 // SpecName returns the name of the specification this run executes.
 func (r *Run) SpecName() string { return r.specName }
 
+// checkStep enforces the per-step rules every construction path shares:
+// non-empty id and module, and no reserved INPUT/OUTPUT id.
+func checkStep(st Step) error {
+	if st.ID == "" || st.Module == "" {
+		return fmt.Errorf("%w: empty id or module", ErrBadStep)
+	}
+	if st.ID == spec.Input || st.ID == spec.Output {
+		return fmt.Errorf("%w: step id %q is reserved", ErrBadStep, st.ID)
+	}
+	return nil
+}
+
 // AddStep registers a step. Step ids must be unique, non-empty and must not
 // collide with the reserved INPUT/OUTPUT identifiers.
 func (r *Run) AddStep(id, module string) error {
-	if id == "" || module == "" {
-		return fmt.Errorf("%w: empty id or module", ErrBadStep)
-	}
-	if id == spec.Input || id == spec.Output {
-		return fmt.Errorf("%w: step id %q is reserved", ErrBadStep, id)
+	if err := checkStep(Step{ID: id, Module: module}); err != nil {
+		return err
 	}
 	if _, dup := r.steps[id]; dup {
 		return fmt.Errorf("%w: duplicate step id %q", ErrBadStep, id)

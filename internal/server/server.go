@@ -545,13 +545,13 @@ type timingDTO struct {
 
 // queryResponse is the body of a POST /v1/query answer.
 type queryResponse struct {
-	TraceID   string        `json:"trace_id"`
-	Run       string        `json:"run"`
-	Data      string        `json:"data"`
+	TraceID string `json:"trace_id"`
+	Run     string `json:"run"`
+	Data    string `json:"data"`
 	Kind    string `json:"kind"`
 	Outcome string `json:"outcome,omitempty"`
 	// Strategy reports the closure computation a deep-query miss actually
-	// ran ("labels", "bfs", or "legacy"); empty on cache hits.
+	// ran ("labels" or "bfs"); empty on cache hits.
 	Strategy  string        `json:"strategy,omitempty"`
 	Timing    *timingDTO    `json:"timing,omitempty"`
 	Result    *resultDTO    `json:"result,omitempty"`

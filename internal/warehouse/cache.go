@@ -147,7 +147,7 @@ func (o Outcome) String() string {
 // instrumentation: how the lookup was served and, for a miss, how long the
 // closure compute took. ComputeNs is zero unless timing was requested (or
 // a registry is attached) and the outcome is OutcomeMiss. Strategy names
-// the computation a miss actually ran ("labels", "bfs", "legacy"); it is
+// the computation a miss actually ran ("labels" or "bfs"); it is
 // empty for hits and shared waits, which run no computation of their own.
 type Observation struct {
 	Outcome   Outcome
@@ -332,7 +332,7 @@ func (cc *closureCache) getOrCompute(ctx context.Context, runID, d string, timed
 		if m != nil {
 			m.hits.Inc()
 		}
-		return c.clone(), Observation{Outcome: OutcomeHit}, nil
+		return c, Observation{Outcome: OutcomeHit}, nil
 	}
 	if fl, ok := sh.inflight[key]; ok {
 		sh.mu.Unlock()
@@ -346,7 +346,7 @@ func (cc *closureCache) getOrCompute(ctx context.Context, runID, d string, timed
 		if fl.err != nil {
 			return nil, Observation{Outcome: OutcomeSharedWait}, fl.err
 		}
-		return fl.c.clone(), Observation{Outcome: OutcomeSharedWait}, nil
+		return fl.c, Observation{Outcome: OutcomeSharedWait}, nil
 	}
 	fl := &flight{done: make(chan struct{})}
 	sh.inflight[key] = fl
@@ -396,7 +396,7 @@ func (cc *closureCache) getOrCompute(ctx context.Context, runID, d string, timed
 		cc.forgetGeneration(runID, gen)
 		return nil, Observation{Outcome: OutcomeMiss, ComputeNs: computeNs}, err
 	}
-	return c.clone(), Observation{Outcome: OutcomeMiss, ComputeNs: computeNs}, nil
+	return c, Observation{Outcome: OutcomeMiss, ComputeNs: computeNs}, nil
 }
 
 func (cc *closureCache) stats() (hits, misses int64) {

@@ -36,7 +36,7 @@ func TestConcurrentSingleflightComputesOnce(t *testing.T) {
 	release := make(chan struct{})
 	compute := func(context.Context) (*Closure, error) {
 		<-release
-		return NewClosure("d1", map[string]bool{"S1": true}, map[string]bool{"d1": true}), nil
+		return testClosure("d1", []string{"S1"}, []string{"d1"}), nil
 	}
 
 	const goroutines = 32
@@ -68,11 +68,9 @@ func TestConcurrentSingleflightComputesOnce(t *testing.T) {
 		if !results[i].HasStep("S1") || !results[i].HasData("d1") {
 			t.Fatalf("goroutine %d got wrong closure %+v", i, results[i])
 		}
-		// Every caller gets a defensive copy, never a shared map.
-		for j := i + 1; j < goroutines; j++ {
-			if results[i] == results[j] {
-				t.Fatal("two goroutines share one closure pointer")
-			}
+		// Closures are immutable: every waiter gets the one computed instance.
+		if results[i] != results[0] {
+			t.Fatalf("goroutine %d got a different closure instance", i)
 		}
 	}
 	// The key is now cached: one more lookup is a hit without a compute.
@@ -121,7 +119,7 @@ func TestConcurrentSingleflightErrorShared(t *testing.T) {
 	}
 	// Errors must not poison the cache: the next miss computes again.
 	ok := func(context.Context) (*Closure, error) {
-		return NewClosure("d1", nil, map[string]bool{"d1": true}), nil
+		return testClosure("d1", nil, []string{"d1"}), nil
 	}
 	if _, _, err := cc.getOrCompute(context.Background(), "r1", "d1", false, ok); err != nil {
 		t.Fatal(err)

@@ -3,7 +3,6 @@ package warehouse
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"repro/internal/bitset"
 	"repro/internal/obs"
@@ -13,8 +12,8 @@ import (
 // This file implements the warehouse's recursive query machinery. Oracle's
 // CONNECT BY starts from a set of rows (START WITH) and repeatedly joins
 // each frontier row to its parents (CONNECT BY PRIOR); ConnectBy is the
-// same fixpoint over an arbitrary parent function, and Closure specializes
-// it to the bipartite immediate-provenance relation
+// same fixpoint over an arbitrary parent function, and a Closure is that
+// fixpoint over the bipartite immediate-provenance relation
 //
 //	data object d  ->  the step that produced d
 //	step s         ->  the data objects s read
@@ -25,11 +24,10 @@ import (
 // paper's evaluation found fastest: "first compute UAdmin and then remove
 // information hidden within composite steps of the given user view".
 //
-// Two closure computations coexist. The default is the compact path in
-// index.go: an integer BFS over the run's interned CSR index producing
-// bitset-backed closures. The string/map path below is kept as the
-// reference implementation — SetCompactIndex(false) selects it — and the
-// equivalence property tests hold the two element-for-element identical.
+// Closures are computed over the run's interned integer domain (index.go,
+// labels.go). ConnectBy is the generic string-keyed operator; the direct
+// per-view strategy (provenance.DeepProvenanceDirect, ablation A2) recurses
+// with it.
 
 // ConnectBy computes the transitive closure of parents over start,
 // returning every reached key exactly once in BFS order (start keys first).
@@ -54,140 +52,45 @@ func ConnectBy(start []string, parents func(string) []string) []string {
 }
 
 // Closure is the result of a deep-provenance (or deep-derivation) query at
-// the UAdmin level: every step and every data object transitively involved.
-//
-// Internally a closure is either bitset-backed (computed by the integer BFS
-// over a run index; Bits reports ok) or map-backed (the legacy traversal,
-// or closures assembled by callers via NewClosure). The exported map views
-// StepSet/DataSet are materialized lazily from the bitsets on first use, so
-// a cached closure that is only ever intersected bit-wise by the projection
-// fast path never pays for string maps at all.
+// the UAdmin level: every step and every data object transitively involved,
+// as bitsets over the interned ids of the run index it was computed from.
+// A closure is immutable after construction, so the cache hands the same
+// instance to every caller.
 type Closure struct {
 	// Root is the data object the query started from.
 	Root string
 
-	// Compact representation (nil ix for map-backed closures). The bitsets
-	// are frozen after construction and shared between clones.
 	ix       *run.Index
 	stepBits bitset.Set
 	dataBits bitset.Set
-
-	stepsOnce sync.Once
-	dataOnce  sync.Once
-	steps     map[string]bool
-	data      map[string]bool
 }
 
-// NewClosure assembles a map-backed closure from explicit step and data
-// sets. The maps are adopted, not copied.
-func NewClosure(root string, steps, data map[string]bool) *Closure {
-	if steps == nil {
-		steps = make(map[string]bool)
-	}
-	if data == nil {
-		data = make(map[string]bool)
-	}
-	return &Closure{Root: root, steps: steps, data: data}
+// Bits exposes the representation: the run index the interned ids refer to
+// and the step/data member sets. The sets are shared and read-only.
+func (c *Closure) Bits() (ix *run.Index, steps, data bitset.Set) {
+	return c.ix, c.stepBits, c.dataBits
 }
 
-// newBitClosure assembles a bitset-backed closure over a run index.
-func newBitClosure(root string, ix *run.Index, stepBits, dataBits bitset.Set) *Closure {
-	return &Closure{Root: root, ix: ix, stepBits: stepBits, dataBits: dataBits}
-}
-
-// Bits exposes the compact representation: the run index the interned ids
-// refer to and the step/data member sets. ok is false for map-backed
-// closures. The returned sets are shared and must be treated as read-only.
-func (c *Closure) Bits() (ix *run.Index, steps, data bitset.Set, ok bool) {
-	return c.ix, c.stepBits, c.dataBits, c.ix != nil
-}
-
-// HasStep reports whether a step id is in the closure, without
-// materializing the map view.
+// HasStep reports whether a step id is in the closure.
 func (c *Closure) HasStep(id string) bool {
-	if c.ix != nil {
-		s, ok := c.ix.StepID(id)
-		return ok && c.stepBits.Has(s)
-	}
-	return c.steps[id]
+	s, ok := c.ix.StepID(id)
+	return ok && c.stepBits.Has(s)
 }
 
-// HasData reports whether a data id is in the closure, without
-// materializing the map view.
+// HasData reports whether a data id is in the closure.
 func (c *Closure) HasData(id string) bool {
-	if c.ix != nil {
-		d, ok := c.ix.DataID(id)
-		return ok && c.dataBits.Has(d)
-	}
-	return c.data[id]
-}
-
-// StepSet returns the step ids in the closure as a set, materializing it
-// from the bitset representation on first use. The map is owned by this
-// closure instance; callers may read it freely and may mutate it only if
-// they own the closure (each cache lookup returns a private clone).
-func (c *Closure) StepSet() map[string]bool {
-	c.stepsOnce.Do(func() {
-		if c.steps != nil {
-			return
-		}
-		m := make(map[string]bool, c.stepBits.Count())
-		c.stepBits.Each(func(s int32) { m[c.ix.StepName(s)] = true })
-		c.steps = m
-	})
-	return c.steps
-}
-
-// DataSet returns the data ids in the closure as a set, materialized
-// lazily like StepSet.
-func (c *Closure) DataSet() map[string]bool {
-	c.dataOnce.Do(func() {
-		if c.data != nil {
-			return
-		}
-		m := make(map[string]bool, c.dataBits.Count())
-		c.dataBits.Each(func(d int32) { m[c.ix.DataName(d)] = true })
-		c.data = m
-	})
-	return c.data
+	d, ok := c.ix.DataID(id)
+	return ok && c.dataBits.Has(d)
 }
 
 // NumSteps returns the number of steps in the closure.
-func (c *Closure) NumSteps() int {
-	if c.ix != nil {
-		return c.stepBits.Count()
-	}
-	return len(c.steps)
-}
+func (c *Closure) NumSteps() int { return c.stepBits.Count() }
 
 // NumData returns the number of data objects in the closure.
-func (c *Closure) NumData() int {
-	if c.ix != nil {
-		return c.dataBits.Count()
-	}
-	return len(c.data)
-}
+func (c *Closure) NumData() int { return c.dataBits.Count() }
 
 // Size returns |Steps| + |Data|.
 func (c *Closure) Size() int { return c.NumSteps() + c.NumData() }
-
-// clone returns a defensive copy so cached closures can be handed out.
-// Bitset-backed closures share the frozen bitsets and the index — the copy
-// is two slice headers — and each clone materializes its own map views on
-// demand. Map-backed closures copy the maps, as before.
-func (c *Closure) clone() *Closure {
-	if c.ix != nil {
-		return newBitClosure(c.Root, c.ix, c.stepBits, c.dataBits)
-	}
-	out := &Closure{Root: c.Root, steps: make(map[string]bool, len(c.steps)), data: make(map[string]bool, len(c.data))}
-	for k := range c.steps {
-		out.steps[k] = true
-	}
-	for k := range c.data {
-		out.data[k] = true
-	}
-	return out
-}
 
 // DeepProvenance computes the UAdmin deep provenance of data object d in
 // the given run: all steps and data objects transitively used to produce
@@ -243,11 +146,10 @@ func (w *Warehouse) DeepProvenanceStrategyCtx(ctx context.Context, runID, d stri
 
 // computeUAdminClosure is the uncached closure computation (the recursive
 // CONNECT BY query). It holds the warehouse read lock for the traversal,
-// never any cache shard lock, and dispatches on the run's representation
-// and the requested strategy: reachability labels when the run carries a
-// fresh label set and the strategy wants them, the integer BFS over the
-// compact index otherwise, and the legacy string/map traversal for runs
-// loaded without an index. It reports which computation ran.
+// never any cache shard lock, and dispatches on the requested strategy:
+// reachability labels when the run carries a fresh label set and the
+// strategy wants them, the integer BFS over the compact index otherwise. It
+// reports which computation ran.
 func (w *Warehouse) computeUAdminClosure(ctx context.Context, runID, d string, strat ClosureStrategy) (*Closure, string, error) {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
@@ -272,29 +174,7 @@ func (w *Warehouse) computeUAdminClosure(ctx context.Context, runID, d string, s
 		w.observeLabelHit()
 		return c, strategyLabels, nil
 	}
-	if rt.index != nil {
-		return indexedProvenanceClosure(rt.index, d), strategyBFS, nil
-	}
-	steps, data := make(map[string]bool), map[string]bool{d: true}
-	// Bipartite keys: "d:" prefixes data, "s:" prefixes steps.
-	ConnectBy([]string{"d:" + d}, func(key string) []string {
-		id := key[2:]
-		if key[0] == 'd' {
-			if p, ok := r.Producer(id); ok && p != "" {
-				steps[p] = true
-				return []string{"s:" + p}
-			}
-			return nil
-		}
-		inputs := r.InputsOf(id)
-		out := make([]string, 0, len(inputs))
-		for _, in := range inputs {
-			data[in] = true
-			out = append(out, "d:"+in)
-		}
-		return out
-	})
-	return NewClosure(d, steps, data), strategyLegacy, nil
+	return indexedProvenanceClosure(rt.index, d), strategyBFS, nil
 }
 
 // DeepDerivation is the inverse canned query the prototype section
@@ -331,30 +211,7 @@ func (w *Warehouse) DeepDerivationStrategy(runID, d string, strat ClosureStrateg
 		w.observeLabelHit()
 		return c, nil
 	}
-	if rt.index != nil {
-		return indexedDerivationClosure(rt.index, d), nil
-	}
-	steps, data := make(map[string]bool), map[string]bool{d: true}
-	ConnectBy([]string{"d:" + d}, func(key string) []string {
-		id := key[2:]
-		if key[0] == 'd' {
-			consumers := r.Consumers(id)
-			out := make([]string, 0, len(consumers))
-			for _, s := range consumers {
-				steps[s] = true
-				out = append(out, "s:"+s)
-			}
-			return out
-		}
-		outputs := r.OutputsOf(id)
-		out := make([]string, 0, len(outputs))
-		for _, o := range outputs {
-			data[o] = true
-			out = append(out, "d:"+o)
-		}
-		return out
-	})
-	return NewClosure(d, steps, data), nil
+	return indexedDerivationClosure(rt.index, d), nil
 }
 
 // ImmediateProvenance returns the producing step of d and that step's input

@@ -5,25 +5,13 @@ import (
 	"repro/internal/run"
 )
 
-// The compact query path. At load time the warehouse builds each run's
-// interned CSR index (run.Index); the closure computations below are then
-// integer BFS over flat int32 slices with bitset visited sets — no string
-// hashing, no per-hop allocation — and their results are bitset-backed
-// Closures whose map views materialize lazily (see connectby.go). This is
-// the database trick behind the paper's compute-UAdmin-then-project
-// strategy done natively: intern once, traverse dense ids, only
-// re-materialize strings at the result boundary.
-
-// SetCompactIndex selects whether runs loaded *from now on* get a compact
-// index built at load time (the default). Disabling it routes queries for
-// subsequently loaded runs through the legacy string/map traversal — the
-// reference implementation the benchmarks and equivalence tests compare
-// against. Runs already loaded keep whichever representation they have.
-func (w *Warehouse) SetCompactIndex(enabled bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.noIndex = !enabled
-}
+// The closure computations. At load time the warehouse builds each run's
+// interned CSR index (run.Index); the closures below are then integer BFS
+// over flat int32 slices with bitset visited sets — no string hashing, no
+// per-hop allocation — and their results are the bitset-backed Closures of
+// connectby.go. This is the database trick behind the paper's
+// compute-UAdmin-then-project strategy done natively: intern once, traverse
+// dense ids, only re-materialize strings at the result boundary.
 
 // indexedProvenanceClosure is the backward integer BFS: data → producing
 // step → that step's inputs, to fixpoint. The worklist is a stack of
@@ -51,7 +39,7 @@ func indexedProvenanceClosure(ix *run.Index, d string) *Closure {
 			}
 		}
 	}
-	return newBitClosure(d, ix, stepBits, dataBits)
+	return &Closure{Root: d, ix: ix, stepBits: stepBits, dataBits: dataBits}
 }
 
 // indexedDerivationClosure is the forward integer BFS: data → consuming
@@ -79,13 +67,12 @@ func indexedDerivationClosure(ix *run.Index, d string) *Closure {
 			}
 		}
 	}
-	return newBitClosure(d, ix, stepBits, dataBits)
+	return &Closure{Root: d, ix: ix, stepBits: stepBits, dataBits: dataBits}
 }
 
 // RunIndex returns the compact index of a loaded run, or nil when the run
-// was loaded with compact indexing disabled. The engine's projection fast
-// path uses pointer identity between this index and the one a closure
-// carries.
+// is unknown or failed to materialize. It is the index every closure of the
+// run carries.
 func (w *Warehouse) RunIndex(runID string) *run.Index {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
@@ -105,8 +92,7 @@ func (w *Warehouse) RunIndex(runID string) *run.Index {
 // IndexStats aggregates the per-run index footprints: how many ids were
 // interned, what the flat CSR adjacency costs, and how many 64-bit words a
 // closure bitset pair needs across all loaded runs. IndexedRuns counts the
-// runs that carry a compact index (runs loaded under SetCompactIndex(false)
-// do not).
+// resident runs (unmaterialized v3 runs have no index in memory yet).
 type IndexStats struct {
 	IndexedRuns   int
 	InternedSteps int
@@ -121,9 +107,6 @@ func (w *Warehouse) indexStatsLocked() IndexStats {
 	for _, rt := range w.runs {
 		if lz := rt.lazy; lz != nil && !lz.done.Load() {
 			continue // unmaterialized v3 run: no index resident yet
-		}
-		if rt.index == nil {
-			continue
 		}
 		s := rt.index.Stats()
 		st.IndexedRuns++

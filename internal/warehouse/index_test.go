@@ -5,77 +5,138 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/bitset"
 	"repro/internal/run"
 	"repro/internal/spec"
 )
 
-// legacyWarehouse is loadedWarehouse with the compact index disabled: the
-// reference string/map query path.
-func legacyWarehouse(t *testing.T) *Warehouse {
-	t.Helper()
-	w := New(0)
-	w.SetCompactIndex(false)
-	mustT(t, w.RegisterSpec(spec.Phylogenomics()))
-	mustT(t, w.LoadRun(run.Figure2()))
-	return w
+// oracleClosure is the reference closure the integer BFS and the label
+// scans are held to: the paper's CONNECT BY over the run's string-keyed
+// relations, backward (provenance) or forward (derivation). Bipartite keys:
+// "d:" prefixes data, "s:" prefixes steps.
+func oracleClosure(r *run.Run, d string, forward bool) (steps, data map[string]bool) {
+	steps, data = map[string]bool{}, map[string]bool{d: true}
+	ConnectBy([]string{"d:" + d}, func(key string) []string {
+		id := key[2:]
+		var next []string
+		if key[0] == 'd' {
+			var ss []string
+			if forward {
+				ss = r.Consumers(id)
+			} else if p, ok := r.Producer(id); ok && p != "" {
+				ss = []string{p}
+			}
+			for _, s := range ss {
+				steps[s] = true
+				next = append(next, "s:"+s)
+			}
+			return next
+		}
+		ds := r.InputsOf(id)
+		if forward {
+			ds = r.OutputsOf(id)
+		}
+		for _, x := range ds {
+			data[x] = true
+			next = append(next, "d:"+x)
+		}
+		return next
+	})
+	return steps, data
 }
 
-// TestIndexedClosureMatchesLegacy compares the bitset closure against the
-// legacy string BFS for every data object of Figure 2, in both directions.
-func TestIndexedClosureMatchesLegacy(t *testing.T) {
-	wi := loadedWarehouse(t)
-	wl := legacyWarehouse(t)
-	r, _ := wi.Run("fig2")
+// closureSets spells a closure's members out as string sets.
+func closureSets(c *Closure) (steps, data map[string]bool) {
+	ix, stepBits, dataBits := c.Bits()
+	steps, data = map[string]bool{}, map[string]bool{}
+	stepBits.Each(func(s int32) { steps[ix.StepName(s)] = true })
+	dataBits.Each(func(d int32) { data[ix.DataName(d)] = true })
+	return steps, data
+}
+
+// dataSet is the data half of closureSets.
+func dataSet(c *Closure) map[string]bool {
+	_, data := closureSets(c)
+	return data
+}
+
+// testClosure builds a closure with exactly the given members, over the
+// index of a tiny real run that has those steps and data objects — what the
+// cache tests hand the cache in place of a computed closure.
+func testClosure(root string, steps, data []string) *Closure {
+	r := run.NewRun("test-closure", "test-closure")
+	to := spec.Output
+	for _, s := range steps {
+		if err := r.AddStep(s, "M"); err != nil {
+			panic(err)
+		}
+		to = s
+	}
+	if err := r.AddFlow(spec.Input, to, data); err != nil {
+		panic(err)
+	}
+	ix := r.Index()
+	c := &Closure{Root: root, ix: ix, stepBits: bitset.New(ix.NumSteps()), dataBits: bitset.New(ix.NumData())}
+	for _, s := range steps {
+		id, _ := ix.StepID(s)
+		c.stepBits.Add(id)
+	}
+	for _, d := range data {
+		id, _ := ix.DataID(d)
+		c.dataBits.Add(id)
+	}
+	return c
+}
+
+// TestIndexedClosureMatchesOracle compares the bitset closure against the
+// CONNECT BY oracle for every data object of Figure 2, in both directions.
+func TestIndexedClosureMatchesOracle(t *testing.T) {
+	w := loadedWarehouse(t)
+	r, _ := w.Run("fig2")
 	for _, d := range r.AllData() {
-		for name, query := range map[string]func(*Warehouse) (*Closure, error){
-			"provenance": func(w *Warehouse) (*Closure, error) { return w.DeepProvenance("fig2", d) },
-			"derivation": func(w *Warehouse) (*Closure, error) { return w.DeepDerivation("fig2", d) },
-		} {
-			ci, err := query(wi)
+		for name, forward := range map[string]bool{"provenance": false, "derivation": true} {
+			query := w.DeepProvenance
+			if forward {
+				query = w.DeepDerivation
+			}
+			c, err := query("fig2", d)
 			if err != nil {
-				t.Fatalf("%s(%s) indexed: %v", name, d, err)
+				t.Fatalf("%s(%s): %v", name, d, err)
 			}
-			cl, err := query(wl)
-			if err != nil {
-				t.Fatalf("%s(%s) legacy: %v", name, d, err)
+			gotSteps, gotData := closureSets(c)
+			wantSteps, wantData := oracleClosure(r, d, forward)
+			if !reflect.DeepEqual(gotSteps, wantSteps) {
+				t.Fatalf("%s(%s): steps differ\nindexed %v\noracle  %v", name, d, gotSteps, wantSteps)
 			}
-			if _, _, _, ok := ci.Bits(); !ok {
-				t.Fatalf("%s(%s): indexed warehouse returned a map closure", name, d)
-			}
-			if _, _, _, ok := cl.Bits(); ok {
-				t.Fatalf("%s(%s): legacy warehouse returned a bitset closure", name, d)
-			}
-			if !reflect.DeepEqual(ci.StepSet(), cl.StepSet()) {
-				t.Fatalf("%s(%s): steps differ\nindexed %v\nlegacy  %v", name, d, ci.StepSet(), cl.StepSet())
-			}
-			if !reflect.DeepEqual(ci.DataSet(), cl.DataSet()) {
-				t.Fatalf("%s(%s): data differ\nindexed %v\nlegacy  %v", name, d, ci.DataSet(), cl.DataSet())
+			if !reflect.DeepEqual(gotData, wantData) {
+				t.Fatalf("%s(%s): data differ\nindexed %v\noracle  %v", name, d, gotData, wantData)
 			}
 		}
 	}
 }
 
-// TestClosureFacade pins the facade invariants: Has* agrees with the lazy
-// map views, counts agree, and the maps are per-instance (mutating one
-// caller's view cannot poison another's).
+// TestClosureFacade pins the facade invariants: Has* agrees with the member
+// sets, counts agree, the cache hands every caller the same immutable
+// instance, and a closure is interned over the run's own index.
 func TestClosureFacade(t *testing.T) {
 	w := loadedWarehouse(t)
 	c, err := w.DeepProvenance("fig2", "d447")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(c.StepSet()) != c.NumSteps() || len(c.DataSet()) != c.NumData() {
-		t.Fatalf("lazy maps disagree with counts: %d/%d vs %d/%d",
-			len(c.StepSet()), len(c.DataSet()), c.NumSteps(), c.NumData())
+	steps, data := closureSets(c)
+	if len(steps) != c.NumSteps() || len(data) != c.NumData() {
+		t.Fatalf("member sets disagree with counts: %d/%d vs %d/%d",
+			len(steps), len(data), c.NumSteps(), c.NumData())
 	}
-	for s := range c.StepSet() {
+	for s := range steps {
 		if !c.HasStep(s) {
-			t.Fatalf("HasStep(%s) false but in StepSet", s)
+			t.Fatalf("HasStep(%s) false but a member", s)
 		}
 	}
-	for d := range c.DataSet() {
+	for d := range data {
 		if !c.HasData(d) {
-			t.Fatalf("HasData(%s) false but in DataSet", d)
+			t.Fatalf("HasData(%s) false but a member", d)
 		}
 	}
 	if c.HasStep("ghost") || c.HasData("ghost") {
@@ -84,37 +145,12 @@ func TestClosureFacade(t *testing.T) {
 	if c.Size() != c.NumSteps()+c.NumData() {
 		t.Fatalf("Size = %d", c.Size())
 	}
-	delete(c.StepSet(), "S1")
+	if ix, _, _ := c.Bits(); ix != w.RunIndex("fig2") {
+		t.Fatal("closure is not over the run's index")
+	}
 	c2, err := w.DeepProvenance("fig2", "d447")
-	if err != nil || !c2.HasStep("S1") {
-		t.Fatal("cache poisoned through a materialized map view")
-	}
-}
-
-// TestSetCompactIndexScope: toggling affects only subsequently loaded runs.
-func TestSetCompactIndexScope(t *testing.T) {
-	w := New(0)
-	mustT(t, w.RegisterSpec(spec.Phylogenomics()))
-	mustT(t, w.LoadRun(run.Figure2()))
-	if w.RunIndex("fig2") == nil {
-		t.Fatal("default load built no index")
-	}
-	w.SetCompactIndex(false)
-	if w.RunIndex("fig2") == nil {
-		t.Fatal("toggling dropped an existing run's index")
-	}
-	mustT(t, w.LoadRun(figure2As(t, "fig2b")))
-	if w.RunIndex("fig2b") != nil {
-		t.Fatal("run loaded under SetCompactIndex(false) got an index")
-	}
-	st := w.Stats()
-	if st.Index.IndexedRuns != 1 {
-		t.Fatalf("IndexedRuns = %d, want 1", st.Index.IndexedRuns)
-	}
-	w.SetCompactIndex(true)
-	mustT(t, w.LoadRun(figure2As(t, "fig2c")))
-	if w.RunIndex("fig2c") == nil {
-		t.Fatal("re-enabled compact index not built")
+	if err != nil || c2 != c {
+		t.Fatalf("cache hit returned a different instance (err %v)", err)
 	}
 }
 
@@ -180,9 +216,9 @@ func contains(s, sub string) bool {
 	return false
 }
 
-// TestConcurrentIndexedClosures hammers the indexed BFS and the lazy map
-// materialization from many goroutines — the sync.Once facade and the shared
-// frozen bitsets must be race-free (run under -race).
+// TestConcurrentIndexedClosures hammers the indexed BFS and the shared
+// cached closures from many goroutines — reads of the frozen bitsets must
+// be race-free (run under -race).
 func TestConcurrentIndexedClosures(t *testing.T) {
 	w := loadedWarehouse(t)
 	r, _ := w.Run("fig2")
@@ -204,14 +240,10 @@ func TestConcurrentIndexedClosures(t *testing.T) {
 					t.Errorf("closure of %s lost its root", d)
 					return
 				}
-				// Alternate access styles so bitset reads and lazy map
-				// materialization race against each other across clones.
-				switch g % 3 {
-				case 0:
-					_ = c.StepSet()
-				case 1:
-					_ = c.DataSet()
-				default:
+				// Alternate access styles over the one shared instance.
+				if g%2 == 0 {
+					_, _ = closureSets(c)
+				} else {
 					_ = c.NumSteps() + c.NumData()
 				}
 			}

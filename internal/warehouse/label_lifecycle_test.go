@@ -24,7 +24,8 @@ func closureKey(c *Closure) string {
 		sort.Strings(ids)
 		return strings.Join(ids, ",")
 	}
-	return "s{" + render(c.StepSet()) + "} d{" + render(c.DataSet()) + "}"
+	steps, data := closureSets(c)
+	return "s{" + render(steps) + "} d{" + render(data) + "}"
 }
 
 // labeledWarehouse is loadedWarehouse with the label index on.

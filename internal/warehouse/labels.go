@@ -46,7 +46,6 @@ func (s ClosureStrategy) String() string {
 const (
 	strategyLabels = "labels"
 	strategyBFS    = "bfs"
-	strategyLegacy = "legacy"
 )
 
 // SetLabelIndex enables or disables the reachability label index. Enabling
@@ -84,7 +83,7 @@ func (w *Warehouse) SetLabelIndex(enabled bool) {
 			lz.buildLabels.Store(true)
 			continue
 		}
-		if rt.index != nil && rt.labels == nil {
+		if rt.labels == nil {
 			todo = append(todo, pending{id, rt, rt.index})
 		}
 	}
@@ -144,7 +143,7 @@ func (w *Warehouse) labelsFor(rt *runTables, strat ClosureStrategy) *run.Labels 
 	// Label-requested from here on: the computation is served by labels
 	// (the caller counts the hit) or counted as a fallback, never silent —
 	// Hits + Fallbacks account for every label-requested computation.
-	if rt.index == nil || rt.labels == nil || rt.labels.Index() != rt.index {
+	if rt.labels == nil || rt.labels.Index() != rt.index {
 		w.observeLabelFallback()
 		return nil
 	}
@@ -159,7 +158,7 @@ func labelProvenanceClosure(l *run.Labels, d string) *Closure {
 	stepBits := bitset.New(ix.NumSteps())
 	dataBits := bitset.New(ix.NumData())
 	l.ProvenanceInto(root, stepBits, dataBits)
-	return newBitClosure(d, ix, stepBits, dataBits)
+	return &Closure{Root: d, ix: ix, stepBits: stepBits, dataBits: dataBits}
 }
 
 // labelDerivationClosure materializes the deep derivation of d from the
@@ -170,7 +169,7 @@ func labelDerivationClosure(l *run.Labels, d string) *Closure {
 	stepBits := bitset.New(ix.NumSteps())
 	dataBits := bitset.New(ix.NumData())
 	l.DerivationInto(root, stepBits, dataBits)
-	return newBitClosure(d, ix, stepBits, dataBits)
+	return &Closure{Root: d, ix: ix, stepBits: stepBits, dataBits: dataBits}
 }
 
 // LabelCounters snapshot the label lifecycle: Builds counts label indexes

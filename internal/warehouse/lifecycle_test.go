@@ -106,7 +106,7 @@ func TestConcurrentDropFencing(t *testing.T) {
 	stale := func(context.Context) (*Closure, error) {
 		close(computeStarted)
 		<-release
-		return NewClosure("d1", map[string]bool{"OLD": true}, map[string]bool{"d1": true}), nil
+		return testClosure("d1", []string{"OLD"}, []string{"d1"}), nil
 	}
 
 	var wg sync.WaitGroup
@@ -153,7 +153,7 @@ func TestConcurrentDropReloadFencing(t *testing.T) {
 	stale := func(context.Context) (*Closure, error) {
 		close(computeStarted)
 		<-release
-		return NewClosure("d1", map[string]bool{"OLD": true}, map[string]bool{"d1": true}), nil
+		return testClosure("d1", []string{"OLD"}, []string{"d1"}), nil
 	}
 
 	var wg sync.WaitGroup
@@ -170,7 +170,7 @@ func TestConcurrentDropReloadFencing(t *testing.T) {
 	// new singleflight (the stale leader still owns the "d1" flight slot)
 	// and the run's generation entry is re-created.
 	fresh := func(context.Context) (*Closure, error) {
-		return NewClosure("d2", map[string]bool{"NEW": true}, map[string]bool{"d2": true}), nil
+		return testClosure("d2", []string{"NEW"}, []string{"d2"}), nil
 	}
 	if _, _, err := cc.getOrCompute(context.Background(), "r1", "d2", false, fresh); err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package warehouse
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"runtime"
@@ -16,18 +17,47 @@ import (
 	"repro/internal/spec"
 )
 
-// Snapshot persistence. Two on-disk formats share one loading path:
+// Snapshot persistence. Two on-disk formats share one loading entry point:
 //
-//   - v1 is a single JSON document (Save) — human-readable, diff-able, and
-//     the compatibility format every earlier snapshot is in;
-//   - v2 is a length-prefixed binary format (SaveBinary, persist_v2.go)
-//     whose runs are independent frames, which is what lets Load decode and
-//     index them on a worker pool instead of serially.
+//   - v1 is a single JSON document (Save) — human-readable, diff-able, the
+//     interchange format;
+//   - v3 is the page-aligned zero-copy image (SaveV3, persist_v3.go) that
+//     OpenV3 serves straight from a memory map.
 //
-// Load auto-detects the format from the first byte ('{' for JSON, the magic
-// byte for v2). Either way, loading rebuilds every run through the same
-// validated construction path as live loads, so a corrupted snapshot cannot
-// produce an inconsistent warehouse.
+// Load dispatches on the first bytes ('{' for JSON, "ZOOM\x03" for v3).
+// Either way, loading rebuilds every run through the same validated
+// construction path as live loads, so a corrupted snapshot cannot produce
+// an inconsistent warehouse. The v2 uvarint-frame format that used to sit
+// between the two is retired: its files are recognized and refused with
+// ErrSnapshotV2Retired.
+
+// snapMagic opens every binary snapshot; the version byte follows it.
+var snapMagic = [4]byte{'Z', 'O', 'O', 'M'}
+
+const (
+	snapVersion2 = 2 // retired
+	snapVersion3 = 3
+)
+
+// ErrSnapshotV2Retired is returned when a snapshot carries the v2 binary
+// header. No current build reads or writes v2.
+var ErrSnapshotV2Retired = errors.New("warehouse: v2 snapshot format is retired: " +
+	"rewrite the file with `zoom snapshot convert -format v3` (or json) from a build that still reads v2")
+
+// checkBinaryHeader validates the five header bytes every binary snapshot
+// starts with (magic + version) and accepts only v3.
+func checkBinaryHeader(hdr []byte) error {
+	if [4]byte(hdr[:4]) != snapMagic {
+		return fmt.Errorf("warehouse: bad snapshot magic %q", hdr[:4])
+	}
+	switch hdr[4] {
+	case snapVersion3:
+		return nil
+	case snapVersion2:
+		return ErrSnapshotV2Retired
+	}
+	return fmt.Errorf("warehouse: unsupported snapshot version %d", hdr[4])
+}
 
 type snapshot struct {
 	Specs []json.RawMessage `json:"specs"`
@@ -139,9 +169,8 @@ type LoadOptions struct {
 	Progress func(loaded, total int)
 }
 
-// Load reads a snapshot produced by Save or SaveBinary into an empty
-// warehouse, auto-detecting the format, with the default (parallel) load
-// options.
+// Load reads a snapshot produced by Save or SaveV3 into an empty warehouse,
+// auto-detecting the format, with the default (parallel) load options.
 func Load(in io.Reader, cacheSize int) (*Warehouse, error) {
 	return LoadWith(in, cacheSize, LoadOptions{})
 }
@@ -158,10 +187,10 @@ func LoadWith(in io.Reader, cacheSize int, opts LoadOptions) (*Warehouse, error)
 		return nil, fmt.Errorf("warehouse: decode snapshot: %w", err)
 	}
 	var w *Warehouse
-	if head[0] == snapMagic[0] {
-		w, err = loadBinary(br, cacheSize, opts)
-	} else {
+	if head[0] == '{' {
 		w, err = loadJSON(br, cacheSize, opts)
+	} else {
+		w, err = loadV3Reader(br, cacheSize, opts)
 	}
 	if err != nil {
 		return nil, err

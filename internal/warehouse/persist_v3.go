@@ -20,18 +20,18 @@ import (
 
 // The v3 snapshot format: the warehouse in its in-memory form, page-aligned
 // and pointer-free, so a file can be memory-mapped and served without
-// copying. Where v2 is a *serialization* (uvarint frames that must be
-// decoded into the compact index), v3 *is* the compact index — the CSR
-// adjacency, interning tables and finals bitset are stored little-endian at
-// their natural alignment, and OpenV3 aliases them straight out of the
-// mapping with unsafe.Slice. Opening costs the header, the section
-// directory, the JSON spec/view islands and the run directory — O(catalog),
-// not O(warehouse); each run's tables materialize lazily on first query.
+// copying. v3 is not a serialization to decode: it *is* the compact index —
+// the CSR adjacency, interning tables and finals bitset are stored
+// little-endian at their natural alignment, and OpenV3 aliases them straight
+// out of the mapping with unsafe.Slice. Opening costs the header, the
+// section directory, the JSON spec/view islands and the run directory —
+// O(catalog), not O(warehouse); each run's tables materialize lazily on
+// first query.
 //
 // File layout (all integers little-endian):
 //
 //	header     64 bytes
-//	  [0:4)    magic "ZOOM"           (same dispatch position as v2)
+//	  [0:4)    magic "ZOOM"
 //	  [4]      version byte 3
 //	  [5:8)    zero
 //	  [8:12)   u32 section count
@@ -84,8 +84,6 @@ import (
 // Close. A checksummed-but-forged block cannot cause memory unsafety: the
 // block is bounds- and invariant-checked here and again by
 // run.ReconstructArena before any aliased slice is indexed.
-const snapVersion3 = 3
-
 const (
 	v3HeaderSize   = 64
 	v3DirEntrySize = 32
@@ -207,8 +205,8 @@ func (w *Warehouse) buildV3Locked() ([]byte, error) {
 
 	// Run data section: 8-aligned blocks, offsets relative to the section.
 	type recInfo struct {
-		off, length uint64
-		hash        uint64
+		off, length        uint64
+		hash               uint64
 		steps, data, edges int
 	}
 	var runData []byte
@@ -312,11 +310,6 @@ type v3MetaEntry struct {
 // appendRunBlockV3 encodes one materialized run as a v3 block, appending to
 // dst (which is 8-aligned on entry).
 func appendRunBlockV3(dst []byte, r *run.Run, ix *run.Index) ([]byte, error) {
-	if ix == nil {
-		// Runs loaded under SetCompactIndex(false) have no CSR tables to
-		// store; build the index now rather than fail the save.
-		ix = r.Index()
-	}
 	nSteps, nData := ix.NumSteps(), ix.NumData()
 
 	// Arena plus the three name-offset tables.
@@ -363,16 +356,16 @@ func appendRunBlockV3(dst []byte, r *run.Run, ix *run.Index) ([]byte, error) {
 		}
 	}
 
-	// Flow stream, sorted by (from, to) node code like the v2 frames.
+	// Flow stream, sorted by (from, to) node code.
 	type edge struct {
 		fc, tc   int32
 		from, to string
 	}
 	stepCode := make(map[string]int32, nSteps+2)
-	stepCode[spec.Input] = nodeInput
-	stepCode[spec.Output] = nodeOutput
+	stepCode[spec.Input] = run.NodeInput
+	stepCode[spec.Output] = run.NodeOutput
 	for i, st := range steps {
-		stepCode[st.ID] = int32(i + nodeStep0)
+		stepCode[st.ID] = int32(i + run.NodeStep0)
 	}
 	edges := make([]edge, 0, r.NumEdges())
 	for _, e := range r.Graph().Edges() {
@@ -455,6 +448,39 @@ func OpenV3(path string, cacheSize int, opts LoadOptions) (*Warehouse, error) {
 	if err != nil {
 		f.Close()
 		return nil, err
+	}
+	return w, nil
+}
+
+// loadV3Reader is the generic reader path for a binary snapshot: it checks
+// the header, slurps the image into an aligned heap buffer (a reader offers
+// no mapping) and serves it through the same open as OpenV3. It keeps
+// Load's contract — a snapshot either loads completely or errors — by
+// materializing every run now, in id order for deterministic error
+// reporting. The lazy O(catalog) path is OpenV3.
+func loadV3Reader(br io.Reader, cacheSize int, opts LoadOptions) (*Warehouse, error) {
+	var hdr [5]byte
+	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+		return nil, fmt.Errorf("warehouse: decode snapshot header: %w", err)
+	}
+	if err := checkBinaryHeader(hdr[:]); err != nil {
+		return nil, err
+	}
+	rest, err := io.ReadAll(br)
+	if err != nil {
+		return nil, fmt.Errorf("warehouse: decode snapshot: %w", err)
+	}
+	buf := alignedBytes(len(hdr) + len(rest))
+	copy(buf, hdr[:])
+	copy(buf[len(hdr):], rest)
+	w, err := openV3Bytes(buf, false, nil, cacheSize, opts)
+	if err != nil {
+		return nil, err
+	}
+	for _, id := range w.RunIDs() {
+		if _, err := w.Run(id); err != nil {
+			return nil, err
+		}
 	}
 	return w, nil
 }
@@ -545,14 +571,14 @@ type v3Sections struct {
 // truncated or forged file yields an error, never a fault.
 func parseV3Catalog(data []byte) (secs v3Sections, err error) {
 	size := uint64(len(data))
+	if len(data) >= 5 {
+		// Before the size check, so a short v2 file is named as v2.
+		if err := checkBinaryHeader(data[:5]); err != nil {
+			return secs, err
+		}
+	}
 	if len(data) < v3HeaderSize {
 		return secs, fmt.Errorf("warehouse: v3 snapshot: file truncated at %d bytes", len(data))
-	}
-	if [4]byte(data[:4]) != snapMagic {
-		return secs, fmt.Errorf("warehouse: bad snapshot magic %q", data[:4])
-	}
-	if data[4] != snapVersion3 {
-		return secs, fmt.Errorf("warehouse: unsupported snapshot version %d", data[4])
 	}
 	le := binary.LittleEndian
 	nSec := le.Uint32(data[8:])

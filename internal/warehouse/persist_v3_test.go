@@ -137,7 +137,7 @@ func TestOpenV3Labels(t *testing.T) {
 	fig2, _ := back.Run("fig2")
 	cl, _, err := back.DeepProvenanceStrategyCtx(context.Background(), "fig2", fig2.FinalOutputs()[0], false, StrategyLabels)
 	mustT(t, err)
-	if cl == nil || len(cl.DataSet()) == 0 {
+	if cl == nil || len(dataSet(cl)) == 0 {
 		t.Fatal("label-path closure empty")
 	}
 	if c := back.LabelCounters(); c.Hits == 0 {
@@ -160,7 +160,7 @@ func TestV3CloseLifecycle(t *testing.T) {
 	finals := r.FinalOutputs()
 	cl, err := back.DeepProvenance("fig2", finals[len(finals)-1])
 	mustT(t, err)
-	preData := cl.DataSet()
+	preData := dataSet(cl)
 
 	mustT(t, back.Close())
 	mustT(t, back.Close()) // idempotent
@@ -179,9 +179,6 @@ func TestV3CloseLifecycle(t *testing.T) {
 	}
 	if err := back.Save(new(bytes.Buffer)); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Save after Close: %v", err)
-	}
-	if err := back.SaveBinary(new(bytes.Buffer)); !errors.Is(err, ErrClosed) {
-		t.Fatalf("SaveBinary after Close: %v", err)
 	}
 	if err := back.LoadRun(run.Figure2()); !errors.Is(err, ErrClosed) {
 		t.Fatalf("LoadRun after Close: %v", err)
@@ -257,7 +254,7 @@ func TestV3RejectsBitFlips(t *testing.T) {
 				continue
 			}
 			var ds []string
-			for d := range cl.DataSet() {
+			for d := range dataSet(cl) {
 				ds = append(ds, d)
 			}
 			sort.Strings(ds)
@@ -332,7 +329,7 @@ func deepAnswers2(t testing.TB, w *Warehouse) map[string][]string {
 		cl, err := w.DeepProvenance(id, finals[len(finals)-1])
 		mustT(t, err)
 		var ds []string
-		for d := range cl.DataSet() {
+		for d := range dataSet(cl) {
 			ds = append(ds, d)
 		}
 		sort.Strings(ds)
@@ -344,12 +341,12 @@ func deepAnswers2(t testing.TB, w *Warehouse) map[string][]string {
 // TestConcurrentV3Materialization: many goroutines race first queries
 // against a freshly opened v3 warehouse — concurrent lazy materialization,
 // Stats scans and a SetLabelIndex toggle all run under -race — and every
-// answer matches the heap-loaded v2 warehouse byte for byte.
+// answer matches the heap-loaded v1 warehouse byte for byte.
 func TestConcurrentV3Materialization(t *testing.T) {
 	w := snapshotWarehouse(t, 2)
-	var v2 bytes.Buffer
-	mustT(t, w.SaveBinary(&v2))
-	heap, err := Load(bytes.NewReader(v2.Bytes()), 0)
+	var v1 bytes.Buffer
+	mustT(t, w.Save(&v1))
+	heap, err := Load(bytes.NewReader(v1.Bytes()), 0)
 	mustT(t, err)
 	want := deepAnswers(t, heap)
 
@@ -366,7 +363,7 @@ func TestConcurrentV3Materialization(t *testing.T) {
 			defer wg.Done()
 			got := deepAnswers2(t, back)
 			if !reflect.DeepEqual(got, want) {
-				errs <- errors.New("concurrent v3 answers diverge from v2")
+				errs <- errors.New("concurrent v3 answers diverge from v1")
 			}
 		}()
 	}

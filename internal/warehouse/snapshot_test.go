@@ -3,7 +3,10 @@ package warehouse
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
@@ -61,7 +64,7 @@ func deepAnswers(t testing.TB, w *Warehouse) map[string][]string {
 		cl, err := w.DeepProvenance(id, finals[len(finals)-1])
 		mustT(t, err)
 		var ds []string
-		for d := range cl.DataSet() {
+		for d := range dataSet(cl) {
 			ds = append(ds, d)
 		}
 		sort.Strings(ds)
@@ -75,49 +78,6 @@ func catalog(s Stats) Stats {
 	s.Cache = CacheCounters{}
 	s.CacheHits, s.CacheMisses = 0, 0
 	return s
-}
-
-// TestSaveBinaryRoundTrip: SaveBinary → Load restores an equivalent
-// warehouse, and a second SaveBinary is byte-identical (the v2 format is
-// canonical: content-derived interning and sorted frames).
-func TestSaveBinaryRoundTrip(t *testing.T) {
-	w := snapshotWarehouse(t, 2)
-	var buf1 bytes.Buffer
-	mustT(t, w.SaveBinary(&buf1))
-
-	back, err := Load(bytes.NewReader(buf1.Bytes()), 0)
-	mustT(t, err)
-
-	if !reflect.DeepEqual(back.SpecNames(), w.SpecNames()) {
-		t.Fatal("specs differ after binary round trip")
-	}
-	if !reflect.DeepEqual(back.RunIDs(), w.RunIDs()) {
-		t.Fatal("runs differ after binary round trip")
-	}
-	if got, want := catalog(back.Stats()), catalog(w.Stats()); !reflect.DeepEqual(got, want) {
-		t.Fatalf("stats differ after binary round trip:\n got %+v\nwant %+v", got, want)
-	}
-	v, err := back.View("phylogenomics", "joe")
-	mustT(t, err)
-	orig, err := w.View("phylogenomics", "joe")
-	mustT(t, err)
-	if !v.Equal(orig) {
-		t.Fatal("view differs after binary round trip")
-	}
-	r, err := back.Run("fig2")
-	mustT(t, err)
-	if got := r.InputMeta("d1"); got["who"] != "joe" || got["when"] != "2008-04-07" {
-		t.Fatalf("metadata lost: %v", got)
-	}
-	if !reflect.DeepEqual(deepAnswers(t, back), deepAnswers(t, w)) {
-		t.Fatal("provenance answers differ after binary round trip")
-	}
-
-	var buf2 bytes.Buffer
-	mustT(t, back.SaveBinary(&buf2))
-	if !bytes.Equal(buf1.Bytes(), buf2.Bytes()) {
-		t.Fatalf("v2 snapshot not byte-stable: %d vs %d bytes", buf1.Len(), buf2.Len())
-	}
 }
 
 // normalizeSnapshot sorts the order-insensitive parts of a decoded v1
@@ -161,66 +121,86 @@ func TestSaveV1RoundTripElementIdentical(t *testing.T) {
 // same contents through the one Load entry point.
 func TestLoadAutoDetect(t *testing.T) {
 	w := snapshotWarehouse(t, 1)
-	var v1, v2 bytes.Buffer
+	var v1, v3 bytes.Buffer
 	mustT(t, w.Save(&v1))
-	mustT(t, w.SaveBinary(&v2))
-	if v1.Bytes()[0] == snapMagic[0] {
-		t.Fatal("v1 snapshot collides with the v2 magic byte")
-	}
+	mustT(t, w.SaveV3(&v3))
 
 	from1, err := Load(bytes.NewReader(v1.Bytes()), 0)
 	mustT(t, err)
-	from2, err := Load(bytes.NewReader(v2.Bytes()), 0)
+	from3, err := Load(bytes.NewReader(v3.Bytes()), 0)
 	mustT(t, err)
-	if !reflect.DeepEqual(from1.RunIDs(), from2.RunIDs()) {
+	if !reflect.DeepEqual(from1.RunIDs(), from3.RunIDs()) {
 		t.Fatal("formats disagree on runs")
 	}
-	if got, want := catalog(from1.Stats()), catalog(from2.Stats()); !reflect.DeepEqual(got, want) {
-		t.Fatalf("formats disagree on stats:\n v1 %+v\n v2 %+v", got, want)
-	}
-	if !reflect.DeepEqual(deepAnswers(t, from1), deepAnswers(t, from2)) {
+	if !reflect.DeepEqual(deepAnswers(t, from1), deepAnswers(t, from3)) {
 		t.Fatal("formats disagree on provenance answers")
 	}
 }
 
-// TestLoadBinaryRejectsCorrupt covers the v2 error paths: bad magic, bad
-// version, truncations, and a frame with out-of-range ids.
-func TestLoadBinaryRejectsCorrupt(t *testing.T) {
+// TestLoadHeaderDispatch is the format-sniffing table: '{' is v1 JSON,
+// "ZOOM\x03" is v3, the retired v2 header is refused with its own sentinel
+// (which names the way out) on every entry point, and everything else —
+// unknown version, bad magic, empty or too-short input — keeps a well-formed
+// error that is not the v2 sentinel.
+func TestLoadHeaderDispatch(t *testing.T) {
 	w := snapshotWarehouse(t, 1)
-	var buf bytes.Buffer
-	mustT(t, w.SaveBinary(&buf))
-	good := buf.Bytes()
-
-	if _, err := Load(bytes.NewReader([]byte("ZXXX")), 0); err == nil {
-		t.Fatal("bad magic accepted")
+	var v1, v3 bytes.Buffer
+	mustT(t, w.Save(&v1))
+	mustT(t, w.SaveV3(&v3))
+	withVersion := func(ver byte) []byte {
+		img := append([]byte(nil), v3.Bytes()...)
+		img[4] = ver
+		return img
 	}
-	bad := append([]byte(nil), good...)
-	bad[4] = 9
-	if _, err := Load(bytes.NewReader(bad), 0); err == nil || !strings.Contains(err.Error(), "version") {
-		t.Fatalf("bad version accepted: %v", err)
-	}
-	for _, cut := range []int{1, 4, 5, 6, len(good) / 2, len(good) - 1} {
-		if _, err := Load(bytes.NewReader(good[:cut]), 0); err == nil {
-			t.Fatalf("truncation at %d accepted", cut)
-		}
-	}
-	// Flip bytes in the tail (the run frames); Load must error or produce a
-	// valid warehouse, never panic. A sparse stride keeps the test quick —
-	// FuzzSnapshotLoad explores mutations exhaustively.
-	stride := 53
-	if testing.Short() {
-		stride = 211
-	}
-	for i := len(good) / 2; i < len(good); i += stride {
-		mut := append([]byte(nil), good...)
-		mut[i] ^= 0xff
-		if back, err := Load(bytes.NewReader(mut), 0); err == nil {
-			for _, id := range back.RunIDs() {
-				r, err := back.Run(id)
-				mustT(t, err)
-				mustT(t, r.Validate())
+	const loads, retired = "", "v2 snapshot"
+	for _, tc := range []struct {
+		name string
+		in   []byte
+		// Expected error substring from the reader path (LoadWith) and from
+		// the mapped path (OpenV3); loads means no error. A mapped file has
+		// no reader to run dry, so short images are "truncated" there.
+		load, open string
+	}{
+		{"v1 JSON", v1.Bytes(), loads, "bad snapshot magic"},
+		{"v3", v3.Bytes(), loads, loads},
+		{"v2 header only", []byte("ZOOM\x02"), retired, retired},
+		{"v2 full-size image", withVersion(2), retired, retired},
+		{"unknown version 9", withVersion(9), "unsupported snapshot version 9", "unsupported snapshot version 9"},
+		{"bad magic", []byte("ZXXX\x03 and then some"), "bad snapshot magic", "bad snapshot magic"},
+		{"empty", nil, "EOF", "truncated"},
+		{"three bytes", []byte("ZOO"), "unexpected EOF", "truncated"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			check := func(entry, want string, err error) {
+				t.Helper()
+				if want == loads {
+					if err != nil {
+						t.Fatalf("%s: %v", entry, err)
+					}
+					return
+				}
+				if err == nil || !strings.Contains(err.Error(), want) {
+					t.Fatalf("%s: err = %v, want one containing %q", entry, err, want)
+				}
+				// The sentinel is for v2 and only v2, and names the way out.
+				if errors.Is(err, ErrSnapshotV2Retired) != (want == retired) {
+					t.Fatalf("%s: errors.Is(err, ErrSnapshotV2Retired) = %v for %v", entry, want != retired, err)
+				}
+				if want == retired && !strings.Contains(err.Error(), "zoom snapshot convert") {
+					t.Fatalf("%s: %q does not name the way out", entry, err)
+				}
 			}
-		}
+			_, err := LoadWith(bytes.NewReader(tc.in), 0, LoadOptions{Workers: 1})
+			check("LoadWith", tc.load, err)
+
+			path := filepath.Join(t.TempDir(), "snap")
+			mustT(t, os.WriteFile(path, tc.in, 0o644))
+			back, err := OpenV3(path, 0, LoadOptions{})
+			if err == nil {
+				defer back.Close()
+			}
+			check("OpenV3", tc.open, err)
+		})
 	}
 }
 
@@ -257,11 +237,12 @@ func TestLoadParallelDeterministicError(t *testing.T) {
 	}
 }
 
-// FuzzSnapshotLoad feeds Load arbitrary bytes, seeded with valid v1, v2
-// and v3 snapshots and corruptions of all three. Load must never panic;
-// when it succeeds, the resulting warehouse must re-save in both writable
-// formats and contain only valid runs (the generic reader path eagerly
-// materializes v3 runs, so this invariant covers v3 too).
+// FuzzSnapshotLoad feeds Load arbitrary bytes, seeded with valid v1 and v3
+// snapshots, corruptions of both, and one retired-v2 image that must be
+// refused. Load must never panic; when it succeeds, the resulting warehouse
+// must re-save in both writable formats and contain only valid runs (the
+// generic reader path eagerly materializes v3 runs, so this invariant
+// covers v3 too).
 func FuzzSnapshotLoad(f *testing.F) {
 	w := New(0)
 	if err := w.RegisterSpec(spec.Phylogenomics()); err != nil {
@@ -270,32 +251,29 @@ func FuzzSnapshotLoad(f *testing.F) {
 	if err := w.LoadRun(run.Figure2()); err != nil {
 		f.Fatal(err)
 	}
-	var v1, v2, v3 bytes.Buffer
+	var v1, v3 bytes.Buffer
 	if err := w.Save(&v1); err != nil {
-		f.Fatal(err)
-	}
-	if err := w.SaveBinary(&v2); err != nil {
 		f.Fatal(err)
 	}
 	if err := w.SaveV3(&v3); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(v1.Bytes())
-	f.Add(v2.Bytes())
 	f.Add(v3.Bytes())
 	f.Add(v1.Bytes()[:v1.Len()/2])
-	f.Add(v2.Bytes()[:v2.Len()/2])
 	f.Add(v3.Bytes()[:v3.Len()/2])
-	f.Add([]byte("ZOOM\x02"))
+	// The first bytes of a v2 snapshot of this warehouse (header, then the
+	// uvarint spec count and the first JSON island's length prefix).
+	f.Add([]byte("ZOOM\x02\x01\xd7\x05{\"name\":\"phylogenomics\""))
 	f.Add([]byte("ZOOM\x03"))
 	f.Add([]byte("Z"))
 	f.Add([]byte("{}"))
 	f.Add([]byte{})
-	corrupt := append([]byte(nil), v2.Bytes()...)
-	for i := 6; i < len(corrupt); i += 11 {
-		corrupt[i] ^= 0x55
+	corrupt1 := append([]byte(nil), v1.Bytes()...)
+	for i := 6; i < len(corrupt1); i += 11 {
+		corrupt1[i] ^= 0x55
 	}
-	f.Add(corrupt)
+	f.Add(corrupt1)
 	corrupt3 := append([]byte(nil), v3.Bytes()...)
 	for i := 6; i < len(corrupt3); i += 131 {
 		corrupt3[i] ^= 0x55
@@ -303,6 +281,9 @@ func FuzzSnapshotLoad(f *testing.F) {
 	f.Add(corrupt3)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		back, err := LoadWith(bytes.NewReader(data), 0, LoadOptions{Workers: 2})
+		if bytes.HasPrefix(data, []byte("ZOOM\x02")) && !errors.Is(err, ErrSnapshotV2Retired) {
+			t.Fatalf("v2 header: err = %v, want ErrSnapshotV2Retired", err)
+		}
 		if err != nil {
 			return
 		}
@@ -315,44 +296,37 @@ func FuzzSnapshotLoad(f *testing.F) {
 				t.Fatalf("loaded invalid run %q: %v", id, err)
 			}
 		}
-		var b1, b2 bytes.Buffer
+		var b1, b3 bytes.Buffer
 		if err := back.Save(&b1); err != nil {
 			t.Fatalf("re-save v1: %v", err)
 		}
-		if err := back.SaveBinary(&b2); err != nil {
-			t.Fatalf("re-save v2: %v", err)
+		if err := back.SaveV3(&b3); err != nil {
+			t.Fatalf("re-save v3: %v", err)
 		}
 	})
 }
 
-// TestConcurrentParallelLoadEquivalence: loading the same snapshot with
+// TestConcurrentParallelLoadEquivalence: loading the same v1 snapshot with
 // Workers=1 and Workers=8 yields identical warehouses — same catalog stats
-// and identical deep-provenance answers — in both formats. Runs under
-// -race in CI (name matches the Concurrent pattern).
+// and identical deep-provenance answers. (A v3 image has no load phase to
+// parallelize.) Runs under -race in CI (name matches the Concurrent
+// pattern).
 func TestConcurrentParallelLoadEquivalence(t *testing.T) {
 	w := snapshotWarehouse(t, 3)
-	var v1, v2 bytes.Buffer
+	var v1 bytes.Buffer
 	mustT(t, w.Save(&v1))
-	mustT(t, w.SaveBinary(&v2))
 
-	for _, tc := range []struct {
-		name string
-		data []byte
-	}{{"v1", v1.Bytes()}, {"v2", v2.Bytes()}} {
-		t.Run(tc.name, func(t *testing.T) {
-			serial, err := LoadWith(bytes.NewReader(tc.data), 0, LoadOptions{Workers: 1})
-			mustT(t, err)
-			parallel, err := LoadWith(bytes.NewReader(tc.data), 0, LoadOptions{Workers: 8})
-			mustT(t, err)
-			if !reflect.DeepEqual(serial.RunIDs(), parallel.RunIDs()) {
-				t.Fatal("run sets differ by worker count")
-			}
-			if got, want := catalog(parallel.Stats()), catalog(serial.Stats()); !reflect.DeepEqual(got, want) {
-				t.Fatalf("stats differ by worker count:\n workers=8 %+v\n workers=1 %+v", got, want)
-			}
-			if !reflect.DeepEqual(deepAnswers(t, serial), deepAnswers(t, parallel)) {
-				t.Fatal("provenance answers differ by worker count")
-			}
-		})
+	serial, err := LoadWith(bytes.NewReader(v1.Bytes()), 0, LoadOptions{Workers: 1})
+	mustT(t, err)
+	parallel, err := LoadWith(bytes.NewReader(v1.Bytes()), 0, LoadOptions{Workers: 8})
+	mustT(t, err)
+	if !reflect.DeepEqual(serial.RunIDs(), parallel.RunIDs()) {
+		t.Fatal("run sets differ by worker count")
+	}
+	if got, want := catalog(parallel.Stats()), catalog(serial.Stats()); !reflect.DeepEqual(got, want) {
+		t.Fatalf("stats differ by worker count:\n workers=8 %+v\n workers=1 %+v", got, want)
+	}
+	if !reflect.DeepEqual(deepAnswers(t, serial), deepAnswers(t, parallel)) {
+		t.Fatal("provenance answers differ by worker count")
 	}
 }

@@ -23,7 +23,7 @@ type Stats struct {
 	Cache       CacheCounters
 	// Snapshot describes the snapshot this warehouse was opened from and,
 	// for v3 opens, how much of it has materialized (zero value for live
-	// warehouses and v1/v2 loads).
+	// warehouses and v1 loads).
 	Snapshot SnapshotStats
 	// Index summarizes the compact run indexes (interned ids, CSR bytes,
 	// closure bitset words) across all loaded runs.

@@ -28,7 +28,6 @@ func (w *Warehouse) Subset(keep func(runID string) bool) (*Warehouse, error) {
 		return nil, ErrClosed
 	}
 	nw := New(0)
-	nw.noIndex = w.noIndex
 	nw.labelIndex = w.labelIndex
 	for name, s := range w.specs {
 		nw.specs[name] = s

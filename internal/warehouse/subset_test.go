@@ -57,7 +57,7 @@ func TestSubsetSplitsRunsKeepsCatalog(t *testing.T) {
 
 	// Saved subsets round-trip as complete snapshots of their own.
 	var buf bytes.Buffer
-	mustT(t, parts[0].SaveBinary(&buf))
+	mustT(t, parts[0].Save(&buf))
 	back, err := Load(bytes.NewReader(buf.Bytes()), 0)
 	mustT(t, err)
 	if !reflect.DeepEqual(back.RunIDs(), parts[0].RunIDs()) {
@@ -85,7 +85,7 @@ func TestSubsetOfV3Materializes(t *testing.T) {
 		t.Fatalf("split selected %d of %d runs, want a strict subset", sub.NumRuns(), parent.NumRuns())
 	}
 	var buf bytes.Buffer
-	mustT(t, sub.SaveBinary(&buf))
+	mustT(t, sub.SaveV3(&buf))
 	back, err := Load(bytes.NewReader(buf.Bytes()), 0)
 	mustT(t, err)
 	if !reflect.DeepEqual(back.RunIDs(), sub.RunIDs()) {

@@ -62,10 +62,6 @@ type Warehouse struct {
 	views map[string]map[string]*core.UserView // spec name -> view name -> view
 	runs  map[string]*runTables                // run id -> per-run tables
 
-	// noIndex disables building the compact run index for subsequently
-	// loaded runs (SetCompactIndex) — the legacy string/map query path.
-	noIndex bool
-
 	// labelIndex enables building reachability labels (run.Labels) on top
 	// of the compact index for subsequently loaded runs, and selects the
 	// label-backed closure path for StrategyAuto queries (SetLabelIndex).
@@ -82,7 +78,7 @@ type Warehouse struct {
 	cache *closureCache
 
 	// snap describes the snapshot this warehouse was opened from (nil for
-	// live warehouses and v1/v2 loads): format version, whether the file is
+	// live warehouses and v1 loads): format version, whether the file is
 	// memory-mapped, and the mapping to release on Close. closed flips once
 	// under the write lock; every reader that could touch mapped memory
 	// checks it first.
@@ -243,7 +239,6 @@ func (w *Warehouse) LoadRun(r *run.Run) error {
 	closed := w.closed
 	s, ok := w.specs[r.SpecName()]
 	_, dup := w.runs[r.ID()]
-	noIndex := w.noIndex
 	buildLabels := w.labelIndex
 	w.mu.RUnlock()
 	if closed {
@@ -261,13 +256,10 @@ func (w *Warehouse) LoadRun(r *run.Run) error {
 	if err := r.ConformsTo(s); err != nil {
 		return err
 	}
-	rt := &runTables{specName: r.SpecName(), run: r}
-	if !noIndex {
-		rt.index = r.Index()
-		if buildLabels {
-			if rt.labels = rt.index.BuildLabels(); rt.labels != nil {
-				w.observeLabelBuild()
-			}
+	rt := &runTables{specName: r.SpecName(), run: r, index: r.Index()}
+	if buildLabels {
+		if rt.labels = rt.index.BuildLabels(); rt.labels != nil {
+			w.observeLabelBuild()
 		}
 	}
 	w.mu.Lock()

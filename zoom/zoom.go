@@ -560,13 +560,12 @@ func (s *System) LoadLogReader(runID, specName string, r io.Reader) (int, error)
 // reconstruction).
 type LoadOptions = warehouse.LoadOptions
 
-// Save writes the warehouse as a v1 JSON snapshot; SaveBinary writes the v2
-// binary snapshot (smaller, and loadable frame-parallel); SaveV3 writes the
-// v3 page-aligned snapshot that OpenSnapshot can serve straight from an
-// mmap without a load phase. LoadSystem restores any format, auto-detecting.
-func (s *System) Save(out io.Writer) error       { return s.w.Save(out) }
-func (s *System) SaveBinary(out io.Writer) error { return s.w.SaveBinary(out) }
-func (s *System) SaveV3(out io.Writer) error     { return s.w.SaveV3(out) }
+// Save writes the warehouse as a v1 JSON snapshot (the diff-able
+// interchange format); SaveV3 writes the v3 page-aligned snapshot that
+// OpenSnapshot can serve straight from an mmap without a load phase.
+// LoadSystem restores either format, auto-detecting.
+func (s *System) Save(out io.Writer) error   { return s.w.Save(out) }
+func (s *System) SaveV3(out io.Writer) error { return s.w.SaveV3(out) }
 
 // SnapshotStats describes the snapshot a system is backed by (the Snapshot
 // section of Stats): format version, whether the file is memory-mapped, and
@@ -599,7 +598,7 @@ func OpenSnapshot(path string, opts LoadOptions) (*System, error) {
 // queries first.
 func (s *System) Close() error { return s.w.Close() }
 
-// LoadSystem restores a system from a Save or SaveBinary snapshot with
+// LoadSystem restores a system from a Save or SaveV3 snapshot with
 // default options.
 func LoadSystem(in io.Reader) (*System, error) {
 	return LoadSystemWith(in, LoadOptions{})
