@@ -10,6 +10,8 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 
@@ -822,3 +824,100 @@ func BenchmarkReplicatedRouting(b *testing.B) {
 		}
 	})
 }
+
+// answerPathSite is BenchmarkAnswerPath's fixture: one run shaped like
+// zoomload's cold-deep corpus (Class4-large, generator seed 11) and 16 data
+// objects spread over the later half of the run, so the answers under
+// UAdmin are the large ones (about 1,000 rows each).
+func answerPathSite(b *testing.B) (*fig10Site, []string) {
+	b.Helper()
+	site := newFig10Site(b, gen.Class4(), gen.Large(), 11)
+	all := site.r.AllData()
+	roots := make([]string, 16)
+	for i := range roots {
+		roots[i] = all[len(all)/2+i*(len(all)/2)/len(roots)]
+	}
+	return site, roots
+}
+
+// BenchmarkAnswerPath times the three stages between a cached closure and
+// the client's socket on large answers (EXPERIMENTS.md, "answer path"):
+// projection of a warm closure through a warm mapping, encoding a result
+// into a reused buffer, and a router cache hit through Handler().
+func BenchmarkAnswerPath(b *testing.B) {
+	site, roots := answerPathSite(b)
+	ctx := context.Background()
+	results := make([]*provenance.Result, len(roots))
+	for i, d := range roots {
+		res, err := site.e.DeepProvenanceCtx(ctx, site.r.ID(), site.admin, d)
+		if err != nil {
+			b.Fatal(err)
+		}
+		results[i] = res
+	}
+	b.Run("project", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := site.e.DeepProvenanceCtx(ctx, site.r.ID(), site.admin, roots[i%len(roots)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("encode", func(b *testing.B) {
+		b.ReportAllocs()
+		var buf []byte
+		for i := 0; i < b.N; i++ {
+			buf = server.AppendResult(buf[:0], results[i%len(results)])
+		}
+		b.SetBytes(int64(len(buf)))
+	})
+	b.Run("relay-hit", func(b *testing.B) {
+		s, err := server.New(obs.NewRegistry(), server.Config{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		s.SetEngine(site.e)
+		worker := httptest.NewServer(s.Handler())
+		defer worker.Close()
+		rt, err := cluster.New(obs.NewRegistry(), cluster.Config{Workers: []string{worker.URL}, CacheEntries: len(roots)})
+		if err != nil {
+			b.Fatal(err)
+		}
+		h := rt.Handler()
+		bodies := make([][]byte, len(roots))
+		rd := bytes.NewReader(nil)
+		req := httptest.NewRequest("POST", "/v1/query", nil)
+		req.Body = io.NopCloser(rd)
+		w := &discardWriter{h: make(http.Header)}
+		serve := func(i int) {
+			rd.Reset(bodies[i%len(bodies)])
+			h.ServeHTTP(w, req)
+			if w.status != http.StatusOK {
+				b.Fatalf("status %d", w.status)
+			}
+		}
+		for i, d := range roots {
+			bodies[i] = []byte(fmt.Sprintf(`{"run":%q,"data":%q}`, site.r.ID(), d))
+			serve(i) // miss: forwards and stores
+		}
+		w.n = 0
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			serve(i)
+		}
+		b.SetBytes(int64(w.n / b.N))
+	})
+}
+
+// discardWriter is a reusable http.ResponseWriter that keeps nothing, so
+// relay-hit times the router, not a recorder.
+type discardWriter struct {
+	h      http.Header
+	status int
+	n      int
+}
+
+func (w *discardWriter) Header() http.Header         { return w.h }
+func (w *discardWriter) WriteHeader(code int)        { w.status = code }
+func (w *discardWriter) Write(b []byte) (int, error) { w.n += len(b); return len(b), nil }

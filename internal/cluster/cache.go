@@ -3,6 +3,9 @@ package cluster
 import (
 	"bytes"
 	"container/list"
+	"io"
+	"net/http"
+	"strconv"
 	"sync"
 
 	"repro/internal/xxh"
@@ -12,28 +15,60 @@ import (
 // (request + response bodies) when Config.CacheBytes is zero.
 const DefaultCacheBytes = 64 << 20
 
-// maxCacheBody is the largest worker response body the cache will retain;
-// larger answers are streamed through uncached so one huge deep-provenance
-// result cannot monopolize the cache.
+// maxCacheBody is the largest worker response body the router buffers, and
+// so the largest the cache will retain; larger answers are streamed through
+// uncached so one huge deep-provenance result cannot monopolize the cache.
 const maxCacheBody = 4 << 20
 
 // cacheEntry is one cached worker response. The full request body is kept
 // so a 64-bit key collision degrades to a miss, never a wrong answer, and
-// the trace id embedded in the stored body is kept so a hit can be
-// rewritten to carry the current request's id (the only byte that may
+// where the stored body carries its request's trace id is kept so a hit can
+// put the current request's id there instead (the only bytes that may
 // legitimately differ between a cached and a freshly-forwarded answer).
 type cacheEntry struct {
 	key         uint64
 	path        string
 	reqBody     []byte
-	shard       int
 	epoch       uint64
 	contentType string
-	traceID     string
 	body        []byte
+	// body[idOff:idEnd] is the stored trace id; both are zero when the body
+	// does not quote it, and a hit then replays the body untouched.
+	idOff, idEnd int
+}
+
+// markTraceID records where body quotes the trace id of the request it
+// answered — wherever the worker's encoder put the field and however it
+// spaces its output.
+func (e *cacheEntry) markTraceID(id string) {
+	if i := bytes.Index(e.body, []byte(`"`+id+`"`)); id != "" && i >= 0 {
+		e.idOff, e.idEnd = i+1, i+1+len(id)
+	}
 }
 
 func (e *cacheEntry) size() int64 { return int64(len(e.reqBody) + len(e.body)) }
+
+// replay answers a hit: the stored bytes with traceID where the stored id
+// was, written from the shared slice without copying it.
+func (e *cacheEntry) replay(w http.ResponseWriter, traceID string) error {
+	if e.idEnd == 0 {
+		return writeBody(w, http.StatusOK, e.contentType, e.body)
+	}
+	head, tail := e.body[:e.idOff], e.body[e.idEnd:]
+	if e.contentType != "" {
+		w.Header().Set("Content-Type", e.contentType)
+	}
+	w.Header().Set("Content-Length", strconv.Itoa(len(head)+len(traceID)+len(tail)))
+	w.WriteHeader(http.StatusOK)
+	if _, err := w.Write(head); err != nil {
+		return err
+	}
+	if _, err := io.WriteString(w, traceID); err != nil {
+		return err
+	}
+	_, err := w.Write(tail)
+	return err
+}
 
 // respCache is a bounded LRU over full (path, request body) keys. The
 // paper's query model makes the request body a complete cache key: a
@@ -63,12 +98,14 @@ func newRespCache(maxEntries int, maxBytes int64) *respCache {
 	}
 }
 
+// cacheKey hashes the body once and folds the path in with FNV-1a steps.
+// Any mixing will do: a hit is confirmed on the stored (path, reqBody).
 func cacheKey(path string, reqBody []byte) uint64 {
-	h := make([]byte, 0, len(path)+1+len(reqBody))
-	h = append(h, path...)
-	h = append(h, 0)
-	h = append(h, reqBody...)
-	return xxh.Sum64(h)
+	h := xxh.Sum64(reqBody)
+	for i := 0; i < len(path); i++ {
+		h = (h ^ uint64(path[i])) * 1099511628211
+	}
+	return h
 }
 
 // lookup returns the fresh entry for (path, reqBody), or nil. stale
@@ -129,18 +166,4 @@ func (c *respCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ll.Len()
-}
-
-// rewriteTraceID replaces the stored answer's embedded trace id with the
-// current request's. Responses carry exactly one top-level trace_id field
-// (the first field the server encodes), so replacing the first occurrence
-// of the quoted field is exact; when the ids already match (or the stored
-// id is empty) the body is returned as-is.
-func rewriteTraceID(body []byte, oldID, newID string) []byte {
-	if oldID == "" || oldID == newID {
-		return body
-	}
-	old := []byte(`"trace_id": "` + oldID + `"`)
-	new := []byte(`"trace_id": "` + newID + `"`)
-	return bytes.Replace(body, old, new, 1)
 }

@@ -18,11 +18,12 @@ import (
 // timingRe matches the volatile per-stage timing object in a deep-query
 // response; it is the only non-deterministic part of any API body (wall-
 // clock nanoseconds), so the differential suite masks it before the byte
-// comparison. The timing object is flat — no nested braces.
-var timingRe = regexp.MustCompile(`"timing": \{[^{}]*\}`)
+// comparison. The timing object is flat — no nested braces — and the
+// pattern holds however the encoder spaces its output.
+var timingRe = regexp.MustCompile(`"timing":\s*\{[^{}]*\}`)
 
 func maskTiming(b []byte) []byte {
-	return timingRe.ReplaceAll(b, []byte(`"timing": null`))
+	return timingRe.ReplaceAll(b, []byte(`"timing":null`))
 }
 
 // traceID returns a fixed, valid trace id for pair n, so the single node

@@ -3,10 +3,14 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -343,6 +347,126 @@ func TestRespCacheBounds(t *testing.T) {
 	}
 }
 
+// TestRespCacheCollision forces two requests onto one 64-bit key: the
+// stored (path, body) check must turn the second into a miss, never into the
+// first one's answer.
+func TestRespCacheCollision(t *testing.T) {
+	c := newRespCache(8, 0)
+	c.store(&cacheEntry{path: "/p", reqBody: []byte("reqA"), body: []byte("answerA")})
+	c.entries[cacheKey("/p", []byte("reqB"))] = c.entries[cacheKey("/p", []byte("reqA"))]
+	c.entries[cacheKey("/q", []byte("reqA"))] = c.entries[cacheKey("/p", []byte("reqA"))]
+	if e, _ := c.lookup("/p", []byte("reqB"), 0); e != nil {
+		t.Fatalf("colliding body served %q", e.body)
+	}
+	if e, _ := c.lookup("/q", []byte("reqA"), 0); e != nil {
+		t.Fatalf("colliding path served %q", e.body)
+	}
+	if e, _ := c.lookup("/p", []byte("reqA"), 0); e == nil || string(e.body) != "answerA" {
+		t.Fatal("the stored request no longer hits")
+	}
+	if cacheKey("/v1/query", []byte("x")) == cacheKey("/v1/batch", []byte("x")) {
+		t.Fatal("the path is not part of the key")
+	}
+}
+
+// TestCacheEntryReplay checks the hit path's one rewrite: the current trace
+// id goes where the stored one was quoted — compact or spaced output alike —
+// and a body that never quoted it is replayed as stored.
+func TestCacheEntryReplay(t *testing.T) {
+	const stored, current = "00000000000000a1", "00000000000000b2"
+	for _, tc := range []struct{ name, body, want string }{
+		{"compact", `{"trace_id":"` + stored + `","run":"r"}`, `{"trace_id":"` + current + `","run":"r"}`},
+		{"spaced", "{\n  \"trace_id\": \"" + stored + "\"\n}", "{\n  \"trace_id\": \"" + current + "\"\n}"},
+		{"first quoted occurrence only", `{"trace_id":"` + stored + `","data":"` + stored + `"}`, `{"trace_id":"` + current + `","data":"` + stored + `"}`},
+		{"no id", `{"run":"r"}`, `{"run":"r"}`},
+	} {
+		ent := &cacheEntry{contentType: "application/json", body: []byte(tc.body)}
+		ent.markTraceID(stored)
+		rec := httptest.NewRecorder()
+		if err := ent.replay(rec, current); err != nil {
+			t.Fatal(err)
+		}
+		if rec.Body.String() != tc.want || rec.Header().Get("Content-Length") != strconv.Itoa(len(tc.want)) {
+			t.Errorf("%s: replayed %q (Content-Length %s), want %q", tc.name, rec.Body.String(), rec.Header().Get("Content-Length"), tc.want)
+		}
+		if string(ent.body) != tc.body {
+			t.Errorf("%s: replay modified the shared body", tc.name)
+		}
+	}
+}
+
+// discardWriter is a reusable http.ResponseWriter that keeps nothing, so an
+// AllocsPerRun over Handler() counts the router's allocations, not the
+// recorder's.
+type discardWriter struct {
+	h      http.Header
+	status int
+	n      int
+}
+
+func (w *discardWriter) Header() http.Header         { return w.h }
+func (w *discardWriter) WriteHeader(code int)        { w.status = code }
+func (w *discardWriter) Write(b []byte) (int, error) { w.n += len(b); return len(b), nil }
+
+// TestRouterCacheHitAllocs pins the router half of the wire path's alloc
+// budget. A cache lookup that hits allocates nothing (the key is hashed
+// from the body in place). A whole hit through Handler() — trace, body
+// read, placement peek, spans, headers, replay — measured 33 allocations
+// when the relay was rewritten; the ceiling leaves 2 spare for misses of
+// encoding/json's pooled scanner, which the race detector forces at random.
+// None of them may be the answer: a hit is written from the cached slice,
+// so the bytes allocated per hit stay far below the answer's size.
+func TestRouterCacheHitAllocs(t *testing.T) {
+	const hitCeiling = 35
+
+	specs, runs, infos := buildCorpus(t, []gen.RunClass{gen.Medium()})
+	_, _, rt, _ := buildReplicatedCluster(t, 2, 1, specs, runs, func(cfg *Config) { cfg.CacheEntries = 16 })
+	h := rt.Handler()
+	body := []byte(fmt.Sprintf(`{"run":%q,"data":%q}`, infos[len(infos)-1].id, infos[len(infos)-1].targets[0]))
+	rd := bytes.NewReader(body)
+	req := httptest.NewRequest(http.MethodPost, "/v1/query", nil)
+	req.Body = io.NopCloser(rd)
+	w := &discardWriter{h: make(http.Header)}
+	serve := func() {
+		rd.Reset(body)
+		w.n = 0
+		h.ServeHTTP(w, req)
+	}
+	serve() // miss: forwards and stores
+	stored := w.n
+	if rt.cache.Len() != 1 || w.status != http.StatusOK {
+		t.Fatalf("priming request: status %d, %d cache entries", w.status, rt.cache.Len())
+	}
+
+	if allocs := testing.AllocsPerRun(100, func() {
+		if e, _ := rt.cache.lookup("/v1/query", body, rt.shards[rt.ring.Place(infos[len(infos)-1].id)].epoch.Load()); e == nil {
+			t.Fatal("lookup missed")
+		}
+	}); allocs != 0 {
+		t.Fatalf("cache lookup on a hit: %v allocs/op, want 0", allocs)
+	}
+
+	hits := rt.cacheHits.Value()
+	allocs := testing.AllocsPerRun(100, serve)
+	if rt.cacheHits.Value()-hits < 100 || w.n != stored {
+		t.Fatalf("runs were not cache hits of the stored %d bytes: hits +%d, wrote %d", stored, rt.cacheHits.Value()-hits, w.n)
+	}
+	if allocs > hitCeiling {
+		t.Fatalf("cache hit through Handler(): %v allocs/op for a %d-byte answer, ceiling %d", allocs, stored, hitCeiling)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 100; i++ {
+		serve()
+	}
+	runtime.ReadMemStats(&after)
+	perHit := int(after.TotalAlloc-before.TotalAlloc) / 100
+	if perHit > stored/4 {
+		t.Fatalf("cache hit through Handler(): %d B/op for a %d-byte answer; the answer is being copied", perHit, stored)
+	}
+	t.Logf("cache hit through Handler(): %v allocs/op, %d B/op for a %d-byte answer", allocs, perHit, stored)
+}
+
 // TestRouterRequestTooLarge checks the oversized-body bugfix on both
 // sides of the hop: the router and the worker answer 413 (not 400) with
 // the standard error body.
@@ -408,56 +532,88 @@ func TestRouterGatherCancel(t *testing.T) {
 	}
 }
 
-// TestRouterCopyErrors checks the relay bugfix: a worker that dies
-// mid-body (Content-Length promised, connection cut short) is counted in
-// router.copy_errors instead of passing as a silent success.
+// TestRouterCopyErrors checks the relay contract for a response whose
+// length is known. A worker that dies mid-body (Content-Length promised,
+// connection cut short) costs the client a well-formed 502 naming the shard
+// and replica — never a committed 200 with half a document — is counted in
+// router.copy_errors, and leaves nothing in the cache. A worker that keeps
+// its promise is relayed byte for byte with the length stated.
 func TestRouterCopyErrors(t *testing.T) {
-	// A worker whose query responses promise more bytes than they send;
-	// the server closes the connection on the short write and the
-	// router's relay fails mid-body.
-	liar := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	const whole = `{"trace_id":"00000000000000c1","run":"r","kind":"deep"}` + "\n"
+	var short atomic.Bool
+	worker := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
 		if r.URL.Path == "/readyz" {
-			w.Header().Set("Content-Type", "application/json")
-			fmt.Fprintln(w, `{"ready": true, "runs_loaded": 1, "runs_total": 1}`)
+			fmt.Fprintln(w, `{"ready":true,"runs_loaded":1,"runs_total":1}`)
 			return
 		}
-		w.Header().Set("Content-Type", "application/json")
+		if !short.Load() {
+			w.Header().Set("Content-Length", strconv.Itoa(len(whole)))
+			fmt.Fprint(w, whole)
+			return
+		}
+		// Promise more bytes than are sent; the server closes the
+		// connection on the short write.
 		w.Header().Set("Content-Length", "100000")
 		w.WriteHeader(http.StatusOK)
 		w.(http.Flusher).Flush()
-		fmt.Fprint(w, `{"trace_id": "xx"`)
+		fmt.Fprint(w, `{"trace_id":"xx"`)
 	}))
-	t.Cleanup(liar.Close)
-	rt, err := New(obs.NewRegistry(), Config{Workers: []string{liar.URL}})
+	t.Cleanup(worker.Close)
+	rt, err := New(obs.NewRegistry(), Config{Workers: []string{worker.URL}, CacheEntries: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rts := httptest.NewServer(rt.Handler())
 	t.Cleanup(rts.Close)
+	post := func(id, body string) (*http.Response, []byte) {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodPost, rts.URL+"/v1/query", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set(TraceIDHeader, id)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("router did not answer in HTTP: %v", err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatalf("router's own response is truncated: %v", err)
+		}
+		return resp, b
+	}
 
-	resp, err := http.Post(rts.URL+"/v1/query", "application/json",
-		strings.NewReader(`{"run":"r","data":"d"}`))
-	if err == nil {
-		// The router commits the 200 status line before the relay fails,
-		// so the client sees a truncated body, not an HTTP error.
-		_, _ = httputilReadAll(resp)
-		resp.Body.Close()
+	resp, got := post("00000000000000c1", `{"run":"r","data":"whole"}`)
+	if resp.StatusCode != http.StatusOK || string(got) != whole {
+		t.Fatalf("complete body: status %d, relayed %q, want the worker's %q", resp.StatusCode, got, whole)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for rt.copyErrors.Value() == 0 && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
+	if cl := resp.Header.Get("Content-Length"); cl != strconv.Itoa(len(whole)) || len(resp.TransferEncoding) != 0 {
+		t.Fatalf("complete body: Content-Length %q, Transfer-Encoding %v; want the length stated", cl, resp.TransferEncoding)
 	}
-	if rt.copyErrors.Value() == 0 {
-		t.Fatal("mid-body relay failure was not counted in router.copy_errors")
+	if rt.copyErrors.Value() != 0 || rt.cache.Len() != 1 {
+		t.Fatalf("complete body: copy_errors=%d cache entries=%d, want 0 and 1", rt.copyErrors.Value(), rt.cache.Len())
 	}
-}
 
-// httputilReadAll drains a response body, tolerating the transport error
-// a truncated relay produces.
-func httputilReadAll(resp *http.Response) ([]byte, error) {
-	var buf bytes.Buffer
-	_, err := buf.ReadFrom(resp.Body)
-	return buf.Bytes(), err
+	short.Store(true)
+	resp, got = post("00000000000000c2", `{"run":"r","data":"short"}`)
+	if resp.StatusCode != http.StatusBadGateway {
+		t.Fatalf("short body: status %d body %q, want 502", resp.StatusCode, got)
+	}
+	var eb errorBody
+	if err := json.Unmarshal(got, &eb); err != nil {
+		t.Fatalf("short body: 502 body %q is not JSON: %v", got, err)
+	}
+	if eb.TraceID != "00000000000000c2" || !strings.Contains(eb.Error, "shard 0 replica 0 ("+worker.URL+")") {
+		t.Fatalf("short body: 502 does not carry the trace id and name the shard and replica: %+v", eb)
+	}
+	if rt.copyErrors.Value() != 1 {
+		t.Fatalf("short body: router.copy_errors = %d, want 1", rt.copyErrors.Value())
+	}
+	if rt.cache.Len() != 1 {
+		t.Fatalf("short body was cached: %d entries, want the 1 from before", rt.cache.Len())
+	}
 }
 
 // TestConcurrentBreakerHalfOpenReadmit races the per-replica breaker's

@@ -32,12 +32,6 @@ const ParentSpanHeader = client.ParentSpanHeader
 // maxBodyBytes bounds forwarded request bodies (same cap as the worker).
 const maxBodyBytes = 1 << 20
 
-// maxStitchBody bounds how much of a traced worker response the router
-// buffers to splice the stitched span tree in. A bigger body is relayed
-// unmodified (with the worker's own trace still inline) rather than
-// buffered without bound.
-const maxStitchBody = 16 << 20
-
 // DefaultSlowThreshold is the router slowlog threshold when none is
 // configured (same default as the worker's).
 const DefaultSlowThreshold = 10 * time.Millisecond
@@ -287,12 +281,27 @@ type errorBody struct {
 	TraceID string `json:"trace_id,omitempty"`
 }
 
+// writeJSON marshals v compactly and only then commits the status (a value
+// that fails to encode is a well-formed 500), like the worker's.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	body, err := json.Marshal(v)
+	if err != nil {
+		status = http.StatusInternalServerError
+		body, _ = json.Marshal(errorBody{Error: "encode response: " + err.Error()})
+	}
+	writeBody(w, status, "application/json", append(body, '\n'))
+}
+
+// writeBody sends a fully buffered body in one write with its length
+// stated, so the client never sees chunked framing for it.
+func writeBody(w http.ResponseWriter, status int, contentType string, body []byte) error {
+	if contentType != "" {
+		w.Header().Set("Content-Type", contentType)
+	}
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_, err := w.Write(body)
+	return err
 }
 
 // Handler returns the router's route table.
@@ -432,6 +441,12 @@ func wantInlineTrace(r *http.Request) bool {
 // inline span tree is spliced out of the body and grafted under the
 // winning replica.attempt span, so the client gets ONE stitched tree
 // covering both hops instead of the worker's fragment.
+//
+// A worker states the length of what it sends. A response that does, and
+// fits the cache's per-body cap, is read whole — into a slice of exactly
+// that size, which is also what the cache keeps — before anything is
+// committed to the client: a worker that dies mid-body costs the client a
+// well-formed 502, not a 200 with half a document.
 func (rt *Router) forward(path string) routerHandler {
 	return func(tr *obs.Trace, w http.ResponseWriter, r *http.Request) {
 		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
@@ -491,11 +506,7 @@ func (rt *Router) forward(path string) routerHandler {
 				look.End()
 				rt.cacheHits.Inc()
 				sh.cacheHits.Inc()
-				if ent.contentType != "" {
-					w.Header().Set("Content-Type", ent.contentType)
-				}
-				w.WriteHeader(http.StatusOK)
-				if _, werr := w.Write(rewriteTraceID(ent.body, ent.traceID, tr.ID())); werr != nil {
+				if werr := ent.replay(w, tr.ID()); werr != nil {
 					rt.copyError(tr, idx, werr)
 				}
 				return
@@ -532,79 +543,46 @@ func (rt *Router) forward(path string) routerHandler {
 		defer resp.Body.Close()
 		rt.forwards.Inc()
 		ct := resp.Header.Get("Content-Type")
-		if ct != "" {
-			w.Header().Set("Content-Type", ct)
-		}
 
-		if wantTrace && resp.StatusCode == http.StatusOK {
-			// Buffer the traced response and splice the worker's span tree
-			// out of the body, grafting it under the winning attempt span;
-			// the rewritten body then carries the full stitched tree. An
-			// over-sized body is relayed unmodified instead of buffered
-			// without bound.
-			data, rerr := io.ReadAll(io.LimitReader(resp.Body, maxStitchBody+1))
-			if rerr == nil && len(data) <= maxStitchBody {
-				w.WriteHeader(http.StatusOK)
-				if _, werr := w.Write(rt.stitch(tr, winSpan, data)); werr != nil {
-					rt.copyError(tr, idx, werr)
-				}
-				return
-			}
-			w.WriteHeader(http.StatusOK)
-			if len(data) > 0 {
-				if _, werr := w.Write(data); werr != nil {
-					rt.copyError(tr, idx, werr)
-					return
-				}
-			}
-			if rerr != nil {
-				rt.copyError(tr, idx, rerr)
-				return
-			}
-			if _, cerr := io.Copy(w, resp.Body); cerr != nil {
-				rt.copyError(tr, idx, cerr)
-			}
-			return
-		}
-
-		w.WriteHeader(resp.StatusCode)
 		relay := tr.Root().StartChild("relay")
 		defer relay.End()
-		if cacheable && resp.StatusCode == http.StatusOK {
-			// Buffer a cache-sized prefix; if the body fits, the copy to
-			// the client and the stored entry are the same bytes.
-			data, rerr := io.ReadAll(io.LimitReader(resp.Body, maxCacheBody+1))
-			if len(data) > 0 {
-				if _, werr := w.Write(data); werr != nil {
-					rt.copyError(tr, idx, werr)
-					return
-				}
-			}
-			if rerr != nil {
+		if n := resp.ContentLength; n >= 0 && n <= maxCacheBody {
+			data := make([]byte, n)
+			if _, rerr := io.ReadFull(resp.Body, data); rerr != nil {
 				rt.copyError(tr, idx, rerr)
-				return
-			}
-			if len(data) <= maxCacheBody {
-				rt.cache.store(&cacheEntry{
-					path:        path,
-					reqBody:     body,
-					shard:       idx,
-					epoch:       epoch,
-					contentType: ct,
-					traceID:     tr.ID(),
-					body:        data,
+				writeJSON(w, http.StatusBadGateway, errorBody{
+					Error: fmt.Sprintf("shard %d replica %d (%s): response body cut short: %v",
+						idx, rep.index, rep.base, rerr),
+					TraceID: tr.ID(),
 				})
 				return
 			}
-			// Too big to cache: stream the rest through.
-			if _, cerr := io.Copy(w, resp.Body); cerr != nil {
-				rt.copyError(tr, idx, cerr)
+			if resp.StatusCode == http.StatusOK {
+				if wantTrace {
+					relay.End() // before the snapshot stitch takes
+					data = rt.stitch(tr, winSpan, data)
+				} else if cacheable {
+					ent := &cacheEntry{path: path, reqBody: body, epoch: epoch, contentType: ct, body: data}
+					ent.markTraceID(tr.ID())
+					rt.cache.store(ent)
+				}
+			}
+			if werr := writeBody(w, resp.StatusCode, ct, data); werr != nil {
+				rt.copyError(tr, idx, werr)
 			}
 			return
 		}
+
+		// Streamed: the worker stated no length, or more than the router is
+		// willing to buffer. The status is committed before the body has been
+		// read, so a worker dying mid-body still truncates the client's
+		// response; all the router can do is count it. Nothing on this path
+		// is cached or stitched (a traced answer keeps the worker's own tree).
+		if ct != "" {
+			w.Header().Set("Content-Type", ct)
+		}
+		w.WriteHeader(resp.StatusCode)
 		if _, cerr := io.Copy(w, resp.Body); cerr != nil {
-			// A mid-body client disconnect or worker reset is not a
-			// successful forward even though the status line went out.
 			rt.copyError(tr, idx, cerr)
 		}
 	}
@@ -614,10 +592,10 @@ func (rt *Router) forward(path string) routerHandler {
 // body and replaces it with the router's full tree, the worker's tree
 // adopted under the winning attempt span. The body is otherwise relayed
 // byte-for-byte: the worker's trace value is located as verbatim source
-// bytes (json.RawMessage) and swapped in place, so field order,
-// indentation, and every other byte the worker wrote survive. On any
-// decode surprise the body passes through unmodified — a stitching bug
-// degrades to the worker's own trace, never to a corrupt response.
+// bytes (json.RawMessage) and swapped in place, so field order and every
+// other byte the worker wrote survive. On any decode surprise the body
+// passes through unmodified — a stitching bug degrades to the worker's own
+// trace, never to a corrupt response.
 func (rt *Router) stitch(tr *obs.Trace, winSpan *obs.Span, data []byte) []byte {
 	var doc map[string]json.RawMessage
 	if err := json.Unmarshal(data, &doc); err != nil {
@@ -632,17 +610,15 @@ func (rt *Router) stitch(tr *obs.Trace, winSpan *obs.Span, data []byte) []byte {
 		return data
 	}
 	winSpan.Adopt(node)
-	snap := tr.Snapshot()
-	// Depth-1 value under the worker's SetIndent("", "  ") document.
-	nb, err := json.MarshalIndent(snap, "  ", "  ")
+	nb, err := json.Marshal(tr.Snapshot())
 	if err != nil {
 		return data
 	}
 	return bytes.Replace(data, raw, nb, 1)
 }
 
-// copyError records a response-relay failure: the status line was already
-// committed, so all the router can do is count it and name the trace.
+// copyError counts a response-relay failure — the worker's body ended early
+// or the client stopped reading — and names the trace in the log.
 func (rt *Router) copyError(tr *obs.Trace, shard int, err error) {
 	rt.copyErrors.Inc()
 	log.Printf("zoom router: response copy failed: shard %d trace %s: %v", shard, tr.ID(), err)

@@ -232,7 +232,7 @@ func TestRouterForwardAndGather(t *testing.T) {
 
 	// Readyz is live and all shards are up.
 	status, body = getRaw(t, routerURL, "/readyz", "")
-	if status != http.StatusOK || !strings.Contains(string(body), `"ready": true`) {
+	if status != http.StatusOK || !strings.Contains(string(body), `"ready":true`) {
 		t.Fatalf("readyz: status %d body %s", status, body)
 	}
 	if got := rt.shardStates(); len(got) != 2 || !got[0].Ready || !got[1].Ready {

@@ -1,7 +1,11 @@
 package composite
 
 import (
+	"slices"
+	"sort"
+
 	"repro/internal/run"
+	"repro/internal/spec"
 )
 
 // Projector is the integer-indexed face of a Mapping: the per-(run, view)
@@ -13,7 +17,10 @@ import (
 //
 // Execution ordinals are positions in the mapping's topological order, so
 // walking ordinals ascending visits executions exactly as Executions()
-// returns them.
+// returns them. Provenance edges are ordered by the *string* order of their
+// endpoint ids, which differs (S10 < S2, and INPUT sorts among them), so the
+// projector also ranks every execution id together with spec.Input once:
+// sorting edges is then integer work, and a name is read only on emission.
 type Projector struct {
 	ix    *run.Index
 	execs []*Execution // topological order; ordinal = slice position
@@ -23,6 +30,10 @@ type Projector struct {
 
 	inOff, inData   []int32 // ordinal -> interned input data (CSR, ascending)
 	outOff, outData []int32 // ordinal -> interned output data (CSR, ascending)
+
+	// Edge endpoints: ordinal NumExecutions() stands for spec.Input.
+	rankOf []int32 // endpoint ordinal -> rank of its id in string order
+	atRank []int32 // inverse of rankOf
 }
 
 // Projector returns the mapping's integer-indexed projector, building it
@@ -61,12 +72,26 @@ func buildProjector(m *Mapping) *Projector {
 			id, _ := ix.DataID(d)
 			p.inData = append(p.inData, id)
 		}
+		// Ascending is what lets the edge sort skip the data id: enforce it
+		// here instead of trusting two natural-order sorts to agree.
+		slices.Sort(p.inData[p.inOff[ord]:])
 		p.inOff[ord+1] = int32(len(p.inData))
 		for _, d := range e.Outputs {
 			id, _ := ix.DataID(d)
 			p.outData = append(p.outData, id)
 		}
 		p.outOff[ord+1] = int32(len(p.outData))
+	}
+	p.atRank = make([]int32, len(p.execs)+1)
+	for i := range p.atRank {
+		p.atRank[i] = int32(i)
+	}
+	sort.SliceStable(p.atRank, func(i, j int) bool {
+		return p.EndpointID(p.atRank[i]) < p.EndpointID(p.atRank[j])
+	})
+	p.rankOf = make([]int32, len(p.atRank))
+	for rank, ord := range p.atRank {
+		p.rankOf[ord] = int32(rank)
 	}
 	return p
 }
@@ -81,6 +106,25 @@ func (p *Projector) NumExecutions() int { return len(p.execs) }
 
 // Execution returns the execution at a topological ordinal.
 func (p *Projector) Execution(ord int32) *Execution { return p.execs[ord] }
+
+// InputEndpoint is the edge-endpoint ordinal of spec.Input: one past the
+// last execution ordinal.
+func (p *Projector) InputEndpoint() int32 { return int32(len(p.execs)) }
+
+// EndpointID names an edge endpoint: an execution id, or spec.Input.
+func (p *Projector) EndpointID(ord int32) string {
+	if int(ord) == len(p.execs) {
+		return spec.Input
+	}
+	return p.execs[ord].ID
+}
+
+// EndpointRank returns the position of an endpoint's id among all endpoint
+// ids in string order — the order provenance edges are reported in.
+func (p *Projector) EndpointRank(ord int32) int32 { return p.rankOf[ord] }
+
+// EndpointAtRank is the inverse of EndpointRank.
+func (p *Projector) EndpointAtRank(rank int32) int32 { return p.atRank[rank] }
 
 // ExecOfStep returns the execution ordinal containing an interned step.
 func (p *Projector) ExecOfStep(s int32) int32 { return p.stepExec[s] }

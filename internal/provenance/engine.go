@@ -14,6 +14,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -24,7 +25,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/run"
-	"repro/internal/spec"
 	"repro/internal/warehouse"
 )
 
@@ -298,6 +298,13 @@ func project(m *composite.Mapping, c *warehouse.Closure) (*Result, error) {
 // ordinals, and data comes out naturally sorted for free because interned
 // ids are natural ranks. rootID seeds the visible data (negative: no root
 // data object, as in ExecutionProvenance).
+//
+// Edges are reported by (From, To) in string order with natural-order data.
+// No string is compared to get there: consumers are walked in the string
+// rank of their ids (composite.Projector ranks them once per mapping), an
+// execution's inputs are ascending interned ids, so the facts are collected
+// already ordered by (To, data), and one stable counting pass on the
+// producer's rank finishes the order.
 func projectBits(res *Result, px *composite.Projector, rootID int32, stepBits, dataBits bitset.Set) {
 	ix := px.Index()
 	visible := bitset.New(px.NumExecutions())
@@ -306,90 +313,98 @@ func projectBits(res *Result, px *composite.Projector, rootID int32, stepBits, d
 	if rootID >= 0 {
 		outData.Add(rootID)
 	}
-	eb := borrowEdgeBuilder()
 	// Ascending ordinals are topological order, matching m.Executions().
-	visible.Each(func(ord int32) {
-		ex := px.Execution(ord)
-		res.Executions = append(res.Executions, ex)
-		for _, d := range px.InputsOf(ord) {
+	// With nothing visible the list stays nil, as append would leave it.
+	if n := visible.Count(); n > 0 {
+		res.Executions = make([]*composite.Execution, 0, n)
+	}
+	visible.Each(func(ord int32) { res.Executions = append(res.Executions, px.Execution(ord)) })
+
+	sc := edgeScratchPool.Get().(*edgeScratch)
+	defer edgeScratchPool.Put(sc)
+	input := px.InputEndpoint()
+	facts := sc.facts[:0]
+	for rank := int32(0); rank <= input; rank++ {
+		to := px.EndpointAtRank(rank)
+		if to == input || !visible.Has(to) {
+			continue
+		}
+		for _, d := range px.InputsOf(to) {
 			if !dataBits.Has(d) {
 				continue // input irrelevant to this derivation
 			}
 			outData.Add(d)
-			if src := px.ProducerExec(d); src < 0 {
-				eb.add(spec.Input, ex.ID, ix.DataName(d), d)
-			} else if visible.Has(src) {
-				eb.add(px.Execution(src).ID, ex.ID, ix.DataName(d), d)
+			from := px.ProducerExec(d)
+			if from < 0 {
+				from = input
+			} else if !visible.Has(from) {
+				continue
 			}
+			facts = append(facts, edgeFact{from: px.EndpointRank(from), to: to, d: d})
 		}
-	})
+	}
+	sc.facts = facts
 	res.Data = make([]string, 0, outData.Count())
 	outData.Each(func(d int32) { res.Data = append(res.Data, ix.DataName(d)) })
-	res.Edges = eb.build()
-	eb.release()
-}
-
-// edgeBuilder accumulates provenance-graph edges as a flat triple slice
-// instead of the nested map-of-maps a per-query accumulator would allocate:
-// one append per (from, to, data) fact, one sort, one grouping pass.
-// Builders are pooled across queries, so a steady query load reuses the
-// same backing arrays. rank is the data id's interned natural rank, so the
-// sort compares ints instead of re-parsing digit suffixes.
-type edgeBuilder struct {
-	triples []edgeTriple
-}
-
-type edgeTriple struct {
-	from, to, d string
-	rank        int32
-}
-
-var edgeBuilderPool = sync.Pool{New: func() interface{} { return &edgeBuilder{} }}
-
-func borrowEdgeBuilder() *edgeBuilder {
-	eb := edgeBuilderPool.Get().(*edgeBuilder)
-	eb.triples = eb.triples[:0]
-	return eb
-}
-
-func (eb *edgeBuilder) release() { edgeBuilderPool.Put(eb) }
-
-func (eb *edgeBuilder) add(from, to, d string, rank int32) {
-	eb.triples = append(eb.triples, edgeTriple{from: from, to: to, d: d, rank: rank})
-}
-
-// build sorts the triples by (From, To, natural data order) and groups them
-// into Edges. Callers never add the same triple twice, so no deduplication
-// is needed.
-func (eb *edgeBuilder) build() []Edge {
-	ts := eb.triples
-	if len(ts) == 0 {
-		return nil
+	if len(facts) == 0 {
+		return
 	}
-	sort.Slice(ts, func(i, j int) bool {
-		if ts[i].from != ts[j].from {
-			return ts[i].from < ts[j].from
+
+	// next[r] is where the next fact whose producer has rank r goes.
+	next := slices.Grow(sc.next[:0], int(input)+2)[:input+2]
+	clear(next)
+	for _, f := range facts {
+		next[f.from+1]++
+	}
+	for r := int32(1); r <= input; r++ {
+		next[r] += next[r-1]
+	}
+	sorted := slices.Grow(sc.sorted[:0], len(facts))[:len(facts)]
+	for _, f := range facts {
+		sorted[next[f.from]] = f
+		next[f.from]++
+	}
+	sc.next, sc.sorted = next, sorted
+
+	// One Edge per (From, To) group; the groups share one backing array.
+	groups := 1
+	for i := 1; i < len(sorted); i++ {
+		if sorted[i].from != sorted[i-1].from || sorted[i].to != sorted[i-1].to {
+			groups++
 		}
-		if ts[i].to != ts[j].to {
-			return ts[i].to < ts[j].to
-		}
-		return ts[i].rank < ts[j].rank
-	})
-	var edges []Edge
-	for i := 0; i < len(ts); {
+	}
+	res.Edges = make([]Edge, 0, groups)
+	names := make([]string, len(sorted))
+	for i := 0; i < len(sorted); {
 		j := i
-		for j < len(ts) && ts[j].from == ts[i].from && ts[j].to == ts[i].to {
+		for j < len(sorted) && sorted[j].from == sorted[i].from && sorted[j].to == sorted[i].to {
+			names[j] = ix.DataName(sorted[j].d)
 			j++
 		}
-		ds := make([]string, 0, j-i)
-		for k := i; k < j; k++ {
-			ds = append(ds, ts[k].d)
-		}
-		edges = append(edges, Edge{From: ts[i].from, To: ts[i].to, Data: ds})
+		res.Edges = append(res.Edges, Edge{
+			From: px.EndpointID(px.EndpointAtRank(sorted[i].from)),
+			To:   px.Execution(sorted[i].to).ID,
+			Data: names[i:j:j],
+		})
 		i = j
 	}
-	return edges
 }
+
+// edgeFact is one "data d flows from → to" fact of a projection, in
+// integers: from is the producer endpoint's string rank (the sort key), to
+// the consumer's execution ordinal, d the interned data id.
+type edgeFact struct {
+	from, to, d int32
+}
+
+// edgeScratch is the per-query working memory of the edge sort. It is
+// pointer-free, pooled across queries, and never reachable from a Result.
+type edgeScratch struct {
+	facts, sorted []edgeFact
+	next          []int32
+}
+
+var edgeScratchPool = sync.Pool{New: func() any { return new(edgeScratch) }}
 
 // ImmediateProvenance returns the composite execution that produced d under
 // the view, with its full input set: "the immediate provenance of d413

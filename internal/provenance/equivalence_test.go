@@ -216,9 +216,84 @@ func TestEquivalenceExecutionProvenance(t *testing.T) {
 	}
 }
 
+// TestEquivalenceEdgeOrder pins the order edges are reported in — (From, To)
+// by string order, whatever the topological order — on a run built to make
+// the two disagree: the first step sorts last ("z1"), step ids fall on both
+// sides of "INPUT" ("A2" and "B3" before it, "S10", "S9" and "z1" after), and
+// "S10" sorts before "S9". The engine ranks ids once per mapping and sorts
+// integers; the oracle sorts the strings.
+func TestEquivalenceEdgeOrder(t *testing.T) {
+	s := spec.New("order")
+	for _, m := range []string{"P", "Q", "R", "U", "T"} {
+		s.MustAddModule(spec.Module{Name: m})
+	}
+	for _, e := range [][2]string{{spec.Input, "P"}, {spec.Input, "R"}, {"P", "Q"}, {"P", "R"}, {"P", "U"},
+		{"Q", "T"}, {"R", "T"}, {"U", "T"}, {"T", spec.Output}} {
+		s.MustAddEdge(e[0], e[1])
+	}
+	r := run.NewRun("order-run", "order")
+	for _, st := range [][2]string{{"z1", "P"}, {"A2", "Q"}, {"S10", "R"}, {"S9", "U"}, {"B3", "T"}} {
+		if err := r.AddStep(st[0], st[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, f := range []struct {
+		from, to string
+		data     []string
+	}{
+		{spec.Input, "z1", []string{"d1", "d2"}}, {spec.Input, "S10", []string{"d3"}},
+		{"z1", "A2", []string{"d4", "d10"}}, {"z1", "S10", []string{"d5"}}, {"z1", "S9", []string{"d11"}},
+		{"A2", "B3", []string{"d6"}}, {"S10", "B3", []string{"d7", "d8"}}, {"S9", "B3", []string{"d12"}},
+		{"B3", spec.Output, []string{"d9"}},
+	} {
+		if err := r.AddFlow(f.from, f.to, f.data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := r.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	e := engineFor(t, s, r)
+	admin := core.UAdmin(s)
+
+	res, err := e.DeepProvenance(r.ID(), admin, "d9")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, ed := range res.Edges {
+		got = append(got, ed.From+">"+ed.To+":"+strings.Join(ed.Data, ","))
+	}
+	want := []string{"A2>B3:d6", "INPUT>S10:d3", "INPUT>z1:d1,d2", "S10>B3:d7,d8", "S9>B3:d12",
+		"z1>A2:d4,d10", "z1>S10:d5", "z1>S9:d11"}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("edge order under UAdmin:\n got %v\nwant %v", got, want)
+	}
+
+	views := map[string]*core.UserView{"admin": admin}
+	for name, relevant := range map[string][]string{"PT": {"P", "T"}, "Q": {"Q"}, "RU": {"R", "U"}} {
+		v, err := core.BuildRelevant(s, relevant)
+		if err != nil {
+			t.Fatal(err)
+		}
+		views[name] = v
+	}
+	checkEquivalence(t, e, r, views, r.AllData())
+	for vname, v := range views {
+		m := oracleMapping(t, r, v)
+		for _, ex := range m.Executions() {
+			got, err := e.ExecutionProvenance(r.ID(), v, ex.ID)
+			if err != nil {
+				t.Fatalf("exec prov(%s,%s): %v", vname, ex.ID, err)
+			}
+			sameResult(t, fmt.Sprintf("exec %s/%s", vname, ex.ID), got, oracleExecutionProvenance(m, ex.ID))
+		}
+	}
+}
+
 // TestConcurrentIndexedServe runs a query burst through ServeConcurrently —
 // the projector sync.Once, the shared frozen closure bitsets, and the pooled
-// edge builders all under -race — and cross-checks every answer against the
+// edge-sort scratch all under -race — and cross-checks every answer against the
 // oracle.
 func TestConcurrentIndexedServe(t *testing.T) {
 	g := gen.NewGenerator(911)

@@ -1,0 +1,403 @@
+package server
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
+	"net/http"
+	"net/http/httptest"
+	"strconv"
+	"strings"
+	"testing"
+
+	"repro/internal/composite"
+	"repro/internal/core"
+	"repro/internal/gen"
+	"repro/internal/obs"
+	"repro/internal/provenance"
+	"repro/internal/warehouse"
+	"repro/zoom/client"
+)
+
+// The documented response shapes, as structs. They are the encoder's oracle
+// (its bytes must equal json.Marshal of these plus a newline) and what the
+// handler tests decode answers into.
+
+// executionDTO mirrors composite.Execution with JSON names.
+type executionDTO struct {
+	ID        string   `json:"id"`
+	Composite string   `json:"composite"`
+	Steps     []string `json:"steps"`
+	Inputs    []string `json:"inputs,omitempty"`
+	Outputs   []string `json:"outputs,omitempty"`
+}
+
+// edgeDTO mirrors provenance.Edge.
+type edgeDTO struct {
+	From string   `json:"from"`
+	To   string   `json:"to"`
+	Data []string `json:"data"`
+}
+
+// resultDTO is a provenance.Result shaped for JSON.
+type resultDTO struct {
+	Root       string            `json:"root"`
+	External   bool              `json:"external,omitempty"`
+	Metadata   map[string]string `json:"metadata,omitempty"`
+	Executions []executionDTO    `json:"executions"`
+	Data       []string          `json:"data"`
+	Edges      []edgeDTO         `json:"edges"`
+}
+
+func toExecutionDTO(x *composite.Execution) executionDTO {
+	return executionDTO{ID: x.ID, Composite: x.Composite, Steps: x.Steps,
+		Inputs: x.Inputs, Outputs: x.Outputs}
+}
+
+func toResultDTO(res *provenance.Result) *resultDTO {
+	if res == nil {
+		return nil
+	}
+	out := &resultDTO{
+		Root:       res.Root,
+		External:   res.External,
+		Metadata:   res.Metadata,
+		Executions: make([]executionDTO, 0, len(res.Executions)),
+		Data:       res.Data,
+		Edges:      make([]edgeDTO, 0, len(res.Edges)),
+	}
+	for _, x := range res.Executions {
+		out.Executions = append(out.Executions, toExecutionDTO(x))
+	}
+	for _, e := range res.Edges {
+		out.Edges = append(out.Edges, edgeDTO{From: e.From, To: e.To, Data: e.Data})
+	}
+	return out
+}
+
+// timingDTO carries the QueryTrace stage numbers.
+type timingDTO struct {
+	LookupNs  int64 `json:"lookup_ns"`
+	ComputeNs int64 `json:"compute_ns,omitempty"`
+	ProjectNs int64 `json:"project_ns"`
+	TotalNs   int64 `json:"total_ns"`
+}
+
+// queryResponse is the body of a POST /v1/query answer.
+type queryResponse struct {
+	TraceID string `json:"trace_id"`
+	Run     string `json:"run"`
+	Data    string `json:"data"`
+	Kind    string `json:"kind"`
+	Outcome string `json:"outcome,omitempty"`
+	// Strategy reports the closure computation a deep-query miss actually
+	// ran ("labels" or "bfs"); empty on cache hits.
+	Strategy  string        `json:"strategy,omitempty"`
+	Timing    *timingDTO    `json:"timing,omitempty"`
+	Result    *resultDTO    `json:"result,omitempty"`
+	Execution *executionDTO `json:"execution,omitempty"`
+	Trace     *obs.SpanNode `json:"trace,omitempty"`
+}
+
+// batchResponse is the body of a POST /v1/batch answer.
+type batchResponse struct {
+	TraceID string        `json:"trace_id"`
+	Run     string        `json:"run"`
+	Count   int           `json:"count"`
+	Results []*resultDTO  `json:"results"`
+	Trace   *obs.SpanNode `json:"trace,omitempty"`
+}
+
+// oracleQuery is the query answer as encoding/json writes the documented
+// struct, the way the server encoded it before it had its own encoder.
+func oracleQuery(t testing.TB, a *queryAnswer) []byte {
+	t.Helper()
+	resp := queryResponse{TraceID: a.traceID, Run: a.run, Data: a.data, Kind: a.kind,
+		Result: toResultDTO(a.result), Trace: a.spans}
+	if qt := a.deep; qt != nil {
+		resp.Outcome, resp.Strategy = qt.Outcome, qt.Strategy
+		resp.Timing = &timingDTO{LookupNs: qt.LookupNs, ComputeNs: qt.ComputeNs,
+			ProjectNs: qt.ProjectNs, TotalNs: qt.TotalNs}
+	}
+	if a.execution != nil {
+		dto := toExecutionDTO(a.execution)
+		resp.Execution = &dto
+	}
+	return marshalLine(t, resp)
+}
+
+func oracleBatch(t testing.TB, traceID, run string, results []*provenance.Result, spans *obs.SpanNode) []byte {
+	t.Helper()
+	resp := batchResponse{TraceID: traceID, Run: run, Count: len(results),
+		Results: make([]*resultDTO, len(results)), Trace: spans}
+	for i, res := range results {
+		resp.Results[i] = toResultDTO(res)
+	}
+	return marshalLine(t, resp)
+}
+
+func marshalLine(t testing.TB, v any) []byte {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(b, '\n')
+}
+
+// checkQuery holds one query answer to the oracle's bytes and to the typed
+// client's decoder.
+func checkQuery(t testing.TB, a *queryAnswer) {
+	t.Helper()
+	got, err := appendQueryResponse(nil, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := oracleQuery(t, a); !bytes.Equal(got, want) {
+		t.Fatalf("query answer differs from encoding/json\n got: %s\nwant: %s", got, want)
+	}
+	var out client.QueryResponse
+	if err := json.Unmarshal(got, &out); err != nil {
+		t.Fatalf("client cannot decode %s: %v", got, err)
+	}
+	if (out.Result != nil) != (a.result != nil) || (out.Execution != nil) != (a.execution != nil) {
+		t.Fatalf("client decoded result=%v execution=%v from %s", out.Result != nil, out.Execution != nil, got)
+	}
+}
+
+func checkBatch(t testing.TB, traceID, run string, results []*provenance.Result, spans *obs.SpanNode) {
+	t.Helper()
+	got, err := appendBatchResponse(nil, traceID, run, results, spans)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := oracleBatch(t, traceID, run, results, spans); !bytes.Equal(got, want) {
+		t.Fatalf("batch answer differs from encoding/json\n got: %s\nwant: %s", got, want)
+	}
+	var out client.BatchResponse
+	if err := json.Unmarshal(got, &out); err != nil {
+		t.Fatalf("client cannot decode %s: %v", got, err)
+	}
+	if out.Count != len(results) || len(out.Results) != len(results) {
+		t.Fatalf("client decoded %d/%d results from %s", out.Count, len(out.Results), got)
+	}
+}
+
+// nasty are strings that exercise every escaping rule of encoding/json: the
+// two mandatory escapes, control bytes with and without short forms, the
+// HTML-safe set, the JavaScript line separators, DEL, multi-byte runes, and
+// invalid UTF-8 (replaced by U+FFFD).
+var nasty = []string{
+	"", "d1", `say "hi"`, `back\slash`, "tab\there", "nl\nnl", "\x00\x01\x1f", "\x7f",
+	"<script>&amp;</script>", "line\u2028sep\u2029", "héllo wörld", "日本語", "\xff\xfe", "a\xc3", "\xed\xa0\x80",
+}
+
+func TestAppendResponseMatchesEncodingJSON(t *testing.T) {
+	exec := func(id string, steps, in, out []string) *composite.Execution {
+		return &composite.Execution{ID: id, Composite: "C" + id, Steps: steps, Inputs: in, Outputs: out}
+	}
+	full := &provenance.Result{
+		RunID: "ignored", Root: "d9",
+		Executions: []*composite.Execution{
+			exec("S1", []string{"S1"}, []string{"d1", "d2"}, []string{"d3"}),
+			exec("M2@1", []string{"S2", "S3"}, nil, []string{}),
+		},
+		Data:  []string{"d1", "d2", "d3"},
+		Edges: []provenance.Edge{{From: "INPUT", To: "S1", Data: []string{"d1", "d2"}}, {From: "S1", To: "M2@1", Data: []string{"d3"}}},
+	}
+	external := &provenance.Result{Root: "d1", External: true,
+		Metadata: map[string]string{"who": "<lab>", "when": "2007-12-01", "": " "},
+		Data:     []string{"d1"}}
+	emptyMeta := &provenance.Result{Root: "d1", External: true, Metadata: map[string]string{}, Data: []string{}}
+	bare := &provenance.Result{} // nil lists: data is null, executions and edges are []
+	hostile := &provenance.Result{Root: nasty[2], Data: nasty}
+	for _, s := range nasty {
+		hostile.Executions = append(hostile.Executions, exec(s, nasty, nasty, nasty))
+		hostile.Edges = append(hostile.Edges, provenance.Edge{From: s, To: s, Data: nasty})
+	}
+	spans := &obs.SpanNode{Name: "POST /v1/query", DurNs: 12, Tags: map[string]string{"k": "<v>"},
+		Children: []obs.SpanNode{{Name: "query.lookup", StartNs: 1, DurNs: 2}}}
+	miss := &provenance.QueryTrace{Outcome: "miss", Strategy: "bfs", LookupNs: 5, ComputeNs: 3, ProjectNs: 7, TotalNs: 12}
+	hit := &provenance.QueryTrace{Outcome: "hit", LookupNs: 1, TotalNs: 2}
+
+	for _, res := range []*provenance.Result{full, external, emptyMeta, bare, hostile} {
+		checkQuery(t, &queryAnswer{traceID: "00000000000000a1", run: "r", data: res.Root, kind: "deep", deep: miss, result: res})
+		checkQuery(t, &queryAnswer{traceID: "00000000000000a1", run: "r", data: res.Root, kind: "deep", deep: hit, result: res, spans: spans})
+		checkQuery(t, &queryAnswer{run: "r", data: res.Root, kind: "derived", result: res})
+	}
+	for _, s := range nasty {
+		checkQuery(t, &queryAnswer{traceID: s, run: s, data: s, kind: s, deep: &provenance.QueryTrace{Outcome: s, Strategy: s}})
+		checkQuery(t, &queryAnswer{run: s, data: s, kind: "immediate", execution: exec(s, []string{s}, []string{s}, nil)})
+	}
+	// Immediate provenance of an external input: no execution at all.
+	checkQuery(t, &queryAnswer{traceID: "t", run: "r", data: "d1", kind: "immediate"})
+	checkQuery(t, &queryAnswer{traceID: "t", run: "r", data: "d1", kind: "immediate", execution: full.Executions[0], spans: spans})
+
+	checkBatch(t, "t", "r", []*provenance.Result{full, nil, external, bare, hostile, emptyMeta}, nil)
+	checkBatch(t, "t", "r", []*provenance.Result{nil}, spans)
+	checkBatch(t, nasty[2], nasty[8], nil, nil)
+}
+
+// FuzzAppendResponse shapes one result, one execution and one batch out of
+// arbitrary strings and holds the encoder to encoding/json on all of them.
+// shape's bits choose which optional parts exist and which lists are nil,
+// empty or populated.
+func FuzzAppendResponse(f *testing.F) {
+	for i, s := range nasty {
+		f.Add(s, nasty[(i+1)%len(nasty)], strings.Join(nasty, ","), uint16(i*37))
+	}
+	f.Add("fig2", "d447", "d1,d2,d3", uint16(0xffff))
+	f.Fuzz(func(t *testing.T, run, id, list string, shape uint16) {
+		bit := func(n uint) bool { return shape>>n&1 == 1 }
+		// pick returns nil, an empty list, or the split list.
+		pick := func(n uint) []string {
+			switch {
+			case bit(n) && bit(n+1):
+				return nil
+			case bit(n):
+				return []string{}
+			}
+			return strings.Split(list, ",")
+		}
+		x := &composite.Execution{ID: id, Composite: run, Steps: pick(0), Inputs: pick(2), Outputs: pick(4)}
+		res := &provenance.Result{Root: id, External: bit(6), Data: pick(7)}
+		if bit(9) {
+			res.Metadata = map[string]string{id: run, run: list}
+		}
+		for _, d := range pick(10) {
+			res.Executions = append(res.Executions, x)
+			res.Edges = append(res.Edges, provenance.Edge{From: d, To: id, Data: pick(12)})
+		}
+		var deep *provenance.QueryTrace
+		if bit(14) {
+			deep = &provenance.QueryTrace{Outcome: id, Strategy: run, LookupNs: int64(shape), ComputeNs: int64(shape) - 1<<15, TotalNs: -int64(shape)}
+		}
+		var spans *obs.SpanNode
+		if bit(15) {
+			spans = &obs.SpanNode{Name: list, Tags: map[string]string{id: run}}
+		}
+		checkQuery(t, &queryAnswer{traceID: id, run: run, data: id, kind: list, deep: deep, result: res, spans: spans})
+		checkQuery(t, &queryAnswer{traceID: id, run: run, data: id, kind: "immediate", execution: x})
+		checkQuery(t, &queryAnswer{traceID: id, run: run, data: id, kind: "immediate"})
+		checkBatch(t, id, run, []*provenance.Result{res, nil, res}, spans)
+	})
+}
+
+// largeAnswer computes one cold-deep-shaped answer: the deep provenance of
+// the last final output of a Class4-large run under UAdmin.
+func largeAnswer(t testing.TB) *provenance.Result {
+	t.Helper()
+	g := gen.NewGenerator(11)
+	sp := g.Workflow(gen.Class4(), "large")
+	r, _, err := g.Run(sp, gen.Large(), "large-run")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := warehouse.New(0)
+	if err := w.RegisterSpec(sp); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.LoadRun(r); err != nil {
+		t.Fatal(err)
+	}
+	finals := r.FinalOutputs()
+	res, err := provenance.NewEngine(w).DeepProvenanceCtx(context.Background(), r.ID(), core.UAdmin(sp), finals[len(finals)-1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestEncodeLargeAnswerAllocs is the worker half of the wire path's alloc
+// budget: once the buffer has grown to the answer's size, encoding a large
+// answer allocates nothing — no DTO copies, no reflection, no indenter.
+func TestEncodeLargeAnswerAllocs(t *testing.T) {
+	res := largeAnswer(t)
+	a := &queryAnswer{traceID: "00000000000000a1", run: res.RunID, data: res.Root, kind: "deep",
+		deep: &provenance.QueryTrace{Outcome: "hit", LookupNs: 1, ProjectNs: 2, TotalNs: 3}, result: res}
+	checkQuery(t, a)
+	buf, err := appendQueryResponse(nil, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(buf) < 50<<10 {
+		t.Fatalf("answer is only %d bytes; the fixture no longer stands for a large answer", len(buf))
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if buf, err = appendQueryResponse(buf[:0], a); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("encoding a %d-byte answer into a warm buffer: %v allocs/op, want 0", len(buf), allocs)
+	}
+}
+
+// TestEncodeFailureIsAWellFormed500 checks encode-then-commit on both
+// writers: a value or an answer that cannot be encoded costs the client a
+// JSON 500, never a 200 followed by half a document.
+func TestEncodeFailureIsAWellFormed500(t *testing.T) {
+	check := func(name string, rec *httptest.ResponseRecorder, wantTrace string) {
+		t.Helper()
+		var eb errorBody
+		if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil {
+			t.Fatalf("%s: body %q is not JSON: %v", name, rec.Body.String(), err)
+		}
+		if rec.Code != http.StatusInternalServerError || !strings.Contains(eb.Error, "encode response") || eb.TraceID != wantTrace {
+			t.Fatalf("%s: status %d body %+v", name, rec.Code, eb)
+		}
+		if cl := rec.Header().Get("Content-Length"); cl != strconv.Itoa(rec.Body.Len()) {
+			t.Fatalf("%s: Content-Length %q for %d bytes", name, cl, rec.Body.Len())
+		}
+	}
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, map[string]any{"unencodable": make(chan int)})
+	check("writeJSON", rec, "")
+
+	tr := obs.NewTrace("test")
+	rec = httptest.NewRecorder()
+	writeAnswer(rec, tr, func(dst []byte) ([]byte, error) {
+		return append(dst, `{"trace_id":"half a docu`...), errors.New("span tree would not marshal")
+	})
+	check("writeAnswer", rec, tr.ID())
+}
+
+// BenchmarkEncodeLargeAnswer is the "indentation, not reflection" row of
+// EXPERIMENTS.md ("Answer path"): one large answer through the indenting
+// encoder the server used to run, through the same reflective encoder
+// without SetIndent, and through the append encoder.
+func BenchmarkEncodeLargeAnswer(b *testing.B) {
+	res := largeAnswer(b)
+	a := &queryAnswer{traceID: "00000000000000a1", run: res.RunID, data: res.Root, kind: "deep",
+		deep: &provenance.QueryTrace{Outcome: "hit", LookupNs: 1, ProjectNs: 2, TotalNs: 3}, result: res}
+	reflective := func(indent bool) func(*testing.B) {
+		return func(b *testing.B) {
+			b.ReportAllocs()
+			var buf bytes.Buffer
+			for i := 0; i < b.N; i++ {
+				buf.Reset()
+				resp := queryResponse{TraceID: a.traceID, Run: a.run, Data: a.data, Kind: a.kind, Outcome: a.deep.Outcome,
+					Timing: &timingDTO{LookupNs: 1, ProjectNs: 2, TotalNs: 3}, Result: toResultDTO(res)}
+				enc := json.NewEncoder(&buf)
+				if indent {
+					enc.SetIndent("", "  ")
+				}
+				if err := enc.Encode(resp); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.SetBytes(int64(buf.Len()))
+		}
+	}
+	b.Run("indent", reflective(true))
+	b.Run("reflect", reflective(false))
+	b.Run("append", func(b *testing.B) {
+		b.ReportAllocs()
+		var buf []byte
+		for i := 0; i < b.N; i++ {
+			buf, _ = appendQueryResponse(buf[:0], a)
+		}
+		b.SetBytes(int64(len(buf)))
+	})
+}

@@ -24,6 +24,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -389,12 +390,41 @@ type errorBody struct {
 	TraceID string `json:"trace_id,omitempty"`
 }
 
+// writeJSON marshals v (compact; humans pipe to `jq .`) and only then
+// commits the status, so a value that fails to encode is a well-formed 500
+// and every body goes out in one write with its Content-Length stated.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		status = http.StatusInternalServerError
+		body, _ = json.Marshal(errorBody{Error: "encode response: " + err.Error()})
+	}
+	writeBody(w, status, append(body, '\n'))
+}
+
+func writeBody(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_, _ = w.Write(body)
+}
+
+// writeAnswer runs an answer encoder over a pooled buffer and writes what
+// it produced; an encode failure is reported like any other server error.
+// The buffer goes back to the pool once the ResponseWriter — which copies,
+// never retains — has taken the bytes.
+func writeAnswer(w http.ResponseWriter, tr *obs.Trace, encode func(dst []byte) ([]byte, error)) {
+	bp := bufPool.Get().(*[]byte)
+	body, err := encode((*bp)[:0])
+	if err != nil {
+		writeError(w, tr, fmt.Errorf("encode response: %w", err))
+	} else {
+		writeBody(w, http.StatusOK, body)
+	}
+	if cap(body) <= maxPooledBuf {
+		*bp = body
+		bufPool.Put(bp)
+	}
 }
 
 // writeError maps engine/warehouse errors onto HTTP statuses: unknown
@@ -481,91 +511,6 @@ type batchRequest struct {
 	View     string   `json:"view,omitempty"`
 	Relevant []string `json:"relevant,omitempty"`
 	Workers  int      `json:"workers,omitempty"`
-}
-
-// executionDTO mirrors composite.Execution with JSON names.
-type executionDTO struct {
-	ID        string   `json:"id"`
-	Composite string   `json:"composite"`
-	Steps     []string `json:"steps"`
-	Inputs    []string `json:"inputs,omitempty"`
-	Outputs   []string `json:"outputs,omitempty"`
-}
-
-// edgeDTO mirrors provenance.Edge.
-type edgeDTO struct {
-	From string   `json:"from"`
-	To   string   `json:"to"`
-	Data []string `json:"data"`
-}
-
-// resultDTO is a provenance.Result shaped for JSON.
-type resultDTO struct {
-	Root       string            `json:"root"`
-	External   bool              `json:"external,omitempty"`
-	Metadata   map[string]string `json:"metadata,omitempty"`
-	Executions []executionDTO    `json:"executions"`
-	Data       []string          `json:"data"`
-	Edges      []edgeDTO         `json:"edges"`
-}
-
-func toExecutionDTO(x *composite.Execution) executionDTO {
-	return executionDTO{ID: x.ID, Composite: x.Composite, Steps: x.Steps,
-		Inputs: x.Inputs, Outputs: x.Outputs}
-}
-
-func toResultDTO(res *provenance.Result) *resultDTO {
-	if res == nil {
-		return nil
-	}
-	out := &resultDTO{
-		Root:       res.Root,
-		External:   res.External,
-		Metadata:   res.Metadata,
-		Executions: make([]executionDTO, 0, len(res.Executions)),
-		Data:       res.Data,
-		Edges:      make([]edgeDTO, 0, len(res.Edges)),
-	}
-	for _, x := range res.Executions {
-		out.Executions = append(out.Executions, toExecutionDTO(x))
-	}
-	for _, e := range res.Edges {
-		out.Edges = append(out.Edges, edgeDTO{From: e.From, To: e.To, Data: e.Data})
-	}
-	return out
-}
-
-// timingDTO carries the QueryTrace stage numbers.
-type timingDTO struct {
-	LookupNs  int64 `json:"lookup_ns"`
-	ComputeNs int64 `json:"compute_ns,omitempty"`
-	ProjectNs int64 `json:"project_ns"`
-	TotalNs   int64 `json:"total_ns"`
-}
-
-// queryResponse is the body of a POST /v1/query answer.
-type queryResponse struct {
-	TraceID string `json:"trace_id"`
-	Run     string `json:"run"`
-	Data    string `json:"data"`
-	Kind    string `json:"kind"`
-	Outcome string `json:"outcome,omitempty"`
-	// Strategy reports the closure computation a deep-query miss actually
-	// ran ("labels" or "bfs"); empty on cache hits.
-	Strategy  string        `json:"strategy,omitempty"`
-	Timing    *timingDTO    `json:"timing,omitempty"`
-	Result    *resultDTO    `json:"result,omitempty"`
-	Execution *executionDTO `json:"execution,omitempty"`
-	Trace     *obs.SpanNode `json:"trace,omitempty"`
-}
-
-// batchResponse is the body of a POST /v1/batch answer.
-type batchResponse struct {
-	TraceID string        `json:"trace_id"`
-	Run     string        `json:"run"`
-	Count   int           `json:"count"`
-	Results []*resultDTO  `json:"results"`
-	Trace   *obs.SpanNode `json:"trace,omitempty"`
 }
 
 // decodeBody parses a bounded JSON request body, rejecting unknown fields
@@ -667,50 +612,31 @@ func (s *Server) handleQuery(ctx context.Context, tr *obs.Trace, w http.Response
 		writeError(w, tr, err)
 		return
 	}
-	resp := queryResponse{TraceID: tr.ID(), Run: req.Run, Data: req.Data}
+	ans := queryAnswer{traceID: tr.ID(), run: req.Run, data: req.Data}
 	switch req.Kind {
 	case "", "deep":
-		resp.Kind = "deep"
-		res, qt, err := e.DeepProvenanceTracedStrategyCtx(ctx, req.Run, v, req.Data, req.strategyOf())
-		if err != nil {
-			writeError(w, tr, err)
-			return
-		}
-		resp.Result = toResultDTO(res)
-		resp.Outcome = qt.Outcome
-		resp.Strategy = qt.Strategy
-		resp.Timing = &timingDTO{LookupNs: qt.LookupNs, ComputeNs: qt.ComputeNs,
-			ProjectNs: qt.ProjectNs, TotalNs: qt.TotalNs}
+		ans.kind = "deep"
+		ans.result, ans.deep, err = e.DeepProvenanceTracedStrategyCtx(ctx, req.Run, v, req.Data, req.strategyOf())
 	case "immediate":
-		resp.Kind = "immediate"
-		x, err := e.ImmediateProvenanceCtx(ctx, req.Run, v, req.Data)
-		if err != nil {
-			writeError(w, tr, err)
-			return
-		}
-		if x != nil {
-			dto := toExecutionDTO(x)
-			resp.Execution = &dto
-		}
+		ans.kind = "immediate"
+		ans.execution, err = e.ImmediateProvenanceCtx(ctx, req.Run, v, req.Data)
 	case "derived":
-		resp.Kind = "derived"
+		ans.kind = "derived"
 		_, sp := obs.StartSpan(ctx, "query.derived")
-		res, err := e.DeepDerivationStrategy(req.Run, v, req.Data, req.strategyOf())
+		ans.result, err = e.DeepDerivationStrategy(req.Run, v, req.Data, req.strategyOf())
 		sp.End()
-		if err != nil {
-			writeError(w, tr, err)
-			return
-		}
-		resp.Result = toResultDTO(res)
 	default:
-		writeError(w, tr, fmt.Errorf("%w: unknown kind %q (deep, immediate, derived)", errBadRequest, req.Kind))
+		err = fmt.Errorf("%w: unknown kind %q (deep, immediate, derived)", errBadRequest, req.Kind)
+	}
+	if err != nil {
+		writeError(w, tr, err)
 		return
 	}
 	if wantInlineTrace(r) {
 		node := tr.Snapshot()
-		resp.Trace = &node
+		ans.spans = &node
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeAnswer(w, tr, func(dst []byte) ([]byte, error) { return appendQueryResponse(dst, &ans) })
 }
 
 // handleBatch answers many queries of one run/view in parallel. The batch
@@ -747,16 +673,14 @@ func (s *Server) handleBatch(ctx context.Context, tr *obs.Trace, w http.Response
 		writeError(w, tr, err)
 		return
 	}
-	resp := batchResponse{TraceID: tr.ID(), Run: req.Run, Count: len(results)}
-	resp.Results = make([]*resultDTO, len(results))
-	for i, res := range results {
-		resp.Results[i] = toResultDTO(res)
-	}
+	var spans *obs.SpanNode
 	if wantInlineTrace(r) {
 		node := tr.Snapshot()
-		resp.Trace = &node
+		spans = &node
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeAnswer(w, tr, func(dst []byte) ([]byte, error) {
+		return appendBatchResponse(dst, tr.ID(), req.Run, results, spans)
+	})
 }
 
 // runInfo is one row of GET /v1/runs.

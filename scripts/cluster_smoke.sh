@@ -80,7 +80,7 @@ echo "cluster-smoke: router at $base"
 
 # Aggregated readiness: 200 only once every shard is ready.
 for _ in $(seq 1 50); do
-    if curl -fsS "$base/readyz" 2>/dev/null | grep -q '"ready": true'; then
+    if curl -fsS "$base/readyz" 2>/dev/null | grep -q '"ready":true'; then
         ready=1
         break
     fi
@@ -91,8 +91,8 @@ echo "cluster-smoke: cluster ready"
 
 # The merged catalog holds the example run wherever the ring placed it.
 curl -fsS "$base/v1/runs" >"$workdir/runs.json" || fail "GET /v1/runs"
-grep -q '"count": 1' "$workdir/runs.json" || fail "merged catalog count != 1"
-grep -q '"id": "fig2"' "$workdir/runs.json" || fail "merged catalog misses fig2"
+grep -q '"count":1' "$workdir/runs.json" || fail "merged catalog count != 1"
+grep -q '"id":"fig2"' "$workdir/runs.json" || fail "merged catalog misses fig2"
 
 # A routed deep query through the named joe view, with a caller-chosen
 # trace id that must survive the router hop into the worker's answer.
@@ -101,14 +101,14 @@ curl -fsS -X POST -H 'Content-Type: application/json' \
     -H "X-Zoom-Trace-Id: $trace" \
     -d '{"run":"fig2","data":"d447","view":"joe"}' \
     "$base/v1/query" >"$workdir/query.json" || fail "routed POST /v1/query"
-grep -q "\"trace_id\": \"$trace\"" "$workdir/query.json" || fail "trace id lost across the router hop"
-grep -q '"data": "d447"' "$workdir/query.json" || fail "routed query wrong payload"
+grep -q "\"trace_id\":\"$trace\"" "$workdir/query.json" || fail "trace id lost across the router hop"
+grep -q '"data":"d447"' "$workdir/query.json" || fail "routed query wrong payload"
 echo "cluster-smoke: routed traced query ok"
 
 # /v1/shards names both workers and their run counts.
 curl -fsS "$base/v1/shards" >"$workdir/shards.json" || fail "GET /v1/shards"
-grep -q '"shard": 0' "$workdir/shards.json" || fail "shard 0 missing from /v1/shards"
-grep -q '"shard": 1' "$workdir/shards.json" || fail "shard 1 missing from /v1/shards"
+grep -q '"shard":0' "$workdir/shards.json" || fail "shard 0 missing from /v1/shards"
+grep -q '"shard":1' "$workdir/shards.json" || fail "shard 1 missing from /v1/shards"
 
 # Dead-worker path: kill the worker that owns fig2, then the routed query
 # must fail fast with a 502 naming its shard while /v1/runs still answers
@@ -132,7 +132,7 @@ status=$(curl -s -o "$workdir/dead.json" -w '%{http_code}' \
 grep -q "shard $owner_shard" "$workdir/dead.json" || fail "502 does not name the dead shard"
 
 curl -fsS "$base/v1/runs" >"$workdir/partial.json" || fail "GET /v1/runs with dead shard"
-grep -q '"partial": true' "$workdir/partial.json" || fail "degraded catalog not flagged partial"
+grep -q '"partial":true' "$workdir/partial.json" || fail "degraded catalog not flagged partial"
 code=$(curl -s -o /dev/null -w '%{http_code}' "$base/readyz")
 [ "$code" = 503 ] || fail "router /readyz with dead shard returned $code, want 503"
 echo "cluster-smoke: dead shard fails fast, survivors keep answering"
@@ -171,7 +171,7 @@ echo "cluster-smoke: replicated router at $base"
 
 ready=""
 for _ in $(seq 1 50); do
-    if curl -fsS "$base/readyz" 2>/dev/null | grep -q '"ready": true'; then
+    if curl -fsS "$base/readyz" 2>/dev/null | grep -q '"ready":true'; then
         ready=1
         break
     fi
@@ -199,22 +199,22 @@ strace=beefcafe01234567
 curl -fsS -X POST -H 'Content-Type: application/json' \
     -H "X-Zoom-Trace-Id: $strace" -d "$body" \
     "$base/v1/query?trace=1" >"$workdir/stitched.json" || fail "traced routed query"
-grep -q '"name": "route.pick"' "$workdir/stitched.json" || fail "stitched tree misses route.pick"
-grep -q '"name": "cache.lookup"' "$workdir/stitched.json" || fail "stitched tree misses cache.lookup"
-grep -q '"name": "replica.attempt"' "$workdir/stitched.json" || fail "stitched tree misses replica.attempt"
-grep -q '"name": "query.lookup"' "$workdir/stitched.json" || fail "stitched tree misses the worker's query.lookup"
-grep -q "\"parent_span\": \"$strace.a0\"" "$workdir/stitched.json" \
+grep -q '"name":"route.pick"' "$workdir/stitched.json" || fail "stitched tree misses route.pick"
+grep -q '"name":"cache.lookup"' "$workdir/stitched.json" || fail "stitched tree misses cache.lookup"
+grep -q '"name":"replica.attempt"' "$workdir/stitched.json" || fail "stitched tree misses replica.attempt"
+grep -q '"name":"query.lookup"' "$workdir/stitched.json" || fail "stitched tree misses the worker's query.lookup"
+grep -q "\"parent_span\":\"$strace.a0\"" "$workdir/stitched.json" \
     || fail "worker subtree does not name the router attempt it answered"
 # The same stitched tree sits in the router slowlog (threshold < 0).
 curl -fsS "$base/debug/slowlog" >"$workdir/slowlog.json" || fail "GET /debug/slowlog"
-grep -q "\"trace_id\": \"$strace\"" "$workdir/slowlog.json" || fail "traced request missing from router slowlog"
-grep -q '"name": "replica.attempt"' "$workdir/slowlog.json" || fail "slowlog entry lost the span tree"
+grep -q "\"trace_id\":\"$strace\"" "$workdir/slowlog.json" || fail "traced request missing from router slowlog"
+grep -q '"name":"replica.attempt"' "$workdir/slowlog.json" || fail "slowlog entry lost the span tree"
 echo "cluster-smoke: stitched trace spans router and worker"
 
 # Aggregated cluster stats: the workers' registries merge into one
 # snapshot, unprefixed totals plus shard.<k>.-prefixed series.
 curl -fsS "$base/v1/cluster/stats" >"$workdir/cstats.json" || fail "GET /v1/cluster/stats"
-grep -q '"shards_ok": 2' "$workdir/cstats.json" || fail "cluster stats shards_ok != 2"
+grep -q '"shards_ok":2' "$workdir/cstats.json" || fail "cluster stats shards_ok != 2"
 grep -q '"http.requests"' "$workdir/cstats.json" || fail "merged snapshot misses http.requests"
 grep -q '"shard.0.http.requests"' "$workdir/cstats.json" || fail "merged snapshot misses shard.0. series"
 grep -q '"router.requests"' "$workdir/cstats.json" || fail "cluster stats misses the router's own snapshot"
@@ -245,7 +245,7 @@ while [ "$i" -lt 20 ]; do
     [ "$status" = 200 ] || fail "query $i after replica kill returned $status, want 200 (zero-loss failover)"
     i=$((i + 1))
 done
-grep -q '"data": "d447"' "$workdir/failover.json" || fail "failover answer wrong payload"
+grep -q '"data":"d447"' "$workdir/failover.json" || fail "failover answer wrong payload"
 code=$(curl -s -o /dev/null -w '%{http_code}' "$base/readyz")
 [ "$code" = 200 ] || fail "replicated router /readyz with one dead replica returned $code, want 200"
 curl -fsS "$base/metrics" >"$workdir/metrics3.txt" || fail "GET /metrics after replica kill"

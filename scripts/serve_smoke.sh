@@ -60,14 +60,14 @@ curl -fsS -D "$workdir/headers" -o "$workdir/query.json" \
     -d '{"run":"fig2","data":"d447","view":"joe"}' \
     "$base/v1/query?trace=1" || fail "POST /v1/query"
 grep -qi '^x-zoom-trace-id: [0-9a-f]\{16\}' "$workdir/headers" || fail "no X-Zoom-Trace-Id header"
-grep -q '"outcome": "miss"' "$workdir/query.json" || fail "first query was not a cache miss"
-grep -q '"name": "query.lookup"' "$workdir/query.json" || fail "trace has no query.lookup span"
-grep -q '"name": "closure.compute"' "$workdir/query.json" || fail "cold trace has no closure.compute span"
-echo "serve-smoke: traced query ok ($(sed -n 's/.*"trace_id": "\([0-9a-f]*\)".*/\1/p' "$workdir/query.json" | head -1))"
+grep -q '"outcome":"miss"' "$workdir/query.json" || fail "first query was not a cache miss"
+grep -q '"name":"query.lookup"' "$workdir/query.json" || fail "trace has no query.lookup span"
+grep -q '"name":"closure.compute"' "$workdir/query.json" || fail "cold trace has no closure.compute span"
+echo "serve-smoke: traced query ok ($(sed -n 's/.*"trace_id":"\([0-9a-f]*\)".*/\1/p' "$workdir/query.json" | head -1))"
 
 # The trace id in the body matches the header.
 hdr_id=$(sed -n 's/^[Xx]-[Zz]oom-[Tt]race-[Ii]d: \([0-9a-f]*\).*/\1/p' "$workdir/headers" | head -1)
-grep -q "\"trace_id\": \"$hdr_id\"" "$workdir/query.json" || fail "header/body trace id mismatch"
+grep -q "\"trace_id\":\"$hdr_id\"" "$workdir/query.json" || fail "header/body trace id mismatch"
 
 # Metrics exposition carries the query that just ran.
 curl -fsS "$base/metrics" >"$workdir/metrics.txt" || fail "GET /metrics"
@@ -77,8 +77,8 @@ grep -q 'zoom_query_deep_total_ns_count{outcome="miss"} 1' "$workdir/metrics.txt
 
 # With -slow -1ns every request is slow; the log must hold the query.
 curl -fsS "$base/debug/slowlog" >"$workdir/slowlog.json" || fail "GET /debug/slowlog"
-grep -q '"route": "POST /v1/query"' "$workdir/slowlog.json" || fail "query missing from slow log"
-grep -q "\"trace_id\": \"$hdr_id\"" "$workdir/slowlog.json" || fail "slow log lost the trace id"
+grep -q '"route":"POST /v1/query"' "$workdir/slowlog.json" || fail "query missing from slow log"
+grep -q "\"trace_id\":\"$hdr_id\"" "$workdir/slowlog.json" || fail "slow log lost the trace id"
 
 # Graceful shutdown: SIGTERM must end the process cleanly.
 kill -TERM "$server_pid"
