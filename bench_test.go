@@ -13,6 +13,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/bench"
@@ -823,6 +825,80 @@ func BenchmarkReplicatedRouting(b *testing.B) {
 			b.Fatal("cache-hit bench never hit the cache")
 		}
 	})
+}
+
+// BenchmarkFirstTouch times what the first request for a run pays on a
+// freshly opened v3 snapshot, on a corpus shaped like zoomload's
+// ingest-restart (12 Class4-large runs, generator seed 10). One iteration
+// opens the snapshot and touches every run once: "run" materializes it
+// (Warehouse.Run: checksum, invariant checks, adoption), "query" asks the
+// first UAdmin deep-provenance query of its last final output (run, closure,
+// mapping, projection). us/run divides by the corpus; -benchmem shows what a
+// touched run leaves on the heap.
+func BenchmarkFirstTouch(b *testing.B) {
+	const runs = 12
+	g := gen.NewGenerator(10)
+	s := g.Workflow(gen.Class4(), "first-touch")
+	src := warehouse.New(0)
+	if err := src.RegisterSpec(s); err != nil {
+		b.Fatal(err)
+	}
+	ids, roots := make([]string, runs), make([]string, runs)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("ft-%02d", i)
+		r, _, err := g.Run(s, gen.Large(), ids[i])
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := src.LoadRun(r); err != nil {
+			b.Fatal(err)
+		}
+		finals := r.FinalOutputs()
+		roots[i] = finals[len(finals)-1]
+	}
+	path := filepath.Join(b.TempDir(), "wh.v3")
+	f, err := os.Create(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := src.SaveV3(f); err != nil {
+		b.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		b.Fatal(err)
+	}
+	admin := core.UAdmin(s)
+	touch := map[string]func(w *warehouse.Warehouse, e *provenance.Engine, i int) error{
+		"run": func(w *warehouse.Warehouse, _ *provenance.Engine, i int) error {
+			_, err := w.Run(ids[i])
+			return err
+		},
+		"query": func(_ *warehouse.Warehouse, e *provenance.Engine, i int) error {
+			_, err := e.DeepProvenance(ids[i], admin, roots[i])
+			return err
+		},
+	}
+	for _, name := range []string{"run", "query"} {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for n := 0; n < b.N; n++ {
+				w, err := warehouse.OpenV3(path, 0, warehouse.LoadOptions{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				e := provenance.NewEngine(w)
+				for i := range ids {
+					if err := touch[name](w, e, i); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if err := w.Close(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*runs), "us/run")
+		})
+	}
 }
 
 // answerPathSite is BenchmarkAnswerPath's fixture: one run shaped like

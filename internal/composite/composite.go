@@ -20,13 +20,20 @@
 // looping of M3. The paper's example workflows only contain multi-module
 // loops, where UAdmin keeps every iteration separate because a visible
 // step of another module always sits between them.
+//
+// Everything here is computed on the run's compact index (run.Index): what
+// depends on the view is a module -> composite table over the specification,
+// shared by every run of it (core.UserView.CompositeIndex), and per run the
+// work is O(steps + flows) on integers. Executions are numbered in the
+// run's canonical topological order (run.Index.TopoOrder), so an execution's
+// ordinal and its <composite>@<k> id are properties of the run and the view,
+// not of how the run was loaded.
 package composite
 
 import (
 	"errors"
-	"fmt"
-	"sort"
-	"sync"
+	"slices"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/run"
@@ -53,154 +60,69 @@ type Execution struct {
 	Outputs []string
 }
 
-// Mapping relates a run to the composite executions induced by a view.
+// Mapping relates a run to the composite executions induced by a view. It
+// is immutable once built and safe to share.
 type Mapping struct {
-	r      *run.Run
-	v      *core.UserView
-	execs  map[string]*Execution // id -> execution
-	ofStep map[string]string     // step id -> execution id
-	order  []string              // execution ids in topological order
-
-	projOnce sync.Once
-	proj     *Projector
+	p *Projector
 }
 
 // Build computes the composite executions of r under view v. Every module
 // instantiated by the run must belong to some composite of the view.
 func Build(r *run.Run, v *core.UserView) (*Mapping, error) {
-	m := &Mapping{
-		r:      r,
-		v:      v,
-		execs:  make(map[string]*Execution),
-		ofStep: make(map[string]string),
-	}
-	// Group steps by composite.
-	byComp := make(map[string][]string)
-	for _, st := range r.Steps() {
-		comp, ok := v.CompositeOf(st.Module)
-		if !ok {
-			return nil, fmt.Errorf("%w: module %q of step %q not in view", ErrViewMismatch, st.Module, st.ID)
-		}
-		byComp[comp] = append(byComp[comp], st.ID)
-	}
-	// Weak components within each composite's step set.
-	g := r.Graph()
-	comps := make([]string, 0, len(byComp))
-	for c := range byComp {
-		comps = append(comps, c)
-	}
-	sort.Strings(comps)
-	type protoExec struct {
-		comp  string
-		steps []string
-	}
-	var protos []protoExec
-	for _, comp := range comps {
-		keep := make(map[string]bool, len(byComp[comp]))
-		for _, id := range byComp[comp] {
-			keep[id] = true
-		}
-		sub := g.InducedSubgraph(keep)
-		for _, cc := range sub.WeaklyConnectedComponents() {
-			sortNatural(cc)
-			protos = append(protos, protoExec{comp: comp, steps: cc})
-		}
-	}
-	// Topologically order executions by their earliest step position so
-	// ordinals are stable and meaningful.
-	topo, err := g.TopoSort()
+	p, err := buildProjector(r.Index(), v)
 	if err != nil {
-		return nil, fmt.Errorf("composite: run graph cyclic: %w", err)
+		return nil, err
 	}
-	pos := make(map[string]int, len(topo))
-	for i, n := range topo {
-		pos[n] = i
-	}
-	sort.SliceStable(protos, func(i, j int) bool {
-		return pos[protos[i].steps[0]] < pos[protos[j].steps[0]]
-	})
-	ordinal := make(map[string]int)
-	for _, p := range protos {
-		var id string
-		if len(p.steps) == 1 {
-			id = p.steps[0]
-		} else {
-			ordinal[p.comp]++
-			id = fmt.Sprintf("%s@%d", p.comp, ordinal[p.comp])
-		}
-		e := &Execution{ID: id, Composite: p.comp, Steps: p.steps}
-		m.execs[id] = e
-		m.order = append(m.order, id)
-		for _, s := range p.steps {
-			m.ofStep[s] = id
-		}
-	}
-	// Compute inputs and outputs.
-	for _, e := range m.execs {
-		inSet := make(map[string]bool)
-		outSet := make(map[string]bool)
-		member := make(map[string]bool, len(e.Steps))
-		for _, s := range e.Steps {
-			member[s] = true
-		}
-		for _, s := range e.Steps {
-			for _, p := range g.Predecessors(s) {
-				if !member[p] {
-					for _, d := range r.DataOn(p, s) {
-						inSet[d] = true
-					}
-				}
-			}
-			for _, w := range g.Successors(s) {
-				if !member[w] {
-					for _, d := range r.DataOn(s, w) {
-						outSet[d] = true
-					}
-				}
-			}
-		}
-		e.Inputs = sortedNatural(inSet)
-		e.Outputs = sortedNatural(outSet)
-	}
-	return m, nil
+	return &Mapping{p: p}, nil
 }
 
 // Run returns the underlying run.
-func (m *Mapping) Run() *run.Run { return m.r }
+func (m *Mapping) Run() *run.Run { return m.p.ix.Run() }
 
-// View returns the view the mapping was built for.
-func (m *Mapping) View() *core.UserView { return m.v }
+// Projector returns the mapping's integer-indexed face.
+func (m *Mapping) Projector() *Projector { return m.p }
 
 // Execution returns the execution with the given id.
 func (m *Mapping) Execution(id string) (*Execution, bool) {
-	e, ok := m.execs[id]
-	return e, ok
+	// Endpoints are ranked by id for the edge sort; the same ranking is the
+	// id -> ordinal dictionary.
+	p := m.p
+	rank, ok := slices.BinarySearchFunc(p.atRank, id, func(ord int32, id string) int {
+		return strings.Compare(p.EndpointID(ord), id)
+	})
+	if !ok || p.atRank[rank] == p.InputEndpoint() {
+		return nil, false
+	}
+	return p.Execution(p.atRank[rank]), true
 }
 
 // Executions returns all executions in topological order.
 func (m *Mapping) Executions() []*Execution {
-	out := make([]*Execution, len(m.order))
-	for i, id := range m.order {
-		out[i] = m.execs[id]
+	out := make([]*Execution, len(m.p.execs))
+	for i := range m.p.execs {
+		out[i] = &m.p.execs[i]
 	}
 	return out
 }
 
 // NumExecutions returns the number of composite executions.
-func (m *Mapping) NumExecutions() int { return len(m.execs) }
+func (m *Mapping) NumExecutions() int { return len(m.p.execs) }
 
 // ExecutionOf returns the execution id containing the given step.
 func (m *Mapping) ExecutionOf(step string) (string, bool) {
-	id, ok := m.ofStep[step]
-	return id, ok
+	s, ok := m.p.ix.StepID(step)
+	if !ok {
+		return "", false
+	}
+	return m.p.execs[m.p.stepExec[s]].ID, true
 }
 
 // ExecutionsOf returns the executions of one composite module, in order.
 func (m *Mapping) ExecutionsOf(composite string) []*Execution {
 	var out []*Execution
-	for _, id := range m.order {
-		if m.execs[id].Composite == composite {
-			out = append(out, m.execs[id])
+	for i := range m.p.execs {
+		if m.p.execs[i].Composite == composite {
+			out = append(out, &m.p.execs[i])
 		}
 	}
 	return out
@@ -209,12 +131,11 @@ func (m *Mapping) ExecutionsOf(composite string) []*Execution {
 // ProducerExecution returns the execution that produced data object d, or
 // ("", false) when d is external (user/workflow input) or unknown.
 func (m *Mapping) ProducerExecution(d string) (string, bool) {
-	p, ok := m.r.Producer(d)
-	if !ok || p == "" {
+	id, ok := m.p.ix.DataID(d)
+	if !ok || m.p.prodExec[id] < 0 {
 		return "", false
 	}
-	id, ok := m.ofStep[p]
-	return id, ok
+	return m.p.execs[m.p.prodExec[id]].ID, true
 }
 
 // Visible reports whether data object d crosses execution boundaries under
@@ -222,26 +143,11 @@ func (m *Mapping) ProducerExecution(d string) (string, bool) {
 // between two different executions. Data internal to one execution is
 // hidden ("Joe would not see the data d411").
 func (m *Mapping) Visible(d string) bool {
-	p, ok := m.r.Producer(d)
+	id, ok := m.p.ix.DataID(d)
 	if !ok {
 		return false
 	}
-	if p == "" {
-		return true // user/workflow input
-	}
-	pe := m.ofStep[p]
-	for _, c := range m.r.Consumers(d) {
-		if m.ofStep[c] != pe {
-			return true
-		}
-	}
-	// Final outputs have no consuming step but leave via OUTPUT.
-	for _, fo := range m.r.FinalOutputs() {
-		if fo == d {
-			return true
-		}
-	}
-	return false
+	return m.p.prodExec[id] < 0 || m.p.ix.IsFinal(id) || m.p.leaves(id)
 }
 
 // Edge is a dataflow edge between two composite executions (or INPUT /
@@ -255,84 +161,48 @@ type Edge struct {
 // distinct executions that exchange data, plus INPUT and OUTPUT edges,
 // ordered deterministically.
 func (m *Mapping) Edges() []Edge {
-	acc := make(map[[2]string]map[string]bool)
-	add := func(from, to, d string) {
-		key := [2]string{from, to}
-		if acc[key] == nil {
-			acc[key] = make(map[string]bool)
+	p, ix := m.p, m.p.ix
+	input := p.InputEndpoint()
+	output := input + 1
+	name := func(end int32) string {
+		if end == output {
+			return spec.Output
 		}
-		acc[key][d] = true
+		return p.EndpointID(end)
 	}
-	m.r.Graph().EachEdge(func(u, w string) {
-		for _, d := range m.r.DataOn(u, w) {
-			from, to := u, w
-			if u != spec.Input {
-				from = m.ofStep[u]
-			}
-			if w != spec.Output {
-				to = m.ofStep[w]
-			}
-			if from != to {
-				add(from, to, d)
-			}
+	endpoint := func(d int32) int32 {
+		if p.prodExec[d] < 0 {
+			return input
 		}
-	})
-	keys := make([][2]string, 0, len(acc))
-	for k := range acc {
-		keys = append(keys, k)
+		return p.prodExec[d]
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
+	type fact struct{ from, to, d int32 }
+	var facts []fact
+	for to := int32(0); to < input; to++ {
+		for _, d := range p.InputsOf(to) {
+			facts = append(facts, fact{endpoint(d), to, d})
 		}
-		return keys[i][1] < keys[j][1]
+	}
+	for d := int32(0); int(d) < ix.NumData(); d++ {
+		if ix.IsFinal(d) {
+			facts = append(facts, fact{endpoint(d), output, d})
+		}
+	}
+	// Stable, and each consumer's facts were collected by ascending data id:
+	// each edge's data comes out in natural order.
+	slices.SortStableFunc(facts, func(a, b fact) int {
+		if c := strings.Compare(name(a.from), name(b.from)); c != 0 {
+			return c
+		}
+		return strings.Compare(name(a.to), name(b.to))
 	})
-	out := make([]Edge, len(keys))
-	for i, k := range keys {
-		out[i] = Edge{From: k[0], To: k[1], Data: sortedNatural(acc[k])}
+	var out []Edge
+	for i, f := range facts {
+		if i == 0 || f.from != facts[i-1].from || f.to != facts[i-1].to {
+			out = append(out, Edge{From: name(f.from), To: name(f.to)})
+		}
+		e := &out[len(out)-1]
+		e.Data = append(e.Data, ix.DataName(f.d))
 	}
 	return out
-}
-
-func sortedNatural(set map[string]bool) []string {
-	out := make([]string, 0, len(set))
-	for d := range set {
-		out = append(out, d)
-	}
-	sortNatural(out)
-	return out
-}
-
-// sortNatural sorts ids with numeric suffixes numerically (d2 < d10).
-func sortNatural(xs []string) {
-	sort.Slice(xs, func(i, j int) bool { return lessNatural(xs[i], xs[j]) })
-}
-
-func lessNatural(a, b string) bool {
-	pa, na := splitNat(a)
-	pb, nb := splitNat(b)
-	if pa != pb {
-		return pa < pb
-	}
-	if na != nb {
-		return na < nb
-	}
-	return a < b
-}
-
-func splitNat(s string) (string, int) {
-	i := len(s)
-	for i > 0 && s[i-1] >= '0' && s[i-1] <= '9' {
-		i--
-	}
-	// No digit suffix, or one too long to fit an int without overflow
-	// (> 18 digits): fall back to plain string comparison.
-	if i == len(s) || len(s)-i > 18 {
-		return s, -1
-	}
-	n := 0
-	for _, c := range s[i:] {
-		n = n*10 + int(c-'0')
-	}
-	return s[:i], n
 }

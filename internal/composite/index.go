@@ -1,16 +1,19 @@
 package composite
 
 import (
+	"fmt"
 	"slices"
-	"sort"
+	"strconv"
+	"strings"
 
+	"repro/internal/core"
 	"repro/internal/run"
 	"repro/internal/spec"
 )
 
 // Projector is the integer-indexed face of a Mapping: the per-(run, view)
 // arrays the projection intersects with a bitset-backed UAdmin
-// closure. Everything is precomputed once per mapping — step → execution
+// closure. Everything is computed once per mapping — step → execution
 // ordinal, data → producer-execution ordinal, and each execution's input /
 // output data as interned ids in CSR layout — so projecting a closure is
 // pure int32 arithmetic until the final Result is materialized.
@@ -23,7 +26,7 @@ import (
 // sorting edges is then integer work, and a name is read only on emission.
 type Projector struct {
 	ix    *run.Index
-	execs []*Execution // topological order; ordinal = slice position
+	execs []Execution // topological order; ordinal = slice position
 
 	stepExec []int32 // interned step -> execution ordinal
 	prodExec []int32 // interned data -> producer execution ordinal, -1 external
@@ -36,64 +39,182 @@ type Projector struct {
 	atRank []int32 // inverse of rankOf
 }
 
-// Projector returns the mapping's integer-indexed projector, building it
-// on first use (concurrent first calls build once). The projector is
-// immutable and safe to share.
-func (m *Mapping) Projector() *Projector {
-	m.projOnce.Do(func() { m.proj = buildProjector(m) })
-	return m.proj
-}
+// buildProjector computes the composite executions of the indexed run under
+// v. A composite execution is a weakly connected component of the step DAG
+// restricted to one composite: a union-find over the steps joins the producer
+// and each consumer of a data object that map to the same composite.
+func buildProjector(ix *run.Index, v *core.UserView) (*Projector, error) {
+	nSteps, nData := ix.NumSteps(), ix.NumData()
+	order := ix.TopoOrder()
+	if len(order) != nSteps {
+		return nil, fmt.Errorf("composite: run %q: %w", ix.Run().ID(), run.ErrCyclicRun)
+	}
+	comp := make([]int32, nSteps) // step -> composite, as v.Composites() numbers them
+	for s := range comp {
+		c, ok := v.CompositeIndex(ix.StepModule(int32(s)))
+		if !ok {
+			return nil, fmt.Errorf("%w: module %q of step %q not in view",
+				ErrViewMismatch, ix.StepModule(int32(s)), ix.StepName(int32(s)))
+		}
+		comp[s] = c
+	}
 
-func buildProjector(m *Mapping) *Projector {
-	ix := m.r.Index()
-	p := &Projector{
-		ix:    ix,
-		execs: m.Executions(),
+	// parent links always point at a smaller id, so a component's root is
+	// its smallest member, the step the execution order goes by.
+	parent := make([]int32, nSteps)
+	for s := range parent {
+		parent[s] = int32(s)
 	}
-	p.stepExec = make([]int32, ix.NumSteps())
-	for ord, e := range p.execs {
-		for _, s := range e.Steps {
-			id, _ := ix.StepID(s)
-			p.stepExec[id] = int32(ord)
+	find := func(s int32) int32 {
+		for parent[s] != s {
+			parent[s] = parent[parent[s]]
+			s = parent[s]
+		}
+		return s
+	}
+	for d := int32(0); int(d) < nData; d++ {
+		p := ix.Producer(d)
+		if p < 0 {
+			continue
+		}
+		for _, c := range ix.ConsumersOf(d) {
+			if comp[c] != comp[p] {
+				continue
+			}
+			if a, b := find(p), find(c); a < b {
+				parent[b] = a
+			} else {
+				parent[a] = b
+			}
 		}
 	}
-	p.prodExec = make([]int32, ix.NumData())
-	for d := range p.prodExec {
-		if s := ix.Producer(int32(d)); s >= 0 {
-			p.prodExec[d] = p.stepExec[s]
+
+	// Ordinals: components in the topological order of their roots. A
+	// root's ordinal is set first, so the sweep below, ascending, finds it
+	// in place when it reaches the members (find(s) <= s).
+	p := &Projector{ix: ix, stepExec: make([]int32, nSteps)}
+	roots := make([]int32, 0, nSteps) // ordinal -> root step
+	for _, s := range order {
+		if parent[s] == s {
+			p.stepExec[s] = int32(len(roots))
+			roots = append(roots, s)
+		}
+	}
+	nExecs := int32(len(roots))
+	members := make([]int32, nSteps)
+	for s := range members {
+		members[s] = int32(s)
+		p.stepExec[s] = p.stepExec[find(int32(s))]
+	}
+	stepOff, members := groupRows(nExecs, p.stepExec, members)
+
+	// Inputs and outputs as (execution, data) facts by ascending data id, so
+	// every row comes out ascending. A data object enters each consuming
+	// execution other than its producer's once, however many member steps
+	// read it; it leaves its producer's when it is final or read elsewhere.
+	p.prodExec = make([]int32, nData)
+	inExec, inData := make([]int32, 0, nData), make([]int32, 0, nData)
+	outExec, outData := make([]int32, 0, nData), make([]int32, 0, nData)
+	entered := make([]int32, nExecs) // last data id that entered, +1
+	for d := int32(0); int(d) < nData; d++ {
+		pe := int32(-1)
+		if s := ix.Producer(d); s >= 0 {
+			pe = p.stepExec[s]
+		}
+		p.prodExec[d] = pe
+		leaves := ix.IsFinal(d)
+		for _, c := range ix.ConsumersOf(d) {
+			ce := p.stepExec[c]
+			if ce == pe {
+				continue
+			}
+			leaves = true
+			if entered[ce] != d+1 {
+				entered[ce] = d + 1
+				inExec, inData = append(inExec, ce), append(inData, d)
+			}
+		}
+		if pe >= 0 && leaves {
+			outExec, outData = append(outExec, pe), append(outData, d)
+		}
+	}
+	p.inOff, p.inData = groupRows(nExecs, inExec, inData)
+	p.outOff, p.outData = groupRows(nExecs, outExec, outData)
+
+	// The Execution values, eagerly: all their string slices are cut from
+	// one backing array (capacity-limited, so an append cannot reach a
+	// neighbour). Single-step executions keep their step id; the others are
+	// numbered per composite in execution order.
+	names := make([]string, 0, nSteps+len(p.inData)+len(p.outData))
+	for _, s := range members {
+		names = append(names, ix.StepName(s))
+	}
+	for _, d := range p.inData {
+		names = append(names, ix.DataName(d))
+	}
+	for _, d := range p.outData {
+		names = append(names, ix.DataName(d))
+	}
+	ins, outs := names[nSteps:], names[nSteps+len(p.inData):]
+	composites := v.Composites()
+	ordinal := make([]int, len(composites))
+	p.execs = make([]Execution, nExecs)
+	for e := range p.execs {
+		c := comp[roots[e]]
+		x := &p.execs[e]
+		x.Composite = composites[c]
+		x.Steps = names[stepOff[e]:stepOff[e+1]:stepOff[e+1]]
+		x.Inputs = ins[p.inOff[e]:p.inOff[e+1]:p.inOff[e+1]]
+		x.Outputs = outs[p.outOff[e]:p.outOff[e+1]:p.outOff[e+1]]
+		if len(x.Steps) == 1 {
+			x.ID = x.Steps[0]
 		} else {
-			p.prodExec[d] = -1
+			ordinal[c]++
+			x.ID = x.Composite + "@" + strconv.Itoa(ordinal[c])
 		}
 	}
-	p.inOff = make([]int32, len(p.execs)+1)
-	p.outOff = make([]int32, len(p.execs)+1)
-	for ord, e := range p.execs {
-		for _, d := range e.Inputs {
-			id, _ := ix.DataID(d)
-			p.inData = append(p.inData, id)
-		}
-		// Ascending is what lets the edge sort skip the data id: enforce it
-		// here instead of trusting two natural-order sorts to agree.
-		slices.Sort(p.inData[p.inOff[ord]:])
-		p.inOff[ord+1] = int32(len(p.inData))
-		for _, d := range e.Outputs {
-			id, _ := ix.DataID(d)
-			p.outData = append(p.outData, id)
-		}
-		p.outOff[ord+1] = int32(len(p.outData))
-	}
-	p.atRank = make([]int32, len(p.execs)+1)
+
+	p.atRank = make([]int32, nExecs+1)
 	for i := range p.atRank {
 		p.atRank[i] = int32(i)
 	}
-	sort.SliceStable(p.atRank, func(i, j int) bool {
-		return p.EndpointID(p.atRank[i]) < p.EndpointID(p.atRank[j])
+	slices.SortStableFunc(p.atRank, func(a, b int32) int {
+		return strings.Compare(p.EndpointID(a), p.EndpointID(b))
 	})
 	p.rankOf = make([]int32, len(p.atRank))
 	for rank, ord := range p.atRank {
 		p.rankOf[ord] = int32(rank)
 	}
-	return p
+	return p, nil
+}
+
+// groupRows turns (row, value) facts into CSR form, each row keeping its
+// values in the order they were given.
+func groupRows(nRows int32, row, val []int32) (off, data []int32) {
+	off = make([]int32, nRows+1)
+	for _, r := range row {
+		off[r+1]++
+	}
+	for r := int32(0); r < nRows; r++ {
+		off[r+1] += off[r]
+	}
+	data = make([]int32, len(val))
+	next := slices.Clone(off[:nRows])
+	for i, r := range row {
+		data[next[r]] = val[i]
+		next[r]++
+	}
+	return off, data
+}
+
+// leaves reports whether a step outside d's producing execution reads d.
+func (p *Projector) leaves(d int32) bool {
+	for _, s := range p.ix.ConsumersOf(d) {
+		if p.stepExec[s] != p.prodExec[d] {
+			return true
+		}
+	}
+	return false
 }
 
 // Index returns the run index the projector's interned ids refer to. A
@@ -105,7 +226,7 @@ func (p *Projector) Index() *run.Index { return p.ix }
 func (p *Projector) NumExecutions() int { return len(p.execs) }
 
 // Execution returns the execution at a topological ordinal.
-func (p *Projector) Execution(ord int32) *Execution { return p.execs[ord] }
+func (p *Projector) Execution(ord int32) *Execution { return &p.execs[ord] }
 
 // InputEndpoint is the edge-endpoint ordinal of spec.Input: one past the
 // last execution ordinal.

@@ -23,6 +23,12 @@ type UserView struct {
 	spec   *spec.Spec
 	blocks map[string][]string // composite name -> sorted member modules
 	owner  map[string]string   // module -> composite name
+
+	// The same partition on integers, for code that maps many steps to
+	// their composites (composite.Build): composite names sorted, and each
+	// module's position among them. Every run of the specification shares it.
+	names   []string
+	ownerID map[string]int32
 }
 
 // NewUserView constructs a view over s from the given blocks and validates
@@ -67,6 +73,17 @@ func NewUserView(s *spec.Spec, blocks map[string][]string) (*UserView, error) {
 			return nil, fmt.Errorf("core: composite %q shadows module %q outside it: %w", name, name, ErrBadView)
 		}
 	}
+	v.names = make([]string, 0, len(v.blocks))
+	for name := range v.blocks {
+		v.names = append(v.names, name)
+	}
+	sort.Strings(v.names)
+	v.ownerID = make(map[string]int32, len(v.owner))
+	for i, name := range v.names {
+		for _, m := range v.blocks[name] {
+			v.ownerID[m] = int32(i)
+		}
+	}
 	return v, nil
 }
 
@@ -88,6 +105,14 @@ func (v *UserView) CompositeOf(module string) (string, bool) {
 	return c, ok
 }
 
+// CompositeIndex returns the position, in Composites(), of the composite
+// module containing the given module. The second result is false for
+// identifiers the view does not partition, INPUT and OUTPUT included.
+func (v *UserView) CompositeIndex(module string) (int32, bool) {
+	i, ok := v.ownerID[module]
+	return i, ok
+}
+
 // Members returns the sorted member modules of a composite (nil if unknown).
 func (v *UserView) Members(composite string) []string {
 	ms := v.blocks[composite]
@@ -99,12 +124,7 @@ func (v *UserView) Members(composite string) []string {
 
 // Composites returns all composite names, sorted.
 func (v *UserView) Composites() []string {
-	out := make([]string, 0, len(v.blocks))
-	for name := range v.blocks {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
+	return append([]string(nil), v.names...)
 }
 
 // Blocks returns a deep copy of the partition.

@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -60,6 +59,13 @@ type mappingKey struct {
 	view  *core.UserView
 }
 
+// maxMappings bounds the mapping memo. Keys hold view pointers, and a
+// server that builds views from request-supplied relevant lists mints new
+// ones without end; past the bound an arbitrary entry makes room (map
+// iteration order, so effectively random replacement). A rebuilt mapping
+// costs a fraction of a millisecond, well under one cold query.
+const maxMappings = 1024
+
 // mappingEntry memoizes one Build outcome for the run instance r. The Once
 // ensures the mapping is computed exactly once even when many goroutines
 // miss concurrently — the engine-level analogue of the warehouse's
@@ -84,12 +90,19 @@ func (e *Engine) Warehouse() *warehouse.Warehouse { return e.w }
 // they are shared across queries and built exactly once per key. An entry
 // answers only for the run instance it was built over: after DropRun and a
 // re-ingest under the same id the warehouse hands out a different *run.Run,
-// and the stale entry is replaced instead of served.
+// and the stale entry is replaced instead of served. The memo is bounded
+// (maxMappings); an evicted mapping stays valid for whoever still holds it.
 func (e *Engine) mapping(r *run.Run, v *core.UserView) (*composite.Mapping, error) {
 	key := mappingKey{runID: r.ID(), view: v}
 	e.mu.Lock()
 	ent := e.mappings[key]
 	if ent == nil || ent.r != r {
+		if ent == nil && len(e.mappings) >= maxMappings {
+			for victim := range e.mappings {
+				delete(e.mappings, victim)
+				break
+			}
+		}
 		ent = &mappingEntry{r: r}
 		e.mappings[key] = ent
 	}
@@ -306,9 +319,15 @@ func project(m *composite.Mapping, c *warehouse.Closure) (*Result, error) {
 // already ordered by (To, data), and one stable counting pass on the
 // producer's rank finishes the order.
 func projectBits(res *Result, px *composite.Projector, rootID int32, stepBits, dataBits bitset.Set) {
-	ix := px.Index()
 	visible := bitset.New(px.NumExecutions())
 	stepBits.Each(func(s int32) { visible.Add(px.ExecOfStep(s)) })
+	projectVisible(res, px, rootID, visible, dataBits)
+}
+
+// projectVisible is projectBits once the visible executions are known (the
+// direct strategy finds them by its own traversal).
+func projectVisible(res *Result, px *composite.Projector, rootID int32, visible, dataBits bitset.Set) {
+	ix := px.Index()
 	outData := bitset.New(ix.NumData())
 	if rootID >= 0 {
 		outData.Add(rootID)
@@ -416,31 +435,25 @@ func (e *Engine) ImmediateProvenance(runID string, v *core.UserView, d string) (
 
 // ImmediateProvenanceCtx is ImmediateProvenance with a context; a traced
 // context records the whole stage as one "query.immediate" span (the query
-// is a pair of map lookups — there are no interior stages worth splitting).
+// is a name lookup and two array reads — there are no interior stages worth
+// splitting).
 func (e *Engine) ImmediateProvenanceCtx(ctx context.Context, runID string, v *core.UserView, d string) (*composite.Execution, error) {
 	_, sp := obs.StartSpan(ctx, "query.immediate")
 	defer sp.End()
-	r, err := e.w.Run(runID)
+	m, err := e.mappingFor(runID, v)
 	if err != nil {
 		return nil, err
 	}
-	if r.SpecName() != v.Spec().Name() {
-		return nil, fmt.Errorf("%w: run %q executes %q, view is over %q",
-			ErrForeignView, runID, r.SpecName(), v.Spec().Name())
-	}
-	if !r.HasData(d) {
+	px := m.Projector()
+	id, ok := px.Index().DataID(d)
+	if !ok {
 		return nil, fmt.Errorf("%w: %q in run %q", warehouse.ErrUnknownData, d, runID)
 	}
-	m, err := e.mapping(r, v)
-	if err != nil {
-		return nil, err
-	}
-	id, ok := m.ProducerExecution(d)
-	if !ok {
+	ord := px.ProducerExec(id)
+	if ord < 0 {
 		return nil, nil // external input: provenance is metadata only
 	}
-	ex, _ := m.Execution(id)
-	return ex, nil
+	return px.Execution(ord), nil
 }
 
 // DeepDerivation is the canned inverse query ("return the data objects
@@ -460,22 +473,12 @@ func (e *Engine) DeepDerivationStrategy(runID string, v *core.UserView, d string
 	if m != nil {
 		start = time.Now()
 	}
-	r, err := e.w.Run(runID)
+	mp, err := e.mappingFor(runID, v)
 	if err != nil {
 		m.queryError()
 		return nil, err
-	}
-	if r.SpecName() != v.Spec().Name() {
-		m.queryError()
-		return nil, fmt.Errorf("%w: run %q executes %q, view is over %q",
-			ErrForeignView, runID, r.SpecName(), v.Spec().Name())
 	}
 	closure, err := e.w.DeepDerivationStrategy(runID, d, strat)
-	if err != nil {
-		m.queryError()
-		return nil, err
-	}
-	mp, err := e.mapping(r, v)
 	if err != nil {
 		m.queryError()
 		return nil, err
@@ -530,37 +533,4 @@ func consumedOutside(ix *run.Index, px *composite.Projector, visible bitset.Set,
 		}
 	}
 	return false
-}
-
-func sortNatural(xs []string) {
-	sort.Slice(xs, func(i, j int) bool { return lessNatural(xs[i], xs[j]) })
-}
-
-func lessNatural(a, b string) bool {
-	pa, na := splitNat(a)
-	pb, nb := splitNat(b)
-	if pa != pb {
-		return pa < pb
-	}
-	if na != nb {
-		return na < nb
-	}
-	return a < b
-}
-
-func splitNat(s string) (string, int) {
-	i := len(s)
-	for i > 0 && s[i-1] >= '0' && s[i-1] <= '9' {
-		i--
-	}
-	// No digit suffix, or one too long to fit an int without overflow
-	// (> 18 digits): fall back to plain string comparison.
-	if i == len(s) || len(s)-i > 18 {
-		return s, -1
-	}
-	n := 0
-	for _, c := range s[i:] {
-		n = n*10 + int(c-'0')
-	}
-	return s[:i], n
 }

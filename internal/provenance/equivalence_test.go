@@ -405,6 +405,57 @@ func TestReingestReplacesMapping(t *testing.T) {
 	sameResult(t, "execution provenance after re-ingest", got, want)
 }
 
+// TestMappingMemoIsBounded: 5,000 distinct relevant lists against one run —
+// a new view pointer each, as a server building views from request bodies
+// mints them — leave the engine's mapping memo at or under maxMappings, and
+// every answer, including one for a view whose mapping was evicted long ago,
+// is the oracle's.
+func TestMappingMemoIsBounded(t *testing.T) {
+	g := gen.NewGenerator(31)
+	s := g.Workflow(gen.Class2(), "memo")
+	r, _, err := g.Run(s, gen.Small(), "memo-r")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mods := s.ModuleNames()
+	if len(mods) < 13 {
+		t.Fatalf("fixture has %d modules, too few for 5,000 distinct subsets", len(mods))
+	}
+	e := engineFor(t, s, r)
+	finals := r.FinalOutputs()
+	root := finals[len(finals)-1]
+	steps, ds := oracleClosure(r, root, false)
+	check := func(v *core.UserView) {
+		t.Helper()
+		got, err := e.DeepProvenance(r.ID(), v, root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResult(t, "bounded memo", got, oracleProject(oracleMapping(t, r, v), root, steps, ds))
+	}
+	var first *core.UserView
+	for i := 1; i <= 5000; i++ {
+		var rel []string
+		for b, m := range mods {
+			if i>>b&1 == 1 {
+				rel = append(rel, m)
+			}
+		}
+		v, err := core.BuildRelevant(s, rel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = v
+		}
+		check(v)
+	}
+	if n := len(e.mappings); n > maxMappings {
+		t.Fatalf("mapping memo holds %d entries, bound is %d", n, maxMappings)
+	}
+	check(first)
+}
+
 // TestProjectIndexMismatch: a closure and a mapping interned over different
 // run indexes are an error naming both, never an answer.
 func TestProjectIndexMismatch(t *testing.T) {

@@ -10,7 +10,8 @@ import (
 )
 
 // The reference implementation the engine is held to. It shares nothing
-// with the production path beyond composite.Build: closures are the paper's
+// with the production path beyond composite.Build (which package composite
+// holds to a string-world oracle of its own): closures are the paper's
 // CONNECT BY over the run's string-keyed relations, and the projectors walk
 // every execution tuple with map lookups — no interning, no bitsets.
 
@@ -161,4 +162,46 @@ func oracleExecutionProvenance(m *composite.Mapping, execID string) *Result {
 		steps[s] = true
 	}
 	return oracleProject(m, execID, steps, data)
+}
+
+func edgeLess(a, b Edge) bool {
+	if a.From != b.From {
+		return a.From < b.From
+	}
+	return a.To < b.To
+}
+
+// The oracle's natural sort (d2 < d10), on strings; the engine never sorts
+// names, its interned ids are natural ranks.
+func sortNatural(xs []string) {
+	sort.Slice(xs, func(i, j int) bool { return lessNatural(xs[i], xs[j]) })
+}
+
+func lessNatural(a, b string) bool {
+	pa, na := splitNat(a)
+	pb, nb := splitNat(b)
+	if pa != pb {
+		return pa < pb
+	}
+	if na != nb {
+		return na < nb
+	}
+	return a < b
+}
+
+func splitNat(s string) (string, int) {
+	i := len(s)
+	for i > 0 && s[i-1] >= '0' && s[i-1] <= '9' {
+		i--
+	}
+	// No digit suffix, or one too long to fit an int without overflow
+	// (> 18 digits): fall back to plain string comparison.
+	if i == len(s) || len(s)-i > 18 {
+		return s, -1
+	}
+	n := 0
+	for _, c := range s[i:] {
+		n = n*10 + int(c-'0')
+	}
+	return s[:i], n
 }

@@ -25,22 +25,15 @@ type PathElement struct {
 // target. The path alternates data and executions, starting at from and
 // ending at to.
 func (e *Engine) DerivationPath(runID string, v *core.UserView, from, to string) ([]PathElement, error) {
-	r, err := e.w.Run(runID)
+	m, err := e.mappingFor(runID, v)
 	if err != nil {
 		return nil, err
 	}
-	if r.SpecName() != v.Spec().Name() {
-		return nil, fmt.Errorf("%w: run %q executes %q, view is over %q",
-			ErrForeignView, runID, r.SpecName(), v.Spec().Name())
-	}
+	r := m.Run()
 	for _, d := range []string{from, to} {
 		if !r.HasData(d) {
 			return nil, fmt.Errorf("%w: %q in run %q", warehouse.ErrUnknownData, d, runID)
 		}
-	}
-	m, err := e.mapping(r, v)
-	if err != nil {
-		return nil, err
 	}
 	if from == to {
 		return []PathElement{{Data: from}}, nil

@@ -3,8 +3,8 @@ package provenance
 import (
 	"fmt"
 
+	"repro/internal/bitset"
 	"repro/internal/core"
-	"repro/internal/spec"
 	"repro/internal/warehouse"
 )
 
@@ -24,85 +24,34 @@ import (
 // traversal at the granularity of the view's composite executions, without
 // consulting or populating the UAdmin closure cache.
 func (e *Engine) DeepProvenanceDirect(runID string, v *core.UserView, d string) (*Result, error) {
-	r, err := e.w.Run(runID)
+	m, err := e.mappingFor(runID, v)
 	if err != nil {
 		return nil, err
 	}
-	if r.SpecName() != v.Spec().Name() {
-		return nil, fmt.Errorf("%w: run %q executes %q, view is over %q",
-			ErrForeignView, runID, r.SpecName(), v.Spec().Name())
-	}
-	if !r.HasData(d) {
+	if !m.Run().HasData(d) {
 		return nil, fmt.Errorf("%w: %q in run %q", warehouse.ErrUnknownData, d, runID)
 	}
-	m, err := e.mapping(r, v)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{RunID: runID, Root: d, External: r.IsExternal(d)}
-	if res.External {
-		res.Metadata = r.InputMeta(d)
-	}
-	dataSet := map[string]bool{d: true}
-	visible := make(map[string]bool)
-	start, ok := m.ProducerExecution(d)
-	if ok {
-		// Recursive CONNECT BY over execution ids.
-		order := warehouse.ConnectBy([]string{start}, func(id string) []string {
-			ex, _ := m.Execution(id)
-			var parents []string
-			for _, in := range ex.Inputs {
-				dataSet[in] = true
-				if p, ok := m.ProducerExecution(in); ok {
-					parents = append(parents, p)
+	// Breadth-first over execution ordinals, each visited execution pulling
+	// in every one of its inputs; then the same emission the projected
+	// strategy uses, with those inputs as the data set.
+	px := m.Projector()
+	ix := px.Index()
+	rootID, _ := ix.DataID(d)
+	visible := bitset.New(px.NumExecutions())
+	inputs := bitset.New(ix.NumData())
+	if start := px.ProducerExec(rootID); start >= 0 {
+		visible.Add(start)
+		for queue := []int32{start}; len(queue) > 0; queue = queue[1:] {
+			for _, in := range px.InputsOf(queue[0]) {
+				inputs.Add(in)
+				if p := px.ProducerExec(in); p >= 0 && !visible.Has(p) {
+					visible.Add(p)
+					queue = append(queue, p)
 				}
 			}
-			return parents
-		})
-		for _, id := range order {
-			visible[id] = true
 		}
 	}
-	for _, ex := range m.Executions() { // topological order
-		if visible[ex.ID] {
-			res.Executions = append(res.Executions, ex)
-		}
-	}
-	edgeAcc := make(map[[2]string][]string)
-	for _, ex := range res.Executions {
-		for _, in := range ex.Inputs {
-			src, ok := m.ProducerExecution(in)
-			if !ok {
-				src = spec.Input
-			}
-			key := [2]string{src, ex.ID}
-			edgeAcc[key] = append(edgeAcc[key], in)
-		}
-	}
-	for key, ds := range edgeAcc {
-		sortNatural(ds)
-		res.Edges = append(res.Edges, Edge{From: key[0], To: key[1], Data: ds})
-	}
-	sortEdges(res.Edges)
-	res.Data = make([]string, 0, len(dataSet))
-	for x := range dataSet {
-		res.Data = append(res.Data, x)
-	}
-	sortNatural(res.Data)
+	res := newResult(m.Run(), d)
+	projectVisible(res, px, rootID, visible, inputs)
 	return res, nil
-}
-
-func sortEdges(edges []Edge) {
-	for i := 1; i < len(edges); i++ {
-		for j := i; j > 0 && edgeLess(edges[j], edges[j-1]); j-- {
-			edges[j], edges[j-1] = edges[j-1], edges[j]
-		}
-	}
-}
-
-func edgeLess(a, b Edge) bool {
-	if a.From != b.From {
-		return a.From < b.From
-	}
-	return a.To < b.To
 }

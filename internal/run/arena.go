@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/bitset"
+	"repro/internal/graph"
 	"repro/internal/spec"
 )
 
@@ -32,9 +33,10 @@ var ErrBadArena = errors.New("run: inconsistent arena tables")
 
 // ArenaTables is a run in its zero-copy form: the exact slices the compact
 // index (Index) holds internally, as decoded — or aliased — from a v3
-// snapshot block. The int32 CSR slices and the finals bitset words may alias
-// a read-only memory mapping; ReconstructArena adopts them without copying,
-// which is what makes opening a v3 snapshot O(directory), not O(warehouse).
+// snapshot block. The int32 CSR slices, the flows' data and the finals bitset
+// words may alias a read-only memory mapping; ReconstructArena adopts them
+// without copying, which is what makes opening a v3 snapshot O(directory),
+// not O(warehouse).
 //
 // Invariants (verified, since a corrupt-but-checksummed file could violate
 // them and an aliased slice must never be indexed out of range):
@@ -48,8 +50,9 @@ var ErrBadArena = errors.New("run: inconsistent arena tables")
 //   - Finals has exactly the words a len(DataNames) bitset needs and no bit
 //     set at or above len(DataNames).
 //   - Flows carry the same dataflow the CSR encodes: valid endpoints and
-//     data indexes, no duplicate edges, and a producer assignment identical
-//     to Producer.
+//     data indexes, strictly ascending by (From, To) as the snapshot writer
+//     emits them (hence no duplicate edges), and a producer assignment
+//     identical to Producer.
 type ArenaTables struct {
 	StepIDs     []string
 	StepModules []string
@@ -67,11 +70,14 @@ type ArenaTables struct {
 	Meta  map[int32]map[string]string
 }
 
-// ReconstructArena builds a fully functional Run — string-world relations
-// plus a pre-built compact index — from arena tables, adopting the int32
-// slices without copying. It is the v3 snapshot loader's construction path:
-// it trusts the stored CSR adjacency after verifying the invariants above,
-// so materializing a run costs the string table and relation maps only.
+// ReconstructArena adopts arena tables as a run: after verifying the
+// invariants above it assembles the compact index directly over the int32
+// slices, without copying, and returns a run that answers the serving path
+// (ID, SpecName, HasData, IsExternal, InputMeta, the counts, Index) from
+// that index. It is the v3 snapshot loader's construction path, so first
+// touch of a mapped run costs the checks and nothing else. The string
+// relations behind Graph, DataOn, Steps, Producer, Consumers and the rest
+// are built from the same tables the first time one of them is called.
 func ReconstructArena(id, specName string, t ArenaTables) (*Run, error) {
 	nSteps, nData := len(t.StepIDs), len(t.DataNames)
 	if len(t.StepModules) != nSteps {
@@ -113,88 +119,14 @@ func ReconstructArena(id, specName string, t ArenaTables) (*Run, error) {
 	if err := checkFinals(t.Finals, nData); err != nil {
 		return nil, err
 	}
-
-	// Rebuild the string-world relations from the flows, enforcing the same
-	// structural rules as AddFlow, and cross-check the
-	// producer assignment the flows imply against the stored column.
-	r := NewRun(id, specName)
-	r.steps = make(map[string]Step, nSteps)
-	r.edgeData = make(map[[2]string][]string, len(t.Flows))
-	r.producer = make(map[string]string, nData)
-	r.consumers = make(map[string][]string, nData)
-	names := make([]string, NodeStep0+nSteps)
-	names[NodeInput] = spec.Input
-	names[NodeOutput] = spec.Output
-	for i, sid := range t.StepIDs {
-		st := Step{ID: sid, Module: t.StepModules[i]}
-		r.steps[sid] = st
-		r.g.AddNode(sid)
-		names[NodeStep0+i] = sid
-	}
-	prod := make([]int32, nData)
-	for i := range prod {
-		prod[i] = -1
-	}
-	type edgeKey struct{ f, t int32 }
-	seenEdge := make(map[edgeKey]bool, len(t.Flows))
-	for _, f := range t.Flows {
-		if f.From < 0 || int(f.From) >= len(names) || f.To < 0 || int(f.To) >= len(names) {
-			return nil, fmt.Errorf("%w: node code out of range on %d -> %d", ErrBadFlow, f.From, f.To)
-		}
-		from, to := names[f.From], names[f.To]
-		if f.From == NodeOutput || f.To == NodeInput {
-			return nil, fmt.Errorf("%w: direction %s -> %s", ErrBadFlow, from, to)
-		}
-		if f.From == f.To {
-			return nil, fmt.Errorf("%w: self flow on %s", ErrBadFlow, from)
-		}
-		if len(f.Data) == 0 {
-			return nil, fmt.Errorf("%w: edge %s -> %s carries no data", ErrBadFlow, from, to)
-		}
-		if seenEdge[edgeKey{f.From, f.To}] {
-			return nil, fmt.Errorf("%w: duplicate edge %s -> %s", ErrBadArena, from, to)
-		}
-		seenEdge[edgeKey{f.From, f.To}] = true
-		ds := make([]string, len(f.Data))
-		for i, di := range f.Data {
-			if di < 0 || int(di) >= nData {
-				return nil, fmt.Errorf("%w: data index %d out of range on %s -> %s", ErrBadFlow, di, from, to)
-			}
-			if i > 0 && f.Data[i-1] >= di {
-				return nil, fmt.Errorf("%w: flow data not ascending on %s -> %s", ErrBadArena, from, to)
-			}
-			if prev := prod[di]; prev >= 0 {
-				if prev != f.From {
-					return nil, fmt.Errorf("%w: %q produced by %q and %q", ErrTwoProducers,
-						t.DataNames[di], producerName(names, prev), producerName(names, f.From))
-				}
-			} else {
-				prod[di] = f.From
-			}
-			ds[i] = t.DataNames[di]
-		}
-		r.edgeData[[2]string{from, to}] = ds
-		r.g.AddEdge(from, to)
-	}
-	for di, p := range prod {
-		if p < 0 {
-			return nil, fmt.Errorf("%w: data %q appears in no flow", ErrBadArena, t.DataNames[di])
-		}
-		want := t.Producer[di]
-		got := p - NodeStep0
-		if p == NodeInput {
-			got = -1
-		}
-		if got != want {
-			return nil, fmt.Errorf("%w: producer column disagrees with flows on %q", ErrBadArena, t.DataNames[di])
-		}
-		r.producer[t.DataNames[di]] = producerName(names, p)
+	if err := checkFlows(t); err != nil {
+		return nil, err
 	}
 
-	// Assemble the index directly over the (possibly mapping-backed) slices.
-	ix := &Index{
+	r := &Run{id: id, specName: specName, snapFlows: t.Flows}
+	r.snap = &Index{
 		r:        r,
-		stepName: t.StepIDs,
+		stepName: t.StepIDs, stepModule: t.StepModules,
 		dataName: t.DataNames,
 		producer: t.Producer,
 		inOff:    t.InOff, inData: t.InData,
@@ -202,30 +134,7 @@ func ReconstructArena(id, specName string, t ArenaTables) (*Run, error) {
 		conOff: t.ConOff, conStep: t.ConStep,
 		finals: t.Finals,
 	}
-	ix.stepID = make(map[string]int32, nSteps)
-	for i, s := range t.StepIDs {
-		ix.stepID[s] = int32(i)
-	}
-	ix.dataID = make(map[string]int32, nData)
-	for i, d := range t.DataNames {
-		ix.dataID[d] = int32(i)
-	}
-	r.index = ix
-
-	// Consumer lists (lexicographically sorted, the Consumers contract) come
-	// from the validated CSR rows.
-	for di := 0; di < nData; di++ {
-		row := ix.ConsumersOf(int32(di))
-		if len(row) == 0 {
-			continue
-		}
-		var cs []string
-		for _, s := range row {
-			cs = insertString(cs, t.StepIDs[s])
-		}
-		r.consumers[t.DataNames[di]] = cs
-	}
-
+	r.index = r.snap
 	for di, kv := range t.Meta {
 		if di < 0 || int(di) >= nData {
 			return nil, fmt.Errorf("%w: meta data index %d out of range", ErrBadFlow, di)
@@ -237,11 +146,119 @@ func ReconstructArena(id, specName string, t ArenaTables) (*Run, error) {
 	return r, nil
 }
 
-func producerName(names []string, code int32) string {
-	if code == NodeInput {
-		return "" // external
+// checkFlows enforces AddFlow's structural rules on the interned flows and
+// cross-checks the producer assignment they imply against the stored column.
+func checkFlows(t ArenaTables) error {
+	nNodes, nData := NodeStep0+len(t.StepIDs), len(t.DataNames)
+	name := func(code int32) string {
+		switch code {
+		case NodeInput:
+			return spec.Input
+		case NodeOutput:
+			return spec.Output
+		}
+		return t.StepIDs[code-NodeStep0]
 	}
-	return names[code]
+	prod := make([]int32, nData) // producing node code per the flows
+	for i := range prod {
+		prod[i] = -1
+	}
+	// Order is reported after the per-flow rules: a forged flow usually
+	// breaks one of those too, and that is the better diagnosis.
+	ascending, last := true, int64(-1)
+	for _, f := range t.Flows {
+		if f.From < 0 || int(f.From) >= nNodes || f.To < 0 || int(f.To) >= nNodes {
+			return fmt.Errorf("%w: node code out of range on %d -> %d", ErrBadFlow, f.From, f.To)
+		}
+		if f.From == NodeOutput || f.To == NodeInput {
+			return fmt.Errorf("%w: direction %s -> %s", ErrBadFlow, name(f.From), name(f.To))
+		}
+		if f.From == f.To {
+			return fmt.Errorf("%w: self flow on %s", ErrBadFlow, name(f.From))
+		}
+		if len(f.Data) == 0 {
+			return fmt.Errorf("%w: edge %s -> %s carries no data", ErrBadFlow, name(f.From), name(f.To))
+		}
+		key := int64(f.From)<<32 | int64(f.To)
+		ascending = ascending && key > last
+		last = key
+		for i, di := range f.Data {
+			if di < 0 || int(di) >= nData {
+				return fmt.Errorf("%w: data index %d out of range on %s -> %s", ErrBadFlow, di, name(f.From), name(f.To))
+			}
+			if i > 0 && f.Data[i-1] >= di {
+				return fmt.Errorf("%w: flow data not ascending on %s -> %s", ErrBadArena, name(f.From), name(f.To))
+			}
+			if prev := prod[di]; prev < 0 {
+				prod[di] = f.From
+			} else if prev != f.From {
+				return fmt.Errorf("%w: %q produced by %q and %q", ErrTwoProducers,
+					t.DataNames[di], name(prev), name(f.From))
+			}
+		}
+	}
+	if !ascending {
+		return fmt.Errorf("%w: flows not strictly ascending by (from, to): out of order or duplicate edge", ErrBadArena)
+	}
+	for di, p := range prod {
+		if p < 0 {
+			return fmt.Errorf("%w: data %q appears in no flow", ErrBadArena, t.DataNames[di])
+		}
+		got := p - NodeStep0
+		if p == NodeInput {
+			got = -1
+		}
+		if got != t.Producer[di] {
+			return fmt.Errorf("%w: producer column disagrees with flows on %q", ErrBadArena, t.DataNames[di])
+		}
+	}
+	return nil
+}
+
+// buildStrings derives an adopted run's string relations from its index and
+// flows, all verified at adoption. Nodes and edges enter the graph in the
+// order a snapshot lists them, so Graph().Edges() reads the same before and
+// after a save.
+func (r *Run) buildStrings() {
+	ix := r.snap
+	nSteps, nData := ix.NumSteps(), ix.NumData()
+	r.steps = make(map[string]Step, nSteps)
+	r.g = graph.New()
+	r.g.AddNode(spec.Input)
+	r.g.AddNode(spec.Output)
+	names := make([]string, NodeStep0+nSteps)
+	names[NodeInput], names[NodeOutput] = spec.Input, spec.Output
+	for i, sid := range ix.stepName {
+		r.steps[sid] = Step{ID: sid, Module: ix.stepModule[i]}
+		r.g.AddNode(sid)
+		names[NodeStep0+i] = sid
+	}
+	r.edgeData = make(map[[2]string][]string, len(r.snapFlows))
+	for _, f := range r.snapFlows {
+		ds := make([]string, len(f.Data))
+		for i, di := range f.Data {
+			ds[i] = ix.dataName[di]
+		}
+		r.edgeData[[2]string{names[f.From], names[f.To]}] = ds
+		r.g.AddEdge(names[f.From], names[f.To])
+	}
+	r.producer = make(map[string]string, nData)
+	r.consumers = make(map[string][]string, nData)
+	for di, d := range ix.dataName {
+		if p := ix.producer[di]; p >= 0 {
+			r.producer[d] = ix.stepName[p]
+		} else {
+			r.producer[d] = "" // external
+		}
+		// Consumers are reported in string order; the CSR row is in id order.
+		var cs []string
+		for _, s := range ix.ConsumersOf(int32(di)) {
+			cs = insertString(cs, ix.stepName[s])
+		}
+		if cs != nil {
+			r.consumers[d] = cs
+		}
+	}
 }
 
 // checkCSR verifies one offset/value CSR pair: rows+1 offsets from 0 to

@@ -3,6 +3,8 @@ package run
 import (
 	"errors"
 	"reflect"
+	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/bitset"
@@ -30,6 +32,12 @@ func internedTables(r *Run) (steps []Step, data []string, flows []InternedFlow, 
 		}
 		flows = append(flows, InternedFlow{From: code[e.From], To: code[e.To], Data: ds})
 	}
+	sort.Slice(flows, func(i, j int) bool {
+		if flows[i].From != flows[j].From {
+			return flows[i].From < flows[j].From
+		}
+		return flows[i].To < flows[j].To
+	})
 	for _, d := range r.AnnotatedInputs() {
 		if meta == nil {
 			meta = make(map[int32]map[string]string)
@@ -145,6 +153,93 @@ func TestReconstructArenaAdoptsSlices(t *testing.T) {
 	}
 }
 
+// TestAdoptedRunServesFromIndex: what the serving path asks of an adopted run
+// is answered without building its string relations; the first accessor
+// that needs them builds them; and a mutator turns the run into an ordinary
+// heap run with a fresh index, leaving the adopted index as it was.
+func TestAdoptedRunServesFromIndex(t *testing.T) {
+	orig := Figure2()
+	if err := orig.AnnotateInput("d1", map[string]string{"who": "joe"}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReconstructArena(orig.ID(), orig.SpecName(), arenaTables(orig))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.NumSteps() != orig.NumSteps() || got.NumData() != orig.NumData() || got.NumEdges() != orig.NumEdges() {
+		t.Fatalf("counts: %s vs %s", got, orig)
+	}
+	for _, d := range append(orig.AllData(), "d9999", "", "nope") {
+		if got.HasData(d) != orig.HasData(d) || got.IsExternal(d) != orig.IsExternal(d) {
+			t.Fatalf("HasData/IsExternal(%q) differ", d)
+		}
+		if id, ok := got.Index().DataID(d); ok && got.Index().DataName(id) != d {
+			t.Fatalf("DataID(%q) resolves to %q", d, got.Index().DataName(id))
+		}
+	}
+	for _, st := range orig.Steps() {
+		id, ok := got.Index().StepID(st.ID)
+		if !ok || got.Index().StepName(id) != st.ID || got.Index().StepModule(id) != st.Module {
+			t.Fatalf("StepID(%q) = %d, %v", st.ID, id, ok)
+		}
+	}
+	if !reflect.DeepEqual(got.InputMeta("d1"), orig.InputMeta("d1")) || got.Validate() != nil {
+		t.Fatal("metadata or validation differ")
+	}
+	if got.steps != nil || got.g != nil || got.producer != nil {
+		t.Fatal("serving accessors built the string relations")
+	}
+
+	if !reflect.DeepEqual(got.Steps(), orig.Steps()) || got.Graph().NumEdges() != orig.NumEdges() {
+		t.Fatal("string relations differ once built")
+	}
+
+	adopted := got.Index()
+	if err := got.AddStep("S99", "M1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := got.AddFlow("S1", "S99", []string{"d5000"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := got.AddFlow("S99", spec.Output, []string{"d5001"}); err != nil {
+		t.Fatal(err)
+	}
+	if got.NumSteps() != orig.NumSteps()+1 || !got.HasData("d5001") || got.IsExternal("d5001") {
+		t.Fatalf("mutated run: %s", got)
+	}
+	fresh := got.Index()
+	if fresh == adopted || fresh.NumSteps() != orig.NumSteps()+1 || adopted.NumSteps() != orig.NumSteps() {
+		t.Fatal("mutation did not replace the index, or touched the adopted one")
+	}
+	if _, ok := fresh.DataID("d5000"); !ok {
+		t.Fatal("rebuilt index misses the new data")
+	}
+}
+
+// TestConcurrentAdoptedRunFirstUse: the string relations and the topological
+// order of an adopted run are each built once however many goroutines ask
+// first, serving accessors answering beside them (run under -race).
+func TestConcurrentAdoptedRunFirstUse(t *testing.T) {
+	orig := Figure2()
+	got, err := ReconstructArena(orig.ID(), orig.SpecName(), arenaTables(orig))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if len(got.Steps()) != orig.NumSteps() || got.Graph().NumEdges() != orig.NumEdges() ||
+				len(got.Index().TopoOrder()) != orig.NumSteps() || !got.HasData("d447") ||
+				got.Validate() != nil || len(got.Consumers("d410")) != len(orig.Consumers("d410")) {
+				t.Error("adopted run answers differ under concurrent first use")
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // TestReconstructArenaRejectsCorruption: every invariant violation a forged
 // v3 block could carry must come back as an error — never a panic, since the
 // slices may alias a memory mapping.
@@ -199,7 +294,8 @@ func TestReconstructArenaRejectsCorruption(t *testing.T) {
 			panic("fixture has no step-to-step flow into a step INPUT does not feed")
 		}, ErrTwoProducers},
 		{"flow data out of range", func(a *ArenaTables) { a.Flows[0].Data[0] = int32(len(a.DataNames)) }, ErrBadFlow},
-		{"duplicate edge", func(a *ArenaTables) { a.Flows = append(a.Flows, a.Flows[0]) }, ErrBadArena},
+		{"duplicate edge", func(a *ArenaTables) { a.Flows = append(a.Flows[:1], a.Flows...) }, ErrBadArena},
+		{"flows out of order", func(a *ArenaTables) { a.Flows[0], a.Flows[1] = a.Flows[1], a.Flows[0] }, ErrBadArena},
 		{"meta index out of range", func(a *ArenaTables) { a.Meta = map[int32]map[string]string{100000: {"k": "v"}} }, ErrBadFlow},
 	}
 	for _, tc := range cases {

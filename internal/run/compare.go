@@ -44,12 +44,12 @@ func Compare(a, b *Run) Diff {
 		StatsB:       b.Stats(),
 	}
 	counts := make(map[string][2]int)
-	for _, st := range a.steps {
+	for _, st := range a.Steps() {
 		c := counts[st.Module]
 		c[0]++
 		counts[st.Module] = c
 	}
-	for _, st := range b.steps {
+	for _, st := range b.Steps() {
 		c := counts[st.Module]
 		c[1]++
 		counts[st.Module] = c

@@ -2,7 +2,9 @@ package run
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/bitset"
 	"repro/internal/spec"
@@ -19,7 +21,9 @@ import (
 // Interned ids double as natural-order ranks: steps and data are interned
 // in natural order (d2 before d10), so sorting a set of interned ids
 // ascending *is* the paper's natural sort, with no digit re-parsing per
-// comparison.
+// comparison. It also makes the name tables their own dictionaries: a name
+// resolves to its id by binary search under the natural order, so the index
+// carries no name -> id maps.
 //
 // An Index is a snapshot: it must only be built once the run is fully
 // constructed (the warehouse builds it at load time, after validation).
@@ -28,10 +32,9 @@ import (
 type Index struct {
 	r *Run
 
-	stepName []string // interned step id -> step name, natural order
-	dataName []string // interned data id -> data name, natural order
-	stepID   map[string]int32
-	dataID   map[string]int32
+	stepName   []string // interned step id -> step name, natural order
+	stepModule []string // interned step id -> module the step instantiates
+	dataName   []string // interned data id -> data name, natural order
 
 	producer []int32 // data -> producing step, -1 when external
 
@@ -40,6 +43,9 @@ type Index struct {
 	conOff, conStep []int32 // data -> consuming steps (CSR)
 
 	finals bitset.Set // data flowing into OUTPUT
+
+	topoOnce  sync.Once
+	topoOrder []int32 // see TopoOrder; shorter than stepName when cyclic
 }
 
 // Index returns the run's compact index, building it on first use. The
@@ -56,18 +62,21 @@ func (r *Run) Index() *Index {
 }
 
 func buildIndex(r *Run) *Index {
+	steps := r.Steps() // natural order
 	ix := &Index{
-		r:        r,
-		stepName: r.StepIDs(),  // natural order
-		dataName: r.AllData(),  // natural order
+		r:          r,
+		stepName:   make([]string, len(steps)),
+		stepModule: make([]string, len(steps)),
+		dataName:   r.AllData(), // natural order
 	}
-	ix.stepID = make(map[string]int32, len(ix.stepName))
-	for i, s := range ix.stepName {
-		ix.stepID[s] = int32(i)
+	stepID := make(map[string]int32, len(steps))
+	for i, st := range steps {
+		ix.stepName[i], ix.stepModule[i] = st.ID, st.Module
+		stepID[st.ID] = int32(i)
 	}
-	ix.dataID = make(map[string]int32, len(ix.dataName))
+	dataID := make(map[string]int32, len(ix.dataName))
 	for i, d := range ix.dataName {
-		ix.dataID[d] = int32(i)
+		dataID[d] = int32(i)
 	}
 
 	ix.producer = make([]int32, len(ix.dataName))
@@ -76,7 +85,7 @@ func buildIndex(r *Run) *Index {
 		if p == "" {
 			ix.producer[i] = -1
 		} else {
-			ix.producer[i] = ix.stepID[p]
+			ix.producer[i] = stepID[p]
 		}
 	}
 
@@ -86,11 +95,11 @@ func buildIndex(r *Run) *Index {
 	ix.outOff = make([]int32, len(ix.stepName)+1)
 	for i, s := range ix.stepName {
 		for _, d := range r.InputsOf(s) {
-			ix.inData = append(ix.inData, ix.dataID[d])
+			ix.inData = append(ix.inData, dataID[d])
 		}
 		ix.inOff[i+1] = int32(len(ix.inData))
 		for _, d := range r.OutputsOf(s) {
-			ix.outData = append(ix.outData, ix.dataID[d])
+			ix.outData = append(ix.outData, dataID[d])
 		}
 		ix.outOff[i+1] = int32(len(ix.outData))
 	}
@@ -100,7 +109,7 @@ func buildIndex(r *Run) *Index {
 	ix.conOff = make([]int32, len(ix.dataName)+1)
 	for i, d := range ix.dataName {
 		for _, s := range r.Consumers(d) {
-			ix.conStep = append(ix.conStep, ix.stepID[s])
+			ix.conStep = append(ix.conStep, stepID[s])
 		}
 		row := ix.conStep[ix.conOff[i]:]
 		sort.Slice(row, func(a, b int) bool { return row[a] < row[b] })
@@ -109,7 +118,7 @@ func buildIndex(r *Run) *Index {
 
 	ix.finals = bitset.New(len(ix.dataName))
 	for _, d := range r.InputsOf(spec.Output) {
-		ix.finals.Add(ix.dataID[d])
+		ix.finals.Add(dataID[d])
 	}
 	return ix
 }
@@ -124,89 +133,40 @@ func buildIndex(r *Run) *Index {
 func (ix *Index) validateStructure() error {
 	n := len(ix.stepName)
 	r := ix.r
-
-	// Acyclicity: Kahn's algorithm over the step relation. The (s, t) pairs
-	// are enumerated identically in both passes (possibly repeated when s
-	// feeds t several data objects), so the counts balance.
-	indeg := make([]int32, n)
-	for s := 0; s < n; s++ {
-		for _, d := range ix.OutputsOf(int32(s)) {
-			for _, t := range ix.ConsumersOf(d) {
-				indeg[t]++
-			}
-		}
-	}
-	queue := make([]int32, 0, n)
-	for s := 0; s < n; s++ {
-		if indeg[s] == 0 {
-			queue = append(queue, int32(s))
-		}
-	}
-	done := 0
-	for len(queue) > 0 {
-		s := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		done++
-		for _, d := range ix.OutputsOf(s) {
-			for _, t := range ix.ConsumersOf(d) {
-				if indeg[t]--; indeg[t] == 0 {
-					queue = append(queue, t)
-				}
-			}
-		}
-	}
-	if done != n {
+	order := ix.TopoOrder()
+	if len(order) != n {
 		return fmt.Errorf("run %q: %w", r.id, ErrCyclicRun)
 	}
 
-	// Forward reach from INPUT: seed with the consumers of external data,
-	// expand along the same step relation.
-	fwd := make([]bool, n)
-	queue = queue[:0]
-	mark := func(t int32) {
-		if !fwd[t] {
-			fwd[t] = true
-			queue = append(queue, t)
-		}
-	}
+	// In topological order every predecessor of a step is settled before
+	// the step, and in reverse every successor, so each reach is one sweep
+	// over the relation the order was computed from. Forward reach starts
+	// at the consumers of external data, backward reach at the producers of
+	// final data.
+	fwd, bwd := make([]bool, n), make([]bool, n)
 	for d, p := range ix.producer {
 		if p < 0 {
 			for _, t := range ix.ConsumersOf(int32(d)) {
-				mark(t)
+				fwd[t] = true
 			}
 		}
 	}
-	for len(queue) > 0 {
-		s := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
+	for _, s := range order {
+		if !fwd[s] {
+			continue
+		}
 		for _, d := range ix.OutputsOf(s) {
 			for _, t := range ix.ConsumersOf(d) {
-				mark(t)
+				fwd[t] = true
 			}
 		}
 	}
-
-	// Backward reach from OUTPUT: seed with the producers of final data,
-	// expand along producers of each step's inputs.
-	bwd := make([]bool, n)
-	queue = queue[:0]
-	markB := func(s int32) {
-		if !bwd[s] {
-			bwd[s] = true
-			queue = append(queue, s)
-		}
-	}
-	for d, p := range ix.producer {
-		if p >= 0 && ix.finals.Has(int32(d)) {
-			markB(p)
-		}
-	}
-	for len(queue) > 0 {
-		t := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		for _, d := range ix.InputsOf(t) {
-			if p := ix.producer[d]; p >= 0 {
-				markB(p)
+	for i := n - 1; i >= 0; i-- {
+		s := order[i]
+		for _, d := range ix.OutputsOf(s) {
+			bwd[s] = bwd[s] || ix.IsFinal(d)
+			for _, t := range ix.ConsumersOf(d) {
+				bwd[s] = bwd[s] || bwd[t]
 			}
 		}
 	}
@@ -232,19 +192,71 @@ func (ix *Index) NumSteps() int { return len(ix.stepName) }
 func (ix *Index) NumData() int { return len(ix.dataName) }
 
 // StepID returns the interned id of a step name.
-func (ix *Index) StepID(name string) (int32, bool) {
-	id, ok := ix.stepID[name]
-	return id, ok
-}
+func (ix *Index) StepID(name string) (int32, bool) { return searchNatural(ix.stepName, name) }
 
 // DataID returns the interned id of a data name.
-func (ix *Index) DataID(name string) (int32, bool) {
-	id, ok := ix.dataID[name]
-	return id, ok
+func (ix *Index) DataID(name string) (int32, bool) { return searchNatural(ix.dataName, name) }
+
+// searchNatural finds name in a table that is strictly increasing under
+// lessNatural (every index's name tables are: buildIndex sorts them and
+// ReconstructArena verifies it).
+func searchNatural(names []string, name string) (int32, bool) {
+	i := sort.Search(len(names), func(i int) bool { return !lessNatural(names[i], name) })
+	if i < len(names) && names[i] == name {
+		return int32(i), true
+	}
+	return 0, false
 }
 
 // StepName returns the step name of an interned id.
 func (ix *Index) StepName(id int32) string { return ix.stepName[id] }
+
+// StepModule returns the module an interned step instantiates.
+func (ix *Index) StepModule(id int32) string { return ix.stepModule[id] }
+
+// TopoOrder returns the steps in the run's canonical topological order: Kahn
+// with a FIFO queue seeded with the steps that have no step predecessor,
+// ascending, each popped step releasing its successors ascending. The order
+// depends on the index alone, never on how the run was loaded, so anything
+// numbered by it (a view's composite-execution ordinals) is the same for a
+// log-ingested run and for its snapshot-reloaded twin. It is computed once
+// and shared; callers must not mutate it. A cyclic step relation yields
+// fewer than NumSteps entries.
+func (ix *Index) TopoOrder() []int32 {
+	ix.topoOnce.Do(func() {
+		// The (s, t) pairs are enumerated identically when counting and
+		// when releasing (repeated when s feeds t several data objects), so
+		// the counts balance.
+		n := len(ix.stepName)
+		indeg := make([]int32, n)
+		for s := 0; s < n; s++ {
+			for _, d := range ix.OutputsOf(int32(s)) {
+				for _, t := range ix.ConsumersOf(d) {
+					indeg[t]++
+				}
+			}
+		}
+		order := make([]int32, 0, n) // doubles as the queue
+		for s := 0; s < n; s++ {
+			if indeg[s] == 0 {
+				order = append(order, int32(s))
+			}
+		}
+		for head := 0; head < len(order); head++ {
+			released := len(order)
+			for _, d := range ix.OutputsOf(order[head]) {
+				for _, t := range ix.ConsumersOf(d) {
+					if indeg[t]--; indeg[t] == 0 {
+						order = append(order, t)
+					}
+				}
+			}
+			slices.Sort(order[released:])
+		}
+		ix.topoOrder = order
+	})
+	return ix.topoOrder
+}
 
 // DataName returns the data name of an interned id.
 func (ix *Index) DataName(id int32) string { return ix.dataName[id] }

@@ -1,7 +1,10 @@
 package run
 
 import (
+	"reflect"
 	"testing"
+
+	"repro/internal/spec"
 )
 
 // TestIndexInterning pins the interning contract: ids are dense, interned
@@ -136,6 +139,91 @@ func TestIndexInvalidation(t *testing.T) {
 	}
 	if ix2.NumSteps() != 2 || ix2.NumData() != 2 {
 		t.Fatalf("rebuilt index: %d steps %d data", ix2.NumSteps(), ix2.NumData())
+	}
+}
+
+// topoNames renders TopoOrder as step names.
+func topoNames(ix *Index) []string {
+	var out []string
+	for _, s := range ix.TopoOrder() {
+		out = append(out, ix.StepName(s))
+	}
+	return out
+}
+
+// TestTopoOrderCanonical: the index's topological order is what
+// graph.TopoSort yields on the arena-reconstructed twin of a run (whose graph
+// lists nodes and edges in natural order), it is the same for a run whose
+// log listed its steps in another order, and a step fed several data
+// objects by one predecessor is released in id order all the same.
+func TestTopoOrderCanonical(t *testing.T) {
+	runs := []*Run{Figure2()}
+	for seed := int64(1); seed <= 6; seed++ {
+		r, _, err := Execute(spec.Phylogenomics(), Config{Seed: seed, LoopIter: [2]int{2, 5}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs = append(runs, r)
+	}
+	// S1 feeds S3 and S5 through d2 and S3 again through d3, so S3's last
+	// incoming flow is met after S5's; S2 joins later through S4.
+	multi := NewRun("multi", "x")
+	for _, id := range []string{"S5", "S4", "S3", "S2", "S1"} { // not natural order
+		if err := multi.AddStep(id, "M"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, f := range []Flow{
+		{spec.Input, "S1", []string{"d1"}}, {"S1", "S5", []string{"d2"}}, {"S1", "S3", []string{"d2", "d3"}},
+		{"S3", "S4", []string{"d4"}}, {"S5", "S4", []string{"d5"}}, {"S4", "S2", []string{"d6"}},
+		{"S2", spec.Output, []string{"d7"}},
+	} {
+		if err := multi.AddFlow(f.From, f.To, f.Data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := topoNames(multi.Index()), []string{"S1", "S3", "S5", "S4", "S2"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("multi-flow order %v, want %v", got, want)
+	}
+	runs = append(runs, multi)
+
+	for _, r := range runs {
+		twin, err := ReconstructArena(r.ID(), r.SpecName(), arenaTables(r))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sorted, err := twin.Graph().TopoSort()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []string
+		for _, n := range sorted {
+			if n != spec.Input && n != spec.Output {
+				want = append(want, n)
+			}
+		}
+		if got := topoNames(r.Index()); !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %s: TopoOrder %v, TopoSort of the reloaded twin %v", r.ID(), got, want)
+		}
+		if got := topoNames(twin.Index()); !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %s: twin's TopoOrder %v, want %v", r.ID(), got, want)
+		}
+	}
+
+	// A cycle (only an unvalidated run can hold one) leaves the order short.
+	cyc := NewRun("cyc", "x")
+	for _, id := range []string{"S1", "S2"} {
+		if err := cyc.AddStep(id, "M"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, f := range []Flow{{spec.Input, "S1", []string{"d1"}}, {"S1", "S2", []string{"d2"}}, {"S2", "S1", []string{"d3"}}} {
+		if err := cyc.AddFlow(f.From, f.To, f.Data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := cyc.Index().TopoOrder(); len(got) == cyc.NumSteps() {
+		t.Fatalf("cyclic run fully ordered: %v", got)
 	}
 }
 

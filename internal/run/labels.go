@@ -75,7 +75,7 @@ const (
 // BuildLabels computes the reachability label index for this run index, or
 // returns nil when the step graph's chain decomposition exceeds the label
 // budget (the caller must then keep using the BFS path). The build is a
-// Kahn topological sort over the induced step graph plus two linear
+// chain decomposition along the index's topological order plus two linear
 // label-merge sweeps, done once at load time.
 func (ix *Index) BuildLabels() *Labels {
 	ns := int32(ix.NumSteps())
@@ -104,27 +104,19 @@ func (ix *Index) BuildLabels() *Labels {
 		}
 	}
 
-	// Kahn topological order with greedy chain assignment folded in: a
-	// step extends the chain of the first predecessor that is still its
-	// chain's tail (so every chain is a path and positions increase along
-	// edges), otherwise it starts a new chain. The FIFO queue keeps the
-	// decomposition deterministic for a given index.
+	// Greedy chain assignment along the index's topological order: a step
+	// extends the chain of the first predecessor that is still its chain's
+	// tail (so every chain is a path and positions increase along edges),
+	// otherwise it starts a new chain. The order is a function of the index,
+	// and with it the decomposition.
+	topo := ix.TopoOrder()
+	if int32(len(topo)) != ns {
+		return nil // cyclic index; Validate rejects such runs upstream
+	}
 	l.chainOf = make([]int32, ns)
 	l.posOf = make([]int32, ns)
-	indeg := make([]int32, ns)
-	queue := make([]int32, 0, ns)
-	for t := int32(0); t < ns; t++ {
-		indeg[t] = int32(len(preds[t]))
-		if indeg[t] == 0 {
-			queue = append(queue, t)
-		}
-	}
-	topo := make([]int32, 0, ns)
 	var tails []int32 // chain -> current tail step
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		topo = append(topo, u)
+	for _, u := range topo {
 		extended := false
 		for _, p := range preds[u] {
 			if c := l.chainOf[p]; tails[c] == p {
@@ -140,14 +132,6 @@ func (ix *Index) BuildLabels() *Labels {
 			l.posOf[u] = 0
 			tails = append(tails, u)
 		}
-		for _, t := range succs[u] {
-			if indeg[t]--; indeg[t] == 0 {
-				queue = append(queue, t)
-			}
-		}
-	}
-	if int32(len(topo)) != ns {
-		return nil // cyclic index; Validate rejects such runs upstream
 	}
 	l.k = int32(len(tails))
 	if l.k > maxLabelChains || 8*int64(ns)*int64(l.k) > maxLabelBytes {

@@ -75,6 +75,7 @@ func (r *Run) addFlowBulk(from, to string, data []string) error {
 	if len(data) == 0 {
 		return fmt.Errorf("%w: edge %s -> %s carries no data", ErrBadFlow, from, to)
 	}
+	r.own()
 	for _, end := range []string{from, to} {
 		if end == spec.Input || end == spec.Output {
 			continue
@@ -113,7 +114,6 @@ func (r *Run) addFlowBulk(from, to string, data []string) error {
 			r.consumers[d] = append(r.consumers[d], to)
 		}
 	}
-	r.index = nil
 	return nil
 }
 

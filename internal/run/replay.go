@@ -33,6 +33,7 @@ func FromLog(runID, specName string, events []wflog.Event) (*Run, error) {
 // outputs. ToLog and FromLog are inverse up to final-output placement, which
 // the round-trip tests pin down.
 func (r *Run) ToLog() ([]wflog.Event, error) {
+	r.strings()
 	order, err := r.g.TopoSort()
 	if err != nil {
 		return nil, fmt.Errorf("run %q: %w", r.id, err)

@@ -42,14 +42,26 @@ type Step struct {
 
 // Run is a workflow execution.
 type Run struct {
-	id        string
-	specName  string
+	id       string
+	specName string
+
+	// The string relations. A run adopted from arena tables (ReconstructArena)
+	// leaves them nil until a caller of Graph, DataOn, Steps, Producer,
+	// Consumers and the like asks: strings builds them, once.
 	steps     map[string]Step
 	g         *graph.Graph // step ids + INPUT/OUTPUT
 	edgeData  map[[2]string][]string
 	producer  map[string]string   // data id -> producing step ("" = external)
 	consumers map[string][]string // data id -> consuming steps, sorted
 	inputMeta map[string]map[string]string
+
+	// snap is the index an adopted run was built around (nil for a run built
+	// by AddStep/AddFlow): what the serving path asks of a run — counts,
+	// HasData, IsExternal — is answered from it, and snapFlows with it is
+	// everything strings needs. A mutator detaches the run from both (own).
+	snap        *Index
+	snapFlows   []InternedFlow
+	stringsOnce sync.Once
 
 	// index is the lazily built compact representation (see index.go),
 	// cleared by the mutators so a stale snapshot is never handed out.
@@ -97,13 +109,35 @@ func (r *Run) AddStep(id, module string) error {
 	if err := checkStep(Step{ID: id, Module: module}); err != nil {
 		return err
 	}
+	r.own()
 	if _, dup := r.steps[id]; dup {
 		return fmt.Errorf("%w: duplicate step id %q", ErrBadStep, id)
 	}
 	r.steps[id] = Step{ID: id, Module: module}
 	r.g.AddNode(id)
-	r.index = nil
 	return nil
+}
+
+// own prepares the run for a mutation. An adopted run first builds its
+// string relations and stops answering from the snapshot's index, becoming
+// an ordinary heap run; either way the cached index is dropped, so the next
+// Index call rebuilds it from the mutated relations. Holders of the old
+// index (a warehouse serves a run only through the index it loaded) keep a
+// consistent, unmutated view.
+func (r *Run) own() {
+	if r.snap != nil {
+		r.strings()
+		r.snap, r.snapFlows = nil, nil
+	}
+	r.index = nil
+}
+
+// strings makes the string relations of an adopted run available. It is the
+// first line of every accessor that reads them and a no-op on a heap run.
+func (r *Run) strings() {
+	if r.snap != nil {
+		r.stringsOnce.Do(r.buildStrings)
+	}
 }
 
 // AddFlow records that the data objects in data flowed from one node to
@@ -122,6 +156,7 @@ func (r *Run) AddFlow(from, to string, data []string) error {
 	if len(data) == 0 {
 		return fmt.Errorf("%w: edge %s -> %s carries no data", ErrBadFlow, from, to)
 	}
+	r.own()
 	for _, end := range []string{from, to} {
 		if end == spec.Input || end == spec.Output {
 			continue
@@ -156,18 +191,19 @@ func (r *Run) AddFlow(from, to string, data []string) error {
 			r.consumers[d] = insertString(r.consumers[d], to)
 		}
 	}
-	r.index = nil
 	return nil
 }
 
 // Step returns the step with the given id.
 func (r *Run) Step(id string) (Step, bool) {
+	r.strings()
 	s, ok := r.steps[id]
 	return s, ok
 }
 
 // Steps returns all steps sorted by id (natural order: S2 before S10).
 func (r *Run) Steps() []Step {
+	r.strings()
 	out := make([]Step, 0, len(r.steps))
 	for _, s := range r.steps {
 		out = append(out, s)
@@ -187,16 +223,30 @@ func (r *Run) StepIDs() []string {
 }
 
 // NumSteps returns the number of steps.
-func (r *Run) NumSteps() int { return len(r.steps) }
+func (r *Run) NumSteps() int {
+	if ix := r.snap; ix != nil {
+		return ix.NumSteps()
+	}
+	return len(r.steps)
+}
 
 // NumEdges returns the number of flow edges (including INPUT/OUTPUT edges).
-func (r *Run) NumEdges() int { return r.g.NumEdges() }
+func (r *Run) NumEdges() int {
+	if r.snap != nil {
+		return len(r.snapFlows)
+	}
+	return r.g.NumEdges()
+}
 
 // Graph exposes the execution DAG (shared, read-only).
-func (r *Run) Graph() *graph.Graph { return r.g }
+func (r *Run) Graph() *graph.Graph {
+	r.strings()
+	return r.g
+}
 
 // DataOn returns the data ids on the edge from -> to, sorted naturally.
 func (r *Run) DataOn(from, to string) []string {
+	r.strings()
 	return append([]string(nil), r.edgeData[[2]string{from, to}]...)
 }
 
@@ -204,6 +254,7 @@ func (r *Run) DataOn(from, to string) []string {
 // is false if the data id is unknown; a known data id with producer ""
 // is external (user or workflow input).
 func (r *Run) Producer(d string) (string, bool) {
+	r.strings()
 	p, ok := r.producer[d]
 	return p, ok
 }
@@ -211,18 +262,24 @@ func (r *Run) Producer(d string) (string, bool) {
 // IsExternal reports whether d is a known data object provided from outside
 // the run (it flowed out of INPUT).
 func (r *Run) IsExternal(d string) bool {
+	if ix := r.snap; ix != nil {
+		id, ok := ix.DataID(d)
+		return ok && ix.Producer(id) < 0
+	}
 	p, ok := r.producer[d]
 	return ok && p == ""
 }
 
 // Consumers returns the steps that read d, sorted.
 func (r *Run) Consumers(d string) []string {
+	r.strings()
 	return append([]string(nil), r.consumers[d]...)
 }
 
 // InputsOf returns the union of data ids on the incoming edges of a step,
 // sorted naturally. For OUTPUT it returns the run's final outputs.
 func (r *Run) InputsOf(node string) []string {
+	r.strings()
 	var out []string
 	for _, p := range r.g.Predecessors(node) {
 		out = mergeDataIDs(out, r.edgeData[[2]string{p, node}])
@@ -233,6 +290,7 @@ func (r *Run) InputsOf(node string) []string {
 // OutputsOf returns the union of data ids on the outgoing edges of a step.
 // For INPUT it returns all externally provided data.
 func (r *Run) OutputsOf(node string) []string {
+	r.strings()
 	var out []string
 	for _, s := range r.g.Successors(node) {
 		out = mergeDataIDs(out, r.edgeData[[2]string{node, s}])
@@ -248,6 +306,7 @@ func (r *Run) ExternalInputs() []string { return r.OutputsOf(spec.Input) }
 
 // AllData returns every data id seen in the run, sorted naturally.
 func (r *Run) AllData() []string {
+	r.strings()
 	out := make([]string, 0, len(r.producer))
 	for d := range r.producer {
 		out = append(out, d)
@@ -257,40 +316,29 @@ func (r *Run) AllData() []string {
 }
 
 // NumData returns the number of distinct data objects.
-func (r *Run) NumData() int { return len(r.producer) }
+func (r *Run) NumData() int {
+	if ix := r.snap; ix != nil {
+		return ix.NumData()
+	}
+	return len(r.producer)
+}
 
 // HasData reports whether d appears in the run.
 func (r *Run) HasData(d string) bool {
+	if ix := r.snap; ix != nil {
+		_, ok := ix.DataID(d)
+		return ok
+	}
 	_, ok := r.producer[d]
 	return ok
 }
 
 // Validate checks the structural requirements of Section II: the execution
 // graph is acyclic and every step lies on some path from INPUT to OUTPUT.
-// When the compact index is already built (a snapshot load pre-builds it),
-// the checks run as integer traversals over the index — same invariants,
-// same errors, no string-keyed graph walk.
+// The checks are integer sweeps over the compact index, which a run being
+// loaded needs next anyway and a snapshot-adopted run already has.
 func (r *Run) Validate() error {
-	r.indexMu.Lock()
-	ix := r.index
-	r.indexMu.Unlock()
-	if ix != nil {
-		return ix.validateStructure()
-	}
-	if !r.g.IsAcyclic() {
-		return fmt.Errorf("run %q: %w", r.id, ErrCyclicRun)
-	}
-	fwd := r.g.Reach(spec.Input)
-	bwd := r.g.ReachBack(spec.Output)
-	for id := range r.steps {
-		if !fwd[id] {
-			return fmt.Errorf("run %q: step %q unreachable from INPUT: %w", r.id, id, ErrDisconnected)
-		}
-		if !bwd[id] {
-			return fmt.Errorf("run %q: step %q cannot reach OUTPUT: %w", r.id, id, ErrDisconnected)
-		}
-	}
-	return nil
+	return r.Index().validateStructure()
 }
 
 // ConformsTo checks the run against a specification: every step's module
@@ -302,6 +350,7 @@ func (r *Run) ConformsTo(s *spec.Spec) error {
 	if s.Name() != r.specName {
 		return fmt.Errorf("run %q executes %q, not %q: %w", r.id, r.specName, s.Name(), ErrNonConformant)
 	}
+	r.strings()
 	for _, st := range r.steps {
 		if !s.HasModule(st.Module) {
 			return fmt.Errorf("run %q: step %q instantiates unknown module %q: %w", r.id, st.ID, st.Module, ErrNonConformant)
@@ -324,6 +373,7 @@ func (r *Run) ConformsTo(s *spec.Spec) error {
 // StepsOfModule returns the ids of the steps instantiating module, in
 // natural order — several when the module sits in an unrolled loop.
 func (r *Run) StepsOfModule(module string) []string {
+	r.strings()
 	var out []string
 	for id, s := range r.steps {
 		if s.Module == module {

@@ -22,6 +22,7 @@ type Stats struct {
 // Stats computes the run statistics. The run must be acyclic (guaranteed
 // for validated runs); on a cyclic graph depth is reported as zero.
 func (r *Run) Stats() Stats {
+	r.strings()
 	st := Stats{
 		Steps:          r.NumSteps(),
 		Edges:          r.NumEdges(),

@@ -60,10 +60,9 @@ const DefaultSlowThreshold = 10 * time.Millisecond
 // maxBodyBytes bounds request bodies; provenance requests are tiny.
 const maxBodyBytes = 1 << 20
 
-// maxCachedViews bounds the built-view memo; past it the memo resets.
-// Views are tiny, but the engine memoizes projection mappings by view
-// pointer, so serving a fresh view object per request would also leak
-// mappings — the cache is correctness-adjacent, not just speed.
+// maxCachedViews bounds the built-view memo; past it the memo resets. The
+// engine memoizes mappings by view pointer (its memo is bounded too), so a
+// repeated request must meet the same view object to meet its mapping.
 const maxCachedViews = 1024
 
 // Server serves provenance queries over HTTP. Construct with New, install
@@ -683,14 +682,6 @@ func (s *Server) handleBatch(ctx context.Context, tr *obs.Trace, w http.Response
 	})
 }
 
-// runInfo is one row of GET /v1/runs.
-type runInfo struct {
-	ID    string `json:"id"`
-	Spec  string `json:"spec"`
-	Steps int    `json:"steps"`
-	Edges int    `json:"edges"`
-}
-
 // runsResponse is the body of GET /v1/runs: the run list sorted by id
 // plus an explicit count. The sort and count are load-bearing for the
 // cluster router, whose scatter-gather merge needs stable, dedupable
@@ -698,29 +689,20 @@ type runInfo struct {
 // merged response so a fully-healthy cluster answer is byte-identical to
 // a single node's.
 type runsResponse struct {
-	TraceID string    `json:"trace_id"`
-	Count   int       `json:"count"`
-	Runs    []runInfo `json:"runs"`
+	TraceID string              `json:"trace_id"`
+	Count   int                 `json:"count"`
+	Runs    []warehouse.RunInfo `json:"runs"`
 }
 
-// handleRuns lists the loaded runs, deterministically sorted by run id.
+// handleRuns lists the loaded runs, deterministically sorted by run id,
+// from the warehouse's catalog: no run is materialized to be listed.
 func (s *Server) handleRuns(_ context.Context, tr *obs.Trace, w http.ResponseWriter, _ *http.Request) {
 	e := s.engineOr503(w, tr)
 	if e == nil {
 		return
 	}
-	wh := e.Warehouse()
-	ids := wh.RunIDs() // sorted by the warehouse
-	out := make([]runInfo, 0, len(ids))
-	for _, id := range ids {
-		r, err := wh.Run(id)
-		if err != nil {
-			continue // dropped between listing and lookup
-		}
-		out = append(out, runInfo{ID: id, Spec: r.SpecName(), Steps: r.NumSteps(), Edges: r.NumEdges()})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	writeJSON(w, http.StatusOK, runsResponse{TraceID: tr.ID(), Count: len(out), Runs: out})
+	runs := e.Warehouse().RunCatalog() // sorted by the warehouse
+	writeJSON(w, http.StatusOK, runsResponse{TraceID: tr.ID(), Count: len(runs), Runs: runs})
 }
 
 // handleStats returns the warehouse statistics (catalog row counts, cache

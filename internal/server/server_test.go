@@ -9,6 +9,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -20,6 +22,7 @@ import (
 	"repro/internal/run"
 	"repro/internal/spec"
 	"repro/internal/warehouse"
+	"repro/internal/wflog"
 )
 
 // newTestEngine loads the paper's running example (Figure 1 spec, Figure 2
@@ -330,8 +333,8 @@ func TestServerRunsAndStats(t *testing.T) {
 	h := s.Handler()
 
 	var runsResp struct {
-		TraceID string    `json:"trace_id"`
-		Runs    []runInfo `json:"runs"`
+		TraceID string              `json:"trace_id"`
+		Runs    []warehouse.RunInfo `json:"runs"`
 	}
 	if rec := doJSON(t, h, "GET", "/v1/runs", nil, &runsResp); rec.Code != 200 {
 		t.Fatalf("/v1/runs: %d", rec.Code)
@@ -350,6 +353,73 @@ func TestServerRunsAndStats(t *testing.T) {
 	if len(statsResp.Stats) == 0 {
 		t.Fatal("empty stats")
 	}
+}
+
+// TestServerRunsListsFromDirectory: GET /v1/runs on a freshly opened v3
+// snapshot answers from the run directory — no run materializes — with the
+// bytes a heap warehouse holding the same runs answers (the router's merged
+// listing is assembled from these).
+func TestServerRunsListsFromDirectory(t *testing.T) {
+	heap := newTestEngine(t)
+	hw := heap.Warehouse()
+	second, err := run.FromLog("fig2-again", "phylogenomics", mustToLog(t, run.Figure2()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := hw.LoadRun(second); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "wh.v3")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := hw.SaveV3(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	mapped, err := warehouse.OpenV3(path, 0, warehouse.LoadOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mapped.Close()
+
+	list := func(e *provenance.Engine) []byte {
+		s, err := New(obs.NewRegistry(), Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.SetEngine(e)
+		req := httptest.NewRequest("GET", "/v1/runs", nil)
+		req.Header.Set(TraceIDHeader, "00000000000000aa")
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, req)
+		if rec.Code != 200 {
+			t.Fatalf("/v1/runs: %d %s", rec.Code, rec.Body)
+		}
+		return rec.Body.Bytes()
+	}
+	got, want := list(provenance.NewEngine(mapped)), list(heap)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("listing differs:\nmapped %s\nheap   %s", got, want)
+	}
+	if !bytes.Contains(got, []byte(`"count":2`)) {
+		t.Fatalf("listing: %s", got)
+	}
+	if st := mapped.Stats().Snapshot; st.RunsTotal != 2 || st.RunsMaterialized != 0 {
+		t.Fatalf("listing materialized runs: %+v", st)
+	}
+}
+
+func mustToLog(t *testing.T, r *run.Run) []wflog.Event {
+	t.Helper()
+	events, err := r.ToLog()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return events
 }
 
 func TestServerMetricsExposition(t *testing.T) {

@@ -153,18 +153,11 @@ func (w *Warehouse) DeepProvenanceStrategyCtx(ctx context.Context, runID, d stri
 func (w *Warehouse) computeUAdminClosure(ctx context.Context, runID, d string, strat ClosureStrategy) (*Closure, string, error) {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
-	if w.closed {
-		return nil, "", ErrClosed
-	}
-	rt, ok := w.runs[runID]
-	if !ok {
-		return nil, "", fmt.Errorf("%w: %q", ErrUnknownRun, runID)
-	}
-	if err := w.resolveLocked(rt); err != nil {
+	rt, err := w.tablesLocked(runID)
+	if err != nil {
 		return nil, "", err
 	}
-	r := rt.run
-	if !r.HasData(d) {
+	if !rt.run.HasData(d) {
 		return nil, "", fmt.Errorf("%w: %q in run %q", ErrUnknownData, d, runID)
 	}
 	if l := w.labelsFor(rt, strat); l != nil {
@@ -192,18 +185,11 @@ func (w *Warehouse) DeepDerivation(runID, d string) (*Closure, error) {
 func (w *Warehouse) DeepDerivationStrategy(runID, d string, strat ClosureStrategy) (*Closure, error) {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
-	if w.closed {
-		return nil, ErrClosed
-	}
-	rt, ok := w.runs[runID]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownRun, runID)
-	}
-	if err := w.resolveLocked(rt); err != nil {
+	rt, err := w.tablesLocked(runID)
+	if err != nil {
 		return nil, err
 	}
-	r := rt.run
-	if !r.HasData(d) {
+	if !rt.run.HasData(d) {
 		return nil, fmt.Errorf("%w: %q in run %q", ErrUnknownData, d, runID)
 	}
 	if l := w.labelsFor(rt, strat); l != nil {
@@ -220,23 +206,22 @@ func (w *Warehouse) DeepDerivationStrategy(runID, d string, strat ClosureStrateg
 func (w *Warehouse) ImmediateProvenance(runID, d string) (string, []string, error) {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
-	if w.closed {
-		return "", nil, ErrClosed
-	}
-	rt, ok := w.runs[runID]
-	if !ok {
-		return "", nil, fmt.Errorf("%w: %q", ErrUnknownRun, runID)
-	}
-	if err := w.resolveLocked(rt); err != nil {
+	rt, err := w.tablesLocked(runID)
+	if err != nil {
 		return "", nil, err
 	}
-	r := rt.run
-	p, ok := r.Producer(d)
+	ix := rt.index
+	id, ok := ix.DataID(d)
 	if !ok {
 		return "", nil, fmt.Errorf("%w: %q in run %q", ErrUnknownData, d, runID)
 	}
-	if p == "" {
+	p := ix.Producer(id)
+	if p < 0 {
 		return "", nil, nil
 	}
-	return p, r.InputsOf(p), nil
+	var inputs []string
+	for _, in := range ix.InputsOf(p) {
+		inputs = append(inputs, ix.DataName(in))
+	}
+	return ix.StepName(p), inputs, nil
 }

@@ -76,14 +76,8 @@ func indexedDerivationClosure(ix *run.Index, d string) *Closure {
 func (w *Warehouse) RunIndex(runID string) *run.Index {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
-	if w.closed {
-		return nil
-	}
-	rt, ok := w.runs[runID]
-	if !ok {
-		return nil
-	}
-	if err := w.resolveLocked(rt); err != nil {
+	rt, err := w.tablesLocked(runID)
+	if err != nil {
 		return nil
 	}
 	return rt.index

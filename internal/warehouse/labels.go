@@ -118,14 +118,8 @@ func (w *Warehouse) LabelIndexEnabled() bool {
 func (w *Warehouse) RunLabels(runID string) *run.Labels {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
-	if w.closed {
-		return nil
-	}
-	rt, ok := w.runs[runID]
-	if !ok {
-		return nil
-	}
-	if err := w.resolveLocked(rt); err != nil {
+	rt, err := w.tablesLocked(runID)
+	if err != nil {
 		return nil
 	}
 	return rt.labels

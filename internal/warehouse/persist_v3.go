@@ -25,8 +25,9 @@ import (
 // little-endian at their natural alignment, and OpenV3 aliases them straight
 // out of the mapping with unsafe.Slice. Opening costs the header, the
 // section directory, the JSON spec/view islands and the run directory —
-// O(catalog), not O(warehouse); each run's tables materialize lazily on
-// first query.
+// O(catalog), not O(warehouse); each run materializes lazily on first query,
+// which costs the block's checksum and invariant checks and adopts the
+// tables where they lie.
 //
 // File layout (all integers little-endian):
 //
@@ -694,10 +695,11 @@ func parseV3RunDir(body []byte, runDataOff, runDataLen uint64) ([]v3RunRec, erro
 	return recs, nil
 }
 
-// materialize builds the run and its index from the block, verifying the
-// block checksum and every structural invariant first. Called exactly once
-// per lazyRun (through sync.Once); on success it publishes run/index (and
-// labels when requested) into rt.
+// materialize adopts the block as the run's index, verifying the block
+// checksum and every structural invariant first; the run's string relations
+// stay unbuilt until a tool asks the run for them (run.ReconstructArena).
+// Called exactly once per lazyRun (through sync.Once); on success it
+// publishes run/index (and labels when requested) into rt.
 func (lz *lazyRun) materialize(rt *runTables, w *Warehouse) {
 	r, err := decodeRunBlockV3(lz.data, lz.rec)
 	if err != nil {
@@ -709,7 +711,7 @@ func (lz *lazyRun) materialize(rt *runTables, w *Warehouse) {
 		return
 	}
 	rt.run = r
-	rt.index = r.Index() // pre-built by ReconstructArena; no second build
+	rt.index = r.Index() // the adopted one; nothing is built here
 	if lz.buildLabels.Load() {
 		if rt.labels = rt.index.BuildLabels(); rt.labels != nil {
 			w.observeLabelBuild()

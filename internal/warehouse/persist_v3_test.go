@@ -12,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/gen"
 	"repro/internal/run"
 	"repro/internal/spec"
 )
@@ -310,6 +311,45 @@ func TestV3BlockChecksum(t *testing.T) {
 	if !reflect.DeepEqual(got, wantAll) {
 		t.Fatal("healthy runs affected by another run's damaged block")
 	}
+}
+
+// TestV3FirstTouchAllocs pins what first touch of a mapped run is: checks
+// over the block plus a handful of tables (the name tables, the flow list,
+// the index), not a string-keyed copy of the run. A Class4-large run (about
+// 1,100 steps and 6,000 data objects) materialized with 9,330 allocations
+// when it was; the ceiling keeps that from creeping back.
+func TestV3FirstTouchAllocs(t *testing.T) {
+	const measured = 3
+	g := gen.NewGenerator(10)
+	s := g.Workflow(gen.Class4(), "touch")
+	w := New(0)
+	mustT(t, w.RegisterSpec(s))
+	ids := make([]string, measured+1) // AllocsPerRun warms up with one call
+	for i := range ids {
+		ids[i] = "touch-" + string(rune('a'+i))
+		r, _, err := g.Run(s, gen.Large(), ids[i])
+		mustT(t, err)
+		mustT(t, w.LoadRun(r))
+	}
+	path, _ := saveV3Temp(t, w)
+	mapped, err := OpenV3(path, 0, LoadOptions{})
+	mustT(t, err)
+	defer mapped.Close()
+	next := 0
+	allocs := testing.AllocsPerRun(measured, func() {
+		r, err := mapped.Run(ids[next])
+		if err != nil || r.NumSteps() < 500 {
+			t.Fatalf("touch %s: %v, %v", ids[next], r, err)
+		}
+		next++
+	})
+	if st := mapped.Stats().Snapshot; st.RunsMaterialized != len(ids) {
+		t.Fatalf("touched %d runs, %d materialized", len(ids), st.RunsMaterialized)
+	}
+	if allocs > 64 {
+		t.Fatalf("first touch of a mapped Class4-large run: %.0f allocations, ceiling 64", allocs)
+	}
+	t.Logf("first touch: %.0f allocations", allocs)
 }
 
 // deepAnswers2 is deepAnswers tolerating per-run materialization errors

@@ -3,6 +3,7 @@ package warehouse
 import (
 	"fmt"
 	"io"
+	"sort"
 
 	"repro/internal/obs"
 )
@@ -130,6 +131,36 @@ func (w *Warehouse) Stats() Stats {
 		st.Metrics = &snap
 	}
 	return st
+}
+
+// RunInfo is one row of the run catalog, and of GET /v1/runs.
+type RunInfo struct {
+	ID    string `json:"id"`
+	Spec  string `json:"spec"`
+	Steps int    `json:"steps"`
+	Edges int    `json:"edges"`
+}
+
+// RunCatalog lists the loaded runs, sorted by id. A run opened from a v3
+// snapshot is listed from the snapshot's run directory, whether or not it
+// has materialized (materialization verifies the block against the same
+// counts), so a listing never forces a run resident and never hides one
+// whose block is damaged.
+func (w *Warehouse) RunCatalog() []RunInfo {
+	w.mu.RLock()
+	defer w.mu.RUnlock()
+	out := make([]RunInfo, 0, len(w.runs))
+	for id, rt := range w.runs {
+		info := RunInfo{ID: id, Spec: rt.specName}
+		if lz := rt.lazy; lz != nil {
+			info.Steps, info.Edges = lz.rec.steps, lz.rec.edges
+		} else {
+			info.Steps, info.Edges = rt.run.NumSteps(), rt.run.NumEdges()
+		}
+		out = append(out, info)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	return out
 }
 
 // String renders the statistics on one line.

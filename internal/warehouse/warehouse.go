@@ -129,6 +129,22 @@ func (w *Warehouse) resolveLocked(rt *runTables) error {
 	return lz.err
 }
 
+// tablesLocked returns the tables of a run, materialized: every first touch
+// of a lazily-opened run goes through here. Callers hold w.mu.
+func (w *Warehouse) tablesLocked(runID string) (*runTables, error) {
+	if w.closed {
+		return nil, ErrClosed
+	}
+	rt, ok := w.runs[runID]
+	if !ok {
+		return nil, fmt.Errorf("%w: %q", ErrUnknownRun, runID)
+	}
+	if err := w.resolveLocked(rt); err != nil {
+		return nil, err
+	}
+	return rt, nil
+}
+
 // New returns an empty warehouse. cacheSize bounds the number of cached
 // UAdmin closures (the "temporary tables"); zero selects the default 1024.
 func New(cacheSize int) *Warehouse {
@@ -320,14 +336,8 @@ func (w *Warehouse) LoadLogReader(runID, specName string, src io.Reader) (int, e
 func (w *Warehouse) Run(id string) (*run.Run, error) {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
-	if w.closed {
-		return nil, ErrClosed
-	}
-	rt, ok := w.runs[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownRun, id)
-	}
-	if err := w.resolveLocked(rt); err != nil {
+	rt, err := w.tablesLocked(id)
+	if err != nil {
 		return nil, err
 	}
 	return rt.run, nil
