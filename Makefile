@@ -22,14 +22,13 @@ test:
 race:
 	$(GO) test -race -run 'Concurrent|Stress' ./...
 
-# Short fuzzing passes over six fuzz targets; long runs are
+# Short fuzzing passes over five fuzz targets; long runs are
 # `go test -fuzz=FuzzConnectBy ./internal/warehouse/` etc. FuzzAppendResponse
 # runs without minimization: nearly every input reaches new coverage inside
 # encoding/json, and minimizing each would leave a 10 s pass ~100 executions.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzConnectBy -fuzztime=10s ./internal/warehouse/
 	$(GO) test -run='^$$' -fuzz=FuzzRelevUserViewBuilder -fuzztime=10s ./internal/core/
-	$(GO) test -run='^$$' -fuzz=FuzzReachLabels -fuzztime=10s ./internal/run/
 	$(GO) test -run='^$$' -fuzz=FuzzSnapshotV3 -fuzztime=10s ./internal/warehouse/
 	$(GO) test -run='^$$' -fuzz=FuzzCompositeBuild -fuzztime=10s ./internal/composite/
 	$(GO) test -run='^$$' -fuzz=FuzzAppendResponse -fuzztime=10s -fuzzminimizetime=0 ./internal/server/
@@ -50,7 +49,8 @@ bench:
 # benchmark that no longer builds, panics or fails its own assertions
 # (BenchmarkHarnessEndToEnd runs the whole experiment registry) without
 # paying benchmark time. The answer-path rows of EXPERIMENTS.md are
-# `go test -run '^$$' -bench AnswerPath -benchmem .`
+# `go test -run '^$$' -bench AnswerPath -benchmem .`, the closure row
+# `-bench Closure`.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=1x -benchmem .
 

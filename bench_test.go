@@ -250,131 +250,36 @@ func BenchmarkFig11Granularity(b *testing.B) {
 	}
 }
 
-// newLabelSite is newFig10Site with the warehouse's reachability label
-// index switched on or off before the run is loaded — the two sides of
-// the P2 comparison. The same seed yields the identical workflow and run.
-func newLabelSite(b *testing.B, class gen.WorkflowClass, rc gen.RunClass, seed int64, labels bool) *fig10Site {
-	b.Helper()
-	g := gen.NewGenerator(seed)
-	site := &fig10Site{}
-	site.s = g.Workflow(class, "p2")
-	var err error
-	site.r, _, err = g.Run(site.s, rc, "p2-run")
-	if err != nil {
-		b.Fatal(err)
-	}
-	site.w = warehouse.New(0)
-	site.w.SetLabelIndex(labels)
-	if err := site.w.RegisterSpec(site.s); err != nil {
-		b.Fatal(err)
-	}
-	if err := site.w.LoadRun(site.r); err != nil {
-		b.Fatal(err)
-	}
-	if labels && site.w.RunLabels(site.r.ID()) == nil {
-		b.Fatalf("label builder declined the %s run", rc.Name)
-	}
-	site.e = provenance.NewEngine(site.w)
-	finals := site.r.FinalOutputs()
-	site.root = finals[len(finals)-1]
-	site.admin = core.UAdmin(site.s)
-	if site.bio, err = core.BuildRelevant(site.s, gen.UBioRelevant(site.s)); err != nil {
-		b.Fatal(err)
-	}
-	return site
-}
-
-// labelModes are the two sides of the P2 experiment.
-var labelModes = []struct {
-	name   string
-	labels bool
-}{{"bfs", false}, {"labels", true}}
-
-// BenchmarkLabelsColdQuery (P2) compares the cold deep-provenance query
-// (UAdmin closure compute + projection, cache reset each iteration) on the
-// bitset BFS path versus the reachability-label path, per Table II run
-// class on the loop profile (Class4 — the largest runs).
-func BenchmarkLabelsColdQuery(b *testing.B) {
-	kinds := gen.RunClasses()
-	kinds[2].MaxNodes = 3000
-	for _, rc := range kinds {
-		for _, mode := range labelModes {
-			b.Run(rc.Name+"/"+mode.name, func(b *testing.B) {
-				site := newLabelSite(b, gen.Class4(), rc, 51, mode.labels)
-				strat := warehouse.StrategyBFS
-				if mode.labels {
-					strat = warehouse.StrategyLabels
-				}
-				if _, err := site.e.DeepProvenanceStrategy(site.r.ID(), site.bio, site.root, strat); err != nil {
-					b.Fatal(err)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					site.w.ResetCache()
-					if _, err := site.e.DeepProvenanceStrategy(site.r.ID(), site.bio, site.root, strat); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
+// BenchmarkClosure times the layer under every deep query: one cold UAdmin
+// closure on a Class4-large run (generator seed 11, the shape of zoomload's
+// cold-deep corpus). "provenance" is the backward closure of the last final
+// output, invalidated before every call so the number includes the cache's
+// miss bookkeeping; "derivation" is the forward closure of an external
+// input, which is never cached. -benchmem shows the traversal's garbage.
+func BenchmarkClosure(b *testing.B) {
+	site := newFig10Site(b, gen.Class4(), gen.Large(), 11)
+	w, r, root := site.w, site.r, site.root
+	b.Run("provenance", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			w.Invalidate(r.ID(), root)
+			if _, err := w.DeepProvenance(r.ID(), root); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
-}
-
-// BenchmarkLabelsDerivation (P2) covers the forward direction: cold deep
-// derivation of an external input (suffix scans vs forward BFS).
-func BenchmarkLabelsDerivation(b *testing.B) {
-	rc := gen.Medium()
-	for _, mode := range labelModes {
-		b.Run(mode.name, func(b *testing.B) {
-			site := newLabelSite(b, gen.Class4(), rc, 52, mode.labels)
-			ins := site.r.ExternalInputs()
-			if len(ins) == 0 {
-				b.Skip("run has no external inputs")
-			}
-			d := ins[0]
-			strat := warehouse.StrategyBFS
-			if mode.labels {
-				strat = warehouse.StrategyLabels
-			}
-			if _, err := site.e.DeepDerivationStrategy(site.r.ID(), site.bio, d, strat); err != nil {
+	})
+	b.Run("derivation", func(b *testing.B) {
+		ins := r.ExternalInputs()
+		if len(ins) == 0 {
+			b.Skip("run has no external inputs")
+		}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := w.DeepDerivation(r.ID(), ins[0]); err != nil {
 				b.Fatal(err)
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				site.w.ResetCache()
-				if _, err := site.e.DeepDerivationStrategy(site.r.ID(), site.bio, d, strat); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkLabelsBuild (P2) prices the one-time label build the load path
-// pays per run — the cost SetLabelIndex amortizes over every later query.
-func BenchmarkLabelsBuild(b *testing.B) {
-	kinds := gen.RunClasses()
-	kinds[2].MaxNodes = 3000
-	for _, rc := range kinds {
-		b.Run(rc.Name, func(b *testing.B) {
-			g := gen.NewGenerator(53)
-			s := g.Workflow(gen.Class4(), "p2b")
-			r, _, err := g.Run(s, rc, "p2b-run")
-			if err != nil {
-				b.Fatal(err)
-			}
-			ix := r.Index()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if ix.BuildLabels() == nil {
-					b.Fatal("label builder declined the run")
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkAblationNRPath (A1) compares the memoized nr-path fronts the
@@ -652,179 +557,6 @@ func shardCluster(b *testing.B, full *warehouse.Warehouse, n int) *client.Client
 	front := httptest.NewServer(rt.Handler())
 	b.Cleanup(front.Close)
 	return client.New(front.URL, client.Options{})
-}
-
-// BenchmarkShardedRouting (S1) isolates the router's own cost: a warm deep
-// query answered directly by one worker vs through the consistent-hash
-// router at 1 and 4 shards (the delta is the forwarding hop), plus the
-// scatter-gather /v1/runs merge across 4 shards. The throughput-scaling
-// claim itself lives in zoombench -only S1, which emulates per-worker
-// machine capacity.
-func BenchmarkShardedRouting(b *testing.B) {
-	g := gen.NewGenerator(31)
-	sp := g.Workflow(gen.Classes()[0], "bench-shard")
-	full := warehouse.New(0)
-	if err := full.RegisterSpec(sp); err != nil {
-		b.Fatal(err)
-	}
-	type target struct{ run, data string }
-	var targets []target
-	for i := 0; i < 8; i++ {
-		r, _, err := g.Run(sp, gen.Small(), fmt.Sprintf("bs-run-%02d", i))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := full.LoadRun(r); err != nil {
-			b.Fatal(err)
-		}
-		targets = append(targets, target{run: r.ID(), data: r.AllData()[0]})
-	}
-	ctx := context.Background()
-
-	s, err := server.New(obs.NewRegistry(), server.Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	s.SetEngine(provenance.NewEngine(full))
-	direct := httptest.NewServer(s.Handler())
-	b.Cleanup(direct.Close)
-	dc := client.New(direct.URL, client.Options{})
-
-	query := func(b *testing.B, c *client.Client) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			t := targets[i%len(targets)]
-			if _, err := c.Query(ctx, client.QueryRequest{Run: t.run, Data: t.data}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("direct", func(b *testing.B) { query(b, dc) })
-	for _, n := range []int{1, 4} {
-		c := shardCluster(b, full, n)
-		b.Run(fmt.Sprintf("routed-%dshard", n), func(b *testing.B) { query(b, c) })
-		if n == 4 {
-			b.Run("runs-gather-4shard", func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					rr, err := c.Runs(ctx)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if rr.Count != len(targets) {
-						b.Fatalf("merged %d runs, want %d", rr.Count, len(targets))
-					}
-				}
-			})
-		}
-	}
-}
-
-// replicaCluster boots a 2-shard × 2-replica cluster over full's runs
-// (each replica serving its own subset copy, as real replicas serve
-// identical snapshot copies) and returns a router client, the router,
-// and the per-shard replica servers.
-func replicaCluster(b *testing.B, full *warehouse.Warehouse, cfg cluster.Config) (*client.Client, *cluster.Router, [][]*httptest.Server) {
-	const shards = 2
-	ring, err := cluster.NewRing(shards, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	groups := make([][]string, shards)
-	servers := make([][]*httptest.Server, shards)
-	for k := 0; k < shards; k++ {
-		for j := 0; j < 2; j++ {
-			sub, err := full.Subset(func(id string) bool { return ring.Place(id) == k })
-			if err != nil {
-				b.Fatal(err)
-			}
-			s, err := server.New(obs.NewRegistry(), server.Config{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			s.SetEngine(provenance.NewEngine(sub))
-			ts := httptest.NewServer(s.Handler())
-			b.Cleanup(ts.Close)
-			groups[k] = append(groups[k], ts.URL)
-			servers[k] = append(servers[k], ts)
-		}
-	}
-	cfg.Shards = groups
-	rt, err := cluster.New(obs.NewRegistry(), cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	front := httptest.NewServer(rt.Handler())
-	b.Cleanup(front.Close)
-	return client.New(front.URL, client.Options{}), rt, servers
-}
-
-// BenchmarkReplicatedRouting (S2) isolates the replica machinery's cost:
-// a warm deep query through a 2-shard × 2-replica router on the healthy
-// path, on the failover path (preferred replicas dead, breakers open),
-// and on the response-cache hit path. The availability and tail-latency
-// claims live in zoombench -only S2, which emulates per-worker capacity.
-func BenchmarkReplicatedRouting(b *testing.B) {
-	g := gen.NewGenerator(37)
-	sp := g.Workflow(gen.Classes()[0], "bench-replica")
-	full := warehouse.New(0)
-	if err := full.RegisterSpec(sp); err != nil {
-		b.Fatal(err)
-	}
-	type target struct{ run, data string }
-	var targets []target
-	for i := 0; i < 8; i++ {
-		r, _, err := g.Run(sp, gen.Small(), fmt.Sprintf("br-run-%02d", i))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := full.LoadRun(r); err != nil {
-			b.Fatal(err)
-		}
-		targets = append(targets, target{run: r.ID(), data: r.AllData()[0]})
-	}
-	ctx := context.Background()
-	query := func(b *testing.B, c *client.Client) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			t := targets[i%len(targets)]
-			if _, err := c.Query(ctx, client.QueryRequest{Run: t.run, Data: t.data}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-
-	healthy, _, _ := replicaCluster(b, full, cluster.Config{})
-	b.Run("routed-2x2", func(b *testing.B) { query(b, healthy) })
-
-	failover, _, servers := replicaCluster(b, full, cluster.Config{})
-	for _, g := range servers {
-		g[0].CloseClientConnections()
-		g[0].Close()
-	}
-	// Warm the breakers so the steady state measured is open-circuit
-	// candidate selection, not the first failed dials.
-	for i := 0; i < 4; i++ {
-		t := targets[i%len(targets)]
-		if _, err := failover.Query(ctx, client.QueryRequest{Run: t.run, Data: t.data}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.Run("failover-2x2", func(b *testing.B) { query(b, failover) })
-
-	cached, rt, _ := replicaCluster(b, full, cluster.Config{CacheEntries: 1024})
-	// Prime every target so the measured path is pure cache hits.
-	for _, t := range targets {
-		if _, err := cached.Query(ctx, client.QueryRequest{Run: t.run, Data: t.data}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.Run("cache-hit", func(b *testing.B) {
-		query(b, cached)
-		if rt.Registry().Snapshot().Counters["router.cache_hits"] == 0 {
-			b.Fatal("cache-hit bench never hit the cache")
-		}
-	})
 }
 
 // BenchmarkFirstTouch times what the first request for a run pays on a

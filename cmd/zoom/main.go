@@ -6,7 +6,7 @@
 // Subcommands:
 //
 //	zoom example [-warehouse wh.json]     walk through the paper's Figures 1-3
-//	zoom serve   -warehouse wh.json [-addr :8080] [-mmap] [-labels] [-slow 10ms] [-slowlog 128] [-drain 5s] [-expvar zoom]
+//	zoom serve   -warehouse wh.json [-addr :8080] [-mmap] [-slow 10ms] [-slowlog 128] [-drain 5s] [-expvar zoom]
 //	zoom spec    -file spec.json [-dot]   validate / render a specification
 //	zoom view    -file spec.json -relevant M2,M3,M7 [-dot]
 //	zoom load    -warehouse wh.json -file spec.json [-log run.jsonl -run id] [-parallel N] [-format json|v3|keep]
@@ -14,7 +14,7 @@
 //	zoom snapshot convert -in old.snap -out new.snap [-format v3]
 //	zoom snapshot shard -in wh.v3 -n 4 [-out prefix] [-replicas 128] [-format keep]
 //	zoom router  -workers http://h1:8081,http://h2:8082 [-addr :8090] [-replicas 128] [-slow 10ms] [-slowlog 128] [-drain 5s]
-//	zoom query   -warehouse wh.json -run id -data d447[,d448,...] [-parallel N] [-relevant ...] [-mode deep|immediate|derived] [-labels] [-dot] [-trace]
+//	zoom query   -warehouse wh.json -run id -data d447[,d448,...] [-parallel N] [-relevant ...] [-mode deep|immediate|derived] [-dot] [-trace]
 //	zoom runs    -warehouse wh.json       list warehouse contents
 //	zoom stats   -warehouse wh.json [-json]  warehouse statistics and metrics
 //	zoom stats   -cluster http://router:8090 [-json]  aggregated cluster statistics via a router
@@ -429,7 +429,6 @@ func cmdServe(args []string) error {
 	drain := fs.Duration("drain", 5*time.Second, "graceful-shutdown drain timeout")
 	expvarName := fs.String("expvar", "zoom", `expvar name for the live metrics snapshot ("" skips /debug/vars publishing)`)
 	workers := fs.Int("workers", 0, "default worker pool per batch request (0 = GOMAXPROCS)")
-	labels := fs.Bool("labels", false, "build reachability label indexes at load time (deep queries become interval scans; per-request \"labels\" overrides still apply)")
 	mmap := fs.Bool("mmap", false, "serve a v3 snapshot straight from a memory map: no load phase, runs materialize lazily on first query")
 	_ = fs.Parse(args)
 	if *whPath == "" {
@@ -482,7 +481,7 @@ func cmdServe(args []string) error {
 	loadErr := make(chan error, 1)
 	sysc := make(chan *zoom.System, 1)
 	go func() {
-		opts := zoom.LoadOptions{Workers: *parallel, Metrics: reg, Labels: *labels, Progress: progress}
+		opts := zoom.LoadOptions{Workers: *parallel, Metrics: reg, Progress: progress}
 		var (
 			sys *zoom.System
 			err error
@@ -499,18 +498,13 @@ func cmdServe(args []string) error {
 		}
 		sysc <- sys
 		sys.ConnectServer(srv)
-		extra := ""
-		if *labels {
-			lc := sys.LabelCounters()
-			extra = fmt.Sprintf(", %d label indexes", lc.Builds)
-		}
 		if snap := sys.Stats().Snapshot; snap.Mapped {
-			fmt.Fprintf(os.Stderr, "zoom serve: warehouse %s mapped (v%d snapshot, %d runs, %d bytes%s), ready\n",
-				*whPath, snap.Version, snap.RunsTotal, snap.MappedBytes, extra)
+			fmt.Fprintf(os.Stderr, "zoom serve: warehouse %s mapped (v%d snapshot, %d runs, %d bytes), ready\n",
+				*whPath, snap.Version, snap.RunsTotal, snap.MappedBytes)
 			return
 		}
-		fmt.Fprintf(os.Stderr, "zoom serve: warehouse %s loaded (%d runs%s), ready\n",
-			*whPath, len(sys.RunIDs()), extra)
+		fmt.Fprintf(os.Stderr, "zoom serve: warehouse %s loaded (%d runs), ready\n",
+			*whPath, len(sys.RunIDs()))
 	}()
 	err = srv.Serve(ctx, ln, *drain)
 	select {
@@ -610,9 +604,9 @@ func loadSystemWith(path string, workers int, reg *zoom.Metrics) (*zoom.System, 
 	return loadSystemOpts(path, zoom.LoadOptions{Workers: workers, Metrics: reg})
 }
 
-// loadSystemOpts is loadSystemWith with the full load options (label
-// indexing in particular). A missing snapshot file yields an empty system
-// with the options still applied.
+// loadSystemOpts is loadSystemWith with the full load options (the load
+// progress callback in particular). A missing snapshot file yields an empty
+// system with the metrics registry still attached.
 func loadSystemOpts(path string, opts zoom.LoadOptions) (*zoom.System, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -620,9 +614,6 @@ func loadSystemOpts(path string, opts zoom.LoadOptions) (*zoom.System, error) {
 			sys := zoom.NewSystem()
 			if opts.Metrics != nil {
 				sys.AttachMetrics(opts.Metrics)
-			}
-			if opts.Labels {
-				sys.SetLabelIndex(true)
 			}
 			return sys, nil
 		}
@@ -764,9 +755,8 @@ func cmdQuery(args []string) error {
 	parallel := fs.Int("parallel", 1, "worker goroutines for a multi-data deep batch (0 = GOMAXPROCS)")
 	asDot := fs.Bool("dot", false, "emit Graphviz DOT of the provenance graph")
 	asProv := fs.Bool("prov", false, "emit W3C PROV-JSON (deep mode only)")
-	stats := fs.Bool("stats", false, "print warehouse statistics (catalog, cache, compact index, labels) after answering")
+	stats := fs.Bool("stats", false, "print warehouse statistics (catalog, cache, compact index) after answering")
 	trace := fs.Bool("trace", false, "print a per-stage timing breakdown (cold query, then warm re-query; deep mode, single -data)")
-	labels := fs.Bool("labels", false, "build reachability label indexes at load time and answer via interval scans")
 	_ = fs.Parse(args)
 	if *whPath == "" || *runID == "" || *data == "" {
 		return fmt.Errorf("query: -warehouse, -run and -data are required")
@@ -775,7 +765,7 @@ func cmdQuery(args []string) error {
 	if *trace {
 		reg = zoom.NewMetrics()
 	}
-	sys, err := loadSystemOpts(*whPath, zoom.LoadOptions{Metrics: reg, Labels: *labels})
+	sys, err := loadSystemWith(*whPath, 0, reg)
 	if err != nil {
 		return err
 	}
@@ -835,12 +825,12 @@ func cmdQuery(args []string) error {
 			// the paper's view-switch cost. The breakdown goes to stderr so
 			// stdout stays exactly the query answer (-prov output remains
 			// valid JSON, -dot valid DOT) under -trace.
-			_, cold, err := sys.DeepProvenanceTraced(*runID, v, *data)
+			_, cold, err := sys.DeepProvenanceTracedCtx(context.Background(), *runID, v, *data)
 			if err != nil {
 				return err
 			}
 			fmt.Fprintf(os.Stderr, "cold %s\n", cold)
-			_, warm, err := sys.DeepProvenanceTraced(*runID, v, *data)
+			_, warm, err := sys.DeepProvenanceTracedCtx(context.Background(), *runID, v, *data)
 			if err != nil {
 				return err
 			}
@@ -901,11 +891,6 @@ func printStats(sys *zoom.System) {
 	fmt.Printf("index: runs=%d interned-steps=%d interned-data=%d csr=%dB closure-words=%d\n",
 		st.Index.IndexedRuns, st.Index.InternedSteps, st.Index.InternedData,
 		st.Index.CSRBytes, st.Index.ClosureWords)
-	if st.Labels.Enabled || st.Labels.LabeledRuns > 0 || st.Labels.Fallbacks > 0 {
-		fmt.Printf("labels: runs=%d chains=%d bytes=%d builds=%d hits=%d fallbacks=%d\n",
-			st.Labels.LabeledRuns, st.Labels.Chains, st.Labels.LabelBytes,
-			st.Labels.Builds, st.Labels.Hits, st.Labels.Fallbacks)
-	}
 }
 
 // cmdStats prints warehouse statistics on their own; -json emits the whole

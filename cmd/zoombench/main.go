@@ -6,7 +6,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -20,12 +19,11 @@ import (
 
 func main() {
 	var (
-		full    = flag.Bool("full", false, "paper-scale workload volumes")
-		seed    = flag.Int64("seed", 1, "experiment seed")
-		out     = flag.String("out", "", "also write the reports to this file")
-		csvDir  = flag.String("csv", "", "also write each report as CSV into this directory")
-		jsonOut = flag.String("json", "", "also write the selected reports as a JSON array to this file")
-		only    = flag.String("only", "", "run a single experiment id (T1,T2,E1,E2,F10,E3,E4,F11,E5,A1/A2,C1,P2,S1,S2,O3)")
+		full   = flag.Bool("full", false, "paper-scale workload volumes")
+		seed   = flag.Int64("seed", 1, "experiment seed")
+		out    = flag.String("out", "", "also write the reports to this file")
+		csvDir = flag.String("csv", "", "also write each report as CSV into this directory")
+		only   = flag.String("only", "", "run a single experiment id (T1,T2,E1,E2,F10,E3,E4,F11,E5,A1/A2,C1)")
 	)
 	flag.Parse()
 
@@ -48,14 +46,14 @@ func main() {
 
 	start := time.Now()
 	fmt.Fprintf(w, "ZOOM*UserViews evaluation (seed %d, full=%v)\n\n", *seed, *full)
-	var selected []*zoom.Report
+	ran := 0
 	for _, exp := range zoom.BenchExperiments() {
 		// Filter before running: -only pays for one experiment, not all.
 		if *only != "" && exp.ID != *only {
 			continue
 		}
 		rep := exp.Run(o)
-		selected = append(selected, rep)
+		ran++
 		fmt.Fprintln(w, rep.String())
 		if *csvDir != "" {
 			if err := os.MkdirAll(*csvDir, 0o755); err != nil {
@@ -69,19 +67,9 @@ func main() {
 			}
 		}
 	}
-	if *only != "" && len(selected) == 0 {
+	if *only != "" && ran == 0 {
 		fmt.Fprintf(os.Stderr, "zoombench: unknown experiment id %q\n", *only)
 		os.Exit(1)
-	}
-	if *jsonOut != "" {
-		blob, err := json.MarshalIndent(selected, "", "  ")
-		if err == nil {
-			err = os.WriteFile(*jsonOut, append(blob, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "zoombench:", err)
-			os.Exit(1)
-		}
 	}
 	fmt.Fprintf(w, "total wall time: %s\n", time.Since(start).Round(time.Millisecond))
 }

@@ -497,9 +497,5 @@ func Experiments() []Experiment {
 		{"E5", ExpMinimumGap},
 		{"A1/A2", ExpAblation},
 		{"C1", ExpConcurrent},
-		{"P2", ExpLabels},
-		{"S1", ExpShard},
-		{"S2", ExpReplica},
-		{"O3", ExpObsCluster},
 	}
 }

@@ -7,51 +7,18 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 )
 
-// ReportSchema is the version stamped into report JSON by MarshalJSON.
-// Version 1 is the pre-stamp format (no Schema field — BENCH_P1.json as
-// originally committed); version 2 added the stamp with
-// no other shape change. Readers default a missing stamp to 1, so every
-// historical artifact still round-trips.
-const ReportSchema = 2
-
 // Report is a rendered experiment result: a titled table plus free-form
 // notes (the "expected shape" commentary).
 type Report struct {
-	Schema  int    `json:",omitempty"` // JSON schema version; 0 in memory = current
 	ID      string // experiment id from DESIGN.md (T1, E1, F10, ...)
 	Title   string
 	Headers []string
 	Rows    [][]string
 	Notes   []string
-}
-
-// MarshalJSON writes the report with the current schema stamp (unless the
-// report already carries an explicit version, which is preserved — that is
-// what lets the round-trip test re-encode a legacy artifact unchanged).
-func (r *Report) MarshalJSON() ([]byte, error) {
-	type alias Report // drops the method set: no recursion
-	a := alias(*r)
-	if a.Schema == 0 {
-		a.Schema = ReportSchema
-	}
-	return json.Marshal(a)
-}
-
-// UnmarshalJSON reads report JSON of any schema version: a missing stamp
-// means a version-1 file.
-func (r *Report) UnmarshalJSON(data []byte) error {
-	type alias Report
-	a := alias{Schema: 1}
-	if err := json.Unmarshal(data, &a); err != nil {
-		return err
-	}
-	*r = Report(a)
-	return nil
 }
 
 // Append adds a row, formatting every cell with %v.

@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/warehouse"
 )
 
 // Query is one deep-provenance request: (run, view, data).
@@ -85,7 +84,7 @@ func (e *Engine) serve(ctx context.Context, queries []Query, workers int, onErro
 				// batch response shows per-query concurrency and which
 				// member query was the slow one.
 				qctx, qsp := obs.StartSpan(ctx, "batch.query "+q.Data)
-				res, err := e.deepProvenance(qctx, q.RunID, q.View, q.Data, nil, warehouse.StrategyAuto)
+				res, err := e.deepProvenance(qctx, q.RunID, q.View, q.Data, nil)
 				qsp.End()
 				out[idx] = QueryResult{Index: idx, Query: q, Result: res, Err: err}
 				if err != nil && onError != nil {

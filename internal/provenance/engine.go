@@ -155,7 +155,7 @@ func (r *Result) Tuples() int { return len(r.Executions) + len(r.Data) }
 // data objects / sequence of steps which have been used to produce this
 // data object?" — with respect to a user view.
 func (e *Engine) DeepProvenance(runID string, v *core.UserView, d string) (*Result, error) {
-	return e.deepProvenance(context.Background(), runID, v, d, nil, warehouse.StrategyAuto)
+	return e.deepProvenance(context.Background(), runID, v, d, nil)
 }
 
 // DeepProvenanceCtx is DeepProvenance with a context. When the context
@@ -166,30 +166,17 @@ func (e *Engine) DeepProvenance(runID string, v *core.UserView, d string) (*Resu
 // untraced context costs one nil span check and behaves exactly like
 // DeepProvenance.
 func (e *Engine) DeepProvenanceCtx(ctx context.Context, runID string, v *core.UserView, d string) (*Result, error) {
-	return e.deepProvenance(ctx, runID, v, d, nil, warehouse.StrategyAuto)
-}
-
-// DeepProvenanceStrategy is DeepProvenance with an explicit closure strategy
-// for the UAdmin phase — per-query label selection overriding the
-// warehouse's SetLabelIndex toggle. The projection phase is identical either
-// way; the differential equivalence suite pins the results byte-for-byte.
-func (e *Engine) DeepProvenanceStrategy(runID string, v *core.UserView, d string, strat warehouse.ClosureStrategy) (*Result, error) {
-	return e.deepProvenance(context.Background(), runID, v, d, nil, strat)
-}
-
-// DeepProvenanceStrategyCtx is DeepProvenanceStrategy with a context.
-func (e *Engine) DeepProvenanceStrategyCtx(ctx context.Context, runID string, v *core.UserView, d string, strat warehouse.ClosureStrategy) (*Result, error) {
-	return e.deepProvenance(ctx, runID, v, d, nil, strat)
+	return e.deepProvenance(ctx, runID, v, d, nil)
 }
 
 // deepProvenance is the shared query path behind DeepProvenance and
-// DeepProvenanceTraced. When a metrics registry is attached, a trace is
+// DeepProvenanceTracedCtx. When a metrics registry is attached, a trace is
 // requested, or the context carries a span, it times each stage
 // (closure-cache lookup including compute or wait, then view projection
 // including the memoized mapping's first build); otherwise it never reads
 // the clock, which is what keeps the detached overhead to a few nil checks
 // (BenchmarkObsOverhead pins this).
-func (e *Engine) deepProvenance(ctx context.Context, runID string, v *core.UserView, d string, tr *QueryTrace, strat warehouse.ClosureStrategy) (*Result, error) {
+func (e *Engine) deepProvenance(ctx context.Context, runID string, v *core.UserView, d string, tr *QueryTrace) (*Result, error) {
 	m := e.obs.Load()
 	sp := obs.SpanFromContext(ctx)
 	timed := m != nil || tr != nil || sp != nil
@@ -208,7 +195,7 @@ func (e *Engine) deepProvenance(ctx context.Context, runID string, v *core.UserV
 			ErrForeignView, runID, r.SpecName(), v.Spec().Name())
 	}
 	lctx, lsp := obs.StartSpan(ctx, "query.lookup")
-	closure, o, err := e.w.DeepProvenanceStrategyCtx(lctx, runID, d, timed, strat)
+	closure, o, err := e.w.DeepProvenanceObservedCtx(lctx, runID, d, timed)
 	lsp.End()
 	if err != nil {
 		m.queryError()
@@ -249,7 +236,6 @@ func (e *Engine) deepProvenance(ctx context.Context, runID string, v *core.UserV
 		}
 		if tr != nil {
 			tr.Outcome = o.Outcome.String()
-			tr.Strategy = o.Strategy
 			tr.LookupNs = lookupNs
 			tr.ComputeNs = o.ComputeNs
 			tr.ProjectNs = projectNs
@@ -462,12 +448,6 @@ func (e *Engine) ImmediateProvenanceCtx(ctx context.Context, runID string, v *co
 // attached histogram (query.derivation_ns) records the full traversal each
 // time.
 func (e *Engine) DeepDerivation(runID string, v *core.UserView, d string) (*Result, error) {
-	return e.DeepDerivationStrategy(runID, v, d, warehouse.StrategyAuto)
-}
-
-// DeepDerivationStrategy is DeepDerivation with an explicit closure strategy
-// for the UAdmin traversal (label suffix scans versus forward BFS).
-func (e *Engine) DeepDerivationStrategy(runID string, v *core.UserView, d string, strat warehouse.ClosureStrategy) (*Result, error) {
 	m := e.obs.Load()
 	var start time.Time
 	if m != nil {
@@ -478,7 +458,7 @@ func (e *Engine) DeepDerivationStrategy(runID string, v *core.UserView, d string
 		m.queryError()
 		return nil, err
 	}
-	closure, err := e.w.DeepDerivationStrategy(runID, d, strat)
+	closure, err := e.w.DeepDerivation(runID, d)
 	if err != nil {
 		m.queryError()
 		return nil, err

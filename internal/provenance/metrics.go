@@ -80,11 +80,7 @@ type QueryTrace struct {
 	Data  string `json:"data"`
 	// Outcome is how the closure lookup was served: "hit", "miss", or
 	// "shared-wait".
-	Outcome string `json:"outcome"`
-	// Strategy is the closure computation a miss actually ran ("labels" or
-	// "bfs"); empty for hits and shared waits, which reuse a closure somebody
-	// else computed.
-	Strategy  string `json:"strategy,omitempty"`
+	Outcome   string `json:"outcome"`
 	LookupNs  int64  `json:"lookup_ns"`
 	ComputeNs int64  `json:"compute_ns,omitempty"`
 	ProjectNs int64  `json:"project_ns"`
@@ -99,11 +95,7 @@ type QueryTrace struct {
 // prints.
 func (tr *QueryTrace) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "trace: run=%s data=%s outcome=%s", tr.RunID, tr.Data, tr.Outcome)
-	if tr.Strategy != "" {
-		fmt.Fprintf(&b, " strategy=%s", tr.Strategy)
-	}
-	b.WriteByte('\n')
+	fmt.Fprintf(&b, "trace: run=%s data=%s outcome=%s\n", tr.RunID, tr.Data, tr.Outcome)
 	fmt.Fprintf(&b, "  closure lookup  %12s", time.Duration(tr.LookupNs))
 	if tr.Outcome == warehouse.OutcomeMiss.String() {
 		fmt.Fprintf(&b, "  (compute %s)", time.Duration(tr.ComputeNs))
@@ -115,29 +107,16 @@ func (tr *QueryTrace) String() string {
 	return b.String()
 }
 
-// DeepProvenanceTraced is DeepProvenance plus a filled QueryTrace. Tracing
-// forces timing on even when no registry is attached, so it is the one
-// query path that always pays for clock reads.
-func (e *Engine) DeepProvenanceTraced(runID string, v *core.UserView, d string) (*Result, *QueryTrace, error) {
-	return e.DeepProvenanceTracedCtx(context.Background(), runID, v, d)
-}
-
-// DeepProvenanceTracedCtx is DeepProvenanceTraced with a context: the
-// QueryTrace carries the flat per-stage numbers (outcome, lookup, compute,
-// project), and a context holding a span tree (obs.StartSpan) additionally
-// records the same stages as structured spans. The server uses both — the
-// numbers go in the response body, the spans in ?trace=1 and the slow log.
+// DeepProvenanceTracedCtx is DeepProvenanceCtx plus a filled QueryTrace: the
+// flat per-stage numbers (outcome, lookup, compute, project), which a
+// context holding a span tree (obs.StartSpan) additionally records as
+// structured spans. The server uses both — the numbers go in the response
+// body, the spans in ?trace=1 and the slow log. Tracing forces timing on
+// even when no registry is attached, so it is the one query path that
+// always pays for clock reads.
 func (e *Engine) DeepProvenanceTracedCtx(ctx context.Context, runID string, v *core.UserView, d string) (*Result, *QueryTrace, error) {
-	return e.DeepProvenanceTracedStrategyCtx(ctx, runID, v, d, warehouse.StrategyAuto)
-}
-
-// DeepProvenanceTracedStrategyCtx is DeepProvenanceTracedCtx with an
-// explicit closure strategy — the server's per-request `labels` override
-// lands here. On a miss the trace's Strategy field reports which
-// computation actually ran.
-func (e *Engine) DeepProvenanceTracedStrategyCtx(ctx context.Context, runID string, v *core.UserView, d string, strat warehouse.ClosureStrategy) (*Result, *QueryTrace, error) {
 	tr := &QueryTrace{RunID: runID, Data: d}
-	res, err := e.deepProvenance(ctx, runID, v, d, tr, strat)
+	res, err := e.deepProvenance(ctx, runID, v, d, tr)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -141,7 +141,7 @@ func TestBatchMetrics(t *testing.T) {
 // the same key is a hit with no compute, and both carry the result sizes.
 func TestDeepProvenanceTraced(t *testing.T) {
 	e, r, views := phyloEngine(t)
-	res, cold, err := e.DeepProvenanceTraced(r.ID(), views["joe"], "d447")
+	res, cold, err := e.DeepProvenanceTracedCtx(context.Background(), r.ID(), views["joe"], "d447")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestDeepProvenanceTraced(t *testing.T) {
 		t.Fatalf("trace sizes %d/%d/%d disagree with result %d/%d/%d",
 			cold.Steps, cold.Data_, cold.Edges, res.NumSteps(), res.NumData(), len(res.Edges))
 	}
-	_, warm, err := e.DeepProvenanceTraced(r.ID(), views["mary"], "d447")
+	_, warm, err := e.DeepProvenanceTracedCtx(context.Background(), r.ID(), views["mary"], "d447")
 	if err != nil {
 		t.Fatal(err)
 	}

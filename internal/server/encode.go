@@ -25,8 +25,8 @@ import (
 // pointers to whatever the engine returned for its kind.
 type queryAnswer struct {
 	traceID, run, data, kind string
-	// deep is set for deep queries only; it carries outcome, strategy and
-	// the stage timings.
+	// deep is set for deep queries only; it carries outcome and the stage
+	// timings.
 	deep      *provenance.QueryTrace
 	result    *provenance.Result
 	execution *composite.Execution
@@ -46,10 +46,6 @@ func appendQueryResponse(dst []byte, a *queryAnswer) ([]byte, error) {
 		if qt.Outcome != "" {
 			dst = append(dst, `,"outcome":`...)
 			dst = appendString(dst, qt.Outcome)
-		}
-		if qt.Strategy != "" {
-			dst = append(dst, `,"strategy":`...)
-			dst = appendString(dst, qt.Strategy)
 		}
 		dst = append(dst, `,"timing":{"lookup_ns":`...)
 		dst = strconv.AppendInt(dst, qt.LookupNs, 10)

@@ -86,14 +86,11 @@ type timingDTO struct {
 
 // queryResponse is the body of a POST /v1/query answer.
 type queryResponse struct {
-	TraceID string `json:"trace_id"`
-	Run     string `json:"run"`
-	Data    string `json:"data"`
-	Kind    string `json:"kind"`
-	Outcome string `json:"outcome,omitempty"`
-	// Strategy reports the closure computation a deep-query miss actually
-	// ran ("labels" or "bfs"); empty on cache hits.
-	Strategy  string        `json:"strategy,omitempty"`
+	TraceID   string        `json:"trace_id"`
+	Run       string        `json:"run"`
+	Data      string        `json:"data"`
+	Kind      string        `json:"kind"`
+	Outcome   string        `json:"outcome,omitempty"`
 	Timing    *timingDTO    `json:"timing,omitempty"`
 	Result    *resultDTO    `json:"result,omitempty"`
 	Execution *executionDTO `json:"execution,omitempty"`
@@ -116,7 +113,7 @@ func oracleQuery(t testing.TB, a *queryAnswer) []byte {
 	resp := queryResponse{TraceID: a.traceID, Run: a.run, Data: a.data, Kind: a.kind,
 		Result: toResultDTO(a.result), Trace: a.spans}
 	if qt := a.deep; qt != nil {
-		resp.Outcome, resp.Strategy = qt.Outcome, qt.Strategy
+		resp.Outcome = qt.Outcome
 		resp.Timing = &timingDTO{LookupNs: qt.LookupNs, ComputeNs: qt.ComputeNs,
 			ProjectNs: qt.ProjectNs, TotalNs: qt.TotalNs}
 	}
@@ -218,7 +215,7 @@ func TestAppendResponseMatchesEncodingJSON(t *testing.T) {
 	}
 	spans := &obs.SpanNode{Name: "POST /v1/query", DurNs: 12, Tags: map[string]string{"k": "<v>"},
 		Children: []obs.SpanNode{{Name: "query.lookup", StartNs: 1, DurNs: 2}}}
-	miss := &provenance.QueryTrace{Outcome: "miss", Strategy: "bfs", LookupNs: 5, ComputeNs: 3, ProjectNs: 7, TotalNs: 12}
+	miss := &provenance.QueryTrace{Outcome: "miss", LookupNs: 5, ComputeNs: 3, ProjectNs: 7, TotalNs: 12}
 	hit := &provenance.QueryTrace{Outcome: "hit", LookupNs: 1, TotalNs: 2}
 
 	for _, res := range []*provenance.Result{full, external, emptyMeta, bare, hostile} {
@@ -227,7 +224,7 @@ func TestAppendResponseMatchesEncodingJSON(t *testing.T) {
 		checkQuery(t, &queryAnswer{run: "r", data: res.Root, kind: "derived", result: res})
 	}
 	for _, s := range nasty {
-		checkQuery(t, &queryAnswer{traceID: s, run: s, data: s, kind: s, deep: &provenance.QueryTrace{Outcome: s, Strategy: s}})
+		checkQuery(t, &queryAnswer{traceID: s, run: s, data: s, kind: s, deep: &provenance.QueryTrace{Outcome: s}})
 		checkQuery(t, &queryAnswer{run: s, data: s, kind: "immediate", execution: exec(s, []string{s}, []string{s}, nil)})
 	}
 	// Immediate provenance of an external input: no execution at all.
@@ -271,7 +268,7 @@ func FuzzAppendResponse(f *testing.F) {
 		}
 		var deep *provenance.QueryTrace
 		if bit(14) {
-			deep = &provenance.QueryTrace{Outcome: id, Strategy: run, LookupNs: int64(shape), ComputeNs: int64(shape) - 1<<15, TotalNs: -int64(shape)}
+			deep = &provenance.QueryTrace{Outcome: id, LookupNs: int64(shape), ComputeNs: int64(shape) - 1<<15, TotalNs: -int64(shape)}
 		}
 		var spans *obs.SpanNode
 		if bit(15) {

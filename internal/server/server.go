@@ -60,9 +60,11 @@ const DefaultSlowThreshold = 10 * time.Millisecond
 // maxBodyBytes bounds request bodies; provenance requests are tiny.
 const maxBodyBytes = 1 << 20
 
-// maxCachedViews bounds the built-view memo; past it the memo resets. The
-// engine memoizes mappings by view pointer (its memo is bounded too), so a
-// repeated request must meet the same view object to meet its mapping.
+// maxCachedViews bounds the built-view memo; past it one arbitrary entry is
+// evicted per new view. The engine memoizes mappings by view pointer (its
+// memo is bounded too), so a repeated request must meet the same view
+// object to meet its mapping: evicting one view strands one view's
+// mappings, where clearing the memo would strand every live view's at once.
 const maxCachedViews = 1024
 
 // Server serves provenance queries over HTTP. Construct with New, install
@@ -71,7 +73,7 @@ const maxCachedViews = 1024
 type Server struct {
 	reg  *obs.Registry
 	cfg  Config
-	slow *SlowLog
+	slow *obs.SlowLog
 
 	engine atomic.Pointer[provenance.Engine]
 
@@ -133,7 +135,7 @@ func New(reg *obs.Registry, cfg Config) (*Server, error) {
 	s := &Server{
 		reg:       reg,
 		cfg:       cfg,
-		slow:      NewSlowLog(cfg.SlowLogSize),
+		slow:      obs.NewSlowLog(cfg.SlowLogSize),
 		requests:  reg.Counter("http.requests"),
 		errCount:  reg.Counter("http.errors"),
 		requestNs: reg.Histogram("http.request_ns"),
@@ -235,7 +237,7 @@ type readyzBody struct {
 }
 
 // SlowLog returns the server's slow-query ring.
-func (s *Server) SlowLog() *SlowLog { return s.slow }
+func (s *Server) SlowLog() *obs.SlowLog { return s.slow }
 
 // Registry returns the server's metrics registry.
 func (s *Server) Registry() *obs.Registry { return s.reg }
@@ -370,7 +372,7 @@ func (s *Server) traced(route string, h apiHandler) http.Handler {
 		}
 		if dur >= s.cfg.SlowThreshold {
 			s.slowCount.Inc()
-			s.slow.Add(SlowEntry{
+			s.slow.Add(obs.SlowEntry{
 				Time:    time.Now(),
 				TraceID: tr.ID(),
 				Route:   route,
@@ -483,23 +485,6 @@ type queryRequest struct {
 	Kind     string   `json:"kind,omitempty"`
 	View     string   `json:"view,omitempty"`
 	Relevant []string `json:"relevant,omitempty"`
-	// Labels overrides the closure strategy for this request: true forces
-	// the reachability-label path (falling back, counted, when the run has
-	// no labels), false forces the BFS, absent follows the warehouse's
-	// SetLabelIndex toggle.
-	Labels *bool `json:"labels,omitempty"`
-}
-
-// strategyOf maps a request's Labels override onto the closure strategy.
-func (q *queryRequest) strategyOf() warehouse.ClosureStrategy {
-	switch {
-	case q.Labels == nil:
-		return warehouse.StrategyAuto
-	case *q.Labels:
-		return warehouse.StrategyLabels
-	default:
-		return warehouse.StrategyBFS
-	}
 }
 
 // batchRequest is the body of POST /v1/batch: many data objects of one
@@ -569,13 +554,16 @@ func (s *Server) resolveView(e *provenance.Engine, runID, viewName string, relev
 		v = core.UAdmin(sp)
 	}
 	s.vmu.Lock()
-	if len(s.views) >= maxCachedViews {
-		s.views = make(map[string]*core.UserView)
-	}
 	// Keep the first winner so concurrent builders converge on one pointer.
 	if prev := s.views[key]; prev != nil {
 		v = prev
 	} else {
+		if len(s.views) >= maxCachedViews {
+			for victim := range s.views {
+				delete(s.views, victim)
+				break
+			}
+		}
 		s.views[key] = v
 	}
 	s.vmu.Unlock()
@@ -615,14 +603,14 @@ func (s *Server) handleQuery(ctx context.Context, tr *obs.Trace, w http.Response
 	switch req.Kind {
 	case "", "deep":
 		ans.kind = "deep"
-		ans.result, ans.deep, err = e.DeepProvenanceTracedStrategyCtx(ctx, req.Run, v, req.Data, req.strategyOf())
+		ans.result, ans.deep, err = e.DeepProvenanceTracedCtx(ctx, req.Run, v, req.Data)
 	case "immediate":
 		ans.kind = "immediate"
 		ans.execution, err = e.ImmediateProvenanceCtx(ctx, req.Run, v, req.Data)
 	case "derived":
 		ans.kind = "derived"
 		_, sp := obs.StartSpan(ctx, "query.derived")
-		ans.result, err = e.DeepDerivationStrategy(req.Run, v, req.Data, req.strategyOf())
+		ans.result, err = e.DeepDerivation(req.Run, v, req.Data)
 		sp.End()
 	default:
 		err = fmt.Errorf("%w: unknown kind %q (deep, immediate, derived)", errBadRequest, req.Kind)

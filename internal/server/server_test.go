@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/gen"
 	"repro/internal/obs"
 	"repro/internal/provenance"
 	"repro/internal/run"
@@ -257,6 +258,7 @@ func TestServerQueryErrors(t *testing.T) {
 	}{
 		{name: "bad json", raw: "{not json", want: 400},
 		{name: "unknown field", raw: `{"run":"fig2","data":"d447","vew":"joe"}`, want: 400},
+		{name: "retired labels field", raw: `{"run":"fig2","data":"d447","labels":true}`, want: 400},
 		{name: "missing run", body: queryRequest{Data: "d447"}, want: 400},
 		{name: "missing data", body: queryRequest{Run: "fig2"}, want: 400},
 		{name: "unknown run", body: queryRequest{Run: "ghost", Data: "d447"}, want: 404},
@@ -466,8 +468,8 @@ func TestServerSlowlog(t *testing.T) {
 		doJSON(t, h, "POST", "/v1/query?trace=1", queryRequest{Run: "fig2", Data: "d447"}, nil)
 	}
 	var resp struct {
-		ThresholdNs int64       `json:"threshold_ns"`
-		Entries     []SlowEntry `json:"entries"`
+		ThresholdNs int64           `json:"threshold_ns"`
+		Entries     []obs.SlowEntry `json:"entries"`
 	}
 	if rec := doJSON(t, h, "GET", "/debug/slowlog", nil, &resp); rec.Code != 200 {
 		t.Fatalf("/debug/slowlog: %d", rec.Code)
@@ -489,12 +491,12 @@ func TestServerSlowlog(t *testing.T) {
 }
 
 func TestSlowLogRing(t *testing.T) {
-	l := NewSlowLog(4)
+	l := obs.NewSlowLog(4)
 	if l.Len() != 0 {
 		t.Fatalf("fresh ring Len = %d", l.Len())
 	}
 	for i := 0; i < 10; i++ {
-		l.Add(SlowEntry{DurNs: int64(i)})
+		l.Add(obs.SlowEntry{DurNs: int64(i)})
 	}
 	if l.Len() != 4 {
 		t.Fatalf("Len = %d, want 4", l.Len())
@@ -605,79 +607,71 @@ func TestServerConcurrentBatchTrace(t *testing.T) {
 	}
 }
 
-// TestServerQueryLabels exercises the per-request labels override: true
-// routes a miss through the reachability-label path, false forces the BFS,
-// and a label-less warehouse falls back (counted) while still answering.
-func TestServerQueryLabels(t *testing.T) {
-	reg := obs.NewRegistry()
-	s, err := New(reg, Config{})
+// TestViewMemoEvictsOne: a full view memo gives up one entry per new view.
+// It used to reset, which handed every live view a new pointer on its next
+// request and stranded all of their (run, view) mappings in the engine at
+// once.
+func TestViewMemoEvictsOne(t *testing.T) {
+	g := gen.NewGenerator(3)
+	sp := g.Workflow(gen.Class2(), "memo")
+	r, _, err := g.Run(sp, gen.Small(), "memo-run")
 	if err != nil {
 		t.Fatal(err)
 	}
 	w := warehouse.New(0)
-	w.SetLabelIndex(true)
-	sp := spec.Phylogenomics()
 	if err := w.RegisterSpec(sp); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.LoadRun(run.Figure2()); err != nil {
+	if err := w.LoadRun(r); err != nil {
 		t.Fatal(err)
 	}
-	s.SetEngine(provenance.NewEngine(w))
-	h := s.Handler()
-
-	yes, no := true, false
-	var resp queryResponse
-	rec := doJSON(t, h, "POST", "/v1/query", queryRequest{Run: "fig2", Data: "d447", Labels: &yes}, &resp)
-	if rec.Code != 200 {
-		t.Fatalf("labels query: %d: %s", rec.Code, rec.Body.String())
-	}
-	if resp.Outcome != "miss" || resp.Strategy != "labels" {
-		t.Fatalf("outcome=%q strategy=%q, want miss/labels", resp.Outcome, resp.Strategy)
-	}
-	// A different data object with labels=false must run the BFS.
-	rec = doJSON(t, h, "POST", "/v1/query", queryRequest{Run: "fig2", Data: "d410", Labels: &no}, &resp)
-	if rec.Code != 200 {
-		t.Fatalf("bfs query: %d: %s", rec.Code, rec.Body.String())
-	}
-	if resp.Outcome != "miss" || resp.Strategy != "bfs" {
-		t.Fatalf("outcome=%q strategy=%q, want miss/bfs", resp.Outcome, resp.Strategy)
-	}
-	// Warm re-query: a hit reports no strategy (nothing was computed). A
-	// fresh response struct matters — strategy is omitempty, so decoding
-	// into a reused struct would keep the previous value.
-	var warm queryResponse
-	rec = doJSON(t, h, "POST", "/v1/query", queryRequest{Run: "fig2", Data: "d447", Labels: &yes}, &warm)
-	if rec.Code != 200 || warm.Outcome != "hit" || warm.Strategy != "" {
-		t.Fatalf("warm: code=%d outcome=%q strategy=%q, want 200/hit/empty", rec.Code, warm.Outcome, warm.Strategy)
-	}
-	// Derived queries honor the override too (uncached, so every call
-	// dispatches).
-	rec = doJSON(t, h, "POST", "/v1/query", queryRequest{Run: "fig2", Data: "d410", Kind: "derived", Labels: &yes}, &resp)
-	if rec.Code != 200 || resp.Result == nil {
-		t.Fatalf("derived labels query: %d: %s", rec.Code, rec.Body.String())
-	}
-	if lc := w.LabelCounters(); lc.Hits < 2 || lc.Fallbacks != 0 {
-		t.Fatalf("label counters after labeled queries: %+v", lc)
-	}
-
-	// Against a label-less warehouse the override falls back, counted.
-	s2, err := New(obs.NewRegistry(), Config{})
+	e := provenance.NewEngine(w)
+	s, err := New(obs.NewRegistry(), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e2 := newTestEngine(t)
-	s2.SetEngine(e2)
-	var fb queryResponse
-	rec = doJSON(t, s2.Handler(), "POST", "/v1/query", queryRequest{Run: "fig2", Data: "d447", Labels: &yes}, &fb)
-	if rec.Code != 200 {
-		t.Fatalf("fallback query: %d: %s", rec.Code, rec.Body.String())
+	mods := sp.ModuleNames()
+	if 1<<len(mods) <= maxCachedViews+1 {
+		t.Fatalf("%d modules cannot spell %d distinct relevant lists", len(mods), maxCachedViews+1)
 	}
-	if fb.Outcome != "miss" || fb.Strategy != "bfs" {
-		t.Fatalf("fallback outcome=%q strategy=%q, want miss/bfs", fb.Outcome, fb.Strategy)
+	// The k-th relevant list is the modules at the set bits of k.
+	resolve := func(k int) *core.UserView {
+		var relevant []string
+		for i, m := range mods {
+			if k&(1<<i) != 0 {
+				relevant = append(relevant, m)
+			}
+		}
+		v, err := s.resolveView(e, r.ID(), "", relevant)
+		if err != nil {
+			t.Fatalf("relevant list %d: %v", k, err)
+		}
+		return v
 	}
-	if lc := e2.Warehouse().LabelCounters(); lc.Fallbacks != 1 {
-		t.Fatalf("fallback not counted: %+v", lc)
+	built := make(map[int]*core.UserView, maxCachedViews)
+	for k := 1; k <= maxCachedViews; k++ {
+		built[k] = resolve(k)
+	}
+	resolve(maxCachedViews + 1)
+	if n := len(s.views); n != maxCachedViews {
+		t.Fatalf("memo holds %d views after %d distinct relevant lists, want %d", n, maxCachedViews+1, maxCachedViews)
+	}
+	live := make(map[*core.UserView]bool, len(s.views))
+	for _, v := range s.views {
+		live[v] = true
+	}
+	survivors := 0
+	for k, v := range built {
+		if !live[v] {
+			continue
+		}
+		survivors++
+		if again := resolve(k); again != v {
+			t.Fatalf("relevant list %d was not the victim but resolved to a new view", k)
+		}
+	}
+	if survivors != maxCachedViews-1 {
+		t.Fatalf("%d of %d memoized views survived one insertion, want %d", survivors, maxCachedViews, maxCachedViews-1)
 	}
 }
 

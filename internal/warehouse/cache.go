@@ -130,7 +130,7 @@ const (
 	OutcomeSharedWait
 )
 
-// String returns the label used in metrics names and trace output.
+// String returns the name used in metrics names and trace output.
 func (o Outcome) String() string {
 	switch o {
 	case OutcomeHit:
@@ -146,13 +146,10 @@ func (o Outcome) String() string {
 // Observation is what one cache lookup reports back to the caller for
 // instrumentation: how the lookup was served and, for a miss, how long the
 // closure compute took. ComputeNs is zero unless timing was requested (or
-// a registry is attached) and the outcome is OutcomeMiss. Strategy names
-// the computation a miss actually ran ("labels" or "bfs"); it is
-// empty for hits and shared waits, which run no computation of their own.
+// a registry is attached) and the outcome is OutcomeMiss.
 type Observation struct {
 	Outcome   Outcome
 	ComputeNs int64
-	Strategy  string
 }
 
 // shardsFor picks the stripe count: one shard per 64 cached closures,
@@ -319,7 +316,7 @@ func (sh *cacheShard) insertLocked(key cacheKey, c *Closure, cc *closureCache, m
 // "closure.compute" / "closure.shared-wait" child spans; hits record no
 // span of their own — the engine's enclosing "query.lookup" span IS the
 // hit's cost — and an untraced context pays only the one nil span check.
-func (cc *closureCache) getOrCompute(ctx context.Context, runID, d string, timed bool, compute func(ctx context.Context) (*Closure, error)) (*Closure, Observation, error) {
+func (cc *closureCache) getOrCompute(ctx context.Context, runID, d string, timed bool, compute func() (*Closure, error)) (*Closure, Observation, error) {
 	key := cacheKey{runID, d}
 	sh := cc.shard(key)
 	m := cc.obs.Load()
@@ -364,11 +361,8 @@ func (cc *closureCache) getOrCompute(ctx context.Context, runID, d string, timed
 	if timed {
 		start = time.Now()
 	}
-	// The compute callback gets a context carrying the "closure.compute"
-	// span, so strategy-specific child spans (closure.label) nest under it;
-	// on an untraced context StartSpan returns ctx unchanged and a nil span.
-	cctx, csp := obs.StartSpan(ctx, "closure.compute")
-	c, err := compute(cctx)
+	csp := obs.SpanFromContext(ctx).StartChild("closure.compute")
+	c, err := compute()
 	csp.End()
 	var computeNs int64
 	if timed {

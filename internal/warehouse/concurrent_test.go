@@ -34,7 +34,7 @@ func waitForSharedWaits(t *testing.T, cc *closureCache, n int64) {
 func TestConcurrentSingleflightComputesOnce(t *testing.T) {
 	cc := newClosureCache(1024)
 	release := make(chan struct{})
-	compute := func(context.Context) (*Closure, error) {
+	compute := func() (*Closure, error) {
 		<-release
 		return testClosure("d1", []string{"S1"}, []string{"d1"}), nil
 	}
@@ -90,7 +90,7 @@ func TestConcurrentSingleflightErrorShared(t *testing.T) {
 	cc := newClosureCache(1024)
 	release := make(chan struct{})
 	boom := errors.New("boom")
-	failing := func(context.Context) (*Closure, error) {
+	failing := func() (*Closure, error) {
 		<-release
 		return nil, boom
 	}
@@ -118,7 +118,7 @@ func TestConcurrentSingleflightErrorShared(t *testing.T) {
 		}
 	}
 	// Errors must not poison the cache: the next miss computes again.
-	ok := func(context.Context) (*Closure, error) {
+	ok := func() (*Closure, error) {
 		return testClosure("d1", nil, []string{"d1"}), nil
 	}
 	if _, _, err := cc.getOrCompute(context.Background(), "r1", "d1", false, ok); err != nil {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/bitset"
-	"repro/internal/obs"
 	"repro/internal/run"
 )
 
@@ -24,10 +23,9 @@ import (
 // paper's evaluation found fastest: "first compute UAdmin and then remove
 // information hidden within composite steps of the given user view".
 //
-// Closures are computed over the run's interned integer domain (index.go,
-// labels.go). ConnectBy is the generic string-keyed operator; the direct
-// per-view strategy (provenance.DeepProvenanceDirect, ablation A2) recurses
-// with it.
+// Closures are computed over the run's interned integer domain (index.go).
+// ConnectBy is the generic string-keyed operator; the direct per-view
+// strategy (provenance.DeepProvenanceDirect, ablation A2) recurses with it.
 
 // ConnectBy computes the transitive closure of parents over start,
 // returning every reached key exactly once in BFS order (start keys first).
@@ -100,89 +98,42 @@ func (c *Closure) Size() int { return c.NumSteps() + c.NumData() }
 // cache's singleflight: the closure is computed once and shared, so a
 // thundering herd of identical cold queries costs one traversal.
 func (w *Warehouse) DeepProvenance(runID, d string) (*Closure, error) {
-	c, _, err := w.DeepProvenanceObserved(runID, d, false)
+	c, _, err := w.DeepProvenanceObservedCtx(context.Background(), runID, d, false)
 	return c, err
 }
 
-// DeepProvenanceObserved is DeepProvenance plus an Observation telling the
-// caller how the lookup was served (hit, miss, shared-wait) and — when
+// DeepProvenanceObservedCtx is DeepProvenance plus an Observation telling
+// the caller how the lookup was served (hit, miss, shared-wait) and — when
 // timed is true or a metrics registry is attached — how long a miss's
 // closure compute took. The provenance engine uses it to split its query
-// latency histograms by outcome and to fill per-query traces.
-func (w *Warehouse) DeepProvenanceObserved(runID, d string, timed bool) (*Closure, Observation, error) {
-	return w.DeepProvenanceObservedCtx(context.Background(), runID, d, timed)
-}
-
-// DeepProvenanceObservedCtx is DeepProvenanceObserved with a context. When
-// the context carries a trace span (obs.StartSpan), the cache records
+// latency histograms by outcome and to fill per-query traces. When the
+// context carries a trace span (obs.StartSpan), the cache records
 // "closure.compute" and "closure.shared-wait" child spans, giving a traced
-// request per-stage causality down to the singleflight; an untraced
-// context behaves exactly like DeepProvenanceObserved.
+// request per-stage causality down to the singleflight.
 func (w *Warehouse) DeepProvenanceObservedCtx(ctx context.Context, runID, d string, timed bool) (*Closure, Observation, error) {
-	return w.DeepProvenanceStrategyCtx(ctx, runID, d, timed, StrategyAuto)
+	return w.cache.getOrCompute(ctx, runID, d, timed, func() (*Closure, error) {
+		return w.computeUAdminClosure(runID, d)
+	})
 }
 
-// DeepProvenanceStrategyCtx is DeepProvenanceObservedCtx with an explicit
-// closure strategy for a miss's computation (per-request label selection).
-// The cache is shared across strategies — label-backed and BFS-backed
-// closures are element-for-element identical, which the differential
-// equivalence suite pins — so a hit serves whatever strategy computed the
-// entry; Observation.Strategy reports the computation that actually ran
-// (empty for hits and shared waits).
-func (w *Warehouse) DeepProvenanceStrategyCtx(ctx context.Context, runID, d string, timed bool, strat ClosureStrategy) (*Closure, Observation, error) {
-	var used string
-	c, o, err := w.cache.getOrCompute(ctx, runID, d, timed, func(cctx context.Context) (*Closure, error) {
-		cl, u, err := w.computeUAdminClosure(cctx, runID, d, strat)
-		used = u
-		return cl, err
-	})
-	if o.Outcome == OutcomeMiss {
-		// used was written by this goroutine: a miss means this call led
-		// the singleflight and ran the compute callback itself.
-		o.Strategy = used
-	}
-	return c, o, err
+// ClosureStrategy, StrategyAuto and DeepProvenanceStrategyCtx are what
+// rung 1 of benchmark/ladder.go compiles against, left from when a closure
+// could be computed two ways. Only a [benchmark] PR may edit that module:
+// the one that re-points rung 1 at DeepProvenanceObservedCtx deletes these.
+type ClosureStrategy uint8
+
+// StrategyAuto is the only ClosureStrategy.
+const StrategyAuto ClosureStrategy = 0
+
+// DeepProvenanceStrategyCtx is DeepProvenanceObservedCtx.
+func (w *Warehouse) DeepProvenanceStrategyCtx(ctx context.Context, runID, d string, timed bool, _ ClosureStrategy) (*Closure, Observation, error) {
+	return w.DeepProvenanceObservedCtx(ctx, runID, d, timed)
 }
 
 // computeUAdminClosure is the uncached closure computation (the recursive
 // CONNECT BY query). It holds the warehouse read lock for the traversal,
-// never any cache shard lock, and dispatches on the requested strategy:
-// reachability labels when the run carries a fresh label set and the
-// strategy wants them, the integer BFS over the compact index otherwise. It
-// reports which computation ran.
-func (w *Warehouse) computeUAdminClosure(ctx context.Context, runID, d string, strat ClosureStrategy) (*Closure, string, error) {
-	w.mu.RLock()
-	defer w.mu.RUnlock()
-	rt, err := w.tablesLocked(runID)
-	if err != nil {
-		return nil, "", err
-	}
-	if !rt.run.HasData(d) {
-		return nil, "", fmt.Errorf("%w: %q in run %q", ErrUnknownData, d, runID)
-	}
-	if l := w.labelsFor(rt, strat); l != nil {
-		_, sp := obs.StartSpan(ctx, "closure.label")
-		c := labelProvenanceClosure(l, d)
-		sp.End()
-		w.observeLabelHit()
-		return c, strategyLabels, nil
-	}
-	return indexedProvenanceClosure(rt.index, d), strategyBFS, nil
-}
-
-// DeepDerivation is the inverse canned query the prototype section
-// mentions ("Return the data objects which have a given data object in
-// their data provenance"): all steps and data objects transitively derived
-// from d.
-func (w *Warehouse) DeepDerivation(runID, d string) (*Closure, error) {
-	return w.DeepDerivationStrategy(runID, d, StrategyAuto)
-}
-
-// DeepDerivationStrategy is DeepDerivation with an explicit closure
-// strategy. Derivation closures are not cached (the canned query is rare),
-// so the strategy dispatch happens on every call, with the same fallback
-// accounting as the provenance path.
-func (w *Warehouse) DeepDerivationStrategy(runID, d string, strat ClosureStrategy) (*Closure, error) {
+// never any cache shard lock.
+func (w *Warehouse) computeUAdminClosure(runID, d string) (*Closure, error) {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
 	rt, err := w.tablesLocked(runID)
@@ -192,10 +143,22 @@ func (w *Warehouse) DeepDerivationStrategy(runID, d string, strat ClosureStrateg
 	if !rt.run.HasData(d) {
 		return nil, fmt.Errorf("%w: %q in run %q", ErrUnknownData, d, runID)
 	}
-	if l := w.labelsFor(rt, strat); l != nil {
-		c := labelDerivationClosure(l, d)
-		w.observeLabelHit()
-		return c, nil
+	return indexedProvenanceClosure(rt.index, d), nil
+}
+
+// DeepDerivation is the inverse canned query the prototype section
+// mentions ("Return the data objects which have a given data object in
+// their data provenance"): all steps and data objects transitively derived
+// from d. Derivation closures are not cached (the canned query is rare).
+func (w *Warehouse) DeepDerivation(runID, d string) (*Closure, error) {
+	w.mu.RLock()
+	defer w.mu.RUnlock()
+	rt, err := w.tablesLocked(runID)
+	if err != nil {
+		return nil, err
+	}
+	if !rt.run.HasData(d) {
+		return nil, fmt.Errorf("%w: %q in run %q", ErrUnknownData, d, runID)
 	}
 	return indexedDerivationClosure(rt.index, d), nil
 }

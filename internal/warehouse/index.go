@@ -6,63 +6,69 @@ import (
 )
 
 // The closure computations. At load time the warehouse builds each run's
-// interned CSR index (run.Index); the closures below are then integer BFS
-// over flat int32 slices with bitset visited sets — no string hashing, no
-// per-hop allocation — and their results are the bitset-backed Closures of
-// connectby.go. This is the database trick behind the paper's
+// interned CSR index (run.Index); the closures below are then integer
+// traversals over flat int32 slices with bitset visited sets — no string
+// hashing, no per-hop allocation — and their results are the bitset-backed
+// Closures of connectby.go. This is the database trick behind the paper's
 // compute-UAdmin-then-project strategy done natively: intern once, traverse
 // dense ids, only re-materialize strings at the result boundary.
+//
+// Both worklists hold steps, not data. A run has several data objects per
+// step and a data object has nothing to expand but its one producer (its
+// few consumers), so a data worklist pushes and pops every object of the
+// closure and outgrows any fixed buffer on each call; a step worklist marks
+// data in passing and stays as shallow as the step DAG's frontier.
 
-// indexedProvenanceClosure is the backward integer BFS: data → producing
-// step → that step's inputs, to fixpoint. The worklist is a stack of
-// interned data ids; steps are expanded at most once, guarded by the step
-// bitset itself.
+// indexedProvenanceClosure is the backward traversal: data → producing
+// step → that step's inputs, to fixpoint. A popped step marks each of its
+// inputs and pushes the input's producer the first time it is seen; the
+// step bitset is the visited set.
 func indexedProvenanceClosure(ix *run.Index, d string) *Closure {
 	root, _ := ix.DataID(d)
 	stepBits := bitset.New(ix.NumSteps())
 	dataBits := bitset.New(ix.NumData())
 	dataBits.Add(root)
 	stack := make([]int32, 0, 64)
-	stack = append(stack, root)
-	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		p := ix.Producer(cur)
-		if p < 0 || stepBits.Has(p) {
-			continue
-		}
+	if p := ix.Producer(root); p >= 0 {
 		stepBits.Add(p)
-		for _, in := range ix.InputsOf(p) {
-			if !dataBits.Has(in) {
-				dataBits.Add(in)
-				stack = append(stack, in)
+		stack = append(stack, p)
+	}
+	for len(stack) > 0 {
+		s := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, in := range ix.InputsOf(s) {
+			dataBits.Add(in)
+			if p := ix.Producer(in); p >= 0 && !stepBits.Has(p) {
+				stepBits.Add(p)
+				stack = append(stack, p)
 			}
 		}
 	}
 	return &Closure{Root: d, ix: ix, stepBits: stepBits, dataBits: dataBits}
 }
 
-// indexedDerivationClosure is the forward integer BFS: data → consuming
-// steps → their outputs, to fixpoint.
+// indexedDerivationClosure is the forward traversal: data → consuming
+// steps → their outputs, to fixpoint. A popped step marks each of its
+// outputs and pushes the output's unseen consumers.
 func indexedDerivationClosure(ix *run.Index, d string) *Closure {
 	root, _ := ix.DataID(d)
 	stepBits := bitset.New(ix.NumSteps())
 	dataBits := bitset.New(ix.NumData())
 	dataBits.Add(root)
 	stack := make([]int32, 0, 64)
-	stack = append(stack, root)
+	for _, s := range ix.ConsumersOf(root) {
+		stepBits.Add(s)
+		stack = append(stack, s)
+	}
 	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
+		s := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, s := range ix.ConsumersOf(cur) {
-			if stepBits.Has(s) {
-				continue
-			}
-			stepBits.Add(s)
-			for _, out := range ix.OutputsOf(s) {
-				if !dataBits.Has(out) {
-					dataBits.Add(out)
-					stack = append(stack, out)
+		for _, out := range ix.OutputsOf(s) {
+			dataBits.Add(out)
+			for _, c := range ix.ConsumersOf(out) {
+				if !stepBits.Has(c) {
+					stepBits.Add(c)
+					stack = append(stack, c)
 				}
 			}
 		}

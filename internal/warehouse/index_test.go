@@ -6,12 +6,13 @@ import (
 	"testing"
 
 	"repro/internal/bitset"
+	"repro/internal/gen"
 	"repro/internal/run"
 	"repro/internal/spec"
 )
 
-// oracleClosure is the reference closure the integer BFS and the label
-// scans are held to: the paper's CONNECT BY over the run's string-keyed
+// oracleClosure is the reference closure the integer traversals are held
+// to: the paper's CONNECT BY over the run's string-keyed
 // relations, backward (provenance) or forward (derivation). Bipartite keys:
 // "d:" prefixes data, "s:" prefixes steps.
 func oracleClosure(r *run.Run, d string, forward bool) (steps, data map[string]bool) {
@@ -88,29 +89,93 @@ func testClosure(root string, steps, data []string) *Closure {
 	return c
 }
 
+// generatedWarehouse holds one generated run of the given classes (seed 11).
+func generatedWarehouse(t testing.TB, class gen.WorkflowClass, rc gen.RunClass) (*Warehouse, *run.Run) {
+	t.Helper()
+	g := gen.NewGenerator(11)
+	s := g.Workflow(class, "closure-"+class.Name)
+	r, _, err := g.Run(s, rc, "gen")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := New(0)
+	if err := w.RegisterSpec(s); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.LoadRun(r); err != nil {
+		t.Fatal(err)
+	}
+	return w, r
+}
+
 // TestIndexedClosureMatchesOracle compares the bitset closure against the
-// CONNECT BY oracle for every data object of Figure 2, in both directions.
+// CONNECT BY oracle in both directions: for every data object of Figure 2,
+// and for every 7th data object, an external input and a final output of a
+// Class3 run (wide fan-in and fan-out) and a Class4-large run (depth).
 func TestIndexedClosureMatchesOracle(t *testing.T) {
-	w := loadedWarehouse(t)
-	r, _ := w.Run("fig2")
-	for _, d := range r.AllData() {
-		for name, forward := range map[string]bool{"provenance": false, "derivation": true} {
-			query := w.DeepProvenance
-			if forward {
-				query = w.DeepDerivation
+	check := func(t *testing.T, w *Warehouse, r *run.Run, roots []string) {
+		for _, d := range roots {
+			for name, forward := range map[string]bool{"provenance": false, "derivation": true} {
+				query := w.DeepProvenance
+				if forward {
+					query = w.DeepDerivation
+				}
+				c, err := query(r.ID(), d)
+				if err != nil {
+					t.Fatalf("%s(%s): %v", name, d, err)
+				}
+				gotSteps, gotData := closureSets(c)
+				wantSteps, wantData := oracleClosure(r, d, forward)
+				if !reflect.DeepEqual(gotSteps, wantSteps) {
+					t.Fatalf("%s(%s): steps differ\nindexed %v\noracle  %v", name, d, gotSteps, wantSteps)
+				}
+				if !reflect.DeepEqual(gotData, wantData) {
+					t.Fatalf("%s(%s): data differ\nindexed %v\noracle  %v", name, d, gotData, wantData)
+				}
 			}
-			c, err := query("fig2", d)
-			if err != nil {
-				t.Fatalf("%s(%s): %v", name, d, err)
+		}
+	}
+	t.Run("figure2", func(t *testing.T) {
+		w := loadedWarehouse(t)
+		r, _ := w.Run("fig2")
+		check(t, w, r, r.AllData())
+	})
+	for _, tc := range []struct {
+		class gen.WorkflowClass
+		rc    gen.RunClass
+	}{{gen.Class3(), gen.Large()}, {gen.Class4(), gen.Large()}} {
+		t.Run(tc.class.Name+"-"+tc.rc.Name, func(t *testing.T) {
+			w, r := generatedWarehouse(t, tc.class, tc.rc)
+			finals := r.FinalOutputs()
+			roots := []string{r.ExternalInputs()[0], finals[len(finals)-1]}
+			for i, d := range r.AllData() {
+				if i%7 == 0 {
+					roots = append(roots, d)
+				}
 			}
-			gotSteps, gotData := closureSets(c)
-			wantSteps, wantData := oracleClosure(r, d, forward)
-			if !reflect.DeepEqual(gotSteps, wantSteps) {
-				t.Fatalf("%s(%s): steps differ\nindexed %v\noracle  %v", name, d, gotSteps, wantSteps)
-			}
-			if !reflect.DeepEqual(gotData, wantData) {
-				t.Fatalf("%s(%s): data differ\nindexed %v\noracle  %v", name, d, gotData, wantData)
-			}
+			check(t, w, r, roots)
+		})
+	}
+}
+
+// TestColdClosureAllocs pins what a cold closure of a Class4-large run may
+// allocate: the two bitsets and the Closure. A worklist of data ids outgrows
+// its buffer on such a run (ten regrowths, ~100 KB of garbage per query); the
+// step worklist must not.
+func TestColdClosureAllocs(t *testing.T) {
+	_, r := generatedWarehouse(t, gen.Class4(), gen.Large())
+	ix := r.Index()
+	finals := r.FinalOutputs()
+	out, in := finals[len(finals)-1], r.ExternalInputs()[0]
+	for name, closure := range map[string]func() *Closure{
+		"provenance": func() *Closure { return indexedProvenanceClosure(ix, out) },
+		"derivation": func() *Closure { return indexedDerivationClosure(ix, in) },
+	} {
+		if n := closure().Size(); n < 1000 {
+			t.Fatalf("%s closure has %d members: not a deep run", name, n)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { closure() }); allocs > 4 {
+			t.Errorf("cold %s closure: %.0f allocations, want <= 4", name, allocs)
 		}
 	}
 }

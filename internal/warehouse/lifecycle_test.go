@@ -103,7 +103,7 @@ func TestConcurrentDropFencing(t *testing.T) {
 	cc := newClosureCache(1024)
 	computeStarted := make(chan struct{})
 	release := make(chan struct{})
-	stale := func(context.Context) (*Closure, error) {
+	stale := func() (*Closure, error) {
 		close(computeStarted)
 		<-release
 		return testClosure("d1", []string{"OLD"}, []string{"d1"}), nil
@@ -150,7 +150,7 @@ func TestConcurrentDropReloadFencing(t *testing.T) {
 	cc := newClosureCache(1024)
 	computeStarted := make(chan struct{})
 	release := make(chan struct{})
-	stale := func(context.Context) (*Closure, error) {
+	stale := func() (*Closure, error) {
 		close(computeStarted)
 		<-release
 		return testClosure("d1", []string{"OLD"}, []string{"d1"}), nil
@@ -169,7 +169,7 @@ func TestConcurrentDropReloadFencing(t *testing.T) {
 	// Re-register the run under a different key, so the fresh query is a
 	// new singleflight (the stale leader still owns the "d1" flight slot)
 	// and the run's generation entry is re-created.
-	fresh := func(context.Context) (*Closure, error) {
+	fresh := func() (*Closure, error) {
 		return testClosure("d2", []string{"NEW"}, []string{"d2"}), nil
 	}
 	if _, _, err := cc.getOrCompute(context.Background(), "r1", "d2", false, fresh); err != nil {

@@ -14,9 +14,6 @@ type warehouseMetrics struct {
 	events         *obs.Counter   // ingest.events
 	logIngestNs    *obs.Histogram // ingest.log_ns, per LoadLogReader call
 	snapshotLoadNs *obs.Histogram // ingest.snapshot_load_ns, per LoadWith call
-	labelBuilds    *obs.Counter   // labels.builds
-	labelHits      *obs.Counter   // labels.hits
-	labelFallbacks *obs.Counter   // labels.fallbacks
 }
 
 // AttachMetrics wires the warehouse and its closure cache to a metrics
@@ -37,9 +34,6 @@ func (w *Warehouse) AttachMetrics(reg *obs.Registry) {
 		events:         reg.Counter("ingest.events"),
 		logIngestNs:    reg.Histogram("ingest.log_ns"),
 		snapshotLoadNs: reg.Histogram("ingest.snapshot_load_ns"),
-		labelBuilds:    reg.Counter("labels.builds"),
-		labelHits:      reg.Counter("labels.hits"),
-		labelFallbacks: reg.Counter("labels.fallbacks"),
 	})
 }
 
@@ -74,31 +68,6 @@ func (w *Warehouse) observeSnapshotLoad(start time.Time) {
 		return
 	}
 	m.snapshotLoadNs.Observe(time.Since(start).Nanoseconds())
-}
-
-// observeLabelBuild records one successfully built label index.
-func (w *Warehouse) observeLabelBuild() {
-	w.labelBuilds.Add(1)
-	if m := w.obs.Load(); m != nil {
-		m.labelBuilds.Inc()
-	}
-}
-
-// observeLabelHit records one closure computation served by labels.
-func (w *Warehouse) observeLabelHit() {
-	w.labelHits.Add(1)
-	if m := w.obs.Load(); m != nil {
-		m.labelHits.Inc()
-	}
-}
-
-// observeLabelFallback records one label-requested computation that took
-// the BFS because the run had no usable labels.
-func (w *Warehouse) observeLabelFallback() {
-	w.labelFallbacks.Add(1)
-	if m := w.obs.Load(); m != nil {
-		m.labelFallbacks.Inc()
-	}
 }
 
 // metricsTime returns the current time if a registry is attached, else the

@@ -157,10 +157,6 @@ type LoadOptions struct {
 	// load itself is recorded there (ingest.snapshot_load_ns plus the
 	// loaded run count under ingest.runs_loaded).
 	Metrics *obs.Registry
-	// Labels enables the reachability label index: labels are built for
-	// every run as it loads (on the same worker pool) and the warehouse
-	// comes up with SetLabelIndex(true) in effect.
-	Labels bool
 	// Progress, when non-nil, is called as runs finish loading: first with
 	// (0, total), then with the running count after each run. Calls come
 	// from loader goroutines (serialized by an internal mutex); keep the
@@ -215,9 +211,6 @@ func loadJSON(in io.Reader, cacheSize int, opts LoadOptions) (*Warehouse, error)
 		return nil, fmt.Errorf("warehouse: decode snapshot: %w", err)
 	}
 	w := New(cacheSize)
-	if opts.Labels {
-		w.labelIndex = true
-	}
 	for i, raw := range snap.Specs {
 		s, err := spec.Decode(raw)
 		if err != nil {

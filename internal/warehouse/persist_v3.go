@@ -123,17 +123,14 @@ type v3RunRec struct {
 // lazyRun defers a v3 run's materialization to first use. once serializes
 // the build (any lock holder may trigger it; sync.Once publishes the
 // runTables writes to every waiter), err is sticky, and done lets readers
-// that do not want to force a build (Stats, label backfill) check state
-// with acquire semantics.
+// that do not want to force a build (Stats) check state with acquire
+// semantics.
 type lazyRun struct {
 	once sync.Once
 	err  error
 	done atomic.Bool
-	// buildLabels asks materialization to also build reachability labels;
-	// set at open (LoadOptions.Labels) or by a later SetLabelIndex(true).
-	buildLabels atomic.Bool
-	data        []byte
-	rec         v3RunRec
+	data []byte
+	rec  v3RunRec
 }
 
 // SaveV3 writes the warehouse in the v3 zero-copy snapshot format. Every
@@ -437,8 +434,8 @@ func appendRunBlockV3(dst []byte, r *run.Run, ix *run.Index) ([]byte, error) {
 // and decoded eagerly, run tables materialize lazily on first query, and
 // the big integer arrays are served from the mapping for the warehouse's
 // lifetime. Call Close when done to release the mapping; cacheSize as in
-// New. Only the Labels and Metrics load options apply (there is no load
-// phase to parallelize — Progress, if set, is told the warehouse is ready
+// New. Only the Metrics load option applies (there is no load phase to
+// parallelize — Progress, if set, is told the warehouse is ready
 // immediately).
 func OpenV3(path string, cacheSize int, opts LoadOptions) (*Warehouse, error) {
 	f, err := mmapfile.Open(path)
@@ -495,9 +492,6 @@ func openV3Bytes(data []byte, mapped bool, src io.Closer, cacheSize int, opts Lo
 	}
 
 	w := New(cacheSize)
-	if opts.Labels {
-		w.labelIndex = true
-	}
 	w.snap = &snapshotInfo{version: snapVersion3, mapped: mapped, bytes: len(data), src: src}
 
 	var specDocs []json.RawMessage
@@ -542,11 +536,7 @@ func openV3Bytes(data []byte, mapped bool, src io.Closer, cacheSize int, opts Lo
 		if _, dup := w.runs[rec.id]; dup {
 			return nil, fmt.Errorf("%w: run %q", ErrDuplicate, rec.id)
 		}
-		lz := &lazyRun{data: data, rec: rec}
-		if opts.Labels {
-			lz.buildLabels.Store(true)
-		}
-		w.runs[rec.id] = &runTables{specName: rec.specName, lazy: lz}
+		w.runs[rec.id] = &runTables{specName: rec.specName, lazy: &lazyRun{data: data, rec: rec}}
 	}
 
 	if opts.Metrics != nil {
@@ -699,8 +689,8 @@ func parseV3RunDir(body []byte, runDataOff, runDataLen uint64) ([]v3RunRec, erro
 // checksum and every structural invariant first; the run's string relations
 // stay unbuilt until a tool asks the run for them (run.ReconstructArena).
 // Called exactly once per lazyRun (through sync.Once); on success it
-// publishes run/index (and labels when requested) into rt.
-func (lz *lazyRun) materialize(rt *runTables, w *Warehouse) {
+// publishes run/index into rt.
+func (lz *lazyRun) materialize(rt *runTables) {
 	r, err := decodeRunBlockV3(lz.data, lz.rec)
 	if err != nil {
 		lz.err = fmt.Errorf("warehouse: v3 snapshot: run %q: %w", lz.rec.id, err)
@@ -712,11 +702,6 @@ func (lz *lazyRun) materialize(rt *runTables, w *Warehouse) {
 	}
 	rt.run = r
 	rt.index = r.Index() // the adopted one; nothing is built here
-	if lz.buildLabels.Load() {
-		if rt.labels = rt.index.BuildLabels(); rt.labels != nil {
-			w.observeLabelBuild()
-		}
-	}
 	lz.done.Store(true)
 }
 

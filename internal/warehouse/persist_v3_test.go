@@ -2,7 +2,6 @@ package warehouse
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -118,31 +117,6 @@ func TestOpenV3Lazy(t *testing.T) {
 	st = back.Stats()
 	if st.Steps != wantStats.Steps || st.DataObjects != wantStats.DataObjects || st.FlowEdges != wantStats.FlowEdges {
 		t.Fatalf("counts changed across materialization: %+v", st)
-	}
-}
-
-// TestOpenV3Labels: the Labels load option takes effect lazily — labels are
-// built at materialization time, and the label path serves the queries.
-func TestOpenV3Labels(t *testing.T) {
-	w := snapshotWarehouse(t, 1)
-	path, _ := saveV3Temp(t, w)
-	back, err := OpenV3(path, 0, LoadOptions{Labels: true})
-	mustT(t, err)
-	defer back.Close()
-	if !back.LabelIndexEnabled() {
-		t.Fatal("labels not enabled")
-	}
-	if back.RunLabels("fig2") == nil {
-		t.Fatal("no labels built at materialization")
-	}
-	fig2, _ := back.Run("fig2")
-	cl, _, err := back.DeepProvenanceStrategyCtx(context.Background(), "fig2", fig2.FinalOutputs()[0], false, StrategyLabels)
-	mustT(t, err)
-	if cl == nil || len(dataSet(cl)) == 0 {
-		t.Fatal("label-path closure empty")
-	}
-	if c := back.LabelCounters(); c.Hits == 0 {
-		t.Fatalf("label path not taken: %+v", c)
 	}
 }
 
@@ -379,9 +353,9 @@ func deepAnswers2(t testing.TB, w *Warehouse) map[string][]string {
 }
 
 // TestConcurrentV3Materialization: many goroutines race first queries
-// against a freshly opened v3 warehouse — concurrent lazy materialization,
-// Stats scans and a SetLabelIndex toggle all run under -race — and every
-// answer matches the heap-loaded v1 warehouse byte for byte.
+// against a freshly opened v3 warehouse — concurrent lazy materialization
+// and Stats scans run under -race — and every answer matches the
+// heap-loaded v1 warehouse byte for byte.
 func TestConcurrentV3Materialization(t *testing.T) {
 	w := snapshotWarehouse(t, 2)
 	var v1 bytes.Buffer
@@ -407,19 +381,13 @@ func TestConcurrentV3Materialization(t *testing.T) {
 			}
 		}()
 	}
-	// Stats and label toggles race the materializations.
+	// Stats scans race the materializations.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 50; i++ {
 			_ = back.Stats()
 		}
-	}()
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		back.SetLabelIndex(true)
-		back.SetLabelIndex(false)
 	}()
 	wg.Wait()
 	close(errs)

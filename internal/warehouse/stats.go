@@ -29,9 +29,6 @@ type Stats struct {
 	// Index summarizes the compact run indexes (interned ids, CSR bytes,
 	// closure bitset words) across all loaded runs.
 	Index IndexStats
-	// Labels summarizes the reachability label indexes (labeled runs,
-	// chains, label bytes) and the label lifecycle counters.
-	Labels LabelsStats
 	// Metrics is a snapshot of the attached observability registry (nil
 	// unless AttachMetrics was called): query-stage latency histograms,
 	// ingest throughput, and cache lifecycle counters.
@@ -125,7 +122,6 @@ func (w *Warehouse) Stats() Stats {
 	st.Cache = w.cache.counters()
 	st.CacheHits, st.CacheMisses = st.Cache.Hits, st.Cache.Misses
 	st.Index = w.indexStatsLocked()
-	st.Labels = w.labelStatsLocked()
 	if reg := w.metricsReg.Load(); reg != nil {
 		snap := reg.Snapshot()
 		st.Metrics = &snap
@@ -165,15 +161,9 @@ func (w *Warehouse) RunCatalog() []RunInfo {
 
 // String renders the statistics on one line.
 func (s Stats) String() string {
-	out := fmt.Sprintf("specs=%d views=%d runs=%d steps=%d flows=%d data=%d cache=%d/%d index[runs=%d steps=%d data=%d csr=%dB closure=%dw]",
+	return fmt.Sprintf("specs=%d views=%d runs=%d steps=%d flows=%d data=%d cache=%d/%d index[runs=%d steps=%d data=%d csr=%dB closure=%dw]",
 		s.Specs, s.Views, s.Runs, s.Steps, s.FlowEdges, s.DataObjects, s.CacheHits, s.CacheMisses,
 		s.Index.IndexedRuns, s.Index.InternedSteps, s.Index.InternedData, s.Index.CSRBytes, s.Index.ClosureWords)
-	if s.Labels.Enabled || s.Labels.LabeledRuns > 0 || s.Labels.Fallbacks > 0 {
-		out += fmt.Sprintf(" labels[runs=%d chains=%d bytes=%d builds=%d hits=%d fallbacks=%d]",
-			s.Labels.LabeledRuns, s.Labels.Chains, s.Labels.LabelBytes,
-			s.Labels.Builds, s.Labels.Hits, s.Labels.Fallbacks)
-	}
-	return out
 }
 
 // DropRun removes a run and its cached closures. Dropping an unknown run

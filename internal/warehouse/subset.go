@@ -15,8 +15,8 @@ import (
 // self-contained shard snapshot.
 //
 // The subset shares the parent's immutable per-run storage (runs, compact
-// indexes, reachability labels) instead of rebuilding it, so splitting is
-// proportional to catalog size, not graph size. For a parent opened from
+// indexes) instead of rebuilding it, so splitting is proportional to
+// catalog size, not graph size. For a parent opened from
 // a v3 (mmap) snapshot that storage aliases the mapping: use or save the
 // subset before closing the parent. Lazily-opened runs that keep selects
 // are materialized here; runs it rejects are never touched, so splitting
@@ -28,7 +28,6 @@ func (w *Warehouse) Subset(keep func(runID string) bool) (*Warehouse, error) {
 		return nil, ErrClosed
 	}
 	nw := New(0)
-	nw.labelIndex = w.labelIndex
 	for name, s := range w.specs {
 		nw.specs[name] = s
 		views := make(map[string]*core.UserView, len(w.views[name]))
@@ -48,7 +47,6 @@ func (w *Warehouse) Subset(keep func(runID string) bool) (*Warehouse, error) {
 			specName: rt.specName,
 			run:      rt.run,
 			index:    rt.index,
-			labels:   rt.labels,
 		}
 	}
 	return nw, nil

@@ -62,19 +62,6 @@ type Warehouse struct {
 	views map[string]map[string]*core.UserView // spec name -> view name -> view
 	runs  map[string]*runTables                // run id -> per-run tables
 
-	// labelIndex enables building reachability labels (run.Labels) on top
-	// of the compact index for subsequently loaded runs, and selects the
-	// label-backed closure path for StrategyAuto queries (SetLabelIndex).
-	labelIndex bool
-
-	// Label lifecycle counters (see LabelCounters): successful builds,
-	// closure computations served by labels, and label-requested
-	// computations that fell back to the BFS because labels were absent,
-	// declined, or stale.
-	labelBuilds    atomic.Int64
-	labelHits      atomic.Int64
-	labelFallbacks atomic.Int64
-
 	cache *closureCache
 
 	// snap describes the snapshot this warehouse was opened from (nil for
@@ -97,19 +84,14 @@ type Warehouse struct {
 // Produced and Consumed relations plus the hash indexes the queries use.
 // index is the immutable compact representation (interned ids + CSR
 // adjacency) built at load time; it is dropped with the run, so DropRun
-// invalidates it together with the run's cached closures. labels is the
-// optional reachability label index over that same index (nil when label
-// indexing is off or the build declined the run); the label query path
-// checks labels.Index() == index before consulting it, so a label set can
-// never outlive the index it was built over.
+// invalidates it together with the run's cached closures.
 type runTables struct {
 	specName string
 	run      *run.Run
 	index    *run.Index
-	labels   *run.Labels
 
 	// lazy, when non-nil, holds a v3 snapshot run that has not necessarily
-	// materialized yet: run/index/labels are populated on first use through
+	// materialized yet: run/index are populated on first use through
 	// lazy.once (resolveLocked), which also publishes the writes to every
 	// other lock holder. Readers that must not force a build check
 	// lazy.done instead.
@@ -125,7 +107,7 @@ func (w *Warehouse) resolveLocked(rt *runTables) error {
 	if lz == nil {
 		return nil
 	}
-	lz.once.Do(func() { lz.materialize(rt, w) })
+	lz.once.Do(func() { lz.materialize(rt) })
 	return lz.err
 }
 
@@ -255,7 +237,6 @@ func (w *Warehouse) LoadRun(r *run.Run) error {
 	closed := w.closed
 	s, ok := w.specs[r.SpecName()]
 	_, dup := w.runs[r.ID()]
-	buildLabels := w.labelIndex
 	w.mu.RUnlock()
 	if closed {
 		return ErrClosed
@@ -273,11 +254,6 @@ func (w *Warehouse) LoadRun(r *run.Run) error {
 		return err
 	}
 	rt := &runTables{specName: r.SpecName(), run: r, index: r.Index()}
-	if buildLabels {
-		if rt.labels = rt.index.BuildLabels(); rt.labels != nil {
-			w.observeLabelBuild()
-		}
-	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {

@@ -107,7 +107,6 @@ type QueryRequest struct {
 	Kind     string   `json:"kind,omitempty"` // deep (default), immediate, derived
 	View     string   `json:"view,omitempty"`
 	Relevant []string `json:"relevant,omitempty"`
-	Labels   *bool    `json:"labels,omitempty"`
 	// TraceID, when a valid 16-hex id, is sent in X-Zoom-Trace-Id and
 	// adopted by the server. Not part of the JSON body.
 	TraceID string `json:"-"`
@@ -170,7 +169,6 @@ type QueryResponse struct {
 	Data      string          `json:"data"`
 	Kind      string          `json:"kind"`
 	Outcome   string          `json:"outcome,omitempty"`
-	Strategy  string          `json:"strategy,omitempty"`
 	Timing    *Timing         `json:"timing,omitempty"`
 	Result    *Result         `json:"result,omitempty"`
 	Execution *Execution      `json:"execution,omitempty"`

@@ -66,15 +66,6 @@ type (
 	// CacheCounters are the closure cache's hit/miss/singleflight/eviction
 	// counters.
 	CacheCounters = warehouse.CacheCounters
-	// LabelCounters are the reachability-label lifecycle counters (builds,
-	// hits, counted fallbacks).
-	LabelCounters = warehouse.LabelCounters
-	// LabelsStats summarizes the label indexes (labeled runs, chains, label
-	// bytes) plus the lifecycle counters — the Labels section of Stats.
-	LabelsStats = warehouse.LabelsStats
-	// ClosureStrategy selects how a deep-provenance closure is computed
-	// (StrategyAuto / StrategyLabels / StrategyBFS).
-	ClosureStrategy = warehouse.ClosureStrategy
 	// Metrics is the observability registry (counters, gauges, latency
 	// histograms) a System can be attached to.
 	Metrics = obs.Registry
@@ -94,7 +85,7 @@ type (
 	// expvar name, batch worker bound).
 	ServerConfig = server.Config
 	// SlowEntry is one slow-query log record.
-	SlowEntry = server.SlowEntry
+	SlowEntry = obs.SlowEntry
 	// Generator produces synthetic workloads (Section V.A).
 	Generator = gen.Generator
 	// WorkflowClass is a Table I workflow profile.
@@ -116,17 +107,6 @@ const (
 	KindScientific  = spec.KindScientific
 	KindFormatting  = spec.KindFormatting
 	KindInteraction = spec.KindInteraction
-)
-
-// Closure strategies for per-query label selection.
-const (
-	// StrategyAuto follows the system's SetLabelIndex toggle.
-	StrategyAuto = warehouse.StrategyAuto
-	// StrategyLabels prefers the reachability-label path (counted fallback
-	// when a run has no labels).
-	StrategyLabels = warehouse.StrategyLabels
-	// StrategyBFS forces the bitset-BFS traversal.
-	StrategyBFS = warehouse.StrategyBFS
 )
 
 // NewSpec returns an empty specification.
@@ -292,14 +272,6 @@ func (s *System) DeepProvenance(runID string, v *UserView, d string) (*Result, e
 	return s.e.DeepProvenance(runID, v, d)
 }
 
-// DeepProvenanceTraced is DeepProvenance plus a per-stage timing breakdown
-// (closure-cache lookup, closure compute, view projection) — the legible
-// analogue of the paper's strategy-timing table, printed by
-// `zoom query -trace`.
-func (s *System) DeepProvenanceTraced(runID string, v *UserView, d string) (*Result, *QueryTrace, error) {
-	return s.e.DeepProvenanceTraced(runID, v, d)
-}
-
 // DeepProvenanceCtx is DeepProvenance with a context: cancellation is
 // honored at stage boundaries, and when the context carries a trace
 // (NewTrace / StartSpan) the engine records its stages as spans.
@@ -307,9 +279,11 @@ func (s *System) DeepProvenanceCtx(ctx context.Context, runID string, v *UserVie
 	return s.e.DeepProvenanceCtx(ctx, runID, v, d)
 }
 
-// DeepProvenanceTracedCtx combines both tracing forms: the returned
-// QueryTrace has the flat stage numbers, and a span-carrying context
-// additionally gets the structured span tree.
+// DeepProvenanceTracedCtx is DeepProvenanceCtx plus a per-stage timing
+// breakdown (closure-cache lookup, closure compute, view projection) — the
+// legible analogue of the paper's strategy-timing table, printed by
+// `zoom query -trace`. A span-carrying context additionally gets the
+// structured span tree.
 func (s *System) DeepProvenanceTracedCtx(ctx context.Context, runID string, v *UserView, d string) (*Result, *QueryTrace, error) {
 	return s.e.DeepProvenanceTracedCtx(ctx, runID, v, d)
 }
@@ -492,27 +466,6 @@ func (s *System) CacheCounters() CacheCounters { return s.w.CacheCounters() }
 // Invalidate evicts one cached (run, data) closure and fences out any
 // in-flight computation for that run from re-populating the cache.
 func (s *System) Invalidate(runID, d string) { s.w.Invalidate(runID, d) }
-
-// SetLabelIndex enables or disables the reachability label index: with it
-// on, every loaded run carries a chain-decomposition label set and deep
-// closures become per-chain interval scans instead of BFS traversals,
-// falling back (counted) to the BFS for runs past the label budget.
-// Enabling backfills labels for already-loaded runs.
-func (s *System) SetLabelIndex(enabled bool) { s.w.SetLabelIndex(enabled) }
-
-// LabelIndexEnabled reports whether SetLabelIndex(true) is in effect.
-func (s *System) LabelIndexEnabled() bool { return s.w.LabelIndexEnabled() }
-
-// LabelCounters snapshots the label lifecycle counters.
-func (s *System) LabelCounters() LabelCounters { return s.w.LabelCounters() }
-
-// DeepProvenanceStrategy is DeepProvenance with an explicit closure
-// strategy for the UAdmin phase — per-query label selection overriding the
-// SetLabelIndex toggle. Results are identical across strategies; only the
-// closure computation differs.
-func (s *System) DeepProvenanceStrategy(runID string, v *UserView, d string, strat ClosureStrategy) (*Result, error) {
-	return s.e.DeepProvenanceStrategy(runID, v, d, strat)
-}
 
 // Stats summarizes the warehouse contents (catalog row counts).
 func (s *System) Stats() warehouse.Stats { return s.w.Stats() }
