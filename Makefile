@@ -22,16 +22,18 @@ test:
 race:
 	$(GO) test -race -run 'Concurrent|Stress' ./...
 
-# Short fuzzing passes over five fuzz targets; long runs are
+# Short fuzzing passes over six fuzz targets; long runs are
 # `go test -fuzz=FuzzConnectBy ./internal/warehouse/` etc. FuzzAppendResponse
-# runs without minimization: nearly every input reaches new coverage inside
-# encoding/json, and minimizing each would leave a 10 s pass ~100 executions.
+# and FuzzAnswerTokens run without minimization: nearly every input reaches
+# new coverage inside encoding/json, and minimizing each would leave a 10 s
+# pass ~100 executions.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzConnectBy -fuzztime=10s ./internal/warehouse/
 	$(GO) test -run='^$$' -fuzz=FuzzRelevUserViewBuilder -fuzztime=10s ./internal/core/
 	$(GO) test -run='^$$' -fuzz=FuzzSnapshotV3 -fuzztime=10s ./internal/warehouse/
 	$(GO) test -run='^$$' -fuzz=FuzzCompositeBuild -fuzztime=10s ./internal/composite/
 	$(GO) test -run='^$$' -fuzz=FuzzAppendResponse -fuzztime=10s -fuzzminimizetime=0 ./internal/server/
+	$(GO) test -run='^$$' -fuzz=FuzzAnswerTokens -fuzztime=10s -fuzzminimizetime=0 ./internal/server/
 
 # The paper's Section V tables (plus the ablations and the in-process
 # experiments that still have code), printed as text.

@@ -563,10 +563,13 @@ func shardCluster(b *testing.B, full *warehouse.Warehouse, n int) *client.Client
 // freshly opened v3 snapshot, on a corpus shaped like zoomload's
 // ingest-restart (12 Class4-large runs, generator seed 10). One iteration
 // opens the snapshot and touches every run once: "run" materializes it
-// (Warehouse.Run: checksum, invariant checks, adoption), "query" asks the
-// first UAdmin deep-provenance query of its last final output (run, closure,
-// mapping, projection). us/run divides by the corpus; -benchmem shows what a
-// touched run leaves on the heap.
+// (Warehouse.Run: checksum, invariant checks, adoption), "tokens" also builds
+// its JSON token tables (so tokens minus run is what those cost a first
+// answer), "query" asks the first UAdmin deep-provenance query of its last
+// final output (run, closure, mapping, projection) and "answer" encodes it as
+// the server would (the same plus tokens and bytes, minus the strings of a
+// Result). us/run divides by the corpus; -benchmem shows what a touched run
+// leaves on the heap.
 func BenchmarkFirstTouch(b *testing.B) {
 	const runs = 12
 	g := gen.NewGenerator(10)
@@ -605,12 +608,26 @@ func BenchmarkFirstTouch(b *testing.B) {
 			_, err := w.Run(ids[i])
 			return err
 		},
+		"tokens": func(w *warehouse.Warehouse, _ *provenance.Engine, i int) error {
+			r, err := w.Run(ids[i])
+			if err == nil {
+				r.Index().Tokens()
+			}
+			return err
+		},
 		"query": func(_ *warehouse.Warehouse, e *provenance.Engine, i int) error {
 			_, err := e.DeepProvenance(ids[i], admin, roots[i])
 			return err
 		},
+		"answer": func(_ *warehouse.Warehouse, e *provenance.Engine, i int) error {
+			a, _, err := e.DeepAnswerTracedCtx(context.Background(), ids[i], admin, roots[i])
+			if err == nil {
+				answerBuf = server.AppendAnswer(answerBuf[:0], a)
+			}
+			return err
+		},
 	}
-	for _, name := range []string{"run", "query"} {
+	for _, name := range []string{"run", "tokens", "query", "answer"} {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for n := 0; n < b.N; n++ {
@@ -633,6 +650,9 @@ func BenchmarkFirstTouch(b *testing.B) {
 	}
 }
 
+// answerBuf is the encode buffer the answer-path benchmarks reuse.
+var answerBuf []byte
+
 // answerPathSite is BenchmarkAnswerPath's fixture: one run shaped like
 // zoomload's cold-deep corpus (Class4-large, generator seed 11) and 16 data
 // objects spread over the later half of the run, so the answers under
@@ -650,34 +670,42 @@ func answerPathSite(b *testing.B) (*fig10Site, []string) {
 
 // BenchmarkAnswerPath times the three stages between a cached closure and
 // the client's socket on large answers (EXPERIMENTS.md, "answer path"):
-// projection of a warm closure through a warm mapping, encoding a result
-// into a reused buffer, and a router cache hit through Handler().
+// projection of a warm closure through a warm mapping to an integer answer,
+// encoding an answer into a reused buffer (and the two together, which is
+// what a worker does per request), and a router cache hit through Handler().
 func BenchmarkAnswerPath(b *testing.B) {
 	site, roots := answerPathSite(b)
 	ctx := context.Background()
-	results := make([]*provenance.Result, len(roots))
-	for i, d := range roots {
-		res, err := site.e.DeepProvenanceCtx(ctx, site.r.ID(), site.admin, d)
+	project := func(i int) *provenance.Answer {
+		a, _, err := site.e.DeepAnswerTracedCtx(ctx, site.r.ID(), site.admin, roots[i%len(roots)])
 		if err != nil {
 			b.Fatal(err)
 		}
-		results[i] = res
+		return a
+	}
+	answers := make([]*provenance.Answer, len(roots))
+	for i := range roots {
+		answers[i] = project(i)
 	}
 	b.Run("project", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := site.e.DeepProvenanceCtx(ctx, site.r.ID(), site.admin, roots[i%len(roots)]); err != nil {
-				b.Fatal(err)
-			}
+			project(i)
 		}
 	})
 	b.Run("encode", func(b *testing.B) {
 		b.ReportAllocs()
-		var buf []byte
 		for i := 0; i < b.N; i++ {
-			buf = server.AppendResult(buf[:0], results[i%len(results)])
+			answerBuf = server.AppendAnswer(answerBuf[:0], answers[i%len(answers)])
 		}
-		b.SetBytes(int64(len(buf)))
+		b.SetBytes(int64(len(answerBuf)))
+	})
+	b.Run("project+encode", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			answerBuf = server.AppendAnswer(answerBuf[:0], project(i))
+		}
+		b.SetBytes(int64(len(answerBuf)))
 	})
 	b.Run("relay-hit", func(b *testing.B) {
 		s, err := server.New(obs.NewRegistry(), server.Config{})

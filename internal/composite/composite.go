@@ -61,7 +61,8 @@ type Execution struct {
 }
 
 // Mapping relates a run to the composite executions induced by a view. It
-// is immutable once built and safe to share.
+// is immutable once built and safe to share. The Execution values are built
+// on the first call that returns or names one (see Projector).
 type Mapping struct {
 	p *Projector
 }
@@ -84,29 +85,25 @@ func (m *Mapping) Projector() *Projector { return m.p }
 
 // Execution returns the execution with the given id.
 func (m *Mapping) Execution(id string) (*Execution, bool) {
-	// Endpoints are ranked by id for the edge sort; the same ranking is the
-	// id -> ordinal dictionary.
-	p := m.p
-	rank, ok := slices.BinarySearchFunc(p.atRank, id, func(ord int32, id string) int {
-		return strings.Compare(p.EndpointID(ord), id)
-	})
-	if !ok || p.atRank[rank] == p.InputEndpoint() {
+	ord, ok := m.p.Ordinal(id)
+	if !ok {
 		return nil, false
 	}
-	return p.Execution(p.atRank[rank]), true
+	return m.p.Execution(ord), true
 }
 
 // Executions returns all executions in topological order.
 func (m *Mapping) Executions() []*Execution {
-	out := make([]*Execution, len(m.p.execs))
-	for i := range m.p.execs {
-		out[i] = &m.p.execs[i]
+	execs := m.p.executions()
+	out := make([]*Execution, len(execs))
+	for i := range execs {
+		out[i] = &execs[i]
 	}
 	return out
 }
 
 // NumExecutions returns the number of composite executions.
-func (m *Mapping) NumExecutions() int { return len(m.p.execs) }
+func (m *Mapping) NumExecutions() int { return m.p.NumExecutions() }
 
 // ExecutionOf returns the execution id containing the given step.
 func (m *Mapping) ExecutionOf(step string) (string, bool) {
@@ -114,15 +111,16 @@ func (m *Mapping) ExecutionOf(step string) (string, bool) {
 	if !ok {
 		return "", false
 	}
-	return m.p.execs[m.p.stepExec[s]].ID, true
+	return m.p.Execution(m.p.stepExec[s]).ID, true
 }
 
 // ExecutionsOf returns the executions of one composite module, in order.
 func (m *Mapping) ExecutionsOf(composite string) []*Execution {
 	var out []*Execution
-	for i := range m.p.execs {
-		if m.p.execs[i].Composite == composite {
-			out = append(out, &m.p.execs[i])
+	execs := m.p.executions()
+	for i := range execs {
+		if execs[i].Composite == composite {
+			out = append(out, &execs[i])
 		}
 	}
 	return out
@@ -135,7 +133,7 @@ func (m *Mapping) ProducerExecution(d string) (string, bool) {
 	if !ok || m.p.prodExec[id] < 0 {
 		return "", false
 	}
-	return m.p.execs[m.p.prodExec[id]].ID, true
+	return m.p.Execution(m.p.prodExec[id]).ID, true
 }
 
 // Visible reports whether data object d crosses execution boundaries under

@@ -5,8 +5,11 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
+	"repro/internal/jsontok"
 	"repro/internal/run"
 	"repro/internal/spec"
 )
@@ -16,28 +19,52 @@ import (
 // closure. Everything is computed once per mapping — step → execution
 // ordinal, data → producer-execution ordinal, and each execution's input /
 // output data as interned ids in CSR layout — so projecting a closure is
-// pure int32 arithmetic until the final Result is materialized.
+// pure int32 arithmetic, and encoding the answer is copying tokens: the run's
+// (run.Index.Tokens) for step and data names, the projector's own for what
+// depends on the view, composite names and <composite>@<k> ids.
 //
 // Execution ordinals are positions in the mapping's topological order, so
 // walking ordinals ascending visits executions exactly as Executions()
 // returns them. Provenance edges are ordered by the *string* order of their
 // endpoint ids, which differs (S10 < S2, and INPUT sorts among them), so the
 // projector also ranks every execution id together with spec.Input once:
-// sorting edges is then integer work, and a name is read only on emission.
+// sorting edges is then integer work.
+//
+// The Execution values, strings, are a view of all this for callers that ask
+// for one (Execution, EndpointID and the Mapping accessors over them): they
+// are built behind a sync.Once on first use, so a mapping that only ever
+// serves deep, derived and batch answers never holds them. Everything else
+// is immutable after buildProjector; both are safe for concurrent use.
 type Projector struct {
-	ix    *run.Index
-	execs []Execution // topological order; ordinal = slice position
+	ix         *run.Index
+	composites []string // the view's composite names, as execComp numbers them
 
 	stepExec []int32 // interned step -> execution ordinal
 	prodExec []int32 // interned data -> producer execution ordinal, -1 external
+	execComp []int32 // ordinal -> composite
 
-	inOff, inData   []int32 // ordinal -> interned input data (CSR, ascending)
-	outOff, outData []int32 // ordinal -> interned output data (CSR, ascending)
+	stepOff, members []int32 // ordinal -> interned member steps (CSR, ascending)
+	inOff, inData    []int32 // ordinal -> interned input data (CSR, ascending)
+	outOff, outData  []int32 // ordinal -> interned output data (CSR, ascending)
+
+	compTok jsontok.Table // composite -> name token
+	idTok   jsontok.Table // ordinal -> id token; absent for a single-step execution
 
 	// Edge endpoints: ordinal NumExecutions() stands for spec.Input.
 	rankOf []int32 // endpoint ordinal -> rank of its id in string order
 	atRank []int32 // inverse of rankOf
+
+	execOnce sync.Once
+	execs    []Execution // topological order; ordinal = slice position
 }
+
+// executionBuilds counts the projectors whose Execution values were built.
+var executionBuilds atomic.Int64
+
+// ExecutionBuilds returns how many mappings have had their Execution values
+// built in this process. It exists for tests that pin what does not trigger
+// the build.
+func ExecutionBuilds() int64 { return executionBuilds.Load() }
 
 // buildProjector computes the composite executions of the indexed run under
 // v. A composite execution is a weakly connected component of the step DAG
@@ -92,7 +119,7 @@ func buildProjector(ix *run.Index, v *core.UserView) (*Projector, error) {
 	// Ordinals: components in the topological order of their roots. A
 	// root's ordinal is set first, so the sweep below, ascending, finds it
 	// in place when it reaches the members (find(s) <= s).
-	p := &Projector{ix: ix, stepExec: make([]int32, nSteps)}
+	p := &Projector{ix: ix, composites: v.Composites(), stepExec: make([]int32, nSteps)}
 	roots := make([]int32, 0, nSteps) // ordinal -> root step
 	for _, s := range order {
 		if parent[s] == s {
@@ -106,7 +133,7 @@ func buildProjector(ix *run.Index, v *core.UserView) (*Projector, error) {
 		members[s] = int32(s)
 		p.stepExec[s] = p.stepExec[find(int32(s))]
 	}
-	stepOff, members := groupRows(nExecs, p.stepExec, members)
+	p.stepOff, p.members = groupRows(nExecs, p.stepExec, members)
 
 	// Inputs and outputs as (execution, data) facts by ascending data id, so
 	// every row comes out ascending. A data object enters each consuming
@@ -141,12 +168,53 @@ func buildProjector(ix *run.Index, v *core.UserView) (*Projector, error) {
 	p.inOff, p.inData = groupRows(nExecs, inExec, inData)
 	p.outOff, p.outData = groupRows(nExecs, outExec, outData)
 
-	// The Execution values, eagerly: all their string slices are cut from
-	// one backing array (capacity-limited, so an append cannot reach a
-	// neighbour). Single-step executions keep their step id; the others are
-	// numbered per composite in execution order.
+	// Ids: a single-step execution keeps its step id (and token); the others
+	// are numbered per composite in execution order.
+	p.compTok = jsontok.Of(p.composites)
+	p.execComp = make([]int32, nExecs)
+	p.idTok = jsontok.NewTable(int(nExecs))
+	ids := make([]string, nExecs+1)
+	ids[nExecs] = spec.Input
+	ordinal := make([]int, len(p.composites))
+	for e, root := range roots {
+		c := comp[root]
+		p.execComp[e] = c
+		if steps := p.StepsOf(int32(e)); len(steps) == 1 {
+			ids[e] = ix.StepName(steps[0])
+			p.idTok.AppendAbsent()
+		} else {
+			ordinal[c]++
+			ids[e] = multiStepID(p.composites[c], ordinal[c])
+			p.idTok.Append(ids[e])
+		}
+	}
+
+	p.atRank = make([]int32, nExecs+1)
+	for i := range p.atRank {
+		p.atRank[i] = int32(i)
+	}
+	slices.SortStableFunc(p.atRank, func(a, b int32) int {
+		return strings.Compare(ids[a], ids[b])
+	})
+	p.rankOf = make([]int32, len(p.atRank))
+	for rank, ord := range p.atRank {
+		p.rankOf[ord] = int32(rank)
+	}
+	return p, nil
+}
+
+func multiStepID(composite string, k int) string {
+	return composite + "@" + strconv.Itoa(k)
+}
+
+// buildExecutions spells the executions out as strings: all their string
+// slices are cut from one backing array (capacity-limited, so an append
+// cannot reach a neighbour).
+func (p *Projector) buildExecutions() {
+	executionBuilds.Add(1)
+	ix, nSteps := p.ix, len(p.members)
 	names := make([]string, 0, nSteps+len(p.inData)+len(p.outData))
-	for _, s := range members {
+	for _, s := range p.members {
 		names = append(names, ix.StepName(s))
 	}
 	for _, d := range p.inData {
@@ -156,36 +224,22 @@ func buildProjector(ix *run.Index, v *core.UserView) (*Projector, error) {
 		names = append(names, ix.DataName(d))
 	}
 	ins, outs := names[nSteps:], names[nSteps+len(p.inData):]
-	composites := v.Composites()
-	ordinal := make([]int, len(composites))
-	p.execs = make([]Execution, nExecs)
+	ordinal := make([]int, len(p.composites))
+	p.execs = make([]Execution, len(p.execComp))
 	for e := range p.execs {
-		c := comp[roots[e]]
+		c := p.execComp[e]
 		x := &p.execs[e]
-		x.Composite = composites[c]
-		x.Steps = names[stepOff[e]:stepOff[e+1]:stepOff[e+1]]
+		x.Composite = p.composites[c]
+		x.Steps = names[p.stepOff[e]:p.stepOff[e+1]:p.stepOff[e+1]]
 		x.Inputs = ins[p.inOff[e]:p.inOff[e+1]:p.inOff[e+1]]
 		x.Outputs = outs[p.outOff[e]:p.outOff[e+1]:p.outOff[e+1]]
 		if len(x.Steps) == 1 {
 			x.ID = x.Steps[0]
 		} else {
 			ordinal[c]++
-			x.ID = x.Composite + "@" + strconv.Itoa(ordinal[c])
+			x.ID = multiStepID(x.Composite, ordinal[c])
 		}
 	}
-
-	p.atRank = make([]int32, nExecs+1)
-	for i := range p.atRank {
-		p.atRank[i] = int32(i)
-	}
-	slices.SortStableFunc(p.atRank, func(a, b int32) int {
-		return strings.Compare(p.EndpointID(a), p.EndpointID(b))
-	})
-	p.rankOf = make([]int32, len(p.atRank))
-	for rank, ord := range p.atRank {
-		p.rankOf[ord] = int32(rank)
-	}
-	return p, nil
 }
 
 // groupRows turns (row, value) facts into CSR form, each row keeping its
@@ -223,22 +277,60 @@ func (p *Projector) leaves(d int32) bool {
 func (p *Projector) Index() *run.Index { return p.ix }
 
 // NumExecutions returns the number of composite executions.
-func (p *Projector) NumExecutions() int { return len(p.execs) }
+func (p *Projector) NumExecutions() int { return len(p.execComp) }
+
+// executions returns the Execution values, building them on first use.
+func (p *Projector) executions() []Execution {
+	p.execOnce.Do(p.buildExecutions)
+	return p.execs
+}
 
 // Execution returns the execution at a topological ordinal.
-func (p *Projector) Execution(ord int32) *Execution { return &p.execs[ord] }
+func (p *Projector) Execution(ord int32) *Execution { return &p.executions()[ord] }
 
 // InputEndpoint is the edge-endpoint ordinal of spec.Input: one past the
 // last execution ordinal.
-func (p *Projector) InputEndpoint() int32 { return int32(len(p.execs)) }
+func (p *Projector) InputEndpoint() int32 { return int32(len(p.execComp)) }
 
 // EndpointID names an edge endpoint: an execution id, or spec.Input.
 func (p *Projector) EndpointID(ord int32) string {
-	if int(ord) == len(p.execs) {
+	if ord == p.InputEndpoint() {
 		return spec.Input
 	}
-	return p.execs[ord].ID
+	return p.Execution(ord).ID
 }
+
+// Ordinal returns the ordinal of the execution with the given id. Endpoints
+// are ranked by id for the edge sort; the same ranking is the id -> ordinal
+// dictionary.
+func (p *Projector) Ordinal(id string) (int32, bool) {
+	rank, ok := slices.BinarySearchFunc(p.atRank, id, func(ord int32, id string) int {
+		return strings.Compare(p.EndpointID(ord), id)
+	})
+	if !ok || p.atRank[rank] == p.InputEndpoint() {
+		return 0, false
+	}
+	return p.atRank[rank], true
+}
+
+// inputToken is spec.Input as edges spell it.
+var inputToken = jsontok.AppendString(nil, spec.Input)
+
+// EndpointToken is EndpointID as a JSON string token. The slice aliases a
+// table; callers must not mutate it.
+func (p *Projector) EndpointToken(ord int32) []byte {
+	if ord == p.InputEndpoint() {
+		return inputToken
+	}
+	if tok := p.idTok.At(ord); len(tok) > 0 {
+		return tok
+	}
+	return p.ix.Tokens().Step.At(p.members[p.stepOff[ord]])
+}
+
+// CompositeToken is the name of an execution's composite module as a JSON
+// string token. The slice aliases the projector; callers must not mutate it.
+func (p *Projector) CompositeToken(ord int32) []byte { return p.compTok.At(p.execComp[ord]) }
 
 // EndpointRank returns the position of an endpoint's id among all endpoint
 // ids in string order — the order provenance edges are reported in.
@@ -253,6 +345,10 @@ func (p *Projector) ExecOfStep(s int32) int32 { return p.stepExec[s] }
 // ProducerExec returns the execution ordinal that produced an interned
 // data id, or -1 when the data is external (user/workflow input).
 func (p *Projector) ProducerExec(d int32) int32 { return p.prodExec[d] }
+
+// StepsOf returns an execution's interned member steps, ascending (= natural
+// order). The slice aliases the projector; callers must not mutate it.
+func (p *Projector) StepsOf(ord int32) []int32 { return p.members[p.stepOff[ord]:p.stepOff[ord+1]] }
 
 // InputsOf returns an execution's interned input data, ascending (= natural
 // order). The slice aliases the projector; callers must not mutate it.

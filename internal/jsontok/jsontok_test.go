@@ -1,0 +1,58 @@
+package jsontok
+
+import (
+	"bytes"
+	"encoding/json"
+	"strings"
+	"testing"
+)
+
+// names exercise every escaping rule of encoding/json: the mandatory
+// escapes, control bytes, the HTML-safe set, U+2028/9, DEL, multi-byte runes,
+// invalid UTF-8 and a long plain name.
+var names = []string{
+	"", "d1", `say "hi"`, `back\slash`, "tab\there", "\x00\x1f", "\x7f", "<a>&", "line\u2028sep\u2029",
+	"héllo", "日本語", "\xff\xfe", "a\xc3", strings.Repeat("0123456789abcdef", 256),
+}
+
+func TestAppendStringMatchesEncodingJSON(t *testing.T) {
+	for _, s := range names {
+		want, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := AppendString([]byte("x"), s); !bytes.Equal(got[1:], want) || got[0] != 'x' {
+			t.Fatalf("AppendString(%q) = %s, want x%s", s, got, want)
+		}
+	}
+}
+
+func TestTable(t *testing.T) {
+	tab := Of(names)
+	for i, s := range names {
+		if got, want := tab.At(int32(i)), AppendString(nil, s); !bytes.Equal(got, want) {
+			t.Fatalf("entry %d = %s, want %s", i, got, want)
+		}
+	}
+	for i := range names {
+		for j := i; j < len(names); j++ {
+			var want []byte
+			for k := i; k <= j; k++ {
+				if k > i {
+					want = append(want, ',')
+				}
+				want = AppendString(want, names[k])
+			}
+			if got := tab.Span(int32(i), int32(j)); !bytes.Equal(got, want) {
+				t.Fatalf("Span(%d, %d) = %s, want %s", i, j, got, want)
+			}
+		}
+	}
+	mixed := NewTable(3)
+	mixed.Append("a")
+	mixed.AppendAbsent()
+	mixed.Append("")
+	if a, none, empty := mixed.At(0), mixed.At(1), mixed.At(2); string(a) != `"a"` || len(none) != 0 || string(empty) != `""` {
+		t.Fatalf("entries %q %q %q, want \"a\", absent, the empty string's token", a, none, empty)
+	}
+}

@@ -43,18 +43,20 @@ type QueryResult struct {
 // ctx.Err() while in-flight ones finish normally, so the returned slice
 // always has one entry per query.
 func (e *Engine) ServeConcurrently(ctx context.Context, queries []Query, workers int) []QueryResult {
-	return e.serve(ctx, queries, workers, nil)
+	out := make([]QueryResult, len(queries))
+	e.serve(ctx, queries, workers, func(idx int, a *Answer, err error) {
+		out[idx] = QueryResult{Index: idx, Query: queries[idx], Result: a.Result(), Err: err}
+	})
+	return out
 }
 
-// serve is the worker pool behind ServeConcurrently and
-// DeepProvenanceBatch. onError, when non-nil, is called (possibly from
-// several workers at once) for every genuine query failure — not for
-// queries skipped because ctx was already cancelled — which is how the
-// batch path turns the first failure into a cancellation of the rest.
-func (e *Engine) serve(ctx context.Context, queries []Query, workers int, onError func(error)) []QueryResult {
-	out := make([]QueryResult, len(queries))
+// serve is the worker pool behind ServeConcurrently and the batch entry
+// points. done is called once per query, on the worker's goroutine (so
+// possibly from several at once), with the query's answer or its error; a
+// query not yet started when ctx is cancelled reports ctx.Err().
+func (e *Engine) serve(ctx context.Context, queries []Query, workers int, done func(idx int, a *Answer, err error)) {
 	if len(queries) == 0 {
-		return out
+		return
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -76,7 +78,7 @@ func (e *Engine) serve(ctx context.Context, queries []Query, workers int, onErro
 			for idx := range jobs {
 				q := queries[idx]
 				if err := ctx.Err(); err != nil {
-					out[idx] = QueryResult{Index: idx, Query: q, Err: err}
+					done(idx, nil, err)
 					continue
 				}
 				// Under a traced context each worker query gets its own
@@ -84,12 +86,9 @@ func (e *Engine) serve(ctx context.Context, queries []Query, workers int, onErro
 				// batch response shows per-query concurrency and which
 				// member query was the slow one.
 				qctx, qsp := obs.StartSpan(ctx, "batch.query "+q.Data)
-				res, err := e.deepProvenance(qctx, q.RunID, q.View, q.Data, nil)
+				a, err := e.deepAnswer(qctx, q.RunID, q.View, q.Data, nil)
 				qsp.End()
-				out[idx] = QueryResult{Index: idx, Query: q, Result: res, Err: err}
-				if err != nil && onError != nil {
-					onError(err)
-				}
+				done(idx, a, err)
 			}
 		}()
 	}
@@ -98,7 +97,6 @@ func (e *Engine) serve(ctx context.Context, queries []Query, workers int, onErro
 	}
 	close(jobs)
 	wg.Wait()
-	return out
 }
 
 // DeepProvenanceBatch answers the deep provenance of many data objects of
@@ -110,39 +108,47 @@ func (e *Engine) serve(ctx context.Context, queries []Query, workers int, onErro
 // batch does not cost the whole batch's work. workers <= 0 selects
 // GOMAXPROCS.
 func (e *Engine) DeepProvenanceBatch(ctx context.Context, runID string, v *core.UserView, dataIDs []string, workers int) ([]*Result, error) {
+	return deepBatch(ctx, e, runID, v, dataIDs, workers, (*Answer).Result)
+}
+
+// DeepAnswerBatch is DeepProvenanceBatch stopping at the integer answers,
+// which is what the server encodes.
+func (e *Engine) DeepAnswerBatch(ctx context.Context, runID string, v *core.UserView, dataIDs []string, workers int) ([]*Answer, error) {
+	return deepBatch(ctx, e, runID, v, dataIDs, workers, func(a *Answer) *Answer { return a })
+}
+
+// deepBatch runs one batch; each answer becomes its entry of the result on
+// the goroutine that computed it.
+func deepBatch[T any](ctx context.Context, e *Engine, runID string, v *core.UserView, dataIDs []string, workers int, entry func(*Answer) T) ([]T, error) {
 	queries := make([]Query, len(dataIDs))
 	for i, d := range dataIDs {
 		queries[i] = Query{RunID: runID, View: v, Data: d}
 	}
-	// Abort the pool on the first genuine failure. The child context keeps
-	// the induced cancellation distinguishable from one the caller issued.
+	// Abort the pool on the first failure. The child context keeps the
+	// induced cancellation distinguishable from one the caller issued.
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	answered := e.serve(cctx, queries, workers, func(error) { cancel() })
+	out, errs := make([]T, len(queries)), make([]error, len(queries))
+	e.serve(cctx, queries, workers, func(i int, a *Answer, err error) {
+		if errs[i] = err; err != nil {
+			cancel()
+			return
+		}
+		out[i] = entry(a)
+	})
 	// With the parent context clean, any context error in the results is
 	// our own abort propagating — skip those entries to report the genuine
 	// failure that caused them; everything else (including context errors
 	// when the caller really did cancel) reports as before.
 	skipInduced := ctx.Err() == nil
-	var firstErr error
-	firstIdx := -1
-	for i, qr := range answered {
-		if qr.Err == nil {
+	for i, err := range errs {
+		if err == nil {
 			continue
 		}
-		if skipInduced && (errors.Is(qr.Err, context.Canceled) || errors.Is(qr.Err, context.DeadlineExceeded)) {
+		if skipInduced && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
 			continue
 		}
-		if firstIdx == -1 || i < firstIdx {
-			firstIdx, firstErr = i, qr.Err
-		}
-	}
-	if firstIdx != -1 {
-		return nil, fmt.Errorf("batch query %d (%s): %w", firstIdx, dataIDs[firstIdx], firstErr)
-	}
-	out := make([]*Result, len(answered))
-	for i, qr := range answered {
-		out[i] = qr.Result
+		return nil, fmt.Errorf("batch query %d (%s): %w", i, dataIDs[i], err)
 	}
 	return out, nil
 }

@@ -91,19 +91,19 @@ func (e *Engine) ExecutionProvenance(runID string, v *core.UserView, execID stri
 	if err != nil {
 		return nil, err
 	}
-	ex, ok := m.Execution(execID)
+	px := m.Projector()
+	ord, ok := px.Ordinal(execID)
 	if !ok {
 		return nil, fmt.Errorf("provenance: unknown execution %q in run %q", execID, runID)
 	}
 	// Union the closures of the execution's inputs into fresh sets (cached
 	// closures are shared and read-only); the per-(run, data) cache makes
 	// the repeats cheap.
-	px := m.Projector()
 	ix := px.Index()
 	stepBits := bitset.New(ix.NumSteps())
 	dataBits := bitset.New(ix.NumData())
-	for _, in := range ex.Inputs {
-		c, err := e.w.DeepProvenance(runID, in)
+	for _, in := range px.InputsOf(ord) {
+		c, err := e.w.DeepProvenance(runID, ix.DataName(in))
 		if err != nil {
 			return nil, err
 		}
@@ -114,13 +114,12 @@ func (e *Engine) ExecutionProvenance(runID string, v *core.UserView, execID stri
 		stepBits.Or(cs)
 		dataBits.Or(cd)
 	}
-	for _, s := range ex.Steps {
-		id, _ := ix.StepID(s)
-		stepBits.Add(id)
+	for _, s := range px.StepsOf(ord) {
+		stepBits.Add(s)
 	}
-	res := &Result{RunID: runID, Root: execID}
-	projectBits(res, px, -1, stepBits, dataBits)
-	return res, nil
+	a := &Answer{RunID: runID, Root: execID, Projector: px}
+	projectVisible(a, -1, visibleExecutions(px, stepBits), dataBits)
+	return a.Result(), nil
 }
 
 // Executions lists the composite executions of a run under a view in

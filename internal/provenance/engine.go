@@ -14,12 +14,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/bitset"
 	"repro/internal/composite"
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -111,6 +109,23 @@ func (e *Engine) mapping(r *run.Run, v *core.UserView) (*composite.Mapping, erro
 	return ent.m, ent.err
 }
 
+// DropRun drops a run from the warehouse (Warehouse.DropRun) and forgets the
+// mappings memoized for it, which would otherwise keep the run, its index
+// and its token tables reachable until other mappings pushed them out.
+func (e *Engine) DropRun(runID string) error {
+	if err := e.w.DropRun(runID); err != nil {
+		return err
+	}
+	e.mu.Lock()
+	for key := range e.mappings {
+		if key.runID == runID {
+			delete(e.mappings, key)
+		}
+	}
+	e.mu.Unlock()
+	return nil
+}
+
 // Edge is a dataflow edge of a provenance result graph.
 type Edge struct {
 	// From is a composite execution id or INPUT.
@@ -155,7 +170,7 @@ func (r *Result) Tuples() int { return len(r.Executions) + len(r.Data) }
 // data objects / sequence of steps which have been used to produce this
 // data object?" — with respect to a user view.
 func (e *Engine) DeepProvenance(runID string, v *core.UserView, d string) (*Result, error) {
-	return e.deepProvenance(context.Background(), runID, v, d, nil)
+	return resultOf(e.deepAnswer(context.Background(), runID, v, d, nil))
 }
 
 // DeepProvenanceCtx is DeepProvenance with a context. When the context
@@ -166,17 +181,18 @@ func (e *Engine) DeepProvenance(runID string, v *core.UserView, d string) (*Resu
 // untraced context costs one nil span check and behaves exactly like
 // DeepProvenance.
 func (e *Engine) DeepProvenanceCtx(ctx context.Context, runID string, v *core.UserView, d string) (*Result, error) {
-	return e.deepProvenance(ctx, runID, v, d, nil)
+	return resultOf(e.deepAnswer(ctx, runID, v, d, nil))
 }
 
-// deepProvenance is the shared query path behind DeepProvenance and
-// DeepProvenanceTracedCtx. When a metrics registry is attached, a trace is
-// requested, or the context carries a span, it times each stage
-// (closure-cache lookup including compute or wait, then view projection
-// including the memoized mapping's first build); otherwise it never reads
-// the clock, which is what keeps the detached overhead to a few nil checks
-// (BenchmarkObsOverhead pins this).
-func (e *Engine) deepProvenance(ctx context.Context, runID string, v *core.UserView, d string, tr *QueryTrace) (*Result, error) {
+// deepAnswer is the shared query path behind every deep-provenance entry
+// point; it stops at the integer answer, and what its stages time is that
+// (spelling a Result out is the caller's, after the clock stops). When a
+// metrics registry is attached, a trace is requested, or the context carries
+// a span, it times each stage (closure-cache lookup including compute or
+// wait, then view projection including the memoized mapping's first build);
+// otherwise it never reads the clock, which is what keeps the detached
+// overhead to a few nil checks (BenchmarkObsOverhead pins this).
+func (e *Engine) deepAnswer(ctx context.Context, runID string, v *core.UserView, d string, tr *QueryTrace) (*Answer, error) {
 	m := e.obs.Load()
 	sp := obs.SpanFromContext(ctx)
 	timed := m != nil || tr != nil || sp != nil
@@ -212,7 +228,7 @@ func (e *Engine) deepProvenance(ctx context.Context, runID string, v *core.UserV
 	}
 	psp := sp.StartChild("query.project")
 	mp, err := e.mapping(r, v)
-	var res *Result
+	var res *Answer
 	if err == nil {
 		res, err = project(mp, closure)
 	}
@@ -240,176 +256,13 @@ func (e *Engine) deepProvenance(ctx context.Context, runID string, v *core.UserV
 			tr.ComputeNs = o.ComputeNs
 			tr.ProjectNs = projectNs
 			tr.TotalNs = totalNs
-			tr.Steps = res.NumSteps()
-			tr.Data_ = res.NumData()
+			tr.Steps = len(res.Executions)
+			tr.Data_ = len(res.Data)
 			tr.Edges = len(res.Edges)
 		}
 	}
 	return res, nil
 }
-
-// ErrIndexMismatch reports a closure and a view mapping interned over
-// different run indexes. Both are derived from the run the warehouse holds
-// under one id, so the only way to see it is a run dropped and re-ingested
-// between a query's run lookup and its closure lookup.
-var ErrIndexMismatch = errors.New("provenance: closure and view mapping are over different run indexes")
-
-// projectorFor returns the mapping's projector and the closure's member
-// sets after checking that both speak the same interned ids.
-func projectorFor(m *composite.Mapping, c *warehouse.Closure) (*composite.Projector, bitset.Set, bitset.Set, error) {
-	px := m.Projector()
-	ix, stepBits, dataBits := c.Bits()
-	if px.Index() != ix {
-		return nil, nil, nil, fmt.Errorf("%w: run %q, root %q: closure index %p, mapping index %p",
-			ErrIndexMismatch, m.Run().ID(), c.Root, ix, px.Index())
-	}
-	return px, stepBits, dataBits, nil
-}
-
-// newResult starts the answer for a query rooted at data object root.
-func newResult(r *run.Run, root string) *Result {
-	res := &Result{RunID: r.ID(), Root: root, External: r.IsExternal(root)}
-	if res.External {
-		res.Metadata = r.InputMeta(root)
-	}
-	return res
-}
-
-// project restricts a UAdmin closure to what a view shows: the composite
-// executions that intersect the closure, the data crossing their
-// boundaries, and the edges between them.
-func project(m *composite.Mapping, c *warehouse.Closure) (*Result, error) {
-	px, stepBits, dataBits, err := projectorFor(m, c)
-	if err != nil {
-		return nil, err
-	}
-	res := newResult(m.Run(), c.Root)
-	rootID, ok := px.Index().DataID(c.Root)
-	if !ok {
-		rootID = -1
-	}
-	projectBits(res, px, rootID, stepBits, dataBits)
-	return res, nil
-}
-
-// projectBits fills res from closure member sets: closure membership is a
-// bit test, the visible-execution set is a bitset over topological
-// ordinals, and data comes out naturally sorted for free because interned
-// ids are natural ranks. rootID seeds the visible data (negative: no root
-// data object, as in ExecutionProvenance).
-//
-// Edges are reported by (From, To) in string order with natural-order data.
-// No string is compared to get there: consumers are walked in the string
-// rank of their ids (composite.Projector ranks them once per mapping), an
-// execution's inputs are ascending interned ids, so the facts are collected
-// already ordered by (To, data), and one stable counting pass on the
-// producer's rank finishes the order.
-func projectBits(res *Result, px *composite.Projector, rootID int32, stepBits, dataBits bitset.Set) {
-	visible := bitset.New(px.NumExecutions())
-	stepBits.Each(func(s int32) { visible.Add(px.ExecOfStep(s)) })
-	projectVisible(res, px, rootID, visible, dataBits)
-}
-
-// projectVisible is projectBits once the visible executions are known (the
-// direct strategy finds them by its own traversal).
-func projectVisible(res *Result, px *composite.Projector, rootID int32, visible, dataBits bitset.Set) {
-	ix := px.Index()
-	outData := bitset.New(ix.NumData())
-	if rootID >= 0 {
-		outData.Add(rootID)
-	}
-	// Ascending ordinals are topological order, matching m.Executions().
-	// With nothing visible the list stays nil, as append would leave it.
-	if n := visible.Count(); n > 0 {
-		res.Executions = make([]*composite.Execution, 0, n)
-	}
-	visible.Each(func(ord int32) { res.Executions = append(res.Executions, px.Execution(ord)) })
-
-	sc := edgeScratchPool.Get().(*edgeScratch)
-	defer edgeScratchPool.Put(sc)
-	input := px.InputEndpoint()
-	facts := sc.facts[:0]
-	for rank := int32(0); rank <= input; rank++ {
-		to := px.EndpointAtRank(rank)
-		if to == input || !visible.Has(to) {
-			continue
-		}
-		for _, d := range px.InputsOf(to) {
-			if !dataBits.Has(d) {
-				continue // input irrelevant to this derivation
-			}
-			outData.Add(d)
-			from := px.ProducerExec(d)
-			if from < 0 {
-				from = input
-			} else if !visible.Has(from) {
-				continue
-			}
-			facts = append(facts, edgeFact{from: px.EndpointRank(from), to: to, d: d})
-		}
-	}
-	sc.facts = facts
-	res.Data = make([]string, 0, outData.Count())
-	outData.Each(func(d int32) { res.Data = append(res.Data, ix.DataName(d)) })
-	if len(facts) == 0 {
-		return
-	}
-
-	// next[r] is where the next fact whose producer has rank r goes.
-	next := slices.Grow(sc.next[:0], int(input)+2)[:input+2]
-	clear(next)
-	for _, f := range facts {
-		next[f.from+1]++
-	}
-	for r := int32(1); r <= input; r++ {
-		next[r] += next[r-1]
-	}
-	sorted := slices.Grow(sc.sorted[:0], len(facts))[:len(facts)]
-	for _, f := range facts {
-		sorted[next[f.from]] = f
-		next[f.from]++
-	}
-	sc.next, sc.sorted = next, sorted
-
-	// One Edge per (From, To) group; the groups share one backing array.
-	groups := 1
-	for i := 1; i < len(sorted); i++ {
-		if sorted[i].from != sorted[i-1].from || sorted[i].to != sorted[i-1].to {
-			groups++
-		}
-	}
-	res.Edges = make([]Edge, 0, groups)
-	names := make([]string, len(sorted))
-	for i := 0; i < len(sorted); {
-		j := i
-		for j < len(sorted) && sorted[j].from == sorted[i].from && sorted[j].to == sorted[i].to {
-			names[j] = ix.DataName(sorted[j].d)
-			j++
-		}
-		res.Edges = append(res.Edges, Edge{
-			From: px.EndpointID(px.EndpointAtRank(sorted[i].from)),
-			To:   px.Execution(sorted[i].to).ID,
-			Data: names[i:j:j],
-		})
-		i = j
-	}
-}
-
-// edgeFact is one "data d flows from → to" fact of a projection, in
-// integers: from is the producer endpoint's string rank (the sort key), to
-// the consumer's execution ordinal, d the interned data id.
-type edgeFact struct {
-	from, to, d int32
-}
-
-// edgeScratch is the per-query working memory of the edge sort. It is
-// pointer-free, pooled across queries, and never reachable from a Result.
-type edgeScratch struct {
-	facts, sorted []edgeFact
-	next          []int32
-}
-
-var edgeScratchPool = sync.Pool{New: func() any { return new(edgeScratch) }}
 
 // ImmediateProvenance returns the composite execution that produced d under
 // the view, with its full input set: "the immediate provenance of d413
@@ -448,6 +301,12 @@ func (e *Engine) ImmediateProvenanceCtx(ctx context.Context, runID string, v *co
 // attached histogram (query.derivation_ns) records the full traversal each
 // time.
 func (e *Engine) DeepDerivation(runID string, v *core.UserView, d string) (*Result, error) {
+	return resultOf(e.DerivationAnswer(runID, v, d))
+}
+
+// DerivationAnswer is DeepDerivation stopping at the integer answer, which
+// is what the server encodes.
+func (e *Engine) DerivationAnswer(runID string, v *core.UserView, d string) (*Answer, error) {
 	m := e.obs.Load()
 	var start time.Time
 	if m != nil {
@@ -472,45 +331,4 @@ func (e *Engine) DeepDerivation(runID string, v *core.UserView, d string) (*Resu
 		m.forwardNs.Observe(time.Since(start).Nanoseconds())
 	}
 	return res, nil
-}
-
-// projectForward mirrors project for the derivation direction: visible
-// executions intersecting the closure, and the closure data leaving each
-// execution toward other visible executions (or toward the final output).
-func projectForward(m *composite.Mapping, c *warehouse.Closure) (*Result, error) {
-	px, stepBits, dataBits, err := projectorFor(m, c)
-	if err != nil {
-		return nil, err
-	}
-	ix := px.Index()
-	res := newResult(m.Run(), c.Root)
-	visible := bitset.New(px.NumExecutions())
-	stepBits.Each(func(s int32) { visible.Add(px.ExecOfStep(s)) })
-	outData := bitset.New(ix.NumData())
-	if rootID, ok := ix.DataID(c.Root); ok {
-		outData.Add(rootID)
-	}
-	visible.Each(func(ord int32) {
-		res.Executions = append(res.Executions, px.Execution(ord))
-		for _, d := range px.OutputsOf(ord) {
-			if !dataBits.Has(d) {
-				continue
-			}
-			if ix.IsFinal(d) || consumedOutside(ix, px, visible, ord, d) {
-				outData.Add(d)
-			}
-		}
-	})
-	res.Data = make([]string, 0, outData.Count())
-	outData.Each(func(d int32) { res.Data = append(res.Data, ix.DataName(d)) })
-	return res, nil
-}
-
-func consumedOutside(ix *run.Index, px *composite.Projector, visible bitset.Set, ord, d int32) bool {
-	for _, s := range ix.ConsumersOf(d) {
-		if e := px.ExecOfStep(s); e != ord && visible.Has(e) {
-			return true
-		}
-	}
-	return false
 }

@@ -471,7 +471,7 @@ func TestProjectIndexMismatch(t *testing.T) {
 	}
 	m := oracleMapping(t, other, core.UAdmin(s))
 	closureIx, _, _ := closure.Bits()
-	for name, project := range map[string]func(*composite.Mapping, *warehouse.Closure) (*Result, error){
+	for name, project := range map[string]func(*composite.Mapping, *warehouse.Closure) (*Answer, error){
 		"project": project, "projectForward": projectForward,
 	} {
 		res, err := project(m, closure)
@@ -493,4 +493,126 @@ func mustLog(t *testing.T, r *run.Run) []wflog.Event {
 		t.Fatal(err)
 	}
 	return events
+}
+
+// TestDropRunForgetsMappings: Engine.DropRun leaves no memo entry naming the
+// run (the parent commit kept them, and through them the run, its index and
+// everything hanging off it, until 1,024 other mappings pushed them out), and
+// a different run loaded under the same id is answered from its own index.
+func TestDropRunForgetsMappings(t *testing.T) {
+	g := gen.NewGenerator(99)
+	s := g.Workflow(gen.Class3(), "drop")
+	runA, _, err := g.Run(s, gen.Small(), "x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	runB, _, err := g.Run(s, gen.Medium(), "x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	keep, _, err := g.Run(s, gen.Small(), "keep")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ubio, err := core.BuildRelevant(s, gen.UBioRelevant(s))
+	if err != nil {
+		t.Fatal(err)
+	}
+	box, err := core.UBlackBox(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	views := []*core.UserView{core.UAdmin(s), ubio, box}
+	lastFinal := func(r *run.Run) string { f := r.FinalOutputs(); return f[len(f)-1] }
+
+	e := engineFor(t, s, runA)
+	if err := e.Warehouse().LoadRun(keep); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range views {
+		for _, r := range []*run.Run{runA, keep} {
+			if _, err := e.DeepProvenance(r.ID(), v, lastFinal(r)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if n := len(e.mappings); n != 2*len(views) {
+		t.Fatalf("memo holds %d mappings before the drop, want %d", n, 2*len(views))
+	}
+	if err := e.DropRun("x"); err != nil {
+		t.Fatal(err)
+	}
+	for key := range e.mappings {
+		if key.runID == "x" {
+			t.Fatalf("memo still holds a mapping of the dropped run under view %v", key.view)
+		}
+	}
+	if n := len(e.mappings); n != len(views) {
+		t.Fatalf("memo holds %d mappings after the drop, want the other run's %d", n, len(views))
+	}
+	if err := e.DropRun("x"); !errors.Is(err, warehouse.ErrUnknownRun) {
+		t.Fatalf("dropping a dropped run: %v, want ErrUnknownRun", err)
+	}
+
+	if err := e.Warehouse().LoadRun(runB); err != nil {
+		t.Fatal(err)
+	}
+	fresh := engineFor(t, s, runB)
+	for _, v := range views {
+		a, err := e.deepAnswer(context.Background(), "x", v, lastFinal(runB), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.Projector.Index() != runB.Index() {
+			t.Fatal("answer after re-ingest is not over the new run's index")
+		}
+		want, err := fresh.DeepProvenance("x", v, lastFinal(runB))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResult(t, "provenance after drop and re-ingest", a.Result(), want)
+	}
+}
+
+// TestOversizedProjectionLeavesThePool: a projection whose fact list outgrows
+// maxPooledFacts does not hand its scratch back, so whatever the pool gives
+// the next query is within the cap (the parent commit pooled scratch of any
+// size), and the small projection that follows answers as the oracle does.
+func TestOversizedProjectionLeavesThePool(t *testing.T) {
+	s := spec.New("wide")
+	s.MustAddModule(spec.Module{Name: "M1"})
+	s.MustAddEdge(spec.Input, "M1")
+	s.MustAddEdge("M1", spec.Output)
+	r := run.NewRun("wide-r", "wide")
+	if err := r.AddStep("S1", "M1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.AddFlow(spec.Input, "S1", run.DataIDs(1, maxPooledFacts+1000)); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.AddFlow("S1", spec.Output, []string{"out"}); err != nil {
+		t.Fatal(err)
+	}
+	e := engineFor(t, s, r)
+	a, err := e.deepAnswer(context.Background(), r.ID(), core.UAdmin(s), "out", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(a.EdgeData) <= maxPooledFacts {
+		t.Fatalf("fixture: %d facts, want more than the cap of %d", len(a.EdgeData), maxPooledFacts)
+	}
+	sc := edgeScratchPool.Get().(*edgeScratch)
+	if cap(sc.facts) > maxPooledFacts {
+		t.Fatalf("the pool holds scratch for %d facts after an oversized projection, cap is %d", cap(sc.facts), maxPooledFacts)
+	}
+	sc.release()
+
+	small := engineFor(t, spec.Phylogenomics(), run.Figure2())
+	got, err := small.DeepProvenance("fig2", core.UAdmin(spec.Phylogenomics()), "d447")
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps, ds := oracleClosure(run.Figure2(), "d447", false)
+	sameResult(t, "small projection after an oversized one", got,
+		oracleProject(oracleMapping(t, run.Figure2(), core.UAdmin(spec.Phylogenomics())), "d447", steps, ds))
 }

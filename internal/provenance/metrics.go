@@ -115,10 +115,17 @@ func (tr *QueryTrace) String() string {
 // even when no registry is attached, so it is the one query path that
 // always pays for clock reads.
 func (e *Engine) DeepProvenanceTracedCtx(ctx context.Context, runID string, v *core.UserView, d string) (*Result, *QueryTrace, error) {
+	a, tr, err := e.DeepAnswerTracedCtx(ctx, runID, v, d)
+	return a.Result(), tr, err
+}
+
+// DeepAnswerTracedCtx is DeepProvenanceTracedCtx stopping at the integer
+// answer, which is what the server encodes.
+func (e *Engine) DeepAnswerTracedCtx(ctx context.Context, runID string, v *core.UserView, d string) (*Answer, *QueryTrace, error) {
 	tr := &QueryTrace{RunID: runID, Data: d}
-	res, err := e.deepProvenance(ctx, runID, v, d, tr)
+	a, err := e.deepAnswer(ctx, runID, v, d, tr)
 	if err != nil {
 		return nil, nil, err
 	}
-	return res, tr, nil
+	return a, tr, nil
 }

@@ -28,17 +28,16 @@ func (e *Engine) DeepProvenanceDirect(runID string, v *core.UserView, d string) 
 	if err != nil {
 		return nil, err
 	}
-	if !m.Run().HasData(d) {
+	px := m.Projector()
+	a, rootID := newAnswer(px, d)
+	if rootID < 0 {
 		return nil, fmt.Errorf("%w: %q in run %q", warehouse.ErrUnknownData, d, runID)
 	}
 	// Breadth-first over execution ordinals, each visited execution pulling
 	// in every one of its inputs; then the same emission the projected
 	// strategy uses, with those inputs as the data set.
-	px := m.Projector()
-	ix := px.Index()
-	rootID, _ := ix.DataID(d)
 	visible := bitset.New(px.NumExecutions())
-	inputs := bitset.New(ix.NumData())
+	inputs := bitset.New(px.Index().NumData())
 	if start := px.ProducerExec(rootID); start >= 0 {
 		visible.Add(start)
 		for queue := []int32{start}; len(queue) > 0; queue = queue[1:] {
@@ -51,7 +50,6 @@ func (e *Engine) DeepProvenanceDirect(runID string, v *core.UserView, d string) 
 			}
 		}
 	}
-	res := newResult(m.Run(), d)
-	projectVisible(res, px, rootID, visible, inputs)
-	return res, nil
+	projectVisible(a, rootID, visible, inputs)
+	return a.Result(), nil
 }

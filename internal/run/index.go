@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"repro/internal/bitset"
+	"repro/internal/jsontok"
 	"repro/internal/spec"
 )
 
@@ -46,6 +47,9 @@ type Index struct {
 
 	topoOnce  sync.Once
 	topoOrder []int32 // see TopoOrder; shorter than stepName when cyclic
+
+	tokOnce sync.Once
+	tokens  Tokens // see Tokens
 }
 
 // Index returns the run's compact index, building it on first use. The
@@ -256,6 +260,22 @@ func (ix *Index) TopoOrder() []int32 {
 		ix.topoOrder = order
 	})
 	return ix.topoOrder
+}
+
+// Tokens are a run's data and step names as JSON string tokens, by interned
+// id: what the answer encoder copies instead of reading a name.
+type Tokens struct {
+	Data, Step jsontok.Table
+}
+
+// Tokens returns the index's token tables, built on first use and shared;
+// safe for concurrent use. They belong to the index: whatever discards the
+// index (AddStep, AddFlow, dropping the run) discards them with it.
+func (ix *Index) Tokens() *Tokens {
+	ix.tokOnce.Do(func() {
+		ix.tokens = Tokens{Data: jsontok.Of(ix.dataName), Step: jsontok.Of(ix.stepName)}
+	})
+	return &ix.tokens
 }
 
 // DataName returns the data name of an interned id.

@@ -4,22 +4,27 @@ import (
 	"encoding/json"
 	"strconv"
 	"sync"
-	"unicode/utf8"
 
 	"repro/internal/composite"
+	"repro/internal/jsontok"
 	"repro/internal/obs"
 	"repro/internal/provenance"
+	"repro/internal/run"
 )
 
 // The answer encoder. /v1/query and /v1/batch bodies are appended straight
 // from the engine's own types into one pooled buffer: no intermediate
-// response structs, no reflection, no indentation. The bytes are exactly
-// json.Marshal of the documented response shapes (spelled as structs in
-// encode_test.go, where they are the encoder's oracle) plus the newline
-// json.Encoder writes: same field order, same omitempty behaviour, same
-// HTML-safe escaping. The two values that are rare and small — an external
-// root's metadata and the ?trace=1 span tree — are marshalled reflectively
-// in place.
+// response structs, no reflection, no indentation. A deep, derived or batch
+// answer arrives in integers (provenance.Answer) and is written as literals
+// and token copies: every name in it was escaped once, when its run's or its
+// mapping's token table was built (run.Index.Tokens, composite.Projector),
+// so no name is read here. The bytes are exactly json.Marshal of the
+// documented response shapes (spelled as structs in encode_test.go, where
+// they and the string-walking encoder this one replaced are its oracles)
+// plus the newline json.Encoder writes: same field order, same omitempty
+// behaviour, same HTML-safe escaping. The two values that are rare and small
+// — an external root's metadata and the ?trace=1 span tree — are marshalled
+// reflectively in place.
 
 // queryAnswer is what handleQuery hands the encoder: the request's echo and
 // pointers to whatever the engine returned for its kind.
@@ -28,24 +33,24 @@ type queryAnswer struct {
 	// deep is set for deep queries only; it carries outcome and the stage
 	// timings.
 	deep      *provenance.QueryTrace
-	result    *provenance.Result
+	result    *provenance.Answer
 	execution *composite.Execution
 	spans     *obs.SpanNode // ?trace=1 only
 }
 
 func appendQueryResponse(dst []byte, a *queryAnswer) ([]byte, error) {
 	dst = append(dst, `{"trace_id":`...)
-	dst = appendString(dst, a.traceID)
+	dst = jsontok.AppendString(dst, a.traceID)
 	dst = append(dst, `,"run":`...)
-	dst = appendString(dst, a.run)
+	dst = jsontok.AppendString(dst, a.run)
 	dst = append(dst, `,"data":`...)
-	dst = appendString(dst, a.data)
+	dst = jsontok.AppendString(dst, a.data)
 	dst = append(dst, `,"kind":`...)
-	dst = appendString(dst, a.kind)
+	dst = jsontok.AppendString(dst, a.kind)
 	if qt := a.deep; qt != nil {
 		if qt.Outcome != "" {
 			dst = append(dst, `,"outcome":`...)
-			dst = appendString(dst, qt.Outcome)
+			dst = jsontok.AppendString(dst, qt.Outcome)
 		}
 		dst = append(dst, `,"timing":{"lookup_ns":`...)
 		dst = strconv.AppendInt(dst, qt.LookupNs, 10)
@@ -61,7 +66,7 @@ func appendQueryResponse(dst []byte, a *queryAnswer) ([]byte, error) {
 	}
 	if a.result != nil {
 		dst = append(dst, `,"result":`...)
-		dst = AppendResult(dst, a.result)
+		dst = AppendAnswer(dst, a.result)
 	}
 	if a.execution != nil {
 		dst = append(dst, `,"execution":`...)
@@ -70,11 +75,11 @@ func appendQueryResponse(dst []byte, a *queryAnswer) ([]byte, error) {
 	return appendSpansAndClose(dst, a.spans)
 }
 
-func appendBatchResponse(dst []byte, traceID, run string, results []*provenance.Result, spans *obs.SpanNode) ([]byte, error) {
+func appendBatchResponse(dst []byte, traceID, run string, results []*provenance.Answer, spans *obs.SpanNode) ([]byte, error) {
 	dst = append(dst, `{"trace_id":`...)
-	dst = appendString(dst, traceID)
+	dst = jsontok.AppendString(dst, traceID)
 	dst = append(dst, `,"run":`...)
-	dst = appendString(dst, run)
+	dst = jsontok.AppendString(dst, run)
 	dst = append(dst, `,"count":`...)
 	dst = strconv.AppendInt(dst, int64(len(results)), 10)
 	dst = append(dst, `,"results":[`...)
@@ -85,7 +90,7 @@ func appendBatchResponse(dst []byte, traceID, run string, results []*provenance.
 		if res == nil {
 			dst = append(dst, "null"...)
 		} else {
-			dst = AppendResult(dst, res)
+			dst = AppendAnswer(dst, res)
 		}
 	}
 	dst = append(dst, ']')
@@ -106,50 +111,91 @@ func appendSpansAndClose(dst []byte, spans *obs.SpanNode) ([]byte, error) {
 	return append(dst, '}', '\n'), nil
 }
 
-// AppendResult appends one provenance result as the "result" object of the
-// wire format. Executions and edges are always arrays, even when empty.
-func AppendResult(dst []byte, res *provenance.Result) []byte {
+// AppendAnswer appends one provenance answer as the "result" object of the
+// wire format. Executions, data and edges are always arrays, even when empty.
+func AppendAnswer(dst []byte, a *provenance.Answer) []byte {
+	px := a.Projector
+	tok := px.Index().Tokens()
 	dst = append(dst, `{"root":`...)
-	dst = appendString(dst, res.Root)
-	if res.External {
+	dst = jsontok.AppendString(dst, a.Root)
+	if a.External {
 		dst = append(dst, `,"external":true`...)
 	}
-	if len(res.Metadata) > 0 {
-		raw, _ := json.Marshal(res.Metadata) // a map of strings always marshals
+	if len(a.Metadata) > 0 {
+		raw, _ := json.Marshal(a.Metadata) // a map of strings always marshals
 		dst = append(dst, `,"metadata":`...)
 		dst = append(dst, raw...)
 	}
 	dst = append(dst, `,"executions":[`...)
-	for i, x := range res.Executions {
+	for i, ord := range a.Executions {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		dst = appendExecution(dst, x)
+		dst = appendExecutionAt(dst, px, tok, ord)
 	}
 	dst = append(dst, `],"data":`...)
-	dst = appendStrings(dst, res.Data)
+	dst = appendTokens(dst, &tok.Data, a.Data)
 	dst = append(dst, `,"edges":[`...)
-	for i := range res.Edges {
+	for i, e := range a.Edges {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		e := &res.Edges[i]
 		dst = append(dst, `{"from":`...)
-		dst = appendString(dst, e.From)
+		dst = append(dst, px.EndpointToken(e.From)...)
 		dst = append(dst, `,"to":`...)
-		dst = appendString(dst, e.To)
+		dst = append(dst, px.EndpointToken(e.To)...)
 		dst = append(dst, `,"data":`...)
-		dst = appendStrings(dst, e.Data)
+		dst = appendTokens(dst, &tok.Data, a.DataOf(i))
 		dst = append(dst, '}')
 	}
 	return append(dst, ']', '}')
 }
 
+// appendExecutionAt appends the execution at a mapping's ordinal: what
+// appendExecution writes for px.Execution(ord), without building it.
+func appendExecutionAt(dst []byte, px *composite.Projector, tok *run.Tokens, ord int32) []byte {
+	dst = append(dst, `{"id":`...)
+	dst = append(dst, px.EndpointToken(ord)...)
+	dst = append(dst, `,"composite":`...)
+	dst = append(dst, px.CompositeToken(ord)...)
+	dst = append(dst, `,"steps":`...)
+	dst = appendTokens(dst, &tok.Step, px.StepsOf(ord))
+	if in := px.InputsOf(ord); len(in) > 0 {
+		dst = append(dst, `,"inputs":`...)
+		dst = appendTokens(dst, &tok.Data, in)
+	}
+	if out := px.OutputsOf(ord); len(out) > 0 {
+		dst = append(dst, `,"outputs":`...)
+		dst = appendTokens(dst, &tok.Data, out)
+	}
+	return append(dst, '}')
+}
+
+// appendTokens appends the JSON array of the tokens of ids, ascending. A
+// stretch of consecutive ids is one copy out of the table: ids are ranks in
+// natural order, so the d308..d408 a step wrote are a stretch wherever they
+// are listed.
+func appendTokens(dst []byte, t *jsontok.Table, ids []int32) []byte {
+	dst = append(dst, '[')
+	for i := 0; i < len(ids); {
+		first := ids[i]
+		for i++; i < len(ids) && ids[i] == ids[i-1]+1; i++ {
+		}
+		dst = append(dst, t.Span(first, ids[i-1])...)
+		if i < len(ids) {
+			dst = append(dst, ',')
+		}
+	}
+	return append(dst, ']')
+}
+
+// appendExecution appends the one execution an immediate-provenance answer
+// carries, from its strings.
 func appendExecution(dst []byte, x *composite.Execution) []byte {
 	dst = append(dst, `{"id":`...)
-	dst = appendString(dst, x.ID)
+	dst = jsontok.AppendString(dst, x.ID)
 	dst = append(dst, `,"composite":`...)
-	dst = appendString(dst, x.Composite)
+	dst = jsontok.AppendString(dst, x.Composite)
 	dst = append(dst, `,"steps":`...)
 	dst = appendStrings(dst, x.Steps)
 	if len(x.Inputs) > 0 {
@@ -174,35 +220,10 @@ func appendStrings(dst []byte, xs []string) []byte {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		dst = appendString(dst, s)
+		dst = jsontok.AppendString(dst, s)
 	}
 	return append(dst, ']')
 }
-
-// appendString appends s as a JSON string. Ids are almost always printable
-// ASCII with nothing to escape and are copied between quotes; a string with
-// a quote, backslash, control byte, <, >, & or any non-ASCII byte (U+2028/9
-// and invalid UTF-8 among them) is handed to encoding/json, so its escaping
-// rules are never restated here.
-func appendString(dst []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if !plain[s[i]] {
-			raw, _ := json.Marshal(s) // a string always marshals
-			return append(dst, raw...)
-		}
-	}
-	dst = append(dst, '"')
-	dst = append(dst, s...)
-	return append(dst, '"')
-}
-
-// plain marks the bytes encoding/json copies unchanged wherever they stand.
-var plain = func() (t [256]bool) {
-	for c := 0x20; c < utf8.RuneSelf; c++ {
-		t[c] = c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
-	}
-	return t
-}()
 
 // maxPooledBuf is the largest encode buffer returned to the pool: it covers
 // the biggest answers the benchmark's corpora produce (~310 KB) without

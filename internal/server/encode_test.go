@@ -14,15 +14,21 @@ import (
 	"repro/internal/composite"
 	"repro/internal/core"
 	"repro/internal/gen"
+	"repro/internal/jsontok"
 	"repro/internal/obs"
 	"repro/internal/provenance"
+	"repro/internal/run"
+	"repro/internal/spec"
 	"repro/internal/warehouse"
 	"repro/zoom/client"
 )
 
-// The documented response shapes, as structs. They are the encoder's oracle
-// (its bytes must equal json.Marshal of these plus a newline) and what the
-// handler tests decode answers into.
+// The encoder's two oracles. The documented response shapes, as structs: a
+// response's bytes must equal json.Marshal of these plus a newline, and the
+// handler tests decode answers into them. And the string-walking result
+// encoder the server ran until answers arrived in integers: what the integer
+// encoder writes for an Answer must equal what this one writes for its
+// Result.
 
 // executionDTO mirrors composite.Execution with JSON names.
 type executionDTO struct {
@@ -76,6 +82,55 @@ func toResultDTO(res *provenance.Result) *resultDTO {
 	return out
 }
 
+// oracleAppendResult appends one provenance result, read name by name, as the
+// "result" object of the wire format.
+func oracleAppendResult(dst []byte, res *provenance.Result) []byte {
+	dst = append(dst, `{"root":`...)
+	dst = jsontok.AppendString(dst, res.Root)
+	if res.External {
+		dst = append(dst, `,"external":true`...)
+	}
+	if len(res.Metadata) > 0 {
+		raw, _ := json.Marshal(res.Metadata)
+		dst = append(dst, `,"metadata":`...)
+		dst = append(dst, raw...)
+	}
+	dst = append(dst, `,"executions":[`...)
+	for i, x := range res.Executions {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = appendExecution(dst, x)
+	}
+	dst = append(dst, `],"data":`...)
+	dst = appendStrings(dst, res.Data)
+	dst = append(dst, `,"edges":[`...)
+	for i := range res.Edges {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		e := &res.Edges[i]
+		dst = append(dst, `{"from":`...)
+		dst = jsontok.AppendString(dst, e.From)
+		dst = append(dst, `,"to":`...)
+		dst = jsontok.AppendString(dst, e.To)
+		dst = append(dst, `,"data":`...)
+		dst = appendStrings(dst, e.Data)
+		dst = append(dst, '}')
+	}
+	return append(dst, ']', '}')
+}
+
+// checkOracleResult holds the string-walking oracle to encoding/json on one
+// result, which may be any shape strings can take (nil lists included).
+func checkOracleResult(t testing.TB, res *provenance.Result) {
+	t.Helper()
+	got := append(oracleAppendResult(nil, res), '\n')
+	if want := marshalLine(t, toResultDTO(res)); !bytes.Equal(got, want) {
+		t.Fatalf("string oracle differs from encoding/json\n got: %s\nwant: %s", got, want)
+	}
+}
+
 // timingDTO carries the QueryTrace stage numbers.
 type timingDTO struct {
 	LookupNs  int64 `json:"lookup_ns"`
@@ -111,7 +166,7 @@ type batchResponse struct {
 func oracleQuery(t testing.TB, a *queryAnswer) []byte {
 	t.Helper()
 	resp := queryResponse{TraceID: a.traceID, Run: a.run, Data: a.data, Kind: a.kind,
-		Result: toResultDTO(a.result), Trace: a.spans}
+		Result: toResultDTO(a.result.Result()), Trace: a.spans}
 	if qt := a.deep; qt != nil {
 		resp.Outcome = qt.Outcome
 		resp.Timing = &timingDTO{LookupNs: qt.LookupNs, ComputeNs: qt.ComputeNs,
@@ -124,12 +179,12 @@ func oracleQuery(t testing.TB, a *queryAnswer) []byte {
 	return marshalLine(t, resp)
 }
 
-func oracleBatch(t testing.TB, traceID, run string, results []*provenance.Result, spans *obs.SpanNode) []byte {
+func oracleBatch(t testing.TB, traceID, run string, results []*provenance.Answer, spans *obs.SpanNode) []byte {
 	t.Helper()
 	resp := batchResponse{TraceID: traceID, Run: run, Count: len(results),
 		Results: make([]*resultDTO, len(results)), Trace: spans}
-	for i, res := range results {
-		resp.Results[i] = toResultDTO(res)
+	for i, a := range results {
+		resp.Results[i] = toResultDTO(a.Result())
 	}
 	return marshalLine(t, resp)
 }
@@ -143,7 +198,17 @@ func marshalLine(t testing.TB, v any) []byte {
 	return append(b, '\n')
 }
 
-// checkQuery holds one query answer to the oracle's bytes and to the typed
+// checkAnswer holds the integer encoder to the string-walking oracle on one
+// answer.
+func checkAnswer(t testing.TB, a *provenance.Answer) {
+	t.Helper()
+	got, want := AppendAnswer(nil, a), oracleAppendResult(nil, a.Result())
+	if !bytes.Equal(got, want) {
+		t.Fatalf("integer encoder differs from the string oracle\n got: %s\nwant: %s", got, want)
+	}
+}
+
+// checkQuery holds one query answer to both oracles' bytes and to the typed
 // client's decoder.
 func checkQuery(t testing.TB, a *queryAnswer) {
 	t.Helper()
@@ -154,6 +219,9 @@ func checkQuery(t testing.TB, a *queryAnswer) {
 	if want := oracleQuery(t, a); !bytes.Equal(got, want) {
 		t.Fatalf("query answer differs from encoding/json\n got: %s\nwant: %s", got, want)
 	}
+	if a.result != nil {
+		checkAnswer(t, a.result)
+	}
 	var out client.QueryResponse
 	if err := json.Unmarshal(got, &out); err != nil {
 		t.Fatalf("client cannot decode %s: %v", got, err)
@@ -163,7 +231,7 @@ func checkQuery(t testing.TB, a *queryAnswer) {
 	}
 }
 
-func checkBatch(t testing.TB, traceID, run string, results []*provenance.Result, spans *obs.SpanNode) {
+func checkBatch(t testing.TB, traceID, run string, results []*provenance.Answer, spans *obs.SpanNode) {
 	t.Helper()
 	got, err := appendBatchResponse(nil, traceID, run, results, spans)
 	if err != nil {
@@ -183,17 +251,88 @@ func checkBatch(t testing.TB, traceID, run string, results []*provenance.Result,
 
 // nasty are strings that exercise every escaping rule of encoding/json: the
 // two mandatory escapes, control bytes with and without short forms, the
-// HTML-safe set, the JavaScript line separators, DEL, multi-byte runes, and
-// invalid UTF-8 (replaced by U+FFFD).
+// HTML-safe set, the JavaScript line separators, DEL, multi-byte runes,
+// invalid UTF-8 (replaced by U+FFFD), and a 4 KB name.
 var nasty = []string{
 	"", "d1", `say "hi"`, `back\slash`, "tab\there", "nl\nnl", "\x00\x01\x1f", "\x7f",
 	"<script>&amp;</script>", "line\u2028sep\u2029", "héllo wörld", "日本語", "\xff\xfe", "a\xc3", "\xed\xa0\x80",
+	strings.Repeat("0123456789abcdef", 256),
+}
+
+// fig2Answers are real answers of every shape the engine produces over the
+// paper's running example: a large deep answer under UAdmin and the same
+// root under Joe's view (multi-step executions), an annotated external root
+// (metadata, no executions, no edges), and a derivation.
+func fig2Answers(t testing.TB) []*provenance.Answer {
+	t.Helper()
+	w := warehouse.New(0)
+	sp := spec.Phylogenomics()
+	if err := w.RegisterSpec(sp); err != nil {
+		t.Fatal(err)
+	}
+	r := run.Figure2()
+	if err := r.AnnotateInput("d1", map[string]string{"who": "<lab>", "when": "2007-12-01", "": " "}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.LoadRun(r); err != nil {
+		t.Fatal(err)
+	}
+	joe, err := core.BuildRelevant(sp, spec.PhyloRelevantJoe())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := provenance.NewEngine(w)
+	var out []*provenance.Answer
+	for _, q := range []struct {
+		v    *core.UserView
+		data string
+	}{{core.UAdmin(sp), "d447"}, {joe, "d447"}, {joe, "d1"}} {
+		a, _, err := e.DeepAnswerTracedCtx(context.Background(), "fig2", q.v, q.data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, a)
+	}
+	derived, err := e.DerivationAnswer("fig2", joe, "d308")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(out, derived)
 }
 
 func TestAppendResponseMatchesEncodingJSON(t *testing.T) {
 	exec := func(id string, steps, in, out []string) *composite.Execution {
 		return &composite.Execution{ID: id, Composite: "C" + id, Steps: steps, Inputs: in, Outputs: out}
 	}
+	answers := fig2Answers(t)
+	if a := answers[2]; !a.External || len(a.Metadata) != 3 || len(a.Executions) != 0 || len(a.Edges) != 0 {
+		t.Fatalf("fixture: d1 should be an annotated external root with an empty closure, got %+v", a)
+	}
+	spans := &obs.SpanNode{Name: "POST /v1/query", DurNs: 12, Tags: map[string]string{"k": "<v>"},
+		Children: []obs.SpanNode{{Name: "query.lookup", StartNs: 1, DurNs: 2}}}
+	miss := &provenance.QueryTrace{Outcome: "miss", LookupNs: 5, ComputeNs: 3, ProjectNs: 7, TotalNs: 12}
+	hit := &provenance.QueryTrace{Outcome: "hit", LookupNs: 1, TotalNs: 2}
+
+	for _, a := range answers {
+		checkQuery(t, &queryAnswer{traceID: "00000000000000a1", run: "r", data: a.Root, kind: "deep", deep: miss, result: a})
+		checkQuery(t, &queryAnswer{traceID: "00000000000000a1", run: "r", data: a.Root, kind: "deep", deep: hit, result: a, spans: spans})
+		checkQuery(t, &queryAnswer{run: "r", data: a.Root, kind: "derived", result: a})
+	}
+	for _, s := range nasty {
+		checkQuery(t, &queryAnswer{traceID: s, run: s, data: s, kind: s, deep: &provenance.QueryTrace{Outcome: s}})
+		checkQuery(t, &queryAnswer{run: s, data: s, kind: "immediate", execution: exec(s, []string{s}, []string{s}, nil)})
+		checkQuery(t, &queryAnswer{run: s, data: s, kind: "immediate", execution: exec(s, nasty, nasty, nasty)})
+	}
+	// Immediate provenance of an external input: no execution at all.
+	checkQuery(t, &queryAnswer{traceID: "t", run: "r", data: "d1", kind: "immediate"})
+	checkQuery(t, &queryAnswer{traceID: "t", run: "r", data: "d1", kind: "immediate",
+		execution: exec("M2@1", []string{"S2", "S3"}, nil, []string{}), spans: spans})
+
+	checkBatch(t, "t", "r", append([]*provenance.Answer{nil}, answers...), nil)
+	checkBatch(t, "t", "r", []*provenance.Answer{nil}, spans)
+	checkBatch(t, nasty[2], nasty[8], nil, nil)
+
+	// The string oracle itself, on shapes only strings can take.
 	full := &provenance.Result{
 		RunID: "ignored", Root: "d9",
 		Executions: []*composite.Execution{
@@ -203,9 +342,6 @@ func TestAppendResponseMatchesEncodingJSON(t *testing.T) {
 		Data:  []string{"d1", "d2", "d3"},
 		Edges: []provenance.Edge{{From: "INPUT", To: "S1", Data: []string{"d1", "d2"}}, {From: "S1", To: "M2@1", Data: []string{"d3"}}},
 	}
-	external := &provenance.Result{Root: "d1", External: true,
-		Metadata: map[string]string{"who": "<lab>", "when": "2007-12-01", "": " "},
-		Data:     []string{"d1"}}
 	emptyMeta := &provenance.Result{Root: "d1", External: true, Metadata: map[string]string{}, Data: []string{}}
 	bare := &provenance.Result{} // nil lists: data is null, executions and edges are []
 	hostile := &provenance.Result{Root: nasty[2], Data: nasty}
@@ -213,38 +349,26 @@ func TestAppendResponseMatchesEncodingJSON(t *testing.T) {
 		hostile.Executions = append(hostile.Executions, exec(s, nasty, nasty, nasty))
 		hostile.Edges = append(hostile.Edges, provenance.Edge{From: s, To: s, Data: nasty})
 	}
-	spans := &obs.SpanNode{Name: "POST /v1/query", DurNs: 12, Tags: map[string]string{"k": "<v>"},
-		Children: []obs.SpanNode{{Name: "query.lookup", StartNs: 1, DurNs: 2}}}
-	miss := &provenance.QueryTrace{Outcome: "miss", LookupNs: 5, ComputeNs: 3, ProjectNs: 7, TotalNs: 12}
-	hit := &provenance.QueryTrace{Outcome: "hit", LookupNs: 1, TotalNs: 2}
-
-	for _, res := range []*provenance.Result{full, external, emptyMeta, bare, hostile} {
-		checkQuery(t, &queryAnswer{traceID: "00000000000000a1", run: "r", data: res.Root, kind: "deep", deep: miss, result: res})
-		checkQuery(t, &queryAnswer{traceID: "00000000000000a1", run: "r", data: res.Root, kind: "deep", deep: hit, result: res, spans: spans})
-		checkQuery(t, &queryAnswer{run: "r", data: res.Root, kind: "derived", result: res})
+	for _, res := range []*provenance.Result{full, emptyMeta, bare, hostile} {
+		checkOracleResult(t, res)
 	}
-	for _, s := range nasty {
-		checkQuery(t, &queryAnswer{traceID: s, run: s, data: s, kind: s, deep: &provenance.QueryTrace{Outcome: s}})
-		checkQuery(t, &queryAnswer{run: s, data: s, kind: "immediate", execution: exec(s, []string{s}, []string{s}, nil)})
-	}
-	// Immediate provenance of an external input: no execution at all.
-	checkQuery(t, &queryAnswer{traceID: "t", run: "r", data: "d1", kind: "immediate"})
-	checkQuery(t, &queryAnswer{traceID: "t", run: "r", data: "d1", kind: "immediate", execution: full.Executions[0], spans: spans})
-
-	checkBatch(t, "t", "r", []*provenance.Result{full, nil, external, bare, hostile, emptyMeta}, nil)
-	checkBatch(t, "t", "r", []*provenance.Result{nil}, spans)
-	checkBatch(t, nasty[2], nasty[8], nil, nil)
 }
 
-// FuzzAppendResponse shapes one result, one execution and one batch out of
-// arbitrary strings and holds the encoder to encoding/json on all of them.
-// shape's bits choose which optional parts exist and which lists are nil,
-// empty or populated.
+// FuzzAppendResponse shapes the envelope of a response (echo, outcome,
+// timing, an immediate answer's execution, spans, a batch) out of arbitrary
+// strings and holds the encoder to encoding/json on all of it; the result
+// object inside is one of the running example's answers, and the result
+// shaped from the same strings goes to the string oracle, so that stays held
+// to encoding/json too. shape's bits choose which optional parts exist and
+// which lists are nil, empty or populated. Names inside an answer are
+// FuzzAnswerTokens' subject.
 func FuzzAppendResponse(f *testing.F) {
-	for i, s := range nasty {
-		f.Add(s, nasty[(i+1)%len(nasty)], strings.Join(nasty, ","), uint16(i*37))
+	for i, s := range nasty[:15] {
+		f.Add(s, nasty[(i+1)%15], strings.Join(nasty[:15], ","), uint16(i*37))
 	}
 	f.Add("fig2", "d447", "d1,d2,d3", uint16(0xffff))
+	f.Add(nasty[15], nasty[15], nasty[15], uint16(0))
+	answers := fig2Answers(f)
 	f.Fuzz(func(t *testing.T, run, id, list string, shape uint16) {
 		bit := func(n uint) bool { return shape>>n&1 == 1 }
 		// pick returns nil, an empty list, or the split list.
@@ -266,6 +390,11 @@ func FuzzAppendResponse(f *testing.F) {
 			res.Executions = append(res.Executions, x)
 			res.Edges = append(res.Edges, provenance.Edge{From: d, To: id, Data: pick(12)})
 		}
+		checkOracleResult(t, res)
+		var a *provenance.Answer
+		if !bit(8) {
+			a = answers[int(shape>>6)%len(answers)]
+		}
 		var deep *provenance.QueryTrace
 		if bit(14) {
 			deep = &provenance.QueryTrace{Outcome: id, LookupNs: int64(shape), ComputeNs: int64(shape) - 1<<15, TotalNs: -int64(shape)}
@@ -274,16 +403,16 @@ func FuzzAppendResponse(f *testing.F) {
 		if bit(15) {
 			spans = &obs.SpanNode{Name: list, Tags: map[string]string{id: run}}
 		}
-		checkQuery(t, &queryAnswer{traceID: id, run: run, data: id, kind: list, deep: deep, result: res, spans: spans})
+		checkQuery(t, &queryAnswer{traceID: id, run: run, data: id, kind: list, deep: deep, result: a, spans: spans})
 		checkQuery(t, &queryAnswer{traceID: id, run: run, data: id, kind: "immediate", execution: x})
 		checkQuery(t, &queryAnswer{traceID: id, run: run, data: id, kind: "immediate"})
-		checkBatch(t, id, run, []*provenance.Result{res, nil, res}, spans)
+		checkBatch(t, id, run, []*provenance.Answer{a, nil, a}, spans)
 	})
 }
 
-// largeAnswer computes one cold-deep-shaped answer: the deep provenance of
-// the last final output of a Class4-large run under UAdmin.
-func largeAnswer(t testing.TB) *provenance.Result {
+// largeSite is one cold-deep-shaped query: the last final output of a
+// Class4-large run, to be asked under UAdmin.
+func largeSite(t testing.TB) (e *provenance.Engine, runID string, admin *core.UserView, root string) {
 	t.Helper()
 	g := gen.NewGenerator(11)
 	sp := g.Workflow(gen.Class4(), "large")
@@ -299,11 +428,18 @@ func largeAnswer(t testing.TB) *provenance.Result {
 		t.Fatal(err)
 	}
 	finals := r.FinalOutputs()
-	res, err := provenance.NewEngine(w).DeepProvenanceCtx(context.Background(), r.ID(), core.UAdmin(sp), finals[len(finals)-1])
+	return provenance.NewEngine(w), r.ID(), core.UAdmin(sp), finals[len(finals)-1]
+}
+
+// largeAnswer computes largeSite's answer.
+func largeAnswer(t testing.TB) *provenance.Answer {
+	t.Helper()
+	e, runID, admin, root := largeSite(t)
+	a, _, err := e.DeepAnswerTracedCtx(context.Background(), runID, admin, root)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res
+	return a
 }
 
 // TestEncodeLargeAnswerAllocs is the worker half of the wire path's alloc
@@ -365,9 +501,10 @@ func TestEncodeFailureIsAWellFormed500(t *testing.T) {
 // encoder the server used to run, through the same reflective encoder
 // without SetIndent, and through the append encoder.
 func BenchmarkEncodeLargeAnswer(b *testing.B) {
-	res := largeAnswer(b)
+	ans := largeAnswer(b)
+	res := ans.Result()
 	a := &queryAnswer{traceID: "00000000000000a1", run: res.RunID, data: res.Root, kind: "deep",
-		deep: &provenance.QueryTrace{Outcome: "hit", LookupNs: 1, ProjectNs: 2, TotalNs: 3}, result: res}
+		deep: &provenance.QueryTrace{Outcome: "hit", LookupNs: 1, ProjectNs: 2, TotalNs: 3}, result: ans}
 	reflective := func(indent bool) func(*testing.B) {
 		return func(b *testing.B) {
 			b.ReportAllocs()

@@ -603,14 +603,14 @@ func (s *Server) handleQuery(ctx context.Context, tr *obs.Trace, w http.Response
 	switch req.Kind {
 	case "", "deep":
 		ans.kind = "deep"
-		ans.result, ans.deep, err = e.DeepProvenanceTracedCtx(ctx, req.Run, v, req.Data)
+		ans.result, ans.deep, err = e.DeepAnswerTracedCtx(ctx, req.Run, v, req.Data)
 	case "immediate":
 		ans.kind = "immediate"
 		ans.execution, err = e.ImmediateProvenanceCtx(ctx, req.Run, v, req.Data)
 	case "derived":
 		ans.kind = "derived"
 		_, sp := obs.StartSpan(ctx, "query.derived")
-		ans.result, err = e.DeepDerivation(req.Run, v, req.Data)
+		ans.result, err = e.DerivationAnswer(req.Run, v, req.Data)
 		sp.End()
 	default:
 		err = fmt.Errorf("%w: unknown kind %q (deep, immediate, derived)", errBadRequest, req.Kind)
@@ -655,7 +655,7 @@ func (s *Server) handleBatch(ctx context.Context, tr *obs.Trace, w http.Response
 	if s.testHookBatchStarted != nil {
 		s.testHookBatchStarted()
 	}
-	results, err := e.DeepProvenanceBatch(ctx, req.Run, v, req.Data, workers)
+	results, err := e.DeepAnswerBatch(ctx, req.Run, v, req.Data, workers)
 	if err != nil {
 		writeError(w, tr, err)
 		return

@@ -1,6 +1,8 @@
 package zoom_test
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/zoom"
@@ -141,4 +143,62 @@ func TestPathAndCompareFacade(t *testing.T) {
 	if d.SameShape() {
 		t.Fatal("different iteration counts reported as same shape")
 	}
+}
+
+// TestDropRunReleasesTheRun: after System.DropRun nothing in the system
+// reaches the run any more, so the collector takes it back. The engine's
+// mapping memo used to: a run queried under any view stayed in memory until
+// 1,024 other mappings had pushed its entries out. The run is made wide
+// enough (50,000 inputs: megabytes of names and relations) that holding it
+// and releasing it are far apart on the live-heap gauge.
+func TestDropRunReleasesTheRun(t *testing.T) {
+	live := func() int64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	sys := zoom.NewSystem()
+	s := zoom.Phylogenomics()
+	if err := sys.RegisterSpec(s); err != nil {
+		t.Fatal(err)
+	}
+	joe, err := zoom.BuildUserView(s, zoom.JoeRelevant())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mary, err := zoom.BuildUserView(s, zoom.MaryRelevant())
+	if err != nil {
+		t.Fatal(err)
+	}
+	empty := live()
+	func() {
+		r := zoom.PhylogenomicsRun()
+		wide := make([]string, 50000)
+		for i := range wide {
+			wide[i] = fmt.Sprintf("wide%d", i)
+		}
+		if err := r.AddFlow(zoom.Input, "S1", wide); err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.LoadRun(r); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	for _, v := range []*zoom.UserView{zoom.UAdmin(s), joe, mary} {
+		if _, err := sys.DeepProvenance("fig2", v, "d447"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	held := live() - empty
+	if held < 2<<20 {
+		t.Fatalf("fixture: the loaded, queried run holds only %d bytes", held)
+	}
+	if err := sys.DropRun("fig2"); err != nil {
+		t.Fatal(err)
+	}
+	if left := live() - empty; left > held/4 {
+		t.Fatalf("DropRun left %d of the run's %d live bytes reachable", left, held)
+	}
+	runtime.KeepAlive(sys)
 }

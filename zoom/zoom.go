@@ -493,8 +493,8 @@ func (s *System) PublishMetrics(name string) error {
 	return s.w.Metrics().Publish(name)
 }
 
-// DropRun removes a run and its cached closures.
-func (s *System) DropRun(id string) error { return s.w.DropRun(id) }
+// DropRun removes a run, its cached closures and its memoized view mappings.
+func (s *System) DropRun(id string) error { return s.e.DropRun(id) }
 
 // IngestLogStream reads a JSON-lines workflow log and loads it as a run,
 // returning the number of events ingested.
