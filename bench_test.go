@@ -672,7 +672,8 @@ func answerPathSite(b *testing.B) (*fig10Site, []string) {
 // the client's socket on large answers (EXPERIMENTS.md, "answer path"):
 // projection of a warm closure through a warm mapping to an integer answer,
 // encoding an answer into a reused buffer (and the two together, which is
-// what a worker does per request), and a router cache hit through Handler().
+// what a worker does per request), and the router's relay through Handler():
+// a cache hit, and a miss forwarded to an in-process worker.
 func BenchmarkAnswerPath(b *testing.B) {
 	site, roots := answerPathSite(b)
 	ctx := context.Background()
@@ -707,47 +708,62 @@ func BenchmarkAnswerPath(b *testing.B) {
 		}
 		b.SetBytes(int64(len(answerBuf)))
 	})
-	b.Run("relay-hit", func(b *testing.B) {
-		s, err := server.New(obs.NewRegistry(), server.Config{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		s.SetEngine(site.e)
-		worker := httptest.NewServer(s.Handler())
-		defer worker.Close()
-		rt, err := cluster.New(obs.NewRegistry(), cluster.Config{Workers: []string{worker.URL}, CacheEntries: len(roots)})
-		if err != nil {
-			b.Fatal(err)
-		}
-		h := rt.Handler()
-		bodies := make([][]byte, len(roots))
-		rd := bytes.NewReader(nil)
-		req := httptest.NewRequest("POST", "/v1/query", nil)
-		req.Body = io.NopCloser(rd)
-		w := &discardWriter{h: make(http.Header)}
-		serve := func(i int) {
-			rd.Reset(bodies[i%len(bodies)])
-			h.ServeHTTP(w, req)
-			if w.status != http.StatusOK {
-				b.Fatalf("status %d", w.status)
+	// relay-hit serves every answer from the router cache; relay-miss runs
+	// `zoom router`'s default cache, whose 16 KiB fair share declines these
+	// answers, so each one is forwarded and read into a pooled buffer.
+	for _, tc := range []struct {
+		name    string
+		entries int
+		stored  bool
+	}{
+		{"relay-hit", len(roots), true},
+		{"relay-miss", 4096, false},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			s, err := server.New(obs.NewRegistry(), server.Config{})
+			if err != nil {
+				b.Fatal(err)
 			}
-		}
-		for i, d := range roots {
-			bodies[i] = []byte(fmt.Sprintf(`{"run":%q,"data":%q}`, site.r.ID(), d))
-			serve(i) // miss: forwards and stores
-		}
-		w.n = 0
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			serve(i)
-		}
-		b.SetBytes(int64(w.n / b.N))
-	})
+			s.SetEngine(site.e)
+			worker := httptest.NewServer(s.Handler())
+			defer worker.Close()
+			rt, err := cluster.New(obs.NewRegistry(), cluster.Config{Workers: []string{worker.URL}, CacheEntries: tc.entries})
+			if err != nil {
+				b.Fatal(err)
+			}
+			h := rt.Handler()
+			bodies := make([][]byte, len(roots))
+			rd := bytes.NewReader(nil)
+			req := httptest.NewRequest("POST", "/v1/query", nil)
+			req.Body = io.NopCloser(rd)
+			w := &discardWriter{h: make(http.Header)}
+			serve := func(i int) {
+				rd.Reset(bodies[i%len(bodies)])
+				h.ServeHTTP(w, req)
+				if w.status != http.StatusOK {
+					b.Fatalf("status %d", w.status)
+				}
+			}
+			for i, d := range roots {
+				bodies[i] = []byte(fmt.Sprintf(`{"run":%q,"data":%q}`, site.r.ID(), d))
+				serve(i) // miss: forwards, and stores what the cache admits
+			}
+			if stored := rt.Registry().Snapshot().Counters["router.cache_declined"] == 0; stored != tc.stored {
+				b.Fatalf("answers stored: %v, want %v", stored, tc.stored)
+			}
+			w.n = 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				serve(i)
+			}
+			b.SetBytes(int64(w.n / b.N))
+		})
+	}
 }
 
 // discardWriter is a reusable http.ResponseWriter that keeps nothing, so
-// relay-hit times the router, not a recorder.
+// the relay rows time the router, not a recorder.
 type discardWriter struct {
 	h      http.Header
 	status int

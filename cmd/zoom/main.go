@@ -248,8 +248,8 @@ func cmdRouter(args []string) error {
 	breakerThreshold := fs.Int("breaker-threshold", 3, "consecutive forward failures that open a replica's circuit")
 	breakerCooldown := fs.Duration("breaker-cooldown", 5*time.Second, "how long an open circuit fails fast before retrying")
 	hedge := fs.Duration("hedge", 0, "hedge run-addressed requests on the next replica after this delay (0 = off; pick a p99-ish value)")
-	cacheEntries := fs.Int("cache", 4096, "response cache entries (0 disables; invalidated when a shard's worker generation changes)")
-	cacheBytes := fs.Int64("cache-bytes", 0, "response cache total byte bound (0 = 64MiB default)")
+	cacheEntries := fs.Int("cache", 4096, "response cache entries (0 disables; invalidated when a shard's worker generation changes); an answer is kept only if it and its request fit cache-bytes/cache, 16KiB at the defaults")
+	cacheBytes := fs.Int64("cache-bytes", 0, "response cache total byte bound (0 = 64MiB default); each entry gets at most its fair share, cache-bytes/cache")
 	slow := fs.Duration("slow", 10*time.Millisecond, "router slowlog threshold at /debug/slowlog (negative logs every request)")
 	slowlogSize := fs.Int("slowlog", 128, "router slowlog ring size")
 	drain := fs.Duration("drain", 5*time.Second, "graceful-shutdown drain timeout")

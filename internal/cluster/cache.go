@@ -15,11 +15,6 @@ import (
 // (request + response bodies) when Config.CacheBytes is zero.
 const DefaultCacheBytes = 64 << 20
 
-// maxCacheBody is the largest worker response body the router buffers, and
-// so the largest the cache will retain; larger answers are streamed through
-// uncached so one huge deep-provenance result cannot monopolize the cache.
-const maxCacheBody = 4 << 20
-
 // cacheEntry is one cached worker response. The full request body is kept
 // so a 64-bit key collision degrades to a miss, never a wrong answer, and
 // where the stored body carries its request's trace id is kept so a hit can
@@ -77,13 +72,19 @@ func (e *cacheEntry) replay(w http.ResponseWriter, traceID string) error {
 // the shard's loaded data — so entries are invalidated by the owning
 // shard's epoch (bumped when a health poll observes the worker's
 // warehouse generation change), never by time.
+//
+// An entry is admitted only within its fair share of the byte bound,
+// maxBytes/maxEnts. That keeps the small answers that are asked again and
+// declines the large ones a cold sweep asks once, which would otherwise
+// fill the byte bound with answers nobody reads twice. It also makes the
+// byte bound hold by construction: at most maxEnts entries of at most
+// share bytes each, so eviction only ever counts entries.
 type respCache struct {
-	mu       sync.Mutex
-	maxEnts  int
-	maxBytes int64
-	bytes    int64
-	ll       *list.List // front = most recently used
-	entries  map[uint64]*list.Element
+	mu      sync.Mutex
+	maxEnts int
+	share   int64
+	ll      *list.List // front = most recently used
+	entries map[uint64]*list.Element
 }
 
 func newRespCache(maxEntries int, maxBytes int64) *respCache {
@@ -91,10 +92,10 @@ func newRespCache(maxEntries int, maxBytes int64) *respCache {
 		maxBytes = DefaultCacheBytes
 	}
 	return &respCache{
-		maxEnts:  maxEntries,
-		maxBytes: maxBytes,
-		ll:       list.New(),
-		entries:  make(map[uint64]*list.Element),
+		maxEnts: maxEntries,
+		share:   maxBytes / int64(maxEntries),
+		ll:      list.New(),
+		entries: make(map[uint64]*list.Element),
 	}
 }
 
@@ -132,33 +133,36 @@ func (c *respCache) lookup(path string, reqBody []byte, epoch uint64) (e *cacheE
 	return ent, false
 }
 
-// store inserts (or replaces) the entry and evicts from the LRU tail
-// until both bounds hold. Oversized bodies are the caller's problem —
-// it skips store entirely past maxCacheBody.
-func (c *respCache) store(ent *cacheEntry) {
-	ent.key = cacheKey(ent.path, ent.reqBody)
+// store admits ent if it fits its fair share and reports whether it did.
+// ent.body may be a buffer the caller reuses: an admitted entry keeps a
+// copy of it, marked with where it quotes traceID, and inserts (or
+// replaces) that copy, evicting from the LRU tail past maxEnts. ent.reqBody
+// is kept as given.
+func (c *respCache) store(ent cacheEntry, traceID string) bool {
+	if ent.size() > c.share {
+		return false
+	}
+	e := new(cacheEntry)
+	*e = ent
+	e.body = bytes.Clone(ent.body)
+	e.markTraceID(traceID)
+	e.key = cacheKey(e.path, e.reqBody)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.entries[ent.key]; ok {
+	if el, ok := c.entries[e.key]; ok {
 		c.remove(el)
 	}
-	c.entries[ent.key] = c.ll.PushFront(ent)
-	c.bytes += ent.size()
-	for (c.maxEnts > 0 && c.ll.Len() > c.maxEnts) || c.bytes > c.maxBytes {
-		back := c.ll.Back()
-		if back == nil {
-			break
-		}
-		c.remove(back)
+	c.entries[e.key] = c.ll.PushFront(e)
+	if c.ll.Len() > c.maxEnts {
+		c.remove(c.ll.Back())
 	}
+	return true
 }
 
 // remove unlinks an element; callers hold c.mu.
 func (c *respCache) remove(el *list.Element) {
-	ent := el.Value.(*cacheEntry)
 	c.ll.Remove(el)
-	delete(c.entries, ent.key)
-	c.bytes -= ent.size()
+	delete(c.entries, el.Value.(*cacheEntry).key)
 }
 
 // Len reports the live entry count (tests and /v1/shards introspection).

@@ -112,6 +112,9 @@ func TestClusterReplicatedDifferentialByteIdentical(t *testing.T) {
 	specs, runs, infos := buildCorpus(t, []gen.RunClass{gen.Small(), gen.Medium()})
 	singleURL, routerURL, rt, servers := buildReplicatedCluster(t, 2, 2, specs, runs, func(cfg *Config) {
 		cfg.CacheEntries = 1024
+		// A share of maxBufferedBody admits every answer, so the cache
+		// sweep replays the whole tape, large answers included.
+		cfg.CacheBytes = int64(cfg.CacheEntries) * maxBufferedBody
 	})
 
 	type recorded struct {
@@ -200,8 +203,8 @@ func TestClusterReplicatedDifferentialByteIdentical(t *testing.T) {
 	}
 	hitsBefore := rt.cacheHits.Value()
 	replay("cache", "")
-	if rt.cacheHits.Value() == hitsBefore {
-		t.Fatal("cache sweep produced no cache hits")
+	if hits := rt.cacheHits.Value() - hitsBefore; hits != int64(len(tape)) {
+		t.Fatalf("cache sweep: %d cache hits for %d recorded answers", hits, len(tape))
 	}
 }
 

@@ -178,11 +178,12 @@ type shard struct {
 	// Per-shard series (router.shard.<k>.*), folded into shard="<k>"
 	// labels by the Prometheus renderer, next to the router's unlabeled
 	// totals.
-	cacheHits   *obs.Counter
-	cacheMisses *obs.Counter
-	failovers   *obs.Counter
-	hedges      *obs.Counter
-	hedgeWins   *obs.Counter
+	cacheHits     *obs.Counter
+	cacheMisses   *obs.Counter
+	cacheDeclined *obs.Counter
+	failovers     *obs.Counter
+	hedges        *obs.Counter
+	hedgeWins     *obs.Counter
 }
 
 // candidates returns the shard's available replicas in preference order.

@@ -312,15 +312,20 @@ func TestRouterResponseCache(t *testing.T) {
 	}
 }
 
-// TestRespCacheBounds unit-tests the LRU's entry and byte bounds.
+// TestRespCacheBounds unit-tests the LRU's entry bound and its admission
+// rule: an entry (request + response bytes) is kept only within its fair
+// share of the byte bound, maxBytes/maxEnts, so the byte bound holds with
+// eviction counting entries alone.
 func TestRespCacheBounds(t *testing.T) {
 	c := newRespCache(2, 0)
-	mk := func(i int) *cacheEntry {
-		return &cacheEntry{path: "/p", reqBody: []byte(fmt.Sprintf("req%d", i)), body: []byte("resp")}
+	mk := func(i int) cacheEntry {
+		return cacheEntry{path: "/p", reqBody: []byte(fmt.Sprintf("req%d", i)), body: []byte("resp")}
 	}
-	c.store(mk(1))
-	c.store(mk(2))
-	c.store(mk(3)) // evicts 1
+	for i := 1; i <= 3; i++ { // the third evicts the first
+		if !c.store(mk(i), "") {
+			t.Fatalf("entry %d declined under a 32 MiB share", i)
+		}
+	}
 	if c.Len() != 2 {
 		t.Fatalf("len %d, want 2", c.Len())
 	}
@@ -338,12 +343,40 @@ func TestRespCacheBounds(t *testing.T) {
 		t.Fatal("stale entry should be gone")
 	}
 
-	// Byte bound: tiny budget keeps only the newest entry.
-	c2 := newRespCache(100, 16)
-	c2.store(&cacheEntry{path: "/p", reqBody: []byte("aaaaaaaa"), body: []byte("bbbbbbbb")}) // 16 bytes
-	c2.store(&cacheEntry{path: "/p", reqBody: []byte("cccccccc"), body: []byte("dddddddd")}) // evicts first
-	if c2.Len() != 1 {
-		t.Fatalf("byte-bounded len %d, want 1", c2.Len())
+	// Fair share: 4 entries in 64 bytes admits 16 bytes per entry.
+	c2 := newRespCache(4, 64)
+	for _, tc := range []struct {
+		req  string
+		size int
+		want bool
+	}{
+		{"just under", 15, true},
+		{"at", 16, true},
+		{"just over", 17, false},
+	} {
+		buf := bytes.Repeat([]byte("b"), tc.size-len(tc.req))
+		if got := c2.store(cacheEntry{path: "/p", reqBody: []byte(tc.req), body: buf}, ""); got != tc.want {
+			t.Errorf("%s the share (%d bytes): stored %v, want %v", tc.req, tc.size, got, tc.want)
+		}
+		e, _ := c2.lookup("/p", []byte(tc.req), 0)
+		if (e != nil) != tc.want {
+			t.Errorf("%s the share: lookup found %v, want %v", tc.req, e != nil, tc.want)
+		}
+		// The caller may reuse its buffer: an admitted entry kept a copy.
+		buf[0] = 'x'
+		if e != nil && e.body[0] != 'b' {
+			t.Errorf("%s the share: the entry aliases the caller's buffer", tc.req)
+		}
+	}
+	for i := 0; i < 6; i++ {
+		c2.store(cacheEntry{path: "/p", reqBody: []byte(fmt.Sprintf("full%d", i)), body: make([]byte, 11)}, "")
+	}
+	total := int64(0)
+	for el := c2.ll.Front(); el != nil; el = el.Next() {
+		total += el.Value.(*cacheEntry).size()
+	}
+	if c2.Len() != 4 || total > 64 {
+		t.Fatalf("full cache: %d entries holding %d bytes, want 4 within 64", c2.Len(), total)
 	}
 }
 
@@ -352,7 +385,7 @@ func TestRespCacheBounds(t *testing.T) {
 // first one's answer.
 func TestRespCacheCollision(t *testing.T) {
 	c := newRespCache(8, 0)
-	c.store(&cacheEntry{path: "/p", reqBody: []byte("reqA"), body: []byte("answerA")})
+	c.store(cacheEntry{path: "/p", reqBody: []byte("reqA"), body: []byte("answerA")}, "")
 	c.entries[cacheKey("/p", []byte("reqB"))] = c.entries[cacheKey("/p", []byte("reqA"))]
 	c.entries[cacheKey("/q", []byte("reqA"))] = c.entries[cacheKey("/p", []byte("reqA"))]
 	if e, _ := c.lookup("/p", []byte("reqB"), 0); e != nil {
@@ -395,6 +428,155 @@ func TestCacheEntryReplay(t *testing.T) {
 	}
 }
 
+// padAnswer is padWorker's answer to query i under traceID: JSON quoting the
+// trace id, like a real worker's, padded to size bytes of a fill byte that
+// depends on i, so an answer carrying another's bytes is visible.
+func padAnswer(traceID string, i, size int) string {
+	return fmt.Sprintf(`{"trace_id":%q,"data":"d%d","pad":"%s"}`+"\n", traceID, i, strings.Repeat(string(rune('a'+i%26)), size))
+}
+
+// padWorker is a fake worker: it answers {"run":"r","data":"d<i>"} with
+// padAnswer(trace id, i, size(i)), length stated, and counts the queries it
+// answers.
+func padWorker(t *testing.T, size func(i int) int) (*httptest.Server, *atomic.Int64) {
+	t.Helper()
+	var queries atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		if r.URL.Path == "/readyz" {
+			fmt.Fprintln(w, `{"ready":true,"runs_loaded":1,"runs_total":1}`)
+			return
+		}
+		var req struct{ Data string }
+		var i int
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		if _, err := fmt.Sscanf(req.Data, "d%d", &i); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		queries.Add(1)
+		answer := padAnswer(r.Header.Get(TraceIDHeader), i, size(i))
+		w.Header().Set("Content-Length", strconv.Itoa(len(answer)))
+		fmt.Fprint(w, answer)
+	}))
+	t.Cleanup(ts.Close)
+	return ts, &queries
+}
+
+// TestRouterCacheAdmission checks the admission rule end to end: with a
+// 4 KiB fair share (16 entries in 64 KiB), a small answer is stored and hits
+// on repeat, and a large one is forwarded every time, never enters the
+// cache, counts in router.cache_declined and still misses, and is relayed
+// byte for byte. The relay span says which decision a request got.
+func TestRouterCacheAdmission(t *testing.T) {
+	worker, queries := padWorker(t, func(i int) int { return []int{100, 20000}[i] })
+	rt, err := New(obs.NewRegistry(), Config{
+		Workers:       []string{worker.URL},
+		CacheEntries:  16,
+		CacheBytes:    16 << 12,
+		SlowThreshold: -1, // every request's span tree lands in the slowlog
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := rt.Handler()
+	relayDecision := func() string {
+		t.Helper()
+		entries := rt.SlowLog().Entries()
+		relay := entries[0].Trace.Find("relay")
+		if relay == nil {
+			return ""
+		}
+		return relay.Tags["cache"]
+	}
+	// ask serves through Handler() directly, so the request's slowlog entry
+	// is in place when it returns (a client can read a response before the
+	// server's handler has returned).
+	ask := func(id string, i int) {
+		t.Helper()
+		req := httptest.NewRequest(http.MethodPost, "/v1/query", strings.NewReader(fmt.Sprintf(`{"run":"r","data":"d%d"}`, i)))
+		req.Header.Set(TraceIDHeader, id)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if want := padAnswer(id, i, []int{100, 20000}[i]); rec.Code != http.StatusOK || rec.Body.String() != want {
+			t.Fatalf("d%d under %s: status %d, %d bytes that are not the worker's %d", i, id, rec.Code, rec.Body.Len(), len(want))
+		}
+	}
+
+	ask("00000000000000a1", 0)
+	if d := relayDecision(); d != "stored" {
+		t.Fatalf("small answer: relay span cache=%q, want stored", d)
+	}
+	ask("00000000000000a2", 0)
+	if queries.Load() != 1 || rt.cacheHits.Value() != 1 || rt.cache.Len() != 1 {
+		t.Fatalf("small answer repeated: %d forwarded, %d hits, %d entries; want 1, 1, 1",
+			queries.Load(), rt.cacheHits.Value(), rt.cache.Len())
+	}
+
+	for k, id := range []string{"00000000000000b1", "00000000000000b2", "00000000000000b3"} {
+		ask(id, 1)
+		if d := relayDecision(); d != "declined" {
+			t.Fatalf("large answer %d: relay span cache=%q, want declined", k, d)
+		}
+	}
+	if queries.Load() != 4 || rt.cache.Len() != 1 {
+		t.Fatalf("large answer asked 3 times: %d forwarded in all, %d entries; want 4 and 1", queries.Load(), rt.cache.Len())
+	}
+	if rt.cacheDeclined.Value() != 3 || rt.cacheMisses.Value() != 4 || rt.cacheHits.Value() != 1 {
+		t.Fatalf("counters: declined=%d misses=%d hits=%d, want 3, 4 and 1",
+			rt.cacheDeclined.Value(), rt.cacheMisses.Value(), rt.cacheHits.Value())
+	}
+	if sh := rt.shards[0]; sh.cacheDeclined.Value() != 3 {
+		t.Fatalf("router.shard.0.cache_declined = %d, want 3", sh.cacheDeclined.Value())
+	}
+}
+
+// TestConcurrentPooledRelay races relays that share the pool of read
+// buffers: 32 goroutines ask, through Handler(), for distinct answers above
+// the cache's fair share, of different lengths (one above the size the
+// pool keeps), several times each. Every body must be the worker's, byte
+// for byte. The "Concurrent" name opts it into the -race CI job.
+func TestConcurrentPooledRelay(t *testing.T) {
+	const clients, iters = 32, 4
+	size := func(i int) int {
+		if i == clients-1 {
+			return maxPooledRelay + 123
+		}
+		return 17<<10 + i*4099
+	}
+	worker, queries := padWorker(t, size)
+	rt, err := New(obs.NewRegistry(), Config{Workers: []string{worker.URL}, CacheEntries: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := rt.Handler()
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for k := 0; k < iters; k++ {
+				id := fmt.Sprintf("%014x%02x", c, k)
+				req := httptest.NewRequest(http.MethodPost, "/v1/query", strings.NewReader(fmt.Sprintf(`{"run":"r","data":"d%d"}`, c)))
+				req.Header.Set(TraceIDHeader, id)
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, req)
+				if want := padAnswer(id, c, size(c)); rec.Code != http.StatusOK || rec.Body.String() != want {
+					t.Errorf("client %d iter %d: status %d, %d bytes that are not the worker's %d", c, k, rec.Code, rec.Body.Len(), len(want))
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	if queries.Load() != clients*iters || rt.cache.Len() != 0 {
+		t.Fatalf("%d forwarded and %d cached, want all %d forwarded and none cached", queries.Load(), rt.cache.Len(), clients*iters)
+	}
+}
+
 // discardWriter is a reusable http.ResponseWriter that keeps nothing, so an
 // AllocsPerRun over Handler() counts the router's allocations, not the
 // recorder's.
@@ -411,13 +593,14 @@ func (w *discardWriter) Write(b []byte) (int, error) { w.n += len(b); return len
 // TestRouterCacheHitAllocs pins the router half of the wire path's alloc
 // budget. A cache lookup that hits allocates nothing (the key is hashed
 // from the body in place). A whole hit through Handler() — trace, body
-// read, placement peek, spans, headers, replay — measured 33 allocations
-// when the relay was rewritten; the ceiling leaves 2 spare for misses of
-// encoding/json's pooled scanner, which the race detector forces at random.
-// None of them may be the answer: a hit is written from the cached slice,
-// so the bytes allocated per hit stay far below the answer's size.
+// read, placement peek, spans, headers, replay — measured 26 allocations
+// once the span tree stopped being copied for requests the slowlog does
+// not keep; the ceiling leaves 2 spare for misses of encoding/json's
+// pooled scanner, which the race detector forces at random. None of them
+// may be the answer: a hit is written from the cached slice, so the bytes
+// allocated per hit stay far below the answer's size.
 func TestRouterCacheHitAllocs(t *testing.T) {
-	const hitCeiling = 35
+	const hitCeiling = 28
 
 	specs, runs, infos := buildCorpus(t, []gen.RunClass{gen.Medium()})
 	_, _, rt, _ := buildReplicatedCluster(t, 2, 1, specs, runs, func(cfg *Config) { cfg.CacheEntries = 16 })
@@ -533,86 +716,115 @@ func TestRouterGatherCancel(t *testing.T) {
 }
 
 // TestRouterCopyErrors checks the relay contract for a response whose
-// length is known. A worker that dies mid-body (Content-Length promised,
-// connection cut short) costs the client a well-formed 502 naming the shard
-// and replica — never a committed 200 with half a document — is counted in
-// router.copy_errors, and leaves nothing in the cache. A worker that keeps
-// its promise is relayed byte for byte with the length stated.
+// length is known, with a cache that keeps the answers and with one whose
+// fair share declines them. A worker that dies mid-body (Content-Length
+// promised, connection cut short) costs the client a well-formed 502 naming
+// the shard and replica — never a committed 200 with half a document — is
+// counted in router.copy_errors, and leaves nothing in the cache. A worker
+// that keeps its promise is relayed byte for byte with the length stated,
+// including the answers read into a relay buffer after the short one.
 func TestRouterCopyErrors(t *testing.T) {
 	const whole = `{"trace_id":"00000000000000c1","run":"r","kind":"deep"}` + "\n"
-	var short atomic.Bool
+	long := `{"trace_id":"00000000000000c3","pad":"` + strings.Repeat("y", 50000) + `"}` + "\n"
 	worker := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		if r.URL.Path == "/readyz" {
 			fmt.Fprintln(w, `{"ready":true,"runs_loaded":1,"runs_total":1}`)
 			return
 		}
-		if !short.Load() {
-			w.Header().Set("Content-Length", strconv.Itoa(len(whole)))
-			fmt.Fprint(w, whole)
+		req, _ := io.ReadAll(r.Body)
+		answer := whole
+		switch {
+		case bytes.Contains(req, []byte(`"short"`)):
+			// Promise more bytes than are sent; the server closes the
+			// connection on the short write.
+			w.Header().Set("Content-Length", "100000")
+			w.WriteHeader(http.StatusOK)
+			w.(http.Flusher).Flush()
+			fmt.Fprint(w, `{"trace_id":"xx"`)
 			return
+		case bytes.Contains(req, []byte(`"long"`)):
+			answer = long
 		}
-		// Promise more bytes than are sent; the server closes the
-		// connection on the short write.
-		w.Header().Set("Content-Length", "100000")
-		w.WriteHeader(http.StatusOK)
-		w.(http.Flusher).Flush()
-		fmt.Fprint(w, `{"trace_id":"xx"`)
+		w.Header().Set("Content-Length", strconv.Itoa(len(answer)))
+		fmt.Fprint(w, answer)
 	}))
 	t.Cleanup(worker.Close)
-	rt, err := New(obs.NewRegistry(), Config{Workers: []string{worker.URL}, CacheEntries: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rts := httptest.NewServer(rt.Handler())
-	t.Cleanup(rts.Close)
-	post := func(id, body string) (*http.Response, []byte) {
-		t.Helper()
-		req, err := http.NewRequest(http.MethodPost, rts.URL+"/v1/query", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		req.Header.Set(TraceIDHeader, id)
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatalf("router did not answer in HTTP: %v", err)
-		}
-		defer resp.Body.Close()
-		b, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatalf("router's own response is truncated: %v", err)
-		}
-		return resp, b
-	}
 
-	resp, got := post("00000000000000c1", `{"run":"r","data":"whole"}`)
-	if resp.StatusCode != http.StatusOK || string(got) != whole {
-		t.Fatalf("complete body: status %d, relayed %q, want the worker's %q", resp.StatusCode, got, whole)
-	}
-	if cl := resp.Header.Get("Content-Length"); cl != strconv.Itoa(len(whole)) || len(resp.TransferEncoding) != 0 {
-		t.Fatalf("complete body: Content-Length %q, Transfer-Encoding %v; want the length stated", cl, resp.TransferEncoding)
-	}
-	if rt.copyErrors.Value() != 0 || rt.cache.Len() != 1 {
-		t.Fatalf("complete body: copy_errors=%d cache entries=%d, want 0 and 1", rt.copyErrors.Value(), rt.cache.Len())
-	}
+	for _, tc := range []struct {
+		name       string
+		cacheBytes int64 // over CacheEntries 16
+		stored     int   // cache entries after the first answer
+	}{
+		{"cached", 0, 1},
+		{"declined", 16 * 64, 0}, // a 64-byte share: every answer here is larger
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rt, err := New(obs.NewRegistry(), Config{Workers: []string{worker.URL}, CacheEntries: 16, CacheBytes: tc.cacheBytes})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rts := httptest.NewServer(rt.Handler())
+			t.Cleanup(rts.Close)
+			post := func(id, body string) (*http.Response, []byte) {
+				t.Helper()
+				req, err := http.NewRequest(http.MethodPost, rts.URL+"/v1/query", strings.NewReader(body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				req.Header.Set(TraceIDHeader, id)
+				resp, err := http.DefaultClient.Do(req)
+				if err != nil {
+					t.Fatalf("router did not answer in HTTP: %v", err)
+				}
+				defer resp.Body.Close()
+				b, err := io.ReadAll(resp.Body)
+				if err != nil {
+					t.Fatalf("router's own response is truncated: %v", err)
+				}
+				return resp, b
+			}
+			relayed := func(what, id, body, want string) {
+				t.Helper()
+				resp, got := post(id, body)
+				if resp.StatusCode != http.StatusOK || string(got) != want {
+					t.Fatalf("%s: status %d, relayed %.80q (%d bytes), want the worker's %.80q (%d bytes)",
+						what, resp.StatusCode, got, len(got), want, len(want))
+				}
+				if cl := resp.Header.Get("Content-Length"); cl != strconv.Itoa(len(want)) || len(resp.TransferEncoding) != 0 {
+					t.Fatalf("%s: Content-Length %q, Transfer-Encoding %v; want the length stated", what, cl, resp.TransferEncoding)
+				}
+			}
 
-	short.Store(true)
-	resp, got = post("00000000000000c2", `{"run":"r","data":"short"}`)
-	if resp.StatusCode != http.StatusBadGateway {
-		t.Fatalf("short body: status %d body %q, want 502", resp.StatusCode, got)
-	}
-	var eb errorBody
-	if err := json.Unmarshal(got, &eb); err != nil {
-		t.Fatalf("short body: 502 body %q is not JSON: %v", got, err)
-	}
-	if eb.TraceID != "00000000000000c2" || !strings.Contains(eb.Error, "shard 0 replica 0 ("+worker.URL+")") {
-		t.Fatalf("short body: 502 does not carry the trace id and name the shard and replica: %+v", eb)
-	}
-	if rt.copyErrors.Value() != 1 {
-		t.Fatalf("short body: router.copy_errors = %d, want 1", rt.copyErrors.Value())
-	}
-	if rt.cache.Len() != 1 {
-		t.Fatalf("short body was cached: %d entries, want the 1 from before", rt.cache.Len())
+			relayed("complete body", "00000000000000c1", `{"run":"r","data":"whole"}`, whole)
+			if rt.copyErrors.Value() != 0 || rt.cache.Len() != tc.stored || rt.cacheDeclined.Value() != int64(1-tc.stored) {
+				t.Fatalf("complete body: copy_errors=%d cache entries=%d declined=%d, want 0, %d and %d",
+					rt.copyErrors.Value(), rt.cache.Len(), rt.cacheDeclined.Value(), tc.stored, 1-tc.stored)
+			}
+
+			resp, got := post("00000000000000c2", `{"run":"r","data":"short"}`)
+			if resp.StatusCode != http.StatusBadGateway {
+				t.Fatalf("short body: status %d body %q, want 502", resp.StatusCode, got)
+			}
+			var eb errorBody
+			if err := json.Unmarshal(got, &eb); err != nil {
+				t.Fatalf("short body: 502 body %q is not JSON: %v", got, err)
+			}
+			if eb.TraceID != "00000000000000c2" || !strings.Contains(eb.Error, "shard 0 replica 0 ("+worker.URL+")") {
+				t.Fatalf("short body: 502 does not carry the trace id and name the shard and replica: %+v", eb)
+			}
+			if rt.copyErrors.Value() != 1 {
+				t.Fatalf("short body: router.copy_errors = %d, want 1", rt.copyErrors.Value())
+			}
+			if rt.cache.Len() != tc.stored {
+				t.Fatalf("short body was cached: %d entries, want the %d from before", rt.cache.Len(), tc.stored)
+			}
+
+			// The short read left `{"trace_id":"xx"` in a relay buffer; the
+			// answers read after it carry none of it.
+			relayed("long body after the short one", "00000000000000c3", `{"run":"r","data":"long"}`, long)
+			relayed("complete body again", "00000000000000c1", `{"run":"r","data":"whole"}`, whole)
+		})
 	}
 }
 

@@ -32,6 +32,23 @@ const ParentSpanHeader = client.ParentSpanHeader
 // maxBodyBytes bounds forwarded request bodies (same cap as the worker).
 const maxBodyBytes = 1 << 20
 
+// maxBufferedBody is the largest worker response body the router reads
+// whole before answering; longer answers, and those of unstated length, are
+// streamed through.
+const maxBufferedBody = 4 << 20
+
+// maxPooledRelay is the largest relay buffer returned to relayBufs, the
+// same rule as the worker's encode buffers: it covers the largest answers
+// of the benchmark's corpora (~310 KB) without letting one outsized answer
+// pin megabytes per pooled buffer.
+const maxPooledRelay = 1 << 20
+
+// relayBufs holds the buffers worker answers are read into. A buffer goes
+// back to the pool once its answer has been written: an http.ResponseWriter
+// is an io.Writer, which must not retain what it is given, and the cache
+// copies what it keeps.
+var relayBufs = sync.Pool{New: func() any { return new([]byte) }}
+
 // DefaultSlowThreshold is the router slowlog threshold when none is
 // configured (same default as the worker's).
 const DefaultSlowThreshold = 10 * time.Millisecond
@@ -85,7 +102,8 @@ type Config struct {
 	// changes.
 	CacheEntries int
 	// CacheBytes bounds the cache's total retained bytes (0 selects
-	// DefaultCacheBytes). Only meaningful when CacheEntries > 0.
+	// DefaultCacheBytes). Only meaningful when CacheEntries > 0. An answer
+	// is kept only if it and its request fit CacheBytes/CacheEntries.
 	CacheBytes int64
 	// MaxIdleConns bounds the keep-alive pool per worker (default 32).
 	MaxIdleConns int
@@ -156,21 +174,22 @@ type Router struct {
 	cache  *respCache
 	slow   *obs.SlowLog
 
-	requests    *obs.Counter
-	slowCount   *obs.Counter
-	requestNs   *obs.Histogram
-	forwards    *obs.Counter
-	fwdErrors   *obs.Counter
-	fastFails   *obs.Counter
-	failovers   *obs.Counter
-	hedges      *obs.Counter
-	hedgeWins   *obs.Counter
-	cacheHits   *obs.Counter
-	cacheMisses *obs.Counter
-	cacheInvals *obs.Counter
-	copyErrors  *obs.Counter
-	gathers     *obs.Counter
-	partials    *obs.Counter
+	requests      *obs.Counter
+	slowCount     *obs.Counter
+	requestNs     *obs.Histogram
+	forwards      *obs.Counter
+	fwdErrors     *obs.Counter
+	fastFails     *obs.Counter
+	failovers     *obs.Counter
+	hedges        *obs.Counter
+	hedgeWins     *obs.Counter
+	cacheHits     *obs.Counter
+	cacheMisses   *obs.Counter
+	cacheDeclined *obs.Counter
+	cacheInvals   *obs.Counter
+	copyErrors    *obs.Counter
+	gathers       *obs.Counter
+	partials      *obs.Counter
 }
 
 // New returns a router over cfg.Shards (or cfg.Workers as single-replica
@@ -216,38 +235,40 @@ func New(reg *obs.Registry, cfg Config) (*Router, error) {
 	}
 	obs.AttachRuntime(reg)
 	r := &Router{
-		cfg:         cfg,
-		ring:        ring,
-		httpc:       &http.Client{Transport: rt},
-		reg:         reg,
-		slow:        obs.NewSlowLog(cfg.SlowLogSize),
-		requests:    reg.Counter("router.requests"),
-		slowCount:   reg.Counter("router.slow_requests"),
-		requestNs:   reg.Histogram("router.request_ns"),
-		forwards:    reg.Counter("router.forwards"),
-		fwdErrors:   reg.Counter("router.forward_errors"),
-		fastFails:   reg.Counter("router.fast_fails"),
-		failovers:   reg.Counter("router.failovers"),
-		hedges:      reg.Counter("router.hedges"),
-		hedgeWins:   reg.Counter("router.hedge_wins"),
-		cacheHits:   reg.Counter("router.cache_hits"),
-		cacheMisses: reg.Counter("router.cache_misses"),
-		cacheInvals: reg.Counter("router.cache_invalidations"),
-		copyErrors:  reg.Counter("router.copy_errors"),
-		gathers:     reg.Counter("router.gathers"),
-		partials:    reg.Counter("router.gather_partial"),
+		cfg:           cfg,
+		ring:          ring,
+		httpc:         &http.Client{Transport: rt},
+		reg:           reg,
+		slow:          obs.NewSlowLog(cfg.SlowLogSize),
+		requests:      reg.Counter("router.requests"),
+		slowCount:     reg.Counter("router.slow_requests"),
+		requestNs:     reg.Histogram("router.request_ns"),
+		forwards:      reg.Counter("router.forwards"),
+		fwdErrors:     reg.Counter("router.forward_errors"),
+		fastFails:     reg.Counter("router.fast_fails"),
+		failovers:     reg.Counter("router.failovers"),
+		hedges:        reg.Counter("router.hedges"),
+		hedgeWins:     reg.Counter("router.hedge_wins"),
+		cacheHits:     reg.Counter("router.cache_hits"),
+		cacheMisses:   reg.Counter("router.cache_misses"),
+		cacheDeclined: reg.Counter("router.cache_declined"),
+		cacheInvals:   reg.Counter("router.cache_invalidations"),
+		copyErrors:    reg.Counter("router.copy_errors"),
+		gathers:       reg.Counter("router.gathers"),
+		partials:      reg.Counter("router.gather_partial"),
 	}
 	if cfg.CacheEntries > 0 {
 		r.cache = newRespCache(cfg.CacheEntries, cfg.CacheBytes)
 	}
 	for k, g := range groups {
 		sh := &shard{
-			index:       k,
-			cacheHits:   reg.Counter(fmt.Sprintf("router.shard.%d.cache_hits", k)),
-			cacheMisses: reg.Counter(fmt.Sprintf("router.shard.%d.cache_misses", k)),
-			failovers:   reg.Counter(fmt.Sprintf("router.shard.%d.failovers", k)),
-			hedges:      reg.Counter(fmt.Sprintf("router.shard.%d.hedges", k)),
-			hedgeWins:   reg.Counter(fmt.Sprintf("router.shard.%d.hedge_wins", k)),
+			index:         k,
+			cacheHits:     reg.Counter(fmt.Sprintf("router.shard.%d.cache_hits", k)),
+			cacheMisses:   reg.Counter(fmt.Sprintf("router.shard.%d.cache_misses", k)),
+			cacheDeclined: reg.Counter(fmt.Sprintf("router.shard.%d.cache_declined", k)),
+			failovers:     reg.Counter(fmt.Sprintf("router.shard.%d.failovers", k)),
+			hedges:        reg.Counter(fmt.Sprintf("router.shard.%d.hedges", k)),
+			hedgeWins:     reg.Counter(fmt.Sprintf("router.shard.%d.hedge_wins", k)),
 		}
 		for j, base := range g {
 			prefix := fmt.Sprintf("router.shard.%d.replica.%d.", k, j)
@@ -353,7 +374,8 @@ type routerHandler func(tr *obs.Trace, w http.ResponseWriter, r *http.Request)
 // capture when the request runs at or over the threshold. The captured
 // tree is the router's spans — route.pick, cache.lookup, each
 // replica.attempt — plus, for traced requests, the worker's stitched
-// subtree, so a slow entry shows where the time went across the hop.
+// subtree, so a slow entry shows where the time went across the hop. The
+// tree is copied out of the trace only for a request the slowlog keeps.
 func (rt *Router) traced(route string, h routerHandler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		tr := obs.NewTraceWithID(route, r.Header.Get(TraceIDHeader))
@@ -362,7 +384,7 @@ func (rt *Router) traced(route string, h routerHandler) http.Handler {
 		start := time.Now()
 		h(tr, sw, r)
 		dur := time.Since(start)
-		node := tr.Finish()
+		tr.Root().End()
 		rt.requests.Inc()
 		rt.requestNs.Observe(dur.Nanoseconds())
 		if dur >= rt.cfg.SlowThreshold {
@@ -378,7 +400,7 @@ func (rt *Router) traced(route string, h routerHandler) http.Handler {
 				Request: r.URL.RequestURI(),
 				Status:  status,
 				DurNs:   dur.Nanoseconds(),
-				Trace:   node,
+				Trace:   tr.Snapshot(),
 			})
 		}
 	})
@@ -442,11 +464,11 @@ func wantInlineTrace(r *http.Request) bool {
 // winning replica.attempt span, so the client gets ONE stitched tree
 // covering both hops instead of the worker's fragment.
 //
-// A worker states the length of what it sends. A response that does, and
-// fits the cache's per-body cap, is read whole — into a slice of exactly
-// that size, which is also what the cache keeps — before anything is
-// committed to the client: a worker that dies mid-body costs the client a
-// well-formed 502, not a 200 with half a document.
+// A worker states the length of what it sends. A response that does, and is
+// at most maxBufferedBody, is read whole into a pooled buffer before
+// anything is committed to the client: a worker that dies mid-body costs
+// the client a well-formed 502, not a 200 with half a document. The cache
+// copies out of that buffer the 200s it admits.
 func (rt *Router) forward(path string) routerHandler {
 	return func(tr *obs.Trace, w http.ResponseWriter, r *http.Request) {
 		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
@@ -546,8 +568,17 @@ func (rt *Router) forward(path string) routerHandler {
 
 		relay := tr.Root().StartChild("relay")
 		defer relay.End()
-		if n := resp.ContentLength; n >= 0 && n <= maxCacheBody {
-			data := make([]byte, n)
+		if n := resp.ContentLength; n >= 0 && n <= maxBufferedBody {
+			bp := relayBufs.Get().(*[]byte)
+			if int64(cap(*bp)) < n {
+				*bp = make([]byte, n)
+			}
+			defer func() {
+				if cap(*bp) <= maxPooledRelay {
+					relayBufs.Put(bp)
+				}
+			}()
+			data := (*bp)[:n]
 			if _, rerr := io.ReadFull(resp.Body, data); rerr != nil {
 				rt.copyError(tr, idx, rerr)
 				writeJSON(w, http.StatusBadGateway, errorBody{
@@ -562,9 +593,14 @@ func (rt *Router) forward(path string) routerHandler {
 					relay.End() // before the snapshot stitch takes
 					data = rt.stitch(tr, winSpan, data)
 				} else if cacheable {
-					ent := &cacheEntry{path: path, reqBody: body, epoch: epoch, contentType: ct, body: data}
-					ent.markTraceID(tr.ID())
-					rt.cache.store(ent)
+					ent := cacheEntry{path: path, reqBody: body, epoch: epoch, contentType: ct, body: data}
+					if rt.cache.store(ent, tr.ID()) {
+						relay.SetTag("cache", "stored")
+					} else {
+						relay.SetTag("cache", "declined")
+						rt.cacheDeclined.Inc()
+						sh.cacheDeclined.Inc()
+					}
 				}
 			}
 			if werr := writeBody(w, resp.StatusCode, ct, data); werr != nil {

@@ -340,7 +340,8 @@ func routeKey(route string) string {
 // traced wraps an API endpoint with the request boundary: a trace (id in
 // X-Zoom-Trace-Id — a valid inbound id on the same header is adopted
 // instead of minting one), request and per-route metrics, and slow-log
-// capture when the request runs at or over the threshold.
+// capture when the request runs at or over the threshold. The span tree is
+// copied out of the trace only for a request the slow log keeps.
 func (s *Server) traced(route string, h apiHandler) http.Handler {
 	rm := s.routes[routeKey(route)]
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -360,7 +361,7 @@ func (s *Server) traced(route string, h apiHandler) http.Handler {
 		h(ctx, tr, sw, r)
 		dur := time.Since(start)
 		rm.addInFlight(-1)
-		node := tr.Finish()
+		tr.Root().End()
 		if sw.status == 0 {
 			sw.status = http.StatusOK
 		}
@@ -379,7 +380,7 @@ func (s *Server) traced(route string, h apiHandler) http.Handler {
 				Request: r.URL.RequestURI(),
 				Status:  sw.status,
 				DurNs:   dur.Nanoseconds(),
-				Trace:   node,
+				Trace:   tr.Snapshot(),
 			})
 		}
 	})

@@ -189,6 +189,12 @@ curl -fsS -X POST -H 'Content-Type: application/json' -d "$body" \
 curl -fsS "$base/metrics" >"$workdir/metrics2.txt" || fail "GET /metrics on replicated router"
 grep -E '^zoom_router_cache_hits [1-9]' "$workdir/metrics2.txt" >/dev/null \
     || fail "router response cache recorded no hits"
+# The example's answers fit the cache's fair share, so none was declined;
+# the counter is exported all the same, with its per-shard series.
+grep -E '^zoom_router_cache_declined 0$' "$workdir/metrics2.txt" >/dev/null \
+    || fail "zoom_router_cache_declined missing, or the example's small answers were declined"
+grep -E '^zoom_router_cache_declined\{shard="0"\} ' "$workdir/metrics2.txt" >/dev/null \
+    || fail "zoom_router_cache_declined has no per-shard series"
 echo "cluster-smoke: router response cache serving repeats"
 
 # Stitched distributed trace: ?trace=1 through the router must return ONE
