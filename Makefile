@@ -22,11 +22,12 @@ test:
 race:
 	$(GO) test -race -run 'Concurrent|Stress' ./...
 
-# Short fuzzing passes over six fuzz targets; long runs are
+# Short fuzzing passes over seven fuzz targets; long runs are
 # `go test -fuzz=FuzzConnectBy ./internal/warehouse/` etc. FuzzAppendResponse
 # and FuzzAnswerTokens run without minimization: nearly every input reaches
 # new coverage inside encoding/json, and minimizing each would leave a 10 s
-# pass ~100 executions.
+# pass ~100 executions. FuzzRunBuilder does too: its seeds are whole runs,
+# and minimizing one stalls the pass for seconds at a time.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzConnectBy -fuzztime=10s ./internal/warehouse/
 	$(GO) test -run='^$$' -fuzz=FuzzRelevUserViewBuilder -fuzztime=10s ./internal/core/
@@ -34,6 +35,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzCompositeBuild -fuzztime=10s ./internal/composite/
 	$(GO) test -run='^$$' -fuzz=FuzzAppendResponse -fuzztime=10s -fuzzminimizetime=0 ./internal/server/
 	$(GO) test -run='^$$' -fuzz=FuzzAnswerTokens -fuzztime=10s -fuzzminimizetime=0 ./internal/server/
+	$(GO) test -run='^$$' -fuzz=FuzzRunBuilder -fuzztime=10s -fuzzminimizetime=0 ./internal/run/
 
 # The paper's Section V tables (plus the ablations and the in-process
 # experiments that still have code), printed as text.

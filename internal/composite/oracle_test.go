@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/gen"
+	"repro/internal/graph"
 	"repro/internal/run"
 	"repro/internal/spec"
 )
@@ -21,10 +22,26 @@ import (
 // WeaklyConnectedComponents over string nodes, the order from a TopoSort of
 // the run's string graph, and inputs and outputs from map[string]bool sets.
 //
-// graph.TopoSort breaks ties by node and edge insertion order, so the oracle
-// numbers executions by how the run was loaded; on a run whose graph lists
-// steps and edges in natural order (every arena-reconstructed run, and every
-// run the generator or run.Execute builds) that is Index.TopoOrder.
+// graph.TopoSort breaks ties by node insertion order, and runGraph adds the
+// steps in natural order, so on a valid run the oracle's order is
+// Index.TopoOrder however the run was loaded.
+
+// runGraph is the run as a string graph, its nodes added INPUT, OUTPUT,
+// then the steps in natural order, with the data on each edge.
+func runGraph(r *run.Run) (*graph.Graph, map[[2]string][]string) {
+	g := graph.New()
+	g.AddNode(spec.Input)
+	g.AddNode(spec.Output)
+	for _, id := range r.StepIDs() {
+		g.AddNode(id)
+	}
+	edgeData := make(map[[2]string][]string)
+	for _, f := range r.Flows() {
+		g.AddEdge(f.From, f.To)
+		edgeData[[2]string{f.From, f.To}] = f.Data
+	}
+	return g, edgeData
+}
 
 // oracleBuild returns the composite executions of r under v in topological
 // order.
@@ -37,7 +54,7 @@ func oracleBuild(r *run.Run, v *core.UserView) ([]*Execution, error) {
 		}
 		byComp[comp] = append(byComp[comp], st.ID)
 	}
-	g := r.Graph()
+	g, edgeData := runGraph(r)
 	comps := make([]string, 0, len(byComp))
 	for c := range byComp {
 		comps = append(comps, c)
@@ -82,14 +99,14 @@ func oracleBuild(r *run.Run, v *core.UserView) ([]*Execution, error) {
 		for _, s := range e.Steps {
 			for _, p := range g.Predecessors(s) {
 				if !member[p] {
-					for _, d := range r.DataOn(p, s) {
+					for _, d := range edgeData[[2]string{p, s}] {
 						inSet[d] = true
 					}
 				}
 			}
 			for _, w := range g.Successors(s) {
 				if !member[w] {
-					for _, d := range r.DataOn(s, w) {
+					for _, d := range edgeData[[2]string{s, w}] {
 						outSet[d] = true
 					}
 				}
@@ -112,7 +129,8 @@ func oracleEdges(r *run.Run, execs []*Execution) []Edge {
 		}
 	}
 	acc := make(map[[2]string]map[string]bool)
-	r.Graph().EachEdge(func(u, w string) {
+	g, edgeData := runGraph(r)
+	g.EachEdge(func(u, w string) {
 		from, to := u, w
 		if u != spec.Input {
 			from = ofStep[u]
@@ -127,7 +145,7 @@ func oracleEdges(r *run.Run, execs []*Execution) []Edge {
 		if acc[key] == nil {
 			acc[key] = make(map[string]bool)
 		}
-		for _, d := range r.DataOn(u, w) {
+		for _, d := range edgeData[[2]string{u, w}] {
 			acc[key][d] = true
 		}
 	})
@@ -339,17 +357,17 @@ func fuzzRun(data []byte) (*run.Run, *core.UserView, bool) {
 	if err != nil {
 		return nil, nil, false
 	}
-	r := run.NewRun("fz-run", "fz")
+	rb := run.NewBuilder("fz-run", "fz")
 	step := func(i int) string { return fmt.Sprintf("S%d", i+1) }
 	for i := 0; i < nSteps; i++ {
-		if r.AddStep(step(i), fmt.Sprintf("M%d", 1+next()%nMods)) != nil {
+		if rb.AddStep(step(i), fmt.Sprintf("M%d", 1+next()%nMods)) != nil {
 			return nil, nil, false
 		}
 	}
 	nextData := 0
 	flow := func(from, to string) bool {
 		nextData++
-		return r.AddFlow(from, to, []string{fmt.Sprintf("d%d", nextData)}) == nil
+		return rb.AddFlow(from, to, []string{fmt.Sprintf("d%d", nextData)}) == nil
 	}
 	hasSucc := make([]bool, nSteps)
 	for i := 0; i < nSteps; i++ {
@@ -372,7 +390,8 @@ func fuzzRun(data []byte) (*run.Run, *core.UserView, bool) {
 			return nil, nil, false
 		}
 	}
-	return r, v, r.Validate() == nil
+	r, err := rb.Build()
+	return r, v, err == nil && r.Validate() == nil
 }
 
 // FuzzCompositeBuild: on a small random DAG run and a random partition of

@@ -97,9 +97,9 @@ func Run(r *run.Run) string {
 	for _, st := range r.Steps() {
 		fmt.Fprintf(&b, "  %s [shape=box, label=%s];\n", escape(st.ID), escape(st.ID+":"+st.Module))
 	}
-	for _, e := range r.Graph().Edges() {
+	for _, f := range r.Flows() {
 		fmt.Fprintf(&b, "  %s -> %s [label=%s];\n",
-			escape(e.From), escape(e.To), escape(run.FormatDataSet(r.DataOn(e.From, e.To))))
+			escape(f.From), escape(f.To), escape(run.FormatDataSet(f.Data)))
 	}
 	b.WriteString("}\n")
 	return b.String()

@@ -19,8 +19,12 @@ func fixtureResult(t *testing.T, relevant []string, data string) *provenance.Res
 	if err := w.RegisterSpec(s); err != nil {
 		t.Fatal(err)
 	}
-	r := run.Figure2()
-	if err := r.AnnotateInput("d1", map[string]string{"who": "joe"}); err != nil {
+	b := run.Figure2().Rebuild()
+	if err := b.AnnotateInput("d1", map[string]string{"who": "joe"}); err != nil {
+		t.Fatal(err)
+	}
+	r, err := b.Build()
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := w.LoadRun(r); err != nil {

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/run"
 	"repro/internal/warehouse"
 )
 
@@ -141,8 +142,18 @@ func TestExecutionsListing(t *testing.T) {
 
 func TestInputMetadataSurfaces(t *testing.T) {
 	f := newFixture(t)
-	r, _ := f.w.Run("fig2")
-	if err := r.AnnotateInput("d1", map[string]string{"who": "joe", "when": "2007-11-02"}); err != nil {
+	b := run.Figure2().Rebuild()
+	if err := b.AnnotateInput("d1", map[string]string{"who": "joe", "when": "2007-11-02"}); err != nil {
+		t.Fatal(err)
+	}
+	r, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.e.DropRun("fig2"); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.w.LoadRun(r); err != nil {
 		t.Fatal(err)
 	}
 	res, err := f.e.DeepProvenance("fig2", f.joe, "d1")
@@ -153,7 +164,7 @@ func TestInputMetadataSurfaces(t *testing.T) {
 		t.Fatalf("metadata not surfaced: %+v", res)
 	}
 	// Annotating produced data is rejected.
-	if err := r.AnnotateInput("d413", map[string]string{"who": "x"}); err == nil {
+	if err := b.AnnotateInput("d413", map[string]string{"who": "x"}); err == nil {
 		t.Fatal("annotating produced data accepted")
 	}
 }

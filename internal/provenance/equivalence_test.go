@@ -231,9 +231,9 @@ func TestEquivalenceEdgeOrder(t *testing.T) {
 		{"Q", "T"}, {"R", "T"}, {"U", "T"}, {"T", spec.Output}} {
 		s.MustAddEdge(e[0], e[1])
 	}
-	r := run.NewRun("order-run", "order")
+	b := run.NewBuilder("order-run", "order")
 	for _, st := range [][2]string{{"z1", "P"}, {"A2", "Q"}, {"S10", "R"}, {"S9", "U"}, {"B3", "T"}} {
-		if err := r.AddStep(st[0], st[1]); err != nil {
+		if err := b.AddStep(st[0], st[1]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -246,9 +246,13 @@ func TestEquivalenceEdgeOrder(t *testing.T) {
 		{"A2", "B3", []string{"d6"}}, {"S10", "B3", []string{"d7", "d8"}}, {"S9", "B3", []string{"d12"}},
 		{"B3", spec.Output, []string{"d9"}},
 	} {
-		if err := r.AddFlow(f.from, f.to, f.data); err != nil {
+		if err := b.AddFlow(f.from, f.to, f.data); err != nil {
 			t.Fatal(err)
 		}
+	}
+	r, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
 	}
 	if err := r.Validate(); err != nil {
 		t.Fatal(err)
@@ -583,14 +587,18 @@ func TestOversizedProjectionLeavesThePool(t *testing.T) {
 	s.MustAddModule(spec.Module{Name: "M1"})
 	s.MustAddEdge(spec.Input, "M1")
 	s.MustAddEdge("M1", spec.Output)
-	r := run.NewRun("wide-r", "wide")
-	if err := r.AddStep("S1", "M1"); err != nil {
+	b := run.NewBuilder("wide-r", "wide")
+	if err := b.AddStep("S1", "M1"); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.AddFlow(spec.Input, "S1", run.DataIDs(1, maxPooledFacts+1000)); err != nil {
+	if err := b.AddFlow(spec.Input, "S1", run.DataIDs(1, maxPooledFacts+1000)); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.AddFlow("S1", spec.Output, []string{"out"}); err != nil {
+	if err := b.AddFlow("S1", spec.Output, []string{"out"}); err != nil {
+		t.Fatal(err)
+	}
+	r, err := b.Build()
+	if err != nil {
 		t.Fatal(err)
 	}
 	e := engineFor(t, s, r)

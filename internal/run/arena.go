@@ -5,8 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/bitset"
-	"repro/internal/graph"
-	"repro/internal/spec"
 )
 
 // Node codes used by interned flow tables: INPUT and OUTPUT get fixed small
@@ -32,11 +30,11 @@ type InternedFlow struct {
 var ErrBadArena = errors.New("run: inconsistent arena tables")
 
 // ArenaTables is a run in its zero-copy form: the exact slices the compact
-// index (Index) holds internally, as decoded — or aliased — from a v3
-// snapshot block. The int32 CSR slices, the flows' data and the finals bitset
-// words may alias a read-only memory mapping; ReconstructArena adopts them
-// without copying, which is what makes opening a v3 snapshot O(directory),
-// not O(warehouse).
+// index (Index) holds, as built by a Builder or decoded — or aliased — from
+// a v3 snapshot block. The int32 CSR slices, the flows' data and the
+// finals bitset words may alias a read-only memory mapping; ReconstructArena
+// adopts them without copying, which is what makes opening a v3 snapshot
+// O(directory), not O(warehouse).
 //
 // Invariants (verified, since a corrupt-but-checksummed file could violate
 // them and an aliased slice must never be indexed out of range):
@@ -71,13 +69,11 @@ type ArenaTables struct {
 }
 
 // ReconstructArena adopts arena tables as a run: after verifying the
-// invariants above it assembles the compact index directly over the int32
-// slices, without copying, and returns a run that answers the serving path
-// (ID, SpecName, HasData, IsExternal, InputMeta, the counts, Index) from
-// that index. It is the v3 snapshot loader's construction path, so first
-// touch of a mapped run costs the checks and nothing else. The string
-// relations behind Graph, DataOn, Steps, Producer, Consumers and the rest
-// are built from the same tables the first time one of them is called.
+// invariants above it assembles the compact index directly over the slices,
+// without copying. It is the one construction path: the v3 snapshot loader
+// calls it on slices that alias the mapping, so first touch of a mapped run
+// costs the checks and nothing else, and Builder.Build calls it on the
+// tables it sorted.
 func ReconstructArena(id, specName string, t ArenaTables) (*Run, error) {
 	nSteps, nData := len(t.StepIDs), len(t.DataNames)
 	if len(t.StepModules) != nSteps {
@@ -107,58 +103,38 @@ func ReconstructArena(id, specName string, t ArenaTables) (*Run, error) {
 			return nil, fmt.Errorf("%w: producer %d of data %d out of range", ErrBadArena, p, d)
 		}
 	}
-	if err := checkCSR("inputs", t.InOff, t.InData, nSteps, nData); err != nil {
-		return nil, err
-	}
-	if err := checkCSR("outputs", t.OutOff, t.OutData, nSteps, nData); err != nil {
-		return nil, err
-	}
-	if err := checkCSR("consumers", t.ConOff, t.ConStep, nData, nSteps); err != nil {
-		return nil, err
-	}
-	if err := checkFinals(t.Finals, nData); err != nil {
-		return nil, err
-	}
-	if err := checkFlows(t); err != nil {
-		return nil, err
-	}
-
-	r := &Run{id: id, specName: specName, snapFlows: t.Flows}
-	r.snap = &Index{
-		r:        r,
-		stepName: t.StepIDs, stepModule: t.StepModules,
-		dataName: t.DataNames,
-		producer: t.Producer,
-		inOff:    t.InOff, inData: t.InData,
-		outOff: t.OutOff, outData: t.OutData,
-		conOff: t.ConOff, conStep: t.ConStep,
-		finals: t.Finals,
-	}
-	r.index = r.snap
-	for di, kv := range t.Meta {
-		if di < 0 || int(di) >= nData {
-			return nil, fmt.Errorf("%w: meta data index %d out of range", ErrBadFlow, di)
-		}
-		if err := r.AnnotateInput(t.DataNames[di], kv); err != nil {
+	// Each check stays inside the slices it checks, so all run; the first
+	// failure is reported.
+	for _, err := range []error{
+		checkCSR("inputs", t.InOff, t.InData, nSteps, nData),
+		checkCSR("outputs", t.OutOff, t.OutData, nSteps, nData),
+		checkCSR("consumers", t.ConOff, t.ConStep, nData, nSteps),
+		checkFinals(t.Finals, nData),
+		checkFlows(t),
+	} {
+		if err != nil {
 			return nil, err
 		}
 	}
+	for di := range t.Meta {
+		if di < 0 || int(di) >= nData {
+			return nil, fmt.Errorf("%w: meta data index %d out of range", ErrBadFlow, di)
+		}
+		if t.Producer[di] >= 0 {
+			return nil, fmt.Errorf("%w: %q", ErrNotExternal, t.DataNames[di])
+		}
+	}
+
+	r := &Run{id: id, specName: specName}
+	r.ix = &Index{r: r, t: t}
 	return r, nil
 }
 
-// checkFlows enforces AddFlow's structural rules on the interned flows and
-// cross-checks the producer assignment they imply against the stored column.
+// checkFlows enforces the rules Builder.AddFlow checks on the interned
+// flows and cross-checks their producer assignment against the column.
 func checkFlows(t ArenaTables) error {
 	nNodes, nData := NodeStep0+len(t.StepIDs), len(t.DataNames)
-	name := func(code int32) string {
-		switch code {
-		case NodeInput:
-			return spec.Input
-		case NodeOutput:
-			return spec.Output
-		}
-		return t.StepIDs[code-NodeStep0]
-	}
+	name := func(code int32) string { return nodeName(code, t.StepIDs) }
 	prod := make([]int32, nData) // producing node code per the flows
 	for i := range prod {
 		prod[i] = -1
@@ -213,52 +189,6 @@ func checkFlows(t ArenaTables) error {
 		}
 	}
 	return nil
-}
-
-// buildStrings derives an adopted run's string relations from its index and
-// flows, all verified at adoption. Nodes and edges enter the graph in the
-// order a snapshot lists them, so Graph().Edges() reads the same before and
-// after a save.
-func (r *Run) buildStrings() {
-	ix := r.snap
-	nSteps, nData := ix.NumSteps(), ix.NumData()
-	r.steps = make(map[string]Step, nSteps)
-	r.g = graph.New()
-	r.g.AddNode(spec.Input)
-	r.g.AddNode(spec.Output)
-	names := make([]string, NodeStep0+nSteps)
-	names[NodeInput], names[NodeOutput] = spec.Input, spec.Output
-	for i, sid := range ix.stepName {
-		r.steps[sid] = Step{ID: sid, Module: ix.stepModule[i]}
-		r.g.AddNode(sid)
-		names[NodeStep0+i] = sid
-	}
-	r.edgeData = make(map[[2]string][]string, len(r.snapFlows))
-	for _, f := range r.snapFlows {
-		ds := make([]string, len(f.Data))
-		for i, di := range f.Data {
-			ds[i] = ix.dataName[di]
-		}
-		r.edgeData[[2]string{names[f.From], names[f.To]}] = ds
-		r.g.AddEdge(names[f.From], names[f.To])
-	}
-	r.producer = make(map[string]string, nData)
-	r.consumers = make(map[string][]string, nData)
-	for di, d := range ix.dataName {
-		if p := ix.producer[di]; p >= 0 {
-			r.producer[d] = ix.stepName[p]
-		} else {
-			r.producer[d] = "" // external
-		}
-		// Consumers are reported in string order; the CSR row is in id order.
-		var cs []string
-		for _, s := range ix.ConsumersOf(int32(di)) {
-			cs = insertString(cs, ix.stepName[s])
-		}
-		if cs != nil {
-			r.consumers[d] = cs
-		}
-	}
 }
 
 // checkCSR verifies one offset/value CSR pair: rows+1 offsets from 0 to

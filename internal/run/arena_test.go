@@ -3,98 +3,22 @@ package run
 import (
 	"errors"
 	"reflect"
-	"sort"
 	"sync"
 	"testing"
 
-	"repro/internal/bitset"
 	"repro/internal/spec"
 )
 
-// internedTables derives the interned form of a run — natural-order step and
-// data tables plus code/index flows — exactly as the v3 snapshot writer
-// does.
-func internedTables(r *Run) (steps []Step, data []string, flows []InternedFlow, meta map[int32]map[string]string) {
-	steps = r.Steps()
-	data = r.AllData()
-	code := map[string]int32{spec.Input: NodeInput, spec.Output: NodeOutput}
-	for i, st := range steps {
-		code[st.ID] = int32(NodeStep0 + i)
-	}
-	idx := make(map[string]int32, len(data))
-	for i, d := range data {
-		idx[d] = int32(i)
-	}
-	for _, e := range r.Graph().Edges() {
-		var ds []int32
-		for _, d := range r.DataOn(e.From, e.To) { // natural order = ascending indexes
-			ds = append(ds, idx[d])
-		}
-		flows = append(flows, InternedFlow{From: code[e.From], To: code[e.To], Data: ds})
-	}
-	sort.Slice(flows, func(i, j int) bool {
-		if flows[i].From != flows[j].From {
-			return flows[i].From < flows[j].From
-		}
-		return flows[i].To < flows[j].To
-	})
-	for _, d := range r.AnnotatedInputs() {
-		if meta == nil {
-			meta = make(map[int32]map[string]string)
-		}
-		meta[idx[d]] = r.InputMeta(d)
-	}
-	return steps, data, flows, meta
-}
-
-// arenaTables derives the arena form of a run from its compact index —
-// exactly the tables the v3 snapshot stores.
-func arenaTables(r *Run) ArenaTables {
-	ix := r.Index()
-	steps, data, flows, meta := internedTables(r)
-	t := ArenaTables{
-		StepIDs:     make([]string, len(steps)),
-		StepModules: make([]string, len(steps)),
-		DataNames:   data,
-		Producer:    make([]int32, ix.NumData()),
-		Flows:       flows,
-		Meta:        meta,
-	}
-	for i, st := range steps {
-		t.StepIDs[i] = st.ID
-		t.StepModules[i] = st.Module
-	}
-	t.InOff = append(t.InOff, 0)
-	t.OutOff = append(t.OutOff, 0)
-	for s := 0; s < ix.NumSteps(); s++ {
-		t.InData = append(t.InData, ix.InputsOf(int32(s))...)
-		t.InOff = append(t.InOff, int32(len(t.InData)))
-		t.OutData = append(t.OutData, ix.OutputsOf(int32(s))...)
-		t.OutOff = append(t.OutOff, int32(len(t.OutData)))
-	}
-	t.ConOff = append(t.ConOff, 0)
-	t.Finals = bitset.New(ix.NumData())
-	for d := 0; d < ix.NumData(); d++ {
-		t.Producer[d] = ix.Producer(int32(d))
-		t.ConStep = append(t.ConStep, ix.ConsumersOf(int32(d))...)
-		t.ConOff = append(t.ConOff, int32(len(t.ConStep)))
-		if ix.IsFinal(int32(d)) {
-			t.Finals.Add(int32(d))
-		}
-	}
-	return t
-}
-
-// TestReconstructArenaEquivalent: the arena path must rebuild a run that is
-// element-identical to the original, with an index that matches buildIndex's
-// output field for field — the differential anchor for the v3 loader.
+// TestReconstructArenaEquivalent: a run adopted from another's tables
+// answers every accessor as the original does, and hands the same tables
+// back — the differential anchor for the v3 loader.
 func TestReconstructArenaEquivalent(t *testing.T) {
-	orig := Figure2()
-	if err := orig.AnnotateInput("d1", map[string]string{"who": "joe", "when": "2008-04-07"}); err != nil {
+	b := Figure2().Rebuild()
+	if err := b.AnnotateInput("d1", map[string]string{"who": "joe", "when": "2008-04-07"}); err != nil {
 		t.Fatal(err)
 	}
-	at := arenaTables(orig)
-	got, err := ReconstructArena(orig.ID(), orig.SpecName(), at)
+	orig := mustBuild(t, b)
+	got, err := ReconstructArena(orig.ID(), orig.SpecName(), orig.Tables())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,32 +38,18 @@ func TestReconstructArenaEquivalent(t *testing.T) {
 	if !reflect.DeepEqual(orig.InputMeta("d1"), got.InputMeta("d1")) {
 		t.Fatalf("meta differs: %v vs %v", orig.InputMeta("d1"), got.InputMeta("d1"))
 	}
+	if !reflect.DeepEqual(orig.Flows(), got.Flows()) || !reflect.DeepEqual(orig.Tables(), got.Tables()) {
+		t.Fatal("flows or tables differ")
+	}
 	if err := got.Validate(); err != nil {
 		t.Fatalf("reconstructed run fails validation: %v", err)
-	}
-
-	pre := got.Index()
-	ref := buildIndex(got)
-	if !reflect.DeepEqual(pre.stepName, ref.stepName) || !reflect.DeepEqual(pre.dataName, ref.dataName) {
-		t.Fatal("interning tables differ")
-	}
-	if !reflect.DeepEqual(pre.producer, ref.producer) {
-		t.Fatalf("producer columns differ:\n%v\n%v", pre.producer, ref.producer)
-	}
-	if !reflect.DeepEqual(pre.inOff, ref.inOff) || !reflect.DeepEqual(pre.inData, ref.inData) ||
-		!reflect.DeepEqual(pre.outOff, ref.outOff) || !reflect.DeepEqual(pre.outData, ref.outData) ||
-		!reflect.DeepEqual(pre.conOff, ref.conOff) || !reflect.DeepEqual(pre.conStep, ref.conStep) {
-		t.Fatal("CSR adjacency differs")
-	}
-	if !reflect.DeepEqual(pre.finals, ref.finals) {
-		t.Fatal("finals bitsets differ")
 	}
 }
 
 // TestReconstructArenaAdoptsSlices: the assembled index must alias the
 // caller's slices (the zero-copy contract), not copies of them.
 func TestReconstructArenaAdoptsSlices(t *testing.T) {
-	at := arenaTables(Figure2())
+	at := Figure2().Tables()
 	got, err := ReconstructArena("r", "s", at)
 	if err != nil {
 		t.Fatal(err)
@@ -148,21 +58,19 @@ func TestReconstructArenaAdoptsSlices(t *testing.T) {
 	if len(at.InData) == 0 || len(at.ConStep) == 0 {
 		t.Fatal("fixture too small to test aliasing")
 	}
-	if &ix.inData[0] != &at.InData[0] || &ix.conStep[0] != &at.ConStep[0] || &ix.producer[0] != &at.Producer[0] {
+	if &ix.t.InData[0] != &at.InData[0] || &ix.t.ConStep[0] != &at.ConStep[0] || &ix.t.Producer[0] != &at.Producer[0] {
 		t.Fatal("index slices were copied, not adopted")
 	}
 }
 
-// TestAdoptedRunServesFromIndex: what the serving path asks of an adopted run
-// is answered without building its string relations; the first accessor
-// that needs them builds them; and a mutator turns the run into an ordinary
-// heap run with a fresh index, leaving the adopted index as it was.
+// TestAdoptedRunServesFromIndex: an adopted run answers by name from its
+// index, and a run rebuilt from it with more steps and flows is a new run
+// with its own index, the adopted one untouched.
 func TestAdoptedRunServesFromIndex(t *testing.T) {
-	orig := Figure2()
-	if err := orig.AnnotateInput("d1", map[string]string{"who": "joe"}); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReconstructArena(orig.ID(), orig.SpecName(), arenaTables(orig))
+	b := Figure2().Rebuild()
+	mustT(t, b.AnnotateInput("d1", map[string]string{"who": "joe"}))
+	orig := mustBuild(t, b)
+	got, err := ReconstructArena(orig.ID(), orig.SpecName(), orig.Tables())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,42 +94,54 @@ func TestAdoptedRunServesFromIndex(t *testing.T) {
 	if !reflect.DeepEqual(got.InputMeta("d1"), orig.InputMeta("d1")) || got.Validate() != nil {
 		t.Fatal("metadata or validation differ")
 	}
-	if got.steps != nil || got.g != nil || got.producer != nil {
-		t.Fatal("serving accessors built the string relations")
-	}
-
-	if !reflect.DeepEqual(got.Steps(), orig.Steps()) || got.Graph().NumEdges() != orig.NumEdges() {
-		t.Fatal("string relations differ once built")
-	}
 
 	adopted := got.Index()
-	if err := got.AddStep("S99", "M1"); err != nil {
-		t.Fatal(err)
+	more := got.Rebuild()
+	mustT(t, more.AddStep("S99", "M1"))
+	mustT(t, more.AddFlow("S1", "S99", []string{"d5000"}))
+	mustT(t, more.AddFlow("S99", spec.Output, []string{"d5001"}))
+	grown := mustBuild(t, more)
+	if grown.NumSteps() != orig.NumSteps()+1 || !grown.HasData("d5001") || grown.IsExternal("d5001") ||
+		!reflect.DeepEqual(grown.InputMeta("d1"), orig.InputMeta("d1")) {
+		t.Fatalf("rebuilt run: %s", grown)
 	}
-	if err := got.AddFlow("S1", "S99", []string{"d5000"}); err != nil {
-		t.Fatal(err)
+	if got.Index() != adopted || got.NumSteps() != orig.NumSteps() || got.HasData("d5000") {
+		t.Fatal("rebuilding changed the adopted run")
 	}
-	if err := got.AddFlow("S99", spec.Output, []string{"d5001"}); err != nil {
-		t.Fatal(err)
-	}
-	if got.NumSteps() != orig.NumSteps()+1 || !got.HasData("d5001") || got.IsExternal("d5001") {
-		t.Fatalf("mutated run: %s", got)
-	}
-	fresh := got.Index()
-	if fresh == adopted || fresh.NumSteps() != orig.NumSteps()+1 || adopted.NumSteps() != orig.NumSteps() {
-		t.Fatal("mutation did not replace the index, or touched the adopted one")
-	}
-	if _, ok := fresh.DataID("d5000"); !ok {
+	if _, ok := grown.Index().DataID("d5000"); !ok {
 		t.Fatal("rebuilt index misses the new data")
 	}
 }
 
-// TestConcurrentAdoptedRunFirstUse: the string relations and the topological
-// order of an adopted run are each built once however many goroutines ask
-// first, serving accessors answering beside them (run under -race).
+// TestRebuildLeavesRunUnchanged: a run rebuilt with a further step has its
+// own index; the run it came from keeps its index and its contents.
+func TestRebuildLeavesRunUnchanged(t *testing.T) {
+	b := NewBuilder("inv", "spec")
+	mustT(t, b.AddStep("S1", "M1"))
+	mustT(t, b.AddFlow("INPUT", "S1", []string{"d1"}))
+	r1 := mustBuild(t, b)
+	ix1 := r1.Index()
+	if ix1.NumSteps() != 1 || ix1.NumData() != 1 || r1.Index() != ix1 {
+		t.Fatalf("initial index: %d steps %d data", ix1.NumSteps(), ix1.NumData())
+	}
+	more := r1.Rebuild()
+	mustT(t, more.AddStep("S2", "M2"))
+	mustT(t, more.AddFlow("S1", "S2", []string{"d2"}))
+	r2 := mustBuild(t, more)
+	if r2.Index() == ix1 || r2.Index().NumSteps() != 2 || r2.Index().NumData() != 2 {
+		t.Fatalf("rebuilt index: %d steps %d data", r2.Index().NumSteps(), r2.Index().NumData())
+	}
+	if r1.Index() != ix1 || ix1.NumSteps() != 1 || ix1.NumData() != 1 {
+		t.Fatal("the original run changed")
+	}
+}
+
+// TestConcurrentAdoptedRunFirstUse: the topological order and the token
+// tables of an adopted run are each built once however many goroutines ask
+// first, name accessors answering beside them (run under -race).
 func TestConcurrentAdoptedRunFirstUse(t *testing.T) {
 	orig := Figure2()
-	got, err := ReconstructArena(orig.ID(), orig.SpecName(), arenaTables(orig))
+	got, err := ReconstructArena(orig.ID(), orig.SpecName(), orig.Tables())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,8 +150,9 @@ func TestConcurrentAdoptedRunFirstUse(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if len(got.Steps()) != orig.NumSteps() || got.Graph().NumEdges() != orig.NumEdges() ||
+			if len(got.Steps()) != orig.NumSteps() || len(got.Flows()) != orig.NumEdges() ||
 				len(got.Index().TopoOrder()) != orig.NumSteps() || !got.HasData("d447") ||
+				string(got.Index().Tokens().Data.At(0)) != `"d1"` ||
 				got.Validate() != nil || len(got.Consumers("d410")) != len(orig.Consumers("d410")) {
 				t.Error("adopted run answers differ under concurrent first use")
 			}
@@ -300,7 +221,7 @@ func TestReconstructArenaRejectsCorruption(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			at := arenaTables(Figure2())
+			at := Figure2().Tables()
 			tc.mutate(&at)
 			_, err := ReconstructArena("r", "s", at)
 			if err == nil {

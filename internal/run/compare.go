@@ -44,15 +44,12 @@ func Compare(a, b *Run) Diff {
 		StatsB:       b.Stats(),
 	}
 	counts := make(map[string][2]int)
-	for _, st := range a.Steps() {
-		c := counts[st.Module]
-		c[0]++
-		counts[st.Module] = c
-	}
-	for _, st := range b.Steps() {
-		c := counts[st.Module]
-		c[1]++
-		counts[st.Module] = c
+	for i, r := range []*Run{a, b} {
+		for _, m := range r.ix.t.StepModules {
+			c := counts[m]
+			c[i]++
+			counts[m] = c
+		}
 	}
 	for module, c := range counts {
 		if c[0] != c[1] {

@@ -96,18 +96,7 @@ func Execute(s *spec.Spec, cfg Config) (*Run, []wflog.Event, error) {
 	c := cfg.withDefaults()
 	rng := rand.New(rand.NewSource(c.Seed))
 
-	g := s.Graph()
-	backEdges := g.BackEdges()
-	skeleton := g.Clone()
-	for _, e := range backEdges {
-		skeleton.RemoveEdge(e.From, e.To)
-	}
-	if !skeleton.IsAcyclic() {
-		// BackEdges guarantees acyclicity; this is defensive.
-		return nil, nil, fmt.Errorf("run: skeleton still cyclic: %w", ErrUnsupportedLoops)
-	}
-
-	loops, err := identifyLoops(skeleton, backEdges)
+	skeleton, backEdges, loops, err := loopsOf(s)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -129,7 +118,7 @@ func Execute(s *spec.Spec, cfg Config) (*Run, []wflog.Event, error) {
 	}
 
 	// Assign step ids S1.. in topological order and build the run.
-	r := NewRun(c.RunID, s.Name())
+	b := NewBuilder(c.RunID, s.Name())
 	stepID := make(map[string]string, len(order))
 	n := 0
 	for _, inst := range order {
@@ -139,7 +128,7 @@ func Execute(s *spec.Spec, cfg Config) (*Run, []wflog.Event, error) {
 		n++
 		id := "S" + strconv.Itoa(n)
 		stepID[inst] = id
-		if err := r.AddStep(id, instanceModule[inst]); err != nil {
+		if err := b.AddStep(id, instanceModule[inst]); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -149,7 +138,6 @@ func Execute(s *spec.Spec, cfg Config) (*Run, []wflog.Event, error) {
 	// edge carries `userInput` fresh objects.
 	next := 0
 	fresh := func() string { next++; return "d" + strconv.Itoa(next) }
-	lb := wflog.NewBuilder()
 	for _, inst := range order {
 		if inst == spec.Output {
 			continue
@@ -162,15 +150,13 @@ func Execute(s *spec.Spec, cfg Config) (*Run, []wflog.Event, error) {
 				for i := range data {
 					data[i] = fresh()
 				}
-				if err := r.AddFlow(spec.Input, stepID[sc], data); err != nil {
+				if err := b.AddFlow(spec.Input, stepID[sc], data); err != nil {
 					return nil, nil, err
 				}
 			}
 			continue
 		}
 		id := stepID[inst]
-		lb.Start(id, instanceModule[inst])
-		lb.Reads(id, r.InputsOf(id)...)
 		if len(succs) == 0 {
 			continue
 		}
@@ -182,7 +168,6 @@ func Execute(s *spec.Spec, cfg Config) (*Run, []wflog.Event, error) {
 		for i := range produced {
 			produced[i] = fresh()
 		}
-		lb.Writes(id, produced...)
 		// Round-robin the products over the outgoing edges so every edge
 		// carries at least one object.
 		perEdge := make([][]string, len(succs))
@@ -195,15 +180,36 @@ func Execute(s *spec.Spec, cfg Config) (*Run, []wflog.Event, error) {
 			if sc == spec.Output {
 				target = spec.Output
 			}
-			if err := r.AddFlow(id, target, perEdge[i]); err != nil {
+			if err := b.AddFlow(id, target, perEdge[i]); err != nil {
 				return nil, nil, err
 			}
 		}
 	}
-	if err := r.Validate(); err != nil {
+	// The log is the run's: ToLog walks the index's topological order, which
+	// is the order the step ids were assigned in (both are Kahn with a FIFO
+	// queue, ties in ascending order), and lists each step's inputs and
+	// products in natural order, as a workflow system logging this run would.
+	r, err := b.Build()
+	if err == nil {
+		err = r.Validate()
+	}
+	if err != nil {
 		return nil, nil, err
 	}
-	return r, lb.Events(), nil
+	events, err := r.ToLog()
+	return r, events, err
+}
+
+// loopsOf splits the graph of s into its acyclic skeleton (BackEdges
+// guarantees it is) and its back edges, and finds the loop each closes.
+func loopsOf(s *spec.Spec) (*graph.Graph, []graph.Edge, []*loop, error) {
+	backEdges := s.Graph().BackEdges()
+	skeleton := s.Graph().Clone()
+	for _, e := range backEdges {
+		skeleton.RemoveEdge(e.From, e.To)
+	}
+	loops, err := identifyLoops(skeleton, backEdges)
+	return skeleton, backEdges, loops, err
 }
 
 // identifyLoops maps each back edge to its body: the skeleton nodes on
@@ -404,13 +410,7 @@ func unroll(skeleton *graph.Graph, backEdges []graph.Edge, loops []*loop) (*grap
 // iteration count per loop, without executing. Used by the workload
 // generator to hit Table II's size targets.
 func SizeEstimate(s *spec.Spec, itersPerLoop int) int {
-	g := s.Graph()
-	backEdges := g.BackEdges()
-	skeleton := g.Clone()
-	for _, e := range backEdges {
-		skeleton.RemoveEdge(e.From, e.To)
-	}
-	loops, err := identifyLoops(skeleton, backEdges)
+	_, _, loops, err := loopsOf(s)
 	if err != nil {
 		return s.NumModules()
 	}

@@ -171,11 +171,11 @@ func TestExecuteEveryEdgeCarriesData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.Graph().EachEdge(func(from, to string) {
-		if len(r.DataOn(from, to)) == 0 {
-			t.Errorf("edge %s -> %s carries no data", from, to)
+	for _, f := range r.Flows() {
+		if len(r.DataOn(f.From, f.To)) == 0 {
+			t.Errorf("edge %s -> %s carries no data", f.From, f.To)
 		}
-	})
+	}
 }
 
 func TestExecuteLogMatchesRun(t *testing.T) {

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"sync"
 
-	"repro/internal/bitset"
 	"repro/internal/jsontok"
 	"repro/internal/spec"
 )
@@ -26,105 +25,20 @@ import (
 // resolves to its id by binary search under the natural order, so the index
 // carries no name -> id maps.
 //
-// An Index is a snapshot: it must only be built once the run is fully
-// constructed (the warehouse builds it at load time, after validation).
-// Mutating the run via AddStep/AddFlow discards any previously built index
-// so a stale snapshot is never returned by Run.Index.
+// The index is the run: its tables are what ReconstructArena verified and
+// adopted, from a Builder or a snapshot, and nothing changes them
+// afterwards. Besides the adjacency they hold the flow edges, which Flows,
+// DataOn, Stats, ConformsTo and the snapshot writers read, and the input
+// metadata.
 type Index struct {
 	r *Run
-
-	stepName   []string // interned step id -> step name, natural order
-	stepModule []string // interned step id -> module the step instantiates
-	dataName   []string // interned data id -> data name, natural order
-
-	producer []int32 // data -> producing step, -1 when external
-
-	inOff, inData   []int32 // step -> input data (CSR)
-	outOff, outData []int32 // step -> output data (CSR)
-	conOff, conStep []int32 // data -> consuming steps (CSR)
-
-	finals bitset.Set // data flowing into OUTPUT
+	t ArenaTables
 
 	topoOnce  sync.Once
-	topoOrder []int32 // see TopoOrder; shorter than stepName when cyclic
+	topoOrder []int32 // see TopoOrder; shorter than NumSteps when cyclic
 
 	tokOnce sync.Once
 	tokens  Tokens // see Tokens
-}
-
-// Index returns the run's compact index, building it on first use. The
-// index is cached; AddStep/AddFlow invalidate the cache, so the returned
-// snapshot always matches the run's current contents. Safe for concurrent
-// use once the run is no longer being mutated (the warehouse's contract).
-func (r *Run) Index() *Index {
-	r.indexMu.Lock()
-	defer r.indexMu.Unlock()
-	if r.index == nil {
-		r.index = buildIndex(r)
-	}
-	return r.index
-}
-
-func buildIndex(r *Run) *Index {
-	steps := r.Steps() // natural order
-	ix := &Index{
-		r:          r,
-		stepName:   make([]string, len(steps)),
-		stepModule: make([]string, len(steps)),
-		dataName:   r.AllData(), // natural order
-	}
-	stepID := make(map[string]int32, len(steps))
-	for i, st := range steps {
-		ix.stepName[i], ix.stepModule[i] = st.ID, st.Module
-		stepID[st.ID] = int32(i)
-	}
-	dataID := make(map[string]int32, len(ix.dataName))
-	for i, d := range ix.dataName {
-		dataID[d] = int32(i)
-	}
-
-	ix.producer = make([]int32, len(ix.dataName))
-	for i, d := range ix.dataName {
-		p, _ := r.Producer(d)
-		if p == "" {
-			ix.producer[i] = -1
-		} else {
-			ix.producer[i] = stepID[p]
-		}
-	}
-
-	// Step-side CSR: inputs and outputs per interned step, both in natural
-	// (= interned ascending) order because InputsOf/OutputsOf sort naturally.
-	ix.inOff = make([]int32, len(ix.stepName)+1)
-	ix.outOff = make([]int32, len(ix.stepName)+1)
-	for i, s := range ix.stepName {
-		for _, d := range r.InputsOf(s) {
-			ix.inData = append(ix.inData, dataID[d])
-		}
-		ix.inOff[i+1] = int32(len(ix.inData))
-		for _, d := range r.OutputsOf(s) {
-			ix.outData = append(ix.outData, dataID[d])
-		}
-		ix.outOff[i+1] = int32(len(ix.outData))
-	}
-
-	// Data-side CSR: consuming steps per interned data id, ascending (the
-	// Consumers accessor sorts lexicographically, so re-sort by id).
-	ix.conOff = make([]int32, len(ix.dataName)+1)
-	for i, d := range ix.dataName {
-		for _, s := range r.Consumers(d) {
-			ix.conStep = append(ix.conStep, stepID[s])
-		}
-		row := ix.conStep[ix.conOff[i]:]
-		sort.Slice(row, func(a, b int) bool { return row[a] < row[b] })
-		ix.conOff[i+1] = int32(len(ix.conStep))
-	}
-
-	ix.finals = bitset.New(len(ix.dataName))
-	for _, d := range r.InputsOf(spec.Output) {
-		ix.finals.Add(dataID[d])
-	}
-	return ix
 }
 
 // validateStructure checks Validate's invariants on the interned
@@ -135,11 +49,10 @@ func buildIndex(r *Run) *Index {
 // data produced by s" holds exactly when the graph has edge s -> t, and
 // INPUT/OUTPUT — a pure source and a pure sink — can never be on a cycle.
 func (ix *Index) validateStructure() error {
-	n := len(ix.stepName)
-	r := ix.r
+	n, id := len(ix.t.StepIDs), ix.r.id
 	order := ix.TopoOrder()
 	if len(order) != n {
-		return fmt.Errorf("run %q: %w", r.id, ErrCyclicRun)
+		return fmt.Errorf("run %q: %w", id, ErrCyclicRun)
 	}
 
 	// In topological order every predecessor of a step is settled before
@@ -148,7 +61,7 @@ func (ix *Index) validateStructure() error {
 	// at the consumers of external data, backward reach at the producers of
 	// final data.
 	fwd, bwd := make([]bool, n), make([]bool, n)
-	for d, p := range ix.producer {
+	for d, p := range ix.t.Producer {
 		if p < 0 {
 			for _, t := range ix.ConsumersOf(int32(d)) {
 				fwd[t] = true
@@ -177,10 +90,10 @@ func (ix *Index) validateStructure() error {
 
 	for s := 0; s < n; s++ {
 		if !fwd[s] {
-			return fmt.Errorf("run %q: step %q unreachable from INPUT: %w", r.id, ix.stepName[s], ErrDisconnected)
+			return fmt.Errorf("run %q: step %q unreachable from INPUT: %w", id, ix.t.StepIDs[s], ErrDisconnected)
 		}
 		if !bwd[s] {
-			return fmt.Errorf("run %q: step %q cannot reach OUTPUT: %w", r.id, ix.stepName[s], ErrDisconnected)
+			return fmt.Errorf("run %q: step %q cannot reach OUTPUT: %w", id, ix.t.StepIDs[s], ErrDisconnected)
 		}
 	}
 	return nil
@@ -190,19 +103,19 @@ func (ix *Index) validateStructure() error {
 func (ix *Index) Run() *Run { return ix.r }
 
 // NumSteps returns the number of interned steps.
-func (ix *Index) NumSteps() int { return len(ix.stepName) }
+func (ix *Index) NumSteps() int { return len(ix.t.StepIDs) }
 
 // NumData returns the number of interned data objects.
-func (ix *Index) NumData() int { return len(ix.dataName) }
+func (ix *Index) NumData() int { return len(ix.t.DataNames) }
 
 // StepID returns the interned id of a step name.
-func (ix *Index) StepID(name string) (int32, bool) { return searchNatural(ix.stepName, name) }
+func (ix *Index) StepID(name string) (int32, bool) { return searchNatural(ix.t.StepIDs, name) }
 
 // DataID returns the interned id of a data name.
-func (ix *Index) DataID(name string) (int32, bool) { return searchNatural(ix.dataName, name) }
+func (ix *Index) DataID(name string) (int32, bool) { return searchNatural(ix.t.DataNames, name) }
 
 // searchNatural finds name in a table that is strictly increasing under
-// lessNatural (every index's name tables are: buildIndex sorts them and
+// lessNatural (every index's name tables are: Build sorts them and
 // ReconstructArena verifies it).
 func searchNatural(names []string, name string) (int32, bool) {
 	i := sort.Search(len(names), func(i int) bool { return !lessNatural(names[i], name) })
@@ -213,10 +126,46 @@ func searchNatural(names []string, name string) (int32, bool) {
 }
 
 // StepName returns the step name of an interned id.
-func (ix *Index) StepName(id int32) string { return ix.stepName[id] }
+func (ix *Index) StepName(id int32) string { return ix.t.StepIDs[id] }
 
 // StepModule returns the module an interned step instantiates.
-func (ix *Index) StepModule(id int32) string { return ix.stepModule[id] }
+func (ix *Index) StepModule(id int32) string { return ix.t.StepModules[id] }
+
+// nodeCode resolves a node name — INPUT, OUTPUT, or a step id that step
+// numbers — to its node code.
+func nodeCode(name string, step func(string) (int32, bool)) (int32, bool) {
+	switch name {
+	case spec.Input:
+		return NodeInput, true
+	case spec.Output:
+		return NodeOutput, true
+	}
+	s, ok := step(name)
+	return NodeStep0 + s, ok
+}
+
+// nodeName is the inverse of nodeCode, steps naming the step codes.
+func nodeName(code int32, steps []string) string {
+	switch code {
+	case NodeInput:
+		return spec.Input
+	case NodeOutput:
+		return spec.Output
+	}
+	return steps[code-NodeStep0]
+}
+
+// dataWhere returns the names of the data ids keep selects, in natural
+// order.
+func (ix *Index) dataWhere(keep func(d int32) bool) []string {
+	var out []string
+	for d, name := range ix.t.DataNames {
+		if keep(int32(d)) {
+			out = append(out, name)
+		}
+	}
+	return out
+}
 
 // TopoOrder returns the steps in the run's canonical topological order: Kahn
 // with a FIFO queue seeded with the steps that have no step predecessor,
@@ -231,7 +180,7 @@ func (ix *Index) TopoOrder() []int32 {
 		// The (s, t) pairs are enumerated identically when counting and
 		// when releasing (repeated when s feeds t several data objects), so
 		// the counts balance.
-		n := len(ix.stepName)
+		n := len(ix.t.StepIDs)
 		indeg := make([]int32, n)
 		for s := 0; s < n; s++ {
 			for _, d := range ix.OutputsOf(int32(s)) {
@@ -269,36 +218,36 @@ type Tokens struct {
 }
 
 // Tokens returns the index's token tables, built on first use and shared;
-// safe for concurrent use. They belong to the index: whatever discards the
-// index (AddStep, AddFlow, dropping the run) discards them with it.
+// safe for concurrent use. They belong to the index and are released with
+// it when the run is dropped.
 func (ix *Index) Tokens() *Tokens {
 	ix.tokOnce.Do(func() {
-		ix.tokens = Tokens{Data: jsontok.Of(ix.dataName), Step: jsontok.Of(ix.stepName)}
+		ix.tokens = Tokens{Data: jsontok.Of(ix.t.DataNames), Step: jsontok.Of(ix.t.StepIDs)}
 	})
 	return &ix.tokens
 }
 
 // DataName returns the data name of an interned id.
-func (ix *Index) DataName(id int32) string { return ix.dataName[id] }
+func (ix *Index) DataName(id int32) string { return ix.t.DataNames[id] }
 
 // Producer returns the interned producing step of a data id, or -1 when the
 // data is external (user or workflow input).
-func (ix *Index) Producer(d int32) int32 { return ix.producer[d] }
+func (ix *Index) Producer(d int32) int32 { return ix.t.Producer[d] }
 
 // InputsOf returns the interned input data of a step, ascending (= natural
 // order). The slice aliases the index; callers must not mutate it.
-func (ix *Index) InputsOf(s int32) []int32 { return ix.inData[ix.inOff[s]:ix.inOff[s+1]] }
+func (ix *Index) InputsOf(s int32) []int32 { return ix.t.InData[ix.t.InOff[s]:ix.t.InOff[s+1]] }
 
 // OutputsOf returns the interned output data of a step, ascending. The
 // slice aliases the index; callers must not mutate it.
-func (ix *Index) OutputsOf(s int32) []int32 { return ix.outData[ix.outOff[s]:ix.outOff[s+1]] }
+func (ix *Index) OutputsOf(s int32) []int32 { return ix.t.OutData[ix.t.OutOff[s]:ix.t.OutOff[s+1]] }
 
 // ConsumersOf returns the interned steps reading a data id. The slice
 // aliases the index; callers must not mutate it.
-func (ix *Index) ConsumersOf(d int32) []int32 { return ix.conStep[ix.conOff[d]:ix.conOff[d+1]] }
+func (ix *Index) ConsumersOf(d int32) []int32 { return ix.t.ConStep[ix.t.ConOff[d]:ix.t.ConOff[d+1]] }
 
 // IsFinal reports whether a data id flows into OUTPUT.
-func (ix *Index) IsFinal(d int32) bool { return ix.finals.Has(d) }
+func (ix *Index) IsFinal(d int32) bool { return ix.t.Finals.Has(d) }
 
 // IndexStats describes an index's footprint — what the compact layout
 // costs, and what each closure bitset pair over it costs.
@@ -315,15 +264,16 @@ type IndexStats struct {
 
 // Stats returns the index's footprint.
 func (ix *Index) Stats() IndexStats {
-	ints := len(ix.producer) +
-		len(ix.inOff) + len(ix.inData) +
-		len(ix.outOff) + len(ix.outData) +
-		len(ix.conOff) + len(ix.conStep)
+	t := &ix.t
+	ints := len(t.Producer) +
+		len(t.InOff) + len(t.InData) +
+		len(t.OutOff) + len(t.OutData) +
+		len(t.ConOff) + len(t.ConStep)
 	return IndexStats{
-		Steps:        len(ix.stepName),
-		Data:         len(ix.dataName),
+		Steps:        len(t.StepIDs),
+		Data:         len(t.DataNames),
 		CSRBytes:     4 * ints,
-		ClosureWords: (len(ix.stepName)+63)/64 + (len(ix.dataName)+63)/64,
+		ClosureWords: (len(t.StepIDs)+63)/64 + (len(t.DataNames)+63)/64,
 	}
 }
 

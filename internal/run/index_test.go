@@ -7,15 +7,16 @@ import (
 	"repro/internal/spec"
 )
 
-// TestIndexInterning pins the interning contract: ids are dense, interned
-// order is natural order, and names round-trip.
+// TestIndexInterning pins the interning contract against the string
+// oracle: ids are dense, interned order is natural order, and names
+// round-trip.
 func TestIndexInterning(t *testing.T) {
 	r := Figure2()
-	ix := r.Index()
+	ix, o := r.Index(), oracleOf(r)
 	if ix.NumSteps() != r.NumSteps() || ix.NumData() != r.NumData() {
 		t.Fatalf("interned %d/%d, run has %d/%d", ix.NumSteps(), ix.NumData(), r.NumSteps(), r.NumData())
 	}
-	steps := r.StepIDs() // natural order
+	steps := o.StepIDs() // natural order
 	for i, s := range steps {
 		id, ok := ix.StepID(s)
 		if !ok || id != int32(i) {
@@ -25,7 +26,7 @@ func TestIndexInterning(t *testing.T) {
 			t.Fatalf("step id %d names %q, want %q", id, ix.StepName(id), s)
 		}
 	}
-	data := r.AllData() // natural order
+	data := o.AllData() // natural order
 	for i, d := range data {
 		id, ok := ix.DataID(d)
 		if !ok || id != int32(i) {
@@ -43,14 +44,15 @@ func TestIndexInterning(t *testing.T) {
 	}
 }
 
-// TestIndexAdjacency checks every CSR relation against the run's map-level
-// answers: producer column, step inputs/outputs, data consumers, finals.
+// TestIndexAdjacency checks every CSR relation against the string oracle's
+// map-level answers: producer column, step inputs/outputs, data consumers,
+// finals.
 func TestIndexAdjacency(t *testing.T) {
 	r := Figure2()
-	ix := r.Index()
-	for _, d := range r.AllData() {
+	ix, o := r.Index(), oracleOf(r)
+	for _, d := range o.AllData() {
 		id, _ := ix.DataID(d)
-		p, _ := r.Producer(d)
+		p, _ := o.Producer(d)
 		if p == "" {
 			if ix.Producer(id) != -1 {
 				t.Fatalf("external %s has producer %d", d, ix.Producer(id))
@@ -58,7 +60,7 @@ func TestIndexAdjacency(t *testing.T) {
 		} else if ix.StepName(ix.Producer(id)) != p {
 			t.Fatalf("producer of %s = %s, want %s", d, ix.StepName(ix.Producer(id)), p)
 		}
-		want := r.Consumers(d)
+		want := o.Consumers(d)
 		got := ix.ConsumersOf(id)
 		if len(got) != len(want) {
 			t.Fatalf("consumers of %s: %d vs %d", d, len(got), len(want))
@@ -73,11 +75,11 @@ func TestIndexAdjacency(t *testing.T) {
 			}
 		}
 	}
-	for _, s := range r.StepIDs() {
+	for _, s := range o.StepIDs() {
 		sid, _ := ix.StepID(s)
 		for name, pair := range map[string][2][]string{
-			"inputs":  {r.InputsOf(s), names(ix, ix.InputsOf(sid))},
-			"outputs": {r.OutputsOf(s), names(ix, ix.OutputsOf(sid))},
+			"inputs":  {o.InputsOf(s), names(ix.t.DataNames, ix.InputsOf(sid))},
+			"outputs": {o.OutputsOf(s), names(ix.t.DataNames, ix.OutputsOf(sid))},
 		} {
 			want, got := pair[0], pair[1]
 			if len(want) != len(got) {
@@ -91,54 +93,14 @@ func TestIndexAdjacency(t *testing.T) {
 		}
 	}
 	finals := make(map[string]bool)
-	for _, d := range r.FinalOutputs() {
+	for _, d := range o.InputsOf(spec.Output) {
 		finals[d] = true
 	}
-	for _, d := range r.AllData() {
+	for _, d := range o.AllData() {
 		id, _ := ix.DataID(d)
 		if ix.IsFinal(id) != finals[d] {
 			t.Fatalf("IsFinal(%s) = %v, want %v", d, ix.IsFinal(id), finals[d])
 		}
-	}
-}
-
-func names(ix *Index, ids []int32) []string {
-	out := make([]string, len(ids))
-	for i, id := range ids {
-		out[i] = ix.DataName(id)
-	}
-	return out
-}
-
-// TestIndexInvalidation: mutating the run discards the cached snapshot, and
-// the rebuilt index sees the new contents.
-func TestIndexInvalidation(t *testing.T) {
-	r := NewRun("inv", "spec")
-	if err := r.AddStep("S1", "M1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.AddFlow("INPUT", "S1", []string{"d1"}); err != nil {
-		t.Fatal(err)
-	}
-	ix1 := r.Index()
-	if ix1.NumSteps() != 1 || ix1.NumData() != 1 {
-		t.Fatalf("initial index: %d steps %d data", ix1.NumSteps(), ix1.NumData())
-	}
-	if r.Index() != ix1 {
-		t.Fatal("unchanged run rebuilt its index")
-	}
-	if err := r.AddStep("S2", "M2"); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.AddFlow("S1", "S2", []string{"d2"}); err != nil {
-		t.Fatal(err)
-	}
-	ix2 := r.Index()
-	if ix2 == ix1 {
-		t.Fatal("mutated run returned stale index")
-	}
-	if ix2.NumSteps() != 2 || ix2.NumData() != 2 {
-		t.Fatalf("rebuilt index: %d steps %d data", ix2.NumSteps(), ix2.NumData())
 	}
 }
 
@@ -152,10 +114,32 @@ func topoNames(ix *Index) []string {
 }
 
 // TestTopoOrderCanonical: the index's topological order is what
-// graph.TopoSort yields on the arena-reconstructed twin of a run (whose graph
-// lists nodes and edges in natural order), it is the same for a run whose
-// log listed its steps in another order, and a step fed several data
-// objects by one predecessor is released in id order all the same.
+// graph.TopoSort yields on the run's string graph with its nodes added in
+// natural order (what a snapshot-reloaded run had), also for a run whose
+// steps arrived in another order, and a step fed several data objects by
+// one predecessor is released in id order all the same.
+// TestIndexStats: the footprint counts what the oracle counts, the CSR
+// arrays are whole int32s, and a closure bitset pair takes one word per 64
+// steps plus one per 64 data objects.
+func TestIndexStats(t *testing.T) {
+	r := Figure2()
+	ix, o := r.Index(), oracleOf(r)
+	st := ix.Stats()
+	if st.Steps != len(o.StepIDs()) || st.Data != len(o.AllData()) {
+		t.Fatalf("stats counts wrong: %+v, oracle has %d/%d", st, len(o.StepIDs()), len(o.AllData()))
+	}
+	if st.CSRBytes <= 0 || st.CSRBytes%4 != 0 {
+		t.Fatalf("CSRBytes = %d", st.CSRBytes)
+	}
+	wantWords := (ix.NumSteps()+63)/64 + (ix.NumData()+63)/64
+	if st.ClosureWords != wantWords {
+		t.Fatalf("ClosureWords = %d, want %d", st.ClosureWords, wantWords)
+	}
+	if st.String() == "" {
+		t.Fatal("empty stats string")
+	}
+}
+
 func TestTopoOrderCanonical(t *testing.T) {
 	runs := []*Run{Figure2()}
 	for seed := int64(1); seed <= 6; seed++ {
@@ -167,81 +151,50 @@ func TestTopoOrderCanonical(t *testing.T) {
 	}
 	// S1 feeds S3 and S5 through d2 and S3 again through d3, so S3's last
 	// incoming flow is met after S5's; S2 joins later through S4.
-	multi := NewRun("multi", "x")
+	b := NewBuilder("multi", "x")
 	for _, id := range []string{"S5", "S4", "S3", "S2", "S1"} { // not natural order
-		if err := multi.AddStep(id, "M"); err != nil {
-			t.Fatal(err)
-		}
+		mustT(t, b.AddStep(id, "M"))
 	}
 	for _, f := range []Flow{
 		{spec.Input, "S1", []string{"d1"}}, {"S1", "S5", []string{"d2"}}, {"S1", "S3", []string{"d2", "d3"}},
 		{"S3", "S4", []string{"d4"}}, {"S5", "S4", []string{"d5"}}, {"S4", "S2", []string{"d6"}},
 		{"S2", spec.Output, []string{"d7"}},
 	} {
-		if err := multi.AddFlow(f.From, f.To, f.Data); err != nil {
-			t.Fatal(err)
-		}
+		mustT(t, b.AddFlow(f.From, f.To, f.Data))
 	}
+	multi := mustBuild(t, b)
 	if got, want := topoNames(multi.Index()), []string{"S1", "S3", "S5", "S4", "S2"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("multi-flow order %v, want %v", got, want)
 	}
 	runs = append(runs, multi)
 
 	for _, r := range runs {
-		twin, err := ReconstructArena(r.ID(), r.SpecName(), arenaTables(r))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sorted, err := twin.Graph().TopoSort()
-		if err != nil {
-			t.Fatal(err)
-		}
 		var want []string
+		o := oracleOf(r)
+		sorted, err := o.canonical().TopoSort()
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, n := range sorted {
 			if n != spec.Input && n != spec.Output {
 				want = append(want, n)
 			}
 		}
 		if got := topoNames(r.Index()); !reflect.DeepEqual(got, want) {
-			t.Fatalf("run %s: TopoOrder %v, TopoSort of the reloaded twin %v", r.ID(), got, want)
-		}
-		if got := topoNames(twin.Index()); !reflect.DeepEqual(got, want) {
-			t.Fatalf("run %s: twin's TopoOrder %v, want %v", r.ID(), got, want)
+			t.Fatalf("run %s: TopoOrder %v, TopoSort of the natural-order graph %v", r.ID(), got, want)
 		}
 	}
 
 	// A cycle (only an unvalidated run can hold one) leaves the order short.
-	cyc := NewRun("cyc", "x")
+	cb := NewBuilder("cyc", "x")
 	for _, id := range []string{"S1", "S2"} {
-		if err := cyc.AddStep(id, "M"); err != nil {
-			t.Fatal(err)
-		}
+		mustT(t, cb.AddStep(id, "M"))
 	}
 	for _, f := range []Flow{{spec.Input, "S1", []string{"d1"}}, {"S1", "S2", []string{"d2"}}, {"S2", "S1", []string{"d3"}}} {
-		if err := cyc.AddFlow(f.From, f.To, f.Data); err != nil {
-			t.Fatal(err)
-		}
+		mustT(t, cb.AddFlow(f.From, f.To, f.Data))
 	}
+	cyc := mustBuild(t, cb)
 	if got := cyc.Index().TopoOrder(); len(got) == cyc.NumSteps() {
 		t.Fatalf("cyclic run fully ordered: %v", got)
-	}
-}
-
-// TestIndexStats sanity-checks the footprint arithmetic.
-func TestIndexStats(t *testing.T) {
-	ix := Figure2().Index()
-	st := ix.Stats()
-	if st.Steps != ix.NumSteps() || st.Data != ix.NumData() {
-		t.Fatalf("stats counts wrong: %+v", st)
-	}
-	if st.CSRBytes <= 0 || st.CSRBytes%4 != 0 {
-		t.Fatalf("CSRBytes = %d", st.CSRBytes)
-	}
-	wantWords := (ix.NumSteps()+63)/64 + (ix.NumData()+63)/64
-	if st.ClosureWords != wantWords {
-		t.Fatalf("ClosureWords = %d, want %d", st.ClosureWords, wantWords)
-	}
-	if st.String() == "" {
-		t.Fatal("empty stats string")
 	}
 }

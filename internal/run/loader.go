@@ -2,17 +2,17 @@ package run
 
 import (
 	"fmt"
-	"sort"
 
-	"repro/internal/spec"
 	"repro/internal/wflog"
 )
 
 // LogLoader incrementally reconstructs a run from a stream of workflow-log
-// events. It is the streaming counterpart of FromLog: events are validated
-// and folded into the run as they arrive, so a multi-gigabyte log never has
-// to be materialized as an []Event slice. The reconstruction rules are
-// FromLog's:
+// events, the operation that makes ZOOM agnostic to the host workflow
+// system: "our approach only requires a definition of the workflow, and
+// information about the objects consumed and produced by steps in a
+// workflow run". Events are validated and folded into a Builder as they
+// arrive, so a multi-gigabyte log never has to be materialized as an
+// []Event slice. The reconstruction rules:
 //
 //   - every start event introduces a step;
 //   - a read of a data object written by step p induces the flow p -> reader;
@@ -20,31 +20,20 @@ import (
 //   - data written but never read is final output (writer -> OUTPUT).
 //
 // Flows can only be wired once the producer of every read object is known,
-// so the dataflow edges are materialized by Finish, not per event.
+// so the dataflow edges are materialized by Finish, not per event. Until
+// then a data object's producer in the builder is the step that wrote it.
 type LogLoader struct {
-	r         *Run
-	writer    map[string]string   // data -> producing step
-	readsOf   map[string][]string // step -> data read (in log order)
-	writesOf  map[string][]string // step -> data written
-	read      map[string]bool     // data ever read
-	started   map[string]bool
-	stepOrder []string
-	lastSeq   int64
-	n         int
-	done      bool
+	b       *Builder
+	reads   [][]int32 // step -> data it read, in log order (builder numbering)
+	read    []bool    // data -> read by some step
+	lastSeq int64
+	n       int
+	done    bool
 }
 
 // NewLogLoader returns an empty loader for the named run and specification.
 func NewLogLoader(runID, specName string) *LogLoader {
-	return &LogLoader{
-		r:        NewRun(runID, specName),
-		writer:   make(map[string]string),
-		readsOf:  make(map[string][]string),
-		writesOf: make(map[string][]string),
-		read:     make(map[string]bool),
-		started:  make(map[string]bool),
-		lastSeq:  -1,
-	}
+	return &LogLoader{b: NewBuilder(runID, specName), lastSeq: -1}
 }
 
 // Add folds one event into the run under construction. It enforces the same
@@ -63,31 +52,31 @@ func (l *LogLoader) Add(e wflog.Event) error {
 		return fmt.Errorf("event %d: seq %d after %d: %w", i, e.Seq, l.lastSeq, wflog.ErrOutOfOrder)
 	}
 	l.lastSeq = e.Seq
-	switch e.Kind {
-	case wflog.KindStart:
-		if l.started[e.Step] {
-			return fmt.Errorf("event %d: duplicate start for step %q: %w", i, e.Step, wflog.ErrBadEvent)
-		}
-		l.started[e.Step] = true
-		if err := l.r.AddStep(e.Step, e.Module); err != nil {
+	b := l.b
+	s, started := b.stepOf[e.Step]
+	switch {
+	case e.Kind == wflog.KindStart && started:
+		return fmt.Errorf("event %d: duplicate start for step %q: %w", i, e.Step, wflog.ErrBadEvent)
+	case e.Kind == wflog.KindStart:
+		if err := b.AddStep(e.Step, e.Module); err != nil {
 			return err
 		}
-		l.stepOrder = append(l.stepOrder, e.Step)
-	case wflog.KindRead:
-		if !l.started[e.Step] {
-			return fmt.Errorf("event %d: %s before start of step %q: %w", i, e.Kind, e.Step, wflog.ErrOutOfOrder)
+		l.reads = append(l.reads, nil)
+	case !started:
+		return fmt.Errorf("event %d: %s before start of step %q: %w", i, e.Kind, e.Step, wflog.ErrOutOfOrder)
+	default:
+		d := b.intern(e.Data)
+		if int(d) == len(l.read) {
+			l.read = append(l.read, false)
 		}
-		l.readsOf[e.Step] = append(l.readsOf[e.Step], e.Data)
-		l.read[e.Data] = true
-	case wflog.KindWrite:
-		if !l.started[e.Step] {
-			return fmt.Errorf("event %d: %s before start of step %q: %w", i, e.Kind, e.Step, wflog.ErrOutOfOrder)
+		if e.Kind == wflog.KindRead {
+			l.reads[s] = append(l.reads[s], d)
+			l.read[d] = true
+		} else if w := b.prod[d]; w >= 0 {
+			return fmt.Errorf("%w: %q written by %q and %q", ErrTwoProducers, e.Data, nodeName(w, b.ids), e.Step)
+		} else {
+			b.prod[d] = NodeStep0 + s
 		}
-		if prev, dup := l.writer[e.Data]; dup {
-			return fmt.Errorf("%w: %q written by %q and %q", ErrTwoProducers, e.Data, prev, e.Step)
-		}
-		l.writer[e.Data] = e.Step
-		l.writesOf[e.Step] = append(l.writesOf[e.Step], e.Data)
 	}
 	l.n++
 	return nil
@@ -103,40 +92,56 @@ func (l *LogLoader) Finish() (*Run, error) {
 		return nil, fmt.Errorf("run: LogLoader used after Finish")
 	}
 	l.done = true
-	// Group flows per (source, target) pair for compact edges.
-	for _, step := range l.stepOrder {
-		bySource := make(map[string][]string)
-		for _, d := range l.readsOf[step] {
-			src, ok := l.writer[d]
-			if !ok {
-				src = spec.Input
+	b := l.b
+	for s, ds := range l.reads {
+		to := NodeStep0 + int32(s)
+		for _, d := range ds {
+			from := b.prod[d]
+			if from < 0 {
+				from = NodeInput
 			}
-			bySource[src] = append(bySource[src], d)
-		}
-		srcs := make([]string, 0, len(bySource))
-		for src := range bySource {
-			srcs = append(srcs, src)
-		}
-		sort.Strings(srcs)
-		for _, src := range srcs {
-			if err := l.r.AddFlow(src, step, bySource[src]); err != nil {
-				return nil, err
+			if from == to {
+				return nil, fmt.Errorf("%w: self flow on %s", ErrBadFlow, b.ids[s])
 			}
+			b.carry(b.edge(from, to), d)
 		}
 	}
 	// Unread writes become final outputs.
-	for _, step := range l.stepOrder {
-		var finals []string
-		for _, d := range l.writesOf[step] {
-			if !l.read[d] {
-				finals = append(finals, d)
-			}
-		}
-		if len(finals) > 0 {
-			if err := l.r.AddFlow(step, spec.Output, finals); err != nil {
-				return nil, err
-			}
+	for d, read := range l.read {
+		if !read {
+			b.carry(b.edge(b.prod[d], NodeOutput), int32(d))
 		}
 	}
-	return l.r, nil
+	return b.Build()
+}
+
+// FromLog reconstructs a run from an event log: the batch form of LogLoader.
+func FromLog(runID, specName string, events []wflog.Event) (*Run, error) {
+	l := NewLogLoader(runID, specName)
+	for _, e := range events {
+		if err := l.Add(e); err != nil {
+			return nil, err
+		}
+	}
+	return l.Finish()
+}
+
+// ToLog renders a run as the event log that would have produced it: steps
+// in the index's topological order (TopoOrder), each starting, reading its
+// inputs, and writing its outputs. ToLog and FromLog are inverse up to
+// final-output placement, which the round-trip tests pin down.
+func (r *Run) ToLog() ([]wflog.Event, error) {
+	ix := r.ix
+	order := ix.TopoOrder()
+	if len(order) != ix.NumSteps() {
+		return nil, fmt.Errorf("run %q: %w", r.id, ErrCyclicRun)
+	}
+	b := wflog.NewBuilder()
+	for _, s := range order {
+		id := ix.t.StepIDs[s]
+		b.Start(id, ix.t.StepModules[s])
+		b.Reads(id, names(ix.t.DataNames, ix.InputsOf(s))...)
+		b.Writes(id, names(ix.t.DataNames, ix.OutputsOf(s))...)
+	}
+	return b.Events(), nil
 }

@@ -7,29 +7,29 @@ import (
 )
 
 func TestAnnotateInput(t *testing.T) {
-	r := Figure2()
+	r := Figure2().Rebuild()
 	if err := r.AnnotateInput("d1", map[string]string{"who": "joe"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.AnnotateInput("d1", map[string]string{"when": "2007-11-02"}); err != nil {
 		t.Fatal(err)
 	}
-	got := r.InputMeta("d1")
+	got := mustBuild(t, r).InputMeta("d1")
 	want := map[string]string{"who": "joe", "when": "2007-11-02"}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("InputMeta = %v, want %v", got, want)
 	}
-	// Later values win.
+	// Later values win, and the run built before keeps what it had.
 	if err := r.AnnotateInput("d1", map[string]string{"who": "mary"}); err != nil {
 		t.Fatal(err)
 	}
-	if r.InputMeta("d1")["who"] != "mary" {
+	if mustBuild(t, r).InputMeta("d1")["who"] != "mary" || got["who"] != "joe" {
 		t.Fatal("merge did not overwrite")
 	}
 }
 
 func TestAnnotateInputRejectsProducedData(t *testing.T) {
-	r := Figure2()
+	r := Figure2().Rebuild()
 	if err := r.AnnotateInput("d413", map[string]string{"who": "x"}); !errors.Is(err, ErrNotExternal) {
 		t.Fatalf("produced data annotated: %v", err)
 	}
@@ -39,10 +39,11 @@ func TestAnnotateInputRejectsProducedData(t *testing.T) {
 }
 
 func TestInputMetaCopies(t *testing.T) {
-	r := Figure2()
-	if err := r.AnnotateInput("d2", map[string]string{"who": "joe"}); err != nil {
+	b := Figure2().Rebuild()
+	if err := b.AnnotateInput("d2", map[string]string{"who": "joe"}); err != nil {
 		t.Fatal(err)
 	}
+	r := mustBuild(t, b)
 	m := r.InputMeta("d2")
 	m["who"] = "tampered"
 	if r.InputMeta("d2")["who"] != "joe" {
@@ -54,13 +55,13 @@ func TestInputMetaCopies(t *testing.T) {
 }
 
 func TestAnnotatedInputsOrder(t *testing.T) {
-	r := Figure2()
+	b := Figure2().Rebuild()
 	for _, d := range []string{"d10", "d2", "d415"} {
-		if err := r.AnnotateInput(d, map[string]string{"k": "v"}); err != nil {
+		if err := b.AnnotateInput(d, map[string]string{"k": "v"}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	got := r.AnnotatedInputs()
+	got := mustBuild(t, b).AnnotatedInputs()
 	if !reflect.DeepEqual(got, []string{"d2", "d10", "d415"}) {
 		t.Fatalf("AnnotatedInputs = %v (natural order expected)", got)
 	}

@@ -10,17 +10,22 @@
 //
 // Data objects are never overwritten: each data id is produced by at most
 // one step, which is what makes provenance well defined.
+//
+// A run has one representation, its Index. Every way of making a run — a
+// Builder, the log loader, a snapshot — ends in ReconstructArena, and a
+// built run never changes.
 package run
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
-	"repro/internal/graph"
 	"repro/internal/spec"
 )
 
@@ -32,6 +37,9 @@ var (
 	ErrCyclicRun     = errors.New("run: execution graph is cyclic")
 	ErrDisconnected  = errors.New("run: step not on an input-output path")
 	ErrNonConformant = errors.New("run: does not conform to specification")
+	// ErrNotExternal reports an attempt to annotate produced (non-external)
+	// data with input metadata.
+	ErrNotExternal = errors.New("run: data is not external input")
 )
 
 // Step is one execution of a module.
@@ -40,49 +48,19 @@ type Step struct {
 	Module string `json:"module"`
 }
 
-// Run is a workflow execution.
-type Run struct {
-	id       string
-	specName string
-
-	// The string relations. A run adopted from arena tables (ReconstructArena)
-	// leaves them nil until a caller of Graph, DataOn, Steps, Producer,
-	// Consumers and the like asks: strings builds them, once.
-	steps     map[string]Step
-	g         *graph.Graph // step ids + INPUT/OUTPUT
-	edgeData  map[[2]string][]string
-	producer  map[string]string   // data id -> producing step ("" = external)
-	consumers map[string][]string // data id -> consuming steps, sorted
-	inputMeta map[string]map[string]string
-
-	// snap is the index an adopted run was built around (nil for a run built
-	// by AddStep/AddFlow): what the serving path asks of a run — counts,
-	// HasData, IsExternal — is answered from it, and snapFlows with it is
-	// everything strings needs. A mutator detaches the run from both (own).
-	snap        *Index
-	snapFlows   []InternedFlow
-	stringsOnce sync.Once
-
-	// index is the lazily built compact representation (see index.go),
-	// cleared by the mutators so a stale snapshot is never handed out.
-	indexMu sync.Mutex
-	index   *Index
+// Flow is one dataflow edge of a run in table form: the data objects that
+// passed from one node to another, in natural order.
+type Flow struct {
+	From string   `json:"from"`
+	To   string   `json:"to"`
+	Data []string `json:"data"`
 }
 
-// NewRun returns an empty run for the named specification.
-func NewRun(id, specName string) *Run {
-	r := &Run{
-		id:        id,
-		specName:  specName,
-		steps:     make(map[string]Step),
-		g:         graph.New(),
-		edgeData:  make(map[[2]string][]string),
-		producer:  make(map[string]string),
-		consumers: make(map[string][]string),
-	}
-	r.g.AddNode(spec.Input)
-	r.g.AddNode(spec.Output)
-	return r
+// Run is a workflow execution: its id, the specification it executes, and
+// its index, which holds everything else.
+type Run struct {
+	id, specName string
+	ix           *Index
 }
 
 // ID returns the run identifier.
@@ -90,6 +68,10 @@ func (r *Run) ID() string { return r.id }
 
 // SpecName returns the name of the specification this run executes.
 func (r *Run) SpecName() string { return r.specName }
+
+// Index returns the run's compact index. It is the run's one copy of its
+// steps, data and flows, and like the run it never changes.
+func (r *Run) Index() *Index { return r.ix }
 
 // checkStep enforces the per-step rules every construction path shares:
 // non-empty id and module, and no reserved INPUT/OUTPUT id.
@@ -103,199 +85,109 @@ func checkStep(st Step) error {
 	return nil
 }
 
-// AddStep registers a step. Step ids must be unique, non-empty and must not
-// collide with the reserved INPUT/OUTPUT identifiers.
-func (r *Run) AddStep(id, module string) error {
-	if err := checkStep(Step{ID: id, Module: module}); err != nil {
-		return err
-	}
-	r.own()
-	if _, dup := r.steps[id]; dup {
-		return fmt.Errorf("%w: duplicate step id %q", ErrBadStep, id)
-	}
-	r.steps[id] = Step{ID: id, Module: module}
-	r.g.AddNode(id)
-	return nil
-}
-
-// own prepares the run for a mutation. An adopted run first builds its
-// string relations and stops answering from the snapshot's index, becoming
-// an ordinary heap run; either way the cached index is dropped, so the next
-// Index call rebuilds it from the mutated relations. Holders of the old
-// index (a warehouse serves a run only through the index it loaded) keep a
-// consistent, unmutated view.
-func (r *Run) own() {
-	if r.snap != nil {
-		r.strings()
-		r.snap, r.snapFlows = nil, nil
-	}
-	r.index = nil
-}
-
-// strings makes the string relations of an adopted run available. It is the
-// first line of every accessor that reads them and a no-op on a heap run.
-func (r *Run) strings() {
-	if r.snap != nil {
-		r.stringsOnce.Do(r.buildStrings)
-	}
-}
-
-// AddFlow records that the data objects in data flowed from one node to
-// another. from may be a step id or INPUT (user/workflow input); to may be
-// a step id or OUTPUT (final output). Every edge must carry at least one
-// data object — edges in a run represent actual dataflow, not mere
-// precedence. A data object may flow along many edges but must always
-// originate from the same producer.
-func (r *Run) AddFlow(from, to string, data []string) error {
-	if from == spec.Output || to == spec.Input {
-		return fmt.Errorf("%w: direction %s -> %s", ErrBadFlow, from, to)
-	}
-	if from == to {
-		return fmt.Errorf("%w: self flow on %s", ErrBadFlow, from)
-	}
-	if len(data) == 0 {
-		return fmt.Errorf("%w: edge %s -> %s carries no data", ErrBadFlow, from, to)
-	}
-	r.own()
-	for _, end := range []string{from, to} {
-		if end == spec.Input || end == spec.Output {
-			continue
-		}
-		if _, ok := r.steps[end]; !ok {
-			return fmt.Errorf("%w: unknown step %q", ErrBadFlow, end)
-		}
-	}
-	for _, d := range data {
-		if d == "" {
-			return fmt.Errorf("%w: empty data id on %s -> %s", ErrBadFlow, from, to)
-		}
-		producer := ""
-		if from != spec.Input {
-			producer = from
-		}
-		if prev, seen := r.producer[d]; seen {
-			if prev != producer {
-				return fmt.Errorf("%w: %q produced by %q and %q", ErrTwoProducers, d, prev, producer)
-			}
-		} else {
-			r.producer[d] = producer
-		}
-	}
-	key := [2]string{from, to}
-	existing := r.edgeData[key]
-	merged := mergeDataIDs(existing, data)
-	r.edgeData[key] = merged
-	r.g.AddEdge(from, to)
-	if to != spec.Output {
-		for _, d := range data {
-			r.consumers[d] = insertString(r.consumers[d], to)
-		}
-	}
-	return nil
-}
-
-// Step returns the step with the given id.
-func (r *Run) Step(id string) (Step, bool) {
-	r.strings()
-	s, ok := r.steps[id]
-	return s, ok
-}
-
 // Steps returns all steps sorted by id (natural order: S2 before S10).
 func (r *Run) Steps() []Step {
-	r.strings()
-	out := make([]Step, 0, len(r.steps))
-	for _, s := range r.steps {
-		out = append(out, s)
+	out := make([]Step, len(r.ix.t.StepIDs))
+	for i, id := range r.ix.t.StepIDs {
+		out[i] = Step{ID: id, Module: r.ix.t.StepModules[i]}
 	}
-	sort.Slice(out, func(i, j int) bool { return lessNatural(out[i].ID, out[j].ID) })
 	return out
 }
 
 // StepIDs returns all step ids in natural order.
-func (r *Run) StepIDs() []string {
-	steps := r.Steps()
-	out := make([]string, len(steps))
-	for i, s := range steps {
-		out[i] = s.ID
+func (r *Run) StepIDs() []string { return slices.Clone(r.ix.t.StepIDs) }
+
+// NumSteps returns the number of steps.
+func (r *Run) NumSteps() int { return r.ix.NumSteps() }
+
+// NumEdges returns the number of flow edges (including INPUT/OUTPUT edges).
+func (r *Run) NumEdges() int { return len(r.ix.t.Flows) }
+
+// Flows returns every flow edge ordered by (from, to) node code — INPUT,
+// OUTPUT, then the steps in natural order — which is the order snapshots
+// list them in.
+func (r *Run) Flows() []Flow {
+	out := slices.Grow([]Flow(nil), len(r.ix.t.Flows)) // nil for none, as a v1 snapshot has it
+	for _, f := range r.ix.t.Flows {
+		out = append(out, Flow{From: nodeName(f.From, r.ix.t.StepIDs), To: nodeName(f.To, r.ix.t.StepIDs), Data: names(r.ix.t.DataNames, f.Data)})
 	}
 	return out
 }
 
-// NumSteps returns the number of steps.
-func (r *Run) NumSteps() int {
-	if ix := r.snap; ix != nil {
-		return ix.NumSteps()
-	}
-	return len(r.steps)
-}
-
-// NumEdges returns the number of flow edges (including INPUT/OUTPUT edges).
-func (r *Run) NumEdges() int {
-	if r.snap != nil {
-		return len(r.snapFlows)
-	}
-	return r.g.NumEdges()
-}
-
-// Graph exposes the execution DAG (shared, read-only).
-func (r *Run) Graph() *graph.Graph {
-	r.strings()
-	return r.g
-}
-
 // DataOn returns the data ids on the edge from -> to, sorted naturally.
 func (r *Run) DataOn(from, to string) []string {
-	r.strings()
-	return append([]string(nil), r.edgeData[[2]string{from, to}]...)
+	f, okF := nodeCode(from, r.ix.StepID)
+	t, okT := nodeCode(to, r.ix.StepID)
+	if !okF || !okT {
+		return nil
+	}
+	i, ok := slices.BinarySearchFunc(r.ix.t.Flows, [2]int32{f, t}, func(fl InternedFlow, k [2]int32) int {
+		return cmp.Or(cmp.Compare(fl.From, k[0]), cmp.Compare(fl.To, k[1]))
+	})
+	if !ok {
+		return nil
+	}
+	return names(r.ix.t.DataNames, r.ix.t.Flows[i].Data)
 }
 
 // Producer returns the producing step of a data object. The second result
 // is false if the data id is unknown; a known data id with producer ""
 // is external (user or workflow input).
 func (r *Run) Producer(d string) (string, bool) {
-	r.strings()
-	p, ok := r.producer[d]
-	return p, ok
+	id, ok := r.ix.DataID(d)
+	if !ok {
+		return "", false
+	}
+	if p := r.ix.t.Producer[id]; p >= 0 {
+		return r.ix.t.StepIDs[p], true
+	}
+	return "", true
 }
 
 // IsExternal reports whether d is a known data object provided from outside
 // the run (it flowed out of INPUT).
 func (r *Run) IsExternal(d string) bool {
-	if ix := r.snap; ix != nil {
-		id, ok := ix.DataID(d)
-		return ok && ix.Producer(id) < 0
-	}
-	p, ok := r.producer[d]
-	return ok && p == ""
+	id, ok := r.ix.DataID(d)
+	return ok && r.ix.t.Producer[id] < 0
 }
 
 // Consumers returns the steps that read d, sorted.
 func (r *Run) Consumers(d string) []string {
-	r.strings()
-	return append([]string(nil), r.consumers[d]...)
+	id, ok := r.ix.DataID(d)
+	if !ok {
+		return nil
+	}
+	out := names(r.ix.t.StepIDs, r.ix.ConsumersOf(id))
+	sort.Strings(out)
+	return out
 }
 
 // InputsOf returns the union of data ids on the incoming edges of a step,
 // sorted naturally. For OUTPUT it returns the run's final outputs.
 func (r *Run) InputsOf(node string) []string {
-	r.strings()
-	var out []string
-	for _, p := range r.g.Predecessors(node) {
-		out = mergeDataIDs(out, r.edgeData[[2]string{p, node}])
+	ix := r.ix
+	if node == spec.Output {
+		return ix.dataWhere(ix.IsFinal)
 	}
-	return out
+	s, ok := ix.StepID(node)
+	if !ok {
+		return nil
+	}
+	return names(ix.t.DataNames, ix.InputsOf(s))
 }
 
 // OutputsOf returns the union of data ids on the outgoing edges of a step.
 // For INPUT it returns all externally provided data.
 func (r *Run) OutputsOf(node string) []string {
-	r.strings()
-	var out []string
-	for _, s := range r.g.Successors(node) {
-		out = mergeDataIDs(out, r.edgeData[[2]string{node, s}])
+	ix := r.ix
+	if node == spec.Input {
+		return ix.dataWhere(func(d int32) bool { return ix.t.Producer[d] < 0 })
 	}
-	return out
+	s, ok := ix.StepID(node)
+	if !ok {
+		return nil
+	}
+	return names(ix.t.DataNames, ix.OutputsOf(s))
 }
 
 // FinalOutputs returns the data ids flowing into OUTPUT — the run results.
@@ -305,41 +197,21 @@ func (r *Run) FinalOutputs() []string { return r.InputsOf(spec.Output) }
 func (r *Run) ExternalInputs() []string { return r.OutputsOf(spec.Input) }
 
 // AllData returns every data id seen in the run, sorted naturally.
-func (r *Run) AllData() []string {
-	r.strings()
-	out := make([]string, 0, len(r.producer))
-	for d := range r.producer {
-		out = append(out, d)
-	}
-	sort.Slice(out, func(i, j int) bool { return lessNatural(out[i], out[j]) })
-	return out
-}
+func (r *Run) AllData() []string { return slices.Clone(r.ix.t.DataNames) }
 
 // NumData returns the number of distinct data objects.
-func (r *Run) NumData() int {
-	if ix := r.snap; ix != nil {
-		return ix.NumData()
-	}
-	return len(r.producer)
-}
+func (r *Run) NumData() int { return r.ix.NumData() }
 
 // HasData reports whether d appears in the run.
 func (r *Run) HasData(d string) bool {
-	if ix := r.snap; ix != nil {
-		_, ok := ix.DataID(d)
-		return ok
-	}
-	_, ok := r.producer[d]
+	_, ok := r.ix.DataID(d)
 	return ok
 }
 
 // Validate checks the structural requirements of Section II: the execution
 // graph is acyclic and every step lies on some path from INPUT to OUTPUT.
-// The checks are integer sweeps over the compact index, which a run being
-// loaded needs next anyway and a snapshot-adopted run already has.
-func (r *Run) Validate() error {
-	return r.Index().validateStructure()
-}
+// The checks are integer sweeps over the compact index.
+func (r *Run) Validate() error { return r.ix.validateStructure() }
 
 // ConformsTo checks the run against a specification: every step's module
 // exists in the spec, and every step-to-step flow corresponds to a
@@ -350,39 +222,65 @@ func (r *Run) ConformsTo(s *spec.Spec) error {
 	if s.Name() != r.specName {
 		return fmt.Errorf("run %q executes %q, not %q: %w", r.id, r.specName, s.Name(), ErrNonConformant)
 	}
-	r.strings()
-	for _, st := range r.steps {
-		if !s.HasModule(st.Module) {
-			return fmt.Errorf("run %q: step %q instantiates unknown module %q: %w", r.id, st.ID, st.Module, ErrNonConformant)
+	ix := r.ix
+	for i, m := range ix.t.StepModules {
+		if !s.HasModule(m) {
+			return fmt.Errorf("run %q: step %q instantiates unknown module %q: %w", r.id, ix.t.StepIDs[i], m, ErrNonConformant)
 		}
 	}
-	var err error
-	r.g.EachEdge(func(from, to string) {
-		if err != nil || from == spec.Input || to == spec.Output {
-			return
+	for _, f := range ix.t.Flows {
+		if f.From < NodeStep0 || f.To < NodeStep0 {
+			continue
 		}
-		mf, mt := r.steps[from].Module, r.steps[to].Module
+		mf, mt := ix.t.StepModules[f.From-NodeStep0], ix.t.StepModules[f.To-NodeStep0]
 		if !s.Graph().HasEdge(mf, mt) {
-			err = fmt.Errorf("run %q: flow %s -> %s has no spec edge %s -> %s: %w",
-				r.id, from, to, mf, mt, ErrNonConformant)
+			return fmt.Errorf("run %q: flow %s -> %s has no spec edge %s -> %s: %w",
+				r.id, nodeName(f.From, ix.t.StepIDs), nodeName(f.To, ix.t.StepIDs), mf, mt, ErrNonConformant)
 		}
-	})
-	return err
+	}
+	return nil
 }
 
 // StepsOfModule returns the ids of the steps instantiating module, in
 // natural order — several when the module sits in an unrolled loop.
 func (r *Run) StepsOfModule(module string) []string {
-	r.strings()
 	var out []string
-	for id, s := range r.steps {
-		if s.Module == module {
-			out = append(out, id)
+	for i, m := range r.ix.t.StepModules {
+		if m == module {
+			out = append(out, r.ix.t.StepIDs[i])
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return lessNatural(out[i], out[j]) })
 	return out
 }
+
+// InputMeta returns the recorded metadata of an external data object (a
+// copy; nil when none was recorded). The paper's provenance model for
+// externally provided data: "If the data is a parameter or was input to the
+// workflow execution by a user, its provenance is whatever metadata
+// information is recorded, e.g. who input the data and the time at which the
+// input occurred." Builder.AnnotateInput records it.
+func (r *Run) InputMeta(d string) map[string]string {
+	id, ok := r.ix.DataID(d)
+	if !ok {
+		return nil
+	}
+	return maps.Clone(r.ix.t.Meta[id])
+}
+
+// AnnotatedInputs returns the external data objects that carry metadata,
+// naturally ordered.
+func (r *Run) AnnotatedInputs() []string {
+	ids := make([]int32, 0, len(r.ix.t.Meta))
+	for d := range r.ix.t.Meta {
+		ids = append(ids, d)
+	}
+	slices.Sort(ids)
+	return names(r.ix.t.DataNames, ids)
+}
+
+// Tables returns the run in arena form, which is what a v3 snapshot
+// stores. The slices alias the run; callers must not modify them.
+func (r *Run) Tables() ArenaTables { return r.ix.t }
 
 // String implements fmt.Stringer.
 func (r *Run) String() string {
@@ -390,31 +288,16 @@ func (r *Run) String() string {
 		r.id, r.specName, r.NumSteps(), r.NumEdges(), r.NumData())
 }
 
-// mergeDataIDs merges two data-id slices, deduplicating, in natural order.
-func mergeDataIDs(a, b []string) []string {
-	seen := make(map[string]bool, len(a)+len(b))
-	out := make([]string, 0, len(a)+len(b))
-	for _, xs := range [][]string{a, b} {
-		for _, x := range xs {
-			if !seen[x] {
-				seen[x] = true
-				out = append(out, x)
-			}
-		}
+// names maps interned ids to their names in table (nil for no ids).
+func names(table []string, ids []int32) []string {
+	if len(ids) == 0 {
+		return nil
 	}
-	sort.Slice(out, func(i, j int) bool { return lessNatural(out[i], out[j]) })
+	out := make([]string, len(ids))
+	for i, id := range ids {
+		out[i] = table[id]
+	}
 	return out
-}
-
-func insertString(xs []string, v string) []string {
-	i := sort.SearchStrings(xs, v)
-	if i < len(xs) && xs[i] == v {
-		return xs
-	}
-	xs = append(xs, "")
-	copy(xs[i+1:], xs[i:])
-	xs[i] = v
-	return xs
 }
 
 // lessNatural orders strings with trailing integers numerically, so that
@@ -462,7 +345,9 @@ func DataIDs(from, to int) []string {
 // FormatDataSet renders a data set compactly, collapsing numeric runs:
 // {d308..d408}. Used by the CLI and tests.
 func FormatDataSet(ids []string) string {
-	sorted := mergeDataIDs(nil, ids)
+	sorted := slices.Clone(ids)
+	sort.Slice(sorted, func(i, j int) bool { return lessNatural(sorted[i], sorted[j]) })
+	sorted = slices.Compact(sorted)
 	var parts []string
 	i := 0
 	for i < len(sorted) {

@@ -3,34 +3,35 @@ package run
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/spec"
 )
 
 func TestAddStepValidation(t *testing.T) {
-	r := NewRun("r1", "s")
-	if err := r.AddStep("", "M1"); !errors.Is(err, ErrBadStep) {
+	b := NewBuilder("r1", "s")
+	if err := b.AddStep("", "M1"); !errors.Is(err, ErrBadStep) {
 		t.Fatalf("empty id: %v", err)
 	}
-	if err := r.AddStep("S1", ""); !errors.Is(err, ErrBadStep) {
+	if err := b.AddStep("S1", ""); !errors.Is(err, ErrBadStep) {
 		t.Fatalf("empty module: %v", err)
 	}
-	if err := r.AddStep(spec.Input, "M1"); !errors.Is(err, ErrBadStep) {
+	if err := b.AddStep(spec.Input, "M1"); !errors.Is(err, ErrBadStep) {
 		t.Fatalf("reserved id: %v", err)
 	}
-	if err := r.AddStep("S1", "M1"); err != nil {
+	if err := b.AddStep("S1", "M1"); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.AddStep("S1", "M2"); !errors.Is(err, ErrBadStep) {
+	if err := b.AddStep("S1", "M2"); !errors.Is(err, ErrBadStep) {
 		t.Fatalf("duplicate id: %v", err)
 	}
 }
 
 func TestAddFlowValidation(t *testing.T) {
-	r := NewRun("r1", "s")
-	mustT(t, r.AddStep("S1", "M1"))
-	mustT(t, r.AddStep("S2", "M2"))
+	b := NewBuilder("r1", "s")
+	mustT(t, b.AddStep("S1", "M1"))
+	mustT(t, b.AddStep("S2", "M2"))
 	cases := []struct {
 		name     string
 		from, to string
@@ -45,26 +46,26 @@ func TestAddFlowValidation(t *testing.T) {
 		{"empty data id", "S1", "S2", []string{""}, ErrBadFlow},
 	}
 	for _, tc := range cases {
-		if err := r.AddFlow(tc.from, tc.to, tc.data); !errors.Is(err, tc.want) {
+		if err := b.AddFlow(tc.from, tc.to, tc.data); !errors.Is(err, tc.want) {
 			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
 		}
 	}
-	mustT(t, r.AddFlow("S1", "S2", []string{"d1"}))
+	mustT(t, b.AddFlow("S1", "S2", []string{"d1"}))
 }
 
 func TestTwoProducersRejected(t *testing.T) {
-	r := NewRun("r1", "s")
-	mustT(t, r.AddStep("S1", "M1"))
-	mustT(t, r.AddStep("S2", "M2"))
-	mustT(t, r.AddStep("S3", "M3"))
-	mustT(t, r.AddFlow("S1", "S3", []string{"d9"}))
-	if err := r.AddFlow("S2", "S3", []string{"d9"}); !errors.Is(err, ErrTwoProducers) {
+	b := NewBuilder("r1", "s")
+	mustT(t, b.AddStep("S1", "M1"))
+	mustT(t, b.AddStep("S2", "M2"))
+	mustT(t, b.AddStep("S3", "M3"))
+	mustT(t, b.AddFlow("S1", "S3", []string{"d9"}))
+	if err := b.AddFlow("S2", "S3", []string{"d9"}); !errors.Is(err, ErrTwoProducers) {
 		t.Fatalf("second producer accepted: %v", err)
 	}
 	// Same producer on a second edge is fine (fan-out of one object).
-	mustT(t, r.AddFlow("S1", "S2", []string{"d9"}))
+	mustT(t, b.AddFlow("S1", "S2", []string{"d9"}))
 	// External data conflicting with a produced one is rejected.
-	if err := r.AddFlow(spec.Input, "S2", []string{"d9"}); !errors.Is(err, ErrTwoProducers) {
+	if err := b.AddFlow(spec.Input, "S2", []string{"d9"}); !errors.Is(err, ErrTwoProducers) {
 		t.Fatalf("external redefinition accepted: %v", err)
 	}
 }
@@ -102,16 +103,16 @@ func TestFigure2PaperFacts(t *testing.T) {
 	if p, _ := r.Producer("d413"); p != "S6" {
 		t.Fatalf("producer of d413 = %s", p)
 	}
-	if s, _ := r.Step("S6"); s.Module != "M4" {
-		t.Fatalf("S6 module = %s", s.Module)
+	if !slices.Contains(r.StepsOfModule("M4"), "S6") {
+		t.Fatalf("S6 is not a step of M4: %v", r.StepsOfModule("M4"))
 	}
 	if got := r.InputsOf("S6"); !reflect.DeepEqual(got, []string{"d412"}) {
 		t.Fatalf("InputsOf(S6) = %v", got)
 	}
 	// "S2, which is an instance of the module M3, and its input set of data
 	// objects {d308,...,d408}".
-	if s, _ := r.Step("S2"); s.Module != "M3" {
-		t.Fatalf("S2 module = %s", s.Module)
+	if !slices.Contains(r.StepsOfModule("M3"), "S2") {
+		t.Fatalf("S2 is not a step of M3: %v", r.StepsOfModule("M3"))
 	}
 	if got := r.InputsOf("S2"); !reflect.DeepEqual(got, DataIDs(308, 408)) {
 		t.Fatalf("InputsOf(S2) = %s", FormatDataSet(got))
@@ -148,32 +149,32 @@ func TestFigure2ConformsToSpec(t *testing.T) {
 
 func TestConformsToCatchesBadEdges(t *testing.T) {
 	s := spec.Phylogenomics()
-	r := NewRun("bad", "phylogenomics")
-	mustT(t, r.AddStep("S1", "M1"))
-	mustT(t, r.AddStep("S2", "M7"))
-	mustT(t, r.AddFlow(spec.Input, "S1", []string{"d1"}))
-	mustT(t, r.AddFlow("S1", "S2", []string{"d2"})) // no spec edge M1 -> M7
-	mustT(t, r.AddFlow("S2", spec.Output, []string{"d3"}))
-	if err := r.ConformsTo(s); !errors.Is(err, ErrNonConformant) {
+	b := NewBuilder("bad", "phylogenomics")
+	mustT(t, b.AddStep("S1", "M1"))
+	mustT(t, b.AddStep("S2", "M7"))
+	mustT(t, b.AddFlow(spec.Input, "S1", []string{"d1"}))
+	mustT(t, b.AddFlow("S1", "S2", []string{"d2"})) // no spec edge M1 -> M7
+	mustT(t, b.AddFlow("S2", spec.Output, []string{"d3"}))
+	if err := mustBuild(t, b).ConformsTo(s); !errors.Is(err, ErrNonConformant) {
 		t.Fatalf("bad flow accepted: %v", err)
 	}
-	r2 := NewRun("bad2", "phylogenomics")
-	mustT(t, r2.AddStep("S1", "M99"))
-	mustT(t, r2.AddFlow(spec.Input, "S1", []string{"d1"}))
-	mustT(t, r2.AddFlow("S1", spec.Output, []string{"d2"}))
-	if err := r2.ConformsTo(s); !errors.Is(err, ErrNonConformant) {
+	b2 := NewBuilder("bad2", "phylogenomics")
+	mustT(t, b2.AddStep("S1", "M99"))
+	mustT(t, b2.AddFlow(spec.Input, "S1", []string{"d1"}))
+	mustT(t, b2.AddFlow("S1", spec.Output, []string{"d2"}))
+	if err := mustBuild(t, b2).ConformsTo(s); !errors.Is(err, ErrNonConformant) {
 		t.Fatalf("unknown module accepted: %v", err)
 	}
 }
 
 func TestValidateDisconnected(t *testing.T) {
-	r := NewRun("r", "s")
-	mustT(t, r.AddStep("S1", "M1"))
-	mustT(t, r.AddStep("S2", "M2"))
-	mustT(t, r.AddFlow(spec.Input, "S1", []string{"d1"}))
-	mustT(t, r.AddFlow("S1", spec.Output, []string{"d2"}))
-	mustT(t, r.AddFlow("S1", "S2", []string{"d3"}))
-	if err := r.Validate(); !errors.Is(err, ErrDisconnected) {
+	b := NewBuilder("r", "s")
+	mustT(t, b.AddStep("S1", "M1"))
+	mustT(t, b.AddStep("S2", "M2"))
+	mustT(t, b.AddFlow(spec.Input, "S1", []string{"d1"}))
+	mustT(t, b.AddFlow("S1", spec.Output, []string{"d2"}))
+	mustT(t, b.AddFlow("S1", "S2", []string{"d3"}))
+	if err := mustBuild(t, b).Validate(); !errors.Is(err, ErrDisconnected) {
 		t.Fatalf("dead-end step accepted: %v", err)
 	}
 }
@@ -242,4 +243,13 @@ func mustT(t *testing.T, err error) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+func mustBuild(t *testing.T, b *Builder) *Run {
+	t.Helper()
+	r, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
 }

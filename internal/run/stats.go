@@ -1,7 +1,5 @@
 package run
 
-import "repro/internal/spec"
-
 // Stats summarizes a run's shape: the quantities Table II controls (size,
 // data volume) plus the structural ones (depth, fan-out) that determine
 // how hard the run is to display and traverse.
@@ -22,40 +20,44 @@ type Stats struct {
 // Stats computes the run statistics. The run must be acyclic (guaranteed
 // for validated runs); on a cyclic graph depth is reported as zero.
 func (r *Run) Stats() Stats {
-	r.strings()
-	st := Stats{
-		Steps:          r.NumSteps(),
-		Edges:          r.NumEdges(),
-		Data:           r.NumData(),
-		ExternalInputs: len(r.ExternalInputs()),
-		FinalOutputs:   len(r.FinalOutputs()),
+	ix := r.ix
+	st := Stats{Steps: ix.NumSteps(), Edges: len(ix.t.Flows), Data: ix.NumData()}
+	// Degrees are flows per node code: there is one flow per connected pair.
+	out := make([]int, NodeStep0+ix.NumSteps())
+	in := make([]int, len(out))
+	for _, f := range ix.t.Flows {
+		out[f.From]++
+		in[f.To]++
 	}
-	for id := range r.steps {
-		if d := r.g.OutDegree(id); d > st.MaxFanOut {
-			st.MaxFanOut = d
+	for c := NodeStep0; c < len(out); c++ {
+		st.MaxFanOut = max(st.MaxFanOut, out[c])
+		st.MaxFanIn = max(st.MaxFanIn, in[c])
+	}
+	for d, p := range ix.t.Producer {
+		if p < 0 {
+			st.ExternalInputs++
 		}
-		if d := r.g.InDegree(id); d > st.MaxFanIn {
-			st.MaxFanIn = d
+		if ix.IsFinal(int32(d)) {
+			st.FinalOutputs++
 		}
 	}
-	order, err := r.g.TopoSort()
-	if err != nil {
+	order := ix.TopoOrder()
+	if len(order) != ix.NumSteps() {
 		return st
 	}
-	// Longest path in steps, via DP over the topological order.
-	depth := make(map[string]int, len(order))
-	for _, n := range order {
-		base := depth[n]
-		add := 0
-		if _, isStep := r.steps[n]; isStep {
-			add = 1
-		}
-		for _, succ := range r.g.Successors(n) {
-			if base+add > depth[succ] {
-				depth[succ] = base + add
+	// Longest path in steps: depth[s] is the most steps on a path ending at
+	// s, settled before s is reached in topological order.
+	depth := make([]int, ix.NumSteps())
+	for _, s := range order {
+		depth[s]++
+		for _, d := range ix.OutputsOf(s) {
+			if ix.IsFinal(d) {
+				st.Depth = max(st.Depth, depth[s])
+			}
+			for _, t := range ix.ConsumersOf(d) {
+				depth[t] = max(depth[t], depth[s])
 			}
 		}
 	}
-	st.Depth = depth[spec.Output]
 	return st
 }

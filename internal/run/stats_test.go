@@ -28,13 +28,13 @@ func TestStatsFigure2(t *testing.T) {
 }
 
 func TestStatsLinearRun(t *testing.T) {
-	r := NewRun("lin", "s")
-	mustT(t, r.AddStep("S1", "A"))
-	mustT(t, r.AddStep("S2", "B"))
-	mustT(t, r.AddFlow(spec.Input, "S1", []string{"d1"}))
-	mustT(t, r.AddFlow("S1", "S2", []string{"d2"}))
-	mustT(t, r.AddFlow("S2", spec.Output, []string{"d3"}))
-	st := r.Stats()
+	b := NewBuilder("lin", "s")
+	mustT(t, b.AddStep("S1", "A"))
+	mustT(t, b.AddStep("S2", "B"))
+	mustT(t, b.AddFlow(spec.Input, "S1", []string{"d1"}))
+	mustT(t, b.AddFlow("S1", "S2", []string{"d2"}))
+	mustT(t, b.AddFlow("S2", spec.Output, []string{"d3"}))
+	st := mustBuild(t, b).Stats()
 	if st.Depth != 2 || st.MaxFanOut != 1 || st.MaxFanIn != 1 {
 		t.Fatalf("linear stats wrong: %+v", st)
 	}

@@ -43,7 +43,11 @@ func TestAnswerEncoderMatchesOracle(t *testing.T) {
 		if len(external) < 2 {
 			t.Fatalf("%s: %d external inputs, want an annotated and a bare one", r.ID(), len(external))
 		}
-		if err := r.AnnotateInput(external[0], map[string]string{"who": "<lab>", "when": "2007-12-01"}); err != nil {
+		b := r.Rebuild()
+		if err := b.AnnotateInput(external[0], map[string]string{"who": "<lab>", "when": "2007-12-01"}); err != nil {
+			t.Fatal(err)
+		}
+		if r, err = b.Build(); err != nil {
 			t.Fatal(err)
 		}
 		w := warehouse.New(0)
@@ -116,23 +120,27 @@ func tokenSite(step, module, comp, data string) (e *provenance.Engine, view *cor
 		}
 	}
 	chain := []string{spec.Input, module + "1", module + "2", module + "3", spec.Output}
-	r := run.NewRun("fz", "fz")
+	b := run.NewBuilder("fz", "fz")
 	nodes := []string{spec.Input, step + "1", step + "2", step + "3", spec.Output}
 	for i := 1; i <= 3; i++ {
-		if r.AddStep(nodes[i], chain[i]) != nil {
+		if b.AddStep(nodes[i], chain[i]) != nil {
 			return nil, nil, false
 		}
 	}
 	for i := 0; i < 4; i++ {
 		if sp.AddEdge(chain[i], chain[i+1]) != nil ||
-			r.AddFlow(nodes[i], nodes[i+1], []string{data + string(rune('0'+i))}) != nil {
+			b.AddFlow(nodes[i], nodes[i+1], []string{data + string(rune('0'+i))}) != nil {
 			return nil, nil, false
 		}
 	}
-	if r.AnnotateInput(data+"0", map[string]string{comp: module}) != nil {
+	if b.AnnotateInput(data+"0", map[string]string{comp: module}) != nil {
 		return nil, nil, false
 	}
-	view, err := core.NewUserView(sp, map[string][]string{
+	r, err := b.Build()
+	if err != nil {
+		return nil, nil, false
+	}
+	view, err = core.NewUserView(sp, map[string][]string{
 		comp + "a": {module + "1", module + "2"}, comp + "b": {module + "3"}})
 	if err != nil {
 		return nil, nil, false

@@ -270,8 +270,12 @@ func fig2Answers(t testing.TB) []*provenance.Answer {
 	if err := w.RegisterSpec(sp); err != nil {
 		t.Fatal(err)
 	}
-	r := run.Figure2()
-	if err := r.AnnotateInput("d1", map[string]string{"who": "<lab>", "when": "2007-12-01", "": " "}); err != nil {
+	b := run.Figure2().Rebuild()
+	if err := b.AnnotateInput("d1", map[string]string{"who": "<lab>", "when": "2007-12-01", "": " "}); err != nil {
+		t.Fatal(err)
+	}
+	r, err := b.Build()
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := w.LoadRun(r); err != nil {

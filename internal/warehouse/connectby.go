@@ -143,7 +143,7 @@ func (w *Warehouse) computeUAdminClosure(runID, d string) (*Closure, error) {
 	if !rt.run.HasData(d) {
 		return nil, fmt.Errorf("%w: %q in run %q", ErrUnknownData, d, runID)
 	}
-	return indexedProvenanceClosure(rt.index, d), nil
+	return indexedProvenanceClosure(rt.run.Index(), d), nil
 }
 
 // DeepDerivation is the inverse canned query the prototype section
@@ -160,7 +160,7 @@ func (w *Warehouse) DeepDerivation(runID, d string) (*Closure, error) {
 	if !rt.run.HasData(d) {
 		return nil, fmt.Errorf("%w: %q in run %q", ErrUnknownData, d, runID)
 	}
-	return indexedDerivationClosure(rt.index, d), nil
+	return indexedDerivationClosure(rt.run.Index(), d), nil
 }
 
 // ImmediateProvenance returns the producing step of d and that step's input
@@ -173,7 +173,7 @@ func (w *Warehouse) ImmediateProvenance(runID, d string) (string, []string, erro
 	if err != nil {
 		return "", nil, err
 	}
-	ix := rt.index
+	ix := rt.run.Index()
 	id, ok := ix.DataID(d)
 	if !ok {
 		return "", nil, fmt.Errorf("%w: %q in run %q", ErrUnknownData, d, runID)

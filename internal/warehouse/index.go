@@ -86,11 +86,12 @@ func (w *Warehouse) RunIndex(runID string) *run.Index {
 	if err != nil {
 		return nil
 	}
-	return rt.index
+	return rt.run.Index()
 }
 
 // IndexStats aggregates the per-run index footprints: how many ids were
-// interned, what the flat CSR adjacency costs, and how many 64-bit words a
+// interned, what the flat CSR adjacency costs (offsets, targets and the
+// producer column, at 4 bytes per int32), and how many 64-bit words a
 // closure bitset pair needs across all loaded runs. IndexedRuns counts the
 // resident runs (unmaterialized v3 runs have no index in memory yet).
 type IndexStats struct {
@@ -108,12 +109,12 @@ func (w *Warehouse) indexStatsLocked() IndexStats {
 		if lz := rt.lazy; lz != nil && !lz.done.Load() {
 			continue // unmaterialized v3 run: no index resident yet
 		}
-		s := rt.index.Stats()
+		is := rt.run.Index().Stats()
 		st.IndexedRuns++
-		st.InternedSteps += s.Steps
-		st.InternedData += s.Data
-		st.CSRBytes += s.CSRBytes
-		st.ClosureWords += s.ClosureWords
+		st.InternedSteps += is.Steps
+		st.InternedData += is.Data
+		st.CSRBytes += is.CSRBytes
+		st.ClosureWords += is.ClosureWords
 	}
 	return st
 }

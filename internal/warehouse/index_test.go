@@ -65,15 +65,19 @@ func dataSet(c *Closure) map[string]bool {
 // index of a tiny real run that has those steps and data objects — what the
 // cache tests hand the cache in place of a computed closure.
 func testClosure(root string, steps, data []string) *Closure {
-	r := run.NewRun("test-closure", "test-closure")
+	b := run.NewBuilder("test-closure", "test-closure")
 	to := spec.Output
 	for _, s := range steps {
-		if err := r.AddStep(s, "M"); err != nil {
+		if err := b.AddStep(s, "M"); err != nil {
 			panic(err)
 		}
 		to = s
 	}
-	if err := r.AddFlow(spec.Input, to, data); err != nil {
+	if err := b.AddFlow(spec.Input, to, data); err != nil {
+		panic(err)
+	}
+	r, err := b.Build()
+	if err != nil {
 		panic(err)
 	}
 	ix := r.Index()
@@ -262,8 +266,12 @@ func TestIndexStatsSurface(t *testing.T) {
 		t.Fatalf("interned counts diverge from catalog counts: %+v vs steps=%d data=%d",
 			st.Index, st.Steps, st.DataObjects)
 	}
-	if st.Index.CSRBytes <= 0 || st.Index.ClosureWords <= 0 {
-		t.Fatalf("footprint missing: %+v", st.Index)
+	if st.Index.CSRBytes <= 0 || st.Index.CSRBytes%4 != 0 {
+		t.Fatalf("CSR footprint: %+v", st.Index)
+	}
+	// One word for Figure 2's 10 steps, four for its 246 data objects.
+	if st.Index.ClosureWords != 1+4 {
+		t.Fatalf("ClosureWords = %d, want 5", st.Index.ClosureWords)
 	}
 	for _, want := range []string{"index[runs=1", "csr=", "closure="} {
 		if !contains(st.String(), want) {

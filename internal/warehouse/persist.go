@@ -75,14 +75,8 @@ type runSnapshot struct {
 	ID    string                       `json:"id"`
 	Spec  string                       `json:"spec"`
 	Steps []run.Step                   `json:"steps"`
-	Flows []flowSnap                   `json:"flows"`
+	Flows []run.Flow                   `json:"flows"`
 	Meta  map[string]map[string]string `json:"meta,omitempty"`
-}
-
-type flowSnap struct {
-	From string   `json:"from"`
-	To   string   `json:"to"`
-	Data []string `json:"data"`
 }
 
 // Save writes the warehouse contents as JSON (the v1 snapshot format).
@@ -127,10 +121,7 @@ func (w *Warehouse) Save(out io.Writer) error {
 	sort.Strings(runIDs)
 	for _, id := range runIDs {
 		r := w.runs[id].run
-		rs := runSnapshot{ID: id, Spec: r.SpecName(), Steps: r.Steps()}
-		for _, e := range r.Graph().Edges() {
-			rs.Flows = append(rs.Flows, flowSnap{From: e.From, To: e.To, Data: r.DataOn(e.From, e.To)})
-		}
+		rs := runSnapshot{ID: id, Spec: r.SpecName(), Steps: r.Steps(), Flows: r.Flows()}
 		for _, d := range r.AnnotatedInputs() {
 			if rs.Meta == nil {
 				rs.Meta = make(map[string]map[string]string)
@@ -242,18 +233,34 @@ func loadJSON(in io.Reader, cacheSize int, opts LoadOptions) (*Warehouse, error)
 	return w, nil
 }
 
-// reconstructSnapshotRun rebuilds one v1 run record through the bulk
-// construction path.
+// reconstructSnapshotRun rebuilds one v1 run record through a run.Builder,
+// which checks it call by call as it would a live run's.
 func reconstructSnapshotRun(rs *runSnapshot) (*run.Run, error) {
-	flows := make([]run.Flow, len(rs.Flows))
-	for i, f := range rs.Flows {
-		flows[i] = run.Flow{From: f.From, To: f.To, Data: f.Data}
-	}
-	r, err := run.Reconstruct(rs.ID, rs.Spec, rs.Steps, flows, rs.Meta)
+	r, err := buildSnapshotRun(rs)
 	if err != nil {
 		return nil, fmt.Errorf("warehouse: snapshot run %q: %w", rs.ID, err)
 	}
 	return r, nil
+}
+
+func buildSnapshotRun(rs *runSnapshot) (*run.Run, error) {
+	b := run.NewBuilder(rs.ID, rs.Spec)
+	for _, st := range rs.Steps {
+		if err := b.AddStep(st.ID, st.Module); err != nil {
+			return nil, err
+		}
+	}
+	for _, f := range rs.Flows {
+		if err := b.AddFlow(f.From, f.To, f.Data); err != nil {
+			return nil, err
+		}
+	}
+	for d, m := range rs.Meta {
+		if err := b.AnnotateInput(d, m); err != nil {
+			return nil, err
+		}
+	}
+	return b.Build()
 }
 
 // loadRunsParallel rebuilds n runs with a bounded worker pool: each worker

@@ -214,16 +214,15 @@ func (w *Warehouse) buildV3Locked() ([]byte, error) {
 			runData = append(runData, 0)
 		}
 		start := len(runData)
-		rt := w.runs[id]
-		runData, err = appendRunBlockV3(runData, rt.run, rt.index)
+		r := w.runs[id].run
+		runData, err = appendRunBlockV3(runData, r)
 		if err != nil {
 			return nil, fmt.Errorf("warehouse: encode run %q: %w", id, err)
 		}
 		block := runData[start:]
-		ix := rt.index
 		recs[i] = recInfo{
 			off: uint64(start), length: uint64(len(block)), hash: xxh.Sum64(block),
-			steps: ix.NumSteps(), data: ix.NumData(), edges: rt.run.NumEdges(),
+			steps: r.NumSteps(), data: r.NumData(), edges: r.NumEdges(),
 		}
 	}
 
@@ -306,92 +305,37 @@ type v3MetaEntry struct {
 }
 
 // appendRunBlockV3 encodes one materialized run as a v3 block, appending to
-// dst (which is 8-aligned on entry).
-func appendRunBlockV3(dst []byte, r *run.Run, ix *run.Index) ([]byte, error) {
-	nSteps, nData := ix.NumSteps(), ix.NumData()
+// dst (which is 8-aligned on entry). Every table is the run's own.
+func appendRunBlockV3(dst []byte, r *run.Run) ([]byte, error) {
+	t := r.Tables()
 
 	// Arena plus the three name-offset tables.
 	var arena []byte
-	stepNameOff := make([]uint32, 0, nSteps+1)
-	stepModOff := make([]uint32, 0, nSteps+1)
-	dataNameOff := make([]uint32, 0, nData+1)
-	steps := r.Steps() // natural order = interning order
-	for _, st := range steps {
-		stepNameOff = append(stepNameOff, uint32(len(arena)))
-		arena = append(arena, st.ID...)
-	}
-	stepNameOff = append(stepNameOff, uint32(len(arena)))
-	for _, st := range steps {
-		stepModOff = append(stepModOff, uint32(len(arena)))
-		arena = append(arena, st.Module...)
-	}
-	stepModOff = append(stepModOff, uint32(len(arena)))
-	for d := 0; d < nData; d++ {
-		dataNameOff = append(dataNameOff, uint32(len(arena)))
-		arena = append(arena, ix.DataName(int32(d))...)
-	}
-	dataNameOff = append(dataNameOff, uint32(len(arena)))
-
-	// CSR tables straight off the index.
-	producer := make([]int32, nData)
-	inOff := make([]int32, 1, nSteps+1)
-	outOff := make([]int32, 1, nSteps+1)
-	conOff := make([]int32, 1, nData+1)
-	var inData, outData, conStep []int32
-	for s := 0; s < nSteps; s++ {
-		inData = append(inData, ix.InputsOf(int32(s))...)
-		inOff = append(inOff, int32(len(inData)))
-		outData = append(outData, ix.OutputsOf(int32(s))...)
-		outOff = append(outOff, int32(len(outData)))
-	}
-	finals := bitset.New(nData)
-	for d := 0; d < nData; d++ {
-		producer[d] = ix.Producer(int32(d))
-		conStep = append(conStep, ix.ConsumersOf(int32(d))...)
-		conOff = append(conOff, int32(len(conStep)))
-		if ix.IsFinal(int32(d)) {
-			finals.Add(int32(d))
+	nameOffsets := func(names []string) []uint32 {
+		off := make([]uint32, 0, len(names)+1)
+		for _, n := range names {
+			off = append(off, uint32(len(arena)))
+			arena = append(arena, n...)
 		}
+		return append(off, uint32(len(arena)))
 	}
+	stepNameOff := nameOffsets(t.StepIDs)
+	stepModOff := nameOffsets(t.StepModules)
+	dataNameOff := nameOffsets(t.DataNames)
 
-	// Flow stream, sorted by (from, to) node code.
-	type edge struct {
-		fc, tc   int32
-		from, to string
-	}
-	stepCode := make(map[string]int32, nSteps+2)
-	stepCode[spec.Input] = run.NodeInput
-	stepCode[spec.Output] = run.NodeOutput
-	for i, st := range steps {
-		stepCode[st.ID] = int32(i + run.NodeStep0)
-	}
-	edges := make([]edge, 0, r.NumEdges())
-	for _, e := range r.Graph().Edges() {
-		edges = append(edges, edge{fc: stepCode[e.From], tc: stepCode[e.To], from: e.From, to: e.To})
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].fc != edges[j].fc {
-			return edges[i].fc < edges[j].fc
-		}
-		return edges[i].tc < edges[j].tc
-	})
+	// Flow stream, ascending by (from, to) node code as the index holds it.
 	var flows []int32
-	for _, e := range edges {
-		ds := r.DataOn(e.from, e.to) // naturally sorted = ascending indexes
-		flows = append(flows, e.fc, e.tc, int32(len(ds)))
-		for _, d := range ds {
-			di, _ := ix.DataID(d)
-			flows = append(flows, di)
-		}
+	for _, f := range t.Flows {
+		flows = append(flows, f.From, f.To, int32(len(f.Data)))
+		flows = append(flows, f.Data...)
 	}
 
 	// Meta island.
 	var metaJSON []byte
-	if ann := r.AnnotatedInputs(); len(ann) > 0 {
-		entries := make([]v3MetaEntry, 0, len(ann))
-		for _, d := range ann {
-			di, _ := ix.DataID(d)
-			entries = append(entries, v3MetaEntry{D: di, KV: r.InputMeta(d)})
+	if len(t.Meta) > 0 {
+		entries := make([]v3MetaEntry, 0, len(t.Meta))
+		for d, kv := range t.Meta {
+			entries = append(entries, v3MetaEntry{D: d, KV: kv})
 		}
 		sort.Slice(entries, func(i, j int) bool { return entries[i].D < entries[j].D })
 		var err error
@@ -404,14 +348,14 @@ func appendRunBlockV3(dst []byte, r *run.Run, ix *run.Index) ([]byte, error) {
 	// the 8-aligned block start.
 	le := binary.LittleEndian
 	var hdr [32]byte
-	le.PutUint32(hdr[0:], uint32(nSteps))
-	le.PutUint32(hdr[4:], uint32(nData))
-	le.PutUint32(hdr[8:], uint32(len(edges)))
+	le.PutUint32(hdr[0:], uint32(len(t.StepIDs)))
+	le.PutUint32(hdr[4:], uint32(len(t.DataNames)))
+	le.PutUint32(hdr[8:], uint32(len(t.Flows)))
 	le.PutUint32(hdr[12:], uint32(len(flows)))
 	le.PutUint32(hdr[16:], uint32(len(metaJSON)))
 	le.PutUint32(hdr[20:], uint32(len(arena)))
 	dst = append(dst, hdr[:]...)
-	for _, w := range finals {
+	for _, w := range t.Finals {
 		dst = le.AppendUint64(dst, w)
 	}
 	for _, tbl := range [][]uint32{stepNameOff, stepModOff, dataNameOff} {
@@ -419,7 +363,7 @@ func appendRunBlockV3(dst []byte, r *run.Run, ix *run.Index) ([]byte, error) {
 			dst = le.AppendUint32(dst, v)
 		}
 	}
-	for _, tbl := range [][]int32{producer, inOff, outOff, conOff, inData, outData, conStep, flows} {
+	for _, tbl := range [][]int32{t.Producer, t.InOff, t.OutOff, t.ConOff, t.InData, t.OutData, t.ConStep, flows} {
 		for _, v := range tbl {
 			dst = le.AppendUint32(dst, uint32(v))
 		}
@@ -686,10 +630,9 @@ func parseV3RunDir(body []byte, runDataOff, runDataLen uint64) ([]v3RunRec, erro
 }
 
 // materialize adopts the block as the run's index, verifying the block
-// checksum and every structural invariant first; the run's string relations
-// stay unbuilt until a tool asks the run for them (run.ReconstructArena).
+// checksum and every structural invariant first (run.ReconstructArena).
 // Called exactly once per lazyRun (through sync.Once); on success it
-// publishes run/index into rt.
+// publishes the run into rt.
 func (lz *lazyRun) materialize(rt *runTables) {
 	r, err := decodeRunBlockV3(lz.data, lz.rec)
 	if err != nil {
@@ -701,7 +644,6 @@ func (lz *lazyRun) materialize(rt *runTables) {
 		return
 	}
 	rt.run = r
-	rt.index = r.Index() // the adopted one; nothing is built here
 	lz.done.Store(true)
 }
 

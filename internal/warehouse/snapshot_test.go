@@ -16,6 +16,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/run"
 	"repro/internal/spec"
+	"repro/internal/wflog"
 )
 
 // snapshotWarehouse builds a warehouse with the phylogenomics example (plus
@@ -26,12 +27,10 @@ func snapshotWarehouse(t testing.TB, runsPerClass int) *Warehouse {
 	w := New(0)
 	ph := spec.Phylogenomics()
 	mustT(t, w.RegisterSpec(ph))
-	mustT(t, w.LoadRun(run.Figure2()))
+	mustT(t, w.LoadRun(figure2With(t, map[string]string{"who": "joe", "when": "2008-04-07"})))
 	joe, err := core.BuildRelevant(ph, spec.PhyloRelevantJoe())
 	mustT(t, err)
 	mustT(t, w.RegisterView("joe", joe))
-	r, _ := w.Run("fig2")
-	mustT(t, r.AnnotateInput("d1", map[string]string{"who": "joe", "when": "2008-04-07"}))
 
 	g := gen.NewGenerator(42)
 	classes := gen.RunClasses()
@@ -80,24 +79,8 @@ func catalog(s Stats) Stats {
 	return s
 }
 
-// normalizeSnapshot sorts the order-insensitive parts of a decoded v1
-// snapshot (flow rows follow graph insertion order, which reconstruction
-// does not preserve).
-func normalizeSnapshot(s *snapshot) {
-	for i := range s.Runs {
-		fl := s.Runs[i].Flows
-		sort.Slice(fl, func(a, b int) bool {
-			if fl[a].From != fl[b].From {
-				return fl[a].From < fl[b].From
-			}
-			return fl[a].To < fl[b].To
-		})
-	}
-}
-
-// TestSaveV1RoundTripElementIdentical: Save → Load → Save yields an
-// element-identical v1 document (same specs, views, runs, flows and meta,
-// flow order normalized).
+// TestSaveV1RoundTripElementIdentical: Save → Load → Save yields the same
+// v1 bytes (specs, views, runs, flows in node-code order, and meta).
 func TestSaveV1RoundTripElementIdentical(t *testing.T) {
 	w := snapshotWarehouse(t, 2)
 	var buf1 bytes.Buffer
@@ -106,14 +89,44 @@ func TestSaveV1RoundTripElementIdentical(t *testing.T) {
 	mustT(t, err)
 	var buf2 bytes.Buffer
 	mustT(t, back.Save(&buf2))
+	if !bytes.Equal(buf1.Bytes(), buf2.Bytes()) {
+		t.Fatal("v1 snapshot not byte-identical after round trip")
+	}
+}
 
-	var s1, s2 snapshot
-	mustT(t, json.Unmarshal(buf1.Bytes(), &s1))
-	mustT(t, json.Unmarshal(buf2.Bytes(), &s2))
-	normalizeSnapshot(&s1)
-	normalizeSnapshot(&s2)
-	if !reflect.DeepEqual(s1, s2) {
-		t.Fatal("v1 snapshot not element-identical after round trip")
+// TestSaveV1FlowOrderIndependentOfLoad: a run whose log started its steps
+// out of natural order (S2, S10, S9) saves its flows in node-code order, as
+// its reloaded twins do, so its v1 bytes are the same saved directly, after
+// a v1 save and load, and after a v3 save and load.
+func TestSaveV1FlowOrderIndependentOfLoad(t *testing.T) {
+	s := spec.New("chain")
+	for _, m := range []string{"A", "B", "C"} {
+		s.MustAddModule(spec.Module{Name: m})
+	}
+	for _, e := range [][2]string{{spec.Input, "A"}, {"A", "B"}, {"B", "C"}, {"C", spec.Output}} {
+		s.MustAddEdge(e[0], e[1])
+	}
+	lb := wflog.NewBuilder()
+	for i, st := range [][2]string{{"S2", "A"}, {"S10", "B"}, {"S9", "C"}} {
+		lb.Start(st[0], st[1])
+		lb.Reads(st[0], fmt.Sprintf("d%d", i+1))
+		lb.Writes(st[0], fmt.Sprintf("d%d", i+2))
+	}
+	w := New(0)
+	mustT(t, w.RegisterSpec(s))
+	mustT(t, w.LoadLog("ooo", "chain", lb.Events()))
+
+	var direct, v3 bytes.Buffer
+	mustT(t, w.Save(&direct))
+	mustT(t, w.SaveV3(&v3))
+	for name, image := range map[string][]byte{"v1": direct.Bytes(), "v3": v3.Bytes()} {
+		back, err := Load(bytes.NewReader(image), 0)
+		mustT(t, err)
+		var again bytes.Buffer
+		mustT(t, back.Save(&again))
+		if !bytes.Equal(again.Bytes(), direct.Bytes()) {
+			t.Fatalf("v1 bytes after a %s round trip differ:\n%s\nsaved directly:\n%s", name, again.Bytes(), direct.Bytes())
+		}
 	}
 }
 
@@ -217,8 +230,8 @@ func TestLoadParallelDeterministicError(t *testing.T) {
 	}
 	// Corrupt runs 1 and 3 differently: run 1 gets a self flow, run 3 an
 	// unknown step.
-	snap.Runs[1].Flows = append(snap.Runs[1].Flows, flowSnap{From: snap.Runs[1].Steps[0].ID, To: snap.Runs[1].Steps[0].ID, Data: []string{"zz1"}})
-	snap.Runs[3].Flows = append(snap.Runs[3].Flows, flowSnap{From: "ghost-step", To: snap.Runs[3].Steps[0].ID, Data: []string{"zz2"}})
+	snap.Runs[1].Flows = append(snap.Runs[1].Flows, run.Flow{From: snap.Runs[1].Steps[0].ID, To: snap.Runs[1].Steps[0].ID, Data: []string{"zz1"}})
+	snap.Runs[3].Flows = append(snap.Runs[3].Flows, run.Flow{From: "ghost-step", To: snap.Runs[3].Steps[0].ID, Data: []string{"zz2"}})
 	blob, err := json.Marshal(&snap)
 	mustT(t, err)
 

@@ -43,11 +43,7 @@ func (w *Warehouse) Subset(keep func(runID string) bool) (*Warehouse, error) {
 		if err := w.resolveLocked(rt); err != nil {
 			return nil, fmt.Errorf("warehouse: subset run %q: %w", id, err)
 		}
-		nw.runs[id] = &runTables{
-			specName: rt.specName,
-			run:      rt.run,
-			index:    rt.index,
-		}
+		nw.runs[id] = &runTables{specName: rt.specName, run: rt.run}
 	}
 	return nw, nil
 }

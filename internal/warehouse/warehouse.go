@@ -80,21 +80,18 @@ type Warehouse struct {
 	obs        atomic.Pointer[warehouseMetrics]
 }
 
-// runTables is the per-run slice of the relational schema: the Steps,
-// Produced and Consumed relations plus the hash indexes the queries use.
-// index is the immutable compact representation (interned ids + CSR
-// adjacency) built at load time; it is dropped with the run, so DropRun
-// invalidates it together with the run's cached closures.
+// runTables is the per-run slice of the relational schema. The run is
+// immutable and its index (interned ids, CSR adjacency, flows) is all of
+// it; both are dropped together, so DropRun releases the run with its
+// cached closures.
 type runTables struct {
 	specName string
 	run      *run.Run
-	index    *run.Index
 
 	// lazy, when non-nil, holds a v3 snapshot run that has not necessarily
-	// materialized yet: run/index are populated on first use through
-	// lazy.once (resolveLocked), which also publishes the writes to every
-	// other lock holder. Readers that must not force a build check
-	// lazy.done instead.
+	// materialized yet: run is populated on first use through lazy.once
+	// (resolveLocked), which also publishes the write to every other lock
+	// holder. Readers that must not force a build check lazy.done instead.
 	lazy *lazyRun
 }
 
@@ -253,7 +250,7 @@ func (w *Warehouse) LoadRun(r *run.Run) error {
 	if err := r.ConformsTo(s); err != nil {
 		return err
 	}
-	rt := &runTables{specName: r.SpecName(), run: r, index: r.Index()}
+	rt := &runTables{specName: r.SpecName(), run: r}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {

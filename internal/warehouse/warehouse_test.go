@@ -87,12 +87,14 @@ func TestLoadRunChecks(t *testing.T) {
 		t.Fatalf("duplicate run: %v", err)
 	}
 	// Non-conformant run rejected.
-	bad := run.NewRun("bad", "phylogenomics")
-	mustT(t, bad.AddStep("S1", "M1"))
-	mustT(t, bad.AddStep("S2", "M7"))
-	mustT(t, bad.AddFlow(spec.Input, "S1", []string{"x1"}))
-	mustT(t, bad.AddFlow("S1", "S2", []string{"x2"}))
-	mustT(t, bad.AddFlow("S2", spec.Output, []string{"x3"}))
+	b := run.NewBuilder("bad", "phylogenomics")
+	mustT(t, b.AddStep("S1", "M1"))
+	mustT(t, b.AddStep("S2", "M7"))
+	mustT(t, b.AddFlow(spec.Input, "S1", []string{"x1"}))
+	mustT(t, b.AddFlow("S1", "S2", []string{"x2"}))
+	mustT(t, b.AddFlow("S2", spec.Output, []string{"x3"}))
+	bad, err := b.Build()
+	mustT(t, err)
 	if err := w.LoadRun(bad); !errors.Is(err, run.ErrNonConformant) {
 		t.Fatalf("non-conformant run: %v", err)
 	}
@@ -317,8 +319,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	s, _ := w.Spec("phylogenomics")
 	joe, _ := core.BuildRelevant(s, spec.PhyloRelevantJoe())
 	mustT(t, w.RegisterView("joe", joe))
-	r0, _ := w.Run("fig2")
-	mustT(t, r0.AnnotateInput("d1", map[string]string{"who": "joe"}))
+	mustT(t, w.DropRun("fig2"))
+	mustT(t, w.LoadRun(figure2With(t, map[string]string{"who": "joe"})))
 
 	var buf bytes.Buffer
 	if err := w.Save(&buf); err != nil {
@@ -390,4 +392,14 @@ func mustT(t testing.TB, err error) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// figure2With returns the Figure 2 run with meta recorded for input d1.
+func figure2With(t testing.TB, meta map[string]string) *run.Run {
+	t.Helper()
+	b := run.Figure2().Rebuild()
+	mustT(t, b.AnnotateInput("d1", meta))
+	r, err := b.Build()
+	mustT(t, err)
+	return r
 }

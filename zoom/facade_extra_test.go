@@ -56,8 +56,12 @@ func TestRefinementFlow(t *testing.T) {
 func TestCannedQueriesFacade(t *testing.T) {
 	sys := zoom.NewSystem()
 	s := zoom.Phylogenomics()
-	r := zoom.PhylogenomicsRun()
-	if err := r.AnnotateInput("d415", map[string]string{"who": "lab", "when": "2007-12-01"}); err != nil {
+	b := zoom.PhylogenomicsRun().Rebuild()
+	if err := b.AnnotateInput("d415", map[string]string{"who": "lab", "when": "2007-12-01"}); err != nil {
+		t.Fatal(err)
+	}
+	r, err := b.Build()
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := sys.RegisterSpec(s); err != nil {
@@ -173,12 +177,16 @@ func TestDropRunReleasesTheRun(t *testing.T) {
 	}
 	empty := live()
 	func() {
-		r := zoom.PhylogenomicsRun()
+		b := zoom.PhylogenomicsRun().Rebuild()
 		wide := make([]string, 50000)
 		for i := range wide {
 			wide[i] = fmt.Sprintf("wide%d", i)
 		}
-		if err := r.AddFlow(zoom.Input, "S1", wide); err != nil {
+		if err := b.AddFlow(zoom.Input, "S1", wide); err != nil {
+			t.Fatal(err)
+		}
+		r, err := b.Build()
+		if err != nil {
 			t.Fatal(err)
 		}
 		if err := sys.LoadRun(r); err != nil {
