@@ -22,7 +22,7 @@ test:
 race:
 	$(GO) test -race -run 'Concurrent|Stress' ./...
 
-# Short fuzzing passes over seven fuzz targets; long runs are
+# Short fuzzing passes over eight fuzz targets; long runs are
 # `go test -fuzz=FuzzConnectBy ./internal/warehouse/` etc. FuzzAppendResponse
 # and FuzzAnswerTokens run without minimization: nearly every input reaches
 # new coverage inside encoding/json, and minimizing each would leave a 10 s
@@ -31,6 +31,7 @@ race:
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzConnectBy -fuzztime=10s ./internal/warehouse/
 	$(GO) test -run='^$$' -fuzz=FuzzRelevUserViewBuilder -fuzztime=10s ./internal/core/
+	$(GO) test -run='^$$' -fuzz=FuzzViewChecks -fuzztime=10s ./internal/core/
 	$(GO) test -run='^$$' -fuzz=FuzzSnapshotV3 -fuzztime=10s ./internal/warehouse/
 	$(GO) test -run='^$$' -fuzz=FuzzCompositeBuild -fuzztime=10s ./internal/composite/
 	$(GO) test -run='^$$' -fuzz=FuzzAppendResponse -fuzztime=10s -fuzzminimizetime=0 ./internal/server/

@@ -92,6 +92,71 @@ func BenchmarkViewBuilderScalability(b *testing.B) {
 	}
 }
 
+// viewChecksCase is the view BenchmarkViewChecks and TestViewChecksAllocs
+// check: the builder's view of BenchmarkViewBuilderScalability's
+// specification of the given size, at 20% relevant.
+func viewChecksCase(tb testing.TB, nodes int) (*core.UserView, []string) {
+	g := gen.NewGenerator(3)
+	class := gen.Class3()
+	class.TargetModules = nodes
+	s := g.Workflow(class, "scale")
+	rel := g.RandomRelevant(s, 20)
+	v, err := core.BuildRelevant(s, rel)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return v, rel
+}
+
+// BenchmarkViewChecks measures checking a view against Properties 1-3:
+// CheckAll (first violation) and Diagnose (every violation) at 100, 300 and
+// 1,000 nodes, and the pairwise-merge Minimal at 100 nodes, all on the
+// builder's own views, which pass.
+func BenchmarkViewChecks(b *testing.B) {
+	for _, nodes := range []int{100, 300, 1000} {
+		v, rel := viewChecksCase(b, nodes)
+		b.Run(fmt.Sprintf("CheckAll/nodes=%d", nodes), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if err := core.CheckAll(v, rel); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("Diagnose/nodes=%d", nodes), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if vs := core.Diagnose(v, rel); len(vs) != 0 {
+					b.Fatal(vs[0])
+				}
+			}
+		})
+	}
+	v, rel := viewChecksCase(b, 100)
+	b.Run("Minimal/nodes=100", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if ok, w := core.Minimal(v, rel); !ok {
+				b.Fatalf("builder view not minimal: %v", w)
+			}
+		}
+	})
+}
+
+// TestViewChecksAllocs bounds CheckAll's allocations on the 300-node case
+// of BenchmarkViewChecks. The string checkers the integer pass replaced
+// made 4,388 allocations there and the pass makes 54; the bound of 100
+// keeps it more than 40x below the old count.
+func TestViewChecksAllocs(t *testing.T) {
+	v, rel := viewChecksCase(t, 300)
+	allocs := testing.AllocsPerRun(3, func() {
+		if err := core.CheckAll(v, rel); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const bound = 100
+	if allocs > bound {
+		t.Fatalf("CheckAll made %.0f allocations on 300 nodes, bound %d", allocs, bound)
+	}
+}
+
 // BenchmarkViewBuilderOptimality is experiment E2: the builder across the
 // relevant-percentage sweep, reporting the surplus composites beyond |R|.
 func BenchmarkViewBuilderOptimality(b *testing.B) {

@@ -75,6 +75,27 @@ func (s Set) Members(dst []int32) []int32 {
 	return dst
 }
 
+// Empty reports whether s has no member.
+func (s Set) Empty() bool {
+	for _, w := range s {
+		if w != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// SubsetOf reports whether every member of s is a member of o. o must have
+// at least s's capacity.
+func (s Set) SubsetOf(o Set) bool {
+	for i, w := range s {
+		if w&^o[i] != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // And intersects s with o in place (s ∩= o). Capacities may differ; excess
 // words of s are cleared.
 func (s Set) And(o Set) {

@@ -79,6 +79,22 @@ func TestAndOr(t *testing.T) {
 	}
 }
 
+func TestEmptySubsetOf(t *testing.T) {
+	a, b := New(130), New(130)
+	if !a.Empty() || !a.SubsetOf(b) {
+		t.Fatal("the empty set is empty and a subset of every set")
+	}
+	a.Add(129)
+	if a.Empty() || a.SubsetOf(b) {
+		t.Fatal("{129} is neither empty nor a subset of {}")
+	}
+	b.Add(129)
+	b.Add(3)
+	if !a.SubsetOf(b) || b.SubsetOf(a) {
+		t.Fatal("{129} ⊆ {3, 129} but not the reverse")
+	}
+}
+
 func TestAgainstMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const n = 4096

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
-	"strings"
 
+	"repro/internal/bitset"
 	"repro/internal/spec"
 )
 
@@ -33,131 +35,78 @@ func BuildRelevant(s *spec.Spec, relevant []string) (*UserView, error) {
 	if err != nil {
 		return nil, err
 	}
-	return buildFromAnalysis(a)
+	return BuildFromAnalysis(a)
 }
 
 // BuildFromAnalysis runs the builder over a precomputed Analysis, allowing
 // callers that already paid for rpred/rsucc (e.g. the interactive
 // UserViewBuilder UI loop) to skip recomputation.
-func BuildFromAnalysis(a *Analysis) (*UserView, error) { return buildFromAnalysis(a) }
-
-func buildFromAnalysis(a *Analysis) (*UserView, error) {
-	s := a.Spec()
-	R := a.Relevant()
-	marked := make(map[string]bool)
-
-	relevantBlock := make(map[string][]string, len(R)) // r -> members
-	for _, r := range R {
-		relevantBlock[r] = []string{r}
+func BuildFromAnalysis(a *Analysis) (*UserView, error) {
+	// block[id] is the composite a module has joined: bit i for the relevant
+	// composite of rel[i], |R|+k for the k-th non-relevant block, and -1
+	// for unmarked modules, INPUT and OUTPUT.
+	t, R := a.mods, int32(len(a.rel))
+	block := make([]int32, len(t.names))
+	for id := range block {
+		block[id] = -1
 	}
-
-	// Step 1a (Lines 3-5): in(r) = { n ∈ N\R : rsucc(n) = {r} }.
-	for _, r := range R {
-		for _, n := range s.ModuleNames() {
-			if a.IsRelevant(n) || marked[n] {
-				continue
-			}
-			if succ := a.RSucc(n); len(succ) == 1 && succ[0] == r {
-				relevantBlock[r] = append(relevantBlock[r], n)
-				marked[n] = true
-			}
-		}
+	for i, r := range a.rel {
+		block[r] = int32(i)
 	}
+	// Step 1a (Lines 3-5): in(r) = { n ∈ N\R : rsucc(n) = {r} }; then
 	// Step 1b (Lines 6-8): out(r) = { n ∈ N\R unmarked : rpred(n) = {r} }.
-	for _, r := range R {
-		for _, n := range s.ModuleNames() {
-			if a.IsRelevant(n) || marked[n] {
-				continue
-			}
-			if pred := a.RPred(n); len(pred) == 1 && pred[0] == r {
-				relevantBlock[r] = append(relevantBlock[r], n)
-				marked[n] = true
+	one := make([]int32, 0, 1)
+	for _, rows := range [2][]bitset.Set{a.rsucc, a.rpred} {
+		for id := 0; id < t.n; id++ {
+			if block[id] < 0 && rows[id].Count() == 1 {
+				if r := rows[id].Members(one[:0])[0]; r < R {
+					block[id] = r
+				}
 			}
 		}
 	}
 
 	// Step 2 (Lines 11-16): group unmarked non-relevant modules by their
-	// (rpred, rsucc) signature.
-	type nrcBlock struct {
-		members []string
-		pred    []string // rpredM, kept sorted
-		succ    []string // rsuccM, kept sorted
+	// (rpred, rsucc) rows. Ids follow names, so blocks come out ordered by
+	// their smallest member.
+	type nrBlock struct {
+		members    []int32
+		pred, succ bitset.Set // rpredM, rsuccM
 	}
-	var nrc []*nrcBlock
-	bySig := make(map[string]*nrcBlock)
-	for _, n := range s.ModuleNames() {
-		if a.IsRelevant(n) || marked[n] {
+	var nrc []*nrBlock
+	bySig := make(map[string]int32)
+	var key []byte
+	for id := 0; id < t.n; id++ {
+		if block[id] >= 0 {
 			continue
 		}
-		pred, succ := a.RPred(n), a.RSucc(n)
-		sig := fmt.Sprint(pred, "|", succ)
-		if blk, ok := bySig[sig]; ok {
-			blk.members = append(blk.members, n)
-			continue
+		key = appendRow(appendRow(key[:0], a.rpred[id]), a.rsucc[id])
+		b, ok := bySig[string(key)]
+		if !ok {
+			b = R + int32(len(nrc))
+			bySig[string(key)] = b
+			nrc = append(nrc, &nrBlock{pred: a.rpred[id].Clone(), succ: a.rsucc[id].Clone()})
 		}
-		blk := &nrcBlock{members: []string{n}, pred: pred, succ: succ}
-		bySig[sig] = blk
-		nrc = append(nrc, blk)
+		block[id] = b
+		nrc[b-R].members = append(nrc[b-R].members, int32(id))
 	}
 
-	// Step 3 (Lines 17-25): merge non-relevant composites while legal.
-	// Block-level rpred/rsucc are kept as sorted slices, so the pairwise
-	// union is a linear merge and the Line 23 comparisons are linear scans.
-	// Block membership is tracked through ownerBlk (nil for relevant and
-	// marked modules), so "edge leaves M" is a pointer comparison instead
-	// of a per-pair set construction.
-	g := s.Graph()
-	ownerBlk := make(map[string]*nrcBlock)
-	for _, blk := range nrc {
-		for _, n := range blk.members {
-			ownerBlk[n] = blk
-		}
+	// Step 3 (Lines 17-25): merge non-relevant composites while legal: a
+	// member with an edge leaving M (V+) must have rpred equal to the
+	// merged rpredM, one with an edge entering M (V-) rsucc equal to rsuccM.
+	predM, succM := bitset.New(int(R)+1), bitset.New(int(R)+1)
+	crosses := func(row []int32, x, y int32) bool {
+		return slices.ContainsFunc(row, func(w int32) bool { return block[w] != x && block[w] != y })
 	}
-	// Sorted rpred/rsucc slices are interned to small integers so the
-	// Line 23 equality tests inside legalMerge are O(1) per member.
-	intern := make(map[string]int)
-	internID := func(xs []string) int {
-		key := strings.Join(xs, "\x00")
-		id, ok := intern[key]
-		if !ok {
-			id = len(intern)
-			intern[key] = id
-		}
-		return id
-	}
-	predID := make(map[string]int)
-	succID := make(map[string]int)
-	for _, blk := range nrc {
-		for _, n := range blk.members {
-			predID[n] = internID(a.RPred(n))
-			succID[n] = internID(a.RSucc(n))
-		}
-	}
-	legalMerge := func(b1, b2 *nrcBlock) bool {
-		rpredMID := internID(unionSorted(b1.pred, b2.pred))
-		rsuccMID := internID(unionSorted(b1.succ, b2.succ))
-		for _, blk := range [2]*nrcBlock{b1, b2} {
-			for _, n := range blk.members {
-				// V+ : n has an outgoing edge leaving M.
-				exit := false
-				for _, w := range g.Successors(n) {
-					if o := ownerBlk[w]; o != b1 && o != b2 {
-						exit = true
-						break
-					}
-				}
-				if exit && predID[n] != rpredMID {
-					return false
-				}
-				// V- : n has an incoming edge entering M from outside.
-				entry := false
-				for _, w := range g.Predecessors(n) {
-					if o := ownerBlk[w]; o != b1 && o != b2 {
-						entry = true
-						break
-					}
-				}
-				if entry && succID[n] != rsuccMID {
+	legalMerge := func(x, y int32) bool {
+		copy(predM, nrc[x-R].pred)
+		predM.Or(nrc[y-R].pred)
+		copy(succM, nrc[x-R].succ)
+		succM.Or(nrc[y-R].succ)
+		for _, b := range [2]int32{x, y} {
+			for _, u := range nrc[b-R].members {
+				if !slices.Equal(a.rpred[u], predM) && crosses(t.succ.row(u), x, y) ||
+					!slices.Equal(a.rsucc[u], succM) && crosses(t.pred.row(u), x, y) {
 					return false
 				}
 			}
@@ -169,73 +118,58 @@ func buildFromAnalysis(a *Analysis) (*UserView, error) {
 	// loop repeats until a full pass makes no change, so the result is the
 	// same fixpoint the naive restart-from-scratch loop reaches, without
 	// its cubic rescanning.
-	sort.Slice(nrc, func(i, j int) bool { return minString(nrc[i].members) < minString(nrc[j].members) })
+	live := make([]int32, len(nrc))
+	for i := range live {
+		live[i] = R + int32(i)
+	}
 	for changed := true; changed; {
 		changed = false
-		for i := 0; i < len(nrc); i++ {
-			for j := i + 1; j < len(nrc); j++ {
-				if legalMerge(nrc[i], nrc[j]) {
-					for _, n := range nrc[j].members {
-						ownerBlk[n] = nrc[i]
-					}
-					nrc[i].members = append(nrc[i].members, nrc[j].members...)
-					nrc[i].pred = unionSorted(nrc[i].pred, nrc[j].pred)
-					nrc[i].succ = unionSorted(nrc[i].succ, nrc[j].succ)
-					nrc = append(nrc[:j], nrc[j+1:]...)
-					changed = true
-					j--
+		for i := 0; i < len(live); i++ {
+			for j := i + 1; j < len(live); j++ {
+				x, y := nrc[live[i]-R], nrc[live[j]-R]
+				if !legalMerge(live[i], live[j]) {
+					continue
 				}
+				for _, u := range y.members {
+					block[u] = live[i]
+				}
+				x.members = append(x.members, y.members...)
+				x.pred.Or(y.pred)
+				x.succ.Or(y.succ)
+				live = slices.Delete(live, j, j+1)
+				changed = true
+				j--
 			}
 		}
 	}
 
 	// Assemble the view. Relevant composites keep their module's name (the
 	// composite "takes on the meaning of the relevant module it contains");
-	// non-relevant composites are numbered deterministically.
-	blocks := make(map[string][]string, len(relevantBlock)+len(nrc))
-	for r, members := range relevantBlock {
-		sort.Strings(members)
-		blocks[r] = members
-	}
-	sort.Slice(nrc, func(i, j int) bool { return minString(nrc[i].members) < minString(nrc[j].members) })
-	for i, blk := range nrc {
-		sort.Strings(blk.members)
-		blocks[fmt.Sprintf("NR%d", i+1)] = blk.members
-	}
-	return NewUserView(s, blocks)
-}
-
-// unionSorted merges two sorted, deduplicated string slices into a fresh
-// sorted, deduplicated slice.
-func unionSorted(x, y []string) []string {
-	out := make([]string, 0, len(x)+len(y))
-	i, j := 0, 0
-	for i < len(x) && j < len(y) {
-		switch {
-		case x[i] < y[j]:
-			out = append(out, x[i])
-			i++
-		case x[i] > y[j]:
-			out = append(out, y[j])
-			j++
-		default:
-			out = append(out, x[i])
-			i++
-			j++
+	// non-relevant composites are numbered by their smallest member.
+	blocks := make(map[string][]string, len(a.rel)+len(live))
+	for id := 0; id < t.n; id++ {
+		if b := block[id]; b < R {
+			name := t.names[a.rel[b]]
+			blocks[name] = append(blocks[name], t.names[id])
 		}
 	}
-	out = append(out, x[i:]...)
-	return append(out, y[j:]...)
-}
-
-// minString returns the lexicographically smallest element of xs; blocks
-// are ordered by this key for deterministic iteration and naming.
-func minString(xs []string) string {
-	min := xs[0]
-	for _, x := range xs[1:] {
-		if x < min {
-			min = x
+	for _, b := range live {
+		slices.Sort(nrc[b-R].members)
+	}
+	sort.Slice(live, func(i, j int) bool { return nrc[live[i]-R].members[0] < nrc[live[j]-R].members[0] })
+	for i, b := range live {
+		name := fmt.Sprintf("NR%d", i+1)
+		for _, u := range nrc[b-R].members {
+			blocks[name] = append(blocks[name], t.names[u])
 		}
 	}
-	return min
+	return newUserView(a.s, t, blocks)
+}
+
+// appendRow appends row's words to a map key.
+func appendRow(key []byte, row bitset.Set) []byte {
+	for _, w := range row {
+		key = binary.LittleEndian.AppendUint64(key, w)
+	}
+	return key
 }

@@ -37,18 +37,15 @@ type Violation struct {
 func (v Violation) String() string { return string(v.Kind) + ": " + v.Detail }
 
 // Diagnose runs all three property checks and returns every violation,
-// deterministically ordered. An empty result means the view is good.
+// deterministically ordered. An empty result means the view is good. It
+// takes only a relevant set that CheckAll accepts; names outside the
+// specification are ignored.
 func Diagnose(v *UserView, relevant []string) []Violation {
 	var out []Violation
-	rel := toSet(relevant)
-	for _, name := range v.Composites() {
-		var found []string
-		for _, m := range v.blocks[name] {
-			if rel[m] {
-				found = append(found, m)
-			}
-		}
-		if len(found) > 1 {
+	c, _ := v.checker(v.inSpec(relevant)) // inSpec leaves nothing to reject
+	for i, n := range v.crowding(c.rel) {
+		if n > 1 {
+			name, found := v.names[i], v.relevantIn(i, c.relevant)
 			out = append(out, Violation{
 				Kind:      ViolationWellFormed,
 				Composite: name,
@@ -56,36 +53,18 @@ func Diagnose(v *UserView, relevant []string) []Violation {
 			})
 		}
 	}
-	specCtx, viewCtx, cOf := buildContexts(v, relevant)
-	v.spec.Graph().EachEdge(func(u, w string) {
-		a, b := cOf(u), cOf(w)
-		if a == b {
-			return
+	c.violations(v, func(x witness, p2 bool) bool {
+		viol := Violation{Kind: ViolationPreserves, Edge: [2]string{x.u, x.w}, Pair: [2]string{x.r, x.rp}}
+		if p2 {
+			viol.Detail = fmt.Sprintf("edge (%s,%s) makes %s appear to feed %s via (%s,%s), but no such dataflow exists",
+				x.u, x.w, x.r, x.rp, x.a, x.b)
+		} else {
+			viol.Kind = ViolationComplete
+			viol.Detail = fmt.Sprintf("dataflow %s -> %s through edge (%s,%s) is hidden: induced edge (%s,%s) lost it",
+				x.r, x.rp, x.u, x.w, x.a, x.b)
 		}
-		for _, r := range specCtx.sources {
-			for _, rp := range specCtx.targets {
-				onView := viewCtx.edgeOnNRPath(a, b, cOf(r), cOf(rp))
-				onSpec := specCtx.edgeOnNRPath(u, w, r, rp)
-				if onView && !onSpec {
-					out = append(out, Violation{
-						Kind: ViolationPreserves,
-						Edge: [2]string{u, w},
-						Pair: [2]string{r, rp},
-						Detail: fmt.Sprintf("edge (%s,%s) makes %s appear to feed %s via (%s,%s), but no such dataflow exists",
-							u, w, r, rp, a, b),
-					})
-				}
-				if onSpec && !onView {
-					out = append(out, Violation{
-						Kind: ViolationComplete,
-						Edge: [2]string{u, w},
-						Pair: [2]string{r, rp},
-						Detail: fmt.Sprintf("dataflow %s -> %s through edge (%s,%s) is hidden: induced edge (%s,%s) lost it",
-							r, rp, u, w, a, b),
-					})
-				}
-			}
-		}
+		out = append(out, viol)
+		return true
 	})
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Kind != out[j].Kind {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -83,6 +84,31 @@ func TestDiagnoseDeterministic(t *testing.T) {
 	}
 	if a[0].String() == "" {
 		t.Fatal("empty rendering")
+	}
+}
+
+func TestDiagnoseCountsDuplicatesOnce(t *testing.T) {
+	// A module listed twice in relevant is one relevant module: it used to
+	// repeat each of its violations once per listing (5 became 10 here).
+	s := spec.Phylogenomics()
+	v, err := NewUserView(s, map[string][]string{
+		"A": {"M1", "M2", "M3", "M4", "M5"},
+		"B": {"M6", "M7", "M8"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	once := Diagnose(v, []string{"M3", "M7"})
+	if len(once) != 5 {
+		t.Fatalf("Diagnose found %d violations, want 5: %v", len(once), once)
+	}
+	for _, dup := range [][]string{{"M3", "M7", "M7"}, {"M3", "M3", "M7", "M3"}} {
+		if got := Diagnose(v, dup); !reflect.DeepEqual(got, once) {
+			t.Fatalf("relevant %v: %d violations, want the 5 of [M3 M7]: %v", dup, len(got), got)
+		}
+		if got := oracleDiagnose(v, dup); !reflect.DeepEqual(got, once) {
+			t.Fatalf("oracle, relevant %v: %d violations, want the 5 of [M3 M7]", dup, len(got))
+		}
 	}
 }
 

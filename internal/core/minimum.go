@@ -23,57 +23,51 @@ const MaxMinimumSearchModules = 10
 // MaxMinimumSearchModules modules.
 //
 // Among equal-size optima the partition generated first in restricted-growth
-// order wins, making the result deterministic.
+// order wins, making the result deterministic. Each partition is checked on
+// its owner array by the pass CheckAll runs, over rows of the specification
+// computed once.
 func MinimumView(s *spec.Spec, relevant []string) (*UserView, error) {
-	mods := s.ModuleNames()
-	if len(mods) > MaxMinimumSearchModules {
-		return nil, fmt.Errorf("core: %d modules exceed exhaustive search bound %d", len(mods), MaxMinimumSearchModules)
+	t := newModules(s)
+	if t.n > MaxMinimumSearchModules {
+		return nil, fmt.Errorf("core: %d modules exceed exhaustive search bound %d", t.n, MaxMinimumSearchModules)
 	}
-	if _, err := NewAnalysis(s, relevant); err != nil {
+	a, err := newAnalysis(s, t, relevant)
+	if err != nil {
 		return nil, err // validates the relevant set
 	}
+	c := &checker{Analysis: a}
 	var best *UserView
-	bestSize := len(mods) + 1
+	bestSize := t.n + 1
 	// Enumerate partitions via restricted growth strings: assign[i] is the
-	// block of mods[i], and assign[i] <= 1+max(assign[0..i-1]).
-	assign := make([]int, len(mods))
+	// block of module i, and assign[i] <= 1+max(assign[0..i-1]).
+	assign := make([]int32, t.n)
 	var rec func(i, maxUsed int)
 	rec = func(i, maxUsed int) {
-		if i == len(mods) {
-			size := maxUsed + 1
-			if size >= bestSize {
-				return
-			}
-			blocks := make(map[string][]string, size)
-			for k, m := range mods {
-				name := fmt.Sprintf("B%d", assign[k])
-				blocks[name] = append(blocks[name], m)
-			}
-			v, err := NewUserView(s, blocks)
-			if err != nil {
-				return
-			}
-			if CheckAll(v, relevant) == nil {
-				best = v
-				bestSize = size
+		if i == t.n {
+			if size := maxUsed + 1; size < bestSize && c.holds(assign, size) {
+				blocks := make(map[string][]string, size)
+				for id, b := range assign {
+					name := fmt.Sprintf("B%d", b)
+					blocks[name] = append(blocks[name], t.names[id])
+				}
+				if v, err := newUserView(s, t, blocks); err == nil { // B<k> may shadow a module
+					best, bestSize = v, size
+				}
 			}
 			return
 		}
 		for b := 0; b <= maxUsed+1; b++ {
 			// Prune: even if all remaining modules join existing blocks, the
 			// final size is at least max(maxUsed, b)+1.
-			mu := maxUsed
-			if b > mu {
-				mu = b
-			}
+			mu := max(maxUsed, b)
 			if mu+1 >= bestSize {
 				continue
 			}
-			assign[i] = b
+			assign[i] = int32(b)
 			rec(i+1, mu)
 		}
 	}
-	if len(mods) == 0 {
+	if t.n == 0 {
 		return nil, fmt.Errorf("core: empty specification: %w", ErrBadView)
 	}
 	rec(0, -1)

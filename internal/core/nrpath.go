@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
+	"repro/internal/bitset"
 	"repro/internal/spec"
 )
 
@@ -14,170 +16,135 @@ import (
 //	rsucc(n) = { r in R ∪ {output} | there is an nr-path from n to r }
 //
 // where an nr-path is a path containing no relevant *intermediate* module.
-// Both maps are materialized with |R|+1 filtered BFS traversals each, giving
-// the O(|N|² + |E|) bound the paper states for the builder.
+// Both are bitset rows |R|+1 bits wide, one per node of the module table:
+// bit i < |R| stands for rel[i], the relevant modules in the caller's order
+// with duplicates removed, and bit |R| for INPUT in rpred and OUTPUT in
+// rsucc. The rows come from |R|+1 filtered BFS passes in each direction,
+// giving the O(|N|² + |E|) bound the paper states for the builder.
+//
+// src and tgt are the rows of the property checkers, Src(u) and Tgt(w): the
+// same as rpred and rsucc, except that a relevant module, INPUT and OUTPUT
+// stand for themselves alone.
 type Analysis struct {
-	s        *spec.Spec
-	relevant map[string]bool
-	rpred    map[string]map[string]bool
-	rsucc    map[string]map[string]bool
-
-	// Memoized sorted forms: the builder's Step 3 interrogates rpred/rsucc
-	// of the same nodes over and over while probing merges, so sorting on
-	// every call would dominate the whole algorithm on large inputs.
-	rpredSorted map[string][]string
-	rsuccSorted map[string][]string
+	s            *spec.Spec
+	mods         *modules
+	rel          []int32 // relevant module ids, bit order
+	relevant     []bool  // node id -> in R
+	rpred, rsucc []bitset.Set
+	src, tgt     []bitset.Set
 }
 
 // NewAnalysis validates the relevant set (every entry must be a module of
 // s, duplicates are tolerated) and computes rpred/rsucc for every module.
 func NewAnalysis(s *spec.Spec, relevant []string) (*Analysis, error) {
-	a := &Analysis{
-		s:           s,
-		relevant:    make(map[string]bool, len(relevant)),
-		rpred:       make(map[string]map[string]bool),
-		rsucc:       make(map[string]map[string]bool),
-		rpredSorted: make(map[string][]string),
-		rsuccSorted: make(map[string][]string),
-	}
-	for _, r := range relevant {
-		if !s.HasModule(r) {
-			return nil, fmt.Errorf("core: relevant module %q not in spec %q: %w", r, s.Name(), ErrBadRelevant)
-		}
-		a.relevant[r] = true
-	}
-	g := s.Graph()
-	avoid := func(n string) bool { return a.relevant[n] }
+	return newAnalysis(s, newModules(s), relevant)
+}
 
-	add := func(m map[string]map[string]bool, key, val string) {
-		set, ok := m[key]
-		if !ok {
-			set = make(map[string]bool)
-			m[key] = set
-		}
-		set[val] = true
+func newAnalysis(s *spec.Spec, t *modules, relevant []string) (*Analysis, error) {
+	rel, isRel, err := relevantIDs(s, t, relevant)
+	if err != nil {
+		return nil, err
 	}
-
-	sources := append(a.sortedRelevant(), spec.Input)
-	for _, r := range sources {
-		for n := range g.ReachAvoiding(r, avoid) {
-			add(a.rpred, n, r)
-		}
+	R, nodes := len(rel), len(t.names)
+	a := &Analysis{s: s, mods: t, rel: rel, relevant: isRel, rpred: newRows(nodes, R+1), rsucc: newRows(nodes, R+1)}
+	nrRows(t.succ, append(rel[:R:R], int32(t.n)), isRel, a.rpred)
+	nrRows(t.pred, append(rel[:R:R], int32(t.n+1)), isRel, a.rsucc)
+	a.src, a.tgt = slices.Clone(a.rpred), slices.Clone(a.rsucc)
+	self := newRows(R+1, R+1)
+	for i := range self {
+		self[i].Add(int32(i))
 	}
-	targets := append(a.sortedRelevant(), spec.Output)
-	for _, r := range targets {
-		for n := range g.ReachBackAvoiding(r, avoid) {
-			add(a.rsucc, n, r)
-		}
+	for i, r := range rel {
+		a.src[r], a.tgt[r] = self[i], self[i]
 	}
+	a.src[t.n], a.tgt[t.n+1] = self[R], self[R]
 	return a, nil
 }
 
-// Spec returns the analyzed specification.
-func (a *Analysis) Spec() *spec.Spec { return a.s }
+// relevantIDs validates relevant against t and returns its module ids,
+// duplicates removed with the first occurrence kept in place, and R's
+// membership by node id.
+func relevantIDs(s *spec.Spec, t *modules, relevant []string) ([]int32, []bool, error) {
+	rel, in := make([]int32, 0, len(relevant)), make([]bool, len(t.names))
+	for _, r := range relevant {
+		id, ok := t.module(r)
+		if !ok {
+			return nil, nil, fmt.Errorf("core: relevant module %q not in spec %q: %w", r, s.Name(), ErrBadRelevant)
+		}
+		if !in[id] {
+			in[id] = true
+			rel = append(rel, id)
+		}
+	}
+	return rel, in, nil
+}
 
 // Relevant returns the sorted relevant modules.
-func (a *Analysis) Relevant() []string { return a.sortedRelevant() }
+func (a *Analysis) Relevant() []string {
+	out := make([]string, len(a.rel))
+	for i, r := range a.rel {
+		out[i] = a.mods.names[r]
+	}
+	sort.Strings(out)
+	return out
+}
 
 // IsRelevant reports whether module n is in R.
-func (a *Analysis) IsRelevant(n string) bool { return a.relevant[n] }
-
-// RPred returns rpred(n), sorted. The slice is memoized and must not be
-// mutated by the caller.
-func (a *Analysis) RPred(n string) []string {
-	if cached, ok := a.rpredSorted[n]; ok {
-		return cached
-	}
-	out := setToSorted(a.rpred[n])
-	a.rpredSorted[n] = out
-	return out
+func (a *Analysis) IsRelevant(n string) bool {
+	id, ok := a.mods.module(n)
+	return ok && a.relevant[id]
 }
 
-// RSucc returns rsucc(n), sorted. The slice is memoized and must not be
-// mutated by the caller.
-func (a *Analysis) RSucc(n string) []string {
-	if cached, ok := a.rsuccSorted[n]; ok {
-		return cached
-	}
-	out := setToSorted(a.rsucc[n])
-	a.rsuccSorted[n] = out
-	return out
-}
+// RPred returns rpred(n), sorted.
+func (a *Analysis) RPred(n string) []string { return a.names(a.rpred, n, spec.Input) }
 
-// RPredSet returns rpred(n) as a set; the map must not be mutated.
-func (a *Analysis) RPredSet(n string) map[string]bool { return a.rpred[n] }
+// RSucc returns rsucc(n), sorted.
+func (a *Analysis) RSucc(n string) []string { return a.names(a.rsucc, n, spec.Output) }
 
-// RSuccSet returns rsucc(n) as a set; the map must not be mutated.
-func (a *Analysis) RSuccSet(n string) map[string]bool { return a.rsucc[n] }
-
-// RPredOfSet returns rpredM(M) = ∪_{n in M} rpred(n), sorted.
-func (a *Analysis) RPredOfSet(members []string) []string {
-	return setToSorted(a.unionOf(a.rpred, members))
-}
-
-// RSuccOfSet returns rsuccM(M) = ∪_{n in M} rsucc(n), sorted.
-func (a *Analysis) RSuccOfSet(members []string) []string {
-	return setToSorted(a.unionOf(a.rsucc, members))
-}
-
-// HasNRPath reports whether there is an nr-path from one node to another
-// (endpoints may be relevant, INPUT or OUTPUT; intermediates must not be
-// relevant).
-func (a *Analysis) HasNRPath(from, to string) bool {
-	return a.s.Graph().HasPathAvoiding(from, to, func(n string) bool { return a.relevant[n] })
-}
-
-func (a *Analysis) sortedRelevant() []string {
-	out := make([]string, 0, len(a.relevant))
-	for r := range a.relevant {
-		out = append(out, r)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func (a *Analysis) unionOf(m map[string]map[string]bool, members []string) map[string]bool {
-	out := make(map[string]bool)
-	for _, n := range members {
-		for r := range m[n] {
-			out[r] = true
-		}
-	}
-	return out
-}
-
-func setToSorted(set map[string]bool) []string {
-	if len(set) == 0 {
+// names spells out node n's row; end names its last bit.
+func (a *Analysis) names(rows []bitset.Set, n, end string) []string {
+	id, ok := a.mods.id[n]
+	if !ok {
 		return nil
 	}
-	out := make([]string, 0, len(set))
-	for k := range set {
-		out = append(out, k)
-	}
+	var out []string
+	rows[id].Each(func(i int32) {
+		name := end
+		if int(i) < len(a.rel) {
+			name = a.mods.names[a.rel[i]]
+		}
+		out = append(out, name)
+	})
 	sort.Strings(out)
 	return out
 }
 
-func sameSet(a map[string]bool, b map[string]bool) bool {
-	if len(a) != len(b) {
-		return false
+// newRows returns nodes empty rows of width bits, cut from one array.
+func newRows(nodes, width int) []bitset.Set {
+	words := (width + 63) / 64
+	flat, rows := make(bitset.Set, nodes*words), make([]bitset.Set, nodes)
+	for i := range rows {
+		rows[i] = flat[i*words : (i+1)*words : (i+1)*words]
 	}
-	for k := range a {
-		if !b[k] {
-			return false
-		}
-	}
-	return true
+	return rows
 }
 
-func sameSortedSlice(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+// nrRows sets bit i of rows[v] for every node v reached from sources[i] by
+// a path of length >= 1 over adj whose intermediate nodes are not relevant:
+// a relevant node is recorded where a path ends but never expanded.
+func nrRows(adj csr, sources []int32, relevant []bool, rows []bitset.Set) {
+	seen, queue := make([]int32, len(rows)), make([]int32, 0, len(rows))
+	for i, s := range sources {
+		stamp := int32(i + 1)
+		queue = append(queue[:0], s)
+		for h := 0; h < len(queue); h++ {
+			for _, v := range adj.row(queue[h]) {
+				rows[v].Add(int32(i))
+				if !relevant[v] && seen[v] != stamp {
+					seen[v] = stamp
+					queue = append(queue, v)
+				}
+			}
 		}
 	}
-	return true
 }

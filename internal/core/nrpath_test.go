@@ -54,43 +54,6 @@ func TestAnalysisFigure6Values(t *testing.T) {
 	}
 }
 
-func TestAnalysisPhylogenomicsIntro(t *testing.T) {
-	// Section II: "there exists an nr-path from input to M2, but not from
-	// input to M7, since all paths connecting these two modules contain an
-	// intermediate node in R (M2, M3)."
-	s := spec.Phylogenomics()
-	a, err := NewAnalysis(s, spec.PhyloRelevantJoe())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !a.HasNRPath(spec.Input, "M2") {
-		t.Fatal("expected nr-path input -> M2")
-	}
-	if a.HasNRPath(spec.Input, "M7") {
-		t.Fatal("unexpected nr-path input -> M7")
-	}
-	if got := a.RPred("M7"); !reflect.DeepEqual(got, []string{"M2", "M3"}) {
-		t.Fatalf("rpred(M7) = %v, want [M2 M3]", got)
-	}
-}
-
-func TestAnalysisSetUnions(t *testing.T) {
-	s, relevant := spec.Figure6()
-	a, _ := NewAnalysis(s, relevant)
-	got := a.RSuccOfSet([]string{"M1", "M4", "M5"})
-	want := []string{"M3", "M6", spec.Output}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("rsuccM({M1,M4,M5}) = %v, want %v", got, want)
-	}
-	gotP := a.RPredOfSet([]string{"M1", "M4", "M5"})
-	if !reflect.DeepEqual(gotP, []string{spec.Input}) {
-		t.Fatalf("rpredM({M1,M4,M5}) = %v, want [INPUT]", gotP)
-	}
-	if a.RPredOfSet(nil) != nil {
-		t.Fatal("union of empty set should be nil")
-	}
-}
-
 func TestAnalysisEmptyRelevant(t *testing.T) {
 	s := spec.Phylogenomics()
 	a, err := NewAnalysis(s, nil)

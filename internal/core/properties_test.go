@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/spec"
@@ -71,6 +72,26 @@ func TestFigure4Violations(t *testing.T) {
 	}
 	if err := PreservesPathLevel(v, relevant); err == nil {
 		t.Fatal("path-level check passed on the known-bad view")
+	}
+}
+
+func TestCheckersRejectUnknownRelevant(t *testing.T) {
+	// A relevant module outside the specification is an error, as it is for
+	// the builder; the checkers used to ignore it, so Joe's view passed
+	// CheckAll for [M2 nope].
+	s := spec.Phylogenomics()
+	joe, _ := NewUserView(s, joeBlocks())
+	rel := []string{"M2", "nope"}
+	if _, err := BuildRelevant(s, rel); !errors.Is(err, ErrBadRelevant) {
+		t.Fatalf("BuildRelevant: %v", err)
+	}
+	for name, check := range map[string]func(*UserView, []string) error{
+		"CheckAll": CheckAll, "WellFormed": WellFormed,
+		"PreservesDataflow": PreservesDataflow, "CompleteWRTDataflow": CompleteWRTDataflow,
+	} {
+		if err := check(joe, rel); !errors.Is(err, ErrBadRelevant) || !strings.Contains(err.Error(), `"nope"`) {
+			t.Errorf("%s: err = %v, want ErrBadRelevant naming nope", name, err)
+		}
 	}
 }
 

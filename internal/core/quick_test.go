@@ -111,49 +111,3 @@ func TestQuickBuilderPhyloSubsets(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// Property: rpred/rsucc are dual — r ∈ rpred(n) iff there is an nr-path
-// r -> n iff n "sees" r upstream; checked against HasNRPath directly.
-func TestQuickAnalysisDuality(t *testing.T) {
-	s := spec.Phylogenomics()
-	f := func(mask uint8) bool {
-		var rel []string
-		for i := 0; i < 8; i++ {
-			if mask&(1<<uint(i)) != 0 {
-				rel = append(rel, fmt.Sprintf("M%d", i+1))
-			}
-		}
-		a, err := NewAnalysis(s, rel)
-		if err != nil {
-			return false
-		}
-		for _, n := range s.ModuleNames() {
-			for _, r := range append(a.Relevant(), spec.Input) {
-				inPred := false
-				for _, x := range a.RPred(n) {
-					if x == r {
-						inPred = true
-					}
-				}
-				if inPred != a.HasNRPath(r, n) {
-					return false
-				}
-			}
-			for _, r := range append(a.Relevant(), spec.Output) {
-				inSucc := false
-				for _, x := range a.RSucc(n) {
-					if x == r {
-						inSucc = true
-					}
-				}
-				if inSucc != a.HasNRPath(n, r) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -132,21 +132,15 @@ func RefineComposite(v *UserView, composite string, relevantInside []string) (*U
 // a is contained in some block of b. UAdmin refines every view; every view
 // refines UBlackBox.
 func Refines(a, b *UserView) bool {
-	if a.spec != b.spec && a.spec.Name() != b.spec.Name() {
-		return false
+	return (a.spec == b.spec || a.spec.Name() == b.spec.Name()) && a.within(b)
+}
+
+func toSet(xs []string) map[string]bool {
+	out := make(map[string]bool, len(xs))
+	for _, x := range xs {
+		out[x] = true
 	}
-	for _, blockA := range a.blocks {
-		owner, ok := b.CompositeOf(blockA[0])
-		if !ok {
-			return false
-		}
-		for _, m := range blockA[1:] {
-			if o, _ := b.CompositeOf(m); o != owner {
-				return false
-			}
-		}
-	}
-	return true
+	return out
 }
 
 func containsRelevant(members []string, rel map[string]bool) bool {

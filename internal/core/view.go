@@ -18,17 +18,14 @@ import (
 )
 
 // UserView is a partition of a specification's modules into composite
-// modules. Views are immutable once constructed.
+// modules. Views are immutable once constructed. The partition is held
+// once, on the ids of the specification's module table: the composite
+// names sorted, and for every module the position of its composite.
 type UserView struct {
-	spec   *spec.Spec
-	blocks map[string][]string // composite name -> sorted member modules
-	owner  map[string]string   // module -> composite name
-
-	// The same partition on integers, for code that maps many steps to
-	// their composites (composite.Build): composite names sorted, and each
-	// module's position among them. Every run of the specification shares it.
-	names   []string
-	ownerID map[string]int32
+	spec  *spec.Spec
+	mods  *modules
+	names []string // composite names, sorted
+	owner []int32  // module id -> position of its composite in names
 }
 
 // NewUserView constructs a view over s from the given blocks and validates
@@ -36,52 +33,46 @@ type UserView struct {
 // one block, blocks are non-empty, and block names neither use the reserved
 // INPUT/OUTPUT identifiers nor shadow a module outside the block.
 func NewUserView(s *spec.Spec, blocks map[string][]string) (*UserView, error) {
-	v := &UserView{
-		spec:   s,
-		blocks: make(map[string][]string, len(blocks)),
-		owner:  make(map[string]string),
+	return newUserView(s, newModules(s), blocks)
+}
+
+func newUserView(s *spec.Spec, t *modules, blocks map[string][]string) (*UserView, error) {
+	v := &UserView{spec: s, mods: t, owner: make([]int32, t.n)}
+	for name := range blocks {
+		v.names = append(v.names, name)
 	}
-	for name, members := range blocks {
+	sort.Strings(v.names)
+	for i := range v.owner {
+		v.owner[i] = -1
+	}
+	for c, name := range v.names {
 		if name == spec.Input || name == spec.Output {
 			return nil, fmt.Errorf("core: composite name %q is reserved: %w", name, ErrBadView)
 		}
-		if len(members) == 0 {
+		if len(blocks[name]) == 0 {
 			return nil, fmt.Errorf("core: composite %q is empty: %w", name, ErrBadView)
 		}
-		sorted := append([]string(nil), members...)
-		sort.Strings(sorted)
-		v.blocks[name] = sorted
-		for _, m := range members {
-			if !s.HasModule(m) {
+		for _, m := range blocks[name] {
+			id, ok := t.module(m)
+			if !ok {
 				return nil, fmt.Errorf("core: composite %q contains unknown module %q: %w", name, m, ErrBadView)
 			}
-			if prev, dup := v.owner[m]; dup {
-				return nil, fmt.Errorf("core: module %q in both %q and %q: %w", m, prev, name, ErrBadView)
+			if prev := v.owner[id]; prev >= 0 {
+				return nil, fmt.Errorf("core: module %q in both %q and %q: %w", m, v.names[prev], name, ErrBadView)
 			}
-			v.owner[m] = name
+			v.owner[id] = int32(c)
 		}
 	}
-	for _, m := range s.ModuleNames() {
-		if _, ok := v.owner[m]; !ok {
-			return nil, fmt.Errorf("core: module %q not covered by any composite: %w", m, ErrBadView)
+	for id, c := range v.owner {
+		if c < 0 {
+			return nil, fmt.Errorf("core: module %q not covered by any composite: %w", t.names[id], ErrBadView)
 		}
 	}
 	// A block may be named after a module only if that module is a member;
 	// otherwise the induced graph would silently conflate two identities.
-	for name := range v.blocks {
-		if s.HasModule(name) && v.owner[name] != name {
+	for c, name := range v.names {
+		if id, ok := t.module(name); ok && v.owner[id] != int32(c) {
 			return nil, fmt.Errorf("core: composite %q shadows module %q outside it: %w", name, name, ErrBadView)
-		}
-	}
-	v.names = make([]string, 0, len(v.blocks))
-	for name := range v.blocks {
-		v.names = append(v.names, name)
-	}
-	sort.Strings(v.names)
-	v.ownerID = make(map[string]int32, len(v.owner))
-	for i, name := range v.names {
-		for _, m := range v.blocks[name] {
-			v.ownerID[m] = int32(i)
 		}
 	}
 	return v, nil
@@ -91,7 +82,7 @@ func NewUserView(s *spec.Spec, blocks map[string][]string) (*UserView, error) {
 func (v *UserView) Spec() *spec.Spec { return v.spec }
 
 // Size returns |U|, the number of composite modules.
-func (v *UserView) Size() int { return len(v.blocks) }
+func (v *UserView) Size() int { return len(v.names) }
 
 // CompositeOf returns the composite module containing the given module, or
 // the module itself when it is INPUT or OUTPUT (the paper's convention
@@ -101,25 +92,33 @@ func (v *UserView) CompositeOf(module string) (string, bool) {
 	if module == spec.Input || module == spec.Output {
 		return module, true
 	}
-	c, ok := v.owner[module]
-	return c, ok
+	if c, ok := v.CompositeIndex(module); ok {
+		return v.names[c], true
+	}
+	return "", false
 }
 
 // CompositeIndex returns the position, in Composites(), of the composite
 // module containing the given module. The second result is false for
 // identifiers the view does not partition, INPUT and OUTPUT included.
 func (v *UserView) CompositeIndex(module string) (int32, bool) {
-	i, ok := v.ownerID[module]
-	return i, ok
+	if id, ok := v.mods.module(module); ok {
+		return v.owner[id], true
+	}
+	return 0, false
 }
 
 // Members returns the sorted member modules of a composite (nil if unknown).
 func (v *UserView) Members(composite string) []string {
-	ms := v.blocks[composite]
-	if ms == nil {
-		return nil
+	var out []string
+	if c := sort.SearchStrings(v.names, composite); c < len(v.names) && v.names[c] == composite {
+		for id, o := range v.owner {
+			if int(o) == c {
+				out = append(out, v.mods.names[id])
+			}
+		}
 	}
-	return append([]string(nil), ms...)
+	return out
 }
 
 // Composites returns all composite names, sorted.
@@ -127,11 +126,12 @@ func (v *UserView) Composites() []string {
 	return append([]string(nil), v.names...)
 }
 
-// Blocks returns a deep copy of the partition.
+// Blocks returns the partition as a fresh map from composite name to its
+// sorted members.
 func (v *UserView) Blocks() map[string][]string {
-	out := make(map[string][]string, len(v.blocks))
-	for name, members := range v.blocks {
-		out[name] = append([]string(nil), members...)
+	out := make(map[string][]string, len(v.names))
+	for id, c := range v.owner {
+		out[v.names[c]] = append(out[v.names[c]], v.mods.names[id])
 	}
 	return out
 }
@@ -139,8 +139,8 @@ func (v *UserView) Blocks() map[string][]string {
 // BlockOf returns the module -> composite assignment as a fresh map.
 func (v *UserView) BlockOf() map[string]string {
 	out := make(map[string]string, len(v.owner))
-	for m, c := range v.owner {
-		out[m] = c
+	for id, c := range v.owner {
+		out[v.mods.names[id]] = v.names[c]
 	}
 	return out
 }
@@ -149,7 +149,7 @@ func (v *UserView) BlockOf() map[string]string {
 // plus the pass-through INPUT and OUTPUT, with an edge A -> B whenever some
 // module of A has a specification edge to some module of B (A != B).
 func (v *UserView) Induced() *graph.Graph {
-	return v.spec.Graph().Quotient(v.owner, false)
+	return v.spec.Graph().Quotient(v.BlockOf(), false)
 }
 
 // InducedSpec materializes the induced workflow as a first-class
@@ -162,15 +162,16 @@ func (v *UserView) Induced() *graph.Graph {
 // workflow").
 func (v *UserView) InducedSpec() (*spec.Spec, error) {
 	out := spec.New(v.spec.Name() + "@view")
-	for _, name := range v.Composites() {
+	blocks := v.Blocks()
+	for _, name := range v.names {
 		kind := spec.KindFormatting
-		for _, m := range v.blocks[name] {
+		for _, m := range blocks[name] {
 			if mod, ok := v.spec.Module(m); ok && mod.Kind == spec.KindScientific {
 				kind = spec.KindScientific
 				break
 			}
 		}
-		desc := "composite of " + fmt.Sprint(v.blocks[name])
+		desc := "composite of " + fmt.Sprint(blocks[name])
 		if err := out.AddModule(spec.Module{Name: name, Kind: kind, Desc: desc}); err != nil {
 			return nil, err
 		}
@@ -190,55 +191,34 @@ func (v *UserView) InducedSpec() (*spec.Spec, error) {
 	return out, nil
 }
 
-// CompositeContaining returns the composite that holds any relevant module
-// of rel, mapping each relevant module to its composite. Used by checkers.
-func (v *UserView) relevantComposites(rel map[string]bool) map[string]string {
-	out := make(map[string]string)
-	for m := range rel {
-		if c, ok := v.owner[m]; ok {
-			out[m] = c
-		}
-	}
-	return out
-}
-
 // Equal reports whether two views are the same partition (block names are
 // ignored; only the grouping matters).
 func (v *UserView) Equal(o *UserView) bool {
-	if len(v.owner) != len(o.owner) {
-		return false
-	}
-	// Two partitions are equal iff every pair of modules co-grouped in one
-	// is co-grouped in the other; comparing canonical block keys suffices.
-	can := func(u *UserView) map[string]string {
-		out := make(map[string]string, len(u.owner))
-		for name, members := range u.blocks {
-			key := fmt.Sprint(members)
-			_ = name
-			for _, m := range members {
-				out[m] = key
-			}
-		}
-		return out
-	}
-	a, b := can(v), can(o)
-	for m, k := range a {
-		if b[m] != k {
+	return len(v.owner) == len(o.owner) && v.within(o) && o.within(v)
+}
+
+// within reports whether every composite of v lies inside one of o's.
+func (v *UserView) within(o *UserView) bool {
+	into := make([]int32, len(v.names)) // v's composite -> o's composite + 1
+	for id, c := range v.owner {
+		oc, ok := o.CompositeIndex(v.mods.names[id])
+		if !ok || into[c] != 0 && into[c] != oc+1 {
 			return false
 		}
+		into[c] = oc + 1
 	}
 	return true
 }
 
 // String implements fmt.Stringer with a deterministic rendering.
 func (v *UserView) String() string {
-	names := v.Composites()
+	blocks := v.Blocks()
 	s := "view{"
-	for i, n := range names {
+	for i, n := range v.names {
 		if i > 0 {
 			s += " "
 		}
-		s += fmt.Sprintf("%s=%v", n, v.blocks[n])
+		s += fmt.Sprintf("%s=%v", n, blocks[n])
 	}
 	return s + "}"
 }
@@ -247,14 +227,10 @@ func (v *UserView) String() string {
 // after itself. Under UAdmin every step and every data object is visible —
 // the paper's administrator view.
 func UAdmin(s *spec.Spec) *UserView {
-	blocks := make(map[string][]string)
-	for _, m := range s.ModuleNames() {
-		blocks[m] = []string{m}
-	}
-	v, err := NewUserView(s, blocks)
-	if err != nil {
-		// Impossible for a well-formed spec; surface loudly in tests.
-		panic(fmt.Sprintf("core: UAdmin construction failed: %v", err))
+	t := newModules(s)
+	v := &UserView{spec: s, mods: t, names: t.names[:t.n:t.n], owner: make([]int32, t.n)}
+	for id := range v.owner {
+		v.owner[id] = int32(id)
 	}
 	return v
 }
@@ -265,9 +241,9 @@ const BlackBoxName = "WORKFLOW"
 // UBlackBox returns the coarsest view: the entire workflow in one composite.
 // Only workflow inputs and final outputs are visible through it.
 func UBlackBox(s *spec.Spec) (*UserView, error) {
-	mods := s.ModuleNames()
-	if len(mods) == 0 {
+	t := newModules(s)
+	if t.n == 0 {
 		return nil, fmt.Errorf("core: cannot build black-box view of empty spec: %w", ErrBadView)
 	}
-	return NewUserView(s, map[string][]string{BlackBoxName: mods})
+	return newUserView(s, t, map[string][]string{BlackBoxName: t.names[:t.n]})
 }

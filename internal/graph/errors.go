@@ -2,18 +2,7 @@ package graph
 
 import "errors"
 
-// Sentinel errors returned by graph algorithms. Callers test them with
-// errors.Is so that the higher layers can wrap them with context.
-var (
-	// ErrCyclic is returned by DAG-only algorithms applied to a cyclic graph.
-	ErrCyclic = errors.New("graph: cycle detected")
-	// ErrUnknownNode is returned when an operation references a node that is
-	// not part of the graph.
-	ErrUnknownNode = errors.New("graph: unknown node")
-	// ErrIncompletePartition is returned when a partition does not cover its
-	// declared domain exactly.
-	ErrIncompletePartition = errors.New("graph: incomplete partition")
-	// ErrBlockCollision is returned when a partition block name collides
-	// with a pass-through node id.
-	ErrBlockCollision = errors.New("graph: block name collides with node")
-)
+// ErrCyclic is returned by DAG-only algorithms applied to a cyclic graph.
+// Callers test it with errors.Is so that the higher layers can wrap it with
+// context.
+var ErrCyclic = errors.New("graph: cycle detected")

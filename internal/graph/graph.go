@@ -4,7 +4,7 @@
 //
 // The implementation keeps a dense integer core (adjacency slices indexed by
 // a compact node index) behind a string-keyed API, so that algorithmic code
-// (reachability, SCC, transitive closure) runs on ints while callers deal in
+// (reachability, topological order, quotients) runs on ints while callers deal in
 // human-readable node identifiers such as "M7" or "S13".
 //
 // A Graph is not safe for concurrent mutation; concurrent readers are safe

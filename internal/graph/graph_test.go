@@ -227,51 +227,3 @@ func TestHasPathAvoiding(t *testing.T) {
 		t.Fatal("every i->m3 path passes through relevant m2")
 	}
 }
-
-func TestEdgeOnPathAvoiding(t *testing.T) {
-	g := New()
-	g.AddEdge("r1", "n1")
-	g.AddEdge("n1", "r2")
-	g.AddEdge("r1", "r2")
-	avoid := func(n string) bool { return n == "r1" || n == "r2" }
-	if !g.EdgeOnPathAvoiding("r1", "n1", "r1", "r2", avoid) {
-		t.Fatal("(r1,n1) lies on nr-path r1->n1->r2")
-	}
-	if !g.EdgeOnPathAvoiding("r1", "r2", "r1", "r2", avoid) {
-		t.Fatal("(r1,r2) is itself an nr-path r1->r2")
-	}
-	if g.EdgeOnPathAvoiding("r1", "n1", "n1", "r2", avoid) {
-		t.Fatal("edge into the source cannot be on a path from the source")
-	}
-	if g.EdgeOnPathAvoiding("a", "b", "r1", "r2", avoid) {
-		t.Fatal("nonexistent edge reported on a path")
-	}
-}
-
-func TestBFSOrder(t *testing.T) {
-	g := buildDiamond(t)
-	got := g.BFSOrder("a")
-	if !reflect.DeepEqual(got, []string{"a", "b", "c", "d"}) {
-		t.Fatalf("BFSOrder = %v", got)
-	}
-	if g.BFSOrder("ghost") != nil {
-		t.Fatal("BFSOrder of unknown node should be nil")
-	}
-}
-
-func TestShortestPath(t *testing.T) {
-	g := New()
-	g.AddEdge("a", "b")
-	g.AddEdge("b", "c")
-	g.AddEdge("a", "c")
-	got := g.ShortestPath("a", "c")
-	if !reflect.DeepEqual(got, []string{"a", "c"}) {
-		t.Fatalf("ShortestPath = %v, want direct hop", got)
-	}
-	if got := g.ShortestPath("c", "a"); got != nil {
-		t.Fatalf("ShortestPath against edge direction = %v, want nil", got)
-	}
-	if got := g.ShortestPath("a", "a"); !reflect.DeepEqual(got, []string{"a"}) {
-		t.Fatalf("ShortestPath(a,a) = %v", got)
-	}
-}

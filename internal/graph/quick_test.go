@@ -90,36 +90,6 @@ func TestQuickTopoSortIffAcyclic(t *testing.T) {
 	}
 }
 
-// Property: the transitive closure agrees with BFS reachability, and SCC
-// partitions the node set.
-func TestQuickClosureAndSCC(t *testing.T) {
-	f := func(e edgeList) bool {
-		g := e.build()
-		c := g.TransitiveClosure()
-		for _, src := range g.Nodes() {
-			bfs := g.Reach(src)
-			for _, dst := range g.Nodes() {
-				if c.Reachable(src, dst) != bfs[dst] {
-					return false
-				}
-			}
-		}
-		seen := make(map[string]bool)
-		for _, comp := range g.SCC() {
-			for _, n := range comp {
-				if seen[n] {
-					return false
-				}
-				seen[n] = true
-			}
-		}
-		return len(seen) == g.NumNodes()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: removing BackEdges always yields an acyclic graph, and no back
 // edges are reported for acyclic graphs.
 func TestQuickBackEdges(t *testing.T) {

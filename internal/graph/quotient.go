@@ -1,7 +1,5 @@
 package graph
 
-import "fmt"
-
 // Quotient graphs implement the paper's induced workflow specification
 // U(G_w): given a partition of the nodes into blocks, the quotient has one
 // node per block and an edge A -> B (A != B) whenever some member of A has
@@ -36,34 +34,6 @@ func (g *Graph) Quotient(blockOf map[string]string, keepSelfLoops bool) *Graph {
 		q.AddEdge(a, b)
 	})
 	return q
-}
-
-// ValidatePartition checks that blockOf assigns a block to every node listed
-// in domain, assigns blocks only to nodes of g, and that no block name
-// collides with a node id outside the partition domain (which would merge a
-// block with a pass-through node by accident).
-func (g *Graph) ValidatePartition(blockOf map[string]string, domain []string) error {
-	inDomain := make(map[string]bool, len(domain))
-	for _, id := range domain {
-		if !g.HasNode(id) {
-			return fmt.Errorf("graph: partition domain node %q is not in the graph: %w", id, ErrUnknownNode)
-		}
-		inDomain[id] = true
-	}
-	for _, id := range domain {
-		if _, ok := blockOf[id]; !ok {
-			return fmt.Errorf("graph: node %q has no block assignment: %w", id, ErrIncompletePartition)
-		}
-	}
-	for id, block := range blockOf {
-		if !inDomain[id] {
-			return fmt.Errorf("graph: block assignment for %q is outside the partition domain: %w", id, ErrIncompletePartition)
-		}
-		if g.HasNode(block) && !inDomain[block] {
-			return fmt.Errorf("graph: block name %q collides with pass-through node: %w", block, ErrBlockCollision)
-		}
-	}
-	return nil
 }
 
 // InducedSubgraph returns the subgraph of g restricted to the given node

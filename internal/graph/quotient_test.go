@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -54,46 +53,6 @@ func TestQuotientCollapsesParallelEdges(t *testing.T) {
 	}
 }
 
-func TestValidatePartition(t *testing.T) {
-	g := New()
-	g.AddEdge("i", "m1")
-	g.AddEdge("m1", "m2")
-	g.AddEdge("m2", "o")
-	domain := []string{"m1", "m2"}
-
-	ok := map[string]string{"m1": "C", "m2": "C"}
-	if err := g.ValidatePartition(ok, domain); err != nil {
-		t.Fatalf("valid partition rejected: %v", err)
-	}
-
-	missing := map[string]string{"m1": "C"}
-	if err := g.ValidatePartition(missing, domain); !errors.Is(err, ErrIncompletePartition) {
-		t.Fatalf("missing assignment: err = %v", err)
-	}
-
-	extra := map[string]string{"m1": "C", "m2": "C", "o": "C"}
-	if err := g.ValidatePartition(extra, domain); !errors.Is(err, ErrIncompletePartition) {
-		t.Fatalf("out-of-domain assignment: err = %v", err)
-	}
-
-	collide := map[string]string{"m1": "i", "m2": "i"}
-	if err := g.ValidatePartition(collide, domain); !errors.Is(err, ErrBlockCollision) {
-		t.Fatalf("block/node collision: err = %v", err)
-	}
-
-	badDomain := []string{"m1", "ghost"}
-	if err := g.ValidatePartition(ok, badDomain); !errors.Is(err, ErrUnknownNode) {
-		t.Fatalf("unknown domain node: err = %v", err)
-	}
-
-	// A block may reuse a name inside the domain (a block named after one of
-	// its own members), which is how relevant composites are labelled.
-	selfName := map[string]string{"m1": "m1", "m2": "m1"}
-	if err := g.ValidatePartition(selfName, domain); err != nil {
-		t.Fatalf("self-named block rejected: %v", err)
-	}
-}
-
 func TestInducedSubgraph(t *testing.T) {
 	g := buildDiamond(t)
 	s := g.InducedSubgraph(map[string]bool{"a": true, "b": true, "d": true})
@@ -142,4 +101,19 @@ func TestQuotientSoundOnRandomGraphs(t *testing.T) {
 			}
 		})
 	}
+}
+
+// randomGraph builds a graph of n nodes and m random edges, self-loops and
+// cycles included.
+func randomGraph(rng *rand.Rand, n, m int) *Graph {
+	g := New()
+	names := make([]string, n)
+	for i := range names {
+		names[i] = "n" + string(rune('A'+i%26)) + string(rune('0'+i/26))
+		g.AddNode(names[i])
+	}
+	for i := 0; i < m; i++ {
+		g.AddEdge(names[rng.Intn(n)], names[rng.Intn(n)])
+	}
+	return g
 }

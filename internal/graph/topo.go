@@ -1,11 +1,10 @@
 package graph
 
-import "sort"
-
 // This file provides order-and-structure algorithms: topological sorting,
-// acyclicity checks, and Tarjan's strongly connected components. Workflow
-// specifications may be cyclic (loops), while workflow runs must be DAGs, so
-// both the DAG-only and the cycle-tolerant entry points are exercised.
+// acyclicity checks, and the back edges that break a specification's
+// loops. Workflow specifications may be cyclic (loops), while workflow runs
+// must be DAGs, so both the DAG-only and the cycle-tolerant entry points
+// are exercised.
 
 // TopoSort returns a topological order of the nodes, or ErrCyclic if the
 // graph contains a cycle. Ties are broken by node insertion order, so the
@@ -45,99 +44,6 @@ func (g *Graph) TopoSort() ([]string, error) {
 func (g *Graph) IsAcyclic() bool {
 	_, err := g.TopoSort()
 	return err == nil
-}
-
-// SCC returns the strongly connected components in reverse topological order
-// of the condensation (Tarjan's invariant). Every node appears in exactly
-// one component; trivial components are single nodes without self-loops.
-// Node order inside each component is sorted for determinism.
-func (g *Graph) SCC() [][]string {
-	n := len(g.ids)
-	const unvisited = -1
-	idx := make([]int, n)
-	low := make([]int, n)
-	onStack := make([]bool, n)
-	for i := range idx {
-		idx[i] = unvisited
-	}
-	var (
-		counter int
-		stack   []int
-		comps   [][]string
-	)
-	// Iterative Tarjan to survive deep graphs (large unrolled runs).
-	type frame struct {
-		v  int
-		ei int // index into succ[v] of the next edge to examine
-	}
-	for root := 0; root < n; root++ {
-		if idx[root] != unvisited {
-			continue
-		}
-		frames := []frame{{v: root}}
-		idx[root] = counter
-		low[root] = counter
-		counter++
-		stack = append(stack, root)
-		onStack[root] = true
-		for len(frames) > 0 {
-			f := &frames[len(frames)-1]
-			if f.ei < len(g.succ[f.v]) {
-				w := g.succ[f.v][f.ei]
-				f.ei++
-				if idx[w] == unvisited {
-					idx[w] = counter
-					low[w] = counter
-					counter++
-					stack = append(stack, w)
-					onStack[w] = true
-					frames = append(frames, frame{v: w})
-				} else if onStack[w] && idx[w] < low[f.v] {
-					low[f.v] = idx[w]
-				}
-				continue
-			}
-			// All edges of f.v explored: maybe emit a component, then pop.
-			if low[f.v] == idx[f.v] {
-				var comp []string
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					comp = append(comp, g.ids[w])
-					if w == f.v {
-						break
-					}
-				}
-				sort.Strings(comp)
-				comps = append(comps, comp)
-			}
-			frames = frames[:len(frames)-1]
-			if len(frames) > 0 {
-				p := &frames[len(frames)-1]
-				if low[f.v] < low[p.v] {
-					low[p.v] = low[f.v]
-				}
-			}
-		}
-	}
-	return comps
-}
-
-// CyclicNodes returns the set of nodes that lie on at least one directed
-// cycle (members of non-trivial SCCs, plus self-looped nodes).
-func (g *Graph) CyclicNodes() map[string]bool {
-	out := make(map[string]bool)
-	for _, comp := range g.SCC() {
-		if len(comp) > 1 {
-			for _, n := range comp {
-				out[n] = true
-			}
-		} else if g.HasEdge(comp[0], comp[0]) {
-			out[comp[0]] = true
-		}
-	}
-	return out
 }
 
 // BackEdges returns a set of edges whose removal makes the graph acyclic,

@@ -2,7 +2,6 @@ package graph
 
 import (
 	"errors"
-	"reflect"
 	"testing"
 )
 
@@ -47,74 +46,6 @@ func TestTopoSortEmpty(t *testing.T) {
 	order, err := New().TopoSort()
 	if err != nil || len(order) != 0 {
 		t.Fatalf("empty graph: order=%v err=%v", order, err)
-	}
-}
-
-func TestSCCSimple(t *testing.T) {
-	g := New()
-	// Two 2-cycles joined by a bridge, plus a lone node.
-	g.AddEdge("a", "b")
-	g.AddEdge("b", "a")
-	g.AddEdge("b", "c")
-	g.AddEdge("c", "d")
-	g.AddEdge("d", "c")
-	g.AddNode("e")
-	comps := g.SCC()
-	byKey := make(map[string][]string)
-	for _, c := range comps {
-		byKey[c[0]] = c
-	}
-	if !reflect.DeepEqual(byKey["a"], []string{"a", "b"}) {
-		t.Fatalf("SCC(a) = %v", byKey["a"])
-	}
-	if !reflect.DeepEqual(byKey["c"], []string{"c", "d"}) {
-		t.Fatalf("SCC(c) = %v", byKey["c"])
-	}
-	if !reflect.DeepEqual(byKey["e"], []string{"e"}) {
-		t.Fatalf("SCC(e) = %v", byKey["e"])
-	}
-	if len(comps) != 3 {
-		t.Fatalf("got %d components, want 3", len(comps))
-	}
-}
-
-func TestSCCReverseTopoOrder(t *testing.T) {
-	// Tarjan emits components in reverse topological order: a component is
-	// emitted only after all components it reaches.
-	g := New()
-	g.AddEdge("x", "y")
-	g.AddEdge("y", "z")
-	comps := g.SCC()
-	pos := make(map[string]int)
-	for i, c := range comps {
-		for _, n := range c {
-			pos[n] = i
-		}
-	}
-	if !(pos["z"] < pos["y"] && pos["y"] < pos["x"]) {
-		t.Fatalf("components not in reverse topological order: %v", comps)
-	}
-}
-
-func TestSCCPartition(t *testing.T) {
-	g := buildDiamond(t)
-	g.AddEdge("d", "a") // make one big cycle
-	comps := g.SCC()
-	if len(comps) != 1 || len(comps[0]) != 4 {
-		t.Fatalf("expected one 4-node SCC, got %v", comps)
-	}
-}
-
-func TestCyclicNodes(t *testing.T) {
-	g := New()
-	g.AddEdge("a", "b")
-	g.AddEdge("b", "a")
-	g.AddEdge("b", "c")
-	g.AddEdge("s", "s")
-	got := g.CyclicNodes()
-	want := map[string]bool{"a": true, "b": true, "s": true}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("CyclicNodes = %v, want %v", got, want)
 	}
 }
 

@@ -72,98 +72,9 @@ func (g *Graph) reach(src string, back bool, avoid func(string) bool) map[string
 	return out
 }
 
-// HasPath reports whether there is a path of length >= 1 from src to dst.
-func (g *Graph) HasPath(src, dst string) bool {
-	return g.Reach(src)[dst]
-}
-
 // HasPathAvoiding reports whether there is a path of length >= 1 from src to
 // dst whose intermediate nodes all satisfy !avoid. This is exactly the
 // paper's "nr-path from src to dst" when avoid tests relevance.
 func (g *Graph) HasPathAvoiding(src, dst string, avoid func(string) bool) bool {
 	return g.ReachAvoiding(src, avoid)[dst]
-}
-
-// EdgeOnPathAvoiding reports whether the edge (u, v) lies on some path from
-// src to dst whose intermediate nodes (every node strictly between src and
-// dst) all satisfy !avoid. The edge's endpoints count as intermediates when
-// they differ from src/dst, so u must be src or a non-avoided node reachable
-// from src by an avoiding path, and symmetrically for v.
-//
-// This is the workhorse of the Property 2 / Property 3 checkers (Section III
-// of the paper), where "edge e lies on an nr-path from r to r'" must be
-// decided both in the specification and in the induced view.
-func (g *Graph) EdgeOnPathAvoiding(u, v, src, dst string, avoid func(string) bool) bool {
-	if !g.HasEdge(u, v) {
-		return false
-	}
-	okU := u == src || (!avoid(u) && g.ReachAvoiding(src, avoid)[u])
-	if !okU {
-		return false
-	}
-	okV := v == dst || (!avoid(v) && g.ReachBackAvoiding(dst, avoid)[v])
-	return okV
-}
-
-// BFSOrder returns nodes in breadth-first order from src (src first).
-// Unknown sources yield an empty slice.
-func (g *Graph) BFSOrder(src string) []string {
-	s := g.idx(src)
-	if s < 0 {
-		return nil
-	}
-	seen := make([]bool, len(g.ids))
-	seen[s] = true
-	order := []int{s}
-	for i := 0; i < len(order); i++ {
-		for _, v := range g.succ[order[i]] {
-			if !seen[v] {
-				seen[v] = true
-				order = append(order, v)
-			}
-		}
-	}
-	return g.toIDs(order)
-}
-
-// ShortestPath returns one shortest path (by edge count) from src to dst,
-// inclusive of both endpoints, or nil if none exists. A path of length zero
-// (src == dst) is returned as the single-element slice.
-func (g *Graph) ShortestPath(src, dst string) []string {
-	s, d := g.idx(src), g.idx(dst)
-	if s < 0 || d < 0 {
-		return nil
-	}
-	if s == d {
-		return []string{src}
-	}
-	prev := make([]int, len(g.ids))
-	for i := range prev {
-		prev[i] = -1
-	}
-	prev[s] = s
-	queue := []int{s}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, v := range g.succ[u] {
-			if prev[v] == -1 {
-				prev[v] = u
-				if v == d {
-					var rev []int
-					for x := d; x != s; x = prev[x] {
-						rev = append(rev, x)
-					}
-					rev = append(rev, s)
-					out := make([]string, len(rev))
-					for i := range rev {
-						out[i] = g.ids[rev[len(rev)-1-i]]
-					}
-					return out
-				}
-				queue = append(queue, v)
-			}
-		}
-	}
-	return nil
 }

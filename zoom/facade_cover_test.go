@@ -31,6 +31,9 @@ func TestFacadeAdminSurface(t *testing.T) {
 	if finds := zoom.DiagnoseView(joe, zoom.JoeRelevant()); len(finds) != 0 {
 		t.Fatalf("clean view diagnosed: %v", finds)
 	}
+	if err := zoom.CheckView(joe, []string{"M2", "nope"}); err == nil || !strings.Contains(err.Error(), `"nope"`) {
+		t.Fatalf("CheckView accepted a relevant module outside the spec: %v", err)
+	}
 
 	// Stats / streaming ingestion / drop.
 	sys := zoom.NewSystem()
