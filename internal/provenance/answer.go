@@ -105,9 +105,9 @@ func (a *Answer) setLists(visible, outData bitset.Set, edgeData int) {
 func resultOf(a *Answer, err error) (*Result, error) { return a.Result(), err }
 
 // ErrIndexMismatch reports a closure and a view mapping interned over
-// different run indexes. Both are derived from the run the warehouse holds
-// under one id, so the only way to see it is a run dropped and re-ingested
-// between a query's run lookup and its closure lookup.
+// different run indexes. A query takes both from the one run instance it
+// resolved — the closure cache and the mapping memo are keyed on it — so
+// this is an invariant check: seeing it means a bug.
 var ErrIndexMismatch = errors.New("provenance: closure and view mapping are over different run indexes")
 
 // projectorFor returns the mapping's projector and the closure's member

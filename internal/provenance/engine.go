@@ -14,6 +14,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,6 +24,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/run"
+	"repro/internal/spec"
 	"repro/internal/warehouse"
 )
 
@@ -32,19 +35,22 @@ var ErrForeignView = errors.New("provenance: view does not match run's specifica
 // Engine evaluates provenance queries against a warehouse.
 //
 // Thread-safety contract: every exported method is safe for concurrent
-// use by multiple goroutines. The engine itself holds only the memoized
-// view→composite-execution mappings, each built at most once per
-// (run, view) key via a sync.Once so concurrent first queries on the same
-// view never duplicate the Build; returned Mappings and Results are
-// treated as immutable after construction and may be shared freely. The
-// expensive UAdmin closures live in the warehouse's sharded singleflight
-// cache, so concurrent queries over the same run contend only briefly on
-// a shard lock, never on the traversal itself.
+// use by multiple goroutines. The engine itself holds only two memos of
+// derived state, each keyed on the objects it is built from: the views
+// built from relevant-module sets, per (specification, set), and the
+// view→composite-execution mappings, per (run instance, view). Each entry
+// is built at most once, so concurrent first queries never duplicate a
+// build; returned views, Mappings and Results are treated as immutable
+// after construction and may be shared freely. Both memos live and die
+// with the engine, which is tied to one warehouse. The expensive UAdmin
+// closures live in the warehouse's sharded singleflight cache, so
+// concurrent queries over the same run contend only briefly on a shard
+// lock, never on the traversal itself.
 type Engine struct {
 	w *warehouse.Warehouse
 
-	mu       sync.Mutex
-	mappings map[mappingKey]*mappingEntry
+	views    memo[viewKey, *core.UserView]
+	mappings memo[mappingKey, *composite.Mapping]
 
 	// obs holds the engine's metrics instruments (nil when detached — the
 	// common case, in which queries never read the clock). Published
@@ -52,61 +58,125 @@ type Engine struct {
 	obs atomic.Pointer[engineMetrics]
 }
 
-type mappingKey struct {
-	runID string
-	view  *core.UserView
+// viewKey names a view built on request: the specification and its
+// relevant set, canonical (see View). The empty set is UAdmin.
+type viewKey struct {
+	spec     *spec.Spec
+	relevant string
 }
 
-// maxMappings bounds the mapping memo. Keys hold view pointers, and a
-// server that builds views from request-supplied relevant lists mints new
-// ones without end; past the bound an arbitrary entry makes room (map
-// iteration order, so effectively random replacement). A rebuilt mapping
-// costs a fraction of a millisecond, well under one cold query.
-const maxMappings = 1024
+type mappingKey struct {
+	r *run.Run
+	v *core.UserView
+}
 
-// mappingEntry memoizes one Build outcome for the run instance r. The Once
-// ensures the mapping is computed exactly once even when many goroutines
-// miss concurrently — the engine-level analogue of the warehouse's
-// singleflight.
-type mappingEntry struct {
-	r    *run.Run
+// memoBound bounds each of the engine's memos. A server that builds views
+// from request-supplied relevant lists mints new keys without end; past the
+// bound an arbitrary entry makes room. A rebuilt view or mapping costs a
+// fraction of a millisecond, well under one cold query.
+const memoBound = 1024
+
+// memo is a bounded map of values built on first use. Each entry is built
+// at most once, however many goroutines miss it at the same time — the
+// engine-level analogue of the warehouse's singleflight — and its error, if
+// any, is kept with it. Past memoBound entries an arbitrary one makes room
+// (map iteration order, so effectively random replacement); an evicted
+// value stays valid for whoever still holds it.
+type memo[K comparable, V any] struct {
+	mu sync.Mutex
+	m  map[K]*memoEntry[V]
+}
+
+type memoEntry[V any] struct {
 	once sync.Once
-	m    *composite.Mapping
+	v    V
 	err  error
+}
+
+// get returns the value under k, building it with build on first use.
+func (c *memo[K, V]) get(k K, build func() (V, error)) (V, error) {
+	c.mu.Lock()
+	ent := c.m[k]
+	if ent == nil {
+		if c.m == nil {
+			c.m = make(map[K]*memoEntry[V])
+		}
+		if len(c.m) >= memoBound {
+			for victim := range c.m {
+				delete(c.m, victim)
+				break
+			}
+		}
+		ent = new(memoEntry[V])
+		c.m[k] = ent
+	}
+	c.mu.Unlock()
+	ent.once.Do(func() { ent.v, ent.err = build() })
+	return ent.v, ent.err
+}
+
+// deleteFunc removes every entry whose key satisfies del.
+func (c *memo[K, V]) deleteFunc(del func(K) bool) {
+	c.mu.Lock()
+	for k := range c.m {
+		if del(k) {
+			delete(c.m, k)
+		}
+	}
+	c.mu.Unlock()
 }
 
 // NewEngine returns an engine over the given warehouse.
 func NewEngine(w *warehouse.Warehouse) *Engine {
-	return &Engine{w: w, mappings: make(map[mappingKey]*mappingEntry)}
+	return &Engine{w: w}
 }
 
 // Warehouse returns the underlying warehouse.
 func (e *Engine) Warehouse() *warehouse.Warehouse { return e.w }
 
+// View resolves a query's choice of view over the specification of run
+// runID: the view registered under name when name is non-empty, otherwise
+// the view the relevant modules induce (core.BuildRelevant), or UAdmin when
+// relevant is empty too. Built views are memoized per (specification,
+// relevant set): the set is sorted and deduplicated first, so every
+// spelling of one set gets the same *core.UserView — and so meets the same
+// memoized mappings. An invalid set's error is memoized with it.
+func (e *Engine) View(runID, name string, relevant []string) (*core.UserView, error) {
+	r, err := e.w.Run(runID)
+	if err != nil {
+		return nil, err
+	}
+	if name != "" {
+		return e.w.View(r.SpecName(), name)
+	}
+	sp, err := e.w.Spec(r.SpecName())
+	if err != nil {
+		return nil, err
+	}
+	set := slices.Clone(relevant)
+	slices.Sort(set)
+	set = slices.Compact(set)
+	// Length-prefixed, so no two sets share a key whatever their names hold.
+	var key []byte
+	for _, m := range set {
+		key = append(strconv.AppendInt(key, int64(len(m)), 10), ':')
+		key = append(key, m...)
+	}
+	return e.views.get(viewKey{sp, string(key)}, func() (*core.UserView, error) {
+		if len(set) == 0 {
+			return core.UAdmin(sp), nil
+		}
+		return core.BuildRelevant(sp, set)
+	})
+}
+
 // mapping returns the (cached) composite-execution mapping of a run under a
 // view. Mappings depend only on (run, view), not on the queried data, so
-// they are shared across queries and built exactly once per key. An entry
-// answers only for the run instance it was built over: after DropRun and a
-// re-ingest under the same id the warehouse hands out a different *run.Run,
-// and the stale entry is replaced instead of served. The memo is bounded
-// (maxMappings); an evicted mapping stays valid for whoever still holds it.
+// they are shared across queries and built exactly once per key. The key is
+// the run instance: a run dropped and re-ingested under the same id is a
+// different key, and its old entries are never met again.
 func (e *Engine) mapping(r *run.Run, v *core.UserView) (*composite.Mapping, error) {
-	key := mappingKey{runID: r.ID(), view: v}
-	e.mu.Lock()
-	ent := e.mappings[key]
-	if ent == nil || ent.r != r {
-		if ent == nil && len(e.mappings) >= maxMappings {
-			for victim := range e.mappings {
-				delete(e.mappings, victim)
-				break
-			}
-		}
-		ent = &mappingEntry{r: r}
-		e.mappings[key] = ent
-	}
-	e.mu.Unlock()
-	ent.once.Do(func() { ent.m, ent.err = composite.Build(r, v) })
-	return ent.m, ent.err
+	return e.mappings.get(mappingKey{r, v}, func() (*composite.Mapping, error) { return composite.Build(r, v) })
 }
 
 // DropRun drops a run from the warehouse (Warehouse.DropRun) and forgets the
@@ -116,13 +186,7 @@ func (e *Engine) DropRun(runID string) error {
 	if err := e.w.DropRun(runID); err != nil {
 		return err
 	}
-	e.mu.Lock()
-	for key := range e.mappings {
-		if key.runID == runID {
-			delete(e.mappings, key)
-		}
-	}
-	e.mu.Unlock()
+	e.mappings.deleteFunc(func(k mappingKey) bool { return k.r.ID() == runID })
 	return nil
 }
 
@@ -211,7 +275,7 @@ func (e *Engine) deepAnswer(ctx context.Context, runID string, v *core.UserView,
 			ErrForeignView, runID, r.SpecName(), v.Spec().Name())
 	}
 	lctx, lsp := obs.StartSpan(ctx, "query.lookup")
-	closure, o, err := e.w.DeepProvenanceObservedCtx(lctx, runID, d, timed)
+	closure, o, err := e.w.DeepProvenanceObservedCtx(lctx, r, d, timed)
 	lsp.End()
 	if err != nil {
 		m.queryError()

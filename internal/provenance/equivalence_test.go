@@ -410,8 +410,8 @@ func TestReingestReplacesMapping(t *testing.T) {
 }
 
 // TestMappingMemoIsBounded: 5,000 distinct relevant lists against one run —
-// a new view pointer each, as a server building views from request bodies
-// mints them — leave the engine's mapping memo at or under maxMappings, and
+// a new view pointer each — leave the engine's mapping memo at or under
+// memoBound, and
 // every answer, including one for a view whose mapping was evicted long ago,
 // is the oracle's.
 func TestMappingMemoIsBounded(t *testing.T) {
@@ -454,8 +454,8 @@ func TestMappingMemoIsBounded(t *testing.T) {
 		}
 		check(v)
 	}
-	if n := len(e.mappings); n > maxMappings {
-		t.Fatalf("mapping memo holds %d entries, bound is %d", n, maxMappings)
+	if n := len(e.mappings.m); n > memoBound {
+		t.Fatalf("mapping memo holds %d entries, bound is %d", n, memoBound)
 	}
 	check(first)
 }
@@ -540,18 +540,18 @@ func TestDropRunForgetsMappings(t *testing.T) {
 			}
 		}
 	}
-	if n := len(e.mappings); n != 2*len(views) {
+	if n := len(e.mappings.m); n != 2*len(views) {
 		t.Fatalf("memo holds %d mappings before the drop, want %d", n, 2*len(views))
 	}
 	if err := e.DropRun("x"); err != nil {
 		t.Fatal(err)
 	}
-	for key := range e.mappings {
-		if key.runID == "x" {
-			t.Fatalf("memo still holds a mapping of the dropped run under view %v", key.view)
+	for key := range e.mappings.m {
+		if key.r == runA {
+			t.Fatalf("memo still holds a mapping of the dropped run under view %v", key.v)
 		}
 	}
-	if n := len(e.mappings); n != len(views) {
+	if n := len(e.mappings.m); n != len(views) {
 		t.Fatalf("memo holds %d mappings after the drop, want the other run's %d", n, len(views))
 	}
 	if err := e.DropRun("x"); !errors.Is(err, warehouse.ErrUnknownRun) {
@@ -623,4 +623,61 @@ func TestOversizedProjectionLeavesThePool(t *testing.T) {
 	steps, ds := oracleClosure(run.Figure2(), "d447", false)
 	sameResult(t, "small projection after an oversized one", got,
 		oracleProject(oracleMapping(t, run.Figure2(), core.UAdmin(spec.Phylogenomics())), "d447", steps, ds))
+}
+
+// TestViewMemoEvictsOne: a full view memo gives up one entry per new view,
+// so every other live view keeps its pointer and, with it, its mappings.
+// Clearing the memo instead would hand every live view a new pointer on its
+// next request and strand all of their mappings at once.
+func TestViewMemoEvictsOne(t *testing.T) {
+	g := gen.NewGenerator(3)
+	sp := g.Workflow(gen.Class2(), "memo")
+	r, _, err := g.Run(sp, gen.Small(), "memo-run")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := engineFor(t, sp, r)
+	mods := sp.ModuleNames()
+	if 1<<len(mods) <= memoBound+1 {
+		t.Fatalf("%d modules cannot spell %d distinct relevant lists", len(mods), memoBound+1)
+	}
+	// The k-th relevant list is the modules at the set bits of k.
+	resolve := func(k int) *core.UserView {
+		var relevant []string
+		for i, m := range mods {
+			if k&(1<<i) != 0 {
+				relevant = append(relevant, m)
+			}
+		}
+		v, err := e.View(r.ID(), "", relevant)
+		if err != nil {
+			t.Fatalf("relevant list %d: %v", k, err)
+		}
+		return v
+	}
+	built := make(map[int]*core.UserView, memoBound)
+	for k := 1; k <= memoBound; k++ {
+		built[k] = resolve(k)
+	}
+	resolve(memoBound + 1)
+	if n := len(e.views.m); n != memoBound {
+		t.Fatalf("memo holds %d views after %d distinct relevant lists, want %d", n, memoBound+1, memoBound)
+	}
+	live := make(map[*core.UserView]bool, len(e.views.m))
+	for _, ent := range e.views.m {
+		live[ent.v] = true
+	}
+	survivors := 0
+	for k, v := range built {
+		if !live[v] {
+			continue
+		}
+		survivors++
+		if again := resolve(k); again != v {
+			t.Fatalf("relevant list %d was not the victim but resolved to a new view", k)
+		}
+	}
+	if survivors != memoBound-1 {
+		t.Fatalf("%d of %d memoized views survived one insertion, want %d", survivors, memoBound, memoBound-1)
+	}
 }

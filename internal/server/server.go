@@ -23,10 +23,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -59,13 +57,6 @@ const DefaultSlowThreshold = 10 * time.Millisecond
 
 // maxBodyBytes bounds request bodies; provenance requests are tiny.
 const maxBodyBytes = 1 << 20
-
-// maxCachedViews bounds the built-view memo; past it one arbitrary entry is
-// evicted per new view. The engine memoizes mappings by view pointer (its
-// memo is bounded too), so a repeated request must meet the same view
-// object to meet its mapping: evicting one view strands one view's
-// mappings, where clearing the memo would strand every live view's at once.
-const maxCachedViews = 1024
 
 // Server serves provenance queries over HTTP. Construct with New, install
 // an engine with SetEngine (possibly after the handler is already
@@ -105,12 +96,6 @@ type Server struct {
 	// after the request is decoded and validated — the seam the graceful-
 	// drain regression test uses to hold a batch in flight across SIGTERM.
 	testHookBatchStarted func()
-
-	// views memoizes built user views per (spec, relevant) and per named
-	// view so repeated requests hit the engine's mapping memo (keyed by
-	// view pointer) instead of rebuilding both every time.
-	vmu   sync.Mutex
-	views map[string]*core.UserView
 }
 
 // New returns a server wired to the registry (one is created when nil).
@@ -142,7 +127,6 @@ func New(reg *obs.Registry, cfg Config) (*Server, error) {
 		slowCount: reg.Counter("http.slow_requests"),
 		ready:     reg.Gauge("server.ready"),
 		routes:    make(map[string]*routeMetrics),
-		views:     make(map[string]*core.UserView),
 	}
 	s.generation.Store(time.Now().UnixNano())
 	for _, key := range routeKeys {
@@ -196,7 +180,9 @@ func (rm *routeMetrics) addInFlight(delta int64) {
 
 // SetEngine installs the engine and flips the server ready. It may be
 // called while the handler is serving — the warehouse typically loads in
-// the background after the listener is already up.
+// the background after the listener is already up. The views the server
+// resolves are memoized by the engine, so they go with the old engine and
+// its warehouse.
 func (s *Server) SetEngine(e *provenance.Engine) {
 	s.engine.Store(e)
 	s.generation.Add(1)
@@ -513,62 +499,18 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 	return nil
 }
 
-// resolveView turns a request's view selector into a built view, memoized
-// so repeated requests reuse one view pointer (and therefore the engine's
-// memoized projection mapping).
-func (s *Server) resolveView(e *provenance.Engine, runID, viewName string, relevant []string) (*core.UserView, error) {
+// resolveView asks the engine for the view a request selects
+// (Engine.View). A request naming both a view and a relevant list, or an
+// invalid relevant list, is the client's error.
+func resolveView(e *provenance.Engine, runID, viewName string, relevant []string) (*core.UserView, error) {
 	if viewName != "" && len(relevant) > 0 {
 		return nil, fmt.Errorf("%w: view and relevant are mutually exclusive", errBadRequest)
 	}
-	w := e.Warehouse()
-	r, err := w.Run(runID)
-	if err != nil {
-		return nil, err
+	v, err := e.View(runID, viewName, relevant)
+	if errors.Is(err, core.ErrBadRelevant) {
+		return nil, fmt.Errorf("%w: %v", errBadRequest, err)
 	}
-	specName := r.SpecName()
-	if viewName != "" {
-		return w.View(specName, viewName)
-	}
-	var key string
-	if len(relevant) > 0 {
-		sorted := append([]string(nil), relevant...)
-		sort.Strings(sorted)
-		key = "relevant\x00" + specName + "\x00" + strings.Join(sorted, "\x00")
-	} else {
-		key = "uadmin\x00" + specName
-	}
-	s.vmu.Lock()
-	v := s.views[key]
-	s.vmu.Unlock()
-	if v != nil {
-		return v, nil
-	}
-	sp, err := w.Spec(specName)
-	if err != nil {
-		return nil, err
-	}
-	if len(relevant) > 0 {
-		if v, err = core.BuildRelevant(sp, relevant); err != nil {
-			return nil, fmt.Errorf("%w: %v", errBadRequest, err)
-		}
-	} else {
-		v = core.UAdmin(sp)
-	}
-	s.vmu.Lock()
-	// Keep the first winner so concurrent builders converge on one pointer.
-	if prev := s.views[key]; prev != nil {
-		v = prev
-	} else {
-		if len(s.views) >= maxCachedViews {
-			for victim := range s.views {
-				delete(s.views, victim)
-				break
-			}
-		}
-		s.views[key] = v
-	}
-	s.vmu.Unlock()
-	return v, nil
+	return v, err
 }
 
 // wantInlineTrace reports whether the response should embed the span tree.
@@ -595,7 +537,7 @@ func (s *Server) handleQuery(ctx context.Context, tr *obs.Trace, w http.Response
 		writeError(w, tr, fmt.Errorf("%w: run and data are required", errBadRequest))
 		return
 	}
-	v, err := s.resolveView(e, req.Run, req.View, req.Relevant)
+	v, err := resolveView(e, req.Run, req.View, req.Relevant)
 	if err != nil {
 		writeError(w, tr, err)
 		return
@@ -644,7 +586,7 @@ func (s *Server) handleBatch(ctx context.Context, tr *obs.Trace, w http.Response
 		writeError(w, tr, fmt.Errorf("%w: run and a non-empty data list are required", errBadRequest))
 		return
 	}
-	v, err := s.resolveView(e, req.Run, req.View, req.Relevant)
+	v, err := resolveView(e, req.Run, req.View, req.Relevant)
 	if err != nil {
 		writeError(w, tr, err)
 		return

@@ -11,13 +11,13 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/gen"
 	"repro/internal/obs"
 	"repro/internal/provenance"
 	"repro/internal/run"
@@ -535,7 +535,7 @@ func TestServerDebugEndpoints(t *testing.T) {
 // TestServerConcurrentBatchTrace hammers the API from many goroutines —
 // traced batches, traced and untraced single queries, metric scrapes, and
 // slow-log reads all at once — so -race can see the span tree, ring
-// buffer, view memo, and registry interact. (`make race` runs every test
+// buffer, the engine's view memo, and registry interact. (`make race` runs every test
 // matching Concurrent|Stress.)
 func TestServerConcurrentBatchTrace(t *testing.T) {
 	s, _ := newTestServer(t, Config{SlowThreshold: -1, SlowLogSize: 32})
@@ -607,71 +607,76 @@ func TestServerConcurrentBatchTrace(t *testing.T) {
 	}
 }
 
-// TestViewMemoEvictsOne: a full view memo gives up one entry per new view.
-// It used to reset, which handed every live view a new pointer on its next
-// request and stranded all of their (run, view) mappings in the engine at
-// once.
-func TestViewMemoEvictsOne(t *testing.T) {
-	g := gen.NewGenerator(3)
-	sp := g.Workflow(gen.Class2(), "memo")
-	r, _, err := g.Run(sp, gen.Small(), "memo-run")
-	if err != nil {
-		t.Fatal(err)
+// tinyEngine serves one run "r" of a spec called "tiny" whose modules form
+// a chain INPUT -> mods[0] -> mods[1] -> ... -> OUTPUT; step S<i+1> runs
+// mods[i], reading d<i> and writing d<i+1>.
+func tinyEngine(t *testing.T, mods ...string) *provenance.Engine {
+	t.Helper()
+	s := spec.New("tiny")
+	var events []wflog.Event
+	prev := spec.Input
+	for i, m := range mods {
+		s.MustAddModule(spec.Module{Name: m})
+		s.MustAddEdge(prev, m)
+		prev = m
+		step, seq := fmt.Sprintf("S%d", i+1), int64(3*i)
+		events = append(events,
+			wflog.Event{Seq: seq + 1, Kind: wflog.KindStart, Step: step, Module: m},
+			wflog.Event{Seq: seq + 2, Kind: wflog.KindRead, Step: step, Data: fmt.Sprintf("d%d", i)},
+			wflog.Event{Seq: seq + 3, Kind: wflog.KindWrite, Step: step, Data: fmt.Sprintf("d%d", i+1)})
 	}
+	s.MustAddEdge(prev, spec.Output)
 	w := warehouse.New(0)
-	if err := w.RegisterSpec(sp); err != nil {
+	if err := w.RegisterSpec(s); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.LoadRun(r); err != nil {
+	if err := w.LoadLog("r", "tiny", events); err != nil {
 		t.Fatal(err)
 	}
-	e := provenance.NewEngine(w)
-	s, err := New(obs.NewRegistry(), Config{})
+	return provenance.NewEngine(w)
+}
+
+// volatile matches the parts of an answer that differ between two servers
+// answering the same query: the trace id and the stage timings.
+var volatile = regexp.MustCompile(`"trace_id":"[0-9a-f]*"|"timing":\{[^}]*\}`)
+
+// TestViewMemoDiesWithEngine: the views a server resolves belong to its
+// engine. After SetEngine installs a warehouse whose spec "tiny" gained a
+// module, a relevant list the old engine had memoized is resolved over the
+// new spec, so the answer is a fresh server's and not a 400 "view does not
+// cover run". Spellings of one relevant set share one view.
+func TestViewMemoDiesWithEngine(t *testing.T) {
+	query := func(s *Server, data string) []byte {
+		t.Helper()
+		rec := doJSON(t, s.Handler(), "POST", "/v1/query", queryRequest{Run: "r", Data: data, Relevant: []string{"A"}}, nil)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("query %s: status %d: %s", data, rec.Code, rec.Body)
+		}
+		return volatile.ReplaceAll(rec.Body.Bytes(), nil)
+	}
+	s, _ := newTestServer(t, Config{})
+	s.SetEngine(tinyEngine(t, "A"))
+	query(s, "d1")
+	s.SetEngine(tinyEngine(t, "A", "B"))
+	got := query(s, "d2")
+
+	fresh, _ := newTestServer(t, Config{})
+	fresh.SetEngine(tinyEngine(t, "A", "B"))
+	if want := query(fresh, "d2"); !bytes.Equal(got, want) {
+		t.Fatalf("after SetEngine:\n%s\nfresh server:\n%s", got, want)
+	}
+
+	e := tinyEngine(t, "A", "B")
+	v1, err := resolveView(e, "r", "", []string{"B", "A", "B"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mods := sp.ModuleNames()
-	if 1<<len(mods) <= maxCachedViews+1 {
-		t.Fatalf("%d modules cannot spell %d distinct relevant lists", len(mods), maxCachedViews+1)
+	v2, err := resolveView(e, "r", "", []string{"A", "B"})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The k-th relevant list is the modules at the set bits of k.
-	resolve := func(k int) *core.UserView {
-		var relevant []string
-		for i, m := range mods {
-			if k&(1<<i) != 0 {
-				relevant = append(relevant, m)
-			}
-		}
-		v, err := s.resolveView(e, r.ID(), "", relevant)
-		if err != nil {
-			t.Fatalf("relevant list %d: %v", k, err)
-		}
-		return v
-	}
-	built := make(map[int]*core.UserView, maxCachedViews)
-	for k := 1; k <= maxCachedViews; k++ {
-		built[k] = resolve(k)
-	}
-	resolve(maxCachedViews + 1)
-	if n := len(s.views); n != maxCachedViews {
-		t.Fatalf("memo holds %d views after %d distinct relevant lists, want %d", n, maxCachedViews+1, maxCachedViews)
-	}
-	live := make(map[*core.UserView]bool, len(s.views))
-	for _, v := range s.views {
-		live[v] = true
-	}
-	survivors := 0
-	for k, v := range built {
-		if !live[v] {
-			continue
-		}
-		survivors++
-		if again := resolve(k); again != v {
-			t.Fatalf("relevant list %d was not the victim but resolved to a new view", k)
-		}
-	}
-	if survivors != maxCachedViews-1 {
-		t.Fatalf("%d of %d memoized views survived one insertion, want %d", survivors, maxCachedViews, maxCachedViews-1)
+	if v1 != v2 {
+		t.Fatal("two spellings of one relevant set resolved to different views")
 	}
 }
 

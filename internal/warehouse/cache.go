@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/run"
 )
 
 // closureCache is the equivalent of the paper's temporary table: "when a
@@ -17,24 +18,22 @@ import (
 //
 // The cache is built for concurrent serving:
 //
-//   - Entries live in lock-striped LRU shards keyed by a hash of
-//     (run id, data id), so goroutines querying different keys rarely
-//     contend on the same mutex. Small capacities collapse to a single
-//     shard, preserving exact global LRU order for tiny caches.
+//   - Entries live in lock-striped LRU shards keyed by (run instance, data
+//     id), so goroutines querying different keys rarely contend on the same
+//     mutex. Small capacities collapse to a single shard, preserving exact
+//     global LRU order for tiny caches.
 //   - Misses go through a per-key singleflight: the first goroutine to
 //     miss becomes the leader and computes the closure once; concurrent
 //     misses on the same key wait for the leader's result instead of
 //     duplicating the ConnectBy traversal (no thundering herd).
-//   - Every queried run has a generation drawn from a cache-global
-//     monotonic sequence. Invalidate and reset advance it, dropRun and
-//     reset unregister it, and a leader only stores its result if the run
-//     is still registered at the generation it read before computing — a
-//     closure computed from dropped or invalidated state is delivered to
-//     its waiters but never cached. Because the sequence never repeats a
-//     value, a run dropped and re-registered can never alias a stale
-//     leader's generation, which is what lets dropRun *delete* the
-//     generation entry instead of keeping a tombstone forever: the table
-//     is bounded by the set of live, queried runs.
+//   - The fence is the run instance. A run is immutable, so a closure
+//     computed from it is never stale; the only question is whether to keep
+//     it. The warehouse's leader computes and keeps its closure under the
+//     warehouse read lock, and only while the warehouse is open and still
+//     serves that instance under its id; DropRun and Close take the write
+//     lock before they sweep, so a closure of a dropped run is delivered to
+//     its waiters but never cached, and a run re-ingested under the same id
+//     is a different key.
 //
 // Counters are atomic and globally aggregated across shards; see
 // CacheCounters for the invariants they maintain.
@@ -49,10 +48,6 @@ type closureCache struct {
 	evictions     atomic.Int64
 	invalidations atomic.Int64
 	drops         atomic.Int64
-
-	genMu  sync.Mutex
-	gens   map[string]uint64 // run id -> generation (live, queried runs only)
-	genSeq uint64            // last issued generation; strictly increases
 
 	// obs mirrors the lifecycle counters into an attached metrics registry
 	// (nil when detached — the common case — so the hot path pays one
@@ -89,7 +84,8 @@ func (cc *closureCache) attachMetrics(reg *obs.Registry) {
 }
 
 type cacheKey struct {
-	run, data string
+	r    *run.Run
+	data string
 }
 
 type cacheEntry struct {
@@ -169,10 +165,7 @@ func shardsFor(capacity int) int {
 func newClosureCache(capacity int) *closureCache {
 	n := shardsFor(capacity)
 	perShard := (capacity + n - 1) / n
-	cc := &closureCache{
-		shards: make([]*cacheShard, n),
-		gens:   make(map[string]uint64),
-	}
+	cc := &closureCache{shards: make([]*cacheShard, n)}
 	for i := range cc.shards {
 		cc.shards[i] = &cacheShard{
 			cap:      perShard,
@@ -184,7 +177,8 @@ func newClosureCache(capacity int) *closureCache {
 	return cc
 }
 
-// shard hashes a key to its stripe (FNV-1a over run, a separator, data).
+// shard hashes a key to its stripe (FNV-1a over the run's id, a separator,
+// the data id).
 func (cc *closureCache) shard(key cacheKey) *cacheShard {
 	if len(cc.shards) == 1 {
 		return cc.shards[0]
@@ -194,94 +188,14 @@ func (cc *closureCache) shard(key cacheKey) *cacheShard {
 		prime64  = 1099511628211
 	)
 	h := uint64(offset64)
-	for i := 0; i < len(key.run); i++ {
-		h = (h ^ uint64(key.run[i])) * prime64
+	for id, i := key.r.ID(), 0; i < len(id); i++ {
+		h = (h ^ uint64(id[i])) * prime64
 	}
 	h = (h ^ 0xff) * prime64
 	for i := 0; i < len(key.data); i++ {
 		h = (h ^ uint64(key.data[i])) * prime64
 	}
 	return cc.shards[h%uint64(len(cc.shards))]
-}
-
-// generation returns the run's current generation, registering the run on
-// first use so later bumps (invalidate) and unregistrations (dropRun,
-// reset) are visible to an in-flight leader that read the generation
-// first. Generations come from a cache-global monotonic sequence, so a
-// value can never repeat: a run dropped and later re-registered gets a
-// strictly larger generation than any a pre-drop leader could hold.
-func (cc *closureCache) generation(runID string) uint64 {
-	cc.genMu.Lock()
-	defer cc.genMu.Unlock()
-	g, ok := cc.gens[runID]
-	if !ok {
-		cc.genSeq++
-		g = cc.genSeq
-		cc.gens[runID] = g
-	}
-	return g
-}
-
-// generationIs is the leader's store-time fence: it reports whether the
-// run is still registered at generation g. A run dropped or reset since
-// the leader read g is no longer registered, and a run re-registered since
-// carries a strictly larger generation, so both fail the check.
-func (cc *closureCache) generationIs(runID string, g uint64) bool {
-	cc.genMu.Lock()
-	defer cc.genMu.Unlock()
-	cur, ok := cc.gens[runID]
-	return ok && cur == g
-}
-
-// forgetGeneration removes the run's generation entry if it is still
-// exactly g — the error path's cleanup, keeping the table bounded when
-// queries against unknown runs or data register a generation whose compute
-// then fails. Removing the entry is always safe: any other in-flight
-// leader holding g simply fails its store-time fence and skips caching.
-func (cc *closureCache) forgetGeneration(runID string, g uint64) {
-	cc.genMu.Lock()
-	if cur, ok := cc.gens[runID]; ok && cur == g {
-		delete(cc.gens, runID)
-	}
-	cc.genMu.Unlock()
-}
-
-// bumpRun advances a registered run's generation so in-flight computations
-// started before the bump cannot populate the cache. An unregistered run
-// needs no bump: every leader registers the run (generation) before
-// starting its compute, so no fenceable computation can exist.
-func (cc *closureCache) bumpRun(runID string) {
-	cc.genMu.Lock()
-	if _, ok := cc.gens[runID]; ok {
-		cc.genSeq++
-		cc.gens[runID] = cc.genSeq
-	}
-	cc.genMu.Unlock()
-}
-
-// dropGeneration unregisters a run. In-flight leaders fail generationIs on
-// the missing entry, and — unlike the old bump-and-keep scheme — nothing
-// is left behind, so run churn cannot grow the table without bound.
-func (cc *closureCache) dropGeneration(runID string) {
-	cc.genMu.Lock()
-	delete(cc.gens, runID)
-	cc.genMu.Unlock()
-}
-
-// resetGenerations unregisters every run (reset). genSeq is deliberately
-// not reset: monotonicity across resets is what makes deletion safe.
-func (cc *closureCache) resetGenerations() {
-	cc.genMu.Lock()
-	cc.gens = make(map[string]uint64)
-	cc.genMu.Unlock()
-}
-
-// generationTableLen returns the number of registered runs — bounded by
-// the live, queried runs (the lifecycle tests pin this).
-func (cc *closureCache) generationTableLen() int {
-	cc.genMu.Lock()
-	defer cc.genMu.Unlock()
-	return len(cc.gens)
 }
 
 // insertLocked adds or refreshes an entry and evicts from the back while
@@ -304,11 +218,14 @@ func (sh *cacheShard) insertLocked(key cacheKey, c *Closure, cc *closureCache, m
 	}
 }
 
-// getOrCompute returns the cached closure for (runID, d), or computes it
-// exactly once per generation under concurrent misses: the first miss
-// leads the flight and runs compute without holding any shard lock; every
-// concurrent miss on the same key blocks on the flight and shares the
-// result. Errors are delivered to all waiters and never cached.
+// getOrCompute returns the cached closure for key, or computes it exactly
+// once under concurrent misses: the first miss leads the flight and runs
+// compute without holding any shard lock; every concurrent miss on the same
+// key blocks on the flight and shares the result. compute passes its
+// closure to keep, at most once, when the cache may store it (the warehouse
+// does so under its read lock, only while it still serves key.r); a
+// closure it does not keep is delivered to this lookup's waiters and
+// dropped. Errors are delivered to all waiters and never cached.
 //
 // The Observation reports how the lookup was served; when timed is true
 // (or a metrics registry is attached) a miss also reports the closure
@@ -316,8 +233,7 @@ func (sh *cacheShard) insertLocked(key cacheKey, c *Closure, cc *closureCache, m
 // "closure.compute" / "closure.shared-wait" child spans; hits record no
 // span of their own — the engine's enclosing "query.lookup" span IS the
 // hit's cost — and an untraced context pays only the one nil span check.
-func (cc *closureCache) getOrCompute(ctx context.Context, runID, d string, timed bool, compute func() (*Closure, error)) (*Closure, Observation, error) {
-	key := cacheKey{runID, d}
+func (cc *closureCache) getOrCompute(ctx context.Context, key cacheKey, timed bool, compute func(keep func(*Closure)) (*Closure, error)) (*Closure, Observation, error) {
 	sh := cc.shard(key)
 	m := cc.obs.Load()
 	sh.mu.Lock()
@@ -350,7 +266,6 @@ func (cc *closureCache) getOrCompute(ctx context.Context, runID, d string, timed
 	sh.mu.Unlock()
 
 	cc.misses.Add(1)
-	gen := cc.generation(runID)
 	cc.computes.Add(1)
 	if m != nil {
 		m.misses.Inc()
@@ -362,7 +277,15 @@ func (cc *closureCache) getOrCompute(ctx context.Context, runID, d string, timed
 		start = time.Now()
 	}
 	csp := obs.SpanFromContext(ctx).StartChild("closure.compute")
-	c, err := compute()
+	c, err := compute(func(c *Closure) {
+		sh.mu.Lock()
+		sh.insertLocked(key, c, cc, m)
+		cc.stores.Add(1)
+		if m != nil {
+			m.stores.Inc()
+		}
+		sh.mu.Unlock()
+	})
 	csp.End()
 	var computeNs int64
 	if timed {
@@ -374,20 +297,10 @@ func (cc *closureCache) getOrCompute(ctx context.Context, runID, d string, timed
 
 	sh.mu.Lock()
 	delete(sh.inflight, key)
-	if err == nil && cc.generationIs(runID, gen) {
-		sh.insertLocked(key, c, cc, m)
-		cc.stores.Add(1)
-		if m != nil {
-			m.stores.Inc()
-		}
-	}
 	sh.mu.Unlock()
 	fl.c, fl.err = c, err
 	close(fl.done)
 	if err != nil {
-		// A failed compute must not pin a generation entry forever (a
-		// stream of misspelled run ids would otherwise grow the table).
-		cc.forgetGeneration(runID, gen)
 		return nil, Observation{Outcome: OutcomeMiss, ComputeNs: computeNs}, err
 	}
 	return c, Observation{Outcome: OutcomeMiss, ComputeNs: computeNs}, nil
@@ -422,15 +335,12 @@ func (cc *closureCache) len() int {
 	return n
 }
 
-// invalidate evicts one key and bumps the run's generation so an in-flight
-// computation of any key of that run cannot re-populate the cache with a
-// result from before the invalidation. Invalidations counts only lookups
-// that actually removed a cached entry — invalidating an absent key is a
-// no-op, not a removal (the counter-drift fix the CacheCounters invariants
-// rely on).
-func (cc *closureCache) invalidate(runID, d string) {
-	cc.bumpRun(runID)
-	key := cacheKey{runID, d}
+// invalidate evicts one key. Invalidations counts only lookups that
+// actually removed a cached entry — invalidating an absent key is a no-op,
+// not a removal (the counter-drift fix the CacheCounters invariants rely
+// on). A leader in flight for the key may store its closure afterwards;
+// that closure is as correct as the one evicted.
+func (cc *closureCache) invalidate(key cacheKey) {
 	sh := cc.shard(key)
 	sh.mu.Lock()
 	removed := false
@@ -448,17 +358,15 @@ func (cc *closureCache) invalidate(runID, d string) {
 	}
 }
 
-// dropRun evicts every cached closure belonging to one run (counted as
-// Drops) and unregisters the run's generation. The bump happens first so
-// a leader finishing between the entry sweep and the generation delete is
-// still fenced.
-func (cc *closureCache) dropRun(runID string) {
-	cc.bumpRun(runID)
+// dropRun evicts every cached closure of one run instance (counted as
+// Drops). The warehouse calls it under its write lock, after it stopped
+// serving r, so no leader can store a closure of r afterwards.
+func (cc *closureCache) dropRun(r *run.Run) {
 	m := cc.obs.Load()
 	for _, sh := range cc.shards {
 		sh.mu.Lock()
 		for key, el := range sh.items {
-			if key.run == runID {
+			if key.r == r {
 				sh.order.Remove(el)
 				delete(sh.items, key)
 				cc.drops.Add(1)
@@ -469,14 +377,13 @@ func (cc *closureCache) dropRun(runID string) {
 		}
 		sh.mu.Unlock()
 	}
-	cc.dropGeneration(runID)
 }
 
-// reset drops every cached closure, unregisters every generation, and
-// zeroes the counters (so the post-reset state is indistinguishable from a
-// fresh cache, and every CacheCounters invariant holds trivially).
+// reset drops every cached closure and zeroes the counters, so the
+// post-reset state is indistinguishable from a fresh cache. A leader in
+// flight across a reset may still store its (correct) closure, counted
+// against the zeroed counters, so reset belongs at quiescent points.
 func (cc *closureCache) reset() {
-	cc.resetGenerations()
 	for _, sh := range cc.shards {
 		sh.mu.Lock()
 		sh.items = make(map[cacheKey]*list.Element)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,19 +14,36 @@ import (
 	"repro/internal/spec"
 )
 
-// waitForSharedWaits blocks until the cache reports n piggy-backed waiters
-// (or fails the test after a generous deadline). It is how the singleflight
-// tests prove that the concurrent misses really were concurrent.
-func waitForSharedWaits(t *testing.T, cc *closureCache, n int64) {
+// waitForCount blocks until a cache counter reaches n (or fails the test
+// after a generous deadline). It is how the singleflight tests prove that
+// the concurrent misses really were concurrent, and how the drop tests know
+// a leader has started.
+func waitForCount(t *testing.T, c *atomic.Int64, n int64) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
-	for cc.sharedWaits.Load() < n {
+	for c.Load() < n {
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d waiters arrived", cc.sharedWaits.Load(), n)
+			t.Fatalf("counter reached only %d of %d", c.Load(), n)
 		}
 		time.Sleep(time.Millisecond)
 	}
 }
+
+// kept adapts a closure source to the cache's compute callback for the
+// cache-level tests: every closure it computes may be cached.
+func kept(f func() (*Closure, error)) func(func(*Closure)) (*Closure, error) {
+	return func(keep func(*Closure)) (*Closure, error) {
+		c, err := f()
+		if err == nil {
+			keep(c)
+		}
+		return c, err
+	}
+}
+
+// testKey is the key the cache-level tests look up: any run instance will
+// do, since they hand the cache closures of their own.
+var testKey = cacheKey{run.Figure2(), "d1"}
 
 // TestConcurrentSingleflightComputesOnce is the acceptance test for the
 // thundering-herd path: 32 goroutines miss the same cold key at the same
@@ -47,10 +65,10 @@ func TestConcurrentSingleflightComputesOnce(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], _, errs[i] = cc.getOrCompute(context.Background(), "r1", "d1", false, compute)
+			results[i], _, errs[i] = cc.getOrCompute(context.Background(), testKey, false, kept(compute))
 		}(i)
 	}
-	waitForSharedWaits(t, cc, goroutines-1)
+	waitForCount(t, &cc.sharedWaits, goroutines-1)
 	close(release)
 	wg.Wait()
 
@@ -74,7 +92,7 @@ func TestConcurrentSingleflightComputesOnce(t *testing.T) {
 		}
 	}
 	// The key is now cached: one more lookup is a hit without a compute.
-	if _, o, err := cc.getOrCompute(context.Background(), "r1", "d1", false, compute); err != nil || o.Outcome != OutcomeHit {
+	if _, o, err := cc.getOrCompute(context.Background(), testKey, false, kept(compute)); err != nil || o.Outcome != OutcomeHit {
 		t.Fatalf("warm lookup: outcome=%v err=%v, want hit", o.Outcome, err)
 	}
 	c = cc.counters()
@@ -102,10 +120,10 @@ func TestConcurrentSingleflightErrorShared(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, _, errs[i] = cc.getOrCompute(context.Background(), "r1", "d1", false, failing)
+			_, _, errs[i] = cc.getOrCompute(context.Background(), testKey, false, kept(failing))
 		}(i)
 	}
-	waitForSharedWaits(t, cc, goroutines-1)
+	waitForCount(t, &cc.sharedWaits, goroutines-1)
 	close(release)
 	wg.Wait()
 
@@ -121,7 +139,7 @@ func TestConcurrentSingleflightErrorShared(t *testing.T) {
 	ok := func() (*Closure, error) {
 		return testClosure("d1", nil, []string{"d1"}), nil
 	}
-	if _, _, err := cc.getOrCompute(context.Background(), "r1", "d1", false, ok); err != nil {
+	if _, _, err := cc.getOrCompute(context.Background(), testKey, false, kept(ok)); err != nil {
 		t.Fatal(err)
 	}
 	if c := cc.counters(); c.Computes != 2 {
@@ -261,9 +279,9 @@ func TestStressShardedCacheCounters(t *testing.T) {
 }
 
 // TestStressInvalidateGenerations pins "computed exactly once per
-// generation": with a cache large enough to avoid evictions, a storm of
-// queries computes each key once; after invalidating every key (bumping
-// the generation), a second storm computes each key exactly once more.
+// invalidation round": with a cache large enough to avoid evictions, a
+// storm of queries computes each key once; after invalidating every key, a
+// second storm computes each key exactly once more.
 func TestStressInvalidateGenerations(t *testing.T) {
 	w := New(4096)
 	mustT(t, w.RegisterSpec(spec.Phylogenomics()))
@@ -293,7 +311,7 @@ func TestStressInvalidateGenerations(t *testing.T) {
 
 	storm()
 	if c := w.CacheCounters(); c.Computes != int64(len(data)) {
-		t.Fatalf("generation 0: %d computes for %d keys, want exactly one each", c.Computes, len(data))
+		t.Fatalf("round 0: %d computes for %d keys, want exactly one each", c.Computes, len(data))
 	}
 	for _, d := range data {
 		w.Invalidate("fig2", d)
@@ -303,15 +321,14 @@ func TestStressInvalidateGenerations(t *testing.T) {
 	}
 	storm()
 	if c := w.CacheCounters(); c.Computes != int64(2*len(data)) {
-		t.Fatalf("generation 1: %d computes total for %d keys, want exactly %d",
+		t.Fatalf("round 1: %d computes total for %d keys, want exactly %d",
 			c.Computes, len(data), 2*len(data))
 	}
 }
 
 // TestConcurrentDropReload races queries against DropRun/LoadRun cycles:
 // queries must either answer correctly or fail with ErrUnknownRun, never
-// corrupt state, and the generation fence keeps dropped closures out of
-// the cache.
+// corrupt state, and no closure of a dropped run stays cached.
 func TestConcurrentDropReload(t *testing.T) {
 	w := loadedWarehouse(t)
 	stop := make(chan struct{})
@@ -355,6 +372,11 @@ func TestConcurrentDropReload(t *testing.T) {
 	if err != nil || c.NumSteps() != 10 {
 		t.Fatalf("post-churn query broken: %v", err)
 	}
+	// Only the live instance's closure is left: every dropped one was swept
+	// or never kept.
+	if n := w.CacheLen(); n != 1 {
+		t.Fatalf("cache holds %d closures after the churn, want the live run's 1", n)
+	}
 }
 
 // TestShardingDistribution sanity-checks the stripe function: the default
@@ -367,7 +389,7 @@ func TestShardingDistribution(t *testing.T) {
 	}
 	used := make(map[*cacheShard]bool)
 	for i := 0; i < 256; i++ {
-		key := cacheKey{run: "r", data: fmt.Sprintf("d%d", i)}
+		key := cacheKey{r: testKey.r, data: fmt.Sprintf("d%d", i)}
 		sh := cc.shard(key)
 		if sh != cc.shard(key) {
 			t.Fatal("shard mapping not deterministic")

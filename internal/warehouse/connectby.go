@@ -98,21 +98,42 @@ func (c *Closure) Size() int { return c.NumSteps() + c.NumData() }
 // cache's singleflight: the closure is computed once and shared, so a
 // thundering herd of identical cold queries costs one traversal.
 func (w *Warehouse) DeepProvenance(runID, d string) (*Closure, error) {
-	c, _, err := w.DeepProvenanceObservedCtx(context.Background(), runID, d, false)
+	r, err := w.Run(runID)
+	if err != nil {
+		return nil, err
+	}
+	c, _, err := w.DeepProvenanceObservedCtx(context.Background(), r, d, false)
 	return c, err
 }
 
-// DeepProvenanceObservedCtx is DeepProvenance plus an Observation telling
-// the caller how the lookup was served (hit, miss, shared-wait) and — when
-// timed is true or a metrics registry is attached — how long a miss's
-// closure compute took. The provenance engine uses it to split its query
-// latency histograms by outcome and to fill per-query traces. When the
-// context carries a trace span (obs.StartSpan), the cache records
-// "closure.compute" and "closure.shared-wait" child spans, giving a traced
-// request per-stage causality down to the singleflight.
-func (w *Warehouse) DeepProvenanceObservedCtx(ctx context.Context, runID, d string, timed bool) (*Closure, Observation, error) {
-	return w.cache.getOrCompute(ctx, runID, d, timed, func() (*Closure, error) {
-		return w.computeUAdminClosure(runID, d)
+// DeepProvenanceObservedCtx is DeepProvenance over a run the caller has
+// already resolved (Warehouse.Run), plus an Observation telling the caller
+// how the lookup was served (hit, miss, shared-wait) and — when timed is
+// true or a metrics registry is attached — how long a miss's closure
+// compute took. The provenance engine uses it to split its query latency
+// histograms by outcome and to fill per-query traces. When the context
+// carries a trace span (obs.StartSpan), the cache records "closure.compute"
+// and "closure.shared-wait" child spans, giving a traced request per-stage
+// causality down to the singleflight.
+//
+// The cache is keyed on the run instance, so the closure is always over
+// r's own index. A closure of a run the warehouse no longer serves (dropped
+// since the caller resolved it) is computed and returned but not cached.
+func (w *Warehouse) DeepProvenanceObservedCtx(ctx context.Context, r *run.Run, d string, timed bool) (*Closure, Observation, error) {
+	return w.cache.getOrCompute(ctx, cacheKey{r, d}, timed, func(keep func(*Closure)) (*Closure, error) {
+		w.mu.RLock()
+		defer w.mu.RUnlock()
+		if w.closed {
+			return nil, ErrClosed
+		}
+		if !r.HasData(d) {
+			return nil, fmt.Errorf("%w: %q in run %q", ErrUnknownData, d, r.ID())
+		}
+		c := indexedProvenanceClosure(r.Index(), d)
+		if w.servedLocked(r.ID()) == r {
+			keep(c)
+		}
+		return c, nil
 	})
 }
 
@@ -125,25 +146,13 @@ type ClosureStrategy uint8
 // StrategyAuto is the only ClosureStrategy.
 const StrategyAuto ClosureStrategy = 0
 
-// DeepProvenanceStrategyCtx is DeepProvenanceObservedCtx.
+// DeepProvenanceStrategyCtx resolves the run and is DeepProvenanceObservedCtx.
 func (w *Warehouse) DeepProvenanceStrategyCtx(ctx context.Context, runID, d string, timed bool, _ ClosureStrategy) (*Closure, Observation, error) {
-	return w.DeepProvenanceObservedCtx(ctx, runID, d, timed)
-}
-
-// computeUAdminClosure is the uncached closure computation (the recursive
-// CONNECT BY query). It holds the warehouse read lock for the traversal,
-// never any cache shard lock.
-func (w *Warehouse) computeUAdminClosure(runID, d string) (*Closure, error) {
-	w.mu.RLock()
-	defer w.mu.RUnlock()
-	rt, err := w.tablesLocked(runID)
+	r, err := w.Run(runID)
 	if err != nil {
-		return nil, err
+		return nil, Observation{}, err
 	}
-	if !rt.run.HasData(d) {
-		return nil, fmt.Errorf("%w: %q in run %q", ErrUnknownData, d, runID)
-	}
-	return indexedProvenanceClosure(rt.run.Index(), d), nil
+	return w.DeepProvenanceObservedCtx(ctx, r, d, timed)
 }
 
 // DeepDerivation is the inverse canned query the prototype section

@@ -4,9 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"testing"
 
+	"repro/internal/run"
 	"repro/internal/spec"
 	"repro/internal/wflog"
 )
@@ -35,12 +35,21 @@ func tinyChurnEvents() []wflog.Event {
 	}
 }
 
-// TestStressGenerationTableBounded is the regression test for the
-// generation-map leak: before the fix, dropRun bumped a run's generation
-// but never deleted it, so loading and dropping 10k distinct runs left 10k
-// entries behind forever. The table must stay bounded by the set of live,
-// queried runs — here at most one — and end empty.
-func TestStressGenerationTableBounded(t *testing.T) {
+// inflight returns the number of singleflight flights across all shards.
+func inflight(cc *closureCache) int {
+	n := 0
+	for _, sh := range cc.shards {
+		sh.mu.Lock()
+		n += len(sh.inflight)
+		sh.mu.Unlock()
+	}
+	return n
+}
+
+// TestStressLoadQueryDropCycles: 10,000 runs loaded, queried and dropped in
+// turn leave no closure behind, every stored closure leaves through a
+// counted drop, and the counter invariants hold.
+func TestStressLoadQueryDropCycles(t *testing.T) {
 	w := New(64)
 	mustT(t, w.RegisterSpec(tinyChurnSpec(t)))
 	events := tinyChurnEvents()
@@ -57,12 +66,6 @@ func TestStressGenerationTableBounded(t *testing.T) {
 			t.Fatalf("cycle %d: wrong closure", i)
 		}
 		mustT(t, w.DropRun(id))
-		if n := w.cache.generationTableLen(); n > 1 {
-			t.Fatalf("cycle %d: generation table holds %d entries, want <= 1 (leak)", i, n)
-		}
-	}
-	if n := w.cache.generationTableLen(); n != 0 {
-		t.Fatalf("generation table holds %d entries after dropping every run, want 0", n)
 	}
 	if n := w.CacheLen(); n != 0 {
 		t.Fatalf("cache holds %d closures after dropping every run, want 0", n)
@@ -74,120 +77,116 @@ func TestStressGenerationTableBounded(t *testing.T) {
 	}
 }
 
-// TestGenerationTableBoundedOnFailedLookups: a stream of queries against
-// unknown runs (or unknown data) must not grow the generation table either —
-// the leader registers a generation before computing, and the error path
-// forgets it again.
-func TestGenerationTableBoundedOnFailedLookups(t *testing.T) {
+// TestStressFailedLookupsLeaveNothing: a stream of queries against unknown
+// runs and unknown data caches nothing and leaves no flight behind.
+func TestStressFailedLookupsLeaveNothing(t *testing.T) {
 	w := loadedWarehouse(t)
 	for i := 0; i < 10000; i++ {
 		if _, err := w.DeepProvenance(fmt.Sprintf("ghost-%d", i), "d447"); !errors.Is(err, ErrUnknownRun) {
 			t.Fatalf("ghost run %d: err = %v, want ErrUnknownRun", i, err)
 		}
+		if _, err := w.DeepProvenance("fig2", fmt.Sprintf("no-such-%d", i)); !errors.Is(err, ErrUnknownData) {
+			t.Fatalf("unknown data %d: err = %v, want ErrUnknownData", i, err)
+		}
 	}
-	if _, err := w.DeepProvenance("fig2", "no-such-data"); !errors.Is(err, ErrUnknownData) {
-		t.Fatalf("unknown data: %v", err)
+	if n := w.CacheLen(); n != 0 {
+		t.Fatalf("failed lookups cached %d closures", n)
 	}
-	// Only fig2 may be registered (it has been queried — unsuccessfully —
-	// but it exists; the ghosts must all be forgotten).
-	if n := w.cache.generationTableLen(); n > 1 {
-		t.Fatalf("generation table holds %d entries after failed lookups, want <= 1", n)
+	if n := inflight(w.cache); n != 0 {
+		t.Fatalf("failed lookups left %d flights", n)
 	}
+	checkQuiescentInvariants(t, w.CacheCounters(), 10000, 0)
 }
 
-// TestConcurrentDropFencing is the fencing regression test (run under
-// -race): a leader whose run is dropped mid-compute must deliver its result
-// to callers but never populate the cache, even though the generation entry
-// it fenced against no longer exists.
-func TestConcurrentDropFencing(t *testing.T) {
-	cc := newClosureCache(1024)
-	computeStarted := make(chan struct{})
-	release := make(chan struct{})
-	stale := func() (*Closure, error) {
-		close(computeStarted)
-		<-release
-		return testClosure("d1", []string{"OLD"}, []string{"d1"}), nil
-	}
-
-	var wg sync.WaitGroup
-	wg.Add(1)
+// startLeader runs the closure lookup of (r, d) on its own goroutine, holding
+// it before the warehouse read lock: the caller holds the write lock and
+// waits until the lookup has become the flight's leader. The returned
+// channel delivers the lookup's closure.
+func startLeader(t *testing.T, w *Warehouse, r *run.Run, d string) <-chan *Closure {
+	t.Helper()
+	before := w.cache.computes.Load()
+	out := make(chan *Closure, 1)
 	go func() {
-		defer wg.Done()
-		c, o, err := cc.getOrCompute(context.Background(), "r1", "d1", false, stale)
+		c, o, err := w.DeepProvenanceObservedCtx(context.Background(), r, d, false)
 		if err != nil || o.Outcome != OutcomeMiss {
-			t.Errorf("stale leader: outcome=%v err=%v", o.Outcome, err)
-			return
+			t.Errorf("leader of %s: outcome=%v err=%v", d, o.Outcome, err)
 		}
-		// The caller still gets the computed closure...
-		if !c.HasStep("OLD") {
-			t.Error("stale leader lost its own result")
-		}
+		out <- c
 	}()
-	<-computeStarted
-	// Drop the run while the leader is computing. Its generation entry is
-	// deleted outright — the leak fix — and the leader must still be fenced.
-	cc.dropRun("r1")
-	close(release)
-	wg.Wait()
+	waitForCount(t, &w.cache.computes, before+1)
+	return out
+}
 
-	if n := cc.len(); n != 0 {
+// TestConcurrentDropMidCompute: a run dropped while its leader computes is
+// fenced by its instance. The caller still gets its closure, and nothing is
+// stored.
+func TestConcurrentDropMidCompute(t *testing.T) {
+	w := loadedWarehouse(t)
+	r, err := w.Run("fig2")
+	mustT(t, err)
+	w.mu.Lock()
+	done := startLeader(t, w, r, "d447")
+	mustT(t, w.dropRunLocked("fig2"))
+	w.mu.Unlock()
+
+	c := <-done
+	if c == nil || c.NumSteps() != 10 {
+		t.Fatalf("leader of a dropped run lost its closure: %+v", c)
+	}
+	if ix, _, _ := c.Bits(); ix != r.Index() {
+		t.Fatal("closure is not over the dropped run's index")
+	}
+	if n := w.CacheLen(); n != 0 {
 		t.Fatalf("dropped run's closure was cached (%d entries)", n)
 	}
-	if c := cc.counters(); c.Stores != 0 {
-		t.Fatalf("stores = %d, want 0 (fence must reject the stale result)", c.Stores)
+	if n := inflight(w.cache); n != 0 {
+		t.Fatalf("%d flights left", n)
 	}
-	if n := cc.generationTableLen(); n != 0 {
-		t.Fatalf("generation table holds %d entries, want 0", n)
+	cs := w.CacheCounters()
+	if cs.Stores != 0 {
+		t.Fatalf("stores = %d, want 0", cs.Stores)
 	}
+	checkQuiescentInvariants(t, cs, 1, 0)
 }
 
-// TestConcurrentDropReloadFencing extends the fence across re-registration:
-// the run is dropped and re-queried (registering a fresh, strictly larger
-// generation and caching a new closure) while the original leader is still
-// computing. Because generations are drawn from a monotonic sequence, the
-// stale leader can neither store its result nor clobber the new entry.
-func TestConcurrentDropReloadFencing(t *testing.T) {
-	cc := newClosureCache(1024)
-	computeStarted := make(chan struct{})
-	release := make(chan struct{})
-	stale := func() (*Closure, error) {
-		close(computeStarted)
-		<-release
-		return testClosure("d1", []string{"OLD"}, []string{"d1"}), nil
-	}
+// TestConcurrentDropReingestMidCompute: the run is dropped and a new
+// instance loaded under the same id while the old instance's leader
+// computes. The old leader does not store, and the new instance computes
+// and caches its own closure.
+func TestConcurrentDropReingestMidCompute(t *testing.T) {
+	w := loadedWarehouse(t)
+	old, err := w.Run("fig2")
+	mustT(t, err)
+	fresh := run.Figure2()
+	w.mu.Lock()
+	done := startLeader(t, w, old, "d447")
+	mustT(t, w.dropRunLocked("fig2"))
+	w.runs["fig2"] = &runTables{specName: fresh.SpecName(), run: fresh}
+	w.mu.Unlock()
 
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if _, _, err := cc.getOrCompute(context.Background(), "r1", "d1", false, stale); err != nil {
-			t.Errorf("stale leader: %v", err)
-		}
-	}()
-	<-computeStarted
-	cc.dropRun("r1")
-	// Re-register the run under a different key, so the fresh query is a
-	// new singleflight (the stale leader still owns the "d1" flight slot)
-	// and the run's generation entry is re-created.
-	fresh := func() (*Closure, error) {
-		return testClosure("d2", []string{"NEW"}, []string{"d2"}), nil
+	c, o, err := w.DeepProvenanceObservedCtx(context.Background(), fresh, "d447", false)
+	if err != nil || o.Outcome != OutcomeMiss {
+		t.Fatalf("new instance: outcome=%v err=%v, want its own miss", o.Outcome, err)
 	}
-	if _, _, err := cc.getOrCompute(context.Background(), "r1", "d2", false, fresh); err != nil {
-		t.Fatal(err)
+	if ix, _, _ := c.Bits(); ix != fresh.Index() {
+		t.Fatal("new instance's closure is not over its index")
 	}
-	close(release)
-	wg.Wait()
-
-	// Exactly the fresh closure is cached; the stale one failed its fence
-	// against the re-registered (strictly larger) generation.
-	if n := cc.len(); n != 1 {
-		t.Fatalf("cache holds %d entries, want exactly the fresh one", n)
+	stale := <-done
+	if ix, _, _ := stale.Bits(); ix != old.Index() {
+		t.Fatal("old leader's closure is not over the old index")
 	}
-	c, o, err := cc.getOrCompute(context.Background(), "r1", "d2", false, fresh)
-	if err != nil || o.Outcome != OutcomeHit || !c.HasStep("NEW") {
-		t.Fatalf("fresh closure lost: outcome=%v err=%v", o.Outcome, err)
+	if n := w.CacheLen(); n != 1 {
+		t.Fatalf("cache holds %d entries, want exactly the new instance's", n)
 	}
-	if _, o, _ := cc.getOrCompute(context.Background(), "r1", "d1", false, fresh); o.Outcome != OutcomeMiss {
-		t.Fatalf("stale key served from cache (outcome=%v), want miss", o.Outcome)
+	if cs := w.CacheCounters(); cs.Stores != 1 {
+		t.Fatalf("stores = %d, want 1 (the new instance's)", cs.Stores)
 	}
+	again, o, err := w.DeepProvenanceObservedCtx(context.Background(), fresh, "d447", false)
+	if err != nil || o.Outcome != OutcomeHit || again != c {
+		t.Fatalf("new instance's closure not served from cache: outcome=%v err=%v", o.Outcome, err)
+	}
+	if _, o, _ := w.DeepProvenanceObservedCtx(context.Background(), old, "d447", false); o.Outcome != OutcomeMiss {
+		t.Fatalf("old instance served from cache (outcome=%v), want miss", o.Outcome)
+	}
+	checkQuiescentInvariants(t, w.CacheCounters(), 4, w.CacheLen())
 }

@@ -2,7 +2,6 @@ package warehouse
 
 import (
 	"fmt"
-	"io"
 	"sort"
 
 	"repro/internal/obs"
@@ -42,14 +41,14 @@ type Stats struct {
 //
 //	Hits + Misses + SharedWaits == number of closure lookups
 //	Computes == Misses                 (every miss leads one singleflight)
-//	Stores <= Computes                 (errors and fenced results not cached)
+//	Stores <= Computes                 (errors and dropped runs not cached)
 //	Stores == Evictions + Invalidations + Drops + cached entries
 //
 // The last line is the removal-accounting invariant: every closure that
 // ever entered the cache is either still cached or left through exactly one
 // counted exit (LRU eviction, explicit invalidation, or run drop). Reset
 // zeroes all counters together with the cache, so the invariants hold
-// trivially afterwards.
+// afterwards for every lookup that did not straddle the reset.
 type CacheCounters struct {
 	// Hits and Misses count lookups served from / absent from the shards.
 	Hits, Misses int64
@@ -58,8 +57,8 @@ type CacheCounters struct {
 	SharedWaits int64
 	// Computes counts closure computations actually executed.
 	Computes int64
-	// Stores counts closures inserted into the cache (a compute whose
-	// result passed the generation fence).
+	// Stores counts closures inserted into the cache (a compute whose run
+	// the warehouse still served).
 	Stores int64
 	// Evictions counts LRU evictions across all shards.
 	Evictions int64
@@ -171,20 +170,20 @@ func (s Stats) String() string {
 func (w *Warehouse) DropRun(id string) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if _, ok := w.runs[id]; !ok {
+	return w.dropRunLocked(id)
+}
+
+// dropRunLocked is DropRun under the write lock, which no closure leader
+// holds: whatever a leader of the run cached before is swept here, and a
+// leader that runs later finds the run no longer served and keeps nothing.
+func (w *Warehouse) dropRunLocked(id string) error {
+	rt, ok := w.runs[id]
+	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownRun, id)
 	}
 	delete(w.runs, id)
-	w.cache.dropRun(id)
+	if rt.run != nil {
+		w.cache.dropRun(rt.run)
+	}
 	return nil
-}
-
-// IngestLogStream reads a JSON-lines workflow log from r and loads it as a
-// run — the "during execution" ingestion path of the paper's architecture,
-// where the extractor tails the workflow system's log. The whole stream is
-// validated before anything becomes visible to queries, so a malformed
-// tail cannot leave a half-loaded run behind. It is an alias of
-// LoadLogReader, which streams events straight into run construction.
-func (w *Warehouse) IngestLogStream(runID, specName string, r io.Reader) (int, error) {
-	return w.LoadLogReader(runID, specName, r)
 }

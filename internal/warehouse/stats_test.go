@@ -64,6 +64,8 @@ func TestDropRun(t *testing.T) {
 	}
 }
 
+// TestIngestLogStream: a streamed log (LoadLogReader) loads as a run only
+// once the whole stream has validated.
 func TestIngestLogStream(t *testing.T) {
 	w := New(0)
 	mustT(t, w.RegisterSpec(spec.Phylogenomics()))
@@ -75,7 +77,7 @@ func TestIngestLogStream(t *testing.T) {
 	if err := wflog.Write(&buf, events); err != nil {
 		t.Fatal(err)
 	}
-	n, err := w.IngestLogStream("streamed", "phylogenomics", &buf)
+	n, err := w.LoadLogReader("streamed", "phylogenomics", &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +89,7 @@ func TestIngestLogStream(t *testing.T) {
 		t.Fatalf("streamed run wrong: %v", err)
 	}
 	// A malformed stream loads nothing.
-	if _, err := w.IngestLogStream("bad", "phylogenomics", strings.NewReader("not json\n")); err == nil {
+	if _, err := w.LoadLogReader("bad", "phylogenomics", strings.NewReader("not json\n")); err == nil {
 		t.Fatal("garbage stream accepted")
 	}
 	if _, err := w.Run("bad"); !errors.Is(err, ErrUnknownRun) {

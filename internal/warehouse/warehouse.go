@@ -51,10 +51,10 @@ var (
 // *run.Run pointers after releasing the lock. Closure queries
 // (DeepProvenance) additionally go through the sharded closure cache,
 // whose counters are atomic and whose misses are coalesced per key by a
-// singleflight. Mutators that remove state (DropRun, Invalidate,
-// ResetCache) bump the affected runs' cache generations so concurrent
-// in-flight computations can never re-populate the cache with stale
-// results.
+// singleflight. The cache is keyed on the run instance, and a closure is
+// cached only under the read lock while the warehouse still serves its run,
+// so DropRun and Close, which sweep under the write lock, leave no closure
+// of a dropped run behind; Invalidate and ResetCache only evict.
 type Warehouse struct {
 	mu sync.RWMutex
 
@@ -106,6 +106,17 @@ func (w *Warehouse) resolveLocked(rt *runTables) error {
 	}
 	lz.once.Do(func() { lz.materialize(rt) })
 	return lz.err
+}
+
+// servedLocked returns the run instance an open warehouse serves under id:
+// nil when there is none, or when it is a lazy run not yet materialized.
+// Callers hold w.mu.
+func (w *Warehouse) servedLocked(id string) *run.Run {
+	rt, ok := w.runs[id]
+	if !ok || w.closed || (rt.lazy != nil && !rt.lazy.done.Load()) {
+		return nil
+	}
+	return rt.run
 }
 
 // tablesLocked returns the tables of a run, materialized: every first touch
@@ -388,15 +399,22 @@ func (w *Warehouse) CacheLen() int {
 	return w.cache.len()
 }
 
-// Invalidate evicts the cached closure of one (run, data) key and bumps
-// the run's cache generation, forcing the next query to recompute even if
-// a computation for that run is in flight right now.
+// Invalidate evicts the cached closure of one (run, data) key, so the next
+// query recomputes it (benchmarks use it to time cold queries). A closure
+// never goes stale — its run cannot change — so a computation in flight
+// for the key may still cache its result.
 func (w *Warehouse) Invalidate(runID, d string) {
-	w.cache.invalidate(runID, d)
+	w.mu.RLock()
+	r := w.servedLocked(runID)
+	w.mu.RUnlock()
+	if r != nil {
+		w.cache.invalidate(cacheKey{r, d})
+	}
 }
 
-// ResetCache drops all cached closures (used by benchmarks to separate the
-// cold and warm paths).
+// ResetCache drops all cached closures and zeroes the cache counters (used
+// by benchmarks to separate the cold and warm paths). Like Invalidate it
+// only evicts: a computation in flight may still cache its result.
 func (w *Warehouse) ResetCache() {
 	w.cache.reset()
 }

@@ -463,8 +463,9 @@ func (s *System) CacheStats() (hits, misses int64) { return s.w.CacheStats() }
 // singleflight shared-wait and eviction counts.
 func (s *System) CacheCounters() CacheCounters { return s.w.CacheCounters() }
 
-// Invalidate evicts one cached (run, data) closure and fences out any
-// in-flight computation for that run from re-populating the cache.
+// Invalidate evicts one cached (run, data) closure, so the next query
+// recomputes it. A closure never goes stale, so a computation in flight
+// may still cache its result.
 func (s *System) Invalidate(runID, d string) { s.w.Invalidate(runID, d) }
 
 // Stats summarizes the warehouse contents (catalog row counts).
@@ -497,9 +498,9 @@ func (s *System) PublishMetrics(name string) error {
 func (s *System) DropRun(id string) error { return s.e.DropRun(id) }
 
 // IngestLogStream reads a JSON-lines workflow log and loads it as a run,
-// returning the number of events ingested.
+// returning the number of events ingested. It is LoadLogReader.
 func (s *System) IngestLogStream(runID, specName string, r io.Reader) (int, error) {
-	return s.w.IngestLogStream(runID, specName, r)
+	return s.w.LoadLogReader(runID, specName, r)
 }
 
 // LoadLogReader streams a JSON-lines workflow log straight into run
