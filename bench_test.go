@@ -685,7 +685,7 @@ func BenchmarkFirstTouch(b *testing.B) {
 			return err
 		},
 		"answer": func(_ *warehouse.Warehouse, e *provenance.Engine, i int) error {
-			a, _, err := e.DeepAnswerTracedCtx(context.Background(), ids[i], admin, roots[i])
+			a, err := e.DeepAnswerCtx(context.Background(), ids[i], admin, roots[i])
 			if err == nil {
 				answerBuf = server.AppendAnswer(answerBuf[:0], a)
 			}
@@ -743,7 +743,7 @@ func BenchmarkAnswerPath(b *testing.B) {
 	site, roots := answerPathSite(b)
 	ctx := context.Background()
 	project := func(i int) *provenance.Answer {
-		a, _, err := site.e.DeepAnswerTracedCtx(ctx, site.r.ID(), site.admin, roots[i%len(roots)])
+		a, err := site.e.DeepAnswerCtx(ctx, site.r.ID(), site.admin, roots[i%len(roots)])
 		if err != nil {
 			b.Fatal(err)
 		}

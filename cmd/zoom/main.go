@@ -949,6 +949,7 @@ func clusterStats(base string, asJSON bool) error {
 		fmt.Println(string(out))
 		return nil
 	}
+	// The trace id is the router's X-Zoom-Trace-Id header; no body names it.
 	fmt.Printf("cluster: %d/%d shards reporting (trace %s)\n", cs.ShardsOK, cs.ShardsTotal, cs.TraceID)
 	if cs.Partial {
 		fmt.Println("  PARTIAL: some shards failed to answer")

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -506,6 +508,30 @@ func TestCmdStats(t *testing.T) {
 
 	if _, err := capture(t, func() error { return cmdStats(nil) }); err == nil {
 		t.Fatal("stats without -warehouse accepted")
+	}
+}
+
+// TestCmdStatsCluster: `zoom stats -cluster` names the trace of the router's
+// answer, which the router sends in its X-Zoom-Trace-Id header and not in the
+// body.
+func TestCmdStatsCluster(t *testing.T) {
+	const id = "00000000c0ffee01"
+	router := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/cluster/stats" {
+			http.NotFound(w, r)
+			return
+		}
+		w.Header().Set("X-Zoom-Trace-Id", id)
+		w.Header().Set("Content-Type", "application/json")
+		io.WriteString(w, `{"shards_total":2,"shards_ok":2,"router":{},"cluster":{"counters":{"http.requests":3}},"shards":[{"shard":0,"addr":"a","stats":{}},{"shard":1,"addr":"b","stats":{}}]}`)
+	}))
+	defer router.Close()
+	out, err := capture(t, func() error { return clusterStats(router.URL, false) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "cluster: 2/2 shards reporting (trace " + id + ")"; !strings.Contains(out, want) {
+		t.Fatalf("stats -cluster output missing %q:\n%s", want, out)
 	}
 }
 

@@ -3,9 +3,6 @@ package cluster
 import (
 	"bytes"
 	"container/list"
-	"io"
-	"net/http"
-	"strconv"
 	"sync"
 
 	"repro/internal/xxh"
@@ -16,10 +13,10 @@ import (
 const DefaultCacheBytes = 64 << 20
 
 // cacheEntry is one cached worker response. The full request body is kept
-// so a 64-bit key collision degrades to a miss, never a wrong answer, and
-// where the stored body carries its request's trace id is kept so a hit can
-// put the current request's id there instead (the only bytes that may
-// legitimately differ between a cached and a freshly-forwarded answer).
+// so a 64-bit key collision degrades to a miss, never a wrong answer. The
+// body is replayed as stored: an answer names no trace and carries no timing
+// (the trace id travels in TraceIDHeader), so a hit and a freshly forwarded
+// answer are the same bytes.
 type cacheEntry struct {
 	key         uint64
 	path        string
@@ -27,43 +24,9 @@ type cacheEntry struct {
 	epoch       uint64
 	contentType string
 	body        []byte
-	// body[idOff:idEnd] is the stored trace id; both are zero when the body
-	// does not quote it, and a hit then replays the body untouched.
-	idOff, idEnd int
-}
-
-// markTraceID records where body quotes the trace id of the request it
-// answered — wherever the worker's encoder put the field and however it
-// spaces its output.
-func (e *cacheEntry) markTraceID(id string) {
-	if i := bytes.Index(e.body, []byte(`"`+id+`"`)); id != "" && i >= 0 {
-		e.idOff, e.idEnd = i+1, i+1+len(id)
-	}
 }
 
 func (e *cacheEntry) size() int64 { return int64(len(e.reqBody) + len(e.body)) }
-
-// replay answers a hit: the stored bytes with traceID where the stored id
-// was, written from the shared slice without copying it.
-func (e *cacheEntry) replay(w http.ResponseWriter, traceID string) error {
-	if e.idEnd == 0 {
-		return writeBody(w, http.StatusOK, e.contentType, e.body)
-	}
-	head, tail := e.body[:e.idOff], e.body[e.idEnd:]
-	if e.contentType != "" {
-		w.Header().Set("Content-Type", e.contentType)
-	}
-	w.Header().Set("Content-Length", strconv.Itoa(len(head)+len(traceID)+len(tail)))
-	w.WriteHeader(http.StatusOK)
-	if _, err := w.Write(head); err != nil {
-		return err
-	}
-	if _, err := io.WriteString(w, traceID); err != nil {
-		return err
-	}
-	_, err := w.Write(tail)
-	return err
-}
 
 // respCache is a bounded LRU over full (path, request body) keys. The
 // paper's query model makes the request body a complete cache key: a
@@ -135,17 +98,15 @@ func (c *respCache) lookup(path string, reqBody []byte, epoch uint64) (e *cacheE
 
 // store admits ent if it fits its fair share and reports whether it did.
 // ent.body may be a buffer the caller reuses: an admitted entry keeps a
-// copy of it, marked with where it quotes traceID, and inserts (or
-// replaces) that copy, evicting from the LRU tail past maxEnts. ent.reqBody
-// is kept as given.
-func (c *respCache) store(ent cacheEntry, traceID string) bool {
+// copy of it and inserts (or replaces) that copy, evicting from the LRU tail
+// past maxEnts. ent.reqBody is kept as given.
+func (c *respCache) store(ent cacheEntry) bool {
 	if ent.size() > c.share {
 		return false
 	}
 	e := new(cacheEntry)
 	*e = ent
 	e.body = bytes.Clone(ent.body)
-	e.markTraceID(traceID)
 	e.key = cacheKey(e.path, e.reqBody)
 	c.mu.Lock()
 	defer c.mu.Unlock()

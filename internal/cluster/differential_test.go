@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net/http"
 	"reflect"
-	"regexp"
 	"sync"
 	"testing"
 
@@ -15,45 +14,30 @@ import (
 	"repro/zoom/client"
 )
 
-// timingRe matches the volatile per-stage timing object in a deep-query
-// response; it is the only non-deterministic part of any API body (wall-
-// clock nanoseconds), so the differential suite masks it before the byte
-// comparison. The timing object is flat — no nested braces — and the
-// pattern holds however the encoder spaces its output.
-var timingRe = regexp.MustCompile(`"timing":\s*\{[^{}]*\}`)
-
-func maskTiming(b []byte) []byte {
-	return timingRe.ReplaceAll(b, []byte(`"timing":null`))
-}
-
-// traceID returns a fixed, valid trace id for pair n, so the single node
-// and the cluster answer the same logical query under the same id and
-// the trace_id fields compare equal byte-for-byte.
+// traceID returns a distinct, valid trace id for request n. The single
+// node and the cluster answer each logical query under different ids: an
+// answer names no trace, so the ids must not show in the bytes compared.
 func traceID(n int) string { return fmt.Sprintf("%016x", n+1) }
 
 // TestClusterDifferentialByteIdentical is the core correctness claim of
 // the scale-out layer: for every run, query kind, and view shape, the
 // routed answer over 2 and 4 shards is byte-identical to a single node
-// holding all the runs (deep queries modulo the masked wall-clock timing
-// block). Run ids are the shard key and every query is answered within
-// one run, so sharding must not be observable to clients.
+// holding all the runs, raw bytes with nothing masked. Run ids are the
+// shard key and every query is answered within one run, so sharding must
+// not be observable to clients.
 func TestClusterDifferentialByteIdentical(t *testing.T) {
 	specs, runs, infos := buildCorpus(t, []gen.RunClass{gen.Small(), gen.Medium()})
 	for _, shards := range []int{2, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			singleURL, routerURL, _ := buildCluster(t, shards, specs, runs)
 			n := 0
-			diff := func(path, body string, mask bool) {
+			diff := func(path, body string) {
 				t.Helper()
-				id := traceID(n)
-				n++
-				wantStatus, want := postRaw(t, singleURL, path, id, body)
-				gotStatus, got := postRaw(t, routerURL, path, id, body)
+				wantStatus, want := postRaw(t, singleURL, path, traceID(n), body)
+				gotStatus, got := postRaw(t, routerURL, path, traceID(n+1), body)
+				n += 2
 				if wantStatus != gotStatus {
 					t.Fatalf("%s %s: status single=%d routed=%d", path, body, wantStatus, gotStatus)
-				}
-				if mask {
-					want, got = maskTiming(want), maskTiming(got)
 				}
 				if !bytes.Equal(want, got) {
 					t.Fatalf("%s %s: routed answer differs from single node\nsingle: %s\nrouted: %s",
@@ -67,24 +51,23 @@ func TestClusterDifferentialByteIdentical(t *testing.T) {
 				}
 				for _, target := range info.targets {
 					// Deep under UAdmin, a relevant-set view, and each kind.
-					diff("/v1/query", fmt.Sprintf(`{"run":%q,"data":%q}`, info.id, target), true)
-					diff("/v1/query", fmt.Sprintf(`{"run":%q,"data":%q,"relevant":%s}`, info.id, target, relevant), true)
-					diff("/v1/query", fmt.Sprintf(`{"run":%q,"data":%q,"kind":"immediate"}`, info.id, target), false)
-					diff("/v1/query", fmt.Sprintf(`{"run":%q,"data":%q,"kind":"derived"}`, info.id, target), false)
+					diff("/v1/query", fmt.Sprintf(`{"run":%q,"data":%q}`, info.id, target))
+					diff("/v1/query", fmt.Sprintf(`{"run":%q,"data":%q,"relevant":%s}`, info.id, target, relevant))
+					diff("/v1/query", fmt.Sprintf(`{"run":%q,"data":%q,"kind":"immediate"}`, info.id, target))
+					diff("/v1/query", fmt.Sprintf(`{"run":%q,"data":%q,"kind":"derived"}`, info.id, target))
 				}
 				targets, err := json.Marshal(info.targets)
 				if err != nil {
 					t.Fatal(err)
 				}
-				diff("/v1/batch", fmt.Sprintf(`{"run":%q,"data":%s}`, info.id, targets), false)
-				diff("/v1/batch", fmt.Sprintf(`{"run":%q,"data":%s,"relevant":%s}`, info.id, targets, relevant), false)
+				diff("/v1/batch", fmt.Sprintf(`{"run":%q,"data":%s}`, info.id, targets))
+				diff("/v1/batch", fmt.Sprintf(`{"run":%q,"data":%s,"relevant":%s}`, info.id, targets, relevant))
 			}
 
 			// The merged run catalog is byte-identical too: same rows, same
 			// sort, same count, same field order.
-			id := traceID(n)
-			wantStatus, want := getRaw(t, singleURL, "/v1/runs", id)
-			gotStatus, got := getRaw(t, routerURL, "/v1/runs", id)
+			wantStatus, want := getRaw(t, singleURL, "/v1/runs", traceID(n))
+			gotStatus, got := getRaw(t, routerURL, "/v1/runs", traceID(n+1))
 			if wantStatus != http.StatusOK || gotStatus != http.StatusOK {
 				t.Fatalf("/v1/runs: status single=%d routed=%d", wantStatus, gotStatus)
 			}
@@ -102,12 +85,9 @@ func TestClusterDifferentialByteIdentical(t *testing.T) {
 // shard is killed mid-suite and the whole sweep repeats twice more —
 // once bypassing the cache (exercising failover to the fresh sibling)
 // and once through it (exercising cached replay) — and both must
-// reproduce the recorded first-sweep answers with only the trace id
-// changed. Repeated bodies are compared against the recording, not the
-// live single node, because the worker engine's closure memo makes a
-// repeat observable there (outcome flips "miss" → "hit") while a fresh
-// replica or a cached replay answers as the first time — exactly the
-// contract the cache and identical-snapshot replicas promise.
+// reproduce the first sweep's answers byte for byte under new trace ids.
+// A cold replica, a warm one and the cache all answer alike because an
+// answer carries neither its trace id nor its closure-cache outcome.
 func TestClusterReplicatedDifferentialByteIdentical(t *testing.T) {
 	specs, runs, infos := buildCorpus(t, []gen.RunClass{gen.Small(), gen.Medium()})
 	singleURL, routerURL, rt, servers := buildReplicatedCluster(t, 2, 2, specs, runs, func(cfg *Config) {
@@ -119,9 +99,7 @@ func TestClusterReplicatedDifferentialByteIdentical(t *testing.T) {
 
 	type recorded struct {
 		path, body string
-		mask       bool
 		status     int
-		traceID    string
 		bytes      []byte // raw routed answer from the first sweep
 	}
 	var tape []recorded
@@ -130,23 +108,18 @@ func TestClusterReplicatedDifferentialByteIdentical(t *testing.T) {
 
 	// Sweep 1: live differential against the single node, recording the
 	// routed answers.
-	sweep1 := func(path, body string, mask bool) {
+	sweep1 := func(path, body string) {
 		t.Helper()
-		id := nextID()
-		wantStatus, want := postRaw(t, singleURL, path, id, body)
-		gotStatus, got := postRaw(t, routerURL, path, id, body)
+		wantStatus, want := postRaw(t, singleURL, path, nextID(), body)
+		gotStatus, got := postRaw(t, routerURL, path, nextID(), body)
 		if wantStatus != gotStatus {
 			t.Fatalf("%s %s: status single=%d routed=%d", path, body, wantStatus, gotStatus)
 		}
-		mw, mg := want, got
-		if mask {
-			mw, mg = maskTiming(want), maskTiming(got)
-		}
-		if !bytes.Equal(mw, mg) {
+		if !bytes.Equal(want, got) {
 			t.Fatalf("%s %s: replicated answer differs from single node\nsingle: %s\nrouted: %s",
-				path, body, mw, mg)
+				path, body, want, got)
 		}
-		tape = append(tape, recorded{path: path, body: body, mask: mask, status: gotStatus, traceID: id, bytes: got})
+		tape = append(tape, recorded{path: path, body: body, status: gotStatus, bytes: got})
 	}
 	for _, info := range infos {
 		relevant, err := json.Marshal(info.relevant)
@@ -154,16 +127,16 @@ func TestClusterReplicatedDifferentialByteIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, target := range info.targets {
-			sweep1("/v1/query", fmt.Sprintf(`{"run":%q,"data":%q}`, info.id, target), true)
-			sweep1("/v1/query", fmt.Sprintf(`{"run":%q,"data":%q,"relevant":%s}`, info.id, target, relevant), true)
-			sweep1("/v1/query", fmt.Sprintf(`{"run":%q,"data":%q,"kind":"immediate"}`, info.id, target), false)
-			sweep1("/v1/query", fmt.Sprintf(`{"run":%q,"data":%q,"kind":"derived"}`, info.id, target), false)
+			sweep1("/v1/query", fmt.Sprintf(`{"run":%q,"data":%q}`, info.id, target))
+			sweep1("/v1/query", fmt.Sprintf(`{"run":%q,"data":%q,"relevant":%s}`, info.id, target, relevant))
+			sweep1("/v1/query", fmt.Sprintf(`{"run":%q,"data":%q,"kind":"immediate"}`, info.id, target))
+			sweep1("/v1/query", fmt.Sprintf(`{"run":%q,"data":%q,"kind":"derived"}`, info.id, target))
 		}
 		targets, err := json.Marshal(info.targets)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sweep1("/v1/batch", fmt.Sprintf(`{"run":%q,"data":%s}`, info.id, targets), false)
+		sweep1("/v1/batch", fmt.Sprintf(`{"run":%q,"data":%s}`, info.id, targets))
 	}
 
 	// Kill the preferred replica of every shard.
@@ -172,7 +145,7 @@ func TestClusterReplicatedDifferentialByteIdentical(t *testing.T) {
 	}
 
 	// replay re-issues every recorded request under a fresh trace id and
-	// checks the answer is the recording with the trace id rewritten.
+	// checks the answer is the recording, byte for byte, under that id.
 	// rawQuery bypasses the router cache when set (the worker ignores the
 	// unknown parameter, so its bytes don't change).
 	replay := func(name, rawQuery string) {
@@ -182,17 +155,14 @@ func TestClusterReplicatedDifferentialByteIdentical(t *testing.T) {
 			if rawQuery != "" {
 				path += "?" + rawQuery
 			}
-			status, got := postRaw(t, routerURL, path, id, rec.body)
-			if status != rec.status {
-				t.Fatalf("%s %s %s: status %d, want recorded %d", name, rec.path, rec.body, status, rec.status)
+			status, got, gotID := postTraced(t, routerURL, path, id, rec.body)
+			if status != rec.status || gotID != id {
+				t.Fatalf("%s %s %s: status %d under trace id %q, want recorded %d under %q",
+					name, rec.path, rec.body, status, gotID, rec.status, id)
 			}
-			want := bytes.Replace(rec.bytes, []byte(rec.traceID), []byte(id), 1)
-			if rec.mask {
-				want, got = maskTiming(want), maskTiming(got)
-			}
-			if !bytes.Equal(want, got) {
-				t.Fatalf("%s %s %s: answer differs from recording (recID=%s newID=%s)\nrecorded: %s\nreplayed: %s",
-					name, rec.path, rec.body, rec.traceID, id, want, got)
+			if !bytes.Equal(rec.bytes, got) {
+				t.Fatalf("%s %s %s: answer differs from recording\nrecorded: %s\nreplayed: %s",
+					name, rec.path, rec.body, rec.bytes, got)
 			}
 		}
 	}

@@ -83,20 +83,19 @@ func TestRouterStitchedTrace(t *testing.T) {
 	runID, target := parts[0], parts[1]
 	const id = "0123456789abcdef"
 
-	status, body := postRaw(t, routerURL, "/v1/query?trace=1", id,
+	status, body, gotID := postTraced(t, routerURL, "/v1/query?trace=1", id,
 		fmt.Sprintf(`{"run":%q,"data":%q}`, runID, target))
 	if status != http.StatusOK {
 		t.Fatalf("status %d: %s", status, body)
 	}
 	var resp struct {
-		TraceID string        `json:"trace_id"`
-		Trace   *obs.SpanNode `json:"trace"`
+		Trace *obs.SpanNode `json:"trace"`
 	}
 	if err := json.Unmarshal(body, &resp); err != nil {
 		t.Fatal(err)
 	}
-	if resp.TraceID != id {
-		t.Fatalf("trace id %q, want %q", resp.TraceID, id)
+	if gotID != id {
+		t.Fatalf("trace id %q, want %q", gotID, id)
 	}
 	if resp.Trace == nil {
 		t.Fatalf("no inline trace in routed response: %s", body)
@@ -146,6 +145,11 @@ func TestRouterStitchedTrace(t *testing.T) {
 			t.Fatalf("worker subtree missing %s: %+v", span, workerRoot)
 		}
 	}
+	// The worker's closure-cache outcome, which its answer does not carry,
+	// survives the stitch as a tag.
+	if o := workerRoot.Find("query.lookup").Tags["outcome"]; o != "miss" {
+		t.Fatalf("worker query.lookup outcome %q, want miss", o)
+	}
 
 	// The same stitched tree is in the router slowlog (threshold < 0 logs
 	// everything), both via the API and at /debug/slowlog.
@@ -186,8 +190,7 @@ func TestRouterStitchedTrace(t *testing.T) {
 }
 
 // TestRouterHostileTraceHeaders sends malformed trace ids and checks they
-// are replaced, never echoed — in the response header, the body, and the
-// slowlog.
+// are replaced, never echoed — in the response header and the slowlog.
 func TestRouterHostileTraceHeaders(t *testing.T) {
 	routerURL, rt, ids := buildObsCluster(t, 2, Config{SlowThreshold: -1})
 	parts := strings.SplitN(ids[0], "\x00", 2)

@@ -297,9 +297,9 @@ func (rt *Router) Registry() *obs.Registry { return rt.reg }
 
 // errorBody matches the worker's uniform JSON error shape, so clients
 // decode router-originated errors (fast 502s) exactly like worker errors.
+// The trace id is in TraceIDHeader, which traced sets on every response.
 type errorBody struct {
-	Error   string `json:"error"`
-	TraceID string `json:"trace_id,omitempty"`
+	Error string `json:"error"`
 }
 
 // writeJSON marshals v compactly and only then commits the status (a value
@@ -457,12 +457,13 @@ func wantInlineTrace(r *http.Request) bool {
 // to/from the shard's replicas. The body passes through untouched in
 // both directions — the cluster's answers are byte-identical to the
 // worker's (and, by the differential suite, to a single node's) — and a
-// cache hit replays the worker's bytes with only the trace id rewritten
-// to the current request's. The one exception is ?trace=1 (never
-// cacheable, since any query string bypasses the cache): the worker's
-// inline span tree is spliced out of the body and grafted under the
-// winning replica.attempt span, so the client gets ONE stitched tree
-// covering both hops instead of the worker's fragment.
+// cache hit writes the stored bytes as they are: an answer carries no
+// trace id (that is in TraceIDHeader, set by traced) and no timing. The
+// one exception is ?trace=1 (never cacheable, since any query string
+// bypasses the cache): the worker's inline span tree is spliced out of the
+// body and grafted under the winning replica.attempt span, so the client
+// gets ONE stitched tree covering both hops instead of the worker's
+// fragment.
 //
 // A worker states the length of what it sends. A response that does, and is
 // at most maxBufferedBody, is read whole into a pooled buffer before
@@ -475,14 +476,11 @@ func (rt *Router) forward(path string) routerHandler {
 		if err != nil {
 			var mbe *http.MaxBytesError
 			if errors.As(err, &mbe) {
-				writeJSON(w, http.StatusRequestEntityTooLarge, errorBody{
-					Error:   fmt.Sprintf("request body exceeds %d bytes", mbe.Limit),
-					TraceID: tr.ID(),
-				})
+				writeJSON(w, http.StatusRequestEntityTooLarge,
+					errorBody{Error: fmt.Sprintf("request body exceeds %d bytes", mbe.Limit)})
 				return
 			}
-			writeJSON(w, http.StatusBadRequest,
-				errorBody{Error: "bad request: " + err.Error(), TraceID: tr.ID()})
+			writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request: " + err.Error()})
 			return
 		}
 		// The router only needs the run id for placement; everything else
@@ -492,7 +490,7 @@ func (rt *Router) forward(path string) routerHandler {
 		}
 		if jerr := json.Unmarshal(body, &peek); jerr != nil || peek.Run == "" {
 			writeJSON(w, http.StatusBadRequest,
-				errorBody{Error: "bad request: a JSON body with a run id is required", TraceID: tr.ID()})
+				errorBody{Error: "bad request: a JSON body with a run id is required"})
 			return
 		}
 		pick := tr.Root().StartChild("route.pick")
@@ -528,7 +526,7 @@ func (rt *Router) forward(path string) routerHandler {
 				look.End()
 				rt.cacheHits.Inc()
 				sh.cacheHits.Inc()
-				if werr := ent.replay(w, tr.ID()); werr != nil {
+				if werr := writeBody(w, http.StatusOK, ent.contentType, ent.body); werr != nil {
 					rt.copyError(tr, idx, werr)
 				}
 				return
@@ -542,10 +540,8 @@ func (rt *Router) forward(path string) routerHandler {
 		cands := sh.candidates(time.Now())
 		if len(cands) == 0 {
 			rt.fastFails.Inc()
-			writeJSON(w, http.StatusBadGateway, errorBody{
-				Error:   fmt.Sprintf("shard %d unavailable: %s", idx, sh.state(time.Now())),
-				TraceID: tr.ID(),
-			})
+			writeJSON(w, http.StatusBadGateway,
+				errorBody{Error: fmt.Sprintf("shard %d unavailable: %s", idx, sh.state(time.Now()))})
 			return
 		}
 		wantTrace := wantInlineTrace(r)
@@ -555,10 +551,8 @@ func (rt *Router) forward(path string) routerHandler {
 			if rep != nil {
 				base = rep.base
 			}
-			writeJSON(w, http.StatusBadGateway, errorBody{
-				Error:   fmt.Sprintf("shard %d (%s) forward failed: %v", idx, base, err),
-				TraceID: tr.ID(),
-			})
+			writeJSON(w, http.StatusBadGateway,
+				errorBody{Error: fmt.Sprintf("shard %d (%s) forward failed: %v", idx, base, err)})
 			return
 		}
 		defer release()
@@ -584,7 +578,6 @@ func (rt *Router) forward(path string) routerHandler {
 				writeJSON(w, http.StatusBadGateway, errorBody{
 					Error: fmt.Sprintf("shard %d replica %d (%s): response body cut short: %v",
 						idx, rep.index, rep.base, rerr),
-					TraceID: tr.ID(),
 				})
 				return
 			}
@@ -594,7 +587,7 @@ func (rt *Router) forward(path string) routerHandler {
 					data = rt.stitch(tr, winSpan, data)
 				} else if cacheable {
 					ent := cacheEntry{path: path, reqBody: body, epoch: epoch, contentType: ct, body: data}
-					if rt.cache.store(ent, tr.ID()) {
+					if rt.cache.store(ent) {
 						relay.SetTag("cache", "stored")
 					} else {
 						relay.SetTag("cache", "declined")
@@ -877,12 +870,11 @@ func (rt *Router) gather(ctx context.Context, fn func(context.Context, *client.C
 }
 
 // routerRunsResponse is the merged GET /v1/runs body. The leading fields
-// mirror the worker's runsResponse exactly (trace_id, count, runs) so a
+// mirror the worker's runsResponse exactly (count, runs) so a
 // fully-healthy cluster answer is byte-identical to a single node
 // holding the same runs; the partial fields only appear when shards
 // failed — degraded answers are flagged, never silently truncated.
 type routerRunsResponse struct {
-	TraceID      string           `json:"trace_id"`
 	Count        int              `json:"count"`
 	Runs         []client.RunInfo `json:"runs"`
 	Partial      bool             `json:"partial,omitempty"`
@@ -893,7 +885,7 @@ type routerRunsResponse struct {
 // deterministically: dedup by run id (first shard wins — shards are
 // disjoint under a correct split, so this only matters for overlapping
 // hand-built deployments), then sort by id.
-func (rt *Router) handleRuns(tr *obs.Trace, w http.ResponseWriter, r *http.Request) {
+func (rt *Router) handleRuns(_ *obs.Trace, w http.ResponseWriter, r *http.Request) {
 	results, fails := rt.gather(r.Context(), func(ctx context.Context, cl *client.Client) (any, error) {
 		return cl.Runs(ctx)
 	})
@@ -912,7 +904,7 @@ func (rt *Router) handleRuns(tr *obs.Trace, w http.ResponseWriter, r *http.Reque
 		}
 	}
 	sort.Slice(merged, func(i, j int) bool { return merged[i].ID < merged[j].ID })
-	resp := routerRunsResponse{TraceID: tr.ID(), Count: len(merged), Runs: merged}
+	resp := routerRunsResponse{Count: len(merged), Runs: merged}
 	if len(fails) > 0 {
 		resp.Partial = true
 		resp.FailedShards = fails
@@ -931,7 +923,6 @@ type shardStats struct {
 // routerStatsResponse is the merged GET /v1/stats body: each shard's
 // stats document verbatim, in shard order, plus the partial flag.
 type routerStatsResponse struct {
-	TraceID      string       `json:"trace_id"`
 	ShardsTotal  int          `json:"shards_total"`
 	ShardsOK     int          `json:"shards_ok"`
 	Shards       []shardStats `json:"shards"`
@@ -939,11 +930,11 @@ type routerStatsResponse struct {
 	FailedShards []ShardError `json:"failed_shards,omitempty"`
 }
 
-func (rt *Router) handleStats(tr *obs.Trace, w http.ResponseWriter, r *http.Request) {
+func (rt *Router) handleStats(_ *obs.Trace, w http.ResponseWriter, r *http.Request) {
 	results, fails := rt.gather(r.Context(), func(ctx context.Context, cl *client.Client) (any, error) {
 		return cl.Stats(ctx)
 	})
-	resp := routerStatsResponse{TraceID: tr.ID(), ShardsTotal: len(rt.shards)}
+	resp := routerStatsResponse{ShardsTotal: len(rt.shards)}
 	for i, v := range results {
 		sr, ok := v.(*client.StatsResponse)
 		if !ok || sr == nil {
@@ -965,7 +956,6 @@ func (rt *Router) handleStats(tr *obs.Trace, w http.ResponseWriter, r *http.Requ
 // shard.<k>. prefix that the Prometheus renderer folds into a shard
 // label), and each worker's raw stats document for drill-down.
 type clusterStatsResponse struct {
-	TraceID      string        `json:"trace_id"`
 	ShardsTotal  int           `json:"shards_total"`
 	ShardsOK     int           `json:"shards_ok"`
 	Router       *obs.Snapshot `json:"router"`
@@ -980,13 +970,13 @@ type clusterStatsResponse struct {
 // counters and gauges sum, histograms merge bucket-wise with recomputed
 // quantiles. One scrape of the router answers "how is the cluster doing"
 // without visiting N workers.
-func (rt *Router) handleClusterStats(tr *obs.Trace, w http.ResponseWriter, r *http.Request) {
+func (rt *Router) handleClusterStats(_ *obs.Trace, w http.ResponseWriter, r *http.Request) {
 	results, fails := rt.gather(r.Context(), func(ctx context.Context, cl *client.Client) (any, error) {
 		return cl.Stats(ctx)
 	})
 	router := rt.reg.Snapshot()
 	cluster := &obs.Snapshot{}
-	resp := clusterStatsResponse{TraceID: tr.ID(), ShardsTotal: len(rt.shards), Router: &router, Cluster: cluster}
+	resp := clusterStatsResponse{ShardsTotal: len(rt.shards), Router: &router, Cluster: cluster}
 	for i, v := range results {
 		sr, ok := v.(*client.StatsResponse)
 		if !ok || sr == nil {

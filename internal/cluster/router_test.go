@@ -125,7 +125,31 @@ func buildCluster(t *testing.T, n int, specs []*spec.Spec, runs []*run.Run) (str
 	return single.URL, rts.URL, rt
 }
 
+// loadAll loads the corpus into one warehouse, as a single node holds it.
+func loadAll(t *testing.T, specs []*spec.Spec, runs []*run.Run) *warehouse.Warehouse {
+	t.Helper()
+	w := warehouse.New(0)
+	for _, sp := range specs {
+		if err := w.RegisterSpec(sp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, r := range runs {
+		if err := w.LoadRun(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return w
+}
+
 func postRaw(t *testing.T, base, path, traceID, body string) (int, []byte) {
+	t.Helper()
+	status, b, _ := postTraced(t, base, path, traceID, body)
+	return status, b
+}
+
+// postTraced is postRaw that also returns the response's X-Zoom-Trace-Id.
+func postTraced(t *testing.T, base, path, traceID, body string) (int, []byte, string) {
 	t.Helper()
 	req, err := http.NewRequest(http.MethodPost, base+path, strings.NewReader(body))
 	if err != nil {
@@ -144,7 +168,7 @@ func postRaw(t *testing.T, base, path, traceID, body string) (int, []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return resp.StatusCode, b
+	return resp.StatusCode, b, resp.Header.Get(client.TraceIDHeader)
 }
 
 func getRaw(t *testing.T, base, path, traceID string) (int, []byte) {
@@ -240,23 +264,44 @@ func TestRouterForwardAndGather(t *testing.T) {
 	}
 }
 
+// TestRouterTraceIDPropagation: an inbound trace id travels with the query
+// to the worker (which adopts it) and comes back in the router's response
+// header; the answer body names none.
 func TestRouterTraceIDPropagation(t *testing.T) {
 	specs, runs, infos := buildCorpus(t, []gen.RunClass{gen.Small()})
-	_, routerURL, _ := buildCluster(t, 2, specs, runs)
+	full := loadAll(t, specs, runs)
+	s, err := server.New(obs.NewRegistry(), server.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SetEngine(provenance.NewEngine(full))
+	h := s.Handler()
+	var workerID atomic.Value // the id the query reached the worker with
+	worker := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/query" {
+			workerID.Store(r.Header.Get(client.TraceIDHeader))
+		}
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(worker.Close)
+	rt, err := New(obs.NewRegistry(), Config{Workers: []string{worker.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rts := httptest.NewServer(rt.Handler())
+	t.Cleanup(rts.Close)
+
 	const id = "00000000deadbeef"
-	status, body := postRaw(t, routerURL, "/v1/query", id,
+	status, body, hdr := postTraced(t, rts.URL, "/v1/query", id,
 		fmt.Sprintf(`{"run":%q,"data":%q}`, infos[0].id, infos[0].targets[0]))
 	if status != http.StatusOK {
 		t.Fatalf("status %d: %s", status, body)
 	}
-	var resp struct {
-		TraceID string `json:"trace_id"`
+	if hdr != id || workerID.Load() != id {
+		t.Fatalf("trace id did not survive the router hop: router header %q, worker %q, want %q", hdr, workerID.Load(), id)
 	}
-	if err := json.Unmarshal(body, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.TraceID != id {
-		t.Fatalf("trace id %q did not survive the router hop (want %q)", resp.TraceID, id)
+	if strings.Contains(string(body), id) {
+		t.Fatalf("answer body names the trace: %s", body)
 	}
 }
 
@@ -287,12 +332,13 @@ func TestRouterDeadShardFast502(t *testing.T) {
 	deadRun, liveRun := byShard[0], byShard[1]
 	body := fmt.Sprintf(`{"run":%q,"data":%q}`, deadRun.id, deadRun.targets[0])
 
-	// Requests to the dead shard 502 fast and name the shard.
+	// Requests to the dead shard 502 fast, name the shard, and name their
+	// trace in the header.
 	for i := 0; i < rt.cfg.BreakerThreshold; i++ {
 		start := time.Now()
-		status, b := postRaw(t, routerURL, "/v1/query", "", body)
-		if status != http.StatusBadGateway {
-			t.Fatalf("dead shard request %d: status %d body %s", i, status, b)
+		status, b, hdr := postTraced(t, routerURL, "/v1/query", "", body)
+		if status != http.StatusBadGateway || !obs.ValidTraceID(hdr) {
+			t.Fatalf("dead shard request %d: status %d, trace id %q, body %s", i, status, hdr, b)
 		}
 		if !strings.Contains(string(b), "shard 0") {
 			t.Fatalf("502 body does not name the shard: %s", b)
@@ -306,9 +352,9 @@ func TestRouterDeadShardFast502(t *testing.T) {
 	if rt.shards[0].state(time.Now()) != "circuit open" {
 		t.Fatalf("breaker not open after %d failures", rt.cfg.BreakerThreshold)
 	}
-	status, b := postRaw(t, routerURL, "/v1/query", "", body)
-	if status != http.StatusBadGateway || !strings.Contains(string(b), "circuit open") {
-		t.Fatalf("open-circuit request: status %d body %s", status, b)
+	status, b, hdr := postTraced(t, routerURL, "/v1/query", "", body)
+	if status != http.StatusBadGateway || !strings.Contains(string(b), "circuit open") || !obs.ValidTraceID(hdr) {
+		t.Fatalf("open-circuit request: status %d, trace id %q, body %s", status, hdr, b)
 	}
 
 	// The surviving shard still answers.
@@ -346,17 +392,7 @@ func TestRouterDeadShardFast502(t *testing.T) {
 // rejoins within one poll of reporting ready again.
 func TestRouterHealthJoinLeave(t *testing.T) {
 	specs, runs, infos := buildCorpus(t, []gen.RunClass{gen.Small()})
-	full := warehouse.New(0)
-	for _, sp := range specs {
-		if err := full.RegisterSpec(sp); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, r := range runs {
-		if err := full.LoadRun(r); err != nil {
-			t.Fatal(err)
-		}
-	}
+	full := loadAll(t, specs, runs)
 	s, err := server.New(obs.NewRegistry(), server.Config{})
 	if err != nil {
 		t.Fatal(err)

@@ -239,13 +239,20 @@ func (e *Engine) DeepProvenance(runID string, v *core.UserView, d string) (*Resu
 
 // DeepProvenanceCtx is DeepProvenance with a context. When the context
 // carries a trace span (obs.StartSpan / Trace.Context) the query records
-// "query.lookup" and "query.project" child spans — with the closure cache
-// adding "closure.compute" or "closure.shared-wait" beneath the lookup —
-// so a served request's response can explain where its time went. An
+// "query.lookup" and "query.project" child spans — the lookup tagged with
+// its cache outcome (hit, miss or shared-wait), and the closure cache adding
+// "closure.compute" or "closure.shared-wait" beneath it — so a served
+// request's trace can explain where its time went. An
 // untraced context costs one nil span check and behaves exactly like
 // DeepProvenance.
 func (e *Engine) DeepProvenanceCtx(ctx context.Context, runID string, v *core.UserView, d string) (*Result, error) {
 	return resultOf(e.deepAnswer(ctx, runID, v, d, nil))
+}
+
+// DeepAnswerCtx is DeepProvenanceCtx stopping at the integer answer, which
+// is what the server encodes.
+func (e *Engine) DeepAnswerCtx(ctx context.Context, runID string, v *core.UserView, d string) (*Answer, error) {
+	return e.deepAnswer(ctx, runID, v, d, nil)
 }
 
 // deepAnswer is the shared query path behind every deep-provenance entry
@@ -276,6 +283,9 @@ func (e *Engine) deepAnswer(ctx context.Context, runID string, v *core.UserView,
 	}
 	lctx, lsp := obs.StartSpan(ctx, "query.lookup")
 	closure, o, err := e.w.DeepProvenanceObservedCtx(lctx, r, d, timed)
+	if err == nil {
+		lsp.SetTag("outcome", o.Outcome.String())
+	}
 	lsp.End()
 	if err != nil {
 		m.queryError()

@@ -108,24 +108,18 @@ func (tr *QueryTrace) String() string {
 }
 
 // DeepProvenanceTracedCtx is DeepProvenanceCtx plus a filled QueryTrace: the
-// flat per-stage numbers (outcome, lookup, compute, project), which a
-// context holding a span tree (obs.StartSpan) additionally records as
-// structured spans. The server uses both — the numbers go in the response
-// body, the spans in ?trace=1 and the slow log. Tracing forces timing on
-// even when no registry is attached, so it is the one query path that
-// always pays for clock reads.
+// flat per-stage numbers (outcome, lookup, compute, project) that
+// `zoom query -trace` prints. A context holding a span tree (obs.StartSpan)
+// records the same stages as structured spans, which is what the server
+// keeps: its answers carry no timings, so ?trace=1 and the slow log are
+// where a served query's stages are read. Tracing forces timing on even when
+// no registry is attached, so it is the one query path that always pays for
+// clock reads.
 func (e *Engine) DeepProvenanceTracedCtx(ctx context.Context, runID string, v *core.UserView, d string) (*Result, *QueryTrace, error) {
-	a, tr, err := e.DeepAnswerTracedCtx(ctx, runID, v, d)
-	return a.Result(), tr, err
-}
-
-// DeepAnswerTracedCtx is DeepProvenanceTracedCtx stopping at the integer
-// answer, which is what the server encodes.
-func (e *Engine) DeepAnswerTracedCtx(ctx context.Context, runID string, v *core.UserView, d string) (*Answer, *QueryTrace, error) {
 	tr := &QueryTrace{RunID: runID, Data: d}
 	a, err := e.deepAnswer(ctx, runID, v, d, tr)
 	if err != nil {
 		return nil, nil, err
 	}
-	return a, tr, nil
+	return a.Result(), tr, nil
 }

@@ -72,11 +72,11 @@ func TestAnswerEncoderMatchesOracle(t *testing.T) {
 		}
 		for name, v := range views {
 			deep := func(d string) *provenance.Answer {
-				a, qt, err := e.DeepAnswerTracedCtx(ctx, r.ID(), v, d)
+				a, err := e.DeepAnswerCtx(ctx, r.ID(), v, d)
 				if err != nil {
 					t.Fatalf("%s/%s: deep %s: %v", r.ID(), name, d, err)
 				}
-				checkQuery(t, &queryAnswer{traceID: "t", run: r.ID(), data: d, kind: "deep", deep: qt, result: a})
+				checkQuery(t, &queryAnswer{run: r.ID(), data: d, kind: "deep", result: a})
 				return a
 			}
 			var batch []string
@@ -87,13 +87,13 @@ func TestAnswerEncoderMatchesOracle(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s/%s: derived %s: %v", r.ID(), name, d, err)
 				}
-				checkQuery(t, &queryAnswer{traceID: "t", run: r.ID(), data: d, kind: "derived", result: a})
+				checkQuery(t, &queryAnswer{run: r.ID(), data: d, kind: "derived", result: a})
 				if batch = append(batch, d); len(batch) == 8 {
 					answers, err := e.DeepAnswerBatch(ctx, r.ID(), v, batch, 2)
 					if err != nil {
 						t.Fatalf("%s/%s: batch %v: %v", r.ID(), name, batch, err)
 					}
-					checkBatch(t, "t", r.ID(), answers, nil)
+					checkBatch(t, r.ID(), answers, nil)
 					batch = batch[:0]
 				}
 			}
@@ -192,15 +192,15 @@ func FuzzAnswerTokens(f *testing.F) {
 					checkServedQuery(t, h, queryRequest{Run: "fz", Data: d, View: viewName, Kind: "derived"}, derived)
 					continue
 				}
-				a, qt, err := e.DeepAnswerTracedCtx(context.Background(), "fz", v, d)
+				a, err := e.DeepAnswerCtx(context.Background(), "fz", v, d)
 				if err != nil {
 					t.Fatal(err)
 				}
-				checkQuery(t, &queryAnswer{traceID: "t", run: "fz", data: d, kind: "deep", deep: qt, result: a})
+				checkQuery(t, &queryAnswer{run: "fz", data: d, kind: "deep", result: a})
 				if a, err = e.DerivationAnswer("fz", v, d); err != nil {
 					t.Fatal(err)
 				}
-				checkQuery(t, &queryAnswer{traceID: "t", run: "fz", data: d, kind: "derived", result: a})
+				checkQuery(t, &queryAnswer{run: "fz", data: d, kind: "derived", result: a})
 			}
 			if utf8.ValidString(data) {
 				checkServedBatch(t, h, batchRequest{Run: "fz", Data: roots, View: viewName}, want)
@@ -210,7 +210,7 @@ func FuzzAnswerTokens(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkBatch(t, "t", "fz", answers, nil)
+			checkBatch(t, "fz", answers, nil)
 		}
 	})
 }
@@ -266,7 +266,7 @@ func TestConcurrentFirstEncodeAndExecution(t *testing.T) {
 			defer wg.Done()
 			<-start
 			if i%2 == 0 {
-				a, _, err := e.DeepAnswerTracedCtx(context.Background(), runID, admin, root)
+				a, err := e.DeepAnswerCtx(context.Background(), runID, admin, root)
 				if err != nil {
 					t.Error(err)
 					return
@@ -287,7 +287,7 @@ func TestConcurrentFirstEncodeAndExecution(t *testing.T) {
 	if t.Failed() {
 		t.FailNow()
 	}
-	a, _, err := e.DeepAnswerTracedCtx(context.Background(), runID, admin, root)
+	a, err := e.DeepAnswerCtx(context.Background(), runID, admin, root)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,10 +346,10 @@ func TestServingPathBuildsNoExecutions(t *testing.T) {
 }
 
 // TestAnswerPathAllocs is the worker's allocation budget from a cached
-// closure to the bytes of a large answer: the Answer and its stage timings,
-// its id lists, its edge rows and the projection's two bitsets, nothing per
-// name. The lists are pointer-free
-// by type, so names cannot creep back into the projection unnoticed.
+// closure to the bytes of a large answer: the Answer, its id lists, its edge
+// rows and the projection's two bitsets, nothing per name. The lists are
+// pointer-free by type, so names cannot creep back into the projection
+// unnoticed.
 func TestAnswerPathAllocs(t *testing.T) {
 	at := reflect.TypeOf(provenance.Answer{})
 	for i := 0; i < at.NumField(); i++ {
@@ -364,7 +364,7 @@ func TestAnswerPathAllocs(t *testing.T) {
 	ctx := context.Background()
 	var buf []byte
 	answer := func() {
-		a, _, err := e.DeepAnswerTracedCtx(ctx, runID, admin, root)
+		a, err := e.DeepAnswerCtx(ctx, runID, admin, root)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -374,8 +374,8 @@ func TestAnswerPathAllocs(t *testing.T) {
 	if len(buf) < 50<<10 {
 		t.Fatalf("answer is only %d bytes; the fixture no longer stands for a large answer", len(buf))
 	}
-	if allocs := testing.AllocsPerRun(20, answer); allocs > 6 {
-		t.Fatalf("warm project + encode of a %d-byte answer: %v allocs/op, want <= 6", len(buf), allocs)
+	if allocs := testing.AllocsPerRun(20, answer); allocs > 5 {
+		t.Fatalf("warm project + encode of a %d-byte answer: %v allocs/op, want <= 5", len(buf), allocs)
 	}
 }
 

@@ -27,43 +27,24 @@ import (
 // reflectively in place.
 
 // queryAnswer is what handleQuery hands the encoder: the request's echo and
-// pointers to whatever the engine returned for its kind.
+// pointers to whatever the engine returned for its kind. Nothing in it is
+// per-request: the trace id travels in TraceIDHeader and the stage timings
+// in the span tree, so an untraced answer's bytes are a function of the
+// request and the loaded warehouse alone.
 type queryAnswer struct {
-	traceID, run, data, kind string
-	// deep is set for deep queries only; it carries outcome and the stage
-	// timings.
-	deep      *provenance.QueryTrace
-	result    *provenance.Answer
-	execution *composite.Execution
-	spans     *obs.SpanNode // ?trace=1 only
+	run, data, kind string
+	result          *provenance.Answer
+	execution       *composite.Execution
+	spans           *obs.SpanNode // ?trace=1 only
 }
 
 func appendQueryResponse(dst []byte, a *queryAnswer) ([]byte, error) {
-	dst = append(dst, `{"trace_id":`...)
-	dst = jsontok.AppendString(dst, a.traceID)
-	dst = append(dst, `,"run":`...)
+	dst = append(dst, `{"run":`...)
 	dst = jsontok.AppendString(dst, a.run)
 	dst = append(dst, `,"data":`...)
 	dst = jsontok.AppendString(dst, a.data)
 	dst = append(dst, `,"kind":`...)
 	dst = jsontok.AppendString(dst, a.kind)
-	if qt := a.deep; qt != nil {
-		if qt.Outcome != "" {
-			dst = append(dst, `,"outcome":`...)
-			dst = jsontok.AppendString(dst, qt.Outcome)
-		}
-		dst = append(dst, `,"timing":{"lookup_ns":`...)
-		dst = strconv.AppendInt(dst, qt.LookupNs, 10)
-		if qt.ComputeNs != 0 {
-			dst = append(dst, `,"compute_ns":`...)
-			dst = strconv.AppendInt(dst, qt.ComputeNs, 10)
-		}
-		dst = append(dst, `,"project_ns":`...)
-		dst = strconv.AppendInt(dst, qt.ProjectNs, 10)
-		dst = append(dst, `,"total_ns":`...)
-		dst = strconv.AppendInt(dst, qt.TotalNs, 10)
-		dst = append(dst, '}')
-	}
 	if a.result != nil {
 		dst = append(dst, `,"result":`...)
 		dst = AppendAnswer(dst, a.result)
@@ -75,10 +56,8 @@ func appendQueryResponse(dst []byte, a *queryAnswer) ([]byte, error) {
 	return appendSpansAndClose(dst, a.spans)
 }
 
-func appendBatchResponse(dst []byte, traceID, run string, results []*provenance.Answer, spans *obs.SpanNode) ([]byte, error) {
-	dst = append(dst, `{"trace_id":`...)
-	dst = jsontok.AppendString(dst, traceID)
-	dst = append(dst, `,"run":`...)
+func appendBatchResponse(dst []byte, run string, results []*provenance.Answer, spans *obs.SpanNode) ([]byte, error) {
+	dst = append(dst, `{"run":`...)
 	dst = jsontok.AppendString(dst, run)
 	dst = append(dst, `,"count":`...)
 	dst = strconv.AppendInt(dst, int64(len(results)), 10)

@@ -131,22 +131,11 @@ func checkOracleResult(t testing.TB, res *provenance.Result) {
 	}
 }
 
-// timingDTO carries the QueryTrace stage numbers.
-type timingDTO struct {
-	LookupNs  int64 `json:"lookup_ns"`
-	ComputeNs int64 `json:"compute_ns,omitempty"`
-	ProjectNs int64 `json:"project_ns"`
-	TotalNs   int64 `json:"total_ns"`
-}
-
 // queryResponse is the body of a POST /v1/query answer.
 type queryResponse struct {
-	TraceID   string        `json:"trace_id"`
 	Run       string        `json:"run"`
 	Data      string        `json:"data"`
 	Kind      string        `json:"kind"`
-	Outcome   string        `json:"outcome,omitempty"`
-	Timing    *timingDTO    `json:"timing,omitempty"`
 	Result    *resultDTO    `json:"result,omitempty"`
 	Execution *executionDTO `json:"execution,omitempty"`
 	Trace     *obs.SpanNode `json:"trace,omitempty"`
@@ -154,7 +143,6 @@ type queryResponse struct {
 
 // batchResponse is the body of a POST /v1/batch answer.
 type batchResponse struct {
-	TraceID string        `json:"trace_id"`
 	Run     string        `json:"run"`
 	Count   int           `json:"count"`
 	Results []*resultDTO  `json:"results"`
@@ -165,13 +153,8 @@ type batchResponse struct {
 // struct, the way the server encoded it before it had its own encoder.
 func oracleQuery(t testing.TB, a *queryAnswer) []byte {
 	t.Helper()
-	resp := queryResponse{TraceID: a.traceID, Run: a.run, Data: a.data, Kind: a.kind,
+	resp := queryResponse{Run: a.run, Data: a.data, Kind: a.kind,
 		Result: toResultDTO(a.result.Result()), Trace: a.spans}
-	if qt := a.deep; qt != nil {
-		resp.Outcome = qt.Outcome
-		resp.Timing = &timingDTO{LookupNs: qt.LookupNs, ComputeNs: qt.ComputeNs,
-			ProjectNs: qt.ProjectNs, TotalNs: qt.TotalNs}
-	}
 	if a.execution != nil {
 		dto := toExecutionDTO(a.execution)
 		resp.Execution = &dto
@@ -179,9 +162,9 @@ func oracleQuery(t testing.TB, a *queryAnswer) []byte {
 	return marshalLine(t, resp)
 }
 
-func oracleBatch(t testing.TB, traceID, run string, results []*provenance.Answer, spans *obs.SpanNode) []byte {
+func oracleBatch(t testing.TB, run string, results []*provenance.Answer, spans *obs.SpanNode) []byte {
 	t.Helper()
-	resp := batchResponse{TraceID: traceID, Run: run, Count: len(results),
+	resp := batchResponse{Run: run, Count: len(results),
 		Results: make([]*resultDTO, len(results)), Trace: spans}
 	for i, a := range results {
 		resp.Results[i] = toResultDTO(a.Result())
@@ -231,13 +214,13 @@ func checkQuery(t testing.TB, a *queryAnswer) {
 	}
 }
 
-func checkBatch(t testing.TB, traceID, run string, results []*provenance.Answer, spans *obs.SpanNode) {
+func checkBatch(t testing.TB, run string, results []*provenance.Answer, spans *obs.SpanNode) {
 	t.Helper()
-	got, err := appendBatchResponse(nil, traceID, run, results, spans)
+	got, err := appendBatchResponse(nil, run, results, spans)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := oracleBatch(t, traceID, run, results, spans); !bytes.Equal(got, want) {
+	if want := oracleBatch(t, run, results, spans); !bytes.Equal(got, want) {
 		t.Fatalf("batch answer differs from encoding/json\n got: %s\nwant: %s", got, want)
 	}
 	var out client.BatchResponse
@@ -291,7 +274,7 @@ func fig2Answers(t testing.TB) []*provenance.Answer {
 		v    *core.UserView
 		data string
 	}{{core.UAdmin(sp), "d447"}, {joe, "d447"}, {joe, "d1"}} {
-		a, _, err := e.DeepAnswerTracedCtx(context.Background(), "fig2", q.v, q.data)
+		a, err := e.DeepAnswerCtx(context.Background(), "fig2", q.v, q.data)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -314,27 +297,25 @@ func TestAppendResponseMatchesEncodingJSON(t *testing.T) {
 	}
 	spans := &obs.SpanNode{Name: "POST /v1/query", DurNs: 12, Tags: map[string]string{"k": "<v>"},
 		Children: []obs.SpanNode{{Name: "query.lookup", StartNs: 1, DurNs: 2}}}
-	miss := &provenance.QueryTrace{Outcome: "miss", LookupNs: 5, ComputeNs: 3, ProjectNs: 7, TotalNs: 12}
-	hit := &provenance.QueryTrace{Outcome: "hit", LookupNs: 1, TotalNs: 2}
 
 	for _, a := range answers {
-		checkQuery(t, &queryAnswer{traceID: "00000000000000a1", run: "r", data: a.Root, kind: "deep", deep: miss, result: a})
-		checkQuery(t, &queryAnswer{traceID: "00000000000000a1", run: "r", data: a.Root, kind: "deep", deep: hit, result: a, spans: spans})
+		checkQuery(t, &queryAnswer{run: "r", data: a.Root, kind: "deep", result: a})
+		checkQuery(t, &queryAnswer{run: "r", data: a.Root, kind: "deep", result: a, spans: spans})
 		checkQuery(t, &queryAnswer{run: "r", data: a.Root, kind: "derived", result: a})
 	}
 	for _, s := range nasty {
-		checkQuery(t, &queryAnswer{traceID: s, run: s, data: s, kind: s, deep: &provenance.QueryTrace{Outcome: s}})
+		checkQuery(t, &queryAnswer{run: s, data: s, kind: s})
 		checkQuery(t, &queryAnswer{run: s, data: s, kind: "immediate", execution: exec(s, []string{s}, []string{s}, nil)})
 		checkQuery(t, &queryAnswer{run: s, data: s, kind: "immediate", execution: exec(s, nasty, nasty, nasty)})
 	}
 	// Immediate provenance of an external input: no execution at all.
-	checkQuery(t, &queryAnswer{traceID: "t", run: "r", data: "d1", kind: "immediate"})
-	checkQuery(t, &queryAnswer{traceID: "t", run: "r", data: "d1", kind: "immediate",
+	checkQuery(t, &queryAnswer{run: "r", data: "d1", kind: "immediate"})
+	checkQuery(t, &queryAnswer{run: "r", data: "d1", kind: "immediate",
 		execution: exec("M2@1", []string{"S2", "S3"}, nil, []string{}), spans: spans})
 
-	checkBatch(t, "t", "r", append([]*provenance.Answer{nil}, answers...), nil)
-	checkBatch(t, "t", "r", []*provenance.Answer{nil}, spans)
-	checkBatch(t, nasty[2], nasty[8], nil, nil)
+	checkBatch(t, "r", append([]*provenance.Answer{nil}, answers...), nil)
+	checkBatch(t, "r", []*provenance.Answer{nil}, spans)
+	checkBatch(t, nasty[8], nil, nil)
 
 	// The string oracle itself, on shapes only strings can take.
 	full := &provenance.Result{
@@ -358,8 +339,8 @@ func TestAppendResponseMatchesEncodingJSON(t *testing.T) {
 	}
 }
 
-// FuzzAppendResponse shapes the envelope of a response (echo, outcome,
-// timing, an immediate answer's execution, spans, a batch) out of arbitrary
+// FuzzAppendResponse shapes the envelope of a response (echo, an immediate
+// answer's execution, spans, a batch) out of arbitrary
 // strings and holds the encoder to encoding/json on all of it; the result
 // object inside is one of the running example's answers, and the result
 // shaped from the same strings goes to the string oracle, so that stays held
@@ -399,18 +380,14 @@ func FuzzAppendResponse(f *testing.F) {
 		if !bit(8) {
 			a = answers[int(shape>>6)%len(answers)]
 		}
-		var deep *provenance.QueryTrace
-		if bit(14) {
-			deep = &provenance.QueryTrace{Outcome: id, LookupNs: int64(shape), ComputeNs: int64(shape) - 1<<15, TotalNs: -int64(shape)}
-		}
 		var spans *obs.SpanNode
 		if bit(15) {
 			spans = &obs.SpanNode{Name: list, Tags: map[string]string{id: run}}
 		}
-		checkQuery(t, &queryAnswer{traceID: id, run: run, data: id, kind: list, deep: deep, result: a, spans: spans})
-		checkQuery(t, &queryAnswer{traceID: id, run: run, data: id, kind: "immediate", execution: x})
-		checkQuery(t, &queryAnswer{traceID: id, run: run, data: id, kind: "immediate"})
-		checkBatch(t, id, run, []*provenance.Answer{a, nil, a}, spans)
+		checkQuery(t, &queryAnswer{run: run, data: id, kind: list, result: a, spans: spans})
+		checkQuery(t, &queryAnswer{run: run, data: id, kind: "immediate", execution: x})
+		checkQuery(t, &queryAnswer{run: run, data: id, kind: "immediate"})
+		checkBatch(t, run, []*provenance.Answer{a, nil, a}, spans)
 	})
 }
 
@@ -439,7 +416,7 @@ func largeSite(t testing.TB) (e *provenance.Engine, runID string, admin *core.Us
 func largeAnswer(t testing.TB) *provenance.Answer {
 	t.Helper()
 	e, runID, admin, root := largeSite(t)
-	a, _, err := e.DeepAnswerTracedCtx(context.Background(), runID, admin, root)
+	a, err := e.DeepAnswerCtx(context.Background(), runID, admin, root)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -451,8 +428,7 @@ func largeAnswer(t testing.TB) *provenance.Answer {
 // answer allocates nothing — no DTO copies, no reflection, no indenter.
 func TestEncodeLargeAnswerAllocs(t *testing.T) {
 	res := largeAnswer(t)
-	a := &queryAnswer{traceID: "00000000000000a1", run: res.RunID, data: res.Root, kind: "deep",
-		deep: &provenance.QueryTrace{Outcome: "hit", LookupNs: 1, ProjectNs: 2, TotalNs: 3}, result: res}
+	a := &queryAnswer{run: res.RunID, data: res.Root, kind: "deep", result: res}
 	checkQuery(t, a)
 	buf, err := appendQueryResponse(nil, a)
 	if err != nil {
@@ -475,13 +451,13 @@ func TestEncodeLargeAnswerAllocs(t *testing.T) {
 // writers: a value or an answer that cannot be encoded costs the client a
 // JSON 500, never a 200 followed by half a document.
 func TestEncodeFailureIsAWellFormed500(t *testing.T) {
-	check := func(name string, rec *httptest.ResponseRecorder, wantTrace string) {
+	check := func(name string, rec *httptest.ResponseRecorder) {
 		t.Helper()
 		var eb errorBody
 		if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil {
 			t.Fatalf("%s: body %q is not JSON: %v", name, rec.Body.String(), err)
 		}
-		if rec.Code != http.StatusInternalServerError || !strings.Contains(eb.Error, "encode response") || eb.TraceID != wantTrace {
+		if rec.Code != http.StatusInternalServerError || !strings.Contains(eb.Error, "encode response") {
 			t.Fatalf("%s: status %d body %+v", name, rec.Code, eb)
 		}
 		if cl := rec.Header().Get("Content-Length"); cl != strconv.Itoa(rec.Body.Len()) {
@@ -490,14 +466,13 @@ func TestEncodeFailureIsAWellFormed500(t *testing.T) {
 	}
 	rec := httptest.NewRecorder()
 	writeJSON(rec, http.StatusOK, map[string]any{"unencodable": make(chan int)})
-	check("writeJSON", rec, "")
+	check("writeJSON", rec)
 
-	tr := obs.NewTrace("test")
 	rec = httptest.NewRecorder()
-	writeAnswer(rec, tr, func(dst []byte) ([]byte, error) {
-		return append(dst, `{"trace_id":"half a docu`...), errors.New("span tree would not marshal")
+	writeAnswer(rec, func(dst []byte) ([]byte, error) {
+		return append(dst, `{"run":"half a docu`...), errors.New("span tree would not marshal")
 	})
-	check("writeAnswer", rec, tr.ID())
+	check("writeAnswer", rec)
 }
 
 // BenchmarkEncodeLargeAnswer is the "indentation, not reflection" row of
@@ -507,16 +482,14 @@ func TestEncodeFailureIsAWellFormed500(t *testing.T) {
 func BenchmarkEncodeLargeAnswer(b *testing.B) {
 	ans := largeAnswer(b)
 	res := ans.Result()
-	a := &queryAnswer{traceID: "00000000000000a1", run: res.RunID, data: res.Root, kind: "deep",
-		deep: &provenance.QueryTrace{Outcome: "hit", LookupNs: 1, ProjectNs: 2, TotalNs: 3}, result: ans}
+	a := &queryAnswer{run: res.RunID, data: res.Root, kind: "deep", result: ans}
 	reflective := func(indent bool) func(*testing.B) {
 		return func(b *testing.B) {
 			b.ReportAllocs()
 			var buf bytes.Buffer
 			for i := 0; i < b.N; i++ {
 				buf.Reset()
-				resp := queryResponse{TraceID: a.traceID, Run: a.run, Data: a.data, Kind: a.kind, Outcome: a.deep.Outcome,
-					Timing: &timingDTO{LookupNs: 1, ProjectNs: 2, TotalNs: 3}, Result: toResultDTO(res)}
+				resp := queryResponse{Run: a.run, Data: a.data, Kind: a.kind, Result: toResultDTO(res)}
 				enc := json.NewEncoder(&buf)
 				if indent {
 					enc.SetIndent("", "  ")

@@ -9,7 +9,10 @@
 // (query.lookup, closure.compute / closure.shared-wait, query.project,
 // batch.query <id>), and the finished tree is returned inline with
 // ?trace=1, referenced by the X-Zoom-Trace-Id response header, and kept in
-// the slow log for requests over the threshold. The server is usable
+// the slow log for requests over the threshold. The trace id, the stage
+// timings and the closure-cache outcome live there and not in the body, so
+// an untraced answer is the same bytes however often, and by whichever
+// tier, it is asked. The server is usable
 // before its warehouse finishes loading: /healthz answers immediately,
 // /readyz and the API answer 503 until SetEngine installs a loaded engine.
 package server
@@ -305,9 +308,10 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 // snapshots.
 type apiHandler func(ctx context.Context, tr *obs.Trace, w http.ResponseWriter, r *http.Request)
 
-// TraceIDHeader carries the request's trace id on responses — and, since
-// the handlers accept it inbound too, one id can follow a request through
-// a router hop onto a worker, so both slow logs name the same trace.
+// TraceIDHeader carries the request's trace id on every API response,
+// errors included; no body carries it. The handlers accept it inbound too,
+// so one id can follow a request through a router hop onto a worker, and
+// both slow logs name the same trace.
 const TraceIDHeader = "X-Zoom-Trace-Id"
 
 // ParentSpanHeader carries, on traced routed requests, the router's
@@ -372,10 +376,11 @@ func (s *Server) traced(route string, h apiHandler) http.Handler {
 	})
 }
 
-// errorBody is the uniform JSON error shape.
+// errorBody is the uniform JSON error shape. Like every body, it names no
+// trace: the request's id is in the TraceIDHeader that traced sets on every
+// response.
 type errorBody struct {
-	Error   string `json:"error"`
-	TraceID string `json:"trace_id,omitempty"`
+	Error string `json:"error"`
 }
 
 // writeJSON marshals v (compact; humans pipe to `jq .`) and only then
@@ -401,11 +406,11 @@ func writeBody(w http.ResponseWriter, status int, body []byte) {
 // it produced; an encode failure is reported like any other server error.
 // The buffer goes back to the pool once the ResponseWriter — which copies,
 // never retains — has taken the bytes.
-func writeAnswer(w http.ResponseWriter, tr *obs.Trace, encode func(dst []byte) ([]byte, error)) {
+func writeAnswer(w http.ResponseWriter, encode func(dst []byte) ([]byte, error)) {
 	bp := bufPool.Get().(*[]byte)
 	body, err := encode((*bp)[:0])
 	if err != nil {
-		writeError(w, tr, fmt.Errorf("encode response: %w", err))
+		writeError(w, fmt.Errorf("encode response: %w", err))
 	} else {
 		writeBody(w, http.StatusOK, body)
 	}
@@ -418,7 +423,7 @@ func writeAnswer(w http.ResponseWriter, tr *obs.Trace, encode func(dst []byte) (
 // writeError maps engine/warehouse errors onto HTTP statuses: unknown
 // names are the client's 404s, malformed requests 400s, everything else a
 // 500.
-func writeError(w http.ResponseWriter, tr *obs.Trace, err error) {
+func writeError(w http.ResponseWriter, err error) {
 	status := http.StatusInternalServerError
 	switch {
 	case errors.Is(err, warehouse.ErrUnknownRun),
@@ -433,11 +438,7 @@ func writeError(w http.ResponseWriter, tr *obs.Trace, err error) {
 		errors.Is(err, composite.ErrViewMismatch):
 		status = http.StatusBadRequest
 	}
-	var id string
-	if tr != nil {
-		id = tr.ID()
-	}
-	writeJSON(w, status, errorBody{Error: err.Error(), TraceID: id})
+	writeJSON(w, status, errorBody{Error: err.Error()})
 }
 
 // errBadRequest tags client errors produced by the server itself.
@@ -447,16 +448,12 @@ var errBadRequest = errors.New("bad request")
 // 413, not 400 — the request may be perfectly well-formed, just too big.
 var errTooLarge = errors.New("request body too large")
 
-// errNotReady answers API calls before the warehouse has loaded.
-func (s *Server) engineOr503(w http.ResponseWriter, tr *obs.Trace) *provenance.Engine {
+// engineOr503 returns the installed engine, or answers 503 and returns nil
+// while the warehouse is still loading.
+func (s *Server) engineOr503(w http.ResponseWriter) *provenance.Engine {
 	e := s.engine.Load()
 	if e == nil {
-		var id string
-		if tr != nil {
-			id = tr.ID()
-		}
-		writeJSON(w, http.StatusServiceUnavailable,
-			errorBody{Error: "warehouse loading, not ready", TraceID: id})
+		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: "warehouse loading, not ready"})
 	}
 	return e
 }
@@ -524,29 +521,29 @@ func wantInlineTrace(r *http.Request) bool {
 
 // handleQuery answers one provenance query.
 func (s *Server) handleQuery(ctx context.Context, tr *obs.Trace, w http.ResponseWriter, r *http.Request) {
-	e := s.engineOr503(w, tr)
+	e := s.engineOr503(w)
 	if e == nil {
 		return
 	}
 	var req queryRequest
 	if err := decodeBody(w, r, &req); err != nil {
-		writeError(w, tr, err)
+		writeError(w, err)
 		return
 	}
 	if req.Run == "" || req.Data == "" {
-		writeError(w, tr, fmt.Errorf("%w: run and data are required", errBadRequest))
+		writeError(w, fmt.Errorf("%w: run and data are required", errBadRequest))
 		return
 	}
 	v, err := resolveView(e, req.Run, req.View, req.Relevant)
 	if err != nil {
-		writeError(w, tr, err)
+		writeError(w, err)
 		return
 	}
-	ans := queryAnswer{traceID: tr.ID(), run: req.Run, data: req.Data}
+	ans := queryAnswer{run: req.Run, data: req.Data}
 	switch req.Kind {
 	case "", "deep":
 		ans.kind = "deep"
-		ans.result, ans.deep, err = e.DeepAnswerTracedCtx(ctx, req.Run, v, req.Data)
+		ans.result, err = e.DeepAnswerCtx(ctx, req.Run, v, req.Data)
 	case "immediate":
 		ans.kind = "immediate"
 		ans.execution, err = e.ImmediateProvenanceCtx(ctx, req.Run, v, req.Data)
@@ -559,36 +556,36 @@ func (s *Server) handleQuery(ctx context.Context, tr *obs.Trace, w http.Response
 		err = fmt.Errorf("%w: unknown kind %q (deep, immediate, derived)", errBadRequest, req.Kind)
 	}
 	if err != nil {
-		writeError(w, tr, err)
+		writeError(w, err)
 		return
 	}
 	if wantInlineTrace(r) {
 		node := tr.Snapshot()
 		ans.spans = &node
 	}
-	writeAnswer(w, tr, func(dst []byte) ([]byte, error) { return appendQueryResponse(dst, &ans) })
+	writeAnswer(w, func(dst []byte) ([]byte, error) { return appendQueryResponse(dst, &ans) })
 }
 
 // handleBatch answers many queries of one run/view in parallel. The batch
 // workers record sibling spans under this request's root, so a traced
 // batch shows its internal concurrency.
 func (s *Server) handleBatch(ctx context.Context, tr *obs.Trace, w http.ResponseWriter, r *http.Request) {
-	e := s.engineOr503(w, tr)
+	e := s.engineOr503(w)
 	if e == nil {
 		return
 	}
 	var req batchRequest
 	if err := decodeBody(w, r, &req); err != nil {
-		writeError(w, tr, err)
+		writeError(w, err)
 		return
 	}
 	if req.Run == "" || len(req.Data) == 0 {
-		writeError(w, tr, fmt.Errorf("%w: run and a non-empty data list are required", errBadRequest))
+		writeError(w, fmt.Errorf("%w: run and a non-empty data list are required", errBadRequest))
 		return
 	}
 	v, err := resolveView(e, req.Run, req.View, req.Relevant)
 	if err != nil {
-		writeError(w, tr, err)
+		writeError(w, err)
 		return
 	}
 	workers := req.Workers
@@ -600,7 +597,7 @@ func (s *Server) handleBatch(ctx context.Context, tr *obs.Trace, w http.Response
 	}
 	results, err := e.DeepAnswerBatch(ctx, req.Run, v, req.Data, workers)
 	if err != nil {
-		writeError(w, tr, err)
+		writeError(w, err)
 		return
 	}
 	var spans *obs.SpanNode
@@ -608,8 +605,8 @@ func (s *Server) handleBatch(ctx context.Context, tr *obs.Trace, w http.Response
 		node := tr.Snapshot()
 		spans = &node
 	}
-	writeAnswer(w, tr, func(dst []byte) ([]byte, error) {
-		return appendBatchResponse(dst, tr.ID(), req.Run, results, spans)
+	writeAnswer(w, func(dst []byte) ([]byte, error) {
+		return appendBatchResponse(dst, req.Run, results, spans)
 	})
 }
 
@@ -620,30 +617,29 @@ func (s *Server) handleBatch(ctx context.Context, tr *obs.Trace, w http.Response
 // merged response so a fully-healthy cluster answer is byte-identical to
 // a single node's.
 type runsResponse struct {
-	TraceID string              `json:"trace_id"`
-	Count   int                 `json:"count"`
-	Runs    []warehouse.RunInfo `json:"runs"`
+	Count int                 `json:"count"`
+	Runs  []warehouse.RunInfo `json:"runs"`
 }
 
 // handleRuns lists the loaded runs, deterministically sorted by run id,
 // from the warehouse's catalog: no run is materialized to be listed.
-func (s *Server) handleRuns(_ context.Context, tr *obs.Trace, w http.ResponseWriter, _ *http.Request) {
-	e := s.engineOr503(w, tr)
+func (s *Server) handleRuns(_ context.Context, _ *obs.Trace, w http.ResponseWriter, _ *http.Request) {
+	e := s.engineOr503(w)
 	if e == nil {
 		return
 	}
 	runs := e.Warehouse().RunCatalog() // sorted by the warehouse
-	writeJSON(w, http.StatusOK, runsResponse{TraceID: tr.ID(), Count: len(runs), Runs: runs})
+	writeJSON(w, http.StatusOK, runsResponse{Count: len(runs), Runs: runs})
 }
 
 // handleStats returns the warehouse statistics (catalog row counts, cache
 // counters, and — when attached — the metrics snapshot).
-func (s *Server) handleStats(_ context.Context, tr *obs.Trace, w http.ResponseWriter, _ *http.Request) {
-	e := s.engineOr503(w, tr)
+func (s *Server) handleStats(_ context.Context, _ *obs.Trace, w http.ResponseWriter, _ *http.Request) {
+	e := s.engineOr503(w)
 	if e == nil {
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"trace_id": tr.ID(), "stats": e.Warehouse().Stats()})
+	writeJSON(w, http.StatusOK, map[string]any{"stats": e.Warehouse().Stats()})
 }
 
 // handleMetrics serves the Prometheus text exposition of the registry.

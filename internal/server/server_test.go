@@ -11,7 +11,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -138,34 +137,32 @@ func TestServerQueryDeep(t *testing.T) {
 	if rec.Code != 200 {
 		t.Fatalf("query: %d: %s", rec.Code, rec.Body.String())
 	}
-	if hdr := rec.Header().Get("X-Zoom-Trace-Id"); hdr == "" || hdr != resp.TraceID {
-		t.Fatalf("trace id header %q vs body %q", hdr, resp.TraceID)
+	if !obs.ValidTraceID(rec.Header().Get(TraceIDHeader)) {
+		t.Fatalf("trace id header %q", rec.Header().Get(TraceIDHeader))
 	}
-	if resp.Kind != "deep" || resp.Outcome != "miss" {
-		t.Fatalf("kind=%q outcome=%q, want deep/miss on a cold cache", resp.Kind, resp.Outcome)
+	if resp.Kind != "deep" {
+		t.Fatalf("kind=%q, want deep", resp.Kind)
 	}
 	if resp.Result == nil || len(resp.Result.Data) == 0 || len(resp.Result.Executions) == 0 {
 		t.Fatalf("empty result: %+v", resp.Result)
 	}
-	if resp.Timing == nil || resp.Timing.TotalNs <= 0 || resp.Timing.LookupNs <= 0 {
-		t.Fatalf("timing not populated: %+v", resp.Timing)
-	}
 	if resp.Trace != nil {
 		t.Fatal("trace embedded without ?trace=1")
 	}
-
-	// Same query again: the closure cache serves it, and a fresh trace id
-	// is minted.
-	var warm queryResponse
-	doJSON(t, h, "POST", "/v1/query", req, &warm)
-	if warm.Outcome != "hit" {
-		t.Fatalf("second query outcome %q, want hit", warm.Outcome)
+	for _, key := range []string{`"trace_id"`, `"outcome"`, `"timing"`} {
+		if bytes.Contains(rec.Body.Bytes(), []byte(key)) {
+			t.Fatalf("answer body carries %s: %s", key, rec.Body)
+		}
 	}
-	if warm.TraceID == resp.TraceID {
+
+	// Same query again: the closure cache serves it, under a fresh trace
+	// id, and the answer is the cold one byte for byte.
+	warm := doJSON(t, h, "POST", "/v1/query", req, nil)
+	if warm.Header().Get(TraceIDHeader) == rec.Header().Get(TraceIDHeader) {
 		t.Fatal("trace id reused across requests")
 	}
-	if len(warm.Result.Data) != len(resp.Result.Data) {
-		t.Fatalf("warm result differs: %d vs %d data objects", len(warm.Result.Data), len(resp.Result.Data))
+	if !bytes.Equal(warm.Body.Bytes(), rec.Body.Bytes()) {
+		t.Fatalf("warm answer differs from the cold one\ncold: %s\nwarm: %s", rec.Body, warm.Body)
 	}
 }
 
@@ -187,6 +184,9 @@ func TestServerQueryInlineTrace(t *testing.T) {
 	if lookup == nil {
 		t.Fatalf("no query.lookup span: %+v", cold.Trace)
 	}
+	if lookup.Tags["outcome"] != "miss" {
+		t.Fatalf("cold query.lookup outcome %q, want miss", lookup.Tags["outcome"])
+	}
 	if lookup.Find("closure.compute") == nil {
 		t.Fatalf("cold lookup has no closure.compute child: %+v", lookup)
 	}
@@ -201,11 +201,11 @@ func TestServerQueryInlineTrace(t *testing.T) {
 		t.Fatalf("root (%dns) shorter than lookup (%dns)", cold.Trace.DurNs, lookup.DurNs)
 	}
 
-	// Warm: the lookup span remains but nothing is computed.
+	// Warm: the lookup span remains, a hit, but nothing is computed.
 	var warm queryResponse
 	doJSON(t, h, "POST", "/v1/query?trace=1", req, &warm)
-	if warm.Trace.Find("query.lookup") == nil {
-		t.Fatal("warm trace lost query.lookup")
+	if lookup := warm.Trace.Find("query.lookup"); lookup == nil || lookup.Tags["outcome"] != "hit" {
+		t.Fatalf("warm trace lost query.lookup or its hit outcome: %+v", lookup)
 	}
 	if warm.Trace.Find("closure.compute") != nil {
 		t.Fatal("warm trace recorded closure.compute on a cache hit")
@@ -335,8 +335,7 @@ func TestServerRunsAndStats(t *testing.T) {
 	h := s.Handler()
 
 	var runsResp struct {
-		TraceID string              `json:"trace_id"`
-		Runs    []warehouse.RunInfo `json:"runs"`
+		Runs []warehouse.RunInfo `json:"runs"`
 	}
 	if rec := doJSON(t, h, "GET", "/v1/runs", nil, &runsResp); rec.Code != 200 {
 		t.Fatalf("/v1/runs: %d", rec.Code)
@@ -636,10 +635,6 @@ func tinyEngine(t *testing.T, mods ...string) *provenance.Engine {
 	return provenance.NewEngine(w)
 }
 
-// volatile matches the parts of an answer that differ between two servers
-// answering the same query: the trace id and the stage timings.
-var volatile = regexp.MustCompile(`"trace_id":"[0-9a-f]*"|"timing":\{[^}]*\}`)
-
 // TestViewMemoDiesWithEngine: the views a server resolves belong to its
 // engine. After SetEngine installs a warehouse whose spec "tiny" gained a
 // module, a relevant list the old engine had memoized is resolved over the
@@ -652,7 +647,7 @@ func TestViewMemoDiesWithEngine(t *testing.T) {
 		if rec.Code != http.StatusOK {
 			t.Fatalf("query %s: status %d: %s", data, rec.Code, rec.Body)
 		}
-		return volatile.ReplaceAll(rec.Body.Bytes(), nil)
+		return rec.Body.Bytes()
 	}
 	s, _ := newTestServer(t, Config{})
 	s.SetEngine(tinyEngine(t, "A"))
@@ -733,8 +728,9 @@ func TestReadyzReportsLoadProgress(t *testing.T) {
 }
 
 // TestServerTraceIDPropagation: a valid inbound X-Zoom-Trace-Id is adopted
-// for the whole request (header, body, slow log), so a routed query keeps
-// one trace id end-to-end; an invalid one is replaced with a fresh id.
+// for the whole request (header and slow log; no body names it), so a routed
+// query keeps one trace id end-to-end; an invalid one is replaced with a
+// fresh id.
 func TestServerTraceIDPropagation(t *testing.T) {
 	s, _ := newTestServer(t, Config{SlowThreshold: -1})
 	h := s.Handler()
@@ -751,14 +747,8 @@ func TestServerTraceIDPropagation(t *testing.T) {
 	if got := rec.Header().Get(TraceIDHeader); got != id {
 		t.Fatalf("response header id %q, want inbound %q", got, id)
 	}
-	var resp struct {
-		TraceID string `json:"trace_id"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.TraceID != id {
-		t.Fatalf("body trace_id %q, want inbound %q", resp.TraceID, id)
+	if bytes.Contains(rec.Body.Bytes(), []byte(id)) {
+		t.Fatalf("answer body names the trace: %s", rec.Body)
 	}
 	entries := s.SlowLog().Entries()
 	if len(entries) == 0 || entries[0].TraceID != id {
@@ -851,9 +841,8 @@ func TestServerRunsSortedWithCount(t *testing.T) {
 	s.SetEngine(provenance.NewEngine(w))
 
 	var resp struct {
-		TraceID string `json:"trace_id"`
-		Count   int    `json:"count"`
-		Runs    []struct {
+		Count int `json:"count"`
+		Runs  []struct {
 			ID string `json:"id"`
 		} `json:"runs"`
 	}

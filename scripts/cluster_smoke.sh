@@ -95,13 +95,14 @@ grep -q '"count":1' "$workdir/runs.json" || fail "merged catalog count != 1"
 grep -q '"id":"fig2"' "$workdir/runs.json" || fail "merged catalog misses fig2"
 
 # A routed deep query through the named joe view, with a caller-chosen
-# trace id that must survive the router hop into the worker's answer.
+# trace id that must come back in the router's response header.
 trace=cafe0123cafe0123
-curl -fsS -X POST -H 'Content-Type: application/json' \
+curl -fsS -D "$workdir/query.headers" -X POST -H 'Content-Type: application/json' \
     -H "X-Zoom-Trace-Id: $trace" \
     -d '{"run":"fig2","data":"d447","view":"joe"}' \
     "$base/v1/query" >"$workdir/query.json" || fail "routed POST /v1/query"
-grep -q "\"trace_id\":\"$trace\"" "$workdir/query.json" || fail "trace id lost across the router hop"
+grep -qi "^x-zoom-trace-id: $trace" "$workdir/query.headers" || fail "trace id lost across the router hop"
+grep -q '"trace_id"' "$workdir/query.json" && fail "routed answer body names its trace"
 grep -q '"data":"d447"' "$workdir/query.json" || fail "routed query wrong payload"
 echo "cluster-smoke: routed traced query ok"
 
@@ -202,9 +203,10 @@ echo "cluster-smoke: router response cache serving repeats"
 # replica.attempt) with the worker's engine spans grafted under the
 # winning attempt, the worker subtree naming its attempt via parent_span.
 strace=beefcafe01234567
-curl -fsS -X POST -H 'Content-Type: application/json' \
+curl -fsS -D "$workdir/stitched.headers" -X POST -H 'Content-Type: application/json' \
     -H "X-Zoom-Trace-Id: $strace" -d "$body" \
     "$base/v1/query?trace=1" >"$workdir/stitched.json" || fail "traced routed query"
+grep -qi "^x-zoom-trace-id: $strace" "$workdir/stitched.headers" || fail "traced routed query lost its trace id"
 grep -q '"name":"route.pick"' "$workdir/stitched.json" || fail "stitched tree misses route.pick"
 grep -q '"name":"cache.lookup"' "$workdir/stitched.json" || fail "stitched tree misses cache.lookup"
 grep -q '"name":"replica.attempt"' "$workdir/stitched.json" || fail "stitched tree misses replica.attempt"

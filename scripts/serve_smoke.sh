@@ -59,15 +59,16 @@ curl -fsS -D "$workdir/headers" -o "$workdir/query.json" \
     -X POST -H 'Content-Type: application/json' \
     -d '{"run":"fig2","data":"d447","view":"joe"}' \
     "$base/v1/query?trace=1" || fail "POST /v1/query"
-grep -qi '^x-zoom-trace-id: [0-9a-f]\{16\}' "$workdir/headers" || fail "no X-Zoom-Trace-Id header"
-grep -q '"outcome":"miss"' "$workdir/query.json" || fail "first query was not a cache miss"
-grep -q '"name":"query.lookup"' "$workdir/query.json" || fail "trace has no query.lookup span"
+# The trace id travels in the header only; the answer names no trace and
+# carries no timings.
+hdr_id=$(sed -n 's/^[Xx]-[Zz]oom-[Tt]race-[Ii]d: \([0-9a-f]\{16\}\).*/\1/p' "$workdir/headers" | head -1)
+[ -n "$hdr_id" ] || fail "no X-Zoom-Trace-Id header"
+grep -q -e '"trace_id"' -e '"timing"' "$workdir/query.json" && fail "answer body carries trace_id or timing"
+# The cache outcome is a tag on the query.lookup span of the inline tree.
+grep -q '"name":"query.lookup","start_ns":[0-9]*,"dur_ns":[0-9]*,"tags":{"outcome":"miss"}' "$workdir/query.json" \
+    || fail "first query's query.lookup span is not tagged as a cache miss"
 grep -q '"name":"closure.compute"' "$workdir/query.json" || fail "cold trace has no closure.compute span"
-echo "serve-smoke: traced query ok ($(sed -n 's/.*"trace_id":"\([0-9a-f]*\)".*/\1/p' "$workdir/query.json" | head -1))"
-
-# The trace id in the body matches the header.
-hdr_id=$(sed -n 's/^[Xx]-[Zz]oom-[Tt]race-[Ii]d: \([0-9a-f]*\).*/\1/p' "$workdir/headers" | head -1)
-grep -q "\"trace_id\":\"$hdr_id\"" "$workdir/query.json" || fail "header/body trace id mismatch"
+echo "serve-smoke: traced query ok ($hdr_id)"
 
 # Metrics exposition carries the query that just ran.
 curl -fsS "$base/metrics" >"$workdir/metrics.txt" || fail "GET /metrics"

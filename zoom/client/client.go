@@ -89,11 +89,11 @@ func New(base string, opts Options) *Client {
 func (c *Client) Base() string { return c.base }
 
 // Error is a non-2xx response decoded from the server's uniform JSON
-// error shape, with the HTTP status attached.
+// error shape, with the HTTP status and the response's trace id attached.
 type Error struct {
 	Status  int    // HTTP status code
 	Message string `json:"error"`
-	TraceID string `json:"trace_id,omitempty"`
+	TraceID string `json:"-"` // from TraceIDHeader
 }
 
 func (e *Error) Error() string {
@@ -154,30 +154,22 @@ type Result struct {
 	Edges      []Edge            `json:"edges"`
 }
 
-// Timing mirrors the server's per-stage timing DTO.
-type Timing struct {
-	LookupNs  int64 `json:"lookup_ns"`
-	ComputeNs int64 `json:"compute_ns,omitempty"`
-	ProjectNs int64 `json:"project_ns"`
-	TotalNs   int64 `json:"total_ns"`
-}
-
-// QueryResponse is the body of a POST /v1/query answer.
+// QueryResponse is a POST /v1/query answer. Every response type here
+// carries the response's trace id, which the server sends in TraceIDHeader
+// and not in the body.
 type QueryResponse struct {
-	TraceID   string          `json:"trace_id"`
+	TraceID   string          `json:"-"`
 	Run       string          `json:"run"`
 	Data      string          `json:"data"`
 	Kind      string          `json:"kind"`
-	Outcome   string          `json:"outcome,omitempty"`
-	Timing    *Timing         `json:"timing,omitempty"`
 	Result    *Result         `json:"result,omitempty"`
 	Execution *Execution      `json:"execution,omitempty"`
 	Trace     json.RawMessage `json:"trace,omitempty"`
 }
 
-// BatchResponse is the body of a POST /v1/batch answer.
+// BatchResponse is a POST /v1/batch answer.
 type BatchResponse struct {
-	TraceID string          `json:"trace_id"`
+	TraceID string          `json:"-"`
 	Run     string          `json:"run"`
 	Count   int             `json:"count"`
 	Results []*Result       `json:"results"`
@@ -196,7 +188,7 @@ type RunInfo struct {
 // explicit count. Field order matches the server (and the router's merge)
 // so re-encoding is byte-stable.
 type RunsResponse struct {
-	TraceID string    `json:"trace_id"`
+	TraceID string    `json:"-"`
 	Count   int       `json:"count"`
 	Runs    []RunInfo `json:"runs"`
 }
@@ -204,7 +196,7 @@ type RunsResponse struct {
 // StatsResponse is the body of GET /v1/stats; the stats document is kept
 // raw (its shape belongs to the warehouse and grows PR over PR).
 type StatsResponse struct {
-	TraceID string          `json:"trace_id"`
+	TraceID string          `json:"-"`
 	Stats   json.RawMessage `json:"stats"`
 }
 
@@ -224,7 +216,7 @@ type ClusterWorkerStats struct {
 // them into repro/internal/obs.Snapshot (or any structurally-matching
 // type) as needed.
 type ClusterStatsResponse struct {
-	TraceID      string               `json:"trace_id"`
+	TraceID      string               `json:"-"`
 	ShardsTotal  int                  `json:"shards_total"`
 	ShardsOK     int                  `json:"shards_ok"`
 	Router       json.RawMessage      `json:"router"`
@@ -340,7 +332,7 @@ func drain(resp *http.Response) {
 	resp.Body.Close()
 }
 
-func (c *Client) postJSON(ctx context.Context, path, traceID string, in, out any) error {
+func (c *Client) postJSON(ctx context.Context, path, traceID string, in any, out tracedResponse) error {
 	body, err := json.Marshal(in)
 	if err != nil {
 		return err
@@ -358,7 +350,7 @@ func (c *Client) postJSON(ctx context.Context, path, traceID string, in, out any
 	return c.do(req, out)
 }
 
-func (c *Client) getJSON(ctx context.Context, path string, out any) error {
+func (c *Client) getJSON(ctx context.Context, path string, out tracedResponse) error {
 	ctx, cancel := c.bound(ctx)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
@@ -368,9 +360,19 @@ func (c *Client) getJSON(ctx context.Context, path string, out any) error {
 	return c.do(req, out)
 }
 
+// tracedResponse is a response type that takes the trace id of the
+// response it was decoded from.
+type tracedResponse interface{ setTraceID(id string) }
+
+func (r *QueryResponse) setTraceID(id string)        { r.TraceID = id }
+func (r *BatchResponse) setTraceID(id string)        { r.TraceID = id }
+func (r *RunsResponse) setTraceID(id string)         { r.TraceID = id }
+func (r *StatsResponse) setTraceID(id string)        { r.TraceID = id }
+func (r *ClusterStatsResponse) setTraceID(id string) { r.TraceID = id }
+
 // do sends the request and decodes a 2xx JSON body into out, or a non-2xx
-// body into an *Error.
-func (c *Client) do(req *http.Request, out any) error {
+// body into an *Error; either takes the trace id from TraceIDHeader.
+func (c *Client) do(req *http.Request, out tracedResponse) error {
 	resp, err := c.http.Do(req)
 	if err != nil {
 		return err
@@ -380,18 +382,17 @@ func (c *Client) do(req *http.Request, out any) error {
 	if err != nil {
 		return fmt.Errorf("zoom: read response: %w", err)
 	}
+	traceID := resp.Header.Get(TraceIDHeader)
 	if resp.StatusCode/100 != 2 {
-		e := &Error{Status: resp.StatusCode}
+		e := &Error{Status: resp.StatusCode, TraceID: traceID}
 		if jerr := json.Unmarshal(body, e); jerr != nil || e.Message == "" {
 			e.Message = strings.TrimSpace(string(body))
 		}
 		return e
 	}
-	if out == nil {
-		return nil
-	}
 	if err := json.Unmarshal(body, out); err != nil {
 		return fmt.Errorf("zoom: decode %s: %w", req.URL.Path, err)
 	}
+	out.setTraceID(traceID)
 	return nil
 }

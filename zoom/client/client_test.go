@@ -57,8 +57,8 @@ func TestClientQueryBatchRunsStats(t *testing.T) {
 	if q.Kind != "deep" || q.Result == nil || len(q.Result.Executions) == 0 {
 		t.Fatalf("deep query answer unexpected: %+v", q)
 	}
-	if q.Outcome != "miss" {
-		t.Fatalf("first query outcome %q, want miss", q.Outcome)
+	if q.TraceID == "" {
+		t.Fatal("query answer carries no trace id from the response header")
 	}
 
 	im, err := c.Query(ctx, QueryRequest{Run: "fig2", Data: "d413", Kind: "immediate"})
@@ -73,15 +73,15 @@ func TestClientQueryBatchRunsStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Count != 2 || len(b.Results) != 2 {
-		t.Fatalf("batch count %d / %d results, want 2", b.Count, len(b.Results))
+	if b.Count != 2 || len(b.Results) != 2 || b.TraceID == "" {
+		t.Fatalf("batch count %d / %d results (trace %q), want 2 and a trace id", b.Count, len(b.Results), b.TraceID)
 	}
 
 	runs, err := c.Runs(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if runs.Count != 1 || len(runs.Runs) != 1 || runs.Runs[0].ID != "fig2" {
+	if runs.Count != 1 || len(runs.Runs) != 1 || runs.Runs[0].ID != "fig2" || runs.TraceID == "" {
 		t.Fatalf("runs listing unexpected: %+v", runs)
 	}
 
@@ -89,8 +89,8 @@ func TestClientQueryBatchRunsStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(st.Stats) == 0 {
-		t.Fatal("stats document empty")
+	if len(st.Stats) == 0 || st.TraceID == "" {
+		t.Fatalf("stats document empty or untraced: %d bytes, trace %q", len(st.Stats), st.TraceID)
 	}
 
 	r, err := c.Ready(ctx)
