@@ -15,8 +15,8 @@ const DefaultCacheBytes = 64 << 20
 // cacheEntry is one cached worker response. The full request body is kept
 // so a 64-bit key collision degrades to a miss, never a wrong answer. The
 // body is replayed as stored: an answer names no trace and carries no timing
-// (the trace id travels in TraceIDHeader), so a hit and a freshly forwarded
-// answer are the same bytes.
+// (the trace id travels in the X-Zoom-Trace-Id header), so a hit and a
+// freshly forwarded answer are the same bytes.
 type cacheEntry struct {
 	key         uint64
 	path        string

@@ -14,6 +14,7 @@ import (
 	"repro/internal/provenance"
 	"repro/internal/server"
 	"repro/internal/warehouse"
+	"repro/zoom/client"
 )
 
 // buildObsCluster is buildCluster with two observability twists: each
@@ -207,13 +208,13 @@ func TestRouterHostileTraceHeaders(t *testing.T) {
 			t.Fatal(err)
 		}
 		req.Header.Set("Content-Type", "application/json")
-		req.Header.Set(TraceIDHeader, hostile)
+		req.Header.Set(client.TraceIDHeader, hostile)
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		got := resp.Header.Get(TraceIDHeader)
+		got := resp.Header.Get(client.TraceIDHeader)
 		if got == hostile || !obs.ValidTraceID(got) {
 			t.Fatalf("hostile id %q echoed or replaced badly: %q", hostile, got)
 		}

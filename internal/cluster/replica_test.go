@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/edge"
 	"repro/internal/gen"
 	"repro/internal/obs"
 	"repro/internal/provenance"
@@ -460,10 +461,10 @@ func TestRouterCacheAdmission(t *testing.T) {
 	ask := func(id string, i int) {
 		t.Helper()
 		req := httptest.NewRequest(http.MethodPost, "/v1/query", strings.NewReader(fmt.Sprintf(`{"run":"r","data":"d%d"}`, i)))
-		req.Header.Set(TraceIDHeader, id)
+		req.Header.Set(client.TraceIDHeader, id)
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, req)
-		if want := padAnswer(i, []int{100, 20000}[i]); rec.Code != http.StatusOK || rec.Body.String() != want || rec.Header().Get(TraceIDHeader) != id {
+		if want := padAnswer(i, []int{100, 20000}[i]); rec.Code != http.StatusOK || rec.Body.String() != want || rec.Header().Get(client.TraceIDHeader) != id {
 			t.Fatalf("d%d under %s: status %d, %d bytes that are not the worker's %d", i, id, rec.Code, rec.Body.Len(), len(want))
 		}
 	}
@@ -523,7 +524,7 @@ func TestConcurrentPooledRelay(t *testing.T) {
 			for k := 0; k < iters; k++ {
 				id := fmt.Sprintf("%014x%02x", c, k)
 				req := httptest.NewRequest(http.MethodPost, "/v1/query", strings.NewReader(fmt.Sprintf(`{"run":"r","data":"d%d"}`, c)))
-				req.Header.Set(TraceIDHeader, id)
+				req.Header.Set(client.TraceIDHeader, id)
 				rec := httptest.NewRecorder()
 				h.ServeHTTP(rec, req)
 				if want := padAnswer(c, size(c)); rec.Code != http.StatusOK || rec.Body.String() != want {
@@ -616,11 +617,13 @@ func TestRouterCacheHitAllocs(t *testing.T) {
 
 // TestRouterRequestTooLarge checks the oversized-body bugfix on both
 // sides of the hop: the router and the worker answer 413 (not 400) with
-// the standard error body.
+// the standard error body, and since both tiers map the cap through the one
+// request edge, the routed 413 is the single node's byte for byte.
 func TestRouterRequestTooLarge(t *testing.T) {
 	specs, runs, _ := buildCorpus(t, []gen.RunClass{gen.Small()})
 	singleURL, routerURL, _ := buildCluster(t, 2, specs, runs)
-	big := fmt.Sprintf(`{"run":"r","data":%q}`, strings.Repeat("a", maxBodyBytes))
+	big := fmt.Sprintf(`{"run":"r","data":%q}`, strings.Repeat("a", edge.MaxBodyBytes))
+	var bodies [][]byte
 	for _, base := range []string{routerURL, singleURL} {
 		status, body, id := postTraced(t, base, "/v1/query", "0000000000000bad", big)
 		if status != http.StatusRequestEntityTooLarge {
@@ -629,6 +632,10 @@ func TestRouterRequestTooLarge(t *testing.T) {
 		if !strings.Contains(string(body), `"error"`) || id != "0000000000000bad" {
 			t.Fatalf("%s: 413 missing its error body or trace id header (%q): %s", base, id, body)
 		}
+		bodies = append(bodies, body)
+	}
+	if !bytes.Equal(bodies[0], bodies[1]) {
+		t.Fatalf("routed 413 %q differs from the single node's %q", bodies[0], bodies[1])
 	}
 }
 
@@ -679,14 +686,15 @@ func TestRouterGatherCancel(t *testing.T) {
 	}
 }
 
-// TestRouterCopyErrors checks the relay contract for a response whose
-// length is known, with a cache that keeps the answers and with one whose
-// fair share declines them. A worker that dies mid-body (Content-Length
-// promised, connection cut short) costs the client a well-formed 502 naming
-// the shard and replica — never a committed 200 with half a document — is
-// counted in router.copy_errors, and leaves nothing in the cache. A worker
-// that keeps its promise is relayed byte for byte with the length stated,
-// including the answers read into a relay buffer after the short one.
+// TestRouterCopyErrors checks the relay contract, with a cache that keeps
+// the answers and with one whose fair share declines them. A worker that
+// dies mid-body (Content-Length promised, connection cut short) costs the
+// client a well-formed 502 naming the shard and replica — never a committed
+// 200 with half a document — is counted in router.copy_errors, and leaves
+// nothing in the cache. So does a chunked 200 with no length, or a length
+// over maxBufferedBody: the 502 names the bound. A worker that keeps its
+// promise is relayed byte for byte with the length stated, including the
+// answers read into a relay buffer after the short one.
 func TestRouterCopyErrors(t *testing.T) {
 	const whole = `{"run":"r","data":"whole","kind":"deep"}` + "\n"
 	long := `{"run":"r","pad":"` + strings.Repeat("y", 50000) + `"}` + "\n"
@@ -706,6 +714,19 @@ func TestRouterCopyErrors(t *testing.T) {
 			w.WriteHeader(http.StatusOK)
 			w.(http.Flusher).Flush()
 			fmt.Fprint(w, `{"run":"xx"`)
+			return
+		case bytes.Contains(req, []byte(`"chunked"`)):
+			// No Content-Length: the flush commits a chunked 200.
+			w.WriteHeader(http.StatusOK)
+			w.(http.Flusher).Flush()
+			fmt.Fprint(w, whole)
+			return
+		case bytes.Contains(req, []byte(`"huge"`)):
+			// A stated length over the router's bound; the router reads none
+			// of it.
+			w.Header().Set("Content-Length", strconv.Itoa(maxBufferedBody+1))
+			w.WriteHeader(http.StatusOK)
+			w.(http.Flusher).Flush()
 			return
 		case bytes.Contains(req, []byte(`"long"`)):
 			answer = long
@@ -736,7 +757,7 @@ func TestRouterCopyErrors(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				req.Header.Set(TraceIDHeader, id)
+				req.Header.Set(client.TraceIDHeader, id)
 				resp, err := http.DefaultClient.Do(req)
 				if err != nil {
 					t.Fatalf("router did not answer in HTTP: %v", err)
@@ -770,18 +791,35 @@ func TestRouterCopyErrors(t *testing.T) {
 			if resp.StatusCode != http.StatusBadGateway {
 				t.Fatalf("short body: status %d body %q, want 502", resp.StatusCode, got)
 			}
-			var eb errorBody
+			var eb edge.ErrorBody
 			if err := json.Unmarshal(got, &eb); err != nil {
 				t.Fatalf("short body: 502 body %q is not JSON: %v", got, err)
 			}
-			if resp.Header.Get(TraceIDHeader) != "00000000000000c2" || !strings.Contains(eb.Error, "shard 0 replica 0 ("+worker.URL+")") {
-				t.Fatalf("short body: 502 does not carry the trace id and name the shard and replica: %s %+v", resp.Header.Get(TraceIDHeader), eb)
+			if resp.Header.Get(client.TraceIDHeader) != "00000000000000c2" || !strings.Contains(eb.Error, "shard 0 replica 0 ("+worker.URL+")") {
+				t.Fatalf("short body: 502 does not carry the trace id and name the shard and replica: %s %+v", resp.Header.Get(client.TraceIDHeader), eb)
 			}
 			if rt.copyErrors.Value() != 1 {
 				t.Fatalf("short body: router.copy_errors = %d, want 1", rt.copyErrors.Value())
 			}
 			if rt.cache.Len() != tc.stored {
 				t.Fatalf("short body was cached: %d entries, want the %d from before", rt.cache.Len(), tc.stored)
+			}
+
+			// An answer of unstated length, or stated over the bound, is not
+			// relayed at all: a well-formed 502 naming the bound, never a 200
+			// the router could not vouch for.
+			for _, data := range []string{"chunked", "huge"} {
+				resp, got := post("00000000000000c4", `{"run":"r","data":"`+data+`"}`)
+				var eb edge.ErrorBody
+				if resp.StatusCode != http.StatusBadGateway || json.Unmarshal(got, &eb) != nil {
+					t.Fatalf("%s answer: status %d body %q, want a JSON 502", data, resp.StatusCode, got)
+				}
+				if !strings.Contains(eb.Error, "shard 0 replica 0 ("+worker.URL+")") || !strings.Contains(eb.Error, strconv.Itoa(maxBufferedBody)) {
+					t.Fatalf("%s answer: 502 %q does not name the replica and the bound", data, eb.Error)
+				}
+			}
+			if rt.copyErrors.Value() != 1 || rt.cache.Len() != tc.stored {
+				t.Fatalf("unbounded answers: copy_errors=%d cache entries=%d, want 1 and %d", rt.copyErrors.Value(), rt.cache.Len(), tc.stored)
 			}
 
 			// The short read left `{"run":"xx"` in a relay buffer; the

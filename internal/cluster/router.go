@@ -15,26 +15,16 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/edge"
 	"repro/internal/obs"
 	"repro/zoom/client"
 )
 
-// TraceIDHeader carries the trace id across the router hop; the router
-// adopts a valid inbound id and forwards it to the worker, which adopts
-// it in turn, so one id names the request in every log on the path.
-const TraceIDHeader = client.TraceIDHeader
-
-// ParentSpanHeader carries the router's attempt-span reference to the
-// worker on traced requests, so the worker's returned span tree can name
-// the router attempt it answers (see client.ParentSpanHeader).
-const ParentSpanHeader = client.ParentSpanHeader
-
-// maxBodyBytes bounds forwarded request bodies (same cap as the worker).
-const maxBodyBytes = 1 << 20
-
-// maxBufferedBody is the largest worker response body the router reads
-// whole before answering; longer answers, and those of unstated length, are
-// streamed through.
+// maxBufferedBody is the hard bound on a relayed answer. The router reads
+// every worker answer whole before it commits a status, so an answer longer
+// than this, or one of unstated length, is a 502 naming the bound: a client
+// never gets a 200 followed by a truncated body. The largest answers of the
+// benchmark's corpora are ~310 KB.
 const maxBufferedBody = 4 << 20
 
 // maxPooledRelay is the largest relay buffer returned to relayBufs, the
@@ -48,10 +38,6 @@ const maxPooledRelay = 1 << 20
 // is an io.Writer, which must not retain what it is given, and the cache
 // copies what it keeps.
 var relayBufs = sync.Pool{New: func() any { return new([]byte) }}
-
-// DefaultSlowThreshold is the router slowlog threshold when none is
-// configured (same default as the worker's).
-const DefaultSlowThreshold = 10 * time.Millisecond
 
 // Config tunes a Router.
 type Config struct {
@@ -111,7 +97,7 @@ type Config struct {
 	Transport http.RoundTripper
 	// SlowThreshold is the request duration at or above which a routed
 	// request enters the router slowlog at /debug/slowlog, span tree
-	// included. Zero selects DefaultSlowThreshold; negative logs every
+	// included. Zero selects edge.DefaultSlowThreshold; negative logs every
 	// request (useful in tests and smoke scripts).
 	SlowThreshold time.Duration
 	// SlowLogSize bounds the router slowlog ring (default 128).
@@ -144,12 +130,6 @@ func (c *Config) withDefaults() Config {
 	if out.MaxIdleConns <= 0 {
 		out.MaxIdleConns = 32
 	}
-	if out.SlowThreshold == 0 {
-		out.SlowThreshold = DefaultSlowThreshold
-	}
-	if out.SlowLogSize <= 0 {
-		out.SlowLogSize = 128
-	}
 	return out
 }
 
@@ -172,11 +152,8 @@ type Router struct {
 	httpc  *http.Client
 	reg    *obs.Registry
 	cache  *respCache
-	slow   *obs.SlowLog
+	edge   *edge.Edge // request boundary: trace ids, router.* metrics, slowlog
 
-	requests      *obs.Counter
-	slowCount     *obs.Counter
-	requestNs     *obs.Histogram
 	forwards      *obs.Counter
 	fwdErrors     *obs.Counter
 	fastFails     *obs.Counter
@@ -233,16 +210,12 @@ func New(reg *obs.Registry, cfg Config) (*Router, error) {
 			IdleConnTimeout:     90 * time.Second,
 		}
 	}
-	obs.AttachRuntime(reg)
 	r := &Router{
 		cfg:           cfg,
 		ring:          ring,
 		httpc:         &http.Client{Transport: rt},
 		reg:           reg,
-		slow:          obs.NewSlowLog(cfg.SlowLogSize),
-		requests:      reg.Counter("router.requests"),
-		slowCount:     reg.Counter("router.slow_requests"),
-		requestNs:     reg.Histogram("router.request_ns"),
+		edge:          edge.New(reg, "router", cfg.SlowThreshold, cfg.SlowLogSize),
 		forwards:      reg.Counter("router.forwards"),
 		fwdErrors:     reg.Counter("router.forward_errors"),
 		fastFails:     reg.Counter("router.fast_fails"),
@@ -295,127 +268,22 @@ func (rt *Router) Ring() *Ring { return rt.ring }
 // Registry returns the router's metrics registry.
 func (rt *Router) Registry() *obs.Registry { return rt.reg }
 
-// errorBody matches the worker's uniform JSON error shape, so clients
-// decode router-originated errors (fast 502s) exactly like worker errors.
-// The trace id is in TraceIDHeader, which traced sets on every response.
-type errorBody struct {
-	Error string `json:"error"`
-}
-
-// writeJSON marshals v compactly and only then commits the status (a value
-// that fails to encode is a well-formed 500), like the worker's.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	body, err := json.Marshal(v)
-	if err != nil {
-		status = http.StatusInternalServerError
-		body, _ = json.Marshal(errorBody{Error: "encode response: " + err.Error()})
-	}
-	writeBody(w, status, "application/json", append(body, '\n'))
-}
-
-// writeBody sends a fully buffered body in one write with its length
-// stated, so the client never sees chunked framing for it.
-func writeBody(w http.ResponseWriter, status int, contentType string, body []byte) error {
-	if contentType != "" {
-		w.Header().Set("Content-Type", contentType)
-	}
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-	w.WriteHeader(status)
-	_, err := w.Write(body)
-	return err
-}
-
 // Handler returns the router's route table.
 func (rt *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.Handle("POST /v1/query", rt.traced("POST /v1/query", rt.forward("/v1/query")))
-	mux.Handle("POST /v1/batch", rt.traced("POST /v1/batch", rt.forward("/v1/batch")))
-	mux.Handle("GET /v1/runs", rt.traced("GET /v1/runs", rt.handleRuns))
-	mux.Handle("GET /v1/stats", rt.traced("GET /v1/stats", rt.handleStats))
-	mux.Handle("GET /v1/cluster/stats", rt.traced("GET /v1/cluster/stats", rt.handleClusterStats))
+	mux.Handle("POST /v1/query", rt.edge.Wrap("POST /v1/query", rt.forward("/v1/query")))
+	mux.Handle("POST /v1/batch", rt.edge.Wrap("POST /v1/batch", rt.forward("/v1/batch")))
+	mux.Handle("GET /v1/runs", rt.edge.Wrap("GET /v1/runs", rt.handleRuns))
+	mux.Handle("GET /v1/stats", rt.edge.Wrap("GET /v1/stats", rt.handleStats))
+	mux.Handle("GET /v1/cluster/stats", rt.edge.Wrap("GET /v1/cluster/stats", rt.handleClusterStats))
 	mux.HandleFunc("GET /v1/shards", rt.handleShards)
-	mux.HandleFunc("GET /debug/slowlog", rt.handleSlowlog)
-	mux.HandleFunc("GET /metrics", rt.handleMetrics)
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintln(w, "ok")
-	})
 	mux.HandleFunc("GET /readyz", rt.handleReadyz)
+	rt.edge.Mount(mux)
 	return mux
 }
 
-// statusWriter records the response status for the slowlog.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	if w.status == 0 {
-		w.status = code
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(b []byte) (int, error) {
-	if w.status == 0 {
-		w.status = http.StatusOK
-	}
-	return w.ResponseWriter.Write(b)
-}
-
-// routerHandler is a routed endpoint body: it runs under the request's
-// trace (created at the boundary by traced) and records spans on its root.
-type routerHandler func(tr *obs.Trace, w http.ResponseWriter, r *http.Request)
-
-// traced wraps a routed endpoint with the request boundary: a trace (a
-// valid inbound X-Zoom-Trace-Id is adopted — anything malformed is
-// replaced, never echoed), the request counter/histogram, and slowlog
-// capture when the request runs at or over the threshold. The captured
-// tree is the router's spans — route.pick, cache.lookup, each
-// replica.attempt — plus, for traced requests, the worker's stitched
-// subtree, so a slow entry shows where the time went across the hop. The
-// tree is copied out of the trace only for a request the slowlog keeps.
-func (rt *Router) traced(route string, h routerHandler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		tr := obs.NewTraceWithID(route, r.Header.Get(TraceIDHeader))
-		w.Header().Set(TraceIDHeader, tr.ID())
-		sw := &statusWriter{ResponseWriter: w}
-		start := time.Now()
-		h(tr, sw, r)
-		dur := time.Since(start)
-		tr.Root().End()
-		rt.requests.Inc()
-		rt.requestNs.Observe(dur.Nanoseconds())
-		if dur >= rt.cfg.SlowThreshold {
-			status := sw.status
-			if status == 0 {
-				status = http.StatusOK
-			}
-			rt.slowCount.Inc()
-			rt.slow.Add(obs.SlowEntry{
-				Time:    time.Now(),
-				TraceID: tr.ID(),
-				Route:   route,
-				Request: r.URL.RequestURI(),
-				Status:  status,
-				DurNs:   dur.Nanoseconds(),
-				Trace:   tr.Snapshot(),
-			})
-		}
-	})
-}
-
 // SlowLog returns the router's slow-request ring.
-func (rt *Router) SlowLog() *obs.SlowLog { return rt.slow }
-
-// handleSlowlog serves the router slowlog, newest first.
-func (rt *Router) handleSlowlog(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
-		"threshold_ns": rt.cfg.SlowThreshold.Nanoseconds(),
-		"entries":      rt.slow.Entries(),
-	})
-}
+func (rt *Router) SlowLog() *obs.SlowLog { return rt.edge.SlowLog() }
 
 // Serve runs the router on ln until ctx is cancelled, with the health
 // loop polling in the background, then shuts down gracefully like the
@@ -425,31 +293,7 @@ func (rt *Router) Serve(ctx context.Context, ln net.Listener, drain time.Duratio
 	hctx, hcancel := context.WithCancel(ctx)
 	defer hcancel()
 	go rt.HealthLoop(hctx)
-	srv := &http.Server{Handler: rt.Handler()}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(ln) }()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	sctx, cancel := context.WithTimeout(context.Background(), drain)
-	defer cancel()
-	err := srv.Shutdown(sctx)
-	if e := <-errc; e != nil && !errors.Is(e, http.ErrServerClosed) && err == nil {
-		err = e
-	}
-	return err
-}
-
-// wantInlineTrace mirrors the worker's ?trace=1 check: the client asked
-// for the span tree inline in the response body.
-func wantInlineTrace(r *http.Request) bool {
-	switch r.URL.Query().Get("trace") {
-	case "1", "true", "yes":
-		return true
-	}
-	return false
+	return edge.Serve(ctx, ln, rt.Handler(), drain)
 }
 
 // forward returns the handler for a run-addressed endpoint: peek at the
@@ -458,29 +302,23 @@ func wantInlineTrace(r *http.Request) bool {
 // both directions — the cluster's answers are byte-identical to the
 // worker's (and, by the differential suite, to a single node's) — and a
 // cache hit writes the stored bytes as they are: an answer carries no
-// trace id (that is in TraceIDHeader, set by traced) and no timing. The
-// one exception is ?trace=1 (never cacheable, since any query string
-// bypasses the cache): the worker's inline span tree is spliced out of the
-// body and grafted under the winning replica.attempt span, so the client
-// gets ONE stitched tree covering both hops instead of the worker's
+// trace id (that is in the X-Zoom-Trace-Id header the edge sets) and no
+// timing. The one exception is ?trace=1 (never cacheable, since any query
+// string bypasses the cache): the worker's inline span tree is spliced out
+// of the body and grafted under the winning replica.attempt span, so the
+// client gets ONE stitched tree covering both hops instead of the worker's
 // fragment.
 //
-// A worker states the length of what it sends. A response that does, and is
-// at most maxBufferedBody, is read whole into a pooled buffer before
-// anything is committed to the client: a worker that dies mid-body costs
-// the client a well-formed 502, not a 200 with half a document. The cache
-// copies out of that buffer the 200s it admits.
-func (rt *Router) forward(path string) routerHandler {
+// Every answer is read whole into a pooled buffer before anything is
+// committed to the client, so a worker that dies mid-body costs the client a
+// well-formed 502, not a 200 with half a document. A worker states the
+// length of what it sends; an answer that does not, or that states more than
+// maxBufferedBody, is a 502 naming the bound. The cache copies out of that
+// buffer the 200s it admits.
+func (rt *Router) forward(path string) edge.Handler {
 	return func(tr *obs.Trace, w http.ResponseWriter, r *http.Request) {
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-		if err != nil {
-			var mbe *http.MaxBytesError
-			if errors.As(err, &mbe) {
-				writeJSON(w, http.StatusRequestEntityTooLarge,
-					errorBody{Error: fmt.Sprintf("request body exceeds %d bytes", mbe.Limit)})
-				return
-			}
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request: " + err.Error()})
+		body, ok := edge.ReadBody(w, r)
+		if !ok {
 			return
 		}
 		// The router only needs the run id for placement; everything else
@@ -489,8 +327,7 @@ func (rt *Router) forward(path string) routerHandler {
 			Run string `json:"run"`
 		}
 		if jerr := json.Unmarshal(body, &peek); jerr != nil || peek.Run == "" {
-			writeJSON(w, http.StatusBadRequest,
-				errorBody{Error: "bad request: a JSON body with a run id is required"})
+			edge.WriteError(w, http.StatusBadRequest, "bad request: a JSON body with a run id is required")
 			return
 		}
 		pick := tr.Root().StartChild("route.pick")
@@ -526,7 +363,7 @@ func (rt *Router) forward(path string) routerHandler {
 				look.End()
 				rt.cacheHits.Inc()
 				sh.cacheHits.Inc()
-				if werr := writeBody(w, http.StatusOK, ent.contentType, ent.body); werr != nil {
+				if werr := edge.WriteBody(w, http.StatusOK, ent.contentType, ent.body); werr != nil {
 					rt.copyError(tr, idx, werr)
 				}
 				return
@@ -540,19 +377,17 @@ func (rt *Router) forward(path string) routerHandler {
 		cands := sh.candidates(time.Now())
 		if len(cands) == 0 {
 			rt.fastFails.Inc()
-			writeJSON(w, http.StatusBadGateway,
-				errorBody{Error: fmt.Sprintf("shard %d unavailable: %s", idx, sh.state(time.Now()))})
+			edge.WriteError(w, http.StatusBadGateway, fmt.Sprintf("shard %d unavailable: %s", idx, sh.state(time.Now())))
 			return
 		}
-		wantTrace := wantInlineTrace(r)
+		wantTrace := edge.WantInlineTrace(r)
 		resp, rep, winSpan, release, err := rt.attempt(r.Context(), tr, sh, path, r.URL.RawQuery, body, cands, wantTrace)
 		if err != nil {
 			base := ""
 			if rep != nil {
 				base = rep.base
 			}
-			writeJSON(w, http.StatusBadGateway,
-				errorBody{Error: fmt.Sprintf("shard %d (%s) forward failed: %v", idx, base, err)})
+			edge.WriteError(w, http.StatusBadGateway, fmt.Sprintf("shard %d (%s) forward failed: %v", idx, base, err))
 			return
 		}
 		defer release()
@@ -562,57 +397,50 @@ func (rt *Router) forward(path string) routerHandler {
 
 		relay := tr.Root().StartChild("relay")
 		defer relay.End()
-		if n := resp.ContentLength; n >= 0 && n <= maxBufferedBody {
-			bp := relayBufs.Get().(*[]byte)
-			if int64(cap(*bp)) < n {
-				*bp = make([]byte, n)
+		n := resp.ContentLength
+		if n < 0 || n > maxBufferedBody {
+			stated := "states no length"
+			if n >= 0 {
+				stated = fmt.Sprintf("is %d bytes", n)
 			}
-			defer func() {
-				if cap(*bp) <= maxPooledRelay {
-					relayBufs.Put(bp)
-				}
-			}()
-			data := (*bp)[:n]
-			if _, rerr := io.ReadFull(resp.Body, data); rerr != nil {
-				rt.copyError(tr, idx, rerr)
-				writeJSON(w, http.StatusBadGateway, errorBody{
-					Error: fmt.Sprintf("shard %d replica %d (%s): response body cut short: %v",
-						idx, rep.index, rep.base, rerr),
-				})
-				return
-			}
-			if resp.StatusCode == http.StatusOK {
-				if wantTrace {
-					relay.End() // before the snapshot stitch takes
-					data = rt.stitch(tr, winSpan, data)
-				} else if cacheable {
-					ent := cacheEntry{path: path, reqBody: body, epoch: epoch, contentType: ct, body: data}
-					if rt.cache.store(ent) {
-						relay.SetTag("cache", "stored")
-					} else {
-						relay.SetTag("cache", "declined")
-						rt.cacheDeclined.Inc()
-						sh.cacheDeclined.Inc()
-					}
-				}
-			}
-			if werr := writeBody(w, resp.StatusCode, ct, data); werr != nil {
-				rt.copyError(tr, idx, werr)
-			}
+			edge.WriteError(w, http.StatusBadGateway, fmt.Sprintf(
+				"shard %d replica %d (%s): answer %s; the router relays answers of stated length up to %d bytes",
+				idx, rep.index, rep.base, stated, maxBufferedBody))
 			return
 		}
-
-		// Streamed: the worker stated no length, or more than the router is
-		// willing to buffer. The status is committed before the body has been
-		// read, so a worker dying mid-body still truncates the client's
-		// response; all the router can do is count it. Nothing on this path
-		// is cached or stitched (a traced answer keeps the worker's own tree).
-		if ct != "" {
-			w.Header().Set("Content-Type", ct)
+		bp := relayBufs.Get().(*[]byte)
+		if int64(cap(*bp)) < n {
+			*bp = make([]byte, n)
 		}
-		w.WriteHeader(resp.StatusCode)
-		if _, cerr := io.Copy(w, resp.Body); cerr != nil {
-			rt.copyError(tr, idx, cerr)
+		defer func() {
+			if cap(*bp) <= maxPooledRelay {
+				relayBufs.Put(bp)
+			}
+		}()
+		data := (*bp)[:n]
+		if _, rerr := io.ReadFull(resp.Body, data); rerr != nil {
+			rt.copyError(tr, idx, rerr)
+			edge.WriteError(w, http.StatusBadGateway, fmt.Sprintf(
+				"shard %d replica %d (%s): response body cut short: %v", idx, rep.index, rep.base, rerr))
+			return
+		}
+		if resp.StatusCode == http.StatusOK {
+			if wantTrace {
+				relay.End() // before the snapshot stitch takes
+				data = rt.stitch(tr, winSpan, data)
+			} else if cacheable {
+				ent := cacheEntry{path: path, reqBody: body, epoch: epoch, contentType: ct, body: data}
+				if rt.cache.store(ent) {
+					relay.SetTag("cache", "stored")
+				} else {
+					relay.SetTag("cache", "declined")
+					rt.cacheDeclined.Inc()
+					sh.cacheDeclined.Inc()
+				}
+			}
+		}
+		if werr := edge.WriteBody(w, resp.StatusCode, ct, data); werr != nil {
+			rt.copyError(tr, idx, werr)
 		}
 	}
 }
@@ -709,9 +537,9 @@ func (rt *Router) attempt(parent context.Context, tr *obs.Trace, sh *shard, path
 				return
 			}
 			req.Header.Set("Content-Type", "application/json")
-			req.Header.Set(TraceIDHeader, tr.ID())
+			req.Header.Set(client.TraceIDHeader, tr.ID())
 			if wantTrace {
-				req.Header.Set(ParentSpanHeader, ref)
+				req.Header.Set(client.ParentSpanHeader, ref)
 			}
 			resp, err := rt.httpc.Do(req)
 			results <- fwdResult{rep: rep, span: sp, resp: resp, cancel: cancel, err: err, hedged: hedged}
@@ -909,7 +737,7 @@ func (rt *Router) handleRuns(_ *obs.Trace, w http.ResponseWriter, r *http.Reques
 		resp.Partial = true
 		resp.FailedShards = fails
 	}
-	writeJSON(w, http.StatusOK, resp)
+	edge.WriteJSON(w, http.StatusOK, resp)
 }
 
 // shardStats is one shard's raw stats document inside the merged
@@ -947,7 +775,7 @@ func (rt *Router) handleStats(_ *obs.Trace, w http.ResponseWriter, r *http.Reque
 		resp.Partial = true
 		resp.FailedShards = fails
 	}
-	writeJSON(w, http.StatusOK, resp)
+	edge.WriteJSON(w, http.StatusOK, resp)
 }
 
 // clusterStatsResponse is the GET /v1/cluster/stats body: the router's
@@ -999,7 +827,7 @@ func (rt *Router) handleClusterStats(_ *obs.Trace, w http.ResponseWriter, r *htt
 		resp.Partial = true
 		resp.FailedShards = fails
 	}
-	writeJSON(w, http.StatusOK, resp)
+	edge.WriteJSON(w, http.StatusOK, resp)
 }
 
 // replicaState is one replica's row inside a shardState. The last_poll
@@ -1067,7 +895,7 @@ func (rt *Router) handleShards(w http.ResponseWriter, _ *http.Request) {
 	if rt.cache != nil {
 		body["cache_entries"] = rt.cache.Len()
 	}
-	writeJSON(w, http.StatusOK, body)
+	edge.WriteJSON(w, http.StatusOK, body)
 }
 
 // handleReadyz polls every replica's /readyz live (also refreshing the
@@ -1080,14 +908,8 @@ func (rt *Router) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if !ready {
 		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, map[string]any{
+	edge.WriteJSON(w, status, map[string]any{
 		"ready":  ready,
 		"shards": rt.shardStates(),
 	})
-}
-
-// handleMetrics serves the router registry's Prometheus exposition.
-func (rt *Router) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	obs.WritePrometheus(w, rt.reg.Snapshot(), "zoom")
 }

@@ -28,9 +28,9 @@ import (
 
 // queryAnswer is what handleQuery hands the encoder: the request's echo and
 // pointers to whatever the engine returned for its kind. Nothing in it is
-// per-request: the trace id travels in TraceIDHeader and the stage timings
-// in the span tree, so an untraced answer's bytes are a function of the
-// request and the loaded warehouse alone.
+// per-request: the trace id travels in the X-Zoom-Trace-Id header and the
+// stage timings in the span tree, so an untraced answer's bytes are a
+// function of the request and the loaded warehouse alone.
 type queryAnswer struct {
 	run, data, kind string
 	result          *provenance.Answer

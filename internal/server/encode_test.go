@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/composite"
 	"repro/internal/core"
+	"repro/internal/edge"
 	"repro/internal/gen"
 	"repro/internal/jsontok"
 	"repro/internal/obs"
@@ -453,7 +454,7 @@ func TestEncodeLargeAnswerAllocs(t *testing.T) {
 func TestEncodeFailureIsAWellFormed500(t *testing.T) {
 	check := func(name string, rec *httptest.ResponseRecorder) {
 		t.Helper()
-		var eb errorBody
+		var eb edge.ErrorBody
 		if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil {
 			t.Fatalf("%s: body %q is not JSON: %v", name, rec.Body.String(), err)
 		}
@@ -465,8 +466,8 @@ func TestEncodeFailureIsAWellFormed500(t *testing.T) {
 		}
 	}
 	rec := httptest.NewRecorder()
-	writeJSON(rec, http.StatusOK, map[string]any{"unencodable": make(chan int)})
-	check("writeJSON", rec)
+	edge.WriteJSON(rec, http.StatusOK, map[string]any{"unencodable": make(chan int)})
+	check("edge.WriteJSON", rec)
 
 	rec = httptest.NewRecorder()
 	writeAnswer(rec, func(dst []byte) ([]byte, error) {

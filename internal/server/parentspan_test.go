@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/zoom/client"
 )
 
 // postTraced posts a query with trace headers and returns the decoded
@@ -16,9 +17,9 @@ func postTraced(t *testing.T, s *Server, traceID, parentSpan string) *obs.SpanNo
 	req := httptest.NewRequest("POST", "/v1/query?trace=1",
 		strings.NewReader(`{"run":"fig2","data":"d447"}`))
 	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(TraceIDHeader, traceID)
+	req.Header.Set(client.TraceIDHeader, traceID)
 	if parentSpan != "" {
-		req.Header.Set(ParentSpanHeader, parentSpan)
+		req.Header.Set(client.ParentSpanHeader, parentSpan)
 	}
 	rec := httptest.NewRecorder()
 	s.Handler().ServeHTTP(rec, req)

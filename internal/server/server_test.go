@@ -16,13 +16,16 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/edge"
 	"repro/internal/obs"
 	"repro/internal/provenance"
 	"repro/internal/run"
 	"repro/internal/spec"
 	"repro/internal/warehouse"
 	"repro/internal/wflog"
+	"repro/zoom/client"
 )
 
 // newTestEngine loads the paper's running example (Figure 1 spec, Figure 2
@@ -137,8 +140,8 @@ func TestServerQueryDeep(t *testing.T) {
 	if rec.Code != 200 {
 		t.Fatalf("query: %d: %s", rec.Code, rec.Body.String())
 	}
-	if !obs.ValidTraceID(rec.Header().Get(TraceIDHeader)) {
-		t.Fatalf("trace id header %q", rec.Header().Get(TraceIDHeader))
+	if !obs.ValidTraceID(rec.Header().Get(client.TraceIDHeader)) {
+		t.Fatalf("trace id header %q", rec.Header().Get(client.TraceIDHeader))
 	}
 	if resp.Kind != "deep" {
 		t.Fatalf("kind=%q, want deep", resp.Kind)
@@ -158,7 +161,7 @@ func TestServerQueryDeep(t *testing.T) {
 	// Same query again: the closure cache serves it, under a fresh trace
 	// id, and the answer is the cold one byte for byte.
 	warm := doJSON(t, h, "POST", "/v1/query", req, nil)
-	if warm.Header().Get(TraceIDHeader) == rec.Header().Get(TraceIDHeader) {
+	if warm.Header().Get(client.TraceIDHeader) == rec.Header().Get(client.TraceIDHeader) {
 		t.Fatal("trace id reused across requests")
 	}
 	if !bytes.Equal(warm.Body.Bytes(), rec.Body.Bytes()) {
@@ -282,7 +285,7 @@ func TestServerQueryErrors(t *testing.T) {
 		if rec.Header().Get("X-Zoom-Trace-Id") == "" {
 			t.Errorf("%s: error response without trace id", c.name)
 		}
-		var eb errorBody
+		var eb edge.ErrorBody
 		if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil || eb.Error == "" {
 			t.Errorf("%s: error body %q", c.name, rec.Body.String())
 		}
@@ -394,7 +397,7 @@ func TestServerRunsListsFromDirectory(t *testing.T) {
 		}
 		s.SetEngine(e)
 		req := httptest.NewRequest("GET", "/v1/runs", nil)
-		req.Header.Set(TraceIDHeader, "00000000000000aa")
+		req.Header.Set(client.TraceIDHeader, "00000000000000aa")
 		rec := httptest.NewRecorder()
 		s.Handler().ServeHTTP(rec, req)
 		if rec.Code != 200 {
@@ -738,13 +741,13 @@ func TestServerTraceIDPropagation(t *testing.T) {
 
 	body, _ := json.Marshal(map[string]any{"run": "fig2", "data": "d447"})
 	req := httptest.NewRequest("POST", "/v1/query", bytes.NewReader(body))
-	req.Header.Set(TraceIDHeader, id)
+	req.Header.Set(client.TraceIDHeader, id)
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 	}
-	if got := rec.Header().Get(TraceIDHeader); got != id {
+	if got := rec.Header().Get(client.TraceIDHeader); got != id {
 		t.Fatalf("response header id %q, want inbound %q", got, id)
 	}
 	if bytes.Contains(rec.Body.Bytes(), []byte(id)) {
@@ -757,58 +760,117 @@ func TestServerTraceIDPropagation(t *testing.T) {
 
 	// An invalid inbound id must be replaced, not echoed.
 	req = httptest.NewRequest("POST", "/v1/query", bytes.NewReader(body))
-	req.Header.Set(TraceIDHeader, "not-a-trace-id!!")
+	req.Header.Set(client.TraceIDHeader, "not-a-trace-id!!")
 	rec = httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
-	got := rec.Header().Get(TraceIDHeader)
+	got := rec.Header().Get(client.TraceIDHeader)
 	if got == "not-a-trace-id!!" || !obs.ValidTraceID(got) {
 		t.Fatalf("invalid inbound id echoed or replacement invalid: %q", got)
 	}
 }
 
-// TestServerRouteMetrics: each API route owns status-class counters, a
-// latency histogram, and an in-flight gauge, and they reach /metrics with
-// the status class folded into a class label.
+// TestServerRouteMetrics: on both tiers — a worker (prefix http) and a
+// router in front of one (prefix router) — each API route owns status-class
+// counters, a latency histogram and an in-flight gauge, because both wrap
+// their routes in the one request edge, and they reach /metrics with the
+// status class folded into a class label. The router's /v1/stats and
+// /v1/cluster/stats are distinct series, and a fast 502 counts in
+// router.errors.
 func TestServerRouteMetrics(t *testing.T) {
-	s, reg := newTestServer(t, Config{})
-	h := s.Handler()
-
-	var out map[string]any
-	doJSON(t, h, "POST", "/v1/query", map[string]any{"run": "fig2", "data": "d447"}, &out)
-	rec := doJSON(t, h, "POST", "/v1/query", map[string]any{"run": "no-such-run", "data": "d447"}, nil)
-	if rec.Code != http.StatusNotFound {
-		t.Fatalf("unknown run: status %d", rec.Code)
-	}
-	doJSON(t, h, "GET", "/v1/runs", nil, &out)
-
-	snap := reg.Snapshot()
-	for name, want := range map[string]int64{
-		"http.query.status.2xx": 1,
-		"http.query.status.4xx": 1,
-		"http.runs.status.2xx":  1,
+	for _, tc := range []struct {
+		prefix string
+		// serve returns the tier's handler and registry, and stop, which
+		// takes the tier's worker away.
+		serve func(t *testing.T) (h http.Handler, reg *obs.Registry, stop func())
+	}{
+		{"http", func(t *testing.T) (http.Handler, *obs.Registry, func()) {
+			s, reg := newTestServer(t, Config{})
+			return s.Handler(), reg, nil
+		}},
+		{"router", func(t *testing.T) (http.Handler, *obs.Registry, func()) {
+			s, _ := newTestServer(t, Config{})
+			ws := httptest.NewServer(s.Handler())
+			t.Cleanup(ws.Close)
+			reg := obs.NewRegistry()
+			rt, err := cluster.New(reg, cluster.Config{Workers: []string{ws.URL}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return rt.Handler(), reg, ws.Close
+		}},
 	} {
-		if got := snap.Counters[name]; got != want {
-			t.Errorf("counter %s = %d, want %d", name, got, want)
-		}
-	}
-	if h := snap.Histograms["http.query.ns"]; h.Count != 2 {
-		t.Errorf("http.query.ns count = %d, want 2", h.Count)
-	}
-	if g, ok := snap.Gauges["http.query.in_flight"]; !ok || g != 0 {
-		t.Errorf("http.query.in_flight = %d (present %v), want 0", g, ok)
-	}
+		t.Run(tc.prefix, func(t *testing.T) {
+			h, reg, stop := tc.serve(t)
+			p := tc.prefix
+			if rec := doJSON(t, h, "POST", "/v1/query", map[string]any{"run": "fig2", "data": "d447"}, nil); rec.Code != http.StatusOK {
+				t.Fatalf("query: status %d: %s", rec.Code, rec.Body)
+			}
+			if rec := doJSON(t, h, "POST", "/v1/query", map[string]any{"run": "no-such-run", "data": "d447"}, nil); rec.Code != http.StatusNotFound {
+				t.Fatalf("unknown run: status %d", rec.Code)
+			}
+			doJSON(t, h, "GET", "/v1/runs", nil, nil)
+			doJSON(t, h, "GET", "/v1/stats", nil, nil)
 
-	var prom bytes.Buffer
-	obs.WritePrometheus(&prom, snap, "zoom")
-	for _, want := range []string{
-		`zoom_http_query_status{class="2xx"} 1`,
-		`zoom_http_query_status{class="4xx"} 1`,
-		`zoom_http_query_in_flight 0`,
-		`zoom_http_query_ns_count 2`,
-	} {
-		if !strings.Contains(prom.String(), want) {
-			t.Errorf("/metrics missing %q", want)
-		}
+			snap := reg.Snapshot()
+			for name, want := range map[string]int64{
+				p + ".query.status.2xx": 1,
+				p + ".query.status.4xx": 1,
+				p + ".runs.status.2xx":  1,
+				p + ".stats.status.2xx": 1,
+				p + ".requests":         4,
+				p + ".errors":           1,
+			} {
+				if got := snap.Counters[name]; got != want {
+					t.Errorf("counter %s = %d, want %d", name, got, want)
+				}
+			}
+			if h := snap.Histograms[p+".query.ns"]; h.Count != 2 {
+				t.Errorf("%s.query.ns count = %d, want 2", p, h.Count)
+			}
+			if g, ok := snap.Gauges[p+".query.in_flight"]; !ok || g != 0 {
+				t.Errorf("%s.query.in_flight = %d (present %v), want 0", p, g, ok)
+			}
+
+			var prom bytes.Buffer
+			obs.WritePrometheus(&prom, snap, "zoom")
+			for _, want := range []string{
+				`zoom_` + p + `_query_status{class="2xx"} 1`,
+				`zoom_` + p + `_query_status{class="4xx"} 1`,
+				`zoom_` + p + `_query_in_flight 0`,
+				`zoom_` + p + `_query_ns_count 2`,
+			} {
+				if !strings.Contains(prom.String(), want) {
+					t.Errorf("/metrics missing %q", want)
+				}
+			}
+			if stop == nil {
+				return
+			}
+
+			// The router's own stats route is a series of its own.
+			doJSON(t, h, "GET", "/v1/cluster/stats", nil, nil)
+			// With its only worker gone and the health poll knowing it, a
+			// query fails fast: a 502 that counts as an error.
+			stop()
+			if rec := doJSON(t, h, "GET", "/readyz", nil, nil); rec.Code != http.StatusServiceUnavailable {
+				t.Fatalf("/readyz with the worker gone: %d, want 503", rec.Code)
+			}
+			if rec := doJSON(t, h, "POST", "/v1/query", map[string]any{"run": "fig2", "data": "d447"}, nil); rec.Code != http.StatusBadGateway {
+				t.Fatalf("query with the worker gone: %d, want 502", rec.Code)
+			}
+			snap = reg.Snapshot()
+			for name, want := range map[string]int64{
+				"router.stats.status.2xx":         1,
+				"router.cluster.stats.status.2xx": 1,
+				"router.query.status.5xx":         1,
+				"router.fast_fails":               1,
+				"router.errors":                   2,
+			} {
+				if got := snap.Counters[name]; got != want {
+					t.Errorf("counter %s = %d, want %d", name, got, want)
+				}
+			}
+		})
 	}
 }
 

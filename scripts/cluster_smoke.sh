@@ -196,6 +196,9 @@ grep -E '^zoom_router_cache_declined 0$' "$workdir/metrics2.txt" >/dev/null \
     || fail "zoom_router_cache_declined missing, or the example's small answers were declined"
 grep -E '^zoom_router_cache_declined\{shard="0"\} ' "$workdir/metrics2.txt" >/dev/null \
     || fail "zoom_router_cache_declined has no per-shard series"
+# The router's routes carry the same per-route instruments as a worker's.
+grep -E '^zoom_router_query_status\{class="2xx"\} [1-9]' "$workdir/metrics2.txt" >/dev/null \
+    || fail "router /metrics has no zoom_router_query_status{class=\"2xx\"} series"
 echo "cluster-smoke: router response cache serving repeats"
 
 # Stitched distributed trace: ?trace=1 through the router must return ONE

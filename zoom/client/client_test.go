@@ -1,4 +1,4 @@
-package client
+package client_test
 
 import (
 	"context"
@@ -15,6 +15,7 @@ import (
 	"repro/internal/server"
 	"repro/internal/spec"
 	"repro/internal/warehouse"
+	"repro/zoom/client"
 )
 
 // newTestServer boots a real server over the paper's example warehouse.
@@ -47,10 +48,10 @@ func newTestServer(t *testing.T) *httptest.Server {
 
 func TestClientQueryBatchRunsStats(t *testing.T) {
 	ts := newTestServer(t)
-	c := New(ts.URL, Options{})
+	c := client.New(ts.URL, client.Options{})
 	ctx := context.Background()
 
-	q, err := c.Query(ctx, QueryRequest{Run: "fig2", Data: "d447", View: "joe"})
+	q, err := c.Query(ctx, client.QueryRequest{Run: "fig2", Data: "d447", View: "joe"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestClientQueryBatchRunsStats(t *testing.T) {
 		t.Fatal("query answer carries no trace id from the response header")
 	}
 
-	im, err := c.Query(ctx, QueryRequest{Run: "fig2", Data: "d413", Kind: "immediate"})
+	im, err := c.Query(ctx, client.QueryRequest{Run: "fig2", Data: "d413", Kind: "immediate"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +70,7 @@ func TestClientQueryBatchRunsStats(t *testing.T) {
 		t.Fatal("immediate query returned no execution")
 	}
 
-	b, err := c.Batch(ctx, BatchRequest{Run: "fig2", Data: []string{"d447", "d413"}})
+	b, err := c.Batch(ctx, client.BatchRequest{Run: "fig2", Data: []string{"d447", "d413"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,9 +105,9 @@ func TestClientQueryBatchRunsStats(t *testing.T) {
 
 func TestClientTraceIDPropagation(t *testing.T) {
 	ts := newTestServer(t)
-	c := New(ts.URL, Options{})
+	c := client.New(ts.URL, client.Options{})
 	const id = "00000000cafef00d"
-	q, err := c.Query(context.Background(), QueryRequest{Run: "fig2", Data: "d447", TraceID: id})
+	q, err := c.Query(context.Background(), client.QueryRequest{Run: "fig2", Data: "d447", TraceID: id})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,9 +118,9 @@ func TestClientTraceIDPropagation(t *testing.T) {
 
 func TestClientErrors(t *testing.T) {
 	ts := newTestServer(t)
-	c := New(ts.URL, Options{})
-	_, err := c.Query(context.Background(), QueryRequest{Run: "nope", Data: "d1"})
-	var e *Error
+	c := client.New(ts.URL, client.Options{})
+	_, err := c.Query(context.Background(), client.QueryRequest{Run: "nope", Data: "d1"})
+	var e *client.Error
 	if !errors.As(err, &e) {
 		t.Fatalf("want *Error, got %v", err)
 	}
@@ -133,7 +134,7 @@ func TestClientTimeout(t *testing.T) {
 		<-r.Context().Done()
 	}))
 	defer stall.Close()
-	c := New(stall.URL, Options{Timeout: 50 * time.Millisecond})
+	c := client.New(stall.URL, client.Options{Timeout: 50 * time.Millisecond})
 	start := time.Now()
 	_, err := c.Runs(context.Background())
 	if err == nil {
