@@ -22,9 +22,10 @@ func traceID(n int) string { return fmt.Sprintf("%016x", n+1) }
 // TestClusterDifferentialByteIdentical is the core correctness claim of
 // the scale-out layer: for every run, query kind, and view shape, the
 // routed answer over 2 and 4 shards is byte-identical to a single node
-// holding all the runs, raw bytes with nothing masked. Run ids are the
-// shard key and every query is answered within one run, so sharding must
-// not be observable to clients.
+// holding all the runs, raw bytes with nothing masked, traced (?trace=1)
+// or not. Run ids are the shard key and every query is answered within one
+// run, so sharding must not be observable to clients, and a trace travels
+// in a header, so asking for one must not be either.
 func TestClusterDifferentialByteIdentical(t *testing.T) {
 	specs, runs, infos := buildCorpus(t, []gen.RunClass{gen.Small(), gen.Medium()})
 	for _, shards := range []int{2, 4} {
@@ -35,13 +36,18 @@ func TestClusterDifferentialByteIdentical(t *testing.T) {
 				t.Helper()
 				wantStatus, want := postRaw(t, singleURL, path, traceID(n), body)
 				gotStatus, got := postRaw(t, routerURL, path, traceID(n+1), body)
-				n += 2
-				if wantStatus != gotStatus {
-					t.Fatalf("%s %s: status single=%d routed=%d", path, body, wantStatus, gotStatus)
+				tracedStatus, traced := postRaw(t, routerURL, path+"?trace=1", traceID(n+2), body)
+				n += 3
+				if wantStatus != gotStatus || wantStatus != tracedStatus {
+					t.Fatalf("%s %s: status single=%d routed=%d traced=%d", path, body, wantStatus, gotStatus, tracedStatus)
 				}
 				if !bytes.Equal(want, got) {
 					t.Fatalf("%s %s: routed answer differs from single node\nsingle: %s\nrouted: %s",
 						path, body, want, got)
+				}
+				if !bytes.Equal(want, traced) {
+					t.Fatalf("%s %s: traced routed answer differs from the untraced one\nuntraced: %s\ntraced:   %s",
+						path, body, want, traced)
 				}
 			}
 			for _, info := range infos {
@@ -83,8 +89,9 @@ func TestClusterDifferentialByteIdentical(t *testing.T) {
 // with the response cache enabled, every query kind answers byte-
 // identically to a single node. Then the preferred replica of every
 // shard is killed mid-suite and the whole sweep repeats twice more —
-// once bypassing the cache (exercising failover to the fresh sibling)
-// and once through it (exercising cached replay) — and both must
+// once traced, with the cache invalidated (exercising failover to the fresh
+// sibling, and a traced answer against its untraced recording), and once
+// untraced through the cache (exercising cached replay) — and both must
 // reproduce the first sweep's answers byte for byte under new trace ids.
 // A cold replica, a warm one and the cache all answer alike because an
 // answer carries neither its trace id nor its closure-cache outcome.
@@ -139,15 +146,19 @@ func TestClusterReplicatedDifferentialByteIdentical(t *testing.T) {
 		sweep1("/v1/batch", fmt.Sprintf(`{"run":%q,"data":%s}`, info.id, targets))
 	}
 
-	// Kill the preferred replica of every shard.
+	// Kill the preferred replica of every shard, and move every shard's
+	// epoch on, as a health poll does when it sees a worker reload: every
+	// recorded answer is stale in the cache.
 	for i := range servers {
 		killServer(servers[i][0])
 	}
+	for _, sh := range rt.shards {
+		sh.epoch.Add(1)
+	}
 
-	// replay re-issues every recorded request under a fresh trace id and
-	// checks the answer is the recording, byte for byte, under that id.
-	// rawQuery bypasses the router cache when set (the worker ignores the
-	// unknown parameter, so its bytes don't change).
+	// replay re-issues every recorded request under a fresh trace id, with
+	// rawQuery when set, and checks the answer is the recording, byte for
+	// byte, under that id.
 	replay := func(name, rawQuery string) {
 		for _, rec := range tape {
 			id := nextID()
@@ -167,7 +178,7 @@ func TestClusterReplicatedDifferentialByteIdentical(t *testing.T) {
 		}
 	}
 	failoversBefore := rt.failovers.Value()
-	replay("failover", "x=1")
+	replay("failover", "trace=1")
 	if rt.failovers.Value() == failoversBefore {
 		t.Fatal("failover sweep never failed over")
 	}

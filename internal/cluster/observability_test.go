@@ -1,18 +1,24 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/gen"
 	"repro/internal/obs"
 	"repro/internal/provenance"
+	"repro/internal/run"
 	"repro/internal/server"
+	"repro/internal/spec"
 	"repro/internal/warehouse"
 	"repro/zoom/client"
 )
@@ -70,11 +76,43 @@ func buildObsCluster(t *testing.T, n int, cfg Config) (string, *Router, []string
 	return rts.URL, rt, ids
 }
 
-// TestRouterStitchedTrace drives the tentpole end to end: one traced
-// request through the router returns ONE span tree containing the
-// router's spans (route.pick, cache.lookup, replica.attempt) with the
-// worker's engine spans as a child subtree of the winning attempt, and
-// the same stitched tree lands in the router slowlog.
+// headerTree decodes the span tree a traced response carries in its
+// X-Zoom-Trace header, which must be at most obs.MaxHeaderTree bytes of
+// printable ASCII.
+func headerTree(t *testing.T, h http.Header) *obs.SpanNode {
+	t.Helper()
+	v := h.Get(client.TraceHeader)
+	if len(v) > obs.MaxHeaderTree || strings.IndexFunc(v, func(r rune) bool { return r < 0x20 || r > 0x7e }) >= 0 {
+		t.Fatalf("X-Zoom-Trace is %d bytes, not all printable ASCII or over the bound: %.200q", len(v), v)
+	}
+	var n obs.SpanNode
+	if err := json.Unmarshal([]byte(v), &n); err != nil {
+		t.Fatalf("X-Zoom-Trace %.200q does not decode: %v", v, err)
+	}
+	return &n
+}
+
+// workerRequests reads zoom_http_requests off a worker's /metrics, which is
+// not itself a counted API route.
+func workerRequests(t *testing.T, base string) string {
+	t.Helper()
+	_, b := getRaw(t, base, "/metrics", "")
+	for _, line := range strings.Split(string(b), "\n") {
+		if v, ok := strings.CutPrefix(line, "zoom_http_requests "); ok {
+			return v
+		}
+	}
+	t.Fatal("worker /metrics has no zoom_http_requests")
+	return ""
+}
+
+// TestRouterStitchedTrace drives the traced relay end to end. A traced
+// miss through the router answers the untraced bytes and carries ONE span
+// tree in its X-Zoom-Trace header: the router's spans (route.pick,
+// cache.lookup, replica.attempt) with the worker's engine spans adopted
+// under the winning attempt; the same tree lands in the router slowlog. The
+// same traced query again is a cache hit that never reaches the worker,
+// and its tree says so.
 func TestRouterStitchedTrace(t *testing.T) {
 	routerURL, rt, ids := buildObsCluster(t, 2, Config{
 		CacheEntries:  16,
@@ -82,42 +120,37 @@ func TestRouterStitchedTrace(t *testing.T) {
 	})
 	parts := strings.SplitN(ids[0], "\x00", 2)
 	runID, target := parts[0], parts[1]
+	query := fmt.Sprintf(`{"run":%q,"data":%q}`, runID, target)
+	workerURL := rt.shards[rt.ring.Place(runID)].replicas[0].base
 	const id = "0123456789abcdef"
 
-	status, body, gotID := postTraced(t, routerURL, "/v1/query?trace=1", id,
-		fmt.Sprintf(`{"run":%q,"data":%q}`, runID, target))
+	status, body, hdr := postResp(t, routerURL, "/v1/query?trace=1", id, query)
 	if status != http.StatusOK {
 		t.Fatalf("status %d: %s", status, body)
 	}
-	var resp struct {
-		Trace *obs.SpanNode `json:"trace"`
-	}
-	if err := json.Unmarshal(body, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if gotID != id {
+	if gotID := hdr.Get(client.TraceIDHeader); gotID != id {
 		t.Fatalf("trace id %q, want %q", gotID, id)
 	}
-	if resp.Trace == nil {
-		t.Fatalf("no inline trace in routed response: %s", body)
+	// The tree is in the header only: the traced answer is the worker's
+	// untraced one, byte for byte.
+	if _, untraced := postRaw(t, workerURL, "/v1/query", "", query); !bytes.Equal(body, untraced) {
+		t.Fatalf("traced routed answer differs from the untraced one\ntraced:   %s\nuntraced: %s", body, untraced)
 	}
-	if resp.Trace.Name != "POST /v1/query" {
-		t.Fatalf("stitched root is %q, want the router route", resp.Trace.Name)
+	tree := headerTree(t, hdr)
+	if tree.Name != "POST /v1/query" {
+		t.Fatalf("stitched root is %q, want the router route", tree.Name)
 	}
 
-	pick := resp.Trace.Find("route.pick")
+	pick := tree.Find("route.pick")
 	if pick == nil || pick.Tags["run"] != runID || pick.Tags["shard"] == "" {
 		t.Fatalf("route.pick missing or untagged: %+v", pick)
 	}
-	// ?trace=1 carries a query string, so the enabled cache is bypassed —
-	// and the span says so.
-	look := resp.Trace.Find("cache.lookup")
-	if look == nil || look.Tags["outcome"] != "bypass" {
-		t.Fatalf("cache.lookup missing or outcome != bypass: %+v", look)
+	if look := tree.Find("cache.lookup"); look == nil || look.Tags["outcome"] != "miss" {
+		t.Fatalf("cache.lookup missing or outcome != miss: %+v", look)
 	}
-	att := resp.Trace.Find("replica.attempt")
+	att := tree.Find("replica.attempt")
 	if att == nil {
-		t.Fatalf("no replica.attempt span: %+v", resp.Trace)
+		t.Fatalf("no replica.attempt span: %+v", tree)
 	}
 	if att.Tags["outcome"] != "won" || !strings.HasPrefix(att.Tags["addr"], "http://") {
 		t.Fatalf("attempt tags unexpected: %+v", att.Tags)
@@ -152,6 +185,23 @@ func TestRouterStitchedTrace(t *testing.T) {
 		t.Fatalf("worker query.lookup outcome %q, want miss", o)
 	}
 
+	// The same traced query again is a router cache hit: the worker is not
+	// asked, the bytes are the miss's, and the tree shows the hit and no
+	// attempt.
+	hits, before := rt.cacheHits.Value(), workerRequests(t, workerURL)
+	status, again, hdr := postResp(t, routerURL, "/v1/query?trace=1", "", query)
+	if status != http.StatusOK || !bytes.Equal(again, body) {
+		t.Fatalf("repeated traced query: status %d, answer differs from the miss's: %s", status, again)
+	}
+	if rt.cacheHits.Value() != hits+1 || workerRequests(t, workerURL) != before {
+		t.Fatalf("repeated traced query: router.cache_hits +%d, worker http.requests %s -> %s; want +1 and unmoved",
+			rt.cacheHits.Value()-hits, before, workerRequests(t, workerURL))
+	}
+	hit := headerTree(t, hdr)
+	if look := hit.Find("cache.lookup"); look == nil || look.Tags["outcome"] != "hit" || hit.Find("replica.attempt") != nil {
+		t.Fatalf("cache hit's tree: %+v, want cache.lookup outcome=hit and no replica.attempt", hit)
+	}
+
 	// The same stitched tree is in the router slowlog (threshold < 0 logs
 	// everything), both via the API and at /debug/slowlog.
 	var entry *obs.SlowEntry
@@ -178,15 +228,146 @@ func TestRouterStitchedTrace(t *testing.T) {
 		t.Fatalf("/debug/slowlog: status %d, body misses trace %s", status, id)
 	}
 
-	// An untraced request through the same router must NOT grow a trace
-	// field: stitching is strictly opt-in.
-	status, body = postRaw(t, routerURL, "/v1/query", "",
-		fmt.Sprintf(`{"run":%q,"data":%q}`, runID, target))
-	if status != http.StatusOK {
-		t.Fatalf("untraced status %d", status)
+	// An untraced request through the same router gets no tree: tracing is
+	// strictly opt-in.
+	status, _, hdr = postResp(t, routerURL, "/v1/query", "", query)
+	if status != http.StatusOK || hdr.Get(client.TraceHeader) != "" {
+		t.Fatalf("untraced request: status %d, tree %q", status, hdr.Get(client.TraceHeader))
 	}
-	if strings.Contains(string(body), `"trace"`) {
-		t.Fatalf("untraced routed response grew a trace field: %s", body)
+}
+
+// treeTap records the X-Zoom-Trace header a handler sets as it commits the
+// status, before a byte of the response leaves.
+type treeTap struct {
+	http.ResponseWriter
+	seen func(tree string)
+}
+
+func (w treeTap) WriteHeader(code int) {
+	w.seen(w.Header().Get(client.TraceHeader))
+	w.ResponseWriter.WriteHeader(code)
+}
+
+// TestRouterHostileTraceStrings routes traced batches on the paper's
+// running example whose second data id is hostile header material: DEL, a
+// two-byte rune, an astral rune, a 200 KB id. Every answer is the single
+// node's status and body byte for byte; every X-Zoom-Trace on both hops is
+// at most 256 KiB of printable ASCII that decodes, the 200 KB id's worker
+// tree cut to its root and tagged truncated; and no request counts against
+// the replica.
+func TestRouterHostileTraceStrings(t *testing.T) {
+	fig2 := func() *warehouse.Warehouse {
+		w := warehouse.New(0)
+		if err := w.RegisterSpec(spec.Phylogenomics()); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.LoadRun(run.Figure2()); err != nil {
+			t.Fatal(err)
+		}
+		return w
+	}
+	single := newWorker(t, fig2())
+	s, err := server.New(obs.NewRegistry(), server.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SetEngine(provenance.NewEngine(fig2()))
+	h := s.Handler()
+	var mu sync.Mutex
+	var workerTrees []string
+	worker := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		h.ServeHTTP(treeTap{w, func(tree string) {
+			mu.Lock()
+			workerTrees = append(workerTrees, tree)
+			mu.Unlock()
+		}}, r)
+	}))
+	t.Cleanup(worker.Close)
+	rt, err := New(obs.NewRegistry(), Config{Workers: []string{worker.URL}, CacheEntries: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rts := httptest.NewServer(rt.Handler())
+	t.Cleanup(rts.Close)
+
+	big := strings.Repeat("é", 100_000) // 200 KB, 600 KB once escaped
+	for i, id := range []string{"d447", "\x7f", "é", "\U0001F600", big} {
+		// One worker, so the batch fails at its second id, deterministically.
+		body, err := json.Marshal(map[string]any{"run": "fig2", "data": []string{"d447", id}, "workers": 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantStatus, want := postRaw(t, single.URL, "/v1/batch", "", string(body))
+		status, got, hdr := postResp(t, rts.URL, "/v1/batch?trace=1", "", string(body))
+		if status != wantStatus || !bytes.Equal(got, want) {
+			t.Fatalf("id %.12q: routed %d %.120s, single node %d %.120s", id, status, got, wantStatus, want)
+		}
+		routed := headerTree(t, hdr)
+		mu.Lock()
+		if len(workerTrees) != i+1 {
+			mu.Unlock()
+			t.Fatalf("id %.12q: the worker committed %d traced answers, want %d", id, len(workerTrees), i+1)
+		}
+		wh := http.Header{}
+		wh.Set(client.TraceHeader, workerTrees[i])
+		mu.Unlock()
+		wtree := headerTree(t, wh)
+		att := routed.Find("replica.attempt")
+		if att == nil || len(att.Children) != 1 {
+			t.Fatalf("id %.12q: the routed tree did not adopt the worker's: %+v", id, routed)
+		}
+		cut := wtree.Tags["truncated"]
+		if (cut != "") != (id == big) || att.Children[0].Tags["truncated"] != cut {
+			t.Fatalf("id %.12q: worker tree truncated=%q, adopted truncated=%q; want a cut for the 200 KB id only",
+				id, cut, att.Children[0].Tags["truncated"])
+		}
+	}
+	if n := rt.fwdErrors.Value(); n != 0 {
+		t.Fatalf("router.forward_errors = %d, want 0", n)
+	}
+	for _, rep := range rt.shards[0].replicas {
+		if rep.breaker.Value() != 0 || rep.errors.Value() != 0 {
+			t.Fatalf("replica %d: breaker_open=%d errors=%d, want 0 and 0", rep.index, rep.breaker.Value(), rep.errors.Value())
+		}
+	}
+}
+
+// TestRouterUnreadableWorkerTrace: a worker whose X-Zoom-Trace does not
+// decode, or is over the 256 KiB bound, has its answer relayed byte for
+// byte with its status; only the attempt span says the tree was unreadable.
+func TestRouterUnreadableWorkerTrace(t *testing.T) {
+	const answer = `{"run":"r","data":"d1","kind":"deep"}` + "\n"
+	for name, tree := range map[string]string{
+		"garbage":   "{not json",
+		"oversized": `{"name":"` + strings.Repeat("a", 300<<10) + `"}`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			worker := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				_, _ = io.Copy(io.Discard, r.Body)
+				w.Header().Set("Content-Type", "application/json")
+				w.Header().Set(client.TraceHeader, tree)
+				w.Header().Set("Content-Length", strconv.Itoa(len(answer)))
+				_, _ = io.WriteString(w, answer)
+			}))
+			t.Cleanup(worker.Close)
+			rt, err := New(obs.NewRegistry(), Config{Workers: []string{worker.URL}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rts := httptest.NewServer(rt.Handler())
+			t.Cleanup(rts.Close)
+			status, got, hdr := postResp(t, rts.URL, "/v1/query?trace=1", "", `{"run":"r","data":"d1"}`)
+			if status != http.StatusOK || string(got) != answer {
+				t.Fatalf("status %d, body %q; want the worker's 200 %q", status, got, answer)
+			}
+			att := headerTree(t, hdr).Find("replica.attempt")
+			if att == nil || att.Tags["worker_trace"] != "unreadable" || att.Tags["outcome"] != "won" || len(att.Children) != 0 {
+				t.Fatalf("attempt span %+v, want outcome=won, worker_trace=unreadable and no adopted tree", att)
+			}
+			if rt.fwdErrors.Value() != 0 {
+				t.Fatalf("router.forward_errors = %d, want 0", rt.fwdErrors.Value())
+			}
+		})
 	}
 }
 

@@ -276,13 +276,17 @@ func TestRouterResponseCache(t *testing.T) {
 		t.Fatalf("cached answer differs from the forwarded one\nmiss: %s\nhit:  %s", b1, b2)
 	}
 
-	// ?trace=1 must bypass the cache: the inline trace is per-request.
-	status3, b3 := postRaw(t, rts.URL, "/v1/query?trace=1", "00000000000000a3", body)
-	if status3 != http.StatusOK || !strings.Contains(string(b3), `"trace"`) {
-		t.Fatalf("traced query: status %d", status3)
+	// A traced query is looked up like any other: its tree travels in a
+	// header, so the hit is the same bytes, and the tree shows the hit.
+	status3, b3, h3 := postResp(t, rts.URL, "/v1/query?trace=1", "00000000000000a3", body)
+	if status3 != http.StatusOK || !bytes.Equal(b3, b1) {
+		t.Fatalf("traced query: status %d, answer differs from the cached one: %s", status3, b3)
 	}
-	if rt.cacheHits.Value() != 1 {
-		t.Fatalf("traced query must not be served from cache: hits=%d", rt.cacheHits.Value())
+	if rt.cacheHits.Value() != 2 {
+		t.Fatalf("traced query was not served from the cache: hits=%d", rt.cacheHits.Value())
+	}
+	if look := headerTree(t, h3).Find("cache.lookup"); look == nil || look.Tags["outcome"] != "hit" {
+		t.Fatalf("traced hit's tree: cache.lookup %+v, want outcome hit", look)
 	}
 
 	// The worker reloads its warehouse: the generation changes, the next
@@ -296,7 +300,7 @@ func TestRouterResponseCache(t *testing.T) {
 	if status4 != http.StatusOK {
 		t.Fatalf("post-invalidation query: status %d", status4)
 	}
-	if rt.cacheHits.Value() != 1 || rt.cacheMisses.Value() != 2 {
+	if rt.cacheHits.Value() != 2 || rt.cacheMisses.Value() != 2 {
 		t.Fatalf("post-invalidation query should miss: hits=%d misses=%d",
 			rt.cacheHits.Value(), rt.cacheMisses.Value())
 	}

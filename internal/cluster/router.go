@@ -262,9 +262,6 @@ func New(reg *obs.Registry, cfg Config) (*Router, error) {
 	return r, nil
 }
 
-// Ring returns the router's placement ring.
-func (rt *Router) Ring() *Ring { return rt.ring }
-
 // Registry returns the router's metrics registry.
 func (rt *Router) Registry() *obs.Registry { return rt.reg }
 
@@ -301,13 +298,12 @@ func (rt *Router) Serve(ctx context.Context, ln net.Listener, drain time.Duratio
 // to/from the shard's replicas. The body passes through untouched in
 // both directions — the cluster's answers are byte-identical to the
 // worker's (and, by the differential suite, to a single node's) — and a
-// cache hit writes the stored bytes as they are: an answer carries no
-// trace id (that is in the X-Zoom-Trace-Id header the edge sets) and no
-// timing. The one exception is ?trace=1 (never cacheable, since any query
-// string bypasses the cache): the worker's inline span tree is spliced out
-// of the body and grafted under the winning replica.attempt span, so the
-// client gets ONE stitched tree covering both hops instead of the worker's
-// fragment.
+// cache hit writes the stored bytes as they are. No answer depends on its
+// query string: the trace id and a traced request's span tree travel in
+// headers, so traced and untraced requests share one relay path and one
+// cache. The router never reads an answer to trace it: it adopts the
+// worker's tree from the worker's X-Zoom-Trace header under the winning
+// replica.attempt span, and its own header carries one tree for both hops.
 //
 // Every answer is read whole into a pooled buffer before anything is
 // committed to the client, so a worker that dies mid-body costs the client a
@@ -340,20 +336,14 @@ func (rt *Router) forward(path string) edge.Handler {
 		// The epoch is read before the lookup/forward so a generation
 		// change observed mid-flight invalidates conservatively. The
 		// cache.lookup span is recorded in every configuration — its
-		// outcome tag says which case this request was (disabled, bypass
-		// for a query string, hit, miss), so a trace always answers "did
-		// the cache see this?".
+		// outcome tag says which case this request was (disabled, hit,
+		// miss), so a trace always answers "did the cache see this?".
 		epoch := sh.epoch.Load()
-		cacheable := rt.cache != nil && r.URL.RawQuery == ""
 		look := tr.Root().StartChild("cache.lookup")
-		switch {
-		case rt.cache == nil:
+		if rt.cache == nil {
 			look.SetTag("outcome", "disabled")
 			look.End()
-		case !cacheable:
-			look.SetTag("outcome", "bypass")
-			look.End()
-		default:
+		} else {
 			ent, stale := rt.cache.lookup(path, body, epoch)
 			if stale {
 				rt.cacheInvals.Inc()
@@ -380,8 +370,7 @@ func (rt *Router) forward(path string) edge.Handler {
 			edge.WriteError(w, http.StatusBadGateway, fmt.Sprintf("shard %d unavailable: %s", idx, sh.state(time.Now())))
 			return
 		}
-		wantTrace := edge.WantInlineTrace(r)
-		resp, rep, winSpan, release, err := rt.attempt(r.Context(), tr, sh, path, r.URL.RawQuery, body, cands, wantTrace)
+		resp, rep, winSpan, release, err := rt.attempt(r.Context(), tr, sh, path, r.URL.RawQuery, body, cands, edge.WantTrace(r))
 		if err != nil {
 			base := ""
 			if rep != nil {
@@ -394,6 +383,16 @@ func (rt *Router) forward(path string) edge.Handler {
 		defer resp.Body.Close()
 		rt.forwards.Inc()
 		ct := resp.Header.Get("Content-Type")
+		if tree := resp.Header.Get(client.TraceHeader); tree != "" {
+			// A tree that does not decode costs the trace its subtree,
+			// never the answer.
+			var node obs.SpanNode
+			if len(tree) > obs.MaxHeaderTree || json.Unmarshal([]byte(tree), &node) != nil {
+				winSpan.SetTag("worker_trace", "unreadable")
+			} else {
+				winSpan.Adopt(node)
+			}
+		}
 
 		relay := tr.Root().StartChild("relay")
 		defer relay.End()
@@ -424,54 +423,20 @@ func (rt *Router) forward(path string) edge.Handler {
 				"shard %d replica %d (%s): response body cut short: %v", idx, rep.index, rep.base, rerr))
 			return
 		}
-		if resp.StatusCode == http.StatusOK {
-			if wantTrace {
-				relay.End() // before the snapshot stitch takes
-				data = rt.stitch(tr, winSpan, data)
-			} else if cacheable {
-				ent := cacheEntry{path: path, reqBody: body, epoch: epoch, contentType: ct, body: data}
-				if rt.cache.store(ent) {
-					relay.SetTag("cache", "stored")
-				} else {
-					relay.SetTag("cache", "declined")
-					rt.cacheDeclined.Inc()
-					sh.cacheDeclined.Inc()
-				}
+		if resp.StatusCode == http.StatusOK && rt.cache != nil {
+			ent := cacheEntry{path: path, reqBody: body, epoch: epoch, contentType: ct, body: data}
+			if rt.cache.store(ent) {
+				relay.SetTag("cache", "stored")
+			} else {
+				relay.SetTag("cache", "declined")
+				rt.cacheDeclined.Inc()
+				sh.cacheDeclined.Inc()
 			}
 		}
 		if werr := edge.WriteBody(w, resp.StatusCode, ct, data); werr != nil {
 			rt.copyError(tr, idx, werr)
 		}
 	}
-}
-
-// stitch splices the worker's inline span tree out of a traced response
-// body and replaces it with the router's full tree, the worker's tree
-// adopted under the winning attempt span. The body is otherwise relayed
-// byte-for-byte: the worker's trace value is located as verbatim source
-// bytes (json.RawMessage) and swapped in place, so field order and every
-// other byte the worker wrote survive. On any decode surprise the body
-// passes through unmodified — a stitching bug degrades to the worker's own
-// trace, never to a corrupt response.
-func (rt *Router) stitch(tr *obs.Trace, winSpan *obs.Span, data []byte) []byte {
-	var doc map[string]json.RawMessage
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return data
-	}
-	raw, ok := doc["trace"]
-	if !ok {
-		return data
-	}
-	var node obs.SpanNode
-	if err := json.Unmarshal(raw, &node); err != nil {
-		return data
-	}
-	winSpan.Adopt(node)
-	nb, err := json.Marshal(tr.Snapshot())
-	if err != nil {
-		return data
-	}
-	return bytes.Replace(data, raw, nb, 1)
 }
 
 // copyError counts a response-relay failure — the worker's body ended early
@@ -506,7 +471,7 @@ type fwdResult struct {
 // cancelled), so a failover or hedge race reads directly off the tree.
 // Each span also carries a span reference ("<traceid>.a<n>") that, on
 // traced requests, travels to the worker in X-Zoom-Parent-Span; the
-// worker tags its root with the same reference, so the stitched subtree
+// worker tags its root with the same reference, so the adopted subtree
 // names the exact attempt it answered even after the trees are merged.
 func (rt *Router) attempt(parent context.Context, tr *obs.Trace, sh *shard, path, rawQuery string, body []byte, cands []*replica, wantTrace bool) (*http.Response, *replica, *obs.Span, func(), error) {
 	results := make(chan fwdResult, len(cands))

@@ -144,12 +144,19 @@ func loadAll(t *testing.T, specs []*spec.Spec, runs []*run.Run) *warehouse.Wareh
 
 func postRaw(t *testing.T, base, path, traceID, body string) (int, []byte) {
 	t.Helper()
-	status, b, _ := postTraced(t, base, path, traceID, body)
+	status, b, _ := postResp(t, base, path, traceID, body)
 	return status, b
 }
 
 // postTraced is postRaw that also returns the response's X-Zoom-Trace-Id.
 func postTraced(t *testing.T, base, path, traceID, body string) (int, []byte, string) {
+	t.Helper()
+	status, b, h := postResp(t, base, path, traceID, body)
+	return status, b, h.Get(client.TraceIDHeader)
+}
+
+// postResp is postRaw that also returns the response headers.
+func postResp(t *testing.T, base, path, traceID, body string) (int, []byte, http.Header) {
 	t.Helper()
 	req, err := http.NewRequest(http.MethodPost, base+path, strings.NewReader(body))
 	if err != nil {
@@ -168,7 +175,7 @@ func postTraced(t *testing.T, base, path, traceID, body string) (int, []byte, st
 	if err != nil {
 		t.Fatal(err)
 	}
-	return resp.StatusCode, b, resp.Header.Get(client.TraceIDHeader)
+	return resp.StatusCode, b, resp.Header
 }
 
 func getRaw(t *testing.T, base, path, traceID string) (int, []byte) {
@@ -355,6 +362,11 @@ func TestRouterDeadShardFast502(t *testing.T) {
 	status, b, hdr := postTraced(t, routerURL, "/v1/query", "", body)
 	if status != http.StatusBadGateway || !strings.Contains(string(b), "circuit open") || !obs.ValidTraceID(hdr) {
 		t.Fatalf("open-circuit request: status %d, trace id %q, body %s", status, hdr, b)
+	}
+	// A traced fast 502 carries the router's tree like any other status.
+	status, _, h := postResp(t, routerURL, "/v1/query?trace=1", "", body)
+	if tree := headerTree(t, h); status != http.StatusBadGateway || tree.Find("route.pick") == nil {
+		t.Fatalf("traced fast 502: status %d, tree %+v", status, tree)
 	}
 
 	// The surviving shard still answers.

@@ -131,30 +131,37 @@ func (e *Edge) routeMetrics(route string) *routeMetrics {
 }
 
 // statusWriter records the response status for the metrics and the slowlog.
+// For a traced request it also sets the span tree in the X-Zoom-Trace header
+// as the status is committed, so every status carries it.
 type statusWriter struct {
 	http.ResponseWriter
 	status int
+	tr     *obs.Trace // nil unless the client asked for the tree
 }
 
 func (w *statusWriter) WriteHeader(code int) {
 	if w.status == 0 {
 		w.status = code
+		if w.tr != nil {
+			w.Header().Set(client.TraceHeader, w.tr.Snapshot().HeaderValue())
+		}
 	}
 	w.ResponseWriter.WriteHeader(code)
 }
 
 func (w *statusWriter) Write(b []byte) (int, error) {
 	if w.status == 0 {
-		w.status = http.StatusOK
+		w.WriteHeader(http.StatusOK)
 	}
 	return w.ResponseWriter.Write(b)
 }
 
 // Wrap puts an API endpoint behind the boundary. Each request gets a trace
 // whose id is a valid inbound X-Zoom-Trace-Id or a fresh one, and which is
-// set on the response, errors included; no body carries it. A sanitized
-// X-Zoom-Parent-Span tags the root span, so a routed, traced request names
-// the router attempt it answers (a malformed one is dropped, never echoed).
+// set on the response, errors included; no body carries it, nor the tree a
+// traced request gets in X-Zoom-Trace. A sanitized X-Zoom-Parent-Span tags
+// the root span, so a routed, traced request names the router attempt it
+// answers (a malformed one is dropped, never echoed).
 // The request is counted in the tier's and the route's instruments, and it
 // enters the slowlog when it runs at or over the threshold: only then is the
 // span tree copied out of the trace. The route's instruments are resolved
@@ -168,6 +175,9 @@ func (e *Edge) Wrap(route string, h Handler) http.Handler {
 		}
 		w.Header().Set(client.TraceIDHeader, tr.ID())
 		sw := &statusWriter{ResponseWriter: w}
+		if WantTrace(r) {
+			sw.tr = tr
+		}
 		rm.inFlight.Add(1)
 		start := time.Now()
 		h(tr, sw, r)
@@ -201,9 +211,12 @@ func (e *Edge) Wrap(route string, h Handler) http.Handler {
 	})
 }
 
-// WantInlineTrace reports whether the client asked for the span tree inline
-// in the response body (?trace=1).
-func WantInlineTrace(r *http.Request) bool {
+// WantTrace reports whether the client asked for the request's span tree
+// (?trace=1). A request without a query string parses nothing.
+func WantTrace(r *http.Request) bool {
+	if r.URL.RawQuery == "" {
+		return false
+	}
 	switch r.URL.Query().Get("trace") {
 	case "1", "true", "yes":
 		return true

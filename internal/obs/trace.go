@@ -3,9 +3,10 @@
 // slow are queries lately?"), a Trace explains one request ("why was THIS
 // query slow?"): every stage the request passed through — engine lookup and
 // projection, closure compute or singleflight wait, each batch worker's
-// query — records a span, and the finished tree is returned inline
-// (?trace=1), referenced by the X-Zoom-Trace-Id response header, and kept
-// in the server's slow-query log.
+// query — records a span, and the finished tree is sent in the X-Zoom-Trace
+// response header when the client asks (?trace=1), named by the
+// X-Zoom-Trace-Id header, and kept in the server's slow-query log. No answer
+// body carries it.
 //
 // The design constraint matches the rest of the package: code that is not
 // being traced must pay next to nothing. A context without a trace yields a
@@ -19,10 +20,20 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
+	"encoding/json"
+	"fmt"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf16"
 )
+
+// MaxSpans bounds the spans one trace records, its root included, so a batch
+// near the request-body cap cannot hold ~400k spans until it answers. Past it
+// StartChild returns nil and counts the drop (the root's dropped_spans tag).
+const MaxSpans = 1024
 
 // Trace is the span tree of one request. Create one per request at the
 // boundary (the HTTP handler), derive a context with Context, and hand that
@@ -30,9 +41,11 @@ import (
 // is safe for concurrent use: batch workers may start sibling spans of the
 // same parent at once.
 type Trace struct {
-	id   string
-	t0   time.Time
-	root *Span
+	id      string
+	t0      time.Time
+	root    *Span
+	spans   atomic.Int32 // children started, counted against MaxSpans
+	dropped atomic.Int32 // children refused past MaxSpans
 }
 
 // traceSeq de-duplicates fallback trace ids if crypto/rand ever fails.
@@ -121,9 +134,8 @@ func (t *Trace) ID() string { return t.id }
 // Root returns the root span.
 func (t *Trace) Root() *Span { return t.root }
 
-// Context returns a context carrying the trace's root span (and the trace
-// itself, for TraceFromContext). StartSpan on the returned context creates
-// children of the root.
+// Context returns a context carrying the trace's root span: StartSpan on
+// the returned context creates children of the root.
 func (t *Trace) Context(ctx context.Context) context.Context {
 	if t == nil {
 		return ctx
@@ -139,14 +151,21 @@ func (t *Trace) Finish() SpanNode {
 }
 
 // Snapshot returns the current tree without ending anything; spans still
-// running report their duration as of now. This is what serves inline
-// ?trace=1 responses, where the response encoding itself is necessarily
-// outside the snapshot.
+// running report their duration as of now, which is how a response header
+// carries the tree of a request still being answered. A trace that reached
+// MaxSpans has its root tagged dropped_spans=<n>.
 func (t *Trace) Snapshot() SpanNode {
 	if t == nil {
 		return SpanNode{}
 	}
-	return t.root.snapshot()
+	n := t.root.snapshot()
+	if d := t.dropped.Load(); d > 0 {
+		if n.Tags == nil {
+			n.Tags = make(map[string]string, 1)
+		}
+		n.Tags["dropped_spans"] = strconv.Itoa(int(d))
+	}
+	return n
 }
 
 // Span is one timed stage of a trace. All methods are safe (and no-ops) on
@@ -179,13 +198,13 @@ func (s *Span) SetTag(key, value string) {
 }
 
 // Adopt grafts an imported, already-finished span tree (a worker's span
-// tree decoded from a forwarded response) under s as a child subtree. The
-// imported tree's StartNs values are relative to ITS trace's start; Adopt
-// rebases them onto this trace's timeline by adding s's own start offset,
-// so the child renders inside its parent on one shared timeline. (Clock
-// skew between the two processes is unknowable without synchronized
-// clocks; the convention is that the adopted root begins when the
-// adopting span does.) Safe (and a no-op) on a nil receiver.
+// tree decoded from its X-Zoom-Trace response header) under s as a child
+// subtree. The imported tree's StartNs values are relative to ITS trace's
+// start; Adopt rebases them onto this trace's timeline by adding s's own
+// start offset, so the child renders inside its parent on one shared
+// timeline. (Clock skew between the two processes is unknowable without
+// synchronized clocks; the convention is that the adopted root begins when
+// the adopting span does.) Safe (and a no-op) on a nil receiver.
 func (s *Span) Adopt(node SpanNode) {
 	if s == nil {
 		return
@@ -204,18 +223,14 @@ func rebase(n *SpanNode, off int64) {
 	}
 }
 
-// Trace returns the trace the span belongs to (nil on a nil span).
-func (s *Span) Trace() *Trace {
+// StartChild starts a named child span. Safe for concurrent use by sibling
+// workers; returns nil on a nil receiver and once the trace holds MaxSpans.
+func (s *Span) StartChild(name string) *Span {
 	if s == nil {
 		return nil
 	}
-	return s.tr
-}
-
-// StartChild starts a named child span. Safe for concurrent use by sibling
-// workers; returns nil on a nil receiver.
-func (s *Span) StartChild(name string) *Span {
-	if s == nil {
+	if s.tr.spans.Add(1) >= MaxSpans { // the root is the first span
+		s.tr.dropped.Add(1)
 		return nil
 	}
 	c := &Span{tr: s.tr, name: name, startNs: time.Since(s.tr.t0).Nanoseconds()}
@@ -293,6 +308,47 @@ func (n *SpanNode) Find(name string) *SpanNode {
 	return nil
 }
 
+// MaxHeaderTree bounds the encoding HeaderValue returns (256 KiB).
+const MaxHeaderTree = 256 << 10
+
+// HeaderValue encodes the tree for the X-Zoom-Trace response header: JSON
+// with every rune outside printable ASCII as a \u escape (a surrogate pair
+// above U+FFFF). Span names and tags carry request strings, and a raw DEL or
+// non-ASCII byte would make Go's client reject the whole response; escaped,
+// any tree is a valid header value, and json.Unmarshal reads it back. An
+// encoding over MaxHeaderTree is replaced by the root alone, tagged
+// truncated=<bytes of the full encoding>.
+func (n SpanNode) HeaderValue() string {
+	v := asciiJSON(n)
+	if len(v) <= MaxHeaderTree {
+		return v
+	}
+	return asciiJSON(SpanNode{Name: n.Name, StartNs: n.StartNs, DurNs: n.DurNs,
+		Tags: map[string]string{"truncated": strconv.Itoa(len(v))}})
+}
+
+// asciiJSON marshals n and writes every rune outside 0x20-0x7e as a \u
+// escape. Only strings hold such runes (json.Marshal escapes control
+// characters itself and writes invalid UTF-8 as U+FFFD), so the text still
+// decodes to n.
+func asciiJSON(n SpanNode) string {
+	raw, _ := json.Marshal(n) // strings, integers and a string map always marshal
+	var b strings.Builder
+	b.Grow(len(raw))
+	for _, r := range string(raw) {
+		switch {
+		case r >= 0x20 && r < 0x7f:
+			b.WriteByte(byte(r))
+		case r > 0xffff:
+			r1, r2 := utf16.EncodeRune(r)
+			fmt.Fprintf(&b, `\u%04x\u%04x`, r1, r2)
+		default:
+			fmt.Fprintf(&b, `\u%04x`, r)
+		}
+	}
+	return b.String()
+}
+
 // spanCtxKey carries the current span through a context.
 type spanCtxKey struct{}
 
@@ -303,20 +359,15 @@ func SpanFromContext(ctx context.Context) *Span {
 	return s
 }
 
-// TraceFromContext returns the trace the context's span belongs to, or nil.
-func TraceFromContext(ctx context.Context) *Trace {
-	return SpanFromContext(ctx).Trace()
-}
-
 // StartSpan starts a child of the context's current span and returns a
-// context carrying the child. On an untraced context it returns the context
-// unchanged and a nil span — one interface lookup, no allocation — which is
-// what keeps disabled tracing off the hot path.
+// context carrying the child. On an untraced context, or once the trace
+// holds MaxSpans, it returns the context unchanged and a nil span — one
+// interface lookup, no allocation — which is what keeps disabled tracing
+// off the hot path.
 func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
-	parent := SpanFromContext(ctx)
-	if parent == nil {
+	c := SpanFromContext(ctx).StartChild(name)
+	if c == nil {
 		return ctx, nil
 	}
-	c := parent.StartChild(name)
 	return context.WithValue(ctx, spanCtxKey{}, c), c
 }

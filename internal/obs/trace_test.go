@@ -3,7 +3,10 @@ package obs
 import (
 	"context"
 	"encoding/json"
+	"reflect"
 	"regexp"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -56,7 +59,7 @@ func TestTraceSpanTree(t *testing.T) {
 		t.Fatal("Find invented a span")
 	}
 
-	// The tree must be JSON-shaped for ?trace=1 responses.
+	// The tree must be JSON-shaped for the X-Zoom-Trace header.
 	b, err := json.Marshal(root)
 	if err != nil {
 		t.Fatal(err)
@@ -78,9 +81,6 @@ func TestTraceNilSafety(t *testing.T) {
 	if s := SpanFromContext(ctx); s != nil {
 		t.Fatalf("untraced context yielded span %v", s)
 	}
-	if tr := TraceFromContext(ctx); tr != nil {
-		t.Fatalf("untraced context yielded trace %v", tr)
-	}
 	ctx2, sp := StartSpan(ctx, "stage")
 	if sp != nil {
 		t.Fatal("StartSpan on untraced context returned a span")
@@ -93,9 +93,6 @@ func TestTraceNilSafety(t *testing.T) {
 	if c := sp.StartChild("x"); c != nil {
 		t.Fatal("nil span spawned a child")
 	}
-	if sp.Trace() != nil {
-		t.Fatal("nil span has a trace")
-	}
 	var tr *Trace
 	if got := tr.Snapshot(); got.Name != "" || len(got.Children) != 0 {
 		t.Fatalf("nil trace snapshot %+v", got)
@@ -107,17 +104,17 @@ func TestTraceNilSafety(t *testing.T) {
 
 // TestTraceConcurrentChildren mirrors the batch worker pattern: many
 // goroutines starting and ending sibling spans of the same parent (run
-// under -race in CI).
+// under -race in CI). 16 x 30 x 2 spans stay under MaxSpans.
 func TestTraceConcurrentChildren(t *testing.T) {
 	tr := NewTrace("POST /v1/batch")
 	ctx := tr.Context(context.Background())
-	const workers = 16
+	const workers, iters = 16, 30
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for j := 0; j < 50; j++ {
+			for j := 0; j < iters; j++ {
 				qctx, sp := StartSpan(ctx, "batch.query")
 				_, inner := StartSpan(qctx, "query.lookup")
 				inner.End()
@@ -127,8 +124,8 @@ func TestTraceConcurrentChildren(t *testing.T) {
 	}
 	wg.Wait()
 	root := tr.Finish()
-	if got := len(root.Children); got != workers*50 {
-		t.Fatalf("%d children recorded, want %d", got, workers*50)
+	if got := len(root.Children); got != workers*iters {
+		t.Fatalf("%d children recorded, want %d", got, workers*iters)
 	}
 	for _, c := range root.Children {
 		if len(c.Children) != 1 || c.Children[0].Name != "query.lookup" {
@@ -154,6 +151,83 @@ func TestTraceSnapshotWhileRunning(t *testing.T) {
 	done := final.Find("slow")
 	if done.DurNs < n.DurNs {
 		t.Fatalf("final duration %d shrank below snapshot %d", done.DurNs, n.DurNs)
+	}
+}
+
+// countSpans counts the nodes of a tree.
+func countSpans(n *SpanNode) int {
+	c := 1
+	for i := range n.Children {
+		c += countSpans(&n.Children[i])
+	}
+	return c
+}
+
+// TestTraceSpanBound: a trace records at most MaxSpans spans, root
+// included; every StartSpan past that returns the context unchanged and a
+// nil span, and the snapshot's root counts the drops.
+func TestTraceSpanBound(t *testing.T) {
+	tr := NewTrace("POST /v1/batch")
+	ctx := tr.Context(context.Background())
+	for i := 0; i < 2*MaxSpans; i++ {
+		qctx, sp := StartSpan(ctx, "batch.query")
+		if sp == nil && qctx != ctx {
+			t.Fatal("a dropped span replaced the context")
+		}
+		_, inner := StartSpan(qctx, "query.lookup")
+		inner.End()
+		sp.End()
+	}
+	root := tr.Finish()
+	if got := countSpans(&root); got != MaxSpans {
+		t.Fatalf("trace holds %d spans, want the bound %d", got, MaxSpans)
+	}
+	// Every one of the 4*MaxSpans starts had a live parent; the first
+	// MaxSpans-1 were recorded.
+	if got, want := root.Tags["dropped_spans"], strconv.Itoa(4*MaxSpans-(MaxSpans-1)); got != want {
+		t.Fatalf("dropped_spans = %q, want %q", got, want)
+	}
+}
+
+// TestHeaderValue: the header encoding of a tree whose names and tags hold
+// any strings is printable ASCII that decodes to what json.Marshal's
+// encoding does, and past MaxHeaderTree it is the root alone, tagged with
+// the full encoding's length.
+func TestHeaderValue(t *testing.T) {
+	n := SpanNode{Name: "POST /v1/batch", DurNs: 7, Tags: map[string]string{"parent_span": "0123456789abcdef.a0"}}
+	for _, s := range []string{"d447", "\x7f", "é", "\U0001F600", "\x00\x1f", "\u2028", "\xff", `"\`, "<&>"} {
+		n.Children = append(n.Children, SpanNode{Name: "batch.query " + s, Tags: map[string]string{s: s}})
+	}
+	v := n.HeaderValue()
+	if i := strings.IndexFunc(v, func(r rune) bool { return r < 0x20 || r > 0x7e }); i >= 0 {
+		t.Fatalf("byte %d of %q is not printable ASCII", i, v)
+	}
+	if !strings.Contains(v, "batch.query \\ud83d\\ude00") {
+		t.Fatalf("U+1F600 is not written as a surrogate pair: %s", v)
+	}
+	raw, err := json.Marshal(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got, want SpanNode
+	if err := json.Unmarshal([]byte(v), &got); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("header tree decodes to\n%+v\nwant\n%+v", got, want)
+	}
+
+	big := SpanNode{Name: "POST /v1/batch", DurNs: 7, Children: []SpanNode{{Name: strings.Repeat("é", MaxHeaderTree/2)}}}
+	v = big.HeaderValue()
+	var cut SpanNode
+	if err := json.Unmarshal([]byte(v), &cut); err != nil || len(v) > MaxHeaderTree {
+		t.Fatalf("oversized tree: %d bytes, %v", len(v), err)
+	}
+	if full, _ := strconv.Atoi(cut.Tags["truncated"]); full <= MaxHeaderTree || len(cut.Children) != 0 || cut.Name != big.Name || cut.DurNs != 7 {
+		t.Fatalf("oversized tree became %+v, want its root alone tagged truncated=<full length>", cut)
 	}
 }
 

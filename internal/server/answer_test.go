@@ -93,7 +93,7 @@ func TestAnswerEncoderMatchesOracle(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s/%s: batch %v: %v", r.ID(), name, batch, err)
 					}
-					checkBatch(t, r.ID(), answers, nil)
+					checkBatch(t, r.ID(), answers)
 					batch = batch[:0]
 				}
 			}
@@ -210,7 +210,7 @@ func FuzzAnswerTokens(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkBatch(t, "fz", answers, nil)
+			checkBatch(t, "fz", answers)
 		}
 	})
 }

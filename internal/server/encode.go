@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/composite"
 	"repro/internal/jsontok"
-	"repro/internal/obs"
 	"repro/internal/provenance"
 	"repro/internal/run"
 )
@@ -22,23 +21,21 @@ import (
 // documented response shapes (spelled as structs in encode_test.go, where
 // they and the string-walking encoder this one replaced are its oracles)
 // plus the newline json.Encoder writes: same field order, same omitempty
-// behaviour, same HTML-safe escaping. The two values that are rare and small
-// — an external root's metadata and the ?trace=1 span tree — are marshalled
-// reflectively in place.
+// behaviour, same HTML-safe escaping. The one value that is rare and small,
+// an external root's metadata, is marshalled reflectively in place.
 
 // queryAnswer is what handleQuery hands the encoder: the request's echo and
 // pointers to whatever the engine returned for its kind. Nothing in it is
-// per-request: the trace id travels in the X-Zoom-Trace-Id header and the
-// stage timings in the span tree, so an untraced answer's bytes are a
-// function of the request and the loaded warehouse alone.
+// per-request: the trace id and a traced request's span tree travel in
+// headers, so an answer's bytes are a function of the request and the
+// loaded warehouse alone.
 type queryAnswer struct {
 	run, data, kind string
 	result          *provenance.Answer
 	execution       *composite.Execution
-	spans           *obs.SpanNode // ?trace=1 only
 }
 
-func appendQueryResponse(dst []byte, a *queryAnswer) ([]byte, error) {
+func appendQueryResponse(dst []byte, a *queryAnswer) []byte {
 	dst = append(dst, `{"run":`...)
 	dst = jsontok.AppendString(dst, a.run)
 	dst = append(dst, `,"data":`...)
@@ -53,10 +50,10 @@ func appendQueryResponse(dst []byte, a *queryAnswer) ([]byte, error) {
 		dst = append(dst, `,"execution":`...)
 		dst = appendExecution(dst, a.execution)
 	}
-	return appendSpansAndClose(dst, a.spans)
+	return append(dst, '}', '\n') // json.Encoder's trailing newline
 }
 
-func appendBatchResponse(dst []byte, run string, results []*provenance.Answer, spans *obs.SpanNode) ([]byte, error) {
+func appendBatchResponse(dst []byte, run string, results []*provenance.Answer) []byte {
 	dst = append(dst, `{"run":`...)
 	dst = jsontok.AppendString(dst, run)
 	dst = append(dst, `,"count":`...)
@@ -72,22 +69,7 @@ func appendBatchResponse(dst []byte, run string, results []*provenance.Answer, s
 			dst = AppendAnswer(dst, res)
 		}
 	}
-	dst = append(dst, ']')
-	return appendSpansAndClose(dst, spans)
-}
-
-// appendSpansAndClose ends a response document: the optional inline span
-// tree, the closing brace, and json.Encoder's trailing newline.
-func appendSpansAndClose(dst []byte, spans *obs.SpanNode) ([]byte, error) {
-	if spans != nil {
-		raw, err := json.Marshal(spans)
-		if err != nil {
-			return dst, err
-		}
-		dst = append(dst, `,"trace":`...)
-		dst = append(dst, raw...)
-	}
-	return append(dst, '}', '\n'), nil
+	return append(dst, ']', '}', '\n')
 }
 
 // AppendAnswer appends one provenance answer as the "result" object of the

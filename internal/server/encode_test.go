@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -16,7 +15,6 @@ import (
 	"repro/internal/edge"
 	"repro/internal/gen"
 	"repro/internal/jsontok"
-	"repro/internal/obs"
 	"repro/internal/provenance"
 	"repro/internal/run"
 	"repro/internal/spec"
@@ -139,23 +137,20 @@ type queryResponse struct {
 	Kind      string        `json:"kind"`
 	Result    *resultDTO    `json:"result,omitempty"`
 	Execution *executionDTO `json:"execution,omitempty"`
-	Trace     *obs.SpanNode `json:"trace,omitempty"`
 }
 
 // batchResponse is the body of a POST /v1/batch answer.
 type batchResponse struct {
-	Run     string        `json:"run"`
-	Count   int           `json:"count"`
-	Results []*resultDTO  `json:"results"`
-	Trace   *obs.SpanNode `json:"trace,omitempty"`
+	Run     string       `json:"run"`
+	Count   int          `json:"count"`
+	Results []*resultDTO `json:"results"`
 }
 
 // oracleQuery is the query answer as encoding/json writes the documented
 // struct, the way the server encoded it before it had its own encoder.
 func oracleQuery(t testing.TB, a *queryAnswer) []byte {
 	t.Helper()
-	resp := queryResponse{Run: a.run, Data: a.data, Kind: a.kind,
-		Result: toResultDTO(a.result.Result()), Trace: a.spans}
+	resp := queryResponse{Run: a.run, Data: a.data, Kind: a.kind, Result: toResultDTO(a.result.Result())}
 	if a.execution != nil {
 		dto := toExecutionDTO(a.execution)
 		resp.Execution = &dto
@@ -163,10 +158,9 @@ func oracleQuery(t testing.TB, a *queryAnswer) []byte {
 	return marshalLine(t, resp)
 }
 
-func oracleBatch(t testing.TB, run string, results []*provenance.Answer, spans *obs.SpanNode) []byte {
+func oracleBatch(t testing.TB, run string, results []*provenance.Answer) []byte {
 	t.Helper()
-	resp := batchResponse{Run: run, Count: len(results),
-		Results: make([]*resultDTO, len(results)), Trace: spans}
+	resp := batchResponse{Run: run, Count: len(results), Results: make([]*resultDTO, len(results))}
 	for i, a := range results {
 		resp.Results[i] = toResultDTO(a.Result())
 	}
@@ -196,10 +190,7 @@ func checkAnswer(t testing.TB, a *provenance.Answer) {
 // client's decoder.
 func checkQuery(t testing.TB, a *queryAnswer) {
 	t.Helper()
-	got, err := appendQueryResponse(nil, a)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := appendQueryResponse(nil, a)
 	if want := oracleQuery(t, a); !bytes.Equal(got, want) {
 		t.Fatalf("query answer differs from encoding/json\n got: %s\nwant: %s", got, want)
 	}
@@ -215,13 +206,10 @@ func checkQuery(t testing.TB, a *queryAnswer) {
 	}
 }
 
-func checkBatch(t testing.TB, run string, results []*provenance.Answer, spans *obs.SpanNode) {
+func checkBatch(t testing.TB, run string, results []*provenance.Answer) {
 	t.Helper()
-	got, err := appendBatchResponse(nil, run, results, spans)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := oracleBatch(t, run, results, spans); !bytes.Equal(got, want) {
+	got := appendBatchResponse(nil, run, results)
+	if want := oracleBatch(t, run, results); !bytes.Equal(got, want) {
 		t.Fatalf("batch answer differs from encoding/json\n got: %s\nwant: %s", got, want)
 	}
 	var out client.BatchResponse
@@ -296,12 +284,8 @@ func TestAppendResponseMatchesEncodingJSON(t *testing.T) {
 	if a := answers[2]; !a.External || len(a.Metadata) != 3 || len(a.Executions) != 0 || len(a.Edges) != 0 {
 		t.Fatalf("fixture: d1 should be an annotated external root with an empty closure, got %+v", a)
 	}
-	spans := &obs.SpanNode{Name: "POST /v1/query", DurNs: 12, Tags: map[string]string{"k": "<v>"},
-		Children: []obs.SpanNode{{Name: "query.lookup", StartNs: 1, DurNs: 2}}}
-
 	for _, a := range answers {
 		checkQuery(t, &queryAnswer{run: "r", data: a.Root, kind: "deep", result: a})
-		checkQuery(t, &queryAnswer{run: "r", data: a.Root, kind: "deep", result: a, spans: spans})
 		checkQuery(t, &queryAnswer{run: "r", data: a.Root, kind: "derived", result: a})
 	}
 	for _, s := range nasty {
@@ -312,11 +296,11 @@ func TestAppendResponseMatchesEncodingJSON(t *testing.T) {
 	// Immediate provenance of an external input: no execution at all.
 	checkQuery(t, &queryAnswer{run: "r", data: "d1", kind: "immediate"})
 	checkQuery(t, &queryAnswer{run: "r", data: "d1", kind: "immediate",
-		execution: exec("M2@1", []string{"S2", "S3"}, nil, []string{}), spans: spans})
+		execution: exec("M2@1", []string{"S2", "S3"}, nil, []string{})})
 
-	checkBatch(t, "r", append([]*provenance.Answer{nil}, answers...), nil)
-	checkBatch(t, "r", []*provenance.Answer{nil}, spans)
-	checkBatch(t, nasty[8], nil, nil)
+	checkBatch(t, "r", append([]*provenance.Answer{nil}, answers...))
+	checkBatch(t, "r", []*provenance.Answer{nil})
+	checkBatch(t, nasty[8], nil)
 
 	// The string oracle itself, on shapes only strings can take.
 	full := &provenance.Result{
@@ -341,7 +325,7 @@ func TestAppendResponseMatchesEncodingJSON(t *testing.T) {
 }
 
 // FuzzAppendResponse shapes the envelope of a response (echo, an immediate
-// answer's execution, spans, a batch) out of arbitrary
+// answer's execution, a batch) out of arbitrary
 // strings and holds the encoder to encoding/json on all of it; the result
 // object inside is one of the running example's answers, and the result
 // shaped from the same strings goes to the string oracle, so that stays held
@@ -381,14 +365,10 @@ func FuzzAppendResponse(f *testing.F) {
 		if !bit(8) {
 			a = answers[int(shape>>6)%len(answers)]
 		}
-		var spans *obs.SpanNode
-		if bit(15) {
-			spans = &obs.SpanNode{Name: list, Tags: map[string]string{id: run}}
-		}
-		checkQuery(t, &queryAnswer{run: run, data: id, kind: list, result: a, spans: spans})
+		checkQuery(t, &queryAnswer{run: run, data: id, kind: list, result: a})
 		checkQuery(t, &queryAnswer{run: run, data: id, kind: "immediate", execution: x})
 		checkQuery(t, &queryAnswer{run: run, data: id, kind: "immediate"})
-		checkBatch(t, run, []*provenance.Answer{a, nil, a}, spans)
+		checkBatch(t, run, []*provenance.Answer{a, nil, a})
 	})
 }
 
@@ -431,26 +411,21 @@ func TestEncodeLargeAnswerAllocs(t *testing.T) {
 	res := largeAnswer(t)
 	a := &queryAnswer{run: res.RunID, data: res.Root, kind: "deep", result: res}
 	checkQuery(t, a)
-	buf, err := appendQueryResponse(nil, a)
-	if err != nil {
-		t.Fatal(err)
-	}
+	buf := appendQueryResponse(nil, a)
 	if len(buf) < 50<<10 {
 		t.Fatalf("answer is only %d bytes; the fixture no longer stands for a large answer", len(buf))
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		if buf, err = appendQueryResponse(buf[:0], a); err != nil {
-			t.Fatal(err)
-		}
+		buf = appendQueryResponse(buf[:0], a)
 	})
 	if allocs != 0 {
 		t.Fatalf("encoding a %d-byte answer into a warm buffer: %v allocs/op, want 0", len(buf), allocs)
 	}
 }
 
-// TestEncodeFailureIsAWellFormed500 checks encode-then-commit on both
-// writers: a value or an answer that cannot be encoded costs the client a
-// JSON 500, never a 200 followed by half a document.
+// TestEncodeFailureIsAWellFormed500 checks encode-then-commit: a value that
+// cannot be encoded costs the client a JSON 500, never a 200 followed by
+// half a document. (The answer encoder has no failure to report.)
 func TestEncodeFailureIsAWellFormed500(t *testing.T) {
 	check := func(name string, rec *httptest.ResponseRecorder) {
 		t.Helper()
@@ -468,12 +443,6 @@ func TestEncodeFailureIsAWellFormed500(t *testing.T) {
 	rec := httptest.NewRecorder()
 	edge.WriteJSON(rec, http.StatusOK, map[string]any{"unencodable": make(chan int)})
 	check("edge.WriteJSON", rec)
-
-	rec = httptest.NewRecorder()
-	writeAnswer(rec, func(dst []byte) ([]byte, error) {
-		return append(dst, `{"run":"half a docu`...), errors.New("span tree would not marshal")
-	})
-	check("writeAnswer", rec)
 }
 
 // BenchmarkEncodeLargeAnswer is the "indentation, not reflection" row of
@@ -508,7 +477,7 @@ func BenchmarkEncodeLargeAnswer(b *testing.B) {
 		b.ReportAllocs()
 		var buf []byte
 		for i := 0; i < b.N; i++ {
-			buf, _ = appendQueryResponse(buf[:0], a)
+			buf = appendQueryResponse(buf[:0], a)
 		}
 		b.SetBytes(int64(len(buf)))
 	})

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -10,8 +9,8 @@ import (
 	"repro/zoom/client"
 )
 
-// postTraced posts a query with trace headers and returns the decoded
-// inline trace.
+// postTraced posts a query with trace headers and returns the span tree
+// from the X-Zoom-Trace response header.
 func postTraced(t *testing.T, s *Server, traceID, parentSpan string) *obs.SpanNode {
 	t.Helper()
 	req := httptest.NewRequest("POST", "/v1/query?trace=1",
@@ -26,16 +25,7 @@ func postTraced(t *testing.T, s *Server, traceID, parentSpan string) *obs.SpanNo
 	if rec.Code != 200 {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 	}
-	var resp struct {
-		Trace *obs.SpanNode `json:"trace"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Trace == nil {
-		t.Fatal("no inline trace")
-	}
-	return resp.Trace
+	return headerTree(t, rec.Header())
 }
 
 // TestServerParentSpanTag checks the worker half of cross-process

@@ -8,12 +8,12 @@
 // shared with the router) creates the trace at the boundary, the engine and
 // warehouse record their stages as spans (query.lookup, closure.compute /
 // closure.shared-wait, query.project, batch.query <id>), and the finished
-// tree is returned inline with ?trace=1, referenced by the X-Zoom-Trace-Id
-// response header, and kept in the slow log for requests over the
+// tree is sent in the X-Zoom-Trace response header with ?trace=1, named by
+// the X-Zoom-Trace-Id header, and kept in the slow log for requests over the
 // threshold. The trace id, the stage timings and the closure-cache outcome
-// live there and not in the body, so an untraced answer is the same bytes
-// however often, and by whichever tier, it is asked. The server is usable
-// before its warehouse finishes loading: /healthz answers immediately,
+// live there and not in the body, so an answer is the same bytes however
+// often, by whichever tier, and traced or not, it is asked. The server is
+// usable before its warehouse finishes loading: /healthz answers at once,
 // /readyz and the API answer 503 until SetEngine installs a loaded engine.
 package server
 
@@ -121,9 +121,6 @@ func (s *Server) SetEngine(e *provenance.Engine) {
 	}
 }
 
-// Generation returns the current warehouse generation (see readyzBody).
-func (s *Server) Generation() int64 { return s.generation.Load() }
-
 // Ready reports whether an engine is installed.
 func (s *Server) Ready() bool { return s.engine.Load() != nil }
 
@@ -152,9 +149,6 @@ type readyzBody struct {
 
 // SlowLog returns the server's slow-query ring.
 func (s *Server) SlowLog() *obs.SlowLog { return s.edge.SlowLog() }
-
-// Registry returns the server's metrics registry.
-func (s *Server) Registry() *obs.Registry { return s.reg }
 
 // Handler returns the full route table.
 func (s *Server) Handler() http.Handler {
@@ -190,17 +184,12 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener, drain time.Duration
 }
 
 // writeAnswer runs an answer encoder over a pooled buffer and writes what
-// it produced; an encode failure is reported like any other server error.
-// The buffer goes back to the pool once the ResponseWriter — which copies,
-// never retains — has taken the bytes.
-func writeAnswer(w http.ResponseWriter, encode func(dst []byte) ([]byte, error)) {
+// it produced. The buffer goes back to the pool once the ResponseWriter —
+// which copies, never retains — has taken the bytes.
+func writeAnswer(w http.ResponseWriter, encode func(dst []byte) []byte) {
 	bp := bufPool.Get().(*[]byte)
-	body, err := encode((*bp)[:0])
-	if err != nil {
-		writeError(w, fmt.Errorf("encode response: %w", err))
-	} else {
-		_ = edge.WriteBody(w, http.StatusOK, edge.ContentJSON, body)
-	}
+	body := encode((*bp)[:0])
+	_ = edge.WriteBody(w, http.StatusOK, edge.ContentJSON, body)
 	if cap(body) <= maxPooledBuf {
 		*bp = body
 		bufPool.Put(bp)
@@ -332,11 +321,7 @@ func (s *Server) handleQuery(tr *obs.Trace, w http.ResponseWriter, r *http.Reque
 		writeError(w, err)
 		return
 	}
-	if edge.WantInlineTrace(r) {
-		node := tr.Snapshot()
-		ans.spans = &node
-	}
-	writeAnswer(w, func(dst []byte) ([]byte, error) { return appendQueryResponse(dst, &ans) })
+	writeAnswer(w, func(dst []byte) []byte { return appendQueryResponse(dst, &ans) })
 }
 
 // handleBatch answers many queries of one run/view in parallel. The batch
@@ -372,14 +357,7 @@ func (s *Server) handleBatch(tr *obs.Trace, w http.ResponseWriter, r *http.Reque
 		writeError(w, err)
 		return
 	}
-	var spans *obs.SpanNode
-	if edge.WantInlineTrace(r) {
-		node := tr.Snapshot()
-		spans = &node
-	}
-	writeAnswer(w, func(dst []byte) ([]byte, error) {
-		return appendBatchResponse(dst, req.Run, results, spans)
-	})
+	writeAnswer(w, func(dst []byte) []byte { return appendBatchResponse(dst, req.Run, results) })
 }
 
 // runsResponse is the body of GET /v1/runs: the run list sorted by id

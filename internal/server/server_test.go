@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -87,6 +88,17 @@ func doJSON(t *testing.T, h http.Handler, method, url string, body, out any) *ht
 	return rec
 }
 
+// headerTree decodes the span tree a traced response carries in its
+// X-Zoom-Trace header.
+func headerTree(t *testing.T, h http.Header) *obs.SpanNode {
+	t.Helper()
+	var n obs.SpanNode
+	if err := json.Unmarshal([]byte(h.Get(client.TraceHeader)), &n); err != nil {
+		t.Fatalf("X-Zoom-Trace %.200q does not decode: %v", h.Get(client.TraceHeader), err)
+	}
+	return &n
+}
+
 func TestServerHealthAndReadiness(t *testing.T) {
 	reg := obs.NewRegistry()
 	s, err := New(reg, Config{})
@@ -149,8 +161,8 @@ func TestServerQueryDeep(t *testing.T) {
 	if resp.Result == nil || len(resp.Result.Data) == 0 || len(resp.Result.Executions) == 0 {
 		t.Fatalf("empty result: %+v", resp.Result)
 	}
-	if resp.Trace != nil {
-		t.Fatal("trace embedded without ?trace=1")
+	if v := rec.Header().Get(client.TraceHeader); v != "" {
+		t.Fatalf("span tree sent without ?trace=1: %s", v)
 	}
 	for _, key := range []string{`"trace_id"`, `"outcome"`, `"timing"`} {
 		if bytes.Contains(rec.Body.Bytes(), []byte(key)) {
@@ -174,18 +186,16 @@ func TestServerQueryInlineTrace(t *testing.T) {
 	h := s.Handler()
 
 	req := queryRequest{Run: "fig2", Data: "d447"}
-	var cold queryResponse
-	if rec := doJSON(t, h, "POST", "/v1/query?trace=1", req, &cold); rec.Code != 200 {
-		t.Fatalf("cold query: %d", rec.Code)
+	coldRec := doJSON(t, h, "POST", "/v1/query?trace=1", req, nil)
+	if coldRec.Code != 200 {
+		t.Fatalf("cold query: %d", coldRec.Code)
 	}
-	if cold.Trace == nil {
-		t.Fatal("?trace=1 returned no span tree")
-	}
+	cold := headerTree(t, coldRec.Header())
 	// The cold span tree shows the PR-4 engine stages: the cache lookup
 	// with the closure computation nested inside it, then the projection.
-	lookup := cold.Trace.Find("query.lookup")
+	lookup := cold.Find("query.lookup")
 	if lookup == nil {
-		t.Fatalf("no query.lookup span: %+v", cold.Trace)
+		t.Fatalf("no query.lookup span: %+v", cold)
 	}
 	if lookup.Tags["outcome"] != "miss" {
 		t.Fatalf("cold query.lookup outcome %q, want miss", lookup.Tags["outcome"])
@@ -193,25 +203,37 @@ func TestServerQueryInlineTrace(t *testing.T) {
 	if lookup.Find("closure.compute") == nil {
 		t.Fatalf("cold lookup has no closure.compute child: %+v", lookup)
 	}
-	project := cold.Trace.Find("query.project")
+	project := cold.Find("query.project")
 	if project == nil {
-		t.Fatalf("no query.project span: %+v", cold.Trace)
+		t.Fatalf("no query.project span: %+v", cold)
 	}
 	if lookup.DurNs <= 0 || project.DurNs < 0 {
 		t.Fatalf("span durations lookup=%d project=%d", lookup.DurNs, project.DurNs)
 	}
-	if cold.Trace.DurNs < lookup.DurNs {
-		t.Fatalf("root (%dns) shorter than lookup (%dns)", cold.Trace.DurNs, lookup.DurNs)
+	if cold.DurNs < lookup.DurNs {
+		t.Fatalf("root (%dns) shorter than lookup (%dns)", cold.DurNs, lookup.DurNs)
 	}
 
 	// Warm: the lookup span remains, a hit, but nothing is computed.
-	var warm queryResponse
-	doJSON(t, h, "POST", "/v1/query?trace=1", req, &warm)
-	if lookup := warm.Trace.Find("query.lookup"); lookup == nil || lookup.Tags["outcome"] != "hit" {
+	warmRec := doJSON(t, h, "POST", "/v1/query?trace=1", req, nil)
+	warm := headerTree(t, warmRec.Header())
+	if lookup := warm.Find("query.lookup"); lookup == nil || lookup.Tags["outcome"] != "hit" {
 		t.Fatalf("warm trace lost query.lookup or its hit outcome: %+v", lookup)
 	}
-	if warm.Trace.Find("closure.compute") != nil {
+	if warm.Find("closure.compute") != nil {
 		t.Fatal("warm trace recorded closure.compute on a cache hit")
+	}
+
+	// The tree is in the header only: both traced answers are the
+	// untraced one byte for byte, and an untraced answer has no tree.
+	plain := doJSON(t, h, "POST", "/v1/query", req, nil)
+	for _, traced := range []*httptest.ResponseRecorder{coldRec, warmRec} {
+		if !bytes.Equal(traced.Body.Bytes(), plain.Body.Bytes()) {
+			t.Fatalf("traced answer differs from the untraced one\ntraced:   %s\nuntraced: %s", traced.Body, plain.Body)
+		}
+	}
+	if v := plain.Header().Get(client.TraceHeader); v != "" {
+		t.Fatalf("untraced answer carries a tree: %s", v)
 	}
 }
 
@@ -240,7 +262,7 @@ func TestServerQueryKinds(t *testing.T) {
 	if rec.Code != 200 || der.Result == nil || len(der.Result.Data) == 0 {
 		t.Fatalf("derived: %d %+v", rec.Code, der.Result)
 	}
-	if der.Trace == nil || der.Trace.Find("query.derived") == nil {
+	if headerTree(t, rec.Header()).Find("query.derived") == nil {
 		t.Fatal("derived query recorded no query.derived span")
 	}
 
@@ -311,13 +333,11 @@ func TestServerBatch(t *testing.T) {
 			t.Fatalf("result %d: %+v, want root %s", i, r, data[i])
 		}
 	}
-	if resp.Trace == nil {
-		t.Fatal("?trace=1 returned no batch trace")
-	}
 	// Each member query records its own span under the root.
+	tree := headerTree(t, rec.Header())
 	for _, d := range data {
-		if resp.Trace.Find("batch.query "+d) == nil {
-			t.Fatalf("no span for batch member %s: %+v", d, resp.Trace)
+		if tree.Find("batch.query "+d) == nil {
+			t.Fatalf("no span for batch member %s: %+v", d, tree)
 		}
 	}
 
@@ -330,6 +350,36 @@ func TestServerBatch(t *testing.T) {
 	rec = doJSON(t, h, "POST", "/v1/batch", batchRequest{Run: "fig2"}, nil)
 	if rec.Code != 400 {
 		t.Fatalf("empty batch: %d, want 400", rec.Code)
+	}
+}
+
+// TestServerBatchSpanBound: a traced batch of 5,000 entries, which would
+// record three or four spans each, records obs.MaxSpans in all, and its
+// root says how many it dropped.
+func TestServerBatchSpanBound(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	data := make([]string, 5000)
+	for i := range data {
+		data[i] = "d1"
+	}
+	rec := doJSON(t, s.Handler(), "POST", "/v1/batch?trace=1", batchRequest{Run: "fig2", Data: data}, nil)
+	if rec.Code != 200 {
+		t.Fatalf("batch: %d: %.200s", rec.Code, rec.Body)
+	}
+	tree := headerTree(t, rec.Header())
+	var count func(n *obs.SpanNode) int
+	count = func(n *obs.SpanNode) int {
+		c := 1
+		for i := range n.Children {
+			c += count(&n.Children[i])
+		}
+		return c
+	}
+	if got := count(tree); got != obs.MaxSpans {
+		t.Fatalf("traced 5,000-entry batch holds %d spans, want the bound %d", got, obs.MaxSpans)
+	}
+	if n, err := strconv.Atoi(tree.Tags["dropped_spans"]); err != nil || n < len(data) {
+		t.Fatalf("root dropped_spans = %q, want at least %d", tree.Tags["dropped_spans"], len(data))
 	}
 }
 

@@ -202,20 +202,31 @@ grep -E '^zoom_router_query_status\{class="2xx"\} [1-9]' "$workdir/metrics2.txt"
 echo "cluster-smoke: router response cache serving repeats"
 
 # Stitched distributed trace: ?trace=1 through the router must return ONE
-# span tree holding the router's spans (route.pick, cache.lookup,
-# replica.attempt) with the worker's engine spans grafted under the
-# winning attempt, the worker subtree naming its attempt via parent_span.
+# span tree in the X-Zoom-Trace header, holding the router's spans
+# (route.pick, cache.lookup, replica.attempt) with the worker's engine spans
+# adopted under the winning attempt, the worker subtree naming its attempt
+# via parent_span. d413 has not been asked yet, so this misses the cache.
 strace=beefcafe01234567
+tbody='{"run":"fig2","data":"d413","view":"joe"}'
 curl -fsS -D "$workdir/stitched.headers" -X POST -H 'Content-Type: application/json' \
-    -H "X-Zoom-Trace-Id: $strace" -d "$body" \
+    -H "X-Zoom-Trace-Id: $strace" -d "$tbody" \
     "$base/v1/query?trace=1" >"$workdir/stitched.json" || fail "traced routed query"
 grep -qi "^x-zoom-trace-id: $strace" "$workdir/stitched.headers" || fail "traced routed query lost its trace id"
-grep -q '"name":"route.pick"' "$workdir/stitched.json" || fail "stitched tree misses route.pick"
-grep -q '"name":"cache.lookup"' "$workdir/stitched.json" || fail "stitched tree misses cache.lookup"
-grep -q '"name":"replica.attempt"' "$workdir/stitched.json" || fail "stitched tree misses replica.attempt"
-grep -q '"name":"query.lookup"' "$workdir/stitched.json" || fail "stitched tree misses the worker's query.lookup"
-grep -q "\"parent_span\":\"$strace.a0\"" "$workdir/stitched.json" \
+grep -q '"trace"' "$workdir/stitched.json" && fail "traced routed answer carries a trace"
+sed -n 's/^[Xx]-[Zz]oom-[Tt]race: //p' "$workdir/stitched.headers" >"$workdir/stitched.tree"
+grep -q '"name":"route.pick"' "$workdir/stitched.tree" || fail "stitched tree misses route.pick"
+grep -q '"name":"cache.lookup"' "$workdir/stitched.tree" || fail "stitched tree misses cache.lookup"
+grep -q '"name":"replica.attempt"' "$workdir/stitched.tree" || fail "stitched tree misses replica.attempt"
+grep -q '"name":"query.lookup"' "$workdir/stitched.tree" || fail "stitched tree misses the worker's query.lookup"
+grep -q "\"parent_span\":\"$strace.a0\"" "$workdir/stitched.tree" \
     || fail "worker subtree does not name the router attempt it answered"
+# The same traced request again is a router cache hit, and its tree says so.
+curl -fsS -D "$workdir/hit.headers" -X POST -H 'Content-Type: application/json' -d "$tbody" \
+    "$base/v1/query?trace=1" >"$workdir/hit.json" || fail "repeated traced routed query"
+sed -n 's/^[Xx]-[Zz]oom-[Tt]race: //p' "$workdir/hit.headers" >"$workdir/hit.tree"
+grep -q '"name":"cache.lookup","start_ns":[0-9]*,"dur_ns":[0-9]*,"tags":{"outcome":"hit"}' "$workdir/hit.tree" \
+    || fail "repeated traced query was not a router cache hit"
+cmp -s "$workdir/stitched.json" "$workdir/hit.json" || fail "cache hit differs from the traced miss"
 # The same stitched tree sits in the router slowlog (threshold < 0).
 curl -fsS "$base/debug/slowlog" >"$workdir/slowlog.json" || fail "GET /debug/slowlog"
 grep -q "\"trace_id\":\"$strace\"" "$workdir/slowlog.json" || fail "traced request missing from router slowlog"
@@ -247,13 +258,16 @@ wait "$pref_pid" 2>/dev/null || true
 echo "cluster-smoke: killed preferred replica of shard $owner"
 
 i=0
+pad=" "
 while [ "$i" -lt 20 ]; do
-    # A unique query string bypasses the response cache, forcing each
-    # request through the failover path rather than a cached answer.
+    # A body with one more trailing space is a new cache key (a query
+    # string is not one: no answer depends on it), so each request takes
+    # the failover path rather than a cached answer.
     status=$(curl -s -o "$workdir/failover.json" -w '%{http_code}' \
         -X POST -H 'Content-Type: application/json' \
-        -d "$body" "$base/v1/query?i=$i")
+        -d "$body$pad" "$base/v1/query")
     [ "$status" = 200 ] || fail "query $i after replica kill returned $status, want 200 (zero-loss failover)"
+    pad="$pad "
     i=$((i + 1))
 done
 grep -q '"data":"d447"' "$workdir/failover.json" || fail "failover answer wrong payload"
@@ -269,7 +283,7 @@ kill "$sibl_pid"
 wait "$sibl_pid" 2>/dev/null || true
 status=$(curl -s -o "$workdir/dead2.json" -w '%{http_code}' \
     -X POST -H 'Content-Type: application/json' \
-    -d '{"run":"fig2","data":"d447"}' "$base/v1/query?j=1")
+    -d '{"run":"fig2","data":"d447"}' "$base/v1/query")
 [ "$status" = 502 ] || fail "query with both replicas dead returned $status, want 502"
 grep -q "shard $owner" "$workdir/dead2.json" || fail "502 does not name the exhausted shard"
 echo "cluster-smoke: exhausted shard fails fast once both replicas are gone"

@@ -2,7 +2,7 @@
 # End-to-end smoke test for `zoom serve`: build the CLI, create the example
 # warehouse, boot the server on a free port, and poke every surface a
 # deployment relies on — /healthz, /readyz, /metrics, a real query with its
-# X-Zoom-Trace-Id header and inline span tree, and the slow-query log.
+# X-Zoom-Trace-Id header and X-Zoom-Trace span tree, and the slow-query log.
 # Exits non-zero on the first failed check.
 set -eu
 
@@ -54,7 +54,8 @@ done
 [ "${ready:-}" = 1 ] || fail "/readyz never became ready"
 echo "serve-smoke: healthy and ready"
 
-# One deep query through the registered joe view, traced inline.
+# One deep query through the registered joe view, traced: the span tree
+# comes back in the X-Zoom-Trace header, never in the body.
 curl -fsS -D "$workdir/headers" -o "$workdir/query.json" \
     -X POST -H 'Content-Type: application/json' \
     -d '{"run":"fig2","data":"d447","view":"joe"}' \
@@ -63,11 +64,17 @@ curl -fsS -D "$workdir/headers" -o "$workdir/query.json" \
 # carries no timings.
 hdr_id=$(sed -n 's/^[Xx]-[Zz]oom-[Tt]race-[Ii]d: \([0-9a-f]\{16\}\).*/\1/p' "$workdir/headers" | head -1)
 [ -n "$hdr_id" ] || fail "no X-Zoom-Trace-Id header"
-grep -q -e '"trace_id"' -e '"timing"' "$workdir/query.json" && fail "answer body carries trace_id or timing"
-# The cache outcome is a tag on the query.lookup span of the inline tree.
-grep -q '"name":"query.lookup","start_ns":[0-9]*,"dur_ns":[0-9]*,"tags":{"outcome":"miss"}' "$workdir/query.json" \
+grep -q -e '"trace_id"' -e '"timing"' -e '"trace"' "$workdir/query.json" && fail "answer body carries trace_id, timing or a trace"
+sed -n 's/^[Xx]-[Zz]oom-[Tt]race: //p' "$workdir/headers" >"$workdir/tree.json"
+[ -s "$workdir/tree.json" ] || fail "traced query has no X-Zoom-Trace header"
+# The cache outcome is a tag on the query.lookup span of the tree.
+grep -q '"name":"query.lookup","start_ns":[0-9]*,"dur_ns":[0-9]*,"tags":{"outcome":"miss"}' "$workdir/tree.json" \
     || fail "first query's query.lookup span is not tagged as a cache miss"
-grep -q '"name":"closure.compute"' "$workdir/query.json" || fail "cold trace has no closure.compute span"
+grep -q '"name":"closure.compute"' "$workdir/tree.json" || fail "cold trace has no closure.compute span"
+# The traced answer is the untraced one, byte for byte.
+curl -fsS -o "$workdir/plain.json" -X POST -H 'Content-Type: application/json' \
+    -d '{"run":"fig2","data":"d447","view":"joe"}' "$base/v1/query" || fail "untraced POST /v1/query"
+cmp -s "$workdir/query.json" "$workdir/plain.json" || fail "traced answer differs from the untraced one"
 echo "serve-smoke: traced query ok ($hdr_id)"
 
 # Metrics exposition carries the query that just ran.

@@ -28,6 +28,11 @@ import (
 // TraceIDHeader is the header carrying the request/response trace id.
 const TraceIDHeader = "X-Zoom-Trace-Id"
 
+// TraceHeader carries a traced request's span tree (?trace=1) on the
+// response, as JSON in printable ASCII; a router's holds the worker's under
+// the replica attempt that answered. No answer body carries a tree.
+const TraceHeader = "X-Zoom-Trace"
+
 // ParentSpanHeader carries the router-side parent span reference on a
 // forwarded request: the router stamps each replica attempt's span
 // reference here, and the worker tags its root span with the (sanitized)
@@ -110,10 +115,9 @@ type QueryRequest struct {
 	// TraceID, when a valid 16-hex id, is sent in X-Zoom-Trace-Id and
 	// adopted by the server. Not part of the JSON body.
 	TraceID string `json:"-"`
-	// Trace requests the span tree inline (?trace=1). Against a router
-	// this returns the stitched tree: router spans with the worker's
-	// subtree grafted under the winning replica attempt. Not part of the
-	// JSON body.
+	// Trace asks for the span tree (?trace=1), which fills the response's
+	// Trace from TraceHeader; the answer is the untraced one byte for
+	// byte. Not part of the JSON body.
 	Trace bool `json:"-"`
 }
 
@@ -156,7 +160,8 @@ type Result struct {
 
 // QueryResponse is a POST /v1/query answer. Every response type here
 // carries the response's trace id, which the server sends in TraceIDHeader
-// and not in the body.
+// and not in the body; a traced query or batch also carries its span tree,
+// from TraceHeader.
 type QueryResponse struct {
 	TraceID   string          `json:"-"`
 	Run       string          `json:"run"`
@@ -164,7 +169,7 @@ type QueryResponse struct {
 	Kind      string          `json:"kind"`
 	Result    *Result         `json:"result,omitempty"`
 	Execution *Execution      `json:"execution,omitempty"`
-	Trace     json.RawMessage `json:"trace,omitempty"`
+	Trace     json.RawMessage `json:"-"`
 }
 
 // BatchResponse is a POST /v1/batch answer.
@@ -173,7 +178,7 @@ type BatchResponse struct {
 	Run     string          `json:"run"`
 	Count   int             `json:"count"`
 	Results []*Result       `json:"results"`
-	Trace   json.RawMessage `json:"trace,omitempty"`
+	Trace   json.RawMessage `json:"-"`
 }
 
 // RunInfo is one row of GET /v1/runs.
@@ -360,18 +365,19 @@ func (c *Client) getJSON(ctx context.Context, path string, out tracedResponse) e
 	return c.do(req, out)
 }
 
-// tracedResponse is a response type that takes the trace id of the
-// response it was decoded from.
-type tracedResponse interface{ setTraceID(id string) }
+// tracedResponse is a response type that takes the trace id, and the span
+// tree of a traced request, of the response it was decoded from.
+type tracedResponse interface{ setTrace(string, json.RawMessage) }
 
-func (r *QueryResponse) setTraceID(id string)        { r.TraceID = id }
-func (r *BatchResponse) setTraceID(id string)        { r.TraceID = id }
-func (r *RunsResponse) setTraceID(id string)         { r.TraceID = id }
-func (r *StatsResponse) setTraceID(id string)        { r.TraceID = id }
-func (r *ClusterStatsResponse) setTraceID(id string) { r.TraceID = id }
+func (r *QueryResponse) setTrace(id string, tree json.RawMessage)     { r.TraceID, r.Trace = id, tree }
+func (r *BatchResponse) setTrace(id string, tree json.RawMessage)     { r.TraceID, r.Trace = id, tree }
+func (r *RunsResponse) setTrace(id string, _ json.RawMessage)         { r.TraceID = id }
+func (r *StatsResponse) setTrace(id string, _ json.RawMessage)        { r.TraceID = id }
+func (r *ClusterStatsResponse) setTrace(id string, _ json.RawMessage) { r.TraceID = id }
 
 // do sends the request and decodes a 2xx JSON body into out, or a non-2xx
-// body into an *Error; either takes the trace id from TraceIDHeader.
+// body into an *Error; either takes the trace id from TraceIDHeader, and a
+// 2xx the span tree from TraceHeader.
 func (c *Client) do(req *http.Request, out tracedResponse) error {
 	resp, err := c.http.Do(req)
 	if err != nil {
@@ -393,6 +399,10 @@ func (c *Client) do(req *http.Request, out tracedResponse) error {
 	if err := json.Unmarshal(body, out); err != nil {
 		return fmt.Errorf("zoom: decode %s: %w", req.URL.Path, err)
 	}
-	out.setTraceID(traceID)
+	var tree json.RawMessage
+	if v := resp.Header.Get(TraceHeader); v != "" {
+		tree = json.RawMessage(v)
+	}
+	out.setTrace(traceID, tree)
 	return nil
 }

@@ -2,9 +2,11 @@ package client_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 	"time"
 
@@ -113,6 +115,34 @@ func TestClientTraceIDPropagation(t *testing.T) {
 	}
 	if q.TraceID != id {
 		t.Fatalf("trace id %q, want propagated %q", q.TraceID, id)
+	}
+}
+
+// TestClientTraceTree: a traced query or batch takes its span tree from the
+// X-Zoom-Trace header into Trace, over the answer an untraced request
+// decodes to; an untraced response has no tree.
+func TestClientTraceTree(t *testing.T) {
+	ts := newTestServer(t)
+	c := client.New(ts.URL, client.Options{})
+	ctx := context.Background()
+	plain, err := c.Query(ctx, client.QueryRequest{Run: "fig2", Data: "d447"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	traced, err := c.Query(ctx, client.QueryRequest{Run: "fig2", Data: "d447", Trace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tree obs.SpanNode
+	if plain.Trace != nil || json.Unmarshal(traced.Trace, &tree) != nil || tree.Find("query.lookup") == nil {
+		t.Fatalf("untraced tree %q, traced tree %q", plain.Trace, traced.Trace)
+	}
+	if !reflect.DeepEqual(plain.Result, traced.Result) {
+		t.Fatal("traced answer differs from the untraced one")
+	}
+	b, err := c.Batch(ctx, client.BatchRequest{Run: "fig2", Data: []string{"d447", "d413"}, Trace: true})
+	if err != nil || json.Unmarshal(b.Trace, &tree) != nil || tree.Find("batch.query d413") == nil {
+		t.Fatalf("traced batch: tree %q, err %v", b.Trace, err)
 	}
 }
 
