@@ -600,7 +600,7 @@ func shardCluster(b *testing.B, full *warehouse.Warehouse, n int) *client.Client
 	if err != nil {
 		b.Fatal(err)
 	}
-	urls := make([]string, n)
+	shards := make([][]string, n)
 	for k := 0; k < n; k++ {
 		sub, err := full.Subset(func(id string) bool { return ring.Place(id) == k })
 		if err != nil {
@@ -613,9 +613,9 @@ func shardCluster(b *testing.B, full *warehouse.Warehouse, n int) *client.Client
 		s.SetEngine(provenance.NewEngine(sub))
 		ts := httptest.NewServer(s.Handler())
 		b.Cleanup(ts.Close)
-		urls[k] = ts.URL
+		shards[k] = []string{ts.URL}
 	}
-	rt, err := cluster.New(obs.NewRegistry(), cluster.Config{Workers: urls})
+	rt, err := cluster.New(obs.NewRegistry(), cluster.Config{Shards: shards})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -792,7 +792,7 @@ func BenchmarkAnswerPath(b *testing.B) {
 			s.SetEngine(site.e)
 			worker := httptest.NewServer(s.Handler())
 			defer worker.Close()
-			rt, err := cluster.New(obs.NewRegistry(), cluster.Config{Workers: []string{worker.URL}, CacheEntries: tc.entries})
+			rt, err := cluster.New(obs.NewRegistry(), cluster.Config{Shards: [][]string{{worker.URL}}, CacheEntries: tc.entries})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -3,17 +3,21 @@
 // RelevUserViewBuilder, loads runs (or raw workflow logs) into a provenance
 // warehouse snapshot, and answers provenance queries through a chosen view.
 //
+// Every command that reads a snapshot opens it the way its header says: a
+// v3 file is memory-mapped and its runs materialize on first touch, a JSON
+// file is loaded on GOMAXPROCS goroutines.
+//
 // Subcommands:
 //
 //	zoom example [-warehouse wh.json]     walk through the paper's Figures 1-3
-//	zoom serve   -warehouse wh.json [-addr :8080] [-mmap] [-slow 10ms] [-slowlog 128] [-drain 5s] [-expvar zoom]
+//	zoom serve   -warehouse wh.json [-addr :8080] [-slow 10ms] [-drain 5s] [-expvar zoom]
 //	zoom spec    -file spec.json [-dot]   validate / render a specification
 //	zoom view    -file spec.json -relevant M2,M3,M7 [-dot]
-//	zoom load    -warehouse wh.json -file spec.json [-log run.jsonl -run id] [-parallel N] [-format json|v3|keep]
+//	zoom load    -warehouse wh.json -file spec.json [-log run.jsonl -run id] [-format json|v3|keep]
 //	zoom save    -warehouse wh.json [-out wh.v3] [-format v3]   re-save in an explicit format
 //	zoom snapshot convert -in old.snap -out new.snap [-format v3]
-//	zoom snapshot shard -in wh.v3 -n 4 [-out prefix] [-replicas 128] [-format keep]
-//	zoom router  -workers http://h1:8081,http://h2:8082 [-addr :8090] [-replicas 128] [-slow 10ms] [-slowlog 128] [-drain 5s]
+//	zoom snapshot shard -in wh.v3 -n 4 [-out prefix] [-format keep]
+//	zoom router  -workers http://h1:8081,http://h2:8082 [-addr :8090] [-health-interval 2s] [-hedge 0] [-cache 4096] [-slow 10ms] [-drain 5s]
 //	zoom query   -warehouse wh.json -run id -data d447[,d448,...] [-parallel N] [-relevant ...] [-mode deep|immediate|derived] [-dot] [-trace]
 //	zoom runs    -warehouse wh.json       list warehouse contents
 //	zoom stats   -warehouse wh.json [-json]  warehouse statistics and metrics
@@ -103,7 +107,6 @@ func cmdSave(args []string) error {
 	whPath := fs.String("warehouse", "", "warehouse snapshot file (required)")
 	out := fs.String("out", "", "output file (default: overwrite -warehouse)")
 	format := fs.String("format", "v3", "snapshot format to write: json or v3")
-	parallel := fs.Int("parallel", 0, "workers for parallel snapshot loading (0 = GOMAXPROCS)")
 	_ = fs.Parse(args)
 	if *whPath == "" {
 		return fmt.Errorf("save: -warehouse is required")
@@ -119,10 +122,11 @@ func cmdSave(args []string) error {
 	if _, err := os.Stat(*whPath); err != nil {
 		return fmt.Errorf("save: warehouse snapshot: %w", err)
 	}
-	sys, err := loadSystemWith(*whPath, *parallel, nil)
+	sys, err := openSystem(*whPath, nil, nil)
 	if err != nil {
 		return err
 	}
+	defer sys.Close()
 	if err := saveSystemFormat(sys, *out, *format); err != nil {
 		return err
 	}
@@ -139,13 +143,12 @@ func cmdSnapshot(args []string) error {
 	}
 	if len(args) < 1 || args[0] != "convert" {
 		return fmt.Errorf(`snapshot: usage: zoom snapshot convert -in old.snap -out new.snap [-format v3]
-       zoom snapshot shard -in wh.v3 -n 4 [-out prefix] [-replicas 128] [-format keep]`)
+       zoom snapshot shard -in wh.v3 -n 4 [-out prefix] [-format keep]`)
 	}
 	fs := flag.NewFlagSet("snapshot convert", flag.ExitOnError)
 	in := fs.String("in", "", "snapshot file to read (any format, required)")
 	out := fs.String("out", "", "snapshot file to write (required)")
 	format := fs.String("format", "v3", "output format: json or v3")
-	parallel := fs.Int("parallel", 0, "workers for parallel snapshot loading (0 = GOMAXPROCS)")
 	_ = fs.Parse(args[1:])
 	if *in == "" || *out == "" {
 		return fmt.Errorf("snapshot convert: -in and -out are required")
@@ -158,10 +161,11 @@ func cmdSnapshot(args []string) error {
 	if _, err := os.Stat(*in); err != nil {
 		return fmt.Errorf("snapshot convert: %w", err)
 	}
-	sys, err := loadSystemWith(*in, *parallel, nil)
+	sys, err := openSystem(*in, nil, nil)
 	if err != nil {
 		return err
 	}
+	defer sys.Close()
 	if err := saveSystemFormat(sys, *out, *format); err != nil {
 		return err
 	}
@@ -180,9 +184,7 @@ func cmdSnapshotShard(args []string) error {
 	in := fs.String("in", "", "snapshot file to split (any format, required)")
 	out := fs.String("out", "", "output prefix; shard k is written to <prefix>.shard<k> (default: -in)")
 	n := fs.Int("n", 0, "number of shards (required)")
-	replicas := fs.Int("replicas", 0, "virtual nodes per shard on the placement ring (0 = default; must match the router)")
 	format := fs.String("format", "keep", "output format: json, v3, or keep (preserve the input's format)")
-	parallel := fs.Int("parallel", 0, "workers for parallel snapshot loading (0 = GOMAXPROCS)")
 	_ = fs.Parse(args)
 	if *in == "" {
 		return fmt.Errorf("snapshot shard: -in is required")
@@ -203,11 +205,11 @@ func cmdSnapshotShard(args []string) error {
 	if _, err := os.Stat(*in); err != nil {
 		return fmt.Errorf("snapshot shard: %w", err)
 	}
-	ring, err := zoom.NewRing(*n, *replicas)
+	ring, err := zoom.NewRing(*n, 0) // the router's ring: default virtual nodes
 	if err != nil {
 		return err
 	}
-	sys, err := loadSystemWith(*in, *parallel, nil)
+	sys, err := openSystem(*in, nil, nil)
 	if err != nil {
 		return err
 	}
@@ -240,18 +242,11 @@ func cmdRouter(args []string) error {
 	fs := flag.NewFlagSet("router", flag.ExitOnError)
 	addr := fs.String("addr", ":8090", "listen address")
 	workers := fs.String("workers", "", "worker base URLs in shard order (required; order must match `zoom snapshot shard`). Semicolons separate shards, commas separate replicas within a shard: 'a,b;c,d' is two shards with two replicas each; without a semicolon commas separate single-replica shards")
-	replicas := fs.Int("replicas", 0, "virtual nodes per shard on the placement ring (0 = default; must match the snapshot split)")
-	forwardTimeout := fs.Duration("forward-timeout", 30*time.Second, "per-request forwarding timeout")
-	gatherTimeout := fs.Duration("gather-timeout", 5*time.Second, "per-shard scatter-gather and health-poll timeout")
-	fanout := fs.Int("fanout", 8, "max shards hit concurrently by a scatter-gather")
 	healthInterval := fs.Duration("health-interval", 2*time.Second, "worker /readyz polling period")
-	breakerThreshold := fs.Int("breaker-threshold", 3, "consecutive forward failures that open a replica's circuit")
-	breakerCooldown := fs.Duration("breaker-cooldown", 5*time.Second, "how long an open circuit fails fast before retrying")
 	hedge := fs.Duration("hedge", 0, "hedge run-addressed requests on the next replica after this delay (0 = off; pick a p99-ish value)")
 	cacheEntries := fs.Int("cache", 4096, "response cache entries (0 disables; invalidated when a shard's worker generation changes); an answer is kept only if it and its request fit cache-bytes/cache, 16KiB at the defaults")
 	cacheBytes := fs.Int64("cache-bytes", 0, "response cache total byte bound (0 = 64MiB default); each entry gets at most its fair share, cache-bytes/cache")
 	slow := fs.Duration("slow", 10*time.Millisecond, "router slowlog threshold at /debug/slowlog (negative logs every request)")
-	slowlogSize := fs.Int("slowlog", 128, "router slowlog ring size")
 	drain := fs.Duration("drain", 5*time.Second, "graceful-shutdown drain timeout")
 	_ = fs.Parse(args)
 	groups := zoom.ParseWorkers(*workers)
@@ -259,19 +254,12 @@ func cmdRouter(args []string) error {
 		return fmt.Errorf("router: -workers is required ('a,b;c,d': semicolons separate shards, commas separate replicas)")
 	}
 	rt, err := zoom.NewRouter(zoom.NewMetrics(), zoom.RouterConfig{
-		Shards:           groups,
-		Replicas:         *replicas,
-		ForwardTimeout:   *forwardTimeout,
-		GatherTimeout:    *gatherTimeout,
-		Fanout:           *fanout,
-		HealthInterval:   *healthInterval,
-		BreakerThreshold: *breakerThreshold,
-		BreakerCooldown:  *breakerCooldown,
-		HedgeDelay:       *hedge,
-		CacheEntries:     *cacheEntries,
-		CacheBytes:       *cacheBytes,
-		SlowThreshold:    *slow,
-		SlowLogSize:      *slowlogSize,
+		Shards:         groups,
+		HealthInterval: *healthInterval,
+		HedgeDelay:     *hedge,
+		CacheEntries:   *cacheEntries,
+		CacheBytes:     *cacheBytes,
+		SlowThreshold:  *slow,
 	})
 	if err != nil {
 		return err
@@ -303,10 +291,11 @@ func cmdCompare(args []string) error {
 	if *whPath == "" || *aID == "" || *bID == "" {
 		return fmt.Errorf("compare: -warehouse, -a and -b are required")
 	}
-	sys, err := loadSystem(*whPath)
+	sys, err := openSystem(*whPath, nil, nil)
 	if err != nil {
 		return err
 	}
+	defer sys.Close()
 	a, err := sys.Run(*aID)
 	if err != nil {
 		return err
@@ -330,10 +319,11 @@ func cmdAsk(args []string) error {
 	if *whPath == "" || *runID == "" || *q == "" {
 		return fmt.Errorf("ask: -warehouse, -run and -q are required")
 	}
-	sys, err := loadSystem(*whPath)
+	sys, err := openSystem(*whPath, nil, nil)
 	if err != nil {
 		return err
 	}
+	defer sys.Close()
 	r, err := sys.Run(*runID)
 	if err != nil {
 		return err
@@ -423,13 +413,10 @@ func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	addr := fs.String("addr", ":8080", "listen address")
 	whPath := fs.String("warehouse", "", "warehouse snapshot file (required)")
-	parallel := fs.Int("parallel", 0, "workers for parallel snapshot loading (0 = GOMAXPROCS)")
 	slow := fs.Duration("slow", 10*time.Millisecond, "slow-query log threshold (negative logs every request)")
-	slowlogSize := fs.Int("slowlog", 128, "slow-query log ring size")
 	drain := fs.Duration("drain", 5*time.Second, "graceful-shutdown drain timeout")
 	expvarName := fs.String("expvar", "zoom", `expvar name for the live metrics snapshot ("" skips /debug/vars publishing)`)
-	workers := fs.Int("workers", 0, "default worker pool per batch request (0 = GOMAXPROCS)")
-	mmap := fs.Bool("mmap", false, "serve a v3 snapshot straight from a memory map: no load phase, runs materialize lazily on first query")
+	fs.Bool("mmap", false, "no effect: a v3 snapshot is always served from a memory map, its runs materializing on first query")
 	_ = fs.Parse(args)
 	if *whPath == "" {
 		return fmt.Errorf("serve: -warehouse is required")
@@ -443,9 +430,7 @@ func cmdServe(args []string) error {
 	// other registry.
 	srv, err := zoom.NewServer(reg, zoom.ServerConfig{
 		SlowThreshold: *slow,
-		SlowLogSize:   *slowlogSize,
 		ExpvarName:    *expvarName,
-		Workers:       *workers,
 	})
 	if err != nil {
 		return err
@@ -481,16 +466,7 @@ func cmdServe(args []string) error {
 	loadErr := make(chan error, 1)
 	sysc := make(chan *zoom.System, 1)
 	go func() {
-		opts := zoom.LoadOptions{Workers: *parallel, Metrics: reg, Progress: progress}
-		var (
-			sys *zoom.System
-			err error
-		)
-		if *mmap {
-			sys, err = zoom.OpenSnapshot(*whPath, opts)
-		} else {
-			sys, err = loadSystemOpts(*whPath, opts)
-		}
+		sys, err := openSystem(*whPath, reg, progress)
 		if err != nil {
 			loadErr <- err
 			stop() // shut the server down; the error is reported below
@@ -592,28 +568,24 @@ func cmdView(args []string) error {
 	return nil
 }
 
-func loadSystem(path string) (*zoom.System, error) {
-	return loadSystemWith(path, 0, nil)
-}
-
-// loadSystemWith opens a warehouse snapshot (either format, auto-detected)
-// with an explicit worker count for the parallel run reconstruction and an
-// optional metrics registry to attach (the snapshot load is then recorded
-// there too).
-func loadSystemWith(path string, workers int, reg *zoom.Metrics) (*zoom.System, error) {
-	return loadSystemOpts(path, zoom.LoadOptions{Workers: workers, Metrics: reg})
-}
-
-// loadSystemOpts is loadSystemWith with the full load options (the load
-// progress callback in particular). A missing snapshot file yields an empty
-// system with the metrics registry still attached.
-func loadSystemOpts(path string, opts zoom.LoadOptions) (*zoom.System, error) {
+// openSystem opens a warehouse snapshot the way its header says. A v3 file
+// is memory-mapped and its runs materialize on first touch
+// (zoom.OpenSnapshot); anything else goes through the parallel load, which
+// reads JSON and refuses a retired or unknown binary header with the
+// warehouse's own error. A missing file is an empty system. A non-nil reg
+// is attached (a load is recorded there too) and a non-nil progress is told
+// how the load advances. Close the system when done with it.
+func openSystem(path string, reg *zoom.Metrics, progress func(loaded, total int)) (*zoom.System, error) {
+	opts := zoom.LoadOptions{Metrics: reg, Progress: progress}
+	if snapshotFormat(path) == "v3" {
+		return zoom.OpenSnapshot(path, opts)
+	}
 	f, err := os.Open(path)
 	if err != nil {
 		if os.IsNotExist(err) {
 			sys := zoom.NewSystem()
-			if opts.Metrics != nil {
-				sys.AttachMetrics(opts.Metrics)
+			if reg != nil {
+				sys.AttachMetrics(reg)
 			}
 			return sys, nil
 		}
@@ -621,6 +593,20 @@ func loadSystemOpts(path string, opts zoom.LoadOptions) (*zoom.System, error) {
 	}
 	defer f.Close()
 	return zoom.LoadSystemWith(f, opts)
+}
+
+// runsOf touches every run of sys, in id order, so that what is reported
+// next covers the whole warehouse whether it was loaded or mapped.
+func runsOf(sys *zoom.System) ([]*zoom.Run, error) {
+	var runs []*zoom.Run
+	for _, id := range sys.RunIDs() {
+		r, err := sys.Run(id)
+		if err != nil {
+			return nil, err
+		}
+		runs = append(runs, r)
+	}
+	return runs, nil
 }
 
 // snapshotFormat sniffs an existing snapshot file's format ("json" or
@@ -697,7 +683,6 @@ func cmdLoad(args []string) error {
 	logPath := fs.String("log", "", "workflow log (JSON lines) to ingest")
 	runID := fs.String("run", "", "run id for the ingested log")
 	specName := fs.String("spec", "", "spec name the log executes (default: the -file spec)")
-	parallel := fs.Int("parallel", 0, "workers for parallel snapshot loading (0 = GOMAXPROCS)")
 	format := fs.String("format", "keep", "snapshot format to write: json, v3, or keep (preserve the existing file's format)")
 	_ = fs.Parse(args)
 	if *whPath == "" {
@@ -710,10 +695,11 @@ func cmdLoad(args []string) error {
 	default:
 		return fmt.Errorf("load: unknown -format %q (want json, v3 or keep)", *format)
 	}
-	sys, err := loadSystemWith(*whPath, *parallel, nil)
+	sys, err := openSystem(*whPath, nil, nil)
 	if err != nil {
 		return err
 	}
+	defer sys.Close()
 	if *file != "" {
 		s, err := readSpec(*file)
 		if err != nil {
@@ -765,10 +751,11 @@ func cmdQuery(args []string) error {
 	if *trace {
 		reg = zoom.NewMetrics()
 	}
-	sys, err := loadSystemWith(*whPath, 0, reg)
+	sys, err := openSystem(*whPath, reg, nil)
 	if err != nil {
 		return err
 	}
+	defer sys.Close()
 	r, err := sys.Run(*runID)
 	if err != nil {
 		return err
@@ -811,7 +798,7 @@ func cmdQuery(args []string) error {
 		fmt.Printf("batch of %d answered with %d workers: closure cache %d hits / %d misses / %d shared\n",
 			len(ids), workers, cs.Hits, cs.Misses, cs.SharedWaits)
 		if *stats {
-			printStats(sys)
+			return printStats(sys)
 		}
 		return nil
 	}
@@ -874,15 +861,18 @@ func cmdQuery(args []string) error {
 		return fmt.Errorf("query: unknown -mode %q", *mode)
 	}
 	if *stats {
-		printStats(sys)
+		return printStats(sys)
 	}
 	return nil
 }
 
 // printStats renders the warehouse statistics — catalog row counts, the
 // closure-cache counters, and the compact-index footprint (interned ids,
-// CSR bytes, closure bitset words).
-func printStats(sys *zoom.System) {
+// CSR bytes, closure bitset words) — over every run.
+func printStats(sys *zoom.System) error {
+	if _, err := runsOf(sys); err != nil {
+		return err
+	}
 	st := sys.Stats()
 	fmt.Println(st)
 	cc := sys.CacheCounters()
@@ -891,6 +881,7 @@ func printStats(sys *zoom.System) {
 	fmt.Printf("index: runs=%d interned-steps=%d interned-data=%d csr=%dB closure-words=%d\n",
 		st.Index.IndexedRuns, st.Index.InternedSteps, st.Index.InternedData,
 		st.Index.CSRBytes, st.Index.ClosureWords)
+	return nil
 }
 
 // cmdStats prints warehouse statistics on their own; -json emits the whole
@@ -906,7 +897,6 @@ func cmdStats(args []string) error {
 	whPath := fs.String("warehouse", "", "warehouse snapshot file (or use -cluster)")
 	clusterURL := fs.String("cluster", "", "router base URL; fetch aggregated cluster statistics instead of reading a snapshot")
 	asJSON := fs.Bool("json", false, "emit the full statistics, including the metrics snapshot, as JSON")
-	parallel := fs.Int("parallel", 0, "workers for parallel snapshot loading (0 = GOMAXPROCS)")
 	_ = fs.Parse(args)
 	if *clusterURL != "" {
 		return clusterStats(*clusterURL, *asJSON)
@@ -914,20 +904,22 @@ func cmdStats(args []string) error {
 	if *whPath == "" {
 		return fmt.Errorf("stats: -warehouse or -cluster is required")
 	}
-	reg := zoom.NewMetrics()
-	sys, err := loadSystemWith(*whPath, *parallel, reg)
+	sys, err := openSystem(*whPath, zoom.NewMetrics(), nil)
 	if err != nil {
 		return err
 	}
-	if *asJSON {
-		out, err := json.MarshalIndent(sys.Stats(), "", "  ")
-		if err != nil {
-			return err
-		}
-		fmt.Println(string(out))
-		return nil
+	defer sys.Close()
+	if !*asJSON {
+		return printStats(sys)
 	}
-	printStats(sys)
+	if _, err := runsOf(sys); err != nil {
+		return err
+	}
+	out, err := json.MarshalIndent(sys.Stats(), "", "  ")
+	if err != nil {
+		return err
+	}
+	fmt.Println(string(out))
 	return nil
 }
 
@@ -978,7 +970,12 @@ func cmdRuns(args []string) error {
 	if *whPath == "" {
 		return fmt.Errorf("runs: -warehouse is required")
 	}
-	sys, err := loadSystem(*whPath)
+	sys, err := openSystem(*whPath, nil, nil)
+	if err != nil {
+		return err
+	}
+	defer sys.Close()
+	runs, err := runsOf(sys)
 	if err != nil {
 		return err
 	}
@@ -986,11 +983,7 @@ func cmdRuns(args []string) error {
 	for _, name := range sys.SpecNames() {
 		fmt.Printf("spec %s (views: %v)\n", name, sys.ViewNames(name))
 	}
-	for _, id := range sys.RunIDs() {
-		r, err := sys.Run(id)
-		if err != nil {
-			return err
-		}
+	for _, r := range runs {
 		fmt.Printf("  %s\n", r)
 	}
 	return nil

@@ -2,8 +2,10 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -579,7 +581,7 @@ func TestCmdExampleWarehouse(t *testing.T) {
 	if !strings.Contains(out, "saved warehouse snapshot") {
 		t.Fatalf("no save confirmation:\n%s", out)
 	}
-	sys, err := loadSystem(wh)
+	sys, err := openSystem(wh, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -625,7 +627,7 @@ func TestSaveSystemAtomic(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sys, err := loadSystem(wh)
+	sys, err := openSystem(wh, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -823,6 +825,55 @@ func TestRetiredV2Snapshot(t *testing.T) {
 	} {
 		if _, err := capture(t, cmd); err == nil || !strings.Contains(err.Error(), "unknown -format") {
 			t.Fatalf("%s -format binary: err = %v, want unknown -format", name, err)
+		}
+	}
+}
+
+// TestSnapshotShardBytes pins the files `zoom snapshot shard` writes for an
+// eight-run warehouse, JSON and v3, from a JSON input and from a mapped v3
+// input: the placement ring has one setting, so the split is byte for byte
+// the one earlier builds made with their default -replicas.
+func TestSnapshotShardBytes(t *testing.T) {
+	dir := t.TempDir()
+	specPath := writeSpecFile(t, dir)
+	logPath := writeLogFile(t, dir)
+	wh := filepath.Join(dir, "wh.json")
+	for i := 0; i < 8; i++ {
+		args := []string{"-warehouse", wh, "-log", logPath, "-run", fmt.Sprintf("run%d", i), "-spec", "phylogenomics"}
+		if i == 0 {
+			args = append(args, "-file", specPath)
+		}
+		if _, err := capture(t, func() error { return cmdLoad(args) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	whV3 := filepath.Join(dir, "in.v3")
+	for _, args := range [][]string{
+		{"shard", "-in", wh, "-n", "2"},
+		{"shard", "-in", wh, "-n", "2", "-format", "v3", "-out", filepath.Join(dir, "wh.v3")},
+		{"convert", "-in", wh, "-out", whV3, "-format", "v3"},
+		{"shard", "-in", whV3, "-n", "2"},
+	} {
+		if _, err := capture(t, func() error { return cmdSnapshot(args) }); err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+	}
+	const v3shard0 = "04d90fd1cc6f75536d69130abc592976c895ceb56786b005a905501c19a79d4d"
+	const v3shard1 = "27f69c242475fd6aa02a197958d3135c8f2d5efb75385f9a6aa5cc10279f2df2"
+	for name, want := range map[string]string{
+		"wh.json.shard0": "2a4f57b6737f5f4d5109735a68ee34069c2649bc54ffc46513cfb87251e18daf",
+		"wh.json.shard1": "313a1cb3d6162fd3fccfa2a23d2fdd36e4df72df14b2bd7112efe1e57e81965d",
+		"wh.v3.shard0":   v3shard0,
+		"wh.v3.shard1":   v3shard1,
+		"in.v3.shard0":   v3shard0,
+		"in.v3.shard1":   v3shard1,
+	} {
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != want {
+			t.Errorf("%s: sha256 %s, want %s", name, got, want)
 		}
 	}
 }

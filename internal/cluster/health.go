@@ -14,7 +14,7 @@ import (
 // periodic health loop and GET /readyz on the router run this, so
 // readiness answers are live, not cached.
 func (rt *Router) checkAll(ctx context.Context) bool {
-	sem := make(chan struct{}, rt.cfg.Fanout)
+	sem := make(chan struct{}, rt.fanout)
 	var wg sync.WaitGroup
 	for _, sh := range rt.shards {
 		for _, rep := range sh.replicas {
@@ -27,7 +27,7 @@ func (rt *Router) checkAll(ctx context.Context) bool {
 					return
 				}
 				defer func() { <-sem }()
-				hctx, cancel := context.WithTimeout(ctx, rt.cfg.GatherTimeout)
+				hctx, cancel := context.WithTimeout(ctx, rt.gatherTimeout)
 				defer cancel()
 				t0 := time.Now()
 				rz, err := rep.cl.Ready(hctx)

@@ -48,7 +48,7 @@ func buildObsCluster(t *testing.T, n int, cfg Config) (string, *Router, []string
 			t.Fatal(err)
 		}
 	}
-	workers := make([]string, n)
+	shards := make([][]string, n)
 	for i, w := range shardWh {
 		reg := obs.NewRegistry()
 		w.AttachMetrics(reg)
@@ -59,9 +59,9 @@ func buildObsCluster(t *testing.T, n int, cfg Config) (string, *Router, []string
 		s.SetEngine(provenance.NewEngine(w))
 		ts := httptest.NewServer(s.Handler())
 		t.Cleanup(ts.Close)
-		workers[i] = ts.URL
+		shards[i] = []string{ts.URL}
 	}
-	cfg.Workers = workers
+	cfg.Shards = shards
 	rt, err := New(obs.NewRegistry(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -283,7 +283,7 @@ func TestRouterHostileTraceStrings(t *testing.T) {
 		}}, r)
 	}))
 	t.Cleanup(worker.Close)
-	rt, err := New(obs.NewRegistry(), Config{Workers: []string{worker.URL}, CacheEntries: 16})
+	rt, err := New(obs.NewRegistry(), Config{Shards: [][]string{{worker.URL}}, CacheEntries: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +350,7 @@ func TestRouterUnreadableWorkerTrace(t *testing.T) {
 				_, _ = io.WriteString(w, answer)
 			}))
 			t.Cleanup(worker.Close)
-			rt, err := New(obs.NewRegistry(), Config{Workers: []string{worker.URL}})
+			rt, err := New(obs.NewRegistry(), Config{Shards: [][]string{{worker.URL}}})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -170,7 +170,7 @@ func TestRouterReplicaFailover(t *testing.T) {
 	}
 	deadInfo := infos[0]
 	var sawGateway bool
-	for i := 0; i < rt.cfg.BreakerThreshold+1; i++ {
+	for i := int32(0); i < rt.breakerThreshold+1; i++ {
 		status, _ = postRaw(t, routerURL, "/v1/query", "",
 			fmt.Sprintf(`{"run":%q,"data":%q}`, deadInfo.id, deadInfo.targets[0]))
 		if status == http.StatusBadGateway {
@@ -240,7 +240,7 @@ func TestRouterResponseCache(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 
-	rt, err := New(obs.NewRegistry(), Config{Workers: []string{ts.URL}, CacheEntries: 64})
+	rt, err := New(obs.NewRegistry(), Config{Shards: [][]string{{ts.URL}}, CacheEntries: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,7 +441,7 @@ func padWorker(t *testing.T, size func(i int) int) (*httptest.Server, *atomic.In
 func TestRouterCacheAdmission(t *testing.T) {
 	worker, queries := padWorker(t, func(i int) int { return []int{100, 20000}[i] })
 	rt, err := New(obs.NewRegistry(), Config{
-		Workers:       []string{worker.URL},
+		Shards:        [][]string{{worker.URL}},
 		CacheEntries:  16,
 		CacheBytes:    16 << 12,
 		SlowThreshold: -1, // every request's span tree lands in the slowlog
@@ -515,7 +515,7 @@ func TestConcurrentPooledRelay(t *testing.T) {
 		return 17<<10 + i*4099
 	}
 	worker, queries := padWorker(t, size)
-	rt, err := New(obs.NewRegistry(), Config{Workers: []string{worker.URL}, CacheEntries: 4096})
+	rt, err := New(obs.NewRegistry(), Config{Shards: [][]string{{worker.URL}}, CacheEntries: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -656,14 +656,12 @@ func TestRouterGatherCancel(t *testing.T) {
 	w0, w1 := hang(), hang()
 	t.Cleanup(w0.Close)
 	t.Cleanup(w1.Close)
-	rt, err := New(obs.NewRegistry(), Config{
-		Workers:       []string{w0.URL, w1.URL},
-		Fanout:        1, // the second shard must wait for the first's slot
-		GatherTimeout: 30 * time.Second,
-	})
+	rt, err := New(obs.NewRegistry(), Config{Shards: [][]string{{w0.URL}, {w1.URL}}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rt.fanout = 1 // the second shard must wait for the first's slot
+	rt.gatherTimeout = 30 * time.Second
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(100 * time.Millisecond)
@@ -749,7 +747,7 @@ func TestRouterCopyErrors(t *testing.T) {
 		{"declined", 16 * 64, 0}, // a 64-byte share: every answer here is larger
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			rt, err := New(obs.NewRegistry(), Config{Workers: []string{worker.URL}, CacheEntries: 16, CacheBytes: tc.cacheBytes})
+			rt, err := New(obs.NewRegistry(), Config{Shards: [][]string{{worker.URL}}, CacheEntries: 16, CacheBytes: tc.cacheBytes})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -844,10 +842,10 @@ func TestConcurrentBreakerHalfOpenReadmit(t *testing.T) {
 	specs, runs, infos := buildCorpus(t, []gen.RunClass{gen.Small()})
 
 	_, routerURL, rt, servers := buildReplicatedCluster(t, 1, 2, specs, runs, func(cfg *Config) {
-		cfg.BreakerThreshold = 2
-		cfg.BreakerCooldown = 20 * time.Millisecond // fast half-open cycles
 		cfg.HealthInterval = 10 * time.Millisecond
 	})
+	rt.breakerThreshold = 2
+	rt.breakerCooldown = 20 * time.Millisecond // fast half-open cycles
 
 	// Replace the preferred replica with a flaky front over the same
 	// warehouse: while down it hijacks and drops every connection

@@ -39,41 +39,44 @@ const maxPooledRelay = 1 << 20
 // copies what it keeps.
 var relayBufs = sync.Pool{New: func() any { return new([]byte) }}
 
+// The router's fixed settings. Each is the one value every deployment ran
+// with; the ring's virtual-node count is DefaultReplicas, which `zoom
+// snapshot shard` splits by too.
+const (
+	// forwardTimeout bounds each forwarding attempt of a /v1/query or
+	// /v1/batch request.
+	forwardTimeout = 30 * time.Second
+	// defaultGatherTimeout bounds each per-shard call of a scatter-gather
+	// and of a health poll.
+	defaultGatherTimeout = 5 * time.Second
+	// defaultFanout bounds how many shards a scatter-gather or health sweep
+	// hits concurrently.
+	defaultFanout = 8
+	// defaultBreakerThreshold is the consecutive forwarding failures that
+	// open a replica's circuit.
+	defaultBreakerThreshold = 3
+	// defaultBreakerCooldown is how long an open circuit fails fast before
+	// the next attempt is allowed through. A successful health poll closes
+	// the circuit early.
+	defaultBreakerCooldown = 5 * time.Second
+	// maxIdleConns bounds the keep-alive pool per worker.
+	maxIdleConns = 32
+	// defaultHealthInterval is the /readyz polling period when
+	// Config.HealthInterval is zero.
+	defaultHealthInterval = 2 * time.Second
+)
+
 // Config tunes a Router.
 type Config struct {
-	// Workers are shard base URLs in shard order, one replica per shard:
-	// Workers[k] serves shard k of len(Workers). The order must match the
-	// -n used by `zoom snapshot shard`; the ring places runs on indexes,
-	// not URLs. Ignored when Shards is set.
-	Workers []string
 	// Shards groups worker base URLs into replica sets: Shards[k] lists
 	// the replicas serving shard k, in preference order (the router
 	// forwards to the first available replica and fails over to the
 	// next). Every replica of shard k must hold the same shard-k
-	// snapshot. Takes precedence over Workers.
+	// snapshot, and the order of the shards must match `zoom snapshot
+	// shard`'s: the ring places runs on indexes, not URLs.
 	Shards [][]string
-	// Replicas is the virtual-node count per shard on the placement ring
-	// (0 = DefaultReplicas). Must match the value used to split the
-	// snapshot. (Ring vnodes, not the replica sets above.)
-	Replicas int
-	// ForwardTimeout bounds each forwarding attempt of a /v1/query or
-	// /v1/batch request (default 30s).
-	ForwardTimeout time.Duration
-	// GatherTimeout bounds each per-shard call of a scatter-gather and of
-	// a health poll (default 5s).
-	GatherTimeout time.Duration
-	// Fanout bounds how many shards a scatter-gather or health sweep hits
-	// concurrently (default 8).
-	Fanout int
 	// HealthInterval is the /readyz polling period (default 2s).
 	HealthInterval time.Duration
-	// BreakerThreshold is the consecutive forwarding failures that open a
-	// replica's circuit (default 3).
-	BreakerThreshold int
-	// BreakerCooldown is how long an open circuit fails fast before the
-	// next attempt is allowed through (default 5s). A successful health
-	// poll closes the circuit early.
-	BreakerCooldown time.Duration
 	// HedgeDelay, when positive, launches a second attempt of a
 	// run-addressed request on the shard's next available replica after
 	// this delay; the first response wins and the loser is cancelled.
@@ -91,46 +94,11 @@ type Config struct {
 	// DefaultCacheBytes). Only meaningful when CacheEntries > 0. An answer
 	// is kept only if it and its request fit CacheBytes/CacheEntries.
 	CacheBytes int64
-	// MaxIdleConns bounds the keep-alive pool per worker (default 32).
-	MaxIdleConns int
-	// Transport overrides the shared HTTP transport (tests, custom pools).
-	Transport http.RoundTripper
 	// SlowThreshold is the request duration at or above which a routed
 	// request enters the router slowlog at /debug/slowlog, span tree
 	// included. Zero selects edge.DefaultSlowThreshold; negative logs every
 	// request (useful in tests and smoke scripts).
 	SlowThreshold time.Duration
-	// SlowLogSize bounds the router slowlog ring (default 128).
-	SlowLogSize int
-}
-
-func (c *Config) withDefaults() Config {
-	out := *c
-	if out.Replicas <= 0 {
-		out.Replicas = DefaultReplicas
-	}
-	if out.ForwardTimeout <= 0 {
-		out.ForwardTimeout = 30 * time.Second
-	}
-	if out.GatherTimeout <= 0 {
-		out.GatherTimeout = 5 * time.Second
-	}
-	if out.Fanout <= 0 {
-		out.Fanout = 8
-	}
-	if out.HealthInterval <= 0 {
-		out.HealthInterval = 2 * time.Second
-	}
-	if out.BreakerThreshold <= 0 {
-		out.BreakerThreshold = 3
-	}
-	if out.BreakerCooldown <= 0 {
-		out.BreakerCooldown = 5 * time.Second
-	}
-	if out.MaxIdleConns <= 0 {
-		out.MaxIdleConns = 32
-	}
-	return out
 }
 
 // Router is a stateless scale-out front for N zoom shards, each served
@@ -154,6 +122,12 @@ type Router struct {
 	cache  *respCache
 	edge   *edge.Edge // request boundary: trace ids, router.* metrics, slowlog
 
+	// Seeded from the constants above.
+	gatherTimeout    time.Duration
+	fanout           int
+	breakerThreshold int32
+	breakerCooldown  time.Duration
+
 	forwards      *obs.Counter
 	fwdErrors     *obs.Counter
 	fastFails     *obs.Counter
@@ -169,16 +143,11 @@ type Router struct {
 	partials      *obs.Counter
 }
 
-// New returns a router over cfg.Shards (or cfg.Workers as single-replica
-// shards; at least one shard required), wired to reg (one is created
-// when nil). Start its health loop with HealthLoop or let Serve do it.
+// New returns a router over cfg.Shards (at least one shard required),
+// wired to reg (one is created when nil). Start its health loop with
+// HealthLoop or let Serve do it.
 func New(reg *obs.Registry, cfg Config) (*Router, error) {
 	groups := cfg.Shards
-	if len(groups) == 0 {
-		for _, w := range cfg.Workers {
-			groups = append(groups, []string{w})
-		}
-	}
 	if len(groups) == 0 {
 		return nil, errors.New("cluster: router needs at least one worker")
 	}
@@ -194,41 +163,44 @@ func New(reg *obs.Registry, cfg Config) (*Router, error) {
 		}
 		total += len(g)
 	}
-	cfg = (&cfg).withDefaults()
-	ring, err := NewRing(len(groups), cfg.Replicas)
+	if cfg.HealthInterval <= 0 {
+		cfg.HealthInterval = defaultHealthInterval
+	}
+	ring, err := NewRing(len(groups), DefaultReplicas)
 	if err != nil {
 		return nil, err
 	}
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	rt := cfg.Transport
-	if rt == nil {
-		rt = &http.Transport{
-			MaxIdleConns:        cfg.MaxIdleConns * total,
-			MaxIdleConnsPerHost: cfg.MaxIdleConns,
-			IdleConnTimeout:     90 * time.Second,
-		}
+	rt := &http.Transport{
+		MaxIdleConns:        maxIdleConns * total,
+		MaxIdleConnsPerHost: maxIdleConns,
+		IdleConnTimeout:     90 * time.Second,
 	}
 	r := &Router{
-		cfg:           cfg,
-		ring:          ring,
-		httpc:         &http.Client{Transport: rt},
-		reg:           reg,
-		edge:          edge.New(reg, "router", cfg.SlowThreshold, cfg.SlowLogSize),
-		forwards:      reg.Counter("router.forwards"),
-		fwdErrors:     reg.Counter("router.forward_errors"),
-		fastFails:     reg.Counter("router.fast_fails"),
-		failovers:     reg.Counter("router.failovers"),
-		hedges:        reg.Counter("router.hedges"),
-		hedgeWins:     reg.Counter("router.hedge_wins"),
-		cacheHits:     reg.Counter("router.cache_hits"),
-		cacheMisses:   reg.Counter("router.cache_misses"),
-		cacheDeclined: reg.Counter("router.cache_declined"),
-		cacheInvals:   reg.Counter("router.cache_invalidations"),
-		copyErrors:    reg.Counter("router.copy_errors"),
-		gathers:       reg.Counter("router.gathers"),
-		partials:      reg.Counter("router.gather_partial"),
+		cfg:              cfg,
+		ring:             ring,
+		httpc:            &http.Client{Transport: rt},
+		reg:              reg,
+		edge:             edge.New(reg, "router", cfg.SlowThreshold),
+		gatherTimeout:    defaultGatherTimeout,
+		fanout:           defaultFanout,
+		breakerThreshold: defaultBreakerThreshold,
+		breakerCooldown:  defaultBreakerCooldown,
+		forwards:         reg.Counter("router.forwards"),
+		fwdErrors:        reg.Counter("router.forward_errors"),
+		fastFails:        reg.Counter("router.fast_fails"),
+		failovers:        reg.Counter("router.failovers"),
+		hedges:           reg.Counter("router.hedges"),
+		hedgeWins:        reg.Counter("router.hedge_wins"),
+		cacheHits:        reg.Counter("router.cache_hits"),
+		cacheMisses:      reg.Counter("router.cache_misses"),
+		cacheDeclined:    reg.Counter("router.cache_declined"),
+		cacheInvals:      reg.Counter("router.cache_invalidations"),
+		copyErrors:       reg.Counter("router.copy_errors"),
+		gathers:          reg.Counter("router.gathers"),
+		partials:         reg.Counter("router.gather_partial"),
 	}
 	if cfg.CacheEntries > 0 {
 		r.cache = newRespCache(cfg.CacheEntries, cfg.CacheBytes)
@@ -490,7 +462,7 @@ func (rt *Router) attempt(parent context.Context, tr *obs.Trace, sh *shard, path
 			sp.SetTag("hedged", "true")
 		}
 		rep.attempts.Inc()
-		actx, cancel := context.WithTimeout(parent, rt.cfg.ForwardTimeout)
+		actx, cancel := context.WithTimeout(parent, forwardTimeout)
 		go func() {
 			url := rep.base + path
 			if rawQuery != "" {
@@ -561,7 +533,7 @@ func (rt *Router) attempt(parent context.Context, tr *obs.Trace, sh *shard, path
 					drainLosers(inflight)
 					return nil, res.rep, nil, nil, parent.Err()
 				}
-				res.rep.fail(int32(rt.cfg.BreakerThreshold), rt.cfg.BreakerCooldown)
+				res.rep.fail(rt.breakerThreshold, rt.breakerCooldown)
 				rt.fwdErrors.Inc()
 				lastErr, lastRep = res.err, res.rep
 				if inflight == 0 && next < len(cands) {
@@ -607,7 +579,7 @@ func (rt *Router) gather(ctx context.Context, fn func(context.Context, *client.C
 	rt.gathers.Inc()
 	results := make([]any, len(rt.shards))
 	errs := make([]error, len(rt.shards))
-	sem := make(chan struct{}, rt.cfg.Fanout)
+	sem := make(chan struct{}, rt.fanout)
 	var wg sync.WaitGroup
 	for i, sh := range rt.shards {
 		wg.Add(1)
@@ -626,7 +598,7 @@ func (rt *Router) gather(ctx context.Context, fn func(context.Context, *client.C
 				return
 			}
 			for _, rep := range cands {
-				cctx, cancel := context.WithTimeout(ctx, rt.cfg.GatherTimeout)
+				cctx, cancel := context.WithTimeout(ctx, rt.gatherTimeout)
 				v, err := fn(cctx, rep.cl)
 				cancel()
 				if err != nil {
@@ -640,7 +612,7 @@ func (rt *Router) gather(ctx context.Context, fn func(context.Context, *client.C
 					if ctx.Err() != nil {
 						return
 					}
-					rep.fail(int32(rt.cfg.BreakerThreshold), rt.cfg.BreakerCooldown)
+					rep.fail(rt.breakerThreshold, rt.breakerCooldown)
 					continue
 				}
 				rep.ok()
@@ -855,7 +827,7 @@ func (rt *Router) shardStates() []shardState {
 func (rt *Router) handleShards(w http.ResponseWriter, _ *http.Request) {
 	body := map[string]any{
 		"shards":   rt.shardStates(),
-		"replicas": rt.cfg.Replicas,
+		"replicas": DefaultReplicas,
 	}
 	if rt.cache != nil {
 		body["cache_entries"] = rt.cache.Len()

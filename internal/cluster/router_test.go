@@ -112,11 +112,11 @@ func buildCluster(t *testing.T, n int, specs []*spec.Spec, runs []*run.Run) (str
 		}
 	}
 	single := newWorker(t, full)
-	workers := make([]string, n)
+	shards := make([][]string, n)
 	for i, w := range shardWh {
-		workers[i] = newWorker(t, w).URL
+		shards[i] = []string{newWorker(t, w).URL}
 	}
-	rt, err := New(obs.NewRegistry(), Config{Workers: workers})
+	rt, err := New(obs.NewRegistry(), Config{Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestRouterTraceIDPropagation(t *testing.T) {
 		h.ServeHTTP(w, r)
 	}))
 	t.Cleanup(worker.Close)
-	rt, err := New(obs.NewRegistry(), Config{Workers: []string{worker.URL}})
+	rt, err := New(obs.NewRegistry(), Config{Shards: [][]string{{worker.URL}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +341,7 @@ func TestRouterDeadShardFast502(t *testing.T) {
 
 	// Requests to the dead shard 502 fast, name the shard, and name their
 	// trace in the header.
-	for i := 0; i < rt.cfg.BreakerThreshold; i++ {
+	for i := int32(0); i < rt.breakerThreshold; i++ {
 		start := time.Now()
 		status, b, hdr := postTraced(t, routerURL, "/v1/query", "", body)
 		if status != http.StatusBadGateway || !obs.ValidTraceID(hdr) {
@@ -357,7 +357,7 @@ func TestRouterDeadShardFast502(t *testing.T) {
 
 	// The breaker is now open: the next request fails without dialing.
 	if rt.shards[0].state(time.Now()) != "circuit open" {
-		t.Fatalf("breaker not open after %d failures", rt.cfg.BreakerThreshold)
+		t.Fatalf("breaker not open after %d failures", rt.breakerThreshold)
 	}
 	status, b, hdr := postTraced(t, routerURL, "/v1/query", "", body)
 	if status != http.StatusBadGateway || !strings.Contains(string(b), "circuit open") || !obs.ValidTraceID(hdr) {
@@ -425,7 +425,7 @@ func TestRouterHealthJoinLeave(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	rt, err := New(obs.NewRegistry(), Config{Workers: []string{ts.URL}})
+	rt, err := New(obs.NewRegistry(), Config{Shards: [][]string{{ts.URL}}})
 	if err != nil {
 		t.Fatal(err)
 	}

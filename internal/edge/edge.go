@@ -26,6 +26,9 @@ import (
 // DefaultSlowThreshold is the slowlog threshold when none is configured.
 const DefaultSlowThreshold = 10 * time.Millisecond
 
+// slowLogSize is the number of entries a tier's slowlog keeps.
+const slowLogSize = 128
+
 // MaxBodyBytes bounds every request body; provenance requests are tiny.
 const MaxBodyBytes = 1 << 20
 
@@ -54,14 +57,10 @@ type Edge struct {
 
 // New returns a tier's boundary, counting under prefix in reg (which also
 // gets the process gauges). A zero slowThreshold selects
-// DefaultSlowThreshold and a negative one logs every request; slowLogSize
-// <= 0 selects 128 entries.
-func New(reg *obs.Registry, prefix string, slowThreshold time.Duration, slowLogSize int) *Edge {
+// DefaultSlowThreshold and a negative one logs every request.
+func New(reg *obs.Registry, prefix string, slowThreshold time.Duration) *Edge {
 	if slowThreshold == 0 {
 		slowThreshold = DefaultSlowThreshold
-	}
-	if slowLogSize <= 0 {
-		slowLogSize = 128
 	}
 	obs.AttachRuntime(reg)
 	return &Edge{

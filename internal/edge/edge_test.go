@@ -34,7 +34,7 @@ func TestRouteKey(t *testing.T) {
 // and the response names the request's trace.
 func TestWrapCountsWhatTheHandlerAnswers(t *testing.T) {
 	reg := obs.NewRegistry()
-	e := New(reg, "tier", time.Hour, 0)
+	e := New(reg, "tier", time.Hour)
 	h := e.Wrap("POST /v1/query", func(_ *obs.Trace, w http.ResponseWriter, r *http.Request) {
 		if strings.Contains(r.URL.RawQuery, "fail") {
 			WriteError(w, http.StatusNotFound, "no such thing")
@@ -68,7 +68,7 @@ func TestWrapCountsWhatTheHandlerAnswers(t *testing.T) {
 // handler that only writes; an untraced one, or one with another query
 // string, gets none. Hostile span names still make a valid header value.
 func TestWrapSendsTheTreeWhenAsked(t *testing.T) {
-	e := New(obs.NewRegistry(), "tier", time.Hour, 0)
+	e := New(obs.NewRegistry(), "tier", time.Hour)
 	const stage = "batch.query \x7f é \U0001F600"
 	h := e.Wrap("POST /v1/query", func(tr *obs.Trace, w http.ResponseWriter, r *http.Request) {
 		tr.Root().StartChild(stage).End()

@@ -351,22 +351,29 @@ func (e *Engine) ImmediateProvenance(runID string, v *core.UserView, d string) (
 // is a name lookup and two array reads — there are no interior stages worth
 // splitting).
 func (e *Engine) ImmediateProvenanceCtx(ctx context.Context, runID string, v *core.UserView, d string) (*composite.Execution, error) {
+	px, ord, err := e.ImmediateAnswerCtx(ctx, runID, v, d)
+	if err != nil || ord < 0 {
+		return nil, err // ord < 0: external input, provenance is metadata only
+	}
+	return px.Execution(ord), nil
+}
+
+// ImmediateAnswerCtx is ImmediateProvenanceCtx stopping at the mapping's
+// projector and the producing execution's ordinal (negative for external
+// input), which is what the server encodes: no Execution is spelled out.
+func (e *Engine) ImmediateAnswerCtx(ctx context.Context, runID string, v *core.UserView, d string) (*composite.Projector, int32, error) {
 	_, sp := obs.StartSpan(ctx, "query.immediate")
 	defer sp.End()
 	m, err := e.mappingFor(runID, v)
 	if err != nil {
-		return nil, err
+		return nil, -1, err
 	}
 	px := m.Projector()
 	id, ok := px.Index().DataID(d)
 	if !ok {
-		return nil, fmt.Errorf("%w: %q in run %q", warehouse.ErrUnknownData, d, runID)
+		return nil, -1, fmt.Errorf("%w: %q in run %q", warehouse.ErrUnknownData, d, runID)
 	}
-	ord := px.ProducerExec(id)
-	if ord < 0 {
-		return nil, nil // external input: provenance is metadata only
-	}
-	return px.Execution(ord), nil
+	return px, px.ProducerExec(id), nil
 }
 
 // DeepDerivation is the canned inverse query ("return the data objects

@@ -6,7 +6,6 @@ import (
 	"repro/internal/composite"
 	"repro/internal/run"
 	"repro/internal/spec"
-	"repro/internal/warehouse"
 )
 
 // The reference implementation the engine is held to. It shares nothing
@@ -17,35 +16,37 @@ import (
 
 // oracleClosure returns the UAdmin closure of d: backward over
 // Producer/InputsOf (provenance) or forward over Consumers/OutputsOf
-// (derivation). Bipartite keys: "d:" prefixes data, "s:" prefixes steps.
+// (derivation), a breadth-first walk that alternates data and steps.
 func oracleClosure(r *run.Run, d string, forward bool) (steps, data map[string]bool) {
 	steps, data = map[string]bool{}, map[string]bool{d: true}
-	warehouse.ConnectBy([]string{"d:" + d}, func(key string) []string {
-		id := key[2:]
+	for frontier := []string{d}; len(frontier) > 0; {
 		var next []string
-		if key[0] == 'd' {
+		for _, x := range frontier {
 			var ss []string
 			if forward {
-				ss = r.Consumers(id)
-			} else if p, ok := r.Producer(id); ok && p != "" {
+				ss = r.Consumers(x)
+			} else if p, ok := r.Producer(x); ok && p != "" {
 				ss = []string{p}
 			}
 			for _, s := range ss {
+				if steps[s] {
+					continue
+				}
 				steps[s] = true
-				next = append(next, "s:"+s)
+				ds := r.InputsOf(s)
+				if forward {
+					ds = r.OutputsOf(s)
+				}
+				for _, y := range ds {
+					if !data[y] {
+						data[y] = true
+						next = append(next, y)
+					}
+				}
 			}
-			return next
 		}
-		ds := r.InputsOf(id)
-		if forward {
-			ds = r.OutputsOf(id)
-		}
-		for _, x := range ds {
-			data[x] = true
-			next = append(next, "d:"+x)
-		}
-		return next
-	})
+		frontier = next
+	}
 	return steps, data
 }
 

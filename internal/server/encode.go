@@ -17,22 +17,26 @@ import (
 // answer arrives in integers (provenance.Answer) and is written as literals
 // and token copies: every name in it was escaped once, when its run's or its
 // mapping's token table was built (run.Index.Tokens, composite.Projector),
-// so no name is read here. The bytes are exactly json.Marshal of the
-// documented response shapes (spelled as structs in encode_test.go, where
-// they and the string-walking encoder this one replaced are its oracles)
+// so no name is read here; an immediate answer's one execution is written
+// the same way, from its mapping's ordinal. The bytes are exactly
+// json.Marshal of the documented response shapes (spelled as structs in
+// encode_test.go, where they and the string-walking encoder this one
+// replaced are its oracles)
 // plus the newline json.Encoder writes: same field order, same omitempty
 // behaviour, same HTML-safe escaping. The one value that is rare and small,
 // an external root's metadata, is marshalled reflectively in place.
 
 // queryAnswer is what handleQuery hands the encoder: the request's echo and
-// pointers to whatever the engine returned for its kind. Nothing in it is
-// per-request: the trace id and a traced request's span tree travel in
-// headers, so an answer's bytes are a function of the request and the
-// loaded warehouse alone.
+// whatever the engine returned for its kind, a deep or derived answer or an
+// immediate answer's producing execution as a (projector, ordinal) pair.
+// Nothing in it is per-request: the trace id and a traced request's span
+// tree travel in headers, so an answer's bytes are a function of the request
+// and the loaded warehouse alone.
 type queryAnswer struct {
 	run, data, kind string
 	result          *provenance.Answer
-	execution       *composite.Execution
+	px              *composite.Projector // immediate: nil, or ord < 0, for external input
+	ord             int32
 }
 
 func appendQueryResponse(dst []byte, a *queryAnswer) []byte {
@@ -46,9 +50,9 @@ func appendQueryResponse(dst []byte, a *queryAnswer) []byte {
 		dst = append(dst, `,"result":`...)
 		dst = AppendAnswer(dst, a.result)
 	}
-	if a.execution != nil {
+	if a.px != nil && a.ord >= 0 {
 		dst = append(dst, `,"execution":`...)
-		dst = appendExecution(dst, a.execution)
+		dst = appendExecutionAt(dst, a.px, a.px.Index().Tokens(), a.ord)
 	}
 	return append(dst, '}', '\n') // json.Encoder's trailing newline
 }
@@ -112,8 +116,9 @@ func AppendAnswer(dst []byte, a *provenance.Answer) []byte {
 	return append(dst, ']', '}')
 }
 
-// appendExecutionAt appends the execution at a mapping's ordinal: what
-// appendExecution writes for px.Execution(ord), without building it.
+// appendExecutionAt appends the execution at a mapping's ordinal: what the
+// string-walking appendExecution (encode_test.go) writes for
+// px.Execution(ord), without building it.
 func appendExecutionAt(dst []byte, px *composite.Projector, tok *run.Tokens, ord int32) []byte {
 	dst = append(dst, `{"id":`...)
 	dst = append(dst, px.EndpointToken(ord)...)
@@ -146,42 +151,6 @@ func appendTokens(dst []byte, t *jsontok.Table, ids []int32) []byte {
 		if i < len(ids) {
 			dst = append(dst, ',')
 		}
-	}
-	return append(dst, ']')
-}
-
-// appendExecution appends the one execution an immediate-provenance answer
-// carries, from its strings.
-func appendExecution(dst []byte, x *composite.Execution) []byte {
-	dst = append(dst, `{"id":`...)
-	dst = jsontok.AppendString(dst, x.ID)
-	dst = append(dst, `,"composite":`...)
-	dst = jsontok.AppendString(dst, x.Composite)
-	dst = append(dst, `,"steps":`...)
-	dst = appendStrings(dst, x.Steps)
-	if len(x.Inputs) > 0 {
-		dst = append(dst, `,"inputs":`...)
-		dst = appendStrings(dst, x.Inputs)
-	}
-	if len(x.Outputs) > 0 {
-		dst = append(dst, `,"outputs":`...)
-		dst = appendStrings(dst, x.Outputs)
-	}
-	return append(dst, '}')
-}
-
-// appendStrings appends a JSON string array; a nil slice is null, as in
-// encoding/json.
-func appendStrings(dst []byte, xs []string) []byte {
-	if xs == nil {
-		return append(dst, "null"...)
-	}
-	dst = append(dst, '[')
-	for i, s := range xs {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = jsontok.AppendString(dst, s)
 	}
 	return append(dst, ']')
 }

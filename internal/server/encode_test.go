@@ -120,6 +120,53 @@ func oracleAppendResult(dst []byte, res *provenance.Result) []byte {
 	return append(dst, ']', '}')
 }
 
+// appendExecution appends one execution from its strings: what the server
+// wrote for an immediate answer before it wrote it from the mapping's
+// ordinal (appendExecutionAt).
+func appendExecution(dst []byte, x *composite.Execution) []byte {
+	dst = append(dst, `{"id":`...)
+	dst = jsontok.AppendString(dst, x.ID)
+	dst = append(dst, `,"composite":`...)
+	dst = jsontok.AppendString(dst, x.Composite)
+	dst = append(dst, `,"steps":`...)
+	dst = appendStrings(dst, x.Steps)
+	if len(x.Inputs) > 0 {
+		dst = append(dst, `,"inputs":`...)
+		dst = appendStrings(dst, x.Inputs)
+	}
+	if len(x.Outputs) > 0 {
+		dst = append(dst, `,"outputs":`...)
+		dst = appendStrings(dst, x.Outputs)
+	}
+	return append(dst, '}')
+}
+
+// appendStrings appends a JSON string array; a nil slice is null, as in
+// encoding/json.
+func appendStrings(dst []byte, xs []string) []byte {
+	if xs == nil {
+		return append(dst, "null"...)
+	}
+	dst = append(dst, '[')
+	for i, s := range xs {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = jsontok.AppendString(dst, s)
+	}
+	return append(dst, ']')
+}
+
+// checkOracleExecution holds the string-walking execution encoder to
+// encoding/json on one execution of any shape strings can take.
+func checkOracleExecution(t testing.TB, x *composite.Execution) {
+	t.Helper()
+	got := append(appendExecution(nil, x), '\n')
+	if want := marshalLine(t, toExecutionDTO(x)); !bytes.Equal(got, want) {
+		t.Fatalf("string execution oracle differs from encoding/json\n got: %s\nwant: %s", got, want)
+	}
+}
+
 // checkOracleResult holds the string-walking oracle to encoding/json on one
 // result, which may be any shape strings can take (nil lists included).
 func checkOracleResult(t testing.TB, res *provenance.Result) {
@@ -151,12 +198,15 @@ type batchResponse struct {
 func oracleQuery(t testing.TB, a *queryAnswer) []byte {
 	t.Helper()
 	resp := queryResponse{Run: a.run, Data: a.data, Kind: a.kind, Result: toResultDTO(a.result.Result())}
-	if a.execution != nil {
-		dto := toExecutionDTO(a.execution)
+	if a.hasExecution() {
+		dto := toExecutionDTO(a.px.Execution(a.ord))
 		resp.Execution = &dto
 	}
 	return marshalLine(t, resp)
 }
+
+// hasExecution reports whether an immediate answer names an execution.
+func (a *queryAnswer) hasExecution() bool { return a.px != nil && a.ord >= 0 }
 
 func oracleBatch(t testing.TB, run string, results []*provenance.Answer) []byte {
 	t.Helper()
@@ -201,7 +251,12 @@ func checkQuery(t testing.TB, a *queryAnswer) {
 	if err := json.Unmarshal(got, &out); err != nil {
 		t.Fatalf("client cannot decode %s: %v", got, err)
 	}
-	if (out.Result != nil) != (a.result != nil) || (out.Execution != nil) != (a.execution != nil) {
+	if a.hasExecution() {
+		if got, want := appendExecutionAt(nil, a.px, a.px.Index().Tokens(), a.ord), appendExecution(nil, a.px.Execution(a.ord)); !bytes.Equal(got, want) {
+			t.Fatalf("execution from tokens differs from the string oracle\n got: %s\nwant: %s", got, want)
+		}
+	}
+	if (out.Result != nil) != (a.result != nil) || (out.Execution != nil) != a.hasExecution() {
 		t.Fatalf("client decoded result=%v execution=%v from %s", out.Result != nil, out.Execution != nil, got)
 	}
 }
@@ -234,8 +289,11 @@ var nasty = []string{
 // fig2Answers are real answers of every shape the engine produces over the
 // paper's running example: a large deep answer under UAdmin and the same
 // root under Joe's view (multi-step executions), an annotated external root
-// (metadata, no executions, no edges), and a derivation.
-func fig2Answers(t testing.TB) []*provenance.Answer {
+// (metadata, no executions, no edges), and a derivation. Beside them are
+// its immediate answers: d413's producer under UAdmin (one step) and under
+// Joe's and Mary's views (composite executions), and the external input d1
+// (no execution).
+func fig2Answers(t testing.TB) ([]*provenance.Answer, []queryAnswer) {
 	t.Helper()
 	w := warehouse.New(0)
 	sp := spec.Phylogenomics()
@@ -273,30 +331,53 @@ func fig2Answers(t testing.TB) []*provenance.Answer {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return append(out, derived)
+	mary, err := core.BuildRelevant(sp, spec.PhyloRelevantMary())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var immediate []queryAnswer
+	for _, q := range []struct {
+		v    *core.UserView
+		data string
+	}{{core.UAdmin(sp), "d413"}, {joe, "d413"}, {mary, "d413"}, {joe, "d1"}} {
+		px, ord, err := e.ImmediateAnswerCtx(context.Background(), "fig2", q.v, q.data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		immediate = append(immediate, queryAnswer{run: "fig2", data: q.data, kind: "immediate", px: px, ord: ord})
+	}
+	return append(out, derived), immediate
 }
 
 func TestAppendResponseMatchesEncodingJSON(t *testing.T) {
 	exec := func(id string, steps, in, out []string) *composite.Execution {
 		return &composite.Execution{ID: id, Composite: "C" + id, Steps: steps, Inputs: in, Outputs: out}
 	}
-	answers := fig2Answers(t)
+	answers, immediate := fig2Answers(t)
 	if a := answers[2]; !a.External || len(a.Metadata) != 3 || len(a.Executions) != 0 || len(a.Edges) != 0 {
 		t.Fatalf("fixture: d1 should be an annotated external root with an empty closure, got %+v", a)
+	}
+	if immediate[1].px.Execution(immediate[1].ord).Composite == immediate[0].px.Execution(immediate[0].ord).Composite ||
+		immediate[3].ord >= 0 {
+		t.Fatal("fixture: want a composite execution under Joe's view and an external d1")
 	}
 	for _, a := range answers {
 		checkQuery(t, &queryAnswer{run: "r", data: a.Root, kind: "deep", result: a})
 		checkQuery(t, &queryAnswer{run: "r", data: a.Root, kind: "derived", result: a})
 	}
-	for _, s := range nasty {
+	for _, im := range immediate {
+		checkQuery(t, &im)
+	}
+	for i, s := range nasty {
 		checkQuery(t, &queryAnswer{run: s, data: s, kind: s})
-		checkQuery(t, &queryAnswer{run: s, data: s, kind: "immediate", execution: exec(s, []string{s}, []string{s}, nil)})
-		checkQuery(t, &queryAnswer{run: s, data: s, kind: "immediate", execution: exec(s, nasty, nasty, nasty)})
+		im := immediate[i%len(immediate)]
+		checkQuery(t, &queryAnswer{run: s, data: s, kind: "immediate", px: im.px, ord: im.ord})
+		checkOracleExecution(t, exec(s, []string{s}, []string{s}, nil))
+		checkOracleExecution(t, exec(s, nasty, nasty, nasty))
 	}
 	// Immediate provenance of an external input: no execution at all.
 	checkQuery(t, &queryAnswer{run: "r", data: "d1", kind: "immediate"})
-	checkQuery(t, &queryAnswer{run: "r", data: "d1", kind: "immediate",
-		execution: exec("M2@1", []string{"S2", "S3"}, nil, []string{})})
+	checkOracleExecution(t, exec("M2@1", []string{"S2", "S3"}, nil, []string{}))
 
 	checkBatch(t, "r", append([]*provenance.Answer{nil}, answers...))
 	checkBatch(t, "r", []*provenance.Answer{nil})
@@ -324,12 +405,11 @@ func TestAppendResponseMatchesEncodingJSON(t *testing.T) {
 	}
 }
 
-// FuzzAppendResponse shapes the envelope of a response (echo, an immediate
-// answer's execution, a batch) out of arbitrary
-// strings and holds the encoder to encoding/json on all of it; the result
-// object inside is one of the running example's answers, and the result
-// shaped from the same strings goes to the string oracle, so that stays held
-// to encoding/json too. shape's bits choose which optional parts exist and
+// FuzzAppendResponse shapes the envelope of a response (echo, a batch) out
+// of arbitrary strings and holds the encoder to encoding/json on all of it;
+// the result object or immediate execution inside is one of the running
+// example's answers, and the result and execution shaped from the same
+// strings go to the string oracles, so those stay held to encoding/json too. shape's bits choose which optional parts exist and
 // which lists are nil, empty or populated. Names inside an answer are
 // FuzzAnswerTokens' subject.
 func FuzzAppendResponse(f *testing.F) {
@@ -338,7 +418,7 @@ func FuzzAppendResponse(f *testing.F) {
 	}
 	f.Add("fig2", "d447", "d1,d2,d3", uint16(0xffff))
 	f.Add(nasty[15], nasty[15], nasty[15], uint16(0))
-	answers := fig2Answers(f)
+	answers, immediate := fig2Answers(f)
 	f.Fuzz(func(t *testing.T, run, id, list string, shape uint16) {
 		bit := func(n uint) bool { return shape>>n&1 == 1 }
 		// pick returns nil, an empty list, or the split list.
@@ -361,12 +441,14 @@ func FuzzAppendResponse(f *testing.F) {
 			res.Edges = append(res.Edges, provenance.Edge{From: d, To: id, Data: pick(12)})
 		}
 		checkOracleResult(t, res)
+		checkOracleExecution(t, x)
 		var a *provenance.Answer
 		if !bit(8) {
 			a = answers[int(shape>>6)%len(answers)]
 		}
+		im := immediate[int(shape>>6)%len(immediate)]
 		checkQuery(t, &queryAnswer{run: run, data: id, kind: list, result: a})
-		checkQuery(t, &queryAnswer{run: run, data: id, kind: "immediate", execution: x})
+		checkQuery(t, &queryAnswer{run: run, data: id, kind: "immediate", px: im.px, ord: im.ord})
 		checkQuery(t, &queryAnswer{run: run, data: id, kind: "immediate"})
 		checkBatch(t, run, []*provenance.Answer{a, nil, a})
 	})

@@ -44,15 +44,11 @@ type Config struct {
 	// enters the slow log. Zero selects edge.DefaultSlowThreshold; negative
 	// logs every request (useful in tests).
 	SlowThreshold time.Duration
-	// SlowLogSize bounds the slow-log ring (default 128).
-	SlowLogSize int
 	// ExpvarName, when non-empty, publishes the registry under this name
 	// in the process-global expvar table (served at /debug/vars). New
 	// fails if the name is already taken — a second server in the same
 	// process must pick its own name or pass "".
 	ExpvarName string
-	// Workers bounds the per-batch worker pool (0 selects GOMAXPROCS).
-	Workers int
 }
 
 // Server serves provenance queries over HTTP. Construct with New, install
@@ -60,7 +56,6 @@ type Config struct {
 // serving), and mount Handler.
 type Server struct {
 	reg  *obs.Registry
-	cfg  Config
 	edge *edge.Edge // request boundary: trace ids, http.* metrics, slow log
 
 	engine atomic.Pointer[provenance.Engine]
@@ -98,8 +93,7 @@ func New(reg *obs.Registry, cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		reg:   reg,
-		cfg:   cfg,
-		edge:  edge.New(reg, "http", cfg.SlowThreshold, cfg.SlowLogSize),
+		edge:  edge.New(reg, "http", cfg.SlowThreshold),
 		ready: reg.Gauge("server.ready"),
 	}
 	s.generation.Store(time.Now().UnixNano())
@@ -308,7 +302,7 @@ func (s *Server) handleQuery(tr *obs.Trace, w http.ResponseWriter, r *http.Reque
 		ans.result, err = e.DeepAnswerCtx(ctx, req.Run, v, req.Data)
 	case "immediate":
 		ans.kind = "immediate"
-		ans.execution, err = e.ImmediateProvenanceCtx(ctx, req.Run, v, req.Data)
+		ans.px, ans.ord, err = e.ImmediateAnswerCtx(ctx, req.Run, v, req.Data)
 	case "derived":
 		ans.kind = "derived"
 		_, sp := obs.StartSpan(ctx, "query.derived")
@@ -345,14 +339,10 @@ func (s *Server) handleBatch(tr *obs.Trace, w http.ResponseWriter, r *http.Reque
 		writeError(w, err)
 		return
 	}
-	workers := req.Workers
-	if workers <= 0 {
-		workers = s.cfg.Workers
-	}
 	if s.testHookBatchStarted != nil {
 		s.testHookBatchStarted()
 	}
-	results, err := e.DeepAnswerBatch(tr.Context(r.Context()), req.Run, v, req.Data, workers)
+	results, err := e.DeepAnswerBatch(tr.Context(r.Context()), req.Run, v, req.Data, req.Workers)
 	if err != nil {
 		writeError(w, err)
 		return

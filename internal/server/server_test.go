@@ -512,11 +512,11 @@ func TestServerMetricsExposition(t *testing.T) {
 }
 
 func TestServerSlowlog(t *testing.T) {
-	// A negative threshold logs every request.
-	s, _ := newTestServer(t, Config{SlowThreshold: -1, SlowLogSize: 4})
+	// A negative threshold logs every request; the ring keeps the newest 128.
+	s, _ := newTestServer(t, Config{SlowThreshold: -1})
 	h := s.Handler()
 
-	for i := 0; i < 6; i++ {
+	for i := 0; i < 130; i++ {
 		doJSON(t, h, "POST", "/v1/query?trace=1", queryRequest{Run: "fig2", Data: "d447"}, nil)
 	}
 	var resp struct {
@@ -526,8 +526,8 @@ func TestServerSlowlog(t *testing.T) {
 	if rec := doJSON(t, h, "GET", "/debug/slowlog", nil, &resp); rec.Code != 200 {
 		t.Fatalf("/debug/slowlog: %d", rec.Code)
 	}
-	if len(resp.Entries) != 4 {
-		t.Fatalf("slow log holds %d entries, want ring size 4", len(resp.Entries))
+	if len(resp.Entries) != 128 {
+		t.Fatalf("slow log holds %d entries, want ring size 128", len(resp.Entries))
 	}
 	for i, e := range resp.Entries {
 		if e.TraceID == "" || e.Route != "POST /v1/query" || e.Status != 200 || e.DurNs < 0 {
@@ -590,7 +590,7 @@ func TestServerDebugEndpoints(t *testing.T) {
 // buffer, the engine's view memo, and registry interact. (`make race` runs every test
 // matching Concurrent|Stress.)
 func TestServerConcurrentBatchTrace(t *testing.T) {
-	s, _ := newTestServer(t, Config{SlowThreshold: -1, SlowLogSize: 32})
+	s, _ := newTestServer(t, Config{SlowThreshold: -1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -842,7 +842,7 @@ func TestServerRouteMetrics(t *testing.T) {
 			ws := httptest.NewServer(s.Handler())
 			t.Cleanup(ws.Close)
 			reg := obs.NewRegistry()
-			rt, err := cluster.New(reg, cluster.Config{Workers: []string{ws.URL}})
+			rt, err := cluster.New(reg, cluster.Config{Shards: [][]string{{ws.URL}}})
 			if err != nil {
 				t.Fatal(err)
 			}

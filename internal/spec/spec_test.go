@@ -227,6 +227,14 @@ func TestFingerprintStability(t *testing.T) {
 	}
 }
 
+// TestFingerprintPinned pins the running example's fingerprint, so a change
+// to how it is computed fails here instead of passing as a refactor.
+func TestFingerprintPinned(t *testing.T) {
+	if got, want := Phylogenomics().Fingerprint(), "795b8a9786a3e89e"; got != want {
+		t.Fatalf("Phylogenomics().Fingerprint() = %s, want %s", got, want)
+	}
+}
+
 func TestModuleAccessors(t *testing.T) {
 	s := Phylogenomics()
 	if !s.HasModule("M1") || s.HasModule("ghost") {

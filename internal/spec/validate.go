@@ -1,10 +1,10 @@
 package spec
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
-
-	"repro/internal/spec/internalutil"
 )
 
 // Validation errors. They wrap the package-level sentinels so callers can
@@ -56,15 +56,17 @@ func (s *Spec) LoopCount() int { return len(s.g.BackEdges()) }
 
 // Fingerprint returns a short stable hash of the specification's structure,
 // used by the warehouse to detect that a run refers to a different version
-// of a same-named specification.
+// of a same-named specification. It is the first 16 hex characters of a
+// SHA-256: short enough to embed in identifiers, long enough to make
+// accidental collisions unlikely.
 func (s *Spec) Fingerprint() string {
-	h := internalutil.NewHasher()
-	h.WriteString(s.name)
+	h := sha256.New()
+	h.Write([]byte(s.name))
 	for _, m := range s.Modules() {
-		h.WriteString("|m:" + m.Name + ":" + string(m.Kind))
+		h.Write([]byte("|m:" + m.Name + ":" + string(m.Kind)))
 	}
 	for _, e := range s.g.Edges() {
-		h.WriteString("|e:" + e.From + ">" + e.To)
+		h.Write([]byte("|e:" + e.From + ">" + e.To))
 	}
-	return h.Sum()
+	return hex.EncodeToString(h.Sum(nil))[:16]
 }

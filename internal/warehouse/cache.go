@@ -25,7 +25,7 @@ import (
 //   - Misses go through a per-key singleflight: the first goroutine to
 //     miss becomes the leader and computes the closure once; concurrent
 //     misses on the same key wait for the leader's result instead of
-//     duplicating the ConnectBy traversal (no thundering herd).
+//     duplicating the closure traversal (no thundering herd).
 //   - The fence is the run instance. A run is immutable, so a closure
 //     computed from it is never stale; the only question is whether to keep
 //     it. The warehouse's leader computes and keeps its closure under the

@@ -8,46 +8,22 @@ import (
 	"repro/internal/run"
 )
 
-// This file implements the warehouse's recursive query machinery. Oracle's
-// CONNECT BY starts from a set of rows (START WITH) and repeatedly joins
-// each frontier row to its parents (CONNECT BY PRIOR); ConnectBy is the
-// same fixpoint over an arbitrary parent function, and a Closure is that
-// fixpoint over the bipartite immediate-provenance relation
+// This file implements the warehouse's recursive query machinery, the
+// analogue of Oracle's CONNECT BY. A Closure is the fixpoint over the
+// bipartite immediate-provenance relation
 //
 //	data object d  ->  the step that produced d
 //	step s         ->  the data objects s read
 //
-// whose fixpoint is exactly the paper's deep provenance at the UAdmin
-// level. Deep provenance under any coarser user view is obtained by
-// *projecting* this closure (see the provenance package) — the strategy the
-// paper's evaluation found fastest: "first compute UAdmin and then remove
+// which is exactly the paper's deep provenance at the UAdmin level. Deep
+// provenance under any coarser user view is obtained by *projecting* this
+// closure (see the provenance package) — the strategy the paper's
+// evaluation found fastest: "first compute UAdmin and then remove
 // information hidden within composite steps of the given user view".
 //
 // Closures are computed over the run's interned integer domain (index.go).
-// ConnectBy is the generic string-keyed operator; the direct per-view
-// strategy (provenance.DeepProvenanceDirect, ablation A2) recurses with it.
-
-// ConnectBy computes the transitive closure of parents over start,
-// returning every reached key exactly once in BFS order (start keys first).
-func ConnectBy(start []string, parents func(string) []string) []string {
-	seen := make(map[string]bool, len(start))
-	var order []string
-	for _, s := range start {
-		if !seen[s] {
-			seen[s] = true
-			order = append(order, s)
-		}
-	}
-	for i := 0; i < len(order); i++ {
-		for _, p := range parents(order[i]) {
-			if !seen[p] {
-				seen[p] = true
-				order = append(order, p)
-			}
-		}
-	}
-	return order
-}
+// The generic string-keyed operator, ConnectBy, is the test oracle in
+// index_test.go.
 
 // Closure is the result of a deep-provenance (or deep-derivation) query at
 // the UAdmin level: every step and every data object transitively involved,

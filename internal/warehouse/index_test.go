@@ -11,6 +11,31 @@ import (
 	"repro/internal/spec"
 )
 
+// ConnectBy is the warehouse's test oracle for recursion: Oracle's CONNECT
+// BY starts from a set of rows (START WITH) and repeatedly joins each
+// frontier row to its parents (CONNECT BY PRIOR). This is the same fixpoint
+// over an arbitrary parent function, returning every reached key exactly
+// once in BFS order (start keys first).
+func ConnectBy(start []string, parents func(string) []string) []string {
+	seen := make(map[string]bool, len(start))
+	var order []string
+	for _, s := range start {
+		if !seen[s] {
+			seen[s] = true
+			order = append(order, s)
+		}
+	}
+	for i := 0; i < len(order); i++ {
+		for _, p := range parents(order[i]) {
+			if !seen[p] {
+				seen[p] = true
+				order = append(order, p)
+			}
+		}
+	}
+	return order
+}
+
 // oracleClosure is the reference closure the integer traversals are held
 // to: the paper's CONNECT BY over the run's string-keyed
 // relations, backward (provenance) or forward (derivation). Bipartite keys:

@@ -137,13 +137,10 @@ func (w *Warehouse) Save(out io.Writer) error {
 	return bw.Flush()
 }
 
-// LoadOptions tune snapshot loading.
+// LoadOptions tune snapshot loading. A v1 snapshot's runs are rebuilt on
+// GOMAXPROCS goroutines; whatever the worker count, the loaded warehouse
+// (and, on failure, the reported error) is identical to a serial load.
 type LoadOptions struct {
-	// Workers bounds the goroutines that reconstruct, validate and index
-	// runs concurrently. Zero or negative selects GOMAXPROCS. Whatever the
-	// worker count, the loaded warehouse (and, on failure, the reported
-	// error) is identical to a serial load.
-	Workers int
 	// Metrics, when non-nil, is attached to the loaded warehouse, and the
 	// load itself is recorded there (ingest.snapshot_load_ns plus the
 	// loaded run count under ingest.runs_loaded).
@@ -164,6 +161,12 @@ func Load(in io.Reader, cacheSize int) (*Warehouse, error) {
 
 // LoadWith is Load with explicit options.
 func LoadWith(in io.Reader, cacheSize int, opts LoadOptions) (*Warehouse, error) {
+	return loadWith(in, cacheSize, opts, 0)
+}
+
+// loadWith is LoadWith rebuilding v1 runs on the given number of goroutines
+// (<= 0 selects GOMAXPROCS); tests compare worker counts through it.
+func loadWith(in io.Reader, cacheSize int, opts LoadOptions, workers int) (*Warehouse, error) {
 	var start time.Time
 	if opts.Metrics != nil {
 		start = time.Now()
@@ -175,7 +178,7 @@ func LoadWith(in io.Reader, cacheSize int, opts LoadOptions) (*Warehouse, error)
 	}
 	var w *Warehouse
 	if head[0] == '{' {
-		w, err = loadJSON(br, cacheSize, opts)
+		w, err = loadJSON(br, cacheSize, opts, workers)
 	} else {
 		w, err = loadV3Reader(br, cacheSize, opts)
 	}
@@ -196,7 +199,7 @@ func LoadWith(in io.Reader, cacheSize int, opts LoadOptions) (*Warehouse, error)
 
 // loadJSON restores a v1 (JSON) snapshot: the document is decoded in one
 // piece, then the runs are rebuilt on the worker pool.
-func loadJSON(in io.Reader, cacheSize int, opts LoadOptions) (*Warehouse, error) {
+func loadJSON(in io.Reader, cacheSize int, opts LoadOptions, workers int) (*Warehouse, error) {
 	var snap snapshot
 	if err := json.NewDecoder(in).Decode(&snap); err != nil {
 		return nil, fmt.Errorf("warehouse: decode snapshot: %w", err)
@@ -224,7 +227,7 @@ func loadJSON(in io.Reader, cacheSize int, opts LoadOptions) (*Warehouse, error)
 			return nil, err
 		}
 	}
-	err := w.loadRunsParallel(opts.Workers, len(snap.Runs), opts.Progress, func(i int) (*run.Run, error) {
+	err := w.loadRunsParallel(workers, len(snap.Runs), opts.Progress, func(i int) (*run.Run, error) {
 		return reconstructSnapshotRun(&snap.Runs[i])
 	})
 	if err != nil {

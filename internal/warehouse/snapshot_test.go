@@ -203,7 +203,7 @@ func TestLoadHeaderDispatch(t *testing.T) {
 					t.Fatalf("%s: %q does not name the way out", entry, err)
 				}
 			}
-			_, err := LoadWith(bytes.NewReader(tc.in), 0, LoadOptions{Workers: 1})
+			_, err := loadWith(bytes.NewReader(tc.in), 0, LoadOptions{}, 1)
 			check("LoadWith", tc.load, err)
 
 			path := filepath.Join(t.TempDir(), "snap")
@@ -235,7 +235,7 @@ func TestLoadParallelDeterministicError(t *testing.T) {
 	blob, err := json.Marshal(&snap)
 	mustT(t, err)
 
-	_, wantErr := LoadWith(bytes.NewReader(blob), 0, LoadOptions{Workers: 1})
+	_, wantErr := loadWith(bytes.NewReader(blob), 0, LoadOptions{}, 1)
 	if wantErr == nil {
 		t.Fatal("corrupt snapshot accepted")
 	}
@@ -243,7 +243,7 @@ func TestLoadParallelDeterministicError(t *testing.T) {
 		t.Fatalf("serial load did not fail on the first bad run: %v", wantErr)
 	}
 	for trial := 0; trial < 8; trial++ {
-		_, err := LoadWith(bytes.NewReader(blob), 0, LoadOptions{Workers: 8})
+		_, err := loadWith(bytes.NewReader(blob), 0, LoadOptions{}, 8)
 		if err == nil || err.Error() != wantErr.Error() {
 			t.Fatalf("trial %d: parallel error %v, want %v", trial, err, wantErr)
 		}
@@ -293,7 +293,7 @@ func FuzzSnapshotLoad(f *testing.F) {
 	}
 	f.Add(corrupt3)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		back, err := LoadWith(bytes.NewReader(data), 0, LoadOptions{Workers: 2})
+		back, err := loadWith(bytes.NewReader(data), 0, LoadOptions{}, 2)
 		if bytes.HasPrefix(data, []byte("ZOOM\x02")) && !errors.Is(err, ErrSnapshotV2Retired) {
 			t.Fatalf("v2 header: err = %v, want ErrSnapshotV2Retired", err)
 		}
@@ -320,7 +320,7 @@ func FuzzSnapshotLoad(f *testing.F) {
 }
 
 // TestConcurrentParallelLoadEquivalence: loading the same v1 snapshot with
-// Workers=1 and Workers=8 yields identical warehouses — same catalog stats
+// one worker and with eight yields identical warehouses — same catalog stats
 // and identical deep-provenance answers. (A v3 image has no load phase to
 // parallelize.) Runs under -race in CI (name matches the Concurrent
 // pattern).
@@ -329,9 +329,9 @@ func TestConcurrentParallelLoadEquivalence(t *testing.T) {
 	var v1 bytes.Buffer
 	mustT(t, w.Save(&v1))
 
-	serial, err := LoadWith(bytes.NewReader(v1.Bytes()), 0, LoadOptions{Workers: 1})
+	serial, err := loadWith(bytes.NewReader(v1.Bytes()), 0, LoadOptions{}, 1)
 	mustT(t, err)
-	parallel, err := LoadWith(bytes.NewReader(v1.Bytes()), 0, LoadOptions{Workers: 8})
+	parallel, err := loadWith(bytes.NewReader(v1.Bytes()), 0, LoadOptions{}, 8)
 	mustT(t, err)
 	if !reflect.DeepEqual(serial.RunIDs(), parallel.RunIDs()) {
 		t.Fatal("run sets differ by worker count")

@@ -3,8 +3,8 @@
 // definitions, and per-run step/data information in an Oracle 10g database
 // and answers deep-provenance queries with recursive SQL (CONNECT BY)
 // extended by stored procedures; this package is the embedded pure-Go
-// equivalent: typed relational tables with hash indexes, a ConnectBy
-// recursive operator, and the temporary-table cache that makes switching
+// equivalent: typed relational tables with hash indexes, a closure operator
+// over interned ids, and the temporary-table cache that makes switching
 // user views on an already-queried run nearly free (the paper measures
 // ~13 ms for a switch versus up to seconds for the first query).
 //

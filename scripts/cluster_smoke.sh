@@ -144,11 +144,14 @@ wait "$router_pid" || fail "router exited non-zero on SIGTERM"
 pids="$w0_pid $w1_pid"
 
 # ---- Replica phase: 2 shards x 2 replicas, kill one replica, zero loss ----
-echo "cluster-smoke: booting replicated cluster (2 shards x 2 replicas)"
+# The shards are v3 this time, and the workers are not told so: a v3
+# snapshot is always served from a memory map, which each log must report.
+echo "cluster-smoke: booting replicated cluster (2 shards x 2 replicas, v3)"
+"$workdir/zoom" snapshot shard -in "$workdir/wh.json" -n 2 -format v3 -out "$workdir/wh.v3" >/dev/null
 for name in r0a r0b r1a r1b; do
     case $name in
-        r0*) snap="$workdir/wh.json.shard0" ;;
-        *)   snap="$workdir/wh.json.shard1" ;;
+        r0*) snap="$workdir/wh.v3.shard0" ;;
+        *)   snap="$workdir/wh.v3.shard1" ;;
     esac
     "$workdir/zoom" serve -warehouse "$snap" -addr 127.0.0.1:0 \
         -expvar "" >"$workdir/$name.log" 2>&1 &
@@ -159,6 +162,18 @@ r0a=$(wait_listen "$workdir/r0a.log" "$r0a_pid") || fail "replica r0a never list
 r0b=$(wait_listen "$workdir/r0b.log" "$r0b_pid") || fail "replica r0b never listened"
 r1a=$(wait_listen "$workdir/r1a.log" "$r1a_pid") || fail "replica r1a never listened"
 r1b=$(wait_listen "$workdir/r1b.log" "$r1b_pid") || fail "replica r1b never listened"
+for name in r0a r0b r1a r1b; do
+    mapped=""
+    for _ in $(seq 1 50); do
+        if grep -q 'mapped (v3 snapshot' "$workdir/$name.log"; then
+            mapped=1
+            break
+        fi
+        sleep 0.1
+    done
+    [ "$mapped" = 1 ] || fail "replica $name did not map its v3 shard"
+done
+echo "cluster-smoke: every replica mapped its v3 shard without -mmap"
 
 # Replica groups: `;` separates shards, `,` separates replicas of a shard.
 # -slow -1ms logs every request to /debug/slowlog so the stitched-trace

@@ -50,10 +50,8 @@ type Options struct {
 	// Zero selects DefaultTimeout; negative means no timeout (the
 	// caller's context is then the only bound).
 	Timeout time.Duration
-	// MaxIdleConns bounds the keep-alive pool per host (default 32).
-	MaxIdleConns int
-	// Transport overrides the HTTP transport (tests, shared pools). When
-	// set, MaxIdleConns is ignored.
+	// Transport overrides the HTTP transport (tests, shared pools). The
+	// default keeps up to 32 idle connections per host.
 	Transport http.RoundTripper
 }
 
@@ -73,13 +71,9 @@ func New(base string, opts Options) *Client {
 	}
 	rt := opts.Transport
 	if rt == nil {
-		maxIdle := opts.MaxIdleConns
-		if maxIdle <= 0 {
-			maxIdle = 32
-		}
 		rt = &http.Transport{
-			MaxIdleConns:        maxIdle,
-			MaxIdleConnsPerHost: maxIdle,
+			MaxIdleConns:        32,
+			MaxIdleConnsPerHost: 32,
 			IdleConnTimeout:     90 * time.Second,
 		}
 	}
