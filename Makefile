@@ -22,7 +22,7 @@ test:
 race:
 	$(GO) test -race -run 'Concurrent|Stress' ./...
 
-# Short fuzzing passes over eight fuzz targets; long runs are
+# Short fuzzing passes over ten fuzz targets; long runs are
 # `go test -fuzz=FuzzConnectBy ./internal/warehouse/` etc. FuzzAppendResponse
 # and FuzzAnswerTokens run without minimization: nearly every input reaches
 # new coverage inside encoding/json, and minimizing each would leave a 10 s
@@ -37,6 +37,8 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzAppendResponse -fuzztime=10s -fuzzminimizetime=0 ./internal/server/
 	$(GO) test -run='^$$' -fuzz=FuzzAnswerTokens -fuzztime=10s -fuzzminimizetime=0 ./internal/server/
 	$(GO) test -run='^$$' -fuzz=FuzzRunBuilder -fuzztime=10s -fuzzminimizetime=0 ./internal/run/
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeLine -fuzztime=10s ./internal/wflog/
+	$(GO) test -run='^$$' -fuzz=FuzzRead -fuzztime=10s ./internal/wflog/
 
 # The paper's Section V tables (plus the ablations and the in-process
 # experiments that still have code), printed as text.

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"maps"
 	"slices"
-	"sort"
 	"strings"
 
 	"repro/internal/bitset"
@@ -268,13 +267,15 @@ func csr(rows int, each func(emit func(row, v int32))) (off, vals []int32) {
 }
 
 // naturalOrder returns the permutation that lists names in natural order,
-// and its inverse: each name's rank.
+// and its inverse: each name's rank. Each name is split once, not once per
+// comparison.
 func naturalOrder(names []string) (perm, rank []int32) {
+	keys := make([]natKey, len(names))
 	perm, rank = make([]int32, len(names)), make([]int32, len(names))
-	for i := range perm {
-		perm[i] = int32(i)
+	for i, s := range names {
+		keys[i], perm[i] = natKeyOf(s), int32(i)
 	}
-	sort.Slice(perm, func(i, j int) bool { return lessNatural(names[perm[i]], names[perm[j]]) })
+	slices.SortFunc(perm, func(i, j int32) int { return keys[i].compare(keys[j]) })
 	for k, i := range perm {
 		rank[i] = int32(k)
 	}

@@ -89,6 +89,27 @@ func TestQuickLessNaturalTotalOrder(t *testing.T) {
 	}
 }
 
+// Property: the keys naturalOrder sorts on order names exactly as
+// lessNatural does, trailing numbers that overflow an int included.
+func TestQuickNatKeyMatchesLessNatural(t *testing.T) {
+	prefixes := []string{"", "d", "S", "d1x", "é"}
+	f := func(pa, pb uint8, x, y uint16, bigA, bigB bool) bool {
+		a := prefixes[int(pa)%len(prefixes)] + itoa(int(x)%50)
+		b := prefixes[int(pb)%len(prefixes)] + itoa(int(y)%50)
+		if bigA {
+			a += "99999999999999999999"
+		}
+		if bigB {
+			b += "99999999999999999999"
+		}
+		c := natKeyOf(a).compare(natKeyOf(b))
+		return (c < 0) == lessNatural(a, b) && (c > 0) == lessNatural(b, a)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // Property: FormatDataSet collapses exactly the consecutive numeric runs —
 // formatting the ids from DataIDs(a, b) with b-a >= 2 always produces one
 // "a..b" range.

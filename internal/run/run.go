@@ -314,6 +314,30 @@ func lessNatural(a, b string) bool {
 	return a < b
 }
 
+// natKey is a name split for natural ordering once, so that sorting many
+// names does not split each of them again on every comparison.
+type natKey struct {
+	name, prefix string
+	n            int
+}
+
+func natKeyOf(s string) natKey {
+	p, n := splitNatural(s)
+	return natKey{name: s, prefix: p, n: n}
+}
+
+// compare orders keys as lessNatural orders their names.
+func (a natKey) compare(b natKey) int {
+	switch {
+	case a.prefix != b.prefix:
+		return strings.Compare(a.prefix, b.prefix)
+	case a.n != b.n:
+		return cmp.Compare(a.n, b.n)
+	default:
+		return strings.Compare(a.name, b.name)
+	}
+}
+
 func splitNatural(s string) (string, int) {
 	i := len(s)
 	for i > 0 && s[i-1] >= '0' && s[i-1] <= '9' {

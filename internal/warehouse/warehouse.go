@@ -290,15 +290,17 @@ func (w *Warehouse) LoadLog(runID, specName string, events []wflog.Event) error 
 // construction, one event at a time — no []Event slice is ever
 // materialized, so log size is bounded by the run it describes, not by the
 // event count. The run only becomes visible to queries after the whole
-// stream has validated and loaded, exactly like LoadLog. It returns the
-// number of events ingested.
+// stream has validated and loaded, exactly like LoadLog. An event the
+// loader rejects is reported under its log line, "wflog: line N: ...", as
+// the decoder reports a line it cannot parse. It returns the number of
+// events ingested.
 func (w *Warehouse) LoadLogReader(runID, specName string, src io.Reader) (int, error) {
 	start := w.metricsTime()
 	dec := wflog.NewDecoder(src)
 	l := run.NewLogLoader(runID, specName)
 	for dec.Next() {
 		if err := l.Add(dec.Event()); err != nil {
-			return l.NumEvents(), err
+			return l.NumEvents(), fmt.Errorf("wflog: line %d: %w", dec.Line(), err)
 		}
 	}
 	if err := dec.Err(); err != nil {

@@ -2,6 +2,8 @@ package wflog
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -33,6 +35,70 @@ func FuzzRead(f *testing.F) {
 		}
 		if len(back) != len(events) {
 			t.Fatalf("round trip changed event count: %d -> %d", len(events), len(back))
+		}
+	})
+}
+
+// FuzzDecodeLine holds the decoder's canonical-line fast path to
+// json.Unmarshal, the fallback for every other line: on any one line both
+// accept or both reject, an accepted line decodes to the same Event, and a
+// rejected one fails with json.Unmarshal's error under the line number.
+func FuzzDecodeLine(f *testing.F) {
+	for _, line := range []string{
+		`{"seq":1,"kind":"start","step":"S1","module":"M1"}`,
+		`{"seq":2,"kind":"read","step":"S1","data":"d1"}`,
+		`{"seq":3,"kind":"write","step":"S1","data":"d2"}`,
+		`{"seq":0,"kind":"start","step":"S1"}`,
+		`{"seq":4,"kind":"boom","step":"S1","data":"d1"}`,
+		// Escaped ids, a raw '<', non-ASCII and invalid UTF-8.
+		`{"seq":1,"kind":"start","step":"\u00531","module":"M\u003c"}`,
+		`{"seq":1,"kind":"start","step":"S\"<","module":"M"}`,
+		`{"seq":1,"kind":"read","step":"S<1","data":"d<1"}`,
+		`{"seq":1,"kind":"read","step":"S1","data":"dé"}`,
+		"{\"seq\":1,\"kind\":\"read\",\"step\":\"S1\",\"data\":\"d\xff\"}",
+		"{\"seq\":1,\"kind\":\"read\",\"step\":\"S\x7f\",\"data\":\"d\x01\"}",
+		// Sequence numbers the fast path leaves to json.Unmarshal.
+		`{"seq":01,"kind":"start","step":"S1","module":"M"}`,
+		`{"seq":-1,"kind":"start","step":"S1","module":"M"}`,
+		`{"seq":1e3,"kind":"start","step":"S1","module":"M"}`,
+		`{"seq":1.0,"kind":"start","step":"S1","module":"M"}`,
+		`{"seq":9223372036854775807,"kind":"start","step":"S1","module":"M"}`,
+		`{"seq":9223372036854775808,"kind":"start","step":"S1","module":"M"}`,
+		`{"seq":12345678901234567890,"kind":"start","step":"S1","module":"M"}`,
+		// Key order, key case, whitespace, duplicates and extra keys.
+		`{"kind":"start","seq":1,"step":"S1","module":"M"}`,
+		`{"SEQ":1,"Kind":"start","step":"S1","Module":"M"}`,
+		`{ "seq": 1, "kind": "start", "step": "S1", "module": "M" }`,
+		`{"seq":1,"kind":"read","step":"S1","data":"d1","data":"d2"}`,
+		`{"seq":1,"kind":"start","step":"S1","module":"M","data":"d1"}`,
+		`{"seq":1,"kind":"start","step":"S1","module":""}`,
+		`{"seq":1,"kind":"start","step":"S1","extra":true}`,
+		`{"seq":1,"kind":"start","step":"S1","module":null}`,
+		// Trailing bytes, truncation and garbage.
+		`{"seq":1,"kind":"start","step":"S1","module":"M"} `,
+		`{"seq":1,"kind":"start","step":"S1","module":"M"}}`,
+		`{"seq":1,"kind":"start","step":"S1","module":"M"`,
+		`{"seq":1,"kind":"start","step":"S1","module":"M}`,
+		`{"seq":1,"kind":"start","step":"S1"`,
+		`not json at all`,
+	} {
+		f.Add([]byte(line))
+	}
+	f.Fuzz(func(t *testing.T, line []byte) {
+		if len(line) == 0 || bytes.ContainsAny(line, "\r\n") {
+			return // the scanner splits at these; this target is about one line
+		}
+		var want Event
+		wantErr := json.Unmarshal(line, &want)
+		dec := NewDecoder(bytes.NewReader(line))
+		got := dec.Next()
+		switch {
+		case got != (wantErr == nil):
+			t.Fatalf("decoder accepted=%v, json.Unmarshal err=%v, decoder err=%v", got, wantErr, dec.Err())
+		case got && dec.Event() != want:
+			t.Fatalf("decoded %+v, json.Unmarshal %+v", dec.Event(), want)
+		case !got && dec.Err().Error() != fmt.Sprintf("wflog: line 1: %v", wantErr):
+			t.Fatalf("error %q, want json.Unmarshal's %q", dec.Err(), wantErr)
 		}
 	})
 }

@@ -7,7 +7,10 @@
 // workflow system.
 //
 // Events are serialized as JSON lines so that logs can be streamed, appended
-// to, and replayed.
+// to, and replayed. Decoder reads the one line shape Write emits without
+// reflection (canonical.go) and hands every other line to json.Unmarshal,
+// so any JSON spelling of an event decodes, or fails, exactly as
+// encoding/json alone would decode it.
 package wflog
 
 import (
@@ -169,8 +172,8 @@ func (d *Decoder) Next() bool {
 		if len(text) == 0 {
 			continue
 		}
-		var e Event
-		if err := json.Unmarshal(text, &e); err != nil {
+		e, err := decodeLine(text)
+		if err != nil {
 			d.err = fmt.Errorf("wflog: line %d: %w", d.line, err)
 			return false
 		}

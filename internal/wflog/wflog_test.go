@@ -131,3 +131,23 @@ func TestBuilderAlwaysValidQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestDecoderAllocs: a line in the shape Write emits decodes without
+// reflection, allocating only its step and its module or data string.
+func TestDecoderAllocs(t *testing.T) {
+	for _, line := range []string{
+		`{"seq":1,"kind":"start","step":"S1","module":"M1"}`,
+		`{"seq":2,"kind":"read","step":"S1","data":"d1"}`,
+	} {
+		const runs = 100
+		dec := NewDecoder(strings.NewReader(strings.Repeat(line+"\n", runs+1)))
+		allocs := testing.AllocsPerRun(runs, func() {
+			if !dec.Next() {
+				t.Fatalf("%s: %v", line, dec.Err())
+			}
+		})
+		if allocs > 2 {
+			t.Errorf("%s: %.1f allocations per line, want at most 2", line, allocs)
+		}
+	}
+}
