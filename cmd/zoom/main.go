@@ -39,6 +39,7 @@ import (
 	"os/signal"
 	"path/filepath"
 	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"syscall"
@@ -742,16 +743,12 @@ func cmdQuery(args []string) error {
 	asDot := fs.Bool("dot", false, "emit Graphviz DOT of the provenance graph")
 	asProv := fs.Bool("prov", false, "emit W3C PROV-JSON (deep mode only)")
 	stats := fs.Bool("stats", false, "print warehouse statistics (catalog, cache, compact index) after answering")
-	trace := fs.Bool("trace", false, "print a per-stage timing breakdown (cold query, then warm re-query; deep mode, single -data)")
+	trace := fs.Bool("trace", false, "print the span tree of a cold query, then of a warm re-query (deep mode, single -data)")
 	_ = fs.Parse(args)
 	if *whPath == "" || *runID == "" || *data == "" {
 		return fmt.Errorf("query: -warehouse, -run and -data are required")
 	}
-	var reg *zoom.Metrics
-	if *trace {
-		reg = zoom.NewMetrics()
-	}
-	sys, err := openSystem(*whPath, reg, nil)
+	sys, err := openSystem(*whPath, nil, nil)
 	if err != nil {
 		return err
 	}
@@ -806,22 +803,19 @@ func cmdQuery(args []string) error {
 	case "deep":
 		if *trace {
 			// Cold then warm: the first query computes the UAdmin closure
-			// (or finds it cached from an earlier process — the snapshot
-			// cache does not persist, so here it is the cold path), the
-			// second re-serves it from the closure cache. The warm line is
-			// the paper's view-switch cost. The breakdown goes to stderr so
-			// stdout stays exactly the query answer (-prov output remains
-			// valid JSON, -dot valid DOT) under -trace.
-			_, cold, err := sys.DeepProvenanceTracedCtx(context.Background(), *runID, v, *data)
-			if err != nil {
-				return err
+			// (the closure cache does not persist, so this is the cold
+			// path), the second re-serves it from the cache — the paper's
+			// view-switch cost. Each tree goes to stderr so stdout stays
+			// exactly the query answer (-prov output remains valid JSON,
+			// -dot valid DOT) under -trace.
+			for _, pass := range []string{"cold", "warm"} {
+				tr := zoom.NewTrace("query")
+				if _, err := sys.DeepProvenanceCtx(tr.Context(context.Background()), *runID, v, *data); err != nil {
+					return err
+				}
+				fmt.Fprintf(os.Stderr, "%s:\n", pass)
+				writeSpanTree(os.Stderr, tr.Finish(), 1)
 			}
-			fmt.Fprintf(os.Stderr, "cold %s\n", cold)
-			_, warm, err := sys.DeepProvenanceTracedCtx(context.Background(), *runID, v, *data)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "warm %s\n", warm)
 		}
 		res, err := sys.DeepProvenance(*runID, v, *data)
 		if err != nil {
@@ -864,6 +858,26 @@ func cmdQuery(args []string) error {
 		return printStats(sys)
 	}
 	return nil
+}
+
+// writeSpanTree prints a finished span tree one span a line — name,
+// duration, then the tags in key order — indented two spaces per level,
+// starting at depth. These are the spans a served `?trace=1` returns in
+// its X-Zoom-Trace header.
+func writeSpanTree(w io.Writer, n zoom.SpanNode, depth int) {
+	fmt.Fprintf(w, "%s%s %s", strings.Repeat("  ", depth), n.Name, time.Duration(n.DurNs))
+	keys := make([]string, 0, len(n.Tags))
+	for k := range n.Tags {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		fmt.Fprintf(w, " %s=%s", k, n.Tags[k])
+	}
+	fmt.Fprintln(w)
+	for _, c := range n.Children {
+		writeSpanTree(w, c, depth+1)
+	}
 }
 
 // printStats renders the warehouse statistics — catalog row counts, the
@@ -954,7 +968,7 @@ func clusterStats(base string, asJSON bool) error {
 		Counters map[string]int64 `json:"counters"`
 	}
 	if err := json.Unmarshal(cs.Cluster, &agg); err == nil && len(agg.Counters) > 0 {
-		for _, k := range []string{"http.requests", "http.errors", "http.slow_requests", "query.cache_hits", "query.cache_misses"} {
+		for _, k := range []string{"http.requests", "http.errors", "http.slow_requests", "cache.hits", "cache.misses"} {
 			if v, ok := agg.Counters[k]; ok {
 				fmt.Printf("  %-22s %d\n", k, v)
 			}

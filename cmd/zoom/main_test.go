@@ -405,57 +405,61 @@ func TestCmdCompare(t *testing.T) {
 	}
 }
 
-// TestCmdQueryTrace: -trace runs the deep query cold then warm and prints a
-// per-stage breakdown for each, demonstrating the paper's view-switch
-// speedup (the warm query is a closure-cache hit).
-func TestCmdQueryTrace(t *testing.T) {
+// TestCmdTraceSpanTree: -trace runs the deep query cold then warm and prints
+// each run's span tree on stderr — the paper's view-switch speedup, read
+// off the same spans a served ?trace=1 returns: the cold lookup is a miss
+// with the closure compute beneath it, the warm one a hit with none. Stdout
+// is exactly the untraced answer, on a JSON and on a v3 warehouse.
+func TestCmdTraceSpanTree(t *testing.T) {
 	dir := t.TempDir()
 	specPath := writeSpecFile(t, dir)
 	logPath := writeLogFile(t, dir)
-	wh := filepath.Join(dir, "wh.json")
-	if _, err := capture(t, func() error {
-		return cmdLoad([]string{"-warehouse", wh, "-file", specPath, "-log", logPath, "-run", "fig2"})
-	}); err != nil {
-		t.Fatal(err)
-	}
-
-	out, errOut, err := captureBoth(t, func() error {
-		return cmdQuery([]string{"-warehouse", wh, "-run", "fig2", "-data", "d447",
-			"-relevant", "M2,M3,M7", "-trace"})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The timing breakdown goes to stderr so stdout stays exactly the
-	// query answer; strip the (nondeterministic) durations and compare the
-	// shape.
-	norm := regexp.MustCompile(`[0-9]+(\.[0-9]+)?(ns|µs|ms|s)`).ReplaceAllString(errOut, "<dur>")
-	for _, want := range []string{
-		"cold trace: run=fig2 data=d447 outcome=miss",
-		"(compute <dur>)",
-		"warm trace: run=fig2 data=d447 outcome=hit",
-		"closure lookup",
-		"view projection",
-		"result: 4 steps, 240 data objects, 6 edges", // projected through Joe's view
-	} {
-		if !strings.Contains(norm, want) {
-			t.Fatalf("trace output (stderr) missing %q:\n%s", want, norm)
-		}
-	}
-	// The normal answer still prints — on stdout, trace-free.
-	if !strings.Contains(out, "deep provenance of d447") {
-		t.Fatalf("stdout lost the query answer:\n%s", out)
-	}
-	if strings.Contains(out, "cold trace") || strings.Contains(out, "warm trace") {
-		t.Fatalf("trace breakdown leaked onto stdout:\n%s", out)
-	}
-	// The warm trace must not report compute time.
-	warm := norm[strings.Index(norm, "warm trace"):]
-	if strings.Contains(strings.Split(warm, "view projection")[0], "compute") {
-		t.Fatalf("warm trace reports a compute stage:\n%s", warm)
+	dur := regexp.MustCompile(`[0-9]+(\.[0-9]+)?(ns|µs|ms|s)`)
+	for _, format := range []string{"json", "v3"} {
+		t.Run(format, func(t *testing.T) {
+			wh := filepath.Join(dir, "wh."+format)
+			if _, err := capture(t, func() error {
+				return cmdLoad([]string{"-warehouse", wh, "-file", specPath, "-log", logPath, "-run", "fig2", "-format", format})
+			}); err != nil {
+				t.Fatal(err)
+			}
+			args := []string{"-warehouse", wh, "-run", "fig2", "-data", "d447", "-relevant", "M2,M3,M7"}
+			plain, err := capture(t, func() error { return cmdQuery(args) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, errOut, err := captureBoth(t, func() error {
+				return cmdQuery(append(args[:len(args):len(args)], "-trace"))
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out != plain || !strings.Contains(out, "deep provenance of d447") {
+				t.Fatalf("stdout under -trace differs from the untraced answer:\n%s\nwant:\n%s", out, plain)
+			}
+			cold, warm, ok := strings.Cut(dur.ReplaceAllString(errOut, "<dur>"), "warm:\n")
+			if !ok || !strings.HasPrefix(cold, "cold:\n") {
+				t.Fatalf("stderr is not a cold tree then a warm tree:\n%s", errOut)
+			}
+			for _, want := range []string{"  query <dur>\n", "    query.lookup <dur> outcome=miss\n",
+				"      closure.compute <dur>\n", "    query.project <dur>\n"} {
+				if !strings.Contains(cold, want) {
+					t.Fatalf("cold tree missing %q:\n%s", want, cold)
+				}
+			}
+			for _, want := range []string{"  query <dur>\n", "    query.lookup <dur> outcome=hit\n", "    query.project <dur>\n"} {
+				if !strings.Contains(warm, want) {
+					t.Fatalf("warm tree missing %q:\n%s", want, warm)
+				}
+			}
+			if strings.Contains(warm, "closure.compute") {
+				t.Fatalf("warm tree reports a compute stage:\n%s", warm)
+			}
+		})
 	}
 
 	// -trace is single-query only.
+	wh := filepath.Join(dir, "wh.json")
 	if _, err := capture(t, func() error {
 		return cmdQuery([]string{"-warehouse", wh, "-run", "fig2", "-data", "d447,d413", "-trace"})
 	}); err == nil {
@@ -525,23 +529,26 @@ func TestCmdStatsCluster(t *testing.T) {
 		}
 		w.Header().Set("X-Zoom-Trace-Id", id)
 		w.Header().Set("Content-Type", "application/json")
-		io.WriteString(w, `{"shards_total":2,"shards_ok":2,"router":{},"cluster":{"counters":{"http.requests":3}},"shards":[{"shard":0,"addr":"a","stats":{}},{"shard":1,"addr":"b","stats":{}}]}`)
+		io.WriteString(w, `{"shards_total":2,"shards_ok":2,"router":{},"cluster":{"counters":{"http.requests":3,"cache.hits":5,"cache.misses":2}},"shards":[{"shard":0,"addr":"a","stats":{}},{"shard":1,"addr":"b","stats":{}}]}`)
 	}))
 	defer router.Close()
 	out, err := capture(t, func() error { return clusterStats(router.URL, false) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := "cluster: 2/2 shards reporting (trace " + id + ")"; !strings.Contains(out, want) {
-		t.Fatalf("stats -cluster output missing %q:\n%s", want, out)
+	for _, want := range []string{"cluster: 2/2 shards reporting (trace " + id + ")",
+		"  cache.hits             5\n", "  cache.misses           2\n"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("stats -cluster output missing %q:\n%s", want, out)
+		}
 	}
 }
 
-// TestCmdQueryTraceProvJSON pins the stdout contract: with -trace AND
+// TestCmdTraceProvJSON pins the stdout contract: with -trace AND
 // -prov, stdout must still be exactly one valid PROV-JSON document — the
 // breakdown lives on stderr, so piping `zoom query -prov -trace` into a
 // JSON consumer keeps working.
-func TestCmdQueryTraceProvJSON(t *testing.T) {
+func TestCmdTraceProvJSON(t *testing.T) {
 	dir := t.TempDir()
 	wh := filepath.Join(dir, "wh.json")
 	if _, err := capture(t, func() error {
@@ -564,8 +571,8 @@ func TestCmdQueryTraceProvJSON(t *testing.T) {
 	if _, ok := doc["entity"]; !ok {
 		t.Fatalf("PROV-JSON document has no entities: %s", out)
 	}
-	if !strings.Contains(errOut, "cold trace") || !strings.Contains(errOut, "warm trace") {
-		t.Fatalf("trace breakdown missing from stderr:\n%s", errOut)
+	if !strings.Contains(errOut, "cold:\n") || !strings.Contains(errOut, "warm:\n") {
+		t.Fatalf("span trees missing from stderr:\n%s", errOut)
 	}
 }
 

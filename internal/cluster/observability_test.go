@@ -413,12 +413,16 @@ func TestRouterHostileTraceHeaders(t *testing.T) {
 func TestRouterClusterStats(t *testing.T) {
 	routerURL, _, ids := buildObsCluster(t, 2, Config{})
 	// Put some traffic on both shards so the merged counters are nonzero.
+	// Each key is asked twice; the trailing space makes the second body a
+	// router cache miss, so it reaches its worker as a closure-cache hit.
 	for _, pair := range ids {
 		parts := strings.SplitN(pair, "\x00", 2)
-		status, _ := postRaw(t, routerURL, "/v1/query", "",
-			fmt.Sprintf(`{"run":%q,"data":%q}`, parts[0], parts[1]))
-		if status != http.StatusOK {
-			t.Fatalf("query status %d", status)
+		for _, pad := range []string{"", " "} {
+			status, _ := postRaw(t, routerURL, "/v1/query", "",
+				fmt.Sprintf(`{"run":%q,"data":%q}`, parts[0], parts[1])+pad)
+			if status != http.StatusOK {
+				t.Fatalf("query status %d", status)
+			}
 		}
 	}
 	status, body := getRaw(t, routerURL, "/v1/cluster/stats", "")
@@ -452,6 +456,10 @@ func TestRouterClusterStats(t *testing.T) {
 	}
 	if cl.Histograms["http.request_ns"].Count == 0 {
 		t.Fatal("merged latency histogram empty")
+	}
+	// The workers' closure-cache counters merge like any other counter.
+	if h, m := cl.Counters["cache.hits"], cl.Counters["cache.misses"]; h != int64(len(ids)) || m != int64(len(ids)) {
+		t.Fatalf("merged cache.hits/misses = %d/%d, want %d each", h, m, len(ids))
 	}
 	// Runtime gauges from the workers survive the merge.
 	if cl.Gauges["runtime.goroutines"] == 0 {

@@ -219,6 +219,7 @@ type Registry struct {
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 	infos    map[string]map[string]string
+	funcs    map[string]func() int64 // counters read at snapshot time
 
 	// hookMu guards hooks separately from mu: hooks run BEFORE Snapshot
 	// takes mu, so a hook may freely Set gauges it resolved at attach time
@@ -234,6 +235,7 @@ func NewRegistry() *Registry {
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
 		infos:    make(map[string]map[string]string),
+		funcs:    make(map[string]func() int64),
 	}
 }
 
@@ -284,6 +286,20 @@ func (r *Registry) Counter(name string) *Counter {
 		r.counters[name] = c
 	}
 	return c
+}
+
+// CounterFunc registers a counter whose value is fn(), read at every
+// Snapshot — for a component that already keeps its own atomic count, so
+// the count is recorded once. fn runs under the registry lock and must not
+// call back into the registry. Registering a name again replaces its
+// func; a func shadows a Counter of the same name. No-op on a nil registry.
+func (r *Registry) CounterFunc(name string, fn func() int64) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	r.funcs[name] = fn
+	r.mu.Unlock()
 }
 
 // Gauge returns the named gauge, creating it on first use (nil registry →
@@ -344,9 +360,12 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	s.Counters = make(map[string]int64, len(r.counters))
+	s.Counters = make(map[string]int64, len(r.counters)+len(r.funcs))
 	for name, c := range r.counters {
 		s.Counters[name] = c.Value()
+	}
+	for name, fn := range r.funcs {
+		s.Counters[name] = fn()
 	}
 	s.Gauges = make(map[string]int64, len(r.gauges))
 	for name, g := range r.gauges {

@@ -128,6 +128,29 @@ func TestRegistryStablePointers(t *testing.T) {
 	}
 }
 
+// TestCounterFunc: a func counter is read at every snapshot, lands in
+// Counters beside the plain counters (so exposition and merge see no
+// difference), and re-registering a name replaces the func.
+func TestCounterFunc(t *testing.T) {
+	r := NewRegistry()
+	var n int64 = 3
+	r.CounterFunc("f", func() int64 { return n })
+	r.Counter("c").Inc()
+	if s := r.Snapshot(); s.Counters["f"] != 3 || s.Counters["c"] != 1 {
+		t.Fatalf("snapshot = %+v", s.Counters)
+	}
+	n = 5
+	if got := r.Snapshot().Counters["f"]; got != 5 {
+		t.Fatalf("func counter read %d at the second snapshot, want 5", got)
+	}
+	r.CounterFunc("f", func() int64 { return 9 })
+	if got := r.Snapshot().Counters["f"]; got != 9 {
+		t.Fatalf("re-registered func counter = %d, want 9", got)
+	}
+	var nilReg *Registry
+	nilReg.CounterFunc("f", func() int64 { return 1 }) // no-op, no panic
+}
+
 // TestConcurrentRecording hammers one registry from many goroutines — run
 // under -race — and checks the totals are exact at the quiescent point.
 func TestConcurrentRecording(t *testing.T) {

@@ -86,7 +86,7 @@ func (e *Engine) serve(ctx context.Context, queries []Query, workers int, done f
 				// batch response shows per-query concurrency and which
 				// member query was the slow one.
 				qctx, qsp := obs.StartSpan(ctx, "batch.query "+q.Data)
-				a, err := e.deepAnswer(qctx, q.RunID, q.View, q.Data, nil)
+				a, err := e.deepAnswer(qctx, q.RunID, q.View, q.Data)
 				qsp.End()
 				done(idx, a, err)
 			}

@@ -234,7 +234,7 @@ func (r *Result) Tuples() int { return len(r.Executions) + len(r.Data) }
 // data objects / sequence of steps which have been used to produce this
 // data object?" — with respect to a user view.
 func (e *Engine) DeepProvenance(runID string, v *core.UserView, d string) (*Result, error) {
-	return resultOf(e.deepAnswer(context.Background(), runID, v, d, nil))
+	return resultOf(e.deepAnswer(context.Background(), runID, v, d))
 }
 
 // DeepProvenanceCtx is DeepProvenance with a context. When the context
@@ -246,27 +246,27 @@ func (e *Engine) DeepProvenance(runID string, v *core.UserView, d string) (*Resu
 // untraced context costs one nil span check and behaves exactly like
 // DeepProvenance.
 func (e *Engine) DeepProvenanceCtx(ctx context.Context, runID string, v *core.UserView, d string) (*Result, error) {
-	return resultOf(e.deepAnswer(ctx, runID, v, d, nil))
+	return resultOf(e.deepAnswer(ctx, runID, v, d))
 }
 
 // DeepAnswerCtx is DeepProvenanceCtx stopping at the integer answer, which
 // is what the server encodes.
 func (e *Engine) DeepAnswerCtx(ctx context.Context, runID string, v *core.UserView, d string) (*Answer, error) {
-	return e.deepAnswer(ctx, runID, v, d, nil)
+	return e.deepAnswer(ctx, runID, v, d)
 }
 
 // deepAnswer is the shared query path behind every deep-provenance entry
 // point; it stops at the integer answer, and what its stages time is that
 // (spelling a Result out is the caller's, after the clock stops). When a
-// metrics registry is attached, a trace is requested, or the context carries
-// a span, it times each stage (closure-cache lookup including compute or
-// wait, then view projection including the memoized mapping's first build);
-// otherwise it never reads the clock, which is what keeps the detached
-// overhead to a few nil checks (BenchmarkObsOverhead pins this).
-func (e *Engine) deepAnswer(ctx context.Context, runID string, v *core.UserView, d string, tr *QueryTrace) (*Answer, error) {
+// metrics registry is attached or the context carries a span, it times each
+// stage (closure-cache lookup including compute or wait, then view
+// projection including the memoized mapping's first build); otherwise it
+// never reads the clock, which is what keeps the detached overhead to a few
+// nil checks (BenchmarkObsOverhead pins this).
+func (e *Engine) deepAnswer(ctx context.Context, runID string, v *core.UserView, d string) (*Answer, error) {
 	m := e.obs.Load()
 	sp := obs.SpanFromContext(ctx)
-	timed := m != nil || tr != nil || sp != nil
+	timed := m != nil || sp != nil
 	var start time.Time
 	if timed {
 		start = time.Now()
@@ -291,14 +291,12 @@ func (e *Engine) deepAnswer(ctx context.Context, runID string, v *core.UserView,
 		m.queryError()
 		return nil, err
 	}
-	var lookupNs int64
+	// The lookup stage is measured from the query start: the run/view
+	// validation above it costs tens of nanoseconds, not worth a third clock
+	// read on the warm path.
 	var projectStart time.Time
 	if timed {
-		// The lookup stage is measured from the query start: the run/view
-		// validation above it costs tens of nanoseconds, not worth a third
-		// clock read on the warm path.
 		projectStart = time.Now()
-		lookupNs = projectStart.Sub(start).Nanoseconds()
 	}
 	psp := sp.StartChild("query.project")
 	mp, err := e.mapping(r, v)
@@ -311,29 +309,15 @@ func (e *Engine) deepAnswer(ctx context.Context, runID string, v *core.UserView,
 		m.queryError()
 		return nil, err
 	}
-	if timed {
+	if m != nil {
 		end := time.Now()
-		projectNs := end.Sub(projectStart).Nanoseconds()
-		totalNs := end.Sub(start).Nanoseconds()
-		if m != nil {
-			m.queries.Inc()
-			m.totalNs[o.Outcome].Observe(totalNs)
-			m.lookupNs.Observe(lookupNs)
-			if o.Outcome == warehouse.OutcomeMiss {
-				m.computeNs.Observe(o.ComputeNs)
-			}
-			m.projectNs.Observe(projectNs)
+		m.queries.Inc()
+		m.totalNs[o.Outcome].Observe(end.Sub(start).Nanoseconds())
+		m.lookupNs.Observe(projectStart.Sub(start).Nanoseconds())
+		if o.Outcome == warehouse.OutcomeMiss {
+			m.computeNs.Observe(o.ComputeNs)
 		}
-		if tr != nil {
-			tr.Outcome = o.Outcome.String()
-			tr.LookupNs = lookupNs
-			tr.ComputeNs = o.ComputeNs
-			tr.ProjectNs = projectNs
-			tr.TotalNs = totalNs
-			tr.Steps = len(res.Executions)
-			tr.Data_ = len(res.Data)
-			tr.Edges = len(res.Edges)
-		}
+		m.projectNs.Observe(end.Sub(projectStart).Nanoseconds())
 	}
 	return res, nil
 }

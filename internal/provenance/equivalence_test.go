@@ -563,7 +563,7 @@ func TestDropRunForgetsMappings(t *testing.T) {
 	}
 	fresh := engineFor(t, s, runB)
 	for _, v := range views {
-		a, err := e.deepAnswer(context.Background(), "x", v, lastFinal(runB), nil)
+		a, err := e.deepAnswer(context.Background(), "x", v, lastFinal(runB))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -602,7 +602,7 @@ func TestOversizedProjectionLeavesThePool(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := engineFor(t, s, r)
-	a, err := e.deepAnswer(context.Background(), r.ID(), core.UAdmin(s), "out", nil)
+	a, err := e.deepAnswer(context.Background(), r.ID(), core.UAdmin(s), "out")
 	if err != nil {
 		t.Fatal(err)
 	}

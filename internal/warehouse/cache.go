@@ -36,51 +36,44 @@ import (
 //     is a different key.
 //
 // Counters are atomic and globally aggregated across shards; see
-// CacheCounters for the invariants they maintain.
+// CacheCounters for the invariants they maintain. They are the only count
+// of each event: an attached registry reads them (attachMetrics).
 type closureCache struct {
 	shards []*cacheShard
 
 	hits          atomic.Int64
 	misses        atomic.Int64
 	sharedWaits   atomic.Int64
-	computes      atomic.Int64
 	stores        atomic.Int64
 	evictions     atomic.Int64
 	invalidations atomic.Int64
 	drops         atomic.Int64
 
-	// obs mirrors the lifecycle counters into an attached metrics registry
-	// (nil when detached — the common case — so the hot path pays one
-	// atomic pointer load).
-	obs atomic.Pointer[cacheMetrics]
+	// computeNs is the attached registry's cache.compute_ns histogram (nil
+	// when detached — the common case — so the hot path pays one atomic
+	// pointer load).
+	computeNs atomic.Pointer[obs.Histogram]
 }
 
-// cacheMetrics are the cache's instruments in an attached registry,
-// resolved once at attach time so recording never touches the registry map.
-type cacheMetrics struct {
-	hits, misses, sharedWaits       *obs.Counter
-	computes, stores                *obs.Counter
-	evictions, invalidations, drops *obs.Counter
-	computeNs                       *obs.Histogram
-}
-
-// attachMetrics wires the cache to a registry (nil detaches).
+// attachMetrics registers the cache's counters on reg as cache.hits …
+// cache.drops, each read from the cache's own atomic at snapshot time, and
+// records closure compute times into reg's cache.compute_ns. cache.computes
+// reads misses: every miss leads one compute. nil detaches the histogram
+// only; see Warehouse.AttachMetrics.
 func (cc *closureCache) attachMetrics(reg *obs.Registry) {
-	if reg == nil {
-		cc.obs.Store(nil)
-		return
+	for name, n := range map[string]*atomic.Int64{
+		"cache.hits":          &cc.hits,
+		"cache.misses":        &cc.misses,
+		"cache.shared_waits":  &cc.sharedWaits,
+		"cache.computes":      &cc.misses,
+		"cache.stores":        &cc.stores,
+		"cache.evictions":     &cc.evictions,
+		"cache.invalidations": &cc.invalidations,
+		"cache.drops":         &cc.drops,
+	} {
+		reg.CounterFunc(name, n.Load)
 	}
-	cc.obs.Store(&cacheMetrics{
-		hits:          reg.Counter("cache.hits"),
-		misses:        reg.Counter("cache.misses"),
-		sharedWaits:   reg.Counter("cache.shared_waits"),
-		computes:      reg.Counter("cache.computes"),
-		stores:        reg.Counter("cache.stores"),
-		evictions:     reg.Counter("cache.evictions"),
-		invalidations: reg.Counter("cache.invalidations"),
-		drops:         reg.Counter("cache.drops"),
-		computeNs:     reg.Histogram("cache.compute_ns"),
-	})
+	cc.computeNs.Store(reg.Histogram("cache.compute_ns"))
 }
 
 type cacheKey struct {
@@ -200,7 +193,7 @@ func (cc *closureCache) shard(key cacheKey) *cacheShard {
 
 // insertLocked adds or refreshes an entry and evicts from the back while
 // over capacity. Callers hold sh.mu.
-func (sh *cacheShard) insertLocked(key cacheKey, c *Closure, cc *closureCache, m *cacheMetrics) {
+func (sh *cacheShard) insertLocked(key cacheKey, c *Closure, cc *closureCache) {
 	if el, ok := sh.items[key]; ok {
 		el.Value.(*cacheEntry).c = c
 		sh.order.MoveToFront(el)
@@ -212,9 +205,6 @@ func (sh *cacheShard) insertLocked(key cacheKey, c *Closure, cc *closureCache, m
 		sh.order.Remove(back)
 		delete(sh.items, back.Value.(*cacheEntry).key)
 		cc.evictions.Add(1)
-		if m != nil {
-			m.evictions.Inc()
-		}
 	}
 }
 
@@ -235,24 +225,17 @@ func (sh *cacheShard) insertLocked(key cacheKey, c *Closure, cc *closureCache, m
 // hit's cost — and an untraced context pays only the one nil span check.
 func (cc *closureCache) getOrCompute(ctx context.Context, key cacheKey, timed bool, compute func(keep func(*Closure)) (*Closure, error)) (*Closure, Observation, error) {
 	sh := cc.shard(key)
-	m := cc.obs.Load()
 	sh.mu.Lock()
 	if el, ok := sh.items[key]; ok {
 		sh.order.MoveToFront(el)
 		c := el.Value.(*cacheEntry).c
 		sh.mu.Unlock()
 		cc.hits.Add(1)
-		if m != nil {
-			m.hits.Inc()
-		}
 		return c, Observation{Outcome: OutcomeHit}, nil
 	}
 	if fl, ok := sh.inflight[key]; ok {
 		sh.mu.Unlock()
 		cc.sharedWaits.Add(1)
-		if m != nil {
-			m.sharedWaits.Inc()
-		}
 		wsp := obs.SpanFromContext(ctx).StartChild("closure.shared-wait")
 		<-fl.done
 		wsp.End()
@@ -266,10 +249,8 @@ func (cc *closureCache) getOrCompute(ctx context.Context, key cacheKey, timed bo
 	sh.mu.Unlock()
 
 	cc.misses.Add(1)
-	cc.computes.Add(1)
-	if m != nil {
-		m.misses.Inc()
-		m.computes.Inc()
+	h := cc.computeNs.Load()
+	if h != nil {
 		timed = true
 	}
 	var start time.Time
@@ -279,11 +260,8 @@ func (cc *closureCache) getOrCompute(ctx context.Context, key cacheKey, timed bo
 	csp := obs.SpanFromContext(ctx).StartChild("closure.compute")
 	c, err := compute(func(c *Closure) {
 		sh.mu.Lock()
-		sh.insertLocked(key, c, cc, m)
+		sh.insertLocked(key, c, cc)
 		cc.stores.Add(1)
-		if m != nil {
-			m.stores.Inc()
-		}
 		sh.mu.Unlock()
 	})
 	csp.End()
@@ -291,9 +269,7 @@ func (cc *closureCache) getOrCompute(ctx context.Context, key cacheKey, timed bo
 	if timed {
 		computeNs = time.Since(start).Nanoseconds()
 	}
-	if m != nil {
-		m.computeNs.Observe(computeNs)
-	}
+	h.Observe(computeNs)
 
 	sh.mu.Lock()
 	delete(sh.inflight, key)
@@ -316,7 +292,7 @@ func (cc *closureCache) counters() CacheCounters {
 		Hits:          cc.hits.Load(),
 		Misses:        cc.misses.Load(),
 		SharedWaits:   cc.sharedWaits.Load(),
-		Computes:      cc.computes.Load(),
+		Computes:      cc.misses.Load(),
 		Stores:        cc.stores.Load(),
 		Evictions:     cc.evictions.Load(),
 		Invalidations: cc.invalidations.Load(),
@@ -352,9 +328,6 @@ func (cc *closureCache) invalidate(key cacheKey) {
 	sh.mu.Unlock()
 	if removed {
 		cc.invalidations.Add(1)
-		if m := cc.obs.Load(); m != nil {
-			m.invalidations.Inc()
-		}
 	}
 }
 
@@ -362,7 +335,6 @@ func (cc *closureCache) invalidate(key cacheKey) {
 // Drops). The warehouse calls it under its write lock, after it stopped
 // serving r, so no leader can store a closure of r afterwards.
 func (cc *closureCache) dropRun(r *run.Run) {
-	m := cc.obs.Load()
 	for _, sh := range cc.shards {
 		sh.mu.Lock()
 		for key, el := range sh.items {
@@ -370,9 +342,6 @@ func (cc *closureCache) dropRun(r *run.Run) {
 				sh.order.Remove(el)
 				delete(sh.items, key)
 				cc.drops.Add(1)
-				if m != nil {
-					m.drops.Inc()
-				}
 			}
 		}
 		sh.mu.Unlock()
@@ -393,7 +362,6 @@ func (cc *closureCache) reset() {
 	cc.hits.Store(0)
 	cc.misses.Store(0)
 	cc.sharedWaits.Store(0)
-	cc.computes.Store(0)
 	cc.stores.Store(0)
 	cc.evictions.Store(0)
 	cc.invalidations.Store(0)

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/run"
 	"repro/internal/spec"
 )
@@ -204,10 +205,29 @@ func checkQuiescentInvariants(t *testing.T, c CacheCounters, lookups int64, cach
 	}
 }
 
+// checkRegistryReadsCache asserts that every cache.* counter an attached
+// registry reports equals its CacheCounters field: the cache's atomics are
+// the only count.
+func checkRegistryReadsCache(t *testing.T, reg *obs.Registry, c CacheCounters) {
+	t.Helper()
+	got := reg.Snapshot().Counters
+	for name, want := range map[string]int64{
+		"cache.hits": c.Hits, "cache.misses": c.Misses, "cache.shared_waits": c.SharedWaits,
+		"cache.computes": c.Computes, "cache.stores": c.Stores, "cache.evictions": c.Evictions,
+		"cache.invalidations": c.Invalidations, "cache.drops": c.Drops,
+	} {
+		if n, ok := got[name]; !ok || n != want {
+			t.Fatalf("registry %s = %d (present %v), cache counts %d", name, n, ok, want)
+		}
+	}
+}
+
 // TestStressShardedCacheCounters mixes hits, misses, evictions and
 // Invalidate from 32 goroutines against a deliberately tiny cache and
 // asserts the global counters stay consistent, the cache stays within
-// capacity, and the answers stay correct — run this under -race.
+// capacity, and the answers stay correct — run this under -race. A
+// registry attached before the traffic reads the same counts, through a
+// run drop and a reset.
 func TestStressShardedCacheCounters(t *testing.T) {
 	const capacity = 8
 	w := New(capacity)
@@ -215,6 +235,8 @@ func TestStressShardedCacheCounters(t *testing.T) {
 	mustT(t, w.LoadRun(run.Figure2()))
 	r, _ := w.Run("fig2")
 	data := r.AllData()
+	reg := obs.NewRegistry()
+	w.AttachMetrics(reg)
 
 	const (
 		goroutines = 32
@@ -276,6 +298,22 @@ func TestStressShardedCacheCounters(t *testing.T) {
 	if err != nil || closure.NumSteps() != 10 {
 		t.Fatalf("post-stress query broken: %v", err)
 	}
+	checkRegistryReadsCache(t, reg, w.CacheCounters())
+	if n := reg.Snapshot().Histograms["cache.compute_ns"].Count; n != w.CacheCounters().Misses {
+		t.Fatalf("cache.compute_ns holds %d computes, cache counts %d misses", n, w.CacheCounters().Misses)
+	}
+
+	cached := int64(w.CacheLen())
+	mustT(t, w.DropRun("fig2"))
+	if c := w.CacheCounters(); c.Drops != cached {
+		t.Fatalf("dropping the run removed %d of %d cached closures", c.Drops, cached)
+	}
+	checkRegistryReadsCache(t, reg, w.CacheCounters())
+	w.ResetCache()
+	if c := w.CacheCounters(); c != (CacheCounters{}) {
+		t.Fatalf("counters after ResetCache: %+v", c)
+	}
+	checkRegistryReadsCache(t, reg, CacheCounters{})
 }
 
 // TestStressInvalidateGenerations pins "computed exactly once per

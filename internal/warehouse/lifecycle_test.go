@@ -104,7 +104,7 @@ func TestStressFailedLookupsLeaveNothing(t *testing.T) {
 // channel delivers the lookup's closure.
 func startLeader(t *testing.T, w *Warehouse, r *run.Run, d string) <-chan *Closure {
 	t.Helper()
-	before := w.cache.computes.Load()
+	before := w.cache.misses.Load()
 	out := make(chan *Closure, 1)
 	go func() {
 		c, o, err := w.DeepProvenanceObservedCtx(context.Background(), r, d, false)
@@ -113,7 +113,7 @@ func startLeader(t *testing.T, w *Warehouse, r *run.Run, d string) <-chan *Closu
 		}
 		out <- c
 	}()
-	waitForCount(t, &w.cache.computes, before+1)
+	waitForCount(t, &w.cache.misses, before+1)
 	return out
 }
 

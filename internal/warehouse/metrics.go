@@ -6,10 +6,11 @@ import (
 	"repro/internal/obs"
 )
 
-// warehouseMetrics are the warehouse's ingest instruments, resolved once at
-// attach time (see obs.Registry: returned pointers are stable, recording is
-// lock-free).
+// warehouseMetrics is the warehouse's attachment: the registry itself and
+// its ingest instruments, resolved once at attach time (see obs.Registry:
+// returned pointers are stable, recording is lock-free).
 type warehouseMetrics struct {
+	reg            *obs.Registry
 	runsLoaded     *obs.Counter   // ingest.runs_loaded
 	events         *obs.Counter   // ingest.events
 	logIngestNs    *obs.Histogram // ingest.log_ns, per LoadLogReader call
@@ -17,19 +18,29 @@ type warehouseMetrics struct {
 }
 
 // AttachMetrics wires the warehouse and its closure cache to a metrics
-// registry; every subsequent ingest and cache lifecycle event is recorded
-// there, and Stats gains a Metrics snapshot. Attaching nil detaches.
-// Safe to call concurrently with queries: attachment is published through
-// atomic pointers, and recording sites tolerate observing the old registry
-// for a few operations.
+// registry; every subsequent ingest event is recorded there, the cache's
+// counters are read into it (cache.hits … cache.drops) and its closure
+// computes timed (cache.compute_ns), and Stats gains a Metrics snapshot.
+// Attaching nil detaches. Safe to call concurrently with queries:
+// attachment is published through atomic pointers, and recording sites
+// tolerate observing the old registry for a few operations.
+//
+// The cache keeps the only count of each of its events, so two things
+// differ from the ingest instruments:
+//
+//   - A registry reads the cache's counts since the cache was created or
+//     last reset (ResetCache), not since the attach. Attach before the
+//     first query, as LoadOptions.Metrics does, and the two agree.
+//   - A registry once attached keeps reading the cache after a detach (or
+//     after another registry is attached); only cache.compute_ns stops.
 func (w *Warehouse) AttachMetrics(reg *obs.Registry) {
-	w.metricsReg.Store(reg)
 	w.cache.attachMetrics(reg)
 	if reg == nil {
 		w.obs.Store(nil)
 		return
 	}
 	w.obs.Store(&warehouseMetrics{
+		reg:            reg,
 		runsLoaded:     reg.Counter("ingest.runs_loaded"),
 		events:         reg.Counter("ingest.events"),
 		logIngestNs:    reg.Histogram("ingest.log_ns"),
@@ -39,7 +50,10 @@ func (w *Warehouse) AttachMetrics(reg *obs.Registry) {
 
 // Metrics returns the attached registry (nil when detached).
 func (w *Warehouse) Metrics() *obs.Registry {
-	return w.metricsReg.Load()
+	if m := w.obs.Load(); m != nil {
+		return m.reg
+	}
+	return nil
 }
 
 // observeRunLoaded records one successful LoadRun.

@@ -55,7 +55,8 @@ type CacheCounters struct {
 	// SharedWaits counts lookups that piggy-backed on another goroutine's
 	// in-flight computation instead of recomputing (the singleflight win).
 	SharedWaits int64
-	// Computes counts closure computations actually executed.
+	// Computes counts closure computations. It is read from Misses (every
+	// miss leads one computation), so Computes == Misses by construction.
 	Computes int64
 	// Stores counts closures inserted into the cache (a compute whose run
 	// the warehouse still served).
@@ -121,7 +122,7 @@ func (w *Warehouse) Stats() Stats {
 	st.Cache = w.cache.counters()
 	st.CacheHits, st.CacheMisses = st.Cache.Hits, st.Cache.Misses
 	st.Index = w.indexStatsLocked()
-	if reg := w.metricsReg.Load(); reg != nil {
+	if reg := w.Metrics(); reg != nil {
 		snap := reg.Snapshot()
 		st.Metrics = &snap
 	}

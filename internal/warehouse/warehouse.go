@@ -24,7 +24,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/run"
 	"repro/internal/spec"
 	"repro/internal/wflog"
@@ -72,12 +71,11 @@ type Warehouse struct {
 	snap   *snapshotInfo
 	closed bool
 
-	// metricsReg/obs are the attached observability registry and the
-	// warehouse's instruments resolved from it (both nil when detached —
-	// the common case). Published atomically so AttachMetrics is safe
-	// against concurrent ingest; see metrics.go.
-	metricsReg atomic.Pointer[obs.Registry]
-	obs        atomic.Pointer[warehouseMetrics]
+	// obs is the attached observability registry with the warehouse's
+	// instruments resolved from it (nil when detached — the common case).
+	// Published atomically so AttachMetrics is safe against concurrent
+	// ingest; see metrics.go.
+	obs atomic.Pointer[warehouseMetrics]
 }
 
 // runTables is the per-run slice of the relational schema. The run is

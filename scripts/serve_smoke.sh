@@ -28,6 +28,23 @@ go build -o "$workdir/zoom" ./cmd/zoom
 echo "serve-smoke: creating example warehouse"
 "$workdir/zoom" example -warehouse "$workdir/wh.json" >/dev/null
 
+# `zoom query -trace` leaves stdout the untraced answer and prints the
+# query's span tree on stderr, cold then warm: the cold lookup is a miss
+# with the closure compute beneath it, the warm one a hit with none.
+set -- query -warehouse "$workdir/wh.json" -run fig2 -data d447 -relevant M2,M3,M7
+"$workdir/zoom" "$@" >"$workdir/plain.txt" || fail "zoom query"
+"$workdir/zoom" "$@" -trace >"$workdir/traced.txt" 2>"$workdir/trees.txt" || fail "zoom query -trace"
+cmp -s "$workdir/plain.txt" "$workdir/traced.txt" || fail "zoom query stdout differs under -trace"
+sed -n '/^cold:$/,/^warm:$/p' "$workdir/trees.txt" >"$workdir/cold.txt"
+sed -n '/^warm:$/,$p' "$workdir/trees.txt" >"$workdir/warm.txt"
+grep -q '^    query.lookup .* outcome=miss$' "$workdir/cold.txt" || fail "cold tree: query.lookup is not a miss"
+grep -q '^      closure.compute ' "$workdir/cold.txt" || fail "cold tree has no closure.compute under its lookup"
+grep -q '^    query.project ' "$workdir/cold.txt" || fail "cold tree has no query.project"
+grep -q '^    query.lookup .* outcome=hit$' "$workdir/warm.txt" || fail "warm tree: query.lookup is not a hit"
+grep -q 'closure.compute' "$workdir/warm.txt" && fail "warm tree computes a closure"
+grep -q '^    query.project ' "$workdir/warm.txt" || fail "warm tree has no query.project"
+echo "serve-smoke: zoom query -trace ok"
+
 # -addr :0 binds a free port; the server prints the bound address on stderr.
 "$workdir/zoom" serve -warehouse "$workdir/wh.json" -addr 127.0.0.1:0 \
     -slow -1ns -expvar "" >"$workdir/serve.log" 2>&1 &

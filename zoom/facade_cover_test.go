@@ -48,9 +48,9 @@ func TestFacadeAdminSurface(t *testing.T) {
 	if err := zoom.WriteLog(&buf, events); err != nil {
 		t.Fatal(err)
 	}
-	n, err := sys.IngestLogStream("streamed", s.Name(), &buf)
+	n, err := sys.LoadLogReader("streamed", s.Name(), &buf)
 	if err != nil || n != len(events) {
-		t.Fatalf("IngestLogStream: %d, %v", n, err)
+		t.Fatalf("LoadLogReader: %d, %v", n, err)
 	}
 	st := sys.Stats()
 	if st.Runs != 1 || st.Steps != 10 {

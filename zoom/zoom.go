@@ -71,8 +71,6 @@ type (
 	Metrics = obs.Registry
 	// MetricsSnapshot is a point-in-time export of a Metrics registry.
 	MetricsSnapshot = obs.Snapshot
-	// QueryTrace is the per-stage timing breakdown of one traced query.
-	QueryTrace = provenance.QueryTrace
 	// Trace is a request-scoped span tree; SpanNode one snapshotted span.
 	Trace = obs.Trace
 	// Span is one running stage of a Trace.
@@ -277,15 +275,6 @@ func (s *System) DeepProvenance(runID string, v *UserView, d string) (*Result, e
 // (NewTrace / StartSpan) the engine records its stages as spans.
 func (s *System) DeepProvenanceCtx(ctx context.Context, runID string, v *UserView, d string) (*Result, error) {
 	return s.e.DeepProvenanceCtx(ctx, runID, v, d)
-}
-
-// DeepProvenanceTracedCtx is DeepProvenanceCtx plus a per-stage timing
-// breakdown (closure-cache lookup, closure compute, view projection) — the
-// legible analogue of the paper's strategy-timing table, printed by
-// `zoom query -trace`. A span-carrying context additionally gets the
-// structured span tree.
-func (s *System) DeepProvenanceTracedCtx(ctx context.Context, runID string, v *UserView, d string) (*Result, *QueryTrace, error) {
-	return s.e.DeepProvenanceTracedCtx(ctx, runID, v, d)
 }
 
 // NewTrace starts a request-scoped span tree; derive a context with
@@ -496,12 +485,6 @@ func (s *System) PublishMetrics(name string) error {
 
 // DropRun removes a run, its cached closures and its memoized view mappings.
 func (s *System) DropRun(id string) error { return s.e.DropRun(id) }
-
-// IngestLogStream reads a JSON-lines workflow log and loads it as a run,
-// returning the number of events ingested. It is LoadLogReader.
-func (s *System) IngestLogStream(runID, specName string, r io.Reader) (int, error) {
-	return s.w.LoadLogReader(runID, specName, r)
-}
 
 // LoadLogReader streams a JSON-lines workflow log straight into run
 // construction — no event slice is materialized. It returns the number of
