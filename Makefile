@@ -11,8 +11,15 @@ all: ci
 build:
 	$(GO) build ./...
 
+# go vet, then the toolchain's gofmt: the step fails and lists the files
+# when any tracked .go file is not gofmt-clean, and fails outright outside
+# a git checkout, where there is no list of tracked files to check.
 vet:
 	$(GO) vet ./...
+	@files="$$(git ls-files '*.go')"; \
+	if [ -z "$$files" ]; then echo "vet: git ls-files lists no .go files; gofmt gate not run"; exit 1; fi; \
+	unformatted="$$("$$($(GO) env GOROOT)/bin/gofmt" -l $$files </dev/null)" || exit 1; \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -22,7 +29,7 @@ test:
 race:
 	$(GO) test -race -run 'Concurrent|Stress' ./...
 
-# Short fuzzing passes over ten fuzz targets; long runs are
+# Short fuzzing passes over eleven fuzz targets; long runs are
 # `go test -fuzz=FuzzConnectBy ./internal/warehouse/` etc. FuzzAppendResponse
 # and FuzzAnswerTokens run without minimization: nearly every input reaches
 # new coverage inside encoding/json, and minimizing each would leave a 10 s
@@ -39,6 +46,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzRunBuilder -fuzztime=10s -fuzzminimizetime=0 ./internal/run/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeLine -fuzztime=10s ./internal/wflog/
 	$(GO) test -run='^$$' -fuzz=FuzzRead -fuzztime=10s ./internal/wflog/
+	$(GO) test -run='^$$' -fuzz=FuzzWriteLine -fuzztime=10s ./internal/wflog/
 
 # The paper's Section V tables (plus the ablations and the in-process
 # experiments that still have code), printed as text.

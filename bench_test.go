@@ -476,6 +476,27 @@ func BenchmarkIngestLogStream(b *testing.B) {
 	}
 }
 
+// BenchmarkExecuteLog measures what the corpus generator pays per run:
+// executing one Class4-large run (gen.Run, which renders the run's log)
+// and writing its log as JSON lines. Every iteration generates the same
+// run.
+func BenchmarkExecuteLog(b *testing.B) {
+	s := gen.NewGenerator(36).Workflow(gen.Class4(), "execute-log")
+	var log bytes.Buffer
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_, events, err := gen.NewGenerator(37).Run(s, gen.Large(), "execute-log-r")
+		if err != nil {
+			b.Fatal(err)
+		}
+		log.Reset()
+		if err := wflog.Write(&log, events); err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(int64(log.Len()))
+	}
+}
+
 // BenchmarkObsOverhead (O1) pins the cost of the observability layer on the
 // deep-provenance query. "detached" is the default state with no registry
 // attached — instrumented code pays only a pointer load and a few nil

@@ -22,7 +22,7 @@ func TestBasicOps(t *testing.T) {
 	if s.Count() != 6 {
 		t.Fatalf("count = %d, want 6", s.Count())
 	}
-	if s.Has(200) || s.Has(1 << 20) {
+	if s.Has(200) || s.Has(1<<20) {
 		t.Fatal("out-of-capacity ids must read as absent")
 	}
 	var got []int32

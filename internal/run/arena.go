@@ -79,21 +79,26 @@ func ReconstructArena(id, specName string, t ArenaTables) (*Run, error) {
 	if len(t.StepModules) != nSteps {
 		return nil, fmt.Errorf("%w: %d step ids but %d modules", ErrBadArena, nSteps, len(t.StepModules))
 	}
+	var prev natKey // the order checks split each name once
 	for i, sid := range t.StepIDs {
 		if err := checkStep(Step{ID: sid, Module: t.StepModules[i]}); err != nil {
 			return nil, err
 		}
-		if i > 0 && !lessNatural(t.StepIDs[i-1], sid) {
+		key := natKeyOf(sid)
+		if i > 0 && prev.compare(key) >= 0 {
 			return nil, fmt.Errorf("%w: step ids out of natural order at %d", ErrBadArena, i)
 		}
+		prev = key
 	}
 	for i, d := range t.DataNames {
 		if d == "" {
 			return nil, fmt.Errorf("%w: empty data id at %d", ErrBadArena, i)
 		}
-		if i > 0 && !lessNatural(t.DataNames[i-1], d) {
+		key := natKeyOf(d)
+		if i > 0 && prev.compare(key) >= 0 {
 			return nil, fmt.Errorf("%w: data ids out of natural order at %d", ErrBadArena, i)
 		}
+		prev = key
 	}
 	if len(t.Producer) != nData {
 		return nil, fmt.Errorf("%w: producer column has %d entries for %d data", ErrBadArena, len(t.Producer), nData)

@@ -3,7 +3,6 @@ package run
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 
 	"repro/internal/jsontok"
@@ -116,13 +115,14 @@ func (ix *Index) DataID(name string) (int32, bool) { return searchNatural(ix.t.D
 
 // searchNatural finds name in a table that is strictly increasing under
 // lessNatural (every index's name tables are: Build sorts them and
-// ReconstructArena verifies it).
+// ReconstructArena verifies it). The needle is split once per lookup.
 func searchNatural(names []string, name string) (int32, bool) {
-	i := sort.Search(len(names), func(i int) bool { return !lessNatural(names[i], name) })
-	if i < len(names) && names[i] == name {
-		return int32(i), true
+	key := natKeyOf(name)
+	i, ok := slices.BinarySearchFunc(names, key, func(s string, k natKey) int { return natKeyOf(s).compare(k) })
+	if !ok {
+		return 0, false
 	}
-	return 0, false
+	return int32(i), true
 }
 
 // StepName returns the step name of an interned id.

@@ -136,12 +136,18 @@ func (r *Run) ToLog() ([]wflog.Event, error) {
 	if len(order) != ix.NumSteps() {
 		return nil, fmt.Errorf("run %q: %w", r.id, ErrCyclicRun)
 	}
-	b := wflog.NewBuilder()
+	// One start per step, one read per input and one write per output:
+	// the log's length is known, and seq is an event's position from 1.
+	events := make([]wflog.Event, 0, ix.NumSteps()+len(ix.t.InData)+len(ix.t.OutData))
 	for _, s := range order {
 		id := ix.t.StepIDs[s]
-		b.Start(id, ix.t.StepModules[s])
-		b.Reads(id, names(ix.t.DataNames, ix.InputsOf(s))...)
-		b.Writes(id, names(ix.t.DataNames, ix.OutputsOf(s))...)
+		events = append(events, wflog.Event{Seq: int64(len(events) + 1), Kind: wflog.KindStart, Step: id, Module: ix.t.StepModules[s]})
+		for _, d := range ix.InputsOf(s) {
+			events = append(events, wflog.Event{Seq: int64(len(events) + 1), Kind: wflog.KindRead, Step: id, Data: ix.t.DataNames[d]})
+		}
+		for _, d := range ix.OutputsOf(s) {
+			events = append(events, wflog.Event{Seq: int64(len(events) + 1), Kind: wflog.KindWrite, Step: id, Data: ix.t.DataNames[d]})
+		}
 	}
-	return b.Events(), nil
+	return events, nil
 }

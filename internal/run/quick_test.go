@@ -1,6 +1,8 @@
 package run
 
 import (
+	"slices"
+	"strconv"
 	"testing"
 	"testing/quick"
 
@@ -73,12 +75,46 @@ func TestQuickMergeDataIDs(t *testing.T) {
 	}
 }
 
-// Property: lessNatural is a strict total order on data ids — irreflexive,
-// antisymmetric, and trichotomous.
+// atoiSplitNatural and atoiLessNatural are the reference natural order: the
+// rule as it was first written, with strconv.Atoi reading the trailing
+// digits. splitNatural, natKey and lessNatural must order every pair of
+// names as they do.
+func atoiSplitNatural(s string) (string, int) {
+	i := len(s)
+	for i > 0 && s[i-1] >= '0' && s[i-1] <= '9' {
+		i--
+	}
+	if i == len(s) {
+		return s, -1
+	}
+	n, err := strconv.Atoi(s[i:])
+	if err != nil {
+		return s, -1
+	}
+	return s[:i], n
+}
+
+func atoiLessNatural(a, b string) bool {
+	pa, na := atoiSplitNatural(a)
+	pb, nb := atoiSplitNatural(b)
+	if pa != pb {
+		return pa < pb
+	}
+	if na != nb {
+		return na < nb
+	}
+	return a < b
+}
+
+// Property: lessNatural is the reference order on data ids, and a strict
+// total order — irreflexive, antisymmetric, and trichotomous.
 func TestQuickLessNaturalTotalOrder(t *testing.T) {
 	f := func(x, y uint16) bool {
 		a, b := "d"+itoa(int(x)%1000), "d"+itoa(int(y)%1000)
 		lt, gt := lessNatural(a, b), lessNatural(b, a)
+		if lt != atoiLessNatural(a, b) || gt != atoiLessNatural(b, a) {
+			return false
+		}
 		if a == b {
 			return !lt && !gt
 		}
@@ -89,10 +125,11 @@ func TestQuickLessNaturalTotalOrder(t *testing.T) {
 	}
 }
 
-// Property: the keys naturalOrder sorts on order names exactly as
-// lessNatural does, trailing numbers that overflow an int included.
+// Property: the keys naturalOrder sorts and searchNatural probes on order
+// names exactly as the reference does: leading zeros, all-digit names and
+// trailing numbers that overflow an int included.
 func TestQuickNatKeyMatchesLessNatural(t *testing.T) {
-	prefixes := []string{"", "d", "S", "d1x", "é"}
+	prefixes := []string{"", "d", "S", "d1x", "é", "d0", "d00"}
 	f := func(pa, pb uint8, x, y uint16, bigA, bigB bool) bool {
 		a := prefixes[int(pa)%len(prefixes)] + itoa(int(x)%50)
 		b := prefixes[int(pb)%len(prefixes)] + itoa(int(y)%50)
@@ -103,9 +140,38 @@ func TestQuickNatKeyMatchesLessNatural(t *testing.T) {
 			b += "99999999999999999999"
 		}
 		c := natKeyOf(a).compare(natKeyOf(b))
-		return (c < 0) == lessNatural(a, b) && (c > 0) == lessNatural(b, a)
+		return (c < 0) == atoiLessNatural(a, b) && (c > 0) == atoiLessNatural(b, a)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: searchNatural finds every name of a table at its position and
+// no other name, on tables with and without gaps, and misses with (0, false).
+func TestQuickSearchNatural(t *testing.T) {
+	f := func(start uint8, gaps []uint8, probe uint16) bool {
+		var names []string
+		n := int(start) % 5
+		for _, g := range gaps {
+			n += int(g % 3) // two of three gaps are 0: mostly dense
+			names = append(names, "d"+itoa(n))
+			n++
+		}
+		for i, s := range names {
+			if j, ok := searchNatural(names, s); !ok || int(j) != i {
+				return false
+			}
+		}
+		for _, x := range []string{"d" + itoa(int(probe)%600), "d0" + itoa(int(probe)%600), "S1", "d", ""} {
+			want := slices.Index(names, x)
+			if j, ok := searchNatural(names, x); ok != (want >= 0) || (ok && int(j) != want) || (!ok && j != 0) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
 }

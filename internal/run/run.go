@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"math"
 	"slices"
 	"sort"
 	"strconv"
@@ -302,20 +303,10 @@ func names(table []string, ids []int32) []string {
 
 // lessNatural orders strings with trailing integers numerically, so that
 // d2 < d10 and S2 < S10, matching the paper's figures.
-func lessNatural(a, b string) bool {
-	pa, na := splitNatural(a)
-	pb, nb := splitNatural(b)
-	if pa != pb {
-		return pa < pb
-	}
-	if na != nb {
-		return na < nb
-	}
-	return a < b
-}
+func lessNatural(a, b string) bool { return natKeyOf(a).compare(natKeyOf(b)) < 0 }
 
-// natKey is a name split for natural ordering once, so that sorting many
-// names does not split each of them again on every comparison.
+// natKey is a name split for natural ordering once, so that sorting or
+// searching many names does not split one of them again per comparison.
 type natKey struct {
 	name, prefix string
 	n            int
@@ -338,6 +329,9 @@ func (a natKey) compare(b natKey) int {
 	}
 }
 
+// splitNatural splits s into the prefix before its trailing decimal digits
+// and their value, leading zeros and all. A name without trailing digits,
+// or whose digits overflow an int, is its own prefix with number -1.
 func splitNatural(s string) (string, int) {
 	i := len(s)
 	for i > 0 && s[i-1] >= '0' && s[i-1] <= '9' {
@@ -346,9 +340,13 @@ func splitNatural(s string) (string, int) {
 	if i == len(s) {
 		return s, -1
 	}
-	n, err := strconv.Atoi(s[i:])
-	if err != nil {
-		return s, -1
+	n := 0
+	for j := i; j < len(s); j++ {
+		d := int(s[j] - '0')
+		if n > (math.MaxInt-d)/10 {
+			return s, -1
+		}
+		n = n*10 + d
 	}
 	return s[:i], n
 }

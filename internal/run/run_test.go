@@ -2,6 +2,7 @@ package run
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"slices"
 	"testing"
@@ -196,6 +197,65 @@ func TestNaturalOrdering(t *testing.T) {
 	ids := r.StepIDs()
 	if ids[0] != "S1" || ids[9] != "S10" || ids[1] != "S2" {
 		t.Fatalf("StepIDs order: %v", ids)
+	}
+	// Where the digits are read: leading zeros, the int boundary, all-digit
+	// and empty names and a non-ASCII prefix, against the strconv reference.
+	for _, c := range []struct {
+		s      string
+		prefix string
+		n      int
+	}{
+		{"d7", "d", 7},
+		{"d007", "d", 7},
+		{"d000", "d", 0},
+		{"9223372036854775807", "", math.MaxInt},
+		{"d9223372036854775807", "d", math.MaxInt},
+		{"d9223372036854775808", "d9223372036854775808", -1},
+		{"d12345678901234567890", "d12345678901234567890", -1},
+		{"d00000000000000000007", "d", 7},
+		{"42", "", 42},
+		{"", "", -1},
+		{"d", "d", -1},
+		{"é12", "é", 12},
+	} {
+		p, n := splitNatural(c.s)
+		rp, rn := atoiSplitNatural(c.s)
+		if p != c.prefix || n != c.n || p != rp || n != rn {
+			t.Errorf("splitNatural(%q) = %q, %d; want %q, %d (reference %q, %d)", c.s, p, n, c.prefix, c.n, rp, rn)
+		}
+	}
+	for _, c := range []struct{ a, b string }{
+		{"d007", "d7"}, // the same number: the string breaks the tie
+		{"d7", "d08"},
+		{"d9223372036854775807", "d9223372036854775808"},
+		{"d2", "d12345678901234567890"}, // an overflowing suffix stays in the prefix
+		{"", "0"},
+		{"1", "10"},
+		{"9", "d1"},
+		{"e1", "é1"},
+		{"é2", "é10"},
+	} {
+		if !lessNatural(c.a, c.b) || lessNatural(c.b, c.a) || !atoiLessNatural(c.a, c.b) {
+			t.Errorf("want %q before %q", c.a, c.b)
+		}
+	}
+}
+
+// TestDataIDAllocs: resolving a name to its interned id allocates nothing.
+func TestDataIDAllocs(t *testing.T) {
+	ix := Figure2().Index()
+	if a := testing.AllocsPerRun(100, func() {
+		if _, ok := ix.DataID("d308"); !ok {
+			t.Fatal("d308 not found")
+		}
+		if _, ok := ix.StepID("S10"); !ok {
+			t.Fatal("S10 not found")
+		}
+		if _, ok := ix.DataID("d9999"); ok {
+			t.Fatal("d9999 found")
+		}
+	}); a != 0 {
+		t.Fatalf("DataID and StepID allocate %.1f times, want 0", a)
 	}
 }
 

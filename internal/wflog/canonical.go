@@ -4,17 +4,19 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"strconv"
+
+	"repro/internal/jsontok"
 )
 
-// The canonical line is the one shape Write emits for an event:
-//
-//	{"seq":N,"kind":"K","step":"S"}
-//
-// optionally with ,"module":"M" or ,"data":"D" before the closing brace,
-// where N is a non-negative decimal without a leading zero that fits in an
-// int64 and every string is printable ASCII without '"' or '\'. For such a
-// line json.Unmarshal has nothing to do but copy the bytes, so
-// decodeCanonical does that itself. Any other line is json.Unmarshal's:
+// The canonical line is the one shape Write emits for an event, the bytes
+// json.Encoder writes for it: {"seq":N,"kind":"K","step":"S"}, then
+// ,"module":"M" and ,"data":"D" when set, then the closing brace.
+// decodeCanonical reads it itself when N is non-negative (so without a
+// leading zero, and within an int64), at most one of module and data is
+// there, and every string is printable ASCII without '"' or '\' (every
+// generated line): json.Unmarshal would have nothing to do but copy the
+// bytes. Any other line is json.Unmarshal's:
 // the decoder falls back to it, so every input decodes, or fails, exactly
 // as json.Unmarshal alone would have (FuzzDecodeLine holds the two paths
 // together).
@@ -25,6 +27,21 @@ var (
 	keyModule = []byte(`,"module":`)
 	keyData   = []byte(`,"data":`)
 )
+
+// appendCanonical appends e's line and a newline to dst without reflection;
+// jsontok escapes a string as encoding/json does (FuzzWriteLine).
+func appendCanonical(dst []byte, e *Event) []byte {
+	dst = strconv.AppendInt(append(dst, keySeq...), e.Seq, 10)
+	dst = jsontok.AppendString(append(dst, keyKind...), string(e.Kind))
+	dst = jsontok.AppendString(append(dst, keyStep...), e.Step)
+	if e.Module != "" {
+		dst = jsontok.AppendString(append(dst, keyModule...), e.Module)
+	}
+	if e.Data != "" {
+		dst = jsontok.AppendString(append(dst, keyData...), e.Data)
+	}
+	return append(dst, '}', '\n')
+}
 
 // decodeLine decodes one log line: a canonical line directly, any other
 // through json.Unmarshal. The fallback decodes into its own variable, so

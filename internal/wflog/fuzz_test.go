@@ -1,11 +1,15 @@
 package wflog
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
+	"math"
 	"strings"
 	"testing"
+	"unicode/utf8"
 )
 
 // FuzzRead checks that the log reader never panics and that anything it
@@ -99,6 +103,65 @@ func FuzzDecodeLine(f *testing.F) {
 			t.Fatalf("decoded %+v, json.Unmarshal %+v", dec.Event(), want)
 		case !got && dec.Err().Error() != fmt.Sprintf("wflog: line 1: %v", wantErr):
 			t.Fatalf("error %q, want json.Unmarshal's %q", dec.Err(), wantErr)
+		}
+	})
+}
+
+// encoderWrite is the reference writer: what Write was before it appended
+// the canonical line itself, a json.Encoder over the events.
+func encoderWrite(w io.Writer, events []Event) error {
+	bw := bufio.NewWriter(w)
+	enc := json.NewEncoder(bw)
+	for i := range events {
+		if err := enc.Encode(&events[i]); err != nil {
+			return err
+		}
+	}
+	return bw.Flush()
+}
+
+// FuzzWriteLine holds Write to encoderWrite byte for byte on any one event,
+// and checks that an event whose strings are valid UTF-8 reads back
+// unchanged.
+func FuzzWriteLine(f *testing.F) {
+	for _, e := range []Event{
+		{Seq: 1, Kind: KindStart, Step: "S1", Module: "M1"},
+		{Seq: 2, Kind: KindRead, Step: "S1", Data: "d1"},
+		{Seq: 3, Kind: KindWrite, Step: "S10", Data: "d308"},
+		{Seq: 4, Kind: KindStart, Step: "<S>&", Module: "M<1>"},
+		{Seq: 5, Kind: KindRead, Step: `S"1`, Data: `d\1`},
+		{Seq: 6, Kind: KindWrite, Step: "S\x00\t\n\x1f", Data: "d\x7f"},
+		{Seq: 7, Kind: KindRead, Step: "S\u2028", Data: "d\u2029"},
+		{Seq: 8, Kind: KindRead, Step: "S\xff", Data: "d\xc3"},
+		{Seq: 9, Kind: KindRead, Step: "Sé", Data: "d日本"},
+		{Seq: 10},
+		{Seq: 11, Kind: "boom", Step: "S1"},
+		{Seq: -1, Kind: KindStart, Step: "S1", Module: "M"},
+		{Seq: math.MaxInt64, Kind: KindWrite, Step: "S1", Data: "d1"},
+		{Seq: math.MinInt64, Kind: KindStart, Step: "S1", Module: "M", Data: "d1"},
+	} {
+		f.Add(e.Seq, string(e.Kind), e.Step, e.Module, e.Data)
+	}
+	f.Fuzz(func(t *testing.T, seq int64, kind, step, module, data string) {
+		e := Event{Seq: seq, Kind: Kind(kind), Step: step, Module: module, Data: data}
+		var got, want bytes.Buffer
+		if err := Write(&got, []Event{e}); err != nil {
+			t.Fatal(err)
+		}
+		if err := encoderWrite(&want, []Event{e}); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("Write(%+v) = %q, json.Encoder %q", e, got.Bytes(), want.Bytes())
+		}
+		for _, s := range []string{kind, step, module, data} {
+			if !utf8.ValidString(s) {
+				return // read back as U+FFFD, which is encoding/json's rule
+			}
+		}
+		back, err := Read(&got)
+		if err != nil || len(back) != 1 || back[0] != e {
+			t.Fatalf("Read(Write(%+v)) = %+v, %v", e, back, err)
 		}
 	})
 }

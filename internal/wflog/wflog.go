@@ -7,15 +7,15 @@
 // workflow system.
 //
 // Events are serialized as JSON lines so that logs can be streamed, appended
-// to, and replayed. Decoder reads the one line shape Write emits without
-// reflection (canonical.go) and hands every other line to json.Unmarshal,
-// so any JSON spelling of an event decodes, or fails, exactly as
-// encoding/json alone would decode it.
+// to, and replayed. Neither direction uses reflection (canonical.go): Write
+// appends each event's one canonical line, the bytes json.Encoder would
+// write, and Decoder reads that shape directly and hands every other line
+// to json.Unmarshal, so any JSON spelling of an event decodes, or fails,
+// exactly as encoding/json alone would decode it.
 package wflog
 
 import (
 	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -112,13 +112,15 @@ func ValidateSequence(events []Event) error {
 	return nil
 }
 
-// Write serializes events as JSON lines.
+// Write serializes events as JSON lines: each event's canonical line, byte
+// for byte what a json.Encoder writes for it.
 func Write(w io.Writer, events []Event) error {
 	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
+	line := make([]byte, 0, 128)
 	for i := range events {
-		if err := enc.Encode(&events[i]); err != nil {
-			return fmt.Errorf("wflog: encode event %d: %w", i, err)
+		line = appendCanonical(line[:0], &events[i])
+		if _, err := bw.Write(line); err != nil {
+			return fmt.Errorf("wflog: write event %d: %w", i, err)
 		}
 	}
 	return bw.Flush()
@@ -237,6 +239,3 @@ func (b *Builder) Writes(step string, data ...string) {
 // Events returns the accumulated log. The slice is shared; callers must not
 // mutate it while continuing to use the builder.
 func (b *Builder) Events() []Event { return b.events }
-
-// Len returns the number of events recorded so far.
-func (b *Builder) Len() int { return len(b.events) }

@@ -3,7 +3,9 @@ package wflog
 import (
 	"bytes"
 	"errors"
+	"io"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -149,5 +151,28 @@ func TestDecoderAllocs(t *testing.T) {
 		if allocs > 2 {
 			t.Errorf("%s: %.1f allocations per line, want at most 2", line, allocs)
 		}
+	}
+}
+
+// TestWriteAllocs: Write allocates its buffers once per call, however many
+// events it writes.
+func TestWriteAllocs(t *testing.T) {
+	allocs := func(n int) float64 {
+		b := NewBuilder()
+		for s := 1; s <= n/3; s++ {
+			step := "S" + strconv.Itoa(s)
+			b.Start(step, "M"+strconv.Itoa(s%7))
+			b.Reads(step, "d"+strconv.Itoa(s))
+			b.Writes(step, "d"+strconv.Itoa(s+1))
+		}
+		events := b.Events()
+		return testing.AllocsPerRun(5, func() {
+			if err := Write(io.Discard, events); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if few, many := allocs(10), allocs(10_000); few != many || many > 3 {
+		t.Fatalf("Write allocates %.0f times for 10 events and %.0f for 10,000, want the same, at most 3", few, many)
 	}
 }
