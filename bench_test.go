@@ -794,7 +794,9 @@ func BenchmarkAnswerPath(b *testing.B) {
 		}
 		b.SetBytes(int64(len(answerBuf)))
 	})
-	// relay-hit serves every answer from the router cache; relay-miss runs
+	// relay-hit serves every answer from the router cache: each is asked
+	// twice before the timer starts, so it has left the cache's probation
+	// segment, which holds a fifth of the entries. relay-miss runs
 	// `zoom router`'s default cache, whose 16 KiB fair share declines these
 	// answers, so each one is forwarded and read into a pooled buffer.
 	for _, tc := range []struct {
@@ -833,15 +835,21 @@ func BenchmarkAnswerPath(b *testing.B) {
 			for i, d := range roots {
 				bodies[i] = []byte(fmt.Sprintf(`{"run":%q,"data":%q}`, site.r.ID(), d))
 				serve(i) // miss: forwards, and stores what the cache admits
+				serve(i) // a hit on an admitted answer promotes it
 			}
 			if stored := rt.Registry().Snapshot().Counters["router.cache_declined"] == 0; stored != tc.stored {
 				b.Fatalf("answers stored: %v, want %v", stored, tc.stored)
 			}
 			w.n = 0
+			misses := rt.Registry().Snapshot().Counters["router.cache_misses"]
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				serve(i)
+			}
+			b.StopTimer()
+			if missed := rt.Registry().Snapshot().Counters["router.cache_misses"] > misses; missed == tc.stored {
+				b.Fatalf("timed requests missed the cache: %v, want %v", missed, !tc.stored)
 			}
 			b.SetBytes(int64(w.n / b.N))
 		})

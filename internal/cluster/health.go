@@ -36,10 +36,7 @@ func (rt *Router) checkAll(ctx context.Context) bool {
 					rep.setHealth(false, 0, 0)
 					return
 				}
-				if rep.observeGeneration(rz.Generation) {
-					sh.epoch.Add(1)
-					rt.cacheInvals.Inc()
-				}
+				rt.observeGeneration(sh, rep, rz.Generation)
 				rep.setHealth(rz.Ready, rz.RunsLoaded, rz.RunsTotal)
 			}(sh, rep)
 		}
@@ -59,6 +56,16 @@ func (rt *Router) checkAll(ctx context.Context) bool {
 		}
 	}
 	return allReady
+}
+
+// observeGeneration records the generation a poll or a forwarded answer
+// reported for rep; a change bumps the shard's cache epoch, so answers cached
+// against the old data stop being served.
+func (rt *Router) observeGeneration(sh *shard, rep *replica, gen int64) {
+	if rep.observeGeneration(gen) {
+		sh.epoch.Add(1)
+		rt.cacheInvals.Inc()
+	}
 }
 
 // HealthLoop polls worker readiness every cfg.HealthInterval until ctx

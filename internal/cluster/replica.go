@@ -30,8 +30,8 @@ type replica struct {
 	// loaded/total mirror the worker's reported load progress.
 	loaded atomic.Int64
 	total  atomic.Int64
-	// gen is the last warehouse generation the worker reported on
-	// /readyz (0 = never observed, or a pre-generation worker). The
+	// gen is the last warehouse generation the worker reported on /readyz
+	// or an answer (0 = never observed, or a pre-generation worker). The
 	// value is opaque — only a change matters, and a change bumps the
 	// shard's cache epoch.
 	gen atomic.Int64
@@ -142,12 +142,12 @@ func (r *replica) setHealth(ready bool, loaded, total int) {
 	r.setUp(ready)
 }
 
-// observeGeneration records the worker generation a health poll saw and
-// reports whether it changed — i.e. the worker reloaded its warehouse or
-// was replaced by a process serving different bytes — which must
-// invalidate the router's cached responses for the shard. The first
-// observation is not a change: the cache was empty before the first poll
-// could have stored anything against a different generation.
+// observeGeneration records the worker generation a health poll or an
+// answer reported and reports whether it changed — i.e. the worker reloaded
+// its warehouse or was replaced by a process serving different bytes —
+// which must invalidate the router's cached responses for the shard. The
+// first observation is not a change: an answer is stored only after its
+// own generation was observed, so nothing was cached against another.
 func (r *replica) observeGeneration(g int64) bool {
 	if g == 0 {
 		return false
@@ -171,8 +171,8 @@ type shard struct {
 	replicas []*replica
 
 	// epoch tags response-cache entries for this shard; it bumps when a
-	// health poll observes any replica's warehouse generation change, so
-	// entries cached against the old data become unservable.
+	// poll or an answer shows any replica's warehouse generation change,
+	// so entries cached against the old data become unservable.
 	epoch atomic.Uint64
 
 	// Per-shard series (router.shard.<k>.*), folded into shard="<k>"

@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/edge"
 	"repro/internal/gen"
 	"repro/internal/obs"
@@ -306,35 +307,129 @@ func TestRouterResponseCache(t *testing.T) {
 	}
 }
 
-// TestRespCacheBounds unit-tests the LRU's entry bound and its admission
-// rule: an entry (request + response bytes) is kept only within its fair
-// share of the byte bound, maxBytes/maxEnts, so the byte bound holds with
-// eviction counting entries alone.
+// TestRouterCacheDropsRestartedWorkersAnswers restarts a worker onto a
+// warehouse in which query A's answer differs, with no health poll after.
+// Until anything reaches the new instance, a hit replays the old answer:
+// that is the cache's stated staleness bound. The first answer the new
+// instance sends — here to another query, B — names its generation, and
+// from then on A gets the new bytes.
+func TestRouterCacheDropsRestartedWorkersAnswers(t *testing.T) {
+	specs, runs, infos := buildCorpus(t, []gen.RunClass{gen.Small()})
+	engines := make([]*provenance.Engine, 2)
+	for i, build := range []func(*spec.Spec) (*core.UserView, error){
+		func(sp *spec.Spec) (*core.UserView, error) { return core.UAdmin(sp), nil },
+		core.UBlackBox,
+	} {
+		w := loadAll(t, specs, runs)
+		v, err := build(specs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.RegisterView("v", v); err != nil {
+			t.Fatal(err)
+		}
+		engines[i] = provenance.NewEngine(w)
+	}
+	s, err := server.New(obs.NewRegistry(), server.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SetEngine(engines[0])
+	worker := httptest.NewServer(s.Handler())
+	t.Cleanup(worker.Close)
+	rt, err := New(obs.NewRegistry(), Config{Shards: [][]string{{worker.URL}}, CacheEntries: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	router := httptest.NewServer(rt.Handler())
+	t.Cleanup(router.Close)
+
+	info := infos[0]
+	queryA := fmt.Sprintf(`{"run":%q,"data":%q,"view":"v"}`, info.id, info.targets[0])
+	queryB := fmt.Sprintf(`{"run":%q,"data":%q}`, info.id, info.targets[0])
+	ask := func(base, body string) []byte {
+		t.Helper()
+		status, b := postRaw(t, base, "/v1/query", "", body)
+		if status != http.StatusOK {
+			t.Fatalf("%s %s: status %d: %s", base, body, status, b)
+		}
+		return b
+	}
+	old := ask(router.URL, queryA)
+	if hit := ask(router.URL, queryA); !bytes.Equal(hit, old) || rt.cacheHits.Value() != 1 {
+		t.Fatalf("A was not cached: %d hits", rt.cacheHits.Value())
+	}
+
+	s.SetEngine(engines[1])
+	fresh := ask(worker.URL, queryA) // straight to the worker: the router sees nothing
+	if bytes.Equal(fresh, old) {
+		t.Fatal("the two warehouses answer A alike; the test needs answers that differ")
+	}
+	if got := ask(router.URL, queryA); !bytes.Equal(got, old) {
+		t.Fatal("a hit with no forward and no poll since the restart should replay the old answer")
+	}
+	ask(router.URL, queryB)
+	if rt.cacheInvals.Value() != 1 {
+		t.Fatalf("B's answer from the new instance counted %d invalidations, want 1", rt.cacheInvals.Value())
+	}
+	if got := ask(router.URL, queryA); !bytes.Equal(got, fresh) {
+		t.Fatalf("after the new instance answered B, A replayed the old instance's answer\nold: %.120s\ngot: %.120s", old, got)
+	}
+	if got := ask(router.URL, queryA); !bytes.Equal(got, fresh) || rt.cacheHits.Value() != 3 {
+		t.Fatalf("A's new answer was not cached: %d hits, want 3", rt.cacheHits.Value())
+	}
+}
+
+// TestRespCacheBounds unit-tests the segmented LRU's entry bound and its
+// admission rule. Of two entries, probation holds one and protected one: a
+// new entry evicts probation's tail, not a protected entry, and a hit moves
+// an entry to protected, whose tail goes back to probation. An entry
+// (request + response bytes) is kept only within its fair share of the byte
+// bound, maxBytes/maxEnts, so the byte bound holds with eviction counting
+// entries alone.
 func TestRespCacheBounds(t *testing.T) {
 	c := newRespCache(2, 0)
 	mk := func(i int) cacheEntry {
 		return cacheEntry{path: "/p", reqBody: []byte(fmt.Sprintf("req%d", i)), body: []byte("resp")}
 	}
-	for i := 1; i <= 3; i++ { // the third evicts the first
+	resident := func(i int) bool {
+		_, ok := c.entries[cacheKey("/p", []byte(fmt.Sprintf("req%d", i)))]
+		return ok
+	}
+	for i := 1; i <= 3; i++ {
 		if !c.store(mk(i)) {
 			t.Fatalf("entry %d declined under a 32 MiB share", i)
 		}
+		if i == 1 { // the first is asked again and promoted
+			if e, _ := c.lookup("/p", []byte("req1"), 0); e == nil {
+				t.Fatal("entry 1 missing")
+			}
+		}
 	}
-	if c.Len() != 2 {
-		t.Fatalf("len %d, want 2", c.Len())
+	// req3 evicted req2 from probation; the promoted req1 stayed.
+	if c.Len() != 2 || !resident(1) || resident(2) || !resident(3) {
+		t.Fatalf("len %d, resident 1/2/3 = %v/%v/%v; want 2, true/false/true", c.Len(), resident(1), resident(2), resident(3))
 	}
-	if e, _ := c.lookup("/p", []byte("req1"), 0); e != nil {
-		t.Fatal("oldest entry should be evicted")
-	}
+	// A hit promotes req3, and protected's tail (req1) goes back to
+	// probation, where the next store evicts it.
 	if e, _ := c.lookup("/p", []byte("req3"), 0); e == nil {
 		t.Fatal("newest entry missing")
 	}
-	// Epoch mismatch drops the entry and reports stale.
-	if _, stale := c.lookup("/p", []byte("req3"), 7); !stale {
-		t.Fatal("epoch mismatch should report stale")
+	c.store(mk(4))
+	if c.Len() != 2 || resident(1) || !resident(3) || !resident(4) {
+		t.Fatalf("len %d, resident 1/3/4 = %v/%v/%v; want 2, false/true/true", c.Len(), resident(1), resident(3), resident(4))
 	}
-	if e, _ := c.lookup("/p", []byte("req3"), 7); e != nil {
-		t.Fatal("stale entry should be gone")
+	// Epoch mismatch drops the entry, in either segment, and reports stale.
+	for _, req := range []string{"req3", "req4"} {
+		if _, stale := c.lookup("/p", []byte(req), 7); !stale {
+			t.Fatalf("%s: epoch mismatch should report stale", req)
+		}
+		if e, _ := c.lookup("/p", []byte(req), 7); e != nil {
+			t.Fatalf("%s: stale entry should be gone", req)
+		}
+	}
+	if c.Len() != 0 {
+		t.Fatalf("len %d after dropping both entries", c.Len())
 	}
 
 	// Fair share: 4 entries in 64 bytes admits 16 bytes per entry.
@@ -362,14 +457,16 @@ func TestRespCacheBounds(t *testing.T) {
 			t.Errorf("%s the share: the entry aliases the caller's buffer", tc.req)
 		}
 	}
-	for i := 0; i < 6; i++ {
-		c2.store(cacheEntry{path: "/p", reqBody: []byte(fmt.Sprintf("full%d", i)), body: make([]byte, 11)})
+	for i := 0; i < 6; i++ { // each asked twice, so both segments fill
+		req := []byte(fmt.Sprintf("full%d", i))
+		c2.store(cacheEntry{path: "/p", reqBody: req, body: make([]byte, 11)})
+		c2.lookup("/p", req, 0)
 	}
 	total := int64(0)
-	for el := c2.ll.Front(); el != nil; el = el.Next() {
-		total += el.Value.(*cacheEntry).size()
+	for _, e := range c2.entries {
+		total += e.size()
 	}
-	if c2.Len() != 4 || total > 64 {
+	if c2.Len() != 4 || len(c2.entries) != 4 || total > 64 {
 		t.Fatalf("full cache: %d entries holding %d bytes, want 4 within 64", c2.Len(), total)
 	}
 }

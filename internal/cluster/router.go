@@ -111,8 +111,8 @@ type Config struct {
 // deterministic merge. Per-replica circuit breakers and /readyz polling
 // keep a dead worker from blacking out its shard while a sibling holds
 // the same data, and an optional bounded response cache answers repeated
-// queries without a hop, invalidated by the worker generation the health
-// poll observes.
+// queries without a hop, invalidated by the worker generation that health
+// polls and answers report.
 type Router struct {
 	cfg    Config
 	ring   *Ring
@@ -138,6 +138,7 @@ type Router struct {
 	cacheMisses   *obs.Counter
 	cacheDeclined *obs.Counter
 	cacheInvals   *obs.Counter
+	cachePromos   *obs.Counter
 	copyErrors    *obs.Counter
 	gathers       *obs.Counter
 	partials      *obs.Counter
@@ -198,12 +199,14 @@ func New(reg *obs.Registry, cfg Config) (*Router, error) {
 		cacheMisses:      reg.Counter("router.cache_misses"),
 		cacheDeclined:    reg.Counter("router.cache_declined"),
 		cacheInvals:      reg.Counter("router.cache_invalidations"),
+		cachePromos:      reg.Counter("router.cache_promotions"),
 		copyErrors:       reg.Counter("router.copy_errors"),
 		gathers:          reg.Counter("router.gathers"),
 		partials:         reg.Counter("router.gather_partial"),
 	}
 	if cfg.CacheEntries > 0 {
 		r.cache = newRespCache(cfg.CacheEntries, cfg.CacheBytes)
+		r.cache.promotions = r.cachePromos
 	}
 	for k, g := range groups {
 		sh := &shard{
@@ -305,9 +308,7 @@ func (rt *Router) forward(path string) edge.Handler {
 		pick.SetTag("shard", strconv.Itoa(idx))
 		pick.End()
 
-		// The epoch is read before the lookup/forward so a generation
-		// change observed mid-flight invalidates conservatively. The
-		// cache.lookup span is recorded in every configuration — its
+		// The cache.lookup span is recorded in every configuration — its
 		// outcome tag says which case this request was (disabled, hit,
 		// miss), so a trace always answers "did the cache see this?".
 		epoch := sh.epoch.Load()
@@ -354,6 +355,12 @@ func (rt *Router) forward(path string) edge.Handler {
 		defer release()
 		defer resp.Body.Close()
 		rt.forwards.Inc()
+		// Every answer names the generation of the warehouse it came from,
+		// so a restarted worker's first answer of any query invalidates the
+		// shard's entries; this one is stored under the epoch that follows.
+		gen, _ := strconv.ParseInt(resp.Header.Get(client.GenerationHeader), 10, 64)
+		rt.observeGeneration(sh, rep, gen)
+		epoch = sh.epoch.Load()
 		ct := resp.Header.Get("Content-Type")
 		if tree := resp.Header.Get(client.TraceHeader); tree != "" {
 			// A tree that does not decode costs the trace its subtree,

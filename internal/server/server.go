@@ -27,6 +27,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -36,6 +37,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/provenance"
 	"repro/internal/warehouse"
+	"repro/zoom/client"
 )
 
 // Config tunes a Server.
@@ -65,10 +67,10 @@ type Server struct {
 	runsLoaded atomic.Int64
 	runsTotal  atomic.Int64
 
-	// generation is an opaque warehouse generation reported on /readyz:
-	// seeded from the wall clock at construction (so two process
-	// incarnations never share a value) and bumped on every SetEngine. A
-	// router caches responses against it and invalidates when it changes.
+	// generation is an opaque warehouse generation reported on /readyz and
+	// every answer: seeded from the wall clock at construction (so two
+	// process incarnations never share a value) and bumped on every
+	// SetEngine. A router invalidates its cached answers when it changes.
 	generation atomic.Int64
 
 	ready *obs.Gauge
@@ -213,11 +215,17 @@ func writeError(w http.ResponseWriter, err error) {
 var errBadRequest = errors.New("bad request")
 
 // engineOr503 returns the installed engine, or answers 503 and returns nil
-// while the warehouse is still loading.
+// while the warehouse is still loading. The answer names the engine's
+// generation in client.GenerationHeader. It is read first: SetEngine stores
+// the engine before it bumps the generation, so an answer never names a
+// newer generation than the engine that computed it.
 func (s *Server) engineOr503(w http.ResponseWriter) *provenance.Engine {
+	gen := s.generation.Load()
 	e := s.engine.Load()
 	if e == nil {
 		edge.WriteError(w, http.StatusServiceUnavailable, "warehouse loading, not ready")
+	} else {
+		w.Header().Set(client.GenerationHeader, strconv.FormatInt(gen, 10))
 	}
 	return e
 }

@@ -205,6 +205,10 @@ curl -fsS -X POST -H 'Content-Type: application/json' -d "$body" \
 curl -fsS "$base/metrics" >"$workdir/metrics2.txt" || fail "GET /metrics on replicated router"
 grep -E '^zoom_router_cache_hits [1-9]' "$workdir/metrics2.txt" >/dev/null \
     || fail "router response cache recorded no hits"
+# That hit was the answer's first, so it promoted the entry out of the
+# cache's probation segment.
+grep -E '^zoom_router_cache_promotions 1$' "$workdir/metrics2.txt" >/dev/null \
+    || fail "zoom_router_cache_promotions is not 1 after one repeated query"
 # The example's answers fit the cache's fair share, so none was declined;
 # the counter is exported all the same, with its per-shard series.
 grep -E '^zoom_router_cache_declined 0$' "$workdir/metrics2.txt" >/dev/null \

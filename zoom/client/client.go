@@ -33,6 +33,11 @@ const TraceIDHeader = "X-Zoom-Trace-Id"
 // the replica attempt that answered. No answer body carries a tree.
 const TraceHeader = "X-Zoom-Trace"
 
+// GenerationHeader carries the /readyz Generation of the warehouse that
+// computed an answer, so a router drops a restarted worker's cached answers
+// as soon as the new instance answers anything.
+const GenerationHeader = "X-Zoom-Generation"
+
 // ParentSpanHeader carries the router-side parent span reference on a
 // forwarded request: the router stamps each replica attempt's span
 // reference here, and the worker tags its root span with the (sanitized)
