@@ -48,9 +48,12 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzRead -fuzztime=10s ./internal/wflog/
 	$(GO) test -run='^$$' -fuzz=FuzzWriteLine -fuzztime=10s ./internal/wflog/
 
-# The paper's Section V tables (plus the ablations and the in-process
-# experiments that still have code), printed as text.
+# The paper's Section V tables (plus the ablations and the minimal-vs-
+# minimum gap): rewrites internal/bench/testdata/tables.golden, which
+# TestPaperTablesUnchanged compares on every `go test ./...`, then prints
+# the tables with their timings as text.
 tables:
+	$(GO) test ./internal/bench -run '^TestPaperTablesUnchanged$$' -update
 	$(GO) run ./cmd/zoombench
 
 # The repository's benchmark, zoomload (benchmark/README.md): all four

@@ -782,7 +782,7 @@ func cmdQuery(args []string) error {
 			fmt.Printf("deep provenance of %s: %d executions, %d data objects\n",
 				ids[i], res.NumSteps(), res.NumData())
 		}
-		// Report the pool size actually used, mirroring ServeConcurrently's
+		// Report the pool size actually used, mirroring DeepProvenanceBatch's
 		// clamping of -parallel <= 0 (GOMAXPROCS) and oversized pools.
 		workers := *parallel
 		if workers <= 0 {

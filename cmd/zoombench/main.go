@@ -10,8 +10,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
-	"strings"
 	"time"
 
 	"repro/zoom"
@@ -19,11 +17,10 @@ import (
 
 func main() {
 	var (
-		full   = flag.Bool("full", false, "paper-scale workload volumes")
-		seed   = flag.Int64("seed", 1, "experiment seed")
-		out    = flag.String("out", "", "also write the reports to this file")
-		csvDir = flag.String("csv", "", "also write each report as CSV into this directory")
-		only   = flag.String("only", "", "run a single experiment id (T1,T2,E1,E2,F10,E3,E4,F11,E5,A1/A2,C1)")
+		full = flag.Bool("full", false, "paper-scale workload volumes")
+		seed = flag.Int64("seed", 1, "experiment seed")
+		out  = flag.String("out", "", "also write the reports to this file")
+		only = flag.String("only", "", "run a single experiment id (T1,T2,E1,E2,F10,E3,E4,F11,E5,A1/A2)")
 	)
 	flag.Parse()
 
@@ -55,17 +52,6 @@ func main() {
 		rep := exp.Run(o)
 		ran++
 		fmt.Fprintln(w, rep.String())
-		if *csvDir != "" {
-			if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-				fmt.Fprintln(os.Stderr, "zoombench:", err)
-				os.Exit(1)
-			}
-			name := strings.ReplaceAll(rep.ID, "/", "-") + ".csv"
-			if err := os.WriteFile(filepath.Join(*csvDir, name), []byte(rep.CSV()), 0o644); err != nil {
-				fmt.Fprintln(os.Stderr, "zoombench:", err)
-				os.Exit(1)
-			}
-		}
 	}
 	if *only != "" && ran == 0 {
 		fmt.Fprintf(os.Stderr, "zoombench: unknown experiment id %q\n", *only)

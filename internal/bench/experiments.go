@@ -496,6 +496,5 @@ func Experiments() []Experiment {
 		{"F11", ExpFig11},
 		{"E5", ExpMinimumGap},
 		{"A1/A2", ExpAblation},
-		{"C1", ExpConcurrent},
 	}
 }

@@ -260,14 +260,3 @@ func TestAblationShape(t *testing.T) {
 		}
 	}
 }
-
-func TestReportCSV(t *testing.T) {
-	rep := &Report{ID: "X", Title: "t", Headers: []string{"a", "b"}}
-	rep.Append("k,1", 2.5)
-	rep.Append(`say "hi"`, 1)
-	got := rep.CSV()
-	want := "a,b\n\"k,1\",2.50\n\"say \"\"hi\"\"\",1\n"
-	if got != want {
-		t.Fatalf("CSV = %q, want %q", got, want)
-	}
-}

@@ -74,33 +74,6 @@ func (r *Report) String() string {
 	return b.String()
 }
 
-// CSV renders the report as RFC-4180 CSV (headers first, no notes), so the
-// figure series can be re-plotted with external tooling.
-func (r *Report) CSV() string {
-	var b strings.Builder
-	writeCSVRow(&b, r.Headers)
-	for _, row := range r.Rows {
-		writeCSVRow(&b, row)
-	}
-	return b.String()
-}
-
-func writeCSVRow(b *strings.Builder, cells []string) {
-	for i, cell := range cells {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		if strings.ContainsAny(cell, ",\"\n") {
-			b.WriteByte('"')
-			b.WriteString(strings.ReplaceAll(cell, `"`, `""`))
-			b.WriteByte('"')
-		} else {
-			b.WriteString(cell)
-		}
-	}
-	b.WriteByte('\n')
-}
-
 // Cell looks a row up by its first column and returns the named column's
 // value; it is how the tests assert on report contents.
 func (r *Report) Cell(rowKey, column string) (string, bool) {

@@ -929,6 +929,59 @@ func TestRouterCopyErrors(t *testing.T) {
 	}
 }
 
+// TestRouterCutBodyFailsOver: a replica that states its answer's length and
+// then closes the connection mid-body is a failed attempt, not the client's
+// 502. The router relays the sibling's whole answer with a 200, counts one
+// failover and one copy error, and caches only the whole answer.
+func TestRouterCutBodyFailsOver(t *testing.T) {
+	const whole = `{"run":"r","data":"d","kind":"deep"}` + "\n"
+	var cutQueries atomic.Int64
+	worker := func(cut bool) *httptest.Server {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			if r.URL.Path == "/readyz" {
+				fmt.Fprintln(w, `{"ready":true,"runs_loaded":1,"runs_total":1}`)
+				return
+			}
+			w.Header().Set("Content-Length", strconv.Itoa(len(whole)))
+			if cut {
+				// The server closes the connection on the short write.
+				cutQueries.Add(1)
+				w.WriteHeader(http.StatusOK)
+				w.(http.Flusher).Flush()
+				fmt.Fprint(w, whole[:10])
+				return
+			}
+			fmt.Fprint(w, whole)
+		}))
+		t.Cleanup(ts.Close)
+		return ts
+	}
+	cut, sibling := worker(true), worker(false)
+	rt, err := New(obs.NewRegistry(), Config{Shards: [][]string{{cut.URL, sibling.URL}}, CacheEntries: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rts := httptest.NewServer(rt.Handler())
+	t.Cleanup(rts.Close)
+
+	for i := 0; i < 2; i++ { // the second ask is a cache hit
+		status, got := postRaw(t, rts.URL, "/v1/query", "", `{"run":"r","data":"d"}`)
+		if status != http.StatusOK || string(got) != whole {
+			t.Fatalf("ask %d: status %d body %q, want 200 and the sibling's %q", i, status, got, whole)
+		}
+		if cutQueries.Load() != 1 {
+			t.Fatalf("ask %d: the cutting replica saw %d queries, want 1", i, cutQueries.Load())
+		}
+	}
+	if rt.failovers.Value() != 1 || rt.copyErrors.Value() != 1 {
+		t.Fatalf("router.failovers=%d router.copy_errors=%d, want 1 and 1", rt.failovers.Value(), rt.copyErrors.Value())
+	}
+	if rt.cache.Len() != 1 || rt.cacheHits.Value() != 1 {
+		t.Fatalf("cache: %d entries, %d hits; want the whole answer stored once and hit once", rt.cache.Len(), rt.cacheHits.Value())
+	}
+}
+
 // TestConcurrentBreakerHalfOpenReadmit races the per-replica breaker's
 // open/half-open/re-admit cycle against in-flight forwards and the
 // health loop, under -race (the "Concurrent" name opts it into the race

@@ -281,11 +281,12 @@ func (rt *Router) Serve(ctx context.Context, ln net.Listener, drain time.Duratio
 // replica.attempt span, and its own header carries one tree for both hops.
 //
 // Every answer is read whole into a pooled buffer before anything is
-// committed to the client, so a worker that dies mid-body costs the client a
-// well-formed 502, not a 200 with half a document. A worker states the
-// length of what it sends; an answer that does not, or that states more than
-// maxBufferedBody, is a 502 naming the bound. The cache copies out of that
-// buffer the 200s it admits.
+// committed to the client, so a worker that dies mid-body never costs the
+// client a 200 with half a document: the request fails over to a replica
+// not yet tried, and with none left the client gets a well-formed 502. A
+// worker states the length of what it sends; an answer that does not, or
+// that states more than maxBufferedBody, is a 502 naming the bound. The
+// cache copies out of that buffer the 200s it admits.
 func (rt *Router) forward(path string) edge.Handler {
 	return func(tr *obs.Trace, w http.ResponseWriter, r *http.Request) {
 		body, ok := edge.ReadBody(w, r)
@@ -343,79 +344,103 @@ func (rt *Router) forward(path string) edge.Handler {
 			edge.WriteError(w, http.StatusBadGateway, fmt.Sprintf("shard %d unavailable: %s", idx, sh.state(time.Now())))
 			return
 		}
-		resp, rep, winSpan, release, err := rt.attempt(r.Context(), tr, sh, path, r.URL.RawQuery, body, cands, edge.WantTrace(r))
-		if err != nil {
-			base := ""
-			if rep != nil {
-				base = rep.base
-			}
-			edge.WriteError(w, http.StatusBadGateway, fmt.Sprintf("shard %d (%s) forward failed: %v", idx, base, err))
-			return
-		}
-		defer release()
-		defer resp.Body.Close()
-		rt.forwards.Inc()
-		// Every answer names the generation of the warehouse it came from,
-		// so a restarted worker's first answer of any query invalidates the
-		// shard's entries; this one is stored under the epoch that follows.
-		gen, _ := strconv.ParseInt(resp.Header.Get(client.GenerationHeader), 10, 64)
-		rt.observeGeneration(sh, rep, gen)
-		epoch = sh.epoch.Load()
-		ct := resp.Header.Get("Content-Type")
-		if tree := resp.Header.Get(client.TraceHeader); tree != "" {
-			// A tree that does not decode costs the trace its subtree,
-			// never the answer.
-			var node obs.SpanNode
-			if len(tree) > obs.MaxHeaderTree || json.Unmarshal([]byte(tree), &node) != nil {
-				winSpan.SetTag("worker_trace", "unreadable")
-			} else {
-				winSpan.Adopt(node)
-			}
-		}
-
-		relay := tr.Root().StartChild("relay")
-		defer relay.End()
-		n := resp.ContentLength
-		if n < 0 || n > maxBufferedBody {
-			stated := "states no length"
-			if n >= 0 {
-				stated = fmt.Sprintf("is %d bytes", n)
-			}
-			edge.WriteError(w, http.StatusBadGateway, fmt.Sprintf(
-				"shard %d replica %d (%s): answer %s; the router relays answers of stated length up to %d bytes",
-				idx, rep.index, rep.base, stated, maxBufferedBody))
-			return
-		}
 		bp := relayBufs.Get().(*[]byte)
-		if int64(cap(*bp)) < n {
-			*bp = make([]byte, n)
-		}
 		defer func() {
 			if cap(*bp) <= maxPooledRelay {
 				relayBufs.Put(bp)
 			}
 		}()
-		data := (*bp)[:n]
-		if _, rerr := io.ReadFull(resp.Body, data); rerr != nil {
-			rt.copyError(tr, idx, rerr)
-			edge.WriteError(w, http.StatusBadGateway, fmt.Sprintf(
-				"shard %d replica %d (%s): response body cut short: %v", idx, rep.index, rep.base, rerr))
-			return
-		}
-		if resp.StatusCode == http.StatusOK && rt.cache != nil {
-			ent := cacheEntry{path: path, reqBody: body, epoch: epoch, contentType: ct, body: data}
-			if rt.cache.store(ent) {
-				relay.SetTag("cache", "stored")
-			} else {
-				relay.SetTag("cache", "declined")
-				rt.cacheDeclined.Inc()
-				sh.cacheDeclined.Inc()
+		for {
+			res, rest := rt.attempt(r.Context(), tr, sh, path, r.URL.RawQuery, body, cands, edge.WantTrace(r))
+			if res.err != nil {
+				base := ""
+				if res.rep != nil {
+					base = res.rep.base
+				}
+				edge.WriteError(w, http.StatusBadGateway, fmt.Sprintf("shard %d (%s) forward failed: %v", idx, base, res.err))
+				return
 			}
-		}
-		if werr := edge.WriteBody(w, resp.StatusCode, ct, data); werr != nil {
-			rt.copyError(tr, idx, werr)
+			if !rt.relay(tr, w, r, sh, path, body, res, bp, len(rest) > 0) {
+				return
+			}
+			rt.failovers.Inc()
+			sh.failovers.Inc()
+			cands = rest
 		}
 	}
+}
+
+// relay reads a won attempt's answer whole into *bp, offers a 200 to the
+// cache and writes the answer to the client. An answer cut short is the
+// replica's failure: with canFailover set and the client still waiting,
+// relay writes nothing, fails the replica and reports true, so forward
+// asks the candidates not yet tried; otherwise the client gets a 502
+// naming the replica.
+func (rt *Router) relay(tr *obs.Trace, w http.ResponseWriter, r *http.Request, sh *shard, path string, body []byte, res fwdResult, bp *[]byte, canFailover bool) (failover bool) {
+	defer res.cancel()
+	defer res.resp.Body.Close()
+	resp, rep := res.resp, res.rep
+	rt.forwards.Inc()
+	// Every answer names the generation of the warehouse it came from,
+	// so a restarted worker's first answer of any query invalidates the
+	// shard's entries; this one is stored under the epoch that follows.
+	gen, _ := strconv.ParseInt(resp.Header.Get(client.GenerationHeader), 10, 64)
+	rt.observeGeneration(sh, rep, gen)
+	epoch := sh.epoch.Load()
+	ct := resp.Header.Get("Content-Type")
+	if tree := resp.Header.Get(client.TraceHeader); tree != "" {
+		// A tree that does not decode costs the trace its subtree,
+		// never the answer.
+		var node obs.SpanNode
+		if len(tree) > obs.MaxHeaderTree || json.Unmarshal([]byte(tree), &node) != nil {
+			res.span.SetTag("worker_trace", "unreadable")
+		} else {
+			res.span.Adopt(node)
+		}
+	}
+
+	span := tr.Root().StartChild("relay")
+	defer span.End()
+	n := resp.ContentLength
+	if n < 0 || n > maxBufferedBody {
+		stated := "states no length"
+		if n >= 0 {
+			stated = fmt.Sprintf("is %d bytes", n)
+		}
+		edge.WriteError(w, http.StatusBadGateway, fmt.Sprintf(
+			"shard %d replica %d (%s): answer %s; the router relays answers of stated length up to %d bytes",
+			sh.index, rep.index, rep.base, stated, maxBufferedBody))
+		return false
+	}
+	if int64(cap(*bp)) < n {
+		*bp = make([]byte, n)
+	}
+	data := (*bp)[:n]
+	if _, rerr := io.ReadFull(resp.Body, data); rerr != nil {
+		rt.copyError(tr, sh.index, rerr)
+		if canFailover && r.Context().Err() == nil {
+			span.SetTag("outcome", "cut short")
+			rep.fail(rt.breakerThreshold, rt.breakerCooldown)
+			return true
+		}
+		edge.WriteError(w, http.StatusBadGateway, fmt.Sprintf(
+			"shard %d replica %d (%s): response body cut short: %v", sh.index, rep.index, rep.base, rerr))
+		return false
+	}
+	if resp.StatusCode == http.StatusOK && rt.cache != nil {
+		ent := cacheEntry{path: path, reqBody: body, epoch: epoch, contentType: ct, body: data}
+		if rt.cache.store(ent) {
+			span.SetTag("cache", "stored")
+		} else {
+			span.SetTag("cache", "declined")
+			rt.cacheDeclined.Inc()
+			sh.cacheDeclined.Inc()
+		}
+	}
+	if werr := edge.WriteBody(w, resp.StatusCode, ct, data); werr != nil {
+		rt.copyError(tr, sh.index, werr)
+	}
+	return false
 }
 
 // copyError counts a response-relay failure — the worker's body ended early
@@ -439,11 +464,12 @@ type fwdResult struct {
 // replica first, failing over to the next on transport error, and — when
 // cfg.HedgeDelay is set — hedging with a second concurrent attempt on
 // the next candidate once the delay elapses. The first successful
-// response wins; losers are cancelled and drained. The returned release
-// func ends the winner's request context and must be called after the
-// response body has been consumed. Only transport-level failures feed
-// the breaker and trigger failover; a worker that answers (any status)
-// is alive and its response is relayed verbatim.
+// response wins; losers are cancelled and drained. The winner's cancel
+// ends its request context and must be called after the response body has
+// been consumed; rest lists the candidates never launched. Only
+// transport-level failures feed the breaker and trigger failover here; a
+// worker that answers (any status) is alive and its response is relayed
+// verbatim, unless relay finds its body cut short.
 //
 // Every launch records a replica.attempt span under the trace root,
 // tagged with the replica address and how it ended (won / failed /
@@ -452,7 +478,7 @@ type fwdResult struct {
 // traced requests, travels to the worker in X-Zoom-Parent-Span; the
 // worker tags its root with the same reference, so the adopted subtree
 // names the exact attempt it answered even after the trees are merged.
-func (rt *Router) attempt(parent context.Context, tr *obs.Trace, sh *shard, path, rawQuery string, body []byte, cands []*replica, wantTrace bool) (*http.Response, *replica, *obs.Span, func(), error) {
+func (rt *Router) attempt(parent context.Context, tr *obs.Trace, sh *shard, path, rawQuery string, body []byte, cands []*replica, wantTrace bool) (won fwdResult, rest []*replica) {
 	results := make(chan fwdResult, len(cands))
 	next, inflight, attemptSeq := 0, 0, 0
 	launch := func(hedged bool) {
@@ -538,7 +564,7 @@ func (rt *Router) attempt(parent context.Context, tr *obs.Trace, sh *shard, path
 					// out): not the replica's fault — no breaker, no
 					// failover cascade.
 					drainLosers(inflight)
-					return nil, res.rep, nil, nil, parent.Err()
+					return fwdResult{rep: res.rep, err: parent.Err()}, nil
 				}
 				res.rep.fail(rt.breakerThreshold, rt.breakerCooldown)
 				rt.fwdErrors.Inc()
@@ -558,10 +584,10 @@ func (rt *Router) attempt(parent context.Context, tr *obs.Trace, sh *shard, path
 			res.span.SetTag("outcome", "won")
 			res.span.End()
 			drainLosers(inflight)
-			return res.resp, res.rep, res.span, res.cancel, nil
+			return res, cands[next:]
 		}
 	}
-	return nil, lastRep, nil, nil, lastErr
+	return fwdResult{rep: lastRep, err: lastErr}, nil
 }
 
 // ShardError describes one shard's failure inside a partial scatter-

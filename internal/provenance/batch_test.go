@@ -119,77 +119,46 @@ func TestConcurrentBatchMatchesSequentialSynthetic(t *testing.T) {
 	}
 }
 
-// TestServeConcurrentlyMixedQueries drives the worker pool with queries
-// across several views, including a failing one, and checks per-query
-// error isolation and result ordering.
-func TestServeConcurrentlyMixedQueries(t *testing.T) {
-	e, r, views := phyloEngine(t)
-	queries := []Query{
-		{RunID: r.ID(), View: views["admin"], Data: "d447"},
-		{RunID: r.ID(), View: views["joe"], Data: "d447"},
-		{RunID: r.ID(), View: views["mary"], Data: "d413"},
-		{RunID: r.ID(), View: views["admin"], Data: "no-such-data"},
-		{RunID: "ghost", View: views["admin"], Data: "d447"},
-		{RunID: r.ID(), View: views["blackbox"], Data: "d447"},
-	}
-	out := e.ServeConcurrently(context.Background(), queries, 3)
-	if len(out) != len(queries) {
-		t.Fatalf("got %d results for %d queries", len(out), len(queries))
-	}
-	for i, qr := range out {
-		if qr.Index != i || qr.Query != queries[i] {
-			t.Fatalf("result %d out of order: %+v", i, qr)
-		}
-	}
-	if out[3].Err == nil || !errors.Is(out[3].Err, warehouse.ErrUnknownData) {
-		t.Fatalf("bad-data query: err = %v", out[3].Err)
-	}
-	if out[4].Err == nil || !errors.Is(out[4].Err, warehouse.ErrUnknownRun) {
-		t.Fatalf("bad-run query: err = %v", out[4].Err)
-	}
-	for _, i := range []int{0, 1, 2, 5} {
-		if out[i].Err != nil || out[i].Result == nil {
-			t.Fatalf("query %d failed: %v", i, out[i].Err)
-		}
-	}
-	// Sequential answers agree.
-	seq, err := e.DeepProvenance(r.ID(), views["joe"], "d447")
+// TestConcurrentBatchComputesOnce: from a cold closure cache, a batch
+// computes exactly one closure per distinct data id at every worker count,
+// however often an id repeats and however many workers race for it.
+func TestConcurrentBatchComputesOnce(t *testing.T) {
+	g := gen.NewGenerator(12)
+	s := g.Workflow(gen.Class4(), "computes")
+	r, _, err := g.Run(s, gen.Small(), "computes-run")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(out[1].Result, seq) {
-		t.Fatal("pooled result differs from direct call")
+	w := warehouse.New(0)
+	if err := w.RegisterSpec(s); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.LoadRun(r); err != nil {
+		t.Fatal(err)
+	}
+	e := NewEngine(w)
+	v, err := core.BuildRelevant(s, gen.UBioRelevant(s))
+	if err != nil {
+		t.Fatal(err)
+	}
+	distinct := r.AllData()
+	var ids []string
+	for rep := 0; rep < 3; rep++ {
+		ids = append(ids, distinct...)
+	}
+	for _, workers := range []int{1, 4, 16} {
+		w.ResetCache()
+		if _, err := e.DeepProvenanceBatch(context.Background(), r.ID(), v, ids, workers); err != nil {
+			t.Fatalf("%d workers: %v", workers, err)
+		}
+		if c := w.CacheCounters(); c.Computes != int64(len(distinct)) {
+			t.Fatalf("%d workers: %d closure computes for %d distinct ids (%+v)", workers, c.Computes, len(distinct), c)
+		}
 	}
 }
 
-// TestServeConcurrentlyCancellation checks that a cancelled context stops
-// unstarted queries with ctx.Err() while still returning one entry per
-// query.
-func TestServeConcurrentlyCancellation(t *testing.T) {
-	e, r, views := phyloEngine(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel() // cancel before serving: every query must be skipped
-	queries := make([]Query, 64)
-	for i := range queries {
-		queries[i] = Query{RunID: r.ID(), View: views["admin"], Data: "d447"}
-	}
-	out := e.ServeConcurrently(ctx, queries, 4)
-	for i, qr := range out {
-		if !errors.Is(qr.Err, context.Canceled) {
-			t.Fatalf("query %d: err = %v, want context.Canceled", i, qr.Err)
-		}
-		if qr.Result != nil {
-			t.Fatalf("query %d returned a result after cancellation", i)
-		}
-	}
-	// Batch propagates the cancellation as an error.
-	if _, err := e.DeepProvenanceBatch(ctx, r.ID(), views["admin"], []string{"d447"}, 2); !errors.Is(err, context.Canceled) {
-		t.Fatalf("batch on cancelled ctx: %v", err)
-	}
-}
-
-// TestDeepProvenanceBatchErrors checks the fail-fast contract and the
-// empty batch.
+// TestDeepProvenanceBatchErrors checks the fail-fast contract, the empty
+// batch and a batch on a cancelled context.
 func TestDeepProvenanceBatchErrors(t *testing.T) {
 	e, r, views := phyloEngine(t)
 	if _, err := e.DeepProvenanceBatch(context.Background(), r.ID(), views["admin"],
@@ -205,6 +174,47 @@ func TestDeepProvenanceBatchErrors(t *testing.T) {
 	if _, err := e.DeepProvenanceBatch(context.Background(), r.ID(), foreign,
 		[]string{"d447"}, 1); !errors.Is(err, ErrForeignView) {
 		t.Fatalf("foreign view: %v", err)
+	}
+}
+
+// TestServeConcurrentlyCancellation pins cancellation of the concurrent
+// worker pool: under a context cancelled before serving, every query is
+// skipped with context.Canceled and no answer, and both batch entry points
+// fail with the context's error.
+func TestServeConcurrentlyCancellation(t *testing.T) {
+	e, r, views := phyloEngine(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel() // cancel before serving: every query must be skipped
+	ids := make([]string, 64)
+	for i := range ids {
+		ids[i] = "d447"
+	}
+	var mu sync.Mutex
+	seen := make([]bool, len(ids))
+	e.serve(ctx, r.ID(), views["admin"], ids, 4, func(i int, a *Answer, err error) {
+		mu.Lock()
+		defer mu.Unlock()
+		if seen[i] {
+			t.Errorf("query %d reported twice", i)
+		}
+		seen[i] = true
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("query %d: err = %v, want context.Canceled", i, err)
+		}
+		if a != nil {
+			t.Errorf("query %d returned an answer after cancellation", i)
+		}
+	})
+	for i, ok := range seen {
+		if !ok {
+			t.Fatalf("query %d never reported", i)
+		}
+	}
+	if _, err := e.DeepProvenanceBatch(ctx, r.ID(), views["admin"], []string{"d447", "d413"}, 2); !errors.Is(err, context.Canceled) {
+		t.Fatalf("DeepProvenanceBatch on cancelled ctx: %v", err)
+	}
+	if _, err := e.DeepAnswerBatch(ctx, r.ID(), views["admin"], []string{"d447", "d413"}, 2); !errors.Is(err, context.Canceled) {
+		t.Fatalf("DeepAnswerBatch on cancelled ctx: %v", err)
 	}
 }
 

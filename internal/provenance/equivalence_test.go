@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/composite"
@@ -295,10 +296,10 @@ func TestEquivalenceEdgeOrder(t *testing.T) {
 	}
 }
 
-// TestConcurrentIndexedServe runs a query burst through ServeConcurrently —
-// the projector sync.Once, the shared frozen closure bitsets, and the pooled
-// edge-sort scratch all under -race — and cross-checks every answer against the
-// oracle.
+// TestConcurrentIndexedServe runs a query burst — one batch per view, both
+// at once — over the projector sync.Once, the shared frozen closure bitsets,
+// and the pooled edge-sort scratch, all under -race, and cross-checks every
+// answer against the oracle.
 func TestConcurrentIndexedServe(t *testing.T) {
 	g := gen.NewGenerator(911)
 	s := g.Workflow(gen.Class4(), "conc-ix")
@@ -312,25 +313,32 @@ func TestConcurrentIndexedServe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mappings := map[*core.UserView]*composite.Mapping{
-		admin: oracleMapping(t, r, admin), ubio: oracleMapping(t, r, ubio),
-	}
-	data := sampleData(rand.New(rand.NewSource(13)), r.AllData(), 40)
-	var queries []Query
+	sample := sampleData(rand.New(rand.NewSource(13)), r.AllData(), 40)
+	var data []string
 	for rep := 0; rep < 4; rep++ { // repeats force cache-hit sharing
-		for _, d := range data {
-			queries = append(queries, Query{RunID: r.ID(), View: admin, Data: d})
-			queries = append(queries, Query{RunID: r.ID(), View: ubio, Data: d})
-		}
+		data = append(data, sample...)
 	}
-	answered := e.ServeConcurrently(context.Background(), queries, 8)
-	for _, qr := range answered {
-		if qr.Err != nil {
-			t.Fatalf("query %d (%s): %v", qr.Index, qr.Query.Data, qr.Err)
+	views := []*core.UserView{admin, ubio}
+	answered := make([][]*Result, len(views))
+	errs := make([]error, len(views))
+	var wg sync.WaitGroup
+	for i, v := range views {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			answered[i], errs[i] = e.DeepProvenanceBatch(context.Background(), r.ID(), v, data, 4)
+		}()
+	}
+	wg.Wait()
+	for i, v := range views {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
 		}
-		steps, ds := oracleClosure(r, qr.Query.Data, false)
-		want := oracleProject(mappings[qr.Query.View], qr.Query.Data, steps, ds)
-		sameResult(t, fmt.Sprintf("concurrent %s", qr.Query.Data), qr.Result, want)
+		m := oracleMapping(t, r, v)
+		for j, d := range data {
+			steps, ds := oracleClosure(r, d, false)
+			sameResult(t, fmt.Sprintf("concurrent %s", d), answered[i][j], oracleProject(m, d, steps, ds))
+		}
 	}
 }
 

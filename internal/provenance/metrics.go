@@ -20,7 +20,7 @@ type engineMetrics struct {
 	queries   *obs.Counter      // query.deep_total
 	errors    *obs.Counter      // query.errors
 
-	// Batch serving: sizes and pool widths per ServeConcurrently call. The
+	// Batch serving: sizes and pool widths per batch call. The
 	// worker histogram records the clamped pool size actually spun up, so
 	// batch.size vs. batch.workers is the utilization picture.
 	batches      *obs.Counter   // batch.count

@@ -113,17 +113,16 @@ func TestEngineMetricsOutcomes(t *testing.T) {
 	}
 }
 
-// TestBatchMetrics: ServeConcurrently records batch size and the clamped
-// worker count.
+// TestBatchMetrics: a batch records its size and the clamped worker count.
 func TestBatchMetrics(t *testing.T) {
 	e, r, views := phyloEngine(t)
 	reg := obs.NewRegistry()
 	e.AttachMetrics(reg)
-	queries := make([]Query, 6)
-	for i, d := range []string{"d447", "d413", "d408", "d311", "d352", "d300"} {
-		queries[i] = Query{RunID: r.ID(), View: views["admin"], Data: d}
+	ids := r.AllData()[:6]
+	// 64 workers are clamped to len(ids).
+	if _, err := e.DeepProvenanceBatch(context.Background(), r.ID(), views["admin"], ids, 64); err != nil {
+		t.Fatal(err)
 	}
-	e.ServeConcurrently(context.Background(), queries, 64) // clamped to len(queries)
 	s := reg.Snapshot()
 	if s.Counters["batch.count"] != 1 {
 		t.Fatalf("batch.count = %d", s.Counters["batch.count"])

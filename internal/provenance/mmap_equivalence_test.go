@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -45,9 +46,9 @@ func mmapTwinEngines(t *testing.T, build func(w *warehouse.Warehouse)) (heap, ma
 	}
 }
 
-// TestConcurrentMmapServeEquivalence pushes the same mixed query burst
-// through ServeConcurrently on a heap engine and on its v3-mmap twin and
-// compares every answer. The concurrent burst is the interesting part for
+// TestConcurrentMmapServeEquivalence pushes the same query burst — one
+// batch per (run, view), all at once — through a heap engine and its
+// v3-mmap twin and compares every answer. The concurrent burst is the interesting part for
 // the mapped side: many goroutines race to materialize the same runs while
 // others are already mid-query. Runs under -race in CI (name matches the
 // Concurrent pattern).
@@ -99,36 +100,49 @@ func TestConcurrentMmapServeEquivalence(t *testing.T) {
 		views[r.ID()] = genViews
 	}
 
+	// One batch per (run, view), every batch at once.
+	type group struct {
+		run  string
+		view *core.UserView
+		data []string
+	}
 	rng := rand.New(rand.NewSource(424243))
-	var queries []Query
+	var groups []group
 	for _, r := range append([]*run.Run{fig2}, genRuns...) {
 		data := sampleData(rng, r.AllData(), 12)
 		if finals := r.FinalOutputs(); len(finals) > 0 {
 			data = append(data, finals[len(finals)-1])
 		}
 		for _, v := range views[r.ID()] {
-			for _, d := range data {
-				queries = append(queries, Query{RunID: r.ID(), View: v, Data: d})
-			}
+			groups = append(groups, group{r.ID(), v, data})
 		}
 	}
-	rng.Shuffle(len(queries), func(i, j int) { queries[i], queries[j] = queries[j], queries[i] })
+	burst := func(e *Engine) ([][]*Result, []error) {
+		out, errs := make([][]*Result, len(groups)), make([]error, len(groups))
+		var wg sync.WaitGroup
+		for i, g := range groups {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				out[i], errs[i] = e.DeepProvenanceBatch(context.Background(), g.run, g.view, g.data, 4)
+			}()
+		}
+		wg.Wait()
+		return out, errs
+	}
 
-	want := eh.ServeConcurrently(context.Background(), queries, 8)
-	got := em.ServeConcurrently(context.Background(), queries, 8)
-	if len(want) != len(got) {
-		t.Fatalf("result counts differ: heap %d, mmap %d", len(want), len(got))
-	}
-	for i := range want {
-		if (want[i].Err == nil) != (got[i].Err == nil) {
-			t.Fatalf("query %d (%s/%s): heap err %v, mmap err %v",
-				i, queries[i].RunID, queries[i].Data, want[i].Err, got[i].Err)
+	want, wantErrs := burst(eh)
+	got, gotErrs := burst(em)
+	for i, g := range groups {
+		if (wantErrs[i] == nil) != (gotErrs[i] == nil) {
+			t.Fatalf("batch %d (%s): heap err %v, mmap err %v", i, g.run, wantErrs[i], gotErrs[i])
 		}
-		if want[i].Err != nil {
+		if wantErrs[i] != nil {
 			continue
 		}
-		sameResult(t, fmt.Sprintf("mmap %s/%s", queries[i].RunID, queries[i].Data),
-			want[i].Result, got[i].Result)
+		for j, d := range g.data {
+			sameResult(t, fmt.Sprintf("mmap %s/%s", g.run, d), want[i][j], got[i][j])
+		}
 	}
 
 	// Every run must have materialized on the mapped side by now.

@@ -58,11 +58,6 @@ type (
 	Execution = composite.Execution
 	// Result is a provenance query answer under a view.
 	Result = provenance.Result
-	// Query is one (run, view, data) deep-provenance request for the
-	// concurrent serving API.
-	Query = provenance.Query
-	// QueryResult pairs a Query with its outcome.
-	QueryResult = provenance.QueryResult
 	// CacheCounters are the closure cache's hit/miss/singleflight/eviction
 	// counters.
 	CacheCounters = warehouse.CacheCounters
@@ -73,8 +68,6 @@ type (
 	MetricsSnapshot = obs.Snapshot
 	// Trace is a request-scoped span tree; SpanNode one snapshotted span.
 	Trace = obs.Trace
-	// Span is one running stage of a Trace.
-	Span = obs.Span
 	// SpanNode is one span of a finished (or snapshotted) trace tree.
 	SpanNode = obs.SpanNode
 	// Server is the HTTP provenance service behind `zoom serve`.
@@ -272,7 +265,7 @@ func (s *System) DeepProvenance(runID string, v *UserView, d string) (*Result, e
 
 // DeepProvenanceCtx is DeepProvenance with a context: cancellation is
 // honored at stage boundaries, and when the context carries a trace
-// (NewTrace / StartSpan) the engine records its stages as spans.
+// (NewTrace) the engine records its stages as spans.
 func (s *System) DeepProvenanceCtx(ctx context.Context, runID string, v *UserView, d string) (*Result, error) {
 	return s.e.DeepProvenanceCtx(ctx, runID, v, d)
 }
@@ -280,12 +273,6 @@ func (s *System) DeepProvenanceCtx(ctx context.Context, runID string, v *UserVie
 // NewTrace starts a request-scoped span tree; derive a context with
 // (*Trace).Context and pass it through Ctx-suffixed query methods.
 func NewTrace(name string) *Trace { return obs.NewTrace(name) }
-
-// StartSpan opens a child span on a traced context (no-op and free on an
-// untraced one).
-func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
-	return obs.StartSpan(ctx, name)
-}
 
 // NewServer returns an HTTP provenance server wired to the registry (one
 // is created when nil). It fails when cfg.ExpvarName is already published.
@@ -310,9 +297,8 @@ type (
 	Ring = cluster.Ring
 	// Router is the scatter-gather HTTP front over N workers.
 	Router = cluster.Router
-	// RouterConfig tunes a Router (replica groups in shard order,
-	// timeouts, fan-out bound, health polling, circuit breaking, request
-	// hedging, response caching).
+	// RouterConfig tunes a Router (replica groups in shard order, health
+	// polling, request hedging, response caching, slow-log threshold).
 	RouterConfig = cluster.Config
 )
 
@@ -346,12 +332,6 @@ func (s *System) Subset(keep func(runID string) bool) (*System, error) {
 	return &System{w: w, e: provenance.NewEngine(w)}, nil
 }
 
-// WriteMetricsPrometheus renders a metrics snapshot in the Prometheus text
-// exposition format (what the server's /metrics serves).
-func WriteMetricsPrometheus(w io.Writer, snap MetricsSnapshot, namespace string) {
-	obs.WritePrometheus(w, snap, namespace)
-}
-
 // DeepProvenanceBatch answers the deep provenance of many data objects of
 // one run under one view in parallel with a bounded worker pool
 // (workers <= 0 selects GOMAXPROCS). Results come back in dataIDs order
@@ -359,13 +339,6 @@ func WriteMetricsPrometheus(w io.Writer, snap MetricsSnapshot, namespace string)
 // on the same cached closure are computed once (singleflight).
 func (s *System) DeepProvenanceBatch(ctx context.Context, runID string, v *UserView, dataIDs []string, workers int) ([]*Result, error) {
 	return s.e.DeepProvenanceBatch(ctx, runID, v, dataIDs, workers)
-}
-
-// ServeConcurrently answers an arbitrary mix of (run, view, data) queries
-// with a bounded worker pool and context cancellation — the multi-user
-// serving path.
-func (s *System) ServeConcurrently(ctx context.Context, queries []Query, workers int) []QueryResult {
-	return s.e.ServeConcurrently(ctx, queries, workers)
 }
 
 // ImmediateProvenance returns the composite execution that produced d
@@ -452,11 +425,6 @@ func (s *System) CacheStats() (hits, misses int64) { return s.w.CacheStats() }
 // singleflight shared-wait and eviction counts.
 func (s *System) CacheCounters() CacheCounters { return s.w.CacheCounters() }
 
-// Invalidate evicts one cached (run, data) closure, so the next query
-// recomputes it. A closure never goes stale, so a computation in flight
-// may still cache its result.
-func (s *System) Invalidate(runID, d string) { s.w.Invalidate(runID, d) }
-
 // Stats summarizes the warehouse contents (catalog row counts).
 func (s *System) Stats() warehouse.Stats { return s.w.Stats() }
 
@@ -475,14 +443,6 @@ func (s *System) AttachMetrics(reg *Metrics) {
 // Metrics returns the attached registry (nil when detached).
 func (s *System) Metrics() *Metrics { return s.w.Metrics() }
 
-// PublishMetrics registers the attached registry with the process-global
-// expvar table under the given name, so an HTTP embedder serving
-// /debug/vars exports a live snapshot. No-op when detached; an error when
-// the name is already published.
-func (s *System) PublishMetrics(name string) error {
-	return s.w.Metrics().Publish(name)
-}
-
 // DropRun removes a run, its cached closures and its memoized view mappings.
 func (s *System) DropRun(id string) error { return s.e.DropRun(id) }
 
@@ -493,8 +453,8 @@ func (s *System) LoadLogReader(runID, specName string, r io.Reader) (int, error)
 	return s.w.LoadLogReader(runID, specName, r)
 }
 
-// LoadOptions tune snapshot loading (worker count of the parallel run
-// reconstruction).
+// LoadOptions tune snapshot loading (a metrics registry to attach and
+// record the load in, and a progress callback).
 type LoadOptions = warehouse.LoadOptions
 
 // Save writes the warehouse as a v1 JSON snapshot (the diff-able
