@@ -5,7 +5,7 @@
 //
 // Every command that reads a snapshot opens it the way its header says: a
 // v3 file is memory-mapped and its runs materialize on first touch, a JSON
-// file is loaded on GOMAXPROCS goroutines.
+// file is decoded and its runs loaded one by one.
 //
 // Subcommands:
 //
@@ -14,8 +14,7 @@
 //	zoom spec    -file spec.json [-dot]   validate / render a specification
 //	zoom view    -file spec.json -relevant M2,M3,M7 [-dot]
 //	zoom load    -warehouse wh.json -file spec.json [-log run.jsonl -run id] [-format json|v3|keep]
-//	zoom save    -warehouse wh.json [-out wh.v3] [-format v3]   re-save in an explicit format
-//	zoom snapshot convert -in old.snap -out new.snap [-format v3]
+//	zoom snapshot convert -in old.snap -out new.snap [-format v3]   (-out may be -in: rewrite in place)
 //	zoom snapshot shard -in wh.v3 -n 4 [-out prefix] [-format keep]
 //	zoom router  -workers http://h1:8081,http://h2:8082 [-addr :8090] [-health-interval 2s] [-hedge 0] [-cache 4096] [-slow 10ms] [-drain 5s]
 //	zoom query   -warehouse wh.json -run id -data d447[,d448,...] [-parallel N] [-relevant ...] [-mode deep|immediate|derived] [-dot] [-trace]
@@ -41,7 +40,6 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
@@ -68,8 +66,6 @@ func main() {
 		err = cmdView(os.Args[2:])
 	case "load":
 		err = cmdLoad(os.Args[2:])
-	case "save":
-		err = cmdSave(os.Args[2:])
 	case "snapshot":
 		err = cmdSnapshot(os.Args[2:])
 	case "query":
@@ -96,43 +92,9 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: zoom <example|spec|view|load|save|snapshot|query|ask|compare|runs|stats|serve|router> [flags]
+	fmt.Fprintln(os.Stderr, `usage: zoom <example|spec|view|load|snapshot|query|ask|compare|runs|stats|serve|router> [flags]
 run "zoom <subcommand> -h" for per-command flags
 canned query forms for "ask": `+strings.Join(zoom.QueryForms(), ", "))
-}
-
-// cmdSave re-saves a warehouse snapshot in an explicit format — the way to
-// upgrade an existing warehouse to the v3 mmap-servable layout in place.
-func cmdSave(args []string) error {
-	fs := flag.NewFlagSet("save", flag.ExitOnError)
-	whPath := fs.String("warehouse", "", "warehouse snapshot file (required)")
-	out := fs.String("out", "", "output file (default: overwrite -warehouse)")
-	format := fs.String("format", "v3", "snapshot format to write: json or v3")
-	_ = fs.Parse(args)
-	if *whPath == "" {
-		return fmt.Errorf("save: -warehouse is required")
-	}
-	switch *format {
-	case "json", "v3":
-	default:
-		return fmt.Errorf("save: unknown -format %q (want json or v3)", *format)
-	}
-	if *out == "" {
-		*out = *whPath
-	}
-	if _, err := os.Stat(*whPath); err != nil {
-		return fmt.Errorf("save: warehouse snapshot: %w", err)
-	}
-	sys, err := openSystem(*whPath, nil, nil)
-	if err != nil {
-		return err
-	}
-	defer sys.Close()
-	if err := saveSystemFormat(sys, *out, *format); err != nil {
-		return err
-	}
-	fmt.Printf("saved %s as %s (%s, %d runs)\n", *whPath, *out, *format, len(sys.RunIDs()))
-	return nil
 }
 
 // cmdSnapshot manages snapshot files: convert rewrites a v1 or v3
@@ -149,19 +111,18 @@ func cmdSnapshot(args []string) error {
 	fs := flag.NewFlagSet("snapshot convert", flag.ExitOnError)
 	in := fs.String("in", "", "snapshot file to read (any format, required)")
 	out := fs.String("out", "", "snapshot file to write (required)")
-	format := fs.String("format", "v3", "output format: json or v3")
+	format := fs.String("format", "v3", "output format: json, v3, or keep (the input's format)")
 	_ = fs.Parse(args[1:])
 	if *in == "" || *out == "" {
 		return fmt.Errorf("snapshot convert: -in and -out are required")
 	}
-	switch *format {
-	case "json", "v3":
-	default:
-		return fmt.Errorf("snapshot convert: unknown -format %q (want json or v3)", *format)
+	if err := resolveFormat("snapshot convert", format, *in); err != nil {
+		return err
 	}
 	if _, err := os.Stat(*in); err != nil {
 		return fmt.Errorf("snapshot convert: %w", err)
 	}
+	from := snapshotFormat(*in) // before -out, which may be -in, is written
 	sys, err := openSystem(*in, nil, nil)
 	if err != nil {
 		return err
@@ -171,7 +132,7 @@ func cmdSnapshot(args []string) error {
 		return err
 	}
 	fmt.Printf("converted %s (%s) to %s (%s, %d runs)\n",
-		*in, snapshotFormat(*in), *out, *format, len(sys.RunIDs()))
+		*in, from, *out, *format, len(sys.RunIDs()))
 	return nil
 }
 
@@ -193,12 +154,8 @@ func cmdSnapshotShard(args []string) error {
 	if *n < 1 {
 		return fmt.Errorf("snapshot shard: -n must be at least 1")
 	}
-	switch *format {
-	case "json", "v3":
-	case "keep":
-		*format = snapshotFormat(*in)
-	default:
-		return fmt.Errorf("snapshot shard: unknown -format %q (want json, v3 or keep)", *format)
+	if err := resolveFormat("snapshot shard", format, *in); err != nil {
+		return err
 	}
 	if *out == "" {
 		*out = *in
@@ -447,17 +404,13 @@ func cmdServe(args []string) error {
 
 	// Load progress feeds /readyz (JSON run counts) and the serve log — one
 	// line per quartile so a long cold start is visibly advancing.
-	var pmu sync.Mutex
 	loggedQuartile := 0
 	progress := func(loaded, total int) {
 		srv.SetLoadProgress(loaded, total)
 		if total == 0 || loaded >= total {
 			return
 		}
-		q := loaded * 4 / total
-		pmu.Lock()
-		defer pmu.Unlock()
-		if q > loggedQuartile {
+		if q := loaded * 4 / total; q > loggedQuartile {
 			loggedQuartile = q
 			fmt.Fprintf(os.Stderr, "zoom serve: loading %s: %d/%d runs (%d%%)\n",
 				*whPath, loaded, total, q*25)
@@ -571,7 +524,7 @@ func cmdView(args []string) error {
 
 // openSystem opens a warehouse snapshot the way its header says. A v3 file
 // is memory-mapped and its runs materialize on first touch
-// (zoom.OpenSnapshot); anything else goes through the parallel load, which
+// (zoom.OpenSnapshot); anything else goes through the v1 load, which
 // reads JSON and refuses a retired or unknown binary header with the
 // warehouse's own error. A missing file is an empty system. A non-nil reg
 // is attached (a load is recorded there too) and a non-nil progress is told
@@ -635,6 +588,19 @@ func snapshotFormat(path string) string {
 	return "unknown"
 }
 
+// resolveFormat checks a -format value in place: json and v3 stand, and
+// keep becomes the format of the existing file at path (snapshotFormat).
+func resolveFormat(cmd string, format *string, path string) error {
+	switch *format {
+	case "json", "v3":
+		return nil
+	case "keep":
+		*format = snapshotFormat(path)
+		return nil
+	}
+	return fmt.Errorf("%s: unknown -format %q (want json, v3 or keep)", cmd, *format)
+}
+
 func saveSystem(sys *zoom.System, path string) error {
 	return saveSystemFormat(sys, path, "json")
 }
@@ -689,12 +655,8 @@ func cmdLoad(args []string) error {
 	if *whPath == "" {
 		return fmt.Errorf("load: -warehouse is required")
 	}
-	switch *format {
-	case "json", "v3":
-	case "keep":
-		*format = snapshotFormat(*whPath)
-	default:
-		return fmt.Errorf("load: unknown -format %q (want json, v3 or keep)", *format)
+	if err := resolveFormat("load", format, *whPath); err != nil {
+		return err
 	}
 	sys, err := openSystem(*whPath, nil, nil)
 	if err != nil {

@@ -672,10 +672,10 @@ func TestSaveSystemAtomic(t *testing.T) {
 	}
 }
 
-// TestCmdSaveAndSnapshotConvert: `zoom snapshot convert` and `zoom save`
-// rewrite a warehouse into the v3 layout, format sniffing recognizes it,
-// `-format keep` preserves it, and queries over the converted snapshot
-// answer identically.
+// TestCmdSaveAndSnapshotConvert: `zoom snapshot convert` rewrites a
+// warehouse into the v3 layout, to a new file or in place, format sniffing
+// recognizes it, `-format keep` preserves it, and queries over the
+// converted snapshot answer identically.
 func TestCmdSaveAndSnapshotConvert(t *testing.T) {
 	dir := t.TempDir()
 	wh := filepath.Join(dir, "wh.json")
@@ -745,14 +745,18 @@ func TestCmdSaveAndSnapshotConvert(t *testing.T) {
 		t.Fatalf("load -format keep rewrote v3 as %q", got)
 	}
 
-	// `zoom save` upgrades in place.
-	if _, err := capture(t, func() error {
-		return cmdSave([]string{"-warehouse", wh, "-format", "v3"})
-	}); err != nil {
+	// `-out` may be `-in`: convert upgrades in place.
+	out, err = capture(t, func() error {
+		return cmdSnapshot([]string{"convert", "-in", wh, "-out", wh, "-format", "v3"})
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
+	if !strings.Contains(out, "(json) to") {
+		t.Fatalf("in-place convert misreports the input's format:\n%s", out)
+	}
 	if got := snapshotFormat(wh); got != "v3" {
-		t.Fatalf("zoom save -format v3: format %q", got)
+		t.Fatalf("convert -in wh -out wh -format v3: format %q", got)
 	}
 
 	// Bad inputs fail loudly.
@@ -764,10 +768,14 @@ func TestCmdSaveAndSnapshotConvert(t *testing.T) {
 	}); err == nil {
 		t.Fatal("bad convert format accepted")
 	}
+	ghost := filepath.Join(dir, "ghost.json")
 	if _, err := capture(t, func() error {
-		return cmdSave([]string{"-warehouse", filepath.Join(dir, "ghost.json")})
+		return cmdSnapshot([]string{"convert", "-in", ghost, "-out", ghost})
 	}); err == nil {
-		t.Fatal("save of a missing warehouse accepted")
+		t.Fatal("convert of a missing -in accepted")
+	}
+	if _, err := os.Stat(ghost); !os.IsNotExist(err) {
+		t.Fatalf("a failed convert created its -in: %v", err)
 	}
 }
 
@@ -826,7 +834,6 @@ func TestRetiredV2Snapshot(t *testing.T) {
 	wh := filepath.Join(dir, "wh.json")
 	for name, cmd := range map[string]func() error{
 		"load":    func() error { return cmdLoad([]string{"-warehouse", wh, "-format", "binary"}) },
-		"save":    func() error { return cmdSave([]string{"-warehouse", wh, "-format", "binary"}) },
 		"convert": func() error { return cmdSnapshot([]string{"convert", "-in", wh, "-out", out, "-format", "binary"}) },
 		"shard":   func() error { return cmdSnapshot([]string{"shard", "-in", wh, "-n", "2", "-format", "binary"}) },
 	} {

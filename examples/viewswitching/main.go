@@ -49,8 +49,8 @@ func main() {
 			pct, v.Size(), res.NumSteps(), res.NumData(), elapsed.Round(time.Microsecond))
 	}
 
-	hits, misses := sys.CacheStats()
-	fmt.Printf("\nclosure cache: %d hits, %d misses — only the first query paid for the recursion;\n", hits, misses)
+	cc := sys.CacheCounters()
+	fmt.Printf("\nclosure cache: %d hits, %d misses — only the first query paid for the recursion;\n", cc.Hits, cc.Misses)
 	fmt.Println("every later view switch re-projected the cached UAdmin closure (the paper's ~13 ms result).")
 }
 

@@ -107,7 +107,7 @@ type Config struct {
 // to the shard's preferred replica over pooled keep-alive connections —
 // failing over to the next replica on transport error or open breaker,
 // optionally hedging slow requests — and answers the catalog endpoints
-// (/v1/runs, /v1/stats) by bounded parallel scatter-gather with a
+// (/v1/runs, /v1/cluster/stats) by bounded parallel scatter-gather with a
 // deterministic merge. Per-replica circuit breakers and /readyz polling
 // keep a dead worker from blacking out its shard while a sibling holds
 // the same data, and an optional bounded response cache answers repeated
@@ -246,7 +246,6 @@ func (rt *Router) Handler() http.Handler {
 	mux.Handle("POST /v1/query", rt.edge.Wrap("POST /v1/query", rt.forward("/v1/query")))
 	mux.Handle("POST /v1/batch", rt.edge.Wrap("POST /v1/batch", rt.forward("/v1/batch")))
 	mux.Handle("GET /v1/runs", rt.edge.Wrap("GET /v1/runs", rt.handleRuns))
-	mux.Handle("GET /v1/stats", rt.edge.Wrap("GET /v1/stats", rt.handleStats))
 	mux.Handle("GET /v1/cluster/stats", rt.edge.Wrap("GET /v1/cluster/stats", rt.handleClusterStats))
 	mux.HandleFunc("GET /v1/shards", rt.handleShards)
 	mux.HandleFunc("GET /readyz", rt.handleReadyz)
@@ -711,41 +710,11 @@ func (rt *Router) handleRuns(_ *obs.Trace, w http.ResponseWriter, r *http.Reques
 }
 
 // shardStats is one shard's raw stats document inside the merged
-// GET /v1/stats body.
+// GET /v1/cluster/stats body.
 type shardStats struct {
 	Shard int             `json:"shard"`
 	Addr  string          `json:"addr"`
 	Stats json.RawMessage `json:"stats"`
-}
-
-// routerStatsResponse is the merged GET /v1/stats body: each shard's
-// stats document verbatim, in shard order, plus the partial flag.
-type routerStatsResponse struct {
-	ShardsTotal  int          `json:"shards_total"`
-	ShardsOK     int          `json:"shards_ok"`
-	Shards       []shardStats `json:"shards"`
-	Partial      bool         `json:"partial,omitempty"`
-	FailedShards []ShardError `json:"failed_shards,omitempty"`
-}
-
-func (rt *Router) handleStats(_ *obs.Trace, w http.ResponseWriter, r *http.Request) {
-	results, fails := rt.gather(r.Context(), func(ctx context.Context, cl *client.Client) (any, error) {
-		return cl.Stats(ctx)
-	})
-	resp := routerStatsResponse{ShardsTotal: len(rt.shards)}
-	for i, v := range results {
-		sr, ok := v.(*client.StatsResponse)
-		if !ok || sr == nil {
-			continue
-		}
-		resp.ShardsOK++
-		resp.Shards = append(resp.Shards, shardStats{Shard: i, Addr: rt.shards[i].replicas[0].base, Stats: sr.Stats})
-	}
-	if len(fails) > 0 {
-		resp.Partial = true
-		resp.FailedShards = fails
-	}
-	edge.WriteJSON(w, http.StatusOK, resp)
 }
 
 // clusterStatsResponse is the GET /v1/cluster/stats body: the router's

@@ -237,17 +237,17 @@ func TestRouterForwardAndGather(t *testing.T) {
 		}
 	}
 
-	// Stats carries one raw document per shard.
-	st, code := getRaw(t, routerURL, "/v1/stats", "")
+	// Cluster stats carry one raw document per shard.
+	st, code := getRaw(t, routerURL, "/v1/cluster/stats", "")
 	if st != http.StatusOK {
-		t.Fatalf("stats status %d", st)
+		t.Fatalf("cluster stats status %d", st)
 	}
-	var stats routerStatsResponse
+	var stats clusterStatsResponse
 	if err := json.Unmarshal(code, &stats); err != nil {
 		t.Fatal(err)
 	}
 	if stats.ShardsTotal != 2 || stats.ShardsOK != 2 || len(stats.Shards) != 2 || stats.Partial {
-		t.Fatalf("stats shape unexpected: %+v", stats)
+		t.Fatalf("cluster stats shape unexpected: %+v", stats)
 	}
 
 	// Worker errors pass through verbatim (status and body), and the

@@ -282,7 +282,7 @@ func (e *Engine) deepAnswer(ctx context.Context, runID string, v *core.UserView,
 			ErrForeignView, runID, r.SpecName(), v.Spec().Name())
 	}
 	lctx, lsp := obs.StartSpan(ctx, "query.lookup")
-	closure, o, err := e.w.DeepProvenanceObservedCtx(lctx, r, d, timed)
+	closure, o, err := e.w.DeepProvenanceObservedCtx(lctx, r, d)
 	if err == nil {
 		lsp.SetTag("outcome", o.Outcome.String())
 	}
@@ -314,9 +314,6 @@ func (e *Engine) deepAnswer(ctx context.Context, runID string, v *core.UserView,
 		m.queries.Inc()
 		m.totalNs[o.Outcome].Observe(end.Sub(start).Nanoseconds())
 		m.lookupNs.Observe(projectStart.Sub(start).Nanoseconds())
-		if o.Outcome == warehouse.OutcomeMiss {
-			m.computeNs.Observe(o.ComputeNs)
-		}
 		m.projectNs.Observe(end.Sub(projectStart).Nanoseconds())
 	}
 	return res, nil

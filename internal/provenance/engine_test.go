@@ -280,17 +280,17 @@ func TestViewSwitchUsesCache(t *testing.T) {
 	if _, err := f.e.DeepProvenance("fig2", f.joe, "d447"); err != nil {
 		t.Fatal(err)
 	}
-	h0, m0 := f.w.CacheStats()
-	if h0 != 0 || m0 != 1 {
-		t.Fatalf("first query: hits=%d misses=%d", h0, m0)
+	c0 := f.w.CacheCounters()
+	if c0.Hits != 0 || c0.Misses != 1 {
+		t.Fatalf("first query: hits=%d misses=%d", c0.Hits, c0.Misses)
 	}
 	// Switching to Mary's view reuses the cached closure.
 	if _, err := f.e.DeepProvenance("fig2", f.mary, "d447"); err != nil {
 		t.Fatal(err)
 	}
-	h1, m1 := f.w.CacheStats()
-	if h1 != 1 || m1 != 1 {
-		t.Fatalf("view switch did not hit cache: hits=%d misses=%d", h1, m1)
+	c1 := f.w.CacheCounters()
+	if c1.Hits != 1 || c1.Misses != 1 {
+		t.Fatalf("view switch did not hit cache: hits=%d misses=%d", c1.Hits, c1.Misses)
 	}
 }
 

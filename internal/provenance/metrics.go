@@ -8,13 +8,12 @@ import (
 // engineMetrics are the engine's instruments in an attached registry,
 // resolved once at attach time. Query latency is recorded twice: total
 // wall time split by cache outcome (totalNs[hit|miss|shared-wait] — the
-// paper's warm-vs-cold distinction), and per stage (lookup, closure
-// compute, projection) so a regression can be localized without re-running
-// under a profiler.
+// paper's warm-vs-cold distinction), and per stage (lookup, projection) so
+// a regression can be localized without re-running under a profiler; the
+// closure compute inside a lookup is the warehouse's cache.compute_ns.
 type engineMetrics struct {
 	totalNs   [3]*obs.Histogram // query.deep_total_ns.<outcome>
 	lookupNs  *obs.Histogram    // query.lookup_ns (cache hit, compute, or wait)
-	computeNs *obs.Histogram    // query.closure_compute_ns (misses only)
 	projectNs *obs.Histogram    // query.project_ns (mapping build + projection)
 	forwardNs *obs.Histogram    // query.derivation_ns (DeepDerivation, uncached)
 	queries   *obs.Counter      // query.deep_total
@@ -46,7 +45,6 @@ func (e *Engine) AttachMetrics(reg *obs.Registry) {
 	}
 	m := &engineMetrics{
 		lookupNs:  reg.Histogram("query.lookup_ns"),
-		computeNs: reg.Histogram("query.closure_compute_ns"),
 		projectNs: reg.Histogram("query.project_ns"),
 		forwardNs: reg.Histogram("query.derivation_ns"),
 		queries:   reg.Counter("query.deep_total"),

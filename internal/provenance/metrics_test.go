@@ -91,8 +91,9 @@ func TestEngineMetricsOutcomes(t *testing.T) {
 	if s.Histograms["query.deep_total_ns.hit"].Count != 1 {
 		t.Fatalf("hit histogram: %+v", s.Histograms["query.deep_total_ns.hit"])
 	}
-	if s.Histograms["query.closure_compute_ns"].Count != 1 {
-		t.Fatal("compute histogram must record misses only")
+	// The warehouse times every compute, the failed one too, and no hit.
+	if n := s.Histograms["cache.compute_ns"].Count; n != 2 {
+		t.Fatalf("cache.compute_ns holds %d computes, want the 2 misses", n)
 	}
 	if s.Histograms["query.lookup_ns"].Count != 2 || s.Histograms["query.project_ns"].Count != 2 {
 		t.Fatalf("stage histograms: %+v", s.Histograms)

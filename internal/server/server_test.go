@@ -823,21 +823,23 @@ func TestServerTraceIDPropagation(t *testing.T) {
 // router in front of one (prefix router) — each API route owns status-class
 // counters, a latency histogram and an in-flight gauge, because both wrap
 // their routes in the one request edge, and they reach /metrics with the
-// status class folded into a class label. The router's /v1/stats and
-// /v1/cluster/stats are distinct series, and a fast 502 counts in
-// router.errors.
+// status class folded into a class label. Each tier's stats route (the
+// worker's /v1/stats, the router's /v1/cluster/stats) is a series of its
+// own, and a fast 502 counts in router.errors.
 func TestServerRouteMetrics(t *testing.T) {
 	for _, tc := range []struct {
 		prefix string
+		// stats is the tier's stats route and key its instruments' name.
+		stats, statsKey string
 		// serve returns the tier's handler and registry, and stop, which
 		// takes the tier's worker away.
 		serve func(t *testing.T) (h http.Handler, reg *obs.Registry, stop func())
 	}{
-		{"http", func(t *testing.T) (http.Handler, *obs.Registry, func()) {
+		{"http", "/v1/stats", "stats", func(t *testing.T) (http.Handler, *obs.Registry, func()) {
 			s, reg := newTestServer(t, Config{})
 			return s.Handler(), reg, nil
 		}},
-		{"router", func(t *testing.T) (http.Handler, *obs.Registry, func()) {
+		{"router", "/v1/cluster/stats", "cluster.stats", func(t *testing.T) (http.Handler, *obs.Registry, func()) {
 			s, _ := newTestServer(t, Config{})
 			ws := httptest.NewServer(s.Handler())
 			t.Cleanup(ws.Close)
@@ -859,16 +861,16 @@ func TestServerRouteMetrics(t *testing.T) {
 				t.Fatalf("unknown run: status %d", rec.Code)
 			}
 			doJSON(t, h, "GET", "/v1/runs", nil, nil)
-			doJSON(t, h, "GET", "/v1/stats", nil, nil)
+			doJSON(t, h, "GET", tc.stats, nil, nil)
 
 			snap := reg.Snapshot()
 			for name, want := range map[string]int64{
-				p + ".query.status.2xx": 1,
-				p + ".query.status.4xx": 1,
-				p + ".runs.status.2xx":  1,
-				p + ".stats.status.2xx": 1,
-				p + ".requests":         4,
-				p + ".errors":           1,
+				p + ".query.status.2xx":               1,
+				p + ".query.status.4xx":               1,
+				p + ".runs.status.2xx":                1,
+				p + "." + tc.statsKey + ".status.2xx": 1,
+				p + ".requests":                       4,
+				p + ".errors":                         1,
 			} {
 				if got := snap.Counters[name]; got != want {
 					t.Errorf("counter %s = %d, want %d", name, got, want)
@@ -897,8 +899,6 @@ func TestServerRouteMetrics(t *testing.T) {
 				return
 			}
 
-			// The router's own stats route is a series of its own.
-			doJSON(t, h, "GET", "/v1/cluster/stats", nil, nil)
 			// With its only worker gone and the health poll knowing it, a
 			// query fails fast: a 502 that counts as an error.
 			stop()
@@ -910,7 +910,6 @@ func TestServerRouteMetrics(t *testing.T) {
 			}
 			snap = reg.Snapshot()
 			for name, want := range map[string]int64{
-				"router.stats.status.2xx":         1,
 				"router.cluster.stats.status.2xx": 1,
 				"router.query.status.5xx":         1,
 				"router.fast_fails":               1,

@@ -133,12 +133,10 @@ func (o Outcome) String() string {
 }
 
 // Observation is what one cache lookup reports back to the caller for
-// instrumentation: how the lookup was served and, for a miss, how long the
-// closure compute took. ComputeNs is zero unless timing was requested (or
-// a registry is attached) and the outcome is OutcomeMiss.
+// instrumentation: how the lookup was served. A miss's compute time goes
+// to the attached registry's cache.compute_ns.
 type Observation struct {
-	Outcome   Outcome
-	ComputeNs int64
+	Outcome Outcome
 }
 
 // shardsFor picks the stripe count: one shard per 64 cached closures,
@@ -217,13 +215,13 @@ func (sh *cacheShard) insertLocked(key cacheKey, c *Closure, cc *closureCache) {
 // closure it does not keep is delivered to this lookup's waiters and
 // dropped. Errors are delivered to all waiters and never cached.
 //
-// The Observation reports how the lookup was served; when timed is true
-// (or a metrics registry is attached) a miss also reports the closure
-// compute's wall time. A traced context (obs.StartSpan) additionally gets
+// The Observation reports how the lookup was served; when a metrics
+// registry is attached, a miss's compute is timed into cache.compute_ns.
+// A traced context (obs.StartSpan) additionally gets
 // "closure.compute" / "closure.shared-wait" child spans; hits record no
 // span of their own — the engine's enclosing "query.lookup" span IS the
 // hit's cost — and an untraced context pays only the one nil span check.
-func (cc *closureCache) getOrCompute(ctx context.Context, key cacheKey, timed bool, compute func(keep func(*Closure)) (*Closure, error)) (*Closure, Observation, error) {
+func (cc *closureCache) getOrCompute(ctx context.Context, key cacheKey, compute func(keep func(*Closure)) (*Closure, error)) (*Closure, Observation, error) {
 	sh := cc.shard(key)
 	sh.mu.Lock()
 	if el, ok := sh.items[key]; ok {
@@ -250,11 +248,8 @@ func (cc *closureCache) getOrCompute(ctx context.Context, key cacheKey, timed bo
 
 	cc.misses.Add(1)
 	h := cc.computeNs.Load()
-	if h != nil {
-		timed = true
-	}
 	var start time.Time
-	if timed {
+	if h != nil {
 		start = time.Now()
 	}
 	csp := obs.SpanFromContext(ctx).StartChild("closure.compute")
@@ -265,11 +260,9 @@ func (cc *closureCache) getOrCompute(ctx context.Context, key cacheKey, timed bo
 		sh.mu.Unlock()
 	})
 	csp.End()
-	var computeNs int64
-	if timed {
-		computeNs = time.Since(start).Nanoseconds()
+	if h != nil {
+		h.Observe(time.Since(start).Nanoseconds())
 	}
-	h.Observe(computeNs)
 
 	sh.mu.Lock()
 	delete(sh.inflight, key)
@@ -277,13 +270,9 @@ func (cc *closureCache) getOrCompute(ctx context.Context, key cacheKey, timed bo
 	fl.c, fl.err = c, err
 	close(fl.done)
 	if err != nil {
-		return nil, Observation{Outcome: OutcomeMiss, ComputeNs: computeNs}, err
+		return nil, Observation{Outcome: OutcomeMiss}, err
 	}
-	return c, Observation{Outcome: OutcomeMiss, ComputeNs: computeNs}, nil
-}
-
-func (cc *closureCache) stats() (hits, misses int64) {
-	return cc.hits.Load(), cc.misses.Load()
+	return c, Observation{Outcome: OutcomeMiss}, nil
 }
 
 // counters snapshots every cache counter.

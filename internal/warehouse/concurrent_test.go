@@ -66,7 +66,7 @@ func TestConcurrentSingleflightComputesOnce(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], _, errs[i] = cc.getOrCompute(context.Background(), testKey, false, kept(compute))
+			results[i], _, errs[i] = cc.getOrCompute(context.Background(), testKey, kept(compute))
 		}(i)
 	}
 	waitForCount(t, &cc.sharedWaits, goroutines-1)
@@ -93,7 +93,7 @@ func TestConcurrentSingleflightComputesOnce(t *testing.T) {
 		}
 	}
 	// The key is now cached: one more lookup is a hit without a compute.
-	if _, o, err := cc.getOrCompute(context.Background(), testKey, false, kept(compute)); err != nil || o.Outcome != OutcomeHit {
+	if _, o, err := cc.getOrCompute(context.Background(), testKey, kept(compute)); err != nil || o.Outcome != OutcomeHit {
 		t.Fatalf("warm lookup: outcome=%v err=%v, want hit", o.Outcome, err)
 	}
 	c = cc.counters()
@@ -121,7 +121,7 @@ func TestConcurrentSingleflightErrorShared(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, _, errs[i] = cc.getOrCompute(context.Background(), testKey, false, kept(failing))
+			_, _, errs[i] = cc.getOrCompute(context.Background(), testKey, kept(failing))
 		}(i)
 	}
 	waitForCount(t, &cc.sharedWaits, goroutines-1)
@@ -140,7 +140,7 @@ func TestConcurrentSingleflightErrorShared(t *testing.T) {
 	ok := func() (*Closure, error) {
 		return testClosure("d1", nil, []string{"d1"}), nil
 	}
-	if _, _, err := cc.getOrCompute(context.Background(), testKey, false, kept(ok)); err != nil {
+	if _, _, err := cc.getOrCompute(context.Background(), testKey, kept(ok)); err != nil {
 		t.Fatal(err)
 	}
 	if c := cc.counters(); c.Computes != 2 {

@@ -78,15 +78,15 @@ func (w *Warehouse) DeepProvenance(runID, d string) (*Closure, error) {
 	if err != nil {
 		return nil, err
 	}
-	c, _, err := w.DeepProvenanceObservedCtx(context.Background(), r, d, false)
+	c, _, err := w.DeepProvenanceObservedCtx(context.Background(), r, d)
 	return c, err
 }
 
 // DeepProvenanceObservedCtx is DeepProvenance over a run the caller has
 // already resolved (Warehouse.Run), plus an Observation telling the caller
-// how the lookup was served (hit, miss, shared-wait) and — when timed is
-// true or a metrics registry is attached — how long a miss's closure
-// compute took. The provenance engine uses it to split its query latency
+// how the lookup was served (hit, miss, shared-wait); an attached metrics
+// registry times a miss's closure compute (cache.compute_ns). The
+// provenance engine uses it to split its query latency
 // histograms by outcome and to fill per-query traces. When the context
 // carries a trace span (obs.StartSpan), the cache records "closure.compute"
 // and "closure.shared-wait" child spans, giving a traced request per-stage
@@ -95,8 +95,8 @@ func (w *Warehouse) DeepProvenance(runID, d string) (*Closure, error) {
 // The cache is keyed on the run instance, so the closure is always over
 // r's own index. A closure of a run the warehouse no longer serves (dropped
 // since the caller resolved it) is computed and returned but not cached.
-func (w *Warehouse) DeepProvenanceObservedCtx(ctx context.Context, r *run.Run, d string, timed bool) (*Closure, Observation, error) {
-	return w.cache.getOrCompute(ctx, cacheKey{r, d}, timed, func(keep func(*Closure)) (*Closure, error) {
+func (w *Warehouse) DeepProvenanceObservedCtx(ctx context.Context, r *run.Run, d string) (*Closure, Observation, error) {
+	return w.cache.getOrCompute(ctx, cacheKey{r, d}, func(keep func(*Closure)) (*Closure, error) {
 		w.mu.RLock()
 		defer w.mu.RUnlock()
 		if w.closed {
@@ -122,13 +122,14 @@ type ClosureStrategy uint8
 // StrategyAuto is the only ClosureStrategy.
 const StrategyAuto ClosureStrategy = 0
 
-// DeepProvenanceStrategyCtx resolves the run and is DeepProvenanceObservedCtx.
-func (w *Warehouse) DeepProvenanceStrategyCtx(ctx context.Context, runID, d string, timed bool, _ ClosureStrategy) (*Closure, Observation, error) {
+// DeepProvenanceStrategyCtx resolves the run and is DeepProvenanceObservedCtx;
+// its bool is ignored.
+func (w *Warehouse) DeepProvenanceStrategyCtx(ctx context.Context, runID, d string, _ bool, _ ClosureStrategy) (*Closure, Observation, error) {
 	r, err := w.Run(runID)
 	if err != nil {
 		return nil, Observation{}, err
 	}
-	return w.DeepProvenanceObservedCtx(ctx, r, d, timed)
+	return w.DeepProvenanceObservedCtx(ctx, r, d)
 }
 
 // DeepDerivation is the inverse canned query the prototype section

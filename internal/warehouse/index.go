@@ -76,19 +76,6 @@ func indexedDerivationClosure(ix *run.Index, d string) *Closure {
 	return &Closure{Root: d, ix: ix, stepBits: stepBits, dataBits: dataBits}
 }
 
-// RunIndex returns the compact index of a loaded run, or nil when the run
-// is unknown or failed to materialize. It is the index every closure of the
-// run carries.
-func (w *Warehouse) RunIndex(runID string) *run.Index {
-	w.mu.RLock()
-	defer w.mu.RUnlock()
-	rt, err := w.tablesLocked(runID)
-	if err != nil {
-		return nil
-	}
-	return rt.run.Index()
-}
-
 // IndexStats aggregates the per-run index footprints: how many ids were
 // interned, what the flat CSR adjacency costs (offsets, targets and the
 // producer column, at 4 bytes per int32), and how many 64-bit words a

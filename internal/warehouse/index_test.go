@@ -1,6 +1,7 @@
 package warehouse
 
 import (
+	"errors"
 	"reflect"
 	"sync"
 	"testing"
@@ -239,7 +240,11 @@ func TestClosureFacade(t *testing.T) {
 	if c.Size() != c.NumSteps()+c.NumData() {
 		t.Fatalf("Size = %d", c.Size())
 	}
-	if ix, _, _ := c.Bits(); ix != w.RunIndex("fig2") {
+	r, err := w.Run("fig2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ix, _, _ := c.Bits(); ix != r.Index() {
 		t.Fatal("closure is not over the run's index")
 	}
 	c2, err := w.DeepProvenance("fig2", "d447")
@@ -265,14 +270,14 @@ func figure2As(t *testing.T, id string) *run.Run {
 // TestIndexDroppedWithRun: DropRun discards the index along with the run.
 func TestIndexDroppedWithRun(t *testing.T) {
 	w := loadedWarehouse(t)
-	if w.RunIndex("fig2") == nil {
-		t.Fatal("no index after load")
+	if r, err := w.Run("fig2"); err != nil || r.Index() == nil {
+		t.Fatalf("no index after load (err %v)", err)
 	}
 	if err := w.DropRun("fig2"); err != nil {
 		t.Fatal(err)
 	}
-	if w.RunIndex("fig2") != nil {
-		t.Fatal("index survived DropRun")
+	if _, err := w.Run("fig2"); !errors.Is(err, ErrUnknownRun) {
+		t.Fatalf("run survived DropRun: %v", err)
 	}
 	if st := w.Stats(); st.Index.IndexedRuns != 0 || st.Index.CSRBytes != 0 {
 		t.Fatalf("stats still count dropped index: %+v", st.Index)

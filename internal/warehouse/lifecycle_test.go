@@ -107,7 +107,7 @@ func startLeader(t *testing.T, w *Warehouse, r *run.Run, d string) <-chan *Closu
 	before := w.cache.misses.Load()
 	out := make(chan *Closure, 1)
 	go func() {
-		c, o, err := w.DeepProvenanceObservedCtx(context.Background(), r, d, false)
+		c, o, err := w.DeepProvenanceObservedCtx(context.Background(), r, d)
 		if err != nil || o.Outcome != OutcomeMiss {
 			t.Errorf("leader of %s: outcome=%v err=%v", d, o.Outcome, err)
 		}
@@ -164,7 +164,7 @@ func TestConcurrentDropReingestMidCompute(t *testing.T) {
 	w.runs["fig2"] = &runTables{specName: fresh.SpecName(), run: fresh}
 	w.mu.Unlock()
 
-	c, o, err := w.DeepProvenanceObservedCtx(context.Background(), fresh, "d447", false)
+	c, o, err := w.DeepProvenanceObservedCtx(context.Background(), fresh, "d447")
 	if err != nil || o.Outcome != OutcomeMiss {
 		t.Fatalf("new instance: outcome=%v err=%v, want its own miss", o.Outcome, err)
 	}
@@ -181,11 +181,11 @@ func TestConcurrentDropReingestMidCompute(t *testing.T) {
 	if cs := w.CacheCounters(); cs.Stores != 1 {
 		t.Fatalf("stores = %d, want 1 (the new instance's)", cs.Stores)
 	}
-	again, o, err := w.DeepProvenanceObservedCtx(context.Background(), fresh, "d447", false)
+	again, o, err := w.DeepProvenanceObservedCtx(context.Background(), fresh, "d447")
 	if err != nil || o.Outcome != OutcomeHit || again != c {
 		t.Fatalf("new instance's closure not served from cache: outcome=%v err=%v", o.Outcome, err)
 	}
-	if _, o, _ := w.DeepProvenanceObservedCtx(context.Background(), old, "d447", false); o.Outcome != OutcomeMiss {
+	if _, o, _ := w.DeepProvenanceObservedCtx(context.Background(), old, "d447"); o.Outcome != OutcomeMiss {
 		t.Fatalf("old instance served from cache (outcome=%v), want miss", o.Outcome)
 	}
 	checkQuiescentInvariants(t, w.CacheCounters(), 4, w.CacheLen())

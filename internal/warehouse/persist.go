@@ -6,9 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -137,36 +135,27 @@ func (w *Warehouse) Save(out io.Writer) error {
 	return bw.Flush()
 }
 
-// LoadOptions tune snapshot loading. A v1 snapshot's runs are rebuilt on
-// GOMAXPROCS goroutines; whatever the worker count, the loaded warehouse
-// (and, on failure, the reported error) is identical to a serial load.
+// LoadOptions tune snapshot loading.
 type LoadOptions struct {
 	// Metrics, when non-nil, is attached to the loaded warehouse, and the
 	// load itself is recorded there (ingest.snapshot_load_ns plus the
 	// loaded run count under ingest.runs_loaded).
 	Metrics *obs.Registry
 	// Progress, when non-nil, is called as runs finish loading: first with
-	// (0, total), then with the running count after each run. Calls come
-	// from loader goroutines (serialized by an internal mutex); keep the
-	// callback fast. A v3 open calls it once with (total, total), since
-	// there is no load phase.
+	// (0, total), then with the running count after each run, all on the
+	// loading goroutine; keep the callback fast. A v3 open calls it once
+	// with (total, total), since there is no load phase.
 	Progress func(loaded, total int)
 }
 
 // Load reads a snapshot produced by Save or SaveV3 into an empty warehouse,
-// auto-detecting the format, with the default (parallel) load options.
+// auto-detecting the format, with the default load options.
 func Load(in io.Reader, cacheSize int) (*Warehouse, error) {
 	return LoadWith(in, cacheSize, LoadOptions{})
 }
 
 // LoadWith is Load with explicit options.
 func LoadWith(in io.Reader, cacheSize int, opts LoadOptions) (*Warehouse, error) {
-	return loadWith(in, cacheSize, opts, 0)
-}
-
-// loadWith is LoadWith rebuilding v1 runs on the given number of goroutines
-// (<= 0 selects GOMAXPROCS); tests compare worker counts through it.
-func loadWith(in io.Reader, cacheSize int, opts LoadOptions, workers int) (*Warehouse, error) {
 	var start time.Time
 	if opts.Metrics != nil {
 		start = time.Now()
@@ -178,7 +167,7 @@ func loadWith(in io.Reader, cacheSize int, opts LoadOptions, workers int) (*Ware
 	}
 	var w *Warehouse
 	if head[0] == '{' {
-		w, err = loadJSON(br, cacheSize, opts, workers)
+		w, err = loadJSON(br, cacheSize, opts.Progress)
 	} else {
 		w, err = loadV3Reader(br, cacheSize, opts)
 	}
@@ -188,8 +177,8 @@ func loadWith(in io.Reader, cacheSize int, opts LoadOptions, workers int) (*Ware
 	if opts.Metrics != nil {
 		w.AttachMetrics(opts.Metrics)
 		w.observeSnapshotLoad(start)
-		// The parallel loader bypasses LoadRun's per-run observation, so
-		// credit the loaded runs here.
+		// No registry was attached while the runs went in, so none was
+		// counted: credit them here.
 		if m := w.obs.Load(); m != nil {
 			m.runsLoaded.Add(int64(w.NumRuns()))
 		}
@@ -198,8 +187,9 @@ func loadWith(in io.Reader, cacheSize int, opts LoadOptions, workers int) (*Ware
 }
 
 // loadJSON restores a v1 (JSON) snapshot: the document is decoded in one
-// piece, then the runs are rebuilt on the worker pool.
-func loadJSON(in io.Reader, cacheSize int, opts LoadOptions, workers int) (*Warehouse, error) {
+// piece, then its runs are rebuilt and loaded one by one, in file order, so
+// the first bad run is the one an error names.
+func loadJSON(in io.Reader, cacheSize int, progress func(loaded, total int)) (*Warehouse, error) {
 	var snap snapshot
 	if err := json.NewDecoder(in).Decode(&snap); err != nil {
 		return nil, fmt.Errorf("warehouse: decode snapshot: %w", err)
@@ -227,11 +217,21 @@ func loadJSON(in io.Reader, cacheSize int, opts LoadOptions, workers int) (*Ware
 			return nil, err
 		}
 	}
-	err := w.loadRunsParallel(workers, len(snap.Runs), opts.Progress, func(i int) (*run.Run, error) {
-		return reconstructSnapshotRun(&snap.Runs[i])
-	})
-	if err != nil {
-		return nil, err
+	n := len(snap.Runs)
+	if progress != nil {
+		progress(0, n)
+	}
+	for i := range snap.Runs {
+		r, err := reconstructSnapshotRun(&snap.Runs[i])
+		if err == nil {
+			err = w.LoadRun(r)
+		}
+		if err != nil {
+			return nil, err
+		}
+		if progress != nil {
+			progress(i+1, n)
+		}
 	}
 	return w, nil
 }
@@ -264,86 +264,4 @@ func buildSnapshotRun(rs *runSnapshot) (*run.Run, error) {
 		}
 	}
 	return b.Build()
-}
-
-// loadRunsParallel rebuilds n runs with a bounded worker pool: each worker
-// calls build(i) — reconstruction from the snapshot record — and then
-// LoadRun, which validates, checks spec conformance and builds the compact
-// index outside the catalog lock. Error reporting is deterministic: if any
-// indexes fail, the error of the *lowest* failing index is returned, no
-// matter how the pool interleaved. Indexes above a known failure are
-// skipped best-effort, never ones below it.
-func (w *Warehouse) loadRunsParallel(workers, n int, progress func(loaded, total int), build func(i int) (*run.Run, error)) error {
-	if n == 0 {
-		if progress != nil {
-			progress(0, 0)
-		}
-		return nil
-	}
-	if progress != nil {
-		progress(0, n)
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	var (
-		mu       sync.Mutex
-		firstIdx = n
-		firstErr error
-		loaded   int
-	)
-	advance := func() {
-		if progress == nil {
-			return
-		}
-		mu.Lock()
-		loaded++
-		progress(loaded, n)
-		mu.Unlock()
-	}
-	record := func(i int, err error) {
-		mu.Lock()
-		if i < firstIdx {
-			firstIdx, firstErr = i, err
-		}
-		mu.Unlock()
-	}
-	failedBelow := func(i int) bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return i > firstIdx
-	}
-	var wg sync.WaitGroup
-	idx := make(chan int)
-	go func() {
-		defer close(idx)
-		for i := 0; i < n; i++ {
-			idx <- i
-		}
-	}()
-	for k := 0; k < workers; k++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				if failedBelow(i) {
-					continue
-				}
-				r, err := build(i)
-				if err == nil {
-					err = w.LoadRun(r)
-				}
-				if err != nil {
-					record(i, err)
-				} else {
-					advance()
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return firstErr
 }

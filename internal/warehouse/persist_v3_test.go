@@ -158,8 +158,8 @@ func TestV3CloseLifecycle(t *testing.T) {
 	if err := back.LoadRun(run.Figure2()); !errors.Is(err, ErrClosed) {
 		t.Fatalf("LoadRun after Close: %v", err)
 	}
-	if ix := back.RunIndex("fig2"); ix != nil {
-		t.Fatal("RunIndex after Close must be nil")
+	if _, err := back.Run("fig2"); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Run after Close: %v", err)
 	}
 	// Pre-Close results remain intact (their strings were copied out of the
 	// arena at materialization).

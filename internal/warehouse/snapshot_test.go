@@ -203,7 +203,7 @@ func TestLoadHeaderDispatch(t *testing.T) {
 					t.Fatalf("%s: %q does not name the way out", entry, err)
 				}
 			}
-			_, err := loadWith(bytes.NewReader(tc.in), 0, LoadOptions{}, 1)
+			_, err := LoadWith(bytes.NewReader(tc.in), 0, LoadOptions{})
 			check("LoadWith", tc.load, err)
 
 			path := filepath.Join(t.TempDir(), "snap")
@@ -217,8 +217,8 @@ func TestLoadHeaderDispatch(t *testing.T) {
 	}
 }
 
-// TestLoadParallelDeterministicError: when several runs are corrupt, every
-// worker count reports the error of the lowest-indexed bad run.
+// TestLoadParallelDeterministicError: when several runs are corrupt, the
+// load reports the error of the lowest-indexed bad run.
 func TestLoadParallelDeterministicError(t *testing.T) {
 	w := snapshotWarehouse(t, 4)
 	var buf bytes.Buffer
@@ -235,18 +235,45 @@ func TestLoadParallelDeterministicError(t *testing.T) {
 	blob, err := json.Marshal(&snap)
 	mustT(t, err)
 
-	_, wantErr := loadWith(bytes.NewReader(blob), 0, LoadOptions{}, 1)
-	if wantErr == nil {
+	_, err = Load(bytes.NewReader(blob), 0)
+	if err == nil {
 		t.Fatal("corrupt snapshot accepted")
 	}
-	if !strings.Contains(wantErr.Error(), snap.Runs[1].ID) {
-		t.Fatalf("serial load did not fail on the first bad run: %v", wantErr)
+	if !strings.Contains(err.Error(), snap.Runs[1].ID) {
+		t.Fatalf("load did not fail on the first bad run: %v", err)
 	}
-	for trial := 0; trial < 8; trial++ {
-		_, err := loadWith(bytes.NewReader(blob), 0, LoadOptions{}, 8)
-		if err == nil || err.Error() != wantErr.Error() {
-			t.Fatalf("trial %d: parallel error %v, want %v", trial, err, wantErr)
-		}
+}
+
+// TestLoadProgress: a v1 load of k runs reports (0,k), (1,k) … (k,k), in
+// order and once each; a v3 open, which has no load phase, reports (k,k)
+// once.
+func TestLoadProgress(t *testing.T) {
+	w := snapshotWarehouse(t, 2)
+	k := w.NumRuns()
+	var v1, v3 bytes.Buffer
+	mustT(t, w.Save(&v1))
+	mustT(t, w.SaveV3(&v3))
+	var calls [][2]int
+	opts := LoadOptions{Progress: func(loaded, total int) { calls = append(calls, [2]int{loaded, total}) }}
+
+	_, err := LoadWith(bytes.NewReader(v1.Bytes()), 0, opts)
+	mustT(t, err)
+	var want [][2]int
+	for i := 0; i <= k; i++ {
+		want = append(want, [2]int{i, k})
+	}
+	if !reflect.DeepEqual(calls, want) {
+		t.Fatalf("v1 progress = %v, want %v", calls, want)
+	}
+
+	calls = nil
+	path := filepath.Join(t.TempDir(), "wh.v3")
+	mustT(t, os.WriteFile(path, v3.Bytes(), 0o644))
+	back, err := OpenV3(path, 0, opts)
+	mustT(t, err)
+	defer back.Close()
+	if want := [][2]int{{k, k}}; !reflect.DeepEqual(calls, want) {
+		t.Fatalf("v3 progress = %v, want %v", calls, want)
 	}
 }
 
@@ -293,7 +320,7 @@ func FuzzSnapshotLoad(f *testing.F) {
 	}
 	f.Add(corrupt3)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		back, err := loadWith(bytes.NewReader(data), 0, LoadOptions{}, 2)
+		back, err := Load(bytes.NewReader(data), 0)
 		if bytes.HasPrefix(data, []byte("ZOOM\x02")) && !errors.Is(err, ErrSnapshotV2Retired) {
 			t.Fatalf("v2 header: err = %v, want ErrSnapshotV2Retired", err)
 		}
@@ -317,29 +344,4 @@ func FuzzSnapshotLoad(f *testing.F) {
 			t.Fatalf("re-save v3: %v", err)
 		}
 	})
-}
-
-// TestConcurrentParallelLoadEquivalence: loading the same v1 snapshot with
-// one worker and with eight yields identical warehouses — same catalog stats
-// and identical deep-provenance answers. (A v3 image has no load phase to
-// parallelize.) Runs under -race in CI (name matches the Concurrent
-// pattern).
-func TestConcurrentParallelLoadEquivalence(t *testing.T) {
-	w := snapshotWarehouse(t, 3)
-	var v1 bytes.Buffer
-	mustT(t, w.Save(&v1))
-
-	serial, err := loadWith(bytes.NewReader(v1.Bytes()), 0, LoadOptions{}, 1)
-	mustT(t, err)
-	parallel, err := loadWith(bytes.NewReader(v1.Bytes()), 0, LoadOptions{}, 8)
-	mustT(t, err)
-	if !reflect.DeepEqual(serial.RunIDs(), parallel.RunIDs()) {
-		t.Fatal("run sets differ by worker count")
-	}
-	if got, want := catalog(parallel.Stats()), catalog(serial.Stats()); !reflect.DeepEqual(got, want) {
-		t.Fatalf("stats differ by worker count:\n workers=8 %+v\n workers=1 %+v", got, want)
-	}
-	if !reflect.DeepEqual(deepAnswers(t, serial), deepAnswers(t, parallel)) {
-		t.Fatal("provenance answers differ by worker count")
-	}
 }

@@ -234,9 +234,8 @@ func (w *Warehouse) ViewNames(specName string) []string {
 //
 // The expensive part of a load — structural validation, spec conformance,
 // and the compact-index build — runs *outside* the catalog lock, so many
-// goroutines can ingest runs concurrently (the parallel snapshot loader and
-// live multi-run ingestion both lean on this); only the brief catalog
-// insert serializes. Duplicate ids are re-checked under the write lock, so
+// goroutines can ingest runs concurrently (live multi-run ingestion leans
+// on this); only the brief catalog insert serializes. Duplicate ids are re-checked under the write lock, so
 // two racing loads of the same id still resolve to exactly one winner.
 func (w *Warehouse) LoadRun(r *run.Run) error {
 	w.mu.RLock()
@@ -360,31 +359,11 @@ func (w *Warehouse) RunIDs() []string {
 	return out
 }
 
-// RunsOfSpec lists the runs of one specification, sorted.
-func (w *Warehouse) RunsOfSpec(specName string) []string {
-	w.mu.RLock()
-	defer w.mu.RUnlock()
-	var out []string
-	for id, rt := range w.runs {
-		if rt.specName == specName {
-			out = append(out, id)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // NumRuns returns the number of loaded runs.
 func (w *Warehouse) NumRuns() int {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
 	return len(w.runs)
-}
-
-// CacheStats exposes closure-cache hit/miss counters for the view-switch
-// experiment.
-func (w *Warehouse) CacheStats() (hits, misses int64) {
-	return w.cache.stats()
 }
 
 // CacheCounters snapshots every closure-cache counter, including the

@@ -101,8 +101,8 @@ func TestLoadRunChecks(t *testing.T) {
 	if w.NumRuns() != 1 {
 		t.Fatalf("NumRuns = %d", w.NumRuns())
 	}
-	if got := w.RunsOfSpec("phylogenomics"); !reflect.DeepEqual(got, []string{"fig2"}) {
-		t.Fatalf("RunsOfSpec = %v", got)
+	if got := w.RunIDs(); !reflect.DeepEqual(got, []string{"fig2"}) {
+		t.Fatalf("RunIDs = %v", got)
 	}
 	if _, err := w.Run("ghost"); !errors.Is(err, ErrUnknownRun) {
 		t.Fatalf("unknown run: %v", err)
@@ -276,20 +276,18 @@ func TestClosureCacheBehavior(t *testing.T) {
 	if _, err := w.DeepProvenance("fig2", "d447"); err != nil {
 		t.Fatal(err)
 	}
-	h0, m0 := w.CacheStats()
-	if h0 != 0 || m0 != 1 {
-		t.Fatalf("after first query: hits=%d misses=%d", h0, m0)
+	c0 := w.CacheCounters()
+	if c0.Hits != 0 || c0.Misses != 1 {
+		t.Fatalf("after first query: hits=%d misses=%d", c0.Hits, c0.Misses)
 	}
 	if _, err := w.DeepProvenance("fig2", "d447"); err != nil {
 		t.Fatal(err)
 	}
-	h1, _ := w.CacheStats()
-	if h1 != 1 {
+	if h1 := w.CacheCounters().Hits; h1 != 1 {
 		t.Fatalf("second query did not hit cache: hits=%d", h1)
 	}
 	w.ResetCache()
-	h, m := w.CacheStats()
-	if h != 0 || m != 0 {
+	if c := w.CacheCounters(); c.Hits != 0 || c.Misses != 0 {
 		t.Fatal("ResetCache did not clear stats")
 	}
 }
@@ -304,11 +302,11 @@ func TestClosureCacheEviction(t *testing.T) {
 		}
 	}
 	// d447 (least recently used) was evicted: querying it again misses.
-	_, m0 := w.CacheStats()
+	m0 := w.CacheCounters().Misses
 	if _, err := w.DeepProvenance("fig2", "d447"); err != nil {
 		t.Fatal(err)
 	}
-	_, m1 := w.CacheStats()
+	m1 := w.CacheCounters().Misses
 	if m1 != m0+1 {
 		t.Fatalf("expected eviction miss: misses %d -> %d", m0, m1)
 	}

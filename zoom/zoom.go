@@ -418,9 +418,6 @@ func CompareRuns(a, b *Run) RunDiff { return run.Compare(a, b) }
 // QueryForms lists the canned query forms for help texts.
 func QueryForms() []string { return query.Forms() }
 
-// CacheStats exposes the closure-cache hit/miss counters.
-func (s *System) CacheStats() (hits, misses int64) { return s.w.CacheStats() }
-
 // CacheCounters snapshots all closure-cache counters, including the
 // singleflight shared-wait and eviction counts.
 func (s *System) CacheCounters() CacheCounters { return s.w.CacheCounters() }

@@ -188,9 +188,8 @@ func TestFacadeSystemPersistence(t *testing.T) {
 	if err != nil || res.NumData() == 0 {
 		t.Fatalf("restored system cannot answer queries: %v", err)
 	}
-	h, m := back.CacheStats()
-	if h != 0 || m != 1 {
-		t.Fatalf("cache stats: %d/%d", h, m)
+	if c := back.CacheCounters(); c.Hits != 0 || c.Misses != 1 {
+		t.Fatalf("cache counters: %d/%d", c.Hits, c.Misses)
 	}
 }
 
