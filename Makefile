@@ -24,8 +24,11 @@ vet:
 test:
 	$(GO) test ./...
 
-# The concurrency layer: stress tests and the batch/singleflight tests all
-# match Concurrent|Stress, run under the race detector across every package.
+# The concurrency layer under the race detector, across every package: the
+# stress tests, the singleflight tests and the tests that drive batches or
+# requests from several goroutines at once all match Concurrent|Stress. A
+# batch itself runs on one goroutine, so a test of one batch alone carries
+# another name and stays out of this target.
 race:
 	$(GO) test -race -run 'Concurrent|Stress' ./...
 

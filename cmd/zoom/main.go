@@ -17,7 +17,7 @@
 //	zoom snapshot convert -in old.snap -out new.snap [-format v3]   (-out may be -in: rewrite in place)
 //	zoom snapshot shard -in wh.v3 -n 4 [-out prefix] [-format keep]
 //	zoom router  -workers http://h1:8081,http://h2:8082 [-addr :8090] [-health-interval 2s] [-hedge 0] [-cache 4096] [-slow 10ms] [-drain 5s]
-//	zoom query   -warehouse wh.json -run id -data d447[,d448,...] [-parallel N] [-relevant ...] [-mode deep|immediate|derived] [-dot] [-trace]
+//	zoom query   -warehouse wh.json -run id -data d447[,d448,...] [-relevant ...] [-mode deep|immediate|derived] [-dot] [-trace]
 //	zoom runs    -warehouse wh.json       list warehouse contents
 //	zoom stats   -warehouse wh.json [-json]  warehouse statistics and metrics
 //	zoom stats   -cluster http://router:8090 [-json]  aggregated cluster statistics via a router
@@ -37,7 +37,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 	"syscall"
@@ -701,7 +700,6 @@ func cmdQuery(args []string) error {
 	data := fs.String("data", "", "data object id, or a comma-separated list for a batch (required)")
 	relevant := fs.String("relevant", "", "relevant modules for the view (empty = UAdmin)")
 	mode := fs.String("mode", "deep", "deep | immediate | derived")
-	parallel := fs.Int("parallel", 1, "worker goroutines for a multi-data deep batch (0 = GOMAXPROCS)")
 	asDot := fs.Bool("dot", false, "emit Graphviz DOT of the provenance graph")
 	asProv := fs.Bool("prov", false, "emit W3C PROV-JSON (deep mode only)")
 	stats := fs.Bool("stats", false, "print warehouse statistics (catalog, cache, compact index) after answering")
@@ -736,7 +734,7 @@ func cmdQuery(args []string) error {
 		if *asDot || *asProv || *trace {
 			return fmt.Errorf("query: -dot/-prov/-trace need a single -data id")
 		}
-		results, err := sys.DeepProvenanceBatch(context.Background(), *runID, v, ids, *parallel)
+		results, err := sys.DeepProvenanceBatch(context.Background(), *runID, v, ids)
 		if err != nil {
 			return err
 		}
@@ -744,18 +742,8 @@ func cmdQuery(args []string) error {
 			fmt.Printf("deep provenance of %s: %d executions, %d data objects\n",
 				ids[i], res.NumSteps(), res.NumData())
 		}
-		// Report the pool size actually used, mirroring DeepProvenanceBatch's
-		// clamping of -parallel <= 0 (GOMAXPROCS) and oversized pools.
-		workers := *parallel
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		if workers > len(ids) {
-			workers = len(ids)
-		}
 		cs := sys.CacheCounters()
-		fmt.Printf("batch of %d answered with %d workers: closure cache %d hits / %d misses / %d shared\n",
-			len(ids), workers, cs.Hits, cs.Misses, cs.SharedWaits)
+		fmt.Printf("batch of %d answered: closure cache %d hits / %d misses\n", len(ids), cs.Hits, cs.Misses)
 		if *stats {
 			return printStats(sys)
 		}

@@ -84,6 +84,28 @@ func TestClusterDifferentialByteIdentical(t *testing.T) {
 	}
 }
 
+// TestClusterBatchWorkersRejected: a batch is answered on its request's
+// goroutine, so a body asking for a pool width is the unknown-field 400
+// that names "workers" — and the router relays the worker's 400 byte for
+// byte, as the single node answers it.
+func TestClusterBatchWorkersRejected(t *testing.T) {
+	specs, runs, infos := buildCorpus(t, []gen.RunClass{gen.Small()})
+	singleURL, routerURL, _ := buildCluster(t, 2, specs, runs)
+	targets, err := json.Marshal(infos[0].targets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := fmt.Sprintf(`{"run":%q,"data":%s,"workers":4}`, infos[0].id, targets)
+	wantStatus, want := postRaw(t, singleURL, "/v1/batch", traceID(0), body)
+	gotStatus, got := postRaw(t, routerURL, "/v1/batch", traceID(1), body)
+	if wantStatus != http.StatusBadRequest || !bytes.Contains(want, []byte(`unknown field \"workers\"`)) {
+		t.Fatalf("single node: %d %s, want a 400 naming the workers field", wantStatus, want)
+	}
+	if gotStatus != wantStatus || !bytes.Equal(got, want) {
+		t.Fatalf("routed: %d %s, single node: %d %s", gotStatus, got, wantStatus, want)
+	}
+}
+
 // TestClusterReplicatedDifferentialByteIdentical extends the byte-
 // identity claim to replica sets: over a 2-shard × 2-replica cluster
 // with the response cache enabled, every query kind answers byte-

@@ -292,8 +292,8 @@ func TestRouterHostileTraceStrings(t *testing.T) {
 
 	big := strings.Repeat("é", 100_000) // 200 KB, 600 KB once escaped
 	for i, id := range []string{"d447", "\x7f", "é", "\U0001F600", big} {
-		// One worker, so the batch fails at its second id, deterministically.
-		body, err := json.Marshal(map[string]any{"run": "fig2", "data": []string{"d447", id}, "workers": 1})
+		// Each id but d447 is unknown: its batch fails at the second id.
+		body, err := json.Marshal(map[string]any{"run": "fig2", "data": []string{"d447", id}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -765,7 +765,7 @@ func TestRouterGatherCancel(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, fails := rt.gather(ctx, func(ctx context.Context, cl *client.Client) (any, error) {
+	_, _, fails := rt.gather(ctx, func(ctx context.Context, cl *client.Client) (any, error) {
 		return cl.Runs(ctx)
 	})
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
@@ -782,6 +782,41 @@ func TestRouterGatherCancel(t *testing.T) {
 	}
 	if !sawCtx {
 		t.Fatalf("no shard reported the context error: %+v", fails)
+	}
+}
+
+// TestRouterGatherNamesTheReplica: with the preferred replica's breaker
+// open, a scatter-gather asks its sibling, so /v1/cluster/stats names the
+// sibling that answered; once the sibling is down too, the failed shard of
+// /v1/runs names the sibling it tried. Neither may name replica 0, which
+// was never asked.
+func TestRouterGatherNamesTheReplica(t *testing.T) {
+	specs, runs, _ := buildCorpus(t, []gen.RunClass{gen.Small()})
+	_, routerURL, rt, servers := buildReplicatedCluster(t, 1, 2, specs, runs, nil)
+	rep0, rep1 := rt.shards[0].replicas[0], rt.shards[0].replicas[1]
+	rep0.openUntil.Store(time.Now().Add(time.Hour).UnixNano())
+
+	status, body := getRaw(t, routerURL, "/v1/cluster/stats", "")
+	var stats clusterStatsResponse
+	if err := json.Unmarshal(body, &stats); err != nil || status != http.StatusOK {
+		t.Fatalf("/v1/cluster/stats: %d %v %.200s", status, err, body)
+	}
+	if len(stats.Shards) != 1 || stats.Shards[0].Addr != rep1.base {
+		var named []string
+		for _, sh := range stats.Shards {
+			named = append(named, sh.Addr)
+		}
+		t.Fatalf("answering shards named %v, want replica 1 (%s), not replica 0 (%s)", named, rep1.base, rep0.base)
+	}
+
+	killServer(servers[0][1])
+	status, body = getRaw(t, routerURL, "/v1/runs", "")
+	var cat routerRunsResponse
+	if err := json.Unmarshal(body, &cat); err != nil || status != http.StatusOK {
+		t.Fatalf("/v1/runs: %d %v %.200s", status, err, body)
+	}
+	if len(cat.FailedShards) != 1 || cat.FailedShards[0].Addr != rep1.base {
+		t.Fatalf("failed shards %+v, want replica 1 (%s), not replica 0 (%s)", cat.FailedShards, rep1.base, rep0.base)
 	}
 }
 

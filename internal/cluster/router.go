@@ -598,18 +598,21 @@ type ShardError struct {
 }
 
 // gather calls fn once per shard with bounded concurrency and returns
-// the per-shard results (nil where failed) plus the failures sorted by
-// shard index. Within a shard, fn runs against the preferred available
-// replica and fails over to the next on transport error; shards with no
-// available replica are reported failed without a request. Only
-// transport-level failures feed the breakers; a worker that answers
-// (even with an error status) is alive. Acquiring a fan-out slot
-// respects ctx, so a cancelled scatter-gather releases immediately and
-// reports a context error for unvisited shards instead of blocking on
-// the semaphore.
-func (rt *Router) gather(ctx context.Context, fn func(context.Context, *client.Client) (any, error)) ([]any, []ShardError) {
+// the per-shard results (nil where failed), the address of the replica
+// each shard was last asked at (the one that answered, or the last one
+// tried; the preferred replica when none was tried), and the failures,
+// sorted by shard index and naming that same replica. Within a shard, fn
+// runs against the preferred available replica and fails over to the
+// next on transport error; shards with no available replica are reported
+// failed without a request. Only transport-level failures feed the
+// breakers; a worker that answers (even with an error status) is alive.
+// Acquiring a fan-out slot respects ctx, so a cancelled scatter-gather
+// releases immediately and reports a context error for unvisited shards
+// instead of blocking on the semaphore.
+func (rt *Router) gather(ctx context.Context, fn func(context.Context, *client.Client) (any, error)) ([]any, []string, []ShardError) {
 	rt.gathers.Inc()
 	results := make([]any, len(rt.shards))
+	addrs := make([]string, len(rt.shards))
 	errs := make([]error, len(rt.shards))
 	sem := make(chan struct{}, rt.fanout)
 	var wg sync.WaitGroup
@@ -617,6 +620,7 @@ func (rt *Router) gather(ctx context.Context, fn func(context.Context, *client.C
 		wg.Add(1)
 		go func(i int, sh *shard) {
 			defer wg.Done()
+			addrs[i] = sh.replicas[0].base
 			select {
 			case sem <- struct{}{}:
 			case <-ctx.Done():
@@ -630,6 +634,7 @@ func (rt *Router) gather(ctx context.Context, fn func(context.Context, *client.C
 				return
 			}
 			for _, rep := range cands {
+				addrs[i] = rep.base
 				cctx, cancel := context.WithTimeout(ctx, rt.gatherTimeout)
 				v, err := fn(cctx, rep.cl)
 				cancel()
@@ -657,13 +662,13 @@ func (rt *Router) gather(ctx context.Context, fn func(context.Context, *client.C
 	var fails []ShardError
 	for i, err := range errs {
 		if err != nil {
-			fails = append(fails, ShardError{Shard: i, Addr: rt.shards[i].replicas[0].base, Error: err.Error()})
+			fails = append(fails, ShardError{Shard: i, Addr: addrs[i], Error: err.Error()})
 		}
 	}
 	if len(fails) > 0 {
 		rt.partials.Inc()
 	}
-	return results, fails
+	return results, addrs, fails
 }
 
 // routerRunsResponse is the merged GET /v1/runs body. The leading fields
@@ -683,7 +688,7 @@ type routerRunsResponse struct {
 // disjoint under a correct split, so this only matters for overlapping
 // hand-built deployments), then sort by id.
 func (rt *Router) handleRuns(_ *obs.Trace, w http.ResponseWriter, r *http.Request) {
-	results, fails := rt.gather(r.Context(), func(ctx context.Context, cl *client.Client) (any, error) {
+	results, _, fails := rt.gather(r.Context(), func(ctx context.Context, cl *client.Client) (any, error) {
 		return cl.Runs(ctx)
 	})
 	seen := make(map[string]bool)
@@ -738,7 +743,7 @@ type clusterStatsResponse struct {
 // quantiles. One scrape of the router answers "how is the cluster doing"
 // without visiting N workers.
 func (rt *Router) handleClusterStats(_ *obs.Trace, w http.ResponseWriter, r *http.Request) {
-	results, fails := rt.gather(r.Context(), func(ctx context.Context, cl *client.Client) (any, error) {
+	results, addrs, fails := rt.gather(r.Context(), func(ctx context.Context, cl *client.Client) (any, error) {
 		return cl.Stats(ctx)
 	})
 	router := rt.reg.Snapshot()
@@ -750,7 +755,7 @@ func (rt *Router) handleClusterStats(_ *obs.Trace, w http.ResponseWriter, r *htt
 			continue
 		}
 		resp.ShardsOK++
-		resp.Shards = append(resp.Shards, shardStats{Shard: i, Addr: rt.shards[i].replicas[0].base, Stats: sr.Stats})
+		resp.Shards = append(resp.Shards, shardStats{Shard: i, Addr: addrs[i], Stats: sr.Stats})
 		// The worker's stats document embeds its metrics snapshot under
 		// the Go field name (warehouse.Stats has no json tags).
 		var doc struct {

@@ -2,7 +2,7 @@
 // context.Context. Where the Registry aggregates (histograms answer "how
 // slow are queries lately?"), a Trace explains one request ("why was THIS
 // query slow?"): every stage the request passed through — engine lookup and
-// projection, closure compute or singleflight wait, each batch worker's
+// projection, closure compute or singleflight wait, each batch member's
 // query — records a span, and the finished tree is sent in the X-Zoom-Trace
 // response header when the client asks (?trace=1), named by the
 // X-Zoom-Trace-Id header, and kept in the server's slow-query log. No answer
@@ -38,8 +38,8 @@ const MaxSpans = 1024
 // Trace is the span tree of one request. Create one per request at the
 // boundary (the HTTP handler), derive a context with Context, and hand that
 // context down; instrumented stages add child spans via StartSpan. A Trace
-// is safe for concurrent use: batch workers may start sibling spans of the
-// same parent at once.
+// is safe for concurrent use: several goroutines may start, tag and end
+// spans of one tree at once.
 type Trace struct {
 	id      string
 	t0      time.Time

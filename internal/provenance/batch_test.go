@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -46,10 +48,27 @@ func phyloEngine(t testing.TB) (*Engine, *run.Run, map[string]*core.UserView) {
 	return NewEngine(w), r, views
 }
 
+// concurrentBatches runs DeepProvenanceBatch on callers goroutines at
+// once — the way net/http serves concurrent /v1/batch requests — and
+// returns each caller's results and error.
+func concurrentBatches(ctx context.Context, e *Engine, runID string, v *core.UserView, ids []string, callers int) ([][]*Result, []error) {
+	out, errs := make([][]*Result, callers), make([]error, callers)
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			out[c], errs[c] = e.DeepProvenanceBatch(ctx, runID, v, ids)
+		}(c)
+	}
+	wg.Wait()
+	return out, errs
+}
+
 // TestConcurrentBatchMatchesSequentialPhylo pins the batch API's core
 // property on the paper's running example: for every view and every data
 // object of Figure 2, DeepProvenanceBatch returns exactly the results of
-// sequential DeepProvenance calls, regardless of worker count.
+// sequential DeepProvenance calls, however many batches run at once.
 func TestConcurrentBatchMatchesSequentialPhylo(t *testing.T) {
 	e, r, views := phyloEngine(t)
 	data := r.AllData()
@@ -62,15 +81,14 @@ func TestConcurrentBatchMatchesSequentialPhylo(t *testing.T) {
 			}
 			want[i] = res
 		}
-		for _, workers := range []int{1, 4, 32} {
-			got, err := e.DeepProvenanceBatch(context.Background(), r.ID(), v, data, workers)
-			if err != nil {
-				t.Fatalf("batch %s @%d workers: %v", name, workers, err)
-			}
-			for i := range data {
-				if !reflect.DeepEqual(got[i], want[i]) {
-					t.Fatalf("view %s, %d workers, data %s: batch differs from sequential\nbatch: %+v\nseq:   %+v",
-						name, workers, data[i], got[i], want[i])
+		for _, callers := range []int{1, 4} {
+			got, errs := concurrentBatches(context.Background(), e, r.ID(), v, data, callers)
+			for c := range got {
+				if errs[c] != nil {
+					t.Fatalf("batch %s, caller %d of %d: %v", name, c, callers, errs[c])
+				}
+				if !reflect.DeepEqual(got[c], want) {
+					t.Fatalf("view %s, caller %d of %d: batch differs from sequential", name, c, callers)
 				}
 			}
 		}
@@ -79,7 +97,8 @@ func TestConcurrentBatchMatchesSequentialPhylo(t *testing.T) {
 
 // TestConcurrentBatchMatchesSequentialSynthetic repeats the equivalence
 // property on generated workloads: every Table I workflow class, a small
-// run, UBio view — the shape the evaluation queries.
+// run, UBio view — the shape the evaluation queries — with four batches
+// of the whole run at once.
 func TestConcurrentBatchMatchesSequentialSynthetic(t *testing.T) {
 	g := gen.NewGenerator(11)
 	for _, class := range gen.Classes() {
@@ -107,21 +126,22 @@ func TestConcurrentBatchMatchesSequentialSynthetic(t *testing.T) {
 				t.Fatalf("%s sequential %s: %v", class.Name, d, err)
 			}
 		}
-		got, err := e.DeepProvenanceBatch(context.Background(), r.ID(), v, data, 8)
-		if err != nil {
-			t.Fatalf("%s batch: %v", class.Name, err)
-		}
-		for i := range data {
-			if !reflect.DeepEqual(got[i], want[i]) {
-				t.Fatalf("%s: batch result for %s differs from sequential", class.Name, data[i])
+		w.ResetCache()
+		got, errs := concurrentBatches(context.Background(), e, r.ID(), v, data, 4)
+		for c := range got {
+			if errs[c] != nil {
+				t.Fatalf("%s batch, caller %d: %v", class.Name, c, errs[c])
+			}
+			if !reflect.DeepEqual(got[c], want) {
+				t.Fatalf("%s, caller %d: batch results differ from sequential", class.Name, c)
 			}
 		}
 	}
 }
 
-// TestConcurrentBatchComputesOnce: from a cold closure cache, a batch
-// computes exactly one closure per distinct data id at every worker count,
-// however often an id repeats and however many workers race for it.
+// TestConcurrentBatchComputesOnce: from a cold closure cache, batches
+// compute exactly one closure per distinct data id, however often an id
+// repeats and however many batches race for it.
 func TestConcurrentBatchComputesOnce(t *testing.T) {
 	g := gen.NewGenerator(12)
 	s := g.Workflow(gen.Class4(), "computes")
@@ -146,41 +166,59 @@ func TestConcurrentBatchComputesOnce(t *testing.T) {
 	for rep := 0; rep < 3; rep++ {
 		ids = append(ids, distinct...)
 	}
-	for _, workers := range []int{1, 4, 16} {
+	for _, callers := range []int{1, 4, 16} {
 		w.ResetCache()
-		if _, err := e.DeepProvenanceBatch(context.Background(), r.ID(), v, ids, workers); err != nil {
-			t.Fatalf("%d workers: %v", workers, err)
+		_, errs := concurrentBatches(context.Background(), e, r.ID(), v, ids, callers)
+		for c, err := range errs {
+			if err != nil {
+				t.Fatalf("%d callers, caller %d: %v", callers, c, err)
+			}
 		}
 		if c := w.CacheCounters(); c.Computes != int64(len(distinct)) {
-			t.Fatalf("%d workers: %d closure computes for %d distinct ids (%+v)", workers, c.Computes, len(distinct), c)
+			t.Fatalf("%d callers: %d closure computes for %d distinct ids (%+v)", callers, c.Computes, len(distinct), c)
 		}
 	}
 }
 
 // TestDeepProvenanceBatchErrors checks the fail-fast contract, the empty
-// batch and a batch on a cancelled context.
+// batch and a batch over a foreign view.
 func TestDeepProvenanceBatchErrors(t *testing.T) {
 	e, r, views := phyloEngine(t)
 	if _, err := e.DeepProvenanceBatch(context.Background(), r.ID(), views["admin"],
-		[]string{"d447", "nope"}, 2); !errors.Is(err, warehouse.ErrUnknownData) {
+		[]string{"d447", "nope"}); !errors.Is(err, warehouse.ErrUnknownData) {
 		t.Fatalf("batch with bad id: %v", err)
 	}
-	out, err := e.DeepProvenanceBatch(context.Background(), r.ID(), views["admin"], nil, 4)
+	out, err := e.DeepProvenanceBatch(context.Background(), r.ID(), views["admin"], nil)
 	if err != nil || len(out) != 0 {
 		t.Fatalf("empty batch: %v %v", out, err)
 	}
 	// Foreign view fails every query with ErrForeignView.
 	foreign := core.UAdmin(spec.New("other"))
 	if _, err := e.DeepProvenanceBatch(context.Background(), r.ID(), foreign,
-		[]string{"d447"}, 1); !errors.Is(err, ErrForeignView) {
+		[]string{"d447"}); !errors.Is(err, ErrForeignView) {
 		t.Fatalf("foreign view: %v", err)
 	}
 }
 
-// TestServeConcurrentlyCancellation pins cancellation of the concurrent
-// worker pool: under a context cancelled before serving, every query is
-// skipped with context.Canceled and no answer, and both batch entry points
-// fail with the context's error.
+// cancelAfter is a context whose Err reports context.Canceled from its
+// n+1st call on: a cancellation that lands at a known point of a batch.
+type cancelAfter struct {
+	context.Context
+	n atomic.Int32
+}
+
+func (c *cancelAfter) Err() error {
+	if c.n.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestServeConcurrentlyCancellation pins cancellation of batches served
+// concurrently: under a context cancelled before serving, every caller's
+// batch fails with context.Canceled at its first id and no closure is
+// looked up; a cancellation that lands mid-batch stops it before the next
+// id, and the answers already computed are all it cost.
 func TestServeConcurrentlyCancellation(t *testing.T) {
 	e, r, views := phyloEngine(t)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -189,32 +227,30 @@ func TestServeConcurrentlyCancellation(t *testing.T) {
 	for i := range ids {
 		ids[i] = "d447"
 	}
-	var mu sync.Mutex
-	seen := make([]bool, len(ids))
-	e.serve(ctx, r.ID(), views["admin"], ids, 4, func(i int, a *Answer, err error) {
-		mu.Lock()
-		defer mu.Unlock()
-		if seen[i] {
-			t.Errorf("query %d reported twice", i)
+	out, errs := concurrentBatches(ctx, e, r.ID(), views["admin"], ids, 8)
+	for c, err := range errs {
+		if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "batch query 0 (d447)") {
+			t.Errorf("caller %d: err = %v, want query 0 context.Canceled", c, err)
 		}
-		seen[i] = true
-		if !errors.Is(err, context.Canceled) {
-			t.Errorf("query %d: err = %v, want context.Canceled", i, err)
-		}
-		if a != nil {
-			t.Errorf("query %d returned an answer after cancellation", i)
-		}
-	})
-	for i, ok := range seen {
-		if !ok {
-			t.Fatalf("query %d never reported", i)
+		if out[c] != nil {
+			t.Errorf("caller %d returned answers after cancellation", c)
 		}
 	}
-	if _, err := e.DeepProvenanceBatch(ctx, r.ID(), views["admin"], []string{"d447", "d413"}, 2); !errors.Is(err, context.Canceled) {
-		t.Fatalf("DeepProvenanceBatch on cancelled ctx: %v", err)
-	}
-	if _, err := e.DeepAnswerBatch(ctx, r.ID(), views["admin"], []string{"d447", "d413"}, 2); !errors.Is(err, context.Canceled) {
+	if _, err := e.DeepAnswerBatch(ctx, r.ID(), views["admin"], []string{"d447", "d413"}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("DeepAnswerBatch on cancelled ctx: %v", err)
+	}
+	if c := e.Warehouse().CacheCounters(); c.Hits+c.Misses+c.SharedWaits != 0 {
+		t.Fatalf("cancelled batches looked up closures: %+v", c)
+	}
+
+	mid := &cancelAfter{Context: context.Background()}
+	mid.n.Store(2)
+	_, err := e.DeepAnswerBatch(mid, r.ID(), views["admin"], []string{"d447", "d413", "d408", "d311"})
+	if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "batch query 2 (d408)") {
+		t.Fatalf("mid-batch cancellation: %v, want query 2 context.Canceled", err)
+	}
+	if c := e.Warehouse().CacheCounters(); c.Misses != 2 || c.Hits+c.SharedWaits != 0 {
+		t.Fatalf("mid-batch cancellation computed %d closures, want the 2 before it: %+v", c.Misses, c)
 	}
 }
 
@@ -249,20 +285,4 @@ func TestConcurrentMappingMemoization(t *testing.T) {
 		}
 	}
 	wg.Wait()
-}
-
-// TestBatchWorkerClamping checks worker-count edge cases: zero (GOMAXPROCS
-// default), negative, and more workers than queries all serve correctly.
-func TestBatchWorkerClamping(t *testing.T) {
-	e, r, views := phyloEngine(t)
-	for _, workers := range []int{0, -3, 1, 1000} {
-		got, err := e.DeepProvenanceBatch(context.Background(), r.ID(), views["joe"],
-			[]string{"d447", "d413"}, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if len(got) != 2 || got[0].Root != "d447" || got[1].Root != "d413" {
-			t.Fatalf("workers=%d: wrong results %+v", workers, got)
-		}
-	}
 }

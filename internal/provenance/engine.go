@@ -43,9 +43,9 @@ var ErrForeignView = errors.New("provenance: view does not match run's specifica
 // build; returned views, Mappings and Results are treated as immutable
 // after construction and may be shared freely. Both memos live and die
 // with the engine, which is tied to one warehouse. The expensive UAdmin
-// closures live in the warehouse's sharded singleflight cache, so
-// concurrent queries over the same run contend only briefly on a shard
-// lock, never on the traversal itself.
+// closures live in the warehouse's singleflight cache, so concurrent
+// queries over the same run contend only briefly on the cache lock, never
+// on the traversal itself.
 type Engine struct {
 	w *warehouse.Warehouse
 
@@ -234,7 +234,7 @@ func (r *Result) Tuples() int { return len(r.Executions) + len(r.Data) }
 // data objects / sequence of steps which have been used to produce this
 // data object?" — with respect to a user view.
 func (e *Engine) DeepProvenance(runID string, v *core.UserView, d string) (*Result, error) {
-	return resultOf(e.deepAnswer(context.Background(), runID, v, d))
+	return resultOf(e.DeepAnswerCtx(context.Background(), runID, v, d))
 }
 
 // DeepProvenanceCtx is DeepProvenance with a context. When the context
@@ -246,24 +246,19 @@ func (e *Engine) DeepProvenance(runID string, v *core.UserView, d string) (*Resu
 // untraced context costs one nil span check and behaves exactly like
 // DeepProvenance.
 func (e *Engine) DeepProvenanceCtx(ctx context.Context, runID string, v *core.UserView, d string) (*Result, error) {
-	return resultOf(e.deepAnswer(ctx, runID, v, d))
+	return resultOf(e.DeepAnswerCtx(ctx, runID, v, d))
 }
 
 // DeepAnswerCtx is DeepProvenanceCtx stopping at the integer answer, which
-// is what the server encodes.
-func (e *Engine) DeepAnswerCtx(ctx context.Context, runID string, v *core.UserView, d string) (*Answer, error) {
-	return e.deepAnswer(ctx, runID, v, d)
-}
-
-// deepAnswer is the shared query path behind every deep-provenance entry
-// point; it stops at the integer answer, and what its stages time is that
+// is what the server encodes, and the shared query path behind every
+// deep-provenance entry point; what its stages time is the integer answer
 // (spelling a Result out is the caller's, after the clock stops). When a
 // metrics registry is attached or the context carries a span, it times each
 // stage (closure-cache lookup including compute or wait, then view
 // projection including the memoized mapping's first build); otherwise it
 // never reads the clock, which is what keeps the detached overhead to a few
 // nil checks (BenchmarkObsOverhead pins this).
-func (e *Engine) deepAnswer(ctx context.Context, runID string, v *core.UserView, d string) (*Answer, error) {
+func (e *Engine) DeepAnswerCtx(ctx context.Context, runID string, v *core.UserView, d string) (*Answer, error) {
 	m := e.obs.Load()
 	sp := obs.SpanFromContext(ctx)
 	timed := m != nil || sp != nil
@@ -324,24 +319,19 @@ func (e *Engine) deepAnswer(ctx context.Context, runID string, v *core.UserView,
 // seen by Joe would be S13 and its input, {d308,...,d408} ... whereas that
 // seen by Mary would be S12 and its input, {d411}".
 func (e *Engine) ImmediateProvenance(runID string, v *core.UserView, d string) (*composite.Execution, error) {
-	return e.ImmediateProvenanceCtx(context.Background(), runID, v, d)
-}
-
-// ImmediateProvenanceCtx is ImmediateProvenance with a context; a traced
-// context records the whole stage as one "query.immediate" span (the query
-// is a name lookup and two array reads — there are no interior stages worth
-// splitting).
-func (e *Engine) ImmediateProvenanceCtx(ctx context.Context, runID string, v *core.UserView, d string) (*composite.Execution, error) {
-	px, ord, err := e.ImmediateAnswerCtx(ctx, runID, v, d)
+	px, ord, err := e.ImmediateAnswerCtx(context.Background(), runID, v, d)
 	if err != nil || ord < 0 {
 		return nil, err // ord < 0: external input, provenance is metadata only
 	}
 	return px.Execution(ord), nil
 }
 
-// ImmediateAnswerCtx is ImmediateProvenanceCtx stopping at the mapping's
-// projector and the producing execution's ordinal (negative for external
-// input), which is what the server encodes: no Execution is spelled out.
+// ImmediateAnswerCtx is ImmediateProvenance with a context, stopping at the
+// mapping's projector and the producing execution's ordinal (negative for
+// external input), which is what the server encodes: no Execution is
+// spelled out. A traced context records the whole stage as one
+// "query.immediate" span (the query is a name lookup and two array reads —
+// there are no interior stages worth splitting).
 func (e *Engine) ImmediateAnswerCtx(ctx context.Context, runID string, v *core.UserView, d string) (*composite.Projector, int32, error) {
 	_, sp := obs.StartSpan(ctx, "query.immediate")
 	defer sp.End()

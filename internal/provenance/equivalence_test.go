@@ -326,7 +326,7 @@ func TestConcurrentIndexedServe(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			answered[i], errs[i] = e.DeepProvenanceBatch(context.Background(), r.ID(), v, data, 4)
+			answered[i], errs[i] = e.DeepProvenanceBatch(context.Background(), r.ID(), v, data)
 		}()
 	}
 	wg.Wait()
@@ -571,7 +571,7 @@ func TestDropRunForgetsMappings(t *testing.T) {
 	}
 	fresh := engineFor(t, s, runB)
 	for _, v := range views {
-		a, err := e.deepAnswer(context.Background(), "x", v, lastFinal(runB))
+		a, err := e.DeepAnswerCtx(context.Background(), "x", v, lastFinal(runB))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -610,7 +610,7 @@ func TestOversizedProjectionLeavesThePool(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := engineFor(t, s, r)
-	a, err := e.deepAnswer(context.Background(), r.ID(), core.UAdmin(s), "out")
+	a, err := e.DeepAnswerCtx(context.Background(), r.ID(), core.UAdmin(s), "out")
 	if err != nil {
 		t.Fatal(err)
 	}

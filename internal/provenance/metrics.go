@@ -19,12 +19,8 @@ type engineMetrics struct {
 	queries   *obs.Counter      // query.deep_total
 	errors    *obs.Counter      // query.errors
 
-	// Batch serving: sizes and pool widths per batch call. The
-	// worker histogram records the clamped pool size actually spun up, so
-	// batch.size vs. batch.workers is the utilization picture.
-	batches      *obs.Counter   // batch.count
-	batchSize    *obs.Histogram // batch.size
-	batchWorkers *obs.Histogram // batch.workers
+	batches   *obs.Counter   // batch.count
+	batchSize *obs.Histogram // batch.size (ids per batch call)
 }
 
 // queryError counts one failed query. Safe (and a no-op) on a nil receiver,
@@ -50,9 +46,8 @@ func (e *Engine) AttachMetrics(reg *obs.Registry) {
 		queries:   reg.Counter("query.deep_total"),
 		errors:    reg.Counter("query.errors"),
 
-		batches:      reg.Counter("batch.count"),
-		batchSize:    reg.Histogram("batch.size"),
-		batchWorkers: reg.Histogram("batch.workers"),
+		batches:   reg.Counter("batch.count"),
+		batchSize: reg.Histogram("batch.size"),
 	}
 	for _, o := range []warehouse.Outcome{warehouse.OutcomeHit, warehouse.OutcomeMiss, warehouse.OutcomeSharedWait} {
 		m.totalNs[o] = reg.Histogram("query.deep_total_ns." + o.String())

@@ -12,13 +12,13 @@ import (
 
 // TestBatchFailFastAbortsRemaining is the regression test for the wasted
 // work bug: DeepProvenanceBatch documents that the first failing query
-// aborts the batch, but the old implementation ran every query to
-// completion first. With one worker (fully sequential) and the bad id
-// first, no query after the failure may reach the closure cache.
+// ends the batch, but an old implementation ran every query to completion
+// first. With the bad id first, no query after the failure may reach the
+// closure cache.
 func TestBatchFailFastAbortsRemaining(t *testing.T) {
 	e, r, views := phyloEngine(t)
 	ids := []string{"no-such-data", "d447", "d413", "d408", "d311"}
-	_, err := e.DeepProvenanceBatch(context.Background(), r.ID(), views["admin"], ids, 1)
+	_, err := e.DeepProvenanceBatch(context.Background(), r.ID(), views["admin"], ids)
 	if !errors.Is(err, warehouse.ErrUnknownData) {
 		t.Fatalf("err = %v, want ErrUnknownData", err)
 	}
@@ -27,7 +27,7 @@ func TestBatchFailFastAbortsRemaining(t *testing.T) {
 	}
 	c := e.Warehouse().CacheCounters()
 	// Exactly one lookup happened: the failing one. The four good queries
-	// were cancelled, not computed.
+	// were never started.
 	if lookups := c.Hits + c.Misses + c.SharedWaits; lookups != 1 {
 		t.Fatalf("%d closure lookups after early failure, want 1 (wasted work): %+v", lookups, c)
 	}
@@ -35,11 +35,11 @@ func TestBatchFailFastAbortsRemaining(t *testing.T) {
 
 // TestBatchFailFastReportsFirstGenuineError: with the failure in the
 // middle, earlier successes complete, the failure is reported under its own
-// index, and induced cancellations are not misreported as the batch error.
+// index as itself, not as a cancellation, and no later id is computed.
 func TestBatchFailFastReportsFirstGenuineError(t *testing.T) {
 	e, r, views := phyloEngine(t)
 	ids := []string{"d447", "d413", "bogus", "d408", "d311", "d352"}
-	_, err := e.DeepProvenanceBatch(context.Background(), r.ID(), views["joe"], ids, 1)
+	_, err := e.DeepProvenanceBatch(context.Background(), r.ID(), views["joe"], ids)
 	if !errors.Is(err, warehouse.ErrUnknownData) {
 		t.Fatalf("err = %v, want ErrUnknownData", err)
 	}
@@ -47,18 +47,20 @@ func TestBatchFailFastReportsFirstGenuineError(t *testing.T) {
 		t.Fatalf("wrong query blamed: %v", err)
 	}
 	if errors.Is(err, context.Canceled) {
-		t.Fatalf("induced cancellation leaked into the batch error: %v", err)
+		t.Fatalf("a cancellation leaked into the batch error: %v", err)
+	}
+	if c := e.Warehouse().CacheCounters(); c.Computes != 3 {
+		t.Fatalf("%d closure computes, want the 3 up to the bad id: %+v", c.Computes, c)
 	}
 }
 
-// TestBatchCallerCancellationStillReported: the fail-fast rewrite must not
-// swallow a cancellation the caller issued — that still surfaces as a
-// context error, as the pre-existing cancellation test expects.
+// TestBatchCallerCancellationStillReported: fail-fast must not swallow a
+// cancellation the caller issued — that still surfaces as a context error.
 func TestBatchCallerCancellationStillReported(t *testing.T) {
 	e, r, views := phyloEngine(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := e.DeepProvenanceBatch(ctx, r.ID(), views["admin"], []string{"d447", "d413"}, 2)
+	_, err := e.DeepProvenanceBatch(ctx, r.ID(), views["admin"], []string{"d447", "d413"})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -114,14 +116,13 @@ func TestEngineMetricsOutcomes(t *testing.T) {
 	}
 }
 
-// TestBatchMetrics: a batch records its size and the clamped worker count.
+// TestBatchMetrics: a batch records its size and counts itself.
 func TestBatchMetrics(t *testing.T) {
 	e, r, views := phyloEngine(t)
 	reg := obs.NewRegistry()
 	e.AttachMetrics(reg)
 	ids := r.AllData()[:6]
-	// 64 workers are clamped to len(ids).
-	if _, err := e.DeepProvenanceBatch(context.Background(), r.ID(), views["admin"], ids, 64); err != nil {
+	if _, err := e.DeepProvenanceBatch(context.Background(), r.ID(), views["admin"], ids); err != nil {
 		t.Fatal(err)
 	}
 	s := reg.Snapshot()
@@ -130,9 +131,6 @@ func TestBatchMetrics(t *testing.T) {
 	}
 	if s.Histograms["batch.size"].Max != 6 {
 		t.Fatalf("batch.size max = %d, want 6", s.Histograms["batch.size"].Max)
-	}
-	if s.Histograms["batch.workers"].Max != 6 {
-		t.Fatalf("batch.workers max = %d, want clamped 6", s.Histograms["batch.workers"].Max)
 	}
 }
 

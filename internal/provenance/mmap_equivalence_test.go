@@ -124,7 +124,7 @@ func TestConcurrentMmapServeEquivalence(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				out[i], errs[i] = e.DeepProvenanceBatch(context.Background(), g.run, g.view, g.data, 4)
+				out[i], errs[i] = e.DeepProvenanceBatch(context.Background(), g.run, g.view, g.data)
 			}()
 		}
 		wg.Wait()

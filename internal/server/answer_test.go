@@ -94,7 +94,7 @@ func TestAnswerEncoderMatchesOracle(t *testing.T) {
 				}
 				checkQuery(t, &queryAnswer{run: r.ID(), data: d, kind: "derived", result: a})
 				if batch = append(batch, d); len(batch) == 8 {
-					answers, err := e.DeepAnswerBatch(ctx, r.ID(), v, batch, 2)
+					answers, err := e.DeepAnswerBatch(ctx, r.ID(), v, batch)
 					if err != nil {
 						t.Fatalf("%s/%s: batch %v: %v", r.ID(), name, batch, err)
 					}
@@ -221,7 +221,7 @@ func FuzzAnswerTokens(f *testing.F) {
 				checkServedBatch(t, h, batchRequest{Run: "fz", Data: roots, View: viewName}, want)
 				continue
 			}
-			answers, err := e.DeepAnswerBatch(context.Background(), "fz", v, roots, 2)
+			answers, err := e.DeepAnswerBatch(context.Background(), "fz", v, roots)
 			if err != nil {
 				t.Fatal(err)
 			}

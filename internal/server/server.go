@@ -244,13 +244,12 @@ type queryRequest struct {
 }
 
 // batchRequest is the body of POST /v1/batch: many data objects of one
-// run under one view, answered in parallel.
+// run under one view, answered in order.
 type batchRequest struct {
 	Run      string   `json:"run"`
 	Data     []string `json:"data"`
 	View     string   `json:"view,omitempty"`
 	Relevant []string `json:"relevant,omitempty"`
-	Workers  int      `json:"workers,omitempty"`
 }
 
 // decodeBody parses a bounded JSON request body, rejecting unknown fields
@@ -326,9 +325,9 @@ func (s *Server) handleQuery(tr *obs.Trace, w http.ResponseWriter, r *http.Reque
 	writeAnswer(w, func(dst []byte) []byte { return appendQueryResponse(dst, &ans) })
 }
 
-// handleBatch answers many queries of one run/view in parallel. The batch
-// workers record sibling spans under this request's root, so a traced
-// batch shows its internal concurrency.
+// handleBatch answers many queries of one run/view, one after another on
+// the request's goroutine. Each member query records a sibling span under
+// this request's root, so a traced batch shows which one was slow.
 func (s *Server) handleBatch(tr *obs.Trace, w http.ResponseWriter, r *http.Request) {
 	e := s.engineOr503(w)
 	if e == nil {
@@ -350,7 +349,7 @@ func (s *Server) handleBatch(tr *obs.Trace, w http.ResponseWriter, r *http.Reque
 	if s.testHookBatchStarted != nil {
 		s.testHookBatchStarted()
 	}
-	results, err := e.DeepAnswerBatch(tr.Context(r.Context()), req.Run, v, req.Data, req.Workers)
+	results, err := e.DeepAnswerBatch(tr.Context(r.Context()), req.Run, v, req.Data)
 	if err != nil {
 		writeError(w, err)
 		return

@@ -321,7 +321,7 @@ func TestServerBatch(t *testing.T) {
 	data := []string{"d447", "d413", "d414", "d446", "d409"}
 	var resp batchResponse
 	rec := doJSON(t, h, "POST", "/v1/batch?trace=1",
-		batchRequest{Run: "fig2", Data: data, View: "joe", Workers: 3}, &resp)
+		batchRequest{Run: "fig2", Data: data, View: "joe"}, &resp)
 	if rec.Code != 200 {
 		t.Fatalf("batch: %d: %s", rec.Code, rec.Body.String())
 	}
@@ -350,6 +350,12 @@ func TestServerBatch(t *testing.T) {
 	rec = doJSON(t, h, "POST", "/v1/batch", batchRequest{Run: "fig2"}, nil)
 	if rec.Code != 400 {
 		t.Fatalf("empty batch: %d, want 400", rec.Code)
+	}
+	// So is a pool width: a batch is answered on its request's goroutine,
+	// and "workers" is an unknown field like any other.
+	rec = doJSON(t, h, "POST", "/v1/batch", json.RawMessage(`{"run":"fig2","data":["d447"],"workers":4}`), nil)
+	if rec.Code != 400 || !strings.Contains(rec.Body.String(), `unknown field \"workers\"`) {
+		t.Fatalf("batch with workers: %d %s, want a 400 naming the field", rec.Code, rec.Body.String())
 	}
 }
 

@@ -18,10 +18,10 @@ import (
 //
 // The cache is built for concurrent serving:
 //
-//   - Entries live in lock-striped LRU shards keyed by (run instance, data
-//     id), so goroutines querying different keys rarely contend on the same
-//     mutex. Small capacities collapse to a single shard, preserving exact
-//     global LRU order for tiny caches.
+//   - Entries live in one LRU list under one mutex, keyed by (run
+//     instance, data id): the cache holds exactly its capacity, and the
+//     closure evicted is always the least recently used. The lock covers
+//     map and list updates only, never a closure traversal.
 //   - Misses go through a per-key singleflight: the first goroutine to
 //     miss becomes the leader and computes the closure once; concurrent
 //     misses on the same key wait for the leader's result instead of
@@ -35,11 +35,15 @@ import (
 //     its waiters but never cached, and a run re-ingested under the same id
 //     is a different key.
 //
-// Counters are atomic and globally aggregated across shards; see
-// CacheCounters for the invariants they maintain. They are the only count
-// of each event: an attached registry reads them (attachMetrics).
+// Counters are atomic; see CacheCounters for the invariants they maintain.
+// They are the only count of each event: an attached registry reads them
+// (attachMetrics).
 type closureCache struct {
-	shards []*cacheShard
+	mu       sync.Mutex
+	cap      int
+	items    map[cacheKey]*list.Element
+	order    *list.List           // front = most recently used
+	inflight map[cacheKey]*flight // the singleflight table
 
 	hits          atomic.Int64
 	misses        atomic.Int64
@@ -86,16 +90,6 @@ type cacheEntry struct {
 	c   *Closure
 }
 
-// cacheShard is one lock stripe: an LRU list plus the in-flight table for
-// the singleflight protocol.
-type cacheShard struct {
-	mu       sync.Mutex
-	cap      int
-	items    map[cacheKey]*list.Element
-	order    *list.List // front = most recently used
-	inflight map[cacheKey]*flight
-}
-
 // flight is one in-progress closure computation. done is closed by the
 // leader after c/err are set; waiters must not read them before that.
 type flight struct {
@@ -139,76 +133,35 @@ type Observation struct {
 	Outcome Outcome
 }
 
-// shardsFor picks the stripe count: one shard per 64 cached closures,
-// capped at 16. Tiny caches (like the eviction tests' capacity-2 cache)
-// stay single-sharded so global LRU order is exact.
-func shardsFor(capacity int) int {
-	n := capacity / 64
-	if n < 1 {
-		return 1
-	}
-	if n > 16 {
-		return 16
-	}
-	return n
-}
-
 func newClosureCache(capacity int) *closureCache {
-	n := shardsFor(capacity)
-	perShard := (capacity + n - 1) / n
-	cc := &closureCache{shards: make([]*cacheShard, n)}
-	for i := range cc.shards {
-		cc.shards[i] = &cacheShard{
-			cap:      perShard,
-			items:    make(map[cacheKey]*list.Element),
-			order:    list.New(),
-			inflight: make(map[cacheKey]*flight),
-		}
+	return &closureCache{
+		cap:      capacity,
+		items:    make(map[cacheKey]*list.Element),
+		order:    list.New(),
+		inflight: make(map[cacheKey]*flight),
 	}
-	return cc
-}
-
-// shard hashes a key to its stripe (FNV-1a over the run's id, a separator,
-// the data id).
-func (cc *closureCache) shard(key cacheKey) *cacheShard {
-	if len(cc.shards) == 1 {
-		return cc.shards[0]
-	}
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for id, i := key.r.ID(), 0; i < len(id); i++ {
-		h = (h ^ uint64(id[i])) * prime64
-	}
-	h = (h ^ 0xff) * prime64
-	for i := 0; i < len(key.data); i++ {
-		h = (h ^ uint64(key.data[i])) * prime64
-	}
-	return cc.shards[h%uint64(len(cc.shards))]
 }
 
 // insertLocked adds or refreshes an entry and evicts from the back while
-// over capacity. Callers hold sh.mu.
-func (sh *cacheShard) insertLocked(key cacheKey, c *Closure, cc *closureCache) {
-	if el, ok := sh.items[key]; ok {
+// over capacity. Callers hold cc.mu.
+func (cc *closureCache) insertLocked(key cacheKey, c *Closure) {
+	if el, ok := cc.items[key]; ok {
 		el.Value.(*cacheEntry).c = c
-		sh.order.MoveToFront(el)
+		cc.order.MoveToFront(el)
 		return
 	}
-	sh.items[key] = sh.order.PushFront(&cacheEntry{key: key, c: c})
-	for len(sh.items) > sh.cap {
-		back := sh.order.Back()
-		sh.order.Remove(back)
-		delete(sh.items, back.Value.(*cacheEntry).key)
+	cc.items[key] = cc.order.PushFront(&cacheEntry{key: key, c: c})
+	for len(cc.items) > cc.cap {
+		back := cc.order.Back()
+		cc.order.Remove(back)
+		delete(cc.items, back.Value.(*cacheEntry).key)
 		cc.evictions.Add(1)
 	}
 }
 
 // getOrCompute returns the cached closure for key, or computes it exactly
 // once under concurrent misses: the first miss leads the flight and runs
-// compute without holding any shard lock; every concurrent miss on the same
+// compute without holding the cache lock; every concurrent miss on the same
 // key blocks on the flight and shares the result. compute passes its
 // closure to keep, at most once, when the cache may store it (the warehouse
 // does so under its read lock, only while it still serves key.r); a
@@ -222,17 +175,16 @@ func (sh *cacheShard) insertLocked(key cacheKey, c *Closure, cc *closureCache) {
 // span of their own — the engine's enclosing "query.lookup" span IS the
 // hit's cost — and an untraced context pays only the one nil span check.
 func (cc *closureCache) getOrCompute(ctx context.Context, key cacheKey, compute func(keep func(*Closure)) (*Closure, error)) (*Closure, Observation, error) {
-	sh := cc.shard(key)
-	sh.mu.Lock()
-	if el, ok := sh.items[key]; ok {
-		sh.order.MoveToFront(el)
+	cc.mu.Lock()
+	if el, ok := cc.items[key]; ok {
+		cc.order.MoveToFront(el)
 		c := el.Value.(*cacheEntry).c
-		sh.mu.Unlock()
+		cc.mu.Unlock()
 		cc.hits.Add(1)
 		return c, Observation{Outcome: OutcomeHit}, nil
 	}
-	if fl, ok := sh.inflight[key]; ok {
-		sh.mu.Unlock()
+	if fl, ok := cc.inflight[key]; ok {
+		cc.mu.Unlock()
 		cc.sharedWaits.Add(1)
 		wsp := obs.SpanFromContext(ctx).StartChild("closure.shared-wait")
 		<-fl.done
@@ -243,8 +195,8 @@ func (cc *closureCache) getOrCompute(ctx context.Context, key cacheKey, compute 
 		return fl.c, Observation{Outcome: OutcomeSharedWait}, nil
 	}
 	fl := &flight{done: make(chan struct{})}
-	sh.inflight[key] = fl
-	sh.mu.Unlock()
+	cc.inflight[key] = fl
+	cc.mu.Unlock()
 
 	cc.misses.Add(1)
 	h := cc.computeNs.Load()
@@ -254,19 +206,19 @@ func (cc *closureCache) getOrCompute(ctx context.Context, key cacheKey, compute 
 	}
 	csp := obs.SpanFromContext(ctx).StartChild("closure.compute")
 	c, err := compute(func(c *Closure) {
-		sh.mu.Lock()
-		sh.insertLocked(key, c, cc)
+		cc.mu.Lock()
+		cc.insertLocked(key, c)
 		cc.stores.Add(1)
-		sh.mu.Unlock()
+		cc.mu.Unlock()
 	})
 	csp.End()
 	if h != nil {
 		h.Observe(time.Since(start).Nanoseconds())
 	}
 
-	sh.mu.Lock()
-	delete(sh.inflight, key)
-	sh.mu.Unlock()
+	cc.mu.Lock()
+	delete(cc.inflight, key)
+	cc.mu.Unlock()
 	fl.c, fl.err = c, err
 	close(fl.done)
 	if err != nil {
@@ -289,15 +241,11 @@ func (cc *closureCache) counters() CacheCounters {
 	}
 }
 
-// len returns the number of cached entries across all shards.
+// len returns the number of cached entries.
 func (cc *closureCache) len() int {
-	n := 0
-	for _, sh := range cc.shards {
-		sh.mu.Lock()
-		n += len(sh.items)
-		sh.mu.Unlock()
-	}
-	return n
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	return len(cc.items)
 }
 
 // invalidate evicts one key. Invalidations counts only lookups that
@@ -306,15 +254,13 @@ func (cc *closureCache) len() int {
 // on). A leader in flight for the key may store its closure afterwards;
 // that closure is as correct as the one evicted.
 func (cc *closureCache) invalidate(key cacheKey) {
-	sh := cc.shard(key)
-	sh.mu.Lock()
-	removed := false
-	if el, ok := sh.items[key]; ok {
-		sh.order.Remove(el)
-		delete(sh.items, key)
-		removed = true
+	cc.mu.Lock()
+	el, removed := cc.items[key]
+	if removed {
+		cc.order.Remove(el)
+		delete(cc.items, key)
 	}
-	sh.mu.Unlock()
+	cc.mu.Unlock()
 	if removed {
 		cc.invalidations.Add(1)
 	}
@@ -324,17 +270,15 @@ func (cc *closureCache) invalidate(key cacheKey) {
 // Drops). The warehouse calls it under its write lock, after it stopped
 // serving r, so no leader can store a closure of r afterwards.
 func (cc *closureCache) dropRun(r *run.Run) {
-	for _, sh := range cc.shards {
-		sh.mu.Lock()
-		for key, el := range sh.items {
-			if key.r == r {
-				sh.order.Remove(el)
-				delete(sh.items, key)
-				cc.drops.Add(1)
-			}
+	cc.mu.Lock()
+	for key, el := range cc.items {
+		if key.r == r {
+			cc.order.Remove(el)
+			delete(cc.items, key)
+			cc.drops.Add(1)
 		}
-		sh.mu.Unlock()
 	}
+	cc.mu.Unlock()
 }
 
 // reset drops every cached closure and zeroes the counters, so the
@@ -342,12 +286,10 @@ func (cc *closureCache) dropRun(r *run.Run) {
 // flight across a reset may still store its (correct) closure, counted
 // against the zeroed counters, so reset belongs at quiescent points.
 func (cc *closureCache) reset() {
-	for _, sh := range cc.shards {
-		sh.mu.Lock()
-		sh.items = make(map[cacheKey]*list.Element)
-		sh.order.Init()
-		sh.mu.Unlock()
-	}
+	cc.mu.Lock()
+	cc.items = make(map[cacheKey]*list.Element)
+	cc.order.Init()
+	cc.mu.Unlock()
 	cc.hits.Store(0)
 	cc.misses.Store(0)
 	cc.sharedWaits.Store(0)

@@ -417,36 +417,42 @@ func TestConcurrentDropReload(t *testing.T) {
 	}
 }
 
-// TestShardingDistribution sanity-checks the stripe function: the default
-// cache fans out over multiple shards and the same key always maps to the
-// same shard.
-func TestShardingDistribution(t *testing.T) {
-	cc := newClosureCache(1024)
-	if len(cc.shards) < 2 {
-		t.Fatalf("default cache has %d shards, want several", len(cc.shards))
-	}
-	used := make(map[*cacheShard]bool)
-	for i := 0; i < 256; i++ {
-		key := cacheKey{r: testKey.r, data: fmt.Sprintf("d%d", i)}
-		sh := cc.shard(key)
-		if sh != cc.shard(key) {
-			t.Fatal("shard mapping not deterministic")
+// TestClosureCacheExactCapacity: New(n) holds exactly n closures — n
+// distinct keys fill it without an eviction — and the n+1st key evicts the
+// least recently used one. n is not a power of two or a multiple of
+// anything on purpose: the bound is exact at every size.
+func TestClosureCacheExactCapacity(t *testing.T) {
+	const capacity = 1000
+	w := New(capacity)
+	c := testClosure("d1", []string{"S1"}, []string{"d1"})
+	lookup := func(i int) Outcome {
+		t.Helper()
+		key := cacheKey{testKey.r, fmt.Sprintf("d%d", i)}
+		_, o, err := w.cache.getOrCompute(context.Background(), key, kept(func() (*Closure, error) { return c, nil }))
+		if err != nil {
+			t.Fatal(err)
 		}
-		used[sh] = true
+		return o.Outcome
 	}
-	if len(used) < 2 {
-		t.Fatalf("256 keys landed on %d shard(s)", len(used))
+	for i := 0; i < capacity; i++ {
+		lookup(i)
 	}
-	// Tiny caches stay single-sharded so exact LRU order is preserved.
-	if tiny := newClosureCache(2); len(tiny.shards) != 1 {
-		t.Fatalf("capacity-2 cache has %d shards, want 1", len(tiny.shards))
+	if n, ev := w.CacheLen(), w.CacheCounters().Evictions; n != capacity || ev != 0 {
+		t.Fatalf("%d distinct closures: cache holds %d after %d evictions, want %d after 0", capacity, n, ev, capacity)
 	}
-	var total int
-	for _, sh := range cc.shards {
-		total += sh.cap
+	// Touch the oldest key, so the second oldest is the least recently used.
+	if o := lookup(0); o != OutcomeHit {
+		t.Fatalf("d0 before the bound: %v, want a hit", o)
 	}
-	if total < 1024 {
-		t.Fatalf("summed shard capacity %d < requested 1024", total)
+	lookup(capacity)
+	if n, ev := w.CacheLen(), w.CacheCounters().Evictions; n != capacity || ev != 1 {
+		t.Fatalf("key %d: cache holds %d after %d evictions, want %d after 1", capacity+1, n, ev, capacity)
+	}
+	if o := lookup(0); o != OutcomeHit {
+		t.Fatalf("recently used d0: %v, want a hit", o)
+	}
+	if o := lookup(1); o != OutcomeMiss {
+		t.Fatalf("least recently used d1: %v, want it evicted", o)
 	}
 }
 

@@ -35,15 +35,11 @@ func tinyChurnEvents() []wflog.Event {
 	}
 }
 
-// inflight returns the number of singleflight flights across all shards.
+// inflight returns the number of singleflight flights in progress.
 func inflight(cc *closureCache) int {
-	n := 0
-	for _, sh := range cc.shards {
-		sh.mu.Lock()
-		n += len(sh.inflight)
-		sh.mu.Unlock()
-	}
-	return n
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	return len(cc.inflight)
 }
 
 // TestStressLoadQueryDropCycles: 10,000 runs loaded, queried and dropped in

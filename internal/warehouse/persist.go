@@ -90,27 +90,9 @@ func (w *Warehouse) Save(out io.Writer) error {
 		}
 	}
 	var snap snapshot
-	specNames := make([]string, 0, len(w.specs))
-	for n := range w.specs {
-		specNames = append(specNames, n)
-	}
-	sort.Strings(specNames)
-	for _, n := range specNames {
-		raw, err := json.Marshal(w.specs[n])
-		if err != nil {
-			return fmt.Errorf("warehouse: encode spec %q: %w", n, err)
-		}
-		snap.Specs = append(snap.Specs, raw)
-		viewNames := make([]string, 0, len(w.views[n]))
-		for vn := range w.views[n] {
-			viewNames = append(viewNames, vn)
-		}
-		sort.Strings(viewNames)
-		for _, vn := range viewNames {
-			snap.Views = append(snap.Views, viewSnapshot{
-				Spec: n, Name: vn, Blocks: w.views[n][vn].Blocks(),
-			})
-		}
+	var err error
+	if snap.Specs, snap.Views, err = w.catalogLocked(); err != nil {
+		return err
 	}
 	runIDs := make([]string, 0, len(w.runs))
 	for id := range w.runs {
@@ -133,6 +115,64 @@ func (w *Warehouse) Save(out io.Writer) error {
 		return fmt.Errorf("warehouse: encode snapshot: %w", err)
 	}
 	return bw.Flush()
+}
+
+// catalogLocked encodes the catalog both snapshot formats carry: the
+// specifications sorted by name, and each one's views sorted by view name.
+// Either list is nil when empty (v1 writes null, v3 writes []). Callers
+// hold w.mu.
+func (w *Warehouse) catalogLocked() ([]json.RawMessage, []viewSnapshot, error) {
+	specNames := make([]string, 0, len(w.specs))
+	for n := range w.specs {
+		specNames = append(specNames, n)
+	}
+	sort.Strings(specNames)
+	var specs []json.RawMessage
+	var views []viewSnapshot
+	for _, n := range specNames {
+		raw, err := json.Marshal(w.specs[n])
+		if err != nil {
+			return nil, nil, fmt.Errorf("warehouse: encode spec %q: %w", n, err)
+		}
+		specs = append(specs, raw)
+		viewNames := make([]string, 0, len(w.views[n]))
+		for vn := range w.views[n] {
+			viewNames = append(viewNames, vn)
+		}
+		sort.Strings(viewNames)
+		for _, vn := range viewNames {
+			views = append(views, viewSnapshot{Spec: n, Name: vn, Blocks: w.views[n][vn].Blocks()})
+		}
+	}
+	return specs, views, nil
+}
+
+// registerCatalog decodes a snapshot's catalog, in file order, into w: the
+// specifications first, then the views over them.
+func (w *Warehouse) registerCatalog(specs []json.RawMessage, views []viewSnapshot) error {
+	for i, raw := range specs {
+		s, err := spec.Decode(raw)
+		if err != nil {
+			return fmt.Errorf("warehouse: snapshot spec %d: %w", i, err)
+		}
+		if err := w.RegisterSpec(s); err != nil {
+			return err
+		}
+	}
+	for _, vs := range views {
+		s, err := w.Spec(vs.Spec)
+		if err != nil {
+			return err
+		}
+		v, err := core.NewUserView(s, vs.Blocks)
+		if err != nil {
+			return fmt.Errorf("warehouse: snapshot view %q: %w", vs.Name, err)
+		}
+		if err := w.RegisterView(vs.Name, v); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // LoadOptions tune snapshot loading.
@@ -195,27 +235,8 @@ func loadJSON(in io.Reader, cacheSize int, progress func(loaded, total int)) (*W
 		return nil, fmt.Errorf("warehouse: decode snapshot: %w", err)
 	}
 	w := New(cacheSize)
-	for i, raw := range snap.Specs {
-		s, err := spec.Decode(raw)
-		if err != nil {
-			return nil, fmt.Errorf("warehouse: snapshot spec %d: %w", i, err)
-		}
-		if err := w.RegisterSpec(s); err != nil {
-			return nil, err
-		}
-	}
-	for _, vs := range snap.Views {
-		s, err := w.Spec(vs.Spec)
-		if err != nil {
-			return nil, err
-		}
-		v, err := core.NewUserView(s, vs.Blocks)
-		if err != nil {
-			return nil, fmt.Errorf("warehouse: snapshot view %q: %w", vs.Name, err)
-		}
-		if err := w.RegisterView(vs.Name, v); err != nil {
-			return nil, err
-		}
+	if err := w.registerCatalog(snap.Specs, snap.Views); err != nil {
+		return nil, err
 	}
 	n := len(snap.Runs)
 	if progress != nil {

@@ -11,10 +11,8 @@ import (
 	"unsafe"
 
 	"repro/internal/bitset"
-	"repro/internal/core"
 	"repro/internal/mmapfile"
 	"repro/internal/run"
-	"repro/internal/spec"
 	"repro/internal/xxh"
 )
 
@@ -161,27 +159,12 @@ func (w *Warehouse) SaveV3(out io.Writer) error {
 // buildV3Locked assembles the complete v3 image in memory; callers hold
 // w.mu and have resolved every run.
 func (w *Warehouse) buildV3Locked() ([]byte, error) {
-	specNames := make([]string, 0, len(w.specs))
-	for n := range w.specs {
-		specNames = append(specNames, n)
+	specDocs, views, err := w.catalogLocked()
+	if err != nil {
+		return nil, err
 	}
-	sort.Strings(specNames)
-	specDocs := make([]json.RawMessage, 0, len(specNames))
-	var views []viewSnapshot
-	for _, n := range specNames {
-		blob, err := json.Marshal(w.specs[n])
-		if err != nil {
-			return nil, fmt.Errorf("warehouse: encode spec %q: %w", n, err)
-		}
-		specDocs = append(specDocs, blob)
-		viewNames := make([]string, 0, len(w.views[n]))
-		for vn := range w.views[n] {
-			viewNames = append(viewNames, vn)
-		}
-		sort.Strings(viewNames)
-		for _, vn := range viewNames {
-			views = append(views, viewSnapshot{Spec: n, Name: vn, Blocks: w.views[n][vn].Blocks()})
-		}
+	if specDocs == nil {
+		specDocs = []json.RawMessage{}
 	}
 	specsJSON, err := json.Marshal(specDocs)
 	if err != nil {
@@ -442,31 +425,12 @@ func openV3Bytes(data []byte, mapped bool, src io.Closer, cacheSize int, opts Lo
 	if err := json.Unmarshal(secs.bodies[v3SecSpecs], &specDocs); err != nil {
 		return nil, fmt.Errorf("warehouse: v3 snapshot: decode specs: %w", err)
 	}
-	for i, raw := range specDocs {
-		s, err := spec.Decode(raw)
-		if err != nil {
-			return nil, fmt.Errorf("warehouse: snapshot spec %d: %w", i, err)
-		}
-		if err := w.RegisterSpec(s); err != nil {
-			return nil, err
-		}
-	}
 	var views []viewSnapshot
 	if err := json.Unmarshal(secs.bodies[v3SecViews], &views); err != nil {
 		return nil, fmt.Errorf("warehouse: v3 snapshot: decode views: %w", err)
 	}
-	for _, vs := range views {
-		s, err := w.Spec(vs.Spec)
-		if err != nil {
-			return nil, err
-		}
-		v, err := core.NewUserView(s, vs.Blocks)
-		if err != nil {
-			return nil, fmt.Errorf("warehouse: snapshot view %q: %w", vs.Name, err)
-		}
-		if err := w.RegisterView(vs.Name, v); err != nil {
-			return nil, err
-		}
+	if err := w.registerCatalog(specDocs, views); err != nil {
+		return nil, err
 	}
 
 	recs, err := parseV3RunDir(secs.bodies[v3SecRunDir], secs.runDataOff, secs.runDataLen)

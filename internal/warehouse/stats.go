@@ -50,7 +50,7 @@ type Stats struct {
 // zeroes all counters together with the cache, so the invariants hold
 // afterwards for every lookup that did not straddle the reset.
 type CacheCounters struct {
-	// Hits and Misses count lookups served from / absent from the shards.
+	// Hits and Misses count lookups served from / absent from the cache.
 	Hits, Misses int64
 	// SharedWaits counts lookups that piggy-backed on another goroutine's
 	// in-flight computation instead of recomputing (the singleflight win).
@@ -61,7 +61,7 @@ type CacheCounters struct {
 	// Stores counts closures inserted into the cache (a compute whose run
 	// the warehouse still served).
 	Stores int64
-	// Evictions counts LRU evictions across all shards.
+	// Evictions counts LRU evictions.
 	Evictions int64
 	// Invalidations counts explicit single-key invalidations that removed
 	// a cached entry; invalidating an absent key does not count.

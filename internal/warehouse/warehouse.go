@@ -9,10 +9,10 @@
 // ~13 ms for a switch versus up to seconds for the first query).
 //
 // The warehouse is a concurrent query-serving layer. Loads take the write
-// lock, queries the read lock, and the closure cache is sharded into
-// lock-striped LRU stripes with a per-key singleflight so many goroutines
-// can answer deep-provenance queries at once without duplicating work (see
-// cache.go for the full protocol).
+// lock, queries the read lock, and the closure cache is one LRU with a
+// per-key singleflight so many goroutines can answer deep-provenance
+// queries at once without duplicating work (see cache.go for the full
+// protocol).
 package warehouse
 
 import (
@@ -48,7 +48,7 @@ var (
 // use by multiple goroutines. Catalog state (specs, views, runs) is
 // guarded by mu; runs are immutable once loaded, so queries may retain
 // *run.Run pointers after releasing the lock. Closure queries
-// (DeepProvenance) additionally go through the sharded closure cache,
+// (DeepProvenance) additionally go through the closure cache,
 // whose counters are atomic and whose misses are coalesced per key by a
 // singleflight. The cache is keyed on the run instance, and a closure is
 // cached only under the read lock while the warehouse still serves its run,
@@ -133,8 +133,9 @@ func (w *Warehouse) tablesLocked(runID string) (*runTables, error) {
 	return rt, nil
 }
 
-// New returns an empty warehouse. cacheSize bounds the number of cached
-// UAdmin closures (the "temporary tables"); zero selects the default 1024.
+// New returns an empty warehouse that caches exactly cacheSize UAdmin
+// closures (the "temporary tables"), evicting the least recently used;
+// zero selects the default 1024.
 func New(cacheSize int) *Warehouse {
 	if cacheSize <= 0 {
 		cacheSize = 1024

@@ -126,7 +126,6 @@ type BatchRequest struct {
 	Data     []string `json:"data"`
 	View     string   `json:"view,omitempty"`
 	Relevant []string `json:"relevant,omitempty"`
-	Workers  int      `json:"workers,omitempty"`
 	TraceID  string   `json:"-"`
 	Trace    bool     `json:"-"`
 }

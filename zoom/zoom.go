@@ -73,7 +73,7 @@ type (
 	// Server is the HTTP provenance service behind `zoom serve`.
 	Server = server.Server
 	// ServerConfig tunes a Server (slow-query threshold and log size,
-	// expvar name, batch worker bound).
+	// expvar name).
 	ServerConfig = server.Config
 	// SlowEntry is one slow-query log record.
 	SlowEntry = obs.SlowEntry
@@ -333,12 +333,12 @@ func (s *System) Subset(keep func(runID string) bool) (*System, error) {
 }
 
 // DeepProvenanceBatch answers the deep provenance of many data objects of
-// one run under one view in parallel with a bounded worker pool
-// (workers <= 0 selects GOMAXPROCS). Results come back in dataIDs order
-// and are identical to sequential DeepProvenance calls; concurrent misses
-// on the same cached closure are computed once (singleflight).
-func (s *System) DeepProvenanceBatch(ctx context.Context, runID string, v *UserView, dataIDs []string, workers int) ([]*Result, error) {
-	return s.e.DeepProvenanceBatch(ctx, runID, v, dataIDs, workers)
+// one run under one view, in dataIDs order, on the caller's goroutine.
+// Results are identical to DeepProvenance calls for each id in turn; the
+// first failure ends the batch. Concurrent batches that miss the same
+// cached closure compute it once (singleflight).
+func (s *System) DeepProvenanceBatch(ctx context.Context, runID string, v *UserView, dataIDs []string) ([]*Result, error) {
+	return s.e.DeepProvenanceBatch(ctx, runID, v, dataIDs)
 }
 
 // ImmediateProvenance returns the composite execution that produced d
