@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race fuzz-smoke tables bench bench-smoke serve-smoke cluster-smoke ci
+.PHONY: all build vet test race fuzz-smoke tables bench bench-smoke serve-smoke cluster-smoke loc ci
 
 all: ci
 
@@ -32,17 +32,21 @@ test:
 race:
 	$(GO) test -race -run 'Concurrent|Stress' ./...
 
-# Short fuzzing passes over eleven fuzz targets; long runs are
+# Short fuzzing passes over all thirteen fuzz targets; long runs are
 # `go test -fuzz=FuzzConnectBy ./internal/warehouse/` etc. FuzzAppendResponse
 # and FuzzAnswerTokens run without minimization: nearly every input reaches
 # new coverage inside encoding/json, and minimizing each would leave a 10 s
 # pass ~100 executions. FuzzRunBuilder does too: its seeds are whole runs,
-# and minimizing one stalls the pass for seconds at a time.
+# and minimizing one stalls the pass for seconds at a time. So do
+# FuzzSnapshotV3, FuzzSnapshotLoad and FuzzDecode, whose seeds are whole
+# snapshots and spec documents: with minimization both workers stop after
+# the first new input, and a pass ends at a few thousand executions.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzConnectBy -fuzztime=10s ./internal/warehouse/
 	$(GO) test -run='^$$' -fuzz=FuzzRelevUserViewBuilder -fuzztime=10s ./internal/core/
 	$(GO) test -run='^$$' -fuzz=FuzzViewChecks -fuzztime=10s ./internal/core/
-	$(GO) test -run='^$$' -fuzz=FuzzSnapshotV3 -fuzztime=10s ./internal/warehouse/
+	$(GO) test -run='^$$' -fuzz=FuzzSnapshotV3 -fuzztime=10s -fuzzminimizetime=0 ./internal/warehouse/
+	$(GO) test -run='^$$' -fuzz=FuzzSnapshotLoad -fuzztime=10s -fuzzminimizetime=0 ./internal/warehouse/
 	$(GO) test -run='^$$' -fuzz=FuzzCompositeBuild -fuzztime=10s ./internal/composite/
 	$(GO) test -run='^$$' -fuzz=FuzzAppendResponse -fuzztime=10s -fuzzminimizetime=0 ./internal/server/
 	$(GO) test -run='^$$' -fuzz=FuzzAnswerTokens -fuzztime=10s -fuzzminimizetime=0 ./internal/server/
@@ -50,6 +54,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeLine -fuzztime=10s ./internal/wflog/
 	$(GO) test -run='^$$' -fuzz=FuzzRead -fuzztime=10s ./internal/wflog/
 	$(GO) test -run='^$$' -fuzz=FuzzWriteLine -fuzztime=10s ./internal/wflog/
+	$(GO) test -run='^$$' -fuzz=FuzzDecode -fuzztime=10s -fuzzminimizetime=0 ./internal/spec/
 
 # The paper's Section V tables (plus the ablations and the minimal-vs-
 # minimum gap): rewrites internal/bench/testdata/tables.golden, which
@@ -88,5 +93,12 @@ serve-smoke:
 # zero-loss failover across a replica kill plus the router response cache.
 cluster-smoke:
 	sh scripts/cluster_smoke.sh
+
+# The root module's Go lines, non-test then test, leaving out the nested
+# benchmark module and its build directory: the count every change reports
+# its delta in.
+loc:
+	@printf 'non-test %s\n' "$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' | xargs cat | wc -l)"
+	@printf 'test     %s\n' "$$(find . -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' | xargs cat | wc -l)"
 
 ci: vet build test race fuzz-smoke bench-smoke serve-smoke cluster-smoke bench

@@ -316,9 +316,14 @@ func TestSelfLoopMergesUnderUAdmin(t *testing.T) {
 		t.Fatalf("merged execution has %d steps", len(execs[0].Steps))
 	}
 	// The inter-iteration data is hidden; the exit data is visible.
-	for _, d := range r.DataOn(execs[0].Steps[0], execs[0].Steps[1]) {
-		if m.Visible(d) {
-			t.Fatalf("inter-iteration data %s visible", d)
+	for _, f := range r.Flows() {
+		if f.From != execs[0].Steps[0] || f.To != execs[0].Steps[1] {
+			continue
+		}
+		for _, d := range f.Data {
+			if m.Visible(d) {
+				t.Fatalf("inter-iteration data %s visible", d)
+			}
 		}
 	}
 	for _, d := range execs[0].Outputs {

@@ -170,7 +170,7 @@ func buildProjector(ix *run.Index, v *core.UserView) (*Projector, error) {
 
 	// Ids: a single-step execution keeps its step id (and token); the others
 	// are numbered per composite in execution order.
-	p.compTok = jsontok.Of(p.composites)
+	p.compTok = jsontok.Of(len(p.composites), func(c int32) string { return p.composites[c] })
 	p.execComp = make([]int32, nExecs)
 	p.idTok = jsontok.NewTable(int(nExecs))
 	ids := make([]string, nExecs+1)

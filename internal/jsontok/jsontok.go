@@ -71,17 +71,18 @@ func (t *Table) At(i int32) []byte { return t.buf[t.off[i] : t.off[i+1]-1] }
 // The slice aliases the table; callers must not mutate it.
 func (t *Table) Span(i, j int32) []byte { return t.buf[t.off[i] : t.off[j+1]-1] }
 
-// Of returns the table of the given names, in order. The arena is sized for
-// names with nothing to escape, which is nearly all of them.
-func Of(names []string) Table {
-	t := NewTable(len(names))
+// Of returns the table of the n names name(0) .. name(n-1), in order. The
+// arena is sized for names with nothing to escape, which is nearly all of
+// them.
+func Of(n int, name func(int32) string) Table {
+	t := NewTable(n)
 	size := 0
-	for _, s := range names {
-		size += len(s) + 3
+	for i := int32(0); i < int32(n); i++ {
+		size += len(name(i)) + 3
 	}
 	t.buf = make([]byte, 0, size)
-	for _, s := range names {
-		t.Append(s)
+	for i := int32(0); i < int32(n); i++ {
+		t.Append(name(i))
 	}
 	return t
 }

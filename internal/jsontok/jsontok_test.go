@@ -28,7 +28,7 @@ func TestAppendStringMatchesEncodingJSON(t *testing.T) {
 }
 
 func TestTable(t *testing.T) {
-	tab := Of(names)
+	tab := Of(len(names), func(i int32) string { return names[i] })
 	for i, s := range names {
 		if got, want := tab.At(int32(i)), AppendString(nil, s); !bytes.Equal(got, want) {
 			t.Fatalf("entry %d = %s, want %s", i, got, want)

@@ -3,6 +3,8 @@ package run
 import (
 	"errors"
 	"reflect"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -163,60 +165,77 @@ func TestConcurrentAdoptedRunFirstUse(t *testing.T) {
 
 // TestReconstructArenaRejectsCorruption: every invariant violation a forged
 // v3 block could carry must come back as an error — never a panic, since the
-// slices may alias a memory mapping.
+// slices may alias a memory mapping. The flow cases forge the rows a flow is
+// derived from; a run stores no flows of its own.
 func TestReconstructArenaRejectsCorruption(t *testing.T) {
+	produced := func(a *ArenaTables) (d, p int32) { // the first produced data object and its producer
+		for d, p := range a.Producer {
+			if p >= 0 {
+				return int32(d), p
+			}
+		}
+		panic("fixture produces nothing")
+	}
+	nSteps := func(a *ArenaTables) int32 { return int32(len(a.StepOff) - 1) }
+	nData := func(a *ArenaTables) int32 { return int32(len(a.DataOff) - 1) }
 	cases := []struct {
 		name    string
 		mutate  func(*ArenaTables)
 		wantErr error
 	}{
-		{"modules length mismatch", func(a *ArenaTables) { a.StepModules = a.StepModules[:1] }, ErrBadArena},
-		{"steps out of order", func(a *ArenaTables) { a.StepIDs[0], a.StepIDs[1] = a.StepIDs[1], a.StepIDs[0] }, ErrBadArena},
-		{"empty data id", func(a *ArenaTables) { a.DataNames[0] = "" }, ErrBadArena},
-		{"data out of order", func(a *ArenaTables) { a.DataNames[0], a.DataNames[1] = a.DataNames[1], a.DataNames[0] }, ErrBadArena},
-		{"producer out of range", func(a *ArenaTables) { a.Producer[0] = int32(len(a.StepIDs)) }, ErrBadArena},
+		{"modules length mismatch", func(a *ArenaTables) { a.ModuleOff = a.ModuleOff[:2] }, ErrBadArena},
+		{"name offsets beyond the arena", func(a *ArenaTables) { a.DataOff[len(a.DataOff)-1]++ }, ErrBadArena},
+		{"steps out of order", func(a *ArenaTables) {
+			editNames(a, func(steps, _, _ []string) { steps[0], steps[1] = steps[1], steps[0] })
+		}, ErrBadArena},
+		{"empty data id", func(a *ArenaTables) { editNames(a, func(_, _, data []string) { data[0] = "" }) }, ErrBadArena},
+		{"data out of order", func(a *ArenaTables) {
+			editNames(a, func(_, _, data []string) { data[0], data[1] = data[1], data[0] })
+		}, ErrBadArena},
+		{"producer out of range", func(a *ArenaTables) { a.Producer[0] = nSteps(a) }, ErrBadArena},
 		{"producer disagrees with flows", func(a *ArenaTables) {
-			for d := range a.Producer {
-				if a.Producer[d] >= 0 {
-					a.Producer[d] = -1
-					return
-				}
-			}
+			d, _ := produced(a)
+			a.Producer[d] = -1 // its producer's outputs row still lists it
 		}, ErrBadArena},
 		{"CSR offsets truncated", func(a *ArenaTables) { a.InOff = a.InOff[:len(a.InOff)-1] }, ErrBadArena},
 		{"CSR offsets decrease", func(a *ArenaTables) { a.InOff[1] = a.InOff[len(a.InOff)-1] + 1 }, ErrBadArena},
-		{"CSR value out of range", func(a *ArenaTables) { a.ConStep[0] = int32(len(a.StepIDs)) }, ErrBadArena},
+		{"CSR value out of range", func(a *ArenaTables) { a.InData[0] = nData(a) }, ErrBadArena},
 		{"CSR row not ascending", func(a *ArenaTables) { a.InData[0], a.InData[1] = a.InData[1], a.InData[0] }, ErrBadArena},
 		{"finals word count wrong", func(a *ArenaTables) { a.Finals = append(a.Finals, 0) }, ErrBadArena},
 		{"finals bit beyond range", func(a *ArenaTables) { a.Finals[len(a.Finals)-1] |= 1 << 63 }, ErrBadArena},
-		{"flow node out of range", func(a *ArenaTables) { a.Flows[0].From = 99 }, ErrBadFlow},
-		{"flow into INPUT", func(a *ArenaTables) { a.Flows[0].To = NodeInput }, ErrBadFlow},
+		// A flow into a step that does not exist: a consumer out of range.
+		{"flow node out of range", func(a *ArenaTables) { a.ConStep[0] = nSteps(a) }, ErrBadArena},
+		// A flow carrying data that does not exist: an output out of range.
+		{"flow data out of range", func(a *ArenaTables) { a.OutData[0] = nData(a) }, ErrBadArena},
 		{"self flow", func(a *ArenaTables) {
-			a.Flows = append(a.Flows, InternedFlow{From: NodeStep0, To: NodeStep0, Data: []int32{0}})
-		}, ErrBadFlow},
-		{"flow without data", func(a *ArenaTables) {
-			a.Flows = append(a.Flows, InternedFlow{From: NodeStep0, To: NodeOutput})
+			d, p := produced(a)
+			a.ConOff, a.ConStep = addPair(a.ConOff, a.ConStep, d, p)
+			a.InOff, a.InData = addPair(a.InOff, a.InData, p, d)
 		}, ErrBadFlow},
 		{"two producers", func(a *ArenaTables) {
-			// Data produced by a step; claim INPUT produced it too, on an
-			// edge INPUT -> consumer that does not exist yet.
-			fromInput := map[int32]bool{}
-			for _, f := range a.Flows {
-				if f.From == NodeInput {
-					fromInput[f.To] = true
-				}
-			}
-			for _, f := range a.Flows {
-				if f.From >= NodeStep0 && f.To >= NodeStep0 && !fromInput[f.To] {
-					a.Flows = append(a.Flows, InternedFlow{From: NodeInput, To: f.To, Data: f.Data[:1]})
+			d, p := produced(a)
+			a.OutOff, a.OutData = addPair(a.OutOff, a.OutData, (p+1)%nSteps(a), d)
+		}, ErrTwoProducers},
+		// The same edge twice: a step listed twice as a data object's reader.
+		{"duplicate edge", func(a *ArenaTables) {
+			a.ConOff, a.ConStep = addPair(a.ConOff, a.ConStep, 0, a.ConStep[a.ConOff[0]])
+		}, ErrBadArena},
+		// d1's only reader is S1; the forged row says S2, whose inputs do not
+		// list d1. Provenance (inputs) and derivation (consumers) disagreed.
+		{"consumers not the transpose of inputs", func(a *ArenaTables) { a.ConStep[a.ConOff[0]] = 1 }, ErrBadArena},
+		{"outputs miss a produced data object", func(a *ArenaTables) {
+			d, p := produced(a)
+			a.OutOff, a.OutData = dropPair(a.OutOff, a.OutData, p, d)
+		}, ErrBadArena},
+		{"data on no flow", func(a *ArenaTables) {
+			for d := int32(0); d < nData(a); d++ {
+				if a.Finals.Has(d) && a.ConOff[d] == a.ConOff[d+1] {
+					a.Finals[d/64] &^= 1 << (d % 64) // final data nobody reads, now not final either
 					return
 				}
 			}
-			panic("fixture has no step-to-step flow into a step INPUT does not feed")
-		}, ErrTwoProducers},
-		{"flow data out of range", func(a *ArenaTables) { a.Flows[0].Data[0] = int32(len(a.DataNames)) }, ErrBadFlow},
-		{"duplicate edge", func(a *ArenaTables) { a.Flows = append(a.Flows[:1], a.Flows...) }, ErrBadArena},
-		{"flows out of order", func(a *ArenaTables) { a.Flows[0], a.Flows[1] = a.Flows[1], a.Flows[0] }, ErrBadArena},
+			panic("fixture has no final data that no step reads")
+		}, ErrBadArena},
 		{"meta index out of range", func(a *ArenaTables) { a.Meta = map[int32]map[string]string{100000: {"k": "v"}} }, ErrBadFlow},
 	}
 	for _, tc := range cases {
@@ -232,4 +251,47 @@ func TestReconstructArenaRejectsCorruption(t *testing.T) {
 			}
 		})
 	}
+}
+
+// editNames hands the name tables to edit as strings and lays the edited
+// names out in a fresh arena, offsets and all: how a test forges a name.
+func editNames(a *ArenaTables, edit func(steps, modules, data []string)) {
+	offs := [][]uint32{a.StepOff, a.ModuleOff, a.DataOff}
+	tables := [][]string{a.namesWhere(a.StepOff, every), a.namesWhere(a.ModuleOff, every), a.namesWhere(a.DataOff, every)}
+	edit(tables[0], tables[1], tables[2])
+	var names strings.Builder
+	for i, off := range offs {
+		for k, name := range tables[i] {
+			off[k] = uint32(names.Len())
+			names.WriteString(name)
+		}
+		off[len(tables[i])] = uint32(names.Len())
+	}
+	a.Names = names.String()
+}
+
+// addPair returns copies of a CSR pair with v inserted into row in order
+// (a repeat when row already holds v).
+func addPair(off, vals []int32, row, v int32) ([]int32, []int32) {
+	off, vals = slices.Clone(off), slices.Clone(vals)
+	i, _ := slices.BinarySearch(vals[off[row]:off[row+1]], v)
+	vals = slices.Insert(vals, int(off[row])+i, v)
+	for k := row + 1; k < int32(len(off)); k++ {
+		off[k]++
+	}
+	return off, vals
+}
+
+// dropPair returns copies of a CSR pair with v taken out of row.
+func dropPair(off, vals []int32, row, v int32) ([]int32, []int32) {
+	off, vals = slices.Clone(off), slices.Clone(vals)
+	i, ok := slices.BinarySearch(vals[off[row]:off[row+1]], v)
+	if !ok {
+		panic("dropPair: row does not hold the value")
+	}
+	vals = slices.Delete(vals, int(off[row])+i, int(off[row])+i+1)
+	for k := row + 1; k < int32(len(off)); k++ {
+		off[k]--
+	}
+	return off, vals
 }

@@ -1,11 +1,9 @@
 package run
 
 import (
-	"cmp"
 	"fmt"
 	"maps"
 	"slices"
-	"strings"
 
 	"repro/internal/bitset"
 	"repro/internal/spec"
@@ -72,8 +70,8 @@ func (b *Builder) AddFlow(from, to string, data []string) error {
 	if len(data) == 0 {
 		return fmt.Errorf("%w: edge %s -> %s carries no data", ErrBadFlow, from, to)
 	}
-	f, okF := nodeCode(from, b.stepID)
-	t, okT := nodeCode(to, b.stepID)
+	f, okF := b.node(from)
+	t, okT := b.node(to)
 	if !okF || !okT {
 		unknown := from
 		if okF {
@@ -86,7 +84,7 @@ func (b *Builder) AddFlow(from, to string, data []string) error {
 			return fmt.Errorf("%w: empty data id on %s -> %s", ErrBadFlow, from, to)
 		}
 		if id, ok := b.dataOf[d]; ok && b.prod[id] != f {
-			return fmt.Errorf("%w: %q produced by %q and %q", ErrTwoProducers, d, nodeName(b.prod[id], b.ids), from)
+			return fmt.Errorf("%w: %q produced by %q and %q", ErrTwoProducers, d, nodeName(b.prod[id], b.step), from)
 		}
 	}
 	e := b.edge(f, t)
@@ -112,10 +110,21 @@ func (b *Builder) AnnotateInput(d string, meta map[string]string) error {
 	return nil
 }
 
-func (b *Builder) stepID(name string) (int32, bool) {
+// node resolves a node name — INPUT, OUTPUT, or a step id — to its node
+// code.
+func (b *Builder) node(name string) (int32, bool) {
+	switch name {
+	case spec.Input:
+		return NodeInput, true
+	case spec.Output:
+		return NodeOutput, true
+	}
 	s, ok := b.stepOf[name]
-	return s, ok
+	return NodeStep0 + s, ok
 }
+
+// step returns the id of the step with arrival number s.
+func (b *Builder) step(s int32) string { return b.ids[s] }
 
 // intern returns the number of a data id, numbering it if it is new.
 func (b *Builder) intern(d string) int32 {
@@ -149,75 +158,56 @@ func (b *Builder) carry(e, d int32) {
 }
 
 // Build returns the run. Steps and data are renumbered in natural order, and
-// the tables are laid out as a snapshot stores them: every slice exact-size,
-// each CSR row ascending without a sort, because the flows are sorted by
-// (from, to) and a data object's flows all leave its producer.
+// the tables are laid out as a snapshot stores them: names in one string,
+// every slice exact-size, each CSR row ascending. Flows leave only their
+// rows behind: a step's inputs, the data final, and the producer column.
 func (b *Builder) Build() (*Run, error) {
 	nS, nD := len(b.ids), len(b.data)
 	sPerm, sRank := naturalOrder(b.ids)
 	dPerm, dRank := naturalOrder(b.data)
-	code := func(c int32) int32 {
-		if c < NodeStep0 {
-			return c
-		}
-		return NodeStep0 + sRank[c-NodeStep0]
-	}
 
-	t := ArenaTables{
-		StepIDs: make([]string, nS), StepModules: make([]string, nS),
-		DataNames: make([]string, nD), Producer: make([]int32, nD),
-		Flows: make([]InternedFlow, len(b.flows)),
+	// The names go into one string, as a v3 run's do: a built run then holds
+	// one allocation of names, not the log events' or the decoder's
+	// allocations they arrived in (small strings share their blocks with
+	// garbage).
+	var arena []byte
+	offsets := func(perm []int32, tbl []string) []uint32 {
+		off := make([]uint32, 0, len(perm)+1)
+		for _, i := range perm {
+			off = append(off, uint32(len(arena)))
+			arena = append(arena, tbl[i]...)
+		}
+		return append(off, uint32(len(arena)))
 	}
-	for k, i := range sPerm {
-		t.StepIDs[k], t.StepModules[k] = b.ids[i], b.modules[i]
-	}
+	t := ArenaTables{Producer: make([]int32, nD)}
+	t.StepOff, t.ModuleOff, t.DataOff = offsets(sPerm, b.ids), offsets(sPerm, b.modules), offsets(dPerm, b.data)
+	t.Names = string(arena) // exact-size
 	for k, i := range dPerm {
-		t.DataNames[k] = b.data[i]
 		t.Producer[k] = -1 // external, or carried by no flow, which ReconstructArena rejects
 		if p := b.prod[i]; p >= NodeStep0 {
 			t.Producer[k] = sRank[p-NodeStep0]
 		}
 	}
-	intoOneString(t.StepIDs, t.StepModules, t.DataNames)
-
-	total := 0
-	for _, f := range b.flows {
-		total += len(f.data)
-	}
-	all := make([]int32, 0, total) // every flow's data, in one allocation
-	for i, f := range b.flows {
-		start := len(all)
-		for _, d := range f.data {
-			all = append(all, dRank[d])
-		}
-		row := all[start:]
-		slices.Sort(row)
-		row = slices.Compact(row)
-		all = all[:start+len(row)]
-		t.Flows[i] = InternedFlow{From: code(f.from), To: code(f.to), Data: row[:len(row):len(row)]}
-	}
-	slices.SortFunc(t.Flows, func(x, y InternedFlow) int {
-		return cmp.Or(cmp.Compare(x.From, y.From), cmp.Compare(x.To, y.To))
-	})
 
 	t.Finals = bitset.New(nD)
-	t.ConOff, t.ConStep = csr(nD, func(emit func(d, s int32)) {
-		for _, f := range t.Flows {
-			for _, d := range f.Data {
-				if f.To == NodeOutput {
-					t.Finals.Add(d) // on both passes, which is harmless
+	t.InOff, t.InData = csr(nS, func(emit func(s, d int32)) {
+		for _, f := range b.flows {
+			for _, d := range f.data {
+				if f.to == NodeOutput {
+					t.Finals.Add(dRank[d]) // on both passes, which is harmless
 				} else {
-					emit(d, f.To-NodeStep0)
+					emit(sRank[f.to-NodeStep0], dRank[d])
 				}
 			}
 		}
 	})
-	// Inputs are the transpose of consumers, outputs the producer column
-	// grouped by step; walking data ascending fills both rows ascending.
-	t.InOff, t.InData = csr(nS, func(emit func(s, d int32)) {
-		for d := int32(0); d < int32(nD); d++ {
-			for _, s := range t.ConStep[t.ConOff[d]:t.ConOff[d+1]] {
-				emit(s, d)
+	t.InData = sortRows(t.InOff, t.InData) // a step may read a data object on two calls
+	// Consumers are the transpose of inputs, outputs the producer column
+	// grouped by step; walking rows ascending fills both rows ascending.
+	t.ConOff, t.ConStep = csr(nD, func(emit func(d, s int32)) {
+		for s := int32(0); s < int32(nS); s++ {
+			for _, d := range t.InData[t.InOff[s]:t.InOff[s+1]] {
+				emit(d, s)
 			}
 		}
 	})
@@ -238,19 +228,6 @@ func (b *Builder) Build() (*Run, error) {
 	return ReconstructArena(b.id, b.specName, t)
 }
 
-// intoOneString copies the names in tables into one string and points them
-// at its substrings, as a v3 run's names are: a built run then holds one
-// allocation of names, not the log events' or the decoder's allocations
-// they arrived in (small strings share their blocks with garbage).
-func intoOneString(tables ...[]string) {
-	all := strings.Join(slices.Concat(tables...), "")
-	for _, t := range tables {
-		for i, s := range t {
-			t[i], all = all[:len(s)], all[len(s):]
-		}
-	}
-}
-
 // csr groups the (row, value) pairs each emits into CSR offsets and values,
 // each row in emission order. each is called twice, to count and to fill,
 // and must emit the same pairs both times.
@@ -264,6 +241,25 @@ func csr(rows int, each func(emit func(row, v int32))) (off, vals []int32) {
 	cur := slices.Clone(off[:rows])
 	each(func(row, v int32) { vals[cur[row]] = v; cur[row]++ })
 	return off, vals
+}
+
+// sortRows sorts each row of a CSR pair and drops repeated values, moving
+// the rows down over the gaps and the offsets with them. The values come
+// back exact-size.
+func sortRows(off, vals []int32) []int32 {
+	lo, n := int32(0), int32(0)
+	for i := 1; i < len(off); i++ {
+		row := vals[lo:off[i]]
+		slices.Sort(row)
+		row = slices.Compact(row)
+		lo = off[i]
+		n += int32(copy(vals[n:], row))
+		off[i] = n
+	}
+	if int(n) < len(vals) {
+		return slices.Clone(vals[:n])
+	}
+	return vals
 }
 
 // naturalOrder returns the permutation that lists names in natural order,

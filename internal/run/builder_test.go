@@ -378,33 +378,13 @@ func TestHeapRunHoldsOneCopy(t *testing.T) {
 
 // copyTables deep-copies arena tables, names included.
 func copyTables(t run.ArenaTables) run.ArenaTables {
-	strs := func(xs []string) []string {
-		out := make([]string, len(xs))
-		for i, x := range xs {
-			out[i] = strings.Clone(x)
-		}
-		return out
-	}
-	c := run.ArenaTables{
-		StepIDs: strs(t.StepIDs), StepModules: strs(t.StepModules), DataNames: strs(t.DataNames),
+	return run.ArenaTables{
+		Names:   strings.Clone(t.Names),
+		StepOff: slices.Clone(t.StepOff), ModuleOff: slices.Clone(t.ModuleOff), DataOff: slices.Clone(t.DataOff),
 		Producer: slices.Clone(t.Producer),
 		InOff:    slices.Clone(t.InOff), InData: slices.Clone(t.InData),
 		OutOff: slices.Clone(t.OutOff), OutData: slices.Clone(t.OutData),
 		ConOff: slices.Clone(t.ConOff), ConStep: slices.Clone(t.ConStep),
 		Finals: bitset.Set(slices.Clone([]uint64(t.Finals))),
-		Flows:  make([]run.InternedFlow, len(t.Flows)),
 	}
-	n := 0
-	for _, f := range t.Flows {
-		n += len(f.Data)
-	}
-	all := make([]int32, 0, n)
-	for _, f := range t.Flows {
-		all = append(all, f.Data...)
-	}
-	for i, f := range t.Flows {
-		c.Flows[i] = run.InternedFlow{From: f.From, To: f.To, Data: all[:len(f.Data):len(f.Data)]}
-		all = all[len(f.Data):]
-	}
-	return c
 }

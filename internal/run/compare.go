@@ -45,7 +45,8 @@ func Compare(a, b *Run) Diff {
 	}
 	counts := make(map[string][2]int)
 	for i, r := range []*Run{a, b} {
-		for _, m := range r.ix.t.StepModules {
+		for s := int32(0); s < int32(r.NumSteps()); s++ {
+			m := r.ix.StepModule(s)
 			c := counts[m]
 			c[i]++
 			counts[m] = c

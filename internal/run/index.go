@@ -3,6 +3,7 @@ package run
 import (
 	"fmt"
 	"slices"
+	"sort"
 	"sync"
 
 	"repro/internal/jsontok"
@@ -26,9 +27,10 @@ import (
 //
 // The index is the run: its tables are what ReconstructArena verified and
 // adopted, from a Builder or a snapshot, and nothing changes them
-// afterwards. Besides the adjacency they hold the flow edges, which Flows,
-// DataOn, Stats, ConformsTo and the snapshot writers read, and the input
-// metadata.
+// afterwards. Besides the adjacency they hold the names, as one arena string
+// and offsets into it, and the input metadata. They hold no flow edges:
+// EachFlow derives them from the rows for the few readers that ask (Flows,
+// NumEdges, Stats, ConformsTo and the v3 snapshot writer).
 type Index struct {
 	r *Run
 	t ArenaTables
@@ -48,7 +50,7 @@ type Index struct {
 // data produced by s" holds exactly when the graph has edge s -> t, and
 // INPUT/OUTPUT — a pure source and a pure sink — can never be on a cycle.
 func (ix *Index) validateStructure() error {
-	n, id := len(ix.t.StepIDs), ix.r.id
+	n, id := ix.NumSteps(), ix.r.id
 	order := ix.TopoOrder()
 	if len(order) != n {
 		return fmt.Errorf("run %q: %w", id, ErrCyclicRun)
@@ -89,10 +91,10 @@ func (ix *Index) validateStructure() error {
 
 	for s := 0; s < n; s++ {
 		if !fwd[s] {
-			return fmt.Errorf("run %q: step %q unreachable from INPUT: %w", id, ix.t.StepIDs[s], ErrDisconnected)
+			return fmt.Errorf("run %q: step %q unreachable from INPUT: %w", id, ix.StepName(int32(s)), ErrDisconnected)
 		}
 		if !bwd[s] {
-			return fmt.Errorf("run %q: step %q cannot reach OUTPUT: %w", id, ix.t.StepIDs[s], ErrDisconnected)
+			return fmt.Errorf("run %q: step %q cannot reach OUTPUT: %w", id, ix.StepName(int32(s)), ErrDisconnected)
 		}
 	}
 	return nil
@@ -102,69 +104,117 @@ func (ix *Index) validateStructure() error {
 func (ix *Index) Run() *Run { return ix.r }
 
 // NumSteps returns the number of interned steps.
-func (ix *Index) NumSteps() int { return len(ix.t.StepIDs) }
+func (ix *Index) NumSteps() int { return len(ix.t.StepOff) - 1 }
 
 // NumData returns the number of interned data objects.
-func (ix *Index) NumData() int { return len(ix.t.DataNames) }
+func (ix *Index) NumData() int { return len(ix.t.DataOff) - 1 }
 
 // StepID returns the interned id of a step name.
-func (ix *Index) StepID(name string) (int32, bool) { return searchNatural(ix.t.StepIDs, name) }
+func (ix *Index) StepID(name string) (int32, bool) { return ix.t.searchNatural(ix.t.StepOff, name) }
 
 // DataID returns the interned id of a data name.
-func (ix *Index) DataID(name string) (int32, bool) { return searchNatural(ix.t.DataNames, name) }
+func (ix *Index) DataID(name string) (int32, bool) { return ix.t.searchNatural(ix.t.DataOff, name) }
 
-// searchNatural finds name in a table that is strictly increasing under
-// lessNatural (every index's name tables are: Build sorts them and
-// ReconstructArena verifies it). The needle is split once per lookup.
-func searchNatural(names []string, name string) (int32, bool) {
+// searchNatural finds name in the table off indexes, which is strictly
+// increasing under lessNatural (every index's name tables are: Build sorts
+// them and ReconstructArena verifies it). The needle is split once per
+// lookup.
+func (t *ArenaTables) searchNatural(off []uint32, name string) (int32, bool) {
 	key := natKeyOf(name)
-	i, ok := slices.BinarySearchFunc(names, key, func(s string, k natKey) int { return natKeyOf(s).compare(k) })
-	if !ok {
+	n := len(off) - 1
+	i := sort.Search(n, func(i int) bool { return natKeyOf(t.name(off, int32(i))).compare(key) >= 0 })
+	if i == n || t.name(off, int32(i)) != name {
 		return 0, false
 	}
 	return int32(i), true
 }
 
 // StepName returns the step name of an interned id.
-func (ix *Index) StepName(id int32) string { return ix.t.StepIDs[id] }
+func (ix *Index) StepName(id int32) string { return ix.t.name(ix.t.StepOff, id) }
 
 // StepModule returns the module an interned step instantiates.
-func (ix *Index) StepModule(id int32) string { return ix.t.StepModules[id] }
+func (ix *Index) StepModule(id int32) string { return ix.t.name(ix.t.ModuleOff, id) }
 
-// nodeCode resolves a node name — INPUT, OUTPUT, or a step id that step
-// numbers — to its node code.
-func nodeCode(name string, step func(string) (int32, bool)) (int32, bool) {
-	switch name {
-	case spec.Input:
-		return NodeInput, true
-	case spec.Output:
-		return NodeOutput, true
-	}
-	s, ok := step(name)
-	return NodeStep0 + s, ok
-}
-
-// nodeName is the inverse of nodeCode, steps naming the step codes.
-func nodeName(code int32, steps []string) string {
+// nodeName is the inverse of Builder.node, step naming the step codes.
+func nodeName(code int32, step func(int32) string) string {
 	switch code {
 	case NodeInput:
 		return spec.Input
 	case NodeOutput:
 		return spec.Output
 	}
-	return steps[code-NodeStep0]
+	return step(code - NodeStep0)
 }
 
-// dataWhere returns the names of the data ids keep selects, in natural
-// order.
-func (ix *Index) dataWhere(keep func(d int32) bool) []string {
+// namesWhere returns the names in the table off indexes whose ids keep
+// selects, in order.
+func (t *ArenaTables) namesWhere(off []uint32, keep func(int32) bool) []string {
 	var out []string
-	for d, name := range ix.t.DataNames {
-		if keep(int32(d)) {
-			out = append(out, name)
+	for i := int32(0); i+1 < int32(len(off)); i++ {
+		if keep(i) {
+			out = append(out, t.name(off, i))
 		}
 	}
 	return out
+}
+
+// names maps interned ids to their names in the table off indexes (nil for
+// no ids).
+func (t *ArenaTables) names(off []uint32, ids []int32) []string {
+	if len(ids) == 0 {
+		return nil
+	}
+	out := make([]string, len(ids))
+	for i, id := range ids {
+		out[i] = t.name(off, id)
+	}
+	return out
+}
+
+// every selects every id.
+func every(int32) bool { return true }
+
+// EachFlow calls yield for every flow edge of the run, ordered by (from, to)
+// node code — INPUT, then the steps in natural order, as snapshots list them
+// — with its data ascending. The edges are derived from the rows, not
+// stored: data d produced by p (INPUT when external) flows from p to every
+// step that reads it, and to OUTPUT when it is final. data is reused between
+// calls; yield must not keep it.
+func (ix *Index) EachFlow(yield func(from, to int32, data []int32)) {
+	var pairs []uint64 // the current source's (to, d) pairs, to in the high word
+	var data []int32
+	add := func(d int32) {
+		if ix.IsFinal(d) {
+			pairs = append(pairs, NodeOutput<<32|uint64(d))
+		}
+		for _, s := range ix.ConsumersOf(d) {
+			pairs = append(pairs, uint64(NodeStep0+s)<<32|uint64(d))
+		}
+	}
+	flush := func(from int32) {
+		slices.Sort(pairs)
+		for i := 0; i < len(pairs); {
+			to := pairs[i] >> 32
+			data = data[:0]
+			for ; i < len(pairs) && pairs[i]>>32 == to; i++ {
+				data = append(data, int32(uint32(pairs[i])))
+			}
+			yield(from, int32(to), data)
+		}
+		pairs = pairs[:0]
+	}
+	for d, p := range ix.t.Producer {
+		if p < 0 {
+			add(int32(d))
+		}
+	}
+	flush(NodeInput)
+	for s := int32(0); s < int32(ix.NumSteps()); s++ {
+		for _, d := range ix.OutputsOf(s) {
+			add(d)
+		}
+		flush(NodeStep0 + s)
+	}
 }
 
 // TopoOrder returns the steps in the run's canonical topological order: Kahn
@@ -180,7 +230,7 @@ func (ix *Index) TopoOrder() []int32 {
 		// The (s, t) pairs are enumerated identically when counting and
 		// when releasing (repeated when s feeds t several data objects), so
 		// the counts balance.
-		n := len(ix.t.StepIDs)
+		n := ix.NumSteps()
 		indeg := make([]int32, n)
 		for s := 0; s < n; s++ {
 			for _, d := range ix.OutputsOf(int32(s)) {
@@ -222,13 +272,13 @@ type Tokens struct {
 // it when the run is dropped.
 func (ix *Index) Tokens() *Tokens {
 	ix.tokOnce.Do(func() {
-		ix.tokens = Tokens{Data: jsontok.Of(ix.t.DataNames), Step: jsontok.Of(ix.t.StepIDs)}
+		ix.tokens = Tokens{Data: jsontok.Of(ix.NumData(), ix.DataName), Step: jsontok.Of(ix.NumSteps(), ix.StepName)}
 	})
 	return &ix.tokens
 }
 
 // DataName returns the data name of an interned id.
-func (ix *Index) DataName(id int32) string { return ix.t.DataNames[id] }
+func (ix *Index) DataName(id int32) string { return ix.t.name(ix.t.DataOff, id) }
 
 // Producer returns the interned producing step of a data id, or -1 when the
 // data is external (user or workflow input).
@@ -270,10 +320,10 @@ func (ix *Index) Stats() IndexStats {
 		len(t.OutOff) + len(t.OutData) +
 		len(t.ConOff) + len(t.ConStep)
 	return IndexStats{
-		Steps:        len(t.StepIDs),
-		Data:         len(t.DataNames),
+		Steps:        ix.NumSteps(),
+		Data:         ix.NumData(),
 		CSRBytes:     4 * ints,
-		ClosureWords: (len(t.StepIDs)+63)/64 + (len(t.DataNames)+63)/64,
+		ClosureWords: (ix.NumSteps()+63)/64 + (ix.NumData()+63)/64,
 	}
 }
 

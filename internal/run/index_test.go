@@ -78,8 +78,8 @@ func TestIndexAdjacency(t *testing.T) {
 	for _, s := range o.StepIDs() {
 		sid, _ := ix.StepID(s)
 		for name, pair := range map[string][2][]string{
-			"inputs":  {o.InputsOf(s), names(ix.t.DataNames, ix.InputsOf(sid))},
-			"outputs": {o.OutputsOf(s), names(ix.t.DataNames, ix.OutputsOf(sid))},
+			"inputs":  {o.InputsOf(s), ix.t.names(ix.t.DataOff, ix.InputsOf(sid))},
+			"outputs": {o.OutputsOf(s), ix.t.names(ix.t.DataOff, ix.OutputsOf(sid))},
 		} {
 			want, got := pair[0], pair[1]
 			if len(want) != len(got) {

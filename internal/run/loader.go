@@ -73,7 +73,7 @@ func (l *LogLoader) Add(e wflog.Event) error {
 			l.reads[s] = append(l.reads[s], d)
 			l.read[d] = true
 		} else if w := b.prod[d]; w >= 0 {
-			return fmt.Errorf("%w: %q written by %q and %q", ErrTwoProducers, e.Data, nodeName(w, b.ids), e.Step)
+			return fmt.Errorf("%w: %q written by %q and %q", ErrTwoProducers, e.Data, nodeName(w, b.step), e.Step)
 		} else {
 			b.prod[d] = NodeStep0 + s
 		}
@@ -140,13 +140,13 @@ func (r *Run) ToLog() ([]wflog.Event, error) {
 	// the log's length is known, and seq is an event's position from 1.
 	events := make([]wflog.Event, 0, ix.NumSteps()+len(ix.t.InData)+len(ix.t.OutData))
 	for _, s := range order {
-		id := ix.t.StepIDs[s]
-		events = append(events, wflog.Event{Seq: int64(len(events) + 1), Kind: wflog.KindStart, Step: id, Module: ix.t.StepModules[s]})
+		id := ix.StepName(s)
+		events = append(events, wflog.Event{Seq: int64(len(events) + 1), Kind: wflog.KindStart, Step: id, Module: ix.StepModule(s)})
 		for _, d := range ix.InputsOf(s) {
-			events = append(events, wflog.Event{Seq: int64(len(events) + 1), Kind: wflog.KindRead, Step: id, Data: ix.t.DataNames[d]})
+			events = append(events, wflog.Event{Seq: int64(len(events) + 1), Kind: wflog.KindRead, Step: id, Data: ix.DataName(d)})
 		}
 		for _, d := range ix.OutputsOf(s) {
-			events = append(events, wflog.Event{Seq: int64(len(events) + 1), Kind: wflog.KindWrite, Step: id, Data: ix.t.DataNames[d]})
+			events = append(events, wflog.Event{Seq: int64(len(events) + 1), Kind: wflog.KindWrite, Step: id, Data: ix.DataName(d)})
 		}
 	}
 	return events, nil

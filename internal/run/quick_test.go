@@ -158,14 +158,19 @@ func TestQuickSearchNatural(t *testing.T) {
 			names = append(names, "d"+itoa(n))
 			n++
 		}
+		tbl := ArenaTables{DataOff: []uint32{0}}
+		for _, s := range names {
+			tbl.Names += s
+			tbl.DataOff = append(tbl.DataOff, uint32(len(tbl.Names)))
+		}
 		for i, s := range names {
-			if j, ok := searchNatural(names, s); !ok || int(j) != i {
+			if j, ok := tbl.searchNatural(tbl.DataOff, s); !ok || int(j) != i {
 				return false
 			}
 		}
 		for _, x := range []string{"d" + itoa(int(probe)%600), "d0" + itoa(int(probe)%600), "S1", "d", ""} {
 			want := slices.Index(names, x)
-			if j, ok := searchNatural(names, x); ok != (want >= 0) || (ok && int(j) != want) || (!ok && j != 0) {
+			if j, ok := tbl.searchNatural(tbl.DataOff, x); ok != (want >= 0) || (ok && int(j) != want) || (!ok && j != 0) {
 				return false
 			}
 		}

@@ -88,47 +88,37 @@ func checkStep(st Step) error {
 
 // Steps returns all steps sorted by id (natural order: S2 before S10).
 func (r *Run) Steps() []Step {
-	out := make([]Step, len(r.ix.t.StepIDs))
-	for i, id := range r.ix.t.StepIDs {
-		out[i] = Step{ID: id, Module: r.ix.t.StepModules[i]}
+	out := make([]Step, r.ix.NumSteps())
+	for i := range out {
+		out[i] = Step{ID: r.ix.StepName(int32(i)), Module: r.ix.StepModule(int32(i))}
 	}
 	return out
 }
 
 // StepIDs returns all step ids in natural order.
-func (r *Run) StepIDs() []string { return slices.Clone(r.ix.t.StepIDs) }
+func (r *Run) StepIDs() []string { return r.ix.t.namesWhere(r.ix.t.StepOff, every) }
 
 // NumSteps returns the number of steps.
 func (r *Run) NumSteps() int { return r.ix.NumSteps() }
 
-// NumEdges returns the number of flow edges (including INPUT/OUTPUT edges).
-func (r *Run) NumEdges() int { return len(r.ix.t.Flows) }
+// NumEdges returns the number of flow edges (including INPUT/OUTPUT edges),
+// counting what EachFlow derives.
+func (r *Run) NumEdges() int {
+	n := 0
+	r.ix.EachFlow(func(_, _ int32, _ []int32) { n++ })
+	return n
+}
 
 // Flows returns every flow edge ordered by (from, to) node code — INPUT,
 // OUTPUT, then the steps in natural order — which is the order snapshots
 // list them in.
 func (r *Run) Flows() []Flow {
-	out := slices.Grow([]Flow(nil), len(r.ix.t.Flows)) // nil for none, as a v1 snapshot has it
-	for _, f := range r.ix.t.Flows {
-		out = append(out, Flow{From: nodeName(f.From, r.ix.t.StepIDs), To: nodeName(f.To, r.ix.t.StepIDs), Data: names(r.ix.t.DataNames, f.Data)})
-	}
-	return out
-}
-
-// DataOn returns the data ids on the edge from -> to, sorted naturally.
-func (r *Run) DataOn(from, to string) []string {
-	f, okF := nodeCode(from, r.ix.StepID)
-	t, okT := nodeCode(to, r.ix.StepID)
-	if !okF || !okT {
-		return nil
-	}
-	i, ok := slices.BinarySearchFunc(r.ix.t.Flows, [2]int32{f, t}, func(fl InternedFlow, k [2]int32) int {
-		return cmp.Or(cmp.Compare(fl.From, k[0]), cmp.Compare(fl.To, k[1]))
+	ix := r.ix
+	var out []Flow // nil for none, as a v1 snapshot has it
+	ix.EachFlow(func(from, to int32, data []int32) {
+		out = append(out, Flow{From: nodeName(from, ix.StepName), To: nodeName(to, ix.StepName), Data: ix.t.names(ix.t.DataOff, data)})
 	})
-	if !ok {
-		return nil
-	}
-	return names(r.ix.t.DataNames, r.ix.t.Flows[i].Data)
+	return out
 }
 
 // Producer returns the producing step of a data object. The second result
@@ -140,7 +130,7 @@ func (r *Run) Producer(d string) (string, bool) {
 		return "", false
 	}
 	if p := r.ix.t.Producer[id]; p >= 0 {
-		return r.ix.t.StepIDs[p], true
+		return r.ix.StepName(p), true
 	}
 	return "", true
 }
@@ -158,7 +148,7 @@ func (r *Run) Consumers(d string) []string {
 	if !ok {
 		return nil
 	}
-	out := names(r.ix.t.StepIDs, r.ix.ConsumersOf(id))
+	out := r.ix.t.names(r.ix.t.StepOff, r.ix.ConsumersOf(id))
 	sort.Strings(out)
 	return out
 }
@@ -168,13 +158,13 @@ func (r *Run) Consumers(d string) []string {
 func (r *Run) InputsOf(node string) []string {
 	ix := r.ix
 	if node == spec.Output {
-		return ix.dataWhere(ix.IsFinal)
+		return ix.t.namesWhere(ix.t.DataOff, ix.IsFinal)
 	}
 	s, ok := ix.StepID(node)
 	if !ok {
 		return nil
 	}
-	return names(ix.t.DataNames, ix.InputsOf(s))
+	return ix.t.names(ix.t.DataOff, ix.InputsOf(s))
 }
 
 // OutputsOf returns the union of data ids on the outgoing edges of a step.
@@ -182,13 +172,13 @@ func (r *Run) InputsOf(node string) []string {
 func (r *Run) OutputsOf(node string) []string {
 	ix := r.ix
 	if node == spec.Input {
-		return ix.dataWhere(func(d int32) bool { return ix.t.Producer[d] < 0 })
+		return ix.t.namesWhere(ix.t.DataOff, func(d int32) bool { return ix.t.Producer[d] < 0 })
 	}
 	s, ok := ix.StepID(node)
 	if !ok {
 		return nil
 	}
-	return names(ix.t.DataNames, ix.OutputsOf(s))
+	return ix.t.names(ix.t.DataOff, ix.OutputsOf(s))
 }
 
 // FinalOutputs returns the data ids flowing into OUTPUT — the run results.
@@ -198,7 +188,7 @@ func (r *Run) FinalOutputs() []string { return r.InputsOf(spec.Output) }
 func (r *Run) ExternalInputs() []string { return r.OutputsOf(spec.Input) }
 
 // AllData returns every data id seen in the run, sorted naturally.
-func (r *Run) AllData() []string { return slices.Clone(r.ix.t.DataNames) }
+func (r *Run) AllData() []string { return r.ix.t.namesWhere(r.ix.t.DataOff, every) }
 
 // NumData returns the number of distinct data objects.
 func (r *Run) NumData() int { return r.ix.NumData() }
@@ -224,31 +214,32 @@ func (r *Run) ConformsTo(s *spec.Spec) error {
 		return fmt.Errorf("run %q executes %q, not %q: %w", r.id, r.specName, s.Name(), ErrNonConformant)
 	}
 	ix := r.ix
-	for i, m := range ix.t.StepModules {
-		if !s.HasModule(m) {
-			return fmt.Errorf("run %q: step %q instantiates unknown module %q: %w", r.id, ix.t.StepIDs[i], m, ErrNonConformant)
+	for i := int32(0); i < int32(ix.NumSteps()); i++ {
+		if m := ix.StepModule(i); !s.HasModule(m) {
+			return fmt.Errorf("run %q: step %q instantiates unknown module %q: %w", r.id, ix.StepName(i), m, ErrNonConformant)
 		}
 	}
-	for _, f := range ix.t.Flows {
-		if f.From < NodeStep0 || f.To < NodeStep0 {
-			continue
+	var err error // the first step-to-step flow without a spec edge
+	ix.EachFlow(func(from, to int32, _ []int32) {
+		if err != nil || from < NodeStep0 || to < NodeStep0 {
+			return
 		}
-		mf, mt := ix.t.StepModules[f.From-NodeStep0], ix.t.StepModules[f.To-NodeStep0]
-		if !s.Graph().HasEdge(mf, mt) {
-			return fmt.Errorf("run %q: flow %s -> %s has no spec edge %s -> %s: %w",
-				r.id, nodeName(f.From, ix.t.StepIDs), nodeName(f.To, ix.t.StepIDs), mf, mt, ErrNonConformant)
+		from, to = from-NodeStep0, to-NodeStep0
+		if mf, mt := ix.StepModule(from), ix.StepModule(to); !s.Graph().HasEdge(mf, mt) {
+			err = fmt.Errorf("run %q: flow %s -> %s has no spec edge %s -> %s: %w",
+				r.id, ix.StepName(from), ix.StepName(to), mf, mt, ErrNonConformant)
 		}
-	}
-	return nil
+	})
+	return err
 }
 
 // StepsOfModule returns the ids of the steps instantiating module, in
 // natural order — several when the module sits in an unrolled loop.
 func (r *Run) StepsOfModule(module string) []string {
 	var out []string
-	for i, m := range r.ix.t.StepModules {
-		if m == module {
-			out = append(out, r.ix.t.StepIDs[i])
+	for i := int32(0); i < int32(r.ix.NumSteps()); i++ {
+		if r.ix.StepModule(i) == module {
+			out = append(out, r.ix.StepName(i))
 		}
 	}
 	return out
@@ -276,7 +267,7 @@ func (r *Run) AnnotatedInputs() []string {
 		ids = append(ids, d)
 	}
 	slices.Sort(ids)
-	return names(r.ix.t.DataNames, ids)
+	return r.ix.t.names(r.ix.t.DataOff, ids)
 }
 
 // Tables returns the run in arena form, which is what a v3 snapshot
@@ -287,18 +278,6 @@ func (r *Run) Tables() ArenaTables { return r.ix.t }
 func (r *Run) String() string {
 	return fmt.Sprintf("run %q of %q: %d steps, %d edges, %d data objects",
 		r.id, r.specName, r.NumSteps(), r.NumEdges(), r.NumData())
-}
-
-// names maps interned ids to their names in table (nil for no ids).
-func names(table []string, ids []int32) []string {
-	if len(ids) == 0 {
-		return nil
-	}
-	out := make([]string, len(ids))
-	for i, id := range ids {
-		out[i] = table[id]
-	}
-	return out
 }
 
 // lessNatural orders strings with trailing integers numerically, so that

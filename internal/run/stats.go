@@ -21,14 +21,15 @@ type Stats struct {
 // for validated runs); on a cyclic graph depth is reported as zero.
 func (r *Run) Stats() Stats {
 	ix := r.ix
-	st := Stats{Steps: ix.NumSteps(), Edges: len(ix.t.Flows), Data: ix.NumData()}
+	st := Stats{Steps: ix.NumSteps(), Data: ix.NumData()}
 	// Degrees are flows per node code: there is one flow per connected pair.
 	out := make([]int, NodeStep0+ix.NumSteps())
 	in := make([]int, len(out))
-	for _, f := range ix.t.Flows {
-		out[f.From]++
-		in[f.To]++
-	}
+	ix.EachFlow(func(from, to int32, _ []int32) {
+		st.Edges++
+		out[from]++
+		in[to]++
+	})
 	for c := NodeStep0; c < len(out); c++ {
 		st.MaxFanOut = max(st.MaxFanOut, out[c])
 		st.MaxFanIn = max(st.MaxFanIn, in[c])

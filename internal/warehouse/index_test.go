@@ -37,38 +37,50 @@ func ConnectBy(start []string, parents func(string) []string) []string {
 	return order
 }
 
+// oracleRelations is a run's string-keyed relations, spelled out once per
+// run with the run's string accessors, so that each step of the oracle's
+// CONNECT BY is a map lookup: a key's parents backward (provenance) and its
+// children forward (derivation). Bipartite keys: "d:" prefixes data, "s:"
+// prefixes steps.
+type oracleRelations struct{ back, fwd map[string][]string }
+
+func relationsOf(r *run.Run) oracleRelations {
+	rel := oracleRelations{back: map[string][]string{}, fwd: map[string][]string{}}
+	for _, d := range r.AllData() {
+		if p, _ := r.Producer(d); p != "" {
+			rel.back["d:"+d] = []string{"s:" + p}
+		}
+		for _, s := range r.Consumers(d) {
+			rel.fwd["d:"+d] = append(rel.fwd["d:"+d], "s:"+s)
+		}
+	}
+	for _, s := range r.StepIDs() {
+		for _, x := range r.InputsOf(s) {
+			rel.back["s:"+s] = append(rel.back["s:"+s], "d:"+x)
+		}
+		for _, x := range r.OutputsOf(s) {
+			rel.fwd["s:"+s] = append(rel.fwd["s:"+s], "d:"+x)
+		}
+	}
+	return rel
+}
+
 // oracleClosure is the reference closure the integer traversals are held
-// to: the paper's CONNECT BY over the run's string-keyed
-// relations, backward (provenance) or forward (derivation). Bipartite keys:
-// "d:" prefixes data, "s:" prefixes steps.
-func oracleClosure(r *run.Run, d string, forward bool) (steps, data map[string]bool) {
-	steps, data = map[string]bool{}, map[string]bool{d: true}
-	ConnectBy([]string{"d:" + d}, func(key string) []string {
-		id := key[2:]
-		var next []string
-		if key[0] == 'd' {
-			var ss []string
-			if forward {
-				ss = r.Consumers(id)
-			} else if p, ok := r.Producer(id); ok && p != "" {
-				ss = []string{p}
-			}
-			for _, s := range ss {
-				steps[s] = true
-				next = append(next, "s:"+s)
-			}
-			return next
+// to: the paper's CONNECT BY over the run's string-keyed relations,
+// backward (provenance) or forward (derivation).
+func (rel oracleRelations) oracleClosure(d string, forward bool) (steps, data map[string]bool) {
+	next := rel.back
+	if forward {
+		next = rel.fwd
+	}
+	steps, data = map[string]bool{}, map[string]bool{}
+	for _, key := range ConnectBy([]string{"d:" + d}, func(key string) []string { return next[key] }) {
+		if key[0] == 's' {
+			steps[key[2:]] = true
+		} else {
+			data[key[2:]] = true
 		}
-		ds := r.InputsOf(id)
-		if forward {
-			ds = r.OutputsOf(id)
-		}
-		for _, x := range ds {
-			data[x] = true
-			next = append(next, "d:"+x)
-		}
-		return next
-	})
+	}
 	return steps, data
 }
 
@@ -143,29 +155,35 @@ func generatedWarehouse(t testing.TB, class gen.WorkflowClass, rc gen.RunClass) 
 // and for every 7th data object, an external input and a final output of a
 // Class3 run (wide fan-in and fan-out) and a Class4-large run (depth).
 func TestIndexedClosureMatchesOracle(t *testing.T) {
+	// Each direction is a parallel subtest over every root.
 	check := func(t *testing.T, w *Warehouse, r *run.Run, roots []string) {
-		for _, d := range roots {
-			for name, forward := range map[string]bool{"provenance": false, "derivation": true} {
+		rel := relationsOf(r)
+		for name, forward := range map[string]bool{"provenance": false, "derivation": true} {
+			t.Run(name, func(t *testing.T) {
+				t.Parallel()
 				query := w.DeepProvenance
 				if forward {
 					query = w.DeepDerivation
 				}
-				c, err := query(r.ID(), d)
-				if err != nil {
-					t.Fatalf("%s(%s): %v", name, d, err)
+				for _, d := range roots {
+					c, err := query(r.ID(), d)
+					if err != nil {
+						t.Fatalf("%s(%s): %v", name, d, err)
+					}
+					gotSteps, gotData := closureSets(c)
+					wantSteps, wantData := rel.oracleClosure(d, forward)
+					if !reflect.DeepEqual(gotSteps, wantSteps) {
+						t.Fatalf("%s(%s): steps differ\nindexed %v\noracle  %v", name, d, gotSteps, wantSteps)
+					}
+					if !reflect.DeepEqual(gotData, wantData) {
+						t.Fatalf("%s(%s): data differ\nindexed %v\noracle  %v", name, d, gotData, wantData)
+					}
 				}
-				gotSteps, gotData := closureSets(c)
-				wantSteps, wantData := oracleClosure(r, d, forward)
-				if !reflect.DeepEqual(gotSteps, wantSteps) {
-					t.Fatalf("%s(%s): steps differ\nindexed %v\noracle  %v", name, d, gotSteps, wantSteps)
-				}
-				if !reflect.DeepEqual(gotData, wantData) {
-					t.Fatalf("%s(%s): data differ\nindexed %v\noracle  %v", name, d, gotData, wantData)
-				}
-			}
+			})
 		}
 	}
 	t.Run("figure2", func(t *testing.T) {
+		t.Parallel()
 		w := loadedWarehouse(t)
 		r, _ := w.Run("fig2")
 		check(t, w, r, r.AllData())
@@ -175,6 +193,7 @@ func TestIndexedClosureMatchesOracle(t *testing.T) {
 		rc    gen.RunClass
 	}{{gen.Class3(), gen.Large()}, {gen.Class4(), gen.Large()}} {
 		t.Run(tc.class.Name+"-"+tc.rc.Name, func(t *testing.T) {
+			t.Parallel()
 			w, r := generatedWarehouse(t, tc.class, tc.rc)
 			finals := r.FinalOutputs()
 			roots := []string{r.ExternalInputs()[0], finals[len(finals)-1]}

@@ -77,12 +77,16 @@ import (
 //	arena      arenaLen bytes (step ids, modules, data ids, concatenated)
 //	meta       metaLen bytes, JSON [{"d": idx, "kv": {...}}] (sorted by idx)
 //
-// At materialization the int32/uint64 arrays are adopted by the run's
-// index *without copying* (they alias the mapping); strings are copied out
-// of the arena in one conversion so query results never dangle after
-// Close. A checksummed-but-forged block cannot cause memory unsafety: the
-// block is bounds- and invariant-checked here and again by
-// run.ReconstructArena before any aliased slice is indexed.
+// The flow section is what run.Index.EachFlow derives from the CSR rows: the
+// writer derives it; the reader bounds-checks it against flowInts and the
+// block checksum covers it, but it is never decoded.
+//
+// At materialization the integer arrays, name offsets included, are adopted
+// by the run's index *without copying* (they alias the mapping); the arena
+// is copied out once, so names and query results never dangle after Close.
+// A checksummed-but-forged block cannot cause memory unsafety: it is
+// bounds-checked here and invariant-checked by run.ReconstructArena before
+// any aliased slice is indexed.
 const (
 	v3HeaderSize   = 64
 	v3DirEntrySize = 32
@@ -203,9 +207,10 @@ func (w *Warehouse) buildV3Locked() ([]byte, error) {
 			return nil, fmt.Errorf("warehouse: encode run %q: %w", id, err)
 		}
 		block := runData[start:]
+		le := binary.LittleEndian // the directory repeats the block header's counts
 		recs[i] = recInfo{
 			off: uint64(start), length: uint64(len(block)), hash: xxh.Sum64(block),
-			steps: r.NumSteps(), data: r.NumData(), edges: r.NumEdges(),
+			steps: int(le.Uint32(block[0:])), data: int(le.Uint32(block[4:])), edges: int(le.Uint32(block[8:])),
 		}
 	}
 
@@ -288,30 +293,19 @@ type v3MetaEntry struct {
 }
 
 // appendRunBlockV3 encodes one materialized run as a v3 block, appending to
-// dst (which is 8-aligned on entry). Every table is the run's own.
+// dst (which is 8-aligned on entry). Every table but the flow stream is the
+// run's own.
 func appendRunBlockV3(dst []byte, r *run.Run) ([]byte, error) {
 	t := r.Tables()
 
-	// Arena plus the three name-offset tables.
-	var arena []byte
-	nameOffsets := func(names []string) []uint32 {
-		off := make([]uint32, 0, len(names)+1)
-		for _, n := range names {
-			off = append(off, uint32(len(arena)))
-			arena = append(arena, n...)
-		}
-		return append(off, uint32(len(arena)))
-	}
-	stepNameOff := nameOffsets(t.StepIDs)
-	stepModOff := nameOffsets(t.StepModules)
-	dataNameOff := nameOffsets(t.DataNames)
-
-	// Flow stream, ascending by (from, to) node code as the index holds it.
+	// Flow stream, ascending by (from, to) node code as the index derives it.
 	var flows []int32
-	for _, f := range t.Flows {
-		flows = append(flows, f.From, f.To, int32(len(f.Data)))
-		flows = append(flows, f.Data...)
-	}
+	nFlows := 0
+	r.Index().EachFlow(func(from, to int32, data []int32) {
+		flows = append(flows, from, to, int32(len(data)))
+		flows = append(flows, data...)
+		nFlows++
+	})
 
 	// Meta island.
 	var metaJSON []byte
@@ -331,17 +325,17 @@ func appendRunBlockV3(dst []byte, r *run.Run) ([]byte, error) {
 	// the 8-aligned block start.
 	le := binary.LittleEndian
 	var hdr [32]byte
-	le.PutUint32(hdr[0:], uint32(len(t.StepIDs)))
-	le.PutUint32(hdr[4:], uint32(len(t.DataNames)))
-	le.PutUint32(hdr[8:], uint32(len(t.Flows)))
+	le.PutUint32(hdr[0:], uint32(r.NumSteps()))
+	le.PutUint32(hdr[4:], uint32(r.NumData()))
+	le.PutUint32(hdr[8:], uint32(nFlows))
 	le.PutUint32(hdr[12:], uint32(len(flows)))
 	le.PutUint32(hdr[16:], uint32(len(metaJSON)))
-	le.PutUint32(hdr[20:], uint32(len(arena)))
+	le.PutUint32(hdr[20:], uint32(len(t.Names)))
 	dst = append(dst, hdr[:]...)
 	for _, w := range t.Finals {
 		dst = le.AppendUint64(dst, w)
 	}
-	for _, tbl := range [][]uint32{stepNameOff, stepModOff, dataNameOff} {
+	for _, tbl := range [][]uint32{t.StepOff, t.ModuleOff, t.DataOff} {
 		for _, v := range tbl {
 			dst = le.AppendUint32(dst, v)
 		}
@@ -351,7 +345,7 @@ func appendRunBlockV3(dst []byte, r *run.Run) ([]byte, error) {
 			dst = le.AppendUint32(dst, uint32(v))
 		}
 	}
-	dst = append(dst, arena...)
+	dst = append(dst, t.Names...)
 	dst = append(dst, metaJSON...)
 	return dst, nil
 }
@@ -624,7 +618,7 @@ func decodeRunBlockV3(data []byte, rec v3RunRec) (*run.Run, error) {
 	le := binary.LittleEndian
 	nSteps := int(le.Uint32(b[0:]))
 	nData := int(le.Uint32(b[4:]))
-	nFlows := int(le.Uint32(b[8:]))
+	nFlows := int(le.Uint32(b[8:])) // the flow section is not decoded
 	flowInts := int(le.Uint32(b[12:]))
 	metaLen := int(le.Uint32(b[16:]))
 	arenaLen := int(le.Uint32(b[20:]))
@@ -634,104 +628,23 @@ func decodeRunBlockV3(data []byte, rec v3RunRec) (*run.Run, error) {
 	}
 
 	cur := &blockCursor{b: b, off: 32}
-	finals, err := cur.u64s((nData + 63) / 64)
-	if err != nil {
-		return nil, err
-	}
-	stepNameOff, err := cur.u32s(nSteps + 1)
-	if err != nil {
-		return nil, err
-	}
-	stepModOff, err := cur.u32s(nSteps + 1)
-	if err != nil {
-		return nil, err
-	}
-	dataNameOff, err := cur.u32s(nData + 1)
-	if err != nil {
-		return nil, err
-	}
-	producer, err := cur.i32s(nData)
-	if err != nil {
-		return nil, err
-	}
-	inOff, err := cur.i32s(nSteps + 1)
-	if err != nil {
-		return nil, err
-	}
-	outOff, err := cur.i32s(nSteps + 1)
-	if err != nil {
-		return nil, err
-	}
-	conOff, err := cur.i32s(nData + 1)
-	if err != nil {
-		return nil, err
-	}
-	inData, err := cur.csrVals("inputs", inOff)
-	if err != nil {
-		return nil, err
-	}
-	outData, err := cur.csrVals("outputs", outOff)
-	if err != nil {
-		return nil, err
-	}
-	conStep, err := cur.csrVals("consumers", conOff)
-	if err != nil {
-		return nil, err
-	}
-	flowArr, err := cur.i32s(flowInts)
-	if err != nil {
-		return nil, err
+	finals := cur.u64s((nData + 63) / 64)
+	stepNameOff, stepModOff, dataNameOff := cur.u32s(nSteps+1), cur.u32s(nSteps+1), cur.u32s(nData+1)
+	producer := cur.i32s(nData)
+	inOff, outOff, conOff := cur.i32s(nSteps+1), cur.i32s(nSteps+1), cur.i32s(nData+1)
+	inData, outData, conStep := cur.csrVals("inputs", inOff), cur.csrVals("outputs", outOff), cur.csrVals("consumers", conOff)
+	cur.i32s(flowInts) // the flow section: derived from the rows, never read
+	if cur.err != nil {
+		return nil, cur.err
 	}
 	if cur.off+arenaLen+metaLen > len(b) {
 		return nil, fmt.Errorf("block arena out of bounds")
 	}
 	// One copy: the arena becomes an immutable Go string and every name a
-	// substring, so results survive Close (the int arrays above stay
-	// mapping-backed on purpose).
+	// substring, so results survive Close (the offset and integer arrays
+	// above stay mapping-backed on purpose).
 	arena := string(b[cur.off : cur.off+arenaLen])
 	metaBytes := b[cur.off+arenaLen : cur.off+arenaLen+metaLen]
-
-	names := func(what string, off []uint32, n int) ([]string, error) {
-		out := make([]string, n)
-		for i := 0; i < n; i++ {
-			lo, hi := off[i], off[i+1]
-			if lo > hi || int(hi) > len(arena) {
-				return nil, fmt.Errorf("%s name table out of bounds at %d", what, i)
-			}
-			out[i] = arena[lo:hi]
-		}
-		return out, nil
-	}
-	stepIDs, err := names("step", stepNameOff, nSteps)
-	if err != nil {
-		return nil, err
-	}
-	stepMods, err := names("module", stepModOff, nSteps)
-	if err != nil {
-		return nil, err
-	}
-	dataNames, err := names("data", dataNameOff, nData)
-	if err != nil {
-		return nil, err
-	}
-
-	flows := make([]run.InternedFlow, 0, nFlows)
-	for k := 0; k < len(flowArr); {
-		if len(flowArr)-k < 3 {
-			return nil, fmt.Errorf("flow stream truncated")
-		}
-		cnt := int(flowArr[k+2])
-		if cnt < 0 || cnt > len(flowArr)-k-3 {
-			return nil, fmt.Errorf("flow stream truncated")
-		}
-		flows = append(flows, run.InternedFlow{
-			From: flowArr[k], To: flowArr[k+1], Data: flowArr[k+3 : k+3+cnt],
-		})
-		k += 3 + cnt
-	}
-	if len(flows) != nFlows {
-		return nil, fmt.Errorf("flow stream has %d flows, header says %d", len(flows), nFlows)
-	}
 
 	var meta map[int32]map[string]string
 	if metaLen > 0 {
@@ -746,13 +659,13 @@ func decodeRunBlockV3(data []byte, rec v3RunRec) (*run.Run, error) {
 	}
 
 	return run.ReconstructArena(rec.id, rec.specName, run.ArenaTables{
-		StepIDs: stepIDs, StepModules: stepMods, DataNames: dataNames,
+		Names: arena, StepOff: stepNameOff, ModuleOff: stepModOff, DataOff: dataNameOff,
 		Producer: producer,
 		InOff:    inOff, InData: inData,
 		OutOff: outOff, OutData: outData,
 		ConOff: conOff, ConStep: conStep,
 		Finals: bitset.Set(finals),
-		Flows:  flows, Meta: meta,
+		Meta:   meta,
 	})
 }
 
@@ -760,66 +673,67 @@ func decodeRunBlockV3(data []byte, rec v3RunRec) (*run.Run, error) {
 // copying, bounds- and alignment-checking every step. The zero-copy step —
 // unsafe.Slice over the mapping — is safe because (a) the byte range is
 // checked against the block first and (b) the pointer's alignment is
-// checked at runtime, so even a forged block can only produce an error.
+// checked at runtime, so even a forged block can only produce an error. The
+// first error sticks: every read after it returns nil.
 type blockCursor struct {
 	b   []byte
 	off int
+	err error
 }
 
-func (c *blockCursor) bytesFor(n, size, align int) (unsafe.Pointer, error) {
-	if n < 0 || n > (len(c.b)-c.off)/size {
-		return nil, fmt.Errorf("block table out of bounds at offset %d", c.off)
-	}
-	if n == 0 {
-		return nil, nil
+func (c *blockCursor) bytesFor(n, size, align int) unsafe.Pointer {
+	switch {
+	case c.err != nil || n == 0:
+		return nil
+	case n < 0 || n > (len(c.b)-c.off)/size:
+		c.err = fmt.Errorf("block table out of bounds at offset %d", c.off)
+		return nil
 	}
 	p := unsafe.Pointer(&c.b[c.off])
 	if uintptr(p)%uintptr(align) != 0 {
-		return nil, fmt.Errorf("block table misaligned at offset %d", c.off)
+		c.err = fmt.Errorf("block table misaligned at offset %d", c.off)
+		return nil
 	}
 	c.off += n * size
-	return p, nil
+	return p
 }
 
-func (c *blockCursor) u64s(n int) ([]uint64, error) {
-	p, err := c.bytesFor(n, 8, 8)
-	if p == nil {
-		return nil, err
+func (c *blockCursor) u64s(n int) []uint64 {
+	if p := c.bytesFor(n, 8, 8); p != nil {
+		return unsafe.Slice((*uint64)(p), n)
 	}
-	return unsafe.Slice((*uint64)(p), n), nil
+	return nil
 }
 
-func (c *blockCursor) u32s(n int) ([]uint32, error) {
-	p, err := c.bytesFor(n, 4, 4)
-	if p == nil {
-		return nil, err
+func (c *blockCursor) u32s(n int) []uint32 {
+	if p := c.bytesFor(n, 4, 4); p != nil {
+		return unsafe.Slice((*uint32)(p), n)
 	}
-	return unsafe.Slice((*uint32)(p), n), nil
+	return nil
 }
 
-func (c *blockCursor) i32s(n int) ([]int32, error) {
-	p, err := c.bytesFor(n, 4, 4)
-	if p == nil {
-		return nil, err
+func (c *blockCursor) i32s(n int) []int32 {
+	if p := c.bytesFor(n, 4, 4); p != nil {
+		return unsafe.Slice((*int32)(p), n)
 	}
-	return unsafe.Slice((*int32)(p), n), nil
+	return nil
 }
 
 // csrVals reads the value array belonging to a CSR offset table (its length
 // is the table's last entry; ReconstructArena re-checks monotonicity).
-func (c *blockCursor) csrVals(what string, off []int32) ([]int32, error) {
-	if len(off) == 0 {
-		return nil, fmt.Errorf("%s CSR has no offsets", what)
+func (c *blockCursor) csrVals(what string, off []int32) []int32 {
+	switch {
+	case c.err != nil:
+		return nil
+	case len(off) == 0 || off[len(off)-1] < 0:
+		c.err = fmt.Errorf("%s CSR has no length", what)
+		return nil
 	}
-	n := off[len(off)-1]
-	if n < 0 {
-		return nil, fmt.Errorf("%s CSR has negative length", what)
+	vals := c.i32s(int(off[len(off)-1]))
+	if c.err != nil {
+		c.err = fmt.Errorf("%s CSR: %w", what, c.err)
 	}
-	vals, err := c.i32s(int(n))
-	if err != nil {
-		return nil, fmt.Errorf("%s CSR: %w", what, err)
-	}
-	return vals, nil
+	return vals
 }
 
 // alignUp rounds off up to the next multiple of align (a power of two).

@@ -2,10 +2,13 @@ package warehouse
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -14,6 +17,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/run"
 	"repro/internal/spec"
+	"repro/internal/xxh"
 )
 
 // saveV3Temp saves w as a v3 snapshot in a temp file and returns the path
@@ -326,6 +330,52 @@ func TestV3FirstTouchAllocs(t *testing.T) {
 	t.Logf("first touch: %.0f allocations", allocs)
 }
 
+// TestV3TouchedRunHeap pins what a touched mapped run keeps on the heap:
+// one copy of its names and the index over the mapping, not a string
+// header per name or a table of flows. Twenty Class4-large runs (about
+// 1,100 steps and 6,000 data objects each) kept 213 KB per run when the
+// index held both; the arena alone is about a sixth of that.
+func TestV3TouchedRunHeap(t *testing.T) {
+	const runs, ceiling = 20, 64 << 10
+	g := gen.NewGenerator(10)
+	s := g.Workflow(gen.Class4(), "heap")
+	w := New(0)
+	mustT(t, w.RegisterSpec(s))
+	for i := 0; i < runs; i++ {
+		r, _, err := g.Run(s, gen.Large(), fmt.Sprintf("heap-%02d", i))
+		mustT(t, err)
+		mustT(t, w.LoadRun(r))
+	}
+	path, _ := saveV3Temp(t, w)
+	w = nil
+	mapped, err := OpenV3(path, 0, LoadOptions{})
+	mustT(t, err)
+	defer mapped.Close()
+	live := func() int64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+
+	base := live()
+	for _, id := range mapped.RunIDs() {
+		r, err := mapped.Run(id)
+		if err != nil || r.NumSteps() < 500 {
+			t.Fatalf("touch %s: %v, %v", id, r, err)
+		}
+	}
+	perRun := (live() - base) / runs
+	runtime.KeepAlive(mapped)
+	if st := mapped.Stats().Snapshot; st.RunsMaterialized != runs {
+		t.Fatalf("touched %d runs, %d materialized", runs, st.RunsMaterialized)
+	}
+	t.Logf("live heap per touched Class4-large run: %.1f KB", float64(perRun)/1024)
+	if perRun > ceiling {
+		t.Fatalf("a touched mapped run keeps %d bytes of live heap, ceiling %d", perRun, ceiling)
+	}
+}
+
 // deepAnswers2 is deepAnswers tolerating per-run materialization errors
 // (skipping failed runs).
 func deepAnswers2(t testing.TB, w *Warehouse) map[string][]string {
@@ -429,6 +479,21 @@ func FuzzSnapshotV3(f *testing.F) {
 		}
 		f.Add(corrupt)
 	}
+	// A forged block with every checksum over it recomputed starts the
+	// fuzzer past the checksums: d1's only reader rewritten from S1 to S2,
+	// whose inputs do not list it.
+	tab := run.Figure2().Tables()
+	conStep := 32 + 8*len(tab.Finals) + 4*(len(tab.StepOff)+len(tab.ModuleOff)+len(tab.DataOff)+len(tab.Producer)+
+		len(tab.InOff)+len(tab.OutOff)+len(tab.ConOff)+len(tab.InData)+len(tab.OutData))
+	forged := resealBlock(good, 0, func(block []byte) {
+		binary.LittleEndian.PutUint32(block[conStep+4*int(tab.ConOff[0]):], 1)
+	})
+	if back, err := openV3Image(forged, LoadOptions{}); err != nil {
+		f.Fatal(err)
+	} else if _, err := back.Run("fig2"); !errors.Is(err, run.ErrBadArena) {
+		f.Fatalf("forged block: %v, want the rows' cross-check to reject it", err)
+	}
+	f.Add(forged)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		back, err := openV3Image(data, LoadOptions{})
 		if err != nil {
@@ -451,4 +516,36 @@ func FuzzSnapshotV3(f *testing.F) {
 			}
 		}
 	})
+}
+
+// resealBlock returns a copy of a v3 image with run i's block (in id order)
+// edited by forge and every checksum over it recomputed: the block's in the
+// run directory, the run directory's in the section directory, and the
+// section directory's in the header.
+func resealBlock(img []byte, i int, forge func(block []byte)) []byte {
+	img = bytes.Clone(img)
+	le := binary.LittleEndian
+	dirOff, nSec := le.Uint64(img[16:]), uint64(le.Uint32(img[8:]))
+	dir := img[dirOff : dirOff+nSec*v3DirEntrySize]
+	var runDirEntry []byte
+	var runDataOff uint64
+	for k := uint64(0); k < nSec; k++ {
+		e := dir[k*v3DirEntrySize:]
+		switch le.Uint32(e) {
+		case v3SecRunDir:
+			runDirEntry = e
+		case v3SecRunData:
+			runDataOff = le.Uint64(e[8:])
+		}
+	}
+	rdOff := le.Uint64(runDirEntry[8:])
+	runDir := img[rdOff : rdOff+le.Uint64(runDirEntry[16:])]
+	rec := runDir[8+i*v3RunRecSize:]
+	start := runDataOff + le.Uint64(rec[0:])
+	block := img[start : start+le.Uint64(rec[8:])]
+	forge(block)
+	le.PutUint64(rec[16:], xxh.Sum64(block))
+	le.PutUint64(runDirEntry[24:], xxh.Sum64(runDir))
+	le.PutUint64(img[32:], xxh.Sum64(dir))
+	return img
 }

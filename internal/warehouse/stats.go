@@ -102,13 +102,16 @@ func (w *Warehouse) Stats() Stats {
 		}
 	}
 	for _, rt := range w.runs {
-		if lz := rt.lazy; lz != nil && !lz.done.Load() {
-			// Unmaterialized (or failed) v3 run: report the directory counts
-			// without forcing the tables resident. The done.Load gate also
-			// orders this loop against a concurrent materialization.
+		if lz := rt.lazy; lz != nil {
+			// Counted from the run directory, as RunCatalog lists it: no
+			// tables forced resident, no flows derived, no mapping read
+			// after Close. done.Load orders this against materialization.
 			st.Steps += lz.rec.steps
 			st.FlowEdges += lz.rec.edges
 			st.DataObjects += lz.rec.data
+			if lz.done.Load() {
+				st.Snapshot.RunsMaterialized++
+			}
 			continue
 		}
 		st.Snapshot.RunsMaterialized++
