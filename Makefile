@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race fuzz-smoke tables bench bench-smoke serve-smoke cluster-smoke loc ci
+.PHONY: all build vet test race fuzz-smoke tables bench bench-smoke pairs serve-smoke cluster-smoke loc ci
 
 all: ci
 
@@ -79,6 +79,18 @@ bench:
 # `-bench Closure`.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=1x -benchmem .
+
+# Alternated pairs of one benchmark workload, a parent revision against the
+# working tree, e.g. `make pairs PARENT=HEAD~1 SEEDS=501,502,503`: both
+# sides' medians and quartiles per end-to-end metric, the pairs the change
+# won, and a verdict by ROADMAP's rule (at least ten pairs) and BENCHMARK.json's bounds
+# (scripts/pairs.go), then the same figures for the per-layer metrics in
+# ALSO. It writes only under .bench_build/pairs/.
+WORKLOAD ?= ingest-restart
+SEEDS ?= 501,502,503,504,505,506,507,508,509,510
+ALSO ?= server.cpu_us_per_query,cluster.cpu_us_per_query
+pairs:
+	$(GO) run scripts/pairs.go -parent "$(PARENT)" -workload $(WORKLOAD) -seeds $(SEEDS) -also "$(ALSO)"
 
 # End-to-end smoke of `zoom serve`: boots the server on a free port against
 # the example warehouse, then checks /healthz, /readyz, /metrics, a traced

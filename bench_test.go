@@ -654,8 +654,11 @@ func shardCluster(b *testing.B, full *warehouse.Warehouse, n int) *client.Client
 // answer), "query" asks the first UAdmin deep-provenance query of its last
 // final output (run, closure, mapping, projection) and "answer" encodes it as
 // the server would (the same plus tokens and bytes, minus the strings of a
-// Result). us/run divides by the corpus; -benchmem shows what a touched run
-// leaves on the heap.
+// Result) into a buffer already grown by earlier answers, as a warm pool
+// hands out. "answer-fresh" encodes into a nil buffer instead, as a fresh
+// worker's first answer is written. us/run divides by the corpus; -benchmem
+// shows what a touch allocates (TestV3TouchedRunHeap measures what it leaves
+// on the heap).
 func BenchmarkFirstTouch(b *testing.B) {
 	const runs = 12
 	g := gen.NewGenerator(10)
@@ -712,8 +715,15 @@ func BenchmarkFirstTouch(b *testing.B) {
 			}
 			return err
 		},
+		"answer-fresh": func(_ *warehouse.Warehouse, e *provenance.Engine, i int) error {
+			a, err := e.DeepAnswerCtx(context.Background(), ids[i], admin, roots[i])
+			if err == nil {
+				answerBuf = server.AppendAnswer(nil, a)
+			}
+			return err
+		},
 	}
-	for _, name := range []string{"run", "tokens", "query", "answer"} {
+	for _, name := range []string{"run", "tokens", "query", "answer", "answer-fresh"} {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for n := 0; n < b.N; n++ {

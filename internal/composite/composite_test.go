@@ -5,9 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/gen"
 	"repro/internal/run"
 	"repro/internal/spec"
 	"repro/internal/warehouse"
@@ -403,5 +405,55 @@ func TestExecutionOrdinalsSurviveReload(t *testing.T) {
 	first, ok := m.Execution("WORKFLOW@1")
 	if !ok || !reflect.DeepEqual(first.Steps, []string{"S1", "S2"}) {
 		t.Fatalf("WORKFLOW@1 = %+v, want steps [S1 S2]", first)
+	}
+}
+
+// TestBuildAllocatesWhatItKeeps pins that a mapping is built without
+// scratch: each row is laid out at its final size, so what Build allocates
+// is close to what the projector keeps. On a Class4-large run (generator
+// seed 10), building through fact lists that were then copied into rows
+// allocated 2.3x what it kept under UAdmin and 3.6x under a 30% relevant
+// view; counting the rows out took both to under 1.4x.
+func TestBuildAllocatesWhatItKeeps(t *testing.T) {
+	const builds, ceiling = 8, 1.5
+	g := gen.NewGenerator(10)
+	s := g.Workflow(gen.Class4(), "alloc")
+	r, _, err := g.Run(s, gen.Large(), "alloc-run")
+	if err != nil {
+		t.Fatal(err)
+	}
+	relevant, err := core.BuildRelevant(s, g.RandomRelevant(s, 30))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		v    *core.UserView
+	}{{"UAdmin", core.UAdmin(s)}, {"30% relevant", relevant}} {
+		// A first build warms what the run and the view compute once.
+		if _, err := Build(r, c.v); err != nil {
+			t.Fatal(err)
+		}
+		kept := make([]*Mapping, builds)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for i := range kept {
+			if kept[i], err = Build(r, c.v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(kept)
+		allocated := float64(after.TotalAlloc-before.TotalAlloc) / builds
+		held := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / builds
+		ratio := allocated / held
+		t.Logf("%s on %d steps, %d data: %.0f KB allocated, %.0f KB kept per build (%.2fx)",
+			c.name, r.NumSteps(), r.Index().NumData(), allocated/1024, held/1024, ratio)
+		if held <= 0 || ratio > ceiling {
+			t.Fatalf("%s: Build allocates %.0f bytes and keeps %.0f: ratio %.2f, ceiling %.1f",
+				c.name, allocated, held, ratio, ceiling)
+		}
 	}
 }

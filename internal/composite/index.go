@@ -128,45 +128,56 @@ func buildProjector(ix *run.Index, v *core.UserView) (*Projector, error) {
 		}
 	}
 	nExecs := int32(len(roots))
-	members := make([]int32, nSteps)
-	for s := range members {
-		members[s] = int32(s)
+	for s := range p.stepExec {
 		p.stepExec[s] = p.stepExec[find(int32(s))]
 	}
-	p.stepOff, p.members = groupRows(nExecs, p.stepExec, members)
 
-	// Inputs and outputs as (execution, data) facts by ascending data id, so
-	// every row comes out ascending. A data object enters each consuming
-	// execution other than its producer's once, however many member steps
-	// read it; it leaves its producer's when it is final or read elsewhere.
+	// The rows are laid out by counting (see rows), each pass by descending
+	// id, so every row comes out ascending. A data object enters each
+	// consuming execution other than its producer's once, however many
+	// member steps read it; it leaves its producer's when it is final or
+	// read elsewhere.
 	p.prodExec = make([]int32, nData)
-	inExec, inData := make([]int32, 0, nData), make([]int32, 0, nData)
-	outExec, outData := make([]int32, 0, nData), make([]int32, 0, nData)
-	entered := make([]int32, nExecs) // last data id that entered, +1
-	for d := int32(0); int(d) < nData; d++ {
-		pe := int32(-1)
-		if s := ix.Producer(d); s >= 0 {
-			pe = p.stepExec[s]
-		}
-		p.prodExec[d] = pe
-		leaves := ix.IsFinal(d)
-		for _, c := range ix.ConsumersOf(d) {
-			ce := p.stepExec[c]
-			if ce == pe {
-				continue
-			}
-			leaves = true
-			if entered[ce] != d+1 {
-				entered[ce] = d + 1
-				inExec, inData = append(inExec, ce), append(inData, d)
-			}
-		}
-		if pe >= 0 && leaves {
-			outExec, outData = append(outExec, pe), append(outData, d)
+	for d := range p.prodExec {
+		p.prodExec[d] = -1
+		if s := ix.Producer(int32(d)); s >= 0 {
+			p.prodExec[d] = p.stepExec[s]
 		}
 	}
-	p.inOff, p.inData = groupRows(nExecs, inExec, inData)
-	p.outOff, p.outData = groupRows(nExecs, outExec, outData)
+	members, in, out := newRows(nExecs), newRows(nExecs), newRows(nExecs)
+	entered := make([]int32, nExecs) // last data id that entered, +1
+	for pass := 0; pass < 2; pass++ {
+		if pass == 1 {
+			members.layout()
+			in.layout()
+			out.layout()
+			clear(entered)
+		}
+		for s := int32(nSteps) - 1; s >= 0; s-- {
+			members.add(p.stepExec[s], s)
+		}
+		for d := int32(nData) - 1; d >= 0; d-- {
+			pe := p.prodExec[d]
+			leaves := ix.IsFinal(d)
+			for _, c := range ix.ConsumersOf(d) {
+				ce := p.stepExec[c]
+				if ce == pe {
+					continue
+				}
+				leaves = true
+				if entered[ce] != d+1 {
+					entered[ce] = d + 1
+					in.add(ce, d)
+				}
+			}
+			if pe >= 0 && leaves {
+				out.add(pe, d)
+			}
+		}
+	}
+	p.stepOff, p.members = members.off, members.data
+	p.inOff, p.inData = in.off, in.data
+	p.outOff, p.outData = out.off, out.data
 
 	// Ids: a single-step execution keeps its step id (and token); the others
 	// are numbered per composite in execution order.
@@ -242,23 +253,39 @@ func (p *Projector) buildExecutions() {
 	}
 }
 
-// groupRows turns (row, value) facts into CSR form, each row keeping its
-// values in the order they were given.
-func groupRows(nRows int32, row, val []int32) (off, data []int32) {
-	off = make([]int32, nRows+1)
-	for _, r := range row {
-		off[r+1]++
+// rows lays out (row, value) facts in CSR form by counting, so that nothing
+// is allocated but the rows themselves. The same facts are added twice: the
+// first pass counts each row's length, layout turns the counts into each
+// row's end and allocates the values, and the second pass places each value
+// from its row's end back, leaving the row in the reverse of the order its
+// values were added, and off[r] at the row's start.
+type rows struct {
+	off, data []int32
+	placing   bool
+}
+
+func newRows(nRows int32) rows { return rows{off: make([]int32, nRows+1)} }
+
+func (r *rows) add(row, v int32) {
+	if !r.placing {
+		r.off[row]++
+		return
 	}
-	for r := int32(0); r < nRows; r++ {
-		off[r+1] += off[r]
+	r.off[row]--
+	r.data[r.off[row]] = v
+}
+
+// layout ends the counting pass.
+func (r *rows) layout() {
+	n := len(r.off) - 1
+	for i := 1; i < n; i++ {
+		r.off[i] += r.off[i-1]
 	}
-	data = make([]int32, len(val))
-	next := slices.Clone(off[:nRows])
-	for i, r := range row {
-		data[next[r]] = val[i]
-		next[r]++
+	if n > 0 {
+		r.off[n] = r.off[n-1]
 	}
-	return off, data
+	r.data = make([]int32, r.off[n])
+	r.placing = true
 }
 
 // leaves reports whether a step outside d's producing execution reads d.
@@ -331,6 +358,26 @@ func (p *Projector) EndpointToken(ord int32) []byte {
 // CompositeToken is the name of an execution's composite module as a JSON
 // string token. The slice aliases the projector; callers must not mutate it.
 func (p *Projector) CompositeToken(ord int32) []byte { return p.compTok.At(p.execComp[ord]) }
+
+// LongestEndpointToken bounds the length of every EndpointToken: the
+// longest of the multi-step ids, the run's step tokens and spec.Input.
+func (p *Projector) LongestEndpointToken() int {
+	return max(p.idTok.Longest(), p.ix.Tokens().Step.Longest(), len(inputToken))
+}
+
+// LongestCompositeToken is the length of the longest CompositeToken.
+func (p *Projector) LongestCompositeToken() int { return p.compTok.Longest() }
+
+// RowLengths sums, over the executions at ords, the lengths of their step
+// rows and of their input and output rows, read off the offsets.
+func (p *Projector) RowLengths(ords []int32) (steps, data int) {
+	stepOff, inOff, outOff := p.stepOff, p.inOff, p.outOff
+	for _, e := range ords {
+		steps += int(stepOff[e+1] - stepOff[e])
+		data += int(inOff[e+1] - inOff[e] + outOff[e+1] - outOff[e])
+	}
+	return steps, data
+}
 
 // EndpointRank returns the position of an endpoint's id among all endpoint
 // ids in string order — the order provenance edges are reported in.

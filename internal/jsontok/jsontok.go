@@ -42,8 +42,9 @@ var plain = func() (t [256]bool) {
 // order put d308..d408 side by side, and an answer lists them that way. A
 // Table is filled once and then only read.
 type Table struct {
-	buf []byte
-	off []uint32 // entry i and its comma are buf[off[i]:off[i+1]]
+	buf     []byte
+	off     []uint32 // entry i and its comma are buf[off[i]:off[i+1]]
+	longest int      // the longest entry's length
 }
 
 // NewTable returns an empty table with room for n entries.
@@ -53,8 +54,10 @@ func NewTable(n int) Table {
 
 // Append adds the token of s as the next entry.
 func (t *Table) Append(s string) {
+	start := len(t.buf)
 	t.buf = append(AppendString(t.buf, s), ',')
 	t.off = append(t.off, uint32(len(t.buf)))
+	t.longest = max(t.longest, len(t.buf)-1-start)
 }
 
 // AppendAbsent adds an absent entry.
@@ -66,6 +69,10 @@ func (t *Table) AppendAbsent() {
 // At returns entry i. The slice aliases the table; callers must not mutate
 // it.
 func (t *Table) At(i int32) []byte { return t.buf[t.off[i] : t.off[i+1]-1] }
+
+// Longest returns the length of the table's longest entry: with Span's
+// commas, n entries take at most n*(Longest()+1)-1 bytes.
+func (t *Table) Longest() int { return t.longest }
 
 // Span returns entries i through j (i <= j, none absent) joined by commas.
 // The slice aliases the table; callers must not mutate it.

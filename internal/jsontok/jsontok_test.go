@@ -34,7 +34,9 @@ func TestTable(t *testing.T) {
 			t.Fatalf("entry %d = %s, want %s", i, got, want)
 		}
 	}
+	longest := 0
 	for i := range names {
+		longest = max(longest, len(tab.At(int32(i))))
 		for j := i; j < len(names); j++ {
 			var want []byte
 			for k := i; k <= j; k++ {
@@ -48,11 +50,17 @@ func TestTable(t *testing.T) {
 			}
 		}
 	}
+	if tab.Longest() != longest {
+		t.Fatalf("Longest() = %d, want %d", tab.Longest(), longest)
+	}
 	mixed := NewTable(3)
 	mixed.Append("a")
 	mixed.AppendAbsent()
 	mixed.Append("")
 	if a, none, empty := mixed.At(0), mixed.At(1), mixed.At(2); string(a) != `"a"` || len(none) != 0 || string(empty) != `""` {
 		t.Fatalf("entries %q %q %q, want \"a\", absent, the empty string's token", a, none, empty)
+	}
+	if mixed.Longest() != 3 {
+		t.Fatalf("Longest() = %d after \"a\", an absent entry and \"\", want 3", mixed.Longest())
 	}
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -40,6 +41,7 @@ type queryAnswer struct {
 }
 
 func appendQueryResponse(dst []byte, a *queryAnswer) []byte {
+	dst = grow(dst, queryBound(a))
 	dst = append(dst, `{"run":`...)
 	dst = jsontok.AppendString(dst, a.run)
 	dst = append(dst, `,"data":`...)
@@ -48,7 +50,7 @@ func appendQueryResponse(dst []byte, a *queryAnswer) []byte {
 	dst = jsontok.AppendString(dst, a.kind)
 	if a.result != nil {
 		dst = append(dst, `,"result":`...)
-		dst = AppendAnswer(dst, a.result)
+		dst = appendAnswer(dst, a.result)
 	}
 	if a.px != nil && a.ord >= 0 {
 		dst = append(dst, `,"execution":`...)
@@ -58,6 +60,7 @@ func appendQueryResponse(dst []byte, a *queryAnswer) []byte {
 }
 
 func appendBatchResponse(dst []byte, run string, results []*provenance.Answer) []byte {
+	dst = grow(dst, batchBound(run, results))
 	dst = append(dst, `{"run":`...)
 	dst = jsontok.AppendString(dst, run)
 	dst = append(dst, `,"count":`...)
@@ -70,7 +73,7 @@ func appendBatchResponse(dst []byte, run string, results []*provenance.Answer) [
 		if res == nil {
 			dst = append(dst, "null"...)
 		} else {
-			dst = AppendAnswer(dst, res)
+			dst = appendAnswer(dst, res)
 		}
 	}
 	return append(dst, ']', '}', '\n')
@@ -79,6 +82,10 @@ func appendBatchResponse(dst []byte, run string, results []*provenance.Answer) [
 // AppendAnswer appends one provenance answer as the "result" object of the
 // wire format. Executions, data and edges are always arrays, even when empty.
 func AppendAnswer(dst []byte, a *provenance.Answer) []byte {
+	return appendAnswer(grow(dst, answerBound(a)), a)
+}
+
+func appendAnswer(dst []byte, a *provenance.Answer) []byte {
 	px := a.Projector
 	tok := px.Index().Tokens()
 	dst = append(dst, `{"root":`...)
@@ -153,6 +160,82 @@ func appendTokens(dst []byte, t *jsontok.Table, ids []int32) []byte {
 		}
 	}
 	return append(dst, ']')
+}
+
+// The encoder sizes its buffer once. A pooled buffer that has grown to the
+// answers it serves needs nothing more, but the pool is empty in a fresh
+// process and again after every second GC, and appending a 91 KB answer to
+// an empty buffer took 22 allocations. So each response first grows dst by
+// an upper bound on what it will write: row lengths from the mapping's
+// offsets times the longest token of each table, O(executions) arithmetic
+// that reads no name (1.06x the bytes of a large answer). An external
+// root's metadata is left out: it is marshalled in place, and may grow the
+// buffer once more.
+
+// grow grows dst by bound, unless the bound is past maxPooledBuf. Names come
+// from ingested logs and nothing limits their length, so one long name
+// inflates the bound of every answer on its run (items times the longest
+// token), and a buffer that size would never go back to the pool. Such a
+// response, like a truly outsized one, is appended as it comes.
+func grow(dst []byte, bound int) []byte {
+	if bound > maxPooledBuf {
+		return dst
+	}
+	return slices.Grow(dst, bound)
+}
+
+// The literals around an answer's parts, each with its brackets and with
+// the comma that may follow it.
+const (
+	answerFixed = len(`{"root":,"external":true,"executions":[],"data":[],"edges":[]}`)
+	execFixed   = len(`{"id":,"composite":,"steps":[],"inputs":[],"outputs":[]},`)
+	edgeFixed   = len(`{"from":,"to":,"data":[]},`)
+)
+
+// stringBound bounds the token of s: encoding/json writes at most six bytes
+// (\u00XX, \ufffd) for one byte of the string, plus the two quotes.
+func stringBound(s string) int { return 6*len(s) + 2 }
+
+// queryBound bounds what appendQueryResponse writes for a.
+func queryBound(a *queryAnswer) int {
+	n := len(`{"run":,"data":,"kind":,"result":,"execution":}`+"\n") +
+		stringBound(a.run) + stringBound(a.data) + stringBound(a.kind)
+	if a.result != nil {
+		n += answerBound(a.result)
+	}
+	if a.px != nil && a.ord >= 0 {
+		n += executionsBound(a.px, []int32{a.ord})
+	}
+	return n
+}
+
+// batchBound bounds what appendBatchResponse writes.
+func batchBound(run string, results []*provenance.Answer) int {
+	n := len(`{"run":,"count":-9223372036854775808,"results":[]}`+"\n") + stringBound(run)
+	for _, res := range results {
+		n += len(`null,`)
+		if res != nil {
+			n += answerBound(res)
+		}
+	}
+	return n
+}
+
+// answerBound bounds what appendAnswer writes for a, its metadata aside.
+func answerBound(a *provenance.Answer) int {
+	px := a.Projector
+	data := px.Index().Tokens().Data.Longest() + 1
+	return answerFixed + stringBound(a.Root) + (len(a.Data)+len(a.EdgeData))*data +
+		len(a.Edges)*(edgeFixed+2*px.LongestEndpointToken()) + executionsBound(px, a.Executions)
+}
+
+// executionsBound bounds what appendExecutionAt writes for the executions at
+// ords.
+func executionsBound(px *composite.Projector, ords []int32) int {
+	tok := px.Index().Tokens()
+	steps, data := px.RowLengths(ords)
+	return len(ords)*(execFixed+px.LongestEndpointToken()+px.LongestCompositeToken()) +
+		steps*(tok.Step.Longest()+1) + data*(tok.Data.Longest()+1)
 }
 
 // maxPooledBuf is the largest encode buffer returned to the pool: it covers

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -234,6 +235,25 @@ func checkAnswer(t testing.TB, a *provenance.Answer) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("integer encoder differs from the string oracle\n got: %s\nwant: %s", got, want)
 	}
+	checkBound(t, answerBound(a), got, a)
+}
+
+// checkBound holds the bound an encoder grows its buffer by to the bytes it
+// then wrote. An external root's metadata is marshalled in place, outside
+// every bound (such an answer may grow the buffer once more), so its bytes
+// are taken off first.
+func checkBound(t testing.TB, bound int, got []byte, answers ...*provenance.Answer) {
+	t.Helper()
+	n := len(got)
+	for _, a := range answers {
+		if a != nil && len(a.Metadata) > 0 {
+			raw, _ := json.Marshal(a.Metadata)
+			n -= len(`,"metadata":`) + len(raw)
+		}
+	}
+	if bound < n {
+		t.Fatalf("bound %d is below the %d bytes written (metadata aside)", bound, n)
+	}
 }
 
 // checkQuery holds one query answer to both oracles' bytes and to the typed
@@ -244,6 +264,7 @@ func checkQuery(t testing.TB, a *queryAnswer) {
 	if want := oracleQuery(t, a); !bytes.Equal(got, want) {
 		t.Fatalf("query answer differs from encoding/json\n got: %s\nwant: %s", got, want)
 	}
+	checkBound(t, queryBound(a), got, a.result)
 	if a.result != nil {
 		checkAnswer(t, a.result)
 	}
@@ -267,6 +288,7 @@ func checkBatch(t testing.TB, run string, results []*provenance.Answer) {
 	if want := oracleBatch(t, run, results); !bytes.Equal(got, want) {
 		t.Fatalf("batch answer differs from encoding/json\n got: %s\nwant: %s", got, want)
 	}
+	checkBound(t, batchBound(run, results), got, results...)
 	var out client.BatchResponse
 	if err := json.Unmarshal(got, &out); err != nil {
 		t.Fatalf("client cannot decode %s: %v", got, err)
@@ -488,7 +510,11 @@ func largeAnswer(t testing.TB) *provenance.Answer {
 
 // TestEncodeLargeAnswerAllocs is the worker half of the wire path's alloc
 // budget: once the buffer has grown to the answer's size, encoding a large
-// answer allocates nothing — no DTO copies, no reflection, no indenter.
+// answer allocates nothing — no DTO copies, no reflection, no indenter. Into
+// an empty buffer, as a fresh process's first answer is written, it
+// allocates once: the buffer, at the size of its bound, which stays close
+// enough to the answer that a pooled buffer does not balloon. (An external
+// root with metadata may allocate, and grow, once more.)
 func TestEncodeLargeAnswerAllocs(t *testing.T) {
 	res := largeAnswer(t)
 	a := &queryAnswer{run: res.RunID, data: res.Root, kind: "deep", result: res}
@@ -497,11 +523,83 @@ func TestEncodeLargeAnswerAllocs(t *testing.T) {
 	if len(buf) < 50<<10 {
 		t.Fatalf("answer is only %d bytes; the fixture no longer stands for a large answer", len(buf))
 	}
+	if bound := queryBound(a); bound > len(buf)*3/2 {
+		t.Fatalf("bound %d for a %d-byte answer: more than 1.5x", bound, len(buf))
+	}
 	allocs := testing.AllocsPerRun(20, func() {
 		buf = appendQueryResponse(buf[:0], a)
 	})
 	if allocs != 0 {
 		t.Fatalf("encoding a %d-byte answer into a warm buffer: %v allocs/op, want 0", len(buf), allocs)
+	}
+	allocs = testing.AllocsPerRun(20, func() {
+		buf = appendQueryResponse(nil, a)
+	})
+	if allocs != 1 {
+		t.Fatalf("encoding a %d-byte answer into a nil buffer: %v allocs/op, want 1", len(buf), allocs)
+	}
+	t.Logf("%d-byte answer, bound %d (%.2fx)", len(buf), queryBound(a), float64(queryBound(a))/float64(len(buf)))
+}
+
+// TestEncodeLongNameAllocs: one long name inflates the bound of every answer
+// on its run, since the bound counts every token at the longest one's
+// length. A chain of 200 steps beside one step that reads a 64 KB data
+// object bounds the chain's ~20 KB answer, which leaves that name out, at
+// about 50 MB.
+// Growing by such a bound would allocate it on every query, the buffer too
+// large to go back to the pool; the encoder appends instead, and its
+// regrowths allocate a small multiple of what it writes (about 4x).
+func TestEncodeLongNameAllocs(t *testing.T) {
+	const n = 200
+	sp := spec.New("long")
+	b := run.NewBuilder("long-run", "long")
+	prev, prevStep := spec.Input, spec.Input
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < n; i++ {
+		m, s := "M"+strconv.Itoa(i), "S"+strconv.Itoa(i)
+		must(sp.AddModule(spec.Module{Name: m}))
+		must(sp.AddEdge(prev, m))
+		must(b.AddStep(s, m))
+		must(b.AddFlow(prevStep, s, []string{"d" + strconv.Itoa(i)}))
+		prev, prevStep = m, s
+	}
+	must(sp.AddEdge(prev, spec.Output))
+	must(b.AddFlow(prevStep, spec.Output, []string{"d" + strconv.Itoa(n)}))
+	must(sp.AddModule(spec.Module{Name: "T"}))
+	must(sp.AddEdge(spec.Input, "T"))
+	must(sp.AddEdge("T", spec.Output))
+	must(b.AddStep("T", "T"))
+	must(b.AddFlow(spec.Input, "T", []string{strings.Repeat("x", 64<<10)}))
+	must(b.AddFlow("T", spec.Output, []string{"t"}))
+	r, err := b.Build()
+	must(err)
+	w := warehouse.New(0)
+	must(w.RegisterSpec(sp))
+	must(w.LoadRun(r))
+	res, err := provenance.NewEngine(w).DeepAnswerCtx(context.Background(), r.ID(), core.UAdmin(sp), "d"+strconv.Itoa(n))
+	must(err)
+	a := &queryAnswer{run: res.RunID, data: res.Root, kind: "deep", result: res}
+	checkQuery(t, a)
+	buf := appendQueryResponse(nil, a)
+	if bound := queryBound(a); bound < 100*len(buf) {
+		t.Fatalf("bound %d for a %d-byte answer: the long name no longer inflates it", bound, len(buf))
+	}
+	var before, after runtime.MemStats
+	const reps = 10
+	runtime.ReadMemStats(&before)
+	for range reps {
+		buf = appendQueryResponse(nil, a)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / reps; per > 6*uint64(len(buf)) {
+		t.Fatalf("encoding a %d-byte answer into a nil buffer allocated %d bytes, more than 6x", len(buf), per)
+	} else {
+		t.Logf("%d-byte answer, bound %d, %d bytes allocated into a nil buffer", len(buf), queryBound(a), per)
 	}
 }
 
