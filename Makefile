@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race fuzz-smoke tables bench bench-smoke pairs serve-smoke cluster-smoke loc ci
+.PHONY: all build vet test race fuzz-smoke tables bench bench-smoke pairs heap serve-smoke cluster-smoke loc ci
 
 all: ci
 
@@ -88,9 +88,15 @@ bench-smoke:
 # ALSO. It writes only under .bench_build/pairs/.
 WORKLOAD ?= ingest-restart
 SEEDS ?= 501,502,503,504,505,506,507,508,509,510
-ALSO ?= server.cpu_us_per_query,cluster.cpu_us_per_query
+ALSO ?= server.cpu_us_per_query,cluster.cpu_us_per_query,server.rss_mb,cluster.rss_mb
 pairs:
 	$(GO) run scripts/pairs.go -parent "$(PARENT)" -workload $(WORKLOAD) -seeds $(SEEDS) -also "$(ALSO)"
+
+# What a cold-deep and a view-switch worker hold, structure by structure
+# (runs, token tables, mappings, the closure cache), as live heap after GC,
+# each against its ceiling: TestWorkerHeap with its table printed.
+heap:
+	$(GO) test -run '^TestWorkerHeap$$' -v .
 
 # End-to-end smoke of `zoom serve`: boots the server on a free port against
 # the example warehouse, then checks /healthz, /readyz, /metrics, a traced

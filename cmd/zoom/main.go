@@ -702,7 +702,7 @@ func cmdQuery(args []string) error {
 	mode := fs.String("mode", "deep", "deep | immediate | derived")
 	asDot := fs.Bool("dot", false, "emit Graphviz DOT of the provenance graph")
 	asProv := fs.Bool("prov", false, "emit W3C PROV-JSON (deep mode only)")
-	stats := fs.Bool("stats", false, "print warehouse statistics (catalog, cache, compact index) after answering")
+	stats := fs.Bool("stats", false, "print warehouse statistics (catalog, cache, compact index, memos) after answering")
 	trace := fs.Bool("trace", false, "print the span tree of a cold query, then of a warm re-query (deep mode, single -data)")
 	_ = fs.Parse(args)
 	if *whPath == "" || *runID == "" || *data == "" {
@@ -831,8 +831,9 @@ func writeSpanTree(w io.Writer, n zoom.SpanNode, depth int) {
 }
 
 // printStats renders the warehouse statistics — catalog row counts, the
-// closure-cache counters, and the compact-index footprint (interned ids,
-// CSR bytes, closure bitset words) — over every run.
+// closure-cache counters, the compact-index footprint (interned ids, CSR
+// bytes, closure bitset words, token bytes) over every run, and what the
+// closure cache and the mapping memo hold.
 func printStats(sys *zoom.System) error {
 	if _, err := runsOf(sys); err != nil {
 		return err
@@ -842,9 +843,11 @@ func printStats(sys *zoom.System) error {
 	cc := sys.CacheCounters()
 	fmt.Printf("cache: hits=%d misses=%d shared=%d computes=%d stores=%d evictions=%d invalidations=%d drops=%d\n",
 		cc.Hits, cc.Misses, cc.SharedWaits, cc.Computes, cc.Stores, cc.Evictions, cc.Invalidations, cc.Drops)
-	fmt.Printf("index: runs=%d interned-steps=%d interned-data=%d csr=%dB closure-words=%d\n",
+	fmt.Printf("index: runs=%d interned-steps=%d interned-data=%d csr=%dB closure-words=%d tokens=%dB\n",
 		st.Index.IndexedRuns, st.Index.InternedSteps, st.Index.InternedData,
-		st.Index.CSRBytes, st.Index.ClosureWords)
+		st.Index.CSRBytes, st.Index.ClosureWords, st.Index.TokenBytes)
+	fmt.Printf("memos: closures=%d closure-bytes=%dB mappings=%d mapping-bytes=%dB\n",
+		st.Closures.Entries, st.Closures.Bytes, st.Mappings.Entries, st.Mappings.Bytes)
 	return nil
 }
 

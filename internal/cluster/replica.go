@@ -23,7 +23,8 @@ type replica struct {
 
 	// polled flips once the first health check completes; until then the
 	// router forwards optimistically (workers typically come up behind
-	// the router, and the first real request is as good a probe as any).
+	// the router, and the first real request is as good a probe as any),
+	// but only after any sibling a poll has seen ready (candidates).
 	polled atomic.Bool
 	// ready is the last /readyz verdict (true = 200 with ready:true).
 	ready atomic.Bool
@@ -186,15 +187,27 @@ type shard struct {
 	hedgeWins     *obs.Counter
 }
 
-// candidates returns the shard's available replicas in preference order.
+// candidates returns the shard's available replicas, those a poll has seen
+// ready before those no poll has seen yet, each group in preference order.
+// A replica added to a running router is tried only after its polled
+// siblings, until its first poll records its generation; a router that has
+// polled nothing forwards in preference order.
 func (s *shard) candidates(now time.Time) []*replica {
 	out := make([]*replica, 0, len(s.replicas))
+	var unpolled []*replica
 	for _, r := range s.replicas {
-		if r.available(now) {
+		// polled is read once per replica: a first poll landing mid-scan
+		// must not drop the replica from both groups.
+		polled := r.polled.Load()
+		switch {
+		case !r.available(now):
+		case polled:
 			out = append(out, r)
+		default:
+			unpolled = append(unpolled, r)
 		}
 	}
-	return out
+	return append(out, unpolled...)
 }
 
 // available reports whether any replica can take a forward.

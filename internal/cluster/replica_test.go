@@ -785,6 +785,35 @@ func TestRouterGatherCancel(t *testing.T) {
 	}
 }
 
+// TestRouterPrefersAPolledReplica: a replica no poll has seen (replica 0,
+// as one added to a running router is) gets no forward while a sibling that
+// a poll has seen ready (replica 1) can take it; with neither polled, the
+// router forwards in preference order, to replica 0.
+func TestRouterPrefersAPolledReplica(t *testing.T) {
+	specs, runs, infos := buildCorpus(t, []gen.RunClass{gen.Small()})
+	_, routerURL, rt, _ := buildReplicatedCluster(t, 1, 2, specs, runs, nil)
+	rep0, rep1 := rt.shards[0].replicas[0], rt.shards[0].replicas[1]
+	ask := func(i int) {
+		t.Helper()
+		body := fmt.Sprintf(`{"run":%q,"data":%q}`, infos[i].id, infos[i].targets[0])
+		if status, b := postRaw(t, routerURL, "/v1/query", "", body); status != http.StatusOK {
+			t.Fatalf("query %d: %d %.200s", i, status, b)
+		}
+	}
+
+	ask(0)
+	if rep0.attempts.Value() != 1 || rep1.attempts.Value() != 0 {
+		t.Fatalf("nothing polled: attempts %d, %d, want the preferred replica's 1, 0",
+			rep0.attempts.Value(), rep1.attempts.Value())
+	}
+	rep1.setHealth(true, len(runs), len(runs))
+	ask(1)
+	if rep0.attempts.Value() != 1 || rep1.attempts.Value() != 1 {
+		t.Fatalf("replica 1 polled ready, replica 0 never polled: attempts %d, %d, want 1, 1",
+			rep0.attempts.Value(), rep1.attempts.Value())
+	}
+}
+
 // TestRouterGatherNamesTheReplica: with the preferred replica's breaker
 // open, a scatter-gather asks its sibling, so /v1/cluster/stats names the
 // sibling that answered; once the sibling is down too, the failed shard of

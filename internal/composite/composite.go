@@ -130,10 +130,14 @@ func (m *Mapping) ExecutionsOf(composite string) []*Execution {
 // ("", false) when d is external (user/workflow input) or unknown.
 func (m *Mapping) ProducerExecution(d string) (string, bool) {
 	id, ok := m.p.ix.DataID(d)
-	if !ok || m.p.prodExec[id] < 0 {
+	if !ok {
 		return "", false
 	}
-	return m.p.Execution(m.p.prodExec[id]).ID, true
+	pe := m.p.ProducerExec(id)
+	if pe < 0 {
+		return "", false
+	}
+	return m.p.Execution(pe).ID, true
 }
 
 // Visible reports whether data object d crosses execution boundaries under
@@ -145,7 +149,7 @@ func (m *Mapping) Visible(d string) bool {
 	if !ok {
 		return false
 	}
-	return m.p.prodExec[id] < 0 || m.p.ix.IsFinal(id) || m.p.leaves(id)
+	return m.p.ix.Producer(id) < 0 || m.p.ix.IsFinal(id) || m.p.leaves(id)
 }
 
 // Edge is a dataflow edge between two composite executions (or INPUT /
@@ -169,10 +173,10 @@ func (m *Mapping) Edges() []Edge {
 		return p.EndpointID(end)
 	}
 	endpoint := func(d int32) int32 {
-		if p.prodExec[d] < 0 {
-			return input
+		if pe := p.ProducerExec(d); pe >= 0 {
+			return pe
 		}
-		return p.prodExec[d]
+		return input
 	}
 	type fact struct{ from, to, d int32 }
 	var facts []fact

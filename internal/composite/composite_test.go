@@ -457,3 +457,64 @@ func TestBuildAllocatesWhatItKeeps(t *testing.T) {
 		}
 	}
 }
+
+// TestMappingHoldsWhatTheViewAdds pins a mapping's heap to what the view
+// adds to the run: per step its execution and its place in a member row; per
+// execution its composite, three row offsets and two edge ranks; the input
+// and output rows; and the token tables of its composite names and
+// multi-step ids. Nothing is per data object: the
+// producer column the projector once copied, 4 bytes per data object under
+// every view, is read through the run's. On a Class4-large run (generator
+// seed 10) that column was three quarters of a blackbox mapping. Bytes,
+// which /v1/stats reports, must account for what the heap holds.
+func TestMappingHoldsWhatTheViewAdds(t *testing.T) {
+	const builds = 8
+	g := gen.NewGenerator(10)
+	s := g.Workflow(gen.Class4(), "held")
+	r, _, err := g.Run(s, gen.Large(), "held-run")
+	if err != nil {
+		t.Fatal(err)
+	}
+	relevant, err := core.BuildRelevant(s, g.RandomRelevant(s, 30))
+	if err != nil {
+		t.Fatal(err)
+	}
+	blackbox, err := core.UBlackBox(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		v    *core.UserView
+	}{{"UAdmin", core.UAdmin(s)}, {"30% relevant", relevant}, {"blackbox", blackbox}} {
+		m, err := Build(r, c.v) // warms what the run and the view compute once
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := m.Projector()
+		execs := p.NumExecutions()
+		rows := len(p.inData) + len(p.outData)
+		adds := 4*(2*r.NumSteps()+6*(execs+1)+rows) + p.compTok.Bytes() + p.idTok.Bytes()
+		kept := make([]*Mapping, builds)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for i := range kept {
+			if kept[i], err = Build(r, c.v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(kept)
+		held := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / builds
+		t.Logf("%s: %d executions, %d row entries: %.1f KB held per mapping, %.1f KB the view adds, Bytes() %.1f KB",
+			c.name, execs, rows, held/1024, float64(adds)/1024, float64(p.Bytes())/1024)
+		if held > 1.15*float64(adds) {
+			t.Errorf("%s: a mapping holds %.0f bytes, %.2fx the %d the view adds", c.name, held, held/float64(adds), adds)
+		}
+		if b := float64(p.Bytes()); b < 0.85*held || b > 1.15*held {
+			t.Errorf("%s: Bytes() = %.0f, the heap holds %.0f per mapping", c.name, b, held)
+		}
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/jsontok"
@@ -16,12 +17,14 @@ import (
 
 // Projector is the integer-indexed face of a Mapping: the per-(run, view)
 // arrays the projection intersects with a bitset-backed UAdmin
-// closure. Everything is computed once per mapping — step → execution
-// ordinal, data → producer-execution ordinal, and each execution's input /
-// output data as interned ids in CSR layout — so projecting a closure is
-// pure int32 arithmetic, and encoding the answer is copying tokens: the run's
-// (run.Index.Tokens) for step and data names, the projector's own for what
-// depends on the view, composite names and <composite>@<k> ids.
+// closure. What the view adds is computed once per mapping — step →
+// execution ordinal, and each execution's input / output data as interned
+// ids in CSR layout — and what the run already has is read through it (a
+// data object's producing execution is its producer step's), so projecting a
+// closure is pure int32 arithmetic, and encoding the answer is copying
+// tokens: the run's (run.Index.Tokens) for step and data names, the
+// projector's own for what depends on the view, composite names and
+// <composite>@<k> ids.
 //
 // Execution ordinals are positions in the mapping's topological order, so
 // walking ordinals ascending visits executions exactly as Executions()
@@ -40,7 +43,6 @@ type Projector struct {
 	composites []string // the view's composite names, as execComp numbers them
 
 	stepExec []int32 // interned step -> execution ordinal
-	prodExec []int32 // interned data -> producer execution ordinal, -1 external
 	execComp []int32 // ordinal -> composite
 
 	stepOff, members []int32 // ordinal -> interned member steps (CSR, ascending)
@@ -76,7 +78,10 @@ func buildProjector(ix *run.Index, v *core.UserView) (*Projector, error) {
 	if len(order) != nSteps {
 		return nil, fmt.Errorf("composite: run %q: %w", ix.Run().ID(), run.ErrCyclicRun)
 	}
-	comp := make([]int32, nSteps) // step -> composite, as v.Composites() numbers them
+	// Until the ordinals replace them, stepExec holds each step's composite,
+	// as v.Composites() numbers them.
+	p := &Projector{ix: ix, composites: v.Composites(), stepExec: make([]int32, nSteps)}
+	comp := p.stepExec
 	for s := range comp {
 		c, ok := v.CompositeIndex(ix.StepModule(int32(s)))
 		if !ok {
@@ -117,17 +122,22 @@ func buildProjector(ix *run.Index, v *core.UserView) (*Projector, error) {
 	}
 
 	// Ordinals: components in the topological order of their roots. A
-	// root's ordinal is set first, so the sweep below, ascending, finds it
-	// in place when it reaches the members (find(s) <= s).
-	p := &Projector{ix: ix, composites: v.Composites(), stepExec: make([]int32, nSteps)}
-	roots := make([]int32, 0, nSteps) // ordinal -> root step
-	for _, s := range order {
-		if parent[s] == s {
-			p.stepExec[s] = int32(len(roots))
-			roots = append(roots, s)
+	// root's composite moves to execComp as its ordinal replaces it, and the
+	// sweep below, ascending, finds that ordinal in place when it reaches
+	// the members (find(s) <= s).
+	nExecs := int32(0)
+	for s, up := range parent {
+		if up == int32(s) {
+			nExecs++
 		}
 	}
-	nExecs := int32(len(roots))
+	p.execComp = make([]int32, 0, nExecs)
+	for _, s := range order {
+		if parent[s] == s {
+			p.execComp = append(p.execComp, comp[s])
+			p.stepExec[s] = int32(len(p.execComp) - 1)
+		}
+	}
 	for s := range p.stepExec {
 		p.stepExec[s] = p.stepExec[find(int32(s))]
 	}
@@ -136,28 +146,22 @@ func buildProjector(ix *run.Index, v *core.UserView) (*Projector, error) {
 	// id, so every row comes out ascending. A data object enters each
 	// consuming execution other than its producer's once, however many
 	// member steps read it; it leaves its producer's when it is final or
-	// read elsewhere.
-	p.prodExec = make([]int32, nData)
-	for d := range p.prodExec {
-		p.prodExec[d] = -1
-		if s := ix.Producer(int32(d)); s >= 0 {
-			p.prodExec[d] = p.stepExec[s]
-		}
-	}
+	// read elsewhere. parent is done with, and keeps the last data id that
+	// entered each execution, +1.
 	members, in, out := newRows(nExecs), newRows(nExecs), newRows(nExecs)
-	entered := make([]int32, nExecs) // last data id that entered, +1
+	entered := parent[:nExecs]
 	for pass := 0; pass < 2; pass++ {
+		clear(entered)
 		if pass == 1 {
 			members.layout()
 			in.layout()
 			out.layout()
-			clear(entered)
 		}
 		for s := int32(nSteps) - 1; s >= 0; s-- {
 			members.add(p.stepExec[s], s)
 		}
 		for d := int32(nData) - 1; d >= 0; d-- {
-			pe := p.prodExec[d]
+			pe := p.ProducerExec(d)
 			leaves := ix.IsFinal(d)
 			for _, c := range ix.ConsumersOf(d) {
 				ce := p.stepExec[c]
@@ -182,14 +186,11 @@ func buildProjector(ix *run.Index, v *core.UserView) (*Projector, error) {
 	// Ids: a single-step execution keeps its step id (and token); the others
 	// are numbered per composite in execution order.
 	p.compTok = jsontok.Of(len(p.composites), func(c int32) string { return p.composites[c] })
-	p.execComp = make([]int32, nExecs)
 	p.idTok = jsontok.NewTable(int(nExecs))
 	ids := make([]string, nExecs+1)
 	ids[nExecs] = spec.Input
 	ordinal := make([]int, len(p.composites))
-	for e, root := range roots {
-		c := comp[root]
-		p.execComp[e] = c
+	for e, c := range p.execComp {
 		if steps := p.StepsOf(int32(e)); len(steps) == 1 {
 			ids[e] = ix.StepName(steps[0])
 			p.idTok.AppendAbsent()
@@ -290,12 +291,25 @@ func (r *rows) layout() {
 
 // leaves reports whether a step outside d's producing execution reads d.
 func (p *Projector) leaves(d int32) bool {
+	pe := p.ProducerExec(d)
 	for _, s := range p.ix.ConsumersOf(d) {
-		if p.stepExec[s] != p.prodExec[d] {
+		if p.stepExec[s] != pe {
 			return true
 		}
 	}
 	return false
+}
+
+// Bytes is what the projector holds for the view: its int32 tables and its
+// token tables. The run index and the view's composite names are shared, and
+// the Execution values, built only for callers that ask for strings, are not
+// counted.
+func (p *Projector) Bytes() int {
+	ints := 0
+	for _, t := range [][]int32{p.stepExec, p.execComp, p.stepOff, p.members, p.inOff, p.inData, p.outOff, p.outData, p.rankOf, p.atRank} {
+		ints += cap(t)
+	}
+	return int(unsafe.Sizeof(*p)) + 4*ints + p.compTok.Bytes() + p.idTok.Bytes()
 }
 
 // Index returns the run index the projector's interned ids refer to. A
@@ -390,8 +404,14 @@ func (p *Projector) EndpointAtRank(rank int32) int32 { return p.atRank[rank] }
 func (p *Projector) ExecOfStep(s int32) int32 { return p.stepExec[s] }
 
 // ProducerExec returns the execution ordinal that produced an interned
-// data id, or -1 when the data is external (user/workflow input).
-func (p *Projector) ProducerExec(d int32) int32 { return p.prodExec[d] }
+// data id, or -1 when the data is external (user/workflow input): the
+// execution of the run's producer step.
+func (p *Projector) ProducerExec(d int32) int32 {
+	if s := p.ix.Producer(d); s >= 0 {
+		return p.stepExec[s]
+	}
+	return -1
+}
 
 // StepsOf returns an execution's interned member steps, ascending (= natural
 // order). The slice aliases the projector; callers must not mutate it.

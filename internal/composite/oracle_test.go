@@ -263,6 +263,32 @@ func sameAsOracle(t testing.TB, label string, r *run.Run, v *core.UserView) {
 	if ge, we := m.Edges(), oracleEdges(r, want); !reflect.DeepEqual(ge, we) {
 		t.Fatalf("%s: edges differ:\nBuild  %v\noracle %v", label, ge, we)
 	}
+	p := m.Projector()
+	for d, want := range prodExecTable(p) {
+		if got := p.ProducerExec(int32(d)); got != want {
+			t.Fatalf("%s: ProducerExec(%s) = %d, the producer column says %d", label, r.Index().DataName(int32(d)), got, want)
+		}
+	}
+}
+
+// prodExecTable is the producer column a Projector kept before it read a
+// data object's producing execution through the run's producer column: the
+// oracle of ProducerExec. It is filled from the executions' member steps
+// and what each step wrote, with -1 for external data.
+func prodExecTable(p *Projector) []int32 {
+	ix := p.Index()
+	table := make([]int32, ix.NumData())
+	for d := range table {
+		table[d] = -1
+	}
+	for e := int32(0); int(e) < p.NumExecutions(); e++ {
+		for _, s := range p.StepsOf(e) {
+			for _, d := range ix.OutputsOf(s) {
+				table[d] = e
+			}
+		}
+	}
+	return table
 }
 
 // TestBuildMatchesOraclePhylogenomics: the Figure 2 run under UAdmin, Joe's

@@ -34,17 +34,23 @@ var plain = func() (t [256]bool) {
 	return t
 }()
 
-// Table is a sequence of tokens in one arena: two pointer-free slices
-// however many names it holds. Entry i is either the token of the i-th name
-// appended or absent (empty), which no token is. Each entry is stored with a
-// comma after it, so consecutive entries are already a JSON list's interior
-// and Span hands a whole stretch out as one slice: names interned in natural
+// Table is a sequence of tokens in one arena: pointer-free slices however
+// many names it holds. Entry i is either the token of the i-th name appended
+// or absent (empty), which no token is. Each entry is stored with a comma
+// after it, so consecutive entries are already a JSON list's interior and
+// Span hands a whole stretch out as one slice: names interned in natural
 // order put d308..d408 side by side, and an answer lists them that way. A
 // Table is filled once and then only read.
 type Table struct {
-	buf     []byte
-	off     []uint32 // entry i and its comma are buf[off[i]:off[i+1]]
-	longest int      // the longest entry's length
+	buf []byte
+	// Entry i and its comma are buf[start(i):start(i+1)], where start(i) is
+	// off[i] + step*i - base: the table's own offsets (step and base 0), or,
+	// for a table Over names that needed no escaping, the names' offsets,
+	// each entry being its name, two quotes and a comma (step 3, base the
+	// first name's offset).
+	off        []uint32
+	step, base uint32
+	longest    int // the longest entry's length
 }
 
 // NewTable returns an empty table with room for n entries.
@@ -66,9 +72,12 @@ func (t *Table) AppendAbsent() {
 	t.off = append(t.off, uint32(len(t.buf)))
 }
 
+// start is where entry i begins in buf.
+func (t *Table) start(i int32) uint32 { return t.off[i] + t.step*uint32(i) - t.base }
+
 // At returns entry i. The slice aliases the table; callers must not mutate
 // it.
-func (t *Table) At(i int32) []byte { return t.buf[t.off[i] : t.off[i+1]-1] }
+func (t *Table) At(i int32) []byte { return t.buf[t.start(i) : t.start(i+1)-1] }
 
 // Longest returns the length of the table's longest entry: with Span's
 // commas, n entries take at most n*(Longest()+1)-1 bytes.
@@ -76,7 +85,16 @@ func (t *Table) Longest() int { return t.longest }
 
 // Span returns entries i through j (i <= j, none absent) joined by commas.
 // The slice aliases the table; callers must not mutate it.
-func (t *Table) Span(i, j int32) []byte { return t.buf[t.off[i] : t.off[j+1]-1] }
+func (t *Table) Span(i, j int32) []byte { return t.buf[t.start(i) : t.start(j+1)-1] }
+
+// Bytes is what the table holds: its arena and its own offsets. Offsets it
+// reads from its names (Over) belong to whoever owns the names.
+func (t *Table) Bytes() int {
+	if t.step != 0 {
+		return cap(t.buf)
+	}
+	return cap(t.buf) + 4*cap(t.off)
+}
 
 // Of returns the table of the n names name(0) .. name(n-1), in order. The
 // arena is sized for names with nothing to escape, which is nearly all of
@@ -90,6 +108,20 @@ func Of(n int, name func(int32) string) Table {
 	t.buf = make([]byte, 0, size)
 	for i := int32(0); i < int32(n); i++ {
 		t.Append(name(i))
+	}
+	return t
+}
+
+// Over is Of over the names arena[off[i]:off[i+1]], with off non-decreasing,
+// as a run lays its names out. When no name needed escaping, the arena is
+// exactly the names' bytes plus three per name, and the table drops its own
+// offsets to read entry i's start off off: off must then stay unchanged for
+// as long as the table is read.
+func Over(arena string, off []uint32) Table {
+	n := len(off) - 1
+	t := Of(n, func(i int32) string { return arena[off[i]:off[i+1]] })
+	if len(t.buf) == int(off[n]-off[0])+3*n {
+		t.off, t.step, t.base = off, 3, off[0]
 	}
 	return t
 }

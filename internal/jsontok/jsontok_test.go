@@ -64,3 +64,46 @@ func TestTable(t *testing.T) {
 		t.Fatalf("Longest() = %d after \"a\", an absent entry and \"\", want 3", mixed.Longest())
 	}
 }
+
+// TestOverMatchesOf holds a table over a names arena to Of, the table with
+// explicit offsets: the same entries, spans and longest entry. Names that
+// need no escaping leave the table without offsets of its own, reading each
+// entry's start off the arena's offsets, which need not start at 0; one name
+// that needs escaping keeps explicit offsets.
+func TestOverMatchesOf(t *testing.T) {
+	plain := []string{"S1", "S2", "S10", "d1", "d2", "d308", "", "héllo", "d10"}
+	for _, c := range []struct {
+		names []string
+		own   bool
+	}{{plain, false}, {names, true}, {append(plain[:3:3], `d"q"`), true}} {
+		// The arena starts with a prefix the offsets skip, as a run's data
+		// names follow its step and module names.
+		arena := "prefix"
+		off := []uint32{uint32(len(arena))}
+		for _, s := range c.names {
+			arena += s
+			off = append(off, uint32(len(arena)))
+		}
+		over := Over(arena, off)
+		want := Of(len(c.names), func(i int32) string { return c.names[i] })
+		if own := over.step == 0; own != c.own {
+			t.Fatalf("%q: table keeps its own offsets = %v, want %v", c.names, own, c.own)
+		}
+		if !c.own && over.Bytes() != cap(over.buf) {
+			t.Fatalf("%q: Bytes() = %d, want the arena's %d", c.names, over.Bytes(), cap(over.buf))
+		}
+		for i := range c.names {
+			for j := i; j < len(c.names); j++ {
+				if got, w := over.Span(int32(i), int32(j)), want.Span(int32(i), int32(j)); !bytes.Equal(got, w) {
+					t.Fatalf("%q: Span(%d, %d) = %s, want %s", c.names, i, j, got, w)
+				}
+			}
+			if got, w := over.At(int32(i)), want.At(int32(i)); !bytes.Equal(got, w) {
+				t.Fatalf("%q: At(%d) = %s, want %s", c.names, i, got, w)
+			}
+		}
+		if over.Longest() != want.Longest() {
+			t.Fatalf("%q: Longest() = %d, want %d", c.names, over.Longest(), want.Longest())
+		}
+	}
+}

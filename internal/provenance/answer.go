@@ -110,16 +110,16 @@ func resultOf(a *Answer, err error) (*Result, error) { return a.Result(), err }
 // this is an invariant check: seeing it means a bug.
 var ErrIndexMismatch = errors.New("provenance: closure and view mapping are over different run indexes")
 
-// projectorFor returns the mapping's projector and the closure's member
-// sets after checking that both speak the same interned ids.
-func projectorFor(m *composite.Mapping, c *warehouse.Closure) (*composite.Projector, bitset.Set, bitset.Set, error) {
+// projectorFor returns the mapping's projector and the closure's step set
+// after checking that both speak the same interned ids.
+func projectorFor(m *composite.Mapping, c *warehouse.Closure) (*composite.Projector, bitset.Set, error) {
 	px := m.Projector()
-	ix, stepBits, dataBits := c.Bits()
+	ix, stepBits := c.Steps()
 	if px.Index() != ix {
-		return nil, nil, nil, fmt.Errorf("%w: run %q, root %q: closure index %p, mapping index %p",
+		return nil, nil, fmt.Errorf("%w: run %q, root %q: closure index %p, mapping index %p",
 			ErrIndexMismatch, m.Run().ID(), c.Root, ix, px.Index())
 	}
-	return px, stepBits, dataBits, nil
+	return px, stepBits, nil
 }
 
 // newAnswer starts the answer for a query rooted at data object root, and
@@ -142,12 +142,12 @@ func newAnswer(px *composite.Projector, root string) (*Answer, int32) {
 // executions that intersect the closure, the data crossing their
 // boundaries, and the edges between them.
 func project(m *composite.Mapping, c *warehouse.Closure) (*Answer, error) {
-	px, stepBits, dataBits, err := projectorFor(m, c)
+	px, stepBits, err := projectorFor(m, c)
 	if err != nil {
 		return nil, err
 	}
 	a, rootID := newAnswer(px, c.Root)
-	projectVisible(a, rootID, visibleExecutions(px, stepBits), dataBits)
+	projectVisible(a, rootID, visibleExecutions(px, stepBits), stepBits, nil)
 	return a, nil
 }
 
@@ -162,7 +162,13 @@ func visibleExecutions(px *composite.Projector, stepBits bitset.Set) bitset.Set 
 // projectVisible is the backward projection once the visible executions are
 // known (the direct strategy finds them by its own traversal). rootID seeds
 // the visible data (negative: no root data object, as in
-// ExecutionProvenance). Closure membership is a bit test, and data comes out
+// ExecutionProvenance). The inputs of a visible execution it keeps are the
+// closure's data: the root or one of roots, or read by a closure step
+// (steps), as warehouse.Closure.HasDataID decides for a single root. The
+// root counts even when no closure step reads it, which a cycle in the
+// view's composite graph can bring about. A visible
+// single-step execution's step is a closure step, so all of its inputs are,
+// and with steps nil every input of a visible execution is. Data comes out
 // naturally sorted for free because interned ids are natural ranks.
 //
 // Edges are ordered by (From, To) in the string order of the ids, with
@@ -171,9 +177,10 @@ func visibleExecutions(px *composite.Projector, stepBits bitset.Set) bitset.Set 
 // ranks them once per mapping), an execution's inputs are ascending interned
 // ids, so the facts are collected already ordered by (To, data), and one
 // stable counting pass on the producer's rank finishes the order.
-func projectVisible(a *Answer, rootID int32, visible, dataBits bitset.Set) {
+func projectVisible(a *Answer, rootID int32, visible, steps, roots bitset.Set) {
 	px := a.Projector
-	outData := bitset.New(px.Index().NumData())
+	ix := px.Index()
+	outData := bitset.New(ix.NumData())
 	if rootID >= 0 {
 		outData.Add(rootID)
 	}
@@ -186,8 +193,9 @@ func projectVisible(a *Answer, rootID int32, visible, dataBits bitset.Set) {
 		if to == input || !visible.Has(to) {
 			continue
 		}
+		all := steps == nil || len(px.StepsOf(to)) == 1
 		for _, d := range px.InputsOf(to) {
-			if !dataBits.Has(d) {
+			if !all && d != rootID && !roots.Has(d) && !readBy(ix, steps, d) {
 				continue // input irrelevant to this derivation
 			}
 			outData.Add(d)
@@ -240,6 +248,16 @@ func projectVisible(a *Answer, rootID int32, visible, dataBits bitset.Set) {
 	}
 }
 
+// readBy reports whether a step in steps reads data d.
+func readBy(ix *run.Index, steps bitset.Set, d int32) bool {
+	for _, s := range ix.ConsumersOf(d) {
+		if steps.Has(s) {
+			return true
+		}
+	}
+	return false
+}
+
 // edgeFact is one "data d flows from -> to" fact of a projection, in
 // integers: from is the producer endpoint's string rank (the sort key), to
 // the consumer's execution ordinal, d the interned data id.
@@ -272,8 +290,10 @@ func (sc *edgeScratch) release() {
 // projectForward mirrors project for the derivation direction: visible
 // executions intersecting the closure, and the closure data leaving each
 // execution toward other visible executions (or toward the final output).
+// A visible single-step execution's step is a closure step, so all of its
+// outputs are closure data.
 func projectForward(m *composite.Mapping, c *warehouse.Closure) (*Answer, error) {
-	px, stepBits, dataBits, err := projectorFor(m, c)
+	px, stepBits, err := projectorFor(m, c)
 	if err != nil {
 		return nil, err
 	}
@@ -285,8 +305,9 @@ func projectForward(m *composite.Mapping, c *warehouse.Closure) (*Answer, error)
 		outData.Add(rootID)
 	}
 	visible.Each(func(ord int32) {
+		all := len(px.StepsOf(ord)) == 1
 		for _, d := range px.OutputsOf(ord) {
-			if !dataBits.Has(d) {
+			if !all && !c.HasDataID(d) {
 				continue
 			}
 			if ix.IsFinal(d) || consumedOutside(ix, px, visible, ord, d) {

@@ -96,29 +96,30 @@ func (e *Engine) ExecutionProvenance(runID string, v *core.UserView, execID stri
 	if !ok {
 		return nil, fmt.Errorf("provenance: unknown execution %q in run %q", execID, runID)
 	}
-	// Union the closures of the execution's inputs into fresh sets (cached
-	// closures are shared and read-only); the per-(run, data) cache makes
-	// the repeats cheap.
+	// Union the step sets of the execution's inputs' closures into a fresh
+	// set (cached closures are shared and read-only); the per-(run, data)
+	// cache makes the repeats cheap. The union's data are the inputs and
+	// whatever its steps read; the execution itself is visible, but the data
+	// internal to it, which its own steps read, are not closure data.
 	ix := px.Index()
 	stepBits := bitset.New(ix.NumSteps())
-	dataBits := bitset.New(ix.NumData())
+	roots := bitset.New(ix.NumData())
 	for _, in := range px.InputsOf(ord) {
 		c, err := e.w.DeepProvenance(runID, ix.DataName(in))
 		if err != nil {
 			return nil, err
 		}
-		_, cs, cd, err := projectorFor(m, c)
+		_, cs, err := projectorFor(m, c)
 		if err != nil {
 			return nil, err
 		}
 		stepBits.Or(cs)
-		dataBits.Or(cd)
+		roots.Add(in)
 	}
-	for _, s := range px.StepsOf(ord) {
-		stepBits.Add(s)
-	}
+	visible := visibleExecutions(px, stepBits)
+	visible.Add(ord)
 	a := &Answer{RunID: runID, Root: execID, Projector: px}
-	projectVisible(a, -1, visibleExecutions(px, stepBits), dataBits)
+	projectVisible(a, -1, visible, stepBits, roots)
 	return a.Result(), nil
 }
 

@@ -88,9 +88,10 @@ type memo[K comparable, V any] struct {
 }
 
 type memoEntry[V any] struct {
-	once sync.Once
-	v    V
-	err  error
+	once  sync.Once
+	built atomic.Bool // v and err are set
+	v     V
+	err   error
 }
 
 // get returns the value under k, building it with build on first use.
@@ -111,8 +112,23 @@ func (c *memo[K, V]) get(k K, build func() (V, error)) (V, error) {
 		c.m[k] = ent
 	}
 	c.mu.Unlock()
-	ent.once.Do(func() { ent.v, ent.err = build() })
+	ent.once.Do(func() {
+		ent.v, ent.err = build()
+		ent.built.Store(true)
+	})
 	return ent.v, ent.err
+}
+
+// each calls f with every value built without error, under the memo's
+// lock.
+func (c *memo[K, V]) each(f func(V)) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, ent := range c.m {
+		if ent.built.Load() && ent.err == nil {
+			f(ent.v)
+		}
+	}
 }
 
 // deleteFunc removes every entry whose key satisfies del.
@@ -133,6 +149,25 @@ func NewEngine(w *warehouse.Warehouse) *Engine {
 
 // Warehouse returns the underlying warehouse.
 func (e *Engine) Warehouse() *warehouse.Warehouse { return e.w }
+
+// Stats is the warehouse's statistics plus what the engine's mapping memo
+// holds.
+type Stats struct {
+	warehouse.Stats
+	// Mappings is the (run, view) mapping memo: its entries and the bytes
+	// their projectors hold (composite.Projector.Bytes).
+	Mappings warehouse.MemoStats
+}
+
+// Stats returns the warehouse's statistics and the mapping memo's.
+func (e *Engine) Stats() Stats {
+	st := Stats{Stats: e.w.Stats()}
+	e.mappings.each(func(m *composite.Mapping) {
+		st.Mappings.Entries++
+		st.Mappings.Bytes += m.Projector().Bytes()
+	})
+	return st
+}
 
 // View resolves a query's choice of view over the specification of run
 // runID: the view registered under name when name is non-empty, otherwise

@@ -3,6 +3,7 @@ package provenance
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -367,4 +368,77 @@ func toSet(xs []string) map[string]bool {
 		out[x] = true
 	}
 	return out
+}
+
+// TestProjectionKeepsRootOnACycle: the root is closure data even when no
+// closure step reads it. Module M loops on itself and feeds N, which feeds
+// M again. In the run, s1(M) -> d1 -> s2(M) and s1 -> d2 -> n1(N) -> d3 ->
+// s2, so under UAdmin M's execution is {s1, s2}. The deep provenance of d3
+// has closure steps {n1, s1}; M's execution is visible through s1, and its
+// input d3 is read only by s2, outside the closure. The edge N -> M carrying
+// d3 is still part of the answer, as the direct strategy and a closure's
+// data set (which always holds its root) say.
+func TestProjectionKeepsRootOnACycle(t *testing.T) {
+	s := spec.New("cyc")
+	s.MustAddModule(spec.Module{Name: "M"})
+	s.MustAddModule(spec.Module{Name: "N"})
+	s.MustAddEdge(spec.Input, "M")
+	s.MustAddEdge("M", "M")
+	s.MustAddEdge("M", "N")
+	s.MustAddEdge("N", "M")
+	s.MustAddEdge("M", spec.Output)
+	b := run.NewBuilder("cyc1", "cyc")
+	for _, st := range [][2]string{{"s1", "M"}, {"s2", "M"}, {"n1", "N"}} {
+		if err := b.AddStep(st[0], st[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, f := range []struct {
+		from, to string
+		data     []string
+	}{
+		{spec.Input, "s1", []string{"d0"}},
+		{"s1", "s2", []string{"d1"}},
+		{"s1", "n1", []string{"d2"}},
+		{"n1", "s2", []string{"d3"}},
+		{"s2", spec.Output, []string{"d4"}},
+	} {
+		if err := b.AddFlow(f.from, f.to, f.data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := warehouse.New(0)
+	if err := w.RegisterSpec(s); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.LoadRun(r); err != nil {
+		t.Fatal(err)
+	}
+	e := NewEngine(w)
+	admin := core.UAdmin(s)
+	got, err := e.DeepProvenance("cyc1", admin, "d3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := e.DeepProvenanceDirect("cyc1", admin, "d3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Data, []string{"d0", "d2", "d3"}) {
+		t.Fatalf("data = %v, want [d0 d2 d3]", got.Data)
+	}
+	if !reflect.DeepEqual(got.Data, direct.Data) || !reflect.DeepEqual(got.Edges, direct.Edges) {
+		t.Fatalf("projected and direct answers differ:\n%v %v\n%v %v", got.Data, got.Edges, direct.Data, direct.Edges)
+	}
+	found := false
+	for _, ed := range got.Edges {
+		found = found || slices.Contains(ed.Data, "d3")
+	}
+	if !found {
+		t.Fatalf("no edge carries the root d3: %v", got.Edges)
+	}
 }

@@ -35,14 +35,12 @@ func (e *Engine) DeepProvenanceDirect(runID string, v *core.UserView, d string) 
 	}
 	// Breadth-first over execution ordinals, each visited execution pulling
 	// in every one of its inputs; then the same emission the projected
-	// strategy uses, with those inputs as the data set.
+	// strategy uses, with every input of a visited execution in the data set.
 	visible := bitset.New(px.NumExecutions())
-	inputs := bitset.New(px.Index().NumData())
 	if start := px.ProducerExec(rootID); start >= 0 {
 		visible.Add(start)
 		for queue := []int32{start}; len(queue) > 0; queue = queue[1:] {
 			for _, in := range px.InputsOf(queue[0]) {
-				inputs.Add(in)
 				if p := px.ProducerExec(in); p >= 0 && !visible.Has(p) {
 					visible.Add(p)
 					queue = append(queue, p)
@@ -50,6 +48,6 @@ func (e *Engine) DeepProvenanceDirect(runID string, v *core.UserView, d string) 
 			}
 		}
 	}
-	projectVisible(a, rootID, visible, inputs)
+	projectVisible(a, rootID, visible, nil, nil)
 	return a.Result(), nil
 }

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/bitset"
 	"repro/internal/gen"
+	"repro/internal/jsontok"
 	"repro/internal/run"
 	"repro/internal/spec"
 	"repro/internal/wflog"
@@ -386,5 +387,59 @@ func copyTables(t run.ArenaTables) run.ArenaTables {
 		OutOff: slices.Clone(t.OutOff), OutData: slices.Clone(t.OutData),
 		ConOff: slices.Clone(t.ConOff), ConStep: slices.Clone(t.ConStep),
 		Finals: bitset.Set(slices.Clone([]uint64(t.Finals))),
+	}
+}
+
+// TestTokenTablesReuseNameOffsets: a run whose names need no escaping holds
+// its token tables as two arenas, each name's bytes plus three (two quotes
+// and a comma), and no offsets of their own: an entry starts where its name
+// does in the run's arena, shifted by three per name before it. Offsets of
+// their own cost four bytes more per name, 1.6x the arenas on this run.
+func TestTokenTablesReuseNameOffsets(t *testing.T) {
+	r, _, err := run.Execute(spec.Phylogenomics(), run.Config{
+		RunID: "tokens", Seed: 5, LoopIter: [2]int{600, 600}, DataPerStep: [2]int{5, 8}, UserInput: [2]int{5, 20},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := r.Index()
+	arenas := 0
+	for s := int32(0); s < int32(ix.NumSteps()); s++ {
+		arenas += len(ix.StepName(s)) + 3
+	}
+	for d := int32(0); d < int32(ix.NumData()); d++ {
+		arenas += len(ix.DataName(d)) + 3
+	}
+	live := func() int64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC() // and what sync.Pools held
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	if ix.TokenBytes() != 0 {
+		t.Fatalf("TokenBytes() = %d before the tables were asked for", ix.TokenBytes())
+	}
+	base := live()
+	tok := ix.Tokens()
+	held := live() - base
+	runtime.KeepAlive(r)
+	t.Logf("%s: token tables hold %d bytes, arenas %d", r, held, arenas)
+	if ix.TokenBytes() != arenas {
+		t.Fatalf("TokenBytes() = %d, want the arenas' %d", ix.TokenBytes(), arenas)
+	}
+	if float64(held) > 1.15*float64(arenas) { // allocations round up to their size class
+
+		t.Fatalf("token tables hold %d bytes, %.2fx their arenas' %d", held, float64(held)/float64(arenas), arenas)
+	}
+	for d := int32(0); d < int32(ix.NumData()); d++ {
+		if got, want := tok.Data.At(d), jsontok.AppendString(nil, ix.DataName(d)); !bytes.Equal(got, want) {
+			t.Fatalf("data token %d = %s, want %s", d, got, want)
+		}
+	}
+	for s := int32(0); s < int32(ix.NumSteps()); s++ {
+		if got, want := tok.Step.At(s), jsontok.AppendString(nil, ix.StepName(s)); !bytes.Equal(got, want) {
+			t.Fatalf("step token %d = %s, want %s", s, got, want)
+		}
 	}
 }

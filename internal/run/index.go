@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/jsontok"
 	"repro/internal/spec"
@@ -39,7 +40,8 @@ type Index struct {
 	topoOrder []int32 // see TopoOrder; shorter than NumSteps when cyclic
 
 	tokOnce sync.Once
-	tokens  Tokens // see Tokens
+	tokens  Tokens      // see Tokens
+	tokDone atomic.Bool // set once tokens is built
 }
 
 // validateStructure checks Validate's invariants on the interned
@@ -269,12 +271,22 @@ type Tokens struct {
 
 // Tokens returns the index's token tables, built on first use and shared;
 // safe for concurrent use. They belong to the index and are released with
-// it when the run is dropped.
+// it when the run is dropped. A table whose names needed no escaping reads
+// its entries' starts off the index's own name offsets (jsontok.Over).
 func (ix *Index) Tokens() *Tokens {
 	ix.tokOnce.Do(func() {
-		ix.tokens = Tokens{Data: jsontok.Of(ix.NumData(), ix.DataName), Step: jsontok.Of(ix.NumSteps(), ix.StepName)}
+		ix.tokens = Tokens{Data: jsontok.Over(ix.t.Names, ix.t.DataOff), Step: jsontok.Over(ix.t.Names, ix.t.StepOff)}
+		ix.tokDone.Store(true)
 	})
 	return &ix.tokens
+}
+
+// TokenBytes is what the token tables hold, 0 before the first Tokens call.
+func (ix *Index) TokenBytes() int {
+	if !ix.tokDone.Load() {
+		return 0
+	}
+	return ix.tokens.Data.Bytes() + ix.tokens.Step.Bytes()
 }
 
 // DataName returns the data name of an interned id.
@@ -300,15 +312,15 @@ func (ix *Index) ConsumersOf(d int32) []int32 { return ix.t.ConStep[ix.t.ConOff[
 func (ix *Index) IsFinal(d int32) bool { return ix.t.Finals.Has(d) }
 
 // IndexStats describes an index's footprint — what the compact layout
-// costs, and what each closure bitset pair over it costs.
+// costs, and what each closure's step set over it costs.
 type IndexStats struct {
 	// Steps and Data are the interned id counts.
 	Steps, Data int
 	// CSRBytes is the total size of the flat adjacency arrays (offsets,
 	// targets, and the producer column), at 4 bytes per int32.
 	CSRBytes int
-	// ClosureWords is the number of 64-bit words one step+data closure
-	// bitset pair over this run occupies.
+	// ClosureWords is the number of 64-bit words one closure's step set
+	// over this run occupies (its data follow from its steps).
 	ClosureWords int
 }
 
@@ -323,7 +335,7 @@ func (ix *Index) Stats() IndexStats {
 		Steps:        ix.NumSteps(),
 		Data:         ix.NumData(),
 		CSRBytes:     4 * ints,
-		ClosureWords: (ix.NumSteps()+63)/64 + (ix.NumData()+63)/64,
+		ClosureWords: (ix.NumSteps() + 63) / 64,
 	}
 }
 

@@ -119,8 +119,8 @@ func topoNames(ix *Index) []string {
 // steps arrived in another order, and a step fed several data objects by
 // one predecessor is released in id order all the same.
 // TestIndexStats: the footprint counts what the oracle counts, the CSR
-// arrays are whole int32s, and a closure bitset pair takes one word per 64
-// steps plus one per 64 data objects.
+// arrays are whole int32s, and a closure's step set takes one word per 64
+// steps.
 func TestIndexStats(t *testing.T) {
 	r := Figure2()
 	ix, o := r.Index(), oracleOf(r)
@@ -131,7 +131,7 @@ func TestIndexStats(t *testing.T) {
 	if st.CSRBytes <= 0 || st.CSRBytes%4 != 0 {
 		t.Fatalf("CSRBytes = %d", st.CSRBytes)
 	}
-	wantWords := (ix.NumSteps()+63)/64 + (ix.NumData()+63)/64
+	wantWords := (ix.NumSteps() + 63) / 64
 	if st.ClosureWords != wantWords {
 		t.Fatalf("ClosureWords = %d, want %d", st.ClosureWords, wantWords)
 	}

@@ -380,11 +380,12 @@ func (s *Server) handleRuns(_ *obs.Trace, w http.ResponseWriter, _ *http.Request
 }
 
 // handleStats returns the warehouse statistics (catalog row counts, cache
-// counters, and — when attached — the metrics snapshot).
+// counters, what the memos hold, and — when attached — the metrics
+// snapshot).
 func (s *Server) handleStats(_ *obs.Trace, w http.ResponseWriter, _ *http.Request) {
 	e := s.engineOr503(w)
 	if e == nil {
 		return
 	}
-	edge.WriteJSON(w, http.StatusOK, map[string]any{"stats": e.Warehouse().Stats()})
+	edge.WriteJSON(w, http.StatusOK, map[string]any{"stats": e.Stats()})
 }

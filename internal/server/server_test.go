@@ -413,6 +413,22 @@ func TestServerRunsAndStats(t *testing.T) {
 	if len(statsResp.Stats) == 0 {
 		t.Fatal("empty stats")
 	}
+
+	// After one encoded deep answer the worker holds one closure, one
+	// mapping and the run's token tables, and /v1/stats says so.
+	if rec := doJSON(t, h, "POST", "/v1/query", map[string]string{"run": "fig2", "data": "d447"}, nil); rec.Code != 200 {
+		t.Fatalf("/v1/query: %d %s", rec.Code, rec.Body)
+	}
+	var held struct {
+		Stats provenance.Stats `json:"stats"`
+	}
+	if rec := doJSON(t, h, "GET", "/v1/stats", nil, &held); rec.Code != 200 {
+		t.Fatalf("/v1/stats: %d", rec.Code)
+	}
+	c, m := held.Stats.Closures, held.Stats.Mappings
+	if c.Entries != 1 || c.Bytes <= 0 || m.Entries != 1 || m.Bytes <= 0 || held.Stats.Index.TokenBytes <= 0 {
+		t.Fatalf("after one deep answer /v1/stats reports closures %+v, mappings %+v, token bytes %d", c, m, held.Stats.Index.TokenBytes)
+	}
 }
 
 // TestServerRunsListsFromDirectory: GET /v1/runs on a freshly opened v3

@@ -44,6 +44,7 @@ type closureCache struct {
 	items    map[cacheKey]*list.Element
 	order    *list.List           // front = most recently used
 	inflight map[cacheKey]*flight // the singleflight table
+	bytes    int                  // what the cached closures hold (Closure.Bytes)
 
 	hits          atomic.Int64
 	misses        atomic.Int64
@@ -145,18 +146,26 @@ func newClosureCache(capacity int) *closureCache {
 // insertLocked adds or refreshes an entry and evicts from the back while
 // over capacity. Callers hold cc.mu.
 func (cc *closureCache) insertLocked(key cacheKey, c *Closure) {
+	cc.bytes += c.Bytes()
 	if el, ok := cc.items[key]; ok {
-		el.Value.(*cacheEntry).c = c
+		ent := el.Value.(*cacheEntry)
+		cc.bytes -= ent.c.Bytes()
+		ent.c = c
 		cc.order.MoveToFront(el)
 		return
 	}
 	cc.items[key] = cc.order.PushFront(&cacheEntry{key: key, c: c})
 	for len(cc.items) > cc.cap {
-		back := cc.order.Back()
-		cc.order.Remove(back)
-		delete(cc.items, back.Value.(*cacheEntry).key)
+		cc.removeLocked(cc.order.Back())
 		cc.evictions.Add(1)
 	}
+}
+
+// removeLocked removes one entry. Callers hold cc.mu.
+func (cc *closureCache) removeLocked(el *list.Element) {
+	ent := cc.order.Remove(el).(*cacheEntry)
+	delete(cc.items, ent.key)
+	cc.bytes -= ent.c.Bytes()
 }
 
 // getOrCompute returns the cached closure for key, or computes it exactly
@@ -248,6 +257,14 @@ func (cc *closureCache) len() int {
 	return len(cc.items)
 }
 
+// held returns the number of cached entries and the bytes their closures
+// hold.
+func (cc *closureCache) held() (entries, bytes int) {
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	return len(cc.items), cc.bytes
+}
+
 // invalidate evicts one key. Invalidations counts only lookups that
 // actually removed a cached entry — invalidating an absent key is a no-op,
 // not a removal (the counter-drift fix the CacheCounters invariants rely
@@ -257,8 +274,7 @@ func (cc *closureCache) invalidate(key cacheKey) {
 	cc.mu.Lock()
 	el, removed := cc.items[key]
 	if removed {
-		cc.order.Remove(el)
-		delete(cc.items, key)
+		cc.removeLocked(el)
 	}
 	cc.mu.Unlock()
 	if removed {
@@ -273,8 +289,7 @@ func (cc *closureCache) dropRun(r *run.Run) {
 	cc.mu.Lock()
 	for key, el := range cc.items {
 		if key.r == r {
-			cc.order.Remove(el)
-			delete(cc.items, key)
+			cc.removeLocked(el)
 			cc.drops.Add(1)
 		}
 	}
@@ -289,6 +304,7 @@ func (cc *closureCache) reset() {
 	cc.mu.Lock()
 	cc.items = make(map[cacheKey]*list.Element)
 	cc.order.Init()
+	cc.bytes = 0
 	cc.mu.Unlock()
 	cc.hits.Store(0)
 	cc.misses.Store(0)

@@ -481,3 +481,55 @@ func TestInvalidateSingleKey(t *testing.T) {
 		t.Fatalf("invalidate semantics wrong: before %+v after %+v", before, after)
 	}
 }
+
+// TestClosureCacheBytes: the cache's byte count follows its entries through
+// every exit — a store, a refresh, an LRU eviction, an invalidation, a run
+// drop and a reset — and Stats reports it.
+func TestClosureCacheBytes(t *testing.T) {
+	w := New(2)
+	if err := w.RegisterSpec(spec.Phylogenomics()); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.LoadRun(run.Figure2()); err != nil {
+		t.Fatal(err)
+	}
+	want := func(label string, closures ...*Closure) {
+		t.Helper()
+		bytes := 0
+		for _, c := range closures {
+			bytes += c.Bytes()
+		}
+		if m := w.Stats().Closures; m.Entries != len(closures) || m.Bytes != bytes {
+			t.Fatalf("%s: closure cache %+v, want %d closures of %d bytes", label, m, len(closures), bytes)
+		}
+	}
+	query := func(d string) *Closure {
+		t.Helper()
+		c, err := w.DeepProvenance("fig2", d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	a, b := query("d447"), query("d413")
+	want("two stored", a, b)
+	c := query("d411")
+	want("one evicted", b, c)
+	w.Invalidate("fig2", "d413")
+	want("one invalidated", c)
+	w.cache.mu.Lock()
+	w.cache.insertLocked(cacheKey{c.ix.Run(), "d411"}, c)
+	w.cache.mu.Unlock()
+	want("refreshed", c)
+	if err := w.DropRun("fig2"); err != nil {
+		t.Fatal(err)
+	}
+	want("run dropped")
+	if err := w.LoadRun(run.Figure2()); err != nil {
+		t.Fatal(err)
+	}
+	d := query("d447")
+	want("stored again", d)
+	w.ResetCache()
+	want("reset")
+}

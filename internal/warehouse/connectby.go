@@ -3,6 +3,7 @@ package warehouse
 import (
 	"context"
 	"fmt"
+	"unsafe"
 
 	"repro/internal/bitset"
 	"repro/internal/run"
@@ -26,23 +27,58 @@ import (
 // index_test.go.
 
 // Closure is the result of a deep-provenance (or deep-derivation) query at
-// the UAdmin level: every step and every data object transitively involved,
-// as bitsets over the interned ids of the run index it was computed from.
-// A closure is immutable after construction, so the cache hands the same
-// instance to every caller.
+// the UAdmin level: every step and every data object transitively involved.
+// It holds its steps, as a bitset over the interned ids of the run index it
+// was computed from, and derives its data from them: backward, a data object
+// is in the closure iff it is the root or a closure step reads it; forward,
+// iff it is the root or a closure step wrote it. A closure is immutable after
+// construction, so the cache hands the same instance to every caller.
 type Closure struct {
 	// Root is the data object the query started from.
 	Root string
 
 	ix       *run.Index
+	root     int32 // Root's interned id
+	forward  bool  // a derivation closure; otherwise a provenance one
 	stepBits bitset.Set
-	dataBits bitset.Set
 }
 
-// Bits exposes the representation: the run index the interned ids refer to
-// and the step/data member sets. The sets are shared and read-only.
+// Steps exposes the representation: the run index the interned ids refer to
+// and the step set. The set is shared and read-only.
+func (c *Closure) Steps() (*run.Index, bitset.Set) { return c.ix, c.stepBits }
+
+// Bits is Steps plus the data set, spelled out into a new bitset.
 func (c *Closure) Bits() (ix *run.Index, steps, data bitset.Set) {
-	return c.ix, c.stepBits, c.dataBits
+	data = bitset.New(c.ix.NumData())
+	data.Add(c.root)
+	c.stepBits.Each(func(s int32) {
+		rows := c.ix.InputsOf(s)
+		if c.forward {
+			rows = c.ix.OutputsOf(s)
+		}
+		for _, d := range rows {
+			data.Add(d)
+		}
+	})
+	return c.ix, c.stepBits, data
+}
+
+// HasDataID reports whether an interned data id is in the closure: the
+// root, or read (backward) or written (forward) by a closure step.
+func (c *Closure) HasDataID(d int32) bool {
+	if d == c.root {
+		return true
+	}
+	if c.forward {
+		p := c.ix.Producer(d)
+		return p >= 0 && c.stepBits.Has(p)
+	}
+	for _, s := range c.ix.ConsumersOf(d) {
+		if c.stepBits.Has(s) {
+			return true
+		}
+	}
+	return false
 }
 
 // HasStep reports whether a step id is in the closure.
@@ -54,17 +90,30 @@ func (c *Closure) HasStep(id string) bool {
 // HasData reports whether a data id is in the closure.
 func (c *Closure) HasData(id string) bool {
 	d, ok := c.ix.DataID(id)
-	return ok && c.dataBits.Has(d)
+	return ok && c.HasDataID(d)
 }
 
 // NumSteps returns the number of steps in the closure.
 func (c *Closure) NumSteps() int { return c.stepBits.Count() }
 
-// NumData returns the number of data objects in the closure.
-func (c *Closure) NumData() int { return c.dataBits.Count() }
+// NumData returns the number of data objects in the closure, counted
+// through HasDataID so that no data set is built.
+func (c *Closure) NumData() int {
+	n := 0
+	for d := int32(0); d < int32(c.ix.NumData()); d++ {
+		if c.HasDataID(d) {
+			n++
+		}
+	}
+	return n
+}
 
 // Size returns |Steps| + |Data|.
 func (c *Closure) Size() int { return c.NumSteps() + c.NumData() }
+
+// Bytes is what the closure holds: its header and its step set. The index
+// and the root's name belong to the run and the cache key.
+func (c *Closure) Bytes() int { return int(unsafe.Sizeof(*c)) + 8*len(c.stepBits) }
 
 // DeepProvenance computes the UAdmin deep provenance of data object d in
 // the given run: all steps and data objects transitively used to produce

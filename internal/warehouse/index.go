@@ -16,18 +16,17 @@ import (
 // Both worklists hold steps, not data. A run has several data objects per
 // step and a data object has nothing to expand but its one producer (its
 // few consumers), so a data worklist pushes and pops every object of the
-// closure and outgrows any fixed buffer on each call; a step worklist marks
-// data in passing and stays as shallow as the step DAG's frontier.
+// closure and outgrows any fixed buffer on each call; a step worklist stays
+// as shallow as the step DAG's frontier. Neither marks data: a closure's
+// data follow from its steps (Closure.HasDataID).
 
 // indexedProvenanceClosure is the backward traversal: data → producing
-// step → that step's inputs, to fixpoint. A popped step marks each of its
-// inputs and pushes the input's producer the first time it is seen; the
-// step bitset is the visited set.
+// step → that step's inputs' producers, to fixpoint. A popped step pushes
+// each input's producer the first time it is seen; the step bitset is the
+// visited set.
 func indexedProvenanceClosure(ix *run.Index, d string) *Closure {
 	root, _ := ix.DataID(d)
 	stepBits := bitset.New(ix.NumSteps())
-	dataBits := bitset.New(ix.NumData())
-	dataBits.Add(root)
 	stack := make([]int32, 0, 64)
 	if p := ix.Producer(root); p >= 0 {
 		stepBits.Add(p)
@@ -37,24 +36,21 @@ func indexedProvenanceClosure(ix *run.Index, d string) *Closure {
 		s := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for _, in := range ix.InputsOf(s) {
-			dataBits.Add(in)
 			if p := ix.Producer(in); p >= 0 && !stepBits.Has(p) {
 				stepBits.Add(p)
 				stack = append(stack, p)
 			}
 		}
 	}
-	return &Closure{Root: d, ix: ix, stepBits: stepBits, dataBits: dataBits}
+	return &Closure{Root: d, ix: ix, root: root, stepBits: stepBits}
 }
 
 // indexedDerivationClosure is the forward traversal: data → consuming
-// steps → their outputs, to fixpoint. A popped step marks each of its
-// outputs and pushes the output's unseen consumers.
+// steps → their outputs' consumers, to fixpoint. A popped step pushes each
+// output's unseen consumers.
 func indexedDerivationClosure(ix *run.Index, d string) *Closure {
 	root, _ := ix.DataID(d)
 	stepBits := bitset.New(ix.NumSteps())
-	dataBits := bitset.New(ix.NumData())
-	dataBits.Add(root)
 	stack := make([]int32, 0, 64)
 	for _, s := range ix.ConsumersOf(root) {
 		stepBits.Add(s)
@@ -64,7 +60,6 @@ func indexedDerivationClosure(ix *run.Index, d string) *Closure {
 		s := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for _, out := range ix.OutputsOf(s) {
-			dataBits.Add(out)
 			for _, c := range ix.ConsumersOf(out) {
 				if !stepBits.Has(c) {
 					stepBits.Add(c)
@@ -73,20 +68,22 @@ func indexedDerivationClosure(ix *run.Index, d string) *Closure {
 			}
 		}
 	}
-	return &Closure{Root: d, ix: ix, stepBits: stepBits, dataBits: dataBits}
+	return &Closure{Root: d, ix: ix, root: root, forward: true, stepBits: stepBits}
 }
 
 // IndexStats aggregates the per-run index footprints: how many ids were
 // interned, what the flat CSR adjacency costs (offsets, targets and the
-// producer column, at 4 bytes per int32), and how many 64-bit words a
-// closure bitset pair needs across all loaded runs. IndexedRuns counts the
-// resident runs (unmaterialized v3 runs have no index in memory yet).
+// producer column, at 4 bytes per int32), how many 64-bit words one
+// closure's step set needs, and what the JSON token tables built so far
+// hold, across all loaded runs. IndexedRuns counts the resident runs
+// (unmaterialized v3 runs have no index in memory yet).
 type IndexStats struct {
 	IndexedRuns   int
 	InternedSteps int
 	InternedData  int
 	CSRBytes      int
 	ClosureWords  int
+	TokenBytes    int
 }
 
 // indexStatsLocked aggregates index stats; callers hold w.mu.
@@ -102,6 +99,7 @@ func (w *Warehouse) indexStatsLocked() IndexStats {
 		st.InternedData += is.Data
 		st.CSRBytes += is.CSRBytes
 		st.ClosureWords += is.ClosureWords
+		st.TokenBytes += rt.run.Index().TokenBytes()
 	}
 	return st
 }

@@ -3,6 +3,7 @@ package warehouse
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -99,9 +100,10 @@ func dataSet(c *Closure) map[string]bool {
 	return data
 }
 
-// testClosure builds a closure with exactly the given members, over the
-// index of a tiny real run that has those steps and data objects — what the
-// cache tests hand the cache in place of a computed closure.
+// testClosure builds a closure with exactly the given steps, over the index
+// of a tiny real run that has those steps and data objects, the data read by
+// the last step — what the cache tests hand the cache in place of a computed
+// closure.
 func testClosure(root string, steps, data []string) *Closure {
 	b := run.NewBuilder("test-closure", "test-closure")
 	to := spec.Output
@@ -119,14 +121,11 @@ func testClosure(root string, steps, data []string) *Closure {
 		panic(err)
 	}
 	ix := r.Index()
-	c := &Closure{Root: root, ix: ix, stepBits: bitset.New(ix.NumSteps()), dataBits: bitset.New(ix.NumData())}
+	rootID, _ := ix.DataID(root)
+	c := &Closure{Root: root, ix: ix, root: rootID, stepBits: bitset.New(ix.NumSteps())}
 	for _, s := range steps {
 		id, _ := ix.StepID(s)
 		c.stepBits.Add(id)
-	}
-	for _, d := range data {
-		id, _ := ix.DataID(d)
-		c.dataBits.Add(id)
 	}
 	return c
 }
@@ -207,10 +206,91 @@ func TestIndexedClosureMatchesOracle(t *testing.T) {
 	}
 }
 
+// markingClosure is the traversal a Closure was computed by while it kept a
+// data set: it marks each popped step's inputs (backward) or outputs
+// (forward) in passing. It is the oracle of the data a Closure derives from
+// its steps.
+func markingClosure(ix *run.Index, root int32, forward bool) (stepBits, dataBits bitset.Set) {
+	stepBits, dataBits = bitset.New(ix.NumSteps()), bitset.New(ix.NumData())
+	dataBits.Add(root)
+	var stack []int32
+	push := func(s int32) {
+		if s >= 0 && !stepBits.Has(s) {
+			stepBits.Add(s)
+			stack = append(stack, s)
+		}
+	}
+	if forward {
+		for _, s := range ix.ConsumersOf(root) {
+			push(s)
+		}
+	} else {
+		push(ix.Producer(root))
+	}
+	for len(stack) > 0 {
+		s := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if forward {
+			for _, out := range ix.OutputsOf(s) {
+				dataBits.Add(out)
+				for _, c := range ix.ConsumersOf(out) {
+					push(c)
+				}
+			}
+			continue
+		}
+		for _, in := range ix.InputsOf(s) {
+			dataBits.Add(in)
+			push(ix.Producer(in))
+		}
+	}
+	return stepBits, dataBits
+}
+
+// TestDerivedDataMatchesMarking: a closure's data membership, derived from
+// its steps, is the marking traversal's data set for every data id, in both
+// directions, over Figure 2 (every root) and every class's large run (every
+// 5th root): HasDataID per id, and the set Bits spells out.
+func TestDerivedDataMatchesMarking(t *testing.T) {
+	runs := []*run.Run{run.Figure2()}
+	for _, class := range gen.Classes() {
+		_, r := generatedWarehouse(t, class, gen.Large())
+		runs = append(runs, r)
+	}
+	for _, r := range runs {
+		ix := r.Index()
+		for root := int32(0); root < int32(ix.NumData()); root++ {
+			if r.ID() != "fig2" && root%5 != 0 {
+				continue
+			}
+			for _, forward := range []bool{false, true} {
+				c := indexedProvenanceClosure(ix, ix.DataName(root))
+				if forward {
+					c = indexedDerivationClosure(ix, ix.DataName(root))
+				}
+				wantSteps, wantData := markingClosure(ix, root, forward)
+				_, steps, data := c.Bits()
+				if !slices.Equal(steps, wantSteps) || !slices.Equal(data, wantData) {
+					t.Fatalf("%s root %s forward=%v: Bits differ from the marking traversal", r.ID(), ix.DataName(root), forward)
+				}
+				if c.NumData() != wantData.Count() {
+					t.Fatalf("%s root %s forward=%v: NumData = %d, marking has %d", r.ID(), ix.DataName(root), forward, c.NumData(), wantData.Count())
+				}
+				for d := int32(0); d < int32(ix.NumData()); d++ {
+					if c.HasDataID(d) != wantData.Has(d) {
+						t.Fatalf("%s root %s forward=%v: HasDataID(%s) = %v, marking says %v",
+							r.ID(), ix.DataName(root), forward, ix.DataName(d), c.HasDataID(d), wantData.Has(d))
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestColdClosureAllocs pins what a cold closure of a Class4-large run may
-// allocate: the two bitsets and the Closure. A worklist of data ids outgrows
+// allocate: its step bitset and the Closure. A worklist of data ids outgrows
 // its buffer on such a run (ten regrowths, ~100 KB of garbage per query); the
-// step worklist must not.
+// step worklist must not, and no data bitset is kept.
 func TestColdClosureAllocs(t *testing.T) {
 	_, r := generatedWarehouse(t, gen.Class4(), gen.Large())
 	ix := r.Index()
@@ -223,8 +303,12 @@ func TestColdClosureAllocs(t *testing.T) {
 		if n := closure().Size(); n < 1000 {
 			t.Fatalf("%s closure has %d members: not a deep run", name, n)
 		}
-		if allocs := testing.AllocsPerRun(20, func() { closure() }); allocs > 4 {
-			t.Errorf("cold %s closure: %.0f allocations, want <= 4", name, allocs)
+		if allocs := testing.AllocsPerRun(20, func() { closure() }); allocs > 2 {
+			t.Errorf("cold %s closure: %.0f allocations, want <= 2", name, allocs)
+		}
+		c := closure()
+		if allocs := testing.AllocsPerRun(20, func() { c.Size() }); allocs != 0 {
+			t.Errorf("%s closure's Size: %.0f allocations, want 0", name, allocs)
 		}
 	}
 }
@@ -318,9 +402,9 @@ func TestIndexStatsSurface(t *testing.T) {
 	if st.Index.CSRBytes <= 0 || st.Index.CSRBytes%4 != 0 {
 		t.Fatalf("CSR footprint: %+v", st.Index)
 	}
-	// One word for Figure 2's 10 steps, four for its 246 data objects.
-	if st.Index.ClosureWords != 1+4 {
-		t.Fatalf("ClosureWords = %d, want 5", st.Index.ClosureWords)
+	// One word for Figure 2's 10 steps: a closure keeps no data set.
+	if st.Index.ClosureWords != 1 {
+		t.Fatalf("ClosureWords = %d, want 1", st.Index.ClosureWords)
 	}
 	for _, want := range []string{"index[runs=1", "csr=", "closure="} {
 		if !contains(st.String(), want) {

@@ -26,8 +26,10 @@ type Stats struct {
 	// warehouses and v1 loads).
 	Snapshot SnapshotStats
 	// Index summarizes the compact run indexes (interned ids, CSR bytes,
-	// closure bitset words) across all loaded runs.
+	// closure bitset words, token bytes) across all loaded runs.
 	Index IndexStats
+	// Closures is what the closure cache holds (Closure.Bytes).
+	Closures MemoStats
 	// Metrics is a snapshot of the attached observability registry (nil
 	// unless AttachMetrics was called): query-stage latency histograms,
 	// ingest throughput, and cache lifecycle counters.
@@ -68,6 +70,13 @@ type CacheCounters struct {
 	Invalidations int64
 	// Drops counts entries removed because their run was dropped.
 	Drops int64
+}
+
+// MemoStats counts the entries of a memo of derived state and the bytes
+// their values hold. The memo's own bookkeeping per entry (key, map slot,
+// list element: about 150 bytes) is not counted.
+type MemoStats struct {
+	Entries, Bytes int
 }
 
 // SnapshotStats describes a warehouse's snapshot provenance: the on-disk
@@ -125,6 +134,7 @@ func (w *Warehouse) Stats() Stats {
 	st.Cache = w.cache.counters()
 	st.CacheHits, st.CacheMisses = st.Cache.Hits, st.Cache.Misses
 	st.Index = w.indexStatsLocked()
+	st.Closures.Entries, st.Closures.Bytes = w.cache.held()
 	if reg := w.Metrics(); reg != nil {
 		snap := reg.Snapshot()
 		st.Metrics = &snap
@@ -164,9 +174,9 @@ func (w *Warehouse) RunCatalog() []RunInfo {
 
 // String renders the statistics on one line.
 func (s Stats) String() string {
-	return fmt.Sprintf("specs=%d views=%d runs=%d steps=%d flows=%d data=%d cache=%d/%d index[runs=%d steps=%d data=%d csr=%dB closure=%dw]",
+	return fmt.Sprintf("specs=%d views=%d runs=%d steps=%d flows=%d data=%d cache=%d/%d index[runs=%d steps=%d data=%d csr=%dB closure=%dw tokens=%dB]",
 		s.Specs, s.Views, s.Runs, s.Steps, s.FlowEdges, s.DataObjects, s.CacheHits, s.CacheMisses,
-		s.Index.IndexedRuns, s.Index.InternedSteps, s.Index.InternedData, s.Index.CSRBytes, s.Index.ClosureWords)
+		s.Index.IndexedRuns, s.Index.InternedSteps, s.Index.InternedData, s.Index.CSRBytes, s.Index.ClosureWords, s.Index.TokenBytes)
 }
 
 // DropRun removes a run and its cached closures. Dropping an unknown run

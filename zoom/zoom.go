@@ -422,8 +422,9 @@ func QueryForms() []string { return query.Forms() }
 // singleflight shared-wait and eviction counts.
 func (s *System) CacheCounters() CacheCounters { return s.w.CacheCounters() }
 
-// Stats summarizes the warehouse contents (catalog row counts).
-func (s *System) Stats() warehouse.Stats { return s.w.Stats() }
+// Stats summarizes the warehouse contents (catalog row counts) and what its
+// memos of derived state hold.
+func (s *System) Stats() provenance.Stats { return s.e.Stats() }
 
 // NewMetrics returns an empty observability registry.
 func NewMetrics() *Metrics { return obs.NewRegistry() }
