@@ -201,7 +201,7 @@ func cmdRouter(args []string) error {
 	workers := fs.String("workers", "", "worker base URLs in shard order (required; order must match `zoom snapshot shard`). Semicolons separate shards, commas separate replicas within a shard: 'a,b;c,d' is two shards with two replicas each; without a semicolon commas separate single-replica shards")
 	healthInterval := fs.Duration("health-interval", 2*time.Second, "worker /readyz polling period")
 	hedge := fs.Duration("hedge", 0, "hedge run-addressed requests on the next replica after this delay (0 = off; pick a p99-ish value)")
-	cacheEntries := fs.Int("cache", 4096, "response cache entries (0 disables; invalidated when a shard's worker generation changes); an answer is kept only if it and its request fit cache-bytes/cache, 16KiB at the defaults, and answers not yet asked twice hold at most a fifth of the entries")
+	cacheEntries := fs.Int("cache", 4096, "response cache entries (0 disables; invalidated when a shard's worker generation changes); an answer is kept only if it and its request fit cache-bytes/cache, 16KiB at the defaults; answers not yet asked twice hold at most a fifth of the entries and, in bytes, a fifth of the entries at the mean size of the answers asked again (at least one share): past that only their keys are kept, and a key asked again admits its answer")
 	cacheBytes := fs.Int64("cache-bytes", 0, "response cache total byte bound (0 = 64MiB default); each entry gets at most its fair share, cache-bytes/cache")
 	slow := fs.Duration("slow", 10*time.Millisecond, "router slowlog threshold at /debug/slowlog (negative logs every request)")
 	drain := fs.Duration("drain", 5*time.Second, "graceful-shutdown drain timeout")

@@ -63,7 +63,7 @@ func TestWorkerHeap(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, sh := range shapes {
-		held, runs := workerHeap(t, sh, ring)
+		held, counted, runs := workerHeap(t, sh, ring)
 		t.Logf("%s worker (%d of the corpus's %d runs, generator seed %d):", sh.name, runs, sh.runs(), sh.seed)
 		for i, row := range heapRows {
 			if sh.ceiling[i] == 0 {
@@ -73,6 +73,13 @@ func TestWorkerHeap(t *testing.T) {
 			if held[i] > sh.ceiling[i] {
 				t.Errorf("%s: %s hold %.2f MB, ceiling %.2f", sh.name, row, held[i], sh.ceiling[i])
 			}
+		}
+		// What the closure cache says it holds is what it holds, within
+		// 15%: a byte bound on the cache would go by that figure.
+		closures := held[len(held)-1]
+		t.Logf("  %-24s %5.2f MB  (Stats().Closures.Bytes, within 15%% of %.2f)", "closure cache, counted", counted, closures)
+		if counted < closures*0.85 || counted > closures*1.15 {
+			t.Errorf("%s: the closure cache counts %.3f MB and holds %.3f MB; want within 15%%", sh.name, counted, closures)
 		}
 	}
 }
@@ -86,8 +93,9 @@ func (sh heapShape) runs() int {
 }
 
 // workerHeap builds the shape's corpus as the benchmark generates it, keeps
-// the runs the ring places on shard 0, and measures each structure.
-func workerHeap(t *testing.T, sh heapShape, ring *cluster.Ring) (held [5]float64, runs int) {
+// the runs the ring places on shard 0, and measures each structure. counted
+// is what the full closure cache reports it holds, in MB.
+func workerHeap(t *testing.T, sh heapShape, ring *cluster.Ring) (held [5]float64, counted float64, runs int) {
 	t.Helper()
 	g := gen.NewGenerator(sh.seed)
 	src := warehouse.New(0)
@@ -198,9 +206,11 @@ func workerHeap(t *testing.T, sh heapShape, ring *cluster.Ring) (held [5]float64
 					}
 				}
 			}
-			if n := w.Stats().Closures.Entries; n != 1024 {
-				t.Fatalf("closure cache holds %d entries, want 1024", n)
+			st := w.Stats().Closures
+			if st.Entries != 1024 {
+				t.Fatalf("closure cache holds %d entries, want 1024", st.Entries)
 			}
+			counted = float64(st.Bytes) / 1e6
 		},
 	}
 	before := live()
@@ -212,7 +222,7 @@ func workerHeap(t *testing.T, sh heapShape, ring *cluster.Ring) (held [5]float64
 	}
 	runtime.KeepAlive(rs)
 	runtime.KeepAlive(mappings)
-	return held, len(mine)
+	return held, counted, len(mine)
 }
 
 // heapRun is one run of a worker's shard: its id, the views the tape asks

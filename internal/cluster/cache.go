@@ -17,6 +17,11 @@ const DefaultCacheBytes = 64 << 20
 // body is replayed as stored: an answer names no trace and carries no timing
 // (the trace id travels in the X-Zoom-Trace-Id header), so a hit and a
 // freshly forwarded answer are the same bytes.
+//
+// An entry that holds only its key and epoch (path, request and answer
+// dropped) remembers that its request was asked once; it never hits. Once
+// an entry is in the map only its links and hit change, so a caller may
+// read a hit's body after the lock is released.
 type cacheEntry struct {
 	key         uint64
 	path        string
@@ -32,24 +37,32 @@ type cacheEntry struct {
 	hit        bool
 }
 
+// size is what the entry holds: request plus answer bytes, 0 for a key.
 func (e *cacheEntry) size() int64 { return int64(len(e.reqBody) + len(e.body)) }
+
+// keyOnly reports an entry without path, request or answer.
+func (e *cacheEntry) keyOnly() bool { return e.path == "" }
 
 // segment is one LRU list of the cache: a circular list through a sentinel
 // whose next is the most recently used entry and whose prev the least.
+// bytes tallies its entries' sizes.
 type segment struct {
 	root   cacheEntry
 	n, max int
+	bytes  int64
 }
 
 func (s *segment) pushFront(e *cacheEntry) {
 	e.prev, e.next, e.seg = &s.root, s.root.next, s
 	e.prev.next, e.next.prev = e, e
 	s.n++
+	s.bytes += e.size()
 }
 
 func (s *segment) unlink(e *cacheEntry) {
 	e.prev.next, e.next.prev = e.next, e.prev
 	s.n--
+	s.bytes -= e.size()
 }
 
 // respCache is a bounded segmented LRU over full (path, request body) keys.
@@ -70,12 +83,20 @@ func (s *segment) unlink(e *cacheEntry) {
 // An admitted entry enters probation; its first hit promotes it to
 // protected. Protected's tail goes back to the front of probation, and only
 // probation's tail is evicted, so answers nobody asks twice hold at most a
-// fifth of the cache and the answers asked again keep the rest.
+// fifth of the cache's entries and the answers asked again keep the rest.
+//
+// Probation's answers are also bounded in bytes, by what the answers asked
+// again are worth: a full probation of answers the mean size of protected's,
+// and at least one share (budget). An answer past that budget leaves only
+// its key in probation, and an answer whose key is found there under the
+// same epoch has been asked twice and enters protected. So where nothing is
+// asked again, probation holds keys instead of answers, and where answers
+// repeat, one about their size still hits on its second ask.
 type respCache struct {
 	mu         sync.Mutex
 	share      int64
-	probation  segment // new entries, at most a fifth of them
-	protected  segment // entries hit since they were stored
+	probation  segment // new entries and keys, at most a fifth of them
+	protected  segment // entries hit, or asked twice, since they were stored
 	entries    map[uint64]*cacheEntry
 	promotions *obs.Counter // first hits; nil counts nothing
 }
@@ -93,6 +114,18 @@ func newRespCache(maxEntries int, maxBytes int64) *respCache {
 	return c
 }
 
+// budget bounds the bytes of probation's answers; callers hold c.mu.
+func (c *respCache) budget() int64 {
+	if c.protected.n == 0 {
+		return c.share
+	}
+	return max(c.share, int64(c.probation.max)*c.protected.bytes/int64(c.protected.n))
+}
+
+// fits reports whether probation's answers may take n more bytes; callers
+// hold c.mu.
+func (c *respCache) fits(n int64) bool { return c.probation.bytes+n <= c.budget() }
+
 // cacheKey hashes the body once and folds the path in with FNV-1a steps.
 // Any mixing will do: a hit is confirmed on the stored (path, reqBody).
 func cacheKey(path string, reqBody []byte) uint64 {
@@ -105,13 +138,14 @@ func cacheKey(path string, reqBody []byte) uint64 {
 
 // lookup returns the fresh entry for (path, reqBody), or nil. stale
 // reports that an entry existed but was dropped because the shard's
-// epoch moved past it — the caller counts that as an invalidation.
+// epoch moved past it — the caller counts that as an invalidation. A key
+// without its answer is a miss, neither hit nor stale.
 func (c *respCache) lookup(path string, reqBody []byte, epoch uint64) (e *cacheEntry, stale bool) {
 	key := cacheKey(path, reqBody)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	ent, ok := c.entries[key]
-	if !ok {
+	if !ok || ent.keyOnly() {
 		return nil, false
 	}
 	if ent.path != path || !bytes.Equal(ent.reqBody, reqBody) {
@@ -129,36 +163,62 @@ func (c *respCache) lookup(path string, reqBody []byte, epoch uint64) (e *cacheE
 	ent.seg.unlink(ent)
 	c.protected.pushFront(ent)
 	if c.protected.n > c.protected.max {
-		demoted := c.protected.root.prev
-		c.protected.unlink(demoted)
-		c.probation.pushFront(demoted)
+		c.demote()
 	}
 	return ent, false
 }
 
-// store admits ent if it fits its fair share and reports whether it did.
-// ent.body may be a buffer the caller reuses: an admitted entry keeps a
-// copy of it and inserts (or replaces) that copy at the front of probation,
-// evicting probation's tail past its bound. ent.reqBody is kept as given.
+// store offers an answer and reports whether it kept it. ent.body may be a
+// buffer the caller reuses: an entry that keeps the answer keeps a copy of
+// it, and ent.reqBody as given. An answer over its share is declined, and
+// nothing is kept. One whose key waits in probation under the same epoch
+// has been asked twice and enters protected; one within probation's budget
+// enters probation; any other leaves only its key and epoch at probation's
+// front. Probation's tail goes past its bound.
 func (c *respCache) store(ent cacheEntry) bool {
 	if ent.size() > c.share {
 		return false
 	}
-	e := new(cacheEntry)
-	*e = ent
-	e.body = bytes.Clone(ent.body)
-	e.key = cacheKey(e.path, e.reqBody)
+	key := cacheKey(ent.path, ent.reqBody)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if old, ok := c.entries[e.key]; ok {
+	old, seen := c.entries[key]
+	if seen {
 		c.remove(old)
 	}
-	c.entries[e.key] = e
-	c.probation.pushFront(e)
-	if c.probation.n > c.probation.max {
+	askedTwice := seen && old.keyOnly() && old.epoch == ent.epoch
+	if !askedTwice && c.probation.n >= c.probation.max {
 		c.remove(c.probation.root.prev)
 	}
-	return true
+	e := &cacheEntry{key: key, epoch: ent.epoch}
+	kept := askedTwice || c.fits(ent.size())
+	if kept {
+		e.path, e.reqBody, e.contentType, e.body = ent.path, ent.reqBody, ent.contentType, bytes.Clone(ent.body)
+	}
+	c.entries[key] = e
+	if askedTwice {
+		c.protected.pushFront(e)
+		if c.protected.n > c.protected.max {
+			c.demote()
+		}
+	} else {
+		c.probation.pushFront(e)
+	}
+	return kept
+}
+
+// demote moves protected's tail to the front of probation: with its answer
+// while probation's budget allows, and as a new key-only entry otherwise,
+// so that a caller still reading the demoted answer reads it whole.
+// Callers hold c.mu.
+func (c *respCache) demote() {
+	d := c.protected.root.prev
+	c.protected.unlink(d)
+	if !c.fits(d.size()) {
+		d = &cacheEntry{key: d.key, epoch: d.epoch}
+		c.entries[d.key] = d
+	}
+	c.probation.pushFront(d)
 }
 
 // remove unlinks an entry and forgets its key; callers hold c.mu.
@@ -167,10 +227,17 @@ func (c *respCache) remove(e *cacheEntry) {
 	delete(c.entries, e.key)
 }
 
-// Len reports the live entry count of both segments (tests and /v1/shards
-// introspection).
+// Len reports the live entry count of both segments, keys included (tests
+// and /v1/shards introspection).
 func (c *respCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.probation.n + c.protected.n
+}
+
+// Bytes reports what both segments' answers hold, request bytes included.
+func (c *respCache) Bytes() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.probation.bytes + c.protected.bytes
 }

@@ -155,20 +155,84 @@ func TestRespCacheScanResistance(t *testing.T) {
 	}
 }
 
+// TestRespCacheOneTimeAnswers stores 5,000 distinct ~10 KB answers through
+// `zoom router`'s default cache (4,096 entries, a 16 KiB share), none asked
+// again, as view-switch asks them. With nothing asked twice there is no
+// mean to go by, so probation's answers never hold more than one share; the
+// rest of probation is keys. Asking one of those keys again misses and
+// admits its answer, and asking it a third time hits.
+func TestRespCacheOneTimeAnswers(t *testing.T) {
+	c := newRespCache(4096, DefaultCacheBytes)
+	answer := bytes.Repeat([]byte("a"), 10<<10)
+	req := func(i int) []byte { return []byte(fmt.Sprintf(`{"run":"r","data":"d%d","view":"v"}`, i)) }
+	for i := 0; i < 5000; i++ {
+		c.store(cacheEntry{path: "/v1/query", reqBody: req(i), body: answer})
+		if c.probation.bytes > c.share {
+			t.Fatalf("after %d one-time answers probation holds %d answer bytes, more than one share (%d)", i+1, c.probation.bytes, c.share)
+		}
+	}
+	if n := c.Len(); n != c.probation.max {
+		t.Fatalf("%d entries after the sweep, want a full probation of %d", n, c.probation.max)
+	}
+	k := req(4990)
+	if ent := c.entries[cacheKey("/v1/query", k)]; ent == nil || !ent.keyOnly() {
+		t.Fatal("the sweep's tenth newest request is not waiting in probation as a key")
+	}
+	if e, stale := c.lookup("/v1/query", k, 0); e != nil || stale {
+		t.Fatalf("second ask of a key: hit %v, stale %v; want a plain miss", e != nil, stale)
+	}
+	if !c.store(cacheEntry{path: "/v1/query", reqBody: k, body: answer}) || c.protected.n != 1 {
+		t.Fatalf("second ask's answer: protected holds %d entries, want it admitted there", c.protected.n)
+	}
+	if e, _ := c.lookup("/v1/query", k, 0); e == nil || !bytes.Equal(e.body, answer) {
+		t.Fatal("third ask missed")
+	}
+}
+
 // refSLRU is the segmented LRU spelled out on slices (index 0 = most
 // recently used), the reference the model test checks respCache against.
+// Probation's answers hold at most a budget of bytes: a full probation of
+// answers the mean size of protected's, at least one share. An answer past
+// it leaves only its key, and a key found again under its epoch admits its
+// answer to protected.
 type refSLRU struct {
 	probation, protected []refEntry
 	probMax, protMax     int
 	share                int
 	promotions           int
+	// How often each branch of the rule ran: answers noted as keys, keys
+	// asked twice, protected tails demoted as keys.
+	noted, twice, keyDemotions int
 }
 
 type refEntry struct {
-	key   string
-	epoch uint64
-	body  string
-	hit   bool
+	key     string
+	epoch   uint64
+	body    string
+	hit     bool
+	keyOnly bool // path, request and answer dropped
+}
+
+func (e refEntry) size() int {
+	if e.keyOnly {
+		return 0
+	}
+	return len(e.key) + len(e.body)
+}
+
+func bytesOf(seg []refEntry) int {
+	n := 0
+	for _, e := range seg {
+		n += e.size()
+	}
+	return n
+}
+
+func (r *refSLRU) budget() int {
+	if len(r.protected) == 0 {
+		return r.share
+	}
+	return max(r.share, r.probMax*bytesOf(r.protected)/len(r.protected))
 }
 
 func (r *refSLRU) find(key string) (seg *[]refEntry, i int) {
@@ -190,7 +254,7 @@ func take(seg *[]refEntry, i int) refEntry {
 
 func (r *refSLRU) lookup(key string, epoch uint64) (body string, hit, stale bool) {
 	seg, i := r.find(key)
-	if seg == nil {
+	if seg == nil || (*seg)[i].keyOnly {
 		return "", false, false
 	}
 	e := take(seg, i)
@@ -202,76 +266,130 @@ func (r *refSLRU) lookup(key string, epoch uint64) (body string, hit, stale bool
 		r.promotions++
 	}
 	r.protected = append([]refEntry{e}, r.protected...)
-	if len(r.protected) > r.protMax {
-		demoted := take(&r.protected, len(r.protected)-1)
-		r.probation = append([]refEntry{demoted}, r.probation...)
-	}
+	r.demote()
 	return e.body, true, false
 }
 
-func (r *refSLRU) store(key string, epoch uint64, body string) bool {
-	if len(key)+len(body) > r.share {
-		return false
+// demote moves protected's tail past its bound to probation's front, as a
+// key only when its answer does not fit probation's budget.
+func (r *refSLRU) demote() {
+	if len(r.protected) <= r.protMax {
+		return
 	}
-	if seg, i := r.find(key); seg != nil {
-		take(seg, i)
+	d := take(&r.protected, len(r.protected)-1)
+	if bytesOf(r.probation)+d.size() > r.budget() {
+		d = refEntry{key: d.key, epoch: d.epoch, keyOnly: true}
+		r.keyDemotions++
 	}
-	r.probation = append([]refEntry{{key: key, epoch: epoch, body: body}}, r.probation...)
-	if len(r.probation) > r.probMax {
-		take(&r.probation, len(r.probation)-1)
-	}
-	return true
+	r.probation = append([]refEntry{d}, r.probation...)
 }
 
-// segmentKeys lists a segment's request bodies from most to least recently
-// used, checking the links both ways and the count on the way.
+func (r *refSLRU) store(key string, epoch uint64, body string) bool {
+	e := refEntry{key: key, epoch: epoch, body: body}
+	if e.size() > r.share {
+		return false
+	}
+	askedTwice := false
+	if seg, i := r.find(key); seg != nil {
+		old := take(seg, i)
+		askedTwice = old.keyOnly && old.epoch == epoch
+	}
+	if askedTwice {
+		r.twice++
+		r.protected = append([]refEntry{e}, r.protected...)
+		r.demote()
+		return true
+	}
+	if len(r.probation) >= r.probMax {
+		take(&r.probation, len(r.probation)-1)
+	}
+	if bytesOf(r.probation)+e.size() > r.budget() {
+		e = refEntry{key: key, epoch: epoch, keyOnly: true}
+		r.noted++
+	}
+	r.probation = append([]refEntry{e}, r.probation...)
+	return !e.keyOnly
+}
+
+// segmentKeys lists a segment's entries from most to least recently used,
+// each as its request body, or as #<key>@<epoch> when it holds its key only,
+// checking the links both ways, the count and the byte tally on the way.
 func segmentKeys(t *testing.T, s *segment) []string {
 	t.Helper()
 	var keys []string
+	held := int64(0)
 	for e := s.root.next; e != &s.root; e = e.next {
 		if e.next.prev != e || e.seg != s {
 			t.Fatalf("segment links broken at %q", e.reqBody)
 		}
-		keys = append(keys, string(e.reqBody))
+		if e.keyOnly() {
+			if e.reqBody != nil || e.body != nil {
+				t.Fatalf("key-only entry %x holds %d request and %d answer bytes", e.key, len(e.reqBody), len(e.body))
+			}
+			keys = append(keys, fmt.Sprintf("#%x@%d", e.key, e.epoch))
+		} else {
+			keys = append(keys, string(e.reqBody))
+		}
+		held += e.size()
 	}
-	if len(keys) != s.n {
-		t.Fatalf("segment counts %d entries, links hold %d", s.n, len(keys))
+	if len(keys) != s.n || held != s.bytes {
+		t.Fatalf("segment counts %d entries and %d bytes, links hold %d and %d", s.n, s.bytes, len(keys), held)
 	}
 	return keys
 }
 
 // TestRespCacheModel drives respCache and refSLRU with the same random
 // stores, lookups and epoch moves, for several sizes, and checks every
-// answer, both segments' order and the promotion count after each step.
+// store's and lookup's result, both segments' order, which of their entries
+// hold only a key (and its epoch), their byte tallies and the promotion
+// count after each step. From 10 entries up, where probation holds more
+// than one entry and its budget can bind, every branch of the rule must
+// have run.
 func TestRespCacheModel(t *testing.T) {
-	for _, entries := range []int{1, 2, 5, 7, 16} {
+	for _, entries := range []int{1, 2, 5, 7, 10, 16, 23} {
 		rng := rand.New(rand.NewSource(int64(entries)))
-		const share = 24
+		const share = 48
 		c := newRespCache(entries, int64(share*entries))
 		c.promotions = new(obs.Counter)
 		probMax := max(1, entries/5)
 		ref := &refSLRU{probMax: probMax, protMax: entries - probMax, share: share}
 		epoch := uint64(0)
-		for step := 0; step < 5000; step++ {
-			key := fmt.Sprintf("k%d", rng.Intn(3*entries+2))
+		store := func(step int, key string) {
+			// Answers small or large, so that a mean-size budget binds.
+			pad := rng.Intn(4)
+			if rng.Intn(2) == 0 {
+				pad += 30 + rng.Intn(10)
+			}
+			body := fmt.Sprintf("b%d-%s", step, bytes.Repeat([]byte("x"), pad))
+			e := epoch
+			if rng.Intn(8) == 0 {
+				e-- // a store racing an epoch bump
+			}
+			got := c.store(cacheEntry{path: "/p", reqBody: []byte(key), epoch: e, body: []byte(body)})
+			if want := ref.store(key, e, body); got != want {
+				t.Fatalf("%d entries, step %d: store(%s, %d bytes) = %v, want %v", entries, step, key, len(key)+len(body), got, want)
+			}
+		}
+		lookup := func(step int, key string) bool {
+			e, stale := c.lookup("/p", []byte(key), epoch)
+			body, hit, refStale := ref.lookup(key, epoch)
+			if (e != nil) != hit || stale != refStale || (hit && string(e.body) != body) {
+				t.Fatalf("%d entries, step %d: lookup(%s) = %v/%v, want hit %v stale %v", entries, step, key, e != nil, stale, hit, refStale)
+			}
+			return hit
+		}
+		for step := 0; step < 20000; step++ {
+			key := fmt.Sprintf("k%d", rng.Intn(2*entries+2))
 			switch op := rng.Intn(10); {
-			case op < 4:
-				body := fmt.Sprintf("b%d-%s", step, bytes.Repeat([]byte("x"), rng.Intn(16)))
-				e := epoch
-				if rng.Intn(8) == 0 {
-					e-- // a store racing an epoch bump
+			case op < 6: // as the router asks: a lookup, and a store on a miss
+				if !lookup(step, key) {
+					store(step, key)
 				}
-				got := c.store(cacheEntry{path: "/p", reqBody: []byte(key), epoch: e, body: []byte(body)})
-				if want := ref.store(key, e, body); got != want {
-					t.Fatalf("%d entries, step %d: store(%s, %d bytes) = %v, want %v", entries, step, key, len(key)+len(body), got, want)
-				}
+			case op < 7:
+				store(step, key)
 			case op < 9:
-				e, stale := c.lookup("/p", []byte(key), epoch)
-				body, hit, refStale := ref.lookup(key, epoch)
-				if (e != nil) != hit || stale != refStale || (hit && string(e.body) != body) {
-					t.Fatalf("%d entries, step %d: lookup(%s) = %v/%v, want hit %v stale %v", entries, step, key, e != nil, stale, hit, refStale)
-				}
-			default:
+				lookup(step, key)
+			case rng.Intn(20) == 0: // rare enough for both segments to fill
 				epoch++
 			}
 			for _, seg := range []struct {
@@ -283,7 +401,11 @@ func TestRespCacheModel(t *testing.T) {
 					t.Fatalf("%d entries, step %d: segment %v, want %v", entries, step, keys, seg.want)
 				}
 				for i, k := range keys {
-					if k != seg.want[i].key {
+					want := seg.want[i].key
+					if seg.want[i].keyOnly {
+						want = fmt.Sprintf("#%x@%d", cacheKey("/p", []byte(want)), seg.want[i].epoch)
+					}
+					if k != want {
 						t.Fatalf("%d entries, step %d: segment %v, want %v", entries, step, keys, seg.want)
 					}
 				}
@@ -292,6 +414,10 @@ func TestRespCacheModel(t *testing.T) {
 				t.Fatalf("%d entries, step %d: len %d, map %d, promotions %d (want %d)",
 					entries, step, c.Len(), len(c.entries), c.promotions.Value(), ref.promotions)
 			}
+		}
+		t.Logf("%d entries: %d answers noted as keys, %d keys asked twice, %d tails demoted as keys", entries, ref.noted, ref.twice, ref.keyDemotions)
+		if entries >= 10 && (ref.noted == 0 || ref.twice == 0 || ref.keyDemotions == 0) {
+			t.Errorf("%d entries: a branch of the rule never ran", entries)
 		}
 	}
 }

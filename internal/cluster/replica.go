@@ -182,6 +182,7 @@ type shard struct {
 	cacheHits     *obs.Counter
 	cacheMisses   *obs.Counter
 	cacheDeclined *obs.Counter
+	cacheNoted    *obs.Counter
 	failovers     *obs.Counter
 	hedges        *obs.Counter
 	hedgeWins     *obs.Counter

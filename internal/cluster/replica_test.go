@@ -598,6 +598,53 @@ func TestRouterCacheAdmission(t *testing.T) {
 	}
 }
 
+// TestRouterOneTimeAnswersHeap sends 4,000 distinct ~10 KB answers through
+// Handler(), none asked twice, to a router with `zoom router`'s default
+// cache. Each is within its fair share, so the cache sees them all, but
+// only one share of them may stay as answers: live heap after GC grows by
+// less than 1 MB, where keeping a full probation of them would hold 8 MB.
+// The rest are noted as keys, counted in router.cache_noted and per shard.
+func TestRouterOneTimeAnswersHeap(t *testing.T) {
+	const n = 4000
+	worker, queries := padWorker(t, func(int) int { return 10 << 10 })
+	rt, err := New(obs.NewRegistry(), Config{Shards: [][]string{{worker.URL}}, CacheEntries: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := rt.Handler()
+	ask := func(i int) {
+		req := httptest.NewRequest(http.MethodPost, "/v1/query", strings.NewReader(fmt.Sprintf(`{"run":"r","data":"d%d"}`, i)))
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK || rec.Body.Len() != len(padAnswer(i, 10<<10)) {
+			t.Fatalf("d%d: status %d, %d bytes", i, rec.Code, rec.Body.Len())
+		}
+	}
+	live := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	for i := 0; i < 100; i++ { // warm the connection pool, buffers and maps
+		ask(n + i)
+	}
+	before := live()
+	for i := 0; i < n; i++ {
+		ask(i)
+	}
+	grew := int64(live()) - int64(before)
+	t.Logf("%d one-time answers: live heap %+d bytes, cache holds %d entries and %d bytes", n, grew, rt.cache.Len(), rt.cache.Bytes())
+	if grew >= 1<<20 {
+		t.Fatalf("%d one-time answers grew the live heap by %d bytes, want under 1 MB", n, grew)
+	}
+	if queries.Load() != n+100 || rt.cacheNoted.Value() == 0 || rt.cacheNoted.Value() != rt.shards[0].cacheNoted.Value() || rt.cache.Bytes() > rt.cache.share {
+		t.Fatalf("%d forwarded, noted %d (shard 0: %d), %d bytes held; want %d forwarded, noted in both, at most %d bytes",
+			queries.Load(), rt.cacheNoted.Value(), rt.shards[0].cacheNoted.Value(), rt.cache.Bytes(), n+100, rt.cache.share)
+	}
+}
+
 // TestConcurrentPooledRelay races relays that share the pool of read
 // buffers: 32 goroutines ask, through Handler(), for distinct answers above
 // the cache's fair share, of different lengths (one above the size the

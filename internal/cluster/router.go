@@ -137,6 +137,7 @@ type Router struct {
 	cacheHits     *obs.Counter
 	cacheMisses   *obs.Counter
 	cacheDeclined *obs.Counter
+	cacheNoted    *obs.Counter
 	cacheInvals   *obs.Counter
 	cachePromos   *obs.Counter
 	copyErrors    *obs.Counter
@@ -198,6 +199,7 @@ func New(reg *obs.Registry, cfg Config) (*Router, error) {
 		cacheHits:        reg.Counter("router.cache_hits"),
 		cacheMisses:      reg.Counter("router.cache_misses"),
 		cacheDeclined:    reg.Counter("router.cache_declined"),
+		cacheNoted:       reg.Counter("router.cache_noted"),
 		cacheInvals:      reg.Counter("router.cache_invalidations"),
 		cachePromos:      reg.Counter("router.cache_promotions"),
 		copyErrors:       reg.Counter("router.copy_errors"),
@@ -214,6 +216,7 @@ func New(reg *obs.Registry, cfg Config) (*Router, error) {
 			cacheHits:     reg.Counter(fmt.Sprintf("router.shard.%d.cache_hits", k)),
 			cacheMisses:   reg.Counter(fmt.Sprintf("router.shard.%d.cache_misses", k)),
 			cacheDeclined: reg.Counter(fmt.Sprintf("router.shard.%d.cache_declined", k)),
+			cacheNoted:    reg.Counter(fmt.Sprintf("router.shard.%d.cache_noted", k)),
 			failovers:     reg.Counter(fmt.Sprintf("router.shard.%d.failovers", k)),
 			hedges:        reg.Counter(fmt.Sprintf("router.shard.%d.hedges", k)),
 			hedgeWins:     reg.Counter(fmt.Sprintf("router.shard.%d.hedge_wins", k)),
@@ -428,12 +431,17 @@ func (rt *Router) relay(tr *obs.Trace, w http.ResponseWriter, r *http.Request, s
 	}
 	if resp.StatusCode == http.StatusOK && rt.cache != nil {
 		ent := cacheEntry{path: path, reqBody: body, epoch: epoch, contentType: ct, body: data}
-		if rt.cache.store(ent) {
+		switch {
+		case rt.cache.store(ent):
 			span.SetTag("cache", "stored")
-		} else {
+		case ent.size() > rt.cache.share:
 			span.SetTag("cache", "declined")
 			rt.cacheDeclined.Inc()
 			sh.cacheDeclined.Inc()
+		default: // probation keeps the key only
+			span.SetTag("cache", "noted")
+			rt.cacheNoted.Inc()
+			sh.cacheNoted.Inc()
 		}
 	}
 	if werr := edge.WriteBody(w, resp.StatusCode, ct, data); werr != nil {
@@ -838,6 +846,7 @@ func (rt *Router) handleShards(w http.ResponseWriter, _ *http.Request) {
 	}
 	if rt.cache != nil {
 		body["cache_entries"] = rt.cache.Len()
+		body["cache_bytes"] = rt.cache.Bytes()
 	}
 	edge.WriteJSON(w, http.StatusOK, body)
 }

@@ -113,15 +113,29 @@ func Of(n int, name func(int32) string) Table {
 }
 
 // Over is Of over the names arena[off[i]:off[i+1]], with off non-decreasing,
-// as a run lays its names out. When no name needed escaping, the arena is
-// exactly the names' bytes plus three per name, and the table drops its own
-// offsets to read entry i's start off off: off must then stay unchanged for
-// as long as the table is read.
+// as a run lays its names out. When no name needs escaping, the arena is
+// exactly the names' bytes plus three per name, and the table keeps no
+// offsets of its own: it reads entry i's start off off, which must then stay
+// unchanged for as long as the table is read. Names of plain bytes alone,
+// found in one scan, are written straight into that arena; any other byte
+// builds the table through Of, which may still find nothing escaped.
 func Over(arena string, off []uint32) Table {
 	n := len(off) - 1
-	t := Of(n, func(i int32) string { return arena[off[i]:off[i+1]] })
-	if len(t.buf) == int(off[n]-off[0])+3*n {
-		t.off, t.step, t.base = off, 3, off[0]
+	names := arena[off[0]:off[n]]
+	for i := 0; i < len(names); i++ {
+		if !plain[names[i]] {
+			t := Of(n, func(j int32) string { return arena[off[j]:off[j+1]] })
+			if len(t.buf) == len(names)+3*n {
+				t.off, t.step, t.base = off, 3, off[0]
+			}
+			return t
+		}
+	}
+	t := Table{buf: make([]byte, 0, len(names)+3*n), off: off, step: 3, base: off[0]}
+	for i := 0; i < n; i++ {
+		name := arena[off[i]:off[i+1]]
+		t.buf = append(append(append(t.buf, '"'), name...), '"', ',')
+		t.longest = max(t.longest, len(name)+2)
 	}
 	return t
 }

@@ -107,3 +107,17 @@ func TestOverMatchesOf(t *testing.T) {
 		}
 	}
 }
+
+// TestOverPlainAllocs: over names with nothing to escape, Over allocates its
+// arena and nothing else, no offsets it would then drop.
+func TestOverPlainAllocs(t *testing.T) {
+	arena := "S1S2S10d1d2d308d10"
+	off := []uint32{0, 2, 4, 7, 9, 11, 15, 18}
+	var tab Table
+	if allocs := testing.AllocsPerRun(100, func() { tab = Over(arena, off) }); allocs != 1 {
+		t.Fatalf("Over on plain names: %v allocs, want 1", allocs)
+	}
+	if tab.step == 0 || string(tab.Span(0, 6)) != `"S1","S2","S10","d1","d2","d308","d10"` {
+		t.Fatalf("Over on plain names: own offsets %v, entries %s", tab.step == 0, tab.Span(0, 6))
+	}
+}

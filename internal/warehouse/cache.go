@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"repro/internal/obs"
 	"repro/internal/run"
@@ -44,7 +45,7 @@ type closureCache struct {
 	items    map[cacheKey]*list.Element
 	order    *list.List           // front = most recently used
 	inflight map[cacheKey]*flight // the singleflight table
-	bytes    int                  // what the cached closures hold (Closure.Bytes)
+	bytes    int                  // what the cached entries hold (entryBytes)
 
 	hits          atomic.Int64
 	misses        atomic.Int64
@@ -90,6 +91,18 @@ type cacheEntry struct {
 	key cacheKey
 	c   *Closure
 }
+
+// entryOverhead is the cache's own share of an entry: the entry and its list
+// element as the allocator rounds them (to 16 bytes at these sizes), and
+// its map slot (key, element pointer, control byte), counted twice: a map
+// keeps between 8/7 and 16/7 slots per entry.
+const entryOverhead = int((unsafe.Sizeof(cacheEntry{})+15)&^15+(unsafe.Sizeof(list.Element{})+15)&^15) +
+	2*int(unsafe.Sizeof(cacheKey{})+unsafe.Sizeof((*list.Element)(nil))+1)
+
+// entryBytes is what one cached closure costs: the closure (Closure.Bytes),
+// the entry's overhead and its key's data id, which the closure's Root
+// shares.
+func entryBytes(key cacheKey, c *Closure) int { return c.Bytes() + entryOverhead + len(key.data) }
 
 // flight is one in-progress closure computation. done is closed by the
 // leader after c/err are set; waiters must not read them before that.
@@ -146,10 +159,10 @@ func newClosureCache(capacity int) *closureCache {
 // insertLocked adds or refreshes an entry and evicts from the back while
 // over capacity. Callers hold cc.mu.
 func (cc *closureCache) insertLocked(key cacheKey, c *Closure) {
-	cc.bytes += c.Bytes()
+	cc.bytes += entryBytes(key, c)
 	if el, ok := cc.items[key]; ok {
 		ent := el.Value.(*cacheEntry)
-		cc.bytes -= ent.c.Bytes()
+		cc.bytes -= entryBytes(key, ent.c)
 		ent.c = c
 		cc.order.MoveToFront(el)
 		return
@@ -165,7 +178,7 @@ func (cc *closureCache) insertLocked(key cacheKey, c *Closure) {
 func (cc *closureCache) removeLocked(el *list.Element) {
 	ent := cc.order.Remove(el).(*cacheEntry)
 	delete(cc.items, ent.key)
-	cc.bytes -= ent.c.Bytes()
+	cc.bytes -= entryBytes(ent.key, ent.c)
 }
 
 // getOrCompute returns the cached closure for key, or computes it exactly
@@ -257,8 +270,8 @@ func (cc *closureCache) len() int {
 	return len(cc.items)
 }
 
-// held returns the number of cached entries and the bytes their closures
-// hold.
+// held returns the number of cached entries and the bytes they hold
+// (entryBytes).
 func (cc *closureCache) held() (entries, bytes int) {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()

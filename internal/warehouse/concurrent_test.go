@@ -497,7 +497,7 @@ func TestClosureCacheBytes(t *testing.T) {
 		t.Helper()
 		bytes := 0
 		for _, c := range closures {
-			bytes += c.Bytes()
+			bytes += entryBytes(cacheKey{c.ix.Run(), c.Root}, c)
 		}
 		if m := w.Stats().Closures; m.Entries != len(closures) || m.Bytes != bytes {
 			t.Fatalf("%s: closure cache %+v, want %d closures of %d bytes", label, m, len(closures), bytes)

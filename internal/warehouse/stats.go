@@ -28,7 +28,8 @@ type Stats struct {
 	// Index summarizes the compact run indexes (interned ids, CSR bytes,
 	// closure bitset words, token bytes) across all loaded runs.
 	Index IndexStats
-	// Closures is what the closure cache holds (Closure.Bytes).
+	// Closures is what the closure cache holds: each closure
+	// (Closure.Bytes) with its entry, list element, map slot and key.
 	Closures MemoStats
 	// Metrics is a snapshot of the attached observability registry (nil
 	// unless AttachMetrics was called): query-stage latency histograms,

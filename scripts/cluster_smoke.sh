@@ -215,6 +215,13 @@ grep -E '^zoom_router_cache_declined 0$' "$workdir/metrics2.txt" >/dev/null \
     || fail "zoom_router_cache_declined missing, or the example's small answers were declined"
 grep -E '^zoom_router_cache_declined\{shard="0"\} ' "$workdir/metrics2.txt" >/dev/null \
     || fail "zoom_router_cache_declined has no per-shard series"
+# Answers past probation's byte budget leave only their keys; an empty
+# cache's first answer is within it, and the counter is exported all the
+# same, with its per-shard series.
+grep -E '^zoom_router_cache_noted [0-9]+$' "$workdir/metrics2.txt" >/dev/null \
+    || fail "zoom_router_cache_noted missing"
+grep -E '^zoom_router_cache_noted\{shard="0"\} ' "$workdir/metrics2.txt" >/dev/null \
+    || fail "zoom_router_cache_noted has no per-shard series"
 # The router's routes carry the same per-route instruments as a worker's.
 grep -E '^zoom_router_query_status\{class="2xx"\} [1-9]' "$workdir/metrics2.txt" >/dev/null \
     || fail "router /metrics has no zoom_router_query_status{class=\"2xx\"} series"
