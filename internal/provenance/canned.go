@@ -6,6 +6,7 @@ import (
 	"repro/internal/bitset"
 	"repro/internal/composite"
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/warehouse"
 )
 
@@ -21,7 +22,7 @@ import (
 // interaction. The result is nil (not an error) when no data flows between
 // them.
 func (e *Engine) DataBetween(runID string, v *core.UserView, fromExec, toExec string) ([]string, error) {
-	m, err := e.mappingFor(runID, v)
+	m, err := e.mappingFor(nil, runID, v)
 	if err != nil {
 		return nil, err
 	}
@@ -87,7 +88,7 @@ func (e *Engine) CommonProvenance(runID string, v *core.UserView, d1, d2 string)
 // execution itself. This answers "how did this box in my provenance graph
 // come to be?" without the user having to pick one of its output data ids.
 func (e *Engine) ExecutionProvenance(runID string, v *core.UserView, execID string) (*Result, error) {
-	m, err := e.mappingFor(runID, v)
+	m, err := e.mappingFor(nil, runID, v)
 	if err != nil {
 		return nil, err
 	}
@@ -126,7 +127,7 @@ func (e *Engine) ExecutionProvenance(runID string, v *core.UserView, execID stri
 // Executions lists the composite executions of a run under a view in
 // topological order — the run display the prototype draws.
 func (e *Engine) Executions(runID string, v *core.UserView) ([]*composite.Execution, error) {
-	m, err := e.mappingFor(runID, v)
+	m, err := e.mappingFor(nil, runID, v)
 	if err != nil {
 		return nil, err
 	}
@@ -134,8 +135,8 @@ func (e *Engine) Executions(runID string, v *core.UserView) ([]*composite.Execut
 }
 
 // mappingFor resolves the run and validates the view before handing out
-// the cached composite-execution mapping.
-func (e *Engine) mappingFor(runID string, v *core.UserView) (*composite.Mapping, error) {
+// the cached composite-execution mapping (Engine.mapping).
+func (e *Engine) mappingFor(parent *obs.Span, runID string, v *core.UserView) (*composite.Mapping, error) {
 	r, err := e.w.Run(runID)
 	if err != nil {
 		return nil, err
@@ -144,5 +145,5 @@ func (e *Engine) mappingFor(runID string, v *core.UserView) (*composite.Mapping,
 		return nil, fmt.Errorf("%w: run %q executes %q, view is over %q",
 			ErrForeignView, runID, r.SpecName(), v.Spec().Name())
 	}
-	return e.mapping(r, v)
+	return e.mapping(parent, r, v)
 }

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -38,19 +37,21 @@ var ErrForeignView = errors.New("provenance: view does not match run's specifica
 // use by multiple goroutines. The engine itself holds only two memos of
 // derived state, each keyed on the objects it is built from: the views
 // built from relevant-module sets, per (specification, set), and the
-// view→composite-execution mappings, per (run instance, view). Each entry
-// is built at most once, so concurrent first queries never duplicate a
-// build; returned views, Mappings and Results are treated as immutable
-// after construction and may be shared freely. Both memos live and die
-// with the engine, which is tied to one warehouse. The expensive UAdmin
-// closures live in the warehouse's singleflight cache, so concurrent
-// queries over the same run contend only briefly on the cache lock, never
-// on the traversal itself.
+// view→composite-execution mappings, per (run instance, view). Both are
+// warehouse.Memos, the type that holds the warehouse's closures: exactly
+// memoBound entries each, least recently used out first, and concurrent
+// misses on one key share one build, so concurrent first queries never
+// duplicate a build; a failed build is not kept. Returned views, Mappings
+// and Results are treated as immutable after construction and may be
+// shared freely. Both memos live and die with the engine, which is tied to
+// one warehouse. The expensive UAdmin closures live in the warehouse's
+// memo, so concurrent queries over the same run contend only briefly on
+// its lock, never on the traversal itself.
 type Engine struct {
 	w *warehouse.Warehouse
 
-	views    memo[viewKey, *core.UserView]
-	mappings memo[mappingKey, *composite.Mapping]
+	views    *warehouse.Memo[viewKey, *core.UserView]
+	mappings *warehouse.Memo[mappingKey, *composite.Mapping]
 
 	// obs holds the engine's metrics instruments (nil when detached — the
 	// common case, in which queries never read the clock). Published
@@ -70,81 +71,22 @@ type mappingKey struct {
 	v *core.UserView
 }
 
-// memoBound bounds each of the engine's memos. A server that builds views
-// from request-supplied relevant lists mints new keys without end; past the
-// bound an arbitrary entry makes room. A rebuilt view or mapping costs a
-// fraction of a millisecond, well under one cold query.
+// memoBound is the capacity of each of the engine's memos. A server that
+// builds views from request-supplied relevant lists mints new keys without
+// end; past the bound the least recently used entry makes room. A rebuilt
+// view or mapping costs a fraction of a millisecond, well under one cold
+// query.
 const memoBound = 1024
-
-// memo is a bounded map of values built on first use. Each entry is built
-// at most once, however many goroutines miss it at the same time — the
-// engine-level analogue of the warehouse's singleflight — and its error, if
-// any, is kept with it. Past memoBound entries an arbitrary one makes room
-// (map iteration order, so effectively random replacement); an evicted
-// value stays valid for whoever still holds it.
-type memo[K comparable, V any] struct {
-	mu sync.Mutex
-	m  map[K]*memoEntry[V]
-}
-
-type memoEntry[V any] struct {
-	once  sync.Once
-	built atomic.Bool // v and err are set
-	v     V
-	err   error
-}
-
-// get returns the value under k, building it with build on first use.
-func (c *memo[K, V]) get(k K, build func() (V, error)) (V, error) {
-	c.mu.Lock()
-	ent := c.m[k]
-	if ent == nil {
-		if c.m == nil {
-			c.m = make(map[K]*memoEntry[V])
-		}
-		if len(c.m) >= memoBound {
-			for victim := range c.m {
-				delete(c.m, victim)
-				break
-			}
-		}
-		ent = new(memoEntry[V])
-		c.m[k] = ent
-	}
-	c.mu.Unlock()
-	ent.once.Do(func() {
-		ent.v, ent.err = build()
-		ent.built.Store(true)
-	})
-	return ent.v, ent.err
-}
-
-// each calls f with every value built without error, under the memo's
-// lock.
-func (c *memo[K, V]) each(f func(V)) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, ent := range c.m {
-		if ent.built.Load() && ent.err == nil {
-			f(ent.v)
-		}
-	}
-}
-
-// deleteFunc removes every entry whose key satisfies del.
-func (c *memo[K, V]) deleteFunc(del func(K) bool) {
-	c.mu.Lock()
-	for k := range c.m {
-		if del(k) {
-			delete(c.m, k)
-		}
-	}
-	c.mu.Unlock()
-}
 
 // NewEngine returns an engine over the given warehouse.
 func NewEngine(w *warehouse.Warehouse) *Engine {
-	return &Engine{w: w}
+	return &Engine{
+		w:     w,
+		views: warehouse.NewMemo(memoBound, "view", func(viewKey, *core.UserView) int { return 0 }),
+		mappings: warehouse.NewMemo(memoBound, "mapping", func(_ mappingKey, m *composite.Mapping) int {
+			return m.Projector().Bytes()
+		}),
+	}
 }
 
 // Warehouse returns the underlying warehouse.
@@ -155,18 +97,13 @@ func (e *Engine) Warehouse() *warehouse.Warehouse { return e.w }
 type Stats struct {
 	warehouse.Stats
 	// Mappings is the (run, view) mapping memo: its entries and the bytes
-	// their projectors hold (composite.Projector.Bytes).
+	// they hold (composite.Projector.Bytes and the memo's overhead each).
 	Mappings warehouse.MemoStats
 }
 
 // Stats returns the warehouse's statistics and the mapping memo's.
 func (e *Engine) Stats() Stats {
-	st := Stats{Stats: e.w.Stats()}
-	e.mappings.each(func(m *composite.Mapping) {
-		st.Mappings.Entries++
-		st.Mappings.Bytes += m.Projector().Bytes()
-	})
-	return st
+	return Stats{Stats: e.w.Stats(), Mappings: e.mappings.Held()}
 }
 
 // View resolves a query's choice of view over the specification of run
@@ -175,7 +112,8 @@ func (e *Engine) Stats() Stats {
 // relevant is empty too. Built views are memoized per (specification,
 // relevant set): the set is sorted and deduplicated first, so every
 // spelling of one set gets the same *core.UserView — and so meets the same
-// memoized mappings. An invalid set's error is memoized with it.
+// memoized mappings. An invalid set's error is not memoized: asking again
+// builds again.
 func (e *Engine) View(runID, name string, relevant []string) (*core.UserView, error) {
 	r, err := e.w.Run(runID)
 	if err != nil {
@@ -197,21 +135,36 @@ func (e *Engine) View(runID, name string, relevant []string) (*core.UserView, er
 		key = append(strconv.AppendInt(key, int64(len(m)), 10), ':')
 		key = append(key, m...)
 	}
-	return e.views.get(viewKey{sp, string(key)}, func() (*core.UserView, error) {
+	v, _, err := e.views.Get(nil, viewKey{sp, string(key)}, func(keep func(*core.UserView)) (*core.UserView, error) {
 		if len(set) == 0 {
-			return core.UAdmin(sp), nil
+			v := core.UAdmin(sp)
+			keep(v)
+			return v, nil
 		}
-		return core.BuildRelevant(sp, set)
+		v, err := core.BuildRelevant(sp, set)
+		if err == nil {
+			keep(v)
+		}
+		return v, err
 	})
+	return v, err
 }
 
 // mapping returns the (cached) composite-execution mapping of a run under a
 // view. Mappings depend only on (run, view), not on the queried data, so
 // they are shared across queries and built exactly once per key. The key is
 // the run instance: a run dropped and re-ingested under the same id is a
-// different key, and its old entries are never met again.
-func (e *Engine) mapping(r *run.Run, v *core.UserView) (*composite.Mapping, error) {
-	return e.mappings.get(mappingKey{r, v}, func() (*composite.Mapping, error) { return composite.Build(r, v) })
+// different key, and its old entries are never met again. A build under a
+// traced parent span records "mapping.compute" beneath it.
+func (e *Engine) mapping(parent *obs.Span, r *run.Run, v *core.UserView) (*composite.Mapping, error) {
+	m, _, err := e.mappings.Get(parent, mappingKey{r, v}, func(keep func(*composite.Mapping)) (*composite.Mapping, error) {
+		m, err := composite.Build(r, v)
+		if err == nil {
+			keep(m)
+		}
+		return m, err
+	})
+	return m, err
 }
 
 // DropRun drops a run from the warehouse (Warehouse.DropRun) and forgets the
@@ -221,7 +174,7 @@ func (e *Engine) DropRun(runID string) error {
 	if err := e.w.DropRun(runID); err != nil {
 		return err
 	}
-	e.mappings.deleteFunc(func(k mappingKey) bool { return k.r.ID() == runID })
+	e.mappings.DeleteFunc(func(k mappingKey) bool { return k.r.ID() == runID })
 	return nil
 }
 
@@ -276,7 +229,8 @@ func (e *Engine) DeepProvenance(runID string, v *core.UserView, d string) (*Resu
 // carries a trace span (obs.StartSpan / Trace.Context) the query records
 // "query.lookup" and "query.project" child spans — the lookup tagged with
 // its cache outcome (hit, miss or shared-wait), and the closure cache adding
-// "closure.compute" or "closure.shared-wait" beneath it — so a served
+// "closure.compute" or "closure.shared-wait" beneath it, the projection
+// "mapping.compute" when the view's mapping is built — so a served
 // request's trace can explain where its time went. An
 // untraced context costs one nil span check and behaves exactly like
 // DeepProvenance.
@@ -314,7 +268,7 @@ func (e *Engine) DeepAnswerCtx(ctx context.Context, runID string, v *core.UserVi
 	lctx, lsp := obs.StartSpan(ctx, "query.lookup")
 	closure, o, err := e.w.DeepProvenanceObservedCtx(lctx, r, d)
 	if err == nil {
-		lsp.SetTag("outcome", o.Outcome.String())
+		lsp.SetTag("outcome", o.String())
 	}
 	lsp.End()
 	if err != nil {
@@ -329,7 +283,7 @@ func (e *Engine) DeepAnswerCtx(ctx context.Context, runID string, v *core.UserVi
 		projectStart = time.Now()
 	}
 	psp := sp.StartChild("query.project")
-	mp, err := e.mapping(r, v)
+	mp, err := e.mapping(psp, r, v)
 	var res *Answer
 	if err == nil {
 		res, err = project(mp, closure)
@@ -342,7 +296,7 @@ func (e *Engine) DeepAnswerCtx(ctx context.Context, runID string, v *core.UserVi
 	if m != nil {
 		end := time.Now()
 		m.queries.Inc()
-		m.totalNs[o.Outcome].Observe(end.Sub(start).Nanoseconds())
+		m.totalNs[o].Observe(end.Sub(start).Nanoseconds())
 		m.lookupNs.Observe(projectStart.Sub(start).Nanoseconds())
 		m.projectNs.Observe(end.Sub(projectStart).Nanoseconds())
 	}
@@ -365,12 +319,13 @@ func (e *Engine) ImmediateProvenance(runID string, v *core.UserView, d string) (
 // mapping's projector and the producing execution's ordinal (negative for
 // external input), which is what the server encodes: no Execution is
 // spelled out. A traced context records the whole stage as one
-// "query.immediate" span (the query is a name lookup and two array reads —
-// there are no interior stages worth splitting).
+// "query.immediate" span, with "mapping.compute" beneath it when the
+// mapping is built (the query itself is a name lookup and two array reads
+// — there are no interior stages worth splitting).
 func (e *Engine) ImmediateAnswerCtx(ctx context.Context, runID string, v *core.UserView, d string) (*composite.Projector, int32, error) {
-	_, sp := obs.StartSpan(ctx, "query.immediate")
+	sp := obs.SpanFromContext(ctx).StartChild("query.immediate")
 	defer sp.End()
-	m, err := e.mappingFor(runID, v)
+	m, err := e.mappingFor(sp, runID, v)
 	if err != nil {
 		return nil, -1, err
 	}
@@ -399,7 +354,7 @@ func (e *Engine) DerivationAnswer(runID string, v *core.UserView, d string) (*An
 	if m != nil {
 		start = time.Now()
 	}
-	mp, err := e.mappingFor(runID, v)
+	mp, err := e.mappingFor(nil, runID, v)
 	if err != nil {
 		m.queryError()
 		return nil, err

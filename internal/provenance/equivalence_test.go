@@ -418,7 +418,7 @@ func TestReingestReplacesMapping(t *testing.T) {
 }
 
 // TestMappingMemoIsBounded: 5,000 distinct relevant lists against one run —
-// a new view pointer each — leave the engine's mapping memo at or under
+// a new view pointer each — leave the engine's mapping memo at exactly
 // memoBound, and
 // every answer, including one for a view whose mapping was evicted long ago,
 // is the oracle's.
@@ -462,8 +462,8 @@ func TestMappingMemoIsBounded(t *testing.T) {
 		}
 		check(v)
 	}
-	if n := len(e.mappings.m); n > memoBound {
-		t.Fatalf("mapping memo holds %d entries, bound is %d", n, memoBound)
+	if n := e.mappings.Held().Entries; n != memoBound {
+		t.Fatalf("mapping memo holds %d entries after 5,000 views, want its capacity %d", n, memoBound)
 	}
 	check(first)
 }
@@ -548,19 +548,26 @@ func TestDropRunForgetsMappings(t *testing.T) {
 			}
 		}
 	}
-	if n := len(e.mappings.m); n != 2*len(views) {
+	if n := e.mappings.Held().Entries; n != 2*len(views) {
 		t.Fatalf("memo holds %d mappings before the drop, want %d", n, 2*len(views))
 	}
 	if err := e.DropRun("x"); err != nil {
 		t.Fatal(err)
 	}
-	for key := range e.mappings.m {
-		if key.r == runA {
-			t.Fatalf("memo still holds a mapping of the dropped run under view %v", key.v)
+	if n, drops := e.mappings.Held().Entries, e.mappings.Counters().Drops; n != len(views) || drops != int64(len(views)) {
+		t.Fatalf("memo holds %d mappings after %d drops, want the other run's %d after %d", n, drops, len(views), len(views))
+	}
+	// The mappings left are the kept run's: asking for them again hits each
+	// once and builds none.
+	before := e.mappings.Counters()
+	for _, v := range views {
+		if _, err := e.DeepProvenance(keep.ID(), v, lastFinal(keep)); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if n := len(e.mappings.m); n != len(views) {
-		t.Fatalf("memo holds %d mappings after the drop, want the other run's %d", n, len(views))
+	if after := e.mappings.Counters(); after.Hits-before.Hits != int64(len(views)) || after.Misses != before.Misses {
+		t.Fatalf("re-asking the kept run under %d views: %d hits and %d misses, want %d and 0",
+			len(views), after.Hits-before.Hits, after.Misses-before.Misses, len(views))
 	}
 	if err := e.DropRun("x"); !errors.Is(err, warehouse.ErrUnknownRun) {
 		t.Fatalf("dropping a dropped run: %v, want ErrUnknownRun", err)
@@ -634,7 +641,8 @@ func TestOversizedProjectionLeavesThePool(t *testing.T) {
 }
 
 // TestViewMemoEvictsOne: a full view memo gives up one entry per new view,
-// so every other live view keeps its pointer and, with it, its mappings.
+// the least recently used, so every other live view keeps its pointer and,
+// with it, its mappings.
 // Clearing the memo instead would hand every live view a new pointer on its
 // next request and strand all of their mappings at once.
 func TestViewMemoEvictsOne(t *testing.T) {
@@ -668,24 +676,20 @@ func TestViewMemoEvictsOne(t *testing.T) {
 		built[k] = resolve(k)
 	}
 	resolve(memoBound + 1)
-	if n := len(e.views.m); n != memoBound {
+	if n := e.views.Held().Entries; n != memoBound {
 		t.Fatalf("memo holds %d views after %d distinct relevant lists, want %d", n, memoBound+1, memoBound)
 	}
-	live := make(map[*core.UserView]bool, len(e.views.m))
-	for _, ent := range e.views.m {
-		live[ent.v] = true
-	}
-	survivors := 0
-	for k, v := range built {
-		if !live[v] {
-			continue
-		}
-		survivors++
-		if again := resolve(k); again != v {
+	// The victim is the least recently used list, the first; every other
+	// list still resolves to its view (each a hit, so nothing is evicted).
+	for k := 2; k <= memoBound; k++ {
+		if again := resolve(k); again != built[k] {
 			t.Fatalf("relevant list %d was not the victim but resolved to a new view", k)
 		}
 	}
-	if survivors != memoBound-1 {
-		t.Fatalf("%d of %d memoized views survived one insertion, want %d", survivors, memoBound, memoBound-1)
+	if again := resolve(1); again == built[1] {
+		t.Fatal("relevant list 1, the least recently used, was not evicted")
+	}
+	if c := e.views.Counters(); c.Evictions != 2 {
+		t.Fatalf("%d evictions, want 2: one for list %d and one for list 1 again", c.Evictions, memoBound+1)
 	}
 }

@@ -172,3 +172,44 @@ func TestDeepProvenanceTraced(t *testing.T) {
 		t.Fatalf("warm projection missing: %+v", warm)
 	}
 }
+
+// TestMappingBuildTraced: a traced query under a view the run has no
+// mapping for yet records the mapping's build as "mapping.compute" beneath
+// the stage that asked for it (query.project for deep provenance,
+// query.immediate for immediate); asked again under the same view, the
+// mapping is a hit and records no span.
+func TestMappingBuildTraced(t *testing.T) {
+	e, r, views := phyloEngine(t)
+	traced := func(q func(ctx context.Context) error) obs.SpanNode {
+		t.Helper()
+		tr := obs.NewTrace("query")
+		if err := q(tr.Context(context.Background())); err != nil {
+			t.Fatal(err)
+		}
+		return tr.Finish()
+	}
+	deep := func(ctx context.Context) error {
+		_, err := e.DeepAnswerCtx(ctx, r.ID(), views["joe"], "d447")
+		return err
+	}
+	immediate := func(ctx context.Context) error {
+		_, _, err := e.ImmediateAnswerCtx(ctx, r.ID(), views["mary"], "d413")
+		return err
+	}
+	for _, tc := range []struct {
+		stage string
+		query func(context.Context) error
+	}{{"query.project", deep}, {"query.immediate", immediate}} {
+		cold := traced(tc.query)
+		stage := cold.Find(tc.stage)
+		if stage == nil {
+			t.Fatalf("cold %s missing: %+v", tc.stage, cold)
+		}
+		if b := stage.Find("mapping.compute"); b == nil || b.DurNs <= 0 || stage.DurNs < b.DurNs {
+			t.Fatalf("cold view: no mapping.compute within %s: %+v", tc.stage, cold)
+		}
+		if warm := traced(tc.query); warm.Find(tc.stage) == nil || warm.Find("mapping.compute") != nil {
+			t.Fatalf("warm view: want %s and no mapping.compute: %+v", tc.stage, warm)
+		}
+	}
+}

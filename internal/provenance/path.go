@@ -25,7 +25,7 @@ type PathElement struct {
 // target. The path alternates data and executions, starting at from and
 // ending at to.
 func (e *Engine) DerivationPath(runID string, v *core.UserView, from, to string) ([]PathElement, error) {
-	m, err := e.mappingFor(runID, v)
+	m, err := e.mappingFor(nil, runID, v)
 	if err != nil {
 		return nil, err
 	}

@@ -24,7 +24,7 @@ import (
 // traversal at the granularity of the view's composite executions, without
 // consulting or populating the UAdmin closure cache.
 func (e *Engine) DeepProvenanceDirect(runID string, v *core.UserView, d string) (*Result, error) {
-	m, err := e.mappingFor(runID, v)
+	m, err := e.mappingFor(nil, runID, v)
 	if err != nil {
 		return nil, err
 	}

@@ -1,7 +1,6 @@
 package warehouse
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -51,7 +50,7 @@ var testKey = cacheKey{run.Figure2(), "d1"}
 // time (the leader's computation is gated until all 31 others are blocked
 // on the flight), and the closure is computed exactly once.
 func TestConcurrentSingleflightComputesOnce(t *testing.T) {
-	cc := newClosureCache(1024)
+	cc := NewMemo(1024, "closure", closureBytes)
 	release := make(chan struct{})
 	compute := func() (*Closure, error) {
 		<-release
@@ -66,14 +65,14 @@ func TestConcurrentSingleflightComputesOnce(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], _, errs[i] = cc.getOrCompute(context.Background(), testKey, kept(compute))
+			results[i], _, errs[i] = cc.Get(nil, testKey, kept(compute))
 		}(i)
 	}
 	waitForCount(t, &cc.sharedWaits, goroutines-1)
 	close(release)
 	wg.Wait()
 
-	c := cc.counters()
+	c := cc.Counters()
 	if c.Computes != 1 {
 		t.Fatalf("cold key computed %d times under %d concurrent misses, want exactly 1", c.Computes, goroutines)
 	}
@@ -93,10 +92,10 @@ func TestConcurrentSingleflightComputesOnce(t *testing.T) {
 		}
 	}
 	// The key is now cached: one more lookup is a hit without a compute.
-	if _, o, err := cc.getOrCompute(context.Background(), testKey, kept(compute)); err != nil || o.Outcome != OutcomeHit {
-		t.Fatalf("warm lookup: outcome=%v err=%v, want hit", o.Outcome, err)
+	if _, o, err := cc.Get(nil, testKey, kept(compute)); err != nil || o != OutcomeHit {
+		t.Fatalf("warm lookup: outcome=%v err=%v, want hit", o, err)
 	}
-	c = cc.counters()
+	c = cc.Counters()
 	if c.Hits != 1 || c.Computes != 1 {
 		t.Fatalf("warm lookup: %+v, want hits=1 computes=1", c)
 	}
@@ -106,7 +105,7 @@ func TestConcurrentSingleflightComputesOnce(t *testing.T) {
 // computation runs once, every concurrent waiter receives the same error,
 // and the error is not cached (the next miss recomputes).
 func TestConcurrentSingleflightErrorShared(t *testing.T) {
-	cc := newClosureCache(1024)
+	cc := NewMemo(1024, "closure", closureBytes)
 	release := make(chan struct{})
 	boom := errors.New("boom")
 	failing := func() (*Closure, error) {
@@ -121,14 +120,14 @@ func TestConcurrentSingleflightErrorShared(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, _, errs[i] = cc.getOrCompute(context.Background(), testKey, kept(failing))
+			_, _, errs[i] = cc.Get(nil, testKey, kept(failing))
 		}(i)
 	}
 	waitForCount(t, &cc.sharedWaits, goroutines-1)
 	close(release)
 	wg.Wait()
 
-	if c := cc.counters(); c.Computes != 1 {
+	if c := cc.Counters(); c.Computes != 1 {
 		t.Fatalf("failing compute ran %d times, want 1", c.Computes)
 	}
 	for i, err := range errs {
@@ -140,10 +139,10 @@ func TestConcurrentSingleflightErrorShared(t *testing.T) {
 	ok := func() (*Closure, error) {
 		return testClosure("d1", nil, []string{"d1"}), nil
 	}
-	if _, _, err := cc.getOrCompute(context.Background(), testKey, kept(ok)); err != nil {
+	if _, _, err := cc.Get(nil, testKey, kept(ok)); err != nil {
 		t.Fatal(err)
 	}
-	if c := cc.counters(); c.Computes != 2 {
+	if c := cc.Counters(); c.Computes != 2 {
 		t.Fatalf("error was cached: computes = %d, want 2", c.Computes)
 	}
 }
@@ -280,14 +279,14 @@ func TestStressShardedCacheCounters(t *testing.T) {
 
 	c := w.CacheCounters()
 	totalQueries := int64(goroutines * queriesPerG)
-	checkQuiescentInvariants(t, c, totalQueries, w.CacheLen())
+	checkQuiescentInvariants(t, c, totalQueries, w.Stats().Closures.Entries)
 	// Invalidations counts only removals, so it is bounded by (not equal
 	// to) the Invalidate calls issued: invalidating an uncached key — which
 	// a tiny LRU cache makes common — is a no-op.
 	if want := int64(goroutines * invalidatesPerG); c.Invalidations > want {
 		t.Fatalf("invalidations = %d > %d Invalidate calls", c.Invalidations, want)
 	}
-	if n := w.CacheLen(); n > capacity {
+	if n := w.Stats().Closures.Entries; n > capacity {
 		t.Fatalf("cache holds %d entries, capacity %d", n, capacity)
 	}
 	if c.Evictions == 0 {
@@ -303,7 +302,7 @@ func TestStressShardedCacheCounters(t *testing.T) {
 		t.Fatalf("cache.compute_ns holds %d computes, cache counts %d misses", n, w.CacheCounters().Misses)
 	}
 
-	cached := int64(w.CacheLen())
+	cached := int64(w.Stats().Closures.Entries)
 	mustT(t, w.DropRun("fig2"))
 	if c := w.CacheCounters(); c.Drops != cached {
 		t.Fatalf("dropping the run removed %d of %d cached closures", c.Drops, cached)
@@ -354,7 +353,7 @@ func TestStressInvalidateGenerations(t *testing.T) {
 	for _, d := range data {
 		w.Invalidate("fig2", d)
 	}
-	if n := w.CacheLen(); n != 0 {
+	if n := w.Stats().Closures.Entries; n != 0 {
 		t.Fatalf("cache not empty after invalidating every key: %d left", n)
 	}
 	storm()
@@ -412,7 +411,7 @@ func TestConcurrentDropReload(t *testing.T) {
 	}
 	// Only the live instance's closure is left: every dropped one was swept
 	// or never kept.
-	if n := w.CacheLen(); n != 1 {
+	if n := w.Stats().Closures.Entries; n != 1 {
 		t.Fatalf("cache holds %d closures after the churn, want the live run's 1", n)
 	}
 }
@@ -428,16 +427,16 @@ func TestClosureCacheExactCapacity(t *testing.T) {
 	lookup := func(i int) Outcome {
 		t.Helper()
 		key := cacheKey{testKey.r, fmt.Sprintf("d%d", i)}
-		_, o, err := w.cache.getOrCompute(context.Background(), key, kept(func() (*Closure, error) { return c, nil }))
+		_, o, err := w.cache.Get(nil, key, kept(func() (*Closure, error) { return c, nil }))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return o.Outcome
+		return o
 	}
 	for i := 0; i < capacity; i++ {
 		lookup(i)
 	}
-	if n, ev := w.CacheLen(), w.CacheCounters().Evictions; n != capacity || ev != 0 {
+	if n, ev := w.Stats().Closures.Entries, w.CacheCounters().Evictions; n != capacity || ev != 0 {
 		t.Fatalf("%d distinct closures: cache holds %d after %d evictions, want %d after 0", capacity, n, ev, capacity)
 	}
 	// Touch the oldest key, so the second oldest is the least recently used.
@@ -445,7 +444,7 @@ func TestClosureCacheExactCapacity(t *testing.T) {
 		t.Fatalf("d0 before the bound: %v, want a hit", o)
 	}
 	lookup(capacity)
-	if n, ev := w.CacheLen(), w.CacheCounters().Evictions; n != capacity || ev != 1 {
+	if n, ev := w.Stats().Closures.Entries, w.CacheCounters().Evictions; n != capacity || ev != 1 {
 		t.Fatalf("key %d: cache holds %d after %d evictions, want %d after 1", capacity+1, n, ev, capacity)
 	}
 	if o := lookup(0); o != OutcomeHit {
@@ -466,7 +465,7 @@ func TestInvalidateSingleKey(t *testing.T) {
 		}
 	}
 	w.Invalidate("fig2", "d447")
-	if n := w.CacheLen(); n != 1 {
+	if n := w.Stats().Closures.Entries; n != 1 {
 		t.Fatalf("cache has %d entries after single-key invalidate, want 1", n)
 	}
 	before := w.CacheCounters()
@@ -497,7 +496,7 @@ func TestClosureCacheBytes(t *testing.T) {
 		t.Helper()
 		bytes := 0
 		for _, c := range closures {
-			bytes += entryBytes(cacheKey{c.ix.Run(), c.Root}, c)
+			bytes += closureBytes(cacheKey{c.ix.Run(), c.Root}, c) + w.cache.overhead
 		}
 		if m := w.Stats().Closures; m.Entries != len(closures) || m.Bytes != bytes {
 			t.Fatalf("%s: closure cache %+v, want %d closures of %d bytes", label, m, len(closures), bytes)

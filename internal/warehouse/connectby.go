@@ -6,6 +6,7 @@ import (
 	"unsafe"
 
 	"repro/internal/bitset"
+	"repro/internal/obs"
 	"repro/internal/run"
 )
 
@@ -132,11 +133,11 @@ func (w *Warehouse) DeepProvenance(runID, d string) (*Closure, error) {
 }
 
 // DeepProvenanceObservedCtx is DeepProvenance over a run the caller has
-// already resolved (Warehouse.Run), plus an Observation telling the caller
-// how the lookup was served (hit, miss, shared-wait); an attached metrics
+// already resolved (Warehouse.Run), plus the Outcome telling the caller how
+// the lookup was served (hit, miss, shared-wait); an attached metrics
 // registry times a miss's closure compute (cache.compute_ns). The
-// provenance engine uses it to split its query latency
-// histograms by outcome and to fill per-query traces. When the context
+// provenance engine uses it to split its query latency histograms by
+// outcome and to fill per-query traces. When the context
 // carries a trace span (obs.StartSpan), the cache records "closure.compute"
 // and "closure.shared-wait" child spans, giving a traced request per-stage
 // causality down to the singleflight.
@@ -144,8 +145,8 @@ func (w *Warehouse) DeepProvenance(runID, d string) (*Closure, error) {
 // The cache is keyed on the run instance, so the closure is always over
 // r's own index. A closure of a run the warehouse no longer serves (dropped
 // since the caller resolved it) is computed and returned but not cached.
-func (w *Warehouse) DeepProvenanceObservedCtx(ctx context.Context, r *run.Run, d string) (*Closure, Observation, error) {
-	return w.cache.getOrCompute(ctx, cacheKey{r, d}, func(keep func(*Closure)) (*Closure, error) {
+func (w *Warehouse) DeepProvenanceObservedCtx(ctx context.Context, r *run.Run, d string) (*Closure, Outcome, error) {
+	return w.cache.Get(obs.SpanFromContext(ctx), cacheKey{r, d}, func(keep func(*Closure)) (*Closure, error) {
 		w.mu.RLock()
 		defer w.mu.RUnlock()
 		if w.closed {
@@ -162,6 +163,19 @@ func (w *Warehouse) DeepProvenanceObservedCtx(ctx context.Context, r *run.Run, d
 	})
 }
 
+// cacheKey names a cached closure: the run instance and the data id. A run
+// is immutable, so a closure computed from it is never stale, and a run
+// re-ingested under the same id is a different key.
+type cacheKey struct {
+	r    *run.Run
+	data string
+}
+
+// closureBytes is what one cached closure holds beyond the memo's own
+// overhead: the closure (Closure.Bytes) and its key's data id, which the
+// closure's Root shares.
+func closureBytes(k cacheKey, c *Closure) int { return c.Bytes() + len(k.data) }
+
 // ClosureStrategy, StrategyAuto and DeepProvenanceStrategyCtx are what
 // rung 1 of benchmark/ladder.go compiles against, left from when a closure
 // could be computed two ways. Only a [benchmark] PR may edit that module:
@@ -173,10 +187,10 @@ const StrategyAuto ClosureStrategy = 0
 
 // DeepProvenanceStrategyCtx resolves the run and is DeepProvenanceObservedCtx;
 // its bool is ignored.
-func (w *Warehouse) DeepProvenanceStrategyCtx(ctx context.Context, runID, d string, _ bool, _ ClosureStrategy) (*Closure, Observation, error) {
+func (w *Warehouse) DeepProvenanceStrategyCtx(ctx context.Context, runID, d string, _ bool, _ ClosureStrategy) (*Closure, Outcome, error) {
 	r, err := w.Run(runID)
 	if err != nil {
-		return nil, Observation{}, err
+		return nil, 0, err
 	}
 	return w.DeepProvenanceObservedCtx(ctx, r, d)
 }

@@ -36,10 +36,10 @@ func tinyChurnEvents() []wflog.Event {
 }
 
 // inflight returns the number of singleflight flights in progress.
-func inflight(cc *closureCache) int {
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	return len(cc.inflight)
+func inflight[K comparable, V any](m *Memo[K, V]) int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.inflight)
 }
 
 // TestStressLoadQueryDropCycles: 10,000 runs loaded, queried and dropped in
@@ -63,7 +63,7 @@ func TestStressLoadQueryDropCycles(t *testing.T) {
 		}
 		mustT(t, w.DropRun(id))
 	}
-	if n := w.CacheLen(); n != 0 {
+	if n := w.Stats().Closures.Entries; n != 0 {
 		t.Fatalf("cache holds %d closures after dropping every run, want 0", n)
 	}
 	c := w.CacheCounters()
@@ -85,7 +85,7 @@ func TestStressFailedLookupsLeaveNothing(t *testing.T) {
 			t.Fatalf("unknown data %d: err = %v, want ErrUnknownData", i, err)
 		}
 	}
-	if n := w.CacheLen(); n != 0 {
+	if n := w.Stats().Closures.Entries; n != 0 {
 		t.Fatalf("failed lookups cached %d closures", n)
 	}
 	if n := inflight(w.cache); n != 0 {
@@ -104,8 +104,8 @@ func startLeader(t *testing.T, w *Warehouse, r *run.Run, d string) <-chan *Closu
 	out := make(chan *Closure, 1)
 	go func() {
 		c, o, err := w.DeepProvenanceObservedCtx(context.Background(), r, d)
-		if err != nil || o.Outcome != OutcomeMiss {
-			t.Errorf("leader of %s: outcome=%v err=%v", d, o.Outcome, err)
+		if err != nil || o != OutcomeMiss {
+			t.Errorf("leader of %s: outcome=%v err=%v", d, o, err)
 		}
 		out <- c
 	}()
@@ -132,7 +132,7 @@ func TestConcurrentDropMidCompute(t *testing.T) {
 	if ix, _, _ := c.Bits(); ix != r.Index() {
 		t.Fatal("closure is not over the dropped run's index")
 	}
-	if n := w.CacheLen(); n != 0 {
+	if n := w.Stats().Closures.Entries; n != 0 {
 		t.Fatalf("dropped run's closure was cached (%d entries)", n)
 	}
 	if n := inflight(w.cache); n != 0 {
@@ -161,8 +161,8 @@ func TestConcurrentDropReingestMidCompute(t *testing.T) {
 	w.mu.Unlock()
 
 	c, o, err := w.DeepProvenanceObservedCtx(context.Background(), fresh, "d447")
-	if err != nil || o.Outcome != OutcomeMiss {
-		t.Fatalf("new instance: outcome=%v err=%v, want its own miss", o.Outcome, err)
+	if err != nil || o != OutcomeMiss {
+		t.Fatalf("new instance: outcome=%v err=%v, want its own miss", o, err)
 	}
 	if ix, _, _ := c.Bits(); ix != fresh.Index() {
 		t.Fatal("new instance's closure is not over its index")
@@ -171,18 +171,18 @@ func TestConcurrentDropReingestMidCompute(t *testing.T) {
 	if ix, _, _ := stale.Bits(); ix != old.Index() {
 		t.Fatal("old leader's closure is not over the old index")
 	}
-	if n := w.CacheLen(); n != 1 {
+	if n := w.Stats().Closures.Entries; n != 1 {
 		t.Fatalf("cache holds %d entries, want exactly the new instance's", n)
 	}
 	if cs := w.CacheCounters(); cs.Stores != 1 {
 		t.Fatalf("stores = %d, want 1 (the new instance's)", cs.Stores)
 	}
 	again, o, err := w.DeepProvenanceObservedCtx(context.Background(), fresh, "d447")
-	if err != nil || o.Outcome != OutcomeHit || again != c {
-		t.Fatalf("new instance's closure not served from cache: outcome=%v err=%v", o.Outcome, err)
+	if err != nil || o != OutcomeHit || again != c {
+		t.Fatalf("new instance's closure not served from cache: outcome=%v err=%v", o, err)
 	}
-	if _, o, _ := w.DeepProvenanceObservedCtx(context.Background(), old, "d447"); o.Outcome != OutcomeMiss {
-		t.Fatalf("old instance served from cache (outcome=%v), want miss", o.Outcome)
+	if _, o, _ := w.DeepProvenanceObservedCtx(context.Background(), old, "d447"); o != OutcomeMiss {
+		t.Fatalf("old instance served from cache (outcome=%v), want miss", o)
 	}
-	checkQuiescentInvariants(t, w.CacheCounters(), 4, w.CacheLen())
+	checkQuiescentInvariants(t, w.CacheCounters(), 4, w.Stats().Closures.Entries)
 }

@@ -34,7 +34,7 @@ type warehouseMetrics struct {
 //   - A registry once attached keeps reading the cache after a detach (or
 //     after another registry is attached); only cache.compute_ns stops.
 func (w *Warehouse) AttachMetrics(reg *obs.Registry) {
-	w.cache.attachMetrics(reg)
+	w.cache.attachMetrics(reg, "cache")
 	if reg == nil {
 		w.obs.Store(nil)
 		return

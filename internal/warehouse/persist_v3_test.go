@@ -325,8 +325,8 @@ func TestV3FirstTouchAllocs(t *testing.T) {
 	if st := mapped.Stats().Snapshot; st.RunsMaterialized != len(ids) {
 		t.Fatalf("touched %d runs, %d materialized", len(ids), st.RunsMaterialized)
 	}
-	if allocs > 16 {
-		t.Fatalf("first touch of a mapped Class4-large run: %.0f allocations, ceiling 16", allocs)
+	if allocs > 8 {
+		t.Fatalf("first touch of a mapped Class4-large run: %.0f allocations, ceiling 8", allocs)
 	}
 	t.Logf("first touch: %.0f allocations", allocs)
 }
@@ -335,9 +335,10 @@ func TestV3FirstTouchAllocs(t *testing.T) {
 // one copy of its names and the index over the mapping, not a string
 // header per name or a table of flows. Twenty Class4-large runs (about
 // 1,100 steps and 6,000 data objects each) kept 213 KB per run when the
-// index held both; the arena alone is about a sixth of that.
+// index held both, and keep 43.6 KB since names are read through the
+// block's offsets; the arena alone is about a sixth of the 213 KB.
 func TestV3TouchedRunHeap(t *testing.T) {
-	const runs, ceiling = 20, 64 << 10
+	const runs, ceiling = 20, 48 << 10
 	g := gen.NewGenerator(10)
 	s := g.Workflow(gen.Class4(), "heap")
 	w := New(0)

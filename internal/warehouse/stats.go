@@ -18,8 +18,6 @@ type Stats struct {
 	Steps       int
 	FlowEdges   int
 	DataObjects int
-	CacheHits   int64
-	CacheMisses int64
 	Cache       CacheCounters
 	// Snapshot describes the snapshot this warehouse was opened from and,
 	// for v3 opens, how much of it has materialized (zero value for live
@@ -37,10 +35,11 @@ type Stats struct {
 	Metrics *obs.Snapshot
 }
 
-// CacheCounters are the closure cache's global counters. All of them are
-// maintained with atomic adds (never plain increments), so reading them
-// during a 32-goroutine stress run is race-free. At any quiescent point
-// (no lookup, invalidation, drop, or reset in flight) they satisfy:
+// CacheCounters are a Memo's counters; Stats.Cache holds the closure
+// cache's. All of them are maintained with atomic adds (never plain
+// increments), so reading them during a 32-goroutine stress run is
+// race-free. At any quiescent point (no lookup, invalidation, drop, or
+// reset in flight) they satisfy:
 //
 //	Hits + Misses + SharedWaits == number of closure lookups
 //	Computes == Misses                 (every miss leads one singleflight)
@@ -73,9 +72,10 @@ type CacheCounters struct {
 	Drops int64
 }
 
-// MemoStats counts the entries of a memo of derived state and the bytes
-// their values hold. The memo's own bookkeeping per entry (key, map slot,
-// list element: about 150 bytes) is not counted.
+// MemoStats counts the entries of a memo of derived state (Memo.Held) and
+// the bytes they hold: each entry's size, as its memo measures it, plus the
+// memo's own bookkeeping for it (entry, list element and map slot: 130 to
+// 150 bytes).
 type MemoStats struct {
 	Entries, Bytes int
 }
@@ -132,10 +132,9 @@ func (w *Warehouse) Stats() Stats {
 	if w.snap == nil {
 		st.Snapshot.RunsMaterialized = len(w.runs)
 	}
-	st.Cache = w.cache.counters()
-	st.CacheHits, st.CacheMisses = st.Cache.Hits, st.Cache.Misses
+	st.Cache = w.cache.Counters()
 	st.Index = w.indexStatsLocked()
-	st.Closures.Entries, st.Closures.Bytes = w.cache.held()
+	st.Closures = w.cache.Held()
 	if reg := w.Metrics(); reg != nil {
 		snap := reg.Snapshot()
 		st.Metrics = &snap
@@ -176,7 +175,7 @@ func (w *Warehouse) RunCatalog() []RunInfo {
 // String renders the statistics on one line.
 func (s Stats) String() string {
 	return fmt.Sprintf("specs=%d views=%d runs=%d steps=%d flows=%d data=%d cache=%d/%d index[runs=%d steps=%d data=%d csr=%dB closure=%dw tokens=%dB]",
-		s.Specs, s.Views, s.Runs, s.Steps, s.FlowEdges, s.DataObjects, s.CacheHits, s.CacheMisses,
+		s.Specs, s.Views, s.Runs, s.Steps, s.FlowEdges, s.DataObjects, s.Cache.Hits, s.Cache.Misses,
 		s.Index.IndexedRuns, s.Index.InternedSteps, s.Index.InternedData, s.Index.CSRBytes, s.Index.ClosureWords, s.Index.TokenBytes)
 }
 
@@ -198,7 +197,7 @@ func (w *Warehouse) dropRunLocked(id string) error {
 	}
 	delete(w.runs, id)
 	if rt.run != nil {
-		w.cache.dropRun(rt.run)
+		w.cache.DeleteFunc(func(k cacheKey) bool { return k.r == rt.run })
 	}
 	return nil
 }

@@ -31,7 +31,7 @@ func TestStats(t *testing.T) {
 	if st.Steps != 10 || st.DataObjects != 246 || st.FlowEdges != 13 {
 		t.Fatalf("run counts wrong: %+v", st)
 	}
-	if st.CacheHits != 1 || st.CacheMisses != 1 {
+	if st.Cache.Hits != 1 || st.Cache.Misses != 1 {
 		t.Fatalf("cache counters wrong: %+v", st)
 	}
 	if !strings.Contains(st.String(), "runs=1") {

@@ -11,7 +11,7 @@
 // The warehouse is a concurrent query-serving layer. Loads take the write
 // lock, queries the read lock, and the closure cache is one LRU with a
 // per-key singleflight so many goroutines can answer deep-provenance
-// queries at once without duplicating work (see cache.go for the full
+// queries at once without duplicating work (see memo.go for the full
 // protocol).
 package warehouse
 
@@ -48,7 +48,7 @@ var (
 // use by multiple goroutines. Catalog state (specs, views, runs) is
 // guarded by mu; runs are immutable once loaded, so queries may retain
 // *run.Run pointers after releasing the lock. Closure queries
-// (DeepProvenance) additionally go through the closure cache,
+// (DeepProvenance) additionally go through the closure cache, a Memo,
 // whose counters are atomic and whose misses are coalesced per key by a
 // singleflight. The cache is keyed on the run instance, and a closure is
 // cached only under the read lock while the warehouse still serves its run,
@@ -61,7 +61,7 @@ type Warehouse struct {
 	views map[string]map[string]*core.UserView // spec name -> view name -> view
 	runs  map[string]*runTables                // run id -> per-run tables
 
-	cache *closureCache
+	cache *Memo[cacheKey, *Closure]
 
 	// snap describes the snapshot this warehouse was opened from (nil for
 	// live warehouses and v1 loads): format version, whether the file is
@@ -144,7 +144,7 @@ func New(cacheSize int) *Warehouse {
 		specs: make(map[string]*spec.Spec),
 		views: make(map[string]map[string]*core.UserView),
 		runs:  make(map[string]*runTables),
-		cache: newClosureCache(cacheSize),
+		cache: NewMemo(cacheSize, "closure", closureBytes),
 	}
 }
 
@@ -370,13 +370,7 @@ func (w *Warehouse) NumRuns() int {
 // CacheCounters snapshots every closure-cache counter, including the
 // singleflight and eviction counters the concurrency experiments report.
 func (w *Warehouse) CacheCounters() CacheCounters {
-	return w.cache.counters()
-}
-
-// CacheLen returns the number of closures currently cached (always bounded
-// by the capacity passed to New).
-func (w *Warehouse) CacheLen() int {
-	return w.cache.len()
+	return w.cache.Counters()
 }
 
 // Invalidate evicts the cached closure of one (run, data) key, so the next
