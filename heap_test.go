@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
-	"repro/internal/composite"
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/run"
@@ -47,8 +46,10 @@ var heapRows = [5]string{"runs", "token tables", "UAdmin mappings", "other 6 vie
 // Each shape is shard 0 of its corpus (see heapShape), opened from a v3
 // snapshot, and each structure is the live heap it adds after GC: the runs
 // first touched, their token tables, a UAdmin mapping per run, the six other
-// views' mappings per run, and a full closure cache. Each has a ceiling;
-// `make heap` prints the table. A mapping that copied the run's producer
+// views' mappings per run, all built through Warehouse.Mapping, and a full
+// closure cache. Each has a ceiling, and the mapping and closure memos'
+// own counts (Stats().Mappings, Stats().Closures) must be within 15% of
+// their rows; `make heap` prints the table. A mapping that copied the run's producer
 // column, a closure that kept a data bitset, or token tables that kept
 // offsets of their own exceed theirs.
 func TestWorkerHeap(t *testing.T) {
@@ -74,12 +75,19 @@ func TestWorkerHeap(t *testing.T) {
 				t.Errorf("%s: %s hold %.2f MB, ceiling %.2f", sh.name, row, held[i], sh.ceiling[i])
 			}
 		}
-		// What the closure cache says it holds is what it holds, within
-		// 15%: a byte bound on the cache would go by that figure.
-		closures := held[len(held)-1]
-		t.Logf("  %-24s %5.2f MB  (Stats().Closures.Bytes, within 15%% of %.2f)", "closure cache, counted", counted, closures)
-		if counted < closures*0.85 || counted > closures*1.15 {
-			t.Errorf("%s: the closure cache counts %.3f MB and holds %.3f MB; want within 15%%", sh.name, counted, closures)
+		// What each memo says it holds is what it holds, within 15%: a byte
+		// bound on a memo would go by that figure.
+		for _, c := range []struct {
+			row, field  string
+			held, count float64
+		}{
+			{"mappings, counted", "Mappings", held[2] + held[3], counted[0]},
+			{"closure cache, counted", "Closures", held[4], counted[1]},
+		} {
+			t.Logf("  %-24s %5.2f MB  (Stats().%s.Bytes, within 15%% of %.2f)", c.row, c.count, c.field, c.held)
+			if c.count < c.held*0.85 || c.count > c.held*1.15 {
+				t.Errorf("%s: the %s memo counts %.3f MB and holds %.3f MB; want within 15%%", sh.name, c.field, c.count, c.held)
+			}
 		}
 	}
 }
@@ -94,8 +102,9 @@ func (sh heapShape) runs() int {
 
 // workerHeap builds the shape's corpus as the benchmark generates it, keeps
 // the runs the ring places on shard 0, and measures each structure. counted
-// is what the full closure cache reports it holds, in MB.
-func workerHeap(t *testing.T, sh heapShape, ring *cluster.Ring) (held [5]float64, counted float64, runs int) {
+// is what the warehouse's mapping memo and its full closure cache report
+// they hold, in MB.
+func workerHeap(t *testing.T, sh heapShape, ring *cluster.Ring) (held [5]float64, counted [2]float64, runs int) {
 	t.Helper()
 	g := gen.NewGenerator(sh.seed)
 	src := warehouse.New(0)
@@ -173,7 +182,6 @@ func workerHeap(t *testing.T, sh heapShape, ring *cluster.Ring) (held [5]float64
 		return float64(ms.HeapAlloc) / 1e6
 	}
 	rs := make([]*run.Run, len(mine))
-	var mappings []*composite.Mapping
 	stages := [5]func(){
 		func() {
 			for i, sr := range mine {
@@ -187,11 +195,12 @@ func workerHeap(t *testing.T, sh heapShape, ring *cluster.Ring) (held [5]float64
 				r.Index().Tokens()
 			}
 		},
-		func() { mappings = buildMappings(t, rs, mine, 0, 1, mappings) },
+		func() { buildMappings(t, w, rs, mine, 0, 1) },
 		func() {
 			if sh.switches {
-				mappings = buildMappings(t, rs, mine, 1, 7, mappings)
+				buildMappings(t, w, rs, mine, 1, 7)
 			}
+			counted[0] = float64(w.Stats().Mappings.Bytes) / 1e6
 		},
 		func() {
 			// 1,024 distinct (run, data) keys, runs in turn, each run's
@@ -210,7 +219,7 @@ func workerHeap(t *testing.T, sh heapShape, ring *cluster.Ring) (held [5]float64
 			if st.Entries != 1024 {
 				t.Fatalf("closure cache holds %d entries, want 1024", st.Entries)
 			}
-			counted = float64(st.Bytes) / 1e6
+			counted[1] = float64(st.Bytes) / 1e6
 		},
 	}
 	before := live()
@@ -221,7 +230,6 @@ func workerHeap(t *testing.T, sh heapShape, ring *cluster.Ring) (held [5]float64
 		before = after
 	}
 	runtime.KeepAlive(rs)
-	runtime.KeepAlive(mappings)
 	return held, counted, len(mine)
 }
 
@@ -234,17 +242,15 @@ type heapRun struct {
 	data  []string
 }
 
-// buildMappings appends each run's mappings under its views lo..hi-1.
-func buildMappings(t *testing.T, rs []*run.Run, mine []heapRun, lo, hi int, out []*composite.Mapping) []*composite.Mapping {
+// buildMappings has the warehouse build, and keep, each run's mappings
+// under its views lo..hi-1.
+func buildMappings(t *testing.T, w *warehouse.Warehouse, rs []*run.Run, mine []heapRun, lo, hi int) {
 	t.Helper()
 	for i, r := range rs {
 		for _, v := range mine[i].views[lo:hi] {
-			m, err := composite.Build(r, v)
-			if err != nil {
+			if _, err := w.Mapping(nil, r, v); err != nil {
 				t.Fatal(err)
 			}
-			out = append(out, m)
 		}
 	}
-	return out
 }

@@ -254,7 +254,7 @@ func TestServeConcurrentlyCancellation(t *testing.T) {
 	}
 }
 
-// TestConcurrentMappingMemoization hammers the engine's view→mapping cache
+// TestConcurrentMappingMemoization hammers the warehouse's view→mapping cache
 // from many goroutines across several views at once; under -race this
 // pins the goroutine-safety of the memoization, and the results must all
 // agree with a fresh engine's.

@@ -135,7 +135,7 @@ func (e *Engine) Executions(runID string, v *core.UserView) ([]*composite.Execut
 }
 
 // mappingFor resolves the run and validates the view before handing out
-// the cached composite-execution mapping (Engine.mapping).
+// the cached composite-execution mapping (Warehouse.Mapping).
 func (e *Engine) mappingFor(parent *obs.Span, runID string, v *core.UserView) (*composite.Mapping, error) {
 	r, err := e.w.Run(runID)
 	if err != nil {
@@ -145,5 +145,5 @@ func (e *Engine) mappingFor(parent *obs.Span, runID string, v *core.UserView) (*
 		return nil, fmt.Errorf("%w: run %q executes %q, view is over %q",
 			ErrForeignView, runID, r.SpecName(), v.Spec().Name())
 	}
-	return e.mapping(parent, r, v)
+	return e.w.Mapping(parent, r, v)
 }

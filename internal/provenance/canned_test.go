@@ -150,7 +150,7 @@ func TestInputMetadataSurfaces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.e.DropRun("fig2"); err != nil {
+	if err := f.w.DropRun("fig2"); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.w.LoadRun(r); err != nil {

@@ -15,7 +15,7 @@ import (
 // TestChurnHeapLevels: what a worker holds stays level under churn. 5,000
 // queries, each under a relevant list no query asked before, run against
 // four small runs while a run is dropped and re-ingested every 25 queries
-// (200 cycles). Every memo is bounded (views and mappings by memoBound,
+// (200 cycles). Every memo is bounded (views and mappings by the warehouse's memoBound,
 // closures by the cache's capacity) and forgets a dropped run, so the live
 // heap after the last thousand lists is within 10% of the heap after the
 // first thousand; a memo that grew with every key, or kept what a dropped
@@ -74,7 +74,7 @@ func TestChurnHeapLevels(t *testing.T) {
 			}
 		}
 		cr := &runs[i%len(runs)]
-		v, err := e.View(cr.id, "", relevant)
+		v, err := w.ResolveView(cr.id, "", relevant)
 		if err != nil {
 			t.Fatalf("list %d %v: %v", i, relevant, err)
 		}
@@ -83,7 +83,7 @@ func TestChurnHeapLevels(t *testing.T) {
 		}
 		if (i+1)%every == 0 {
 			cr := &runs[(i/every)%len(runs)]
-			if err := e.DropRun(cr.id); err != nil {
+			if err := w.DropRun(cr.id); err != nil {
 				t.Fatal(err)
 			}
 			if err := w.LoadLog(cr.id, s.Name(), cr.events); err != nil {
@@ -95,7 +95,7 @@ func TestChurnHeapLevels(t *testing.T) {
 		}
 	}
 	last := live()
-	st := e.Stats()
+	st := w.Stats()
 	t.Logf("heap after 1,000 lists %.2f MB, after %d %.2f MB (%+.1f%%); closures %+v, mappings %+v",
 		first/1e6, lists, last/1e6, 100*(last-first)/first, st.Closures, st.Mappings)
 	if last > 1.1*first || last < 0.9*first {
@@ -115,7 +115,7 @@ func TestConcurrentStatsDuringQueries(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := g; i < len(modules); i += 4 {
-				v, err := f.e.View("fig2", "", modules[i:i+1])
+				v, err := f.e.Warehouse().ResolveView("fig2", "", modules[i:i+1])
 				if err != nil {
 					t.Error(err)
 					return
@@ -131,12 +131,12 @@ func TestConcurrentStatsDuringQueries(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 100; i++ {
-			f.e.Stats()
+			f.e.Warehouse().Stats()
 		}
 	}()
 	wg.Wait()
 	<-done
-	if m := f.e.Stats().Mappings; m.Entries != len(modules) || m.Bytes <= 0 {
+	if m := f.e.Warehouse().Stats().Mappings; m.Entries != len(modules) || m.Bytes <= 0 {
 		t.Fatalf("after one query per single-module view of %d: mappings %+v", len(modules), m)
 	}
 }

@@ -14,16 +14,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
-	"strconv"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/composite"
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/run"
-	"repro/internal/spec"
 	"repro/internal/warehouse"
 )
 
@@ -34,24 +30,15 @@ var ErrForeignView = errors.New("provenance: view does not match run's specifica
 // Engine evaluates provenance queries against a warehouse.
 //
 // Thread-safety contract: every exported method is safe for concurrent
-// use by multiple goroutines. The engine itself holds only two memos of
-// derived state, each keyed on the objects it is built from: the views
-// built from relevant-module sets, per (specification, set), and the
-// view→composite-execution mappings, per (run instance, view). Both are
-// warehouse.Memos, the type that holds the warehouse's closures: exactly
-// memoBound entries each, least recently used out first, and concurrent
-// misses on one key share one build, so concurrent first queries never
-// duplicate a build; a failed build is not kept. Returned views, Mappings
-// and Results are treated as immutable after construction and may be
-// shared freely. Both memos live and die with the engine, which is tied to
-// one warehouse. The expensive UAdmin closures live in the warehouse's
-// memo, so concurrent queries over the same run contend only briefly on
-// its lock, never on the traversal itself.
+// use by multiple goroutines. The engine keeps no state beyond its
+// metrics attachment: every memo of derived state — the UAdmin closures,
+// the views built from relevant lists and the view mappings — is the
+// warehouse's (Warehouse.DeepProvenanceObservedCtx, ResolveView, Mapping),
+// so concurrent first queries share one build and a dropped run's entries
+// go with it. Returned Mappings and Results are treated as immutable after
+// construction and may be shared freely.
 type Engine struct {
 	w *warehouse.Warehouse
-
-	views    *warehouse.Memo[viewKey, *core.UserView]
-	mappings *warehouse.Memo[mappingKey, *composite.Mapping]
 
 	// obs holds the engine's metrics instruments (nil when detached — the
 	// common case, in which queries never read the clock). Published
@@ -59,124 +46,11 @@ type Engine struct {
 	obs atomic.Pointer[engineMetrics]
 }
 
-// viewKey names a view built on request: the specification and its
-// relevant set, canonical (see View). The empty set is UAdmin.
-type viewKey struct {
-	spec     *spec.Spec
-	relevant string
-}
-
-type mappingKey struct {
-	r *run.Run
-	v *core.UserView
-}
-
-// memoBound is the capacity of each of the engine's memos. A server that
-// builds views from request-supplied relevant lists mints new keys without
-// end; past the bound the least recently used entry makes room. A rebuilt
-// view or mapping costs a fraction of a millisecond, well under one cold
-// query.
-const memoBound = 1024
-
 // NewEngine returns an engine over the given warehouse.
-func NewEngine(w *warehouse.Warehouse) *Engine {
-	return &Engine{
-		w:     w,
-		views: warehouse.NewMemo(memoBound, "view", func(viewKey, *core.UserView) int { return 0 }),
-		mappings: warehouse.NewMemo(memoBound, "mapping", func(_ mappingKey, m *composite.Mapping) int {
-			return m.Projector().Bytes()
-		}),
-	}
-}
+func NewEngine(w *warehouse.Warehouse) *Engine { return &Engine{w: w} }
 
 // Warehouse returns the underlying warehouse.
 func (e *Engine) Warehouse() *warehouse.Warehouse { return e.w }
-
-// Stats is the warehouse's statistics plus what the engine's mapping memo
-// holds.
-type Stats struct {
-	warehouse.Stats
-	// Mappings is the (run, view) mapping memo: its entries and the bytes
-	// they hold (composite.Projector.Bytes and the memo's overhead each).
-	Mappings warehouse.MemoStats
-}
-
-// Stats returns the warehouse's statistics and the mapping memo's.
-func (e *Engine) Stats() Stats {
-	return Stats{Stats: e.w.Stats(), Mappings: e.mappings.Held()}
-}
-
-// View resolves a query's choice of view over the specification of run
-// runID: the view registered under name when name is non-empty, otherwise
-// the view the relevant modules induce (core.BuildRelevant), or UAdmin when
-// relevant is empty too. Built views are memoized per (specification,
-// relevant set): the set is sorted and deduplicated first, so every
-// spelling of one set gets the same *core.UserView — and so meets the same
-// memoized mappings. An invalid set's error is not memoized: asking again
-// builds again.
-func (e *Engine) View(runID, name string, relevant []string) (*core.UserView, error) {
-	r, err := e.w.Run(runID)
-	if err != nil {
-		return nil, err
-	}
-	if name != "" {
-		return e.w.View(r.SpecName(), name)
-	}
-	sp, err := e.w.Spec(r.SpecName())
-	if err != nil {
-		return nil, err
-	}
-	set := slices.Clone(relevant)
-	slices.Sort(set)
-	set = slices.Compact(set)
-	// Length-prefixed, so no two sets share a key whatever their names hold.
-	var key []byte
-	for _, m := range set {
-		key = append(strconv.AppendInt(key, int64(len(m)), 10), ':')
-		key = append(key, m...)
-	}
-	v, _, err := e.views.Get(nil, viewKey{sp, string(key)}, func(keep func(*core.UserView)) (*core.UserView, error) {
-		if len(set) == 0 {
-			v := core.UAdmin(sp)
-			keep(v)
-			return v, nil
-		}
-		v, err := core.BuildRelevant(sp, set)
-		if err == nil {
-			keep(v)
-		}
-		return v, err
-	})
-	return v, err
-}
-
-// mapping returns the (cached) composite-execution mapping of a run under a
-// view. Mappings depend only on (run, view), not on the queried data, so
-// they are shared across queries and built exactly once per key. The key is
-// the run instance: a run dropped and re-ingested under the same id is a
-// different key, and its old entries are never met again. A build under a
-// traced parent span records "mapping.compute" beneath it.
-func (e *Engine) mapping(parent *obs.Span, r *run.Run, v *core.UserView) (*composite.Mapping, error) {
-	m, _, err := e.mappings.Get(parent, mappingKey{r, v}, func(keep func(*composite.Mapping)) (*composite.Mapping, error) {
-		m, err := composite.Build(r, v)
-		if err == nil {
-			keep(m)
-		}
-		return m, err
-	})
-	return m, err
-}
-
-// DropRun drops a run from the warehouse (Warehouse.DropRun) and forgets the
-// mappings memoized for it, which would otherwise keep the run, its index
-// and its token tables reachable until other mappings pushed them out.
-func (e *Engine) DropRun(runID string) error {
-	if err := e.w.DropRun(runID); err != nil {
-		return err
-	}
-	e.mappings.DeleteFunc(func(k mappingKey) bool { return k.r.ID() == runID })
-	return nil
-}
 
 // Edge is a dataflow edge of a provenance result graph.
 type Edge struct {
@@ -283,7 +157,7 @@ func (e *Engine) DeepAnswerCtx(ctx context.Context, runID string, v *core.UserVi
 		projectStart = time.Now()
 	}
 	psp := sp.StartChild("query.project")
-	mp, err := e.mapping(psp, r, v)
+	mp, err := e.w.Mapping(psp, r, v)
 	var res *Answer
 	if err == nil {
 		res, err = project(mp, closure)

@@ -342,8 +342,8 @@ func TestConcurrentIndexedServe(t *testing.T) {
 	}
 }
 
-// TestReingestReplacesMapping is the stale-mapping regression: the engine's
-// (run id, view) mapping memo must answer only for the run instance it was
+// TestReingestReplacesMapping is the stale-mapping regression: the
+// (run, view) mapping memo must answer only for the run instance it was
 // built over. Run A is loaded as "x" and queried, dropped, and a different
 // run B is loaded as "x"; every query kind must then answer exactly like a
 // fresh engine over B (the parent commit answered from A's executions).
@@ -418,8 +418,8 @@ func TestReingestReplacesMapping(t *testing.T) {
 }
 
 // TestMappingMemoIsBounded: 5,000 distinct relevant lists against one run —
-// a new view pointer each — leave the engine's mapping memo at exactly
-// memoBound, and
+// a new view pointer each — leave the warehouse's mapping memo at exactly
+// its capacity, 1,024, and
 // every answer, including one for a view whose mapping was evicted long ago,
 // is the oracle's.
 func TestMappingMemoIsBounded(t *testing.T) {
@@ -462,8 +462,8 @@ func TestMappingMemoIsBounded(t *testing.T) {
 		}
 		check(v)
 	}
-	if n := e.mappings.Held().Entries; n != memoBound {
-		t.Fatalf("mapping memo holds %d entries after 5,000 views, want its capacity %d", n, memoBound)
+	if n := e.Warehouse().Stats().Mappings.Entries; n != 1024 {
+		t.Fatalf("mapping memo holds %d entries after 5,000 views, want its capacity %d", n, 1024)
 	}
 	check(first)
 }
@@ -507,10 +507,12 @@ func mustLog(t *testing.T, r *run.Run) []wflog.Event {
 	return events
 }
 
-// TestDropRunForgetsMappings: Engine.DropRun leaves no memo entry naming the
-// run (the parent commit kept them, and through them the run, its index and
-// everything hanging off it, until 1,024 other mappings pushed them out), and
-// a different run loaded under the same id is answered from its own index.
+// TestDropRunForgetsMappings: Warehouse.DropRun leaves no memo entry naming
+// the run (memos that kept them kept, through them, the run, its index and
+// everything hanging off it, until 1,024 other mappings pushed them out),
+// the other run keeps its mappings, and a different run loaded under the
+// same id is answered from its own index. The warehouse's
+// TestDropRunSweepsMappings counts the drops, hits and misses.
 func TestDropRunForgetsMappings(t *testing.T) {
 	g := gen.NewGenerator(99)
 	s := g.Workflow(gen.Class3(), "drop")
@@ -548,28 +550,36 @@ func TestDropRunForgetsMappings(t *testing.T) {
 			}
 		}
 	}
-	if n := e.mappings.Held().Entries; n != 2*len(views) {
+	w := e.Warehouse()
+	if n := w.Stats().Mappings.Entries; n != 2*len(views) {
 		t.Fatalf("memo holds %d mappings before the drop, want %d", n, 2*len(views))
 	}
-	if err := e.DropRun("x"); err != nil {
-		t.Fatal(err)
-	}
-	if n, drops := e.mappings.Held().Entries, e.mappings.Counters().Drops; n != len(views) || drops != int64(len(views)) {
-		t.Fatalf("memo holds %d mappings after %d drops, want the other run's %d after %d", n, drops, len(views), len(views))
-	}
-	// The mappings left are the kept run's: asking for them again hits each
-	// once and builds none.
-	before := e.mappings.Counters()
-	for _, v := range views {
-		if _, err := e.DeepProvenance(keep.ID(), v, lastFinal(keep)); err != nil {
+	kept := make([]*composite.Mapping, len(views))
+	for i, v := range views {
+		if kept[i], err = w.Mapping(nil, keep, v); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if after := e.mappings.Counters(); after.Hits-before.Hits != int64(len(views)) || after.Misses != before.Misses {
-		t.Fatalf("re-asking the kept run under %d views: %d hits and %d misses, want %d and 0",
-			len(views), after.Hits-before.Hits, after.Misses-before.Misses, len(views))
+	if err := w.DropRun("x"); err != nil {
+		t.Fatal(err)
 	}
-	if err := e.DropRun("x"); !errors.Is(err, warehouse.ErrUnknownRun) {
+	if n := w.Stats().Mappings.Entries; n != len(views) {
+		t.Fatalf("memo holds %d mappings after the drop, want the other run's %d", n, len(views))
+	}
+	// The mappings left are the kept run's: asking for them again answers
+	// with the mappings built before the drop.
+	for i, v := range views {
+		if _, err := e.DeepProvenance(keep.ID(), v, lastFinal(keep)); err != nil {
+			t.Fatal(err)
+		}
+		if m, err := w.Mapping(nil, keep, v); err != nil || m != kept[i] {
+			t.Fatalf("the kept run's mapping under view %d was rebuilt after the drop (%v)", i, err)
+		}
+	}
+	if n := w.Stats().Mappings.Entries; n != len(views) {
+		t.Fatalf("memo holds %d mappings after re-asking the kept run, want %d", n, len(views))
+	}
+	if err := w.DropRun("x"); !errors.Is(err, warehouse.ErrUnknownRun) {
 		t.Fatalf("dropping a dropped run: %v, want ErrUnknownRun", err)
 	}
 
@@ -638,58 +648,4 @@ func TestOversizedProjectionLeavesThePool(t *testing.T) {
 	steps, ds := oracleClosure(run.Figure2(), "d447", false)
 	sameResult(t, "small projection after an oversized one", got,
 		oracleProject(oracleMapping(t, run.Figure2(), core.UAdmin(spec.Phylogenomics())), "d447", steps, ds))
-}
-
-// TestViewMemoEvictsOne: a full view memo gives up one entry per new view,
-// the least recently used, so every other live view keeps its pointer and,
-// with it, its mappings.
-// Clearing the memo instead would hand every live view a new pointer on its
-// next request and strand all of their mappings at once.
-func TestViewMemoEvictsOne(t *testing.T) {
-	g := gen.NewGenerator(3)
-	sp := g.Workflow(gen.Class2(), "memo")
-	r, _, err := g.Run(sp, gen.Small(), "memo-run")
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := engineFor(t, sp, r)
-	mods := sp.ModuleNames()
-	if 1<<len(mods) <= memoBound+1 {
-		t.Fatalf("%d modules cannot spell %d distinct relevant lists", len(mods), memoBound+1)
-	}
-	// The k-th relevant list is the modules at the set bits of k.
-	resolve := func(k int) *core.UserView {
-		var relevant []string
-		for i, m := range mods {
-			if k&(1<<i) != 0 {
-				relevant = append(relevant, m)
-			}
-		}
-		v, err := e.View(r.ID(), "", relevant)
-		if err != nil {
-			t.Fatalf("relevant list %d: %v", k, err)
-		}
-		return v
-	}
-	built := make(map[int]*core.UserView, memoBound)
-	for k := 1; k <= memoBound; k++ {
-		built[k] = resolve(k)
-	}
-	resolve(memoBound + 1)
-	if n := e.views.Held().Entries; n != memoBound {
-		t.Fatalf("memo holds %d views after %d distinct relevant lists, want %d", n, memoBound+1, memoBound)
-	}
-	// The victim is the least recently used list, the first; every other
-	// list still resolves to its view (each a hit, so nothing is evicted).
-	for k := 2; k <= memoBound; k++ {
-		if again := resolve(k); again != built[k] {
-			t.Fatalf("relevant list %d was not the victim but resolved to a new view", k)
-		}
-	}
-	if again := resolve(1); again == built[1] {
-		t.Fatal("relevant list 1, the least recently used, was not evicted")
-	}
-	if c := e.views.Counters(); c.Evictions != 2 {
-		t.Fatalf("%d evictions, want 2: one for list %d and one for list 1 again", c.Evictions, memoBound+1)
-	}
 }

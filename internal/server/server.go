@@ -105,8 +105,7 @@ func New(reg *obs.Registry, cfg Config) (*Server, error) {
 // SetEngine installs the engine and flips the server ready. It may be
 // called while the handler is serving — the warehouse typically loads in
 // the background after the listener is already up. The views the server
-// resolves are memoized by the engine, so they go with the old engine and
-// its warehouse.
+// resolves are memoized by the engine's warehouse, so they go with it.
 func (s *Server) SetEngine(e *provenance.Engine) {
 	s.engine.Store(e)
 	s.generation.Add(1)
@@ -268,14 +267,14 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
-// resolveView asks the engine for the view a request selects
-// (Engine.View). A request naming both a view and a relevant list, or an
-// invalid relevant list, is the client's error.
+// resolveView asks the warehouse for the view a request selects
+// (Warehouse.ResolveView). A request naming both a view and a relevant
+// list, or an invalid relevant list, is the client's error.
 func resolveView(e *provenance.Engine, runID, viewName string, relevant []string) (*core.UserView, error) {
 	if viewName != "" && len(relevant) > 0 {
 		return nil, fmt.Errorf("%w: view and relevant are mutually exclusive", errBadRequest)
 	}
-	v, err := e.View(runID, viewName, relevant)
+	v, err := e.Warehouse().ResolveView(runID, viewName, relevant)
 	if errors.Is(err, core.ErrBadRelevant) {
 		return nil, fmt.Errorf("%w: %v", errBadRequest, err)
 	}
@@ -387,5 +386,5 @@ func (s *Server) handleStats(_ *obs.Trace, w http.ResponseWriter, _ *http.Reques
 	if e == nil {
 		return
 	}
-	edge.WriteJSON(w, http.StatusOK, map[string]any{"stats": e.Stats()})
+	edge.WriteJSON(w, http.StatusOK, map[string]any{"stats": e.Warehouse().Stats()})
 }

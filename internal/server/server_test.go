@@ -420,7 +420,7 @@ func TestServerRunsAndStats(t *testing.T) {
 		t.Fatalf("/v1/query: %d %s", rec.Code, rec.Body)
 	}
 	var held struct {
-		Stats provenance.Stats `json:"stats"`
+		Stats warehouse.Stats `json:"stats"`
 	}
 	if rec := doJSON(t, h, "GET", "/v1/stats", nil, &held); rec.Code != 200 {
 		t.Fatalf("/v1/stats: %d", rec.Code)
@@ -609,7 +609,7 @@ func TestServerDebugEndpoints(t *testing.T) {
 // TestServerConcurrentBatchTrace hammers the API from many goroutines —
 // traced batches, traced and untraced single queries, metric scrapes, and
 // slow-log reads all at once — so -race can see the span tree, ring
-// buffer, the engine's view memo, and registry interact. (`make race` runs every test
+// buffer, the warehouse's view memo, and registry interact. (`make race` runs every test
 // matching Concurrent|Stress.)
 func TestServerConcurrentBatchTrace(t *testing.T) {
 	s, _ := newTestServer(t, Config{SlowThreshold: -1})

@@ -50,7 +50,7 @@ var testKey = cacheKey{run.Figure2(), "d1"}
 // time (the leader's computation is gated until all 31 others are blocked
 // on the flight), and the closure is computed exactly once.
 func TestConcurrentSingleflightComputesOnce(t *testing.T) {
-	cc := NewMemo(1024, "closure", closureBytes)
+	cc := newMemo(1024, "closure", closureBytes)
 	release := make(chan struct{})
 	compute := func() (*Closure, error) {
 		<-release
@@ -105,7 +105,7 @@ func TestConcurrentSingleflightComputesOnce(t *testing.T) {
 // computation runs once, every concurrent waiter receives the same error,
 // and the error is not cached (the next miss recomputes).
 func TestConcurrentSingleflightErrorShared(t *testing.T) {
-	cc := NewMemo(1024, "closure", closureBytes)
+	cc := newMemo(1024, "closure", closureBytes)
 	release := make(chan struct{})
 	boom := errors.New("boom")
 	failing := func() (*Closure, error) {

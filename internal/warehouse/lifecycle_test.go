@@ -36,7 +36,7 @@ func tinyChurnEvents() []wflog.Event {
 }
 
 // inflight returns the number of singleflight flights in progress.
-func inflight[K comparable, V any](m *Memo[K, V]) int {
+func inflight[K comparable, V any](m *memo[K, V]) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return len(m.inflight)

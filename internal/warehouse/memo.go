@@ -10,13 +10,13 @@ import (
 	"repro/internal/obs"
 )
 
-// Memo is a bounded, concurrent, build-once map of derived state, and the
-// one cache a worker keeps: the warehouse's UAdmin closures (the paper's
-// temporary table: "when a query is executed on a given workflow run, the
-// UAdmin provenance information is stored in a temporary table, and does
-// not need to be recomputed when switching the user view on the same
-// workflow run"), and the provenance engine's views and mappings that the
-// re-projection reads.
+// memo is a bounded, concurrent, build-once map of derived state, and the
+// one cache type a worker keeps: the warehouse's UAdmin closures (the
+// paper's temporary table: "when a query is executed on a given workflow
+// run, the UAdmin provenance information is stored in a temporary table,
+// and does not need to be recomputed when switching the user view on the
+// same workflow run"), and the views and mappings that the re-projection
+// reads.
 //
 //   - Entries live in one LRU list under one mutex: the memo holds exactly
 //     its capacity, and the entry evicted is always the least recently
@@ -26,8 +26,8 @@ import (
 //     on the same key wait for the leader's result instead of duplicating
 //     the build (no thundering herd).
 //   - A build stores its value only by passing it to keep, so the memo's
-//     owner decides what may be stored (the warehouse keeps a closure only
-//     while it still serves the closure's run). An error reaches the
+//     owner decides what may be stored (the warehouse keeps a closure or a
+//     mapping only while it still serves its run). An error reaches the
 //     lookup's waiters and is never stored: the next miss builds again.
 //   - One ledger: Held counts the entries and the bytes they hold, each
 //     entry's size (the size function) plus the memo's own overhead.
@@ -35,7 +35,7 @@ import (
 // Counters are atomic; see CacheCounters for the invariants they maintain.
 // They are the only count of each event: an attached registry reads them
 // (attachMetrics). An evicted value stays valid for whoever still holds it.
-type Memo[K comparable, V any] struct {
+type memo[K comparable, V any] struct {
 	mu       sync.Mutex
 	cap      int
 	items    map[K]*list.Element
@@ -74,13 +74,13 @@ type flight[V any] struct {
 	err  error
 }
 
-// NewMemo returns a memo holding exactly capacity entries. A traced miss
+// newMemo returns a memo holding exactly capacity entries. A traced miss
 // records a "<span>.compute" span, or "<span>.shared-wait" when it waits on
 // another goroutine's build. size is what one entry's key and value hold
 // beyond the memo's own overhead; it runs under the memo's lock.
-func NewMemo[K comparable, V any](capacity int, span string, size func(K, V) int) *Memo[K, V] {
+func newMemo[K comparable, V any](capacity int, span string, size func(K, V) int) *memo[K, V] {
 	var ent memoEntry[K, V]
-	return &Memo[K, V]{
+	return &memo[K, V]{
 		cap:      capacity,
 		items:    make(map[K]*list.Element),
 		order:    list.New(),
@@ -98,7 +98,7 @@ func NewMemo[K comparable, V any](capacity int, span string, size func(K, V) int
 }
 
 // entryBytes is what one held entry counts for in the ledger.
-func (m *Memo[K, V]) entryBytes(key K, v V) int { return m.size(key, v) + m.overhead }
+func (m *memo[K, V]) entryBytes(key K, v V) int { return m.size(key, v) + m.overhead }
 
 // Outcome classifies one memo lookup — the dimension the query latency
 // histograms are split by.
@@ -124,7 +124,7 @@ func (o Outcome) String() string {
 
 // insertLocked adds or refreshes an entry and evicts from the back while
 // over capacity. Callers hold m.mu.
-func (m *Memo[K, V]) insertLocked(key K, v V) {
+func (m *memo[K, V]) insertLocked(key K, v V) {
 	m.bytes += m.entryBytes(key, v)
 	if el, ok := m.items[key]; ok {
 		ent := el.Value.(*memoEntry[K, V])
@@ -141,7 +141,7 @@ func (m *Memo[K, V]) insertLocked(key K, v V) {
 }
 
 // removeLocked removes one entry. Callers hold m.mu.
-func (m *Memo[K, V]) removeLocked(el *list.Element) {
+func (m *memo[K, V]) removeLocked(el *list.Element) {
 	ent := m.order.Remove(el).(*memoEntry[K, V])
 	delete(m.items, ent.key)
 	m.bytes -= m.entryBytes(ent.key, ent.v)
@@ -160,7 +160,7 @@ func (m *Memo[K, V]) removeLocked(el *list.Element) {
 // parent span gets a "<span>.compute" or "<span>.shared-wait" child; a hit
 // records no span of its own, and an untraced lookup (nil parent) pays only
 // the nil check.
-func (m *Memo[K, V]) Get(parent *obs.Span, key K, build func(keep func(V)) (V, error)) (V, Outcome, error) {
+func (m *memo[K, V]) Get(parent *obs.Span, key K, build func(keep func(V)) (V, error)) (V, Outcome, error) {
 	m.mu.Lock()
 	if el, ok := m.items[key]; ok {
 		m.order.MoveToFront(el)
@@ -212,7 +212,7 @@ func (m *Memo[K, V]) Get(parent *obs.Span, key K, build func(keep func(V)) (V, e
 // and records build times into reg's <prefix>.compute_ns. <prefix>.computes
 // reads misses: every miss leads one build. nil detaches the histogram
 // only.
-func (m *Memo[K, V]) attachMetrics(reg *obs.Registry, prefix string) {
+func (m *memo[K, V]) attachMetrics(reg *obs.Registry, prefix string) {
 	for name, n := range map[string]*atomic.Int64{
 		"hits":          &m.hits,
 		"misses":        &m.misses,
@@ -229,7 +229,7 @@ func (m *Memo[K, V]) attachMetrics(reg *obs.Registry, prefix string) {
 }
 
 // Counters snapshots every counter.
-func (m *Memo[K, V]) Counters() CacheCounters {
+func (m *memo[K, V]) Counters() CacheCounters {
 	return CacheCounters{
 		Hits:          m.hits.Load(),
 		Misses:        m.misses.Load(),
@@ -244,7 +244,7 @@ func (m *Memo[K, V]) Counters() CacheCounters {
 
 // Held returns the number of entries held and the bytes they hold: each
 // entry's size and the memo's overhead for it.
-func (m *Memo[K, V]) Held() MemoStats {
+func (m *memo[K, V]) Held() MemoStats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return MemoStats{Entries: len(m.items), Bytes: m.bytes}
@@ -254,7 +254,7 @@ func (m *Memo[K, V]) Held() MemoStats {
 // actually removed an entry — invalidating an absent key is a no-op, not a
 // removal (the counter-drift fix the CacheCounters invariants rely on). A
 // leader in flight for the key may store its value afterwards.
-func (m *Memo[K, V]) invalidate(key K) {
+func (m *memo[K, V]) invalidate(key K) {
 	m.mu.Lock()
 	el, removed := m.items[key]
 	if removed {
@@ -266,11 +266,12 @@ func (m *Memo[K, V]) invalidate(key K) {
 	}
 }
 
-// DeleteFunc removes every entry whose key satisfies del, each counted as a
-// drop; del runs under the memo's lock. A leader in flight may store its value afterwards; the warehouse
-// sweeps its closures of a dropped run under its write lock, which no
-// closure leader holds, so none of them can.
-func (m *Memo[K, V]) DeleteFunc(del func(K) bool) {
+// deleteFunc removes every entry whose key satisfies del, each counted as a
+// drop; del runs under the memo's lock. A leader in flight may store its
+// value afterwards; the warehouse sweeps a dropped run's closures and
+// mappings under its write lock, which no leader holds, so none of them
+// can.
+func (m *memo[K, V]) deleteFunc(del func(K) bool) {
 	m.mu.Lock()
 	for key, el := range m.items {
 		if del(key) {
@@ -285,7 +286,7 @@ func (m *Memo[K, V]) DeleteFunc(del func(K) bool) {
 // is indistinguishable from a fresh memo. A leader in flight across a reset
 // may still store its (correct) value, counted against the zeroed counters,
 // so reset belongs at quiescent points.
-func (m *Memo[K, V]) reset() {
+func (m *memo[K, V]) reset() {
 	m.mu.Lock()
 	m.items = make(map[K]*list.Element)
 	m.order.Init()

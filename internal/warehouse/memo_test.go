@@ -8,10 +8,10 @@ import (
 // TestMemo pins the rules every memo keeps, whatever it holds: the least
 // recently used entry goes first (use, not insertion, decides), a failed
 // build is not kept and is built again, a build that does not keep its
-// value stores nothing, DeleteFunc counts each removal as a drop, and Held
+// value stores nothing, deleteFunc counts each removal as a drop, and Held
 // counts each entry's size plus the memo's overhead.
 func TestMemo(t *testing.T) {
-	m := NewMemo(3, "test", func(_ int, v string) int { return len(v) })
+	m := newMemo(3, "test", func(_ int, v string) int { return len(v) })
 	get := func(k int, v string, err error, store bool) (string, Outcome, error) {
 		t.Helper()
 		return m.Get(nil, k, func(keep func(string)) (string, error) {
@@ -76,9 +76,9 @@ func TestMemo(t *testing.T) {
 	}
 	held("after failed and unkept builds", "a", "ccc", "dddd")
 
-	m.DeleteFunc(func(k int) bool { return k != 0 })
+	m.deleteFunc(func(k int) bool { return k != 0 })
 	if c := m.Counters(); c.Drops != 2 {
-		t.Fatalf("DeleteFunc removed 2 entries, counted %d drops", c.Drops)
+		t.Fatalf("deleteFunc removed 2 entries, counted %d drops", c.Drops)
 	}
 	held("two deleted", "a")
 	checkQuiescentInvariants(t, m.Counters(), m.Counters().Hits+m.Counters().Misses, m.Held().Entries)
@@ -90,7 +90,7 @@ func TestMemo(t *testing.T) {
 // value are preallocated, so any further allocation is the memo's: a span
 // name concatenated per miss, say, would show as a sixth.
 func TestMemoMissAllocs(t *testing.T) {
-	m := NewMemo(1, "test", func(int, *Closure) int { return 0 })
+	m := newMemo(1, "test", func(int, *Closure) int { return 0 })
 	c := testClosure("d1", nil, []string{"d1"})
 	build := func(keep func(*Closure)) (*Closure, error) {
 		keep(c)

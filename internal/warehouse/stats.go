@@ -33,9 +33,12 @@ type Stats struct {
 	// unless AttachMetrics was called): query-stage latency histograms,
 	// ingest throughput, and cache lifecycle counters.
 	Metrics *obs.Snapshot
+	// Mappings is what the (run, view) mapping memo holds: each mapping's
+	// projector (composite.Projector.Bytes) with the memo's overhead.
+	Mappings MemoStats
 }
 
-// CacheCounters are a Memo's counters; Stats.Cache holds the closure
+// CacheCounters are a memo's counters; Stats.Cache holds the closure
 // cache's. All of them are maintained with atomic adds (never plain
 // increments), so reading them during a 32-goroutine stress run is
 // race-free. At any quiescent point (no lookup, invalidation, drop, or
@@ -72,7 +75,7 @@ type CacheCounters struct {
 	Drops int64
 }
 
-// MemoStats counts the entries of a memo of derived state (Memo.Held) and
+// MemoStats counts the entries of a memo of derived state (memo.Held) and
 // the bytes they hold: each entry's size, as its memo measures it, plus the
 // memo's own bookkeeping for it (entry, list element and map slot: 130 to
 // 150 bytes).
@@ -135,6 +138,7 @@ func (w *Warehouse) Stats() Stats {
 	st.Cache = w.cache.Counters()
 	st.Index = w.indexStatsLocked()
 	st.Closures = w.cache.Held()
+	st.Mappings = w.mappings.Held()
 	if reg := w.Metrics(); reg != nil {
 		snap := reg.Snapshot()
 		st.Metrics = &snap
@@ -179,25 +183,27 @@ func (s Stats) String() string {
 		s.Index.IndexedRuns, s.Index.InternedSteps, s.Index.InternedData, s.Index.CSRBytes, s.Index.ClosureWords, s.Index.TokenBytes)
 }
 
-// DropRun removes a run and its cached closures. Dropping an unknown run
-// is an error, so callers notice typos.
+// DropRun removes a run with its cached closures and mappings. Dropping an
+// unknown run is an error, so callers notice typos.
 func (w *Warehouse) DropRun(id string) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.dropRunLocked(id)
 }
 
-// dropRunLocked is DropRun under the write lock, which no closure leader
-// holds: whatever a leader of the run cached before is swept here, and a
-// leader that runs later finds the run no longer served and keeps nothing.
+// dropRunLocked is DropRun under the write lock, which no closure or
+// mapping leader holds: whatever a leader of the run kept before is swept
+// here, and a leader that runs later finds the run no longer served and
+// keeps nothing.
 func (w *Warehouse) dropRunLocked(id string) error {
 	rt, ok := w.runs[id]
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownRun, id)
 	}
 	delete(w.runs, id)
-	if rt.run != nil {
-		w.cache.DeleteFunc(func(k cacheKey) bool { return k.r == rt.run })
+	if r := rt.run; r != nil {
+		w.cache.deleteFunc(func(k cacheKey) bool { return k.r == r })
+		w.mappings.deleteFunc(func(k mappingKey) bool { return k.r == r })
 	}
 	return nil
 }

@@ -23,6 +23,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/composite"
 	"repro/internal/core"
 	"repro/internal/run"
 	"repro/internal/spec"
@@ -47,13 +48,15 @@ var (
 // Thread-safety contract: every exported method is safe for concurrent
 // use by multiple goroutines. Catalog state (specs, views, runs) is
 // guarded by mu; runs are immutable once loaded, so queries may retain
-// *run.Run pointers after releasing the lock. Closure queries
-// (DeepProvenance) additionally go through the closure cache, a Memo,
-// whose counters are atomic and whose misses are coalesced per key by a
-// singleflight. The cache is keyed on the run instance, and a closure is
-// cached only under the read lock while the warehouse still serves its run,
-// so DropRun and Close, which sweep under the write lock, leave no closure
-// of a dropped run behind; Invalidate and ResetCache only evict.
+// *run.Run pointers after releasing the lock. The warehouse also owns all
+// of a worker's derived state, in three memos whose counters are atomic
+// and whose misses are coalesced per key by a singleflight: the UAdmin
+// closures (DeepProvenance), the views built from relevant lists
+// (ResolveView) and the view mappings (Mapping). Closures and mappings are
+// keyed on the run instance and kept only under the read lock while the
+// warehouse still serves their run, so DropRun and Close, which sweep both
+// under the write lock, leave nothing of a dropped run behind; Invalidate
+// and ResetCache only evict closures.
 type Warehouse struct {
 	mu sync.RWMutex
 
@@ -61,7 +64,9 @@ type Warehouse struct {
 	views map[string]map[string]*core.UserView // spec name -> view name -> view
 	runs  map[string]*runTables                // run id -> per-run tables
 
-	cache *Memo[cacheKey, *Closure]
+	cache    *memo[cacheKey, *Closure]
+	viewMemo *memo[viewKey, *core.UserView]
+	mappings *memo[mappingKey, *composite.Mapping]
 
 	// snap describes the snapshot this warehouse was opened from (nil for
 	// live warehouses and v1 loads): format version, whether the file is
@@ -141,10 +146,12 @@ func New(cacheSize int) *Warehouse {
 		cacheSize = 1024
 	}
 	return &Warehouse{
-		specs: make(map[string]*spec.Spec),
-		views: make(map[string]map[string]*core.UserView),
-		runs:  make(map[string]*runTables),
-		cache: NewMemo(cacheSize, "closure", closureBytes),
+		specs:    make(map[string]*spec.Spec),
+		views:    make(map[string]map[string]*core.UserView),
+		runs:     make(map[string]*runTables),
+		cache:    newMemo(cacheSize, "closure", closureBytes),
+		viewMemo: newMemo(memoBound, "view", func(viewKey, *core.UserView) int { return 0 }),
+		mappings: newMemo(memoBound, "mapping", mappingBytes),
 	}
 }
 
@@ -340,8 +347,10 @@ func (w *Warehouse) Close() error {
 		return nil
 	}
 	w.closed = true
-	// Cached closures can hold index pointers; drop them with the mapping.
+	// Closures and mappings hold index pointers, whose arrays a v3 open
+	// aliases into the mapping: drop them with it.
 	w.cache.reset()
+	w.mappings.reset()
 	if w.snap != nil && w.snap.src != nil {
 		return w.snap.src.Close()
 	}

@@ -30,7 +30,8 @@ echo "serve-smoke: creating example warehouse"
 
 # `zoom query -trace` leaves stdout the untraced answer and prints the
 # query's span tree on stderr, cold then warm: the cold lookup is a miss
-# with the closure compute beneath it, the warm one a hit with none.
+# with the closure compute beneath it, the warm one a hit with none; the
+# cold projection builds the view's mapping, the warm one reads it.
 set -- query -warehouse "$workdir/wh.json" -run fig2 -data d447 -relevant M2,M3,M7
 "$workdir/zoom" "$@" >"$workdir/plain.txt" || fail "zoom query"
 "$workdir/zoom" "$@" -trace >"$workdir/traced.txt" 2>"$workdir/trees.txt" || fail "zoom query -trace"
@@ -40,9 +41,11 @@ sed -n '/^warm:$/,$p' "$workdir/trees.txt" >"$workdir/warm.txt"
 grep -q '^    query.lookup .* outcome=miss$' "$workdir/cold.txt" || fail "cold tree: query.lookup is not a miss"
 grep -q '^      closure.compute ' "$workdir/cold.txt" || fail "cold tree has no closure.compute under its lookup"
 grep -q '^    query.project ' "$workdir/cold.txt" || fail "cold tree has no query.project"
+grep -q '^      mapping.compute ' "$workdir/cold.txt" || fail "cold tree has no mapping.compute under its projection"
 grep -q '^    query.lookup .* outcome=hit$' "$workdir/warm.txt" || fail "warm tree: query.lookup is not a hit"
 grep -q 'closure.compute' "$workdir/warm.txt" && fail "warm tree computes a closure"
 grep -q '^    query.project ' "$workdir/warm.txt" || fail "warm tree has no query.project"
+grep -q 'mapping.compute' "$workdir/warm.txt" && fail "warm tree builds a mapping"
 echo "serve-smoke: zoom query -trace ok"
 
 # -addr :0 binds a free port; the server prints the bound address on stderr.
@@ -93,6 +96,10 @@ curl -fsS -o "$workdir/plain.json" -X POST -H 'Content-Type: application/json' \
     -d '{"run":"fig2","data":"d447","view":"joe"}' "$base/v1/query" || fail "untraced POST /v1/query"
 cmp -s "$workdir/query.json" "$workdir/plain.json" || fail "traced answer differs from the untraced one"
 echo "serve-smoke: traced query ok ($hdr_id)"
+
+# The warehouse holds the one mapping the joe queries built, and says so.
+curl -fsS "$base/v1/stats" >"$workdir/stats.json" || fail "GET /v1/stats"
+grep -q '"Mappings":{"Entries":1,' "$workdir/stats.json" || fail "/v1/stats does not report the one mapping held"
 
 # Metrics exposition carries the query that just ran.
 curl -fsS "$base/metrics" >"$workdir/metrics.txt" || fail "GET /metrics"

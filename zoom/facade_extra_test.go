@@ -150,8 +150,8 @@ func TestPathAndCompareFacade(t *testing.T) {
 }
 
 // TestDropRunReleasesTheRun: after System.DropRun nothing in the system
-// reaches the run any more, so the collector takes it back. The engine's
-// mapping memo used to: a run queried under any view stayed in memory until
+// reaches the run any more, so the collector takes it back. A mapping memo
+// outside the warehouse used to: a run queried under any view stayed in memory until
 // 1,024 other mappings had pushed its entries out. The run is made wide
 // enough (50,000 inputs: megabytes of names and relations) that holding it
 // and releasing it are far apart on the live-heap gauge.

@@ -424,7 +424,7 @@ func (s *System) CacheCounters() CacheCounters { return s.w.CacheCounters() }
 
 // Stats summarizes the warehouse contents (catalog row counts) and what its
 // memos of derived state hold.
-func (s *System) Stats() provenance.Stats { return s.e.Stats() }
+func (s *System) Stats() warehouse.Stats { return s.w.Stats() }
 
 // NewMetrics returns an empty observability registry.
 func NewMetrics() *Metrics { return obs.NewRegistry() }
@@ -442,7 +442,7 @@ func (s *System) AttachMetrics(reg *Metrics) {
 func (s *System) Metrics() *Metrics { return s.w.Metrics() }
 
 // DropRun removes a run, its cached closures and its memoized view mappings.
-func (s *System) DropRun(id string) error { return s.e.DropRun(id) }
+func (s *System) DropRun(id string) error { return s.w.DropRun(id) }
 
 // LoadLogReader streams a JSON-lines workflow log straight into run
 // construction — no event slice is materialized. It returns the number of
